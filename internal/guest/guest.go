@@ -178,8 +178,14 @@ type VM struct {
 	app   App
 	clock ClockView
 
+	// ops[head:] is the op queue. Popping advances head rather than
+	// reslicing, so the backing array is reused instead of reallocated every
+	// few ops: head returns to 0 when the queue empties, and push compacts
+	// once the consumed prefix outweighs the live window.
 	ops     []op
+	head    int
 	timers  []pendingTimer
+	due     []pendingTimer // fireDueTimers scratch
 	sendSeq uint64
 
 	stats  Stats
@@ -226,7 +232,26 @@ func (vm *VM) Boot() {
 }
 
 // Busy reports whether the guest has queued work (vs idle-spinning).
-func (vm *VM) Busy() bool { return len(vm.ops) > 0 }
+func (vm *VM) Busy() bool { return vm.head < len(vm.ops) }
+
+// pop consumes the head op, dropping its payload reference.
+func (vm *VM) pop() {
+	vm.ops[vm.head] = op{}
+	vm.head++
+	if vm.head == len(vm.ops) {
+		vm.ops, vm.head = vm.ops[:0], 0
+	}
+}
+
+// push appends an op to the queue.
+func (vm *VM) push(o op) {
+	if vm.head > len(vm.ops)/2 {
+		n := copy(vm.ops, vm.ops[vm.head:])
+		clear(vm.ops[n:])
+		vm.ops, vm.head = vm.ops[:n], 0
+	}
+	vm.ops = append(vm.ops, o)
+}
 
 // Step executes up to max branches. It returns early when an I/O op causes
 // a VM exit. With an empty queue the guest spins its idle loop, consuming
@@ -237,21 +262,21 @@ func (vm *VM) Step(max int64) StepResult {
 	}
 	var executed int64
 	for executed < max {
-		if len(vm.ops) == 0 {
+		if !vm.Busy() {
 			// Idle loop: burn the remaining budget.
 			idle := max - executed
 			vm.stats.Branches += idle
 			vm.stats.IdleBranches += idle
 			return StepResult{Executed: max, Idle: true}
 		}
-		cur := &vm.ops[0]
+		cur := &vm.ops[vm.head]
 		switch cur.kind {
 		case opCompute:
 			remaining := max - executed
 			if cur.branches <= remaining {
 				executed += cur.branches
 				vm.stats.Branches += cur.branches
-				vm.ops = vm.ops[1:]
+				vm.pop()
 			} else {
 				cur.branches -= remaining
 				vm.stats.Branches += remaining
@@ -262,7 +287,7 @@ func (vm *VM) Step(max int64) StepResult {
 			act := &IOAction{Dst: cur.dst, Size: cur.size, Data: cur.data, Seq: vm.sendSeq}
 			vm.stats.PacketsSent++
 			vm.outLog.Append(vm.sendSeq, cur.dst, cur.size, cur.data)
-			vm.ops = vm.ops[1:]
+			vm.pop()
 			// The send itself costs one branch (I/O port write).
 			executed++
 			vm.stats.Branches++
@@ -270,13 +295,13 @@ func (vm *VM) Step(max int64) StepResult {
 		case opDisk:
 			act := &IOAction{Tag: cur.tag, Bytes: cur.bytes, Write: cur.write}
 			vm.stats.DiskRequests++
-			vm.ops = vm.ops[1:]
+			vm.pop()
 			executed++
 			vm.stats.Branches++
 			return StepResult{Executed: executed, IO: act}
 		default:
 			// Unreachable by construction; drop the malformed op.
-			vm.ops = vm.ops[1:]
+			vm.pop()
 		}
 	}
 	return StepResult{Executed: executed}
@@ -287,7 +312,7 @@ func (vm *VM) Step(max int64) StepResult {
 // execution chunks.
 func (vm *VM) BranchesToNextIO() (int64, bool) {
 	var n int64
-	for _, o := range vm.ops {
+	for _, o := range vm.ops[vm.head:] {
 		switch o.kind {
 		case opCompute:
 			n += o.branches
@@ -323,7 +348,7 @@ func (vm *VM) DeliverTimerTicks(n int) {
 func (vm *VM) fireDueTimers() {
 	now := vm.clock.Now()
 	kept := vm.timers[:0]
-	var due []pendingTimer
+	due := vm.due[:0]
 	for _, t := range vm.timers {
 		if t.due <= now {
 			due = append(due, t)
@@ -336,6 +361,7 @@ func (vm *VM) fireDueTimers() {
 		vm.stats.TimerCallbacks++
 		vm.app.OnTimer(vmCtx{vm}, t.tag)
 	}
+	vm.due = due[:0]
 }
 
 // NextTimerDue returns the earliest armed app-timer deadline, if any.
@@ -361,35 +387,35 @@ func (c vmCtx) Compute(n int64) {
 		return
 	}
 	// Coalesce with a trailing compute op to keep the queue small.
-	if len(c.vm.ops) > 0 {
+	if c.vm.Busy() {
 		last := &c.vm.ops[len(c.vm.ops)-1]
 		if last.kind == opCompute {
 			last.branches += n
 			return
 		}
 	}
-	c.vm.ops = append(c.vm.ops, op{kind: opCompute, branches: n})
+	c.vm.push(op{kind: opCompute, branches: n})
 }
 
 func (c vmCtx) Send(dst netsim.Addr, size int, data any) {
 	if dst == "" || size <= 0 {
 		return
 	}
-	c.vm.ops = append(c.vm.ops, op{kind: opSend, dst: dst, size: size, data: data})
+	c.vm.push(op{kind: opSend, dst: dst, size: size, data: data})
 }
 
 func (c vmCtx) DiskRead(tag string, bytes int) {
 	if bytes <= 0 {
 		return
 	}
-	c.vm.ops = append(c.vm.ops, op{kind: opDisk, tag: tag, bytes: bytes})
+	c.vm.push(op{kind: opDisk, tag: tag, bytes: bytes})
 }
 
 func (c vmCtx) DiskWrite(tag string, bytes int) {
 	if bytes <= 0 {
 		return
 	}
-	c.vm.ops = append(c.vm.ops, op{kind: opDisk, tag: tag, bytes: bytes, write: true})
+	c.vm.push(op{kind: opDisk, tag: tag, bytes: bytes, write: true})
 }
 
 func (c vmCtx) SetTimer(d vtime.Virtual, tag string) {
@@ -562,7 +588,7 @@ func (vm *VM) SnapshotInto(snap *VMSnapshot) error {
 	snap.sendSeq = vm.sendSeq
 	snap.booted = vm.booted
 	snap.stats = vm.stats
-	snap.ops = append(snap.ops[:0], vm.ops...)
+	snap.ops = append(snap.ops[:0], vm.ops[vm.head:]...)
 	snap.timers = append(snap.timers[:0], vm.timers...)
 	snap.logN = vm.outLog.n
 	snap.logDig = vm.outLog.digest
@@ -594,7 +620,7 @@ func (vm *VM) RestoreSnapshot(snap *VMSnapshot) error {
 	vm.sendSeq = snap.sendSeq
 	vm.booted = snap.booted
 	vm.stats = snap.stats
-	vm.ops = append(vm.ops[:0], snap.ops...)
+	vm.ops, vm.head = append(vm.ops[:0], snap.ops...), 0
 	vm.timers = append(vm.timers[:0], snap.timers...)
 	vm.outLog.n = snap.logN
 	vm.outLog.digest = snap.logDig

@@ -47,6 +47,11 @@ type Coordinator struct {
 	parallel bool
 	depth    int // RunUntil re-entrancy depth; workers span the outermost call
 
+	// Tests only: barriers counts barriers run, and everyWindow turns the
+	// idle-window skip off, giving the reference schedule it must equal.
+	barriers    uint64
+	everyWindow bool
+
 	workers []chan shardCmd
 	done    []chan error
 }
@@ -165,6 +170,41 @@ func (c *Coordinator) runShards(t Time, inclusive bool) error {
 	return nil
 }
 
+// idleWindows returns how many whole lookahead windows from cur, none
+// reaching past limit, hold no shard event. The count is taken after the
+// barrier's own sends are exchanged (control events and barrier work may
+// have parked cross-shard traffic since the barrier's exchange; injecting
+// it now instead of at the next barrier moves no arrival), so it is the
+// same for every shard count.
+func (c *Coordinator) idleWindows(cur, la, limit Time) int64 {
+	if c.everyWindow {
+		return 0
+	}
+	next := c.nextShardEvent()
+	if next < cur+la {
+		return 0
+	}
+	if c.exchange != nil {
+		c.exchange()
+		next = c.nextShardEvent()
+	}
+	if next > limit {
+		next = limit
+	}
+	return int64((next - cur) / la)
+}
+
+// nextShardEvent returns the earliest pending event time on any shard.
+func (c *Coordinator) nextShardEvent() Time {
+	next := Never
+	for _, s := range c.shards {
+		if w := s.PeekNextEventTime(); w < next {
+			next = w
+		}
+	}
+	return next
+}
+
 // RunUntil advances the whole simulation to t: all events with When <= t on
 // the control loop and every shard loop execute, and every loop is left
 // positioned at t. Nested calls (a control callback running the simulation
@@ -192,6 +232,7 @@ func (c *Coordinator) RunUntil(t Time) error {
 		// Barrier: merge cross-shard traffic, drain deferred work, then
 		// let the control loop catch up. Control events at cur run here,
 		// before any shard executes a data event at cur.
+		c.barriers++
 		if c.exchange != nil {
 			c.exchange()
 		}
@@ -210,12 +251,20 @@ func (c *Coordinator) RunUntil(t Time) error {
 		if la <= 0 {
 			panic(fmt.Sprintf("sim: non-positive lookahead %d", la))
 		}
-		w := cur + la
-		if w > t {
-			w = t
+		limit := t
+		if nc := c.ctrl.PeekNextEventTime(); nc < limit {
+			limit = nc
 		}
-		if nc := c.ctrl.PeekNextEventTime(); nc < w {
-			w = nc
+		w := cur + la
+		if w > limit {
+			w = limit
+		}
+		if idle := c.idleWindows(cur, la, limit); idle > 0 {
+			// Nothing anywhere fires before cur+idle·la: those windows
+			// would run no event and their barriers would find nothing to
+			// exchange or drain, so park the shards at the last of them.
+			// Staying on the grid keeps every later barrier where it was.
+			w = cur + Time(idle)*la
 		}
 		if err := c.runShards(w, false); err != nil {
 			return err

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -56,9 +57,10 @@ func (f *miniFabric) send(src, dst int, lat Time) {
 }
 
 func (f *miniFabric) inject(m miniMsg) {
-	f.loops[f.shardOf[m.dstNode]].AtArrivalTimer(m.when, m.label, func(a, _ any, _ uint64) {
+	l := f.loops[f.shardOf[m.dstNode]]
+	l.AtArrivalTimer(m.when, m.label, func(a, _ any, _ uint64) {
 		mm := a.(miniMsg)
-		f.traces[mm.dstNode] = append(f.traces[mm.dstNode], fmt.Sprintf("%d@%s", mm.when, mm.label))
+		f.traces[mm.dstNode] = append(f.traces[mm.dstNode], fmt.Sprintf("%d@%s", l.Now(), mm.label))
 	}, m, nil, 0, m.k1, m.k2)
 }
 
@@ -105,10 +107,14 @@ func TestCoordinatorBarrierSeesParkedShards(t *testing.T) {
 	barriers := 0
 	co := NewCoordinator(ctrl, shards, func() Time { return 5 }, nil, func() {
 		barriers++
-		// At a barrier every shard is parked at the control clock: no
-		// shard may be mid-window or hold unexecuted events in the past.
+		// At a barrier every shard is parked at the same instant, at or
+		// ahead of the control clock (which catches up after this hook, and
+		// lags by more than one lookahead only across skipped idle
+		// windows): no shard may be mid-window or hold unexecuted events
+		// in the past.
 		for i, s := range shards {
-			if s.Now() > ctrl.Now()+5 || (s.HasPendingEvents() && s.PeekNextEventTime() < ctrl.Now()) {
+			if s.Now() != shards[0].Now() || s.Now() < ctrl.Now() ||
+				(s.HasPendingEvents() && s.PeekNextEventTime() < s.Now()) {
 				t.Fatalf("barrier %d: shard %d at %d with next=%d, ctrl at %d",
 					barriers, i, s.Now(), s.PeekNextEventTime(), ctrl.Now())
 			}
@@ -242,5 +248,110 @@ func TestCoordinatorSetParallelDuringRunPanics(t *testing.T) {
 	})
 	if err := co.RunUntil(2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCoordinatorSkipsIdleWindows: windows in which no shard holds an event
+// are passed over in one step, and nothing else changes — the same events
+// fire in the same per-node order, and every barrier that finds deferred
+// work finds it at the same instant as on the window-by-window schedule,
+// for every shard count.
+func TestCoordinatorSkipsIdleWindows(t *testing.T) {
+	// Two events 100 000 ticks apart under a lookahead of 10.
+	for _, every := range []bool{true, false} {
+		ctrl, shard := NewLoop(), NewLoop()
+		var fired []Time
+		for _, at := range []Time{7, 100_007} {
+			shard.At(at, "ev", func() { fired = append(fired, shard.Now()) })
+		}
+		co := NewCoordinator(ctrl, []*Loop{shard}, func() Time { return 10 }, nil, nil)
+		co.everyWindow = every
+		if err := co.RunUntil(200_000); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fired, []Time{7, 100_007}) || shard.Now() != 200_000 || ctrl.Now() != 200_000 {
+			t.Fatalf("everyWindow=%v: fired %v, shard at %d, ctrl at %d", every, fired, shard.Now(), ctrl.Now())
+		}
+		if n := co.barriers; every && n < 20_000 || !every && n > 10 {
+			t.Fatalf("everyWindow=%v: %d barriers", every, n)
+		}
+	}
+
+	// Sparse traffic over K shards: bursts 700 ticks apart, a control event
+	// that sends from barrier context (its packet waits in an outbox, unseen
+	// by any shard's queue, when the idle check runs), and per-shard
+	// deferred work drained at barriers.
+	type drain struct {
+		at    Time
+		items []string
+	}
+	run := func(nShards int, parallel, every bool) ([][]string, []drain, uint64) {
+		loops := make([]*Loop, nShards)
+		for i := range loops {
+			loops[i] = NewLoop()
+		}
+		const nodes = 4
+		const lat = Time(10)
+		shardOf := make([]int, nodes)
+		for i := range shardOf {
+			shardOf[i] = i % nShards
+		}
+		f := newMiniFabric(loops, shardOf)
+		ctrl := NewLoop()
+		deferred := make([][]string, nShards)
+		var pump func(node, n int)
+		pump = func(node, n int) {
+			if n == 0 {
+				return
+			}
+			l := loops[shardOf[node]]
+			l.After(700+Time(node), fmt.Sprintf("pump:%d", node), func() {
+				f.send(node, (node+1)%nodes, lat+Time(node))
+				deferred[shardOf[node]] = append(deferred[shardOf[node]], fmt.Sprintf("%d@%d", node, l.Now()))
+				pump(node, n-1)
+			})
+		}
+		for node := 0; node < nodes; node++ {
+			pump(node, 4)
+		}
+		ctrl.At(1234, "ctrl:send", func() { f.send(0, 3, lat+3) })
+		var drains []drain
+		co := NewCoordinator(ctrl, loops, func() Time { return lat }, f.exchange, func() {
+			var items []string
+			for k := range deferred {
+				items = append(items, deferred[k]...)
+				deferred[k] = deferred[k][:0]
+			}
+			if len(items) > 0 {
+				sort.Strings(items)
+				drains = append(drains, drain{loops[0].Now(), items})
+			}
+		})
+		co.everyWindow = every
+		co.SetParallel(parallel)
+		if err := co.RunUntil(5000); err != nil {
+			t.Fatal(err)
+		}
+		return f.traces, drains, co.barriers
+	}
+	wantTraces, wantDrains, wantBarriers := run(1, false, true)
+	if len(wantDrains) == 0 || len(wantTraces[3]) < 5 {
+		t.Fatalf("reference schedule went slack: %d drains, node 3 saw %v", len(wantDrains), wantTraces[3])
+	}
+	for _, tc := range []struct {
+		k        int
+		parallel bool
+	}{{1, false}, {2, false}, {2, true}, {4, false}, {4, true}} {
+		traces, drains, barriers := run(tc.k, tc.parallel, false)
+		if !reflect.DeepEqual(traces, wantTraces) {
+			t.Errorf("K=%d parallel=%v: per-node traces differ from the window-by-window schedule\ngot  %v\nwant %v",
+				tc.k, tc.parallel, traces, wantTraces)
+		}
+		if !reflect.DeepEqual(drains, wantDrains) {
+			t.Errorf("K=%d parallel=%v: barrier drains differ\ngot  %v\nwant %v", tc.k, tc.parallel, drains, wantDrains)
+		}
+		if barriers*5 > wantBarriers {
+			t.Errorf("K=%d parallel=%v: %d barriers against %d window by window", tc.k, tc.parallel, barriers, wantBarriers)
+		}
 	}
 }

@@ -38,13 +38,15 @@ type Event struct {
 	a, b any
 	u    uint64
 
-	// Partition-invariant ordering key for same-timestamp events. Local
-	// events (band 0) order by scheduling sequence, exactly as before.
-	// Fabric arrivals (band 1, via AtArrivalTimer) order by (k1, k2) —
-	// a stable hash of the directed link and the per-link send counter —
-	// so the order of same-time arrivals from different sources does not
-	// depend on which shard's loop they were scheduled on, or in what
-	// order a coordinator injected them.
+	// Ordering key for same-timestamp events. Local events (band 0) carry
+	// k1 = the time they were scheduled at and k2 = 0, which orders them by
+	// scheduling sequence exactly as a bare sequence number would; a caller
+	// that realises a chain of would-be events lazily (AtKeyedTimer) states
+	// the key its event would have had instead. Fabric arrivals (band 1,
+	// via AtArrivalTimer) order by (k1, k2) — a stable hash of the directed
+	// link and the per-link send counter — so the order of same-time
+	// arrivals from different sources does not depend on which shard's loop
+	// they were scheduled on, or in what order a coordinator injected them.
 	band uint8
 	k1   uint64
 	k2   uint64
@@ -98,6 +100,13 @@ type Loop struct {
 	fired   uint64
 	horizon Time
 	allocs  uint64 // pool misses: distinct Events ever allocated
+
+	// cur is the event being fired (nil between events); drained records
+	// that, with none firing, every event at now has run — a Run returned
+	// there — rather than none of them (RunBefore parked the loop there).
+	// Together they place "here" in the total event order for Passed.
+	cur     *Event
+	drained bool
 }
 
 // NewLoop returns an empty loop positioned at time zero.
@@ -165,6 +174,7 @@ func (l *Loop) At(t Time, name string, fn func()) *Event {
 	e.When = t
 	e.Name = name
 	e.fn = fn
+	e.k1 = uint64(l.now)
 	l.insert(e)
 	return e
 }
@@ -172,6 +182,19 @@ func (l *Loop) At(t Time, name string, fn func()) *Event {
 // AtTimer schedules a typed callback at absolute time t: fn(a, b, u) runs at
 // t with no closure allocation. Same clamping and pooling rules as At.
 func (l *Loop) AtTimer(t Time, name string, fn TimerFunc, a, b any, u uint64) *Event {
+	return l.AtKeyedTimer(t, name, fn, a, b, u, uint64(l.now), 0)
+}
+
+// AtKeyedTimer schedules a typed local callback at absolute time t that
+// orders among same-time local events as if it had been scheduled at time
+// k1 (which may lie in the future), after every event really scheduled
+// then, and among other keyed events of equal k1 by k2 (> 0). It is for a
+// caller that stands in for a chain of events it did not schedule — guest
+// execution arms one event for the last of a run of chunks, which must
+// fire where the chain's own last event would have: a chunk's event is
+// scheduled when its predecessor fires, so k1 is the last chunk's start.
+// Passed answers the same question for the links that were never armed.
+func (l *Loop) AtKeyedTimer(t Time, name string, fn TimerFunc, a, b any, u, k1, k2 uint64) *Event {
 	if t < l.now {
 		t = l.now
 	}
@@ -182,9 +205,40 @@ func (l *Loop) AtTimer(t Time, name string, fn TimerFunc, a, b any, u uint64) *E
 	e.a = a
 	e.b = b
 	e.u = u
+	e.k1 = k1
+	e.k2 = k2
 	l.insert(e)
 	return e
 }
+
+// Passed reports whether a local event keyed (t, k1, k2) — see AtKeyedTimer
+// — would already have fired: t lies in the past, or t is now and the event
+// sorts before the one being fired. A fabric arrival fires after every
+// local event of its instant; a local event fires after the keyed one iff
+// it was scheduled after k1 (on equal keys the real event goes first).
+// Between events the loop is either parked ahead of its instant (RunBefore,
+// a coordinator barrier: nothing at now has fired) or has drained it.
+func (l *Loop) Passed(t Time, k1, k2 uint64) bool {
+	if t != l.now {
+		return t < l.now
+	}
+	e := l.cur
+	if e == nil {
+		return l.drained
+	}
+	if e.band != 0 {
+		return true
+	}
+	if e.k1 != k1 {
+		return e.k1 > k1
+	}
+	return e.k2 > k2
+}
+
+// Leading reports whether the caller runs ahead of every event at Now():
+// no event is firing and none at this instant has fired yet (a coordinator
+// barrier, or a loop that has not run).
+func (l *Loop) Leading() bool { return l.cur == nil && !l.drained }
 
 // AtArrivalTimer schedules a fabric-arrival callback at absolute time t,
 // ordered among same-time arrivals by the partition-invariant key (k1, k2)
@@ -254,6 +308,9 @@ func (l *Loop) Reschedule(e *Event, t Time) *Event {
 		t = l.now
 	}
 	e.When = t
+	if e.band == 0 {
+		e.k1, e.k2 = uint64(l.now), 0
+	}
 	e.seq = l.seq
 	l.seq++
 	l.fix(int(e.index))
@@ -261,11 +318,12 @@ func (l *Loop) Reschedule(e *Event, t Time) *Event {
 }
 
 // less orders events by (When, band, k1, k2, seq): the deterministic total
-// order. Local events (band 0, k1=k2=0) at the same instant keep their
-// scheduling order; fabric arrivals (band 1) at the same instant order by
-// the partition-invariant (link hash, link seq) key, after locals. The key
-// — not insertion order — decides, so the order is identical whether the
-// arrivals were scheduled by one loop or merged in from K shards.
+// order. Local events (band 0, k1 = scheduling time, k2 = 0) at the same
+// instant keep their scheduling order; fabric arrivals (band 1) at the same
+// instant order by the partition-invariant (link hash, link seq) key, after
+// locals. The key — not insertion order — decides, so the order is
+// identical whether the arrivals were scheduled by one loop or merged in
+// from K shards.
 func less(x, y *Event) bool {
 	if x.When != y.When {
 		return x.When < y.When
@@ -273,13 +331,11 @@ func less(x, y *Event) bool {
 	if x.band != y.band {
 		return x.band < y.band
 	}
-	if x.band != 0 {
-		if x.k1 != y.k1 {
-			return x.k1 < y.k1
-		}
-		if x.k2 != y.k2 {
-			return x.k2 < y.k2
-		}
+	if x.k1 != y.k1 {
+		return x.k1 < y.k1
+	}
+	if x.k2 != y.k2 {
+		return x.k2 < y.k2
 	}
 	return x.seq < y.seq
 }
@@ -405,6 +461,10 @@ func (l *Loop) ProcessNextEvent() {
 	next := l.pop()
 	l.now = next.When
 	l.fired++
+	// A callback may run this loop further (a nested RunUntil); the outer
+	// event is the one firing again once that returns.
+	outer := l.cur
+	l.cur = next
 	// The event is recycled only after the callback returns: during the
 	// callback, Cancel/Reschedule on the (detached) event are safe
 	// no-ops, and nothing scheduled inside the callback can be handed
@@ -414,6 +474,7 @@ func (l *Loop) ProcessNextEvent() {
 	} else if fn := next.fn; fn != nil {
 		fn()
 	}
+	l.cur = outer
 	l.release(next)
 }
 
@@ -427,10 +488,12 @@ func (l *Loop) Run() error {
 		}
 		if l.PeekNextEventTime() > l.horizon {
 			l.now = l.horizon
+			l.drained = true
 			return nil
 		}
 		l.ProcessNextEvent()
 	}
+	l.drained = true
 	return nil
 }
 
@@ -460,6 +523,7 @@ func (l *Loop) RunBefore(t Time) error {
 	err := l.RunUntil(t - 1)
 	if err == nil {
 		l.now = t
+		l.drained = false
 	}
 	return err
 }

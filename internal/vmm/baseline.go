@@ -67,7 +67,7 @@ func NewBaselineRuntime(host *Host, guestID string, app guest.App) (*BaselineRun
 		vm:        vm,
 		loop:      host.Loop(),
 		exitEvery: cfg.ExitEvery,
-		onExit:    rt.exit,
+		vmm:       rt,
 	}
 	host.register(&rt.ex)
 	return rt, nil
@@ -153,6 +153,12 @@ func (rt *BaselineRuntime) requestDisk(a guest.IOAction) {
 		})
 	})
 }
+
+// horizon implements exitHandler: what an exit delivers depends on host
+// real time, which no instruction count predicts, so every boundary is
+// taken — and none is ever skipped.
+func (rt *BaselineRuntime) horizon(first int64) int64 { return first }
+func (rt *BaselineRuntime) skipped()                  {}
 
 // exit is the baseline VM-exit handler: inject whatever is ready.
 func (rt *BaselineRuntime) exit(res guest.StepResult) {

@@ -89,7 +89,8 @@ func (rt *Runtime) EnableCheckpoints(j *Journal, every int64) error {
 	}
 	rt.journal = j
 	rt.ckEvery = every
-	rt.ckNext = (rt.ex.instr/every + 1) * every
+	rt.ckNext = (rt.Instr()/every + 1) * every
+	rt.ex.rearm() // the first checkpoint may precede the armed exit
 	return nil
 }
 

@@ -77,8 +77,7 @@ func NewEpochCoordinator(rt *Runtime, interval int64, replicas int) (*EpochCoord
 		samples:  make(map[int64]map[string]vtime.EpochSample),
 	}
 	ec.epochStart = rt.Host().Loop().Now()
-	rt.epochHook = ec.onExit
-	rt.epochWait = func() bool { return ec.waiting }
+	rt.epoch = ec
 	return ec, nil
 }
 
@@ -102,11 +101,15 @@ func (ec *EpochCoordinator) SetGroup(origins []string) {
 	}
 }
 
-// onExit is called by the runtime at every guest-caused exit, after instr
-// has advanced. It returns true when the runtime must pause at a barrier.
+// nextBoundary returns the instruction count that ends the current epoch:
+// the first exit at or past it is the first onExit acts on.
+func (ec *EpochCoordinator) nextBoundary() int64 { return (ec.epoch + 1) * ec.interval }
+
+// onExit is called by the runtime at every guest-caused exit it does not
+// skip, after instr has advanced. It returns true when the runtime must
+// pause at a barrier.
 func (ec *EpochCoordinator) onExit(instr int64) bool {
-	boundary := (ec.epoch + 1) * ec.interval
-	if instr < boundary {
+	if instr < ec.nextBoundary() {
 		return false
 	}
 	if !ec.waiting {
@@ -234,7 +237,7 @@ func (ec *EpochCoordinator) RestoreAt(donor *EpochCoordinator) {
 			ec.addSample(origin, ec.epoch, s)
 		}
 	}
-	if ec.rt.Instr() >= (ec.epoch+1)*ec.interval {
+	if ec.rt.Instr() >= ec.nextBoundary() {
 		ec.waiting = true
 		s := vtime.EpochSample{D: 0, R: ec.rt.Host().Clock().Read(now)}
 		ec.addSample(ec.self, ec.epoch, s)

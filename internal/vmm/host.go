@@ -28,6 +28,13 @@ type Host struct {
 	consumers []cpuConsumer
 	busyCount int
 
+	// Chunk-event ranks (nextRank): rankHi and rankLo are how far above
+	// and below rankOrigin they reach, rankLoAt the barrier instant rankLo's
+	// current block belongs to.
+	rankHi   uint64
+	rankLo   uint64
+	rankLoAt sim.Time
+
 	// Disk FIFO horizon (like link serialization).
 	diskFree sim.Time
 	diskOps  uint64
@@ -94,6 +101,39 @@ func (h *Host) unregister(c cpuConsumer) {
 			return
 		}
 	}
+}
+
+// Rank layout: ranks handed out inside events grow upward from rankOrigin,
+// each barrier instant takes a block below every earlier one.
+const (
+	rankOrigin = 1 << 62
+	rankBlock  = 1 << 20
+)
+
+// nextRank returns the tie-break rank of a freshly armed execution chunk:
+// the last component of its event key (sim.Loop.AtKeyedTimer), consulted
+// only between chunks that end at the same instant and began at the same
+// instant — co-resident guests armed together, which then share every
+// boundary for as long as they run at the same rate. Ticking, such chunks
+// fired in the order their events were scheduled, and kept that order from
+// boundary to boundary; a rank is that order made explicit, so it survives
+// boundaries no event was scheduled for. Armed inside an event, a chunk
+// was scheduled after everything pending: the next rank up. Armed at a
+// coordinator barrier, it was scheduled before whatever the co-residents'
+// events of that instant go on to schedule, so it goes below every rank
+// handed out so far — but above the ranks of its own instant, which were
+// armed before it.
+func (h *Host) nextRank() uint64 {
+	if !h.loop.Leading() {
+		h.rankHi++
+		return rankOrigin + h.rankHi
+	}
+	if now := h.loop.Now(); h.rankLo == 0 || now != h.rankLoAt {
+		h.rankLoAt = now
+		h.rankLo = (h.rankLo+rankBlock-1)/rankBlock*rankBlock + rankBlock
+	}
+	h.rankLo--
+	return rankOrigin - h.rankLo
 }
 
 // setBusy reports a consumer's busy/idle transition and triggers a rescale

@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"stopwatch/internal/guest"
@@ -31,6 +32,12 @@ type PaceSinkFunc func(v vtime.Virtual)
 // PaceReport implements PaceSink.
 func (f PaceSinkFunc) PaceReport(v vtime.Virtual) { f(v) }
 
+// peerProgress is one peer replica's latest pacing report.
+type peerProgress struct {
+	peer string
+	virt vtime.Virtual
+}
+
 // netDelivery is a network interrupt scheduled in virtual time.
 type netDelivery struct {
 	deliverVirt vtime.Virtual
@@ -46,6 +53,9 @@ type diskDelivery struct {
 	readyReal   sim.Time
 	done        guest.DiskDone
 }
+
+// noPeers is maxPeer's value while no peer has reported: no lead to bound.
+const noPeers = vtime.Virtual(math.MaxInt64)
 
 // RuntimeStats counts StopWatch-runtime events.
 type RuntimeStats struct {
@@ -92,7 +102,11 @@ type Runtime struct {
 	pendingDisk []diskDelivery
 	diskSeq     uint64
 
-	peerVirt map[string]vtime.Virtual
+	// Pacing state: each peer's last progress report and their maximum
+	// (noPeers while there are none). A replica has at most a few peers,
+	// and exits and the horizon read only the maximum.
+	peers   []peerProgress
+	maxPeer vtime.Virtual
 
 	stats RuntimeStats
 
@@ -108,12 +122,9 @@ type Runtime struct {
 	// OnNetDeliver observes each injected network interrupt (experiments).
 	OnNetDeliver func(seq uint64, deliverVirt vtime.Virtual, real sim.Time)
 
-	// epochHook, set by an EpochCoordinator, runs at each exit; returning
-	// true holds the replica at an epoch barrier.
-	epochHook func(instr int64) bool
-	// epochWait reports whether the replica is held at an epoch barrier
-	// (pacing must not resume it).
-	epochWait func() bool
+	// epoch, set by NewEpochCoordinator, sees each exit (it may hold the
+	// replica at an epoch barrier, which pacing must not resume it from).
+	epoch *EpochCoordinator
 
 	// Checkpoint capture state (EnableCheckpoints). Captures happen before
 	// any epoch adjustment at the same exit, so every replica checkpoints
@@ -145,13 +156,13 @@ func NewRuntime(host *Host, guestID string, app guest.App, bootTimes []sim.Time)
 	if err != nil {
 		return nil, err
 	}
-	// peerVirt is lazily initialized on the first pacing report.
 	rt := &Runtime{
-		host:   host,
-		cfg:    cfg,
-		vclock: vc,
-		pit:    pit,
-		tsc:    vtime.TSC{HzGHz: 3.0},
+		host:    host,
+		cfg:     cfg,
+		vclock:  vc,
+		pit:     pit,
+		tsc:     vtime.TSC{HzGHz: 3.0},
+		maxPeer: noPeers,
 	}
 	// The PIT tick schedule starts at the clock's start value, not at
 	// virtual zero, so early guests aren't flooded with catch-up ticks.
@@ -167,7 +178,7 @@ func NewRuntime(host *Host, guestID string, app guest.App, bootTimes []sim.Time)
 		vm:        vm,
 		loop:      host.Loop(),
 		exitEvery: cfg.ExitEvery,
-		onExit:    rt.exit,
+		vmm:       rt,
 	}
 	host.register(&rt.ex)
 	return rt, nil
@@ -176,7 +187,10 @@ func NewRuntime(host *Host, guestID string, app guest.App, bootTimes []sim.Time)
 var _ guest.ClockView = (*Runtime)(nil)
 
 // Now implements guest.ClockView: the guest sees only virtual time.
-func (rt *Runtime) Now() vtime.Virtual { return rt.vclock.At(rt.ex.instr) }
+func (rt *Runtime) Now() vtime.Virtual {
+	rt.ex.sync()
+	return rt.vclock.At(rt.ex.instr)
+}
 
 // TSC implements guest.ClockView from virtual time (Sec. IV-B).
 func (rt *Runtime) TSC() uint64 { return rt.tsc.Read(rt.Now()) }
@@ -184,8 +198,11 @@ func (rt *Runtime) TSC() uint64 { return rt.tsc.Read(rt.Now()) }
 // PITCounter implements guest.ClockView from virtual time (Sec. IV-B).
 func (rt *Runtime) PITCounter() uint16 { return rt.pit.Counter(rt.Now()) }
 
-// VM returns the hosted guest.
-func (rt *Runtime) VM() *guest.VM { return rt.vm }
+// VM returns the hosted guest, its counters current as of now.
+func (rt *Runtime) VM() *guest.VM {
+	rt.ex.sync()
+	return rt.vm
+}
 
 // Host returns the hosting machine.
 func (rt *Runtime) Host() *Host { return rt.host }
@@ -194,11 +211,17 @@ func (rt *Runtime) Host() *Host { return rt.host }
 func (rt *Runtime) Stats() RuntimeStats { return rt.stats }
 
 // Instr returns the replica's executed branch count.
-func (rt *Runtime) Instr() int64 { return rt.ex.instr }
+func (rt *Runtime) Instr() int64 {
+	rt.ex.sync()
+	return rt.ex.instr
+}
 
 // VirtAtLastExit returns the guest's virtual time as of its last VM exit —
 // what the device model reads when forming a Δn proposal (Sec. V-B).
-func (rt *Runtime) VirtAtLastExit() vtime.Virtual { return rt.virtLastExit }
+func (rt *Runtime) VirtAtLastExit() vtime.Virtual {
+	rt.ex.sync()
+	return rt.virtLastExit
+}
 
 // Start boots the guest and begins execution and pacing.
 func (rt *Runtime) Start() {
@@ -227,7 +250,7 @@ func (rt *Runtime) paceTick() {
 	if rt.ex.stopped {
 		return
 	}
-	rt.OnPace.PaceReport(rt.virtLastExit)
+	rt.OnPace.PaceReport(rt.VirtAtLastExit())
 	rt.host.Loop().AfterTimer(rt.cfg.PaceInterval, "vmm:pace", paceTimer, rt, nil, 0)
 }
 
@@ -239,24 +262,52 @@ func paceTimer(a, _ any, _ uint64) { a.(*Runtime).paceTick() }
 // max-lead comparison. A paced pause is re-evaluated against the remaining
 // peers.
 func (rt *Runtime) DropPeer(peer string) {
-	delete(rt.peerVirt, peer)
-	rt.maybeResume()
+	rt.ex.sync()
+	for i, p := range rt.peers {
+		if p.peer == peer {
+			rt.peers = append(rt.peers[:i], rt.peers[i+1:]...)
+			break
+		}
+	}
+	rt.peersChanged()
 }
 
 // OnPeerVirt records a peer replica's progress report and resumes a paced
 // pause if the gap has closed (never an epoch barrier).
 func (rt *Runtime) OnPeerVirt(peer string, v vtime.Virtual) {
-	if rt.peerVirt == nil {
-		rt.peerVirt = make(map[string]vtime.Virtual)
+	rt.ex.sync()
+	i := 0
+	for i < len(rt.peers) && rt.peers[i].peer != peer {
+		i++
 	}
-	rt.peerVirt[peer] = v
+	if i == len(rt.peers) {
+		rt.peers = append(rt.peers, peerProgress{peer: peer})
+	}
+	rt.peers[i].virt = v
+	rt.peersChanged()
+}
+
+// peersChanged recomputes the peer maximum after a report or a drop. A
+// maximum that appeared or fell brings the pacing pause — and with it the
+// exit horizon — nearer; one that rose may lift a pause.
+func (rt *Runtime) peersChanged() {
+	was := rt.maxPeer
+	rt.maxPeer = noPeers
+	for i, p := range rt.peers {
+		if i == 0 || p.virt > rt.maxPeer {
+			rt.maxPeer = p.virt
+		}
+	}
+	if rt.maxPeer < was {
+		rt.ex.rearm()
+	}
 	rt.maybeResume()
 }
 
 // maybeResume lifts a pacing pause once the lead has closed, unless the
 // replica is held at an epoch barrier.
 func (rt *Runtime) maybeResume() {
-	if rt.ex.paused && !rt.tooFarAhead() && (rt.epochWait == nil || !rt.epochWait()) {
+	if rt.ex.paused && !rt.tooFarAhead() && (rt.epoch == nil || !rt.epoch.waiting) {
 		rt.ex.resume()
 	}
 }
@@ -264,18 +315,7 @@ func (rt *Runtime) maybeResume() {
 // tooFarAhead reports whether this replica leads ALL peers by more than
 // MaxLead — i.e. it is the unique fastest and must be slowed (Sec. V-A).
 func (rt *Runtime) tooFarAhead() bool {
-	if len(rt.peerVirt) == 0 {
-		return false
-	}
-	var maxPeer vtime.Virtual
-	first := true
-	for _, v := range rt.peerVirt {
-		if first || v > maxPeer {
-			maxPeer = v
-			first = false
-		}
-	}
-	return rt.virtLastExit-maxPeer > rt.cfg.MaxLead
+	return rt.maxPeer != noPeers && rt.virtLastExit-rt.maxPeer > rt.cfg.MaxLead
 }
 
 // EnqueueNetDelivery schedules a network interrupt at the median-agreed
@@ -283,6 +323,7 @@ func (rt *Runtime) tooFarAhead() bool {
 // time is a synchrony violation and is counted as a divergence; the packet
 // is still delivered at the next exit so the scenario can proceed.
 func (rt *Runtime) EnqueueNetDelivery(seq uint64, deliverVirt vtime.Virtual, p guest.Payload) {
+	rt.ex.sync()
 	if deliverVirt <= rt.virtLastExit {
 		rt.stats.Divergences++
 	}
@@ -296,6 +337,9 @@ func (rt *Runtime) EnqueueNetDelivery(seq uint64, deliverVirt vtime.Virtual, p g
 	rt.pendingNet = append(rt.pendingNet, netDelivery{})
 	copy(rt.pendingNet[i+1:], rt.pendingNet[i:])
 	rt.pendingNet[i] = d
+	if i == 0 {
+		rt.ex.rearm() // a new earliest delivery can only bring the horizon nearer
+	}
 }
 
 // RequestDisk is invoked at a VM exit when the guest issued a disk op: the
@@ -360,13 +404,57 @@ func (rt *Runtime) exit(res guest.StepResult) {
 		rt.ckNext = (rt.ex.instr/rt.ckEvery + 1) * rt.ckEvery
 	}
 
-	if rt.epochHook != nil && rt.epochHook(rt.ex.instr) {
+	if rt.epoch != nil && rt.epoch.onExit(rt.ex.instr) {
 		rt.ex.pause()
 		return
 	}
 	if rt.tooFarAhead() {
 		rt.stats.Pauses++
 		rt.ex.pause()
+	}
+}
+
+// horizon implements exitHandler: the first boundary at or after first at
+// which exit would do more than skipped does. Every clause of exit has its
+// line here: an app timer fires at a PIT tick once it is due, a delivery
+// once its virtual time is reached, a checkpoint and the epoch hook at
+// their instruction counts, and the pacing pause once the lead over the
+// peer maximum exceeds MaxLead.
+func (rt *Runtime) horizon(first int64) int64 {
+	h := int64(math.MaxInt64)
+	if rt.ckEvery > 0 {
+		h = rt.ckNext
+	}
+	if rt.epoch != nil {
+		h = min(h, rt.epoch.nextBoundary())
+	}
+	v := vtime.Virtual(math.MaxInt64)
+	if due, ok := rt.vm.NextTimerDue(); ok {
+		v = max(due, rt.pit.Next())
+	}
+	if len(rt.pendingNet) > 0 {
+		v = min(v, rt.pendingNet[0].deliverVirt)
+	}
+	if len(rt.pendingDisk) > 0 {
+		v = min(v, rt.pendingDisk[0].deliverVirt)
+	}
+	if rt.maxPeer != noPeers {
+		v = min(v, rt.maxPeer+rt.cfg.MaxLead+1)
+	}
+	if v != math.MaxInt64 {
+		h = min(h, rt.vclock.BoundaryFor(v, rt.cfg.ExitEvery))
+	}
+	return max(h, first)
+}
+
+// skipped implements exitHandler: what exit does at a boundary where none
+// of horizon's clauses holds. Timer interrupts are still counted, and by
+// horizon's first clause none of them finds an app timer due.
+func (rt *Runtime) skipped() {
+	virt := rt.vclock.At(rt.ex.instr)
+	rt.virtLastExit = virt
+	if n := rt.pit.Due(virt); n > 0 {
+		rt.vm.DeliverTimerTicks(n)
 	}
 }
 

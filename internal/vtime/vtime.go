@@ -127,6 +127,23 @@ func (c *Clock) InstrFor(v Virtual) int64 {
 	return c.epochBase + i
 }
 
+// BoundaryFor returns the smallest multiple of every (at or past the epoch
+// base) whose virtual time is >= v: the first periodic exit point at which
+// a virtual deadline has arrived. Unlike InstrFor, whose float division can
+// land one instruction high, the result is checked against At on both
+// sides, because a caller that skips the boundaries before it must never
+// skip the one that counts.
+func (c *Clock) BoundaryFor(v Virtual, every int64) int64 {
+	b := (c.InstrFor(v) + every - 1) / every * every
+	for b-every >= c.epochBase && c.At(b-every) >= v {
+		b -= every
+	}
+	for c.At(b) < v {
+		b += every
+	}
+	return b
+}
+
 // Slope returns the current slope (virtual ns per instruction).
 func (c *Clock) Slope() float64 { return c.slope }
 
