@@ -13,7 +13,7 @@ package stopwatch
 // on one goroutine per shard). The simulation schedule, and therefore
 // events/op and pkts/simsec, is identical in both; only wall-clock moves.
 // BENCH_*.json record the trajectory; CI gates on events/op and ns/op at
-// /200 against BENCH_12.json (events/sec is still reported, but a change
+// /200 against BENCH_13.json (events/sec is still reported, but a change
 // that fires fewer, heavier events lowers it while lowering ns/op).
 
 import (

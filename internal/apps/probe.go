@@ -148,8 +148,8 @@ type ProbeSource struct {
 	loop *sim.Loop
 	rng  *sim.Rand
 	net  *netsim.Network
-	src  netsim.Addr
-	dst  netsim.Addr
+	src  *netsim.Endpoint
+	dst  *netsim.Endpoint
 	gap  sim.Time
 
 	sent   uint64
@@ -167,7 +167,7 @@ type ProbeSource struct {
 // NewProbeSource sends packets from src to dst with exponential gaps of the
 // given mean.
 func NewProbeSource(net *netsim.Network, loop *sim.Loop, rng *sim.Rand, src, dst netsim.Addr, meanGap sim.Time) *ProbeSource {
-	return &ProbeSource{loop: loop, rng: rng, net: net, src: src, dst: dst, gap: meanGap}
+	return &ProbeSource{loop: loop, rng: rng, net: net, src: net.Endpoint(src), dst: net.Endpoint(dst), gap: meanGap}
 }
 
 // Start begins the stream until the given time.
@@ -189,7 +189,7 @@ func (p *ProbeSource) next() {
 		if p.OnSend != nil {
 			p.OnSend(p.sent, p.loop.Now())
 		}
-		p.net.Send(&netsim.Packet{Src: p.src, Dst: p.dst, Size: 256, Kind: "probe", Payload: p.sent})
+		p.net.Send(p.net.AllocTo(p.src, p.dst, 256, "probe", p.sent))
 		p.next()
 	})
 }

@@ -130,6 +130,8 @@ type Cluster struct {
 
 	ingress *gateway.Ingress
 	egress  *gateway.Egress
+	// egressEP is the egress address resolved: every replica tunnels there.
+	egressEP *netsim.Endpoint
 
 	guests map[string]*Guest
 
@@ -162,7 +164,7 @@ type Cluster struct {
 // hosts on different shards must never share a freelist.
 type outWork struct {
 	hn       *hostNode
-	src, dst netsim.Addr
+	src, dst *netsim.Endpoint
 	size     int
 	kind     string
 	body     netsim.PacketBody
@@ -188,7 +190,7 @@ func absorbTimer(_, _ any, _ uint64) {}
 func outTimer(_, b any, _ uint64) {
 	w := b.(*outWork)
 	hn := w.hn
-	p := hn.c.net.AllocPacket(w.src, w.dst, w.size, w.kind, w.payload)
+	p := hn.c.net.AllocTo(w.src, w.dst, w.size, w.kind, w.payload)
 	p.Body = w.body
 	hn.c.net.Send(p)
 	w.body = netsim.PacketBody{}
@@ -223,7 +225,8 @@ type Guest struct {
 	baselineApp  guest.App
 }
 
-// replicaWiring is one replica's full fabric wiring. Peer lists are read
+// replicaWiring is one replica's full fabric wiring, and its host node's
+// record of the resident (hostNode.residents). Peer lists are read
 // through the struct at send time, so replica replacement can rewire a
 // running guest by mutating them. The wiring itself implements the VMM's
 // sink interfaces (proposal multicast, pacing fan-out, egress tunnelling),
@@ -231,6 +234,7 @@ type Guest struct {
 // closures.
 type replicaWiring struct {
 	c        *Cluster
+	hn       *hostNode
 	gid      string
 	hostIdx  int
 	hostName string
@@ -241,7 +245,9 @@ type replicaWiring struct {
 	ec       *vmm.EpochCoordinator
 	propSrc  netsim.Addr
 	psnd     *multicast.Sender
-	peers    []netsim.Addr
+	// peers are the live peer Dom0s: psnd's group, whose resolved form
+	// (psnd.Endpoints) the pacing and epoch fan-outs send to as well.
+	peers []netsim.Addr
 }
 
 var (
@@ -262,21 +268,21 @@ func (w *replicaWiring) SendProposal(view, seq uint64, v vtime.Virtual) {
 // Dom0s (periodic, loss-tolerant). The beacon rides in the typed packet
 // body — nothing is boxed per tick.
 func (w *replicaWiring) PaceReport(v vtime.Virtual) {
-	for _, dst := range w.peers {
-		p := w.c.net.AllocPacket(w.dom0, dst, 48, "swpace", nil)
-		p.Body = netsim.PacketBody{Kind: netsim.BodyPace, GuestID: w.gid, Origin: w.hostName, Virt: v}
-		w.c.net.Send(p)
+	net := w.c.net
+	for _, dst := range w.psnd.Endpoints() {
+		p := net.AllocTo(w.hn.ep, dst, 48, "swpace", nil)
+		p.Body.Kind, p.Body.GuestID, p.Body.Origin, p.Body.Virt = netsim.BodyPace, w.gid, w.hostName, v
+		net.Send(p)
 	}
 }
 
 // GuestSend implements vmm.SendSink: egress tunnelling of guest outputs
 // (Sec. VI), deferred by the Dom0 output-path delay.
 func (w *replicaWiring) GuestSend(a guest.IOAction) {
-	c := w.c
-	host := c.hosts[w.hostIdx]
-	hn := c.hostNodes[w.hostIdx]
+	hn := w.hn
+	host := hn.host
 	ow := hn.allocOut()
-	ow.src, ow.dst, ow.size, ow.kind = w.dom0, c.egress.Addr(), a.Size, "egress:tunnel"
+	ow.src, ow.dst, ow.size, ow.kind = hn.ep, w.c.egressEP, a.Size, "egress:tunnel"
 	ow.body = netsim.PacketBody{
 		Kind: netsim.BodyEgress, GuestID: w.gid, Origin: w.hostName, Seq: a.Seq,
 		OrigDst: a.Dst, Size: a.Size, Data: a.Data,
@@ -316,16 +322,16 @@ type hostNode struct {
 	c    *Cluster
 	host *vmm.Host
 	addr netsim.Addr
+	// ep and rcl are addr and the reconcile source (rclAddr) resolved.
+	ep, rcl *netsim.Endpoint
 	// shard indexes the host's fabric shard: which per-shard queue its
 	// delivery events may append to (stalls, reconcile records).
 	shard int
 
 	mrx *multicast.Receiver
 
-	// Per-guest wiring.
-	netdevs  map[string]*vmm.NetDevice
-	runtimes map[string]*vmm.Runtime
-	epochs   map[string]*vmm.EpochCoordinator
+	// residents holds every resident replica's wiring, by guest id.
+	residents map[string]*replicaWiring
 
 	// freeOut pools deferred-send work items (the Dom0 output-path delay
 	// between a guest send and the fabric transmit) so per-output closures
@@ -407,13 +413,11 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 		c.hosts = append(c.hosts, h)
 		c.hostIdxByName[name] = i
 		hn := &hostNode{
-			c:        c,
-			host:     h,
-			addr:     netsim.Addr("dom0:" + name),
-			shard:    i % cfg.Shards,
-			netdevs:  make(map[string]*vmm.NetDevice),
-			runtimes: make(map[string]*vmm.Runtime),
-			epochs:   make(map[string]*vmm.EpochCoordinator),
+			c:         c,
+			host:      h,
+			addr:      netsim.Addr("dom0:" + name),
+			shard:     i % cfg.Shards,
+			residents: make(map[string]*replicaWiring),
 		}
 		if err := net.AssignShard(hn.addr, i%cfg.Shards); err != nil {
 			return nil, err
@@ -424,6 +428,7 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 		if err := net.AssignShard(rclAddr(name), i%cfg.Shards); err != nil {
 			return nil, err
 		}
+		hn.ep, hn.rcl = net.Endpoint(hn.addr), net.Endpoint(rclAddr(name))
 		mrx, err := multicast.NewReceiver(net, hostLoop, multicast.ReceiverConfig{
 			Addr:   hn.addr,
 			OnData: hn.onMulticastData,
@@ -450,6 +455,7 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 		c.egress = eg
+		c.egressEP = net.Endpoint(eg.Addr())
 		// Each replica's output packets are "tunneled ... to the egress
 		// node over TCP" (Sec. VI): a reliable FIFO leg. Model it as the
 		// cloud link without loss — TCP's retransmission is abstracted
@@ -561,9 +567,10 @@ func (c *Cluster) deployBaseline(id string, hostIdx []int, factory func() guest.
 	if err := c.net.AssignShard(svc, hostIdx[0]%len(c.shardLoops)); err != nil {
 		return nil, err
 	}
+	svcEP := c.net.Endpoint(svc)
 	rt.OnSend = vmm.SendSinkFunc(func(a guest.IOAction) {
 		w := hn.allocOut()
-		w.src, w.dst, w.size, w.kind, w.payload = svc, a.Dst, a.Size, "guest:data", a.Data
+		w.src, w.dst, w.size, w.kind, w.payload = svcEP, c.net.Endpoint(a.Dst), a.Size, "guest:data", a.Data
 		h.Loop().AfterTimer(hostIODelay(h), "base:out", outTimer, nil, w, 0)
 	})
 	if err := c.net.Attach(&netsim.FuncNode{Addr: svc, Fn: func(p *netsim.Packet) {
@@ -663,6 +670,7 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 	}
 	w := &replicaWiring{
 		c:        c,
+		hn:       hn,
 		gid:      id,
 		hostIdx:  hostIdx,
 		hostName: c.hosts[hostIdx].Name(),
@@ -721,8 +729,8 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 			return err
 		}
 		ec.SendSample = func(epoch int64, s vtime.EpochSample) {
-			for _, dst := range w.peers {
-				p := c.net.AllocPacket(w.dom0, dst, 56, "swepoch", nil)
+			for _, dst := range w.psnd.Endpoints() {
+				p := c.net.AllocTo(hn.ep, dst, 56, "swepoch", nil)
 				p.Body = netsim.PacketBody{Kind: netsim.BodyEpoch, GuestID: id, Origin: w.hostName, Epoch: epoch, Sample: s}
 				c.net.Send(p)
 			}
@@ -731,10 +739,8 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 		// re-fits the slope at the same boundaries (first write wins).
 		ec.OnAdjust = g.journal.RecordEpochStar
 		w.ec = ec
-		hn.epochs[id] = ec
 	}
-	hn.netdevs[id] = nd
-	hn.runtimes[id] = rt
+	hn.residents[id] = w
 	g.replicas[k] = w
 	c.armStallDetector(id, w)
 	return nil
@@ -886,16 +892,16 @@ func (hn *hostNode) deliver(p *netsim.Packet) {
 	}
 	switch p.Kind {
 	case "swpace":
-		if rt, ok := hn.runtimes[p.Body.GuestID]; ok {
-			rt.OnPeerVirt(p.Body.Origin, p.Body.Virt)
+		if w, ok := hn.residents[p.Body.GuestID]; ok {
+			w.rt.OnPeerVirt(p.Body.Origin, p.Body.Virt)
 		}
 	case "swrcl":
 		hn.handleReconcile(p)
 	case "swrclack":
 		hn.handleReconcileAck(p)
 	case "swepoch":
-		if ec, ok := hn.epochs[p.Body.GuestID]; ok {
-			ec.OnPeerSample(p.Body.Origin, p.Body.Epoch, p.Body.Sample)
+		if w, ok := hn.residents[p.Body.GuestID]; ok && w.ec != nil {
+			w.ec.OnPeerSample(p.Body.Origin, p.Body.Epoch, p.Body.Sample)
 		}
 	case "broadcast":
 		// Ambient subnet noise: costs Dom0 a little processing.
@@ -905,29 +911,15 @@ func (hn *hostNode) deliver(p *netsim.Packet) {
 
 // onMulticastData dispatches reliable-multicast bodies: ingress streams
 // ("ingress/<guest>") and peer proposals ("prop:<host>/<guest>").
-func (hn *hostNode) onMulticastData(src netsim.Addr, seq uint64, kind string, body netsim.PacketBody) {
-	if hn.host.Failed() {
+func (hn *hostNode) onMulticastData(_ netsim.Addr, seq uint64, kind string, body netsim.PacketBody) {
+	w, ok := hn.residents[body.GuestID]
+	if !ok || hn.host.Failed() {
 		return
 	}
 	switch kind {
 	case "swin":
-		gid := guestIDFromIngressSrc(string(src))
-		if nd, ok := hn.netdevs[gid]; ok {
-			nd.HandleInbound(seq, guest.Payload{Src: body.ClientSrc, Size: body.Size, Data: body.Data})
-		}
+		w.nd.HandleInbound(seq, guest.Payload{Src: body.ClientSrc, Size: body.Size, Data: body.Data})
 	case "swprop":
-		if nd, ok := hn.netdevs[body.GuestID]; ok {
-			nd.HandlePeerProposal(body.Origin, body.View, body.Seq, body.Virt)
-		}
+		w.nd.HandlePeerProposal(body.Origin, body.View, body.Seq, body.Virt)
 	}
-}
-
-// guestIDFromIngressSrc extracts the guest id from "ingress/<guest>".
-func guestIDFromIngressSrc(src string) string {
-	for i := 0; i < len(src); i++ {
-		if src[i] == '/' {
-			return src[i+1:]
-		}
-	}
-	return ""
 }

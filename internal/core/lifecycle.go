@@ -51,10 +51,8 @@ func (c *Cluster) Undeploy(id string) error {
 // dropped. Both eviction and replacement teardown go through here.
 func (c *Cluster) releaseReplicaWiring(id string, w *replicaWiring) {
 	w.rt.Release()
-	hn := c.hostNodes[w.hostIdx]
-	delete(hn.netdevs, id)
-	delete(hn.runtimes, id)
-	delete(hn.epochs, id)
+	hn := w.hn
+	delete(hn.residents, id)
 	w.psnd.Close()
 	c.net.Detach(w.propSrc)
 	hn.mrx.Forget(c.ingress.SourceAddr(id))

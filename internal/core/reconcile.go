@@ -212,7 +212,7 @@ func (s *rclSession) sendExport(i int) {
 	p.attempts++
 	x := nd.ExportReconcile(s.dead)
 	size := 64 + 16*(len(x.Resolutions)+len(x.DeadVotes))
-	pkt := c.net.AllocPacket(rclAddr(c.hosts[p.fromHost].Name()), c.hostNodes[p.toHost].addr, size, "swrcl", nil)
+	pkt := c.net.AllocTo(c.hostNodes[p.fromHost].rcl, c.hostNodes[p.toHost].ep, size, "swrcl", nil)
 	pkt.Body = netsim.PacketBody{
 		Kind: netsim.BodyReconcile, GuestID: s.guest, Origin: x.Origin, View: x.View,
 		Seq: s.id, StreamSeq: uint64(i), Data: &x,
@@ -276,8 +276,8 @@ func (hn *hostNode) handleReconcile(p *netsim.Packet) {
 	c := hn.c
 	repairs := 0
 	if x, ok := p.Body.Data.(*vmm.ReconcileExport); ok {
-		if nd, live := hn.netdevs[p.Body.GuestID]; live {
-			repairs = nd.ImportReconcile(*x)
+		if w, live := hn.residents[p.Body.GuestID]; live {
+			repairs = w.nd.ImportReconcile(*x)
 		}
 	}
 	now := hn.host.Loop().Now()
@@ -286,7 +286,11 @@ func (hn *hostNode) handleReconcile(p *netsim.Packet) {
 			when: now, sess: p.Body.Seq, pair: -1, repairs: repairs,
 		})
 	}
-	ack := c.net.AllocPacket(rclAddr(hn.host.Name()), netsim.Addr("dom0:"+p.Body.Origin), 32, "swrclack", nil)
+	exporter, ok := c.hostIdxByName[p.Body.Origin]
+	if !ok {
+		return // no such machine to ack
+	}
+	ack := c.net.AllocTo(hn.rcl, c.hostNodes[exporter].ep, 32, "swrclack", nil)
 	ack.Body = netsim.PacketBody{Kind: netsim.BodyReconcileAck, GuestID: p.Body.GuestID, Seq: p.Body.Seq, StreamSeq: p.Body.StreamSeq}
 	c.net.Send(ack)
 }

@@ -32,13 +32,40 @@ type Ingress struct {
 	loop *sim.Loop
 	addr netsim.Addr
 
-	senders map[string]*multicast.Sender
-
-	// paused guests buffer client packets instead of replicating them —
-	// the quiesce barrier replica replacement rewires the group behind.
-	paused map[string][]*netsim.Packet
+	guests map[string]*ingressGuest
 
 	replicated uint64
+}
+
+// ingressGuest is one guest's ingress wiring and the fabric node of its
+// public service address: client packets reach it without a lookup.
+type ingressGuest struct {
+	in   *Ingress
+	id   string
+	addr netsim.Addr
+	snd  *multicast.Sender
+	// paused buffers client packets in held instead of replicating them —
+	// the quiesce barrier replica replacement rewires the group behind.
+	paused bool
+	held   []*netsim.Packet
+}
+
+func (g *ingressGuest) Address() netsim.Addr { return g.addr }
+
+func (g *ingressGuest) Deliver(p *netsim.Packet) {
+	if g.paused {
+		g.held = append(g.held, p.Clone())
+		return
+	}
+	g.in.replicated++
+	g.snd.Multicast("swin", p.Size, netsim.PacketBody{
+		Kind:       netsim.BodyInbound,
+		GuestID:    g.id,
+		ClientSrc:  p.Src,
+		ClientKind: p.Kind,
+		Size:       p.Size,
+		Data:       p.Payload,
+	})
 }
 
 // NewIngress creates an ingress node rooted at addr.
@@ -47,11 +74,10 @@ func NewIngress(net *netsim.Network, loop *sim.Loop, addr netsim.Addr) (*Ingress
 		return nil, fmt.Errorf("%w: ingress needs net, loop, addr", ErrGateway)
 	}
 	return &Ingress{
-		net:     net,
-		loop:    loop,
-		addr:    addr,
-		senders: make(map[string]*multicast.Sender),
-		paused:  make(map[string][]*netsim.Packet),
+		net:    net,
+		loop:   loop,
+		addr:   addr,
+		guests: make(map[string]*ingressGuest),
 	}, nil
 }
 
@@ -67,128 +93,108 @@ func (in *Ingress) RegisterGuest(guestID string, replicaHosts []netsim.Addr) err
 	if guestID == "" || len(replicaHosts) == 0 {
 		return fmt.Errorf("%w: RegisterGuest(%q, %v)", ErrGateway, guestID, replicaHosts)
 	}
-	if _, dup := in.senders[guestID]; dup {
+	if _, dup := in.guests[guestID]; dup {
 		return fmt.Errorf("%w: guest %q already registered", ErrGateway, guestID)
 	}
-	src := in.SourceAddr(guestID)
 	snd, err := multicast.NewSender(in.net, in.loop, multicast.SenderConfig{
-		Src:   src,
+		Src:   in.SourceAddr(guestID),
 		Group: replicaHosts,
 	})
 	if err != nil {
 		return err
 	}
-	in.senders[guestID] = snd
+	g := &ingressGuest{in: in, id: guestID, addr: ServiceAddr(guestID), snd: snd}
+	in.guests[guestID] = g
 	// NAKs for this stream come back to the stream source address: the
 	// sender is its own fabric node.
 	if err := in.net.Attach(snd); err != nil {
 		return err
 	}
 	// Client traffic to the guest's public address lands here.
-	return in.net.Attach(&svcNode{in: in, guestID: guestID, addr: ServiceAddr(guestID)})
+	return in.net.Attach(g)
 }
 
-// svcNode is a guest's public service endpoint: client packets delivered to
-// it are replicated (or buffered, while paused) by the owning ingress.
-type svcNode struct {
-	in      *Ingress
-	guestID string
-	addr    netsim.Addr
-}
-
-func (n *svcNode) Address() netsim.Addr     { return n.addr }
-func (n *svcNode) Deliver(p *netsim.Packet) { n.in.forward(n.guestID, p) }
-
-func (in *Ingress) forward(guestID string, p *netsim.Packet) {
-	snd, ok := in.senders[guestID]
+// guest returns a registered guest's wiring.
+func (in *Ingress) guest(guestID string) (*ingressGuest, error) {
+	g, ok := in.guests[guestID]
 	if !ok {
-		return
+		return nil, fmt.Errorf("%w: guest %q not registered", ErrGateway, guestID)
 	}
-	if buf, isPaused := in.paused[guestID]; isPaused {
-		in.paused[guestID] = append(buf, p.Clone())
-		return
-	}
-	in.replicated++
-	snd.Multicast("swin", p.Size, netsim.PacketBody{
-		Kind:       netsim.BodyInbound,
-		ClientSrc:  p.Src,
-		ClientKind: p.Kind,
-		Size:       p.Size,
-		Data:       p.Payload,
-	})
+	return g, nil
 }
 
 // Pause starts buffering a guest's inbound traffic instead of replicating
 // it: the first half of the make-before-break barrier used while a replica
 // group is reconfigured. Pausing an already-paused guest is a no-op.
 func (in *Ingress) Pause(guestID string) {
-	if _, ok := in.paused[guestID]; !ok {
-		in.paused[guestID] = []*netsim.Packet{}
+	if g, ok := in.guests[guestID]; ok {
+		g.paused = true
 	}
 }
 
 // Paused reports whether the guest's inbound stream is paused.
 func (in *Ingress) Paused(guestID string) bool {
-	_, ok := in.paused[guestID]
-	return ok
+	g, ok := in.guests[guestID]
+	return ok && g.paused
 }
 
 // Resume ends a guest's pause, flushing the buffered packets (in arrival
 // order) to the — possibly reconfigured — replica group.
 func (in *Ingress) Resume(guestID string) {
-	buf, ok := in.paused[guestID]
-	if !ok {
+	g, ok := in.guests[guestID]
+	if !ok || !g.paused {
 		return
 	}
-	delete(in.paused, guestID)
-	for _, p := range buf {
-		in.forward(guestID, p)
+	g.paused = false
+	held := g.held
+	g.held = nil
+	for _, p := range held {
+		g.Deliver(p)
 	}
 }
 
 // UpdateGroup repoints a guest's replication group — the rewire step of
 // replica replacement. The joining member must be primed with NextSeq.
 func (in *Ingress) UpdateGroup(guestID string, replicaHosts []netsim.Addr) error {
-	snd, ok := in.senders[guestID]
-	if !ok {
-		return fmt.Errorf("%w: guest %q not registered", ErrGateway, guestID)
+	g, err := in.guest(guestID)
+	if err != nil {
+		return err
 	}
-	return snd.SetGroup(replicaHosts)
+	return g.snd.SetGroup(replicaHosts)
 }
 
 // NextSeq returns the next stream sequence for the guest's ingress
 // multicast — what a joining receiver primes with.
 func (in *Ingress) NextSeq(guestID string) (uint64, error) {
-	snd, ok := in.senders[guestID]
-	if !ok {
-		return 0, fmt.Errorf("%w: guest %q not registered", ErrGateway, guestID)
+	g, err := in.guest(guestID)
+	if err != nil {
+		return 0, err
 	}
-	return snd.NextSeq(), nil
+	return g.snd.NextSeq(), nil
 }
 
 // Group returns the guest's current replication group (replica Dom0
 // addresses) — the membership audit for group reconfiguration: a dead
 // machine's Dom0 must leave the group, a replacement's must join it.
 func (in *Ingress) Group(guestID string) ([]netsim.Addr, error) {
-	snd, ok := in.senders[guestID]
-	if !ok {
-		return nil, fmt.Errorf("%w: guest %q not registered", ErrGateway, guestID)
+	g, err := in.guest(guestID)
+	if err != nil {
+		return nil, err
 	}
-	return snd.Group(), nil
+	return g.snd.Group(), nil
 }
 
 // UnregisterGuest tears down a guest's ingress wiring: the public service
 // address and the stream source detach from the fabric, and buffered
 // paused traffic is dropped. The guest id becomes reusable.
 func (in *Ingress) UnregisterGuest(guestID string) error {
-	snd, ok := in.senders[guestID]
-	if !ok {
-		return fmt.Errorf("%w: guest %q not registered", ErrGateway, guestID)
+	g, err := in.guest(guestID)
+	if err != nil {
+		return err
 	}
-	snd.Close()
-	delete(in.senders, guestID)
-	delete(in.paused, guestID)
-	in.net.Detach(ServiceAddr(guestID))
+	g.snd.Close()
+	delete(in.guests, guestID)
+	in.net.Detach(g.addr)
 	in.net.Detach(in.SourceAddr(guestID))
 	return nil
 }
@@ -204,19 +210,10 @@ type Egress struct {
 	loop *sim.Loop
 	addr netsim.Addr
 
-	// groups tracks tunnel arrivals per guest in a seq-indexed ring —
-	// output sequences are contiguous and retire almost in order, so the
-	// ring replaces the old copies[guestID][seq] map (one map insert +
-	// delete per output packet) with two slot writes.
-	groups map[string]*guestGroups
+	// guests holds each guest's state: one lookup per tunnelled copy.
+	guests map[string]*guestEgress
 	// replicas is the expected copy count per packet (3 by default).
 	replicas int
-	// forwardOn is which copy triggers forwarding (2 = median of 3).
-	forwardOn int
-	// live, per guest, overrides the expected copy count while the guest's
-	// replica group is degraded — the egress-side mirror of the device
-	// models' live view. Absent means the full group.
-	live map[string]int
 
 	forwarded uint64
 	absorbed  uint64
@@ -235,13 +232,11 @@ func NewEgress(net *netsim.Network, loop *sim.Loop, addr netsim.Addr, replicas i
 		return nil, fmt.Errorf("%w: egress replica count %d must be odd", ErrGateway, replicas)
 	}
 	e := &Egress{
-		net:       net,
-		loop:      loop,
-		addr:      addr,
-		groups:    make(map[string]*guestGroups),
-		replicas:  replicas,
-		forwardOn: replicas/2 + 1,
-		live:      make(map[string]int),
+		net:      net,
+		loop:     loop,
+		addr:     addr,
+		guests:   make(map[string]*guestEgress),
+		replicas: replicas,
 	}
 	if err := net.Attach(&netsim.FuncNode{Addr: addr, Fn: e.deliver}); err != nil {
 		return nil, err
@@ -277,24 +272,32 @@ type copyGroup struct {
 	data      any
 }
 
-// guestGroups is one guest's seq-indexed ring of copy groups over the
-// window [base, top): base is the lowest unretired sequence, top is one
-// past the highest opened one. Slots recycle in place as the window slides,
-// so steady-state output traffic allocates nothing.
-type guestGroups struct {
+// guestEgress is one guest's egress state. Its copy groups sit in a
+// seq-indexed ring over the window [base, top): base is the lowest
+// unretired sequence, top is one past the highest opened one. Output
+// sequences are contiguous and retire almost in order; slots recycle in
+// place as the window slides, so steady-state output traffic allocates
+// nothing.
+type guestEgress struct {
+	// svc is ServiceAddr(guestID) resolved: forwarded packets leave from it.
+	svc *netsim.Endpoint
+	// live is the expected copy count: the full group, or fewer while the
+	// guest's replica group is degraded — the egress-side mirror of the
+	// device models' live view. The median copy, live/2+1, forwards.
+	live int
 	buf  []copyGroup
 	base uint64
 	top  uint64
 	open int
 }
 
-func (r *guestGroups) slot(seq uint64) *copyGroup {
+func (r *guestEgress) slot(seq uint64) *copyGroup {
 	return &r.buf[seq&uint64(len(r.buf)-1)]
 }
 
 // ensure grows the ring (power of two) until seq's slot is inside the
 // window starting at base.
-func (r *guestGroups) ensure(seq uint64) {
+func (r *guestEgress) ensure(seq uint64) {
 	need := seq - r.base + 1
 	if len(r.buf) != 0 && need <= uint64(len(r.buf)) {
 		return
@@ -317,7 +320,7 @@ func (r *guestGroups) ensure(seq uint64) {
 
 // retire marks seq's group done and slides the window past any retired
 // prefix. Empty mid-window slots (copies still in flight) block the slide.
-func (r *guestGroups) retire(seq uint64) {
+func (r *guestEgress) retire(seq uint64) {
 	g := r.slot(seq)
 	g.state = groupRetired
 	g.data = nil
@@ -325,7 +328,7 @@ func (r *guestGroups) retire(seq uint64) {
 	r.advance()
 }
 
-func (r *guestGroups) advance() {
+func (r *guestEgress) advance() {
 	for r.base < r.top && r.slot(r.base).state == groupRetired {
 		*r.slot(r.base) = copyGroup{}
 		r.base++
@@ -337,11 +340,7 @@ func (e *Egress) deliver(p *netsim.Packet) {
 		return
 	}
 	gid, seq := p.Body.GuestID, p.Body.Seq
-	gr, ok := e.groups[gid]
-	if !ok {
-		gr = &guestGroups{base: 1, top: 1}
-		e.groups[gid] = gr
-	}
+	gr := e.guest(gid)
 	if seq < gr.base {
 		// Straggler below the window: its group was already retired or
 		// reclaimed, so the copy can only be absorbed.
@@ -362,8 +361,8 @@ func (e *Egress) deliver(p *netsim.Packet) {
 		}
 	}
 	g.n++
-	if !g.forwarded && g.n >= e.forwardOnFor(gid) {
-		e.forward(gid, seq, g)
+	if !g.forwarded && g.n >= gr.live/2+1 {
+		e.forward(gid, gr, seq, g)
 	} else {
 		e.absorbed++
 	}
@@ -377,24 +376,24 @@ func (e *Egress) deliver(p *netsim.Packet) {
 	}
 }
 
+// guest returns the guest's egress state, creating it on first use.
+func (e *Egress) guest(guestID string) *guestEgress {
+	gr, ok := e.guests[guestID]
+	if !ok {
+		gr = &guestEgress{svc: e.net.Endpoint(ServiceAddr(guestID)), live: e.replicas, base: 1, top: 1}
+		e.guests[guestID] = gr
+	}
+	return gr
+}
+
 // forward sends a group's packet to its true destination and marks it.
-func (e *Egress) forward(guestID string, seq uint64, g *copyGroup) {
+func (e *Egress) forward(guestID string, gr *guestEgress, seq uint64, g *copyGroup) {
 	g.forwarded = true
 	e.forwarded++
 	if e.OnForward != nil {
 		e.OnForward(guestID, seq, e.loop.Now())
 	}
-	e.net.Send(e.net.AllocPacket(ServiceAddr(guestID), g.origDst, g.size, "guest:data", g.data))
-}
-
-// forwardOnFor returns the copy that triggers forwarding for a guest: the
-// median copy of the full group, or of the installed live count while the
-// group is degraded.
-func (e *Egress) forwardOnFor(guestID string) int {
-	if n, ok := e.live[guestID]; ok {
-		return n/2 + 1
-	}
-	return e.forwardOn
+	e.net.Send(e.net.AllocTo(gr.svc, e.net.Endpoint(g.origDst), g.size, "guest:data", g.data))
 }
 
 // SetLiveReplicas installs a guest's live replica count — the egress-side
@@ -413,19 +412,13 @@ func (e *Egress) SetLiveReplicas(guestID string, n int) error {
 	if n < 1 || n > e.replicas {
 		return fmt.Errorf("%w: live replica count %d of %d", ErrGateway, n, e.replicas)
 	}
-	if n == e.replicas {
-		delete(e.live, guestID)
-		return nil
-	}
-	e.live[guestID] = n
-	forwardOn := n/2 + 1
-	if gr, ok := e.groups[guestID]; ok {
-		// The ring iterates in sequence order by construction — no sort.
-		for seq := gr.base; seq < gr.top; seq++ {
-			g := gr.slot(seq)
-			if g.state == groupOpen && !g.forwarded && g.n >= forwardOn {
-				e.forward(guestID, seq, g)
-			}
+	gr := e.guest(guestID)
+	gr.live = n
+	// The ring iterates in sequence order by construction — no sort.
+	for seq := gr.base; seq < gr.top; seq++ {
+		g := gr.slot(seq)
+		if g.state == groupOpen && !g.forwarded && g.n >= n/2+1 {
+			e.forward(guestID, gr, seq, g)
 		}
 	}
 	return nil
@@ -437,8 +430,7 @@ func (e *Egress) Forwarded() uint64 { return e.forwarded }
 // DropGuest discards the copy-counting and live-view state of an evicted
 // guest so a later tenant reusing the id starts from a clean slate.
 func (e *Egress) DropGuest(guestID string) {
-	delete(e.groups, guestID)
-	delete(e.live, guestID)
+	delete(e.guests, guestID)
 }
 
 // ReclaimForwardedUpTo discards a guest's already-forwarded copy groups
@@ -450,7 +442,7 @@ func (e *Egress) DropGuest(guestID string) {
 // emits those live, and deleting a group whose final copy is still in
 // flight would resurrect it as a bogus stuck entry.
 func (e *Egress) ReclaimForwardedUpTo(guestID string, maxSeq uint64) {
-	gr, ok := e.groups[guestID]
+	gr, ok := e.guests[guestID]
 	if !ok {
 		return
 	}
@@ -473,7 +465,7 @@ func (e *Egress) ReclaimForwardedUpTo(guestID string, maxSeq uint64) {
 // (tests / liveness checks).
 func (e *Egress) PendingGroups() int {
 	n := 0
-	for _, gr := range e.groups {
+	for _, gr := range e.guests {
 		n += gr.open
 	}
 	return n
@@ -483,7 +475,7 @@ func (e *Egress) PendingGroups() int {
 // forwarded — packets an external client is still waiting for.
 func (e *Egress) StuckBelowForward() int {
 	n := 0
-	for _, gr := range e.groups {
+	for _, gr := range e.guests {
 		for seq := gr.base; seq < gr.top; seq++ {
 			g := gr.slot(seq)
 			if g.state == groupOpen && !g.forwarded {

@@ -13,6 +13,8 @@ package multicast
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"stopwatch/internal/netsim"
@@ -48,12 +50,15 @@ type SenderConfig struct {
 
 // Sender is a reliable multicast source.
 type Sender struct {
-	net   *netsim.Network
-	loop  *sim.Loop
-	cfg   SenderConfig
+	net  *netsim.Network
+	loop *sim.Loop
+	cfg  SenderConfig
+	// src and group are cfg.Src and cfg.Group resolved (again in SetGroup).
+	src   *netsim.Endpoint
+	group []*netsim.Endpoint
 	seq   uint64
-	win   map[uint64]netsim.PacketBody // retained bodies, envelope stamped
-	winLo uint64                       // lowest seq retained
+	// win retains the last WindowSize bodies, envelope stamped, for repair.
+	win holdRing
 
 	spmPending bool
 	closed     bool
@@ -77,14 +82,16 @@ func NewSender(net *netsim.Network, loop *sim.Loop, cfg SenderConfig) (*Sender, 
 	if cfg.WindowSize <= 0 {
 		cfg.WindowSize = 4096
 	}
-	// win is lazily initialized on the first Multicast: senders are wired
-	// per guest under churn, often before any traffic exists.
-	return &Sender{
-		net:   net,
-		loop:  loop,
-		cfg:   cfg,
-		winLo: 1,
-	}, nil
+	// win allocates on the first Multicast: senders are wired per guest
+	// under churn, often before any traffic exists.
+	s := &Sender{
+		net:  net,
+		loop: loop,
+		cfg:  cfg,
+		src:  net.Endpoint(cfg.Src),
+		win:  holdRing{base: 1},
+	}
+	return s, s.SetGroup(cfg.Group)
 }
 
 var _ netsim.Node = (*Sender)(nil)
@@ -111,16 +118,12 @@ func (s *Sender) Multicast(kind string, size int, body netsim.PacketBody) uint64
 	s.seq++
 	body.StreamSeq = s.seq
 	body.StreamKind = kind
-	if s.win == nil {
-		s.win = make(map[uint64]netsim.PacketBody)
+	if s.win.held == s.cfg.WindowSize {
+		s.win.takeBase() // age out the oldest before the ring would grow
 	}
-	s.win[s.seq] = body
-	if len(s.win) > s.cfg.WindowSize {
-		delete(s.win, s.winLo)
-		s.winLo++
-	}
-	for _, dst := range s.cfg.Group {
-		p := s.net.AllocPacket(s.cfg.Src, dst, size, kindData, nil)
+	s.win.put(s.seq, body)
+	for _, dst := range s.group {
+		p := s.net.AllocTo(s.src, dst, size, kindData, nil)
 		p.Body = body
 		s.net.Send(p)
 	}
@@ -145,13 +148,13 @@ func spmTimer(a, _ any, _ uint64) {
 	if s.seq == 0 || s.closed {
 		return
 	}
-	for _, dst := range s.cfg.Group {
-		p := s.net.AllocPacket(s.cfg.Src, dst, 32, kindSPM, nil)
+	for _, dst := range s.group {
+		p := s.net.AllocTo(s.src, dst, 32, kindSPM, nil)
 		p.Body.StreamSeq = s.seq // advertised max sequence
 		s.net.Send(p)
 	}
 	// Keep heartbeating while messages might still need repair.
-	if len(s.win) > 0 {
+	if s.win.held > 0 {
 		s.armSPM()
 	}
 }
@@ -168,6 +171,10 @@ func (s *Sender) SetGroup(group []netsim.Addr) error {
 	// Reuse the existing backing array: the input is copied in (callers
 	// keep ownership of theirs), and Group() hands out copies.
 	s.cfg.Group = append(s.cfg.Group[:0], group...)
+	s.group = slices.Grow(s.group[:0], cap(s.cfg.Group)) // one allocation, like cfg.Group's
+	for _, a := range group {
+		s.group = append(s.group, s.net.Endpoint(a))
+	}
 	return nil
 }
 
@@ -181,6 +188,10 @@ func (s *Sender) Group() []netsim.Addr {
 	return append([]netsim.Addr(nil), s.cfg.Group...)
 }
 
+// Endpoints returns the current receiver group resolved — the sender's own
+// slice, valid until the next SetGroup.
+func (s *Sender) Endpoints() []*netsim.Endpoint { return s.group }
+
 // Closed reports whether the sender has been retired.
 func (s *Sender) Closed() bool { return s.closed }
 
@@ -191,7 +202,7 @@ func (s *Sender) Closed() bool { return s.closed }
 // Receiver.Forget has already discarded.
 func (s *Sender) Close() {
 	s.closed = true
-	s.win = nil
+	s.win = holdRing{}
 }
 
 // Handle consumes NAKs addressed to this sender; it returns true when the
@@ -206,13 +217,13 @@ func (s *Sender) Handle(pkt *netsim.Packet) bool {
 	}
 	s.nakRecvd++
 	for _, seq := range nak.Seqs {
-		body, ok := s.win[seq]
-		if !ok {
+		body := s.win.get(seq)
+		if body == nil {
 			continue // aged out of the window; receiver is unrecoverable here
 		}
 		s.retrans++
-		p := s.net.AllocPacket(s.cfg.Src, pkt.Src, 64, kindData, nil)
-		p.Body = body
+		p := s.net.AllocTo(s.src, s.net.SourceOf(pkt), 64, kindData, nil)
+		p.Body = *body
 		s.net.Send(p)
 	}
 	return true
@@ -242,84 +253,68 @@ type ReceiverConfig struct {
 	OnData func(src netsim.Addr, seq uint64, kind string, body netsim.PacketBody)
 }
 
-// holdRing is the receiver's holdback buffer: a seq-indexed ring over the
-// window [base, base+len(buf)) where base is the next expected sequence.
-// In-order traffic never touches a map; out-of-order arrivals land in
-// their slot and the ring grows (power-of-two) only when a gap outlives
-// the current window.
+// holdRing is a seq-indexed ring over the window [base, base+len(buf)). As
+// the receiver's holdback buffer, base is the next expected sequence:
+// in-order traffic never touches it; out-of-order arrivals land in their
+// slot and the ring grows (power-of-two) only when a gap outlives the
+// current window. As the sender's repair window, base is the oldest body
+// retained and every slot up to the last sequence sent is present. Slots
+// point at their bodies: a body is 184 bytes and a sender's window is most
+// of its memory, so the ring must be able to grow without moving them.
 type holdRing struct {
-	buf  []holdSlot
-	base uint64 // seq of the logical first slot (== sourceState.next)
+	buf  []*netsim.PacketBody // nil: absent
+	base uint64               // seq of the logical first slot
 	held int
 }
 
-type holdSlot struct {
-	present bool
-	body    netsim.PacketBody
-}
-
-func (r *holdRing) slot(seq uint64) *holdSlot {
+func (r *holdRing) slot(seq uint64) **netsim.PacketBody {
 	return &r.buf[seq&uint64(len(r.buf)-1)]
 }
 
-func (r *holdRing) has(seq uint64) bool {
-	if len(r.buf) == 0 || seq < r.base || seq >= r.base+uint64(len(r.buf)) {
-		return false
+// get returns the body held at seq, nil if there is none.
+func (r *holdRing) get(seq uint64) *netsim.PacketBody {
+	if seq < r.base || seq >= r.base+uint64(len(r.buf)) {
+		return nil
 	}
-	return r.slot(seq).present
+	return *r.slot(seq)
 }
 
-// put stores a body at seq (seq >= base), growing the ring when seq falls
-// outside the current window.
+// put stores a copy of body at seq (seq >= base), growing the ring when
+// seq falls outside the current window.
 func (r *holdRing) put(seq uint64, body netsim.PacketBody) {
-	if need := seq - r.base + 1; len(r.buf) == 0 || need > uint64(len(r.buf)) {
-		newLen := 16
-		for uint64(newLen) < need {
-			newLen <<= 1
-		}
+	if need := seq - r.base + 1; need > uint64(len(r.buf)) {
 		old := r.buf
-		oldBase := r.base
-		r.buf = make([]holdSlot, newLen)
-		for i := range old {
-			s := old[i]
-			if s.present {
-				// Recover the slot's absolute seq from its index.
-				seqOf := oldBase + ((uint64(i) - oldBase) & uint64(len(old)-1))
-				*r.slot(seqOf) = s
-			}
+		r.buf = make([]*netsim.PacketBody, max(16, 1<<bits.Len64(need-1)))
+		for q := r.base; q < r.base+uint64(len(old)); q++ {
+			*r.slot(q) = old[q&uint64(len(old)-1)]
 		}
 	}
 	s := r.slot(seq)
-	if !s.present {
+	if *s == nil {
 		r.held++
 	}
-	s.present = true
-	s.body = body
+	*s = &body
 }
 
-// takeBase removes and returns the body at base, advancing the window.
-func (r *holdRing) takeBase() (netsim.PacketBody, bool) {
-	if len(r.buf) == 0 {
-		return netsim.PacketBody{}, false
+// takeBase removes and returns the body at base, advancing the window; nil
+// if base is absent.
+func (r *holdRing) takeBase() *netsim.PacketBody {
+	body := r.get(r.base)
+	if body != nil {
+		*r.slot(r.base) = nil
+		r.base++
+		r.held--
 	}
-	s := r.slot(r.base)
-	if !s.present {
-		return netsim.PacketBody{}, false
-	}
-	body := s.body
-	*s = holdSlot{}
-	r.base++
-	r.held--
-	return body, true
+	return body
 }
 
 type sourceState struct {
-	src   netsim.Addr     // the stream's source (NAK destination)
-	next  uint64          // next expected seq
-	hold  holdRing        // held-back out-of-order bodies, window base == next
-	hiSeq uint64          // highest seq seen (>= next); gap scan upper bound
-	naked map[uint64]bool // outstanding NAKs
-	timer sim.Handle      // pending NAK burst (weak: stale once fired)
+	src   *netsim.Endpoint // the stream's source (NAK destination)
+	next  uint64           // next expected seq
+	hold  holdRing         // held-back out-of-order bodies, window base == next
+	hiSeq uint64           // highest seq seen (>= next); gap scan upper bound
+	naked map[uint64]bool  // outstanding NAKs; nil until the first gap
+	timer sim.Handle       // pending NAK burst (weak: stale once fired)
 }
 
 // Receiver is a reliable multicast group member. One receiver can track any
@@ -328,7 +323,8 @@ type Receiver struct {
 	net  *netsim.Network
 	loop *sim.Loop
 	cfg  ReceiverConfig
-	srcs map[netsim.Addr]*sourceState
+	self *netsim.Endpoint // cfg.Addr, resolved once: NAKs leave from here
+	srcs netsim.EndpointTable[*sourceState]
 
 	delivered uint64
 	naksSent  uint64
@@ -353,7 +349,7 @@ func NewReceiver(net *netsim.Network, loop *sim.Loop, cfg ReceiverConfig) (*Rece
 		net:  net,
 		loop: loop,
 		cfg:  cfg,
-		srcs: make(map[netsim.Addr]*sourceState),
+		self: net.Endpoint(cfg.Addr),
 	}, nil
 }
 
@@ -362,10 +358,11 @@ func NewReceiver(net *netsim.Network, loop *sim.Loop, cfg ReceiverConfig) (*Rece
 func (r *Receiver) Handle(pkt *netsim.Packet) bool {
 	switch pkt.Kind {
 	case kindData:
-		r.onData(pkt.Src, pkt.Body)
+		r.onData(r.state(r.net.SourceOf(pkt)), pkt.Body)
 		return true
 	case kindSPM:
-		r.onSPM(pkt.Src, pkt.Body.StreamSeq)
+		// The advertised max sequence marks everything up to it expected.
+		r.request(r.state(r.net.SourceOf(pkt)), pkt.Body.StreamSeq+1)
 		return true
 	default:
 		return false
@@ -381,38 +378,39 @@ func (r *Receiver) Prime(src netsim.Addr, next uint64) {
 	if next == 0 {
 		next = 1
 	}
-	if st, ok := r.srcs[src]; ok {
+	ep := r.net.Endpoint(src)
+	if st, ok := r.srcs.Get(ep); ok {
 		r.loop.CancelHandle(st.timer)
 	}
-	st := &sourceState{src: src, next: next, naked: make(map[uint64]bool)}
+	st := &sourceState{src: ep, next: next}
 	st.hold.base = next
-	r.srcs[src] = st
+	r.srcs.Put(ep, st)
 }
 
 // Forget drops this receiver's state for a source stream (the stream's
 // guest was evicted). A later stream reusing the same source address starts
 // fresh at seq 1.
 func (r *Receiver) Forget(src netsim.Addr) {
-	if st, ok := r.srcs[src]; ok {
+	ep := r.net.Endpoint(src)
+	if st, ok := r.srcs.Get(ep); ok {
 		r.loop.CancelHandle(st.timer)
+		r.srcs.Delete(ep)
 	}
-	delete(r.srcs, src)
 }
 
-func (r *Receiver) state(src netsim.Addr) *sourceState {
-	st, ok := r.srcs[src]
+func (r *Receiver) state(src *netsim.Endpoint) *sourceState {
+	st, ok := r.srcs.Get(src)
 	if !ok {
-		st = &sourceState{src: src, next: 1, naked: make(map[uint64]bool)}
+		st = &sourceState{src: src, next: 1}
 		st.hold.base = 1
-		r.srcs[src] = st
+		r.srcs.Put(src, st)
 	}
 	return st
 }
 
-func (r *Receiver) onData(src netsim.Addr, body netsim.PacketBody) {
-	st := r.state(src)
+func (r *Receiver) onData(st *sourceState, body netsim.PacketBody) {
 	seq := body.StreamSeq
-	if seq < st.next || st.hold.has(seq) {
+	if seq < st.next || st.hold.get(seq) != nil {
 		r.dups++
 		return
 	}
@@ -425,10 +423,12 @@ func (r *Receiver) onData(src netsim.Addr, body netsim.PacketBody) {
 		if seq > st.hiSeq {
 			st.hiSeq = seq
 		}
-		delete(st.naked, seq)
+		if st.naked != nil {
+			delete(st.naked, seq)
+		}
 		r.delivered++
-		r.cfg.OnData(src, body.StreamSeq, body.StreamKind, body)
-		r.requestMissing(src, st)
+		r.cfg.OnData(st.src.Addr(), body.StreamSeq, body.StreamKind, body)
+		r.request(st, st.hiSeq)
 		return
 	}
 	st.hold.put(seq, body)
@@ -436,56 +436,44 @@ func (r *Receiver) onData(src netsim.Addr, body netsim.PacketBody) {
 		st.hiSeq = seq
 	}
 	delete(st.naked, seq)
-	r.drain(src, st)
+	r.drain(st)
 	// Gap: anything between next and the highest held-back seq is missing.
-	r.requestMissing(src, st)
+	r.request(st, st.hiSeq)
 }
 
-func (r *Receiver) onSPM(src netsim.Addr, maxSeq uint64) {
-	st := r.state(src)
-	if maxSeq >= st.next {
-		// Mark everything up to MaxSeq as expected.
-		changed := false
-		for seq := st.next; seq <= maxSeq; seq++ {
-			if !st.hold.has(seq) && !st.naked[seq] {
-				st.naked[seq] = true
-				changed = true
-			}
-		}
-		if changed {
-			r.armNAK(src, st, r.cfg.NAKDelay)
-		}
-	}
-}
-
-func (r *Receiver) drain(src netsim.Addr, st *sourceState) {
+func (r *Receiver) drain(st *sourceState) {
 	for {
-		body, ok := st.hold.takeBase()
-		if !ok {
+		body := st.hold.takeBase()
+		if body == nil {
 			return
 		}
 		st.next++
 		r.delivered++
-		r.cfg.OnData(src, body.StreamSeq, body.StreamKind, body)
+		r.cfg.OnData(st.src.Addr(), body.StreamSeq, body.StreamKind, *body)
 	}
 }
 
-func (r *Receiver) requestMissing(src netsim.Addr, st *sourceState) {
+// request NAKs every sequence in [next, end) that is neither held back nor
+// already requested.
+func (r *Receiver) request(st *sourceState, end uint64) {
 	changed := false
-	for seq := st.next; seq < st.hiSeq; seq++ {
-		if !st.hold.has(seq) && !st.naked[seq] {
+	for seq := st.next; seq < end; seq++ {
+		if st.hold.get(seq) == nil && !st.naked[seq] {
+			if st.naked == nil {
+				st.naked = make(map[uint64]bool)
+			}
 			st.naked[seq] = true
 			changed = true
 		}
 	}
 	if changed {
-		r.armNAK(src, st, r.cfg.NAKDelay)
+		r.armNAK(st, r.cfg.NAKDelay)
 	}
 }
 
 // armNAK schedules a NAK burst after the given delay unless one is already
 // pending. The delay absorbs reordering (first NAK) and paces retries.
-func (r *Receiver) armNAK(src netsim.Addr, st *sourceState, delay sim.Time) {
+func (r *Receiver) armNAK(st *sourceState, delay sim.Time) {
 	if st.timer.Pending() {
 		return
 	}
@@ -497,10 +485,10 @@ func nakTimer(a, b any, _ uint64) {
 	r := a.(*Receiver)
 	st := b.(*sourceState)
 	st.timer = sim.Handle{}
-	r.sendNAKs(st.src, st)
+	r.sendNAKs(st)
 }
 
-func (r *Receiver) sendNAKs(src netsim.Addr, st *sourceState) {
+func (r *Receiver) sendNAKs(st *sourceState) {
 	if len(st.naked) == 0 {
 		return
 	}
@@ -517,9 +505,9 @@ func (r *Receiver) sendNAKs(src netsim.Addr, st *sourceState) {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	r.naksSent++
-	r.net.Send(r.net.AllocPacket(r.cfg.Addr, src, 40, kindNAK, nakMsg{Seqs: seqs}))
+	r.net.Send(r.net.AllocTo(r.self, st.src, 40, kindNAK, nakMsg{Seqs: seqs}))
 	// Re-arm: if the repair is lost too, NAK again.
-	r.armNAK(src, st, r.cfg.NAKInterval)
+	r.armNAK(st, r.cfg.NAKInterval)
 }
 
 // ReceiverStats reports receiver-side counters.

@@ -329,3 +329,48 @@ func TestReliabilityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSenderWindowRetainsLastWindowSize: the repair window is the last
+// WindowSize bodies — a NAK inside it is repaired with the body sent, one
+// that aged out is not — across every growth step of the ring and the
+// switch from growing to sliding.
+func TestSenderWindowRetainsLastWindowSize(t *testing.T) {
+	loop := sim.NewLoop()
+	net, err := netsim.New(loop, sim.NewSource(3).Stream("net"), netsim.LinkConfig{Latency: sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window = 40 // not a power of two: the ring holds 64
+	snd, err := NewSender(net, loop, SenderConfig{Src: "s", Group: []netsim.Addr{"sink"}, WindowSize: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var repaired []uint64
+	if err := net.Attach(&netsim.FuncNode{Addr: "r", Fn: func(p *netsim.Packet) {
+		if p.Body.Data != p.Body.StreamSeq*7 {
+			t.Errorf("repair of %d carries %v", p.Body.StreamSeq, p.Body.Data)
+		}
+		repaired = append(repaired, p.Body.StreamSeq)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for sent := uint64(1); sent <= 3*window; sent++ {
+		snd.Multicast("m", 64, netsim.PacketBody{Data: sent * 7})
+		lo := uint64(1)
+		if sent > window {
+			lo = sent - window + 1
+		}
+		repaired = repaired[:0]
+		snd.Handle(&netsim.Packet{Src: "r", Dst: "s", Kind: "pgm:nak", Payload: nakMsg{Seqs: []uint64{lo - 1, lo, sent, sent + 1}}})
+		if err := loop.RunUntil(loop.Now() + 2*sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		want := []uint64{lo, sent}
+		if lo == sent {
+			want = []uint64{lo, lo}
+		}
+		if fmt.Sprint(repaired) != fmt.Sprint(want) {
+			t.Fatalf("after %d sends: repaired %v, want %v", sent, repaired, want)
+		}
+	}
+}

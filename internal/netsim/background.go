@@ -15,8 +15,8 @@ type Broadcaster struct {
 	net      *Network
 	loop     *sim.Loop
 	rng      *sim.Rand
-	src      Addr
-	targets  []Addr
+	src      *Endpoint
+	targets  []*Endpoint
 	meanGap  sim.Time
 	size     int
 	running  bool
@@ -43,15 +43,18 @@ func NewBroadcaster(net *Network, loop *sim.Loop, rng *sim.Rand, cfg Broadcaster
 	if cfg.RatePerSec <= 0 || cfg.Size <= 0 || len(cfg.Targets) == 0 {
 		return nil, fmt.Errorf("%w: broadcaster %+v", ErrNet, cfg)
 	}
-	return &Broadcaster{
+	b := &Broadcaster{
 		net:     net,
 		loop:    loop,
 		rng:     rng,
-		src:     cfg.Src,
-		targets: append([]Addr(nil), cfg.Targets...),
+		src:     net.Endpoint(cfg.Src),
 		meanGap: sim.Time(float64(sim.Second) / cfg.RatePerSec),
 		size:    cfg.Size,
-	}, nil
+	}
+	for _, a := range cfg.Targets {
+		b.targets = append(b.targets, net.Endpoint(a))
+	}
+	return b, nil
 }
 
 // Start begins emitting broadcasts until the given stop time.
@@ -76,7 +79,7 @@ func broadcastTimer(a, _ any, _ uint64) {
 		return
 	}
 	for _, dst := range b.targets {
-		b.net.Send(b.net.AllocPacket(b.src, dst, b.size, "broadcast", nil))
+		b.net.Send(b.net.AllocTo(b.src, dst, b.size, "broadcast", nil))
 	}
 	b.sent++
 	b.scheduleNext()

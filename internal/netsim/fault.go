@@ -26,7 +26,7 @@ func (n *Network) faultOn(src, dst Addr) (*link, error) {
 	if src == "" || dst == "" {
 		return nil, fmt.Errorf("%w: fault on link %q→%q", ErrNet, src, dst)
 	}
-	return n.linkOn(n.shards[n.shardIdx(src)], src, dst), nil
+	return n.linkOn(n.Endpoint(src), n.Endpoint(dst)), nil
 }
 
 // InjectLoss overrides the directed link's loss probability: p in [0, 1]
@@ -99,10 +99,13 @@ func (n *Network) HealDuplexLink(a, b Addr) error {
 
 // LinkFaults reports the directed link's current fault state: the
 // effective loss override (the configured LossProb if none is set) and
-// whether the link is partitioned.
+// whether the link is partitioned. A pair that never carried traffic
+// reports its configured loss and no partition.
 func (n *Network) LinkFaults(src, dst Addr) (loss float64, partitioned bool) {
-	sh := n.shards[n.shardIdx(src)]
-	l := n.linkOn(sh, src, dst)
+	l := n.peekLink(src, dst)
+	if l == nil {
+		return n.defCfg.LossProb, false
+	}
 	loss = l.cfg.LossProb
 	if l.faultLoss >= 0 {
 		loss = l.faultLoss

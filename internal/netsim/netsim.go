@@ -29,12 +29,32 @@
 //     sim.Loop.AtArrivalTimer under the key (link hash, per-link send seq),
 //     so same-instant arrivals at one node order identically whether they
 //     were scheduled locally or merged in from K shards.
+//
+// # Names at the edge, IDs inside
+//
+// An Addr is a name. The fabric interns each one to an Endpoint — a record
+// of the attached node, the shard and the outgoing links — and a packet
+// carries its two endpoints, so a hop hashes no string. A long-lived sender
+// (multicast sender, replica wiring, gateway, client) may hold Endpoints:
+// it resolves them with Network.Endpoint when it is wired and sends with
+// AllocTo. AllocPacket, Packet literals and the (Addr, Addr) fault and stat
+// calls take names and pay one lookup per endpoint. Names stay the truth:
+// Send re-resolves an endpoint that no longer matches the packet's Src/Dst.
+//
+// Interning is legal wherever topology mutation is (initialization, barrier
+// context), and in a Send that meets a new address on a shard goroutine:
+// the name table is locked. An endpoint's ID is dense and process-local. It
+// keys EndpointTables and must never reach an ordering key, a seed or an
+// output: link hashes and RNG streams are functions of the two names, so a
+// run is the same whatever order addresses were interned in.
 package netsim
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
+	"sync"
 
 	"stopwatch/internal/metrics"
 	"stopwatch/internal/sim"
@@ -45,6 +65,70 @@ var ErrNet = errors.New("netsim: invalid configuration")
 
 // Addr identifies a node on the fabric.
 type Addr string
+
+// Endpoint is an interned Addr: the fabric's record for that address,
+// held by pointer (Network.Endpoint).
+type Endpoint struct {
+	addr  Addr
+	id    uint32 // dense from 1 in interning order; EndpointTable key only
+	shard int    // index into Network.shards (AssignShard; 0 by default)
+	node  Node   // receives arrivals; nil (never attached, detached) drops them
+	// links holds the directed links out of this address, by destination.
+	// Runtime state in them is touched only by this address's shard.
+	links EndpointTable[*link]
+}
+
+// Addr returns the endpoint's name.
+func (e *Endpoint) Addr() Addr { return e.addr }
+
+// EndpointTable maps endpoints to per-peer state — an address's outgoing
+// links, a receiver's source streams — in a slice sorted by endpoint ID:
+// a binary search, no hashing, memory in proportion to the peers seen.
+type EndpointTable[V any] struct {
+	ids  []uint32
+	vals []V
+}
+
+func (t *EndpointTable[V]) find(e *Endpoint) (int, bool) {
+	id := e.id
+	lo, hi := 0, len(t.ids)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); t.ids[m] < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t.ids) && t.ids[lo] == id
+}
+
+// Get returns the value stored for e.
+func (t *EndpointTable[V]) Get(e *Endpoint) (v V, ok bool) {
+	i, ok := t.find(e)
+	if ok {
+		v = t.vals[i]
+	}
+	return v, ok
+}
+
+// Put stores v for e, replacing any earlier value.
+func (t *EndpointTable[V]) Put(e *Endpoint, v V) {
+	i, ok := t.find(e)
+	if ok {
+		t.vals[i] = v
+		return
+	}
+	t.ids = slices.Insert(t.ids, i, e.id)
+	t.vals = slices.Insert(t.vals, i, v)
+}
+
+// Delete removes e's value, if any.
+func (t *EndpointTable[V]) Delete(e *Endpoint) {
+	if i, ok := t.find(e); ok {
+		t.ids = slices.Delete(t.ids, i, i+1)
+		t.vals = slices.Delete(t.vals, i, i+1)
+	}
+}
 
 // Packet is a unit of traffic. The hot protocol payloads ride in Body, the
 // typed union (no boxing); Payload carries any other upper-layer structure;
@@ -63,7 +147,10 @@ type Packet struct {
 	Body    PacketBody
 	Payload any
 
-	pooled bool // recycled into the owning shard's freelist after delivery
+	// src and dst cache the endpoints of Src and Dst: filled by AllocTo,
+	// or by Send for a packet built from names.
+	src, dst *Endpoint
+	pooled   bool // recycled into the owning shard's freelist after delivery
 }
 
 // Clone returns a shallow copy with a fresh identity-preserving struct
@@ -116,9 +203,9 @@ func (c LinkConfig) validate() error {
 // what make fabric behavior independent of the partition.
 type link struct {
 	cfg      *LinkConfig
-	rng      *sim.FastRand
-	hash     uint64 // stable hash of (src, dst): arrival ordering key k1
-	arrSeq   uint64 // per-link send counter: arrival ordering key k2
+	rng      *sim.FastRand // nil until the first send or fault switch
+	hash     uint64        // stable hash of (src, dst): arrival ordering key k1
+	arrSeq   uint64        // per-link send counter: arrival ordering key k2
 	dstShard int
 	nextFree sim.Time // FIFO serialization horizon
 	lastArr  sim.Time // FIFO delivery horizon: links never reorder
@@ -151,12 +238,10 @@ type netShard struct {
 	idx  int
 	loop *sim.Loop
 
-	// links holds runtime state for every directed link whose source
-	// address this shard owns.
-	links map[[2]Addr]*link
 	// labels interns per-kind delivery event labels so the hot path does
-	// not build a "net:deliver:"+kind string per packet.
-	labels map[string]string
+	// not build a "net:deliver:"+kind string per packet: scanned, not
+	// hashed — a fabric carries a dozen kinds.
+	labels []kindLabel
 	// freePkts is this shard's pooled-packet freelist. Packets migrate
 	// pools when delivered across shards — pools are per-shard only so
 	// that alloc/recycle never race.
@@ -174,12 +259,12 @@ type netShard struct {
 	mDropped   metrics.ShardCounterVec
 }
 
+type kindLabel struct{ kind, label string }
+
 func newShard(idx, total int, loop *sim.Loop) *netShard {
 	return &netShard{
 		idx:    idx,
 		loop:   loop,
-		links:  make(map[[2]Addr]*link),
-		labels: make(map[string]string),
 		outs:   make([][]inject, total),
 		idBase: uint64(idx+1) << 48,
 	}
@@ -187,19 +272,23 @@ func newShard(idx, total int, loop *sim.Loop) *netShard {
 
 // deliverLabel returns the interned per-kind delivery label.
 func (sh *netShard) deliverLabel(kind string) string {
-	if s, ok := sh.labels[kind]; ok {
-		return s
+	for i := range sh.labels {
+		if sh.labels[i].kind == kind {
+			return sh.labels[i].label
+		}
 	}
 	s := "net:deliver:" + kind
-	sh.labels[kind] = s
+	sh.labels = append(sh.labels, kindLabel{kind, s})
 	return s
 }
 
-// recycle returns a pool-owned packet to this shard's freelist.
+// recycle returns a pool-owned packet to this shard's freelist, clean but
+// for the header fields AllocTo overwrites.
 func (sh *netShard) recycle(p *Packet) {
 	if !p.pooled {
 		return
 	}
+	p.ID = 0
 	p.Payload = nil
 	p.Body = PacketBody{}
 	p.pooled = false
@@ -210,11 +299,12 @@ func (sh *netShard) recycle(p *Packet) {
 // is shared and must only be mutated at initialization or a coordinator
 // barrier; all per-packet state is per-shard.
 type Network struct {
-	nodes   map[Addr]Node
-	cfgs    map[[2]Addr]*LinkConfig
-	defCfg  *LinkConfig
-	shardOf map[Addr]int
-	shards  []*netShard
+	// mu guards byName: a shard goroutine may intern a new address.
+	mu     sync.Mutex
+	byName map[Addr]*Endpoint
+
+	defCfg *LinkConfig
+	shards []*netShard
 
 	// seedBase derives the per-link RNG streams; drawn once from the
 	// fabric stream at construction.
@@ -245,16 +335,29 @@ func New(loop *sim.Loop, rng *sim.Rand, def LinkConfig) (*Network, error) {
 	defCfg := def
 	seedBase := rng.Uint64()
 	n := &Network{
-		nodes:      make(map[Addr]Node),
-		cfgs:       make(map[[2]Addr]*LinkConfig),
+		byName:     make(map[Addr]*Endpoint),
 		defCfg:     &defCfg,
-		shardOf:    make(map[Addr]int),
 		shards:     []*netShard{newShard(0, 1, loop)},
 		seedBase:   seedBase,
 		linkSrc:    sim.NewSource(seedBase),
 		minLatency: def.Latency,
 	}
 	return n, nil
+}
+
+// Endpoint interns addr: what a sender resolves once, when it is wired.
+func (n *Network) Endpoint(addr Addr) *Endpoint { return n.intern(addr, true) }
+
+// intern returns addr's record, creating it if asked to; nil if absent.
+func (n *Network) intern(addr Addr, create bool) *Endpoint {
+	n.mu.Lock()
+	e := n.byName[addr]
+	if e == nil && create {
+		e = &Endpoint{addr: addr, id: uint32(len(n.byName) + 1)}
+		n.byName[addr] = e
+	}
+	n.mu.Unlock()
+	return e
 }
 
 // SetShards partitions the fabric across the given loops. It must be
@@ -288,18 +391,16 @@ func (n *Network) AssignShard(addr Addr, k int) error {
 	if addr == "" || k < 0 || k >= len(n.shards) {
 		return fmt.Errorf("%w: AssignShard(%q, %d) of %d shards", ErrNet, addr, k, len(n.shards))
 	}
-	n.shardOf[addr] = k
+	n.Endpoint(addr).shard = k
 	return nil
 }
 
 // ShardOf returns the shard index owning an address (0 by default).
-func (n *Network) ShardOf(addr Addr) int { return n.shardIdx(addr) }
-
-func (n *Network) shardIdx(addr Addr) int {
-	if len(n.shards) == 1 {
-		return 0
+func (n *Network) ShardOf(addr Addr) int {
+	if e := n.intern(addr, false); e != nil {
+		return e.shard
 	}
-	return n.shardOf[addr] // absent ⇒ 0
+	return 0
 }
 
 // ShardLoop returns shard k's loop.
@@ -310,12 +411,17 @@ func (n *Network) ShardLoop(k int) *sim.Loop { return n.shards[k].loop }
 // the last barrier without any cross-shard effect arriving early.
 func (n *Network) Lookahead() sim.Time { return n.minLatency }
 
-// AllocPacket checks a packet out of the source address's shard pool,
+// AllocPacket is AllocTo by name: one lookup per endpoint.
+func (n *Network) AllocPacket(src, dst Addr, size int, kind string, payload any) *Packet {
+	return n.AllocTo(n.Endpoint(src), n.Endpoint(dst), size, kind, payload)
+}
+
+// AllocTo checks a packet out of the source endpoint's shard pool,
 // populated with the given header. The fabric reclaims it after delivery
 // or loss, so senders hand it straight to Send and never keep it. Set
 // Body on the returned packet for the typed hot-path payloads.
-func (n *Network) AllocPacket(src, dst Addr, size int, kind string, payload any) *Packet {
-	sh := n.shards[n.shardIdx(src)]
+func (n *Network) AllocTo(src, dst *Endpoint, size int, kind string, payload any) *Packet {
+	sh := n.shards[src.shard]
 	var p *Packet
 	if k := len(sh.freePkts); k > 0 {
 		p = sh.freePkts[k-1]
@@ -324,9 +430,21 @@ func (n *Network) AllocPacket(src, dst Addr, size int, kind string, payload any)
 	} else {
 		p = &Packet{}
 	}
-	*p = Packet{Src: src, Dst: dst, Size: size, Kind: kind, Payload: payload, pooled: true}
+	p.Src, p.Dst, p.src, p.dst = src.addr, dst.addr, src, dst
+	p.Size, p.Kind, p.Payload, p.pooled = size, kind, payload, true
 	return p
 }
+
+// resolved returns addr's record: e if that is it, one lookup otherwise.
+func (n *Network) resolved(e *Endpoint, addr Addr) *Endpoint {
+	if e != nil && e.addr == addr {
+		return e
+	}
+	return n.Endpoint(addr)
+}
+
+// SourceOf returns pkt.Src's endpoint: no lookup on a delivered packet.
+func (n *Network) SourceOf(pkt *Packet) *Endpoint { return n.resolved(pkt.src, pkt.Src) }
 
 // SetMetrics wires per-packet-kind fabric counters: delivered counts
 // packets handed to an attached node, dropped counts loss-model drops and
@@ -360,13 +478,15 @@ func (n *Network) Attach(node Node) error {
 	if node == nil || node.Address() == "" {
 		return fmt.Errorf("%w: nil node or empty address", ErrNet)
 	}
-	n.nodes[node.Address()] = node
+	n.Endpoint(node.Address()).node = node
 	return nil
 }
 
 // Detach removes a node; packets in flight to it are dropped on arrival.
 func (n *Network) Detach(addr Addr) {
-	delete(n.nodes, addr)
+	if e := n.intern(addr, false); e != nil {
+		e.node = nil
+	}
 }
 
 // SetLink installs a directed link between two addresses, resetting any
@@ -377,13 +497,11 @@ func (n *Network) SetLink(src, dst Addr, cfg LinkConfig) error {
 		return err
 	}
 	c := cfg
-	n.cfgs[[2]Addr{src, dst}] = &c
 	if cfg.Latency < n.minLatency {
 		n.minLatency = cfg.Latency
 	}
-	// Reset the pair's runtime state so the new config takes effect even
-	// if traffic already flowed (it lives on the source's shard).
-	delete(n.shards[n.shardIdx(src)].links, [2]Addr{src, dst})
+	// A fresh link: the config takes effect even if traffic already flowed.
+	n.Endpoint(src).links.Put(n.Endpoint(dst), &link{cfg: &c, faultLoss: lossUnset})
 	return nil
 }
 
@@ -395,25 +513,19 @@ func (n *Network) SetDuplexLink(a, b Addr, cfg LinkConfig) error {
 	return n.SetLink(b, a, cfg)
 }
 
-// linkOn returns (creating on first use) the directed link's runtime state
-// on the owning shard.
-func (n *Network) linkOn(sh *netShard, src, dst Addr) *link {
-	key := [2]Addr{src, dst}
-	if l, ok := sh.links[key]; ok {
-		return l
+// linkOn returns the directed link's runtime state, starting it on first
+// use. The stream and the hash are functions of the two names alone.
+func (n *Network) linkOn(src, dst *Endpoint) *link {
+	l, ok := src.links.Get(dst)
+	if !ok {
+		l = &link{cfg: n.defCfg, faultLoss: lossUnset}
+		src.links.Put(dst, l)
 	}
-	cfg := n.cfgs[key]
-	if cfg == nil {
-		cfg = n.defCfg
+	if l.rng == nil {
+		l.rng = n.linkSrc.FastStream(string(src.addr) + "|" + string(dst.addr))
+		l.hash = linkHash(src.addr, dst.addr)
+		l.dstShard = dst.shard
 	}
-	l := &link{
-		cfg:       cfg,
-		rng:       n.linkSrc.FastStream(string(src) + "|" + string(dst)),
-		hash:      linkHash(src, dst),
-		dstShard:  n.shardIdx(dst),
-		faultLoss: lossUnset,
-	}
-	sh.links[key] = l
 	return l
 }
 
@@ -439,13 +551,15 @@ func linkHash(src, dst Addr) uint64 {
 // own shard (a node reacting to a delivery) or from coordinator/barrier
 // context while all shards are parked.
 func (n *Network) Send(pkt *Packet) {
-	ks := n.shardIdx(pkt.Src)
+	src, dst := n.resolved(pkt.src, pkt.Src), n.resolved(pkt.dst, pkt.Dst)
+	pkt.src, pkt.dst = src, dst
+	ks := src.shard
 	sh := n.shards[ks]
 	if pkt.ID == 0 {
 		sh.nextID++
 		pkt.ID = sh.idBase | sh.nextID
 	}
-	l := n.linkOn(sh, pkt.Src, pkt.Dst)
+	l := n.linkOn(src, dst)
 	l.sent++
 	cfg := l.cfg
 	// A partitioned link (fault.go) drops without a loss draw, so healing
@@ -543,7 +657,7 @@ func deliverTimer(a, b any, u uint64) {
 	n := a.(*Network)
 	pkt := b.(*Packet)
 	sh := n.shards[u]
-	if node, ok := n.nodes[pkt.Dst]; ok {
+	if node := pkt.dst.node; node != nil {
 		sh.delivered++
 		if c := sh.mDelivered; c.Valid() {
 			c.With(pkt.Kind).Inc()
@@ -575,11 +689,22 @@ func (n *Network) Stats() Stats {
 	return s
 }
 
-// LinkStats reports per-link counters for the directed pair.
+// peekLink returns the pair's link without creating it (nil if absent).
+func (n *Network) peekLink(src, dst Addr) *link {
+	s, d := n.intern(src, false), n.intern(dst, false)
+	if s == nil || d == nil {
+		return nil
+	}
+	l, _ := s.links.Get(d)
+	return l
+}
+
+// LinkStats reports the directed pair's counters (zeros if it is unused).
 func (n *Network) LinkStats(src, dst Addr) (sent, dropped uint64) {
-	sh := n.shards[n.shardIdx(src)]
-	l := n.linkOn(sh, src, dst)
-	return l.sent, l.dropped
+	if l := n.peekLink(src, dst); l != nil {
+		return l.sent, l.dropped
+	}
+	return 0, 0
 }
 
 // FuncNode adapts a function into a Node — handy for tests and simple

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"stopwatch/internal/sim"
@@ -295,5 +296,91 @@ func TestBroadcasterDoubleStartNoop(t *testing.T) {
 	}
 	if got < 60 || got > 140 {
 		t.Fatalf("got %d broadcasts in 1s at 100/s — double start?", got)
+	}
+}
+
+// jitterArrivals interns `before` in order, then sends three packets on
+// a→b under a jittered default link and returns their arrival instants.
+func jitterArrivals(t *testing.T, before ...Addr) []sim.Time {
+	t.Helper()
+	loop := sim.NewLoop()
+	n, err := New(loop, sim.NewSource(42).Stream("pin"), LinkConfig{Latency: sim.Millisecond, JitterMax: sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range before {
+		n.Endpoint(a)
+	}
+	var at []sim.Time
+	if err := n.Attach(&FuncNode{Addr: "dom0:host1", Fn: func(*Packet) { at = append(at, loop.Now()) }}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		loop.At(sim.Time(i)*10*sim.Millisecond, "send", func() {
+			n.Send(n.AllocPacket("dom0:host0", "dom0:host1", 64, "t", nil))
+		})
+	}
+	if err := loop.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return at
+}
+
+// TestLinkIdentityIsTheNames pins what a link's behaviour derives from: the
+// arrival-order hash and the jitter stream are functions of the endpoint
+// names and the fabric seed. An endpoint ID — which depends on the order
+// addresses were interned in — can reach neither.
+func TestLinkIdentityIsTheNames(t *testing.T) {
+	if got := linkHash("dom0:host0", "dom0:host1"); got != 0x648c2ba839efec70 {
+		t.Errorf("linkHash = %#x: the arrival key k1 is pinned to the names", got)
+	}
+	want := []sim.Time{1946113, 11275327, 21389338}
+	for _, before := range [][]Addr{nil, {"z", "dom0:host1", "y", "dom0:host0"}, {"dom0:host0", "x"}} {
+		if got := jitterArrivals(t, before...); !reflect.DeepEqual(got, want) {
+			t.Errorf("interned %v first: arrivals %d, want %d", before, got, want)
+		}
+	}
+}
+
+// TestReadsCreateNoLinkState: LinkStats and LinkFaults on a pair that never
+// carried traffic report zeros (and the configured loss) without starting
+// a link — the pair's first real send still sees a fresh stream.
+func TestReadsCreateNoLinkState(t *testing.T) {
+	n, _ := testNet(t, LinkConfig{Latency: sim.Millisecond, LossProb: 0.25})
+	if sent, dropped := n.LinkStats("a", "b"); sent != 0 || dropped != 0 {
+		t.Fatalf("LinkStats on an unused pair = (%d, %d)", sent, dropped)
+	}
+	if loss, part := n.LinkFaults("a", "b"); loss != 0.25 || part {
+		t.Fatalf("LinkFaults on an unused pair = (%v, %v), want (0.25, false)", loss, part)
+	}
+	if len(n.byName) != 0 {
+		t.Fatalf("reads interned %d addresses", len(n.byName))
+	}
+	if err := n.SetLink("a", "b", LinkConfig{Latency: sim.Millisecond, LossProb: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if loss, _ := n.LinkFaults("a", "b"); loss != 0.5 {
+		t.Fatalf("LinkFaults on a configured, unused pair = %v, want 0.5", loss)
+	}
+	if l := n.peekLink("a", "b"); l == nil || l.rng != nil {
+		t.Fatal("reading a configured pair started its link")
+	}
+}
+
+// TestHopAllocatesNothing: a steady-state Send→Deliver allocates nothing,
+// by handle or by name.
+func TestHopAllocatesNothing(t *testing.T) {
+	n, loop := testNet(t, LinkConfig{Latency: sim.Millisecond, JitterMax: sim.Microsecond})
+	if err := n.Attach(&FuncNode{Addr: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	a, b := n.Endpoint("a"), n.Endpoint("b")
+	for name, hop := range map[string]func(){
+		"handle": func() { n.Send(n.AllocTo(a, b, 64, "t", nil)) },
+		"name":   func() { n.Send(n.AllocPacket("a", "b", 64, "t", nil)) },
+	} {
+		if allocs := testing.AllocsPerRun(200, func() { hop(); loop.ProcessNextEvent() }); allocs != 0 {
+			t.Errorf("%s: %v allocs per hop, want 0", name, allocs)
+		}
 	}
 }

@@ -93,7 +93,7 @@ var raceChecks = false
 // zero value is not usable; construct with NewLoop.
 type Loop struct {
 	now     Time
-	pq      []*Event
+	pq      []slot
 	free    []*Event
 	seq     uint64
 	stopped bool
@@ -317,17 +317,25 @@ func (l *Loop) Reschedule(e *Event, t Time) *Event {
 	return e
 }
 
-// less orders events by (When, band, k1, k2, seq): the deterministic total
+// slot is one heap entry: the fire time rides inline, so a sift reads four
+// children from one cache line and dereferences events only to break ties.
+type slot struct {
+	when Time
+	e    *Event
+}
+
+// less orders slots by (When, band, k1, k2, seq): the deterministic total
 // order. Local events (band 0, k1 = scheduling time, k2 = 0) at the same
 // instant keep their scheduling order; fabric arrivals (band 1) at the same
 // instant order by the partition-invariant (link hash, link seq) key, after
 // locals. The key — not insertion order — decides, so the order is
 // identical whether the arrivals were scheduled by one loop or merged in
 // from K shards.
-func less(x, y *Event) bool {
-	if x.When != y.When {
-		return x.When < y.When
+func less(a, b slot) bool {
+	if a.when != b.when {
+		return a.when < b.when
 	}
+	x, y := a.e, b.e
 	if x.band != y.band {
 		return x.band < y.band
 	}
@@ -345,61 +353,62 @@ func (l *Loop) insert(e *Event) {
 	e.seq = l.seq
 	l.seq++
 	i := len(l.pq)
-	l.pq = append(l.pq, e)
+	l.pq = append(l.pq, slot{e.When, e})
 	e.index = int32(i)
 	l.siftUp(i)
 }
 
 // siftUp restores the heap property upward from i (4-ary: parent (i-1)/4).
 func (l *Loop) siftUp(i int) {
-	e := l.pq[i]
+	s := l.pq[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		pe := l.pq[p]
-		if less(pe, e) {
+		ps := l.pq[p]
+		if less(ps, s) {
 			break
 		}
-		l.pq[i] = pe
-		pe.index = int32(i)
+		l.pq[i] = ps
+		ps.e.index = int32(i)
 		i = p
 	}
-	l.pq[i] = e
-	e.index = int32(i)
+	l.pq[i] = s
+	s.e.index = int32(i)
 }
 
 // siftDown restores the heap property downward from i (children 4i+1..4i+4).
 func (l *Loop) siftDown(i int) {
-	e := l.pq[i]
+	s := l.pq[i]
 	n := len(l.pq)
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		m, me := c, l.pq[c]
+		m, ms := c, l.pq[c]
 		hi := c + 4
 		if hi > n {
 			hi = n
 		}
 		for k := c + 1; k < hi; k++ {
-			if ke := l.pq[k]; less(ke, me) {
-				m, me = k, ke
+			if ks := l.pq[k]; less(ks, ms) {
+				m, ms = k, ks
 			}
 		}
-		if less(e, me) {
+		if less(s, ms) {
 			break
 		}
-		l.pq[i] = me
-		me.index = int32(i)
+		l.pq[i] = ms
+		ms.e.index = int32(i)
 		i = m
 	}
-	l.pq[i] = e
-	e.index = int32(i)
+	l.pq[i] = s
+	s.e.index = int32(i)
 }
 
 // fix re-positions the event at i after its key changed.
 func (l *Loop) fix(i int) {
-	e := l.pq[i]
+	e := l.pq[i].e
+	l.pq[i].when = e.When
 	l.siftUp(i)
 	if int(e.index) == i {
 		l.siftDown(i)
@@ -409,13 +418,13 @@ func (l *Loop) fix(i int) {
 // remove detaches the event at heap index i (it is NOT released).
 func (l *Loop) remove(i int) {
 	n := len(l.pq) - 1
-	e := l.pq[i]
+	e := l.pq[i].e
 	last := l.pq[n]
-	l.pq[n] = nil
+	l.pq[n] = slot{}
 	l.pq = l.pq[:n]
 	if i != n {
 		l.pq[i] = last
-		last.index = int32(i)
+		last.e.index = int32(i)
 		l.fix(i)
 	}
 	e.index = -1
@@ -423,14 +432,14 @@ func (l *Loop) remove(i int) {
 
 // pop detaches and returns the minimum event (it is NOT released).
 func (l *Loop) pop() *Event {
-	top := l.pq[0]
+	top := l.pq[0].e
 	n := len(l.pq) - 1
 	last := l.pq[n]
-	l.pq[n] = nil
+	l.pq[n] = slot{}
 	l.pq = l.pq[:n]
 	if n > 0 {
 		l.pq[0] = last
-		last.index = 0
+		last.e.index = 0
 		l.siftDown(0)
 	}
 	top.index = -1
@@ -452,7 +461,7 @@ func (l *Loop) PeekNextEventTime() Time {
 	if len(l.pq) == 0 {
 		return Never
 	}
-	return l.pq[0].When
+	return l.pq[0].when
 }
 
 // ProcessNextEvent pops and executes the earliest pending event, advancing

@@ -15,6 +15,7 @@ type Client struct {
 	net  *netsim.Network
 	loop *sim.Loop
 	addr netsim.Addr
+	self *netsim.Endpoint // addr, resolved once
 
 	// DelayedAck is the delayed-ACK timer (classic 1-ACK-per-2-segments
 	// coalescing). Zero disables delayed ACKs (ACK every segment).
@@ -37,8 +38,8 @@ type Client struct {
 
 type clientConn struct {
 	id   uint64
-	dst  netsim.Addr
-	mode Flag // FlagSYN for TCP, FlagREQ for UDP
+	dst  *netsim.Endpoint // resolved when the connection opens
+	mode Flag             // FlagSYN for TCP, FlagREQ for UDP
 
 	established bool
 	onConnect   func()
@@ -91,6 +92,7 @@ func NewClient(net *netsim.Network, loop *sim.Loop, addr netsim.Addr) (*Client, 
 		net:        net,
 		loop:       loop,
 		addr:       addr,
+		self:       net.Endpoint(addr),
 		DelayedAck: sim.Millisecond,
 		conns:      make(map[uint64]*clientConn),
 	}
@@ -109,16 +111,16 @@ func (c *Client) PacketsSent() uint64 { return c.pktsSent }
 // PacketsReceived reports packets delivered to this client.
 func (c *Client) PacketsReceived() uint64 { return c.pktsRecv }
 
-func (c *Client) send(dst netsim.Addr, size int, seg Segment) {
+func (c *Client) send(dst *netsim.Endpoint, size int, seg Segment) {
 	c.pktsSent++
-	c.net.Send(&netsim.Packet{Src: c.addr, Dst: dst, Size: size, Kind: "tcpish", Payload: seg})
+	c.net.Send(c.net.AllocTo(c.self, dst, size, "tcpish", seg))
 }
 
 // Connect opens a TCP-like connection to dst; onConnect fires when the
 // handshake completes. Returns the connection id.
 func (c *Client) Connect(dst netsim.Addr, onConnect func()) uint64 {
 	c.nextConn++
-	conn := &clientConn{id: c.nextConn, dst: dst, mode: FlagSYN, onConnect: onConnect}
+	conn := &clientConn{id: c.nextConn, dst: c.net.Endpoint(dst), mode: FlagSYN, onConnect: onConnect}
 	c.conns[conn.id] = conn
 	c.sendSYN(conn)
 	return conn.id
@@ -138,7 +140,7 @@ func (c *Client) sendSYN(conn *clientConn) {
 // OpenUDP creates a UDP-like "connection" (no handshake). Returns its id.
 func (c *Client) OpenUDP(dst netsim.Addr) uint64 {
 	c.nextConn++
-	conn := &clientConn{id: c.nextConn, dst: dst, mode: FlagREQ, established: true}
+	conn := &clientConn{id: c.nextConn, dst: c.net.Endpoint(dst), mode: FlagREQ, established: true}
 	c.conns[conn.id] = conn
 	return conn.id
 }

@@ -146,17 +146,33 @@ func (f ResolveSinkFunc) OnResolve(seq uint64, deliver vtime.Virtual, p guest.Pa
 	f(seq, deliver, p)
 }
 
-// propState accumulates one sequence's proposals, keyed by origin so a
+// propState accumulates one sequence's proposals, one slot per origin so a
 // duplicated or replayed proposal from one peer can never displace (or
-// stand in for) another's. States are pooled per device: on resolution the
-// state is cleared (map retained) and recycled for a later sequence.
+// stand in for) another's. Groups are 3 (or 5) wide: the slots are scanned,
+// not hashed. States are pooled per device: on resolution the state is
+// cleared (array retained) and recycled for a later sequence.
 type propState struct {
 	payload    guest.Payload
 	hasPayload bool
-	props      map[string]vtime.Virtual
+	props      []propVote
 	own        bool
 	ownVirt    vtime.Virtual
 	proposedAt sim.Time // loop time of this replica's own (last) proposal
+}
+
+type propVote struct {
+	origin string
+	v      vtime.Virtual
+}
+
+// vote returns origin's proposal.
+func (st *propState) vote(origin string) (vtime.Virtual, bool) {
+	for _, p := range st.props {
+		if p.origin == origin {
+			return p.v, true
+		}
+	}
+	return 0, false
 }
 
 // inboundWork carries one inbound packet through the Dom0 processing-delay
@@ -250,7 +266,7 @@ func (nd *NetDevice) propose(seq uint64, st *propState) {
 	prop := nd.rt.VirtAtLastExit() + nd.rt.cfg.DeltaN
 	st.ownVirt = prop
 	st.proposedAt = nd.rt.Host().Loop().Now()
-	st.props[nd.self] = prop
+	st.props = append(st.props, propVote{nd.self, prop})
 	nd.proposed++
 	if nd.OnPropose != nil {
 		nd.OnPropose(seq, prop)
@@ -275,11 +291,11 @@ func (nd *NetDevice) HandlePeerProposal(origin string, view, seq uint64, v vtime
 		return
 	}
 	st := nd.state(seq)
-	if _, dup := st.props[origin]; dup {
+	if _, dup := st.vote(origin); dup {
 		nd.dupDrops++
 		return
 	}
-	st.props[origin] = v
+	st.props = append(st.props, propVote{origin, v})
 	nd.maybeResolve(seq, st)
 }
 
@@ -302,7 +318,7 @@ func (nd *NetDevice) SetLiveReplicas(view uint64, origins []string) {
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	for _, seq := range seqs {
 		st := nd.props[seq]
-		clear(st.props)
+		st.props = st.props[:0]
 		if st.own {
 			nd.propose(seq, st)
 		}
@@ -345,7 +361,7 @@ func (nd *NetDevice) state(seq uint64) *propState {
 			nd.freeStates[k-1] = nil
 			nd.freeStates = nd.freeStates[:k-1]
 		} else {
-			st = &propState{props: make(map[string]vtime.Virtual)}
+			st = &propState{}
 		}
 		nd.props[seq] = st
 	}
@@ -354,7 +370,7 @@ func (nd *NetDevice) state(seq uint64) *propState {
 
 // releaseState clears and recycles a resolved sequence's state.
 func (nd *NetDevice) releaseState(st *propState) {
-	clear(st.props)
+	st.props = st.props[:0]
 	st.payload = guest.Payload{}
 	st.hasPayload = false
 	st.own = false
@@ -377,8 +393,8 @@ func (nd *NetDevice) maybeResolve(seq uint64, st *propState) {
 			return
 		}
 		vs := nd.medScratch[:0]
-		for _, v := range st.props {
-			vs = append(vs, v)
+		for _, p := range st.props {
+			vs = append(vs, p.v)
 		}
 		deliver = groupMedianInPlace(vs)
 		nd.medScratch = vs[:0]
@@ -479,7 +495,7 @@ func (nd *NetDevice) MissingProposals(seq uint64) []string {
 	}
 	var missing []string
 	for _, origin := range nd.live {
-		if _, have := st.props[origin]; !have {
+		if _, have := st.vote(origin); !have {
 			missing = append(missing, origin)
 		}
 	}

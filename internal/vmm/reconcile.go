@@ -84,7 +84,7 @@ func (nd *NetDevice) ExportReconcile(deadOrigin string) ReconcileExport {
 	}
 	sort.Slice(x.Resolutions, func(i, j int) bool { return x.Resolutions[i].Seq < x.Resolutions[j].Seq })
 	for seq, st := range nd.props {
-		if v, ok := st.props[deadOrigin]; ok {
+		if v, ok := st.vote(deadOrigin); ok {
 			x.DeadVotes = append(x.DeadVotes, ReconcileEntry{Seq: seq, Virt: v})
 		}
 	}
@@ -131,10 +131,10 @@ func (nd *NetDevice) ImportReconcile(x ReconcileExport) int {
 			continue
 		}
 		st := nd.state(e.Seq)
-		if _, have := st.props[x.DeadOrigin]; have {
+		if _, have := st.vote(x.DeadOrigin); have {
 			continue
 		}
-		st.props[x.DeadOrigin] = e.Virt
+		st.props = append(st.props, propVote{x.DeadOrigin, e.Virt})
 		repairs++
 		nd.maybeResolve(e.Seq, st)
 	}
