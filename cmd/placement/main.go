@@ -1,12 +1,12 @@
 // Command placement computes and verifies StopWatch replica placements
 // (Sec. VIII): edge-disjoint triangle packings of K_n under per-machine
-// capacity constraints.
+// capacity constraints. (The utilization table across cloud sizes is
+// `cmd/experiments -only placement`.)
 //
 // Usage:
 //
 //	placement -n 21 -c 5            # Theorem-2 construction
 //	placement -n 20 -c 4 -greedy    # greedy packing (any n)
-//	placement -table                # the utilization table
 //	placement -n 21 -c 5 -list      # also print every triangle
 package main
 
@@ -30,19 +30,9 @@ func run(args []string) error {
 	n := fs.Int("n", 21, "machines in the cloud")
 	c := fs.Int("c", 0, "per-machine guest capacity (0 = (n-1)/2)")
 	greedy := fs.Bool("greedy", false, "use the greedy packer (works for any n)")
-	table := fs.Bool("table", false, "print the utilization table instead")
 	list := fs.Bool("list", false, "print every placement triangle")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *table {
-		r, err := stopwatch.RunPlacementTable(stopwatch.DefaultPlacementConfig())
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-		return nil
 	}
 
 	cap := *c

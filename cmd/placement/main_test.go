@@ -14,12 +14,6 @@ func TestRunGreedy(t *testing.T) {
 	}
 }
 
-func TestRunTable(t *testing.T) {
-	if err := run([]string{"-table"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunDefaultCapacity(t *testing.T) {
 	if err := run([]string{"-n", "9"}); err != nil {
 		t.Fatal(err)

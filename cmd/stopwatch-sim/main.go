@@ -1,93 +1,52 @@
-// Command stopwatch-sim runs one cloud scenario and prints what happened:
-// a file download, an NFS load, a compute workload, an attacker/victim
-// side-channel measurement — under the StopWatch VMM or the baseline — or a
-// declarative fleet scenario file driven through the unified operations API
-// (see scenarios/ and the README's "Scenarios" section).
+// Command stopwatch-sim is the one way to drive a fleet: it runs (or just
+// statically checks) declarative scenario files — a cloud, its guest mix
+// and traffic, a script and seeded generators of lifecycle events and
+// faults, and the assertions and digest pins the run must meet. See
+// scenarios/ and the README's "Scenarios" section; the paper's figures live
+// in cmd/experiments.
 //
 // Usage:
 //
-//	stopwatch-sim -scenario download -mode stopwatch -size 100 -transport tcp
-//	stopwatch-sim -scenario nfs -mode baseline -rate 100
-//	stopwatch-sim -scenario parsec -app dedup -mode stopwatch
-//	stopwatch-sim -scenario sidechannel -duration 20
-//	stopwatch-sim run scenarios/lifecycle.yaml
-//	stopwatch-sim run -seed 2 -shards 4 -listen 127.0.0.1:8080 scenarios/coresidency-probe.yaml
 //	stopwatch-sim validate scenarios/
+//	stopwatch-sim run scenarios/lifecycle.yaml
+//	stopwatch-sim run -ci -q scenarios/
+//	stopwatch-sim run -seed 2 -shards 4 -listen 127.0.0.1:8080 scenarios/churn.yaml
+//	stopwatch-sim run -q -seed 1 -metrics-out metrics.json -cpuprofile cpu.prof scenarios/churn-large.yaml
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 
-	"stopwatch"
-	"stopwatch/internal/apps"
-	"stopwatch/internal/core"
-	"stopwatch/internal/guest"
+	"stopwatch/internal/profiling"
 	"stopwatch/internal/scenario"
-	"stopwatch/internal/sim"
-	"stopwatch/internal/stats"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "stopwatch-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
-	if len(args) > 0 {
-		switch args[0] {
-		case "run":
-			return runScenarioFiles(args[1:], os.Stdout)
-		case "validate":
-			return validateScenarioFiles(args[1:], os.Stdout)
-		}
-	}
-	fs := flag.NewFlagSet("stopwatch-sim", flag.ContinueOnError)
-	scenarioFlag := fs.String("scenario", "download", "download | nfs | parsec | sidechannel")
-	mode := fs.String("mode", "stopwatch", "stopwatch | baseline")
-	sizeKB := fs.Int("size", 100, "download size in KB")
-	transportFlag := fs.String("transport", "tcp", "tcp | udp (download scenario)")
-	rate := fs.Float64("rate", 100, "NFS ops/s")
-	app := fs.String("app", "ferret", "parsec app: ferret|blackscholes|canneal|dedup|streamcluster")
-	duration := fs.Float64("duration", 10, "scenario duration (seconds)")
-	seed := fs.Uint64("seed", 1, "master seed")
-	shards := fs.Int("shards", 1, "fabric shards (parallel simulation loops; download/nfs scenarios — results are identical for every value)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+var errUsage = errors.New("usage: stopwatch-sim run [flags] <file|dir>... | stopwatch-sim validate <file|dir>...")
 
-	var m core.Mode
-	switch *mode {
-	case "stopwatch":
-		m = core.ModeStopWatch
-	case "baseline":
-		m = core.ModeBaseline
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+func run(args []string, out io.Writer) error {
+	if len(args) == 0 {
+		return errUsage
 	}
-
-	if *shards < 1 {
-		return fmt.Errorf("shards must be >= 1, got %d", *shards)
+	switch args[0] {
+	case "run":
+		return runScenarioFiles(args[1:], out)
+	case "validate":
+		return validateScenarioFiles(args[1:], out)
 	}
-	switch *scenarioFlag {
-	case "download":
-		return runDownload(*seed, m, *sizeKB, *transportFlag, *shards)
-	case "nfs":
-		return runNFS(*seed, m, *rate, sim.FromSeconds(*duration), *shards)
-	case "parsec":
-		return runParsec(*seed, m, *app)
-	case "sidechannel":
-		return runSideChannel(*seed, sim.FromSeconds(*duration))
-	case "lifecycle":
-		return fmt.Errorf("the lifecycle walkthrough is a scenario file now: stopwatch-sim run scenarios/lifecycle.yaml")
-	default:
-		return fmt.Errorf("unknown scenario %q", *scenarioFlag)
-	}
+	return fmt.Errorf("unknown subcommand %q\n%w", args[0], errUsage)
 }
 
 // expandScenarioPaths resolves each argument to scenario files: a
@@ -116,15 +75,15 @@ func expandScenarioPaths(args []string) ([]string, error) {
 	}
 	sort.Strings(files)
 	if len(files) == 0 {
-		return nil, fmt.Errorf("no scenario files given (usage: stopwatch-sim run|validate <file|dir>...)")
+		return nil, fmt.Errorf("no scenario files given\n%w", errUsage)
 	}
 	return files, nil
 }
 
 // runScenarioFiles executes scenario files under every declared seed (or
 // one -seed override), printing a per-run verdict and failing if any run
-// does.
-func runScenarioFiles(args []string, out *os.File) error {
+// does — or if nothing was selected to run.
+func runScenarioFiles(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("stopwatch-sim run", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 0, "override the scenario's seeds (0 = run every declared seed)")
 	shards := fs.Int("shards", 0, "override the fleet's shard count (0 = the file's; digests are identical for every value)")
@@ -132,6 +91,9 @@ func runScenarioFiles(args []string, out *os.File) error {
 	quiet := fs.Bool("q", false, "suppress the op-stream narration")
 	ciOnly := fs.Bool("ci", false, "run only scenarios tagged ci: true")
 	noReconcile := fs.Bool("no-reconcile", false, "disable the pre-view-commit survivor reconcile round (failure-injection experiments)")
+	metricsOut := fs.String("metrics-out", "", "write the end-of-run metrics snapshot as canonical JSON to this file (needs exactly one run: one file, one seed)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the runs to this file")
+	memprofile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -139,7 +101,11 @@ func runScenarioFiles(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	failed := 0
+	type selected struct {
+		sc   *scenario.Scenario
+		seed uint64
+	}
+	var runs []selected
 	for _, path := range files {
 		sc, err := scenario.Load(path)
 		if err != nil {
@@ -153,23 +119,43 @@ func runScenarioFiles(args []string, out *os.File) error {
 			seeds = []uint64{*seed}
 		}
 		for _, s := range seeds {
-			opt := scenario.Options{Seed: s, Shards: *shards, Listen: *listen, DisableReconcile: *noReconcile}
-			if !*quiet {
-				opt.Out = out
-			}
-			res, err := scenario.Run(sc, opt)
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			verdict := "PASS"
-			if !res.Passed() {
-				verdict = "FAIL"
-				failed++
-			}
-			fmt.Fprintf(out, "%s  %s seed=%d shards=%d ops=%d digest=%s\n",
-				verdict, res.Name, res.Seed, res.Shards, res.Ops, res.Digest)
-			for _, f := range res.Failures {
-				fmt.Fprintf(out, "  - %s\n", f)
+			runs = append(runs, selected{sc, s})
+		}
+	}
+	if len(runs) == 0 {
+		return fmt.Errorf("no scenario selected to run out of %d file(s) (-ci keeps only files tagged ci: true)", len(files))
+	}
+	if *metricsOut != "" && len(runs) != 1 {
+		return fmt.Errorf("-metrics-out needs exactly one run, got %d: name one file and one -seed", len(runs))
+	}
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
+	failed := 0
+	for _, run := range runs {
+		opt := scenario.Options{Seed: run.seed, Shards: *shards, Listen: *listen, DisableReconcile: *noReconcile}
+		if !*quiet {
+			opt.Out = out
+		}
+		res, err := scenario.Run(run.sc, opt)
+		if err != nil {
+			return fmt.Errorf("%s: %w", run.sc.Path, err)
+		}
+		verdict := "PASS"
+		if !res.Passed() {
+			verdict = "FAIL"
+			failed++
+		}
+		fmt.Fprintf(out, "%s  %s seed=%d shards=%d ops=%d digest=%s\n",
+			verdict, res.Name, res.Seed, res.Shards, res.Ops, res.Digest)
+		for _, f := range res.Failures {
+			fmt.Fprintf(out, "  - %s\n", f)
+		}
+		if *metricsOut != "" {
+			if err := os.WriteFile(*metricsOut, []byte(res.Metrics), 0o644); err != nil {
+				return fmt.Errorf("write metrics snapshot: %w", err)
 			}
 		}
 	}
@@ -181,7 +167,7 @@ func runScenarioFiles(args []string, out *os.File) error {
 
 // validateScenarioFiles parses and statically checks scenario files
 // without running them.
-func validateScenarioFiles(args []string, out *os.File) error {
+func validateScenarioFiles(args []string, out io.Writer) error {
 	files, err := expandScenarioPaths(args)
 	if err != nil {
 		return err
@@ -203,175 +189,4 @@ func validateScenarioFiles(args []string, out *os.File) error {
 		return fmt.Errorf("%d scenario file(s) invalid", bad)
 	}
 	return nil
-}
-
-func newCluster(seed uint64, mode core.Mode, shards int) (*core.Cluster, []int, error) {
-	cfg := core.DefaultClusterConfig()
-	cfg.Seed = seed
-	cfg.Mode = mode
-	cfg.Shards = shards
-	idx := []int{0, 1, 2}
-	if mode == core.ModeBaseline {
-		cfg.Hosts = 1
-		idx = []int{0}
-	}
-	c, err := core.New(cfg)
-	return c, idx, err
-}
-
-func runDownload(seed uint64, mode core.Mode, sizeKB int, transportFlag string, shards int) error {
-	var fsMode apps.FileServerMode
-	switch transportFlag {
-	case "tcp":
-		fsMode = apps.ModeTCP
-	case "udp":
-		fsMode = apps.ModeUDP
-	default:
-		return fmt.Errorf("unknown transport %q", transportFlag)
-	}
-	c, idx, err := newCluster(seed, mode, shards)
-	if err != nil {
-		return err
-	}
-	fsCfg := apps.DefaultFileServerConfig()
-	fsCfg.Mode = fsMode
-	g, err := c.Deploy("web", idx, func() guest.App {
-		srv, err := apps.NewFileServer(fsCfg)
-		if err != nil {
-			panic(err)
-		}
-		return srv
-	})
-	if err != nil {
-		return err
-	}
-	cl, err := c.NewClient("laptop")
-	if err != nil {
-		return err
-	}
-	c.Start()
-	dl := apps.NewDownloader(cl)
-	var lat sim.Time
-	c.Loop().At(20*sim.Millisecond, "fetch", func() {
-		_ = dl.Fetch(core.ServiceAddr("web"), fsMode, sizeKB<<10, func(l sim.Time) {
-			lat = l
-			c.Stop()
-		})
-	})
-	if err := c.Run(600 * sim.Second); err != nil {
-		return err
-	}
-	if lat == 0 {
-		return fmt.Errorf("download did not complete")
-	}
-	fmt.Printf("scenario:   %s download, %d KB over %s\n", mode, sizeKB, transportFlag)
-	fmt.Printf("latency:    %.2f ms\n", lat.Milliseconds())
-	fmt.Printf("client pkts: sent=%d received=%d\n", cl.PacketsSent(), cl.PacketsReceived())
-	if mode == core.ModeStopWatch {
-		fmt.Printf("lockstep:   %v\n", errString(g.CheckLockstep()))
-		fmt.Printf("divergences: %d\n", g.Divergences())
-		fmt.Printf("egress forwarded: %d packets\n", c.Egress().Forwarded())
-	}
-	return nil
-}
-
-func runNFS(seed uint64, mode core.Mode, rate float64, dur sim.Time, shards int) error {
-	c, idx, err := newCluster(seed, mode, shards)
-	if err != nil {
-		return err
-	}
-	g, err := c.Deploy("nfs", idx, func() guest.App {
-		s, err := apps.NewNFSServer(16)
-		if err != nil {
-			panic(err)
-		}
-		return s
-	})
-	if err != nil {
-		return err
-	}
-	cl, err := c.NewClient("nfs-client")
-	if err != nil {
-		return err
-	}
-	c.Start()
-	gen, err := apps.NewNFSLoadGen(c.Loop(), c.Source().Stream("gen"), cl, core.ServiceAddr("nfs"),
-		apps.PaperMix(), apps.NFSLoadGenConfig{Processes: 5, RatePerSec: rate})
-	if err != nil {
-		return err
-	}
-	gen.Start(dur)
-	if err := c.Run(dur + 3*sim.Second); err != nil {
-		return err
-	}
-	lats := gen.Latencies()
-	if len(lats) == 0 {
-		return fmt.Errorf("no NFS ops completed")
-	}
-	var ms []float64
-	for _, l := range lats {
-		ms = append(ms, l.Milliseconds())
-	}
-	sum, err := stats.Summarize(ms)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("scenario: %s NFS at %.0f ops/s for %s\n", mode, rate, dur)
-	fmt.Printf("ops:      issued=%d completed=%d\n", gen.Issued(), gen.Completed())
-	fmt.Printf("latency:  mean=%.2fms p50=%.2fms p95=%.2fms p99=%.2fms\n", sum.Mean, sum.P50, sum.P95, sum.P99)
-	fmt.Printf("packets/op: c→s=%.2f s→c=%.2f\n",
-		float64(cl.PacketsSent())/float64(gen.Completed()),
-		float64(cl.PacketsReceived())/float64(gen.Completed()))
-	if mode == core.ModeStopWatch {
-		fmt.Printf("lockstep: %v\n", errString(g.CheckLockstep()))
-	}
-	return nil
-}
-
-func runParsec(seed uint64, mode core.Mode, name string) error {
-	var prof apps.ParsecProfile
-	found := false
-	for _, p := range apps.PaperParsecProfiles() {
-		if p.Name == name {
-			prof = p
-			found = true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("unknown parsec app %q", name)
-	}
-	cfg := stopwatch.DefaultFig7Config()
-	cfg.Seed = seed
-	cfg.Profiles = []apps.ParsecProfile{prof}
-	r, err := stopwatch.RunFig7(cfg)
-	if err != nil {
-		return err
-	}
-	p := r.Points[0]
-	fmt.Printf("scenario: parsec %s\n", name)
-	fmt.Printf("baseline:  %.0f ms (paper: %.0f ms)\n", p.Baseline, p.PaperBaseline)
-	fmt.Printf("stopwatch: %.0f ms (paper: %.0f ms)\n", p.StopWatch, p.PaperStopWatch)
-	fmt.Printf("ratio:     %.2fx; disk interrupts: %d\n", p.Ratio, p.DiskInterrupts)
-	_ = mode // both modes are run by the harness
-	return nil
-}
-
-func runSideChannel(seed uint64, dur sim.Time) error {
-	cfg := stopwatch.DefaultFig4Config()
-	cfg.Seed = seed
-	cfg.Duration = dur
-	r, err := stopwatch.RunFig4(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(r.Render())
-	return nil
-}
-
-func errString(err error) string {
-	if err == nil {
-		return "ok (identical replica outputs)"
-	}
-	return err.Error()
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,39 +10,60 @@ import (
 	"stopwatch/internal/scenario"
 )
 
-func TestRunDownloadBaseline(t *testing.T) {
-	if err := run([]string{"-scenario", "download", "-mode", "baseline", "-size", "10"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunDownloadStopWatchUDP(t *testing.T) {
-	if err := run([]string{"-scenario", "download", "-mode", "stopwatch", "-size", "10", "-transport", "udp"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunNFS(t *testing.T) {
-	if err := run([]string{"-scenario", "nfs", "-mode", "baseline", "-rate", "50", "-duration", "1"}); err != nil {
-		t.Fatal(err)
-	}
-}
+// runQuiet is the CLI entry with its output discarded.
+func runQuiet(args ...string) error { return run(args, io.Discard) }
 
 func TestRunRejectsUnknowns(t *testing.T) {
 	for _, args := range [][]string{
-		{"-scenario", "bogus"},
-		{"-mode", "bogus"},
-		{"-scenario", "download", "-transport", "bogus"},
-		{"-scenario", "parsec", "-app", "bogus"},
-		{"-nonflag"},
-		{"-scenario", "lifecycle"}, // retired: points at scenarios/lifecycle.yaml
-		{"run"},                    // no files
-		{"validate"},               // no files
-		{"run", "no-such-file.yaml"},
+		{},                           // no subcommand: usage
+		{"-scenario", "download"},    // the legacy drivers are scenario files now
+		{"bogus"},                    // unknown subcommand
+		{"run"},                      // no files
+		{"validate"},                 // no files
+		{"run", "no-such-file.yaml"}, // missing file
+		{"run", "-nonflag", corpusDir},
 	} {
-		if err := run(args); err == nil {
+		if err := runQuiet(args...); err == nil {
 			t.Fatalf("args %v should fail", args)
 		}
+	}
+}
+
+// TestRunCISelectingNothingFails: the CI job leans on `run -ci <dir>`; a
+// directory whose files are all ci: false (or a corpus that moved) must not
+// run zero scenarios and pass.
+func TestRunCISelectingNothingFails(t *testing.T) {
+	dir := t.TempDir()
+	src, err := os.ReadFile(filepath.Join(corpusDir, "churn-large.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "only-manual.yaml"), src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = runQuiet("run", "-ci", "-q", dir)
+	if err == nil || !strings.Contains(err.Error(), "no scenario selected") {
+		t.Fatalf("run -ci over a ci:false directory: err = %v, want a no-scenario-selected error", err)
+	}
+}
+
+// TestRunMetricsOut: -metrics-out writes the one run's canonical snapshot,
+// and refuses a selection of several runs rather than keeping the last.
+func TestRunMetricsOut(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "metrics.json")
+	churn := filepath.Join(corpusDir, "churn.yaml")
+	if err := runQuiet("run", "-q", "-metrics-out", out, churn); err == nil {
+		t.Fatal("-metrics-out accepted three seeds")
+	}
+	if err := runQuiet("run", "-q", "-seed", "1", "-metrics-out", out, churn); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(got), `"stopwatch_cp_ops_completed_total"`) {
+		t.Fatalf("snapshot lacks the control-plane families:\n%s", got)
 	}
 }
 
@@ -69,7 +91,7 @@ func corpusFiles(t *testing.T) []string {
 // TestValidateAllCorpus: every shipped scenario parses and passes every
 // static check, via the same subcommand CI uses.
 func TestValidateAllCorpus(t *testing.T) {
-	if err := run([]string{"validate", corpusDir}); err != nil {
+	if err := runQuiet("validate", corpusDir); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -79,7 +101,7 @@ func TestValidateAllCorpus(t *testing.T) {
 // journals — runs end-to-end with every assertion green, through the run
 // subcommand.
 func TestRunLifecycle(t *testing.T) {
-	if err := run([]string{"run", "-q", filepath.Join(corpusDir, "lifecycle.yaml")}); err != nil {
+	if err := runQuiet("run", "-q", filepath.Join(corpusDir, "lifecycle.yaml")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -88,10 +110,10 @@ func TestRunLifecycle(t *testing.T) {
 // disturbing the scenario (same digest pins, same assertions), and a
 // non-loopback address is refused up front.
 func TestRunLifecycleWithListen(t *testing.T) {
-	if err := run([]string{"run", "-q", "-listen", "127.0.0.1:0", filepath.Join(corpusDir, "lifecycle.yaml")}); err != nil {
+	if err := runQuiet("run", "-q", "-listen", "127.0.0.1:0", filepath.Join(corpusDir, "lifecycle.yaml")); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"run", "-q", "-listen", "0.0.0.0:0", filepath.Join(corpusDir, "lifecycle.yaml")}); err == nil {
+	if err := runQuiet("run", "-q", "-listen", "0.0.0.0:0", filepath.Join(corpusDir, "lifecycle.yaml")); err == nil {
 		t.Fatal("non-loopback listen address accepted")
 	}
 }
@@ -145,24 +167,27 @@ func TestScenarioDigestsStable(t *testing.T) {
 		if !sc.CI {
 			continue
 		}
-		for _, seed := range sc.Seeds {
-			pin := sc.Digests[seed]
-			if pin == "" {
-				t.Errorf("%s: seed %d has no digest pin", path, seed)
-				continue
+		t.Run(sc.Name, func(t *testing.T) {
+			t.Parallel() // files are independent; the churn ones dominate
+			for _, seed := range sc.Seeds {
+				pin := sc.Digests[seed]
+				if pin == "" {
+					t.Errorf("seed %d has no digest pin", seed)
+					continue
+				}
+				for _, shards := range []int{1, 2, 4} {
+					res, err := scenario.Run(sc, scenario.Options{Seed: seed, Shards: shards})
+					if err != nil {
+						t.Fatalf("seed=%d shards=%d: %v", seed, shards, err)
+					}
+					for _, f := range res.Failures {
+						t.Errorf("seed=%d shards=%d: %s", seed, shards, f)
+					}
+					if res.Digest != pin {
+						t.Errorf("seed=%d shards=%d: digest %s, pinned %s", seed, shards, res.Digest, pin)
+					}
+				}
 			}
-			for _, shards := range []int{1, 2, 4} {
-				res, err := scenario.Run(sc, scenario.Options{Seed: seed, Shards: shards})
-				if err != nil {
-					t.Fatalf("%s seed=%d shards=%d: %v", path, seed, shards, err)
-				}
-				for _, f := range res.Failures {
-					t.Errorf("%s seed=%d shards=%d: %s", path, seed, shards, f)
-				}
-				if res.Digest != pin {
-					t.Errorf("%s seed=%d shards=%d: digest %s, pinned %s", path, seed, shards, res.Digest, pin)
-				}
-			}
-		}
+		})
 	}
 }

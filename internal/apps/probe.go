@@ -77,6 +77,12 @@ type BeaconApp struct {
 	DiskBytes int
 	// Sink receives a small packet per burst ("" disables).
 	Sink netsim.Addr
+	// Echo answers every inbound packet with a small reply to its source.
+	Echo bool
+	// Until, when positive, is the guest-clock instant after which the
+	// beacon neither bursts nor echoes: every replica goes quiet at the same
+	// virtual time, so an end-of-run audit can demand exact agreement.
+	Until vtime.Virtual
 
 	bursts int64
 }
@@ -99,7 +105,7 @@ func (a *BeaconApp) Boot(ctx guest.Ctx) {
 
 // OnTimer implements guest.App: run one burst and re-arm.
 func (a *BeaconApp) OnTimer(ctx guest.Ctx, tag string) {
-	if tag != "burst" {
+	if tag != "burst" || a.stopped(ctx) {
 		return
 	}
 	a.bursts++
@@ -113,8 +119,19 @@ func (a *BeaconApp) OnTimer(ctx guest.Ctx, tag string) {
 	ctx.SetTimer(a.Period, "burst")
 }
 
-// OnPacket implements guest.App (unused).
-func (a *BeaconApp) OnPacket(ctx guest.Ctx, p guest.Payload) {}
+func (a *BeaconApp) stopped(ctx guest.Ctx) bool {
+	return a.Until > 0 && ctx.Clock().Now() >= a.Until
+}
+
+// OnPacket implements guest.App: with Echo set, reply to the sender with
+// the packet's own data (so echoing keeps no state to checkpoint).
+func (a *BeaconApp) OnPacket(ctx guest.Ctx, p guest.Payload) {
+	if !a.Echo || a.stopped(ctx) {
+		return
+	}
+	ctx.Compute(50_000)
+	ctx.Send(p.Src, 128, p.Data)
+}
 
 // OnDiskDone implements guest.App (unused).
 func (a *BeaconApp) OnDiskDone(ctx guest.Ctx, d guest.DiskDone) {}

@@ -5,7 +5,10 @@ package controlplane
 // same append-only log the digests pin — instrumentation reads events and
 // outcomes, never the pool or cluster directly — so enabling it cannot
 // perturb a run: the op-log digest of an instrumented run is byte-
-// identical to the uninstrumented one (cmd/churn pins exactly that).
+// identical to the uninstrumented one (every fleet workload of bench/
+// compares a bare run's digest against an instrumented one, and the
+// scenarios/churn*.yaml pins hold with the HTTP surface attached —
+// internal/scenario TestChurnDigestsUnchangedWithObservability).
 
 import (
 	"stopwatch/internal/metrics"

@@ -455,8 +455,9 @@ func promLabelsLe(key, value, le string) string {
 // WriteJSON renders the registry as canonical JSON: one object per family
 // in registration order, children in first-use order, fields in a fixed
 // order, no floating-point formatting surprises (%g like Prometheus). Two
-// identical runs render byte-identical documents — the churn -metrics-out
-// golden tests pin exactly this form.
+// identical runs render byte-identical documents — the goldens of
+// scenarios/churn.yaml's three seeds (internal/scenario/testdata, what
+// `stopwatch-sim run -metrics-out` writes) pin exactly this form.
 func (r *Registry) WriteJSON(b *strings.Builder) {
 	b.WriteString("{\n  \"families\": [\n")
 	fams := r.Snapshot()

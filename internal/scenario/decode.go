@@ -155,7 +155,7 @@ func (d *dec) scenario(root *node) (*Scenario, error) {
 		return nil, err
 	}
 	if err := d.checkKeys(root, "scenario",
-		"name", "description", "duration_ms", "seeds", "ci", "digests", "output_digests", "fleet", "events", "assertions"); err != nil {
+		"name", "description", "duration_ms", "seeds", "ci", "digests", "output_digests", "fleet", "events", "generators", "assertions"); err != nil {
 		return nil, err
 	}
 	sc := &Scenario{}
@@ -247,6 +247,18 @@ func (d *dec) scenario(root *node) (*Scenario, error) {
 			sc.Events = append(sc.Events, e)
 		}
 	}
+	if gs, ok := root.vals["generators"]; ok {
+		if gs.kind != seqNode {
+			return nil, d.errf(gs.line, "generators must be a list")
+		}
+		for _, item := range gs.items {
+			g, err := d.generator(item)
+			if err != nil {
+				return nil, err
+			}
+			sc.Generators = append(sc.Generators, g)
+		}
+	}
 	if as, ok := root.vals["assertions"]; ok {
 		if as.kind != seqNode {
 			return nil, d.errf(as.line, "assertions must be a list")
@@ -291,6 +303,7 @@ func (d *dec) fleet(n *node) (Fleet, error) {
 	if f.CheckpointInstr, err = d.intField(n, "checkpoint_instr", 0); err != nil {
 		return f, err
 	}
+	f.CheckpointLine = n.keyLine["checkpoint_instr"]
 	if f.StallDetector, err = d.boolField(n, "stall_detector", false); err != nil {
 		return f, err
 	}
@@ -361,7 +374,7 @@ func (d *dec) appSpec(n *node) (AppSpec, error) {
 	if err := d.wantMap(n, "app"); err != nil {
 		return a, err
 	}
-	if err := d.checkKeys(n, "app", "kind", "period_ms", "compute", "disk_kb", "sink", "transport"); err != nil {
+	if err := d.checkKeys(n, "app", "kind", "period_ms", "compute", "disk_kb", "sink", "echo", "until_ms", "transport"); err != nil {
 		return a, err
 	}
 	var err error
@@ -369,9 +382,9 @@ func (d *dec) appSpec(n *node) (AppSpec, error) {
 		return a, err
 	}
 	switch a.Kind {
-	case "beacon", "fileserver", "probe":
+	case "beacon", "fileserver", "nfs", "probe":
 	default:
-		return a, d.errf(n.line, "unknown app kind %q (beacon, fileserver, probe)", a.Kind)
+		return a, d.errf(n.line, "unknown app kind %q (beacon, fileserver, nfs, probe)", a.Kind)
 	}
 	if a.PeriodMS, err = d.floatField(n, "period_ms", 5); err != nil {
 		return a, err
@@ -385,6 +398,12 @@ func (d *dec) appSpec(n *node) (AppSpec, error) {
 		a.DiskKB = int(v)
 	}
 	if a.Sink, err = d.str(n, "sink"); err != nil {
+		return a, err
+	}
+	if a.Echo, err = d.boolField(n, "echo", false); err != nil {
+		return a, err
+	}
+	if a.UntilMS, err = d.intField(n, "until_ms", 0); err != nil {
 		return a, err
 	}
 	if a.Transport, err = d.str(n, "transport"); err != nil {
@@ -413,9 +432,9 @@ func (d *dec) trafficSpec(n *node) (TrafficSpec, error) {
 		return t, err
 	}
 	switch t.Kind {
-	case "", "pings", "probe-stream", "downloads":
+	case "", "pings", "probe-stream", "downloads", "nfs-load":
 	default:
-		return t, d.errf(n.line, "unknown traffic kind %q (pings, probe-stream, downloads)", t.Kind)
+		return t, d.errf(n.line, "unknown traffic kind %q (pings, probe-stream, downloads, nfs-load)", t.Kind)
 	}
 	if t.PeriodMS, err = d.floatField(n, "period_ms", 20); err != nil {
 		return t, err
@@ -524,6 +543,61 @@ func (d *dec) event(n *node) (Event, error) {
 		return ev, err
 	}
 	return ev, nil
+}
+
+// generatorKeys lists each generator kind's allowed keys beyond
+// kind/from_ms/to_ms.
+var generatorKeys = map[string][]string{
+	"arrivals":         {"guest", "rate_per_s", "mean_lifetime_ms"},
+	"replica-failures": {"count"},
+	"drains":           {"count", "mean_down_ms"},
+	"crashes":          {"count", "detected", "mean_down_ms"},
+}
+
+func (d *dec) generator(n *node) (Generator, error) {
+	var g Generator
+	if err := d.wantMap(n, "generator"); err != nil {
+		return g, err
+	}
+	g.Line = n.line
+	var err error
+	if g.Kind, err = d.str(n, "kind"); err != nil {
+		return g, err
+	}
+	extra, ok := generatorKeys[g.Kind]
+	if !ok {
+		return g, d.errf(n.line, "unknown generator kind %q (arrivals, replica-failures, drains, crashes)", g.Kind)
+	}
+	if err := d.checkKeys(n, g.Kind+" generator", append([]string{"kind", "from_ms", "to_ms"}, extra...)...); err != nil {
+		return g, err
+	}
+	if g.FromMS, err = d.intField(n, "from_ms", 0); err != nil {
+		return g, err
+	}
+	if g.ToMS, err = d.intField(n, "to_ms", 0); err != nil {
+		return g, err
+	}
+	if g.Guest, err = d.str(n, "guest"); err != nil {
+		return g, err
+	}
+	if g.RatePerS, err = d.floatField(n, "rate_per_s", 0); err != nil {
+		return g, err
+	}
+	if g.MeanLifetimeMS, err = d.floatField(n, "mean_lifetime_ms", 0); err != nil {
+		return g, err
+	}
+	if v, e := d.intField(n, "count", 1); e != nil {
+		return g, e
+	} else {
+		g.Count = int(v)
+	}
+	if g.Detected, err = d.boolField(n, "detected", true); err != nil {
+		return g, err
+	}
+	if g.MeanDownMS, err = d.floatField(n, "mean_down_ms", 0); err != nil {
+		return g, err
+	}
+	return g, nil
 }
 
 // assertKeys lists each check's allowed keys beyond check.

@@ -181,7 +181,7 @@ func TestDecodeGoldenErrors(t *testing.T) {
       count: 1
       app:
         kind: kubernetes
-`, `test.yaml:11: unknown app kind "kubernetes" (beacon, fileserver, probe)`)
+`, `test.yaml:11: unknown app kind "kubernetes" (beacon, fileserver, nfs, probe)`)
 	// Missing at_ms.
 	wantErr(t, head+goodFleet+`events:
   - action: evict
@@ -305,6 +305,40 @@ func TestValidateGoldenErrors(t *testing.T) {
 	// Output-digest pin for an undeclared instance.
 	wantErr(t, head+"output_digests:\n  1:\n    ghost: 0123456789abcdef\n"+goodFleet,
 		`test.yaml:1: output_digests seed 1 references undeclared guest "ghost"`)
+	// A checkpoint interval the VMM would refuse at run time.
+	wantErr(t, head+strings.Replace(goodFleet, "  capacity: 3\n", "  capacity: 3\n  checkpoint_instr: 12345\n", 1),
+		`test.yaml:7: fleet checkpoint_instr: vmm: invalid: CheckpointInstr 12345 must be a multiple of ExitEvery 250000`)
+}
+
+func TestValidateGeneratorGoldenErrors(t *testing.T) {
+	arrivals := func(body string) string {
+		return head + goodFleet + "generators:\n  - kind: arrivals\n" + body
+	}
+	// A Poisson rate that is not positive.
+	wantErr(t, arrivals("    guest: g\n    rate_per_s: 0\n    mean_lifetime_ms: 500\n    to_ms: 1000\n"),
+		`test.yaml:14: arrivals generator: rate_per_s must be positive, got 0`)
+	// A window running past the end of the scenario.
+	wantErr(t, arrivals("    guest: g\n    rate_per_s: 2\n    mean_lifetime_ms: 500\n    to_ms: 2500\n"),
+		`test.yaml:14: arrivals generator: window from_ms 0 to_ms 2500 must satisfy 0 <= from_ms < to_ms <= duration_ms 2000`)
+	// An empty window.
+	wantErr(t, arrivals("    guest: g\n    rate_per_s: 2\n    mean_lifetime_ms: 500\n    from_ms: 800\n    to_ms: 800\n"),
+		`test.yaml:14: arrivals generator: window from_ms 800 to_ms 800 must satisfy 0 <= from_ms < to_ms <= duration_ms 2000`)
+	// A guest spec nobody declared.
+	wantErr(t, arrivals("    guest: ghost\n    rate_per_s: 2\n    mean_lifetime_ms: 500\n    to_ms: 1000\n"),
+		`test.yaml:14: arrivals generator references undeclared guest "ghost"`)
+	// A negative event count.
+	wantErr(t, head+goodFleet+"generators:\n  - kind: drains\n    count: -1\n    to_ms: 1000\n",
+		`test.yaml:14: drains generator: count must be >= 0, got -1`)
+	// Detected crashes without the detector armed.
+	wantErr(t, head+goodFleet+"generators:\n  - kind: crashes\n    to_ms: 1000\n",
+		`test.yaml:14: crashes generator: detected crashes need fleet stall_detector: true`)
+	// A key that belongs to another generator kind.
+	wantErr(t, head+goodFleet+"generators:\n  - kind: drains\n    rate_per_s: 2\n    to_ms: 1000\n",
+		`test.yaml:15: unknown drains generator key "rate_per_s" (allowed: kind, from_ms, to_ms, count, mean_down_ms)`)
+	// An instance of a generator-fed spec is addressed by index, never bare.
+	wantErr(t, arrivals("    guest: g\n    rate_per_s: 2\n    mean_lifetime_ms: 500\n    to_ms: 1000\n")+
+		"assertions:\n  - check: lockstep\n    guest: g\n",
+		`test.yaml:20: lockstep assertion: guest spec "g" is fed by an arrivals generator — reference an instance as "g-0" etc.`)
 }
 
 func TestParserRejectsMalformedYAML(t *testing.T) {

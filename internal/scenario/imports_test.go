@@ -4,50 +4,64 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestInterpreterImportsOnlyPublicSurfaces: the scenario harness is a pure
-// client of the control plane. Its production sources may import the
-// standard library, the stopwatch façade, and — as the one sanctioned
-// internal vocabulary — the netsim fault-injection surface. Nothing else:
-// reaching into internal/core, internal/vmm or internal/controlplane here
-// would silently grow a private side-channel past the operations API this
-// package exists to prove sufficient.
-func TestInterpreterImportsOnlyPublicSurfaces(t *testing.T) {
-	allowed := map[string]bool{
-		"stopwatch":                 true,
-		"stopwatch/internal/netsim": true,
-	}
-	entries, err := os.ReadDir(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+// TestImportFences: the scenario harness is a pure client of the control
+// plane, and the fleet CLI is a pure client of the harness.
+//
+// internal/scenario's production sources may import the standard library,
+// the stopwatch façade, and — as the one sanctioned internal vocabulary —
+// the netsim fault-injection surface. Nothing else: reaching into
+// internal/core, internal/vmm or internal/controlplane here would silently
+// grow a private side-channel past the operations API this package exists
+// to prove sufficient.
+//
+// cmd/stopwatch-sim's may import the standard library, this package and the
+// profiling flags' plumbing: a driver that builds clusters itself is a
+// second way to drive a fleet, which is what scenario files replaced.
+func TestImportFences(t *testing.T) {
+	for dir, allowed := range map[string]map[string]bool{
+		".": {
+			"stopwatch":                 true,
+			"stopwatch/internal/netsim": true,
+		},
+		"../../cmd/stopwatch-sim": {
+			"stopwatch/internal/scenario":  true,
+			"stopwatch/internal/profiling": true,
+		},
+	} {
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
+		fset := token.NewFileSet()
+		for _, e := range entries {
+			name := e.Name()
+			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if strings.HasPrefix(path, "stopwatch") {
-				if !allowed[path] {
-					t.Errorf("%s imports %s — the scenario harness may only use the stopwatch façade and the netsim fault surface", name, path)
+			for _, imp := range f.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					t.Fatal(err)
 				}
-				continue
-			}
-			if strings.Contains(strings.SplitN(path, "/", 2)[0], ".") {
-				t.Errorf("%s imports non-stdlib package %s", name, path)
+				if strings.HasPrefix(path, "stopwatch") {
+					if !allowed[path] {
+						t.Errorf("%s/%s imports %s, outside its fence", dir, name, path)
+					}
+					continue
+				}
+				if strings.Contains(strings.SplitN(path, "/", 2)[0], ".") {
+					t.Errorf("%s/%s imports non-stdlib package %s", dir, name, path)
+				}
 			}
 		}
 	}

@@ -51,6 +51,10 @@ type Result struct {
 	Pinned string
 	// Stats is FoldOpStats over the log.
 	Stats stopwatch.ControlPlaneStats
+	// Metrics is the end-of-run registry snapshot as canonical JSON: both
+	// planes' families, byte-identical across runs with the same seed and
+	// for every shard count.
+	Metrics string
 	// Failures lists every assertion or runtime defect (empty = pass).
 	Failures []string
 }
@@ -60,6 +64,16 @@ func (r *Result) Passed() bool { return len(r.Failures) == 0 }
 
 // Run validates and executes a scenario under one seed.
 func Run(sc *Scenario, opt Options) (*Result, error) {
+	r, err := start(sc, opt)
+	if err != nil {
+		return nil, err
+	}
+	return r.run()
+}
+
+// start validates the scenario and builds its fleet, traffic, event script
+// and generators, ready to run.
+func start(sc *Scenario, opt Options) (*runner, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -76,7 +90,7 @@ func Run(sc *Scenario, opt Options) (*Result, error) {
 		opt:          opt,
 		seed:         seed,
 		shards:       shards,
-		totals:       map[string]int{},
+		totals:       instanceTotals(sc),
 		nextIdx:      map[string]int{},
 		evictedCkpts: map[string]int{},
 		killTimes:    map[int][]stopwatch.Time{},
@@ -85,11 +99,16 @@ func Run(sc *Scenario, opt Options) (*Result, error) {
 	if err := r.build(); err != nil {
 		return nil, err
 	}
+	r.wire()
+	return r, nil
+}
+
+// run executes the built scenario to its end and evaluates it.
+func (r *runner) run() (*Result, error) {
 	if r.srv != nil {
 		defer r.srv.Close()
 	}
-	r.wire()
-	if err := r.c.Run(stopwatch.Millis(float64(sc.DurationMS))); err != nil {
+	if err := r.c.Run(stopwatch.Millis(float64(r.sc.DurationMS))); err != nil {
 		return nil, err
 	}
 	return r.finish(), nil
@@ -105,6 +124,9 @@ type runner struct {
 	cp  *stopwatch.ControlPlane
 	reg *stopwatch.MetricsRegistry
 	srv *stopwatch.ObsrvServer
+	// addReplies exports what one traffic source got back as a sample of
+	// scenario_client_replies{source}.
+	addReplies func(source string, count func() float64)
 
 	// totals/nextIdx name instances per spec ("<name>-<i>", or the bare
 	// name for single-instance specs).
@@ -181,17 +203,18 @@ func (r *runner) build() error {
 		r.logf("observability: serving http://%s/{metrics,ops}", r.srv.Addr())
 	}
 	// Fabric endpoints: declared extras, beacon sinks, and the traffic
-	// sources, attached in sorted order for determinism.
+	// sources (true), attached in sorted order for determinism.
 	nodes := map[string]bool{}
 	for _, n := range f.Nodes {
-		nodes[n] = true
+		nodes[n] = false
 	}
 	for i := range f.Guests {
-		g := &f.Guests[i]
-		if g.App.Sink != "" {
-			nodes[g.App.Sink] = true
+		if sink := f.Guests[i].App.Sink; sink != "" {
+			nodes[sink] = false
 		}
-		switch g.Traffic.Kind {
+	}
+	for i := range f.Guests {
+		switch g := &f.Guests[i]; g.Traffic.Kind {
 		case "pings", "probe-stream":
 			nodes[r.trafficFrom(g)] = true
 		}
@@ -201,9 +224,22 @@ func (r *runner) build() error {
 		addrs = append(addrs, n)
 	}
 	sort.Strings(addrs)
+	// What came back to each traffic source — the evidence that client
+	// traffic flowed ingress → replicas → egress, for metric assertions.
+	r.addReplies = r.reg.NewGaugeFuncVec("scenario_client_replies",
+		"replies a traffic source received: echoed pings, completed downloads, completed NFS operations", "source").Add
 	for _, n := range addrs {
-		if err := c.Net().Attach(&stopwatch.FuncNode{Addr: stopwatch.Addr(n), Fn: func(*stopwatch.Packet) {}}); err != nil {
+		// One node lives on one shard, so its counter has one writer.
+		var got float64
+		if err := c.Net().Attach(&stopwatch.FuncNode{Addr: stopwatch.Addr(n), Fn: func(p *stopwatch.Packet) {
+			if p.Kind == "guest:data" {
+				got++
+			}
+		}}); err != nil {
 			return err
+		}
+		if nodes[n] {
+			r.addReplies(n, func() float64 { return got })
 		}
 	}
 	// One placement audit per completed top-level op, keyed off the event
@@ -281,15 +317,6 @@ func (r *runner) window(g *GuestSpec) (start, stop stopwatch.Time) {
 // traffic and the event script.
 func (r *runner) wire() {
 	f := &r.sc.Fleet
-	// The totals decide instance naming before anything runs.
-	for i := range f.Guests {
-		r.totals[f.Guests[i].Name] = f.Guests[i].Count
-	}
-	for _, ev := range r.sc.Events {
-		if ev.Action == "admit" || ev.Action == "saturate-disk" {
-			r.totals[ev.Guest] += ev.Count
-		}
-	}
 	for i := range f.Guests {
 		r.admitBurst(&f.Guests[i], f.Guests[i].Count)
 	}
@@ -301,6 +328,19 @@ func (r *runner) wire() {
 		ev := ev
 		r.c.Loop().At(stopwatch.Millis(float64(ev.AtMS)), "scenario:"+ev.Action, func() { r.exec(ev) })
 	}
+	for i := range r.sc.Generators {
+		r.generate(i, &r.sc.Generators[i])
+	}
+}
+
+// spec returns the named guest spec (the validator guarantees it exists).
+func (r *runner) spec(name string) *GuestSpec {
+	for i := range r.sc.Fleet.Guests {
+		if g := &r.sc.Fleet.Guests[i]; g.Name == name {
+			return g
+		}
+	}
+	return nil
 }
 
 // instanceID names instance idx of a spec: the bare spec name when the
@@ -325,6 +365,13 @@ func (r *runner) instances(spec string) []string {
 	return ids
 }
 
+// The nfs app kind and nfs-load traffic run the paper's Fig-6 setup: a
+// 16-deep server window under five nhfsstone-style client processes.
+const (
+	nfsWindow    = 16
+	nfsProcesses = 5
+)
+
 // factory builds the spec's app constructor.
 func (r *runner) factory(g *GuestSpec) func() stopwatch.App {
 	app := g.App
@@ -336,6 +383,8 @@ func (r *runner) factory(g *GuestSpec) func() stopwatch.App {
 			b.Compute = app.Compute
 			b.DiskBytes = app.DiskKB << 10
 			b.Sink = stopwatch.Addr(app.Sink)
+			b.Echo = app.Echo
+			b.Until = stopwatch.Virtual(stopwatch.Millis(float64(app.UntilMS)))
 			return b
 		}
 	case "fileserver":
@@ -350,24 +399,43 @@ func (r *runner) factory(g *GuestSpec) func() stopwatch.App {
 			}
 			return fs
 		}
+	case "nfs":
+		return func() stopwatch.App {
+			srv, err := stopwatch.NewNFSServer(nfsWindow)
+			if err != nil {
+				panic(err) // constant window
+			}
+			return srv
+		}
 	default: // "probe"
 		return func() stopwatch.App { return stopwatch.NewProbeApp() }
 	}
 }
 
-// admitBurst admits count fresh instances of a spec. A full cloud
-// (ErrNoFeasibleHost) is an expected outcome, not a failure.
+// admitBurst admits count fresh instances of a spec.
 func (r *runner) admitBurst(g *GuestSpec, count int) {
 	for i := 0; i < count; i++ {
-		idx := r.nextIdx[g.Name]
-		r.nextIdx[g.Name]++
-		id := r.instanceID(g.Name, idx)
-		r.cp.Apply(stopwatch.AdmitOp{GuestID: id, Factory: r.factory(g), Done: func(oc *stopwatch.Outcome) {
-			if oc.Err != nil && !errors.Is(oc.Err, stopwatch.ErrNoFeasibleHost) {
-				r.failf("admit %s: %v", id, oc.Err)
-			}
-		}})
+		r.admit(g, nil)
 	}
+}
+
+// admit admits one fresh instance of a spec, calling admitted (when
+// non-nil) once it is placed. A full cloud (ErrNoFeasibleHost) is an
+// expected outcome, not a failure.
+func (r *runner) admit(g *GuestSpec, admitted func(id string)) {
+	idx := r.nextIdx[g.Name]
+	r.nextIdx[g.Name]++
+	id := r.instanceID(g.Name, idx)
+	r.cp.Apply(stopwatch.AdmitOp{GuestID: id, Factory: r.factory(g), Done: func(oc *stopwatch.Outcome) {
+		switch {
+		case oc.Err == nil:
+			if admitted != nil {
+				admitted(id)
+			}
+		case !errors.Is(oc.Err, stopwatch.ErrNoFeasibleHost):
+			r.failf("admit %s: %v", id, oc.Err)
+		}
+	}})
 }
 
 // startSpecTraffic launches the spec's traffic model. Pings and fetches
@@ -411,6 +479,7 @@ func (r *runner) startSpecTraffic(g *GuestSpec) {
 			return
 		}
 		dl := stopwatch.NewDownloader(cl)
+		r.addReplies(string(from), func() float64 { return float64(len(dl.Latencies())) })
 		mode := stopwatch.ModeTCP
 		if g.App.Transport == "udp" {
 			mode = stopwatch.ModeUDP
@@ -432,6 +501,22 @@ func (r *runner) startSpecTraffic(g *GuestSpec) {
 			loop.After(period, "scenario:fetch", tick)
 		}
 		loop.At(start, "scenario:fetch", tick)
+	case "nfs-load":
+		// The validator holds the population to its one instance.
+		id := r.instanceID(g.Name, 0)
+		cl, err := r.c.NewClient(from)
+		if err != nil {
+			r.failf("nfs-load client %s: %v", from, err)
+			return
+		}
+		gen, err := stopwatch.NewNFSLoadGen(loop, r.c.Source().Stream("scenario:nfs:"+id), cl, stopwatch.GuestAddr(id),
+			stopwatch.PaperNFSMix(), stopwatch.NFSLoadGenConfig{Processes: nfsProcesses, RatePerSec: 1000 / g.Traffic.PeriodMS})
+		if err != nil {
+			r.failf("nfs-load %s: %v", id, err)
+			return
+		}
+		r.addReplies(string(from), func() float64 { return float64(gen.Completed()) })
+		loop.At(start, "scenario:nfs-load", func() { gen.Start(stop) })
 	}
 }
 
@@ -441,28 +526,27 @@ func (r *runner) startSpecTraffic(g *GuestSpec) {
 func (r *runner) exec(ev Event) {
 	switch ev.Action {
 	case "admit", "saturate-disk":
-		for i := range r.sc.Fleet.Guests {
-			if g := &r.sc.Fleet.Guests[i]; g.Name == ev.Guest {
-				r.logf("t=%7.3fs  %s %d x %s", seconds(r.c.Loop().Now()), ev.Action, ev.Count, ev.Guest)
-				r.admitBurst(g, ev.Count)
-				return
-			}
-		}
+		r.logf("t=%7.3fs  %s %d x %s", seconds(r.c.Loop().Now()), ev.Action, ev.Count, ev.Guest)
+		r.admitBurst(r.spec(ev.Guest), ev.Count)
 	case "evict":
 		r.evict(ev.Guest, 0)
 	case "kill-machine":
-		r.killMachine(ev)
-	case "kill-replica":
-		r.killReplica(ev)
-	case "drain":
-		r.cp.Apply(stopwatch.DrainOp{Machine: ev.Machine, Done: func(oc *stopwatch.Outcome) {
-			r.classify(fmt.Sprintf("drain %d", ev.Machine), oc.Err)
-			r.auditGuests(oc.Guests)
-		}})
-	case "undrain":
-		if oc := r.cp.Apply(stopwatch.UndrainOp{Machine: ev.Machine}); oc.Err != nil {
-			r.failf("undrain %d: %v", ev.Machine, oc.Err)
+		m := ev.Machine
+		if ev.Busiest {
+			m = 0
+			for h := 1; h < r.sc.Fleet.Machines; h++ {
+				if len(r.cp.Pool().Residents(h)) > len(r.cp.Pool().Residents(m)) {
+					m = h
+				}
+			}
 		}
+		r.killMachine(m, ev.Detected, stopwatch.Millis(float64(ev.RepairAfterMS)))
+	case "kill-replica":
+		r.killReplica(ev.Guest, ev.Slot)
+	case "drain":
+		r.drain(ev.Machine, 0)
+	case "undrain":
+		r.undrain(ev.Machine)
 	case "migrate":
 		r.migrate(ev)
 	case "inject-loss", "partition", "heal":
@@ -532,22 +616,36 @@ func (r *runner) evict(id string, tries int) {
 	r.evictedCkpts[id] += ckpts
 }
 
-func (r *runner) killMachine(ev Event) {
-	m := ev.Machine
-	if ev.Busiest {
-		m = 0
-		for h := 1; h < r.sc.Fleet.Machines; h++ {
-			if len(r.cp.Pool().Residents(h)) > len(r.cp.Pool().Residents(m)) {
-				m = h
-			}
+// drain takes a machine out for maintenance; with downFor > 0 its capacity
+// returns to the pool that long after the evacuation completes.
+func (r *runner) drain(m int, downFor stopwatch.Time) {
+	r.cp.Apply(stopwatch.DrainOp{Machine: m, Done: func(oc *stopwatch.Outcome) {
+		r.classify(fmt.Sprintf("drain %d", m), oc.Err)
+		r.auditGuests(oc.Guests)
+		// A rejected drain never took the capacity out.
+		if downFor > 0 && !oc.Rejected() {
+			r.c.Loop().After(downFor, "scenario:undrain", func() { r.undrain(m) })
 		}
+	}})
+}
+
+func (r *runner) undrain(m int) {
+	if oc := r.cp.Apply(stopwatch.UndrainOp{Machine: m}); oc.Err != nil {
+		r.failf("undrain %d: %v", m, oc.Err)
 	}
-	r.logf("t=%7.3fs  kill machine %d (detected=%v)", seconds(r.c.Loop().Now()), m, ev.Detected)
+}
+
+// killMachine crashes a machine's VMM: detected leaves the FailOp to the
+// stall detector, otherwise it is scripted here along with the evacuation.
+// With repairAfter > 0 the machine is repaired that long after its
+// evacuation completes.
+func (r *runner) killMachine(m int, detected bool, repairAfter stopwatch.Time) {
+	r.logf("t=%7.3fs  kill machine %d (detected=%v)", seconds(r.c.Loop().Now()), m, detected)
 	r.killTimes[m] = append(r.killTimes[m], r.c.Loop().Now())
-	if ev.RepairAfterMS > 0 {
-		r.repairAfter[m] = stopwatch.Millis(float64(ev.RepairAfterMS))
+	if repairAfter > 0 {
+		r.repairAfter[m] = repairAfter
 	}
-	if ev.Detected {
+	if detected {
 		// Data-plane kill only: the stall detector notices the silent VMM,
 		// auto-fails the machine and chains the evacuation; the watch
 		// subscription picks the outcome up.
@@ -586,8 +684,7 @@ func (r *runner) evacuationFinished(m int, oc *stopwatch.Outcome) {
 	})
 }
 
-func (r *runner) killReplica(ev Event) {
-	id := ev.Guest
+func (r *runner) killReplica(id string, slot int) {
 	g, ok := r.c.Guest(id)
 	if !ok {
 		r.failf("kill-replica %s: not deployed", id)
@@ -597,7 +694,7 @@ func (r *runner) killReplica(ev Event) {
 		r.failf("kill-replica %s: guest busy or already degraded", id)
 		return
 	}
-	victim := g.Replica(ev.Slot)
+	victim := g.Replica(slot)
 	deadHost := victim.Host()
 	victim.Runtime().Stop() // the crash
 	r.cp.Apply(stopwatch.ReplaceOp{GuestID: id, DeadHost: deadHost, Done: func(oc *stopwatch.Outcome) {
@@ -750,13 +847,14 @@ func (r *runner) finish() *Result {
 	digest := fnv.New64a()
 	_, _ = digest.Write([]byte(stopwatch.FormatOpLog(log)))
 	res := &Result{
-		Name:   r.sc.Name,
-		Seed:   r.seed,
-		Shards: r.shards,
-		Ops:    len(log),
-		Digest: fmt.Sprintf("%016x", digest.Sum64()),
-		Pinned: r.sc.Digests[r.seed],
-		Stats:  stopwatch.FoldOpStats(log),
+		Name:    r.sc.Name,
+		Seed:    r.seed,
+		Shards:  r.shards,
+		Ops:     len(log),
+		Digest:  fmt.Sprintf("%016x", digest.Sum64()),
+		Pinned:  r.sc.Digests[r.seed],
+		Stats:   stopwatch.FoldOpStats(log),
+		Metrics: r.reg.JSON(),
 	}
 	r.assertAll(log, res)
 	if res.Pinned != "" && res.Pinned != res.Digest {

@@ -2,7 +2,8 @@
 // style): YAML/JSON scenario files describe a fleet (machines, capacity,
 // guest mix with app kinds and traffic models), a script of virtual-
 // time-stamped events (admit bursts, evictions, machine kills, drains,
-// migrations, fabric faults) and a set of end-of-run assertions (guest
+// migrations, fabric faults), seeded stochastic generators of the same
+// events (churn) and a set of end-of-run assertions (guest
 // lockstep, placement verification, op-log expectations, metric
 // predicates, per-seed op-log digest pins).
 //
@@ -45,6 +46,7 @@ type Scenario struct {
 
 	Fleet      Fleet
 	Events     []Event
+	Generators []Generator
 	Assertions []Assertion
 
 	// Path is the file the scenario was parsed from (error messages).
@@ -74,6 +76,9 @@ type Fleet struct {
 	Nodes []string
 	// Guests is the guest mix.
 	Guests []GuestSpec
+
+	// CheckpointLine is checkpoint_instr's position in the file.
+	CheckpointLine int
 }
 
 // GuestSpec declares one guest population: an app kind, an optional
@@ -92,7 +97,7 @@ type GuestSpec struct {
 
 // AppSpec selects and parameterizes the guest application.
 type AppSpec struct {
-	// Kind: "beacon" | "fileserver" | "probe".
+	// Kind: "beacon" | "fileserver" | "nfs" | "probe".
 	Kind string
 	// PeriodMS is the beacon burst period (guest virtual time).
 	PeriodMS float64
@@ -102,18 +107,24 @@ type AppSpec struct {
 	DiskKB int
 	// Sink is the beacon's packet sink address ("" disables).
 	Sink string
+	// Echo makes the beacon answer every inbound packet (pings).
+	Echo bool
+	// UntilMS, when positive, is the guest-virtual instant after which the
+	// beacon goes quiet, so replicas quiesce for a strict end-of-run audit.
+	UntilMS int64
 	// Transport: "tcp" | "udp" (fileserver).
 	Transport string
 }
 
 // TrafficSpec drives external load at a guest population.
 type TrafficSpec struct {
-	// Kind: "" (none) | "pings" | "probe-stream" | "downloads".
+	// Kind: "" (none) | "pings" | "probe-stream" | "downloads" | "nfs-load".
 	Kind string
-	// PeriodMS is the ping/fetch period, or the probe-stream mean gap.
+	// PeriodMS is the ping/fetch period, or the probe-stream/nfs-load mean
+	// gap.
 	PeriodMS float64
 	// From names the fabric source (pings, probe-stream) or the transport
-	// client (downloads). Defaults derive from the spec name.
+	// client (downloads, nfs-load). Defaults derive from the spec name.
 	From string
 	// SizeKB is the downloads fetch size.
 	SizeKB int
@@ -165,6 +176,40 @@ type Event struct {
 	Prob float64
 	// Duplex applies the fault in both directions.
 	Duplex bool
+}
+
+// Generator is one seeded stochastic event source. Each draws from its own
+// named stream ("scenario:gen:<kind>:<index>", index = position in the
+// file), so adding a generator never shifts another's draws, and feeds the
+// same executors the scripted events use.
+type Generator struct {
+	// Kind discriminates the union: arrivals | replica-failures | drains |
+	// crashes.
+	Kind string
+	// Line is the generator's position in the file.
+	Line int
+
+	// FromMS/ToMS bound the window events are drawn in.
+	FromMS int64
+	ToMS   int64
+
+	// Guest is the spec arrivals admit instances of.
+	Guest string
+	// RatePerS is the Poisson arrival rate.
+	RatePerS float64
+	// MeanLifetimeMS is the mean of an arrival's exponential lifetime; a
+	// departure that would land at or past ToMS is never scheduled.
+	MeanLifetimeMS float64
+
+	// Count is how many replica-failures / drains / crashes fire, at
+	// uniform instants in the window, each on a random eligible target.
+	Count int
+	// Detected makes crashes data-plane kills the stall detector must
+	// notice (as kill-machine's detected).
+	Detected bool
+	// MeanDownMS is the mean of the exponential delay before a drained
+	// machine is undrained, or a crashed and evacuated one repaired.
+	MeanDownMS float64
 }
 
 // Assertion is one end-of-run check.

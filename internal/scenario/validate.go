@@ -12,6 +12,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"stopwatch"
 )
 
 // statsFields is the FoldOpStats vocabulary of the "stats" assertion.
@@ -36,9 +38,10 @@ var opKinds = map[string]bool{
 // Validate runs every static check and returns the joined defects (nil
 // when clean).
 func (sc *Scenario) Validate() error {
-	v := &validator{sc: sc, totals: map[string]int{}, specs: map[string]*GuestSpec{}}
+	v := &validator{sc: sc, specs: map[string]*GuestSpec{}}
 	v.fleet()
 	v.events()
+	v.generators()
 	v.assertions()
 	return errors.Join(v.errs...)
 }
@@ -47,7 +50,33 @@ type validator struct {
 	sc     *Scenario
 	errs   []error
 	specs  map[string]*GuestSpec
-	totals map[string]int // spec → total instances over the whole script
+	totals map[string]int // instanceTotals(sc)
+}
+
+// unbounded is the instance total of a spec an arrivals generator feeds:
+// how many instances the run admits is not known statically.
+const unbounded = -1
+
+// instanceTotals counts each spec's instances over the whole script — the
+// initial population plus every admit burst; unbounded under an arrivals
+// generator. The totals decide instance naming ("<name>-<i>", or the bare
+// name for a population of one) and bound instance references.
+func instanceTotals(sc *Scenario) map[string]int {
+	totals := map[string]int{}
+	for i := range sc.Fleet.Guests {
+		totals[sc.Fleet.Guests[i].Name] = sc.Fleet.Guests[i].Count
+	}
+	for _, ev := range sc.Events {
+		if ev.Action == "admit" || ev.Action == "saturate-disk" {
+			totals[ev.Guest] += ev.Count
+		}
+	}
+	for _, g := range sc.Generators {
+		if g.Kind == "arrivals" {
+			totals[g.Guest] = unbounded
+		}
+	}
+	return totals
 }
 
 func (v *validator) errf(line int, format string, args ...any) {
@@ -72,6 +101,13 @@ func (v *validator) fleet() {
 	if f.Shards < 1 || f.Shards > max(f.Machines, 1) {
 		v.errf(1, "fleet shards %d out of range [1, %d]", f.Shards, f.Machines)
 	}
+	// The same check the run's cluster construction makes, made here so
+	// validate rejects what run would.
+	vmm := stopwatch.DefaultClusterConfig().VMM
+	vmm.CheckpointInstr = f.CheckpointInstr
+	if err := vmm.Validate(); err != nil {
+		v.errf(f.CheckpointLine, "fleet checkpoint_instr: %v", err)
+	}
 	for i := range f.Guests {
 		g := &f.Guests[i]
 		if _, dup := v.specs[g.Name]; dup {
@@ -82,11 +118,14 @@ func (v *validator) fleet() {
 			v.errf(g.Line, "guest %q count must be >= 0", g.Name)
 		}
 		v.specs[g.Name] = g
-		v.totals[g.Name] = g.Count
 		switch g.Traffic.Kind {
 		case "downloads":
 			if g.App.Kind != "fileserver" {
 				v.errf(g.Line, "guest %q: downloads traffic needs a fileserver app, not %q", g.Name, g.App.Kind)
+			}
+		case "nfs-load":
+			if g.App.Kind != "nfs" {
+				v.errf(g.Line, "guest %q: nfs-load traffic needs an nfs app, not %q", g.Name, g.App.Kind)
 			}
 		case "probe-stream", "pings", "":
 		}
@@ -100,12 +139,14 @@ func (v *validator) fleet() {
 	if len(f.Guests) == 0 {
 		v.errf(1, "fleet needs at least one guest spec")
 	}
-	// Admit bursts extend each spec's instance total.
-	for _, ev := range sc.Events {
-		if ev.Action == "admit" || ev.Action == "saturate-disk" {
-			if _, ok := v.specs[ev.Guest]; ok {
-				v.totals[ev.Guest] += ev.Count
-			}
+	v.totals = instanceTotals(sc)
+	for i := range f.Guests {
+		g := &f.Guests[i]
+		switch total := v.totals[g.Name]; {
+		case g.Traffic.Kind == "nfs-load" && total != 1:
+			v.errf(g.Line, "guest %q: nfs-load traffic drives exactly one instance", g.Name)
+		case g.Traffic.Kind == "probe-stream" && total == unbounded:
+			v.errf(g.Line, "guest %q: probe-stream traffic needs a fixed instance count, not an arrivals generator", g.Name)
 		}
 	}
 	for _, seed := range sortedSeeds(sc.OutputDigests) {
@@ -143,9 +184,10 @@ func (v *validator) guestRef(line int, ref, what string) {
 		return
 	}
 	if spec, ok := v.specs[ref]; ok {
-		if v.totals[spec.Name] > 1 {
-			v.errf(line, "%s: guest spec %q has %d instances — reference one as %q etc.",
-				what, ref, v.totals[spec.Name], ref+"-0")
+		if total := v.totals[spec.Name]; total == unbounded {
+			v.errf(line, "%s: guest spec %q is fed by an arrivals generator — reference an instance as %q etc.", what, ref, ref+"-0")
+		} else if total > 1 {
+			v.errf(line, "%s: guest spec %q has %d instances — reference one as %q etc.", what, ref, total, ref+"-0")
 		}
 		return
 	}
@@ -153,7 +195,7 @@ func (v *validator) guestRef(line int, ref, what string) {
 		specName, idxStr := ref[:i], ref[i+1:]
 		if spec, ok := v.specs[specName]; ok {
 			idx, err := strconv.Atoi(idxStr)
-			if err == nil && idx >= 0 && idx < v.totals[spec.Name] {
+			if total := v.totals[spec.Name]; err == nil && idx >= 0 && (idx < total || total == unbounded) {
 				return
 			}
 			v.errf(line, "%s: guest %q out of range (spec %q has %d instances)",
@@ -248,6 +290,40 @@ func (v *validator) events() {
 			if ev.Action == "inject-loss" && (ev.Prob < 0 || ev.Prob > 1) {
 				v.errf(ev.Line, "inject-loss event: prob %v out of range [0, 1]", ev.Prob)
 			}
+		}
+	}
+}
+
+func (v *validator) generators() {
+	sc := v.sc
+	for _, g := range sc.Generators {
+		what := g.Kind + " generator"
+		if g.FromMS < 0 || g.ToMS <= g.FromMS || g.ToMS > sc.DurationMS {
+			v.errf(g.Line, "%s: window from_ms %d to_ms %d must satisfy 0 <= from_ms < to_ms <= duration_ms %d",
+				what, g.FromMS, g.ToMS, sc.DurationMS)
+		}
+		if g.Kind == "arrivals" {
+			if g.Guest == "" {
+				v.errf(g.Line, "%s needs a guest spec", what)
+			} else if _, ok := v.specs[g.Guest]; !ok {
+				v.errf(g.Line, "%s references undeclared guest %q", what, g.Guest)
+			}
+			if g.RatePerS <= 0 {
+				v.errf(g.Line, "%s: rate_per_s must be positive, got %v", what, g.RatePerS)
+			}
+			if g.MeanLifetimeMS <= 0 {
+				v.errf(g.Line, "%s: mean_lifetime_ms must be positive, got %v", what, g.MeanLifetimeMS)
+			}
+			continue
+		}
+		if g.Count < 0 {
+			v.errf(g.Line, "%s: count must be >= 0, got %d", what, g.Count)
+		}
+		if g.MeanDownMS < 0 {
+			v.errf(g.Line, "%s: mean_down_ms must be >= 0, got %v", what, g.MeanDownMS)
+		}
+		if g.Kind == "crashes" && g.Detected && !sc.Fleet.StallDetector {
+			v.errf(g.Line, "%s: detected crashes need fleet stall_detector: true", what)
 		}
 	}
 }

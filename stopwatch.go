@@ -78,6 +78,9 @@ func Seconds(s float64) Time { return sim.FromSeconds(s) }
 // Millis converts milliseconds to simulated Time.
 func Millis(ms float64) Time { return sim.FromMillis(ms) }
 
+// Rand is one named, seeded random stream (Cluster.Source().Stream(name)).
+type Rand = sim.Rand
+
 // Addr is a network fabric address.
 type Addr = netsim.Addr
 
@@ -202,6 +205,12 @@ type NFSLoadGen = apps.NFSLoadGen
 // NFSLoadGenConfig configures the generator.
 type NFSLoadGenConfig = apps.NFSLoadGenConfig
 
+// NewNFSLoadGen builds a generator driving svc through client with the
+// given operation mix; Start(until) runs it.
+func NewNFSLoadGen(loop *sim.Loop, rng *Rand, client *Client, svc Addr, mix []apps.MixEntry, cfg NFSLoadGenConfig) (*NFSLoadGen, error) {
+	return apps.NewNFSLoadGen(loop, rng, client, svc, mix, cfg)
+}
+
 // PaperNFSMix returns the paper's extracted NFS operation mix.
 func PaperNFSMix() []apps.MixEntry { return apps.PaperMix() }
 
@@ -251,10 +260,6 @@ type Placement = placement.Placement
 
 // Theorem1Max returns the maximum edge-disjoint triangle packing of K_n.
 func Theorem1Max(n int) (int, error) { return placement.Theorem1Max(n) }
-
-// Theorem2Guests returns Theorem 2's guaranteed guest count for n machines
-// of capacity c.
-func Theorem2Guests(n, c int) (int, error) { return placement.Theorem2Guests(n, c) }
 
 // PlaceTheorem2 constructs the Theorem-2 placement.
 func PlaceTheorem2(n, c int) (*Placement, error) { return placement.PlaceTheorem2(n, c) }
