@@ -244,10 +244,14 @@ type replicaWiring struct {
 	app      guest.App
 	ec       *vmm.EpochCoordinator
 	propSrc  netsim.Addr
+	propEP   *netsim.Endpoint // propSrc, resolved at wiring time
 	psnd     *multicast.Sender
 	// peers are the live peer Dom0s: psnd's group, whose resolved form
 	// (psnd.Endpoints) the pacing and epoch fan-outs send to as well.
 	peers []netsim.Addr
+	// peerProps[i] is the proposal stream of the peer replica behind
+	// psnd.Endpoints()[i]: what a beacon from that Dom0 advertises.
+	peerProps []*netsim.Endpoint
 }
 
 var (
@@ -265,13 +269,16 @@ func (w *replicaWiring) SendProposal(view, seq uint64, v vtime.Virtual) {
 }
 
 // PaceReport implements vmm.PaceSink: unicast progress beacons to the peer
-// Dom0s (periodic, loss-tolerant). The beacon rides in the typed packet
-// body — nothing is boxed per tick.
+// Dom0s (periodic, loss-tolerant) — exactly the proposal stream's group, so
+// the beacon is also that stream's heartbeat: it carries the high-water
+// mark an SPM would, and psnd runs no timer. The beacon rides in the typed
+// packet body — nothing is boxed per tick.
 func (w *replicaWiring) PaceReport(v vtime.Virtual) {
-	net := w.c.net
+	net, sent := w.c.net, w.psnd.NextSeq()-1
 	for _, dst := range w.psnd.Endpoints() {
 		p := net.AllocTo(w.hn.ep, dst, 48, "swpace", nil)
 		p.Body.Kind, p.Body.GuestID, p.Body.Origin, p.Body.Virt = netsim.BodyPace, w.gid, w.hostName, v
+		p.Body.StreamSeq = sent
 		net.Send(p)
 	}
 }
@@ -680,6 +687,8 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 		app:      app,
 		propSrc:  netsim.Addr("prop:" + c.hosts[hostIdx].Name() + "/" + id),
 	}
+	w.propEP = c.net.Endpoint(w.propSrc)
+	w.peers, w.peerProps = make([]netsim.Addr, 0, c.cfg.Replicas-1), make([]*netsim.Endpoint, 0, c.cfg.Replicas-1)
 	// Proposal exchange: reliable multicast to peer Dom0s. The group is a
 	// placeholder until refreshPeers fills in the real peer set (which can
 	// change over the guest's life as replicas are re-homed); a 1-replica
@@ -690,12 +699,15 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 		// reconciliation installs the actual peers.
 		placeholder = append(make([]netsim.Addr, 0, c.cfg.Replicas-1), hn.addr)
 	}
-	// The proposal stream's sender state (SPM timers, NAK consumption) and
-	// source address live on the replica's host shard.
+	// The proposal stream's sender state (NAK consumption) and source
+	// address live on the replica's host shard. It sends no SPMs: PaceReport
+	// advertises the stream to the same group every PaceInterval.
 	if err := c.net.AssignShard(w.propSrc, hostIdx%len(c.shardLoops)); err != nil {
 		return err
 	}
-	psnd, err := multicast.NewSender(c.net, c.hosts[hostIdx].Loop(), multicast.SenderConfig{Src: w.propSrc, Group: placeholder})
+	psnd, err := multicast.NewSender(c.net, c.hosts[hostIdx].Loop(), multicast.SenderConfig{
+		Src: w.propSrc, Group: placeholder, SPMInterval: multicast.NoSPM,
+	})
 	if err != nil {
 		return err
 	}
@@ -790,16 +802,16 @@ func (c *Cluster) reconcileGroups(g *Guest) error {
 		if c.hosts[w.hostIdx].Failed() {
 			continue
 		}
-		peers := w.peers[:0]
-		for _, a := range liveDom0s {
-			if a != w.dom0 {
-				peers = append(peers, a)
+		w.peers, w.peerProps = w.peers[:0], w.peerProps[:0]
+		for _, p := range g.replicas {
+			if p != w && !c.hosts[p.hostIdx].Failed() {
+				w.peers = append(w.peers, p.dom0)
+				w.peerProps = append(w.peerProps, p.propEP)
 			}
 		}
-		w.peers = peers
-		// An empty peer set (sole survivor) silences the sender — its SPM
-		// heartbeats must not keep reaching dead or repaired machines.
-		_ = w.psnd.SetGroup(peers)
+		// An empty peer set (sole survivor) silences the sender and its
+		// beacons — they must not keep reaching dead or repaired machines.
+		_ = w.psnd.SetGroup(w.peers)
 		for _, d := range deadNames {
 			w.rt.DropPeer(d)
 		}
@@ -894,6 +906,17 @@ func (hn *hostNode) deliver(p *netsim.Packet) {
 	case "swpace":
 		if w, ok := hn.residents[p.Body.GuestID]; ok {
 			w.rt.OnPeerVirt(p.Body.Origin, p.Body.Virt)
+			// From a current peer, the beacon also advertises its proposal
+			// stream (a departed guest or peer is never reached here). Every
+			// one counts as hearing the source, as every SPM does.
+			if src := hn.c.net.SourceOf(p); p.Body.StreamSeq > 0 {
+				for i, dom0 := range w.psnd.Endpoints() {
+					if dom0 == src {
+						hn.mrx.Advertise(w.peerProps[i], p.Body.StreamSeq)
+						break
+					}
+				}
+			}
 		}
 	case "swrcl":
 		hn.handleReconcile(p)

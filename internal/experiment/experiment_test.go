@@ -332,18 +332,30 @@ func TestLeaderAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	// Run the shipped default duration: the KS floor at n gaps is
-	// ~1.36·sqrt(2/n), so shortening the run drowns the ~0.01 KS
-	// policy separation in sampling noise and the comparison below
-	// becomes a coin flip.
+	// The two KS statistics sit ~0.003 apart under a sampling floor of
+	// ~1.36·sqrt(2/n) ≈ 0.019 at the shipped duration's n gaps, so at one
+	// seed the comparison below is a biased coin that any change to fabric
+	// traffic re-tosses (18 of 26 seeds before PR 16, 15 of 26 after). Run
+	// twice the shipped duration and ask for a majority over consecutive
+	// seeds from the shipped one (7 of 8 there, before and after).
 	cfg := DefaultLeaderConfig()
-	r, err := RunLeader(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg.Duration *= 2
+	const seeds = 5
+	var r *LeaderResult
+	wins := 0
+	for range seeds {
+		var err error
+		if r, err = RunLeader(cfg); err != nil {
+			t.Fatal(err)
+		}
+		// Leader-dictated timing must leak more than the median.
+		if r.KSLeader > r.KSMedian {
+			wins++
+		}
+		cfg.Seed++
 	}
-	// Leader-dictated timing must leak more than the median.
-	if r.KSLeader <= r.KSMedian {
-		t.Fatalf("leader KS %v should exceed median KS %v", r.KSLeader, r.KSMedian)
+	if 2*wins <= seeds {
+		t.Fatalf("leader KS exceeded median KS on %d of %d seeds", wins, seeds)
 	}
 	if !strings.Contains(r.Render(), "median") {
 		t.Fatal("render missing header")

@@ -5,8 +5,12 @@
 // VMMs hosting a guest's replicas.
 //
 // Reliability is receiver-driven: receivers detect sequence gaps and send
-// NAKs; the sender retransmits from its window. Source Path Messages (SPMs)
-// advertise the highest sequence so trailing losses are detected too.
+// NAKs; the sender retransmits from its window. Trailing losses are found
+// through an advertisement of the stream's highest sequence: the sender's
+// own Source Path Message — sent only once the stream has been quiet for
+// SPMInterval (data is its own advertisement), at a doubling interval while
+// nobody answers — or, for a stream whose owner already sends its group a
+// periodic message, that message (NoSPM, Receiver.Advertise).
 // Delivery to the application is in sequence order.
 package multicast
 
@@ -15,7 +19,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"stopwatch/internal/netsim"
 	"stopwatch/internal/sim"
@@ -31,9 +34,14 @@ const (
 	kindSPM  = "pgm:spm"
 )
 
-type nakMsg struct {
-	Seqs []uint64
-}
+// NoSPM as a SenderConfig.SPMInterval builds a sender that never arms a
+// timer: its owner advertises the stream (Sender.NextSeq − 1) to the group
+// in a periodic message of its own, which members pass to Receiver.Advertise.
+const NoSPM sim.Time = -1
+
+// maxBackoff caps the doubling of unanswered heartbeat and NAK-retry
+// intervals at 1<<maxBackoff times their base.
+const maxBackoff = 6
 
 // SenderConfig parameterizes a multicast source.
 type SenderConfig struct {
@@ -41,8 +49,9 @@ type SenderConfig struct {
 	Src netsim.Addr
 	// Group lists receiver addresses.
 	Group []netsim.Addr
-	// SPMInterval is the heartbeat period while the window is open
-	// (default 5ms).
+	// SPMInterval is how long after the last send, repair request or
+	// heartbeat the next heartbeat leaves (default 5ms), doubling with every
+	// round nothing answers up to 64x; NoSPM for an advertising owner.
 	SPMInterval sim.Time
 	// WindowSize bounds retained messages for retransmission (default 4096).
 	WindowSize int
@@ -60,8 +69,9 @@ type Sender struct {
 	// win retains the last WindowSize bodies, envelope stamped, for repair.
 	win holdRing
 
-	spmPending bool
-	closed     bool
+	spm    sim.Handle // the pending heartbeat
+	idle   uint8      // heartbeats since the last send or NAK, capped
+	closed bool
 
 	sent     uint64
 	retrans  uint64
@@ -76,7 +86,7 @@ func NewSender(net *netsim.Network, loop *sim.Loop, cfg SenderConfig) (*Sender, 
 	if cfg.Src == "" || len(cfg.Group) == 0 {
 		return nil, fmt.Errorf("%w: sender needs src and group", ErrMulticast)
 	}
-	if cfg.SPMInterval <= 0 {
+	if cfg.SPMInterval == 0 {
 		cfg.SPMInterval = 5 * sim.Millisecond
 	}
 	if cfg.WindowSize <= 0 {
@@ -128,35 +138,34 @@ func (s *Sender) Multicast(kind string, size int, body netsim.PacketBody) uint64
 		s.net.Send(p)
 	}
 	s.sent++
-	s.armSPM()
+	s.beat()
 	return s.seq
 }
 
-func (s *Sender) armSPM() {
-	if s.spmPending || s.closed {
+// beat restarts the heartbeat: the next SPM leaves one SPMInterval from
+// now. A send moves the pending event instead of letting it fire.
+func (s *Sender) beat() {
+	if s.cfg.SPMInterval < 0 || s.closed {
 		return
 	}
-	s.spmPending = true
-	s.loop.AfterTimer(s.cfg.SPMInterval, "pgm:spm", spmTimer, s, nil, 0)
+	s.idle = 0
+	at := s.loop.Now() + s.cfg.SPMInterval
+	if !s.loop.RescheduleHandle(s.spm, at) {
+		s.spm = s.loop.AtTimer(at, "pgm:spm", spmTimer, s, nil, 0).Handle()
+	}
 }
 
-// spmTimer emits the Source Path Message heartbeat while the repair window
-// is open.
+// spmTimer emits the Source Path Message heartbeat and re-arms it twice as
+// far out: it never stops (tail repair stays eventual), it only gets rare.
 func spmTimer(a, _ any, _ uint64) {
 	s := a.(*Sender)
-	s.spmPending = false
-	if s.seq == 0 || s.closed {
-		return
-	}
 	for _, dst := range s.group {
 		p := s.net.AllocTo(s.src, dst, 32, kindSPM, nil)
 		p.Body.StreamSeq = s.seq // advertised max sequence
 		s.net.Send(p)
 	}
-	// Keep heartbeating while messages might still need repair.
-	if s.win.held > 0 {
-		s.armSPM()
-	}
+	s.idle = min(s.idle+1, maxBackoff)
+	s.spm = s.loop.AfterTimer(s.cfg.SPMInterval<<s.idle, "pgm:spm", spmTimer, s, nil, 0).Handle()
 }
 
 // SetGroup replaces the receiver group — membership reconfiguration when a
@@ -166,7 +175,9 @@ func spmTimer(a, _ any, _ uint64) {
 // silences the sender (a sole-survivor replica has no peers left): nothing
 // is transmitted — not even SPM heartbeats, which would otherwise resurrect
 // receiver stream state on departed or repaired members — until a later
-// SetGroup restores receivers.
+// SetGroup restores receivers. An owner's advertisement cannot resurrect it
+// either: core reaches Advertise only through the resident guest's wiring,
+// which a departed member no longer has.
 func (s *Sender) SetGroup(group []netsim.Addr) error {
 	// Reuse the existing backing array: the input is copied in (callers
 	// keep ownership of theirs), and Group() hands out copies.
@@ -195,14 +206,14 @@ func (s *Sender) Endpoints() []*netsim.Endpoint { return s.group }
 // Closed reports whether the sender has been retired.
 func (s *Sender) Closed() bool { return s.closed }
 
-// Close retires the sender: no further data, repairs, or SPM heartbeats
-// (the pending one, if armed, becomes a no-op). Teardown paths must call
-// it — an abandoned sender would otherwise heartbeat forever (its window
-// only drains by overflow) and resurrect receiver stream state that
-// Receiver.Forget has already discarded.
+// Close retires the sender: no further data, repairs, or SPM heartbeats.
+// Teardown paths must call it — an abandoned sender would otherwise keep
+// heartbeating (every 64 SPMIntervals, but for ever) and resurrect receiver
+// stream state that Receiver.Forget has already discarded.
 func (s *Sender) Close() {
 	s.closed = true
 	s.win = holdRing{}
+	s.loop.CancelHandle(s.spm)
 }
 
 // Handle consumes NAKs addressed to this sender; it returns true when the
@@ -211,15 +222,13 @@ func (s *Sender) Handle(pkt *netsim.Packet) bool {
 	if pkt.Kind != kindNAK || pkt.Dst != s.cfg.Src {
 		return false
 	}
-	nak, ok := pkt.Payload.(nakMsg)
-	if !ok {
-		return true
-	}
 	s.nakRecvd++
-	for _, seq := range nak.Seqs {
+	s.beat() // somebody is listening, and short of something
+	// Body.Seq is the set of missing sequences, bit i for StreamSeq+i.
+	for seq, m := pkt.Body.StreamSeq, pkt.Body.Seq; m != 0; seq, m = seq+1, m>>1 {
 		body := s.win.get(seq)
-		if body == nil {
-			continue // aged out of the window; receiver is unrecoverable here
+		if m&1 == 0 || body == nil {
+			continue // not asked for, or aged out of the window (unrecoverable here)
 		}
 		s.retrans++
 		p := s.net.AllocTo(s.src, s.net.SourceOf(pkt), 64, kindData, nil)
@@ -246,7 +255,8 @@ type ReceiverConfig struct {
 	// NAKDelay is the backoff before the first NAK for a detected gap,
 	// absorbing in-flight reordering (default 1ms).
 	NAKDelay sim.Time
-	// NAKInterval is the retry period for unanswered NAKs (default 3ms).
+	// NAKInterval is the retry period for unanswered NAKs (default 3ms),
+	// doubling up to 64x while nothing at all arrives from the source.
 	NAKInterval sim.Time
 	// OnData receives message bodies in sequence order per source. kind is
 	// the inner stream kind the sender multicast under.
@@ -312,8 +322,8 @@ type sourceState struct {
 	src   *netsim.Endpoint // the stream's source (NAK destination)
 	next  uint64           // next expected seq
 	hold  holdRing         // held-back out-of-order bodies, window base == next
-	hiSeq uint64           // highest seq seen (>= next); gap scan upper bound
-	naked map[uint64]bool  // outstanding NAKs; nil until the first gap
+	want  uint64           // one past the highest seq seen or advertised (>= next)
+	quiet uint8            // NAK bursts since the source was last heard, capped
 	timer sim.Handle       // pending NAK burst (weak: stale once fired)
 }
 
@@ -361,12 +371,30 @@ func (r *Receiver) Handle(pkt *netsim.Packet) bool {
 		r.onData(r.state(r.net.SourceOf(pkt)), pkt.Body)
 		return true
 	case kindSPM:
-		// The advertised max sequence marks everything up to it expected.
-		r.request(r.state(r.net.SourceOf(pkt)), pkt.Body.StreamSeq+1)
+		r.Advertise(r.net.SourceOf(pkt), pkt.Body.StreamSeq)
 		return true
 	default:
 		return false
 	}
+}
+
+// Advertise tells the receiver that src's stream has reached maxSeq, which
+// marks everything up to it expected: an SPM, or the periodic message of a
+// NoSPM stream's owner. The caller vouches that src is a stream this member
+// still belongs to — state for it is created if there is none.
+func (r *Receiver) Advertise(src *netsim.Endpoint, maxSeq uint64) {
+	st := r.state(src)
+	r.heard(st)
+	r.request(st, maxSeq+1)
+}
+
+// heard notes traffic from st's source: NAK retries return to NAKInterval,
+// the pending one included if it had backed off.
+func (r *Receiver) heard(st *sourceState) {
+	if st.quiet > 1 {
+		r.loop.RescheduleHandle(st.timer, r.loop.Now()+r.cfg.NAKInterval)
+	}
+	st.quiet = 0
 }
 
 // Prime (re)initializes this receiver's per-source state to expect seq
@@ -382,7 +410,7 @@ func (r *Receiver) Prime(src netsim.Addr, next uint64) {
 	if st, ok := r.srcs.Get(ep); ok {
 		r.loop.CancelHandle(st.timer)
 	}
-	st := &sourceState{src: ep, next: next}
+	st := &sourceState{src: ep, next: next, want: next}
 	st.hold.base = next
 	r.srcs.Put(ep, st)
 }
@@ -401,7 +429,7 @@ func (r *Receiver) Forget(src netsim.Addr) {
 func (r *Receiver) state(src *netsim.Endpoint) *sourceState {
 	st, ok := r.srcs.Get(src)
 	if !ok {
-		st = &sourceState{src: src, next: 1}
+		st = &sourceState{src: src, next: 1, want: 1}
 		st.hold.base = 1
 		r.srcs.Put(src, st)
 	}
@@ -409,6 +437,7 @@ func (r *Receiver) state(src *netsim.Endpoint) *sourceState {
 }
 
 func (r *Receiver) onData(st *sourceState, body netsim.PacketBody) {
+	r.heard(st)
 	seq := body.StreamSeq
 	if seq < st.next || st.hold.get(seq) != nil {
 		r.dups++
@@ -420,25 +449,14 @@ func (r *Receiver) onData(st *sourceState, body netsim.PacketBody) {
 		// well-behaved stream never allocates a holdback window at all.
 		st.next++
 		st.hold.base = st.next
-		if seq > st.hiSeq {
-			st.hiSeq = seq
-		}
-		if st.naked != nil {
-			delete(st.naked, seq)
-		}
 		r.delivered++
 		r.cfg.OnData(st.src.Addr(), body.StreamSeq, body.StreamKind, body)
-		r.request(st, st.hiSeq)
-		return
+	} else {
+		st.hold.put(seq, body)
+		r.drain(st)
 	}
-	st.hold.put(seq, body)
-	if seq > st.hiSeq {
-		st.hiSeq = seq
-	}
-	delete(st.naked, seq)
-	r.drain(st)
-	// Gap: anything between next and the highest held-back seq is missing.
-	r.request(st, st.hiSeq)
+	// Gap: anything between next and the highest seq known is missing.
+	r.request(st, seq+1)
 }
 
 func (r *Receiver) drain(st *sourceState) {
@@ -453,61 +471,39 @@ func (r *Receiver) drain(st *sourceState) {
 	}
 }
 
-// request NAKs every sequence in [next, end) that is neither held back nor
-// already requested.
+// request marks every sequence below end expected and, if any in
+// [next, want) is not held back, makes sure a NAK burst is pending. The
+// first NAK waits NAKDelay to absorb reordering.
 func (r *Receiver) request(st *sourceState, end uint64) {
-	changed := false
-	for seq := st.next; seq < end; seq++ {
-		if st.hold.get(seq) == nil && !st.naked[seq] {
-			if st.naked == nil {
-				st.naked = make(map[uint64]bool)
-			}
-			st.naked[seq] = true
-			changed = true
-		}
-	}
-	if changed {
-		r.armNAK(st, r.cfg.NAKDelay)
+	st.want = max(st.want, end)
+	if st.want-st.next > uint64(st.hold.held) && !st.timer.Pending() {
+		st.timer = r.loop.AfterTimer(r.cfg.NAKDelay, "pgm:nak", nakTimer, r, st, 0).Handle()
 	}
 }
 
-// armNAK schedules a NAK burst after the given delay unless one is already
-// pending. The delay absorbs reordering (first NAK) and paces retries.
-func (r *Receiver) armNAK(st *sourceState, delay sim.Time) {
-	if st.timer.Pending() {
-		return
-	}
-	st.timer = r.loop.AfterTimer(delay, "pgm:nak", nakTimer, r, st, 0).Handle()
-}
-
-// nakTimer fires a receiver's pending NAK burst for one source stream.
+// nakTimer fires a receiver's pending NAK burst for one source stream: the
+// missing sequences among the 64 from the lowest one, as a bit set in the
+// packet body (nothing is allocated however long a dead source is retried).
 func nakTimer(a, b any, _ uint64) {
 	r := a.(*Receiver)
 	st := b.(*sourceState)
-	st.timer = sim.Handle{}
-	r.sendNAKs(st)
-}
-
-func (r *Receiver) sendNAKs(st *sourceState) {
-	if len(st.naked) == 0 {
-		return
-	}
-	seqs := make([]uint64, 0, len(st.naked))
-	for seq := range st.naked {
-		if seq < st.next {
-			delete(st.naked, seq)
-			continue
+	var set uint64
+	for i := uint64(0); i < 64 && st.next+i < st.want; i++ {
+		if st.hold.get(st.next+i) == nil {
+			set |= 1 << i
 		}
-		seqs = append(seqs, seq)
 	}
-	if len(seqs) == 0 {
+	if set == 0 {
 		return
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	r.naksSent++
-	r.net.Send(r.net.AllocTo(r.self, st.src, 40, kindNAK, nakMsg{Seqs: seqs}))
-	// Re-arm: if the repair is lost too, NAK again.
-	r.armNAK(st, r.cfg.NAKInterval)
+	p := r.net.AllocTo(r.self, st.src, 40, kindNAK, nil)
+	p.Body.StreamSeq, p.Body.Seq = st.next, set
+	r.net.Send(p)
+	// Re-arm: if the repair is lost too, NAK again — ever more rarely while
+	// the source stays silent.
+	st.timer = r.loop.AfterTimer(r.cfg.NAKInterval<<st.quiet, "pgm:nak", nakTimer, r, st, 0).Handle()
+	st.quiet = min(st.quiet+1, maxBackoff)
 }
 
 // ReceiverStats reports receiver-side counters.

@@ -361,16 +361,245 @@ func TestSenderWindowRetainsLastWindowSize(t *testing.T) {
 			lo = sent - window + 1
 		}
 		repaired = repaired[:0]
-		snd.Handle(&netsim.Packet{Src: "r", Dst: "s", Kind: "pgm:nak", Payload: nakMsg{Seqs: []uint64{lo - 1, lo, sent, sent + 1}}})
+		// NAK {lo-1, lo, sent, sent+1}: a bit set based at lo-1.
+		snd.Handle(&netsim.Packet{Src: "r", Dst: "s", Kind: "pgm:nak", Body: netsim.PacketBody{
+			StreamSeq: lo - 1, Seq: 1 | 1<<1 | 1<<(sent-lo+1) | 1<<(sent-lo+2),
+		}})
 		if err := loop.RunUntil(loop.Now() + 2*sim.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 		want := []uint64{lo, sent}
 		if lo == sent {
-			want = []uint64{lo, lo}
+			want = []uint64{lo} // a set names it once
 		}
 		if fmt.Sprint(repaired) != fmt.Sprint(want) {
 			t.Fatalf("after %d sends: repaired %v, want %v", sent, repaired, want)
 		}
+	}
+}
+
+// spmRig is one sender and one receiver ("h") on a loss-free 1ms fabric,
+// recording the arrival time of every SPM and NAK.
+type spmRig struct {
+	loop       *sim.Loop
+	net        *netsim.Network
+	snd        *Sender
+	rx         *Receiver
+	got        []uint64
+	spms, naks []sim.Time
+}
+
+func newSPMRig(t *testing.T, interval sim.Time) *spmRig {
+	t.Helper()
+	r := &spmRig{loop: sim.NewLoop()}
+	var err error
+	r.net, err = netsim.New(r.loop, sim.NewSource(5).Stream("net"), netsim.LinkConfig{Latency: sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.rx, err = NewReceiver(r.net, r.loop, ReceiverConfig{
+		Addr:   "h",
+		OnData: func(_ netsim.Addr, seq uint64, _ string, _ netsim.PacketBody) { r.got = append(r.got, seq) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.snd, err = NewSender(r.net, r.loop, SenderConfig{Src: "s", Group: []netsim.Addr{"h"}, SPMInterval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(r.net.Attach(&netsim.FuncNode{Addr: "h", Fn: func(p *netsim.Packet) {
+		if p.Kind == "pgm:spm" {
+			r.spms = append(r.spms, r.loop.Now())
+		}
+		r.rx.Handle(p)
+	}}))
+	must(r.net.Attach(&netsim.FuncNode{Addr: "s", Fn: func(p *netsim.Packet) {
+		if p.Kind == "pgm:nak" {
+			r.naks = append(r.naks, r.loop.Now())
+		}
+		r.snd.Handle(p)
+	}}))
+	return r
+}
+
+func (r *spmRig) run(t *testing.T, until sim.Time) {
+	t.Helper()
+	if err := r.loop.RunUntil(until); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Data is the advertisement: a stream that sends more often than
+// SPMInterval pushes its heartbeat out with every send and never emits one
+// — and no heartbeat event fires either, the pending one is moved.
+func TestBusyStreamSendsNoSPM(t *testing.T) {
+	r := newSPMRig(t, 0)
+	const n = 500
+	for i := 0; i < n; i++ {
+		r.loop.At(sim.Time(i)*4*sim.Millisecond, "send", func() { r.snd.Multicast("m", 64, netsim.PacketBody{}) })
+	}
+	last := sim.Time(n-1) * 4 * sim.Millisecond
+	r.run(t, last+4*sim.Millisecond)
+	if len(r.spms) != 0 || len(r.got) != n {
+		t.Fatalf("busy stream: %d SPMs, %d/%d delivered", len(r.spms), len(r.got), n)
+	}
+	// n sends, n deliveries, nothing else: no heartbeat timer ever fired.
+	if fired := r.loop.Fired(); fired != 2*n {
+		t.Fatalf("%d events fired for %d sends", fired, n)
+	}
+	// The tail is still covered: the first SPM leaves one interval after
+	// the last send.
+	r.run(t, last+10*sim.Millisecond)
+	if len(r.spms) != 1 || r.spms[0] != last+6*sim.Millisecond {
+		t.Fatalf("tail SPM arrivals %v, want one at %v", r.spms, last+6*sim.Millisecond)
+	}
+}
+
+// A silent stream's heartbeat backs off: each unanswered round doubles the
+// interval up to 64x, where it stays — it never stops.
+func TestSilentStreamSPMBacksOff(t *testing.T) {
+	const iv = 5 * sim.Millisecond
+	r := newSPMRig(t, iv)
+	r.snd.Multicast("m", 64, netsim.PacketBody{})
+	r.run(t, 500*sim.Millisecond)
+	// ceil(log2(500/5)) + 2 = 9 rounds at most in T = 500ms.
+	if n := len(r.spms); n == 0 || n > 9 {
+		t.Fatalf("%d SPM rounds in 500ms of silence", n)
+	}
+	r.run(t, 2*sim.Second)
+	want := iv + sim.Millisecond // first arrival: one interval plus the link
+	for i, at := range r.spms {
+		if at != want {
+			t.Fatalf("SPM %d arrived at %v, want %v (all: %v)", i, at, want, r.spms)
+		}
+		want += iv << min(i+1, 6)
+	}
+	if n := len(r.spms); n < 10 {
+		t.Fatalf("heartbeat stopped: %d rounds in 2s", n)
+	}
+	if got := r.spms[len(r.spms)-1] - r.spms[len(r.spms)-2]; got != 64*iv {
+		t.Fatalf("capped interval %v, want %v", got, 64*iv)
+	}
+}
+
+// A NAK says somebody is listening and short of something: the heartbeat
+// returns to SPMInterval. So does a new send.
+func TestNAKAndSendResetSPMBackoff(t *testing.T) {
+	const iv = 5 * sim.Millisecond
+	r := newSPMRig(t, iv)
+	r.snd.Multicast("m", 64, netsim.PacketBody{})
+	r.run(t, 400*sim.Millisecond) // backed off to 64x: next round at 635ms
+	n := len(r.spms)
+	r.snd.Handle(&netsim.Packet{Src: "h", Dst: "s", Kind: "pgm:nak", Body: netsim.PacketBody{StreamSeq: 1, Seq: 1}})
+	r.run(t, 400*sim.Millisecond+3*iv+2*sim.Millisecond)
+	if got := r.spms[n:]; len(got) != 2 || got[0] != 400*sim.Millisecond+iv+sim.Millisecond || got[1]-got[0] != 2*iv {
+		t.Fatalf("after a NAK the heartbeat arrived at %v", got)
+	}
+	n = len(r.spms)
+	at := r.loop.Now()
+	r.snd.Multicast("m", 64, netsim.PacketBody{})
+	r.run(t, at+iv+sim.Millisecond)
+	if got := r.spms[n:]; len(got) != 1 || got[0] != at+iv+sim.Millisecond {
+		t.Fatalf("after a send the heartbeat arrived at %v", got)
+	}
+}
+
+// Tail loss whose first advertisement is lost too: the next (backed-off)
+// round still gets through and the tail is repaired.
+func TestTailLossRecoveredWhenFirstSPMLost(t *testing.T) {
+	r := newSPMRig(t, 0)
+	if err := r.net.SetLink("s", "h", netsim.LinkConfig{LossProb: 1}); err != nil {
+		t.Fatal(err)
+	}
+	r.snd.Multicast("m", 64, netsim.PacketBody{})
+	// The data and the SPM at 5ms are dropped; heal before the one at 15ms.
+	r.loop.At(8*sim.Millisecond, "heal", func() {
+		if err := r.net.SetLink("s", "h", netsim.LinkConfig{Latency: sim.Millisecond}); err != nil {
+			t.Error(err)
+		}
+	})
+	r.run(t, 30*sim.Millisecond)
+	if len(r.got) != 1 || len(r.naks) != 1 {
+		t.Fatalf("delivered %v after %d NAKs (SPMs %v)", r.got, len(r.naks), r.spms)
+	}
+	// Detected by the second round (15ms + link), NAKed one NAKDelay later.
+	if want := 15*sim.Millisecond + sim.Millisecond + sim.Millisecond + sim.Millisecond; r.naks[0] != want {
+		t.Fatalf("NAK reached the sender at %v, want %v", r.naks[0], want)
+	}
+}
+
+// A sender whose owner advertises the stream (NoSPM) never arms a timer;
+// the owner's message, handed to Advertise, is what finds a lost tail.
+func TestNoSPMSenderArmsNothing(t *testing.T) {
+	r := newSPMRig(t, NoSPM)
+	if err := r.net.InjectLoss("s", "h", 1); err != nil {
+		t.Fatal(err)
+	}
+	r.snd.Multicast("m", 64, netsim.PacketBody{})
+	if n := r.loop.Pending(); n != 0 {
+		t.Fatalf("%d events pending after a send on a lossy link", n)
+	}
+	r.snd.Handle(&netsim.Packet{Src: "h", Dst: "s", Kind: "pgm:nak", Body: netsim.PacketBody{StreamSeq: 9, Seq: 1}})
+	if n := r.loop.Pending(); n != 0 {
+		t.Fatalf("%d events pending after a NAK", n)
+	}
+	if err := r.net.InjectLoss("s", "h", 0); err != nil {
+		t.Fatal(err)
+	}
+	r.rx.Advertise(r.net.Endpoint("s"), r.snd.NextSeq()-1)
+	r.run(t, sim.Second)
+	if len(r.got) != 1 || len(r.spms) != 0 {
+		t.Fatalf("delivered %v with %d SPMs", r.got, len(r.spms))
+	}
+}
+
+// NAK retries against a source that has gone silent double from
+// NAKInterval up to 64x and allocate nothing; anything heard from the
+// source — here a repeated advertisement — returns them to NAKInterval.
+func TestNAKRetryBacksOffAgainstSilentSource(t *testing.T) {
+	r := newSPMRig(t, NoSPM)
+	r.snd.Close() // a dead sender: consumes NAKs, repairs nothing
+	src := r.net.Endpoint("s")
+	r.rx.Advertise(src, 200)                   // 200 missing: one burst names the lowest 64
+	bursts := make([]netsim.PacketBody, 0, 64) // the recorders must not allocate either
+	r.naks = make([]sim.Time, 0, 64)
+	if err := r.net.Attach(&netsim.FuncNode{Addr: "s", Fn: func(p *netsim.Packet) {
+		r.naks = append(r.naks, r.loop.Now())
+		bursts = append(bursts, p.Body)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	r.run(t, 2*sim.Second) // warm the event and packet pools
+	allocs := testing.AllocsPerRun(1, func() { r.run(t, r.loop.Now()+2*sim.Second) })
+	if allocs != 0 {
+		t.Fatalf("%v allocations while retrying against a silent source", allocs)
+	}
+	const nd, ni = sim.Millisecond, 3 * sim.Millisecond
+	want := nd + sim.Millisecond
+	for i, at := range r.naks {
+		if at != want {
+			t.Fatalf("NAK %d arrived at %v, want %v", i, at, want)
+		}
+		if b := bursts[i]; b.StreamSeq != 1 || b.Seq != ^uint64(0) {
+			t.Fatalf("NAK %d names base %d set %x", i, b.StreamSeq, b.Seq)
+		}
+		want += ni << min(i, 6)
+	}
+	if n := len(r.naks); n < 10 || r.naks[n-1]-r.naks[n-2] != 64*ni {
+		t.Fatalf("%d NAKs against a silent source, arriving at %v", n, r.naks)
+	}
+	// The source is heard again: the pending retry comes in to NAKInterval
+	// and the doubling starts over.
+	n, at := len(r.naks), r.loop.Now()
+	r.rx.Advertise(src, 200)
+	r.run(t, at+ni+2*ni+sim.Millisecond)
+	if got := r.naks[n:]; len(got) != 2 || got[0] != at+ni+sim.Millisecond || got[1]-got[0] != ni {
+		t.Fatalf("after the source was heard NAKs arrived at %v (from %v)", got, at)
 	}
 }

@@ -41,8 +41,11 @@ const (
 type PacketBody struct {
 	Kind BodyKind
 
-	// Reliable-multicast envelope (pgm:data carries the inner body;
-	// pgm:spm uses StreamSeq as the advertised max sequence).
+	// Reliable-multicast envelope (pgm:data carries the inner body). An
+	// advertisement uses StreamSeq alone, as the stream's highest sequence:
+	// a pgm:spm for its own stream, a pacing beacon (BodyPace) for its
+	// sender's proposal stream. A pgm:nak names the missing sequences as
+	// StreamSeq (the lowest) plus the bit set Seq (bit i: StreamSeq+i).
 	StreamSeq  uint64
 	StreamKind string
 
@@ -50,7 +53,7 @@ type PacketBody struct {
 	GuestID string
 	Origin  string // origin host (proposals, beacons) or replica (egress)
 	View    uint64
-	Seq     uint64 // proposal seq, or per-guest egress output seq
+	Seq     uint64 // proposal seq, per-guest egress output seq, or NAK bit set
 	Virt    vtime.Virtual
 	Epoch   int64
 	Sample  vtime.EpochSample

@@ -317,6 +317,12 @@ func (l *Loop) Reschedule(e *Event, t Time) *Event {
 	return e
 }
 
+// RescheduleHandle moves the pending event behind a weak handle; it reports
+// false, having done nothing, when the handle is stale.
+func (l *Loop) RescheduleHandle(h Handle, t Time) bool {
+	return h.Pending() && l.Reschedule(h.e, t) != nil
+}
+
 // slot is one heap entry: the fire time rides inline, so a sift reads four
 // children from one cache line and dereferences events only to break ties.
 type slot struct {
