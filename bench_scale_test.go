@@ -50,7 +50,7 @@ func benchScale(b *testing.B, hosts, shards int) {
 		ids := make([]string, hosts)
 		for g := 0; g < hosts; g++ {
 			ids[g] = fmt.Sprintf("scale-%d", g)
-			if _, _, err := cp.Admit(ids[g], factory); err != nil {
+			if err := cp.Apply(AdmitOp{GuestID: ids[g], Factory: factory}).Err; err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -255,13 +255,13 @@ func benchChurnLoop(b *testing.B, instrument bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := fmt.Sprintf("bench-%d", i)
-		_, _, err := cp.Admit(id, factory)
+		err := cp.Apply(AdmitOp{GuestID: id, Factory: factory}).Err
 		if errors.Is(err, ErrNoFeasibleHost) {
-			if err = cp.Evict(resident[0]); err != nil {
+			if err = cp.Apply(EvictOp{GuestID: resident[0]}).Err; err != nil {
 				b.Fatal(err)
 			}
 			resident = resident[1:]
-			_, _, err = cp.Admit(id, factory)
+			err = cp.Apply(AdmitOp{GuestID: id, Factory: factory}).Err
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -420,7 +420,8 @@ func benchReplace(b *testing.B, warmup Time, ckptInstr int64) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g, tri, err := cp.Admit("web", func() App { return &benchPinger{} })
+		oc := cp.Apply(AdmitOp{GuestID: "web", Factory: func() App { return &benchPinger{} }})
+		g, tri, err := oc.Guest, oc.Triangle, oc.Err
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -433,13 +434,13 @@ func benchReplace(b *testing.B, warmup Time, ckptInstr int64) {
 		g.Replica(slot).Runtime().Stop()
 		done := false
 		b.StartTimer()
-		if err := cp.ReplaceReplica("web", tri[0], func(err error) {
-			if err != nil {
-				b.Fatal(err)
+		if oc := cp.Apply(ReplaceOp{GuestID: "web", DeadHost: tri[0], Done: func(oc *Outcome) {
+			if oc.Err != nil {
+				b.Fatal(oc.Err)
 			}
 			done = true
-		}); err != nil {
-			b.Fatal(err)
+		}}); oc.Rejected() {
+			b.Fatal(oc.Err)
 		}
 		for until := warmup + Millis(50); !done && until < warmup+Seconds(10); until += Millis(50) {
 			if err := c.Run(until); err != nil {
@@ -532,7 +533,7 @@ func BenchmarkEvacuateFailedHost(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, id := range []string{"ga", "gb", "gc", "gd", "ge"} {
-			if _, _, err := cp.Admit(id, func() App { return &benchPinger{} }); err != nil {
+			if err := cp.Apply(AdmitOp{GuestID: id, Factory: func() App { return &benchPinger{} }}).Err; err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -550,16 +551,16 @@ func BenchmarkEvacuateFailedHost(b *testing.B) {
 		affected := cp.Pool().Residents(machine)
 		done := false
 		b.StartTimer()
-		if err := cp.FailHost(machine); err != nil {
-			b.Fatal(err)
+		if oc := cp.Apply(FailOp{Machine: machine}); oc.Rejected() {
+			b.Fatal(oc.Err)
 		}
-		if err := cp.EvacuateFailedHost(machine, func(err error) {
-			if err != nil {
-				b.Fatal(err)
+		if oc := cp.Apply(EvacuateOp{Machine: machine, Done: func(oc *Outcome) {
+			if oc.Err != nil {
+				b.Fatal(oc.Err)
 			}
 			done = true
-		}); err != nil {
-			b.Fatal(err)
+		}}); oc.Rejected() {
+			b.Fatal(oc.Err)
 		}
 		for until := Millis(250); !done && until < Seconds(30); until += Millis(50) {
 			if err := c.Run(until); err != nil {
@@ -570,7 +571,7 @@ func BenchmarkEvacuateFailedHost(b *testing.B) {
 		if !done {
 			b.Fatal("evacuation never completed")
 		}
-		if err := cp.RepairHost(machine); err != nil {
+		if err := cp.Apply(RepairOp{Machine: machine}).Err; err != nil {
 			b.Fatal(err)
 		}
 		for _, id := range affected {

@@ -50,7 +50,7 @@ func run(args []string, out io.Writer) error {
 }
 
 // expandScenarioPaths resolves each argument to scenario files: a
-// directory expands to its *.yaml/*.yml/*.json entries, sorted.
+// directory expands to its *.yaml/*.yml entries, sorted.
 func expandScenarioPaths(args []string) ([]string, error) {
 	var files []string
 	for _, arg := range args {
@@ -68,7 +68,7 @@ func expandScenarioPaths(args []string) ([]string, error) {
 		}
 		for _, e := range entries {
 			switch filepath.Ext(e.Name()) {
-			case ".yaml", ".yml", ".json":
+			case ".yaml", ".yml":
 				files = append(files, filepath.Join(arg, e.Name()))
 			}
 		}

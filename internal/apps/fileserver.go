@@ -224,70 +224,37 @@ func (fs *FileServer) SnapshotAppend(buf []byte) []byte {
 
 // RestoreSnapshot implements guest.Snapshotter.
 func (fs *FileServer) RestoreSnapshot(data []byte) error {
-	bad := func(what string) error {
-		return fmt.Errorf("%w: file server snapshot: bad %s", ErrApp, what)
-	}
-	served, n := binary.Uvarint(data)
-	if n <= 0 {
-		return bad("served counter")
-	}
-	data = data[n:]
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return bad("pending count")
-	}
-	data = data[n:]
+	r := guest.NewSnapshotReader(data, ErrApp, "file server snapshot")
+	served := r.Uvarint("served counter")
+	count := r.Count("pending count")
 	pending := make(map[uint64]*pendingFile, count)
-	for i := uint64(0); i < count; i++ {
-		id, n := binary.Uvarint(data)
-		if n <= 0 {
-			return bad("pending id")
+	for i := uint64(0); i < count && r.Err() == nil; i++ {
+		id := r.Uvarint("pending id")
+		pending[id] = &pendingFile{
+			src:       netsim.Addr(r.Text("pending src")),
+			conn:      r.Uvarint("pending conn"),
+			respID:    r.Uvarint("pending respID"),
+			bytes:     int(r.Varint("pending bytes")),
+			nextOff:   int(r.Varint("pending nextOff")),
+			remaining: int(r.Varint("pending remaining")),
 		}
-		data = data[n:]
-		srcLen, n := binary.Uvarint(data)
-		if n <= 0 || uint64(len(data[n:])) < srcLen {
-			return bad("pending src")
-		}
-		pf := &pendingFile{src: netsim.Addr(data[n : n+int(srcLen)])}
-		data = data[n+int(srcLen):]
-		if pf.conn, n = binary.Uvarint(data); n <= 0 {
-			return bad("pending conn")
-		}
-		data = data[n:]
-		if pf.respID, n = binary.Uvarint(data); n <= 0 {
-			return bad("pending respID")
-		}
-		data = data[n:]
-		var v int64
-		if v, n = binary.Varint(data); n <= 0 {
-			return bad("pending bytes")
-		}
-		pf.bytes = int(v)
-		data = data[n:]
-		if v, n = binary.Varint(data); n <= 0 {
-			return bad("pending nextOff")
-		}
-		pf.nextOff = int(v)
-		data = data[n:]
-		if v, n = binary.Varint(data); n <= 0 {
-			return bad("pending remaining")
-		}
-		pf.remaining = int(v)
-		data = data[n:]
-		pending[id] = pf
+	}
+	if r.Err() != nil {
+		return r.Err()
 	}
 	var rest []byte
 	var err error
 	if fs.tcp != nil {
-		rest, err = fs.tcp.RestoreState(data)
+		rest, err = fs.tcp.RestoreState(r.Rest())
 	} else {
-		rest, err = fs.udp.RestoreState(data)
+		rest, err = fs.udp.RestoreState(r.Rest())
 	}
 	if err != nil {
 		return err
 	}
 	if len(rest) != 0 {
-		return bad("trailing bytes")
+		r.Fail("trailing bytes")
+		return r.Err()
 	}
 	fs.served = served
 	fs.pending = pending

@@ -2,10 +2,32 @@ package apps
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"stopwatch/internal/sim"
 )
+
+// rejectsOversizedCount feeds restore a snapshot whose first `zeros` fields
+// are zero and whose next field — an element count — claims 1<<24 entries
+// with no bytes behind it. The decoder must reject it without sizing
+// anything from the count: before the shared cursor's Count check this
+// input made FileServer.RestoreSnapshot allocate 577 MB.
+func rejectsOversizedCount(t *testing.T, what string, zeros int, restore func([]byte) error) {
+	t.Helper()
+	input := binary.AppendUvarint(make([]byte, zeros), 1<<24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := restore(input)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("%s of 1<<24 with no elements behind it accepted", what)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("rejecting an oversized %s allocated %d bytes", what, got)
+	}
+}
 
 // midDownloadServer drives a TCP file server into a mid-response state
 // (request parsed, disk reads outstanding) and returns it.
@@ -118,4 +140,15 @@ func TestFileServerSnapshotRejectsCorrupt(t *testing.T) {
 	if err := restored.RestoreSnapshot(append(append([]byte{}, snap...), 0xFF)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
+	// served, then the pending count; served and an empty pending table,
+	// then the transport server's own count — stream and datagram.
+	rejectsOversizedCount(t, "pending count", 1, restored.RestoreSnapshot)
+	rejectsOversizedCount(t, "tcp conn count", 2, restored.RestoreSnapshot)
+	cfg := DefaultFileServerConfig()
+	cfg.Mode = ModeUDP
+	udp, err := NewFileServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejectsOversizedCount(t, "udp resp count", 2, udp.RestoreSnapshot)
 }

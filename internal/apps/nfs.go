@@ -212,54 +212,29 @@ func (s *NFSServer) SnapshotAppend(buf []byte) []byte {
 
 // RestoreSnapshot implements guest.Snapshotter.
 func (s *NFSServer) RestoreSnapshot(data []byte) error {
-	bad := func(what string) error {
-		return fmt.Errorf("%w: nfs server snapshot: bad %s", ErrApp, what)
-	}
-	served, n := binary.Uvarint(data)
-	if n <= 0 {
-		return bad("served counter")
-	}
-	data = data[n:]
-	lookups, n := binary.Varint(data)
-	if n <= 0 {
-		return bad("lookup counter")
-	}
-	data = data[n:]
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return bad("pending count")
-	}
-	data = data[n:]
+	r := guest.NewSnapshotReader(data, ErrApp, "nfs server snapshot")
+	served := r.Uvarint("served counter")
+	lookups := r.Varint("lookup counter")
+	count := r.Count("pending count")
 	pending := make(map[uint64]*pendingNFS, count)
-	for i := uint64(0); i < count; i++ {
-		id, n := binary.Uvarint(data)
-		if n <= 0 {
-			return bad("pending id")
+	for i := uint64(0); i < count && r.Err() == nil; i++ {
+		id := r.Uvarint("pending id")
+		pending[id] = &pendingNFS{
+			conn:     r.Uvarint("pending conn"),
+			respID:   r.Uvarint("pending respID"),
+			respSize: int(r.Varint("pending respSize")),
 		}
-		data = data[n:]
-		p := &pendingNFS{}
-		if p.conn, n = binary.Uvarint(data); n <= 0 {
-			return bad("pending conn")
-		}
-		data = data[n:]
-		if p.respID, n = binary.Uvarint(data); n <= 0 {
-			return bad("pending respID")
-		}
-		data = data[n:]
-		var v int64
-		if v, n = binary.Varint(data); n <= 0 {
-			return bad("pending respSize")
-		}
-		p.respSize = int(v)
-		data = data[n:]
-		pending[id] = p
 	}
-	rest, err := s.tcp.RestoreState(data)
+	if r.Err() != nil {
+		return r.Err()
+	}
+	rest, err := s.tcp.RestoreState(r.Rest())
 	if err != nil {
 		return err
 	}
 	if len(rest) != 0 {
-		return bad("trailing bytes")
+		r.Fail("trailing bytes")
+		return r.Err()
 	}
 	s.served = served
 	s.lookups = lookups

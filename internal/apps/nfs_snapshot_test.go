@@ -86,6 +86,10 @@ func TestNFSServerSnapshotRejectsCorrupt(t *testing.T) {
 	if err := restored.RestoreSnapshot(append(append([]byte{}, snap...), 0xFF)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
+	// served and lookups, then the pending count; those and an empty
+	// pending table, then the TCP server's own count.
+	rejectsOversizedCount(t, "pending count", 2, restored.RestoreSnapshot)
+	rejectsOversizedCount(t, "tcp conn count", 3, restored.RestoreSnapshot)
 }
 
 // TestParsecSnapshotRoundTrip checkpoints the compute/disk chain mid-run

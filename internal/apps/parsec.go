@@ -123,29 +123,19 @@ func (a *ParsecApp) SnapshotAppend(buf []byte) []byte {
 
 // RestoreSnapshot implements guest.Snapshotter.
 func (a *ParsecApp) RestoreSnapshot(data []byte) error {
-	bad := func(what string) error {
-		return fmt.Errorf("%w: parsec snapshot: bad %s", ErrApp, what)
+	r := guest.NewSnapshotReader(data, ErrApp, "parsec snapshot")
+	step := r.Varint("step")
+	stepsLeft := r.Varint("stepsLeft")
+	if stepsLeft < 0 {
+		r.Fail("stepsLeft")
 	}
-	step, n := binary.Varint(data)
-	if n <= 0 {
-		return bad("step")
-	}
-	data = data[n:]
-	stepsLeft, n := binary.Varint(data)
-	if n <= 0 || stepsLeft < 0 {
-		return bad("stepsLeft")
-	}
-	data = data[n:]
-	done, n := binary.Uvarint(data)
-	if n <= 0 || done > 1 {
-		return bad("done flag")
-	}
-	if len(data[n:]) != 0 {
-		return bad("trailing bytes")
+	done := r.Flag("done flag")
+	if err := r.End(); err != nil {
+		return err
 	}
 	a.step = int(step)
 	a.stepsLeft = int(stepsLeft)
-	a.doneSent = done == 1
+	a.doneSent = done
 	return nil
 }
 

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"stopwatch/internal/guest"
 	"stopwatch/internal/netsim"
@@ -149,9 +148,10 @@ func (a *BeaconApp) SnapshotAppend(buf []byte) []byte {
 
 // RestoreSnapshot implements guest.Snapshotter.
 func (a *BeaconApp) RestoreSnapshot(data []byte) error {
-	bursts, n := binary.Varint(data)
-	if n <= 0 || n != len(data) {
-		return fmt.Errorf("beacon snapshot: bad bursts varint")
+	r := guest.NewSnapshotReader(data, ErrApp, "beacon snapshot")
+	bursts := r.Varint("bursts varint")
+	if err := r.End(); err != nil {
+		return err
 	}
 	a.bursts = bursts
 	return nil

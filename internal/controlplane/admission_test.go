@@ -26,7 +26,8 @@ func TestLoadAwarePlacementAvoidsSaturatedHost(t *testing.T) {
 	// the index tie-break — the first triangle lands on it.
 	cpOff := newTestPlane(t, 9, 3, 4)
 	saturate(cpOff)
-	_, triOff, err := cpOff.Admit("g0", beaconFactory(vtime.Virtual(5*sim.Millisecond)))
+	ocOff := cpOff.Apply(AdmitOp{GuestID: "g0", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))})
+	triOff, err := ocOff.Triangle, ocOff.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,8 @@ func TestLoadAwarePlacementAvoidsSaturatedHost(t *testing.T) {
 		t.Fatal("LoadAware() false after enable")
 	}
 	saturate(cpOn)
-	_, triOn, err := cpOn.Admit("g0", beaconFactory(vtime.Virtual(5*sim.Millisecond)))
+	ocOn := cpOn.Apply(AdmitOp{GuestID: "g0", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))})
+	triOn, err := ocOn.Triangle, ocOn.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,8 @@ func TestLoadAwarePlacementAvoidsSaturatedHost(t *testing.T) {
 	cpPlain := newTestPlane(t, 9, 3, 4)
 	cpPlain.InstrumentMetrics(metrics.NewRegistry())
 	saturate(cpPlain)
-	_, triPlain, err := cpPlain.Admit("g0", beaconFactory(vtime.Virtual(5*sim.Millisecond)))
+	ocPlain := cpPlain.Apply(AdmitOp{GuestID: "g0", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))})
+	triPlain, err := ocPlain.Triangle, ocPlain.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,8 @@ func TestLoadAwareScoreOrdersWithoutGating(t *testing.T) {
 	// ~105ms backlog on host 0: well under the huge budget, but enough to
 	// sort it behind the other idle hosts.
 	cp.Cluster().Host(0).DiskRequest(8 << 20)
-	_, tri, err := cp.Admit("g0", beaconFactory(vtime.Virtual(5*sim.Millisecond)))
+	oc := cp.Apply(AdmitOp{GuestID: "g0", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))})
+	tri, err := oc.Triangle, oc.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +132,7 @@ func TestGatedAdmissionRejectsAndCounts(t *testing.T) {
 	cp.InstrumentMetrics(reg)
 	cp.EnableLoadAwareAdmission(LoadAwareConfig{FalseAlarmBudget: 10 * sim.Millisecond})
 	cp.Cluster().Host(0).DiskRequest(80 << 20)
-	_, _, err := cp.Admit("g0", beaconFactory(vtime.Virtual(5*sim.Millisecond)))
+	err := cp.Apply(AdmitOp{GuestID: "g0", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("admit on a gated 3-host pool: %v, want rejection", err)
 	}
@@ -141,7 +145,7 @@ func TestGatedAdmissionRejectsAndCounts(t *testing.T) {
 	if err := cp.Cluster().Run(2 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cp.Admit("g0", beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+	if err := cp.Apply(AdmitOp{GuestID: "g0", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 		t.Fatalf("admit after backlog drained: %v", err)
 	}
 	if cp.Pool().GatedCount() != 0 {
@@ -172,7 +176,7 @@ func TestRehomeIsLoadAware(t *testing.T) {
 	cp := newTestPlane(t, 9, 3, 2)
 	cp.EnableLoadAwareAdmission(LoadAwareConfig{FalseAlarmBudget: 10 * sim.Millisecond})
 	for i := 0; i < 2; i++ {
-		if _, _, err := cp.Admit(fmt.Sprintf("g%d", i), beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+		if err := cp.Apply(AdmitOp{GuestID: fmt.Sprintf("g%d", i), Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,8 +198,8 @@ func TestRehomeIsLoadAware(t *testing.T) {
 	}
 	cp.Cluster().Host(victim).DiskRequest(800 << 20) // ~10s backlog
 	g.Replica(0).Runtime().Stop()
-	if err := cp.ReplaceReplica("g0", dead, nil); err != nil {
-		t.Fatal(err)
+	if oc := cp.Apply(ReplaceOp{GuestID: "g0", DeadHost: dead}); oc.Rejected() {
+		t.Fatal(oc.Err)
 	}
 	if err := cp.Cluster().Run(5 * sim.Second); err != nil {
 		t.Fatal(err)

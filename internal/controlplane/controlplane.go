@@ -8,10 +8,14 @@
 // through the single entry point Apply, which returns a structured Outcome
 // (typed result, per-phase barrier timings, affected guests, pool deltas),
 // appends it to the operations log (Log), and streams progress to Watch
-// subscribers. Stats is a pure fold over the log. The verb methods (Admit,
-// Evict, ReplaceReplica, DrainHost, UndrainHost, FailHost,
-// EvacuateFailedHost, RepairHost) are thin wrappers over Apply kept for
-// call-site convenience.
+// subscribers. Stats is a pure fold over the log. Apply is the only
+// mutating method: there are no per-verb wrappers.
+//
+// A replica changes machine in exactly one way — moveReplica, the Sec. VII
+// barrier (pause → quiesce → place → replace → resume). A crash replacement,
+// a planned migration, a drain's per-resident move and an evacuation's are
+// that barrier with a different place step and a different answer to
+// "freeze the moving replica first?".
 //
 // The data plane (cluster, VMMs, gateways) stays mechanism; every policy
 // decision — which triangle, which replacement host, when a switchover is
@@ -24,7 +28,6 @@ import (
 	"fmt"
 
 	"stopwatch/internal/core"
-	"stopwatch/internal/guest"
 	"stopwatch/internal/placement"
 	"stopwatch/internal/sim"
 )
@@ -229,23 +232,43 @@ func (cp *ControlPlane) applyAdmit(op AdmitOp, oc *Outcome) {
 		cp.finish(oc, fmt.Errorf("%w: guest %q has a %s in flight", ErrControlPlane, id, verb))
 		return
 	}
+	cp.placeAndDeploy(op, oc, cp.planned)
+}
+
+// placeAndDeploy is one placement attempt of an admission: ask the pool for
+// a triangle, deploy on it, complete the outcome. With plan set, an
+// infeasible placement that is one replica move away from feasible runs
+// that move as a child MigrateOp (logged with the admission as parent) and
+// tries once more with plan off — plans never nest. The admission, normally
+// synchronous, completes asynchronously on that path; observe it via
+// AdmitOp.Done, the outcome, or the event stream.
+func (cp *ControlPlane) placeAndDeploy(op AdmitOp, oc *Outcome, plan bool) {
+	id := op.GuestID
 	cp.refreshHostTelemetry()
 	tri, err := cp.pool.Admit(id)
-	if err != nil {
-		if errors.Is(err, placement.ErrNoFeasibleHost) {
-			// A blocked admission may be one replica move away from feasible:
-			// plan that move and run it as a child MigrateOp, then retry.
-			if cp.planned {
-				if plan, ok := cp.pool.PlanAdmitMigration(id, cp.migrationAvoid); ok {
-					oc.setGuest(id)
-					cp.phase(oc, PhasePlan)
-					cp.admitAfterMigration(op, oc, plan)
-					return
-				}
+	if errors.Is(err, placement.ErrNoFeasibleHost) {
+		if plan {
+			if mp, ok := cp.pool.PlanAdmitMigration(id, cp.migrationAvoid); ok {
+				oc.setGuest(id)
+				cp.phase(oc, PhasePlan)
+				cp.inflight[id] = "admission"
+				cp.apply(MigrateOp{GuestID: mp.GuestID, From: mp.From, To: mp.To, Done: func(moc *Outcome) {
+					delete(cp.inflight, id)
+					if moc.Err != nil {
+						cp.finish(oc, fmt.Errorf("%w: admit %q: planned migration failed: %v", ErrRejected, id, moc.Err))
+						return
+					}
+					// The move ran in simulated time; the packing may have
+					// shifted under other ops, so the retry re-decides from
+					// the live pool.
+					cp.placeAndDeploy(op, oc, false)
+				}}, oc.Seq)
+				return
 			}
-			cp.finish(oc, fmt.Errorf("%w: %v", ErrRejected, err))
-			return
 		}
+		err = fmt.Errorf("%w: %v", ErrRejected, err)
+	}
+	if err != nil {
 		cp.finish(oc, err)
 		return
 	}
@@ -287,38 +310,95 @@ func (cp *ControlPlane) applyEvict(op EvictOp, oc *Outcome) {
 	cp.finish(oc, nil)
 }
 
-// applyReplace runs the Sec. VII replacement barrier for guest id's replica
-// on op.DeadHost (reported failed by whatever detector submitted the op).
-// The protocol, all in simulated time:
-//
-//  1. pause the guest's ingress stream (client packets buffer at the edge);
-//  2. wait DrainWindow for in-flight fabric traffic and delivery proposals
-//     to settle, re-checking up to MaxDrainAttempts times;
-//  3. re-home the replica through the placement pool (least-loaded fresh
-//     host whose edges to both survivors are free);
-//  4. reconstruct the replica from the survivors' journal and switch the
-//     multicast groups over (core.Cluster.ReplaceReplica);
-//  5. resume the ingress stream, flushing the buffered packets.
-//
-// On failure the ingress is resumed so the surviving replicas keep serving
-// degraded.
+// applyReplace re-homes guest id's replica off op.DeadHost (reported failed
+// by whatever detector submitted the op, or being emptied by a drain or an
+// evacuation) onto the least-loaded fresh host whose edges to both
+// survivors are free. Under EnablePlannedMigration a re-home the pool cannot
+// satisfy first asks the one-move planner for a migration of some other
+// guest that would unblock it, runs that as a child MigrateOp — the guest
+// stays paused and quiescent throughout: its ingress is shut and no new
+// proposals can arrive — and retries.
 func (cp *ControlPlane) applyReplace(op ReplaceOp, oc *Outcome) {
-	id := op.GuestID
-	if verb, busy := cp.inflight[id]; busy {
-		cp.finish(oc, fmt.Errorf("%w: guest %q has a %s in flight", ErrControlPlane, id, verb))
+	id, dead := op.GuestID, op.DeadHost
+	if err := cp.movable(id, dead); err != nil {
+		cp.finish(oc, err)
 		return
+	}
+	// A drain's machine is alive, so its replica is frozen by the barrier;
+	// a crashed replica (direct report, evacuation) is already stopped.
+	cp.moveReplica(oc, id, dead, "replacement", op.cause == causeDrain, func(then func(placement.Triangle, int, error)) {
+		newTri, newHost, err := cp.pool.Rehome(id, dead)
+		if err == nil || !cp.planned || !errors.Is(err, placement.ErrNoFeasibleHost) {
+			then(newTri, newHost, err)
+			return
+		}
+		plan, ok := cp.pool.PlanRehomeMigration(id, dead, cp.migrationAvoid)
+		if !ok {
+			then(newTri, newHost, err)
+			return
+		}
+		cp.phase(oc, PhasePlan)
+		cp.apply(MigrateOp{GuestID: plan.GuestID, From: plan.From, To: plan.To, Done: func(moc *Outcome) {
+			if moc.Err != nil {
+				then(newTri, newHost, errors.Join(err, fmt.Errorf("planned migration: %w", moc.Err)))
+				return
+			}
+			cp.refreshHostTelemetry()
+			then(cp.pool.Rehome(id, dead))
+		}}, oc.Seq)
+	})
+}
+
+// movable validates the request every replica move starts from: no other
+// lifecycle op holds the guest, it is resident, and it has a replica on
+// from.
+func (cp *ControlPlane) movable(id string, from int) error {
+	if verb, busy := cp.inflight[id]; busy {
+		return fmt.Errorf("%w: guest %q has a %s in flight", ErrControlPlane, id, verb)
 	}
 	tri, ok := cp.pool.Triangle(id)
 	if !ok {
-		cp.finish(oc, fmt.Errorf("%w: guest %q not resident", ErrControlPlane, id))
-		return
+		return fmt.Errorf("%w: guest %q not resident", ErrControlPlane, id)
 	}
-	if !tri.Contains(op.DeadHost) {
-		cp.finish(oc, fmt.Errorf("%w: guest %q has no replica on host %d", ErrControlPlane, id, op.DeadHost))
-		return
+	if !tri.Contains(from) {
+		return fmt.Errorf("%w: guest %q has no replica on host %d", ErrControlPlane, id, from)
 	}
+	return nil
+}
+
+// moveReplica is the one way a replica changes machine: the Sec. VII
+// barrier, for the replica of the validated (movable) guest id that is
+// leaving machine from. The protocol, all in simulated time:
+//
+//  1. with freeze, halt the moving replica's guest execution while its VMM
+//     keeps proposing (the paper's footnote-4 regime, so the 3-proposal
+//     median never stalls): the survivors reach or pass its instruction
+//     count, and the journal replay lands on a consistent cut. A crashed
+//     replica is already stopped and is not frozen;
+//  2. pause the guest's ingress stream (client packets buffer at the edge);
+//  3. wait DrainWindow for in-flight fabric traffic and delivery proposals
+//     to settle, re-checking up to MaxDrainAttempts times;
+//  4. place: the caller's step moves the replica in the placement pool and
+//     names the machine it landed on (it may complete later — a planned
+//     detour runs a whole child barrier first);
+//  5. reconstruct the replica there from the survivors' journal and switch
+//     the multicast groups over (core.Cluster.ReplaceReplica), rolling the
+//     pool back if that fails;
+//  6. resume the ingress stream, flushing the buffered packets.
+//
+// verb names the move in the in-flight table ("replacement", "migration")
+// and so in other ops' rejection text. On failure the ingress is resumed
+// and the guest keeps serving degraded on its live pair; a frozen replica
+// stays frozen.
+func (cp *ControlPlane) moveReplica(oc *Outcome, id string, from int, verb string, freeze bool, place func(then func(placement.Triangle, int, error))) {
+	tri, _ := cp.pool.Triangle(id)
 	oc.setGuest(id)
-	cp.inflight[id] = "replacement"
+	cp.inflight[id] = verb
+	if g, ok := cp.c.Guest(id); freeze && ok {
+		if slot, on := g.SlotOnHost(from); on {
+			g.Replica(slot).Runtime().Stop()
+		}
+	}
 	cp.c.Ingress().Pause(id)
 	cp.phase(oc, PhasePause)
 	done := func(err error) {
@@ -343,15 +423,20 @@ func (cp *ControlPlane) applyReplace(op ReplaceOp, oc *Outcome) {
 		}
 		cp.phase(oc, PhaseQuiesce)
 		cp.refreshHostTelemetry()
-		proceed := func(newTri placement.Triangle, newHost int) {
+		place(func(newTri placement.Triangle, to int, err error) {
+			if err != nil {
+				done(err)
+				return
+			}
 			cp.phase(oc, PhaseRehome)
-			if err := cp.c.ReplaceReplica(id, op.DeadHost, newHost); err != nil {
+			if err := cp.c.ReplaceReplica(id, from, to); err != nil {
 				// Roll the pool back to the original triangle: the data plane
-				// still has the (dead) replica on op.DeadHost. The whole barrier
-				// step is one simulated instant, so the freed edges cannot
-				// have been claimed in between. A rollback failure leaves pool
-				// and cluster divergent — join it into the outcome so it is
-				// never swallowed; Verify() flags the divergence it leaves.
+				// still has the old replica on from. Everything since the
+				// place step's pool move is one simulated instant, so the
+				// freed edges cannot have been claimed in between. A
+				// rollback failure leaves pool and cluster divergent — join
+				// it into the outcome so it is never swallowed; Verify()
+				// flags the divergence it leaves.
 				if _, rbErr := cp.pool.Release(id); rbErr != nil {
 					err = errors.Join(err, fmt.Errorf("rollback release %q: %w", id, rbErr))
 				} else if rbErr := cp.pool.AdmitTriangle(id, tri); rbErr != nil {
@@ -365,76 +450,9 @@ func (cp *ControlPlane) applyReplace(op ReplaceOp, oc *Outcome) {
 			cp.c.Ingress().Resume(id)
 			cp.phase(oc, PhaseResume)
 			done(nil)
-		}
-		newTri, newHost, err := cp.pool.Rehome(id, op.DeadHost)
-		if err == nil {
-			proceed(newTri, newHost)
-			return
-		}
-		if !cp.planned || !errors.Is(err, placement.ErrNoFeasibleHost) {
-			done(err)
-			return
-		}
-		// No feasible host for the re-home, but perhaps one replica move
-		// away from one: plan the move, run it as a child MigrateOp (the
-		// guest stays paused and quiescent throughout — its ingress is shut
-		// and no new proposals can arrive), then retry the re-home.
-		plan, ok := cp.pool.PlanRehomeMigration(id, op.DeadHost, cp.migrationAvoid)
-		if !ok {
-			done(err)
-			return
-		}
-		cp.phase(oc, PhasePlan)
-		mig := MigrateOp{GuestID: plan.GuestID, From: plan.From, To: plan.To}
-		mig.Done = func(moc *Outcome) {
-			if moc.Err != nil {
-				done(errors.Join(err, fmt.Errorf("planned migration: %w", moc.Err)))
-				return
-			}
-			cp.refreshHostTelemetry()
-			nt, nh, rerr := cp.pool.Rehome(id, op.DeadHost)
-			if rerr != nil {
-				done(rerr)
-				return
-			}
-			proceed(nt, nh)
-		}
-		cp.apply(mig, oc.Seq)
+		})
 	}
 	cp.c.Loop().After(cp.cfg.DrainWindow, "cp:drain", barrier)
-}
-
-// Admit is the verb wrapper over Apply(AdmitOp): it places and deploys a
-// new guest, returning the deployed guest and triangle, or ErrRejected
-// (check with errors.Is) when the pool has no capacity.
-func (cp *ControlPlane) Admit(id string, factory func() guest.App) (*core.Guest, placement.Triangle, error) {
-	oc := cp.Apply(AdmitOp{GuestID: id, Factory: factory})
-	return oc.Guest, oc.Triangle, oc.Err
-}
-
-// Evict is the verb wrapper over Apply(EvictOp).
-func (cp *ControlPlane) Evict(id string) error {
-	return cp.Apply(EvictOp{GuestID: id}).Err
-}
-
-// ReplaceReplica is the verb wrapper over Apply(ReplaceOp): it initiates
-// the asynchronous replacement of guest id's replica on deadHost. A
-// validation rejection is returned synchronously; otherwise onDone
-// (optional) fires with the barrier's outcome.
-func (cp *ControlPlane) ReplaceReplica(id string, deadHost int, onDone func(error)) error {
-	op := ReplaceOp{GuestID: id, DeadHost: deadHost}
-	op.Done = func(oc *Outcome) {
-		if oc.Rejected() {
-			return // reported synchronously below
-		}
-		if onDone != nil {
-			onDone(oc.Err)
-		}
-	}
-	if oc := cp.Apply(op); oc.Rejected() {
-		return oc.Err
-	}
-	return nil
 }
 
 // Verify checks the control plane's placement invariants (edge-disjoint

@@ -43,7 +43,7 @@ func TestAdmitEvictReadmitPreservesInvariants(t *testing.T) {
 	var resident []string
 	for i := 0; ; i++ {
 		id := fmt.Sprintf("g%d", i)
-		_, _, err := cp.Admit(id, beaconFactory(vtime.Virtual(5*sim.Millisecond)))
+		err := cp.Apply(AdmitOp{GuestID: id, Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err
 		if errors.Is(err, ErrRejected) {
 			break
 		}
@@ -64,7 +64,7 @@ func TestAdmitEvictReadmitPreservesInvariants(t *testing.T) {
 	// Evict half, readmit: the freed edges must be reusable.
 	evicted := 0
 	for i := 0; i < len(resident); i += 2 {
-		if err := cp.Evict(resident[i]); err != nil {
+		if err := cp.Apply(EvictOp{GuestID: resident[i]}).Err; err != nil {
 			t.Fatal(err)
 		}
 		evicted++
@@ -75,7 +75,7 @@ func TestAdmitEvictReadmitPreservesInvariants(t *testing.T) {
 	readmitted := 0
 	for i := 0; i < evicted; i++ {
 		id := fmt.Sprintf("re%d", i)
-		if _, _, err := cp.Admit(id, beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+		if err := cp.Apply(AdmitOp{GuestID: id, Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 			if errors.Is(err, ErrRejected) {
 				break
 			}
@@ -98,13 +98,13 @@ func TestAdmitEvictReadmitPreservesInvariants(t *testing.T) {
 func TestOnlineAdmissionBootsIntoRunningCluster(t *testing.T) {
 	cp := newTestPlane(t, 9, 3, 5)
 	c := cp.Cluster()
-	if _, _, err := cp.Admit("early", beaconFactory(vtime.Virtual(4*sim.Millisecond))); err != nil {
+	if err := cp.Apply(AdmitOp{GuestID: "early", Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))}).Err; err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
 	// Admitted mid-run: must boot immediately and reach lockstep.
 	c.Loop().At(200*sim.Millisecond, "admit", func() {
-		if _, _, err := cp.Admit("late", beaconFactory(vtime.Virtual(4*sim.Millisecond))); err != nil {
+		if err := cp.Apply(AdmitOp{GuestID: "late", Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))}).Err; err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -114,7 +114,7 @@ func TestOnlineAdmissionBootsIntoRunningCluster(t *testing.T) {
 		if err := g.CheckLockstepPrefix(); err != nil {
 			t.Errorf("pre-evict lockstep: %v", err)
 		}
-		if err := cp.Evict("early"); err != nil {
+		if err := cp.Apply(EvictOp{GuestID: "early"}).Err; err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -142,7 +142,8 @@ func TestOnlineAdmissionBootsIntoRunningCluster(t *testing.T) {
 func TestReplaceReplicaProtocol(t *testing.T) {
 	cp := newTestPlane(t, 7, 3, 7)
 	c := cp.Cluster()
-	g, tri, err := cp.Admit("web", beaconFactory(vtime.Virtual(3*sim.Millisecond)))
+	oc := cp.Apply(AdmitOp{GuestID: "web", Factory: beaconFactory(vtime.Virtual(3 * sim.Millisecond))})
+	g, tri, err := oc.Guest, oc.Triangle, oc.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +157,14 @@ func TestReplaceReplicaProtocol(t *testing.T) {
 	doneAt := sim.Time(-1)
 	c.Loop().At(300*sim.Millisecond, "fail", func() {
 		g.Replica(deadRT).Runtime().Stop() // crash the replica
-		if err := cp.ReplaceReplica("web", deadHost, func(err error) {
-			result = err
+		if oc := cp.Apply(ReplaceOp{GuestID: "web", DeadHost: deadHost, Done: func(oc *Outcome) {
+			result = oc.Err
 			doneAt = c.Loop().Now()
-		}); err != nil {
-			t.Fatal(err)
+		}}); oc.Rejected() {
+			t.Fatal(oc.Err)
 		}
 		// Lifecycle exclusivity while the replacement is in flight.
-		if err := cp.Evict("web"); err == nil {
+		if err := cp.Apply(EvictOp{GuestID: "web"}).Err; err == nil {
 			t.Error("evict during replacement should fail")
 		}
 	})
@@ -195,7 +196,7 @@ func TestReplaceReplicaProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The guest survives eviction after replacement (wiring fully sane).
-	if err := cp.Evict("web"); err != nil {
+	if err := cp.Apply(EvictOp{GuestID: "web"}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Verify(); err != nil {
@@ -205,10 +206,10 @@ func TestReplaceReplicaProtocol(t *testing.T) {
 
 func TestReplaceReplicaValidation(t *testing.T) {
 	cp := newTestPlane(t, 7, 3, 9)
-	if err := cp.ReplaceReplica("ghost", 0, nil); err == nil {
+	if oc := cp.Apply(ReplaceOp{GuestID: "ghost", DeadHost: 0}); !oc.Rejected() {
 		t.Fatal("unknown guest accepted")
 	}
-	if _, _, err := cp.Admit("web", beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+	if err := cp.Apply(AdmitOp{GuestID: "web", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 		t.Fatal(err)
 	}
 	tri, _ := cp.Pool().Triangle("web")
@@ -219,78 +220,96 @@ func TestReplaceReplicaValidation(t *testing.T) {
 			break
 		}
 	}
-	if err := cp.ReplaceReplica("web", off, nil); err == nil {
+	if oc := cp.Apply(ReplaceOp{GuestID: "web", DeadHost: off}); !oc.Rejected() {
 		t.Fatal("replica on non-member host accepted")
 	}
 }
 
-// TestReplaceReplicaRollbackRestoresPool drives the rollback path: the
-// machine the pool will pick as the replacement host is killed at the data
+// TestReplaceReplicaRollbackRestoresPool drives the barrier's rollback path
+// for both place steps: the destination — the machine a replacement's
+// Rehome will scan to, or the one a migration pins — is killed at the data
 // plane behind the control plane's back (core.FailMachine, no FailOp — the
-// pool never learns), so the switchover is guaranteed to fail after the
-// pool has already re-homed, and the control plane must restore the
-// original triangle, report the failure (with any rollback error joined in,
-// never swallowed), and leave pool and cluster coherent under Verify.
+// pool never learns) once the op has passed validation, so the switchover
+// is guaranteed to fail after the pool has already re-homed, and the
+// control plane must restore the original triangle, report the failure
+// (with any rollback error joined in, never swallowed), and leave pool and
+// cluster coherent under Verify.
 func TestReplaceReplicaRollbackRestoresPool(t *testing.T) {
-	cfg := core.DefaultClusterConfig()
-	cfg.Seed = 67
-	cfg.Hosts = 7
-	cfg.VMM.EpochInstr = 2 * cfg.VMM.ExitEvery
-	c, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := New(c, DefaultConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, tri, err := cp.Admit("web", beaconFactory(vtime.Virtual(4*sim.Millisecond)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	var result error
-	done := false
-	c.Loop().At(300*sim.Millisecond, "fail", func() {
-		// Rehome scans least-loaded-first with the index as tie-break, so it
-		// will pick the lowest-index non-member — kill that machine first.
-		off := 0
-		for h := 0; h < 7; h++ {
-			if !tri.Contains(h) {
-				off = h
-				break
+	for _, tc := range []struct {
+		name     string
+		op       func(from, to int, done func(*Outcome)) Op
+		failures func(Stats) int
+	}{
+		{"replace", func(from, _ int, done func(*Outcome)) Op {
+			return ReplaceOp{GuestID: "web", DeadHost: from, Done: done}
+		}, func(st Stats) int { return st.ReplacementFailures }},
+		{"migrate", func(from, to int, done func(*Outcome)) Op {
+			return MigrateOp{GuestID: "web", From: from, To: to, Done: done}
+		}, func(st Stats) int { return st.MigrationFailures }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.DefaultClusterConfig()
+			cfg.Seed = 67
+			cfg.Hosts = 7
+			cfg.VMM.EpochInstr = 2 * cfg.VMM.ExitEvery
+			c, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if err := c.FailMachine(off); err != nil {
-			t.Error(err)
-			return
-		}
-		slot, _ := g.SlotOnHost(tri[0])
-		g.Replica(slot).Runtime().Stop()
-		if err := cp.ReplaceReplica("web", tri[0], func(err error) { result, done = err, true }); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := c.Run(5 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("replacement never finished")
-	}
-	if result == nil {
-		t.Fatal("epoch-mode switchover should have failed")
-	}
-	if errors.Is(result, placement.ErrNoFeasibleHost) {
-		t.Fatalf("wrong failure: %v", result)
-	}
-	if got, _ := cp.Pool().Triangle("web"); got != tri {
-		t.Fatalf("rollback did not restore the triangle: %v != %v", got, tri)
-	}
-	if st := cp.Stats(); st.ReplacementFailures != 1 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if err := cp.Verify(); err != nil {
-		t.Fatalf("pool/cluster diverged after rollback: %v", err)
+			cp, err := New(c, DefaultConfig(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			oc := cp.Apply(AdmitOp{GuestID: "web", Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))})
+			g, tri, err := oc.Guest, oc.Triangle, oc.Err
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			var result error
+			done := false
+			c.Loop().At(300*sim.Millisecond, "fail", func() {
+				// Rehome scans least-loaded-first with the index as
+				// tie-break, so it will pick the lowest-index non-member —
+				// the machine the migration names too.
+				off := 0
+				for h := 0; h < 7; h++ {
+					if !tri.Contains(h) {
+						off = h
+						break
+					}
+				}
+				slot, _ := g.SlotOnHost(tri[0])
+				g.Replica(slot).Runtime().Stop()
+				if oc := cp.Apply(tc.op(tri[0], off, func(oc *Outcome) { result, done = oc.Err, true })); oc.Rejected() {
+					t.Error(oc.Err)
+				}
+				if err := c.FailMachine(off); err != nil {
+					t.Error(err)
+				}
+			})
+			if err := c.Run(5 * sim.Second); err != nil {
+				t.Fatal(err)
+			}
+			if !done {
+				t.Fatal("move never finished")
+			}
+			if result == nil {
+				t.Fatal("switchover onto a dead machine should have failed")
+			}
+			if errors.Is(result, placement.ErrNoFeasibleHost) {
+				t.Fatalf("wrong failure: %v", result)
+			}
+			if got, _ := cp.Pool().Triangle("web"); got != tri {
+				t.Fatalf("rollback did not restore the triangle: %v != %v", got, tri)
+			}
+			if n := tc.failures(cp.Stats()); n != 1 {
+				t.Fatalf("%d barrier failures in %+v", n, cp.Stats())
+			}
+			if err := cp.Verify(); err != nil {
+				t.Fatalf("pool/cluster diverged after rollback: %v", err)
+			}
+		})
 	}
 }
 
@@ -299,7 +318,7 @@ func TestReplaceReplicaRollbackRestoresPool(t *testing.T) {
 // (the exact state a failed rollback restore leaves) must fail Verify.
 func TestVerifyCatchesPoolClusterDivergence(t *testing.T) {
 	cp := newTestPlane(t, 7, 3, 69)
-	if _, _, err := cp.Admit("web", beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+	if err := cp.Apply(AdmitOp{GuestID: "web", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Verify(); err != nil {

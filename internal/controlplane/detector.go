@@ -9,7 +9,7 @@ package controlplane
 // to machines, and the control plane auto-submits FailOp{Detected: true}
 // for each — then chains an EvacuateOp off the fail's completion event.
 // fail → reconfigure → evacuate becomes a detector-driven pipeline, every
-// step of it on the op log, with no scripted FailHost call anywhere.
+// step of it on the op log, with no scripted FailOp anywhere.
 
 import (
 	"fmt"

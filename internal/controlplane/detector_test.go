@@ -25,7 +25,7 @@ func lightFactory(period vtime.Virtual) func() guest.App {
 
 // TestStallDetectorDrivesFailEvacuatePipeline is the automatic-detector
 // acceptance test: a machine's VMM dies at the data plane with no scripted
-// FailHost anywhere; the stall detector must notice the silent proposals,
+// FailOp anywhere; the stall detector must notice the silent proposals,
 // submit FailOp{Detected}, and chain the evacuation — leaving the machine
 // empty and every resident re-homed and in lockstep, all on the op log.
 func TestStallDetectorDrivesFailEvacuatePipeline(t *testing.T) {

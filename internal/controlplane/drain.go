@@ -5,22 +5,22 @@ import (
 	"fmt"
 )
 
-// Host drain: planned whole-machine evacuation, now one DrainOp. Each
-// resident replica is moved with an ordinary child ReplaceOp (the
-// pause→quiesce→rehome→replace→resume barrier), logged with the drain as
-// its parent. The guest's execution on the drained machine is frozen just
-// before its barrier starts while the machine's VMM stays live and keeps
-// proposing — the paper's footnote-4 regime, so the 3-proposal median never
-// stalls — which guarantees the survivors are at or past the frozen
-// replica's instruction count by switchover (the reclaim window the egress
-// already handles for crash recovery). Residents move one after another, in
-// guest-id order, and the machine ends empty with every affected guest
-// still in strict lockstep.
+// Host drain: planned whole-machine evacuation, one DrainOp. Each resident
+// replica is moved with an ordinary child ReplaceOp — the one replica-move
+// barrier (moveReplica, controlplane.go: pause → quiesce → rehome → replace
+// → resume) — logged with the drain as its parent. Because the drained
+// machine is alive, the barrier first freezes the guest's execution on it
+// while the machine's VMM keeps proposing — the paper's footnote-4 regime,
+// so the 3-proposal median never stalls — which guarantees the survivors are
+// at or past the frozen replica's instruction count by switchover (the
+// reclaim window the egress already handles for crash recovery). Residents
+// move one after another, in guest-id order, and the machine ends empty with
+// every affected guest still in strict lockstep.
 //
 // The same per-resident loop also serves EvacuateOp (failure.go), where the
-// machine's VMM is dead: there the replicas are already stopped (no freeze)
-// and the loop waits for the post-crash group reconfiguration before
-// starting.
+// machine's VMM is dead: there the replicas are already stopped (the barrier
+// freezes nothing) and the loop waits for the post-crash group
+// reconfiguration before starting.
 
 // applyDrain starts evacuating machine: its capacity is removed from the
 // placement pool immediately (no new replicas land on it), and every
@@ -53,9 +53,10 @@ func (cp *ControlPlane) applyDrain(op DrainOp, oc *Outcome) {
 
 // evacuateResidents moves every resident replica off machine through child
 // ReplaceOps, sequentially in guest-id order, and completes the parent
-// outcome with the joined move errors. cause causeDrain freezes each
-// resident's guest execution first (planned drain: the VMM stays live and
-// keeps proposing); a crashed machine's replicas are already stopped.
+// outcome with the joined move errors. cause rides on each move: a
+// causeDrain move's barrier freezes the resident's guest execution first
+// (planned drain: the VMM stays live and keeps proposing); a crashed
+// machine's replicas are already stopped.
 // ready, when non-nil, gates the start of the loop (the crash path must not
 // run barriers before the group reconfiguration has unwedged quiescence);
 // it is re-checked every DrainWindow, bounded by MaxDrainAttempts. pre,
@@ -98,21 +99,12 @@ func (cp *ControlPlane) evacuateResidents(parent *Outcome, machine int, cause op
 			cp.c.Loop().After(cp.cfg.DrainWindow, "cp:evacuate-retry", func() { next(i, attempts+1) })
 			return
 		}
-		// Freeze the resident's guest execution (its VMM keeps proposing)
-		// so the survivors are at or past its instruction count when the
-		// replacement switches over — the same regime as crash recovery. A
-		// move that is then rejected leaves the guest serving degraded on
-		// its live replicas. A guest another op still holds at the retry
-		// bound is left running — that op owns it; only the move's
-		// rejection goes on record.
-		if cause == causeDrain && !busy {
-			if g, ok := cp.c.Guest(id); ok {
-				if slot, on := g.SlotOnHost(machine); on {
-					g.Replica(slot).Runtime().Stop()
-				}
-			}
-		}
-		move := ReplaceOp{GuestID: id, DeadHost: machine, cause: cause, parent: parent.Seq}
+		// A drain move freezes the resident's guest execution at the start
+		// of its barrier (moveReplica), so a move that is then abandoned
+		// leaves the guest serving degraded on its live replicas. A guest
+		// another op still holds at the retry bound is left running — that
+		// op owns it; only the move's rejection goes on record.
+		move := ReplaceOp{GuestID: id, DeadHost: machine, cause: cause}
 		move.Done = func(coc *Outcome) {
 			if coc.Err != nil {
 				errs = append(errs, fmt.Errorf("evacuate %q off machine %d: %w", id, machine, coc.Err))
@@ -163,30 +155,3 @@ func (cp *ControlPlane) applyUndrain(op UndrainOp, oc *Outcome) {
 	cp.phase(oc, PhaseUndrain)
 	cp.finish(oc, nil)
 }
-
-// DrainHost is the verb wrapper over Apply(DrainOp): a validation rejection
-// is returned synchronously; otherwise onDone (optional) fires once the
-// last resident has been processed, with the joined move errors.
-func (cp *ControlPlane) DrainHost(machine int, onDone func(error)) error {
-	op := DrainOp{Machine: machine}
-	op.Done = func(oc *Outcome) {
-		if oc.Rejected() {
-			return // reported synchronously below
-		}
-		if onDone != nil {
-			onDone(oc.Err)
-		}
-	}
-	if oc := cp.Apply(op); oc.Rejected() {
-		return oc.Err
-	}
-	return nil
-}
-
-// UndrainHost is the verb wrapper over Apply(UndrainOp).
-func (cp *ControlPlane) UndrainHost(machine int) error {
-	return cp.Apply(UndrainOp{Machine: machine}).Err
-}
-
-// Draining reports whether machine has an evacuation in progress.
-func (cp *ControlPlane) Draining(machine int) bool { return cp.draining[machine] }

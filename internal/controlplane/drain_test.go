@@ -10,7 +10,7 @@ import (
 )
 
 // TestDrainHostEvacuatesEveryResident is the drain property test: after
-// DrainHost completes on a live cloud, the machine hosts zero replicas, the
+// a DrainOp completes on a live cloud, the machine hosts zero replicas, the
 // pool is still edge-disjoint and conserves edges (3 per resident guest),
 // and every affected guest passes the lockstep prefix audit. Run across
 // several seeds/machines so the property is exercised on different packings.
@@ -26,7 +26,7 @@ func TestDrainHostEvacuatesEveryResident(t *testing.T) {
 		var ids []string
 		for i := 0; i < 5; i++ {
 			id := []string{"ga", "gb", "gc", "gd", "ge"}[i]
-			if _, _, err := cp.Admit(id, beaconFactory(vtime.Virtual(4*sim.Millisecond))); err != nil {
+			if err := cp.Apply(AdmitOp{GuestID: id, Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))}).Err; err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids, id)
@@ -39,11 +39,11 @@ func TestDrainHostEvacuatesEveryResident(t *testing.T) {
 		var drainErr error
 		drained := false
 		c.Loop().At(300*sim.Millisecond, "drain", func() {
-			if err := cp.DrainHost(tc.machine, func(err error) {
-				drainErr = err
+			if oc := cp.Apply(DrainOp{Machine: tc.machine, Done: func(oc *Outcome) {
+				drainErr = oc.Err
 				drained = true
-			}); err != nil {
-				t.Errorf("DrainHost: %v", err)
+			}}); oc.Rejected() {
+				t.Errorf("DrainOp: %v", oc.Err)
 			}
 		})
 		if err := c.Run(20 * sim.Second); err != nil {
@@ -95,10 +95,10 @@ func TestDrainHostEvacuatesEveryResident(t *testing.T) {
 			t.Fatalf("seed %d: stats %+v, want %d evacuations", tc.seed, st, len(affected))
 		}
 		// Undrain returns the capacity: a new tenant can land on the machine.
-		if err := cp.UndrainHost(tc.machine); err != nil {
+		if err := cp.Apply(UndrainOp{Machine: tc.machine}).Err; err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := cp.Admit("fresh", beaconFactory(vtime.Virtual(4*sim.Millisecond))); err != nil {
+		if err := cp.Apply(AdmitOp{GuestID: "fresh", Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))}).Err; err != nil {
 			t.Fatalf("seed %d: admit after undrain: %v", tc.seed, err)
 		}
 		if err := cp.Verify(); err != nil {
@@ -117,24 +117,25 @@ func TestDrainHostRemovesCapacity(t *testing.T) {
 	// typed with ErrNoFeasibleHost.
 	cp := newTestPlane(t, 5, 1, 41)
 	c := cp.Cluster()
-	g, tri, err := cp.Admit("web", beaconFactory(vtime.Virtual(4*sim.Millisecond)))
+	oc := cp.Apply(AdmitOp{GuestID: "web", Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))})
+	g, tri, err := oc.Guest, oc.Triangle, oc.Err
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
-	if err := cp.DrainHost(5, nil); err == nil {
+	if oc := cp.Apply(DrainOp{Machine: 5}); !oc.Rejected() {
 		t.Fatal("out-of-range machine accepted")
 	}
 	var firstErr, secondErr error
 	first, second := false, false
 	c.Loop().At(200*sim.Millisecond, "drain-1", func() {
-		if err := cp.DrainHost(tri[0], func(err error) { firstErr, first = err, true }); err != nil {
-			t.Errorf("drain 1: %v", err)
+		if oc := cp.Apply(DrainOp{Machine: tri[0], Done: func(oc *Outcome) { firstErr, first = oc.Err, true }}); oc.Rejected() {
+			t.Errorf("drain 1: %v", oc.Err)
 		}
-		if err := cp.DrainHost(tri[0], nil); err == nil {
+		if oc := cp.Apply(DrainOp{Machine: tri[0]}); !oc.Rejected() {
 			t.Error("double drain accepted")
 		}
-		if err := cp.UndrainHost(tri[0]); err == nil {
+		if err := cp.Apply(UndrainOp{Machine: tri[0]}).Err; err == nil {
 			t.Error("undrain while evacuating accepted")
 		}
 	})
@@ -143,8 +144,8 @@ func TestDrainHostRemovesCapacity(t *testing.T) {
 			t.Errorf("first drain: done=%v err=%v", first, firstErr)
 		}
 		newTri, _ := cp.Pool().Triangle("web")
-		if err := cp.DrainHost(newTri[0], func(err error) { second = true }); err != nil {
-			t.Errorf("drain 2: %v", err)
+		if oc := cp.Apply(DrainOp{Machine: newTri[0], Done: func(oc *Outcome) { second = true }}); oc.Rejected() {
+			t.Errorf("drain 2: %v", oc.Err)
 		}
 	})
 	// After two drains the guest sits on the only three usable machines:
@@ -156,8 +157,8 @@ func TestDrainHostRemovesCapacity(t *testing.T) {
 			t.Error("second drain incomplete")
 		}
 		curTri, _ := cp.Pool().Triangle("web")
-		if err := cp.DrainHost(curTri[0], func(err error) { secondErr, third = err, true }); err != nil {
-			t.Errorf("drain 3: %v", err)
+		if oc := cp.Apply(DrainOp{Machine: curTri[0], Done: func(oc *Outcome) { secondErr, third = oc.Err, true }}); oc.Rejected() {
+			t.Errorf("drain 3: %v", oc.Err)
 		}
 	})
 	if err := c.Run(30 * sim.Second); err != nil {
@@ -194,7 +195,8 @@ func TestDrainHostRemovesCapacity(t *testing.T) {
 func TestReplicaAccessorsSurviveLifecycle(t *testing.T) {
 	cp := newTestPlane(t, 7, 3, 43)
 	c := cp.Cluster()
-	g, tri, err := cp.Admit("web", beaconFactory(vtime.Virtual(3*sim.Millisecond)))
+	oc := cp.Apply(AdmitOp{GuestID: "web", Factory: beaconFactory(vtime.Virtual(3 * sim.Millisecond))})
+	g, tri, err := oc.Guest, oc.Triangle, oc.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,13 +241,13 @@ func TestReplicaAccessorsSurviveLifecycle(t *testing.T) {
 	done := false
 	c.Loop().At(300*sim.Millisecond, "fail", func() {
 		view.Runtime().Stop()
-		if err := cp.ReplaceReplica("web", deadHost, func(err error) {
-			if err != nil {
-				t.Errorf("replacement: %v", err)
+		if oc := cp.Apply(ReplaceOp{GuestID: "web", DeadHost: deadHost, Done: func(oc *Outcome) {
+			if oc.Err != nil {
+				t.Errorf("replacement: %v", oc.Err)
 			}
 			done = true
-		}); err != nil {
-			t.Error(err)
+		}}); oc.Rejected() {
+			t.Error(oc.Err)
 		}
 	})
 	if err := c.Run(5 * sim.Second); err != nil {
@@ -275,7 +277,7 @@ func TestReplicaAccessorsSurviveLifecycle(t *testing.T) {
 		g.Replica(3)
 	}()
 
-	if err := cp.Evict("web"); err != nil {
+	if err := cp.Apply(EvictOp{GuestID: "web"}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Guest("web"); ok {

@@ -22,14 +22,14 @@ func TestWatchCancelFromOwnCallback(t *testing.T) {
 	// One admit emits OpStarted, two PhaseReached, OpCompleted.
 	// Cancellation takes effect per event (emit checks w.fn before every
 	// delivery), so the self-cancelling subscriber sees exactly one.
-	if _, _, err := cp.Admit("g0", beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+	if err := cp.Apply(AdmitOp{GuestID: "g0", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0] != OpStarted {
 		t.Fatalf("self-cancelled subscriber saw %v, want [started]", got)
 	}
 	// Later ops deliver nothing to it.
-	if _, _, err := cp.Admit("g1", beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+	if err := cp.Apply(AdmitOp{GuestID: "g1", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 {
@@ -51,7 +51,7 @@ func TestWatchCancelPeerFromCallback(t *testing.T) {
 		}
 	})
 	cancelB = cp.Watch(func(ev Event) { bSaw++ })
-	if _, _, err := cp.Admit("g0", beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+	if err := cp.Apply(AdmitOp{GuestID: "g0", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if bSaw != 0 {
@@ -74,7 +74,7 @@ func TestWatchSubscribeFromCallback(t *testing.T) {
 		subscribed = true
 		cp.Watch(func(ev Event) { lateSaw = append(lateSaw, ev.Kind) })
 	})
-	if _, _, err := cp.Admit("g0", beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+	if err := cp.Apply(AdmitOp{GuestID: "g0", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 		t.Fatal(err)
 	}
 	// The late subscriber joined during g0's OpStarted: it must have missed
@@ -99,7 +99,7 @@ func TestWatchSubscribeFromCallback(t *testing.T) {
 		subscribed2 = true
 		cp2.Watch(func(ev Event) { lateSaw2 = append(lateSaw2, ev.Kind) })
 	})
-	if _, _, err := cp2.Admit("g0", beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+	if err := cp2.Apply(AdmitOp{GuestID: "g0", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(lateSaw) != fmt.Sprint(lateSaw2) {
@@ -114,7 +114,7 @@ func TestWatchCancelTwiceIsNoOp(t *testing.T) {
 	cancel := cp.Watch(func(Event) { n++ })
 	cancel()
 	cancel()
-	if _, _, err := cp.Admit("g0", beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+	if err := cp.Apply(AdmitOp{GuestID: "g0", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
@@ -136,7 +136,7 @@ func TestStatsMemoizedMatchesFold(t *testing.T) {
 	}
 	check("empty")
 	for i := 0; i < 4; i++ {
-		if _, _, err := cp.Admit(fmt.Sprintf("g%d", i), beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+		if err := cp.Apply(AdmitOp{GuestID: fmt.Sprintf("g%d", i), Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 			t.Fatal(err)
 		}
 		check("after admit")
@@ -151,12 +151,12 @@ func TestStatsMemoizedMatchesFold(t *testing.T) {
 	g, _ := cp.Cluster().Guest("g0")
 	dead := g.Replica(0).Host()
 	g.Replica(0).Runtime().Stop()
-	if err := cp.ReplaceReplica("g0", dead, nil); err != nil {
-		t.Fatal(err)
+	if oc := cp.Apply(ReplaceOp{GuestID: "g0", DeadHost: dead}); oc.Rejected() {
+		t.Fatal(oc.Err)
 	}
 	check("replacement submitted")
 	// A synchronous op lands after the in-flight one; it must still count.
-	if err := cp.Evict("g3"); err != nil {
+	if err := cp.Apply(EvictOp{GuestID: "g3"}).Err; err != nil {
 		t.Fatal(err)
 	}
 	check("evict behind in-flight replace")

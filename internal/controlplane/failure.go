@@ -241,38 +241,5 @@ func (cp *ControlPlane) applyRepair(op RepairOp, oc *Outcome) {
 	cp.finish(oc, nil)
 }
 
-// FailHost is the verb wrapper over Apply(FailOp).
-func (cp *ControlPlane) FailHost(machine int) error {
-	oc := cp.Apply(FailOp{Machine: machine})
-	if oc.Rejected() {
-		return oc.Err
-	}
-	return nil
-}
-
-// EvacuateFailedHost is the verb wrapper over Apply(EvacuateOp): a
-// validation rejection is returned synchronously; otherwise onDone
-// (optional) fires with the joined errors of the moves that failed.
-func (cp *ControlPlane) EvacuateFailedHost(machine int, onDone func(error)) error {
-	op := EvacuateOp{Machine: machine}
-	op.Done = func(oc *Outcome) {
-		if oc.Rejected() {
-			return // reported synchronously below
-		}
-		if onDone != nil {
-			onDone(oc.Err)
-		}
-	}
-	if oc := cp.Apply(op); oc.Rejected() {
-		return oc.Err
-	}
-	return nil
-}
-
-// RepairHost is the verb wrapper over Apply(RepairOp).
-func (cp *ControlPlane) RepairHost(machine int) error {
-	return cp.Apply(RepairOp{Machine: machine}).Err
-}
-
 // Failed reports whether machine is marked crashed.
 func (cp *ControlPlane) Failed(machine int) bool { return cp.failures[machine] != nil }

@@ -44,7 +44,7 @@ func TestEvacuateFailedHostRecoversEveryResident(t *testing.T) {
 		c := cp.Cluster()
 		ids := []string{"ga", "gb", "gc", "gd", "ge"}
 		for _, id := range ids {
-			if _, _, err := cp.Admit(id, beaconFactory(vtime.Virtual(4*sim.Millisecond))); err != nil {
+			if err := cp.Apply(AdmitOp{GuestID: id, Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))}).Err; err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -64,19 +64,19 @@ func TestEvacuateFailedHostRecoversEveryResident(t *testing.T) {
 		var evacErr error
 		evacDone := false
 		c.Loop().At(300*sim.Millisecond, "crash", func() {
-			if err := cp.FailHost(machine); err != nil {
-				t.Errorf("FailHost: %v", err)
+			if oc := cp.Apply(FailOp{Machine: machine}); oc.Rejected() {
+				t.Errorf("FailOp: %v", oc.Err)
 			}
 			if !cp.Failed(machine) || !cp.Pool().Drained(machine) {
 				t.Error("failed machine not marked failed+drained")
 			}
 			if err := cp.Verify(); err != nil {
-				t.Errorf("after FailHost: %v", err)
+				t.Errorf("after FailOp: %v", err)
 			}
-			if err := cp.EvacuateFailedHost(machine, func(err error) {
-				evacErr, evacDone = err, true
-			}); err != nil {
-				t.Errorf("EvacuateFailedHost: %v", err)
+			if oc := cp.Apply(EvacuateOp{Machine: machine, Done: func(oc *Outcome) {
+				evacErr, evacDone = oc.Err, true
+			}}); oc.Rejected() {
+				t.Errorf("EvacuateOp: %v", oc.Err)
 			}
 		})
 		if err := c.Run(20 * sim.Second); err != nil {
@@ -146,13 +146,13 @@ func TestEvacuateFailedHostRecoversEveryResident(t *testing.T) {
 			t.Fatalf("seed %d: stats %+v, want %d clean crash evacuations", seed, st, len(affected))
 		}
 		// Repair returns the machine: a new tenant can land on it.
-		if err := cp.UndrainHost(machine); err == nil {
-			t.Fatalf("seed %d: UndrainHost accepted a crashed machine", seed)
+		if err := cp.Apply(UndrainOp{Machine: machine}).Err; err == nil {
+			t.Fatalf("seed %d: UndrainOp accepted a crashed machine", seed)
 		}
-		if err := cp.RepairHost(machine); err != nil {
+		if err := cp.Apply(RepairOp{Machine: machine}).Err; err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := cp.Admit("fresh", beaconFactory(vtime.Virtual(4*sim.Millisecond))); err != nil {
+		if err := cp.Apply(AdmitOp{GuestID: "fresh", Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))}).Err; err != nil {
 			t.Fatalf("seed %d: admit after repair: %v", seed, err)
 		}
 		if err := cp.Verify(); err != nil {
@@ -170,7 +170,7 @@ func TestFailHostSaturatedDegradesTwoOfThree(t *testing.T) {
 	cp := newTestPlane(t, 6, 1, 61)
 	c := cp.Cluster()
 	for _, id := range []string{"g0", "g1"} {
-		if _, _, err := cp.Admit(id, beaconFactory(vtime.Virtual(4*sim.Millisecond))); err != nil {
+		if err := cp.Apply(AdmitOp{GuestID: id, Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))}).Err; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,8 +184,8 @@ func TestFailHostSaturatedDegradesTwoOfThree(t *testing.T) {
 	var evacErr error
 	evacDone := false
 	c.Loop().At(300*sim.Millisecond, "crash", func() {
-		if err := cp.FailHost(machine); err != nil {
-			t.Errorf("FailHost: %v", err)
+		if oc := cp.Apply(FailOp{Machine: machine}); oc.Rejected() {
+			t.Errorf("FailOp: %v", oc.Err)
 		}
 		for _, r := range g.Replicas() {
 			if r.Slot() != deadSlot {
@@ -193,8 +193,8 @@ func TestFailHostSaturatedDegradesTwoOfThree(t *testing.T) {
 				break
 			}
 		}
-		if err := cp.EvacuateFailedHost(machine, func(err error) { evacErr, evacDone = err, true }); err != nil {
-			t.Errorf("EvacuateFailedHost: %v", err)
+		if oc := cp.Apply(EvacuateOp{Machine: machine, Done: func(oc *Outcome) { evacErr, evacDone = oc.Err, true }}); oc.Rejected() {
+			t.Errorf("EvacuateOp: %v", oc.Err)
 		}
 	})
 	if err := c.Run(10 * sim.Second); err != nil {
@@ -246,8 +246,8 @@ func TestFailHostSaturatedDegradesTwoOfThree(t *testing.T) {
 	// Repair must refuse while the degraded guest still sits on the dead
 	// machine: reviving it would resurrect the zombie replica (permanently
 	// closed proposal sender) into quiescence checks and live views.
-	if err := cp.RepairHost(machine); err == nil {
-		t.Fatal("RepairHost accepted a machine with un-evacuated residents")
+	if err := cp.Apply(RepairOp{Machine: machine}).Err; err == nil {
+		t.Fatal("RepairOp accepted a machine with un-evacuated residents")
 	}
 	if err := cp.Verify(); err != nil {
 		t.Fatal(err)
@@ -260,27 +260,27 @@ func TestFailHostSaturatedDegradesTwoOfThree(t *testing.T) {
 func TestRepairHostPreservesMaintenanceDrain(t *testing.T) {
 	cp := newTestPlane(t, 7, 3, 67)
 	drained := false
-	if err := cp.DrainHost(2, func(err error) {
-		if err != nil {
-			t.Errorf("drain: %v", err)
+	if oc := cp.Apply(DrainOp{Machine: 2, Done: func(oc *Outcome) {
+		if oc.Err != nil {
+			t.Errorf("drain: %v", oc.Err)
 		}
 		drained = true
-	}); err != nil {
-		t.Fatal(err)
+	}}); oc.Rejected() {
+		t.Fatal(oc.Err)
 	}
 	if !drained { // no residents: the drain completes synchronously
 		t.Fatal("drain incomplete")
 	}
-	if err := cp.FailHost(2); err != nil {
-		t.Fatal(err)
+	if oc := cp.Apply(FailOp{Machine: 2}); oc.Rejected() {
+		t.Fatal(oc.Err)
 	}
-	if err := cp.RepairHost(2); err != nil {
+	if err := cp.Apply(RepairOp{Machine: 2}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if !cp.Pool().Drained(2) {
 		t.Fatal("repair discarded the pre-crash maintenance drain")
 	}
-	if err := cp.UndrainHost(2); err != nil {
+	if err := cp.Apply(UndrainOp{Machine: 2}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if cp.Pool().Drained(2) {
@@ -291,28 +291,28 @@ func TestRepairHostPreservesMaintenanceDrain(t *testing.T) {
 // TestFailHostValidation covers the failure-domain state machine's edges.
 func TestFailHostValidation(t *testing.T) {
 	cp := newTestPlane(t, 7, 3, 63)
-	if err := cp.FailHost(7); err == nil {
+	if oc := cp.Apply(FailOp{Machine: 7}); !oc.Rejected() {
 		t.Fatal("out-of-range machine accepted")
 	}
-	if err := cp.EvacuateFailedHost(0, nil); err == nil {
+	if oc := cp.Apply(EvacuateOp{Machine: 0}); !oc.Rejected() {
 		t.Fatal("evacuating a healthy machine accepted")
 	}
-	if err := cp.RepairHost(0); err == nil {
+	if err := cp.Apply(RepairOp{Machine: 0}).Err; err == nil {
 		t.Fatal("repairing a healthy machine accepted")
 	}
-	if err := cp.FailHost(0); err != nil {
-		t.Fatal(err)
+	if oc := cp.Apply(FailOp{Machine: 0}); oc.Rejected() {
+		t.Fatal(oc.Err)
 	}
-	if err := cp.FailHost(0); err == nil {
+	if oc := cp.Apply(FailOp{Machine: 0}); !oc.Rejected() {
 		t.Fatal("double failure accepted")
 	}
-	if err := cp.DrainHost(0, nil); err == nil {
+	if oc := cp.Apply(DrainOp{Machine: 0}); !oc.Rejected() {
 		t.Fatal("draining a crashed machine accepted")
 	}
 	if !cp.Failed(0) || cp.Failed(1) {
 		t.Fatal("Failed() bookkeeping wrong")
 	}
-	if err := cp.RepairHost(0); err != nil {
+	if err := cp.Apply(RepairOp{Machine: 0}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if cp.Failed(0) {
@@ -327,8 +327,8 @@ func TestFailHostValidation(t *testing.T) {
 	w := cp.cfg.DrainWindow
 	base := loop.Now()
 	loop.At(base+2*w/5, "refail", func() {
-		if err := cp.FailHost(0); err != nil {
-			t.Error(err)
+		if oc := cp.Apply(FailOp{Machine: 0}); oc.Rejected() {
+			t.Error(oc.Err)
 		}
 	})
 	loop.At(base+6*w/5, "probe", func() {
@@ -342,12 +342,12 @@ func TestFailHostValidation(t *testing.T) {
 	if f := cp.failures[0]; f == nil || !f.reconfigured {
 		t.Fatal("current epoch's reconfiguration never fired")
 	}
-	if err := cp.RepairHost(0); err != nil {
+	if err := cp.Apply(RepairOp{Machine: 0}).Err; err != nil {
 		t.Fatal(err)
 	}
 	// A repaired machine drains normally again.
-	if err := cp.DrainHost(0, nil); err != nil {
-		t.Fatal(err)
+	if oc := cp.Apply(DrainOp{Machine: 0}); oc.Rejected() {
+		t.Fatal(oc.Err)
 	}
 }
 

@@ -32,15 +32,15 @@ func TestInstrumentMetricsCountsOps(t *testing.T) {
 	cp.InstrumentMetrics(reg)
 
 	for i := 0; i < 3; i++ {
-		if _, _, err := cp.Admit(fmt.Sprintf("g%d", i), beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+		if err := cp.Apply(AdmitOp{GuestID: fmt.Sprintf("g%d", i), Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := cp.Evict("g2"); err != nil {
+	if err := cp.Apply(EvictOp{GuestID: "g2"}).Err; err != nil {
 		t.Fatal(err)
 	}
 	// A rejected evict (guest not resident) lands in failed+rejected.
-	if err := cp.Evict("nope"); err == nil {
+	if err := cp.Apply(EvictOp{GuestID: "nope"}).Err; err == nil {
 		t.Fatal("expected rejection")
 	}
 	cp.Cluster().Start()
@@ -50,8 +50,8 @@ func TestInstrumentMetricsCountsOps(t *testing.T) {
 	g, _ := cp.Cluster().Guest("g0")
 	dead := g.Replica(0).Host()
 	g.Replica(0).Runtime().Stop()
-	if err := cp.ReplaceReplica("g0", dead, nil); err != nil {
-		t.Fatal(err)
+	if oc := cp.Apply(ReplaceOp{GuestID: "g0", DeadHost: dead}); oc.Rejected() {
+		t.Fatal(oc.Err)
 	}
 	if err := cp.Cluster().Run(2 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -103,14 +103,14 @@ func TestInstrumentMetricsCountsOps(t *testing.T) {
 	cp2 := newTestPlane(t, 9, 3, 2)
 	cp2.InstrumentMetrics(reg2)
 	for i := 0; i < 3; i++ {
-		if _, _, err := cp2.Admit(fmt.Sprintf("g%d", i), beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+		if err := cp2.Apply(AdmitOp{GuestID: fmt.Sprintf("g%d", i), Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := cp2.Evict("g2"); err != nil {
+	if err := cp2.Apply(EvictOp{GuestID: "g2"}).Err; err != nil {
 		t.Fatal(err)
 	}
-	if err := cp2.Evict("nope"); err == nil {
+	if err := cp2.Apply(EvictOp{GuestID: "nope"}).Err; err == nil {
 		t.Fatal("expected rejection")
 	}
 	cp2.Cluster().Start()
@@ -119,8 +119,8 @@ func TestInstrumentMetricsCountsOps(t *testing.T) {
 	}
 	g2, _ := cp2.Cluster().Guest("g0")
 	g2.Replica(0).Runtime().Stop()
-	if err := cp2.ReplaceReplica("g0", g2.Replica(0).Host(), nil); err != nil {
-		t.Fatal(err)
+	if oc := cp2.Apply(ReplaceOp{GuestID: "g0", DeadHost: g2.Replica(0).Host()}); oc.Rejected() {
+		t.Fatal(oc.Err)
 	}
 	if err := cp2.Cluster().Run(2 * sim.Second); err != nil {
 		t.Fatal(err)

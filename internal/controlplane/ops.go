@@ -72,6 +72,8 @@ type Op interface {
 // opCause distinguishes why a replacement was submitted: directly (a
 // reported replica failure), or as one move of a host drain or crash
 // evacuation. The evacuation loops set it; external callers leave it zero.
+// Stats counts by it, and a drain's move — the only one off a live machine —
+// has its barrier freeze the moving replica first.
 type opCause int
 
 const (
@@ -119,8 +121,7 @@ type ReplaceOp struct {
 	// synchronous validation rejection).
 	Done func(*Outcome)
 
-	cause  opCause
-	parent uint64
+	cause opCause
 }
 
 // Kind returns KindReplace.

@@ -851,9 +851,6 @@ func (c *Cluster) Start() {
 	}
 }
 
-// Started reports whether the cluster has been started.
-func (c *Cluster) Started() bool { return c.started }
-
 // Run advances the simulation to the given time: the coordinator interleaves
 // conservative-lookahead windows on the shard loops with control-loop
 // barriers, sequentially or on one goroutine per shard (Coordinator).

@@ -8,7 +8,6 @@ import (
 	"stopwatch/internal/core"
 	"stopwatch/internal/guest"
 	"stopwatch/internal/sim"
-	"stopwatch/internal/stats"
 	"stopwatch/internal/vmm"
 	"stopwatch/internal/vtime"
 )
@@ -79,24 +78,11 @@ func RunCollab(cfg CollabConfig) (*CollabResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s (no victim): %w", v.name, err)
 		}
-		eV, err := stats.NewECDF(withV)
+		ks, obs, err := scoreLeak(withV, withoutV, 10, 0.95)
 		if err != nil {
 			return nil, err
 		}
-		eN, err := stats.NewECDF(withoutV)
-		if err != nil {
-			return nil, err
-		}
-		ks := stats.KSDistanceECDF(eV, eN)
-		bn := stats.Binning{}
-		for i := 1; i < 10; i++ {
-			bn.Edges = append(bn.Edges, eN.Quantile(float64(i)/10))
-		}
-		obs, err := stats.ObservationsToDetect(bn.CellProbs(eN.CDF), bn.CellProbs(eV.CDF), 0.95)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, CollabPoint{Name: v.name, KS: ks, Obs95: obs})
+		res.Points = append(res.Points, CollabPoint{Name: v.name, KS: ks, Obs95: obs[0]})
 	}
 	return res, nil
 }

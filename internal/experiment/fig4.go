@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"stopwatch/internal/apps"
 	"stopwatch/internal/core"
-	"stopwatch/internal/guest"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/stats"
+	"stopwatch/internal/vmm"
 )
 
 // Fig4Config parameterizes the live side-channel measurement: an attacker
@@ -71,195 +70,37 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 		return nil, fmt.Errorf("%w: fig4 config %+v", core.ErrCluster, cfg)
 	}
 	res := &Fig4Result{Config: cfg, Confidences: stats.StandardConfidences()}
-
-	swV, div, err := runSWProbe(cfg, true)
+	// StopWatch on five hosts with one shared; the baseline attacker and
+	// victim coresident on a single host. Three concurrent download streams
+	// give the victim a realistic serving duty cycle on its hosts.
+	run := func(mode core.Mode, seed uint64, streams int) ([]float64, int, error) {
+		return probeRig{
+			mode: mode, seed: seed, duration: cfg.Duration, probeMeanGap: cfg.ProbeMeanGap,
+			policy: vmm.PolicyMedian, streams: streams, victimFileKB: cfg.VictimFileKB,
+		}.run()
+	}
+	var err error
+	if res.SWGapsVictim, res.Divergences, err = run(core.ModeStopWatch, cfg.Seed, 3); err != nil {
+		return nil, err
+	}
+	if res.SWGapsNoVictim, _, err = run(core.ModeStopWatch, cfg.Seed, 0); err != nil {
+		return nil, err
+	}
+	if res.BaseGapsVictim, _, err = run(core.ModeBaseline, cfg.Seed+1000, 3); err != nil {
+		return nil, err
+	}
+	if res.BaseGapsNoVictim, _, err = run(core.ModeBaseline, cfg.Seed+1000, 0); err != nil {
+		return nil, err
+	}
+	res.KSStopWatch, res.ObsWith, err = scoreLeak(res.SWGapsVictim, res.SWGapsNoVictim, cfg.Bins, res.Confidences...)
 	if err != nil {
 		return nil, err
 	}
-	res.SWGapsVictim = swV
-	res.Divergences = div
-	swN, _, err := runSWProbe(cfg, false)
-	if err != nil {
-		return nil, err
-	}
-	res.SWGapsNoVictim = swN
-
-	bV, err := runBaseProbe(cfg, true)
-	if err != nil {
-		return nil, err
-	}
-	res.BaseGapsVictim = bV
-	bN, err := runBaseProbe(cfg, false)
-	if err != nil {
-		return nil, err
-	}
-	res.BaseGapsNoVictim = bN
-
-	// KS distances.
-	eSWV, err := stats.NewECDF(res.SWGapsVictim)
-	if err != nil {
-		return nil, err
-	}
-	eSWN, err := stats.NewECDF(res.SWGapsNoVictim)
-	if err != nil {
-		return nil, err
-	}
-	res.KSStopWatch = stats.KSDistanceECDF(eSWV, eSWN)
-	eBV, err := stats.NewECDF(res.BaseGapsVictim)
-	if err != nil {
-		return nil, err
-	}
-	eBN, err := stats.NewECDF(res.BaseGapsNoVictim)
-	if err != nil {
-		return nil, err
-	}
-	res.KSBaseline = stats.KSDistanceECDF(eBV, eBN)
-
-	// Detection curves: bin by the no-victim ECDF's quantiles.
-	obsFrom := func(noVict, vict *stats.ECDF) ([]float64, error) {
-		bn := stats.Binning{}
-		for i := 1; i < cfg.Bins; i++ {
-			bn.Edges = append(bn.Edges, noVict.Quantile(float64(i)/float64(cfg.Bins)))
-		}
-		p := bn.CellProbs(noVict.CDF)
-		q := bn.CellProbs(vict.CDF)
-		return stats.DetectionCurve(p, q, res.Confidences)
-	}
-	res.ObsWith, err = obsFrom(eSWN, eSWV)
-	if err != nil {
-		return nil, err
-	}
-	res.ObsWithout, err = obsFrom(eBN, eBV)
+	res.KSBaseline, res.ObsWithout, err = scoreLeak(res.BaseGapsVictim, res.BaseGapsNoVictim, cfg.Bins, res.Confidences...)
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// runSWProbe runs the StopWatch scenario: 5 hosts, attacker on {0,1,2},
-// victim (when present) on {2,3,4} — exactly one shared host.
-func runSWProbe(cfg Fig4Config, withVictim bool) (gapsMS []float64, divergences int, err error) {
-	cc := core.DefaultClusterConfig()
-	cc.Seed = cfg.Seed
-	cc.Hosts = 5
-	c, err := core.New(cc)
-	if err != nil {
-		return nil, 0, err
-	}
-	att, err := c.Deploy("attacker", []int{0, 1, 2}, func() guest.App { return apps.NewProbeApp() })
-	if err != nil {
-		return nil, 0, err
-	}
-	var vic *core.Guest
-	if withVictim {
-		vic, err = c.Deploy("victim", []int{2, 3, 4}, func() guest.App {
-			fs, ferr := apps.NewFileServer(apps.DefaultFileServerConfig())
-			if ferr != nil {
-				panic(ferr) // factory cannot fail with the default config
-			}
-			return fs
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	c.Start()
-
-	ps := apps.NewProbeSource(c.Net(), c.Loop(), c.Source().Stream("probe"),
-		"colluder", core.ServiceAddr("attacker"), cfg.ProbeMeanGap)
-	ps.Constant = true
-	ps.Start(cfg.Duration)
-
-	if withVictim {
-		cl, err := c.NewClient("victim-client")
-		if err != nil {
-			return nil, 0, err
-		}
-		dl := apps.NewDownloader(cl)
-		var kick func()
-		kick = func() {
-			_ = dl.Fetch(core.ServiceAddr("victim"), apps.ModeTCP, cfg.VictimFileKB<<10, func(sim.Time) { kick() })
-		}
-		// Three concurrent download streams give the victim a realistic
-		// serving duty cycle on its hosts.
-		for i := 0; i < 3; i++ {
-			c.Loop().At(sim.Time(i+1)*5*sim.Millisecond, "victim-load", kick)
-		}
-	}
-
-	if err := c.Run(cfg.Duration + 200*sim.Millisecond); err != nil {
-		return nil, 0, err
-	}
-	if err := att.CheckLockstep(); err != nil {
-		return nil, 0, err
-	}
-	probe := att.App(0).(*apps.ProbeApp)
-	for _, g := range probe.InterDeliveryGaps() {
-		gapsMS = append(gapsMS, g/1e6)
-	}
-	div := att.Divergences()
-	if vic != nil {
-		div += vic.Divergences()
-	}
-	return gapsMS, div, nil
-}
-
-// runBaseProbe runs the baseline scenario: attacker alone on one host, the
-// victim (when present) coresident on the same host.
-func runBaseProbe(cfg Fig4Config, withVictim bool) ([]float64, error) {
-	cc := core.DefaultClusterConfig()
-	cc.Seed = cfg.Seed + 1000
-	cc.Mode = core.ModeBaseline
-	cc.Hosts = 1
-	c, err := core.New(cc)
-	if err != nil {
-		return nil, err
-	}
-	att, err := c.Deploy("attacker", []int{0}, func() guest.App { return apps.NewProbeApp() })
-	if err != nil {
-		return nil, err
-	}
-	if withVictim {
-		if _, err := c.Deploy("victim", []int{0}, func() guest.App {
-			fs, ferr := apps.NewFileServer(apps.DefaultFileServerConfig())
-			if ferr != nil {
-				panic(ferr)
-			}
-			return fs
-		}); err != nil {
-			return nil, err
-		}
-	}
-	c.Start()
-	ps := apps.NewProbeSource(c.Net(), c.Loop(), c.Source().Stream("probe"),
-		"colluder", core.ServiceAddr("attacker"), cfg.ProbeMeanGap)
-	ps.Constant = true
-	ps.Start(cfg.Duration)
-	if withVictim {
-		cl, err := c.NewClient("victim-client")
-		if err != nil {
-			return nil, err
-		}
-		dl := apps.NewDownloader(cl)
-		var kick func()
-		kick = func() {
-			_ = dl.Fetch(core.ServiceAddr("victim"), apps.ModeTCP, cfg.VictimFileKB<<10, func(sim.Time) { kick() })
-		}
-		// Three concurrent download streams give the victim a realistic
-		// serving duty cycle on its hosts.
-		for i := 0; i < 3; i++ {
-			c.Loop().At(sim.Time(i+1)*5*sim.Millisecond, "victim-load", kick)
-		}
-	}
-	if err := c.Run(cfg.Duration + 200*sim.Millisecond); err != nil {
-		return nil, err
-	}
-	probe := att.App(0).(*apps.ProbeApp)
-	var gaps []float64
-	for _, g := range probe.InterDeliveryGaps() {
-		gaps = append(gaps, g/1e6)
-	}
-	return gaps, nil
 }
 
 // Render prints the Fig-4 series.

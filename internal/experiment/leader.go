@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"stopwatch/internal/apps"
 	"stopwatch/internal/core"
-	"stopwatch/internal/guest"
 	"stopwatch/internal/sim"
-	"stopwatch/internal/stats"
 	"stopwatch/internal/vmm"
 )
 
@@ -57,94 +54,29 @@ func RunLeader(cfg LeaderConfig) (*LeaderResult, error) {
 		return nil, fmt.Errorf("%w: leader config %+v", core.ErrCluster, cfg)
 	}
 	res := &LeaderResult{Config: cfg}
-
-	run := func(policy vmm.DeliveryPolicy, withVictim bool) ([]float64, error) {
-		cc := core.DefaultClusterConfig()
-		cc.Seed = cfg.Seed
-		cc.Hosts = 5
-		c, err := core.New(cc)
+	// Read the VICTIM-CORESIDENT replica's observations (slot 2 = host 2,
+	// the shared host). Under PolicyOwn replicas diverge by design; that
+	// replica is the "leader" whose timings prior systems would propagate.
+	measure := func(policy vmm.DeliveryPolicy) (ks, obs95 float64, err error) {
+		rig := probeRig{
+			mode: core.ModeStopWatch, seed: cfg.Seed, duration: cfg.Duration, probeMeanGap: cfg.ProbeMeanGap,
+			policy: policy, read: 2, streams: 1, victimFileKB: cfg.VictimFileKB,
+		}
+		withV, _, err := rig.run()
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
-		att, err := c.Deploy("attacker", []int{0, 1, 2}, func() guest.App { return apps.NewProbeApp() })
+		rig.streams = 0
+		withoutV, _, err := rig.run()
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
-		for _, r := range att.Replicas() {
-			r.NetDev().Policy = policy
+		ks, obs, err := scoreLeak(withV, withoutV, 10, 0.95)
+		if err != nil {
+			return 0, 0, err
 		}
-		if withVictim {
-			if _, err := c.Deploy("victim", []int{2, 3, 4}, func() guest.App {
-				fs, ferr := apps.NewFileServer(apps.DefaultFileServerConfig())
-				if ferr != nil {
-					panic(ferr)
-				}
-				return fs
-			}); err != nil {
-				return nil, err
-			}
-		}
-		c.Start()
-		ps := apps.NewProbeSource(c.Net(), c.Loop(), c.Source().Stream("probe"),
-			"colluder", core.ServiceAddr("attacker"), cfg.ProbeMeanGap)
-		ps.Constant = true
-		ps.Start(cfg.Duration)
-		if withVictim {
-			cl, err := c.NewClient("victim-client")
-			if err != nil {
-				return nil, err
-			}
-			dl := apps.NewDownloader(cl)
-			var kick func()
-			kick = func() {
-				_ = dl.Fetch(core.ServiceAddr("victim"), apps.ModeTCP, cfg.VictimFileKB<<10, func(sim.Time) { kick() })
-			}
-			c.Loop().At(5*sim.Millisecond, "victim-load", kick)
-		}
-		if err := c.Run(cfg.Duration + 200*sim.Millisecond); err != nil {
-			return nil, err
-		}
-		// Read the VICTIM-CORESIDENT replica's observations (index 2 =
-		// host 2, the shared host). Under PolicyOwn replicas diverge by
-		// design; that replica is the "leader" whose timings prior systems
-		// would propagate.
-		probe := att.App(2).(*apps.ProbeApp)
-		var gaps []float64
-		for _, g := range probe.InterDeliveryGaps() {
-			gaps = append(gaps, g/1e6)
-		}
-		if len(gaps) < 20 {
-			return nil, fmt.Errorf("%w: only %d gaps", core.ErrCluster, len(gaps))
-		}
-		return gaps, nil
+		return ks, obs[0], nil
 	}
-
-	measure := func(policy vmm.DeliveryPolicy) (ks, obs float64, err error) {
-		withV, err := run(policy, true)
-		if err != nil {
-			return 0, 0, err
-		}
-		withoutV, err := run(policy, false)
-		if err != nil {
-			return 0, 0, err
-		}
-		eV, err := stats.NewECDF(withV)
-		if err != nil {
-			return 0, 0, err
-		}
-		eN, err := stats.NewECDF(withoutV)
-		if err != nil {
-			return 0, 0, err
-		}
-		ks = stats.KSDistanceECDF(eV, eN)
-		bn := stats.Binning{}
-		for i := 1; i < 10; i++ {
-			bn.Edges = append(bn.Edges, eN.Quantile(float64(i)/10))
-		}
-		obs, err = stats.ObservationsToDetect(bn.CellProbs(eN.CDF), bn.CellProbs(eV.CDF), 0.95)
-		return ks, obs, err
-	}
-
 	var err error
 	if res.KSMedian, res.Obs95Median, err = measure(vmm.PolicyMedian); err != nil {
 		return nil, err

@@ -10,15 +10,15 @@
 // buckets are fixed at construction. Two runs with the same seed render
 // byte-identical snapshots.
 //
-// The hot-path surface allocates nothing: Counter.Inc/Add and
-// Gauge.Set/Add are plain field updates, Histogram.Observe is a linear
-// bucket scan over a fixed bound slice, and Vec.With interns its child on
-// first use so steady-state lookups are one map read.
+// The hot-path surface allocates nothing: Counter.Inc/Add are plain field
+// updates, Histogram.Observe is a linear bucket scan over a fixed bound
+// slice, and Vec.With interns its child on first use so steady-state
+// lookups are one map read. Gauges are functions evaluated at snapshot
+// time, so live state exports without a write on every change.
 package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -64,13 +64,12 @@ type family struct {
 	mergeSamples func() []Sample
 }
 
-// child is one sample series of a family: a scalar counter/gauge value, a
+// child is one sample series of a family: a scalar counter value, a
 // deferred gauge function, or a histogram's bucket state.
 type child struct {
 	labelValue string
 
 	counter uint64
-	gauge   float64
 	gaugeFn func() float64
 
 	// Histogram state: bounds are the fixed inclusive upper bounds (the
@@ -142,23 +141,6 @@ func (c Counter) Add(n uint64) { c.c.counter += n }
 // Value reads the current count.
 func (c Counter) Value() uint64 { return c.c.counter }
 
-// Gauge is a settable float64.
-type Gauge struct{ c *child }
-
-// Set stores v.
-func (g Gauge) Set(v float64) { g.c.gauge = v }
-
-// Add adds d (negative to subtract).
-func (g Gauge) Add(d float64) { g.c.gauge += d }
-
-// Value reads the current value.
-func (g Gauge) Value() float64 {
-	if g.c.gaugeFn != nil {
-		return g.c.gaugeFn()
-	}
-	return g.c.gauge
-}
-
 // Histogram is a fixed-bucket distribution: Observe(v) increments the
 // first bucket whose upper bound is >= v (or the implicit +Inf bucket).
 type Histogram struct{ c *child }
@@ -218,12 +200,6 @@ type CounterVec struct{ f *family }
 // first use.
 func (v CounterVec) With(labelValue string) Counter { return Counter{v.f.with(labelValue)} }
 
-// GaugeVec is a gauge family keyed by one label.
-type GaugeVec struct{ f *family }
-
-// With returns the child gauge for the label value.
-func (v GaugeVec) With(labelValue string) Gauge { return Gauge{v.f.with(labelValue)} }
-
 // HistogramVec is a histogram family keyed by one label; every child
 // shares the family's fixed bounds.
 type HistogramVec struct {
@@ -246,11 +222,6 @@ func (r *Registry) NewCounter(name, help string) Counter {
 	return Counter{r.register(name, help, KindCounter, "").scalarChild()}
 }
 
-// NewGauge registers a scalar gauge.
-func (r *Registry) NewGauge(name, help string) Gauge {
-	return Gauge{r.register(name, help, KindGauge, "").scalarChild()}
-}
-
 // NewGaugeFunc registers a gauge evaluated at snapshot time — how live
 // state (a disk backlog, an occupancy count) exports without a write on
 // every change. fn runs on the snapshotting goroutine: keep it a pure read.
@@ -270,11 +241,6 @@ func (r *Registry) NewHistogram(name, help string, bounds []int64) Histogram {
 // NewCounterVec registers a counter family keyed by one label.
 func (r *Registry) NewCounterVec(name, help, label string) CounterVec {
 	return CounterVec{r.register(name, help, KindCounter, nonEmptyLabel(name, label))}
-}
-
-// NewGaugeVec registers a gauge family keyed by one label.
-func (r *Registry) NewGaugeVec(name, help, label string) GaugeVec {
-	return GaugeVec{r.register(name, help, KindGauge, nonEmptyLabel(name, label))}
 }
 
 // NewGaugeFuncVec registers a gauge family whose children are deferred
@@ -384,11 +350,7 @@ func (f *family) snapshot() Family {
 		case KindCounter:
 			s.Counter = c.counter
 		case KindGauge:
-			if c.gaugeFn != nil {
-				s.Gauge = c.gaugeFn()
-			} else {
-				s.Gauge = c.gauge
-			}
+			s.Gauge = c.gaugeFn()
 		case KindHistogram:
 			s.Bounds = c.bounds
 			s.Counts = append([]uint64(nil), c.counts...)
@@ -516,15 +478,4 @@ func (r *Registry) Lookup(name string) ([]Sample, bool) {
 		return nil, false
 	}
 	return f.snapshot().Samples, true
-}
-
-// Names returns every registered family name, sorted (diagnostics; the
-// catalog in README is the human index).
-func (r *Registry) Names() []string {
-	names := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

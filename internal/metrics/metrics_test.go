@@ -5,19 +5,13 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
+func TestCounterBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("ops_total", "ops")
-	g := r.NewGauge("depth", "queue depth")
 	c.Inc()
 	c.Add(4)
-	g.Set(2.5)
-	g.Add(-0.5)
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	if g.Value() != 2.0 {
-		t.Fatalf("gauge = %v, want 2", g.Value())
 	}
 }
 
@@ -92,9 +86,9 @@ func TestSnapshotRegistrationOrderAndDeterminism(t *testing.T) {
 		hv := r.NewHistogramVec("h", "hist", "phase", []int64{1, 2})
 		hv.With("quiesce").Observe(1)
 		hv.With("pause").Observe(3)
-		gv := r.NewGaugeVec("g", "gauge", "host")
-		gv.With("host1").Set(1)
-		gv.With("host0").Set(2)
+		gv := r.NewGaugeFuncVec("g", "gauge", "host")
+		gv.Add("host1", func() float64 { return 1 })
+		gv.Add("host0", func() float64 { return 2 })
 		return r
 	}
 	a, b := build(), build()
@@ -140,8 +134,8 @@ func TestPromHistogramCumulativeBuckets(t *testing.T) {
 func TestJSONShape(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("c", "counts").Add(3)
-	g := r.NewGaugeVec("g", "", "host")
-	g.With("h0").Set(1.5)
+	g := r.NewGaugeFuncVec("g", "", "host")
+	g.Add("h0", func() float64 { return 1.5 })
 	doc := r.JSON()
 	for _, want := range []string{
 		`"name": "c", "kind": "counter"`,

@@ -62,11 +62,11 @@ func httpGet(t *testing.T, url string) (int, string) {
 func runScenario(t *testing.T, cp *controlplane.ControlPlane) {
 	t.Helper()
 	for i := 0; i < 3; i++ {
-		if _, _, err := cp.Admit(fmt.Sprintf("g%d", i), beacon(vtime.Virtual(5*sim.Millisecond))); err != nil {
+		if err := cp.Apply(controlplane.AdmitOp{GuestID: fmt.Sprintf("g%d", i), Factory: beacon(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := cp.Evict("nope"); err == nil {
+	if err := cp.Apply(controlplane.EvictOp{GuestID: "nope"}).Err; err == nil {
 		t.Fatal("expected rejection")
 	}
 	cp.Cluster().Start()
@@ -76,13 +76,13 @@ func runScenario(t *testing.T, cp *controlplane.ControlPlane) {
 	g, _ := cp.Cluster().Guest("g0")
 	dead := g.Replica(0).Host()
 	g.Replica(0).Runtime().Stop()
-	if err := cp.ReplaceReplica("g0", dead, nil); err != nil {
-		t.Fatal(err)
+	if oc := cp.Apply(controlplane.ReplaceOp{GuestID: "g0", DeadHost: dead}); oc.Rejected() {
+		t.Fatal(oc.Err)
 	}
 	if err := cp.Cluster().Run(2 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Evict("g2"); err != nil {
+	if err := cp.Apply(controlplane.EvictOp{GuestID: "g2"}).Err; err != nil {
 		t.Fatal(err)
 	}
 }
@@ -203,7 +203,7 @@ func TestOpsStreamDumpAndFollow(t *testing.T) {
 	defer s.Close()
 	base := "http://" + s.Addr()
 
-	if _, _, err := cp.Admit("g0", beacon(vtime.Virtual(5*sim.Millisecond))); err != nil {
+	if err := cp.Apply(controlplane.AdmitOp{GuestID: "g0", Factory: beacon(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 		t.Fatal(err)
 	}
 
@@ -247,7 +247,7 @@ func TestOpsStreamDumpAndFollow(t *testing.T) {
 			t.Fatal("timed out draining stream backlog")
 		}
 	}
-	if _, _, err := cp.Admit("g1", beacon(vtime.Virtual(5*sim.Millisecond))); err != nil {
+	if err := cp.Apply(controlplane.AdmitOp{GuestID: "g1", Factory: beacon(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 		t.Fatal(err)
 	}
 	var tail []string

@@ -15,10 +15,6 @@ import (
 // the move).
 var ErrNoFeasibleHost = fmt.Errorf("%w: no feasible host", ErrPlacement)
 
-// ErrNoCapacity is the historical name for ErrNoFeasibleHost; they are the
-// same value, so errors.Is matches either.
-var ErrNoCapacity = ErrNoFeasibleHost
-
 // ErrDrained reports a drain-state misuse (draining a machine twice,
 // undraining a live one).
 var ErrDrained = fmt.Errorf("%w: drain state", ErrPlacement)
@@ -409,32 +405,36 @@ func (p *Pool) Release(id string) (Triangle, error) {
 	return t, nil
 }
 
+// survivors returns the two machines of guest id's triangle other than
+// from — the replicas a move off from reconstructs the third alongside.
+func (p *Pool) survivors(id string, from int) (s1, s2 int, err error) {
+	t, ok := p.tris[id]
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: guest %q not resident", ErrPlacement, id)
+	}
+	for slot, v := range t {
+		if v == from {
+			return t[(slot+1)%3], t[(slot+2)%3], nil
+		}
+	}
+	return 0, 0, fmt.Errorf("%w: guest %q has no replica on machine %d", ErrPlacement, id, from)
+}
+
 // Rehome moves guest id's replica off machine dead onto a fresh machine
 // whose edges to both survivors are free (the paper's Sec. VII replacement:
 // the two surviving replicas re-create the third elsewhere). The dead
 // machine itself is excluded. It returns the updated triangle and the
 // chosen machine.
 func (p *Pool) Rehome(id string, dead int) (Triangle, int, error) {
-	t, ok := p.tris[id]
-	if !ok {
-		return Triangle{}, 0, fmt.Errorf("%w: guest %q not resident", ErrPlacement, id)
+	s1, s2, err := p.survivors(id, dead)
+	if err != nil {
+		return Triangle{}, 0, err
 	}
-	slot := -1
-	for i, v := range t {
-		if v == dead {
-			slot = i
-		}
-	}
-	if slot < 0 {
-		return Triangle{}, 0, fmt.Errorf("%w: guest %q has no replica on machine %d", ErrPlacement, id, dead)
-	}
-	s1, s2 := t[(slot+1)%3], t[(slot+2)%3]
 	h, ok := p.findRehomeHost(s1, s2, dead)
 	if !ok {
 		return Triangle{}, 0, fmt.Errorf("rehome %q off machine %d: %w", id, dead, ErrNoFeasibleHost)
 	}
-	p.moveReplica(id, dead, h)
-	return p.tris[id], h, nil
+	return p.moveReplica(id, dead, h), h, nil
 }
 
 // findRehomeHost scans for a machine that can take a replica alongside
@@ -460,16 +460,10 @@ func (p *Pool) canPlace(h, s1, s2 int) bool {
 // moveReplica moves guest id's replica from machine `from` to machine `to`
 // without feasibility checks — the caller has established them (or is
 // reverting a speculative move, which is always legal: the freed edges and
-// capacity are exactly the ones the forward move claimed).
-func (p *Pool) moveReplica(id string, from, to int) {
-	t := p.tris[id]
-	slot := 0
-	for i, v := range t {
-		if v == from {
-			slot = i
-		}
-	}
-	s1, s2 := t[(slot+1)%3], t[(slot+2)%3]
+// capacity are exactly the ones the forward move claimed). It returns the
+// updated triangle.
+func (p *Pool) moveReplica(id string, from, to int) Triangle {
+	s1, s2, _ := p.survivors(id, from)
 	delete(p.used, poolEdge(s1, from))
 	delete(p.used, poolEdge(s2, from))
 	p.load[from]--
@@ -479,6 +473,16 @@ func (p *Pool) moveReplica(id string, from, to int) {
 	}
 	p.load[to]++
 	p.tris[id] = nt
+	return nt
+}
+
+// CanRehomeTo reports whether RehomeTo(id, from, to) would succeed, without
+// changing the pool: guest id has a replica on from, and to is a different
+// machine that is neither full, gated nor drained and whose edges to both
+// survivors are free.
+func (p *Pool) CanRehomeTo(id string, from, to int) bool {
+	s1, s2, err := p.survivors(id, from)
+	return err == nil && to >= 0 && to < p.n && to != from && p.canPlace(to, s1, s2)
 }
 
 // RehomeTo moves guest id's replica from machine `from` onto the pinned
@@ -487,28 +491,16 @@ func (p *Pool) moveReplica(id string, from, to int) {
 // with ErrNoFeasibleHost when the pinned destination cannot take the replica
 // (full, gated, drained, or an edge to a survivor is occupied).
 func (p *Pool) RehomeTo(id string, from, to int) (Triangle, error) {
-	t, ok := p.tris[id]
-	if !ok {
-		return Triangle{}, fmt.Errorf("%w: guest %q not resident", ErrPlacement, id)
-	}
-	slot := -1
-	for i, v := range t {
-		if v == from {
-			slot = i
-		}
-	}
-	if slot < 0 {
-		return Triangle{}, fmt.Errorf("%w: guest %q has no replica on machine %d", ErrPlacement, id, from)
+	if _, _, err := p.survivors(id, from); err != nil {
+		return Triangle{}, err
 	}
 	if to < 0 || to >= p.n {
 		return Triangle{}, fmt.Errorf("%w: machine %d out of range", ErrPlacement, to)
 	}
-	s1, s2 := t[(slot+1)%3], t[(slot+2)%3]
-	if to == from || !p.canPlace(to, s1, s2) {
+	if !p.CanRehomeTo(id, from, to) {
 		return Triangle{}, fmt.Errorf("migrate %q %d→%d: %w", id, from, to, ErrNoFeasibleHost)
 	}
-	p.moveReplica(id, from, to)
-	return p.tris[id], nil
+	return p.moveReplica(id, from, to), nil
 }
 
 // MigrationPlan is a single planned replica move that unblocks an otherwise
@@ -560,20 +552,10 @@ func (p *Pool) PlanAdmitMigration(id string, avoid func(string) bool) (Migration
 // PlanAdmitMigration, for a crashed replica that cannot be re-homed in the
 // current packing. The dead machine is excluded as a destination.
 func (p *Pool) PlanRehomeMigration(id string, dead int, avoid func(string) bool) (MigrationPlan, bool) {
-	t, ok := p.tris[id]
-	if !ok {
+	s1, s2, err := p.survivors(id, dead)
+	if err != nil {
 		return MigrationPlan{}, false
 	}
-	slot := -1
-	for i, v := range t {
-		if v == dead {
-			slot = i
-		}
-	}
-	if slot < 0 {
-		return MigrationPlan{}, false
-	}
-	s1, s2 := t[(slot+1)%3], t[(slot+2)%3]
 	order := append([]int(nil), p.hostOrder()...)
 	for _, mid := range p.IDs() {
 		if mid == id || (avoid != nil && avoid(mid)) {

@@ -18,7 +18,7 @@ func TestPoolAdmitUntilFull(t *testing.T) {
 		admitted := 0
 		for {
 			if _, err := p.Admit(fmt.Sprintf("g%d", admitted)); err != nil {
-				if !errors.Is(err, ErrNoCapacity) {
+				if !errors.Is(err, ErrNoFeasibleHost) {
 					t.Fatalf("n=%d c=%d: %v", tc.n, tc.c, err)
 				}
 				break
@@ -65,7 +65,7 @@ func TestPoolChurnPropertyEdgeDisjoint(t *testing.T) {
 				id := fmt.Sprintf("g%d", next)
 				next++
 				tri, err := p.Admit(id)
-				if errors.Is(err, ErrNoCapacity) {
+				if errors.Is(err, ErrNoFeasibleHost) {
 					// Full: evict someone instead.
 					for victim := range resident {
 						got, err := p.Release(victim)
@@ -171,8 +171,8 @@ func TestPoolRehomeExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Rehome("a", tri[0]); !errors.Is(err, ErrNoCapacity) {
-		t.Fatalf("want ErrNoCapacity, got %v", err)
+	if _, _, err := p.Rehome("a", tri[0]); !errors.Is(err, ErrNoFeasibleHost) {
+		t.Fatalf("want ErrNoFeasibleHost, got %v", err)
 	}
 	if err := p.Verify(); err != nil {
 		t.Fatal(err)
@@ -190,8 +190,8 @@ func TestPoolAdmitTriangleValidation(t *testing.T) {
 	if err := p.AdmitTriangle("a", Triangle{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AdmitTriangle("b", Triangle{0, 1, 3}); !errors.Is(err, ErrNoCapacity) {
-		t.Fatalf("edge reuse: want ErrNoCapacity, got %v", err)
+	if err := p.AdmitTriangle("b", Triangle{0, 1, 3}); !errors.Is(err, ErrNoFeasibleHost) {
+		t.Fatalf("edge reuse: want ErrNoFeasibleHost, got %v", err)
 	}
 	if err := p.AdmitTriangle("b", Triangle{1, 1, 3}); err == nil {
 		t.Fatal("degenerate triangle admitted")
@@ -206,8 +206,8 @@ func TestPoolAdmitTriangleValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Machines 0 and 1 are now at capacity 2.
-	if err := p.AdmitTriangle("c", Triangle{0, 5, 6}); !errors.Is(err, ErrNoCapacity) {
-		t.Fatalf("capacity: want ErrNoCapacity, got %v", err)
+	if err := p.AdmitTriangle("c", Triangle{0, 5, 6}); !errors.Is(err, ErrNoFeasibleHost) {
+		t.Fatalf("capacity: want ErrNoFeasibleHost, got %v", err)
 	}
 }
 
@@ -402,5 +402,70 @@ func TestPoolHostGateExcludesAndLifts(t *testing.T) {
 	}
 	if err := p.SetHostGate(-1, true); err == nil {
 		t.Fatal("out-of-range gate accepted")
+	}
+}
+
+// TestCanRehomeToAgreesWithRehomeTo: on random packings with drained, gated
+// and full machines, the dry run answers exactly what the move then does —
+// for every (guest, source, destination), out-of-range and non-member
+// arguments included — and a refused move changes nothing.
+func TestCanRehomeToAgreesWithRehomeTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	moves, refusals := 0, 0
+	for round := 0; round < 20; round++ {
+		n := 6 + rng.Intn(7)
+		p, err := NewPool(n, 2+rng.Intn(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fill to a random depth (often to rejection, so some machines are
+		// at capacity), then take machines out both ways.
+		for g, want := 0, 1+rng.Intn(2*n); g < want; g++ {
+			if _, err := p.Admit(fmt.Sprintf("g%d", g)); err != nil {
+				break
+			}
+		}
+		for i := 0; i < n; i++ {
+			switch rng.Intn(5) {
+			case 0:
+				if err := p.Drain(i); err != nil {
+					t.Fatal(err)
+				}
+			case 1:
+				if err := p.SetHostGate(i, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, id := range append(p.IDs(), "ghost") {
+			for from := -1; from <= n; from++ {
+				for to := -1; to <= n; to++ {
+					before := p.Snapshot()
+					can := p.CanRehomeTo(id, from, to)
+					tri, err := p.RehomeTo(id, from, to)
+					if can != (err == nil) {
+						t.Fatalf("round %d: CanRehomeTo(%s, %d, %d) = %v but RehomeTo: %v", round, id, from, to, can, err)
+					}
+					if verr := p.Verify(); verr != nil {
+						t.Fatalf("round %d: after RehomeTo(%s, %d, %d): %v", round, id, from, to, verr)
+					}
+					if err != nil {
+						refusals++
+						if after := p.Snapshot(); fmt.Sprint(after.Triangles) != fmt.Sprint(before.Triangles) {
+							t.Fatalf("round %d: refused RehomeTo(%s, %d, %d) changed the packing:\n%v\n%v",
+								round, id, from, to, before.Triangles, after.Triangles)
+						}
+						continue
+					}
+					moves++
+					if tri.Contains(from) || !tri.Contains(to) {
+						t.Fatalf("round %d: RehomeTo(%s, %d, %d) returned %v", round, id, from, to, tri)
+					}
+				}
+			}
+		}
+	}
+	if moves < 100 || refusals < 100 {
+		t.Fatalf("property barely exercised: %d moves, %d refusals", moves, refusals)
 	}
 }

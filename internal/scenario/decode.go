@@ -11,8 +11,8 @@ import (
 	"strings"
 )
 
-// Load reads and decodes a scenario file (YAML subset or JSON by
-// content). Static validation (Validate) is a separate pass.
+// Load reads and decodes a scenario file (YAML subset). Static validation
+// (Validate) is a separate pass.
 func Load(path string) (*Scenario, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {

@@ -139,23 +139,9 @@ assertions:
 	}
 }
 
-// TestDecodeJSONEquivalent: a JSON document decodes into the same schema.
-func TestDecodeJSONEquivalent(t *testing.T) {
-	sc := mustParse(t, `{
-  "name": "j", "description": "d", "duration_ms": 2000,
-  "fleet": {"machines": 6, "capacity": 3,
-    "guests": [{"name": "g", "count": 1, "app": {"kind": "probe"}}]},
-  "events": [{"at_ms": 100, "action": "evict", "guest": "g"}]
-}`)
-	if err := sc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if sc.Fleet.Guests[0].App.Kind != "probe" || sc.Events[0].Action != "evict" {
-		t.Fatalf("json decoded wrong: %+v", sc)
-	}
-}
-
 func TestDecodeGoldenErrors(t *testing.T) {
+	// A JSON document is not a scenario: there is one input format.
+	wantErr(t, "{\n  \"name\": \"j\"\n}\n", `test.yaml:1: not a key: value pair: "{"`)
 	// Unknown action.
 	wantErr(t, head+goodFleet+`events:
   - at_ms: 100

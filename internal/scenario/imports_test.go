@@ -5,9 +5,13 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"stopwatch"
 )
 
 // TestImportFences: the scenario harness is a pure client of the control
@@ -64,5 +68,29 @@ func TestImportFences(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestControlPlaneAPIFence: Apply is the only way to mutate a fleet. The
+// exported method set of *ControlPlane is this list — one mutating entry,
+// the three policy switches, and reads. A per-verb convenience method
+// (Admit, Evict, DrainHost, Migrate, …: nine existed once) is a second way
+// in that tests and tools then grow around; add the op to Apply's sum
+// instead, and extend this list only for a new read.
+func TestControlPlaneAPIFence(t *testing.T) {
+	want := []string{
+		"Apply",
+		"Cluster", "Failed", "InFlight", "Log", "Outcome", "Pool", "Residents", "Stats", "Utilization", "Verify", "Watch",
+		"EnableLoadAwareAdmission", "EnablePlannedMigration", "EnableStallDetector",
+		"InstrumentMetrics", "LoadAware", "PlannedMigration",
+	}
+	slices.Sort(want)
+	typ := reflect.TypeOf((*stopwatch.ControlPlane)(nil))
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("exported methods of *ControlPlane:\n got %v\nwant %v", got, want)
 	}
 }

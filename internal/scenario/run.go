@@ -710,60 +710,20 @@ func (r *runner) migrate(ev Event) {
 		return
 	}
 	from := tri[0]
-	to := -1
+	to, _ := strconv.Atoi(ev.To)
 	if ev.To == "" || ev.To == "auto" {
-		to = r.migrationTarget(id, tri)
-		if to < 0 {
-			r.failf("migrate %s: no feasible destination", id)
-			return
+		// The lowest-numbered machine the barrier's pinned re-home will
+		// accept, asked of the pool itself.
+		for to = 0; !r.cp.Pool().CanRehomeTo(id, from, to); to++ {
+			if to == r.sc.Fleet.Machines {
+				r.failf("migrate %s: no feasible destination", id)
+				return
+			}
 		}
-	} else {
-		to, _ = strconv.Atoi(ev.To)
 	}
 	r.cp.Apply(stopwatch.MigrateOp{GuestID: id, From: from, To: to, Done: func(oc *stopwatch.Outcome) {
 		r.classify(fmt.Sprintf("migrate %s %d->%d", id, from, to), oc.Err)
 	}})
-}
-
-// migrationTarget finds a destination keeping the triangle edge-disjoint:
-// a healthy host, not in the triangle, with capacity, whose edges to the
-// two remaining replicas are unused by any resident. Edge usage and load
-// are recomputed from the resident triangles — the same view the
-// barrier's pinned re-home will check.
-func (r *runner) migrationTarget(id string, tri stopwatch.Triangle) int {
-	pool := r.cp.Pool()
-	used := map[[2]int]bool{}
-	load := make([]int, r.sc.Fleet.Machines)
-	edge := func(a, b int) [2]int {
-		if a > b {
-			a, b = b, a
-		}
-		return [2]int{a, b}
-	}
-	for _, gid := range pool.IDs() {
-		t, ok := pool.Triangle(gid)
-		if !ok || gid == id {
-			continue
-		}
-		for a := 0; a < 3; a++ {
-			load[t[a]]++
-			for b := a + 1; b < 3; b++ {
-				used[edge(t[a], t[b])] = true
-			}
-		}
-	}
-	for h := 0; h < r.sc.Fleet.Machines; h++ {
-		if h == tri[0] || h == tri[1] || h == tri[2] {
-			continue
-		}
-		if pool.Drained(h) || r.cp.Failed(h) || load[h] >= pool.Capacity() {
-			continue
-		}
-		if !used[edge(h, tri[1])] && !used[edge(h, tri[2])] {
-			return h
-		}
-	}
-	return -1
 }
 
 // fault applies a fabric fault event through the netsim injection surface.

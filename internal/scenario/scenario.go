@@ -1,5 +1,5 @@
 // Package scenario is the declarative fleet-scenario harness (Navarch
-// style): YAML/JSON scenario files describe a fleet (machines, capacity,
+// style): YAML scenario files describe a fleet (machines, capacity,
 // guest mix with app kinds and traffic models), a script of virtual-
 // time-stamped events (admit bursts, evictions, machine kills, drains,
 // migrations, fabric faults), seeded stochastic generators of the same
@@ -19,8 +19,7 @@
 //
 // Parsing has no external dependencies: a small YAML-subset parser
 // (block maps and sequences, scalars, quoted strings, flow lists,
-// comments) with line-numbered errors; JSON documents decode into the
-// same tree.
+// comments) with line-numbered errors.
 package scenario
 
 // Scenario is one parsed scenario file.

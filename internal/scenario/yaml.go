@@ -1,14 +1,12 @@
 // A hand-rolled parser for the YAML subset scenario files use — block
 // maps, block sequences, plain/quoted scalars, flow lists, comments —
-// plus JSON, both producing the same line-numbered node tree. No
-// external dependencies: the repo's go.mod stays empty.
+// producing a line-numbered node tree. No external dependencies: the
+// repo's go.mod stays empty.
 
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -39,23 +37,6 @@ func newMapNode(line int) *node {
 	return &node{kind: mapNode, line: line, vals: map[string]*node{}, keyLine: map[string]int{}}
 }
 
-// parseTree parses a scenario document (YAML subset, or JSON when the
-// first non-space byte opens an object).
-func parseTree(path string, src []byte) (*node, error) {
-	for _, b := range src {
-		switch b {
-		case ' ', '\t', '\n', '\r':
-			continue
-		case '{':
-			return parseJSONTree(path, src)
-		}
-		break
-	}
-	return parseYAMLTree(path, src)
-}
-
-// --- YAML subset ---
-
 type yline struct {
 	indent int
 	text   string
@@ -72,7 +53,7 @@ func (p *yparser) errf(line int, format string, args ...any) error {
 	return fmt.Errorf("%s:%d: %s", p.path, line, fmt.Sprintf(format, args...))
 }
 
-func parseYAMLTree(path string, src []byte) (*node, error) {
+func parseTree(path string, src []byte) (*node, error) {
 	p := &yparser{path: path}
 	for i, raw := range strings.Split(string(src), "\n") {
 		lineNo := i + 1
@@ -362,60 +343,4 @@ func unescapeDouble(s string) (string, error) {
 		}
 	}
 	return b.String(), nil
-}
-
-// --- JSON ---
-
-func parseJSONTree(path string, src []byte) (*node, error) {
-	dec := json.NewDecoder(strings.NewReader(string(src)))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	var trailing any
-	if err := dec.Decode(&trailing); err == nil {
-		return nil, fmt.Errorf("%s: trailing JSON content", path)
-	}
-	return jsonNode(v), nil
-}
-
-// jsonNode converts a decoded JSON value. JSON carries no positions, so
-// every node reports line 1; map keys are sorted for deterministic
-// error output.
-func jsonNode(v any) *node {
-	switch t := v.(type) {
-	case map[string]any:
-		m := newMapNode(1)
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			m.keys = append(m.keys, k)
-			m.vals[k] = jsonNode(t[k])
-			m.keyLine[k] = 1
-		}
-		return m
-	case []any:
-		s := &node{kind: seqNode, line: 1}
-		for _, item := range t {
-			s.items = append(s.items, jsonNode(item))
-		}
-		return s
-	case json.Number:
-		return &node{kind: scalarNode, line: 1, scalar: t.String()}
-	case string:
-		return &node{kind: scalarNode, line: 1, scalar: t}
-	case bool:
-		if t {
-			return &node{kind: scalarNode, line: 1, scalar: "true"}
-		}
-		return &node{kind: scalarNode, line: 1, scalar: "false"}
-	case nil:
-		return &node{kind: scalarNode, line: 1}
-	default:
-		return &node{kind: scalarNode, line: 1, scalar: fmt.Sprint(t)}
-	}
 }

@@ -89,9 +89,6 @@ func (c *Coordinator) SetParallel(on bool) {
 	c.parallel = on
 }
 
-// Parallel reports whether goroutine-per-shard mode is selected.
-func (c *Coordinator) Parallel() bool { return c.parallel }
-
 // Shards returns the shard loops (read-only; used for aggregate stats).
 func (c *Coordinator) Shards() []*Loop { return c.shards }
 

@@ -59,10 +59,6 @@ type Event struct {
 // Canceled reports whether the event was canceled or has already fired.
 func (e *Event) Canceled() bool { return e.index < 0 }
 
-// Gen returns the event's current generation. It changes every time the
-// pooled event is recycled, which is how a Handle detects staleness.
-func (e *Event) Gen() uint64 { return e.gen }
-
 // Handle returns a weak, generation-checked reference to the event, safe to
 // retain indefinitely: once the event fires or is canceled (and its *Event
 // is recycled for an unrelated scheduling), the handle goes stale and

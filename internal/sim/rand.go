@@ -107,9 +107,6 @@ func (r *Rand) Int63() int64 { return r.r.Int63() }
 // label in the Source namespace.
 func (r *Rand) Uint64() uint64 { return r.r.Uint64() }
 
-// Perm returns a random permutation of [0,n).
-func (r *Rand) Perm(n int) []int { return r.r.Perm(n) }
-
 // Exp returns an exponential draw with the given rate (mean 1/rate).
 func (r *Rand) Exp(rate float64) float64 {
 	if rate <= 0 {
@@ -140,11 +137,6 @@ func (r *Rand) UniformDur(lo, hi Time) Time {
 		return lo
 	}
 	return lo + Time(r.r.Int63n(int64(hi-lo)))
-}
-
-// Normal returns a normal draw with the given mean and standard deviation.
-func (r *Rand) Normal(mean, sd float64) float64 {
-	return mean + sd*r.r.NormFloat64()
 }
 
 // Bool returns true with probability p.

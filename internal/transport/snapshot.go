@@ -12,80 +12,15 @@ package transport
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
 
+	"stopwatch/internal/guest"
 	"stopwatch/internal/netsim"
 )
 
 func appendAddr(buf []byte, a netsim.Addr) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(a)))
 	return append(buf, a...)
-}
-
-// stateReader is a varint cursor with sticky errors.
-type stateReader struct {
-	data []byte
-	err  error
-}
-
-func (r *stateReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: snapshot: bad %s", ErrTransport, what)
-	}
-}
-
-func (r *stateReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-func (r *stateReader) varint(what string) int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data)
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-func (r *stateReader) byteVal(what string) byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data) == 0 {
-		r.fail(what)
-		return 0
-	}
-	b := r.data[0]
-	r.data = r.data[1:]
-	return b
-}
-
-func (r *stateReader) addr(what string) netsim.Addr {
-	n := r.uvarint(what + " length")
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.data)) < n {
-		r.fail(what)
-		return ""
-	}
-	a := netsim.Addr(r.data[:n])
-	r.data = r.data[n:]
-	return a
 }
 
 // AppendState serializes the stream server's mutable state (connections
@@ -126,31 +61,31 @@ func (s *TCPServer) AppendState(buf []byte) []byte {
 // RestoreState rebuilds the stream server's mutable state from the prefix
 // of data written by AppendState, returning the unconsumed remainder.
 func (s *TCPServer) RestoreState(data []byte) ([]byte, error) {
-	r := &stateReader{data: data}
-	n := r.uvarint("tcp conn count")
+	r := guest.NewSnapshotReader(data, ErrTransport, "snapshot")
+	n := r.Count("tcp conn count")
 	conns := make(map[uint64]*serverConn, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		id := r.uvarint("tcp conn id")
-		c := &serverConn{peer: r.addr("tcp peer")}
-		if r.byteVal("tcp resp flag") == 1 {
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		id := r.Uvarint("tcp conn id")
+		c := &serverConn{peer: netsim.Addr(r.Text("tcp peer"))}
+		if r.Flag("tcp resp flag") {
 			c.resp = &serverResp{
-				id:       r.uvarint("tcp resp id"),
-				conn:     r.uvarint("tcp resp conn"),
-				total:    int(r.varint("tcp resp total")),
-				bytes:    int(r.varint("tcp resp bytes")),
-				nextSend: int(r.varint("tcp resp nextSend")),
-				acked:    int(r.varint("tcp resp acked")),
+				id:       r.Uvarint("tcp resp id"),
+				conn:     r.Uvarint("tcp resp conn"),
+				total:    int(r.Varint("tcp resp total")),
+				bytes:    int(r.Varint("tcp resp bytes")),
+				nextSend: int(r.Varint("tcp resp nextSend")),
+				acked:    int(r.Varint("tcp resp acked")),
+				rtoArmed: r.Flag("tcp resp rtoArmed"),
+				rtoEpoch: int(r.Varint("tcp resp rtoEpoch")),
 			}
-			c.resp.rtoArmed = r.byteVal("tcp resp rtoArmed") == 1
-			c.resp.rtoEpoch = int(r.varint("tcp resp rtoEpoch"))
 		}
 		conns[id] = c
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	s.conns = conns
-	return r.data, nil
+	return r.Rest(), nil
 }
 
 // AppendState serializes the datagram server's NACK-repair memory onto
@@ -176,21 +111,21 @@ func (s *UDPServer) AppendState(buf []byte) []byte {
 // RestoreState rebuilds the datagram server's state from the prefix of
 // data written by AppendState, returning the unconsumed remainder.
 func (s *UDPServer) RestoreState(data []byte) ([]byte, error) {
-	r := &stateReader{data: data}
-	n := r.uvarint("udp resp count")
+	r := guest.NewSnapshotReader(data, ErrTransport, "snapshot")
+	n := r.Count("udp resp count")
 	sent := make(map[uint64]*udpResp, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		id := r.uvarint("udp conn id")
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		id := r.Uvarint("udp conn id")
 		sent[id] = &udpResp{
-			peer:  r.addr("udp peer"),
-			id:    r.uvarint("udp resp id"),
-			total: int(r.varint("udp resp total")),
-			bytes: int(r.varint("udp resp bytes")),
+			peer:  netsim.Addr(r.Text("udp peer")),
+			id:    r.Uvarint("udp resp id"),
+			total: int(r.Varint("udp resp total")),
+			bytes: int(r.Varint("udp resp bytes")),
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	s.sent = sent
-	return r.data, nil
+	return r.Rest(), nil
 }

@@ -87,9 +87,6 @@ func (ec *EpochCoordinator) Adjustments() int { return ec.adjustments }
 // Epoch returns the current epoch index.
 func (ec *EpochCoordinator) Epoch() int64 { return ec.epoch }
 
-// Waiting reports whether the replica is held at an epoch barrier.
-func (ec *EpochCoordinator) Waiting() bool { return ec.waiting }
-
 // SetGroup installs the live replica group (origins, self included). Called
 // by the cluster whenever membership changes; a shrink re-evaluates the
 // barrier, so survivors waiting on a dead member's sample unwedge

@@ -271,9 +271,6 @@ func GreedyPack(n, c int) (*Placement, error) { return placement.GreedyPack(n, c
 // packing under online guest arrivals, departures and replica re-homing.
 type Pool = placement.Pool
 
-// NewPool creates an empty incremental packer over n machines of capacity c.
-func NewPool(n, c int) (*Pool, error) { return placement.NewPool(n, c) }
-
 // Control-plane re-exports: the online orchestrator over a running cloud.
 
 // ControlPlane serves the online guest lifecycle through the unified
@@ -286,9 +283,10 @@ func NewPool(n, c int) (*Pool, error) { return placement.NewPool(n, c) }
 // turns a stalled proposal group into a detector-driven
 // fail → reconfigure → evacuate pipeline. EnablePlannedMigration turns
 // infeasible Admit/Rehome requests into one-move migration plans run as
-// child MigrateOps. The verb methods (Admit, Evict, ReplaceReplica,
-// DrainHost, UndrainHost, FailHost, EvacuateFailedHost, RepairHost,
-// Migrate) are thin wrappers over Apply.
+// child MigrateOps. Apply is the only mutating method, and a replica
+// changes machine through one barrier (pause → quiesce → place → replace →
+// resume) whichever op asked: a crash replacement, a planned migration, a
+// drain's or an evacuation's per-resident move.
 type ControlPlane = controlplane.ControlPlane
 
 // ControlPlaneConfig tunes the orchestrator.
