@@ -199,7 +199,7 @@ func TestPublicOperationsAPI(t *testing.T) {
 	}
 	var events []OpEvent
 	cancel := cp.Watch(func(ev OpEvent) { events = append(events, ev) })
-	factory := func() App { return &benchPinger{} }
+	factory := func() App { return NewBeaconApp(Virtual(2 * Millisecond)) }
 	// 6 hosts at capacity 1 fit exactly two edge-disjoint triangles.
 	var outcomes []*Outcome
 	for i := 0; i < 3; i++ {
@@ -249,5 +249,99 @@ func TestPublicOperationsAPI(t *testing.T) {
 	cp.Apply(EvictOp{GuestID: "ghost"})
 	if len(events) != before {
 		t.Fatal("cancelled watcher still receiving")
+	}
+}
+
+// TestCheckpointBoundsReplay pins the checkpointed-journal claim: what a
+// replacement replays is bounded by the checkpoint interval, not by how long
+// the guest has lived. The same guest, pinged every 2 ms so its journal holds
+// a resolved delivery per ping, loses a replica after 200 ms and after 2 s.
+// Without checkpoints the replayed records grow with the lifetime; with a
+// checkpoint every 4M instructions (about 4 ms of guest time, two pings)
+// the journal is truncated behind each checkpoint and the replacement
+// restores the latest one and replays only the records past it.
+func TestCheckpointBoundsReplay(t *testing.T) {
+	replace := func(lived Time, ckptInstr int64) (replayed int, restoredInstr int64, retained int) {
+		t.Helper()
+		cfg := DefaultClusterConfig()
+		cfg.Hosts = 5
+		cfg.VMM.CheckpointInstr = ckptInstr
+		c, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := NewControlPlane(c, DefaultControlPlaneConfig(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oc := cp.Apply(AdmitOp{GuestID: "web", Factory: func() App {
+			b := NewBeaconApp(Virtual(2 * Millisecond))
+			b.Compute, b.DiskBytes = 200_000, 0
+			return b
+		}})
+		if oc.Err != nil {
+			t.Fatal(oc.Err)
+		}
+		g, tri := oc.Guest, oc.Triangle
+		if err := c.Net().Attach(&FuncNode{Addr: "pinger"}); err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		var ping func()
+		ping = func() {
+			if c.Loop().Now() >= lived {
+				return
+			}
+			c.Net().Send(&Packet{Src: "pinger", Dst: GuestAddr("web"), Size: 128, Kind: "ping"})
+			c.Loop().After(2*Millisecond, "ping", ping)
+		}
+		c.Loop().After(2*Millisecond, "ping", ping)
+		if err := c.Run(lived); err != nil {
+			t.Fatal(err)
+		}
+		slot, _ := g.SlotOnHost(tri[0])
+		g.Replica(slot).Runtime().Stop()
+		retained = g.JournalStats().Records
+		done := false
+		if oc := cp.Apply(ReplaceOp{GuestID: "web", DeadHost: tri[0], Done: func(oc *Outcome) {
+			if oc.Err != nil {
+				t.Fatal(oc.Err)
+			}
+			done = true
+		}}); oc.Rejected() {
+			t.Fatal(oc.Err)
+		}
+		if err := c.Run(lived + Seconds(10)); err != nil {
+			t.Fatal(err)
+		}
+		if !done {
+			t.Fatal("replacement never completed")
+		}
+		if err := g.CheckLockstepPrefix(); err != nil {
+			t.Fatal(err)
+		}
+		st := g.Replica(slot).Runtime().Stats()
+		return st.ReplayedRecords, st.RestoredInstr, retained
+	}
+
+	short, restored, _ := replace(Millis(200), 0)
+	long, _, retained := replace(Seconds(2), 0)
+	if restored != 0 {
+		t.Fatalf("checkpointing off, yet replay restored a checkpoint at instr %d", restored)
+	}
+	if short == 0 || long < 5*short || retained < long {
+		t.Fatalf("without checkpoints replay should grow with lifetime: %d records after 200 ms, %d after 2 s (%d retained)", short, long, retained)
+	}
+	// What a checkpointed journal may hold: the deliveries scheduled up to
+	// Δn ahead of the guest's clock, one interval's pings behind it that the
+	// next checkpoint has not covered yet, and one in flight.
+	const period, interval = Virtual(2 * Millisecond), Virtual(4 * Millisecond)
+	bound := int((DefaultVMMConfig().DeltaN+interval)/period) + 1
+	ckpt, restored, retained := replace(Seconds(2), 4_000_000)
+	if restored == 0 {
+		t.Fatal("checkpointing on, yet replacement replayed from boot")
+	}
+	if ckpt > bound || retained > bound {
+		t.Fatalf("with checkpoints every 4M instr the journal retained %d records and replacement replayed %d, want at most %d each (%d without)", retained, ckpt, bound, long)
 	}
 }

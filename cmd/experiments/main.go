@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"stopwatch"
@@ -45,14 +46,6 @@ func run(args []string) error {
 			fmt.Fprintln(os.Stderr, "profile:", perr)
 		}
 	}()
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, s := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(s)] = true
-		}
-	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
 
 	type step struct {
 		name string
@@ -148,21 +141,33 @@ func run(args []string) error {
 		}},
 	}
 
-	ran := 0
+	// An unknown name is an error before anything runs: `-only fig5,typo`
+	// must not spend a minute on fig5 and then report success.
+	names := make([]string, len(steps))
+	for i, s := range steps {
+		names[i] = s.name
+	}
+	want := map[string]bool{}
+	if *only != "" {
+		for _, s := range strings.Split(*only, ",") {
+			s = strings.TrimSpace(s)
+			if !slices.Contains(names, s) {
+				return fmt.Errorf("unknown experiment %q in -only=%q (have %s)", s, *only, strings.Join(names, ","))
+			}
+			want[s] = true
+		}
+	}
+
 	for _, s := range steps {
-		if !sel(s.name) {
+		if len(want) > 0 && !want[s.name] {
 			continue
 		}
-		ran++
 		fmt.Printf("==== %s ====\n", s.name)
 		r, err := s.fn()
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)
 		}
 		fmt.Println(r.Render())
-	}
-	if ran == 0 {
-		return fmt.Errorf("no experiments matched -only=%q", *only)
 	}
 	return nil
 }

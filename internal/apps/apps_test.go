@@ -21,7 +21,7 @@ type baselineHarness struct {
 	client *transport.Client
 }
 
-func newBaselineHarness(t *testing.T, app guest.App) *baselineHarness {
+func newBaselineHarness(t testing.TB, app guest.App) *baselineHarness {
 	t.Helper()
 	loop := sim.NewLoop()
 	src := sim.NewSource(7)

@@ -31,7 +31,7 @@ func rejectsOversizedCount(t *testing.T, what string, zeros int, restore func([]
 
 // midDownloadServer drives a TCP file server into a mid-response state
 // (request parsed, disk reads outstanding) and returns it.
-func midDownloadServer(t *testing.T) *FileServer {
+func midDownloadServer(t testing.TB) *FileServer {
 	t.Helper()
 	fs, err := NewFileServer(DefaultFileServerConfig())
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // midOpNFSServer drives an NFS server into a mid-operation state (some ops
 // answered, at least one waiting on disk, the name-cache counter advanced)
 // and returns it.
-func midOpNFSServer(t *testing.T) *NFSServer {
+func midOpNFSServer(t testing.TB) *NFSServer {
 	t.Helper()
 	srv, err := NewNFSServer(16)
 	if err != nil {

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -361,4 +363,32 @@ fleet:
 	if len(sc.Fleet.Nodes) != 2 || sc.Fleet.Nodes[0] != "a#1" || sc.Fleet.Nodes[1] != "b c" {
 		t.Fatalf("nodes = %q", sc.Fleet.Nodes)
 	}
+}
+
+// FuzzParse feeds arbitrary bytes to the decoder and, when they decode, to
+// the static validator: a scenario file comes from outside the program, so
+// both must answer with an error, never a panic. The seed corpus is every
+// shipped scenario.
+func FuzzParse(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no seed scenarios: %v", err)
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		sc, err := Parse("fuzz.yaml", src)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "fuzz.yaml:") {
+				t.Fatalf("parse error without file:line provenance: %v", err)
+			}
+			return
+		}
+		_ = sc.Validate()
+	})
 }
