@@ -182,10 +182,6 @@ func (hn *hostNode) allocOut() *outWork {
 	return &outWork{hn: hn}
 }
 
-// absorbTimer models Dom0 absorbing an ambient broadcast packet: the event
-// itself is the cost.
-func absorbTimer(_, _ any, _ uint64) {}
-
 // outTimer transmits a deferred send and recycles the work item.
 func outTimer(_, b any, _ uint64) {
 	w := b.(*outWork)
@@ -923,9 +919,6 @@ func (hn *hostNode) deliver(p *netsim.Packet) {
 		if w, ok := hn.residents[p.Body.GuestID]; ok && w.ec != nil {
 			w.ec.OnPeerSample(p.Body.Origin, p.Body.Epoch, p.Body.Sample)
 		}
-	case "broadcast":
-		// Ambient subnet noise: costs Dom0 a little processing.
-		hn.host.Loop().AfterTimer(0, "bcast:absorb", absorbTimer, nil, nil, 0)
 	}
 }
 

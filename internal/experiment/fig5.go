@@ -45,6 +45,9 @@ type Fig5Point struct {
 type Fig5Result struct {
 	Config Fig5Config
 	Points []Fig5Point
+	// Divergences sums the replicas' lockstep divergence counters over the
+	// StopWatch runs: a non-zero sweep measured a guest that did not hold.
+	Divergences int
 }
 
 // RunFig5 sweeps sizes × transports × VMMs. Every download is from a cold
@@ -57,16 +60,16 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 	for _, kb := range cfg.SizesKB {
 		p := Fig5Point{SizeKB: kb}
 		var err error
-		if p.HTTPBaseline, err = fig5Mean(cfg, kb, apps.ModeTCP, core.ModeBaseline); err != nil {
+		if p.HTTPBaseline, err = res.mean(kb, apps.ModeTCP, core.ModeBaseline); err != nil {
 			return nil, err
 		}
-		if p.HTTPStopWatch, err = fig5Mean(cfg, kb, apps.ModeTCP, core.ModeStopWatch); err != nil {
+		if p.HTTPStopWatch, err = res.mean(kb, apps.ModeTCP, core.ModeStopWatch); err != nil {
 			return nil, err
 		}
-		if p.UDPBaseline, err = fig5Mean(cfg, kb, apps.ModeUDP, core.ModeBaseline); err != nil {
+		if p.UDPBaseline, err = res.mean(kb, apps.ModeUDP, core.ModeBaseline); err != nil {
 			return nil, err
 		}
-		if p.UDPStopWatch, err = fig5Mean(cfg, kb, apps.ModeUDP, core.ModeStopWatch); err != nil {
+		if p.UDPStopWatch, err = res.mean(kb, apps.ModeUDP, core.ModeStopWatch); err != nil {
 			return nil, err
 		}
 		p.HTTPRatio = p.HTTPStopWatch / p.HTTPBaseline
@@ -76,45 +79,57 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 	return res, nil
 }
 
-func fig5Mean(cfg Fig5Config, kb int, mode apps.FileServerMode, vmmMode core.Mode) (float64, error) {
+// mean runs one (size, transport, VMM) cell and folds its runs' divergences
+// into the result.
+func (r *Fig5Result) mean(kb int, mode apps.FileServerMode, vmmMode core.Mode) (float64, error) {
 	var sum float64
-	for run := 0; run < cfg.Runs; run++ {
-		lat, err := fig5One(cfg.Seed+uint64(run)*1337, kb, mode, vmmMode, cfg.Timeout)
+	for run := 0; run < r.Config.Runs; run++ {
+		lat, div, err := fig5One(r.Config.Seed+uint64(run)*1337, kb, mode, vmmMode, r.Config.Timeout)
 		if err != nil {
 			return 0, err
 		}
 		sum += lat.Milliseconds()
+		r.Divergences += div
 	}
-	return sum / float64(cfg.Runs), nil
+	return sum / float64(r.Config.Runs), nil
 }
 
-func fig5One(seed uint64, kb int, mode apps.FileServerMode, vmmMode core.Mode, timeout sim.Time) (sim.Time, error) {
-	cc := core.DefaultClusterConfig()
-	cc.Seed = seed
-	cc.Mode = vmmMode
-	hostIdx := []int{0, 1, 2}
-	if vmmMode == core.ModeBaseline {
+// figRig builds the cluster Figs 5–7 measure on and deploys their one guest:
+// the paper's three hosts under StopWatch, a single host under the baseline
+// VMM (cc.Mode says which; a baseline guest has no replicas to diverge).
+func figRig(cc core.ClusterConfig, id string, app func() guest.App) (*core.Cluster, *core.Guest, error) {
+	hosts := []int{0, 1, 2}
+	if cc.Mode == core.ModeBaseline {
 		cc.Hosts = 1
-		hostIdx = []int{0}
+		hosts = hosts[:1]
 	}
 	c, err := core.New(cc)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
+	g, err := c.Deploy(id, hosts, app)
+	return c, g, err
+}
+
+func fig5One(seed uint64, kb int, mode apps.FileServerMode, vmmMode core.Mode, timeout sim.Time) (sim.Time, int, error) {
+	cc := core.DefaultClusterConfig()
+	cc.Seed = seed
+	cc.Mode = vmmMode
 	fsCfg := apps.DefaultFileServerConfig()
 	fsCfg.Mode = mode
-	if _, err := c.Deploy("web", hostIdx, func() guest.App {
+	c, g, err := figRig(cc, "web", func() guest.App {
 		fs, ferr := apps.NewFileServer(fsCfg)
 		if ferr != nil {
 			panic(ferr)
 		}
 		return fs
-	}); err != nil {
-		return 0, err
+	})
+	if err != nil {
+		return 0, 0, err
 	}
 	cl, err := c.NewClient("laptop")
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	c.Start()
 	dl := apps.NewDownloader(cl)
@@ -127,12 +142,17 @@ func fig5One(seed uint64, kb int, mode apps.FileServerMode, vmmMode core.Mode, t
 		})
 	})
 	if err := c.Run(timeout); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if lat == 0 {
-		return 0, fmt.Errorf("%w: %dKB %v/%v download did not complete", core.ErrCluster, kb, mode, vmmMode)
+		return 0, 0, fmt.Errorf("%w: %dKB %v/%v download did not complete", core.ErrCluster, kb, mode, vmmMode)
 	}
-	return lat, nil
+	return lat, g.Divergences(), nil
+}
+
+// renderDivergences is the last line of the Fig 5–7 tables.
+func renderDivergences(b *strings.Builder, n int) {
+	fmt.Fprintf(b, "lockstep divergences over the StopWatch runs: %d\n", n)
 }
 
 // Render prints the Fig-5 table.
@@ -146,5 +166,6 @@ func (r *Fig5Result) Render() string {
 			p.SizeKB, p.HTTPBaseline, p.HTTPStopWatch, p.HTTPRatio,
 			p.UDPBaseline, p.UDPStopWatch, p.UDPRatio)
 	}
+	renderDivergences(&b, r.Divergences)
 	return b.String()
 }

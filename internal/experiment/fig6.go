@@ -50,6 +50,8 @@ type Fig6Point struct {
 type Fig6Result struct {
 	Config Fig6Config
 	Points []Fig6Point
+	// Divergences is as Fig5Result's.
+	Divergences int
 }
 
 // RunFig6 sweeps offered rates under both VMMs.
@@ -59,28 +61,36 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 	}
 	res := &Fig6Result{Config: cfg}
 	for _, rate := range cfg.Rates {
-		base, _, _, _, err := fig6One(cfg, rate, core.ModeBaseline)
+		base, err := fig6One(cfg, rate, core.ModeBaseline)
 		if err != nil {
 			return nil, err
 		}
-		sw, c2s, s2c, ops, err := fig6One(cfg, rate, core.ModeStopWatch)
+		sw, err := fig6One(cfg, rate, core.ModeStopWatch)
 		if err != nil {
 			return nil, err
 		}
+		res.Divergences += sw.divergences
 		res.Points = append(res.Points, Fig6Point{
 			Rate:                rate,
-			LatencyBaseline:     base,
-			LatencyStopWatch:    sw,
-			Ratio:               sw / base,
-			ClientToServerPerOp: c2s,
-			ServerToClientPerOp: s2c,
-			OpsCompleted:        ops,
+			LatencyBaseline:     base.meanMS,
+			LatencyStopWatch:    sw.meanMS,
+			Ratio:               sw.meanMS / base.meanMS,
+			ClientToServerPerOp: sw.c2sPerOp,
+			ServerToClientPerOp: sw.s2cPerOp,
+			OpsCompleted:        sw.ops,
 		})
 	}
 	return res, nil
 }
 
-func fig6One(cfg Fig6Config, rate float64, mode core.Mode) (meanMS, c2sPerOp, s2cPerOp float64, ops uint64, err error) {
+// nfsRun is what one (rate, VMM) run measured.
+type nfsRun struct {
+	meanMS, c2sPerOp, s2cPerOp float64
+	ops                        uint64
+	divergences                int
+}
+
+func fig6One(cfg Fig6Config, rate float64, mode core.Mode) (nfsRun, error) {
 	cc := core.DefaultClusterConfig()
 	cc.Seed = cfg.Seed + uint64(rate*10)
 	cc.Mode = mode
@@ -89,27 +99,19 @@ func fig6One(cfg Fig6Config, rate float64, mode core.Mode) (meanMS, c2sPerOp, s2
 	// its working set was clearly cached. Mean service ≈ 1.4 ms.
 	cc.VMM.DiskSeek = sim.Millisecond
 	cc.VMM.DiskJitterMean = 300 * sim.Microsecond
-	hostIdx := []int{0, 1, 2}
-	if mode == core.ModeBaseline {
-		cc.Hosts = 1
-		hostIdx = []int{0}
-	}
-	c, err := core.New(cc)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if _, err := c.Deploy("nfs", hostIdx, func() guest.App {
+	c, g, err := figRig(cc, "nfs", func() guest.App {
 		s, serr := apps.NewNFSServer(16)
 		if serr != nil {
 			panic(serr)
 		}
 		return s
-	}); err != nil {
-		return 0, 0, 0, 0, err
+	})
+	if err != nil {
+		return nfsRun{}, err
 	}
 	cl, err := c.NewClient("nfs-client")
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return nfsRun{}, err
 	}
 	c.Start()
 	gen, err := apps.NewNFSLoadGen(c.Loop(), c.Source().Stream("nfsgen"), cl, core.ServiceAddr("nfs"), apps.PaperMix(), apps.NFSLoadGenConfig{
@@ -117,25 +119,28 @@ func fig6One(cfg Fig6Config, rate float64, mode core.Mode) (meanMS, c2sPerOp, s2
 		RatePerSec: rate,
 	})
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return nfsRun{}, err
 	}
 	gen.Start(cfg.LoadDuration)
 	if err := c.Run(cfg.LoadDuration + cfg.DrainDuration); err != nil {
-		return 0, 0, 0, 0, err
+		return nfsRun{}, err
 	}
 	lats := gen.Latencies()
 	if len(lats) == 0 {
-		return 0, 0, 0, 0, fmt.Errorf("%w: no NFS ops completed at rate %v under %v", core.ErrCluster, rate, mode)
+		return nfsRun{}, fmt.Errorf("%w: no NFS ops completed at rate %v under %v", core.ErrCluster, rate, mode)
 	}
 	var sum sim.Time
 	for _, l := range lats {
 		sum += l
 	}
-	meanMS = (sum / sim.Time(len(lats))).Milliseconds()
-	ops = gen.Completed()
-	c2sPerOp = float64(cl.PacketsSent()) / float64(ops)
-	s2cPerOp = float64(cl.PacketsReceived()) / float64(ops)
-	return meanMS, c2sPerOp, s2cPerOp, ops, nil
+	ops := gen.Completed()
+	return nfsRun{
+		meanMS:      (sum / sim.Time(len(lats))).Milliseconds(),
+		c2sPerOp:    float64(cl.PacketsSent()) / float64(ops),
+		s2cPerOp:    float64(cl.PacketsReceived()) / float64(ops),
+		ops:         ops,
+		divergences: g.Divergences(),
+	}, nil
 }
 
 // Render prints the Fig-6 table.
@@ -149,5 +154,6 @@ func (r *Fig6Result) Render() string {
 			p.Rate, p.LatencyBaseline, p.LatencyStopWatch, p.Ratio,
 			p.ClientToServerPerOp, p.ServerToClientPerOp, p.OpsCompleted)
 	}
+	renderDivergences(&b, r.Divergences)
 	return b.String()
 }

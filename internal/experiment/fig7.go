@@ -30,20 +30,6 @@ func DefaultFig7Config() Fig7Config {
 	}
 }
 
-// fig7VMMConfig returns the disk regime calibrated for the PARSEC runs:
-// mean disk service ≈ 1.7 ms (fast rotational access with cache effects),
-// Δd = 8 ms, per the calibration notes in DESIGN.md.
-func fig7VMMConfig() ClusterVMMPatch {
-	return func(cc *core.ClusterConfig) {
-		cc.VMM.DiskSeek = sim.Millisecond
-		cc.VMM.DiskJitterMean = 500 * sim.Microsecond
-		cc.VMM.DeltaD = vtime.Virtual(8 * sim.Millisecond)
-	}
-}
-
-// ClusterVMMPatch mutates a cluster config before use.
-type ClusterVMMPatch func(*core.ClusterConfig)
-
 // Fig7Point is one application's row.
 type Fig7Point struct {
 	Name string
@@ -60,6 +46,8 @@ type Fig7Point struct {
 type Fig7Result struct {
 	Config Fig7Config
 	Points []Fig7Point
+	// Divergences is as Fig5Result's.
+	Divergences int
 }
 
 // RunFig7 measures each profile under both VMMs.
@@ -69,14 +57,15 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 	}
 	res := &Fig7Result{Config: cfg}
 	for _, prof := range cfg.Profiles {
-		base, _, err := fig7One(cfg, prof, core.ModeBaseline)
+		base, _, _, err := fig7One(cfg, prof, core.ModeBaseline)
 		if err != nil {
 			return nil, err
 		}
-		sw, ints, err := fig7One(cfg, prof, core.ModeStopWatch)
+		sw, ints, div, err := fig7One(cfg, prof, core.ModeStopWatch)
 		if err != nil {
 			return nil, err
 		}
+		res.Divergences += div
 		res.Points = append(res.Points, Fig7Point{
 			Name:           prof.Name,
 			Baseline:       base.Milliseconds(),
@@ -90,30 +79,17 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 	return res, nil
 }
 
-func fig7One(cfg Fig7Config, prof apps.ParsecProfile, mode core.Mode) (sim.Time, int64, error) {
+func fig7One(cfg Fig7Config, prof apps.ParsecProfile, mode core.Mode) (doneAt sim.Time, diskInts int64, divergences int, err error) {
 	cc := core.DefaultClusterConfig()
 	cc.Seed = cfg.Seed
 	cc.Mode = mode
-	fig7VMMConfig()(&cc)
-	hostIdx := []int{0, 1, 2}
-	if mode == core.ModeBaseline {
-		cc.Hosts = 1
-		hostIdx = []int{0}
-	}
-	c, err := core.New(cc)
-	if err != nil {
-		return 0, 0, err
-	}
-	var doneAt sim.Time
-	if err := c.Net().Attach(&netsim.FuncNode{Addr: "collector", Fn: func(p *netsim.Packet) {
-		if doneAt == 0 {
-			doneAt = c.Loop().Now()
-			c.Stop()
-		}
-	}}); err != nil {
-		return 0, 0, err
-	}
-	g, err := c.Deploy("parsec", hostIdx, func() guest.App {
+	// The disk regime calibrated for the PARSEC runs: mean disk service
+	// ≈ 1.7 ms (fast rotational access with cache effects), Δd = 8 ms, per
+	// the calibration notes in DESIGN.md.
+	cc.VMM.DiskSeek = sim.Millisecond
+	cc.VMM.DiskJitterMean = 500 * sim.Microsecond
+	cc.VMM.DeltaD = vtime.Virtual(8 * sim.Millisecond)
+	c, g, err := figRig(cc, "parsec", func() guest.App {
 		a, aerr := apps.NewParsecApp(prof, "collector")
 		if aerr != nil {
 			panic(aerr)
@@ -121,22 +97,29 @@ func fig7One(cfg Fig7Config, prof apps.ParsecProfile, mode core.Mode) (sim.Time,
 		return a
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
+	}
+	if err := c.Net().Attach(&netsim.FuncNode{Addr: "collector", Fn: func(p *netsim.Packet) {
+		if doneAt == 0 {
+			doneAt = c.Loop().Now()
+			c.Stop()
+		}
+	}}); err != nil {
+		return 0, 0, 0, err
 	}
 	c.Start()
 	if err := c.Run(cfg.Timeout); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	if doneAt == 0 {
-		return 0, 0, fmt.Errorf("%w: %s under %v never finished", core.ErrCluster, prof.Name, mode)
+		return 0, 0, 0, fmt.Errorf("%w: %s under %v never finished", core.ErrCluster, prof.Name, mode)
 	}
-	var ints int64
 	if g.Baseline != nil {
-		ints = g.Baseline.VM().Stats().DiskInterrupts
+		diskInts = g.Baseline.VM().Stats().DiskInterrupts
 	} else {
-		ints = g.Replica(0).Runtime().VM().Stats().DiskInterrupts
+		diskInts = g.Replica(0).Runtime().VM().Stats().DiskInterrupts
 	}
-	return doneAt, ints, nil
+	return doneAt, diskInts, g.Divergences(), nil
 }
 
 // Render prints the Fig-7 table.
@@ -150,5 +133,6 @@ func (r *Fig7Result) Render() string {
 			p.Name, p.Baseline, p.StopWatch, p.Ratio, p.DiskInterrupts,
 			p.PaperBaseline, p.PaperStopWatch)
 	}
+	renderDivergences(&b, r.Divergences)
 	return b.String()
 }

@@ -11,6 +11,7 @@ import (
 
 	"stopwatch/internal/multicast"
 	"stopwatch/internal/netsim"
+	"stopwatch/internal/seqwin"
 	"stopwatch/internal/sim"
 )
 
@@ -247,16 +248,6 @@ func NewEgress(net *netsim.Network, loop *sim.Loop, addr netsim.Addr, replicas i
 // Addr returns the egress fabric address replicas tunnel to.
 func (e *Egress) Addr() netsim.Addr { return e.addr }
 
-// copyGroup states. A slot is empty until its first copy arrives, open
-// while copies are being counted, and retired once the full group arrived
-// (or the group was reclaimed) — retired slots absorb stragglers instead
-// of resurrecting as phantom groups.
-const (
-	groupEmpty uint8 = iota
-	groupOpen
-	groupRetired
-)
-
 // copyGroup tracks one output packet's tunnel arrivals. forwarded is a
 // flag, not a count comparison: the forwarding threshold can change
 // between copies (a live-view change mid-group), so "has this packet been
@@ -264,7 +255,6 @@ const (
 // (all copies are identical — that is what lockstep means) so a group made
 // eligible by a later view shrink can still be flushed.
 type copyGroup struct {
-	state     uint8
 	forwarded bool
 	n         int
 	origDst   netsim.Addr
@@ -272,67 +262,19 @@ type copyGroup struct {
 	data      any
 }
 
-// guestEgress is one guest's egress state. Its copy groups sit in a
-// seq-indexed ring over the window [base, top): base is the lowest
-// unretired sequence, top is one past the highest opened one. Output
-// sequences are contiguous and retire almost in order; slots recycle in
-// place as the window slides, so steady-state output traffic allocates
-// nothing.
+// guestEgress is one guest's egress state. A copy group is open from its
+// first copy until the full group arrived (or the group was reclaimed);
+// retired groups absorb stragglers instead of resurrecting as phantom
+// groups. Output sequences are contiguous and retire almost in order, so
+// steady-state output traffic allocates nothing.
 type guestEgress struct {
 	// svc is ServiceAddr(guestID) resolved: forwarded packets leave from it.
 	svc *netsim.Endpoint
 	// live is the expected copy count: the full group, or fewer while the
 	// guest's replica group is degraded — the egress-side mirror of the
 	// device models' live view. The median copy, live/2+1, forwards.
-	live int
-	buf  []copyGroup
-	base uint64
-	top  uint64
-	open int
-}
-
-func (r *guestEgress) slot(seq uint64) *copyGroup {
-	return &r.buf[seq&uint64(len(r.buf)-1)]
-}
-
-// ensure grows the ring (power of two) until seq's slot is inside the
-// window starting at base.
-func (r *guestEgress) ensure(seq uint64) {
-	need := seq - r.base + 1
-	if len(r.buf) != 0 && need <= uint64(len(r.buf)) {
-		return
-	}
-	newLen := 64
-	for uint64(newLen) < need {
-		newLen <<= 1
-	}
-	old := r.buf
-	oldBase := r.base
-	r.buf = make([]copyGroup, newLen)
-	for i := range old {
-		if old[i].state != groupEmpty {
-			// Recover the slot's absolute seq from its index.
-			seqOf := oldBase + ((uint64(i) - oldBase) & uint64(len(old)-1))
-			*r.slot(seqOf) = old[i]
-		}
-	}
-}
-
-// retire marks seq's group done and slides the window past any retired
-// prefix. Empty mid-window slots (copies still in flight) block the slide.
-func (r *guestEgress) retire(seq uint64) {
-	g := r.slot(seq)
-	g.state = groupRetired
-	g.data = nil
-	r.open--
-	r.advance()
-}
-
-func (r *guestEgress) advance() {
-	for r.base < r.top && r.slot(r.base).state == groupRetired {
-		*r.slot(r.base) = copyGroup{}
-		r.base++
-	}
+	live   int
+	groups seqwin.Window[copyGroup]
 }
 
 func (e *Egress) deliver(p *netsim.Packet) {
@@ -341,24 +283,15 @@ func (e *Egress) deliver(p *netsim.Packet) {
 	}
 	gid, seq := p.Body.GuestID, p.Body.Seq
 	gr := e.guest(gid)
-	if seq < gr.base {
-		// Straggler below the window: its group was already retired or
-		// reclaimed, so the copy can only be absorbed.
+	g, fresh := gr.groups.Open(seq)
+	if g == nil {
+		// A straggler of a retired or reclaimed group, or a sequence no
+		// guest can be this far ahead with: the copy can only be absorbed.
 		e.absorbed++
 		return
 	}
-	gr.ensure(seq)
-	g := gr.slot(seq)
-	if g.state == groupRetired {
-		e.absorbed++
-		return
-	}
-	if g.state == groupEmpty {
-		*g = copyGroup{state: groupOpen, origDst: p.Body.OrigDst, size: p.Body.Size, data: p.Body.Data}
-		gr.open++
-		if seq >= gr.top {
-			gr.top = seq + 1
-		}
+	if fresh {
+		*g = copyGroup{origDst: p.Body.OrigDst, size: p.Body.Size, data: p.Body.Data}
 	}
 	g.n++
 	if !g.forwarded && g.n >= gr.live/2+1 {
@@ -372,7 +305,8 @@ func (e *Egress) deliver(p *netsim.Packet) {
 	// Degraded groups that never see their remaining copies are reclaimed
 	// by ReclaimForwardedUpTo at replacement, like every crash window.
 	if g.n >= e.replicas {
-		gr.retire(seq)
+		g.data = nil
+		gr.groups.Retire(seq)
 	}
 }
 
@@ -380,7 +314,7 @@ func (e *Egress) deliver(p *netsim.Packet) {
 func (e *Egress) guest(guestID string) *guestEgress {
 	gr, ok := e.guests[guestID]
 	if !ok {
-		gr = &guestEgress{svc: e.net.Endpoint(ServiceAddr(guestID)), live: e.replicas, base: 1, top: 1}
+		gr = &guestEgress{svc: e.net.Endpoint(ServiceAddr(guestID)), live: e.replicas, groups: seqwin.New[copyGroup](1)}
 		e.guests[guestID] = gr
 	}
 	return gr
@@ -414,10 +348,8 @@ func (e *Egress) SetLiveReplicas(guestID string, n int) error {
 	}
 	gr := e.guest(guestID)
 	gr.live = n
-	// The ring iterates in sequence order by construction — no sort.
-	for seq := gr.base; seq < gr.top; seq++ {
-		g := gr.slot(seq)
-		if g.state == groupOpen && !g.forwarded && g.n >= n/2+1 {
+	for seq, g := range gr.groups.All() {
+		if !g.forwarded && g.n >= n/2+1 {
 			e.forward(guestID, gr, seq, g)
 		}
 	}
@@ -446,19 +378,15 @@ func (e *Egress) ReclaimForwardedUpTo(guestID string, maxSeq uint64) {
 	if !ok {
 		return
 	}
-	hi := maxSeq + 1
-	if hi > gr.top {
-		hi = gr.top
-	}
-	for seq := gr.base; seq < hi; seq++ {
-		g := gr.slot(seq)
-		if g.state == groupOpen && g.forwarded {
-			g.state = groupRetired
+	for seq, g := range gr.groups.All() {
+		if seq > maxSeq {
+			break
+		}
+		if g.forwarded {
 			g.data = nil
-			gr.open--
+			gr.groups.Retire(seq)
 		}
 	}
-	gr.advance()
 }
 
 // PendingGroups reports output sequences whose copy groups are still open
@@ -466,7 +394,7 @@ func (e *Egress) ReclaimForwardedUpTo(guestID string, maxSeq uint64) {
 func (e *Egress) PendingGroups() int {
 	n := 0
 	for _, gr := range e.guests {
-		n += gr.open
+		n += gr.groups.Len()
 	}
 	return n
 }
@@ -476,9 +404,8 @@ func (e *Egress) PendingGroups() int {
 func (e *Egress) StuckBelowForward() int {
 	n := 0
 	for _, gr := range e.guests {
-		for seq := gr.base; seq < gr.top; seq++ {
-			g := gr.slot(seq)
-			if g.state == groupOpen && !g.forwarded {
+		for _, g := range gr.groups.All() {
+			if !g.forwarded {
 				n++
 			}
 		}

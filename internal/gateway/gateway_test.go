@@ -6,6 +6,7 @@ import (
 
 	"stopwatch/internal/multicast"
 	"stopwatch/internal/netsim"
+	"stopwatch/internal/seqwin"
 	"stopwatch/internal/sim"
 )
 
@@ -487,5 +488,33 @@ func TestEgressSetLiveReplicasValidation(t *testing.T) {
 	}
 	if eg.Forwarded() != 0 {
 		t.Fatal("stale live view survived DropGuest")
+	}
+}
+
+// TestEgressAbsorbsSequenceBeyondAnyWindow: the output sequence of a tunnel
+// copy is a number from a packet and must never size the copy-group ring.
+// One no guest can be far enough ahead to have sent is absorbed like a
+// straggler, and the guest's real output goes on.
+func TestEgressAbsorbsSequenceBeyondAnyWindow(t *testing.T) {
+	net, loop := testFabric(t, 19, 0)
+	got := 0
+	if err := net.Attach(&netsim.FuncNode{Addr: "client", Fn: func(*netsim.Packet) { got++ }}); err != nil {
+		t.Fatal(err)
+	}
+	eg, err := NewEgress(net, loop, "egress", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tunnel(net, "egress", "A", "g1", 1<<62, "client", "forged")
+	tunnel(net, "egress", "A", "g1", 1+seqwin.MaxSpan, "client", "forged")
+	for _, replica := range []string{"A", "B", "C"} {
+		tunnel(net, "egress", replica, "g1", 1, "client", "resp")
+	}
+	if err := loop.RunUntil(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got != 1 || eg.Forwarded() != 1 || eg.PendingGroups() != 0 || eg.StuckBelowForward() != 0 {
+		t.Fatalf("client got %d, forwarded %d, pending %d, stuck %d; want 1, 1, 0, 0",
+			got, eg.Forwarded(), eg.PendingGroups(), eg.StuckBelowForward())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"stopwatch/internal/netsim"
+	"stopwatch/internal/seqwin"
 	"stopwatch/internal/sim"
 )
 
@@ -601,5 +602,67 @@ func TestNAKRetryBacksOffAgainstSilentSource(t *testing.T) {
 	r.run(t, at+ni+2*ni+sim.Millisecond)
 	if got := r.naks[n:]; len(got) != 2 || got[0] != at+ni+sim.Millisecond || got[1]-got[0] != ni {
 		t.Fatalf("after the source was heard NAKs arrived at %v (from %v)", got, at)
+	}
+}
+
+// TestReceiverDropsSequenceBeyondAnyWindow: a stream sequence is a number
+// from a packet and must never size the holdback ring. One further ahead
+// than any holdback could reach counts as a duplicate, marks nothing
+// expected, and the stream goes on in order.
+func TestReceiverDropsSequenceBeyondAnyWindow(t *testing.T) {
+	loop, _, members := buildGroup(t, 0, 23)
+	m := members[0]
+	data := func(seq uint64) *netsim.Packet {
+		return &netsim.Packet{Src: "ingress", Dst: m.addr, Kind: "pgm:data", Body: netsim.PacketBody{StreamSeq: seq, StreamKind: "m", Data: seq}}
+	}
+	m.rx.Handle(data(1))
+	m.rx.Handle(data(1 << 62))
+	m.rx.Handle(data(2 + seqwin.MaxSpan))
+	m.rx.Handle(data(3)) // held back behind 2
+	m.rx.Handle(data(2))
+	if err := loop.RunUntil(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(m.got) != "[1:m:1 2:m:2 3:m:3]" {
+		t.Fatalf("delivered %v", m.got)
+	}
+	if st := m.rx.Stats(); st.Duplicates != 2 || st.NAKsSent != 0 {
+		t.Fatalf("duplicates %d, NAKs %d; want 2, 0", st.Duplicates, st.NAKsSent)
+	}
+}
+
+// TestInOrderDeliveryAllocatesNothing guards the receive path every ingress
+// packet and every proposal takes: an in-order body is handed to OnData by
+// value and never touches the holdback window. (Taking the address of
+// onData's parameter anywhere moves every body to the heap: +42 % allocations
+// per simulated second on the loaded cloud.)
+func TestInOrderDeliveryAllocatesNothing(t *testing.T) {
+	loop := sim.NewLoop()
+	net, err := netsim.New(loop, sim.NewSource(5).Stream("net"), netsim.LinkConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := uint64(0)
+	rx, err := NewReceiver(net, loop, ReceiverConfig{Addr: "h", OnData: func(_ netsim.Addr, seq uint64, _ string, body netsim.PacketBody) {
+		if seq != delivered+1 || body.Seq != seq {
+			t.Errorf("delivered seq %d carrying %d after %d", seq, body.Seq, delivered)
+		}
+		delivered = seq
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := &netsim.Packet{Src: "s", Dst: "h", Kind: "pgm:data", Body: netsim.PacketBody{StreamKind: "m"}}
+	next := func() {
+		pkt.Body.StreamSeq++
+		pkt.Body.Seq = pkt.Body.StreamSeq
+		rx.Handle(pkt)
+	}
+	next() // the first packet creates the stream's state
+	if allocs := testing.AllocsPerRun(1000, next); allocs != 0 {
+		t.Fatalf("in-order delivery allocates %v times per packet", allocs)
+	}
+	if delivered < 1000 {
+		t.Fatalf("delivered %d", delivered)
 	}
 }

@@ -231,74 +231,6 @@ func TestPacketCloneAndString(t *testing.T) {
 	}
 }
 
-func TestBroadcaster(t *testing.T) {
-	n, loop := testNet(t, LinkConfig{})
-	rng := sim.NewSource(42).Stream("bcast")
-	counts := map[Addr]int{}
-	for _, a := range []Addr{"h1", "h2", "h3"} {
-		a := a
-		if err := n.Attach(&FuncNode{Addr: a, Fn: func(*Packet) { counts[a]++ }}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b, err := NewBroadcaster(n, loop, rng, BroadcasterConfig{
-		Src: "subnet", Targets: []Addr{"h1", "h2", "h3"}, RatePerSec: 75, Size: 60,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Start(10 * sim.Second)
-	if err := loop.RunUntil(11 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	// ~75/s for 10s → ~750 rounds; each host sees each round.
-	if b.Sent() < 600 || b.Sent() > 900 {
-		t.Fatalf("broadcast rounds = %d, want ~750", b.Sent())
-	}
-	for a, c := range counts {
-		if uint64(c) != b.Sent() {
-			t.Fatalf("host %s saw %d broadcasts, want %d", a, c, b.Sent())
-		}
-	}
-}
-
-func TestBroadcasterValidation(t *testing.T) {
-	n, loop := testNet(t, LinkConfig{})
-	rng := sim.NewSource(1).Stream("b")
-	if _, err := NewBroadcaster(nil, loop, rng, BroadcasterConfig{}); !errors.Is(err, ErrNet) {
-		t.Fatal("nil net should fail")
-	}
-	if _, err := NewBroadcaster(n, loop, rng, BroadcasterConfig{RatePerSec: 0, Size: 60, Targets: []Addr{"x"}}); !errors.Is(err, ErrNet) {
-		t.Fatal("rate 0 should fail")
-	}
-	if _, err := NewBroadcaster(n, loop, rng, BroadcasterConfig{RatePerSec: 10, Size: 60}); !errors.Is(err, ErrNet) {
-		t.Fatal("no targets should fail")
-	}
-}
-
-func TestBroadcasterDoubleStartNoop(t *testing.T) {
-	n, loop := testNet(t, LinkConfig{})
-	rng := sim.NewSource(2).Stream("b2")
-	got := 0
-	if err := n.Attach(&FuncNode{Addr: "h", Fn: func(*Packet) { got++ }}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBroadcaster(n, loop, rng, BroadcasterConfig{
-		Src: "s", Targets: []Addr{"h"}, RatePerSec: 100, Size: 60,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Start(sim.Second)
-	b.Start(sim.Second) // must not double the rate
-	if err := loop.RunUntil(2 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got < 60 || got > 140 {
-		t.Fatalf("got %d broadcasts in 1s at 100/s — double start?", got)
-	}
-}
-
 // jitterArrivals interns `before` in order, then sends three packets on
 // a→b under a jittered default link and returns their arrival instants.
 func jitterArrivals(t *testing.T, before ...Addr) []sim.Time {

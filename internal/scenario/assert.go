@@ -8,6 +8,7 @@ package scenario
 
 import (
 	"fmt"
+	"reflect"
 
 	"stopwatch"
 )
@@ -99,48 +100,10 @@ func (r *runner) assertCoresident(a Assertion) {
 	}
 }
 
-// statsField maps a snake_case name to its FoldOpStats counter. The
-// vocabulary is closed by the validator.
+// statsField reads the counter a stats assertion names. The validator has
+// closed the vocabulary: an unknown name cannot reach a run.
 func statsField(st stopwatch.ControlPlaneStats, field string) int {
-	switch field {
-	case "admitted":
-		return st.Admitted
-	case "rejected":
-		return st.Rejected
-	case "evicted":
-		return st.Evicted
-	case "replacements":
-		return st.Replacements
-	case "replacement_failures":
-		return st.ReplacementFailures
-	case "drain_retries":
-		return st.DrainRetries
-	case "host_drains":
-		return st.HostDrains
-	case "evacuations":
-		return st.Evacuations
-	case "evacuation_failures":
-		return st.EvacuationFailures
-	case "host_failures":
-		return st.HostFailures
-	case "crash_evacuations":
-		return st.CrashEvacuations
-	case "crash_evacuation_failures":
-		return st.CrashEvacuationFailures
-	case "migrations":
-		return st.Migrations
-	case "migration_failures":
-		return st.MigrationFailures
-	case "migrations_planned":
-		return st.MigrationsPlanned
-	case "reconcile_rounds":
-		return st.ReconcileRounds
-	case "reconcile_repairs":
-		return st.ReconcileRepairs
-	case "reconcile_retries":
-		return st.ReconcileRetries
-	}
-	return 0
+	return int(reflect.ValueOf(st).Field(statsFields[field]).Int())
 }
 
 // assertOplog counts log entries of the given kind (optionally filtered

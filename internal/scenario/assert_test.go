@@ -1,0 +1,56 @@
+package scenario
+
+import (
+	"reflect"
+	"testing"
+
+	"stopwatch"
+)
+
+// TestEveryStatsCounterIsAssertable: each int field of ControlPlaneStats is
+// in the stats assertion's vocabulary and the evaluator reads that field, not
+// a neighbour. The eighteen names the corpus and the README may already use
+// are spelled out, so a renamed field cannot silently rename its key.
+func TestEveryStatsCounterIsAssertable(t *testing.T) {
+	var st stopwatch.ControlPlaneStats
+	v := reflect.ValueOf(&st).Elem()
+	ints := 0
+	for i := range v.NumField() {
+		if v.Field(i).Kind() == reflect.Int {
+			v.Field(i).SetInt(int64(100 + i))
+			ints++
+		}
+	}
+	if len(statsFields) != ints {
+		t.Fatalf("vocabulary has %d names, ControlPlaneStats %d int fields", len(statsFields), ints)
+	}
+	for name, i := range statsFields {
+		if got := statsField(st, name); got != 100+i {
+			t.Errorf("stats field %q reads %d, want field %d (%s)", name, got, i, v.Type().Field(i).Name)
+		}
+	}
+	for name, want := range map[string]int{
+		"admitted": st.Admitted, "rejected": st.Rejected, "evicted": st.Evicted,
+		"replacements": st.Replacements, "replacement_failures": st.ReplacementFailures,
+		"drain_retries": st.DrainRetries, "host_drains": st.HostDrains,
+		"evacuations": st.Evacuations, "evacuation_failures": st.EvacuationFailures,
+		"host_failures": st.HostFailures, "crash_evacuations": st.CrashEvacuations,
+		"crash_evacuation_failures": st.CrashEvacuationFailures,
+		"migrations":                st.Migrations, "migration_failures": st.MigrationFailures,
+		"migrations_planned": st.MigrationsPlanned,
+		"reconcile_rounds":   st.ReconcileRounds, "reconcile_repairs": st.ReconcileRepairs,
+		"reconcile_retries": st.ReconcileRetries,
+	} {
+		if _, ok := statsFields[name]; !ok || statsField(st, name) != want {
+			t.Errorf("stats field %q: in vocabulary %v, reads %d, want %d", name, ok, statsField(st, name), want)
+		}
+	}
+	for _, op := range []string{"admit", "evict", "replace", "drain", "undrain", "fail", "evacuate", "repair", "migrate"} {
+		if !knownOp(op) {
+			t.Errorf("oplog assertion does not know op %q", op)
+		}
+	}
+	if knownOp("?") || knownOp("") || knownOp("vibes") {
+		t.Error("oplog assertion accepts a name that is no op kind")
+	}
+}

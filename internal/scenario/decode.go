@@ -7,6 +7,7 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -28,435 +29,329 @@ func Parse(path string, src []byte) (*Scenario, error) {
 		return nil, err
 	}
 	d := &dec{path: path}
-	sc, err := d.scenario(root)
-	if err != nil {
-		return nil, err
+	sc := d.scenario(root)
+	if d.err != nil {
+		return nil, d.err
 	}
 	sc.Path = path
 	return sc, nil
 }
 
+// dec is the decoder's fail-closed cursor (the pattern of
+// guest.SnapshotReader): err holds the first defect found and every read
+// after it is harmless — it returns a default and cannot replace the error —
+// so the functions below read a whole mapping in file-schema order without a
+// check per key, and Parse makes the one check at the end.
 type dec struct {
 	path string
+	err  error
 }
 
-func (d *dec) errf(line int, format string, args ...any) error {
-	return fmt.Errorf("%s:%d: %s", d.path, line, fmt.Sprintf(format, args...))
+func (d *dec) errf(line int, format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%s:%d: %s", d.path, line, fmt.Sprintf(format, args...))
+	}
 }
 
-func (d *dec) wantMap(n *node, what string) error {
+// fields reads one mapping by key. n is always a mapping: where the file
+// holds something else, that is the recorded defect and n an empty stand-in.
+type fields struct {
+	d    *dec
+	n    *node
+	what string
+}
+
+func (d *dec) mapping(n *node, what string) fields {
 	if n.kind != mapNode {
-		return d.errf(n.line, "%s must be a mapping", what)
+		d.errf(n.line, "%s must be a mapping", what)
+		n = &node{kind: mapNode, line: n.line}
 	}
-	return nil
+	return fields{d, n, what}
 }
 
-// checkKeys rejects unknown keys, in file order.
-func (d *dec) checkKeys(n *node, what string, allowed ...string) error {
-	ok := map[string]bool{}
-	for _, k := range allowed {
-		ok[k] = true
-	}
-	for _, k := range n.keys {
-		if !ok[k] {
-			return d.errf(n.keyLine[k], "unknown %s key %q (allowed: %s)", what, k, strings.Join(allowed, ", "))
+// fields is mapping plus the closed key set of a mapping that is no union.
+func (d *dec) fields(n *node, what string, allowed ...string) fields {
+	f := d.mapping(n, what)
+	f.allow(what, allowed)
+	return f
+}
+
+// allow rejects keys outside allowed, in file order.
+func (f fields) allow(what string, allowed []string) {
+	for _, k := range f.n.keys {
+		if !slices.Contains(allowed, k) {
+			f.d.errf(f.n.keyLine[k], "unknown %s key %q (allowed: %s)", what, k, strings.Join(allowed, ", "))
 		}
 	}
-	return nil
 }
 
-func (d *dec) str(n *node, key string) (string, error) {
-	v, ok := n.vals[key]
+// kind reads the string that discriminates a union — an event's action, a
+// generator's kind, an assertion's check — and closes the mapping's key set
+// to common plus what that arm allows. unknown is the complaint's format.
+func (f fields) kind(key, unknown string, arms map[string][]string, common ...string) string {
+	k := f.str(key)
+	extra, ok := arms[k]
 	if !ok {
-		return "", nil
+		f.d.errf(f.n.line, unknown, k)
+	}
+	f.allow(k+" "+f.what, append(common, extra...))
+	return k
+}
+
+// oneOf reads a string that must be among allowed.
+func (f fields) oneOf(key, unknown string, allowed ...string) string {
+	s := f.str(key)
+	if !slices.Contains(allowed, s) {
+		f.d.errf(f.n.line, unknown, s)
+	}
+	return s
+}
+
+// need returns key's node. A missing one is the recorded defect, and what
+// comes back is an empty mapping to go on reading defaults from.
+func (f fields) need(key, format string, args ...any) *node {
+	if v := f.n.vals[key]; v != nil {
+		return v
+	}
+	f.d.errf(f.n.line, format, args...)
+	return &node{kind: mapNode, line: f.n.line}
+}
+
+func (f fields) str(key string) string {
+	v := f.n.vals[key]
+	if v == nil {
+		return ""
 	}
 	if v.kind != scalarNode {
-		return "", d.errf(v.line, "%q must be a scalar", key)
+		f.d.errf(v.line, "%q must be a scalar", key)
 	}
-	return v.scalar, nil
+	return v.scalar
 }
 
-func (d *dec) intField(n *node, key string, def int64) (int64, error) {
-	v, ok := n.vals[key]
-	if !ok {
-		return def, nil
+// number reads a non-empty scalar through parse; what names the type.
+func number[T any](f fields, key string, def T, what string, parse func(string) (T, error)) T {
+	v := f.n.vals[key]
+	if v == nil {
+		return def
 	}
 	if v.kind != scalarNode || v.scalar == "" {
-		return 0, d.errf(v.line, "%q must be an integer", key)
+		f.d.errf(v.line, "%q must be %s", key, what)
+		return def
 	}
-	i, err := strconv.ParseInt(strings.ReplaceAll(v.scalar, "_", ""), 10, 64)
+	x, err := parse(v.scalar)
 	if err != nil {
-		return 0, d.errf(v.line, "%q must be an integer, got %q", key, v.scalar)
+		f.d.errf(v.line, "%q must be %s, got %q", key, what, v.scalar)
 	}
-	return i, nil
+	return x
 }
 
-func (d *dec) floatField(n *node, key string, def float64) (float64, error) {
-	v, ok := n.vals[key]
-	if !ok {
-		return def, nil
-	}
-	if v.kind != scalarNode || v.scalar == "" {
-		return 0, d.errf(v.line, "%q must be a number", key)
-	}
-	f, err := strconv.ParseFloat(v.scalar, 64)
-	if err != nil {
-		return 0, d.errf(v.line, "%q must be a number, got %q", key, v.scalar)
-	}
-	return f, nil
+func (f fields) int(key string, def int64) int64 {
+	return number(f, key, def, "an integer", func(s string) (int64, error) {
+		return strconv.ParseInt(strings.ReplaceAll(s, "_", ""), 10, 64)
+	})
 }
 
-func (d *dec) boolField(n *node, key string, def bool) (bool, error) {
-	v, ok := n.vals[key]
-	if !ok {
-		return def, nil
+// intOr reads an integer the file may spell with a word instead, which reads
+// as def.
+func (f fields) intOr(key, word string, def int64) int64 {
+	if v := f.n.vals[key]; v != nil && v.scalar == word {
+		return def
 	}
-	switch v.scalar {
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
-	}
-	return false, d.errf(v.line, "%q must be true or false, got %q", key, v.scalar)
+	return f.int(key, def)
 }
 
-// optFloat returns a pointer for presence-sensitive bounds.
-func (d *dec) optFloat(n *node, key string) (*float64, error) {
-	if _, ok := n.vals[key]; !ok {
-		return nil, nil
-	}
-	f, err := d.floatField(n, key, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &f, nil
+func (f fields) float(key string, def float64) float64 {
+	return number(f, key, def, "a number", func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
 }
 
-func (d *dec) strList(n *node, key string) ([]string, error) {
-	v, ok := n.vals[key]
-	if !ok {
-		return nil, nil
+func (f fields) bool(key string, def bool) bool {
+	v := f.n.vals[key]
+	if v == nil {
+		return def
+	}
+	if v.scalar != "true" && v.scalar != "false" {
+		f.d.errf(v.line, "%q must be true or false, got %q", key, v.scalar)
+	}
+	return v.scalar == "true"
+}
+
+// opt reads a presence-sensitive value (a bound, a filter): nil when absent.
+func opt[T any](f fields, key string, read func(string, T) T) *T {
+	if f.n.vals[key] == nil {
+		return nil
+	}
+	var zero T
+	v := read(key, zero)
+	return &v
+}
+
+// list returns the items of key's sequence, none when the key is absent;
+// complaint is what a non-sequence there is told.
+func (f fields) list(key, complaint string) []*node {
+	v := f.n.vals[key]
+	if v == nil {
+		return nil
 	}
 	if v.kind != seqNode {
-		return nil, d.errf(v.line, "%q must be a list", key)
+		f.d.errf(v.line, complaint, key)
 	}
-	var out []string
-	for _, item := range v.items {
+	return v.items
+}
+
+func (f fields) seq(key string) []*node { return f.list(key, "%s must be a list") }
+
+func (f fields) strList(key string) []string {
+	return each(f.list(key, "%q must be a list"), func(item *node) string {
 		if item.kind != scalarNode {
-			return nil, d.errf(item.line, "%q entries must be scalars", key)
+			f.d.errf(item.line, "%q entries must be scalars", key)
 		}
-		out = append(out, item.scalar)
-	}
-	return out, nil
+		return item.scalar
+	})
 }
 
-func (d *dec) scenario(root *node) (*Scenario, error) {
-	if err := d.wantMap(root, "scenario"); err != nil {
-		return nil, err
+// each decodes a sequence's items; no items is a nil slice.
+func each[T any](items []*node, decode func(*node) T) []T {
+	var out []T
+	for _, item := range items {
+		out = append(out, decode(item))
 	}
-	if err := d.checkKeys(root, "scenario",
-		"name", "description", "duration_ms", "seeds", "ci", "digests", "output_digests", "fleet", "events", "generators", "assertions"); err != nil {
-		return nil, err
-	}
-	sc := &Scenario{}
-	var err error
-	if sc.Name, err = d.str(root, "name"); err != nil {
-		return nil, err
-	}
-	if sc.Description, err = d.str(root, "description"); err != nil {
-		return nil, err
-	}
-	if sc.DurationMS, err = d.intField(root, "duration_ms", 0); err != nil {
-		return nil, err
-	}
-	if sc.CI, err = d.boolField(root, "ci", false); err != nil {
-		return nil, err
-	}
-	seeds, err := d.strList(root, "seeds")
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range seeds {
-		u, perr := strconv.ParseUint(s, 10, 64)
-		if perr != nil || u == 0 {
-			return nil, d.errf(root.vals["seeds"].line, "seeds must be positive integers, got %q", s)
-		}
-		sc.Seeds = append(sc.Seeds, u)
-	}
-	if len(sc.Seeds) == 0 {
-		sc.Seeds = []uint64{1}
-	}
-	if dg, ok := root.vals["digests"]; ok {
-		if err := d.wantMap(dg, "digests"); err != nil {
-			return nil, err
-		}
-		sc.Digests = map[uint64]string{}
-		for _, k := range dg.keys {
-			seed, perr := strconv.ParseUint(k, 10, 64)
-			if perr != nil {
-				return nil, d.errf(dg.keyLine[k], "digest key must be a seed, got %q", k)
-			}
-			v := dg.vals[k]
-			if v.kind != scalarNode || len(v.scalar) != 16 {
-				return nil, d.errf(v.line, "digest for seed %s must be 16 hex chars", k)
-			}
-			sc.Digests[seed] = v.scalar
-		}
-	}
-	if od, ok := root.vals["output_digests"]; ok {
-		if err := d.wantMap(od, "output_digests"); err != nil {
-			return nil, err
-		}
-		sc.OutputDigests = map[uint64]map[string]string{}
-		for _, k := range od.keys {
-			seed, perr := strconv.ParseUint(k, 10, 64)
-			if perr != nil {
-				return nil, d.errf(od.keyLine[k], "output_digests key must be a seed, got %q", k)
-			}
-			per := od.vals[k]
-			if err := d.wantMap(per, "output_digests seed "+k); err != nil {
-				return nil, err
-			}
-			byGuest := map[string]string{}
-			for _, g := range per.keys {
-				v := per.vals[g]
-				if v.kind != scalarNode || len(v.scalar) != 16 {
-					return nil, d.errf(v.line, "output digest for guest %q under seed %s must be 16 hex chars", g, k)
-				}
-				byGuest[g] = v.scalar
-			}
-			sc.OutputDigests[seed] = byGuest
-		}
-	}
-	fl, ok := root.vals["fleet"]
-	if !ok {
-		return nil, d.errf(root.line, "missing fleet section")
-	}
-	if sc.Fleet, err = d.fleet(fl); err != nil {
-		return nil, err
-	}
-	if ev, ok := root.vals["events"]; ok {
-		if ev.kind != seqNode {
-			return nil, d.errf(ev.line, "events must be a list")
-		}
-		for _, item := range ev.items {
-			e, err := d.event(item)
-			if err != nil {
-				return nil, err
-			}
-			sc.Events = append(sc.Events, e)
-		}
-	}
-	if gs, ok := root.vals["generators"]; ok {
-		if gs.kind != seqNode {
-			return nil, d.errf(gs.line, "generators must be a list")
-		}
-		for _, item := range gs.items {
-			g, err := d.generator(item)
-			if err != nil {
-				return nil, err
-			}
-			sc.Generators = append(sc.Generators, g)
-		}
-	}
-	if as, ok := root.vals["assertions"]; ok {
-		if as.kind != seqNode {
-			return nil, d.errf(as.line, "assertions must be a list")
-		}
-		for _, item := range as.items {
-			a, err := d.assertion(item)
-			if err != nil {
-				return nil, err
-			}
-			sc.Assertions = append(sc.Assertions, a)
-		}
-	}
-	return sc, nil
+	return out
 }
 
-func (d *dec) fleet(n *node) (Fleet, error) {
-	var f Fleet
-	if err := d.wantMap(n, "fleet"); err != nil {
-		return f, err
+// bySeed decodes the mapping at key, whose keys are seeds; nil when absent.
+func bySeed[V any](f fields, key, keyWhat string, decode func(seed string, v *node) V) map[uint64]V {
+	n := f.n.vals[key]
+	if n == nil {
+		return nil
 	}
-	if err := d.checkKeys(n, "fleet",
-		"machines", "capacity", "shards", "checkpoint_instr", "stall_detector",
-		"planned_migration", "load_aware", "nodes", "guests"); err != nil {
-		return f, err
-	}
-	var err error
-	if v, e := d.intField(n, "machines", 0); e != nil {
-		return f, e
-	} else {
-		f.Machines = int(v)
-	}
-	if v, e := d.intField(n, "capacity", 3); e != nil {
-		return f, e
-	} else {
-		f.Capacity = int(v)
-	}
-	if v, e := d.intField(n, "shards", 1); e != nil {
-		return f, e
-	} else {
-		f.Shards = int(v)
-	}
-	if f.CheckpointInstr, err = d.intField(n, "checkpoint_instr", 0); err != nil {
-		return f, err
-	}
-	f.CheckpointLine = n.keyLine["checkpoint_instr"]
-	if f.StallDetector, err = d.boolField(n, "stall_detector", false); err != nil {
-		return f, err
-	}
-	if f.PlannedMigration, err = d.boolField(n, "planned_migration", false); err != nil {
-		return f, err
-	}
-	if f.LoadAware, err = d.boolField(n, "load_aware", false); err != nil {
-		return f, err
-	}
-	if f.Nodes, err = d.strList(n, "nodes"); err != nil {
-		return f, err
-	}
-	gs, ok := n.vals["guests"]
-	if !ok {
-		return f, d.errf(n.line, "fleet needs a guests list")
-	}
-	if gs.kind != seqNode {
-		return f, d.errf(gs.line, "guests must be a list")
-	}
-	for _, item := range gs.items {
-		spec, err := d.guestSpec(item)
+	out := map[uint64]V{}
+	for _, k := range f.d.mapping(n, key).n.keys {
+		seed, err := strconv.ParseUint(k, 10, 64)
 		if err != nil {
-			return f, err
+			f.d.errf(n.keyLine[k], "%s key must be a seed, got %q", keyWhat, k)
 		}
-		f.Guests = append(f.Guests, spec)
+		out[seed] = decode(k, n.vals[k])
 	}
-	return f, nil
+	return out
 }
 
-func (d *dec) guestSpec(n *node) (GuestSpec, error) {
-	var g GuestSpec
-	if err := d.wantMap(n, "guest spec"); err != nil {
-		return g, err
+// hex16 reads a digest pin; the complaint names whose.
+func (d *dec) hex16(v *node, format string, args ...any) string {
+	if v.kind != scalarNode || len(v.scalar) != 16 {
+		d.errf(v.line, format, args...)
 	}
-	if err := d.checkKeys(n, "guest spec", "name", "count", "app", "traffic"); err != nil {
-		return g, err
+	return v.scalar
+}
+
+func (d *dec) scenario(root *node) *Scenario {
+	f := d.fields(root, "scenario",
+		"name", "description", "duration_ms", "seeds", "ci", "digests", "output_digests", "fleet", "events", "generators", "assertions")
+	return &Scenario{
+		Name:        f.str("name"),
+		Description: f.str("description"),
+		DurationMS:  f.int("duration_ms", 0),
+		CI:          f.bool("ci", false),
+		Seeds:       f.seeds(),
+		Digests: bySeed(f, "digests", "digest", func(seed string, v *node) string {
+			return d.hex16(v, "digest for seed %s must be 16 hex chars", seed)
+		}),
+		OutputDigests: bySeed(f, "output_digests", "output_digests", func(seed string, per *node) map[string]string {
+			byGuest := map[string]string{}
+			for _, g := range d.mapping(per, "output_digests seed "+seed).n.keys {
+				byGuest[g] = d.hex16(per.vals[g], "output digest for guest %q under seed %s must be 16 hex chars", g, seed)
+			}
+			return byGuest
+		}),
+		Fleet:      d.fleet(f.need("fleet", "missing fleet section")),
+		Events:     each(f.seq("events"), d.event),
+		Generators: each(f.seq("generators"), d.generator),
+		Assertions: each(f.seq("assertions"), d.assertion),
 	}
-	g.Line = n.line
-	var err error
-	if g.Name, err = d.str(n, "name"); err != nil {
-		return g, err
+}
+
+// seeds reads the seeds a scenario runs under (default: [1]).
+func (f fields) seeds() []uint64 {
+	var out []uint64
+	for _, s := range f.strList("seeds") {
+		u, err := strconv.ParseUint(s, 10, 64)
+		if err != nil || u == 0 {
+			f.d.errf(f.n.vals["seeds"].line, "seeds must be positive integers, got %q", s)
+		}
+		out = append(out, u)
 	}
+	if len(out) == 0 {
+		return []uint64{1}
+	}
+	return out
+}
+
+func (d *dec) fleet(n *node) Fleet {
+	f := d.fields(n, "fleet",
+		"machines", "capacity", "shards", "checkpoint_instr", "stall_detector",
+		"planned_migration", "load_aware", "nodes", "guests")
+	fl := Fleet{
+		Machines:         int(f.int("machines", 0)),
+		Capacity:         int(f.int("capacity", 3)),
+		Shards:           int(f.int("shards", 1)),
+		CheckpointInstr:  f.int("checkpoint_instr", 0),
+		CheckpointLine:   f.n.keyLine["checkpoint_instr"],
+		StallDetector:    f.bool("stall_detector", false),
+		PlannedMigration: f.bool("planned_migration", false),
+		LoadAware:        f.bool("load_aware", false),
+		Nodes:            f.strList("nodes"),
+	}
+	f.need("guests", "fleet needs a guests list")
+	fl.Guests = each(f.seq("guests"), d.guestSpec)
+	return fl
+}
+
+func (d *dec) guestSpec(n *node) GuestSpec {
+	f := d.fields(n, "guest spec", "name", "count", "app", "traffic")
+	g := GuestSpec{Line: n.line, Name: f.str("name")}
 	if g.Name == "" {
-		return g, d.errf(n.line, "guest spec needs a name")
+		d.errf(n.line, "guest spec needs a name")
 	}
-	if v, e := d.intField(n, "count", 1); e != nil {
-		return g, e
-	} else {
-		g.Count = int(v)
+	g.Count = int(f.int("count", 1))
+	g.App = d.appSpec(f.need("app", "guest %q needs an app", g.Name))
+	if tr := f.n.vals["traffic"]; tr != nil {
+		g.Traffic = d.trafficSpec(tr)
 	}
-	app, ok := n.vals["app"]
-	if !ok {
-		return g, d.errf(n.line, "guest %q needs an app", g.Name)
-	}
-	if g.App, err = d.appSpec(app); err != nil {
-		return g, err
-	}
-	if tr, ok := n.vals["traffic"]; ok {
-		if g.Traffic, err = d.trafficSpec(tr); err != nil {
-			return g, err
-		}
-	}
-	return g, nil
+	return g
 }
 
-func (d *dec) appSpec(n *node) (AppSpec, error) {
-	var a AppSpec
-	if err := d.wantMap(n, "app"); err != nil {
-		return a, err
-	}
-	if err := d.checkKeys(n, "app", "kind", "period_ms", "compute", "disk_kb", "sink", "echo", "until_ms", "transport"); err != nil {
-		return a, err
-	}
-	var err error
-	if a.Kind, err = d.str(n, "kind"); err != nil {
-		return a, err
-	}
-	switch a.Kind {
-	case "beacon", "fileserver", "nfs", "probe":
-	default:
-		return a, d.errf(n.line, "unknown app kind %q (beacon, fileserver, nfs, probe)", a.Kind)
-	}
-	if a.PeriodMS, err = d.floatField(n, "period_ms", 5); err != nil {
-		return a, err
-	}
-	if a.Compute, err = d.intField(n, "compute", 500_000); err != nil {
-		return a, err
-	}
-	if v, e := d.intField(n, "disk_kb", 0); e != nil {
-		return a, e
-	} else {
-		a.DiskKB = int(v)
-	}
-	if a.Sink, err = d.str(n, "sink"); err != nil {
-		return a, err
-	}
-	if a.Echo, err = d.boolField(n, "echo", false); err != nil {
-		return a, err
-	}
-	if a.UntilMS, err = d.intField(n, "until_ms", 0); err != nil {
-		return a, err
-	}
-	if a.Transport, err = d.str(n, "transport"); err != nil {
-		return a, err
+func (d *dec) appSpec(n *node) AppSpec {
+	f := d.fields(n, "app", "kind", "period_ms", "compute", "disk_kb", "sink", "echo", "until_ms", "transport")
+	a := AppSpec{
+		Kind:      f.oneOf("kind", "unknown app kind %q (beacon, fileserver, nfs, probe)", "beacon", "fileserver", "nfs", "probe"),
+		PeriodMS:  f.float("period_ms", 5),
+		Compute:   f.int("compute", 500_000),
+		DiskKB:    int(f.int("disk_kb", 0)),
+		Sink:      f.str("sink"),
+		Echo:      f.bool("echo", false),
+		UntilMS:   f.int("until_ms", 0),
+		Transport: f.str("transport"),
 	}
 	if a.Transport == "" {
 		a.Transport = "tcp"
 	}
 	if a.Transport != "tcp" && a.Transport != "udp" {
-		return a, d.errf(n.keyLine["transport"], "unknown transport %q (tcp, udp)", a.Transport)
+		d.errf(n.keyLine["transport"], "unknown transport %q (tcp, udp)", a.Transport)
 	}
-	return a, nil
+	return a
 }
 
-func (d *dec) trafficSpec(n *node) (TrafficSpec, error) {
-	var t TrafficSpec
-	if err := d.wantMap(n, "traffic"); err != nil {
-		return t, err
+func (d *dec) trafficSpec(n *node) TrafficSpec {
+	f := d.fields(n, "traffic", "kind", "period_ms", "from", "size_kb", "constant", "start_ms", "stop_ms")
+	return TrafficSpec{
+		Kind: f.oneOf("kind", "unknown traffic kind %q (pings, probe-stream, downloads, nfs-load)",
+			"", "pings", "probe-stream", "downloads", "nfs-load"),
+		PeriodMS: f.float("period_ms", 20),
+		From:     f.str("from"),
+		SizeKB:   int(f.int("size_kb", 64)),
+		Constant: f.bool("constant", false),
+		StartMS:  f.int("start_ms", 0),
+		StopMS:   f.int("stop_ms", 0),
 	}
-	if err := d.checkKeys(n, "traffic",
-		"kind", "period_ms", "from", "size_kb", "constant", "start_ms", "stop_ms"); err != nil {
-		return t, err
-	}
-	var err error
-	if t.Kind, err = d.str(n, "kind"); err != nil {
-		return t, err
-	}
-	switch t.Kind {
-	case "", "pings", "probe-stream", "downloads", "nfs-load":
-	default:
-		return t, d.errf(n.line, "unknown traffic kind %q (pings, probe-stream, downloads, nfs-load)", t.Kind)
-	}
-	if t.PeriodMS, err = d.floatField(n, "period_ms", 20); err != nil {
-		return t, err
-	}
-	if t.From, err = d.str(n, "from"); err != nil {
-		return t, err
-	}
-	if v, e := d.intField(n, "size_kb", 64); e != nil {
-		return t, e
-	} else {
-		t.SizeKB = int(v)
-	}
-	if t.Constant, err = d.boolField(n, "constant", false); err != nil {
-		return t, err
-	}
-	if t.StartMS, err = d.intField(n, "start_ms", 0); err != nil {
-		return t, err
-	}
-	if t.StopMS, err = d.intField(n, "stop_ms", 0); err != nil {
-		return t, err
-	}
-	return t, nil
 }
 
 // eventKeys lists each action's allowed keys beyond at_ms/action.
@@ -474,75 +369,34 @@ var eventKeys = map[string][]string{
 	"heal":          {"from", "to", "duplex"},
 }
 
-func (d *dec) event(n *node) (Event, error) {
-	ev := Event{Machine: -1}
-	if err := d.wantMap(n, "event"); err != nil {
-		return ev, err
+func (d *dec) event(n *node) Event {
+	f := d.mapping(n, "event")
+	at := f.int("at_ms", -1)
+	if at < 0 {
+		d.errf(n.line, "event needs at_ms")
 	}
-	ev.Line = n.line
-	var err error
-	if ev.AtMS, err = d.intField(n, "at_ms", -1); err != nil {
-		return ev, err
+	ev := Event{
+		AtMS:          at,
+		Action:        f.kind("action", "unknown action %q", eventKeys, "at_ms", "action"),
+		Line:          n.line,
+		Guest:         f.str("guest"),
+		Count:         int(f.int("count", 1)),
+		Machine:       int(f.intOr("machine", "busiest", -1)),
+		Busiest:       f.n.vals["machine"] != nil && f.n.vals["machine"].scalar == "busiest",
+		Detected:      f.bool("detected", true),
+		RepairAfterMS: f.int("repair_after_ms", 0),
+		Slot:          int(f.int("slot", 0)),
+		To:            f.str("to"),
+		From:          f.str("from"),
+		Prob:          f.float("prob", 0),
+		Duplex:        f.bool("duplex", false),
 	}
-	if ev.AtMS < 0 {
-		return ev, d.errf(n.line, "event needs at_ms")
-	}
-	if ev.Action, err = d.str(n, "action"); err != nil {
-		return ev, err
-	}
-	extra, ok := eventKeys[ev.Action]
-	if !ok {
-		return ev, d.errf(n.line, "unknown action %q", ev.Action)
-	}
-	if err := d.checkKeys(n, ev.Action+" event", append([]string{"at_ms", "action"}, extra...)...); err != nil {
-		return ev, err
-	}
-	if ev.Guest, err = d.str(n, "guest"); err != nil {
-		return ev, err
-	}
-	if v, e := d.intField(n, "count", 1); e != nil {
-		return ev, e
-	} else {
-		ev.Count = int(v)
-	}
-	if m, ok := n.vals["machine"]; ok {
-		if m.scalar == "busiest" {
-			ev.Busiest = true
-		} else {
-			v, e := d.intField(n, "machine", -1)
-			if e != nil {
-				return ev, e
-			}
-			ev.Machine = int(v)
-		}
-	}
-	if ev.Detected, err = d.boolField(n, "detected", true); err != nil {
-		return ev, err
-	}
-	if ev.RepairAfterMS, err = d.intField(n, "repair_after_ms", 0); err != nil {
-		return ev, err
-	}
-	if v, e := d.intField(n, "slot", 0); e != nil {
-		return ev, e
-	} else {
-		ev.Slot = int(v)
-	}
-	if ev.To, err = d.str(n, "to"); err != nil {
-		return ev, err
-	}
-	if ev.Action == "inject-loss" || ev.Action == "partition" || ev.Action == "heal" {
-		if ev.From, err = d.str(n, "from"); err != nil {
-			return ev, err
-		}
+	// A fabric fault's `to` is a link endpoint, not a migration target.
+	switch ev.Action {
+	case "inject-loss", "partition", "heal":
 		ev.ToAddr, ev.To = ev.To, ""
 	}
-	if ev.Prob, err = d.floatField(n, "prob", 0); err != nil {
-		return ev, err
-	}
-	if ev.Duplex, err = d.boolField(n, "duplex", false); err != nil {
-		return ev, err
-	}
-	return ev, nil
+	return ev
 }
 
 // generatorKeys lists each generator kind's allowed keys beyond
@@ -554,50 +408,21 @@ var generatorKeys = map[string][]string{
 	"crashes":          {"count", "detected", "mean_down_ms"},
 }
 
-func (d *dec) generator(n *node) (Generator, error) {
-	var g Generator
-	if err := d.wantMap(n, "generator"); err != nil {
-		return g, err
+func (d *dec) generator(n *node) Generator {
+	f := d.mapping(n, "generator")
+	return Generator{
+		Kind: f.kind("kind", "unknown generator kind %q (arrivals, replica-failures, drains, crashes)",
+			generatorKeys, "kind", "from_ms", "to_ms"),
+		Line:           n.line,
+		FromMS:         f.int("from_ms", 0),
+		ToMS:           f.int("to_ms", 0),
+		Guest:          f.str("guest"),
+		RatePerS:       f.float("rate_per_s", 0),
+		MeanLifetimeMS: f.float("mean_lifetime_ms", 0),
+		Count:          int(f.int("count", 1)),
+		Detected:       f.bool("detected", true),
+		MeanDownMS:     f.float("mean_down_ms", 0),
 	}
-	g.Line = n.line
-	var err error
-	if g.Kind, err = d.str(n, "kind"); err != nil {
-		return g, err
-	}
-	extra, ok := generatorKeys[g.Kind]
-	if !ok {
-		return g, d.errf(n.line, "unknown generator kind %q (arrivals, replica-failures, drains, crashes)", g.Kind)
-	}
-	if err := d.checkKeys(n, g.Kind+" generator", append([]string{"kind", "from_ms", "to_ms"}, extra...)...); err != nil {
-		return g, err
-	}
-	if g.FromMS, err = d.intField(n, "from_ms", 0); err != nil {
-		return g, err
-	}
-	if g.ToMS, err = d.intField(n, "to_ms", 0); err != nil {
-		return g, err
-	}
-	if g.Guest, err = d.str(n, "guest"); err != nil {
-		return g, err
-	}
-	if g.RatePerS, err = d.floatField(n, "rate_per_s", 0); err != nil {
-		return g, err
-	}
-	if g.MeanLifetimeMS, err = d.floatField(n, "mean_lifetime_ms", 0); err != nil {
-		return g, err
-	}
-	if v, e := d.intField(n, "count", 1); e != nil {
-		return g, e
-	} else {
-		g.Count = int(v)
-	}
-	if g.Detected, err = d.boolField(n, "detected", true); err != nil {
-		return g, err
-	}
-	if g.MeanDownMS, err = d.floatField(n, "mean_down_ms", 0); err != nil {
-		return g, err
-	}
-	return g, nil
 }
 
 // assertKeys lists each check's allowed keys beyond check.
@@ -611,70 +436,24 @@ var assertKeys = map[string][]string{
 	"journal":    {"guest", "min_checkpoints"},
 }
 
-func (d *dec) assertion(n *node) (Assertion, error) {
-	var a Assertion
-	if err := d.wantMap(n, "assertion"); err != nil {
-		return a, err
+func (d *dec) assertion(n *node) Assertion {
+	f := d.mapping(n, "assertion")
+	return Assertion{
+		Check:          f.kind("check", "unknown check %q", assertKeys, "check"),
+		Line:           n.line,
+		Guest:          f.str("guest"),
+		Guests:         f.strList("guests"),
+		Strict:         f.bool("strict", false),
+		Field:          f.str("field"),
+		Op:             f.str("op"),
+		Detected:       opt(f, "detected", f.bool),
+		WithinMS:       f.int("within_ms", 0),
+		Name:           f.str("name"),
+		Label:          f.str("label"),
+		Min:            opt(f, "min", f.float),
+		Max:            opt(f, "max", f.float),
+		NotFired:       f.bool("not_fired", false),
+		MinShared:      int(f.int("min_shared", 1)),
+		MinCheckpoints: f.int("min_checkpoints", 1),
 	}
-	a.Line = n.line
-	var err error
-	if a.Check, err = d.str(n, "check"); err != nil {
-		return a, err
-	}
-	extra, ok := assertKeys[a.Check]
-	if !ok {
-		return a, d.errf(n.line, "unknown check %q", a.Check)
-	}
-	if err := d.checkKeys(n, a.Check+" assertion", append([]string{"check"}, extra...)...); err != nil {
-		return a, err
-	}
-	if a.Guest, err = d.str(n, "guest"); err != nil {
-		return a, err
-	}
-	if a.Guests, err = d.strList(n, "guests"); err != nil {
-		return a, err
-	}
-	if a.Strict, err = d.boolField(n, "strict", false); err != nil {
-		return a, err
-	}
-	if a.Field, err = d.str(n, "field"); err != nil {
-		return a, err
-	}
-	if a.Op, err = d.str(n, "op"); err != nil {
-		return a, err
-	}
-	if _, ok := n.vals["detected"]; ok {
-		det, e := d.boolField(n, "detected", false)
-		if e != nil {
-			return a, e
-		}
-		a.Detected = &det
-	}
-	if a.WithinMS, err = d.intField(n, "within_ms", 0); err != nil {
-		return a, err
-	}
-	if a.Name, err = d.str(n, "name"); err != nil {
-		return a, err
-	}
-	if a.Label, err = d.str(n, "label"); err != nil {
-		return a, err
-	}
-	if a.Min, err = d.optFloat(n, "min"); err != nil {
-		return a, err
-	}
-	if a.Max, err = d.optFloat(n, "max"); err != nil {
-		return a, err
-	}
-	if a.NotFired, err = d.boolField(n, "not_fired", false); err != nil {
-		return a, err
-	}
-	if v, e := d.intField(n, "min_shared", 1); e != nil {
-		return a, e
-	} else {
-		a.MinShared = int(v)
-	}
-	if a.MinCheckpoints, err = d.intField(n, "min_checkpoints", 1); err != nil {
-		return a, err
-	}
-	return a, nil
 }

@@ -9,30 +9,47 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"stopwatch"
 )
 
-// statsFields is the FoldOpStats vocabulary of the "stats" assertion.
-var statsFields = map[string]bool{
-	"admitted": true, "rejected": true, "evicted": true,
-	"replacements": true, "replacement_failures": true,
-	"drain_retries": true, "host_drains": true,
-	"evacuations": true, "evacuation_failures": true,
-	"host_failures": true, "crash_evacuations": true,
-	"crash_evacuation_failures": true,
-	"migrations":                true, "migration_failures": true, "migrations_planned": true,
-	"reconcile_rounds": true, "reconcile_repairs": true, "reconcile_retries": true,
-}
+// statsFields is the vocabulary of the "stats" assertion, declared once for
+// validator and evaluator: every int field of ControlPlaneStats under the
+// snake_case of its name, as an index into the struct. A counter added
+// to the fold is assertable without an edit here.
+var statsFields = func() map[string]int {
+	fields := map[string]int{}
+	t := reflect.TypeFor[stopwatch.ControlPlaneStats]()
+	for i := range t.NumField() {
+		if t.Field(i).Type.Kind() != reflect.Int {
+			continue
+		}
+		var snake []rune
+		for j, c := range t.Field(i).Name {
+			if unicode.IsUpper(c) && j > 0 {
+				snake = append(snake, '_')
+			}
+			snake = append(snake, unicode.ToLower(c))
+		}
+		fields[string(snake)] = i
+	}
+	return fields
+}()
 
-// opKinds is the op-log vocabulary of the "oplog" assertion.
-var opKinds = map[string]bool{
-	"admit": true, "evict": true, "replace": true, "drain": true,
-	"undrain": true, "fail": true, "evacuate": true, "repair": true,
-	"migrate": true,
+// knownOp reports whether name is in the vocabulary of the "oplog"
+// assertion, which is OpKind.String's.
+func knownOp(name string) bool {
+	for k := stopwatch.OpKind(1); k.String() != "?"; k++ {
+		if k.String() == name {
+			return true
+		}
+	}
+	return false
 }
 
 // Validate runs every static check and returns the joined defects (nil
@@ -350,14 +367,14 @@ func (v *validator) assertions() {
 				v.guestRef(a.Line, g, what)
 			}
 		case "stats":
-			if !statsFields[a.Field] {
+			if _, ok := statsFields[a.Field]; !ok {
 				v.errf(a.Line, "stats assertion: unknown field %q", a.Field)
 			}
 			if a.Min == nil && a.Max == nil {
 				v.errf(a.Line, "stats assertion needs min and/or max")
 			}
 		case "oplog":
-			if !opKinds[a.Op] {
+			if !knownOp(a.Op) {
 				v.errf(a.Line, "oplog assertion: unknown op %q", a.Op)
 			}
 			if a.NotFired && (a.Min != nil || a.Max != nil || a.WithinMS > 0) {

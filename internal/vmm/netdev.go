@@ -7,6 +7,7 @@ import (
 
 	"stopwatch/internal/guest"
 	"stopwatch/internal/metrics"
+	"stopwatch/internal/seqwin"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/vtime"
 )
@@ -45,7 +46,13 @@ type NetDevice struct {
 	// Policy defaults to PolicyMedian.
 	Policy DeliveryPolicy
 
-	props map[uint64]*propState
+	// pending holds the proposal state of every unresolved ingress sequence
+	// seen so far. Everything below its Base has resolved (or predates this
+	// device's join); a resolved sequence above an unseen one stays retired
+	// in the window, so a straggler proposal for it is dropped instead of
+	// resurrecting a state that could never resolve and would wedge
+	// quiescence forever.
+	pending seqwin.Window[propState]
 
 	// live, when non-nil, is the group view: the origins (host names,
 	// this replica's own included) currently believed alive. nil means the
@@ -57,26 +64,21 @@ type NetDevice struct {
 	// moves via SetLiveReplicas and must match across live members.
 	view uint64
 
-	// Resolved-sequence watermark: every seq <= resolvedLo has resolved
-	// (or predates this device's join); resolvedHi holds resolved seqs
-	// above the watermark awaiting compaction. Straggler proposals for
-	// resolved seqs are dropped instead of resurrecting a propState that
-	// could never resolve and would wedge quiescence forever.
-	resolvedLo uint64
-	resolvedHi map[uint64]bool
-
 	// resRing is a bounded ring of recent (seq, deliver) resolutions — what
 	// the device exports during a pre-view-commit reconcile round so a
 	// survivor that lost the dead member's vote can adopt the decision
 	// instead of wedging. An inline array: recording is one store on the
-	// resolution hot path, and the device allocates nothing for it.
+	// resolution hot path, and the device allocates nothing for it. Not a
+	// seqwin.Window: it keeps decisions after pending has slid past them.
 	resRing [resRingCap]resolvedRec
 	resNext int
 
 	// forced holds delivery decisions adopted from a peer's reconcile
 	// export for sequences whose payload has not arrived here yet; the
 	// payload's eventual arrival delivers at the adopted time instead of
-	// proposing. Survives view changes — the decision is final.
+	// proposing. Survives view changes — the decision is final. A map, not
+	// part of pending: it is written on the failure path only, and a
+	// sequence held here is not yet one Pending() may count.
 	forced map[uint64]vtime.Virtual
 
 	// ProposalDeadline, when positive, arms a host-loop timer per proposed
@@ -113,12 +115,10 @@ type NetDevice struct {
 	viewDrops  uint64 // proposals from an earlier view or a dead origin
 
 	// Steady-state scratch, reused across packets so the per-resolution
-	// hot path allocates nothing: freed propStates, freed inbound work
-	// items, the median slice, and the re-propose seq slice.
-	freeStates []*propState
+	// hot path allocates nothing: freed inbound work items and the median
+	// slice.
 	freeWork   []*inboundWork
 	medScratch []vtime.Virtual
-	seqScratch []uint64
 }
 
 // ProposalSink consumes a replica's delivery-time proposals.
@@ -149,8 +149,9 @@ func (f ResolveSinkFunc) OnResolve(seq uint64, deliver vtime.Virtual, p guest.Pa
 // propState accumulates one sequence's proposals, one slot per origin so a
 // duplicated or replayed proposal from one peer can never displace (or
 // stand in for) another's. Groups are 3 (or 5) wide: the slots are scanned,
-// not hashed. States are pooled per device: on resolution the state is
-// cleared (array retained) and recycled for a later sequence.
+// not hashed. States live inline in the device's window, and a slot's vote
+// array is made once, at the group's width, for every sequence that will
+// pass through it.
 type propState struct {
 	payload    guest.Payload
 	hasPayload bool
@@ -191,14 +192,15 @@ func NewNetDevice(rt *Runtime, replicas int) (*NetDevice, error) {
 	if replicas < 1 || replicas%2 == 0 {
 		return nil, fmt.Errorf("%w: replica count %d must be odd", ErrVMM, replicas)
 	}
-	// props and resolvedHi are lazily initialized on first use: a freshly
-	// wired device (guest admission is itself a hot path under churn)
-	// allocates nothing until traffic arrives.
+	// The window allocates on first use: a freshly wired device (guest
+	// admission is itself a hot path under churn) allocates nothing until
+	// traffic arrives.
 	return &NetDevice{
 		rt:       rt,
 		replicas: replicas,
 		self:     rt.Host().Name(),
 		Policy:   PolicyMedian,
+		pending:  seqwin.New[propState](1),
 	}, nil
 }
 
@@ -210,7 +212,7 @@ func (nd *NetDevice) HandleInbound(seq uint64, p guest.Payload) {
 	if host.Failed() {
 		return // a dead VMM's device model processes nothing
 	}
-	if nd.isResolved(seq) {
+	if nd.pending.Done(seq) {
 		nd.staleDrops++
 		return
 	}
@@ -237,11 +239,11 @@ func processTimer(a, b any, _ uint64) {
 	w.p = guest.Payload{}
 	nd.freeWork = append(nd.freeWork, w)
 	nd.rt.Host().ioEnd()
-	if nd.isResolved(seq) {
+	st := nd.state(seq)
+	if st == nil {
 		nd.staleDrops++
 		return
 	}
-	st := nd.state(seq)
 	if !st.hasPayload {
 		st.payload = p
 		st.hasPayload = true
@@ -282,7 +284,7 @@ func (nd *NetDevice) propose(seq uint64, st *propState) {
 // sequences, duplicates from one origin, and proposals from dead members or
 // stale views are dropped.
 func (nd *NetDevice) HandlePeerProposal(origin string, view, seq uint64, v vtime.Virtual) {
-	if nd.isResolved(seq) {
+	if nd.pending.Done(seq) {
 		nd.staleDrops++
 		return
 	}
@@ -291,6 +293,10 @@ func (nd *NetDevice) HandlePeerProposal(origin string, view, seq uint64, v vtime
 		return
 	}
 	st := nd.state(seq)
+	if st == nil {
+		nd.staleDrops++
+		return
+	}
 	if _, dup := st.vote(origin); dup {
 		nd.dupDrops++
 		return
@@ -311,20 +317,13 @@ func (nd *NetDevice) HandlePeerProposal(origin string, view, seq uint64, v vtime
 func (nd *NetDevice) SetLiveReplicas(view uint64, origins []string) {
 	nd.live = append(nd.live[:0], origins...)
 	nd.view = view
-	seqs := nd.seqScratch[:0]
-	for seq := range nd.props {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		st := nd.props[seq]
+	for seq, st := range nd.pending.All() {
 		st.props = st.props[:0]
 		if st.own {
 			nd.propose(seq, st)
 		}
 		nd.maybeResolve(seq, st)
 	}
-	nd.seqScratch = seqs[:0]
 }
 
 // View returns the current group-view number.
@@ -350,33 +349,19 @@ func (nd *NetDevice) liveHas(origin string) bool {
 	return false
 }
 
+// state returns seq's proposal state, opening it if the sequence is new. It
+// returns nil for a resolved sequence and for one further above the
+// watermark than any ingress can be (seqwin.MaxSpan).
 func (nd *NetDevice) state(seq uint64) *propState {
-	if nd.props == nil {
-		nd.props = make(map[uint64]*propState)
-	}
-	st, ok := nd.props[seq]
-	if !ok {
-		if k := len(nd.freeStates); k > 0 {
-			st = nd.freeStates[k-1]
-			nd.freeStates[k-1] = nil
-			nd.freeStates = nd.freeStates[:k-1]
-		} else {
-			st = &propState{}
+	st, fresh := nd.pending.Open(seq)
+	if fresh {
+		votes := st.props[:0]
+		if votes == nil {
+			votes = make([]propVote, 0, nd.replicas)
 		}
-		nd.props[seq] = st
+		*st = propState{props: votes}
 	}
 	return st
-}
-
-// releaseState clears and recycles a resolved sequence's state.
-func (nd *NetDevice) releaseState(st *propState) {
-	st.props = st.props[:0]
-	st.payload = guest.Payload{}
-	st.hasPayload = false
-	st.own = false
-	st.ownVirt = 0
-	st.proposedAt = 0
-	nd.freeStates = append(nd.freeStates, st)
 }
 
 func (nd *NetDevice) maybeResolve(seq uint64, st *propState) {
@@ -410,12 +395,11 @@ func (nd *NetDevice) maybeResolve(seq uint64, st *propState) {
 // ring, journal hook and runtime delivery. Shared by the median path and
 // reconcile adoption.
 func (nd *NetDevice) finishResolve(seq uint64, st *propState, deliver vtime.Virtual) {
-	nd.markResolved(seq)
 	nd.resRing[nd.resNext] = resolvedRec{seq: seq, deliver: deliver}
 	nd.resNext = (nd.resNext + 1) % resRingCap
-	delete(nd.props, seq)
 	payload := st.payload
-	nd.releaseState(st)
+	st.payload = guest.Payload{} // the slot outlives the sequence; its data must not
+	nd.pending.Retire(seq)
 	if nd.OnResolve != nil {
 		nd.OnResolve.OnResolve(seq, deliver, payload)
 	}
@@ -430,53 +414,11 @@ func (nd *NetDevice) adoptResolution(seq uint64, st *propState, deliver vtime.Vi
 	nd.finishResolve(seq, st, deliver)
 }
 
-// markResolved records seq as resolved, compacting into the watermark.
-func (nd *NetDevice) markResolved(seq uint64) {
-	switch {
-	case seq == nd.resolvedLo+1:
-		nd.resolvedLo++
-		for nd.resolvedHi[nd.resolvedLo+1] {
-			nd.resolvedLo++
-			delete(nd.resolvedHi, nd.resolvedLo)
-		}
-	case seq > nd.resolvedLo:
-		if nd.resolvedHi == nil {
-			nd.resolvedHi = make(map[uint64]bool)
-		}
-		nd.resolvedHi[seq] = true
-	}
-}
-
-// isResolved reports whether seq has already resolved (or predates this
-// device's join point).
-func (nd *NetDevice) isResolved(seq uint64) bool {
-	return seq <= nd.resolvedLo || nd.resolvedHi[seq]
-}
-
 // PrimeResolved declares every sequence <= seq already handled — how a
 // replacement replica's device joins an in-progress ingress stream without
 // treating the stream's history (resolved by its predecessors and replayed
 // from the journal) as forever-pending.
-func (nd *NetDevice) PrimeResolved(seq uint64) {
-	if seq > nd.resolvedLo {
-		nd.resolvedLo = seq
-	}
-	for s := range nd.resolvedHi {
-		if s <= nd.resolvedLo {
-			delete(nd.resolvedHi, s)
-		}
-	}
-	for nd.resolvedHi[nd.resolvedLo+1] {
-		nd.resolvedLo++
-		delete(nd.resolvedHi, nd.resolvedLo)
-	}
-	for s, st := range nd.props {
-		if s <= nd.resolvedLo {
-			delete(nd.props, s)
-			nd.releaseState(st)
-		}
-	}
-}
+func (nd *NetDevice) PrimeResolved(seq uint64) { nd.pending.SkipTo(seq + 1) }
 
 // MissingProposals names the group members whose proposal for a pending
 // sequence has not arrived — what a failure detector reads when OnStall
@@ -486,11 +428,8 @@ func (nd *NetDevice) PrimeResolved(seq uint64) {
 // counts, not membership, and reports nothing. Resolved or unknown
 // sequences report nothing. The result is sorted for determinism.
 func (nd *NetDevice) MissingProposals(seq uint64) []string {
-	if nd.live == nil || nd.isResolved(seq) {
-		return nil
-	}
-	st, ok := nd.props[seq]
-	if !ok {
+	st := nd.pending.Get(seq)
+	if nd.live == nil || st == nil {
 		return nil
 	}
 	var missing []string
@@ -515,13 +454,13 @@ func (nd *NetDevice) armDeadline(seq uint64) {
 // hook unless it resolved in time.
 func deadlineTimer(a, _ any, seq uint64) {
 	nd := a.(*NetDevice)
-	if !nd.isResolved(seq) && nd.OnStall != nil {
+	if !nd.pending.Done(seq) && nd.OnStall != nil {
 		nd.OnStall(seq)
 	}
 }
 
 // Pending returns the number of unresolved inbound packets (tests).
-func (nd *NetDevice) Pending() int { return len(nd.props) }
+func (nd *NetDevice) Pending() int { return nd.pending.Len() }
 
 // Proposed and Resolved report protocol counters.
 func (nd *NetDevice) Proposed() uint64 { return nd.proposed }

@@ -67,15 +67,15 @@ type ReconcileExport struct {
 }
 
 // ExportReconcile snapshots this device's reconcile contribution for a
-// round triggered by deadOrigin's crash. Entries are seq-sorted so the
-// export — and everything downstream of it — is independent of map
-// iteration order.
+// round triggered by deadOrigin's crash. Entries are seq-sorted: the
+// resolution ring is in resolution order and is sorted here; the pending
+// window reads in sequence order as it is.
 func (nd *NetDevice) ExportReconcile(deadOrigin string) ReconcileExport {
 	x := ReconcileExport{
 		Origin:     nd.self,
 		View:       nd.view,
 		DeadOrigin: deadOrigin,
-		Watermark:  nd.resolvedLo,
+		Watermark:  nd.pending.Base() - 1,
 	}
 	for _, r := range nd.resRing {
 		if r.seq != 0 {
@@ -83,12 +83,11 @@ func (nd *NetDevice) ExportReconcile(deadOrigin string) ReconcileExport {
 		}
 	}
 	sort.Slice(x.Resolutions, func(i, j int) bool { return x.Resolutions[i].Seq < x.Resolutions[j].Seq })
-	for seq, st := range nd.props {
+	for seq, st := range nd.pending.All() {
 		if v, ok := st.vote(deadOrigin); ok {
 			x.DeadVotes = append(x.DeadVotes, ReconcileEntry{Seq: seq, Virt: v})
 		}
 	}
-	sort.Slice(x.DeadVotes, func(i, j int) bool { return x.DeadVotes[i].Seq < x.DeadVotes[j].Seq })
 	return x
 }
 
@@ -107,13 +106,13 @@ func (nd *NetDevice) ImportReconcile(x ReconcileExport) int {
 	}
 	repairs := 0
 	for _, e := range x.Resolutions {
-		if nd.isResolved(e.Seq) {
+		if nd.pending.Done(e.Seq) {
 			continue
 		}
 		if _, dup := nd.forced[e.Seq]; dup {
 			continue
 		}
-		if st, ok := nd.props[e.Seq]; ok && st.hasPayload {
+		if st := nd.pending.Get(e.Seq); st != nil && st.hasPayload {
 			nd.adoptResolution(e.Seq, st, e.Virt)
 		} else {
 			if nd.forced == nil {
@@ -124,13 +123,13 @@ func (nd *NetDevice) ImportReconcile(x ReconcileExport) int {
 		repairs++
 	}
 	for _, e := range x.DeadVotes {
-		if nd.isResolved(e.Seq) {
-			continue
-		}
 		if _, dup := nd.forced[e.Seq]; dup {
 			continue
 		}
 		st := nd.state(e.Seq)
+		if st == nil {
+			continue // resolved here, or no sequence this device could be asked about
+		}
 		if _, have := st.vote(x.DeadOrigin); have {
 			continue
 		}

@@ -1,9 +1,12 @@
 package vmm
 
 import (
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"stopwatch/internal/guest"
+	"stopwatch/internal/seqwin"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/vtime"
 )
@@ -188,4 +191,93 @@ func TestReconcileImportFences(t *testing.T) {
 	if got := ndA.ImportReconcile(x); got != 0 {
 		t.Fatalf("dead-origin export repaired %d, want 0", got)
 	}
+}
+
+// exportBytes is the fuzz target's wire form of a ReconcileExport: origin,
+// dead origin (an index into A/B/C/D each) and view, one byte apiece, then
+// 17-byte entries — a tag (even: resolution, odd: dead vote), the sequence
+// and the virtual time, little-endian.
+func exportBytes(x ReconcileExport) []byte {
+	name := func(s string) byte { return byte(strings.Index("ABCD", s)) }
+	b := []byte{name(x.Origin), name(x.DeadOrigin), byte(x.View)}
+	for tag, entries := range [][]ReconcileEntry{x.Resolutions, x.DeadVotes} {
+		for _, e := range entries {
+			b = append(b, byte(tag))
+			b = binary.LittleEndian.AppendUint64(b, e.Seq)
+			b = binary.LittleEndian.AppendUint64(b, uint64(e.Virt))
+		}
+	}
+	return b
+}
+
+func exportFromBytes(b []byte) ReconcileExport {
+	var x ReconcileExport
+	if len(b) < 3 {
+		return x
+	}
+	x.Origin, x.DeadOrigin, x.View = string("ABCD"[b[0]%4]), string("ABCD"[b[1]%4]), uint64(b[2]%3)
+	for b = b[3:]; len(b) >= 17; b = b[17:] {
+		e := ReconcileEntry{Seq: binary.LittleEndian.Uint64(b[1:]), Virt: vtime.Virtual(binary.LittleEndian.Uint64(b[9:]))}
+		if b[0]%2 == 0 {
+			x.Resolutions = append(x.Resolutions, e)
+		} else {
+			x.DeadVotes = append(x.DeadVotes, e)
+		}
+	}
+	return x
+}
+
+// FuzzImportReconcile: a reconcile export arrives in a packet from another
+// machine. Whatever it holds, importing it into a survivor with sequences
+// in every state — resolved, pending with and without its payload, never
+// seen — must not panic, must not open a sequence beyond the pending
+// window's span, and must be idempotent: the same export again repairs
+// nothing. Seeded with the exports of TestReconcileRepairsSplitDelivery.
+func FuzzImportReconcile(f *testing.F) {
+	vB, vC := vtime.Virtual(30*sim.Millisecond), vtime.Virtual(31*sim.Millisecond)
+	entry := func(v vtime.Virtual) []ReconcileEntry { return []ReconcileEntry{{Seq: 1, Virt: v}} }
+	f.Add(exportBytes(ReconcileExport{Origin: "B", DeadOrigin: "C", DeadVotes: entry(vC)}))
+	f.Add(exportBytes(ReconcileExport{Origin: "B", DeadOrigin: "C", Watermark: 1, Resolutions: entry(vB)}))
+	f.Add(exportBytes(ReconcileExport{Origin: "B", DeadOrigin: "C", View: 2, Resolutions: entry(vB), DeadVotes: []ReconcileEntry{{Seq: 2, Virt: vC}, {Seq: 1 << 62, Virt: vC}}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		loop, rt, nd := reconcileTestDevice(t, "A", 87)
+		rt.OnNetDeliver = func(uint64, vtime.Virtual, sim.Time) {}
+		rt.Start()
+		// Seq 1 resolves; 2 holds its payload and B's vote; 3 only B's vote;
+		// 4 was never heard of.
+		loop.At(10*sim.Millisecond, "pkts", func() {
+			nd.HandleInbound(1, guest.Payload{Src: "c", Size: 64})
+			nd.HandleInbound(2, guest.Payload{Src: "c", Size: 64})
+		})
+		loop.At(15*sim.Millisecond, "votes", func() {
+			nd.HandlePeerProposal("B", 0, 1, vB)
+			nd.HandlePeerProposal("C", 0, 1, vC)
+			nd.HandlePeerProposal("B", 0, 2, vB)
+			nd.HandlePeerProposal("B", 0, 3, vB)
+		})
+		if err := loop.RunUntil(20 * sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		x := exportFromBytes(data)
+		if x.View == 2 {
+			// A third of the inputs meet a device that has been through a
+			// view change, with C gone.
+			nd.SetLiveReplicas(2, []string{"A", "B"})
+		}
+		first := nd.ImportReconcile(x)
+		if first > len(x.Resolutions)+len(x.DeadVotes) {
+			t.Fatalf("%d repairs from %d entries", first, len(x.Resolutions)+len(x.DeadVotes))
+		}
+		if again := nd.ImportReconcile(x); again != 0 {
+			t.Fatalf("second import of %+v repaired %d (first: %d)", x, again, first)
+		}
+		if span := nd.pending.Top() - nd.pending.Base(); span > seqwin.MaxSpan || nd.Pending() > 3+len(x.DeadVotes) {
+			t.Fatalf("pending window spans %d with %d open after %+v", span, nd.Pending(), x)
+		}
+		// Whatever was adopted or stashed is delivered without incident.
+		nd.HandleInbound(3, guest.Payload{Src: "c", Size: 64})
+		if err := loop.RunUntil(60 * sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -43,7 +43,11 @@ type JournalRecord struct {
 // content is identical either way (that is the determinism the journal
 // logs), so the lock only makes the map access safe, not the outcome.
 type Journal struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// recs stays a map where the other per-sequence tables became a
+	// seqwin.Window: a checkpoint truncates it by delivery time, which is no
+	// prefix of the sequences, and records arrive out of order from the
+	// replicas' shard loops under mu.
 	recs  map[uint64]JournalRecord
 	stars map[int64]vtime.EpochSample
 
