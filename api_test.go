@@ -133,34 +133,6 @@ func TestPublicTimeHelpers(t *testing.T) {
 	}
 }
 
-func TestPublicExperimentEntryPoints(t *testing.T) {
-	// Analytic experiments run fast and exercise the re-exports.
-	f1, err := RunFig1(DefaultFig1Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f1.Curve) == 0 || f1.Render() == "" {
-		t.Fatal("fig1 empty")
-	}
-	pt, err := RunPlacementTable(DefaultPlacementConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pt.Rows) == 0 {
-		t.Fatal("placement table empty")
-	}
-	// Config re-exports for the simulation-backed figures.
-	if DefaultFig4Config().Bins == 0 || DefaultFig5Config().Runs == 0 ||
-		DefaultFig6Config().Processes == 0 || len(DefaultFig7Config().Profiles) == 0 ||
-		DefaultFig8Config().Bins == 0 || len(DefaultCalibConfig().DeltaNsMS) == 0 ||
-		DefaultCollabConfig().Duration == 0 || DefaultLeaderConfig().Duration == 0 {
-		t.Fatal("config re-export broken")
-	}
-	if DefaultVMMConfig().Validate() != nil {
-		t.Fatal("default VMM config invalid")
-	}
-}
-
 func TestPublicNFSAndParsecTypes(t *testing.T) {
 	if len(PaperNFSMix()) != 6 {
 		t.Fatal("mix")

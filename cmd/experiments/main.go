@@ -16,8 +16,9 @@ import (
 	"slices"
 	"strings"
 
-	"stopwatch"
+	"stopwatch/internal/experiment"
 	"stopwatch/internal/profiling"
+	"stopwatch/internal/sim"
 )
 
 func main() {
@@ -53,25 +54,25 @@ func run(args []string) error {
 	}
 	steps := []step{
 		{"fig1", func() (interface{ Render() string }, error) {
-			return stopwatch.RunFig1(stopwatch.DefaultFig1Config())
+			return experiment.RunFig1(experiment.DefaultFig1Config())
 		}},
 		{"fig1c", func() (interface{ Render() string }, error) {
-			cfg := stopwatch.DefaultFig1Config()
+			cfg := experiment.DefaultFig1Config()
 			cfg.LambdaPrime = 10.0 / 11.0
-			return stopwatch.RunFig1(cfg)
+			return experiment.RunFig1(cfg)
 		}},
 		{"fig4", func() (interface{ Render() string }, error) {
-			cfg := stopwatch.DefaultFig4Config()
+			cfg := experiment.DefaultFig4Config()
 			if *seed != 0 {
 				cfg.Seed = *seed
 			}
 			if *fast {
-				cfg.Duration = stopwatch.Seconds(8)
+				cfg.Duration = sim.FromSeconds(8)
 			}
-			return stopwatch.RunFig4(cfg)
+			return experiment.RunFig4(cfg)
 		}},
 		{"fig5", func() (interface{ Render() string }, error) {
-			cfg := stopwatch.DefaultFig5Config()
+			cfg := experiment.DefaultFig5Config()
 			if *seed != 0 {
 				cfg.Seed = *seed
 			}
@@ -79,65 +80,65 @@ func run(args []string) error {
 				cfg.Runs = 2
 				cfg.SizesKB = []int{1, 10, 100, 1000}
 			}
-			return stopwatch.RunFig5(cfg)
+			return experiment.RunFig5(cfg)
 		}},
 		{"fig6", func() (interface{ Render() string }, error) {
-			cfg := stopwatch.DefaultFig6Config()
+			cfg := experiment.DefaultFig6Config()
 			if *seed != 0 {
 				cfg.Seed = *seed
 			}
 			if *fast {
-				cfg.LoadDuration = stopwatch.Seconds(2)
+				cfg.LoadDuration = sim.FromSeconds(2)
 			}
-			return stopwatch.RunFig6(cfg)
+			return experiment.RunFig6(cfg)
 		}},
 		{"fig7", func() (interface{ Render() string }, error) {
-			cfg := stopwatch.DefaultFig7Config()
+			cfg := experiment.DefaultFig7Config()
 			if *seed != 0 {
 				cfg.Seed = *seed
 			}
-			return stopwatch.RunFig7(cfg)
+			return experiment.RunFig7(cfg)
 		}},
 		{"fig8", func() (interface{ Render() string }, error) {
-			cfg := stopwatch.DefaultFig8Config()
+			cfg := experiment.DefaultFig8Config()
 			if *fast {
 				cfg.Trials = 100
 			}
-			return stopwatch.RunFig8(cfg)
+			return experiment.RunFig8(cfg)
 		}},
 		{"placement", func() (interface{ Render() string }, error) {
-			return stopwatch.RunPlacementTable(stopwatch.DefaultPlacementConfig())
+			return experiment.RunPlacement(experiment.DefaultPlacementConfig())
 		}},
 		{"calib", func() (interface{ Render() string }, error) {
-			cfg := stopwatch.DefaultCalibConfig()
+			cfg := experiment.DefaultCalibConfig()
 			if *seed != 0 {
 				cfg.Seed = *seed
 			}
 			if *fast {
-				cfg.Duration = stopwatch.Seconds(5)
+				cfg.Duration = sim.FromSeconds(5)
 				cfg.DeltaNsMS = []float64{2, 8, 16}
 			}
-			return stopwatch.RunCalib(cfg)
+			return experiment.RunCalib(cfg)
 		}},
 		{"collab", func() (interface{ Render() string }, error) {
-			cfg := stopwatch.DefaultCollabConfig()
+			cfg := experiment.DefaultCollabConfig()
 			if *seed != 0 {
 				cfg.Seed = *seed
 			}
 			if *fast {
-				cfg.Duration = stopwatch.Seconds(8)
+				cfg.Duration = sim.FromSeconds(8)
 			}
-			return stopwatch.RunCollab(cfg)
+			return experiment.RunCollab(cfg)
 		}},
 		{"leader", func() (interface{ Render() string }, error) {
-			cfg := stopwatch.DefaultLeaderConfig()
+			cfg := experiment.DefaultLeaderConfig()
 			if *seed != 0 {
 				cfg.Seed = *seed
 			}
 			if *fast {
-				cfg.Duration = stopwatch.Seconds(8)
+				cfg.Duration = sim.FromSeconds(8)
 			}
-			return stopwatch.RunLeader(cfg)
+			return experiment.RunLeader(cfg)
 		}},
 	}
 

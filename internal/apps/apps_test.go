@@ -362,3 +362,46 @@ func TestProbeSourceConstantAndPoisson(t *testing.T) {
 		t.Fatal("sent counter mismatch")
 	}
 }
+
+// TestTwoClientsOneFileServer: every transport client numbers its
+// connections and requests from 1, so two clients of one server use the same
+// ids at the same time. Both downloads complete, each with its own size —
+// over TCP, and over UDP with the NACK repair path taken on lossy links.
+func TestTwoClientsOneFileServer(t *testing.T) {
+	for _, mode := range []FileServerMode{ModeTCP, ModeUDP} {
+		cfg := DefaultFileServerConfig()
+		cfg.Mode = mode
+		fs, err := NewFileServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := newBaselineHarness(t, fs)
+		second, err := transport.NewClient(h.net, h.loop, "client2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[netsim.Addr]int{}
+		for i, cl := range []*transport.Client{h.client, second} {
+			var conn uint64
+			if mode == ModeTCP {
+				conn = cl.Connect("svc:g", nil)
+			} else {
+				conn = cl.OpenUDP("svc:g")
+				cl.NACKTimeout = 30 * sim.Millisecond
+				if err := h.net.SetLink("svc:g", cl.Addr(), netsim.LinkConfig{Latency: sim.Millisecond, LossProb: 0.15}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bytes := (i + 1) * 100 << 10
+			if err := cl.Request(conn, GetFile{Bytes: bytes}, func(r transport.Response) { got[cl.Addr()] = r.Segments }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.loop.RunUntil(60 * sim.Second); err != nil {
+			t.Fatal(err)
+		}
+		if got["client"] != transport.SegCount(100<<10) || got["client2"] != transport.SegCount(200<<10) {
+			t.Errorf("mode %d: segments of the completed downloads %v, want 100 KiB to client and 200 KiB to client2", mode, got)
+		}
+	}
+}

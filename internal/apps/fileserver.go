@@ -5,10 +5,12 @@
 package apps
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"stopwatch/internal/guest"
 	"stopwatch/internal/netsim"
@@ -68,8 +70,9 @@ type FileServer struct {
 	tcp *transport.TCPServer
 	udp *transport.UDPServer
 
-	// pending[respID] tracks disk reads still outstanding per response.
-	pending map[uint64]*pendingFile
+	// pending tracks disk reads still outstanding per response, by the tag
+	// of its disk requests.
+	pending map[string]*pendingFile
 
 	served uint64
 }
@@ -83,6 +86,16 @@ type pendingFile struct {
 	remaining int // chunks still to read
 }
 
+// tag names the response's disk requests. Response ids are client-chosen,
+// like connection ids, and mean something only together with the client.
+func (pf *pendingFile) tag() string { return fmt.Sprintf("file:%d:%s", pf.respID, pf.src) }
+
+// byRequest orders pending responses by (respID, src): the order snapshots
+// are written in, which for a single client is the respID order it always was.
+func (pf *pendingFile) byRequest(o *pendingFile) int {
+	return cmp.Or(cmp.Compare(pf.respID, o.respID), cmp.Compare(pf.src, o.src))
+}
+
 var _ guest.App = (*FileServer)(nil)
 
 // NewFileServer builds the app.
@@ -93,7 +106,7 @@ func NewFileServer(cfg FileServerConfig) (*FileServer, error) {
 	if cfg.DiskChunk <= 0 {
 		return nil, fmt.Errorf("%w: disk chunk %d", ErrApp, cfg.DiskChunk)
 	}
-	fs := &FileServer{cfg: cfg, pending: make(map[uint64]*pendingFile)}
+	fs := &FileServer{cfg: cfg, pending: make(map[string]*pendingFile)}
 	switch cfg.Mode {
 	case ModeTCP:
 		srv, err := transport.NewTCPServer(cfg.Window)
@@ -137,7 +150,7 @@ func (fs *FileServer) onRequest(ctx guest.Ctx, src netsim.Addr, conn, respID uin
 		reads = 1
 	}
 	pf := &pendingFile{src: src, conn: conn, respID: respID, bytes: g.Bytes, remaining: reads}
-	fs.pending[respID] = pf
+	fs.pending[pf.tag()] = pf
 	// Chunks are read SEQUENTIALLY (OnDiskDone issues the next), as a web
 	// server streams a cold file. Parallel issue would violate StopWatch's
 	// Δd >= max-transfer-time assumption: the k-th parallel request queues
@@ -154,16 +167,12 @@ func (fs *FileServer) issueNextChunk(ctx guest.Ctx, pf *pendingFile) {
 		chunk = 1
 	}
 	pf.nextOff += chunk
-	ctx.DiskRead(fmt.Sprintf("file:%d", pf.respID), chunk)
+	ctx.DiskRead(pf.tag(), chunk)
 }
 
 // OnDiskDone implements guest.App: when the last chunk is in, respond.
 func (fs *FileServer) OnDiskDone(ctx guest.Ctx, d guest.DiskDone) {
-	var respID uint64
-	if _, err := fmt.Sscanf(d.Tag, "file:%d", &respID); err != nil {
-		return
-	}
-	pf, ok := fs.pending[respID]
+	pf, ok := fs.pending[d.Tag]
 	if !ok {
 		return
 	}
@@ -173,11 +182,11 @@ func (fs *FileServer) OnDiskDone(ctx guest.Ctx, d guest.DiskDone) {
 		fs.issueNextChunk(ctx, pf)
 		return
 	}
-	delete(fs.pending, respID)
+	delete(fs.pending, d.Tag)
 	fs.served++
 	ctx.Compute(30_000)
 	if fs.tcp != nil {
-		_ = fs.tcp.Respond(ctx, pf.conn, pf.respID, pf.bytes)
+		_ = fs.tcp.Respond(ctx, pf.src, pf.conn, pf.respID, pf.bytes)
 		return
 	}
 	fs.udp.Respond(ctx, pf.src, pf.conn, pf.respID, pf.bytes)
@@ -199,15 +208,9 @@ func (fs *FileServer) OnTimer(ctx guest.Ctx, tag string) {
 // full-journal replay.
 func (fs *FileServer) SnapshotAppend(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, fs.served)
-	ids := make([]uint64, 0, len(fs.pending))
-	for id := range fs.pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		pf := fs.pending[id]
-		buf = binary.AppendUvarint(buf, id)
+	buf = binary.AppendUvarint(buf, uint64(len(fs.pending)))
+	for _, pf := range slices.SortedFunc(maps.Values(fs.pending), (*pendingFile).byRequest) {
+		buf = binary.AppendUvarint(buf, pf.respID)
 		buf = binary.AppendUvarint(buf, uint64(len(pf.src)))
 		buf = append(buf, pf.src...)
 		buf = binary.AppendUvarint(buf, pf.conn)
@@ -227,10 +230,10 @@ func (fs *FileServer) RestoreSnapshot(data []byte) error {
 	r := guest.NewSnapshotReader(data, ErrApp, "file server snapshot")
 	served := r.Uvarint("served counter")
 	count := r.Count("pending count")
-	pending := make(map[uint64]*pendingFile, count)
+	pending := make(map[string]*pendingFile, count)
 	for i := uint64(0); i < count && r.Err() == nil; i++ {
-		id := r.Uvarint("pending id")
-		pending[id] = &pendingFile{
+		r.Uvarint("pending id") // the respID, written again below
+		pf := &pendingFile{
 			src:       netsim.Addr(r.Text("pending src")),
 			conn:      r.Uvarint("pending conn"),
 			respID:    r.Uvarint("pending respID"),
@@ -238,6 +241,7 @@ func (fs *FileServer) RestoreSnapshot(data []byte) error {
 			nextOff:   int(r.Varint("pending nextOff")),
 			remaining: int(r.Varint("pending remaining")),
 		}
+		pending[pf.tag()] = pf
 	}
 	if r.Err() != nil {
 		return r.Err()

@@ -1,9 +1,11 @@
 package apps
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"stopwatch/internal/guest"
 	"stopwatch/internal/netsim"
@@ -75,16 +77,27 @@ type NFSRequest struct {
 type NFSServer struct {
 	tcp *transport.TCPServer
 
-	pending map[uint64]*pendingNFS
+	// pending holds the ops waiting on disk, by the tag of the disk request.
+	pending map[string]*pendingNFS
 	lookups int64 // every 4th lookup misses the name cache → disk read
 
 	served uint64
 }
 
 type pendingNFS struct {
+	src      netsim.Addr
 	conn     uint64
 	respID   uint64
 	respSize int
+}
+
+// tag names the op's disk request: a respID means something only together
+// with the client that chose it (pendingFile.tag).
+func (p *pendingNFS) tag() string { return fmt.Sprintf("nfs:%d:%s", p.respID, p.src) }
+
+// byRequest is the snapshot order, (respID, src), as pendingFile's.
+func (p *pendingNFS) byRequest(o *pendingNFS) int {
+	return cmp.Or(cmp.Compare(p.respID, o.respID), cmp.Compare(p.src, o.src))
 }
 
 var _ guest.App = (*NFSServer)(nil)
@@ -95,7 +108,7 @@ func NewNFSServer(window int) (*NFSServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &NFSServer{tcp: srv, pending: make(map[uint64]*pendingNFS)}
+	s := &NFSServer{tcp: srv, pending: make(map[string]*pendingNFS)}
 	srv.OnRequest = s.onRequest
 	return s, nil
 }
@@ -116,7 +129,7 @@ func (s *NFSServer) onRequest(ctx guest.Ctx, src netsim.Addr, conn, respID uint6
 	if !ok {
 		return
 	}
-	p := &pendingNFS{conn: conn, respID: respID, respSize: 128}
+	p := &pendingNFS{src: src, conn: conn, respID: respID, respSize: 128}
 	switch r.Op {
 	case OpGetattr:
 		// Attribute cache: compute only.
@@ -127,8 +140,7 @@ func (s *NFSServer) onRequest(ctx guest.Ctx, src netsim.Addr, conn, respID uint6
 		s.lookups++
 		if s.lookups%4 == 0 {
 			// Name-cache miss: directory block from disk.
-			s.pending[respID] = p
-			ctx.DiskRead(fmt.Sprintf("nfs:%d", respID), 4096)
+			ctx.DiskRead(s.await(p), 4096)
 		} else {
 			s.respond(ctx, p)
 		}
@@ -139,43 +151,43 @@ func (s *NFSServer) onRequest(ctx guest.Ctx, src netsim.Addr, conn, respID uint6
 		}
 		p.respSize = bytes
 		ctx.Compute(80_000)
-		s.pending[respID] = p
-		ctx.DiskRead(fmt.Sprintf("nfs:%d", respID), bytes)
+		ctx.DiskRead(s.await(p), bytes)
 	case OpWrite:
 		bytes := r.Bytes
 		if bytes <= 0 {
 			bytes = 8192
 		}
 		ctx.Compute(80_000)
-		s.pending[respID] = p
-		ctx.DiskWrite(fmt.Sprintf("nfs:%d", respID), bytes)
+		ctx.DiskWrite(s.await(p), bytes)
 	case OpSetattr:
 		ctx.Compute(50_000)
-		s.pending[respID] = p
-		ctx.DiskWrite(fmt.Sprintf("nfs:%d", respID), 512)
+		ctx.DiskWrite(s.await(p), 512)
 	case OpCreate:
 		ctx.Compute(70_000)
-		s.pending[respID] = p
-		ctx.DiskWrite(fmt.Sprintf("nfs:%d", respID), 4096)
+		ctx.DiskWrite(s.await(p), 4096)
 	}
+}
+
+// await parks p until its disk request completes and returns the request's
+// tag.
+func (s *NFSServer) await(p *pendingNFS) string {
+	tag := p.tag()
+	s.pending[tag] = p
+	return tag
 }
 
 func (s *NFSServer) respond(ctx guest.Ctx, p *pendingNFS) {
 	s.served++
-	_ = s.tcp.Respond(ctx, p.conn, p.respID, p.respSize)
+	_ = s.tcp.Respond(ctx, p.src, p.conn, p.respID, p.respSize)
 }
 
 // OnDiskDone implements guest.App.
 func (s *NFSServer) OnDiskDone(ctx guest.Ctx, d guest.DiskDone) {
-	var respID uint64
-	if _, err := fmt.Sscanf(d.Tag, "nfs:%d", &respID); err != nil {
-		return
-	}
-	p, ok := s.pending[respID]
+	p, ok := s.pending[d.Tag]
 	if !ok {
 		return
 	}
-	delete(s.pending, respID)
+	delete(s.pending, d.Tag)
 	ctx.Compute(20_000)
 	s.respond(ctx, p)
 }
@@ -188,21 +200,16 @@ func (s *NFSServer) OnTimer(ctx guest.Ctx, tag string) {
 // SnapshotAppend implements guest.Snapshotter: the served and lookup
 // counters (the name-cache model is the lookup count mod 4, so the
 // counter IS the cache state), the ops waiting on disk and the TCP
-// server's connection state. Pending entries are emitted in respID order
+// server's connection state. Pending entries are emitted in byRequest order
 // so identical replicas serialize identically — which lets long-lived NFS
 // guests replace via checkpoint instead of full-journal replay.
 func (s *NFSServer) SnapshotAppend(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, s.served)
 	buf = binary.AppendVarint(buf, s.lookups)
-	ids := make([]uint64, 0, len(s.pending))
-	for id := range s.pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		p := s.pending[id]
-		buf = binary.AppendUvarint(buf, id)
+	buf = binary.AppendUvarint(buf, uint64(len(s.pending)))
+	for _, p := range slices.SortedFunc(maps.Values(s.pending), (*pendingNFS).byRequest) {
+		buf = binary.AppendUvarint(buf, uint64(len(p.src)))
+		buf = append(buf, p.src...)
 		buf = binary.AppendUvarint(buf, p.conn)
 		buf = binary.AppendUvarint(buf, p.respID)
 		buf = binary.AppendVarint(buf, int64(p.respSize))
@@ -216,14 +223,15 @@ func (s *NFSServer) RestoreSnapshot(data []byte) error {
 	served := r.Uvarint("served counter")
 	lookups := r.Varint("lookup counter")
 	count := r.Count("pending count")
-	pending := make(map[uint64]*pendingNFS, count)
+	pending := make(map[string]*pendingNFS, count)
 	for i := uint64(0); i < count && r.Err() == nil; i++ {
-		id := r.Uvarint("pending id")
-		pending[id] = &pendingNFS{
+		p := &pendingNFS{
+			src:      netsim.Addr(r.Text("pending src")),
 			conn:     r.Uvarint("pending conn"),
 			respID:   r.Uvarint("pending respID"),
 			respSize: int(r.Varint("pending respSize")),
 		}
+		pending[p.tag()] = p
 	}
 	if r.Err() != nil {
 		return r.Err()

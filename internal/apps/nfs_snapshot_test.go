@@ -58,10 +58,10 @@ func TestNFSServerSnapshotRoundTrip(t *testing.T) {
 	for id, want := range srv.pending {
 		got, ok := restored.pending[id]
 		if !ok {
-			t.Fatalf("pending %d missing after restore", id)
+			t.Fatalf("pending %s missing after restore", id)
 		}
 		if *got != *want {
-			t.Fatalf("pending %d = %+v, want %+v", id, got, want)
+			t.Fatalf("pending %s = %+v, want %+v", id, got, want)
 		}
 	}
 	// The restored state must re-serialize byte-identically: that equality

@@ -152,46 +152,9 @@ type Cluster struct {
 	// resolution latency histogram (each replica gets its host shard's cell).
 	propLatency *metrics.ShardedHistogram
 
-	// journalGauges/replayLen, when non-nil (InstrumentMetrics), export
-	// per-guest journal telemetry (guests deployed later self-register) and
-	// the records replayed per replica replacement.
-	journalGauges *journalGaugeVecs
-	replayLen     *metrics.Histogram
-}
-
-// outWork is one deferred fabric send: the packet header and body held
-// across the Dom0 output-processing delay. Items are pooled per host node —
-// hosts on different shards must never share a freelist.
-type outWork struct {
-	hn       *hostNode
-	src, dst *netsim.Endpoint
-	size     int
-	kind     string
-	body     netsim.PacketBody
-	payload  any
-}
-
-// allocOut checks a deferred-send item out of the host's pool.
-func (hn *hostNode) allocOut() *outWork {
-	if k := len(hn.freeOut); k > 0 {
-		w := hn.freeOut[k-1]
-		hn.freeOut[k-1] = nil
-		hn.freeOut = hn.freeOut[:k-1]
-		return w
-	}
-	return &outWork{hn: hn}
-}
-
-// outTimer transmits a deferred send and recycles the work item.
-func outTimer(_, b any, _ uint64) {
-	w := b.(*outWork)
-	hn := w.hn
-	p := hn.c.net.AllocTo(w.src, w.dst, w.size, w.kind, w.payload)
-	p.Body = w.body
-	hn.c.net.Send(p)
-	w.body = netsim.PacketBody{}
-	w.payload = nil
-	hn.freeOut = append(hn.freeOut, w)
+	// replayLen, when non-nil (InstrumentMetrics), exports the records
+	// replayed per replica replacement.
+	replayLen *metrics.Histogram
 }
 
 // Guest is a deployed guest VM (all its replicas). Per-slot replica state
@@ -280,17 +243,15 @@ func (w *replicaWiring) PaceReport(v vtime.Virtual) {
 }
 
 // GuestSend implements vmm.SendSink: egress tunnelling of guest outputs
-// (Sec. VI), deferred by the Dom0 output-path delay.
+// (Sec. VI), departing after the Dom0 output-path delay.
 func (w *replicaWiring) GuestSend(a guest.IOAction) {
-	hn := w.hn
-	host := hn.host
-	ow := hn.allocOut()
-	ow.src, ow.dst, ow.size, ow.kind = hn.ep, w.c.egressEP, a.Size, "egress:tunnel"
-	ow.body = netsim.PacketBody{
+	net := w.c.net
+	p := net.AllocTo(w.hn.ep, w.c.egressEP, a.Size, "egress:tunnel", nil)
+	p.Body = netsim.PacketBody{
 		Kind: netsim.BodyEgress, GuestID: w.gid, Origin: w.hostName, Seq: a.Seq,
 		OrigDst: a.Dst, Size: a.Size, Data: a.Data,
 	}
-	host.Loop().AfterTimer(hostIODelay(host), "sw:tunnel", outTimer, nil, ow, 0)
+	net.SendAfter(p, hostIODelay(w.hn.host))
 }
 
 // CheckLockstep verifies all replicas produced identical outputs.
@@ -335,12 +296,6 @@ type hostNode struct {
 
 	// residents holds every resident replica's wiring, by guest id.
 	residents map[string]*replicaWiring
-
-	// freeOut pools deferred-send work items (the Dom0 output-path delay
-	// between a guest send and the fabric transmit) so per-output closures
-	// are not allocated in steady state. Per host node: only this host's
-	// shard loop touches it.
-	freeOut []*outWork
 }
 
 // New creates a cluster.
@@ -559,7 +514,6 @@ func (c *Cluster) deployBaseline(id string, hostIdx []int, factory func() guest.
 	}
 	app := factory()
 	h := c.hosts[hostIdx[0]]
-	hn := c.hostNodes[hostIdx[0]]
 	rt, err := vmm.NewBaselineRuntime(h, id, app)
 	if err != nil {
 		return nil, err
@@ -572,9 +526,7 @@ func (c *Cluster) deployBaseline(id string, hostIdx []int, factory func() guest.
 	}
 	svcEP := c.net.Endpoint(svc)
 	rt.OnSend = vmm.SendSinkFunc(func(a guest.IOAction) {
-		w := hn.allocOut()
-		w.src, w.dst, w.size, w.kind, w.payload = svcEP, c.net.Endpoint(a.Dst), a.Size, "guest:data", a.Data
-		h.Loop().AfterTimer(hostIODelay(h), "base:out", outTimer, nil, w, 0)
+		c.net.SendAfter(c.net.AllocTo(svcEP, c.net.Endpoint(a.Dst), a.Size, "guest:data", a.Data), hostIODelay(h))
 	})
 	if err := c.net.Attach(&netsim.FuncNode{Addr: svc, Fn: func(p *netsim.Packet) {
 		rt.HandleInbound(guest.Payload{Src: p.Src, Size: p.Size, Data: p.Payload})
@@ -638,7 +590,6 @@ func (c *Cluster) deployStopWatch(id string, hostIdx []int, factory func() guest
 		return nil, err
 	}
 	c.guests[id] = g
-	c.instrumentGuestJournal(g)
 	if c.started {
 		c.startGuest(g)
 	}

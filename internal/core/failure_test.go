@@ -151,6 +151,12 @@ func TestDeadReplicaIsReplacedAndRejoinsLockstep(t *testing.T) {
 			c.Loop().After(20*sim.Millisecond, "replace:retry", tryReplace)
 			return
 		}
+		// The crash window's outputs were forwarded at the survivors' two
+		// copies and ended there: nothing waits for the dead replica's third
+		// copy, so the switchover has nothing to sweep.
+		if eg := c.Egress(); eg.Forwarded() == 0 || eg.PendingGroups() != 0 {
+			t.Fatalf("crash window left %d copy groups open after %d forwards", eg.PendingGroups(), eg.Forwarded())
+		}
 		if err := c.ReplaceReplica("web", 2, 3); err != nil {
 			t.Fatalf("ReplaceReplica: %v", err)
 		}
@@ -173,6 +179,9 @@ func TestDeadReplicaIsReplacedAndRejoinsLockstep(t *testing.T) {
 	}
 	if g.Replaced != 1 {
 		t.Fatalf("Replaced = %d, want 1", g.Replaced)
+	}
+	if eg := c.Egress(); eg.PendingGroups() != 0 || eg.StuckBelowForward() != 0 {
+		t.Fatalf("after the replacement: pending %d, stuck %d; want 0, 0", eg.PendingGroups(), eg.StuckBelowForward())
 	}
 	if got := g.HostIndexes(); got[0] != 0 || got[1] != 1 || got[2] != 3 {
 		t.Fatalf("replica hosts after replacement: %v", got)

@@ -11,7 +11,6 @@ package core
 import (
 	"stopwatch/internal/metrics"
 	"stopwatch/internal/sim"
-	"stopwatch/internal/vmm"
 )
 
 // propLatencyBuckets spans a proposal round trip: 10µs (same-instant
@@ -23,12 +22,6 @@ var propLatencyBuckets = metrics.ExpBuckets(int64(10*sim.Microsecond), 4, 10)
 // an uncheckpointed long-lived guest's whole delivery history.
 var replayLenBuckets = metrics.ExpBuckets(1, 4, 10)
 
-// journalGaugeVecs holds the per-guest journal gauge families so guests
-// admitted after InstrumentMetrics self-register at deployment.
-type journalGaugeVecs struct {
-	records, bytes, age metrics.GaugeFuncVec
-}
-
 // InstrumentMetrics registers the data-plane metric families on reg and
 // wires their sources:
 //
@@ -38,8 +31,7 @@ type journalGaugeVecs struct {
 //	stopwatch_host_disk_busy_ns{host}            accumulated disk service time
 //	stopwatch_host_disk_backlog_ns{host}         disk FIFO horizon past now (queue wait)
 //	stopwatch_host_io_inflight{host}             device-model work in progress
-//	stopwatch_egress_pending_groups              open output copy groups (occupancy)
-//	stopwatch_egress_stuck_groups                groups below their forward threshold
+//	stopwatch_egress_stuck_groups                open output copy groups: not yet forwarded
 //	stopwatch_guest_divergences                  replica divergence counter sum
 //	stopwatch_guest_journal_records{guest}       retained determinism-journal deliveries
 //	stopwatch_guest_journal_bytes{guest}         retained journal size incl. checkpoint
@@ -47,9 +39,9 @@ type journalGaugeVecs struct {
 //	stopwatch_vmm_replay_records                 journal records replayed per replacement
 //
 // Call once, before or after deployments — replicas wired later inherit
-// the proposal-latency histogram and guests admitted later self-register
-// their journal gauges. Gauges read live cluster state and are evaluated
-// at snapshot; take snapshots from the simulation thread.
+// the proposal-latency histogram, and the per-guest families list whoever
+// is resident at the snapshot. Gauges read live cluster state and are
+// evaluated at snapshot; take snapshots from the simulation thread.
 func (c *Cluster) InstrumentMetrics(reg *metrics.Registry) {
 	// Fabric counters and the proposal-latency histogram are sharded: each
 	// fabric shard / replica host updates its own cell lock-free, and the
@@ -86,9 +78,6 @@ func (c *Cluster) InstrumentMetrics(reg *metrics.Registry) {
 		inflight.Add(h.Name(), func() float64 { return float64(h.IOInFlight()) })
 	}
 
-	reg.NewGaugeFunc("stopwatch_egress_pending_groups",
-		"open egress copy groups (occupancy of the median-forwarding window)",
-		func() float64 { return float64(c.egress.PendingGroups()) })
 	reg.NewGaugeFunc("stopwatch_egress_stuck_groups",
 		"egress copy groups still below their forward threshold — outputs a client is waiting for",
 		func() float64 { return float64(c.egress.StuckBelowForward()) })
@@ -102,50 +91,33 @@ func (c *Cluster) InstrumentMetrics(reg *metrics.Registry) {
 			return float64(n)
 		})
 
-	c.journalGauges = &journalGaugeVecs{
-		records: reg.NewGaugeFuncVec("stopwatch_guest_journal_records",
-			"resolved deliveries retained in the guest's determinism journal (post-truncation)", "guest"),
-		bytes: reg.NewGaugeFuncVec("stopwatch_guest_journal_bytes",
-			"estimated retained journal size per guest — delivery records plus the latest checkpoint", "guest"),
-		age: reg.NewGaugeFuncVec("stopwatch_guest_checkpoint_age_instr",
-			"instructions a replacement would replay: most advanced live replica minus the latest checkpoint", "guest"),
+	perGuest := func(name, help string, read func(g *Guest) float64) {
+		reg.NewGaugeSetFunc(name, help, "guest", func(emit func(string, float64)) {
+			for _, g := range c.guests {
+				if g.journal != nil {
+					emit(g.ID, read(g))
+				}
+			}
+		})
 	}
-	for _, g := range c.guests {
-		c.instrumentGuestJournal(g)
-	}
+	perGuest("stopwatch_guest_journal_records",
+		"resolved deliveries retained in the guest's determinism journal (post-truncation)",
+		func(g *Guest) float64 { return float64(g.journal.Stats().Records) })
+	perGuest("stopwatch_guest_journal_bytes",
+		"estimated retained journal size per guest — delivery records plus the latest checkpoint",
+		func(g *Guest) float64 { return float64(g.journal.Stats().Bytes) })
+	perGuest("stopwatch_guest_checkpoint_age_instr",
+		"instructions a replacement would replay: most advanced live replica minus the latest checkpoint",
+		func(g *Guest) float64 {
+			var instr int64
+			for _, w := range g.replicas {
+				if w != nil && w.rt != nil && w.rt.Instr() > instr {
+					instr = w.rt.Instr()
+				}
+			}
+			return float64(instr - g.journal.Stats().CheckpointInstr)
+		})
 	h := reg.NewHistogram("stopwatch_vmm_replay_records",
 		"journal records replayed to reconstruct a replacement replica", replayLenBuckets)
 	c.replayLen = &h
-}
-
-// instrumentGuestJournal registers guest g's journal gauges. The closures
-// resolve the guest by id at snapshot time, so after eviction (or after the
-// id is reused by a new tenant) the stale registration reads the current
-// resident — or zero when none — instead of a released journal.
-func (c *Cluster) instrumentGuestJournal(g *Guest) {
-	if c.journalGauges == nil || g.journal == nil {
-		return
-	}
-	id := g.ID
-	stats := func() vmm.JournalStats {
-		if cur, ok := c.guests[id]; ok && cur.journal != nil {
-			return cur.journal.Stats()
-		}
-		return vmm.JournalStats{}
-	}
-	c.journalGauges.records.Add(id, func() float64 { return float64(stats().Records) })
-	c.journalGauges.bytes.Add(id, func() float64 { return float64(stats().Bytes) })
-	c.journalGauges.age.Add(id, func() float64 {
-		cur, ok := c.guests[id]
-		if !ok || cur.journal == nil {
-			return 0
-		}
-		var instr int64
-		for _, w := range cur.replicas {
-			if w != nil && w.rt != nil && w.rt.Instr() > instr {
-				instr = w.rt.Instr()
-			}
-		}
-		return float64(instr - cur.journal.Stats().CheckpointInstr)
-	})
 }

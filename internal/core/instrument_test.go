@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -95,7 +96,7 @@ func TestInstrumentMetricsDataPlane(t *testing.T) {
 		"stopwatch_vmm_proposal_latency_ns_bucket",
 		"stopwatch_host_disk_backlog_ns",
 		"stopwatch_host_io_inflight",
-		"stopwatch_egress_pending_groups",
+		"stopwatch_egress_stuck_groups",
 	} {
 		if !strings.Contains(prom, fam) {
 			t.Fatalf("prom page missing %s:\n%s", fam, prom)
@@ -137,5 +138,43 @@ func TestInstrumentationDoesNotPerturbRun(t *testing.T) {
 	d2, f2 := run(true)
 	if d1 != d2 || f1 != f2 {
 		t.Fatalf("instrumentation perturbed the run: delivered %d vs %d, forwarded %d vs %d", d1, d2, f1, f2)
+	}
+}
+
+// TestPerGuestGaugesFollowResidents: the per-guest journal families list
+// who is resident at the snapshot, so a fleet that has admitted and evicted
+// hundreds of tenants renders as many samples as it has guests now.
+func TestPerGuestGaugesFollowResidents(t *testing.T) {
+	c := mustCluster(t, DefaultClusterConfig())
+	reg := metrics.NewRegistry()
+	c.InstrumentMetrics(reg)
+	factory := fileServerFactory(t, apps.DefaultFileServerConfig())
+	if _, err := c.Deploy("stays", []int{0, 1, 2}, factory); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		id := fmt.Sprintf("tenant-%d", i)
+		if _, err := c.Deploy(id, []int{0, 1, 2}, factory); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Undeploy(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Deploy("tenant-7", []int{0, 1, 2}, factory); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"stopwatch_guest_journal_records",
+		"stopwatch_guest_journal_bytes",
+		"stopwatch_guest_checkpoint_age_instr",
+	} {
+		samples, ok := reg.Lookup(name)
+		if !ok {
+			t.Fatalf("family %q not registered", name)
+		}
+		if len(samples) != 2 || samples[0].LabelValue != "stays" || samples[1].LabelValue != "tenant-7" {
+			t.Errorf("%s: samples %+v, want the residents stays and tenant-7", name, samples)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"stopwatch/internal/gateway"
-	"stopwatch/internal/sim"
 	"stopwatch/internal/vmm"
 )
 
@@ -196,17 +195,6 @@ func (c *Cluster) ReplaceReplica(id string, deadHost, newHost int) error {
 	if fresh.ec != nil {
 		fresh.ec.RestoreAt(donor.ec)
 	}
-	// Free the crash window's forwarded output groups: for sequences up to
-	// the replayed send count the third copy will never arrive (the dead
-	// replica is gone and the replacement suppresses replayed sends). A
-	// second sweep after a generous tunnel-drain interval catches groups
-	// whose last survivor copy was still in flight at switchover; by then
-	// the guest may have been evicted, which DropGuest makes a no-op.
-	boundary := uint64(fresh.rt.VM().Stats().PacketsSent)
-	c.egress.ReclaimForwardedUpTo(id, boundary)
-	c.loop.After(100*sim.Millisecond, "egress:reclaim", func() {
-		c.egress.ReclaimForwardedUpTo(id, boundary)
-	})
 	g.Replaced++
 	if c.replayLen != nil {
 		c.replayLen.Observe(int64(fresh.rt.Stats().ReplayedRecords))

@@ -248,25 +248,22 @@ func NewEgress(net *netsim.Network, loop *sim.Loop, addr netsim.Addr, replicas i
 // Addr returns the egress fabric address replicas tunnel to.
 func (e *Egress) Addr() netsim.Addr { return e.addr }
 
-// copyGroup tracks one output packet's tunnel arrivals. forwarded is a
-// flag, not a count comparison: the forwarding threshold can change
-// between copies (a live-view change mid-group), so "has this packet been
-// sent" must be remembered, never re-derived. The packet fields are kept
-// (all copies are identical — that is what lockstep means) so a group made
-// eligible by a later view shrink can still be flushed.
+// copyGroup counts one output packet's tunnel arrivals until it is
+// forwarded. The packet fields are kept (all copies are identical — that is
+// what lockstep means) so a group made eligible by a later view shrink can
+// still be flushed.
 type copyGroup struct {
-	forwarded bool
-	n         int
-	origDst   netsim.Addr
-	size      int
-	data      any
+	n       int
+	origDst netsim.Addr
+	size    int
+	data    any
 }
 
 // guestEgress is one guest's egress state. A copy group is open from its
-// first copy until the full group arrived (or the group was reclaimed);
-// retired groups absorb stragglers instead of resurrecting as phantom
-// groups. Output sequences are contiguous and retire almost in order, so
-// steady-state output traffic allocates nothing.
+// first copy until it is forwarded: an open group is an unforwarded one,
+// and the retired slot it leaves absorbs the later copies instead of
+// letting them resurrect it. Output sequences are contiguous and forward
+// almost in order, so steady-state output traffic allocates nothing.
 type guestEgress struct {
 	// svc is ServiceAddr(guestID) resolved: forwarded packets leave from it.
 	svc *netsim.Endpoint
@@ -285,8 +282,8 @@ func (e *Egress) deliver(p *netsim.Packet) {
 	gr := e.guest(gid)
 	g, fresh := gr.groups.Open(seq)
 	if g == nil {
-		// A straggler of a retired or reclaimed group, or a sequence no
-		// guest can be this far ahead with: the copy can only be absorbed.
+		// A later copy of a forwarded group, or a sequence no guest can be
+		// this far ahead with: the copy can only be absorbed.
 		e.absorbed++
 		return
 	}
@@ -294,19 +291,10 @@ func (e *Egress) deliver(p *netsim.Packet) {
 		*g = copyGroup{origDst: p.Body.OrigDst, size: p.Body.Size, data: p.Body.Data}
 	}
 	g.n++
-	if !g.forwarded && g.n >= gr.live/2+1 {
+	if g.n >= gr.live/2+1 {
 		e.forward(gid, gr, seq, g)
 	} else {
 		e.absorbed++
-	}
-	// Retire the group only at the FULL replica count: a degraded group's
-	// missing copies may still be in flight from the moment before their
-	// sender died, and retiring early would misclassify such stragglers.
-	// Degraded groups that never see their remaining copies are reclaimed
-	// by ReclaimForwardedUpTo at replacement, like every crash window.
-	if g.n >= e.replicas {
-		g.data = nil
-		gr.groups.Retire(seq)
 	}
 }
 
@@ -320,14 +308,16 @@ func (e *Egress) guest(guestID string) *guestEgress {
 	return gr
 }
 
-// forward sends a group's packet to its true destination and marks it.
+// forward sends a group's packet to its true destination and retires the
+// group: whatever copies are still to come, in whatever view, are absorbed.
 func (e *Egress) forward(guestID string, gr *guestEgress, seq uint64, g *copyGroup) {
-	g.forwarded = true
 	e.forwarded++
 	if e.OnForward != nil {
 		e.OnForward(guestID, seq, e.loop.Now())
 	}
 	e.net.Send(e.net.AllocTo(gr.svc, e.net.Endpoint(g.origDst), g.size, "guest:data", g.data))
+	g.data = nil
+	gr.groups.Retire(seq)
 }
 
 // SetLiveReplicas installs a guest's live replica count — the egress-side
@@ -349,7 +339,7 @@ func (e *Egress) SetLiveReplicas(guestID string, n int) error {
 	gr := e.guest(guestID)
 	gr.live = n
 	for seq, g := range gr.groups.All() {
-		if !g.forwarded && g.n >= n/2+1 {
+		if g.n >= n/2+1 {
 			e.forward(guestID, gr, seq, g)
 		}
 	}
@@ -365,32 +355,8 @@ func (e *Egress) DropGuest(guestID string) {
 	delete(e.guests, guestID)
 }
 
-// ReclaimForwardedUpTo discards a guest's already-forwarded copy groups
-// with sequence <= maxSeq. After a replica replacement this frees the
-// crash window's groups: for outputs up to the replayed send count the
-// dead replica's copy will never arrive (and the reconstructed replica
-// suppresses replayed sends), so once forwarded they could only wait
-// forever. Sequences beyond maxSeq are left alone — the replacement
-// emits those live, and deleting a group whose final copy is still in
-// flight would resurrect it as a bogus stuck entry.
-func (e *Egress) ReclaimForwardedUpTo(guestID string, maxSeq uint64) {
-	gr, ok := e.guests[guestID]
-	if !ok {
-		return
-	}
-	for seq, g := range gr.groups.All() {
-		if seq > maxSeq {
-			break
-		}
-		if g.forwarded {
-			g.data = nil
-			gr.groups.Retire(seq)
-		}
-	}
-}
-
-// PendingGroups reports output sequences whose copy groups are still open
-// (tests / liveness checks).
+// PendingGroups reports the open copy groups: output sequences that have
+// NOT yet been forwarded — packets an external client is still waiting for.
 func (e *Egress) PendingGroups() int {
 	n := 0
 	for _, gr := range e.guests {
@@ -399,16 +365,6 @@ func (e *Egress) PendingGroups() int {
 	return n
 }
 
-// StuckBelowForward reports output sequences that have NOT yet been
-// forwarded — packets an external client is still waiting for.
-func (e *Egress) StuckBelowForward() int {
-	n := 0
-	for _, gr := range e.guests {
-		for _, g := range gr.groups.All() {
-			if !g.forwarded {
-				n++
-			}
-		}
-	}
-	return n
-}
+// StuckBelowForward is PendingGroups: a group ends when it is forwarded, so
+// every open group is below its forward threshold.
+func (e *Egress) StuckBelowForward() int { return e.PendingGroups() }

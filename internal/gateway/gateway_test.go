@@ -184,10 +184,16 @@ func TestEgressForwardsOnSecondCopy(t *testing.T) {
 	eg.OnForward = func(g string, seq uint64, at sim.Time) { fwdAt = append(fwdAt, at) }
 
 	// Replica copies arrive at 1ms, 5ms, 9ms — forward must fire at the
-	// SECOND copy (5ms), the median emission.
+	// SECOND copy (5ms), the median emission, and end the group there.
 	loop.At(1*sim.Millisecond, "a", func() { tunnel(net, "egress", "A", "g1", 1, "client", "resp") })
 	loop.At(5*sim.Millisecond, "b", func() { tunnel(net, "egress", "B", "g1", 1, "client", "resp") })
 	loop.At(9*sim.Millisecond, "c", func() { tunnel(net, "egress", "C", "g1", 1, "client", "resp") })
+	if err := loop.RunUntil(8 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if eg.Forwarded() != 1 || eg.PendingGroups() != 0 {
+		t.Fatalf("after the second copy: forwarded %d, pending %d; want 1, 0", eg.Forwarded(), eg.PendingGroups())
+	}
 	if err := loop.RunUntil(sim.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +210,7 @@ func TestEgressForwardsOnSecondCopy(t *testing.T) {
 		t.Fatalf("forwarded = %d", eg.Forwarded())
 	}
 	if eg.PendingGroups() != 0 {
-		t.Fatalf("pending groups = %d, want 0 after third copy", eg.PendingGroups())
+		t.Fatalf("the third copy opened a group: pending = %d", eg.PendingGroups())
 	}
 }
 
@@ -227,8 +233,8 @@ func TestEgressToleratesOneDeadReplica(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("client got %d packets with one dead replica, want 1", delivered)
 	}
-	if eg.StuckBelowForward() != 0 {
-		t.Fatalf("stuck packets: %d", eg.StuckBelowForward())
+	if eg.PendingGroups() != 0 {
+		t.Fatalf("the 2-of-3 group outlived its forward: pending = %d", eg.PendingGroups())
 	}
 }
 
@@ -359,14 +365,8 @@ func TestEgressSingleSurvivorForwardsSoleCopy(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("single survivor's copy not forwarded (delivered=%d)", delivered)
 	}
-	if eg.StuckBelowForward() != 0 {
-		t.Fatalf("stuck=%d after sole-copy forward", eg.StuckBelowForward())
-	}
-	// The forwarded group lingers for possible stragglers; the replacement
-	// path's reclaim retires it.
-	eg.ReclaimForwardedUpTo("g1", 1)
 	if eg.PendingGroups() != 0 {
-		t.Fatalf("pending=%d after reclaim", eg.PendingGroups())
+		t.Fatalf("the sole-survivor group outlived its forward: pending = %d", eg.PendingGroups())
 	}
 }
 
@@ -403,16 +403,15 @@ func TestEgressViewShrinkFlushesEligibleGroups(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("view shrink did not flush the eligible group (delivered=%d)", delivered)
 	}
-	if eg.StuckBelowForward() != 0 {
-		t.Fatalf("stuck=%d after flush", eg.StuckBelowForward())
+	if eg.PendingGroups() != 0 {
+		t.Fatalf("the flushed group was not retired: pending = %d", eg.PendingGroups())
 	}
 }
 
 // TestEgressLivePairForwardsOnSecondAndToleratesStraggler: a degraded pair
-// forwards at the later of its two emissions (the upper-median bias); the
-// group stays open for the dead replica's in-flight straggler copy, which
-// retires it at the full count instead of resurrecting a phantom stuck
-// entry.
+// forwards at the later of its two emissions (the upper-median bias) and
+// the group ends there; the dead replica's in-flight straggler copy is
+// absorbed instead of resurrecting a phantom stuck entry.
 func TestEgressLivePairForwardsOnSecondAndToleratesStraggler(t *testing.T) {
 	net, loop := testFabric(t, 23, 0)
 	delivered := 0
@@ -435,7 +434,7 @@ func TestEgressLivePairForwardsOnSecondAndToleratesStraggler(t *testing.T) {
 		t.Fatalf("delivered=%d, want forward on second copy", delivered)
 	}
 	// The dead replica's copy — tunnelled just before its VMM died — lands
-	// late: absorbed, group retired, never re-forwarded, never stuck.
+	// late: absorbed, never re-forwarded, never stuck.
 	tunnel(net, "egress", "C", "g1", 1, "client", "x")
 	if err := loop.RunUntil(2 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -505,8 +504,13 @@ func TestEgressAbsorbsSequenceBeyondAnyWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Base is 1 when these arrive: once sequence 1 was forwarded,
+	// 1+MaxSpan would be inside the span.
 	tunnel(net, "egress", "A", "g1", 1<<62, "client", "forged")
 	tunnel(net, "egress", "A", "g1", 1+seqwin.MaxSpan, "client", "forged")
+	if err := loop.RunUntil(100 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	for _, replica := range []string{"A", "B", "C"} {
 		tunnel(net, "egress", replica, "g1", 1, "client", "resp")
 	}

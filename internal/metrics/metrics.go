@@ -19,6 +19,7 @@ package metrics
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -57,10 +58,11 @@ type family struct {
 	children []*child
 	byLabel  map[string]*child
 
-	// mergeSamples, when set, renders this family's samples by merging
-	// per-shard cells (sharded.go) instead of walking children. Merged
-	// output is sorted by label value — a partition-independent order —
-	// rather than first-use order, which would vary with the shard count.
+	// mergeSamples, when set, renders this family's samples instead of
+	// walking children: by merging per-shard cells (sharded.go), or from a
+	// function over live state (NewGaugeSetFunc). Its output is sorted by
+	// label value — a partition-independent order — rather than first-use
+	// order, which would vary with the shard count.
 	mergeSamples func() []Sample
 }
 
@@ -255,6 +257,23 @@ func (r *Registry) NewGaugeFuncVec(name, help, label string) GaugeFuncVec {
 // Add registers the child gauge function for a label value.
 func (v GaugeFuncVec) Add(labelValue string, fn func() float64) {
 	v.f.with(labelValue).gaugeFn = fn
+}
+
+// NewGaugeSetFunc registers a gauge family keyed by one label whose whole
+// sample set is computed at snapshot time: fn emits one value per label
+// value that exists right now, so the family follows a population that
+// comes and goes (resident guests) instead of accumulating a child for
+// everything it ever saw. Samples render sorted by label value.
+func (r *Registry) NewGaugeSetFunc(name, help, label string, fn func(emit func(labelValue string, v float64))) {
+	f := r.register(name, help, KindGauge, nonEmptyLabel(name, label))
+	f.mergeSamples = func() []Sample {
+		var out []Sample
+		fn(func(labelValue string, v float64) {
+			out = append(out, Sample{LabelValue: labelValue, Gauge: v})
+		})
+		sort.Slice(out, func(i, j int) bool { return out[i].LabelValue < out[j].LabelValue })
+		return out
+	}
 }
 
 // NewHistogramVec registers a histogram family keyed by one label, every

@@ -207,6 +207,7 @@ type link struct {
 	hash     uint64        // stable hash of (src, dst): arrival ordering key k1
 	arrSeq   uint64        // per-link send counter: arrival ordering key k2
 	dstShard int
+	departed sim.Time // latest departure instant asked for: sends never go back
 	nextFree sim.Time // FIFO serialization horizon
 	lastArr  sim.Time // FIFO delivery horizon: links never reorder
 	sent     uint64
@@ -540,17 +541,27 @@ func linkHash(src, dst Addr) uint64 {
 	return h.Sum64()
 }
 
-// Send transmits the packet. The packet's ID is assigned if zero. Delivery
-// is scheduled on the destination shard's loop — directly for a same-shard
+// Send transmits the packet now.
+func (n *Network) Send(pkt *Packet) { n.SendAfter(pkt, 0) }
+
+// SendAfter transmits the packet as if Send were called d from now: the
+// sender-side processing delay (a Dom0 output path) rides the send instead
+// of a timer of its own. The packet's ID is assigned if zero. Delivery is
+// scheduled on the destination shard's loop — directly for a same-shard
 // destination, via the outbox (drained at the next barrier) otherwise.
 // Lost packets are counted and dropped silently (loss recovery belongs to
 // upper layers). A pool-owned packet (AllocPacket) is reclaimed by the
 // fabric once delivered or lost.
 //
-// Concurrency contract: Send may only be called from the source address's
+// A link's loss and jitter draws, FIFO horizons and arrival keys follow the
+// order of the calls, so that order must also be the order of departure:
+// asking a link to depart a packet before its previous one panics. Senders
+// that delay every packet of a link by the same d never do.
+//
+// Concurrency contract: a send may only be made from the source address's
 // own shard (a node reacting to a delivery) or from coordinator/barrier
 // context while all shards are parked.
-func (n *Network) Send(pkt *Packet) {
+func (n *Network) SendAfter(pkt *Packet, d sim.Time) {
 	src, dst := n.resolved(pkt.src, pkt.Src), n.resolved(pkt.dst, pkt.Dst)
 	pkt.src, pkt.dst = src, dst
 	ks := src.shard
@@ -560,6 +571,11 @@ func (n *Network) Send(pkt *Packet) {
 		pkt.ID = sh.idBase | sh.nextID
 	}
 	l := n.linkOn(src, dst)
+	start := sh.loop.Now() + d
+	if start < l.departed {
+		panic(fmt.Sprintf("netsim: %s departs at %v, before the link's previous packet at %v", pkt, start, l.departed))
+	}
+	l.departed = start
 	l.sent++
 	cfg := l.cfg
 	// A partitioned link (fault.go) drops without a loss draw, so healing
@@ -586,7 +602,6 @@ func (n *Network) Send(pkt *Packet) {
 		sh.recycle(pkt)
 		return
 	}
-	start := sh.loop.Now()
 	if l.nextFree > start {
 		start = l.nextFree
 	}

@@ -510,21 +510,16 @@ type MigrationPlan struct {
 	From, To int
 }
 
-// PlanAdmitMigration searches for a one-move migration after which Admit(id)
-// would succeed. Candidate donor guests are scanned in sorted-id order and
-// destinations least-loaded first, so the plan is deterministic; avoid (when
-// non-nil) excludes guests the caller cannot move (e.g. mid-operation). The
-// pool is left unchanged — the move is speculative, applied and reverted.
-func (p *Pool) PlanAdmitMigration(id string, avoid func(string) bool) (MigrationPlan, bool) {
-	if id == "" {
-		return MigrationPlan{}, false
-	}
-	if _, dup := p.tris[id]; dup {
-		return MigrationPlan{}, false
-	}
+// planMigration is the planners' search: the first single move — of a
+// guest other than id that avoid (when non-nil) does not exclude, e.g. as
+// mid-operation, onto a machine other than barred — after which feasible
+// holds. Donor guests are scanned in sorted-id order and destinations
+// least-loaded first, so the plan is deterministic. The pool is left
+// unchanged: each move is speculative, applied and reverted.
+func (p *Pool) planMigration(id string, barred int, avoid func(string) bool, feasible func() bool) (MigrationPlan, bool) {
 	order := append([]int(nil), p.hostOrder()...)
 	for _, mid := range p.IDs() {
-		if avoid != nil && avoid(mid) {
+		if mid == id || (avoid != nil && avoid(mid)) {
 			continue
 		}
 		t := p.tris[mid]
@@ -532,19 +527,28 @@ func (p *Pool) PlanAdmitMigration(id string, avoid func(string) bool) (Migration
 			from := t[si]
 			m1, m2 := t[(si+1)%3], t[(si+2)%3]
 			for _, to := range order {
-				if to == from || !p.canPlace(to, m1, m2) {
+				if to == barred || to == from || !p.canPlace(to, m1, m2) {
 					continue
 				}
 				p.moveReplica(mid, from, to)
-				_, feasible := p.findTriangle()
+				ok := feasible()
 				p.moveReplica(mid, to, from)
-				if feasible {
+				if ok {
 					return MigrationPlan{GuestID: mid, From: from, To: to}, true
 				}
 			}
 		}
 	}
 	return MigrationPlan{}, false
+}
+
+// PlanAdmitMigration searches for a one-move migration after which Admit(id)
+// would succeed (planMigration has the scan order and avoid).
+func (p *Pool) PlanAdmitMigration(id string, avoid func(string) bool) (MigrationPlan, bool) {
+	if _, dup := p.tris[id]; id == "" || dup {
+		return MigrationPlan{}, false
+	}
+	return p.planMigration(id, -1, avoid, func() bool { _, ok := p.findTriangle(); return ok })
 }
 
 // PlanRehomeMigration searches for a one-move migration of some other guest
@@ -556,29 +560,7 @@ func (p *Pool) PlanRehomeMigration(id string, dead int, avoid func(string) bool)
 	if err != nil {
 		return MigrationPlan{}, false
 	}
-	order := append([]int(nil), p.hostOrder()...)
-	for _, mid := range p.IDs() {
-		if mid == id || (avoid != nil && avoid(mid)) {
-			continue
-		}
-		mt := p.tris[mid]
-		for si := 0; si < 3; si++ {
-			from := mt[si]
-			m1, m2 := mt[(si+1)%3], mt[(si+2)%3]
-			for _, to := range order {
-				if to == dead || to == from || !p.canPlace(to, m1, m2) {
-					continue
-				}
-				p.moveReplica(mid, from, to)
-				_, feasible := p.findRehomeHost(s1, s2, dead)
-				p.moveReplica(mid, to, from)
-				if feasible {
-					return MigrationPlan{GuestID: mid, From: from, To: to}, true
-				}
-			}
-		}
-	}
-	return MigrationPlan{}, false
+	return p.planMigration(id, dead, avoid, func() bool { _, ok := p.findRehomeHost(s1, s2, dead); return ok })
 }
 
 // IDs returns the resident guest ids in sorted order.

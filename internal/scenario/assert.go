@@ -185,12 +185,17 @@ func (r *runner) assertMetric(a Assertion) {
 			r.assertBound(fmt.Sprintf("metric assertion %s{%s}", a.Name, s.LabelValue), v, a.Min, a.Max)
 			return
 		}
+		// An absent sample of a family the registry has still satisfies a
+		// pure max bound (nothing exceeded it); a min bound needs the sample
+		// to exist.
+		if a.Min != nil {
+			r.failf("metric assertion %s{%s}: no such sample", a.Name, a.Label)
+		}
+		return
 	}
-	// An absent sample still satisfies a pure max bound (nothing exceeded
-	// it); a min bound needs the sample to exist.
-	if a.Min != nil {
-		r.failf("metric assertion %s{%s}: no such sample", a.Name, a.Label)
-	}
+	// A name the registry does not have bounds nothing: a misspelled family
+	// must not pass its max for ever.
+	r.failf("metric assertion %s: no such metric family", a.Name)
 }
 
 // assertJournal floors the cumulative checkpoint count of one instance or

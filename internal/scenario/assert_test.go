@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"stopwatch"
@@ -52,5 +53,29 @@ func TestEveryStatsCounterIsAssertable(t *testing.T) {
 	}
 	if knownOp("?") || knownOp("") || knownOp("vibes") {
 		t.Error("oplog assertion accepts a name that is no op kind")
+	}
+}
+
+// TestMetricAssertionNeedsItsFamily: a bare max is met by a family that has
+// no sample for the label (nothing exceeded it), but not by a name the
+// registry does not have — a misspelled family would pass for ever.
+func TestMetricAssertionNeedsItsFamily(t *testing.T) {
+	sc := mustParse(t, tiny+`  - check: metric
+    name: stopwatch_egress_stuck_grups
+    max: 2
+  - check: metric
+    name: stopwatch_egress_stuck_groups
+    max: 2
+  - check: metric
+    name: stopwatch_net_packets_delivered_total
+    label: no-such-kind
+    max: 0
+`)
+	res, err := Run(sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failures) != 1 || !strings.Contains(res.Failures[0], "stopwatch_egress_stuck_grups: no such metric family") {
+		t.Fatalf("failures = %q, want only the misspelled family", res.Failures)
 	}
 }

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
+	"strings"
 
 	"stopwatch/internal/guest"
 	"stopwatch/internal/netsim"
@@ -24,7 +26,21 @@ type TCPServer struct {
 	// sent (packetization, copies).
 	SegmentCompute int64
 
-	conns map[uint64]*serverConn
+	conns map[connKey]*serverConn
+}
+
+// connKey names a connection at a server. Ids are client-chosen and every
+// Client counts from 1, so an id means something only together with the
+// peer that chose it.
+type connKey struct {
+	peer netsim.Addr
+	id   uint64
+}
+
+// compare orders keys by (id, peer): the order snapshots are written in,
+// which for a single peer is the id order it always was.
+func (k connKey) compare(o connKey) int {
+	return cmp.Or(cmp.Compare(k.id, o.id), cmp.Compare(k.peer, o.peer))
 }
 
 type serverConn struct {
@@ -51,7 +67,7 @@ func NewTCPServer(window int) (*TCPServer, error) {
 	return &TCPServer{
 		Window:         window,
 		SegmentCompute: 20_000,
-		conns:          make(map[uint64]*serverConn),
+		conns:          make(map[connKey]*serverConn),
 	}, nil
 }
 
@@ -62,22 +78,23 @@ func (s *TCPServer) HandleSegment(ctx guest.Ctx, src netsim.Addr, data any) bool
 	if !ok {
 		return false
 	}
+	key := connKey{src, seg.Conn}
 	switch seg.Flags {
 	case FlagSYN:
-		s.conns[seg.Conn] = &serverConn{peer: src}
+		s.conns[key] = &serverConn{peer: src}
 		ctx.Compute(5_000)
 		ctx.Send(src, CtrlSize, Segment{Conn: seg.Conn, Flags: FlagSYNACK})
 	case FlagACK:
-		s.onAck(ctx, seg)
+		s.onAck(ctx, key, seg.Seq)
 	case FlagREQ:
-		c, ok := s.conns[seg.Conn]
+		c, ok := s.conns[key]
 		if !ok {
 			// Implicit connection (UDP-style request on a stream server).
 			c = &serverConn{peer: src}
-			s.conns[seg.Conn] = c
+			s.conns[key] = c
 		}
 		// A REQ carries a cumulative ACK too (piggybacking).
-		s.onAck(ctx, Segment{Conn: seg.Conn, Flags: FlagACK, Seq: seg.Seq})
+		s.onAck(ctx, key, seg.Seq)
 		ctx.Compute(10_000)
 		if s.OnRequest != nil {
 			s.OnRequest(ctx, c.peer, seg.Conn, seg.RespID, seg.Req)
@@ -87,11 +104,12 @@ func (s *TCPServer) HandleSegment(ctx guest.Ctx, src netsim.Addr, data any) bool
 }
 
 // Respond begins streaming a response of respBytes to the request's
-// connection. Call from app code (e.g. after disk reads complete).
-func (s *TCPServer) Respond(ctx guest.Ctx, conn uint64, respID uint64, respBytes int) error {
-	c, ok := s.conns[conn]
+// connection: the src and conn OnRequest was handed. Call from app code
+// (e.g. after disk reads complete).
+func (s *TCPServer) Respond(ctx guest.Ctx, peer netsim.Addr, conn uint64, respID uint64, respBytes int) error {
+	c, ok := s.conns[connKey{peer, conn}]
 	if !ok {
-		return fmt.Errorf("%w: respond on unknown conn %d", ErrTransport, conn)
+		return fmt.Errorf("%w: respond on unknown conn %d of %s", ErrTransport, conn, peer)
 	}
 	c.resp = &serverResp{
 		id:    respID,
@@ -119,26 +137,28 @@ func (s *TCPServer) pump(ctx guest.Ctx, c *serverConn) {
 	if s.RTO > 0 && r.acked < r.total && !r.rtoArmed {
 		r.rtoArmed = true
 		epoch := r.rtoEpoch
-		ctx.SetTimer(s.RTO, rtoTag(r.conn, epoch))
+		ctx.SetTimer(s.RTO, rtoTag(connKey{c.peer, r.conn}, epoch))
 	}
 	if r.acked >= r.total {
 		c.resp = nil
 	}
 }
 
-func rtoTag(conn uint64, epoch int) string {
-	return fmt.Sprintf("tcp-rto:%d:%d", conn, epoch)
+// rtoTag names a connection's RTO timer. The peer goes last: it is the one
+// field that may hold a colon.
+func rtoTag(k connKey, epoch int) string {
+	return fmt.Sprintf("tcp-rto:%d:%d:%s", k.id, epoch, k.peer)
 }
 
-// onAck advances the window.
-func (s *TCPServer) onAck(ctx guest.Ctx, seg Segment) {
-	c, ok := s.conns[seg.Conn]
+// onAck advances the window to the cumulative ack.
+func (s *TCPServer) onAck(ctx guest.Ctx, key connKey, ack int) {
+	c, ok := s.conns[key]
 	if !ok || c.resp == nil {
 		return
 	}
 	r := c.resp
-	if seg.Seq > r.acked {
-		r.acked = seg.Seq
+	if ack > r.acked {
+		r.acked = ack
 		r.rtoEpoch++ // progress: stale RTOs are ignored
 		r.rtoArmed = false
 	}
@@ -148,12 +168,13 @@ func (s *TCPServer) onAck(ctx guest.Ctx, seg Segment) {
 // HandleTimer processes RTO expirations; wire it from App.OnTimer. Returns
 // true when the tag belonged to this stack.
 func (s *TCPServer) HandleTimer(ctx guest.Ctx, tag string) bool {
-	var conn uint64
+	var id uint64
 	var epoch int
-	if _, err := fmt.Sscanf(tag, "tcp-rto:%d:%d", &conn, &epoch); err != nil {
+	if _, err := fmt.Sscanf(tag, "tcp-rto:%d:%d:", &id, &epoch); err != nil {
 		return false
 	}
-	c, ok := s.conns[conn]
+	// The peer is whatever follows the third colon, spaces and colons too.
+	c, ok := s.conns[connKey{netsim.Addr(strings.SplitN(tag, ":", 4)[3]), id}]
 	if !ok || c.resp == nil {
 		return true
 	}
@@ -166,7 +187,7 @@ func (s *TCPServer) HandleTimer(ctx guest.Ctx, tag string) bool {
 	ctx.Send(c.peer, segSize(r.acked, r.total, r.bytes), Segment{
 		Conn: r.conn, Flags: FlagDATA, Seq: r.acked, Total: r.total, RespID: r.id,
 	})
-	ctx.SetTimer(s.RTO, rtoTag(conn, epoch))
+	ctx.SetTimer(s.RTO, tag)
 	return true
 }
 
@@ -179,7 +200,7 @@ type UDPServer struct {
 	OnRequest func(ctx guest.Ctx, src netsim.Addr, conn uint64, respID uint64, req any)
 
 	// sent remembers responses for NACK repair: conn → last response.
-	sent map[uint64]*udpResp
+	sent map[connKey]*udpResp
 }
 
 type udpResp struct {
@@ -191,7 +212,7 @@ type udpResp struct {
 
 // NewUDPServer returns a datagram server stack.
 func NewUDPServer() *UDPServer {
-	return &UDPServer{SegmentCompute: 20_000, sent: make(map[uint64]*udpResp)}
+	return &UDPServer{SegmentCompute: 20_000, sent: make(map[connKey]*udpResp)}
 }
 
 // HandleSegment processes an inbound payload; true when consumed.
@@ -207,7 +228,7 @@ func (s *UDPServer) HandleSegment(ctx guest.Ctx, src netsim.Addr, data any) bool
 			s.OnRequest(ctx, src, seg.Conn, seg.RespID, seg.Req)
 		}
 	case FlagNACK:
-		r, ok := s.sent[seg.Conn]
+		r, ok := s.sent[connKey{src, seg.Conn}]
 		if !ok {
 			return true
 		}
@@ -222,7 +243,7 @@ func (s *UDPServer) HandleSegment(ctx guest.Ctx, src netsim.Addr, data any) bool
 // Respond blasts all segments of the response immediately.
 func (s *UDPServer) Respond(ctx guest.Ctx, dst netsim.Addr, conn uint64, respID uint64, respBytes int) {
 	total := SegCount(respBytes)
-	s.sent[conn] = &udpResp{peer: dst, id: respID, total: total, bytes: respBytes}
+	s.sent[connKey{dst, conn}] = &udpResp{peer: dst, id: respID, total: total, bytes: respBytes}
 	for i := 0; i < total; i++ {
 		ctx.Compute(s.SegmentCompute)
 		ctx.Send(dst, segSize(i, total, respBytes), Segment{

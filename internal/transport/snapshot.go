@@ -4,15 +4,17 @@
 // restored from a checkpoint would silently drop in-flight responses.
 //
 // Encodings are deterministic — map entries are emitted in sorted key
-// order — so identical server states serialize to identical bytes on
-// every replica. Only mutable state is captured; configuration (window,
-// RTO, callbacks, per-segment costs) is rebuilt by the app factory.
+// order (connKey.compare) — so identical server states serialize to
+// identical bytes on every replica. Only mutable state is captured;
+// configuration (window, RTO, callbacks, per-segment costs) is rebuilt by
+// the app factory.
 
 package transport
 
 import (
 	"encoding/binary"
-	"sort"
+	"maps"
+	"slices"
 
 	"stopwatch/internal/guest"
 	"stopwatch/internal/netsim"
@@ -26,15 +28,10 @@ func appendAddr(buf []byte, a netsim.Addr) []byte {
 // AppendState serializes the stream server's mutable state (connections
 // and in-flight responses) onto buf.
 func (s *TCPServer) AppendState(buf []byte) []byte {
-	ids := make([]uint64, 0, len(s.conns))
-	for id := range s.conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		c := s.conns[id]
-		buf = binary.AppendUvarint(buf, id)
+	buf = binary.AppendUvarint(buf, uint64(len(s.conns)))
+	for _, k := range slices.SortedFunc(maps.Keys(s.conns), connKey.compare) {
+		c := s.conns[k]
+		buf = binary.AppendUvarint(buf, k.id)
 		buf = appendAddr(buf, c.peer)
 		if c.resp == nil {
 			buf = append(buf, 0)
@@ -63,7 +60,7 @@ func (s *TCPServer) AppendState(buf []byte) []byte {
 func (s *TCPServer) RestoreState(data []byte) ([]byte, error) {
 	r := guest.NewSnapshotReader(data, ErrTransport, "snapshot")
 	n := r.Count("tcp conn count")
-	conns := make(map[uint64]*serverConn, n)
+	conns := make(map[connKey]*serverConn, n)
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
 		id := r.Uvarint("tcp conn id")
 		c := &serverConn{peer: netsim.Addr(r.Text("tcp peer"))}
@@ -79,7 +76,7 @@ func (s *TCPServer) RestoreState(data []byte) ([]byte, error) {
 				rtoEpoch: int(r.Varint("tcp resp rtoEpoch")),
 			}
 		}
-		conns[id] = c
+		conns[connKey{c.peer, id}] = c
 	}
 	if r.Err() != nil {
 		return nil, r.Err()
@@ -91,15 +88,10 @@ func (s *TCPServer) RestoreState(data []byte) ([]byte, error) {
 // AppendState serializes the datagram server's NACK-repair memory onto
 // buf.
 func (s *UDPServer) AppendState(buf []byte) []byte {
-	ids := make([]uint64, 0, len(s.sent))
-	for id := range s.sent {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		r := s.sent[id]
-		buf = binary.AppendUvarint(buf, id)
+	buf = binary.AppendUvarint(buf, uint64(len(s.sent)))
+	for _, k := range slices.SortedFunc(maps.Keys(s.sent), connKey.compare) {
+		r := s.sent[k]
+		buf = binary.AppendUvarint(buf, k.id)
 		buf = appendAddr(buf, r.peer)
 		buf = binary.AppendUvarint(buf, r.id)
 		buf = binary.AppendVarint(buf, int64(r.total))
@@ -113,15 +105,16 @@ func (s *UDPServer) AppendState(buf []byte) []byte {
 func (s *UDPServer) RestoreState(data []byte) ([]byte, error) {
 	r := guest.NewSnapshotReader(data, ErrTransport, "snapshot")
 	n := r.Count("udp resp count")
-	sent := make(map[uint64]*udpResp, n)
+	sent := make(map[connKey]*udpResp, n)
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
 		id := r.Uvarint("udp conn id")
-		sent[id] = &udpResp{
+		resp := &udpResp{
 			peer:  netsim.Addr(r.Text("udp peer")),
 			id:    r.Uvarint("udp resp id"),
 			total: int(r.Varint("udp resp total")),
 			bytes: int(r.Varint("udp resp bytes")),
 		}
+		sent[connKey{resp.peer, id}] = resp
 	}
 	if r.Err() != nil {
 		return nil, r.Err()

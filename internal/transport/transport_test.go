@@ -35,7 +35,7 @@ func newTCPFileApp(t *testing.T, window int, rto vtime.Virtual) *tcpFileApp {
 			return
 		}
 		ctx.Compute(30_000)
-		if err := srv.Respond(ctx, conn, respID, g.Bytes); err != nil {
+		if err := srv.Respond(ctx, src, conn, respID, g.Bytes); err != nil {
 			t.Errorf("respond: %v", err)
 		}
 	}
@@ -287,5 +287,23 @@ func TestClientValidation(t *testing.T) {
 func TestServerValidation(t *testing.T) {
 	if _, err := NewTCPServer(0); !errors.Is(err, ErrTransport) {
 		t.Fatal("window 0 should fail")
+	}
+}
+
+// TestRTOTagNamesThePeer: an RTO tag is a connection id, an epoch and the
+// peer that chose the id — last, because it may hold colons and spaces.
+func TestRTOTagNamesThePeer(t *testing.T) {
+	srv, err := NewTCPServer(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag := rtoTag(connKey{"my laptop:2", 7}, 3)
+	if tag != "tcp-rto:7:3:my laptop:2" || !srv.HandleTimer(nil, tag) {
+		t.Fatalf("tag %q not recognised", tag)
+	}
+	for _, foreign := range []string{"tcp-rto:7:3", "tcp-rto:x:3:peer", "file:7:3:peer", ""} {
+		if srv.HandleTimer(nil, foreign) {
+			t.Errorf("tag %q taken for an RTO of this stack", foreign)
+		}
 	}
 }
