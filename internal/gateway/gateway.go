@@ -213,6 +213,10 @@ type Egress struct {
 
 	// guests holds each guest's state: one lookup per tunnelled copy.
 	guests map[string]*guestEgress
+	// departed holds a tombstone per guest DropGuest retired — the instant
+	// until which its copies still in the tunnel are absorbed instead of
+	// re-creating it.
+	departed map[string]sim.Time
 	// replicas is the expected copy count per packet (3 by default).
 	replicas int
 
@@ -237,6 +241,7 @@ func NewEgress(net *netsim.Network, loop *sim.Loop, addr netsim.Addr, replicas i
 		loop:     loop,
 		addr:     addr,
 		guests:   make(map[string]*guestEgress),
+		departed: make(map[string]sim.Time),
 		replicas: replicas,
 	}
 	if err := net.Attach(&netsim.FuncNode{Addr: addr, Fn: e.deliver}); err != nil {
@@ -279,7 +284,16 @@ func (e *Egress) deliver(p *netsim.Packet) {
 		return
 	}
 	gid, seq := p.Body.GuestID, p.Body.Seq
-	gr := e.guest(gid)
+	gr := e.guests[gid]
+	if gr == nil {
+		if e.loop.Now() < e.departed[gid] {
+			// Sent before its guest left, arriving after: with the guest's
+			// windows gone the copy would open a group nothing ever closes.
+			e.absorbed++
+			return
+		}
+		gr = e.guest(gid)
+	}
 	g, fresh := gr.groups.Open(seq)
 	if g == nil {
 		// A later copy of a forwarded group, or a sequence no guest can be
@@ -298,7 +312,8 @@ func (e *Egress) deliver(p *netsim.Packet) {
 	}
 }
 
-// guest returns the guest's egress state, creating it on first use.
+// guest returns the guest's egress state, creating it on first use: a guest
+// nobody announced exists from its first copy on.
 func (e *Egress) guest(guestID string) *guestEgress {
 	gr, ok := e.guests[guestID]
 	if !ok {
@@ -336,6 +351,7 @@ func (e *Egress) SetLiveReplicas(guestID string, n int) error {
 	if n < 1 || n > e.replicas {
 		return fmt.Errorf("%w: live replica count %d of %d", ErrGateway, n, e.replicas)
 	}
+	delete(e.departed, guestID) // deployed again: the id is a new tenant's
 	gr := e.guest(guestID)
 	gr.live = n
 	for seq, g := range gr.groups.All() {
@@ -349,10 +365,29 @@ func (e *Egress) SetLiveReplicas(guestID string, n int) error {
 // Forwarded reports packets forwarded to their destinations.
 func (e *Egress) Forwarded() uint64 { return e.forwarded }
 
+// departedFor is how long a departed guest's tombstone stands: longer than
+// any tunnel flight (a copy leaves its Dom0 one output delay after the
+// guest's send and crosses one fabric link — well under a millisecond at the
+// shipped configurations), and the interval the control plane already gives
+// in-flight fabric traffic to settle in (its drain window).
+const departedFor = 50 * sim.Millisecond
+
 // DropGuest discards the copy-counting and live-view state of an evicted
-// guest so a later tenant reusing the id starts from a clean slate.
+// guest so a later tenant reusing the id starts from a clean slate, and
+// leaves a tombstone that absorbs the copies its stopped replicas still had
+// in the tunnel. SetLiveReplicas clears it when the id is deployed again;
+// otherwise it lapses after departedFor and is swept by a later drop, so the
+// set holds the guests that left within one such interval, not every guest
+// that ever did.
 func (e *Egress) DropGuest(guestID string) {
 	delete(e.guests, guestID)
+	now := e.loop.Now()
+	for id, until := range e.departed {
+		if until <= now {
+			delete(e.departed, id)
+		}
+	}
+	e.departed[guestID] = now + departedFor
 }
 
 // PendingGroups reports the open copy groups: output sequences that have

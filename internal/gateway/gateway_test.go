@@ -522,3 +522,74 @@ func TestEgressAbsorbsSequenceBeyondAnyWindow(t *testing.T) {
 			got, eg.Forwarded(), eg.PendingGroups(), eg.StuckBelowForward())
 	}
 }
+
+// TestEgressTombstoneAbsorbsCopiesOfADepartedGuest: a copy still in the
+// tunnel when DropGuest runs must not bring the guest back — it would open
+// a group that nothing ever closes (ROADMAP hole d). The tombstone absorbs
+// it, a redeploy of the id clears the tombstone and starts at a clean
+// window, and a tombstone nobody cleared is gone once it has lapsed, after
+// which the id is as good as never seen: first-copy creation stands.
+func TestEgressTombstoneAbsorbsCopiesOfADepartedGuest(t *testing.T) {
+	net, loop := testFabric(t, 23, 0)
+	got := 0
+	if err := net.Attach(&netsim.FuncNode{Addr: "client", Fn: func(*netsim.Packet) { got++ }}); err != nil {
+		t.Fatal(err)
+	}
+	eg, err := NewEgress(net, loop, "egress", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(d sim.Time) {
+		t.Helper()
+		if err := loop.RunUntil(loop.Now() + d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state := func(when string, wantGot int, wantForwarded uint64, wantPending int) {
+		t.Helper()
+		if got != wantGot || eg.Forwarded() != wantForwarded || eg.PendingGroups() != wantPending {
+			t.Fatalf("%s: client got %d, forwarded %d, pending %d; want %d, %d, %d",
+				when, got, eg.Forwarded(), eg.PendingGroups(), wantGot, wantForwarded, wantPending)
+		}
+	}
+
+	// Output 7 of g1 has one copy at the egress and one in the tunnel when
+	// the guest is evicted; a third leaves a replica that had not stopped yet.
+	tunnel(net, "egress", "A", "g1", 7, "client", "old")
+	run(sim.Millisecond)
+	tunnel(net, "egress", "B", "g1", 7, "client", "old")
+	eg.DropGuest("g1")
+	tunnel(net, "egress", "C", "g1", 7, "client", "old")
+	run(5 * sim.Millisecond)
+	state("copies after DropGuest", 0, 0, 0)
+
+	// The id is deployed again inside the tombstone's life: the new tenant's
+	// output starts at sequence 1 and forwards on its second copy.
+	if err := eg.SetLiveReplicas("g1", 3); err != nil {
+		t.Fatal(err)
+	}
+	tunnel(net, "egress", "A", "g1", 1, "client", "new")
+	tunnel(net, "egress", "B", "g1", 1, "client", "new")
+	run(5 * sim.Millisecond)
+	state("redeployed id", 1, 1, 0)
+
+	// Two departures, neither redeployed: both tombstones stand for
+	// departedFor, and the next drop after that sweeps them.
+	eg.DropGuest("g1")
+	eg.DropGuest("g2")
+	if len(eg.departed) != 2 {
+		t.Fatalf("tombstones %v, want g1 and g2", eg.departed)
+	}
+	run(departedFor - sim.Millisecond)
+	tunnel(net, "egress", "A", "g2", 3, "client", "late")
+	run(sim.Millisecond)
+	state("copy inside the tombstone's life", 1, 1, 0)
+	eg.DropGuest("g3")
+	if _, g3 := eg.departed["g3"]; len(eg.departed) != 1 || !g3 {
+		t.Fatalf("tombstones %v after the sweep, want g3 alone", eg.departed)
+	}
+	// A lapsed tombstone is no tombstone: g2 is created by its first copy.
+	tunnel(net, "egress", "A", "g2", 1, "client", "again")
+	run(sim.Millisecond)
+	state("first copy of a lapsed id", 1, 1, 1)
+}

@@ -51,11 +51,13 @@ func TestChunkingInvarianceProperty(t *testing.T) {
 				r.ios++
 				if !res.IO.IsSend() {
 					// Disk completion arrives "later": deliver immediately
-					// after a fixed extra chunk so all runs agree.
+					// after a fixed extra chunk so all runs agree. That step
+					// may overwrite res.IO, so the request is copied first.
+					req := *res.IO
 					vm.Step(100)
 					instr += 100
 					clk.now = vtime.Virtual(instr)
-					vm.DeliverDisk(DiskDone{Tag: res.IO.Tag, Bytes: res.IO.Bytes})
+					vm.DeliverDisk(DiskDone{Tag: req.Tag, Bytes: req.Bytes})
 				}
 			}
 			if i > 100000 {

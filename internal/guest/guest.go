@@ -145,7 +145,9 @@ func (a IOAction) IsSend() bool { return a.Dst != "" }
 type StepResult struct {
 	// Executed is the number of branches consumed.
 	Executed int64
-	// IO is non-nil when an I/O op caused the step to end (a VM exit).
+	// IO is non-nil when an I/O op caused the step to end (a VM exit). It
+	// points at the VM's own scratch, which the next Step that ends in I/O
+	// overwrites: handle it (or copy it) before stepping again.
 	IO *IOAction
 	// Idle is true when the op queue was empty and the guest executed its
 	// idle loop for the whole step.
@@ -186,6 +188,7 @@ type VM struct {
 	head    int
 	timers  []pendingTimer
 	due     []pendingTimer // fireDueTimers scratch
+	io      IOAction       // Step's result scratch: one per VM, not one per output
 	sendSeq uint64
 
 	stats  Stats
@@ -284,21 +287,21 @@ func (vm *VM) Step(max int64) StepResult {
 			}
 		case opSend:
 			vm.sendSeq++
-			act := &IOAction{Dst: cur.dst, Size: cur.size, Data: cur.data, Seq: vm.sendSeq}
+			vm.io = IOAction{Dst: cur.dst, Size: cur.size, Data: cur.data, Seq: vm.sendSeq}
 			vm.stats.PacketsSent++
 			vm.outLog.Append(vm.sendSeq, cur.dst, cur.size, cur.data)
 			vm.pop()
 			// The send itself costs one branch (I/O port write).
 			executed++
 			vm.stats.Branches++
-			return StepResult{Executed: executed, IO: act}
+			return StepResult{Executed: executed, IO: &vm.io}
 		case opDisk:
-			act := &IOAction{Tag: cur.tag, Bytes: cur.bytes, Write: cur.write}
+			vm.io = IOAction{Tag: cur.tag, Bytes: cur.bytes, Write: cur.write}
 			vm.stats.DiskRequests++
 			vm.pop()
 			executed++
 			vm.stats.Branches++
-			return StepResult{Executed: executed, IO: act}
+			return StepResult{Executed: executed, IO: &vm.io}
 		default:
 			// Unreachable by construction; drop the malformed op.
 			vm.pop()

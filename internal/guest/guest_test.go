@@ -393,3 +393,45 @@ func TestCtxAccessors(t *testing.T) {
 		t.Fatalf("tsc = %d", tsc)
 	}
 }
+
+// replyApp answers every packet with a send and every disk completion with
+// another disk read, recording nothing.
+type replyApp struct{}
+
+func (replyApp) Boot(Ctx)                     {}
+func (replyApp) OnPacket(c Ctx, p Payload)    { c.Compute(10); c.Send(p.Src, p.Size, p.Data) }
+func (replyApp) OnDiskDone(c Ctx, d DiskDone) { c.Compute(10); c.DiskRead(d.Tag, d.Bytes) }
+func (replyApp) OnTimer(c Ctx, tag string)    {}
+
+// TestStepAllocatesNothingPerIO: a step that ends in a send or in a disk
+// request hands its IOAction over in the VM's scratch, so a guest output
+// costs no heap object — and the scratch carries the op, not the last one.
+func TestStepAllocatesNothingPerIO(t *testing.T) {
+	vm, _ := newVM(t, replyApp{})
+	vm.Boot()
+	var body any = "payload" // boxed once, outside the measured loop
+	for _, c := range []struct {
+		name   string
+		inject func()
+		check  func(a *IOAction) bool
+	}{
+		{
+			"send", func() { vm.DeliverPacket(Payload{Src: "client", Size: 200, Data: body}) },
+			func(a *IOAction) bool { return a.IsSend() && a.Dst == "client" && a.Size == 200 && a.Data == body },
+		},
+		{
+			"disk", func() { vm.DeliverDisk(DiskDone{Tag: "blk", Bytes: 4096}) },
+			func(a *IOAction) bool { return !a.IsSend() && a.Tag == "blk" && a.Bytes == 4096 && a.Data == nil },
+		},
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			c.inject()
+			if r := vm.Step(1000); r.Executed != 11 || r.IO == nil || !c.check(r.IO) {
+				t.Fatalf("%s: step result %+v, IO %+v", c.name, r, r.IO)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per deliver+step, want 0", c.name, allocs)
+		}
+	}
+}

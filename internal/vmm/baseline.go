@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"stopwatch/internal/guest"
@@ -183,12 +184,12 @@ func (rt *BaselineRuntime) exit(res guest.StepResult) {
 
 	for len(rt.pendingDisk) > 0 && rt.pendingDisk[0].readyReal <= now {
 		d := rt.pendingDisk[0]
-		rt.pendingDisk = rt.pendingDisk[1:]
+		rt.pendingDisk = slices.Delete(rt.pendingDisk, 0, 1) // in place: see Runtime.deliverDue
 		rt.vm.DeliverDisk(d.done)
 	}
 	for len(rt.pendingNet) > 0 && rt.pendingNet[0].readyReal <= now {
 		d := rt.pendingNet[0]
-		rt.pendingNet = rt.pendingNet[1:]
+		rt.pendingNet = slices.Delete(rt.pendingNet, 0, 1)
 		rt.netDelivered++
 		if rt.OnNetDeliver != nil {
 			rt.OnNetDeliver(d.seq, now)

@@ -36,10 +36,10 @@ import (
 // crossed, then skipped for the runtime's share. That is exact, not an
 // approximation, because consecutive full chunks at an unchanged rate have
 // the same integer duration, so the k-th boundary falls at
-// chunkStart + chunkDur + (k-1)·fullDur to the nanosecond, and every rate
-// change (rescale) materialises first. A host whose exits depend on real
-// time (BaselineRuntime) keeps every boundary by returning the next one as
-// its horizon.
+// chunkStart + chunkDur + (k-1)·fullDur to the nanosecond, and every change
+// of this guest's rate (rescale) materialises first. A host whose exits
+// depend on real time (BaselineRuntime) keeps every boundary by returning
+// the next one as its horizon.
 //
 // Sync points. Anything that reads or writes execution state syncs first:
 // rescale, pause and stop here; in Runtime: Instr (replacement targets,
@@ -64,6 +64,29 @@ import (
 // of co-resident guests that started together share every boundary
 // instant; among those the key ends in the exec's rank (Host.nextRank),
 // which reproduces the order their events would have been scheduled in.
+//
+// A rank is taken whenever a chunk is armed anywhere but in its
+// predecessor's place on the boundary grid: at start, resume and re-time;
+// when the exit that ended the predecessor re-timed a co-resident (whose
+// event was then scheduled first); and when the predecessor ended off the
+// grid, at an I/O instruction. A successor keeps its place only if its
+// predecessor ended on a boundary: there every chain sharing the instant
+// fires, armed or not, in rank order, and schedules its successor in that
+// order again. A chunk that begins off the grid is keyed by a start later
+// than its co-residents' chunks', so it fires after them at the boundary
+// they next share, and its successors after theirs from then on — which is
+// what the rank taken at the I/O exit, above every earlier one, says.
+// Nothing else sends a guest that went busy to the back: going busy
+// re-times nobody.
+//
+// # Who is re-timed
+//
+// A rate change materialises the chunk in flight (rescale): partial progress
+// is executed and the rest re-armed at the new rate, which re-quantises the
+// chunk's end to the nanosecond. Host.setBusy asks that only of guests whose
+// rate changed — the busy ones, when the number sharing the CPU moved. An
+// idle guest's rate does not depend on its neighbours: it keeps the one
+// event it armed across any number of their bursts.
 type exec struct {
 	host *Host
 	vm   *guest.VM
@@ -276,19 +299,21 @@ func (e *exec) cross(k int64) {
 // per arm.
 func chunkTimer(a, _ any, _ uint64) { a.(*exec).fire() }
 
-// fire completes the armed chunk: a guest-caused VM exit.
+// fire completes the armed chunk: a guest-caused VM exit. The successor
+// keeps the chunk's rank iff the chunk ended on a boundary (see the header).
 func (e *exec) fire() {
 	if e.skip > 0 {
 		e.cross(e.skip)
 	}
 	e.ev = nil
-	e.exit(e.vm.Step(e.chunkBudget), false)
+	res := e.vm.Step(e.chunkBudget)
+	e.exit(res, (e.instr+res.Executed)%e.exitEvery != 0)
 }
 
 // exit takes the VM exit that ends the chunk in flight and arms the next
-// chunk. A successor armed where its predecessor fired keeps that chunk's
-// place in the host's scheduling order — unless the exit re-armed a
-// co-resident (a rescale), whose event was then scheduled first.
+// chunk. A successor armed where its predecessor fired (fresh is false)
+// keeps that chunk's place in the host's scheduling order — unless the exit
+// re-armed a co-resident (a rescale), whose event was then scheduled first.
 func (e *exec) exit(res guest.StepResult, fresh bool) {
 	e.instr += res.Executed
 	ranked := e.host.rankHi
@@ -320,8 +345,8 @@ func (e *exec) materialize() {
 	e.arm(true)
 }
 
-// rescale implements cpuConsumer: the host's contention changed, so the
-// in-flight chunk must be re-timed.
+// rescale re-times the chunk in flight after the host's contention changed
+// this guest's rate (Host.setBusy).
 func (e *exec) rescale() {
 	if e.ev != nil {
 		e.materialize()

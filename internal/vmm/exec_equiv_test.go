@@ -492,14 +492,18 @@ func (a *tickApp) OnTimer(c guest.Ctx, tag string) {
 }
 
 // TestTicklessBarrierArmedCoResident covers the order of exits that share a
-// nanosecond: three guests on one drift-free host, the last started at a
-// coordinator barrier that falls on the others' boundary, so from then on
+// nanosecond: two guests on one drift-free host, the second started at a
+// coordinator barrier that falls on the first's boundary, so from then on
 // all boundaries coincide and the late-comer's events — scheduled ahead of
-// that instant's — go first. Two take real exits at the same PIT ticks and
-// queue for the same disk there, so the order shows; the third keeps
-// toggling busy, and its bursts end on shared boundaries too, where
-// re-timing the other two finds their chunks complete and takes their
-// exits early.
+// that instant's — go first. Both take real exits at the same PIT ticks and
+// queue for the same disk there, so the order shows. It turns over when the
+// late-comer's own disk read ends a chunk off the boundary: the successor
+// is scheduled then, behind the resident's event for the boundary both
+// reach next. A third guest joins at a later barrier on the same grid and
+// keeps toggling busy: where its bursts meet a tick guest's disk read the
+// CPU is shared two ways and the busy pair is re-timed, which moves the
+// reader a nanosecond off the grid for good — so the ticks that share a
+// nanosecond are the ones before it joins.
 func TestTicklessBarrierArmedCoResident(t *testing.T) {
 	observe := func(every bool) []string {
 		loop := sim.NewLoop()
@@ -521,12 +525,15 @@ func TestTicklessBarrierArmedCoResident(t *testing.T) {
 			}
 			rt.Start()
 		}
-		start("first", &tickApp{})
-		start("busy", &toggleApp{})
-		if err := loop.RunBefore(5 * sim.Millisecond); err != nil { // parks ahead of the instant, as a barrier does
-			t.Fatal(err)
+		startAt := func(at sim.Time, id string, app guest.App) {
+			if err := loop.RunBefore(at); err != nil { // parks ahead of the instant, as a barrier does
+				t.Fatal(err)
+			}
+			start(id, app)
 		}
-		start("late", &tickApp{})
+		start("first", &tickApp{})
+		startAt(5*sim.Millisecond, "late", &tickApp{})
+		startAt(28*sim.Millisecond, "busy", &toggleApp{})
 		if err := loop.RunUntil(80 * sim.Millisecond); err != nil {
 			t.Fatal(err)
 		}
@@ -546,8 +553,8 @@ func TestTicklessBarrierArmedCoResident(t *testing.T) {
 			}
 		}
 	}
-	// Both orders must have occurred: the late-comer leads until a re-timing
-	// re-arms everyone in residence order.
+	// Both orders must have occurred: the late-comer leads until its first
+	// disk read sends it to the back.
 	if len(got) != len(want) || lateFirst == 0 || firstFirst == 0 {
 		t.Fatalf("%d records every-boundary, %d tickless; ticks sharing a nanosecond: %d late-comer first, %d resident first",
 			len(want), len(got), lateFirst, firstFirst)

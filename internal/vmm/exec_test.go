@@ -5,6 +5,7 @@ import (
 
 	"stopwatch/internal/guest"
 	"stopwatch/internal/sim"
+	"stopwatch/internal/vtime"
 )
 
 // Unit tests for the exec engine's deterministic-exit-point invariant under
@@ -180,5 +181,142 @@ func TestStopHaltsExecution(t *testing.T) {
 	}
 	if rt.Instr() != before {
 		t.Fatal("guest advanced after Stop+resume")
+	}
+}
+
+// pulseApp answers every packet with Size branches of compute and one send,
+// then idles: a busy period the test starts and whose end falls off the
+// boundary grid, at the send.
+type pulseApp struct{}
+
+func (pulseApp) Boot(guest.Ctx) {}
+func (pulseApp) OnPacket(c guest.Ctx, p guest.Payload) {
+	c.Compute(int64(p.Size))
+	c.Send(p.Src, 64, nil)
+}
+func (pulseApp) OnDiskDone(guest.Ctx, guest.DiskDone) {}
+func (pulseApp) OnTimer(guest.Ctx, string)            {}
+
+// TestSetBusyRetimesOnlyChangedRates pins who a busy/idle transition
+// re-times: an idle resident keeps the event it armed and the chunk it was
+// armed for across a co-resident's busy→idle→busy cycle; going from no busy
+// guest to one and back re-times nobody; a second busy guest re-times the
+// first — at the instant it goes busy and again at the instant it is done —
+// and still not the idle one.
+func TestSetBusyRetimesOnlyChangedRates(t *testing.T) {
+	loop := sim.NewLoop()
+	h, err := NewHost("h", loop, sim.NewSource(7).Stream("h"), sim.NewClock(0, 0), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := func(id string, app guest.App) *Runtime {
+		rt, err := NewRuntime(h, id, app, []sim.Time{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.OnSend = SendSinkFunc(func(guest.IOAction) {})
+		rt.Start()
+		return rt
+	}
+	idle, a, b := start("idle", idleApp{}), start("a", pulseApp{}), start("b", pulseApp{})
+	var seq uint64
+	pulse := func(rt *Runtime, branches int) { // delivered at rt's next boundary
+		seq++
+		rt.EnqueueNetDelivery(seq, rt.VirtAtLastExit()+1, guest.Payload{Src: "client", Size: branches})
+	}
+	runTo := func(at sim.Time, wantBusy int) {
+		t.Helper()
+		if err := loop.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		if h.BusyCount() != wantBusy {
+			t.Fatalf("at %v: %d busy guests, want %d", at, h.BusyCount(), wantBusy)
+		}
+	}
+	// The trajectory a resident armed: its event and the chunk that began it.
+	// Read from the fields — Instr and VM would sync, and move chunkStart.
+	type armed struct {
+		ev    sim.Handle
+		start sim.Time
+		rate  float64
+	}
+	of := func(rt *Runtime) armed { return armed{rt.ex.ev.Handle(), rt.ex.chunkStart, rt.ex.chunkRate} }
+	untouched := func(when string, rt *Runtime, was armed) {
+		t.Helper()
+		if now := of(rt); !was.ev.Pending() || now != was {
+			t.Fatalf("%s: %s was re-timed: armed %+v, now %+v (event pending: %v)", when, rt.vm.ID(), was, now, was.ev.Pending())
+		}
+	}
+	full := h.idleRate()
+
+	// Boundaries fall every 250 µs on this drift-free host. a: busy from 250
+	// to its send 300 000 branches later, idle, busy again from 750.
+	runTo(100*sim.Microsecond, 0)
+	idle0, b0 := of(idle), of(b)
+	pulse(a, 300_000)
+	runTo(300*sim.Microsecond, 1)
+	untouched("0→1", idle, idle0)
+	untouched("0→1", b, b0)
+	runTo(600*sim.Microsecond, 0)
+	untouched("1→0", idle, idle0)
+	untouched("1→0", b, b0)
+	pulse(a, 2_000_000)
+	runTo(800*sim.Microsecond, 1)
+	untouched("busy→idle→busy", idle, idle0)
+	untouched("busy→idle→busy", b, b0)
+	if got := of(a); got.rate != full {
+		t.Fatalf("a alone runs at %v, want the full rate %v", got.rate, full)
+	}
+
+	// b goes busy at 1000 µs: two busy guests, so a's chunk in flight is cut
+	// there and re-armed at half rate. b's 100 000 branches take 200 µs at
+	// that rate and its send one more branch: at 1 200 002 ns b is idle
+	// again and a is re-timed back to the full rate — off the grid.
+	pulse(b, 100_000)
+	runTo(1100*sim.Microsecond, 2)
+	if got := of(a); got.start != 1000*sim.Microsecond || got.rate != full/2 {
+		t.Fatalf("1→2: a armed %+v, want a chunk from 1ms at rate %v", got, full/2)
+	}
+	untouched("1→2", idle, idle0)
+	runTo(1300*sim.Microsecond, 1)
+	if got := of(a); got.start != 1_200_002 || got.rate != full {
+		t.Fatalf("2→1: a armed %+v, want a chunk from 1200002 at rate %v", got, full)
+	}
+	untouched("2→1", idle, idle0)
+}
+
+// TestNetDeliveryCycleKeepsItsArray: enqueue → deliver at a steady queue
+// depth allocates nothing and never moves the queue's backing array (a pop
+// by q[1:] walks it forward until append has to reallocate; AllocsPerRun's
+// integer average would hide that, the array's address does not).
+func TestNetDeliveryCycleKeepsItsArray(t *testing.T) {
+	_, rt, _ := buildExecProbe(t, 1_000_000_000)
+	var body any = "payload"
+	virt := rt.virtLastExit
+	var seq uint64
+	enqueue := func() {
+		seq++
+		rt.EnqueueNetDelivery(seq, virt+vtime.Virtual(seq), guest.Payload{Src: "client", Size: 100, Data: body})
+	}
+	for range 4 {
+		enqueue()
+	}
+	cycle := func() {
+		enqueue()
+		rt.deliverDue(rt.pendingNet[0].deliverVirt)
+		if len(rt.pendingNet) != 4 {
+			t.Fatalf("queue depth %d, want 4", len(rt.pendingNet))
+		}
+	}
+	cycle() // the queue reaches its working capacity: depth 5
+	array := &rt.pendingNet[0]
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("%v allocations per enqueue+deliver, want 0", allocs)
+	}
+	if &rt.pendingNet[0] != array {
+		t.Error("the delivery queue's backing array moved")
+	}
+	if got := rt.Stats().NetDelivered; got != 1002 {
+		t.Errorf("delivered %d, want 1002", got)
 	}
 }

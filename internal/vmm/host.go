@@ -6,15 +6,6 @@ import (
 	"stopwatch/internal/sim"
 )
 
-// cpuConsumer is anything the host schedules: replica runtimes register and
-// report busy/idle transitions; the host rescales all consumers when the
-// busy set changes (processor sharing).
-type cpuConsumer interface {
-	// rescale tells the consumer the host's per-busy-guest rate changed; it
-	// must materialize partial progress and re-arm its execution.
-	rescale()
-}
-
 // Host is one physical machine: a drifting clock, a CPU shared by resident
 // guest replicas, a disk with FIFO service, and an I/O activity level that
 // modulates device-model delays (the coresidency channel).
@@ -25,7 +16,10 @@ type Host struct {
 	clock *sim.Clock
 	cfg   Config
 
-	consumers []cpuConsumer
+	// consumers are the resident guests' execution engines, in residence
+	// order; they report busy/idle transitions through setBusy (processor
+	// sharing).
+	consumers []*exec
 	busyCount int
 
 	// Chunk-event ranks (nextRank): rankHi and rankLo are how far above
@@ -88,13 +82,13 @@ func (h *Host) Failed() bool { return h.failed }
 func (h *Host) Revive() { h.failed = false }
 
 // register adds a CPU consumer (called by runtimes at construction).
-func (h *Host) register(c cpuConsumer) {
+func (h *Host) register(c *exec) {
 	h.consumers = append(h.consumers, c)
 }
 
 // unregister removes a CPU consumer (an evicted or replaced replica) so
 // the host's rescale fan-out does not grow without bound under churn.
-func (h *Host) unregister(c cpuConsumer) {
+func (h *Host) unregister(c *exec) {
 	for i, have := range h.consumers {
 		if have == c {
 			h.consumers = append(h.consumers[:i], h.consumers[i+1:]...)
@@ -136,27 +130,35 @@ func (h *Host) nextRank() uint64 {
 	return rankOrigin - h.rankLo
 }
 
-// setBusy reports a consumer's busy/idle transition and triggers a rescale
-// of everyone when the busy population changes.
+// setBusy reports a consumer's busy/idle transition and re-times exactly
+// the chunks whose rate it changed. An idle guest runs at idleRate whatever
+// the busy population, a busy one at BaseRate over busyShare. So a
+// transition across 0↔1 re-times nobody: the share stays 1, and the guest
+// that made it has no chunk in flight (it reports from its own exit and arms
+// at its new rate afterwards). Any other re-times the busy residents and
+// leaves the idle ones on the trajectory they armed.
 func (h *Host) setBusy(delta int) {
-	h.busyCount += delta
-	if h.busyCount < 0 {
-		h.busyCount = 0
+	was := h.busyShare()
+	h.busyCount = max(h.busyCount+delta, 0)
+	if h.busyShare() == was {
+		return
 	}
 	for _, c := range h.consumers {
-		c.rescale()
+		if c.busy {
+			c.rescale()
+		}
 	}
 }
+
+// busyShare returns how many ways the CPU is split among busy guests: the
+// busy population, or 1 while there is none.
+func (h *Host) busyShare() int { return max(h.busyCount, 1) }
 
 // busyRate returns the per-guest execution rate (branches per fabric
 // second) for a busy guest under the current contention, including the
 // host's clock drift.
 func (h *Host) busyRate() float64 {
-	n := h.busyCount
-	if n < 1 {
-		n = 1
-	}
-	return float64(h.cfg.BaseRate) * (1 + h.clock.Drift()) / float64(n)
+	return float64(h.cfg.BaseRate) * (1 + h.clock.Drift()) / float64(h.busyShare())
 }
 
 // idleRate returns the instruction rate of an idle-looping guest. Idle

@@ -3,6 +3,7 @@ package vmm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"stopwatch/internal/guest"
@@ -458,6 +459,11 @@ func (rt *Runtime) skipped() {
 	}
 }
 
+// deliverDue injects every pending interrupt due at virt. The queues pop
+// with slices.Delete — the tail moves down over the head and the vacated
+// slot is cleared — so they keep their backing array: q[1:] walks it forward
+// and the append that follows reallocates every few deliveries. They are a
+// handful of entries deep, and their inserts already shift.
 func (rt *Runtime) deliverDue(virt vtime.Virtual) {
 	for len(rt.pendingDisk) > 0 || len(rt.pendingNet) > 0 {
 		haveDisk := len(rt.pendingDisk) > 0 && rt.pendingDisk[0].deliverVirt <= virt
@@ -468,7 +474,7 @@ func (rt *Runtime) deliverDue(virt vtime.Virtual) {
 		// Disk wins ties; otherwise earliest virtual time first.
 		if haveDisk && (!haveNet || rt.pendingDisk[0].deliverVirt <= rt.pendingNet[0].deliverVirt) {
 			d := rt.pendingDisk[0]
-			rt.pendingDisk = rt.pendingDisk[1:]
+			rt.pendingDisk = slices.Delete(rt.pendingDisk, 0, 1)
 			if d.readyReal > rt.host.Loop().Now() {
 				rt.stats.DiskOverruns++
 			}
@@ -476,7 +482,7 @@ func (rt *Runtime) deliverDue(virt vtime.Virtual) {
 			continue
 		}
 		d := rt.pendingNet[0]
-		rt.pendingNet = rt.pendingNet[1:]
+		rt.pendingNet = slices.Delete(rt.pendingNet, 0, 1)
 		rt.stats.NetDelivered++
 		if rt.OnNetDeliver != nil {
 			rt.OnNetDeliver(d.seq, d.deliverVirt, rt.host.Loop().Now())

@@ -307,14 +307,8 @@ type OpKind = controlplane.OpKind
 // Outcome is an operation's record in the operations log.
 type Outcome = controlplane.Outcome
 
-// OpPhase is one stage of an operation's execution.
-type OpPhase = controlplane.Phase
-
 // OpEvent is one observation on the ControlPlane.Watch stream.
 type OpEvent = controlplane.Event
-
-// OpEventKind discriminates operation events.
-type OpEventKind = controlplane.EventKind
 
 // Operation event kinds.
 const (
@@ -397,12 +391,6 @@ type MetricsRegistry = metrics.Registry
 // NewMetricsRegistry builds an empty registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
-// MetricFamily is one named series family in a registry snapshot.
-type MetricFamily = metrics.Family
-
-// MetricSample is one sample (one label value) in a family snapshot.
-type MetricSample = metrics.Sample
-
 // ObsrvServer is the observability HTTP server: a localhost-only surface
 // serving the registry as Prometheus text (/metrics) and canonical JSON
 // (/metrics.json), the completed-operations log as a filterable query API
@@ -414,9 +402,6 @@ type ObsrvServer = obsrv.Server
 // NewObsrvServer builds an unstarted observability server; Attach it to a
 // control plane and registry, then Start it on a loopback address.
 func NewObsrvServer() *ObsrvServer { return obsrv.New() }
-
-// ObsrvOpRecord is one completed operation as served by /ops.
-type ObsrvOpRecord = obsrv.OpRecord
 
 // LoadAwareConfig parameterizes telemetry-driven admission
 // (ControlPlane.EnableLoadAwareAdmission): live per-host disk backlog
