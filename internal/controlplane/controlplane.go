@@ -78,16 +78,6 @@ type ControlPlane struct {
 	// open a later epoch's evacuation gate.
 	failures map[int]*hostFailure
 
-	// suspected marks machines the stall detector has already reported, so
-	// one dead machine's many stalled sequences submit one FailOp; cleared
-	// by RepairOp so a repaired machine can be re-detected.
-	suspected map[int]bool
-
-	// loadAware/loadBudget: telemetry-driven admission (admission.go).
-	// Off by default — placement then ignores host telemetry entirely.
-	loadAware  bool
-	loadBudget sim.Time
-
 	// planned: one-move migration planning for infeasible placements
 	// (migrate.go). Off by default — rejections then match the seed exactly.
 	planned bool
@@ -117,13 +107,12 @@ func New(c *core.Cluster, cfg Config) (*ControlPlane, error) {
 		return nil, err
 	}
 	return &ControlPlane{
-		c:         c,
-		pool:      pool,
-		cfg:       cfg,
-		inflight:  make(map[string]string),
-		draining:  make(map[int]bool),
-		failures:  make(map[int]*hostFailure),
-		suspected: make(map[int]bool),
+		c:        c,
+		pool:     pool,
+		cfg:      cfg,
+		inflight: make(map[string]string),
+		draining: make(map[int]bool),
+		failures: make(map[int]*hostFailure),
 	}, nil
 }
 
@@ -244,7 +233,6 @@ func (cp *ControlPlane) applyAdmit(op AdmitOp, oc *Outcome) {
 // AdmitOp.Done, the outcome, or the event stream.
 func (cp *ControlPlane) placeAndDeploy(op AdmitOp, oc *Outcome, plan bool) {
 	id := op.GuestID
-	cp.refreshHostTelemetry()
 	tri, err := cp.pool.Admit(id)
 	if errors.Is(err, placement.ErrNoFeasibleHost) {
 		if plan {
@@ -277,6 +265,12 @@ func (cp *ControlPlane) placeAndDeploy(op AdmitOp, oc *Outcome, plan bool) {
 	g, err := cp.c.Deploy(id, tri[:], op.Factory)
 	if err != nil {
 		_, _ = cp.pool.Release(id)
+		if cp.refusedAsDead(err) {
+			// Each retry has one machine fewer to offer, so this ends within
+			// Hosts() tries, on a triangle or on ErrNoFeasibleHost.
+			cp.placeAndDeploy(op, oc, plan)
+			return
+		}
 		cp.finish(oc, err)
 		return
 	}
@@ -343,7 +337,6 @@ func (cp *ControlPlane) applyReplace(op ReplaceOp, oc *Outcome) {
 				then(newTri, newHost, errors.Join(err, fmt.Errorf("planned migration: %w", moc.Err)))
 				return
 			}
-			cp.refreshHostTelemetry()
 			then(cp.pool.Rehome(id, dead))
 		}}, oc.Seq)
 	})
@@ -383,7 +376,8 @@ func (cp *ControlPlane) movable(id string, from int) error {
 //     detour runs a whole child barrier first);
 //  5. reconstruct the replica there from the survivors' journal and switch
 //     the multicast groups over (core.Cluster.ReplaceReplica), rolling the
-//     pool back if that fails;
+//     pool back if that fails — and, if it failed because the chosen machine
+//     is dead (refusedAsDead), going back to step 4 without that machine;
 //  6. resume the ingress stream, flushing the buffered packets.
 //
 // verb names the move in the in-flight table ("replacement", "migration")
@@ -422,8 +416,8 @@ func (cp *ControlPlane) moveReplica(oc *Outcome, id string, from int, verb strin
 			return
 		}
 		cp.phase(oc, PhaseQuiesce)
-		cp.refreshHostTelemetry()
-		place(func(newTri placement.Triangle, to int, err error) {
+		var placed func(placement.Triangle, int, error)
+		placed = func(newTri placement.Triangle, to int, err error) {
 			if err != nil {
 				done(err)
 				return
@@ -441,6 +435,11 @@ func (cp *ControlPlane) moveReplica(oc *Outcome, id string, from int, verb strin
 					err = errors.Join(err, fmt.Errorf("rollback release %q: %w", id, rbErr))
 				} else if rbErr := cp.pool.AdmitTriangle(id, tri); rbErr != nil {
 					err = errors.Join(err, fmt.Errorf("rollback restore %q on %v: %w", id, tri, rbErr))
+				} else if cp.refusedAsDead(err) {
+					// The pool is back where the place step found it, less the
+					// dead machine: a scan picks another, a pinned move fails.
+					place(placed)
+					return
 				}
 				done(err)
 				return
@@ -450,7 +449,8 @@ func (cp *ControlPlane) moveReplica(oc *Outcome, id string, from int, verb strin
 			cp.c.Ingress().Resume(id)
 			cp.phase(oc, PhaseResume)
 			done(nil)
-		})
+		}
+		place(placed)
 	}
 	cp.c.Loop().After(cp.cfg.DrainWindow, "cp:drain", barrier)
 }
@@ -458,33 +458,35 @@ func (cp *ControlPlane) moveReplica(oc *Outcome, id string, from int, verb strin
 // Verify checks the control plane's placement invariants (edge-disjoint
 // triangles, capacity, bookkeeping) and that the pool agrees with the
 // cluster's deployed residency — in both directions, so a half-completed
-// rollback (pool lost a guest the cluster still runs) cannot hide.
-// Scenario drivers run it once per completed top-level op, keyed off the
-// event stream (subscribe Watch, audit on OpCompleted/OpFailed of ops with
-// a zero Parent) — one post-outcome audit instead of re-running the
-// residency sweep at every step inside an evacuation.
-func (cp *ControlPlane) Verify() error {
-	if err := cp.pool.Verify(); err != nil {
+// rollback (pool lost a guest the cluster still runs) cannot hide. With no
+// ids it audits the whole fleet; with ids, those guests and the pool's O(1)
+// bookkeeping (placement.Pool.Verify), which is what a driver auditing after
+// every completed op passes (Outcome.Guests), keeping the whole-fleet audit
+// for the end of the run.
+func (cp *ControlPlane) Verify(ids ...string) error {
+	if err := cp.pool.Verify(ids...); err != nil {
 		return err
 	}
-	for _, id := range cp.c.GuestIDs() {
-		if _, ok := cp.pool.Triangle(id); !ok {
-			return fmt.Errorf("%w: cluster deploys %q but the pool does not hold it", ErrControlPlane, id)
-		}
+	if len(ids) == 0 {
+		ids = append(cp.c.GuestIDs(), cp.pool.IDs()...)
 	}
-	for _, id := range cp.pool.IDs() {
-		g, ok := cp.c.Guest(id)
-		if !ok {
+	for _, id := range ids {
+		g, deployed := cp.c.Guest(id)
+		tri, placed := cp.pool.Triangle(id)
+		switch {
+		case !deployed && !placed:
+			continue // departed, or never admitted
+		case !placed:
+			return fmt.Errorf("%w: cluster deploys %q but the pool does not hold it", ErrControlPlane, id)
+		case !deployed:
 			return fmt.Errorf("%w: pool holds %q but cluster does not", ErrControlPlane, id)
 		}
-		tri, _ := cp.pool.Triangle(id)
-		want := map[int]bool{tri[0]: true, tri[1]: true, tri[2]: true}
 		hosts := g.HostIndexes()
 		if len(hosts) != 3 {
 			return fmt.Errorf("%w: guest %q has %d replicas", ErrControlPlane, id, len(hosts))
 		}
 		for _, h := range hosts {
-			if !want[h] {
+			if !tri.Contains(h) {
 				return fmt.Errorf("%w: guest %q deployed on %v, pool says %v", ErrControlPlane, id, hosts, tri)
 			}
 		}

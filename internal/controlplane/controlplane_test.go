@@ -225,27 +225,30 @@ func TestReplaceReplicaValidation(t *testing.T) {
 	}
 }
 
-// TestReplaceReplicaRollbackRestoresPool drives the barrier's rollback path
-// for both place steps: the destination — the machine a replacement's
-// Rehome will scan to, or the one a migration pins — is killed at the data
-// plane behind the control plane's back (core.FailMachine, no FailOp — the
-// pool never learns) once the op has passed validation, so the switchover
-// is guaranteed to fail after the pool has already re-homed, and the
-// control plane must restore the original triangle, report the failure
-// (with any rollback error joined in, never swallowed), and leave pool and
-// cluster coherent under Verify.
+// TestReplaceReplicaRollbackRestoresPool: the destination of a move — the
+// machine Rehome will scan to, or the one a migration pins — is killed at
+// the data plane behind the control plane's back (core.FailMachine, no
+// FailOp — the pool never learns) once the op has passed validation, so the
+// switchover is refused after the pool has already re-homed. The control
+// plane must restore the original triangle and treat the refusal as the
+// detection it is: a detected FailOp for that machine goes on the log at the
+// refusal instant, the pool marks it Failed, and the place step runs again
+// without it — a replacement lands elsewhere with the guest in lockstep, a
+// migration's pinned destination is now infeasible and the move fails with
+// the original triangle back. Pool and cluster stay coherent under Verify.
 func TestReplaceReplicaRollbackRestoresPool(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		op       func(from, to int, done func(*Outcome)) Op
 		failures func(Stats) int
+		moves    bool
 	}{
 		{"replace", func(from, _ int, done func(*Outcome)) Op {
 			return ReplaceOp{GuestID: "web", DeadHost: from, Done: done}
-		}, func(st Stats) int { return st.ReplacementFailures }},
+		}, func(st Stats) int { return st.ReplacementFailures }, true},
 		{"migrate", func(from, to int, done func(*Outcome)) Op {
 			return MigrateOp{GuestID: "web", From: from, To: to, Done: done}
-		}, func(st Stats) int { return st.MigrationFailures }},
+		}, func(st Stats) int { return st.MigrationFailures }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := core.DefaultClusterConfig()
@@ -266,23 +269,19 @@ func TestReplaceReplicaRollbackRestoresPool(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.Start()
-			var result error
-			done := false
+			// Rehome scans least-loaded-first with the index as tie-break,
+			// so it will pick the lowest-index non-member — the machine the
+			// migration names too.
+			off := 0
+			for tri.Contains(off) {
+				off++
+			}
+			var move *Outcome
 			c.Loop().At(300*sim.Millisecond, "fail", func() {
-				// Rehome scans least-loaded-first with the index as
-				// tie-break, so it will pick the lowest-index non-member —
-				// the machine the migration names too.
-				off := 0
-				for h := 0; h < 7; h++ {
-					if !tri.Contains(h) {
-						off = h
-						break
-					}
-				}
 				slot, _ := g.SlotOnHost(tri[0])
 				g.Replica(slot).Runtime().Stop()
-				if oc := cp.Apply(tc.op(tri[0], off, func(oc *Outcome) { result, done = oc.Err, true })); oc.Rejected() {
-					t.Error(oc.Err)
+				if move = cp.Apply(tc.op(tri[0], off, nil)); move.Rejected() {
+					t.Error(move.Err)
 				}
 				if err := c.FailMachine(off); err != nil {
 					t.Error(err)
@@ -291,25 +290,102 @@ func TestReplaceReplicaRollbackRestoresPool(t *testing.T) {
 			if err := c.Run(5 * sim.Second); err != nil {
 				t.Fatal(err)
 			}
-			if !done {
+			if !move.Done() {
 				t.Fatal("move never finished")
 			}
-			if result == nil {
-				t.Fatal("switchover onto a dead machine should have failed")
+			// The refusal became a detection, at the instant of the refusal.
+			refused, _ := move.PhaseAt(PhaseRehome)
+			var detected *Outcome
+			for _, oc := range cp.Log() {
+				if op, ok := oc.Op.(FailOp); ok && op.Machine == off {
+					detected = oc
+				}
 			}
-			if errors.Is(result, placement.ErrNoFeasibleHost) {
-				t.Fatalf("wrong failure: %v", result)
+			if detected == nil || !detected.Op.(FailOp).Detected || detected.Err != nil || detected.Submitted != refused {
+				t.Fatalf("no accepted detected fail of machine %d at the refusal (t=%v): %v", off, refused, detected)
 			}
-			if got, _ := cp.Pool().Triangle("web"); got != tri {
-				t.Fatalf("rollback did not restore the triangle: %v != %v", got, tri)
+			if !cp.Failed(off) || !cp.Pool().Drained(off) {
+				t.Fatalf("machine %d refused a replica and is still offered", off)
 			}
-			if n := tc.failures(cp.Stats()); n != 1 {
-				t.Fatalf("%d barrier failures in %+v", n, cp.Stats())
+			got, _ := cp.Pool().Triangle("web")
+			if tc.moves {
+				if move.Err != nil {
+					t.Fatalf("replacement not re-homed past the dead machine: %v", move.Err)
+				}
+				if got != move.Triangle || got.Contains(tri[0]) || got.Contains(off) {
+					t.Fatalf("re-homed onto %v (outcome %v) from %v with machine %d dead", got, move.Triangle, tri, off)
+				}
+				if err := g.CheckLockstepPrefix(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if !errors.Is(move.Err, placement.ErrNoFeasibleHost) {
+					t.Fatalf("move pinned to a dead machine: %v", move.Err)
+				}
+				if got != tri {
+					t.Fatalf("rollback did not restore the triangle: %v != %v", got, tri)
+				}
+			}
+			if failed := tc.failures(cp.Stats()) == 1; failed == tc.moves {
+				t.Fatalf("barrier failures in %+v", cp.Stats())
 			}
 			if err := cp.Verify(); err != nil {
 				t.Fatalf("pool/cluster diverged after rollback: %v", err)
 			}
 		})
+	}
+}
+
+// TestAdmitRefusedAsBornDeadDetectsAndPlacesAgain: a machine dies at the
+// data plane with no FailOp and nothing to stall (it is empty), so the pool
+// still offers it — it is in the least-loaded triangle. The admission is not
+// refused: the cluster's refusal marks the machine failed, on the log as a
+// detected fail submitted at that instant, and the tenant lands on a
+// triangle without it.
+func TestAdmitRefusedAsBornDeadDetectsAndPlacesAgain(t *testing.T) {
+	cp := newTestPlane(t, 7, 3, 71)
+	c := cp.Cluster()
+	const dead = 1
+	if err := c.FailMachine(dead); err != nil {
+		t.Fatal(err)
+	}
+	oc := cp.Apply(AdmitOp{GuestID: "web", Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))})
+	if oc.Err != nil {
+		t.Fatalf("admission with machine %d dead and undetected: %v", dead, oc.Err)
+	}
+	if oc.Triangle.Contains(dead) || oc.Triangle != (placement.Triangle{0, 2, 3}) {
+		t.Fatalf("placed on %v", oc.Triangle)
+	}
+	log := cp.Log()
+	if len(log) != 2 || log[1].Op.String() != "fail 1 (detected)" || log[1].Rejected() || log[1].Submitted != oc.Submitted {
+		t.Fatalf("op log:\n%s", FormatLog(log))
+	}
+	if !cp.Failed(dead) || !cp.Pool().Drained(dead) {
+		t.Fatalf("machine %d refused a replica and is still offered", dead)
+	}
+	c.Start()
+	if err := c.Run(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := oc.Guest.CheckLockstepPrefix(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	// Every machine dead: each retry removes one, and the admission ends on
+	// the pool's own answer.
+	cp = newTestPlane(t, 4, 3, 71)
+	for m := 0; m < 4; m++ {
+		if err := cp.Cluster().FailMachine(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if oc := cp.Apply(AdmitOp{GuestID: "web", Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))}); !errors.Is(oc.Err, ErrNoFeasibleHost) {
+		t.Fatalf("admission onto a fleet of dead machines: %v", oc.Err)
+	}
+	if err := cp.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -331,10 +407,34 @@ func TestVerifyCatchesPoolClusterDivergence(t *testing.T) {
 	if err := cp.Verify(); err == nil {
 		t.Fatal("Verify missed a cluster-deployed guest absent from the pool")
 	}
+	// The per-guest audit sees it when asked about that guest, and only then.
+	if err := cp.Verify("web"); err == nil {
+		t.Fatal("Verify(web) missed a cluster-deployed guest absent from the pool")
+	}
+	if err := cp.Verify("departed"); err != nil {
+		t.Fatalf("Verify of a guest in neither pool nor cluster: %v", err)
+	}
+	// A triangle the cluster does not run: both audits name the mismatch.
+	other := placement.Triangle{0, 1, 2}
+	for other == tri {
+		other = placement.Triangle{0, 1, 3}
+	}
+	if err := cp.Pool().AdmitTriangle("web", other); err != nil {
+		t.Fatal(err)
+	}
+	if cp.Verify() == nil || cp.Verify("web") == nil {
+		t.Fatalf("Verify missed a guest deployed on %v and pooled on %v", tri, other)
+	}
+	if _, err := cp.Pool().Release("web"); err != nil {
+		t.Fatal(err)
+	}
 	if err := cp.Pool().AdmitTriangle("web", tri); err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Verify("web"); err != nil {
 		t.Fatal(err)
 	}
 }

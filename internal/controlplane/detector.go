@@ -12,8 +12,10 @@ package controlplane
 // step of it on the op log, with no scripted FailOp anywhere.
 
 import (
+	"errors"
 	"fmt"
 
+	"stopwatch/internal/core"
 	"stopwatch/internal/sim"
 )
 
@@ -53,19 +55,31 @@ func (cp *ControlPlane) EnableStallDetector(deadline sim.Time) error {
 	return cp.c.SetStallDetector(deadline, cp.suspectMachine)
 }
 
-// suspectMachine receives one stall report from the data plane: origin
-// machines whose proposals are missing past the deadline. One dead machine
-// stalls many sequences across many guests; the suspected mark makes the
-// first report the one that acts.
+// suspectMachine receives one piece of evidence that machine is dead — a
+// stall report from the data plane (its proposals are missing past the
+// deadline), or core's refusal to build a replica on it (refusedAsDead) —
+// and submits the detected FailOp, whose ground-truth check is what makes a
+// false alarm harmless: rejected, on the log, and the machine detectable
+// again. One dead machine stalls many sequences across many guests; the
+// first report is the one that acts, the rest find it already failed.
 func (cp *ControlPlane) suspectMachine(machine int) {
-	if cp.suspected[machine] || cp.failures[machine] != nil {
-		return
+	if cp.failures[machine] == nil {
+		cp.Apply(FailOp{Machine: machine, Detected: true})
 	}
-	cp.suspected[machine] = true
-	if oc := cp.Apply(FailOp{Machine: machine, Detected: true}); oc.Err != nil {
-		// A false alarm (the machine's VMM is alive after all) is on the op
-		// log as a rejected FailOp; un-mark the machine so a later, genuine
-		// crash can still be detected.
-		delete(cp.suspected, machine)
+}
+
+// refusedAsDead reports whether err is the cluster refusing to build a
+// replica on a dead machine (core.HostFailedError) that the pool still
+// offered — the window between a crash and its detection. The refusal is
+// the detection: the machine is suspected on the spot, which marks it Failed
+// in the pool, so the caller — having released what it placed — may place
+// again and cannot be handed the same machine. Its residents are evacuated
+// where EnableStallDetector chained that to a detected fail.
+func (cp *ControlPlane) refusedAsDead(err error) bool {
+	var dead *core.HostFailedError
+	if !errors.As(err, &dead) {
+		return false
 	}
+	cp.suspectMachine(dead.Host)
+	return cp.Failed(dead.Host)
 }

@@ -161,10 +161,7 @@ func TestStallDetectorFalseAlarmIsRejectedAndRecoverable(t *testing.T) {
 	if cp.Failed(tri[0]) || c.Host(tri[0]).Failed() {
 		t.Fatal("false alarm executed the kill")
 	}
-	if cp.suspected[tri[0]] {
-		t.Fatal("false alarm left the machine permanently unsuspectable")
-	}
-	// The genuine crash is still detected afterwards.
+	// The genuine crash of the same machine is still detected, and failed.
 	startPings(t, c, []string{"ga"}, 10*sim.Millisecond, 5*sim.Second)
 	c.Loop().At(300*sim.Millisecond, "kill", func() {
 		if err := c.FailMachine(tri[0]); err != nil {
@@ -174,7 +171,7 @@ func TestStallDetectorFalseAlarmIsRejectedAndRecoverable(t *testing.T) {
 	if err := c.Run(8 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	if cp.Stats().HostFailures != 1 {
+	if cp.Stats().HostFailures != 1 || !cp.Failed(tri[0]) || !cp.Pool().Drained(tri[0]) {
 		t.Fatalf("genuine crash after false alarm not detected: %+v", cp.Stats())
 	}
 }

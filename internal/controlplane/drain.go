@@ -3,6 +3,8 @@ package controlplane
 import (
 	"errors"
 	"fmt"
+
+	"stopwatch/internal/placement"
 )
 
 // Host drain: planned whole-machine evacuation, one DrainOp. Each resident
@@ -42,7 +44,7 @@ func (cp *ControlPlane) applyDrain(op DrainOp, oc *Outcome) {
 		cp.finish(oc, fmt.Errorf("%w: machine %d crashed — evacuate it with EvacuateOp", ErrControlPlane, machine))
 		return
 	}
-	if err := cp.pool.Drain(machine); err != nil {
+	if err := cp.pool.Mark(machine, placement.Maintenance); err != nil {
 		cp.finish(oc, err) // typed placement.ErrDrained on a double drain
 		return
 	}
@@ -148,7 +150,7 @@ func (cp *ControlPlane) applyUndrain(op UndrainOp, oc *Outcome) {
 		cp.finish(oc, fmt.Errorf("%w: machine %d crashed — RepairOp returns it", ErrControlPlane, machine))
 		return
 	}
-	if err := cp.pool.Undrain(machine); err != nil {
+	if err := cp.pool.Clear(machine, placement.Maintenance); err != nil {
 		cp.finish(oc, err)
 		return
 	}

@@ -8,10 +8,10 @@ package controlplane
 // reconfiguration made concrete on the StopWatch data plane:
 //
 //  1. FailOp marks the machine failed: its capacity leaves the placement
-//     pool (reusing the drain plumbing), the data plane kills its runtimes
-//     and proposal senders, and — one DrainWindow later, so the dead VMM's
-//     in-flight proposals land everywhere — every resident guest's group is
-//     reconfigured (multicast groups, pacing peers, device live views,
+//     pool (placement.Failed in its availability record), the data plane
+//     kills its runtimes and proposal senders, and — one DrainWindow later,
+//     so the dead VMM's in-flight proposals land everywhere — every
+//     resident guest's group is reconfigured (multicast groups, pacing peers, device live views,
 //     ingress replication, egress live count) to the live quorum. Pending
 //     and future delivery proposals then resolve on the live set and the
 //     guests keep serving degraded 2-of-3. The op completes at the
@@ -28,7 +28,6 @@ package controlplane
 // fail → reconfigure → evacuate a pipeline rather than a call sequence.
 
 import (
-	"errors"
 	"fmt"
 
 	"stopwatch/internal/core"
@@ -42,10 +41,6 @@ type hostFailure struct {
 	// been broadcast, after the proposal settle window — the gate
 	// EvacuateOp waits on.
 	reconfigured bool
-	// drainedByFail records whether the FailOp itself pulled the machine's
-	// capacity (false: the operator had drained it for maintenance before
-	// the crash, and repair must not undo that).
-	drainedByFail bool
 	// reconfigErrs collects reconfiguration failures for the evacuation
 	// outcome.
 	reconfigErrs []error
@@ -90,17 +85,14 @@ func (cp *ControlPlane) applyFail(op FailOp, oc *Outcome) {
 		cp.finish(oc, err)
 		return
 	}
-	f := &hostFailure{}
-	// Reuse the drain plumbing to pull the machine's capacity: a machine
-	// mid-maintenance (already drained) can crash too and simply keeps its
-	// drained state — and keeps it across repair.
-	switch err := cp.pool.Drain(machine); {
-	case err == nil:
-		f.drainedByFail = true
-	case !errors.Is(err, placement.ErrDrained):
+	// The machine's capacity leaves the pool under its own reason: a machine
+	// mid-maintenance can crash too, and its Maintenance mark is untouched
+	// by this one and by the repair that clears it.
+	if err := cp.pool.Mark(machine, placement.Failed); err != nil {
 		cp.finish(oc, err)
 		return
 	}
+	f := &hostFailure{}
 	cp.failures[machine] = f
 	cp.phase(oc, PhaseDrain)
 	residents := cp.pool.Residents(machine)
@@ -216,8 +208,7 @@ func (cp *ControlPlane) applyRepair(op RepairOp, oc *Outcome) {
 		cp.finish(oc, fmt.Errorf("%w: machine %d still evacuating", ErrControlPlane, machine))
 		return
 	}
-	f := cp.failures[machine]
-	if f == nil {
+	if cp.failures[machine] == nil {
 		cp.finish(oc, fmt.Errorf("%w: machine %d is not failed", ErrControlPlane, machine))
 		return
 	}
@@ -230,15 +221,8 @@ func (cp *ControlPlane) applyRepair(op RepairOp, oc *Outcome) {
 		return
 	}
 	delete(cp.failures, machine)
-	delete(cp.suspected, machine)
 	cp.phase(oc, PhasePlace)
-	if f.drainedByFail {
-		if err := cp.pool.Undrain(machine); err != nil {
-			cp.finish(oc, err)
-			return
-		}
-	}
-	cp.finish(oc, nil)
+	cp.finish(oc, cp.pool.Clear(machine, placement.Failed))
 }
 
 // Failed reports whether machine is marked crashed.

@@ -55,8 +55,6 @@ func (cp *ControlPlane) InstrumentMetrics(reg *metrics.Registry) (cancel func())
 		"stall-detector machine suspicions (detected FailOps submitted)")
 	falseAlarms := reg.NewCounter("stopwatch_cp_detector_false_alarms_total",
 		"detector suspicions rejected because the machine's VMM was alive")
-	gatedAdmissions := reg.NewCounter("stopwatch_cp_admissions_gated_total",
-		"admissions rejected while at least one host was gated by telemetry-driven admission")
 	reconcileRounds := reg.NewCounter("stopwatch_cp_reconcile_rounds_total",
 		"pre-commit survivor reconcile rounds run by FailOps (one per resident guest with a live pair)")
 	reconcileRepairs := reg.NewCounter("stopwatch_cp_reconcile_repairs_total",
@@ -67,23 +65,6 @@ func (cp *ControlPlane) InstrumentMetrics(reg *metrics.Registry) (cancel func())
 		"resident guests", func() float64 { return float64(cp.pool.Guests()) })
 	reg.NewGaugeFunc("stopwatch_cp_utilization",
 		"resident replicas over undrained capacity", func() float64 { return cp.pool.Utilization() })
-	reg.NewGaugeFunc("stopwatch_cp_gated_hosts",
-		"hosts currently gated out of placement by telemetry-driven admission",
-		func() float64 { return float64(cp.pool.GatedCount()) })
-	hostGated := reg.NewGaugeFuncVec("stopwatch_cp_host_gated",
-		"1 when the host is gated out of new placements, else 0", "host")
-	hostScore := reg.NewGaugeFuncVec("stopwatch_cp_host_score",
-		"the host's placement load score (disk backlog, ns) as last fed to the pool", "host")
-	for i := 0; i < cp.c.Hosts(); i++ {
-		i := i
-		hostGated.Add(cp.c.Host(i).Name(), func() float64 {
-			if cp.pool.Gated(i) {
-				return 1
-			}
-			return 0
-		})
-		hostScore.Add(cp.c.Host(i).Name(), func() float64 { return cp.pool.HostScore(i) })
-	}
 	return cp.Watch(func(ev Event) {
 		kind := ev.Op.Kind().String()
 		switch ev.Kind {
@@ -124,9 +105,6 @@ func (cp *ControlPlane) InstrumentMetrics(reg *metrics.Registry) (cancel func())
 				rejected.With(kind).Inc()
 				if f, isFail := ev.Op.(FailOp); isFail && f.Detected {
 					falseAlarms.Inc()
-				}
-				if _, isAdmit := ev.Op.(AdmitOp); isAdmit && cp.pool.GatedCount() > 0 {
-					gatedAdmissions.Inc()
 				}
 			}
 		}

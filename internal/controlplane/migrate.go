@@ -44,9 +44,9 @@ func (cp *ControlPlane) applyMigrate(op MigrateOp, oc *Outcome) {
 	case err != nil: // the checks every move shares come first
 	case op.To < 0 || op.To >= cp.c.Hosts():
 		err = fmt.Errorf("%w: host %d out of range", ErrControlPlane, op.To)
-	case cp.Failed(op.From) || cp.c.Host(op.From).Failed():
+	case cp.Failed(op.From):
 		err = fmt.Errorf("%w: host %d is crashed — replace its replicas, don't migrate them", ErrControlPlane, op.From)
-	case cp.Failed(op.To) || cp.c.Host(op.To).Failed():
+	case cp.Failed(op.To):
 		err = fmt.Errorf("%w: host %d is failed", ErrControlPlane, op.To)
 	}
 	if err != nil {

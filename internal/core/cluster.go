@@ -23,6 +23,17 @@ import (
 // ErrCluster reports invalid cluster configuration or use.
 var ErrCluster = errors.New("core: invalid")
 
+// HostFailedError is Deploy's and ReplaceReplica's refusal to build a replica
+// on a machine whose VMM is dead. The cluster fails closed; the caller that
+// picked the machine learns from Host which of its records is stale.
+type HostFailedError struct{ Host int }
+
+func (e *HostFailedError) Error() string {
+	return fmt.Sprintf("%v: host %d is failed — a replica placed there would be born dead", ErrCluster, e.Host)
+}
+
+func (e *HostFailedError) Unwrap() error { return ErrCluster }
+
 // Mode selects the hypervisor under test.
 type Mode int
 
@@ -459,11 +470,6 @@ func (c *Cluster) Egress() *gateway.Egress { return c.egress }
 // Ingress returns the ingress node (nil in baseline mode).
 func (c *Cluster) Ingress() *gateway.Ingress { return c.ingress }
 
-// StallDeadline returns the armed per-sequence proposal deadline (0 when
-// no stall detector is set) — what admission control sizes its I/O-tail
-// budget against.
-func (c *Cluster) StallDeadline() sim.Time { return c.stallDeadline }
-
 // Guest returns a deployed guest by id.
 func (c *Cluster) Guest(id string) (*Guest, bool) {
 	g, ok := c.guests[id]
@@ -485,7 +491,7 @@ func (c *Cluster) Deploy(id string, hostIdx []int, factory func() guest.App) (*G
 			return nil, fmt.Errorf("%w: host index %d out of range", ErrCluster, i)
 		}
 		if c.hosts[i].Failed() {
-			return nil, fmt.Errorf("%w: host %d is failed — a replica placed there would be born dead", ErrCluster, i)
+			return nil, &HostFailedError{Host: i}
 		}
 	}
 	var g *Guest

@@ -102,7 +102,7 @@ func (c *Cluster) ReplaceReplica(id string, deadHost, newHost int) error {
 		return fmt.Errorf("%w: host index %d out of range", ErrCluster, newHost)
 	}
 	if c.hosts[newHost].Failed() {
-		return fmt.Errorf("%w: host %d is failed — a replica placed there would be born dead", ErrCluster, newHost)
+		return &HostFailedError{Host: newHost}
 	}
 	slot := -1
 	for k, w := range g.replicas {

@@ -9,15 +9,35 @@ import (
 // ErrNoFeasibleHost reports that an admission or re-home request cannot be
 // satisfied by the current pool state: every candidate triangle (or host)
 // either reuses an occupied K_n edge, exceeds a machine's capacity, or
-// lands on a drained machine. It is the expected online analogue of
-// Theorem 1's packing bound, not a bug; callers check it with errors.Is and
-// degrade gracefully (reject the tenant, keep serving on two replicas, skip
-// the move).
+// lands on a machine marked out of service. It is the expected online
+// analogue of Theorem 1's packing bound, not a bug; callers check it with
+// errors.Is and degrade gracefully (reject the tenant, keep serving on two
+// replicas, skip the move).
 var ErrNoFeasibleHost = fmt.Errorf("%w: no feasible host", ErrPlacement)
 
-// ErrDrained reports a drain-state misuse (draining a machine twice,
-// undraining a live one).
+// ErrDrained reports an availability-record misuse: marking a machine with a
+// reason it already carries, or clearing one it does not.
 var ErrDrained = fmt.Errorf("%w: drain state", ErrPlacement)
+
+// Reason is one cause for a machine to take no new replica. A machine's
+// availability record is the set of reasons currently marked against it;
+// they are independent, so a machine drained for maintenance that then
+// crashes carries both, and clearing one leaves the other.
+type Reason uint8
+
+const (
+	// Maintenance: the operator took the machine out (DrainOp … UndrainOp).
+	Maintenance Reason = 1 << iota
+	// Failed: the machine's VMM is dead (FailOp … RepairOp).
+	Failed
+)
+
+func (r Reason) String() string {
+	if r == Failed {
+		return "failed"
+	}
+	return "drained"
+}
 
 // Pool is the incremental counterpart of GreedyPack/PlaceTheorem2: it
 // maintains an edge-disjoint triangle packing of K_n under online guest
@@ -47,20 +67,11 @@ type Pool struct {
 	load []int
 	// tris is the triangle of each resident guest.
 	tris map[string]Triangle
-	// drained marks machines removed from placement (planned maintenance):
-	// they keep their current residents until evacuated but receive no new
-	// replicas.
-	drained []bool
-
-	// scores, when non-nil (SetHostScore), are external load scores — a
-	// telemetry feed such as disk backlog — consulted as a tie-break after
-	// replica load and before the machine index. Scores refine the scan
-	// order only; they never veto a feasible placement.
-	scores []float64
-	// gated marks machines excluded from new placements by the admission
-	// controller (telemetry says their I/O tail endangers proposal
-	// deadlines). Like drained, a gated machine keeps its residents.
-	gated []bool
+	// out is the availability record: per machine, the reasons it takes no
+	// new replica (zero: in service). A marked machine keeps its current
+	// residents until they are evacuated. This is the one place that says
+	// which machines placement may use.
+	out []Reason
 
 	// orderScratch backs hostOrder so every placement decision does not
 	// allocate a fresh index slice.
@@ -79,7 +90,7 @@ func NewPool(n, c int) (*Pool, error) {
 		used:     make(map[[2]int]string),
 		load:     make([]int, n),
 		tris:     make(map[string]Triangle),
-		drained:  make([]bool, n),
+		out:      make([]Reason, n),
 	}, nil
 }
 
@@ -113,7 +124,7 @@ func (p *Pool) Utilization() float64 {
 	}
 	avail := 0
 	for i := 0; i < p.n; i++ {
-		if !p.drained[i] {
+		if p.out[i] == 0 {
 			avail++
 		}
 	}
@@ -123,98 +134,36 @@ func (p *Pool) Utilization() float64 {
 	return float64(3*len(p.tris)) / float64(avail*p.capacity)
 }
 
-// Drain removes machine i from placement: it keeps its current residents
-// (evacuating them is the control plane's job) but Admit/Rehome will not
-// put new replicas on it until Undrain.
-func (p *Pool) Drain(i int) error {
+// Mark records reason r against machine i: it keeps its current residents
+// (evacuating them is the control plane's job) but Admit, Rehome and
+// RehomeTo put no new replica on it until every reason is cleared.
+func (p *Pool) Mark(i int, r Reason) error {
 	if i < 0 || i >= p.n {
 		return fmt.Errorf("%w: machine %d out of range", ErrPlacement, i)
 	}
-	if p.drained[i] {
-		return fmt.Errorf("%w: machine %d already drained", ErrDrained, i)
+	if p.out[i]&r != 0 {
+		return fmt.Errorf("%w: machine %d already %v", ErrDrained, i, r)
 	}
-	p.drained[i] = true
+	p.out[i] |= r
 	return nil
 }
 
-// Undrain returns a drained machine's capacity to the pool.
-func (p *Pool) Undrain(i int) error {
+// Clear removes reason r from machine i's record; the machine's capacity
+// returns to the pool once no reason is left.
+func (p *Pool) Clear(i int, r Reason) error {
 	if i < 0 || i >= p.n {
 		return fmt.Errorf("%w: machine %d out of range", ErrPlacement, i)
 	}
-	if !p.drained[i] {
-		return fmt.Errorf("%w: machine %d not drained", ErrDrained, i)
+	if p.out[i]&r == 0 {
+		return fmt.Errorf("%w: machine %d not %v", ErrDrained, i, r)
 	}
-	p.drained[i] = false
+	p.out[i] &^= r
 	return nil
 }
 
-// Drained reports whether machine i is removed from placement.
+// Drained reports whether machine i is out of placement, for any reason.
 func (p *Pool) Drained(i int) bool {
-	return i >= 0 && i < p.n && p.drained[i]
-}
-
-// SetHostScore installs an external load score for machine i (higher =
-// more loaded). Scores order equally-replica-loaded machines: the scan
-// still prefers fewer resident replicas first, then lower score, then
-// lower index. All-zero scores reproduce the historical order exactly, so
-// a control plane that never feeds scores places identically to one
-// without the feature.
-func (p *Pool) SetHostScore(i int, s float64) error {
-	if i < 0 || i >= p.n {
-		return fmt.Errorf("%w: machine %d out of range", ErrPlacement, i)
-	}
-	if p.scores == nil {
-		if s == 0 {
-			return nil
-		}
-		p.scores = make([]float64, p.n)
-	}
-	p.scores[i] = s
-	return nil
-}
-
-// HostScore returns machine i's external load score (0 when unset).
-func (p *Pool) HostScore(i int) float64 {
-	if p.scores == nil || i < 0 || i >= p.n {
-		return 0
-	}
-	return p.scores[i]
-}
-
-// SetHostGate excludes machine i from (or readmits it to) new placements.
-// A gated machine behaves like a drained one for Admit/Rehome — residents
-// stay, nothing new lands — but the gate is the admission controller's
-// transient telemetry decision, distinct from operator-initiated drains,
-// and does not affect utilization accounting or drain-state validation.
-func (p *Pool) SetHostGate(i int, gated bool) error {
-	if i < 0 || i >= p.n {
-		return fmt.Errorf("%w: machine %d out of range", ErrPlacement, i)
-	}
-	if p.gated == nil {
-		if !gated {
-			return nil
-		}
-		p.gated = make([]bool, p.n)
-	}
-	p.gated[i] = gated
-	return nil
-}
-
-// Gated reports whether machine i is gated out of new placements.
-func (p *Pool) Gated(i int) bool {
-	return p.gated != nil && i >= 0 && i < p.n && p.gated[i]
-}
-
-// GatedCount returns the number of gated machines.
-func (p *Pool) GatedCount() int {
-	n := 0
-	for i := range p.gated {
-		if p.gated[i] {
-			n++
-		}
-	}
-	return n
+	return i >= 0 && i < p.n && p.out[i] != 0
 }
 
 // Residents returns the ids of guests with a replica on machine i, sorted —
@@ -245,8 +194,8 @@ func poolEdge(a, b int) [2]int {
 }
 
 // hostOrder returns machine indices sorted least-loaded first — replica
-// load, then external score (SetHostScore), then index — the deterministic
-// scan order for all placement decisions. The returned slice is pool-owned
+// load, then index — the deterministic scan order for all placement
+// decisions. The returned slice is pool-owned
 // scratch, valid until the next call.
 func (p *Pool) hostOrder() []int {
 	if p.orderScratch == nil {
@@ -256,29 +205,16 @@ func (p *Pool) hostOrder() []int {
 	for i := range order {
 		order[i] = i
 	}
-	// Stable by (load, score) keeps the ascending-index tie-break;
-	// SortStableFunc, unlike sort.SliceStable, needs no reflection scratch.
-	slices.SortStableFunc(order, func(a, b int) int {
-		if d := p.load[a] - p.load[b]; d != 0 {
-			return d
-		}
-		if p.scores != nil {
-			if p.scores[a] < p.scores[b] {
-				return -1
-			}
-			if p.scores[a] > p.scores[b] {
-				return 1
-			}
-		}
-		return 0
-	})
+	// Stable by load keeps the ascending-index tie-break; SortStableFunc,
+	// unlike sort.SliceStable, needs no reflection scratch.
+	slices.SortStableFunc(order, func(a, b int) int { return p.load[a] - p.load[b] })
 	return order
 }
 
-// hostFull reports whether machine i can take no further replica: at
-// capacity, drained for maintenance, or gated by the admission controller.
+// hostFull reports whether machine i can take no further replica: marked
+// out of service, or at capacity.
 func (p *Pool) hostFull(i int) bool {
-	return p.drained[i] || (p.gated != nil && p.gated[i]) || (p.capacity > 0 && p.load[i] >= p.capacity)
+	return p.out[i] != 0 || (p.capacity > 0 && p.load[i] >= p.capacity)
 }
 
 // Admit places a new guest on the least-loaded non-conflicting triangle and
@@ -342,7 +278,7 @@ func (e *infeasibleError) Unwrap() error { return ErrNoFeasibleHost }
 // AdmitTriangle places a guest on an explicit triangle (e.g. replaying a
 // stored assignment, or restoring one after a failed replacement),
 // enforcing edge-disjointness and capacity. Unlike Admit it will place on
-// a drained machine: the caller named the triangle deliberately, and the
+// a marked machine: the caller named the triangle deliberately, and the
 // rollback of a replica move must be able to restore the pre-move state
 // mid-drain.
 func (p *Pool) AdmitTriangle(id string, t Triangle) error {
@@ -478,8 +414,8 @@ func (p *Pool) moveReplica(id string, from, to int) Triangle {
 
 // CanRehomeTo reports whether RehomeTo(id, from, to) would succeed, without
 // changing the pool: guest id has a replica on from, and to is a different
-// machine that is neither full, gated nor drained and whose edges to both
-// survivors are free.
+// machine that is neither full nor marked out of service and whose edges to
+// both survivors are free.
 func (p *Pool) CanRehomeTo(id string, from, to int) bool {
 	s1, s2, err := p.survivors(id, from)
 	return err == nil && to >= 0 && to < p.n && to != from && p.canPlace(to, s1, s2)
@@ -489,7 +425,7 @@ func (p *Pool) CanRehomeTo(id string, from, to int) bool {
 // machine `to` — the planned-migration analogue of Rehome, where the
 // destination was chosen by the planner instead of scanned for. It fails
 // with ErrNoFeasibleHost when the pinned destination cannot take the replica
-// (full, gated, drained, or an edge to a survivor is occupied).
+// (full, marked out of service, or an edge to a survivor is occupied).
 func (p *Pool) RehomeTo(id string, from, to int) (Triangle, error) {
 	if _, _, err := p.survivors(id, from); err != nil {
 		return Triangle{}, err
@@ -584,15 +520,37 @@ func (p *Pool) Snapshot() *Placement {
 	return &Placement{N: p.n, Capacity: p.capacity, Triangles: tris}
 }
 
-// Verify checks the full pool state against the StopWatch constraints via
-// the same checker the offline constructions use, plus the pool's own
-// bookkeeping (edge count and load consistency).
-func (p *Pool) Verify() error {
-	if err := p.Snapshot().Verify(); err != nil {
-		return err
-	}
+// Verify audits the pool against the StopWatch constraints. With no ids it
+// checks the full state via the same checker the offline constructions use,
+// plus the pool's own bookkeeping (edge count and load consistency). With
+// ids it checks only those guests — each resident one owns its three edges
+// and sits on machines within capacity — plus the O(1) edge count, so a
+// caller auditing after every operation pays for what the operation touched.
+func (p *Pool) Verify(ids ...string) error {
 	if len(p.used) != 3*len(p.tris) {
 		return fmt.Errorf("%w: %d edges recorded for %d guests", ErrPlacement, len(p.used), len(p.tris))
+	}
+	for _, id := range ids {
+		t, ok := p.tris[id]
+		if !ok {
+			continue // departed, or never placed: it holds nothing
+		}
+		for _, e := range t.edges() {
+			if owner := p.used[e]; owner != id {
+				return fmt.Errorf("%w: edge %v of guest %q on %v is held by %q", ErrPlacement, e, id, t, owner)
+			}
+		}
+		for _, v := range t {
+			if p.capacity > 0 && p.load[v] > p.capacity {
+				return fmt.Errorf("%w: machine %d load %d exceeds capacity %d", ErrPlacement, v, p.load[v], p.capacity)
+			}
+		}
+	}
+	if len(ids) > 0 {
+		return nil
+	}
+	if err := p.Snapshot().Verify(); err != nil {
+		return err
 	}
 	want := make([]int, p.n)
 	for _, t := range p.tris {

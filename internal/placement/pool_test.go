@@ -224,10 +224,10 @@ func TestPoolDrainExcludesMachine(t *testing.T) {
 	if p.Load(victim) != 0 {
 		t.Fatalf("machine %d unexpectedly loaded", victim)
 	}
-	if err := p.Drain(victim); err != nil {
+	if err := p.Mark(victim, Maintenance); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Drain(victim); !errors.Is(err, ErrDrained) {
+	if err := p.Mark(victim, Maintenance); !errors.Is(err, ErrDrained) {
 		t.Fatalf("double drain: want ErrDrained, got %v", err)
 	}
 	if !p.Drained(victim) {
@@ -260,12 +260,32 @@ func TestPoolDrainExcludesMachine(t *testing.T) {
 	if err := p.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	// Undrain restores the capacity; edges stay conserved throughout.
-	if err := p.Undrain(victim); err != nil {
+	// The reasons are independent: the machine crashes mid-maintenance, and
+	// ending the maintenance leaves it out of service until it is repaired.
+	if err := p.Mark(victim, Failed); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Undrain(victim); !errors.Is(err, ErrDrained) {
+	if err := p.Clear(victim, Maintenance); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Clear(victim, Maintenance); !errors.Is(err, ErrDrained) {
 		t.Fatalf("double undrain: want ErrDrained, got %v", err)
+	}
+	if !p.Drained(victim) {
+		t.Fatal("clearing Maintenance also cleared Failed")
+	}
+	if cur, _ := p.Triangle("a"); p.CanRehomeTo("a", cur[0], victim) {
+		t.Fatal("a failed machine offered as a destination")
+	} else if _, err := p.RehomeTo("a", cur[0], victim); !errors.Is(err, ErrNoFeasibleHost) {
+		t.Fatalf("pinned move onto a failed machine: %v", err)
+	}
+	// Clearing the last reason restores the capacity; edges stay conserved
+	// throughout.
+	if err := p.Clear(victim, Failed); err != nil {
+		t.Fatal(err)
+	}
+	if p.Drained(victim) {
+		t.Fatal("machine still out of service with no reason left")
 	}
 	if p.EdgesUsed() != 3*p.Guests() {
 		t.Fatalf("%d edges for %d guests", p.EdgesUsed(), p.Guests())
@@ -295,118 +315,8 @@ func TestPoolResidents(t *testing.T) {
 	}
 }
 
-func TestPoolHostScoresReorderTies(t *testing.T) {
-	p, err := NewPool(6, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All loads zero: historical order admits on {0,1,2}.
-	tri, err := p.Admit("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tri != (Triangle{0, 1, 2}) {
-		t.Fatalf("baseline triangle %v", tri)
-	}
-	if _, err := p.Release("a"); err != nil {
-		t.Fatal(err)
-	}
-	// Score machines 0 and 2 as loaded: the scan now prefers {1,3,4}.
-	if err := p.SetHostScore(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetHostScore(2, 1); err != nil {
-		t.Fatal(err)
-	}
-	tri, err = p.Admit("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tri != (Triangle{1, 3, 4}) {
-		t.Fatalf("scored triangle %v, want {1 3 4}", tri)
-	}
-	if p.HostScore(0) != 5 || p.HostScore(1) != 0 {
-		t.Fatalf("scores: %v %v", p.HostScore(0), p.HostScore(1))
-	}
-	// Replica load still dominates score: zero the scores — the still-empty
-	// machines win over the loaded ones even when one carries a huge score.
-	if err := p.SetHostScore(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetHostScore(2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetHostScore(5, 100); err != nil {
-		t.Fatal(err)
-	}
-	tri2, err := p.Admit("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tri2 != (Triangle{0, 2, 5}) {
-		t.Fatalf("load must dominate score: %v, want the empty machines {0 2 5}", tri2)
-	}
-	if err := p.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetHostScore(9, 1); err == nil {
-		t.Fatal("out-of-range score accepted")
-	}
-}
-
-func TestPoolHostGateExcludesAndLifts(t *testing.T) {
-	p, err := NewPool(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetHostGate(0, true); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Gated(0) || p.GatedCount() != 1 {
-		t.Fatalf("gate state: %v %d", p.Gated(0), p.GatedCount())
-	}
-	tri, err := p.Admit("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tri.Contains(0) {
-		t.Fatalf("gated machine placed on: %v", tri)
-	}
-	// A gated machine keeps residents and is not "drained".
-	if p.Drained(0) {
-		t.Fatal("gate leaked into drain state")
-	}
-	// Gating too much makes placement infeasible: with 0 and 1 gated only
-	// {2,3,4} remains, and "a" already holds edge {2,3}.
-	if err := p.SetHostGate(1, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Admit("b"); !errors.Is(err, ErrNoFeasibleHost) {
-		t.Fatalf("admit with 2 of 5 machines gated: %v", err)
-	}
-	// Lifting the gates restores feasibility.
-	if err := p.SetHostGate(0, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetHostGate(1, false); err != nil {
-		t.Fatal(err)
-	}
-	if p.GatedCount() != 0 {
-		t.Fatalf("gates not lifted: %d", p.GatedCount())
-	}
-	if _, err := p.Admit("b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetHostGate(-1, true); err == nil {
-		t.Fatal("out-of-range gate accepted")
-	}
-}
-
-// TestCanRehomeToAgreesWithRehomeTo: on random packings with drained, gated
-// and full machines, the dry run answers exactly what the move then does —
+// TestCanRehomeToAgreesWithRehomeTo: on random packings with machines out for
+// maintenance, failed, both, and full, the dry run answers exactly what the move then does —
 // for every (guest, source, destination), out-of-range and non-member
 // arguments included — and a refused move changes nothing.
 func TestCanRehomeToAgreesWithRehomeTo(t *testing.T) {
@@ -426,14 +336,11 @@ func TestCanRehomeToAgreesWithRehomeTo(t *testing.T) {
 			}
 		}
 		for i := 0; i < n; i++ {
-			switch rng.Intn(5) {
-			case 0:
-				if err := p.Drain(i); err != nil {
-					t.Fatal(err)
-				}
-			case 1:
-				if err := p.SetHostGate(i, true); err != nil {
-					t.Fatal(err)
+			for _, r := range []Reason{Maintenance, Failed} {
+				if rng.Intn(5) == 0 {
+					if err := p.Mark(i, r); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
@@ -467,5 +374,40 @@ func TestCanRehomeToAgreesWithRehomeTo(t *testing.T) {
 	}
 	if moves < 100 || refusals < 100 {
 		t.Fatalf("property barely exercised: %d moves, %d refusals", moves, refusals)
+	}
+}
+
+// TestPoolVerifyGuests: the per-guest audit catches damage to the guests it
+// is asked about — a stolen edge, a machine over capacity, the edge count —
+// and says nothing about a guest that is not resident.
+func TestPoolVerifyGuests(t *testing.T) {
+	p, err := NewPool(7, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, tri := range map[string]Triangle{"a": {0, 1, 2}, "b": {0, 3, 4}} {
+		if err := p.AdmitTriangle(id, tri); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Verify("a", "b", "ghost"); err != nil {
+		t.Fatal(err)
+	}
+	p.used[poolEdge(0, 1)] = "b"
+	if p.Verify("a") == nil {
+		t.Fatal("stolen edge not caught")
+	}
+	if err := p.Verify("b"); err != nil {
+		t.Fatalf("audit of an undamaged guest: %v", err)
+	}
+	p.used[poolEdge(0, 1)] = "a"
+	p.load[3] = 3
+	if p.Verify("b") == nil || p.Verify("a") != nil {
+		t.Fatal("over-capacity machine: want it caught on b's audit only")
+	}
+	p.load[3] = 1
+	delete(p.used, poolEdge(3, 4))
+	if p.Verify("a") == nil {
+		t.Fatal("edge count not checked on a per-guest audit")
 	}
 }

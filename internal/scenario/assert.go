@@ -20,10 +20,6 @@ func (r *runner) assertAll(log []*stopwatch.Outcome, res *Result) {
 		switch a.Check {
 		case "lockstep":
 			r.assertLockstep(a)
-		case "placement":
-			if err := r.cp.Verify(); err != nil {
-				r.failf("placement assertion: %v", err)
-			}
 		case "coresident":
 			r.assertCoresident(a)
 		case "stats":

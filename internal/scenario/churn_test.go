@@ -137,13 +137,3 @@ func TestChurnPlannedMigrationAdmitsMore(t *testing.T) {
 			planned.Stats.Admitted, plain.Stats.Admitted)
 	}
 }
-
-// TestChurnLoadAware: telemetry-driven admission changes placement (so no
-// digest pin), and the churn run stays clean under it — every assertion of
-// the file, placement audits and the strict end audit included.
-func TestChurnLoadAware(t *testing.T) {
-	sc := variant(loadCorpus(t, "churn.yaml"))
-	sc.Digests = nil
-	sc.Fleet.LoadAware = true
-	mustPass(t, sc, Options{Seed: 1})
-}

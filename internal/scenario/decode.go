@@ -288,7 +288,7 @@ func (f fields) seeds() []uint64 {
 func (d *dec) fleet(n *node) Fleet {
 	f := d.fields(n, "fleet",
 		"machines", "capacity", "shards", "checkpoint_instr", "stall_detector",
-		"planned_migration", "load_aware", "nodes", "guests")
+		"planned_migration", "nodes", "guests")
 	fl := Fleet{
 		Machines:         int(f.int("machines", 0)),
 		Capacity:         int(f.int("capacity", 3)),
@@ -297,7 +297,6 @@ func (d *dec) fleet(n *node) Fleet {
 		CheckpointLine:   f.n.keyLine["checkpoint_instr"],
 		StallDetector:    f.bool("stall_detector", false),
 		PlannedMigration: f.bool("planned_migration", false),
-		LoadAware:        f.bool("load_aware", false),
 		Nodes:            f.strList("nodes"),
 	}
 	f.need("guests", "fleet needs a guests list")
@@ -356,17 +355,16 @@ func (d *dec) trafficSpec(n *node) TrafficSpec {
 
 // eventKeys lists each action's allowed keys beyond at_ms/action.
 var eventKeys = map[string][]string{
-	"admit":         {"guest", "count"},
-	"saturate-disk": {"guest", "count"},
-	"evict":         {"guest"},
-	"kill-machine":  {"machine", "detected", "repair_after_ms"},
-	"kill-replica":  {"guest", "slot"},
-	"drain":         {"machine"},
-	"undrain":       {"machine"},
-	"migrate":       {"guest", "to"},
-	"inject-loss":   {"from", "to", "prob", "duplex"},
-	"partition":     {"from", "to", "duplex"},
-	"heal":          {"from", "to", "duplex"},
+	"admit":        {"guest", "count"},
+	"evict":        {"guest"},
+	"kill-machine": {"machine", "detected", "repair_after_ms"},
+	"kill-replica": {"guest", "slot"},
+	"drain":        {"machine"},
+	"undrain":      {"machine"},
+	"migrate":      {"guest", "to"},
+	"inject-loss":  {"from", "to", "prob", "duplex"},
+	"partition":    {"from", "to", "duplex"},
+	"heal":         {"from", "to", "duplex"},
 }
 
 func (d *dec) event(n *node) Event {

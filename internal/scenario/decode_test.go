@@ -271,13 +271,10 @@ func TestValidateGoldenErrors(t *testing.T) {
   - check: coresident
     guests: [g-0]
 `, `test.yaml:14: coresident assertion needs exactly 2 guests, got 1`)
-	// saturate-disk on a spec with no disk load.
-	wantErr(t, head+goodFleet+`events:
-  - at_ms: 100
-    action: saturate-disk
-    guest: g
-    count: 1
-`, `test.yaml:14: saturate-disk event: guest spec "g" has no disk load (set app disk_kb)`)
+	// Load-aware admission is gone: its action and its fleet key fail closed.
+	wantErr(t, head+goodFleet+"events:\n  - at_ms: 100\n    action: saturate-disk\n", `test.yaml:14: unknown action "saturate-disk"`)
+	wantErr(t, head+strings.Replace(goodFleet, "  capacity: 3\n", "  capacity: 3\n  load_aware: true\n", 1),
+		`test.yaml:7: unknown fleet key "load_aware" (allowed: machines, capacity, shards, checkpoint_instr, stall_detector, planned_migration, nodes, guests)`)
 	// not_fired combined with a bound.
 	wantErr(t, head+goodFleet+`assertions:
   - check: oplog

@@ -97,11 +97,12 @@ func (r *runner) failRandomReplica(rng *stopwatch.Rand) {
 	r.killReplica(g.ID, rng.Intn(g.NumReplicas()))
 }
 
-// inService lists the machines that are neither drained nor failed.
+// inService lists the machines the pool has no reason against and that are
+// not dead awaiting detection — the injector may know what it killed.
 func (r *runner) inService() []int {
 	var ms []int
 	for m := 0; m < r.sc.Fleet.Machines; m++ {
-		if !r.cp.Pool().Drained(m) && !r.cp.Failed(m) && !r.c.Host(m).Failed() {
+		if !r.cp.Pool().Drained(m) && !r.c.Host(m).Failed() {
 			ms = append(ms, m)
 		}
 	}

@@ -81,8 +81,8 @@ func TestControlPlaneAPIFence(t *testing.T) {
 	want := []string{
 		"Apply",
 		"Cluster", "Failed", "InFlight", "Log", "Outcome", "Pool", "Residents", "Stats", "Utilization", "Verify", "Watch",
-		"EnableLoadAwareAdmission", "EnablePlannedMigration", "EnableStallDetector",
-		"InstrumentMetrics", "LoadAware", "PlannedMigration",
+		"EnablePlannedMigration", "EnableStallDetector",
+		"InstrumentMetrics", "PlannedMigration",
 	}
 	slices.Sort(want)
 	typ := reflect.TypeOf((*stopwatch.ControlPlane)(nil))

@@ -181,9 +181,6 @@ func (r *runner) build() error {
 	if f.PlannedMigration {
 		cp.EnablePlannedMigration()
 	}
-	if f.LoadAware {
-		cp.EnableLoadAwareAdmission(stopwatch.LoadAwareConfig{})
-	}
 	if f.StallDetector {
 		if err := cp.EnableStallDetector(0); err != nil {
 			return err
@@ -242,14 +239,17 @@ func (r *runner) build() error {
 			r.addReplies(n, func() float64 { return got })
 		}
 	}
-	// One placement audit per completed top-level op, keyed off the event
-	// stream; child moves are covered by their parent's audit.
+	// One placement audit per completed op, of the guests it touched, keyed
+	// off the event stream; finish() audits the whole fleet once. An op that
+	// names no guest moved no replica.
 	cp.Watch(func(ev stopwatch.OpEvent) {
-		if ev.Parent != 0 || (ev.Kind != stopwatch.OpCompleted && ev.Kind != stopwatch.OpFailed) {
+		if ev.Kind != stopwatch.OpCompleted && ev.Kind != stopwatch.OpFailed {
 			return
 		}
-		if err := cp.Verify(); err != nil {
-			r.failf("placement audit after %v: %v", ev.Op, err)
+		if oc, ok := cp.Outcome(ev.Seq); ok && len(oc.Guests) > 0 {
+			if err := cp.Verify(oc.Guests...); err != nil {
+				r.failf("placement audit after %v: %v", ev.Op, err)
+			}
 		}
 	})
 	// Evacuation completions — scripted or detector-chained — classify
@@ -525,7 +525,7 @@ func (r *runner) startSpecTraffic(g *GuestSpec) {
 // fault injection are safe.
 func (r *runner) exec(ev Event) {
 	switch ev.Action {
-	case "admit", "saturate-disk":
+	case "admit":
 		r.logf("t=%7.3fs  %s %d x %s", seconds(r.c.Loop().Now()), ev.Action, ev.Count, ev.Guest)
 		r.admitBurst(r.spec(ev.Guest), ev.Count)
 	case "evict":
@@ -815,6 +815,11 @@ func (r *runner) finish() *Result {
 		Pinned:  r.sc.Digests[r.seed],
 		Stats:   stopwatch.FoldOpStats(log),
 		Metrics: r.reg.JSON(),
+	}
+	// The one whole-fleet placement audit, whether or not the file declares
+	// `check: placement`; the per-op watch covered each op's own guests.
+	if err := r.cp.Verify(); err != nil {
+		r.failf("placement assertion: %v", err)
 	}
 	r.assertAll(log, res)
 	if res.Pinned != "" && res.Pinned != res.Digest {

@@ -68,8 +68,6 @@ type Fleet struct {
 	StallDetector bool
 	// PlannedMigration turns infeasible placements into one-move plans.
 	PlannedMigration bool
-	// LoadAware enables telemetry-driven admission.
-	LoadAware bool
 	// Nodes are extra fabric sink addresses to attach (beacon sinks,
 	// probe sources are attached automatically; list any extras here).
 	Nodes []string
@@ -139,17 +137,17 @@ type TrafficSpec struct {
 type Event struct {
 	// AtMS is the firing time in milliseconds of simulated time.
 	AtMS int64
-	// Action discriminates the union: admit | saturate-disk | evict |
-	// kill-machine | kill-replica | drain | undrain | migrate |
-	// inject-loss | partition | heal.
+	// Action discriminates the union: admit | evict | kill-machine |
+	// kill-replica | drain | undrain | migrate | inject-loss | partition |
+	// heal.
 	Action string
 	// Line is the event's position in the file.
 	Line int
 
-	// Guest targets a spec (admit, saturate-disk) or an instance (evict,
-	// kill-replica, migrate).
+	// Guest targets a spec (admit) or an instance (evict, kill-replica,
+	// migrate).
 	Guest string
-	// Count is the admit/saturate burst size.
+	// Count is the admit burst size.
 	Count int
 	// Machine targets a host (kill-machine, drain, undrain); -1 unset.
 	Machine int

@@ -84,7 +84,7 @@ func instanceTotals(sc *Scenario) map[string]int {
 		totals[sc.Fleet.Guests[i].Name] = sc.Fleet.Guests[i].Count
 	}
 	for _, ev := range sc.Events {
-		if ev.Action == "admit" || ev.Action == "saturate-disk" {
+		if ev.Action == "admit" {
 			totals[ev.Guest] += ev.Count
 		}
 	}
@@ -263,13 +263,11 @@ func (v *validator) events() {
 			v.errf(ev.Line, "%s at_ms %d is beyond the scenario duration %d", what, ev.AtMS, sc.DurationMS)
 		}
 		switch ev.Action {
-		case "admit", "saturate-disk":
+		case "admit":
 			if ev.Guest == "" {
 				v.errf(ev.Line, "%s needs a guest spec", what)
-			} else if spec, ok := v.specs[ev.Guest]; !ok {
+			} else if _, ok := v.specs[ev.Guest]; !ok {
 				v.errf(ev.Line, "%s references undeclared guest %q", what, ev.Guest)
-			} else if ev.Action == "saturate-disk" && spec.App.DiskKB <= 0 {
-				v.errf(ev.Line, "saturate-disk event: guest spec %q has no disk load (set app disk_kb)", ev.Guest)
 			}
 			if ev.Count < 1 {
 				v.errf(ev.Line, "%s count must be >= 1", what)

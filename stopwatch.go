@@ -371,8 +371,8 @@ func DefaultControlPlaneConfig(capacity int) ControlPlaneConfig {
 	return controlplane.DefaultConfig(capacity)
 }
 
-// Observability re-exports: the deterministic metrics registry, the
-// localhost HTTP surface over it, and telemetry-driven admission.
+// Observability re-exports: the deterministic metrics registry and the
+// localhost HTTP surface over it.
 //
 //	reg := stopwatch.NewMetricsRegistry()
 //	cp.InstrumentMetrics(reg) // control-plane families, fed by Watch
@@ -380,7 +380,6 @@ func DefaultControlPlaneConfig(capacity int) ControlPlaneConfig {
 //	srv := stopwatch.NewObsrvServer()
 //	srv.Attach(cp, reg)
 //	_ = srv.Start("127.0.0.1:8080") // /metrics, /metrics.json, /ops, /ops/stream
-//	cp.EnableLoadAwareAdmission(stopwatch.LoadAwareConfig{})
 
 // MetricsRegistry is the deterministic metrics registry: counters, gauges
 // and fixed-bucket histograms with no wall-clock dependence; snapshots
@@ -402,9 +401,3 @@ type ObsrvServer = obsrv.Server
 // NewObsrvServer builds an unstarted observability server; Attach it to a
 // control plane and registry, then Start it on a loopback address.
 func NewObsrvServer() *ObsrvServer { return obsrv.New() }
-
-// LoadAwareConfig parameterizes telemetry-driven admission
-// (ControlPlane.EnableLoadAwareAdmission): live per-host disk backlog
-// becomes a placement tie-break score, and hosts whose backlog exceeds the
-// false-alarm budget are gated out of new placements.
-type LoadAwareConfig = controlplane.LoadAwareConfig
