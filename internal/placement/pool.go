@@ -2,7 +2,6 @@ package placement
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -73,9 +72,10 @@ type Pool struct {
 	// which machines placement may use.
 	out []Reason
 
-	// orderScratch backs hostOrder so every placement decision does not
-	// allocate a fresh index slice.
+	// orderScratch and countScratch back hostOrder so every placement
+	// decision does not allocate a fresh index slice.
 	orderScratch []int
+	countScratch []int
 }
 
 // NewPool creates an empty pool over n machines of per-machine capacity c
@@ -201,13 +201,26 @@ func (p *Pool) hostOrder() []int {
 	if p.orderScratch == nil {
 		p.orderScratch = make([]int, p.n)
 	}
-	order := p.orderScratch
-	for i := range order {
-		order[i] = i
+	// A counting sort: loads take a handful of values (0..capacity; when
+	// capacity is unbounded, 0..the largest load), and filling each load's
+	// run in index order is the ascending-index tie-break of a stable sort.
+	next := p.countScratch[:0] // next[v]: where the next machine of load v goes
+	for _, v := range p.load {
+		for v >= len(next) {
+			next = append(next, 0)
+		}
+		next[v]++
 	}
-	// Stable by load keeps the ascending-index tie-break; SortStableFunc,
-	// unlike sort.SliceStable, needs no reflection scratch.
-	slices.SortStableFunc(order, func(a, b int) int { return p.load[a] - p.load[b] })
+	at := 0
+	for v, c := range next {
+		next[v], at = at, at+c
+	}
+	order := p.orderScratch
+	for i, v := range p.load {
+		order[next[v]] = i
+		next[v]++
+	}
+	p.countScratch = next
 	return order
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -409,5 +411,44 @@ func TestPoolVerifyGuests(t *testing.T) {
 	delete(p.used, poolEdge(3, 4))
 	if p.Verify("a") == nil {
 		t.Fatal("edge count not checked on a per-guest audit")
+	}
+}
+
+// TestHostOrderEqualsStableSort: hostOrder's counting sort is the stable
+// sort by load it replaced — ties in ascending index — on 1,000 random load
+// vectors, bounded capacity and unbounded (where the largest load sizes the
+// count array).
+func TestHostOrderEqualsStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 1000; trial++ {
+		n, capacity := 1+rng.Intn(1000), rng.Intn(6)
+		p, err := NewPool(n, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := capacity
+		if capacity == 0 {
+			top = 1 + rng.Intn(300)
+		}
+		for i := range p.load {
+			p.load[i] = rng.Intn(top + 1)
+		}
+		check := func(when string) {
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool { return p.load[want[a]] < p.load[want[b]] })
+			if got := p.hostOrder(); !slices.Equal(got, want) {
+				t.Fatalf("trial %d (n %d, capacity %d), %s: hostOrder differs from the stable sort by load", trial, n, capacity, when)
+			}
+		}
+		check("first call")
+		// The scratch is reused: a call on lighter loads must not see the
+		// counts of the one before.
+		for i := range p.load {
+			p.load[i] /= 2
+		}
+		check("second call on the same pool")
 	}
 }

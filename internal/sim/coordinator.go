@@ -27,6 +27,12 @@ import "fmt"
 //   - Control-before-data at equal timestamps. Windows are cut at the next
 //     pending control event, and shards execute strictly-before the cut,
 //     so a control action at time t always runs before any data event at t.
+//
+// Every method of a shard Loop the coordinator calls at a barrier — the
+// exchange's injections, and PeekNextEventTime, which is not a pure read (it
+// may sort the loop's next bucket) — runs on the coordinator goroutine while
+// that shard is parked: between the done receive that ended its last window
+// and the cmd send that starts its next one. A loop never has two users.
 type Coordinator struct {
 	ctrl   *Loop
 	shards []*Loop

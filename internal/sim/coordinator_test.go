@@ -133,14 +133,22 @@ func TestCoordinatorBarrierSeesParkedShards(t *testing.T) {
 // parallel shards must give every node a byte-identical arrival trace.
 func TestCoordinatorPartitionInvariance(t *testing.T) {
 	// run executes a fixed cross-node message pattern on nShards shards
-	// (node i lives on shard i%nShards) and returns per-node traces.
-	run := func(nShards int, parallel bool) [][]string {
+	// (node i lives on shard i%nShards) and returns per-node traces. One
+	// tick is unit ns, and every loop also carries ballast silent timers
+	// spread over the run: with 300 of them at 300 ns a tick each shard
+	// builds its wheel and the messages land in buckets of their own, so the
+	// coordinator's peeks at parked shards and the barrier's injections work
+	// on wheels (and under -race, from the coordinator goroutine).
+	run := func(nShards int, parallel bool, unit Time, ballast int) [][]string {
 		loops := make([]*Loop, nShards)
 		for i := range loops {
 			loops[i] = NewLoop()
+			for b := 0; b < ballast; b++ {
+				loops[i].AtTimer(unit*Time(b)/2, "ballast", func(_, _ any, _ uint64) {}, nil, nil, 0)
+			}
 		}
 		const nodes = 4
-		const lat = Time(10) // lookahead bound: min link latency
+		lat := 10 * unit // lookahead bound: min link latency
 		shardOf := make([]int, nodes)
 		for i := range shardOf {
 			shardOf[i] = i % nShards
@@ -155,9 +163,9 @@ func TestCoordinatorPartitionInvariance(t *testing.T) {
 			if n == 0 {
 				return
 			}
-			loops[shardOf[node]].After(7, fmt.Sprintf("pump:%d", node), func() {
+			loops[shardOf[node]].After(7*unit, fmt.Sprintf("pump:%d", node), func() {
 				for _, d := range []int{1, 2} {
-					f.send(node, (node+d)%nodes, lat+Time(node))
+					f.send(node, (node+d)%nodes, lat+unit*Time(node))
 				}
 				pump(node, n-1)
 			})
@@ -167,28 +175,36 @@ func TestCoordinatorPartitionInvariance(t *testing.T) {
 		}
 		co := NewCoordinator(ctrl, loops, func() Time { return lat }, f.exchange, nil)
 		co.SetParallel(parallel)
-		if err := co.RunUntil(100); err != nil {
+		if err := co.RunUntil(100 * unit); err != nil {
 			t.Fatal(err)
+		}
+		if built := loops[0].wheel != nil; built != (ballast >= wheelMin) {
+			t.Fatalf("ballast %d: shard 0 built its wheel: %v", ballast, built)
 		}
 		return f.traces
 	}
 
-	base := run(1, false)
-	total := 0
-	for _, tr := range base {
-		total += len(tr)
-	}
-	if total == 0 {
-		t.Fatal("no messages delivered")
-	}
-	for _, tc := range []struct {
-		k        int
-		parallel bool
-	}{{2, false}, {2, true}, {4, false}, {4, true}} {
-		got := run(tc.k, tc.parallel)
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("K=%d parallel=%v: per-node traces diverged from single-shard baseline\ngot  %v\nwant %v",
-				tc.k, tc.parallel, got, base)
+	for _, size := range []struct {
+		unit    Time
+		ballast int
+	}{{1, 0}, {300, 300}} {
+		base := run(1, false, size.unit, size.ballast)
+		total := 0
+		for _, tr := range base {
+			total += len(tr)
+		}
+		if total == 0 {
+			t.Fatal("no messages delivered")
+		}
+		for _, tc := range []struct {
+			k        int
+			parallel bool
+		}{{2, false}, {2, true}, {4, false}, {4, true}} {
+			got := run(tc.k, tc.parallel, size.unit, size.ballast)
+			if !reflect.DeepEqual(got, base) {
+				t.Errorf("tick %d ns, K=%d parallel=%v: per-node traces diverged from single-shard baseline\ngot  %v\nwant %v",
+					size.unit, tc.k, tc.parallel, got, base)
+			}
 		}
 	}
 }

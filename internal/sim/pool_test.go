@@ -313,3 +313,60 @@ func TestHeapShadowModel(t *testing.T) {
 		t.Fatalf("real loop fired %d extra events", len(firedReal))
 	}
 }
+
+func rearmTimer(a, _ any, u uint64) {
+	l := a.(*Loop)
+	l.AtTimer(l.Now()+Time(u), "rearm", rearmTimer, l, nil, u)
+}
+
+// TestSmallLoopAllocatesWhatItDid: a loop that never holds wheelMin events
+// is the single heap it was before the wheel — no wheel, no second heap, and
+// the same 111 allocations for NewLoop, 100 armed timers and 100 fire/re-arm
+// cycles (the Loop, 100 Events, nine doublings of the heap's backing array,
+// one free-list slot) that the pre-wheel loop made.
+func TestSmallLoopAllocatesWhatItDid(t *testing.T) {
+	var l *Loop
+	allocs := testing.AllocsPerRun(10, func() {
+		l = NewLoop()
+		for i := 1; i <= 100; i++ {
+			l.AtTimer(Time(i)*Microsecond, "rearm", rearmTimer, l, nil, uint64(i)*100)
+		}
+		for i := 0; i < 100; i++ {
+			l.ProcessNextEvent()
+		}
+	})
+	if allocs != 111 {
+		t.Errorf("a 100-event loop made %v allocations, want 111", allocs)
+	}
+	if l.wheel != nil || cap(l.bot) != 0 || l.Pending() != 100 {
+		t.Errorf("wheel built %v, bot capacity %d, pending %d: want only the far heap, 100 deep", l.wheel != nil, cap(l.bot), l.Pending())
+	}
+}
+
+// TestSteadyStateAllocatesNothing: at 2,000 pending events re-armed up to
+// 1 ms ahead — the wheel and bot in use for every one of them — 100,000
+// fire/re-arm cycles allocate nothing: buckets are lists through the events
+// themselves, bot reuses its backing array, and the event pool does not grow.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	l := NewLoop()
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 2000; i++ {
+		l.AtTimer(Time(rng.Intn(int(Millisecond))), "rearm", rearmTimer, l, nil, uint64(1+rng.Intn(int(Millisecond))))
+	}
+	cycles := func() {
+		for i := 0; i < 100000; i++ {
+			l.ProcessNextEvent()
+		}
+	}
+	cycles()
+	if l.wheel == nil || l.wheel.n < 1000 {
+		t.Fatalf("after warm-up the wheel holds %v of %d events; the test is not exercising it", l.wheel, l.Pending())
+	}
+	before := l.EventAllocs()
+	if allocs := testing.AllocsPerRun(1, cycles); allocs != 0 {
+		t.Errorf("100,000 steady-state cycles made %v allocations, want 0", allocs)
+	}
+	if got := l.EventAllocs(); got != before || l.Pending() != 2000 {
+		t.Errorf("EventAllocs moved %d → %d, pending %d (want 2000)", before, got, l.Pending())
+	}
+}
