@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"stopwatch/internal/sim"
+	"stopwatch/internal/transport"
 )
 
 // rejectsOversizedCount feeds restore a snapshot whose first `zeros` fields
@@ -27,6 +28,42 @@ func rejectsOversizedCount(t *testing.T, what string, zeros int, restore func([]
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("rejecting an oversized %s allocated %d bytes", what, got)
 	}
+}
+
+// sameDiskServer fails unless got, restored from snap, holds what want held
+// when it wrote snap, and writes snap again: the byte equality is what
+// replica lockstep rests on.
+func sameDiskServer(t *testing.T, got, want *diskServer, snap []byte) {
+	t.Helper()
+	if got.served != want.served {
+		t.Fatalf("served %d, want %d", got.served, want.served)
+	}
+	if len(got.pending) != len(want.pending) {
+		t.Fatalf("pending %d, want %d", len(got.pending), len(want.pending))
+	}
+	for tag, w := range want.pending {
+		if g, ok := got.pending[tag]; !ok || *g != *w {
+			t.Fatalf("pending %s = %+v, want %+v", tag, g, w)
+		}
+	}
+	if again := got.SnapshotAppend(nil); !bytes.Equal(again, snap) {
+		t.Fatalf("re-snapshot differs: %d vs %d bytes", len(again), len(snap))
+	}
+}
+
+// restoredBare restores snap into the server FileServer and NFSServer embed,
+// on a stream stack and with no app around it.
+func restoredBare(t *testing.T, kind string, snap []byte) *diskServer {
+	t.Helper()
+	tcp, err := transport.NewTCPServer(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newDiskServer(kind, tcp, 0)
+	if err := s.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	return &s
 }
 
 // midDownloadServer drives a TCP file server into a mid-response state
@@ -64,26 +101,10 @@ func TestFileServerSnapshotRoundTrip(t *testing.T) {
 	if err := restored.RestoreSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Served() != fs.Served() {
-		t.Fatalf("served %d, want %d", restored.Served(), fs.Served())
-	}
-	if len(restored.pending) != len(fs.pending) {
-		t.Fatalf("pending %d, want %d", len(restored.pending), len(fs.pending))
-	}
-	for id, want := range fs.pending {
-		got, ok := restored.pending[id]
-		if !ok {
-			t.Fatalf("pending %s missing after restore", id)
-		}
-		if *got != *want {
-			t.Fatalf("pending %s = %+v, want %+v", id, got, want)
-		}
-	}
-	// The restored state must re-serialize byte-identically: that equality
-	// is what replica lockstep rests on.
-	if again := restored.SnapshotAppend(nil); !bytes.Equal(again, snap) {
-		t.Fatalf("re-snapshot differs: %d vs %d bytes", len(again), len(snap))
-	}
+	sameDiskServer(t, &restored.diskServer, &fs.diskServer, snap)
+	// The codec is diskServer's: with no file server around it, it reads the
+	// same bytes into the same state.
+	sameDiskServer(t, restoredBare(t, "file", snap), &fs.diskServer, snap)
 }
 
 func TestFileServerSnapshotUDP(t *testing.T) {
@@ -117,7 +138,7 @@ func TestFileServerSnapshotUDP(t *testing.T) {
 		t.Fatalf("served %d, want %d", restored.Served(), fs.Served())
 	}
 	// The NACK-repair memory survives the round trip.
-	if len(restored.udp.AppendState(nil)) != len(fs.udp.AppendState(nil)) {
+	if len(restored.srv.AppendState(nil)) != len(fs.srv.AppendState(nil)) {
 		t.Fatal("udp state size changed across restore")
 	}
 	if again := restored.SnapshotAppend(nil); !bytes.Equal(again, snap) {
@@ -151,4 +172,7 @@ func TestFileServerSnapshotRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	rejectsOversizedCount(t, "udp resp count", 2, udp.RestoreSnapshot)
+	bare := newDiskServer("bare", transport.NewUDPServer(), 0)
+	rejectsOversizedCount(t, "pending count", 1, bare.RestoreSnapshot)
+	rejectsOversizedCount(t, "udp resp count", 2, bare.RestoreSnapshot)
 }

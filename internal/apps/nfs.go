@@ -1,11 +1,8 @@
 package apps
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
-	"maps"
-	"slices"
 
 	"stopwatch/internal/guest"
 	"stopwatch/internal/netsim"
@@ -26,23 +23,16 @@ const (
 	OpCreate
 )
 
+var nfsOpNames = [...]string{
+	OpSetattr: "setattr", OpLookup: "lookup", OpWrite: "write",
+	OpGetattr: "getattr", OpRead: "read", OpCreate: "create",
+}
+
 func (op NFSOp) String() string {
-	switch op {
-	case OpSetattr:
-		return "setattr"
-	case OpLookup:
-		return "lookup"
-	case OpWrite:
-		return "write"
-	case OpGetattr:
-		return "getattr"
-	case OpRead:
-		return "read"
-	case OpCreate:
-		return "create"
-	default:
+	if op < OpSetattr || op > OpCreate {
 		return "?"
 	}
+	return nfsOpNames[op]
 }
 
 // MixEntry pairs an op with its share of the workload.
@@ -74,33 +64,12 @@ type NFSRequest struct {
 // NFSServer is the guest app of Fig. 6: an NFS server over the TCP-like
 // transport. Disk behaviour per op is deterministic (cache behaviour is
 // modeled by op counters, not randomness, to preserve replica determinism).
+// The server around the ops is diskServer's; the op table and the lookup
+// counter are what is its own.
 type NFSServer struct {
-	tcp *transport.TCPServer
-
-	// pending holds the ops waiting on disk, by the tag of the disk request.
-	pending map[string]*pendingNFS
+	diskServer
 	lookups int64 // every 4th lookup misses the name cache → disk read
-
-	served uint64
 }
-
-type pendingNFS struct {
-	src      netsim.Addr
-	conn     uint64
-	respID   uint64
-	respSize int
-}
-
-// tag names the op's disk request: a respID means something only together
-// with the client that chose it (pendingFile.tag).
-func (p *pendingNFS) tag() string { return fmt.Sprintf("nfs:%d:%s", p.respID, p.src) }
-
-// byRequest is the snapshot order, (respID, src), as pendingFile's.
-func (p *pendingNFS) byRequest(o *pendingNFS) int {
-	return cmp.Or(cmp.Compare(p.respID, o.respID), cmp.Compare(p.src, o.src))
-}
-
-var _ guest.App = (*NFSServer)(nil)
 
 // NewNFSServer builds the server with the given TCP window.
 func NewNFSServer(window int) (*NFSServer, error) {
@@ -108,20 +77,9 @@ func NewNFSServer(window int) (*NFSServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &NFSServer{tcp: srv, pending: make(map[string]*pendingNFS)}
+	s := &NFSServer{diskServer: newDiskServer("nfs", srv, 20_000)}
 	srv.OnRequest = s.onRequest
 	return s, nil
-}
-
-// Served reports completed operations.
-func (s *NFSServer) Served() uint64 { return s.served }
-
-// Boot implements guest.App.
-func (s *NFSServer) Boot(ctx guest.Ctx) {}
-
-// OnPacket implements guest.App.
-func (s *NFSServer) OnPacket(ctx guest.Ctx, p guest.Payload) {
-	s.tcp.HandleSegment(ctx, p.Src, p.Data)
 }
 
 func (s *NFSServer) onRequest(ctx guest.Ctx, src netsim.Addr, conn, respID uint64, req any) {
@@ -129,7 +87,11 @@ func (s *NFSServer) onRequest(ctx guest.Ctx, src netsim.Addr, conn, respID uint6
 	if !ok {
 		return
 	}
-	p := &pendingNFS{src: src, conn: conn, respID: respID, respSize: 128}
+	p := &parkedReq{src: src, conn: conn, respID: respID, bytes: 128, remaining: 1}
+	rw := r.Bytes
+	if rw <= 0 {
+		rw = 8192
+	}
 	switch r.Op {
 	case OpGetattr:
 		// Attribute cache: compute only.
@@ -140,117 +102,46 @@ func (s *NFSServer) onRequest(ctx guest.Ctx, src netsim.Addr, conn, respID uint6
 		s.lookups++
 		if s.lookups%4 == 0 {
 			// Name-cache miss: directory block from disk.
-			ctx.DiskRead(s.await(p), 4096)
+			ctx.DiskRead(s.park(p), 4096)
 		} else {
 			s.respond(ctx, p)
 		}
 	case OpRead:
-		bytes := r.Bytes
-		if bytes <= 0 {
-			bytes = 8192
-		}
-		p.respSize = bytes
+		p.bytes = rw
 		ctx.Compute(80_000)
-		ctx.DiskRead(s.await(p), bytes)
+		ctx.DiskRead(s.park(p), rw)
 	case OpWrite:
-		bytes := r.Bytes
-		if bytes <= 0 {
-			bytes = 8192
-		}
 		ctx.Compute(80_000)
-		ctx.DiskWrite(s.await(p), bytes)
+		ctx.DiskWrite(s.park(p), rw)
 	case OpSetattr:
 		ctx.Compute(50_000)
-		ctx.DiskWrite(s.await(p), 512)
+		ctx.DiskWrite(s.park(p), 512)
 	case OpCreate:
 		ctx.Compute(70_000)
-		ctx.DiskWrite(s.await(p), 4096)
+		ctx.DiskWrite(s.park(p), 4096)
 	}
 }
 
-// await parks p until its disk request completes and returns the request's
-// tag.
-func (s *NFSServer) await(p *pendingNFS) string {
-	tag := p.tag()
-	s.pending[tag] = p
-	return tag
-}
-
-func (s *NFSServer) respond(ctx guest.Ctx, p *pendingNFS) {
-	s.served++
-	_ = s.tcp.Respond(ctx, p.src, p.conn, p.respID, p.respSize)
-}
-
-// OnDiskDone implements guest.App.
-func (s *NFSServer) OnDiskDone(ctx guest.Ctx, d guest.DiskDone) {
-	p, ok := s.pending[d.Tag]
-	if !ok {
-		return
-	}
-	delete(s.pending, d.Tag)
-	ctx.Compute(20_000)
-	s.respond(ctx, p)
-}
-
-// OnTimer implements guest.App.
-func (s *NFSServer) OnTimer(ctx guest.Ctx, tag string) {
-	s.tcp.HandleTimer(ctx, tag)
-}
-
-// SnapshotAppend implements guest.Snapshotter: the served and lookup
-// counters (the name-cache model is the lookup count mod 4, so the
-// counter IS the cache state), the ops waiting on disk and the TCP
-// server's connection state. Pending entries are emitted in byRequest order
-// so identical replicas serialize identically — which lets long-lived NFS
-// guests replace via checkpoint instead of full-journal replay.
+// SnapshotAppend implements guest.Snapshotter: the lookup counter (the
+// name-cache model is the lookup count mod 4, so the counter IS the cache
+// state), then the server's.
 func (s *NFSServer) SnapshotAppend(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, s.served)
-	buf = binary.AppendVarint(buf, s.lookups)
-	buf = binary.AppendUvarint(buf, uint64(len(s.pending)))
-	for _, p := range slices.SortedFunc(maps.Values(s.pending), (*pendingNFS).byRequest) {
-		buf = binary.AppendUvarint(buf, uint64(len(p.src)))
-		buf = append(buf, p.src...)
-		buf = binary.AppendUvarint(buf, p.conn)
-		buf = binary.AppendUvarint(buf, p.respID)
-		buf = binary.AppendVarint(buf, int64(p.respSize))
-	}
-	return s.tcp.AppendState(buf)
+	return s.diskServer.SnapshotAppend(binary.AppendVarint(buf, s.lookups))
 }
 
 // RestoreSnapshot implements guest.Snapshotter.
 func (s *NFSServer) RestoreSnapshot(data []byte) error {
 	r := guest.NewSnapshotReader(data, ErrApp, "nfs server snapshot")
-	served := r.Uvarint("served counter")
 	lookups := r.Varint("lookup counter")
-	count := r.Count("pending count")
-	pending := make(map[string]*pendingNFS, count)
-	for i := uint64(0); i < count && r.Err() == nil; i++ {
-		p := &pendingNFS{
-			src:      netsim.Addr(r.Text("pending src")),
-			conn:     r.Uvarint("pending conn"),
-			respID:   r.Uvarint("pending respID"),
-			respSize: int(r.Varint("pending respSize")),
-		}
-		pending[p.tag()] = p
-	}
 	if r.Err() != nil {
 		return r.Err()
 	}
-	rest, err := s.tcp.RestoreState(r.Rest())
-	if err != nil {
+	if err := s.diskServer.RestoreSnapshot(r.Rest()); err != nil {
 		return err
 	}
-	if len(rest) != 0 {
-		r.Fail("trailing bytes")
-		return r.Err()
-	}
-	s.served = served
 	s.lookups = lookups
-	s.pending = pending
 	return nil
 }
-
-var _ guest.Snapshotter = (*NFSServer)(nil)
 
 // NFSLoadGen is the fabric-side nhfsstone stand-in: N client processes
 // sharing a constant aggregate op rate against one NFS guest, drawing ops
@@ -267,8 +158,7 @@ type NFSLoadGen struct {
 	stopAt  sim.Time
 	started bool
 
-	// cfgSizes holds {readBytes, writeBytes}.
-	cfgSizes [2]int
+	readBytes, writeBytes int
 
 	issued    uint64
 	completed uint64
@@ -308,17 +198,17 @@ func NewNFSLoadGen(loop *sim.Loop, rng *sim.Rand, client *transport.Client, svc 
 		cfg.SlotsPerProcess = 8
 	}
 	g := &NFSLoadGen{
-		loop:   loop,
-		rng:    rng,
-		client: client,
-		svc:    svc,
-		mix:    mix,
-		gap:    sim.Time(float64(sim.Second) / cfg.RatePerSec),
+		loop:      loop,
+		rng:       rng,
+		client:    client,
+		svc:       svc,
+		mix:       mix,
+		gap:       sim.Time(float64(sim.Second) / cfg.RatePerSec),
+		readBytes: cfg.ReadBytes, writeBytes: cfg.WriteBytes,
 	}
 	for _, m := range mix {
 		g.totalW += m.Weight
 	}
-	g.cfgSizes = [2]int{cfg.ReadBytes, cfg.WriteBytes}
 	for i := 0; i < cfg.Processes*cfg.SlotsPerProcess; i++ {
 		g.conns = append(g.conns, client.Connect(svc, nil))
 	}
@@ -350,9 +240,9 @@ func (g *NFSLoadGen) issueOne() {
 	req := NFSRequest{Op: op}
 	switch op {
 	case OpRead:
-		req.Bytes = g.cfgSizes[0]
+		req.Bytes = g.readBytes
 	case OpWrite:
-		req.Bytes = g.cfgSizes[1]
+		req.Bytes = g.writeBytes
 	}
 	conn := g.conns[int(g.issued)%len(g.conns)]
 	g.issued++

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"stopwatch/internal/sim"
@@ -46,26 +47,14 @@ func TestNFSServerSnapshotRoundTrip(t *testing.T) {
 	if err := restored.RestoreSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Served() != srv.Served() {
-		t.Fatalf("served %d, want %d", restored.Served(), srv.Served())
-	}
 	if restored.lookups != srv.lookups {
 		t.Fatalf("lookups %d, want %d", restored.lookups, srv.lookups)
 	}
-	if len(restored.pending) != len(srv.pending) {
-		t.Fatalf("pending %d, want %d", len(restored.pending), len(srv.pending))
-	}
-	for id, want := range srv.pending {
-		got, ok := restored.pending[id]
-		if !ok {
-			t.Fatalf("pending %s missing after restore", id)
-		}
-		if *got != *want {
-			t.Fatalf("pending %s = %+v, want %+v", id, got, want)
-		}
-	}
-	// The restored state must re-serialize byte-identically: that equality
-	// is what replica lockstep rests on.
+	// Behind the lookup counter the bytes are diskServer's, and it reads
+	// them with no NFS server around it.
+	rest := snap[len(binary.AppendVarint(nil, srv.lookups)):]
+	sameDiskServer(t, &restored.diskServer, &srv.diskServer, rest)
+	sameDiskServer(t, restoredBare(t, "nfs", rest), &srv.diskServer, rest)
 	if again := restored.SnapshotAppend(nil); !bytes.Equal(again, snap) {
 		t.Fatalf("re-snapshot differs: %d vs %d bytes", len(again), len(snap))
 	}
@@ -152,5 +141,36 @@ func TestParsecSnapshotRejectsCorrupt(t *testing.T) {
 	}
 	if err := app.RestoreSnapshot(append(append([]byte{}, snap...), 0xFF)); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+}
+
+// TestNFSServerAnswersForeignRemaining: a snapshot is bytes from another
+// machine, and the shared codec carries a disk-operation count the NFS server
+// never raises above one. Whatever count arrives, an op is answered when its
+// one disk operation completes.
+func TestNFSServerAnswersForeignRemaining(t *testing.T) {
+	srv, err := NewNFSServer(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newBaselineHarness(t, srv)
+	answered := false
+	conn := h.client.Connect("svc:g", nil)
+	if err := h.client.Request(conn, NFSRequest{Op: OpRead, Bytes: 8192}, func(transport.Response) { answered = true }); err != nil {
+		t.Fatal(err)
+	}
+	for at := sim.Millisecond; len(srv.pending) == 0; at += sim.Millisecond {
+		if err := h.loop.RunUntil(at); err != nil || at > sim.Second {
+			t.Fatalf("the read never reached the disk (%v)", err)
+		}
+	}
+	for _, p := range srv.pending {
+		p.remaining = 7
+	}
+	if err := h.loop.RunUntil(5 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !answered || len(srv.pending) != 0 {
+		t.Fatalf("answered=%v with %d ops still parked", answered, len(srv.pending))
 	}
 }

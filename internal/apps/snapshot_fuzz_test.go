@@ -6,6 +6,7 @@ import (
 
 	"stopwatch/internal/guest"
 	"stopwatch/internal/sim"
+	"stopwatch/internal/transport"
 	"stopwatch/internal/vtime"
 )
 
@@ -27,6 +28,10 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		{"file server (tcp)", func() (guest.Snapshotter, error) { return NewFileServer(DefaultFileServerConfig()) }},
 		{"file server (udp)", func() (guest.Snapshotter, error) { return NewFileServer(udp) }},
 		{"nfs server", func() (guest.Snapshotter, error) { return NewNFSServer(16) }},
+		{"disk server (the codec both embed, bare)", func() (guest.Snapshotter, error) {
+			s := newDiskServer("bare", transport.NewUDPServer(), 0)
+			return &s, nil
+		}},
 		{"parsec", func() (guest.Snapshotter, error) { return NewParsecApp(prof, "collector") }},
 		{"beacon", func() (guest.Snapshotter, error) { return NewBeaconApp(vtime.Virtual(3 * sim.Millisecond)), nil }},
 	}

@@ -402,17 +402,9 @@ func (cp *ControlPlane) moveReplica(oc *Outcome, id string, from int, verb strin
 		}
 		cp.finish(oc, err)
 	}
-	attempts := 0
-	var barrier func()
-	barrier = func() {
-		if !cp.c.GuestQuiescent(id) {
-			attempts++
-			if attempts >= cp.cfg.MaxDrainAttempts {
-				done(fmt.Errorf("%w: guest %q never quiesced after %d drain windows", ErrControlPlane, id, attempts))
-				return
-			}
-			oc.QuiesceRetries++
-			cp.c.Loop().After(cp.cfg.DrainWindow, "cp:drain", barrier)
+	settled := func(quiescent bool) {
+		if !quiescent {
+			done(fmt.Errorf("%w: guest %q never quiesced after %d drain windows", ErrControlPlane, id, cp.cfg.MaxDrainAttempts))
 			return
 		}
 		cp.phase(oc, PhaseQuiesce)
@@ -452,7 +444,32 @@ func (cp *ControlPlane) moveReplica(oc *Outcome, id string, from int, verb strin
 		}
 		place(placed)
 	}
-	cp.c.Loop().After(cp.cfg.DrainWindow, "cp:drain", barrier)
+	cp.c.Loop().After(cp.cfg.DrainWindow, "cp:drain", func() {
+		cp.recheck("cp:drain", &oc.QuiesceRetries, func() bool { return cp.c.GuestQuiescent(id) }, settled)
+	})
+}
+
+// recheck is the control plane's one bounded wait (the quiescence barrier,
+// an evacuation's busy resident and its reconfiguration gate, each under its
+// own event label): it looks at ok now and then every DrainWindow until it
+// holds, MaxDrainAttempts looks at most, and hands then the last answer.
+// Each wait is counted in *waits (when given) as it begins, so an op still
+// waiting when the run ends has its retries on the log.
+func (cp *ControlPlane) recheck(label string, waits *int, ok func() bool, then func(held bool)) {
+	looks := 0
+	var look func()
+	look = func() {
+		looks++
+		if held := ok(); held || looks >= cp.cfg.MaxDrainAttempts {
+			then(held)
+			return
+		}
+		if waits != nil {
+			*waits++
+		}
+		cp.c.Loop().After(cp.cfg.DrainWindow, label, look)
+	}
+	look()
 }
 
 // Verify checks the control plane's placement invariants (edge-disjoint

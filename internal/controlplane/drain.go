@@ -76,8 +76,8 @@ func (cp *ControlPlane) evacuateResidents(parent *Outcome, machine int, cause op
 		}
 		cp.finish(parent, errors.Join(append(all, errs...)...))
 	}
-	var next func(i, attempts int)
-	next = func(i, attempts int) {
+	var next func(i int)
+	next = func(i int) {
 		if i >= len(residents) {
 			finish()
 			return
@@ -86,55 +86,52 @@ func (cp *ControlPlane) evacuateResidents(parent *Outcome, machine int, cause op
 		// The guest may have departed, or a concurrent failure replacement
 		// may already have moved it off the machine: both are a completed
 		// evacuation from this drain's point of view.
-		tri, resident := cp.pool.Triangle(id)
-		if !resident || !tri.Contains(machine) {
-			next(i+1, 0)
-			return
+		here := func() bool {
+			tri, resident := cp.pool.Triangle(id)
+			return resident && tri.Contains(machine)
 		}
-		_, busy := cp.inflight[id]
-		if busy && attempts+1 < cp.cfg.MaxDrainAttempts {
-			// Another lifecycle op holds the guest (e.g. a failure
-			// replacement racing the drain): wait a window and retry,
-			// bounded like the quiescence barrier. Once the bound is hit the
-			// move is submitted anyway — its rejection is then on record in
-			// the op log instead of a counter nobody can replay.
-			cp.c.Loop().After(cp.cfg.DrainWindow, "cp:evacuate-retry", func() { next(i, attempts+1) })
-			return
-		}
-		// A drain move freezes the resident's guest execution at the start
-		// of its barrier (moveReplica), so a move that is then abandoned
-		// leaves the guest serving degraded on its live replicas. A guest
-		// another op still holds at the retry bound is left running — that
-		// op owns it; only the move's rejection goes on record.
-		move := ReplaceOp{GuestID: id, DeadHost: machine, cause: cause}
-		move.Done = func(coc *Outcome) {
-			if coc.Err != nil {
-				errs = append(errs, fmt.Errorf("evacuate %q off machine %d: %w", id, machine, coc.Err))
+		// Another lifecycle op may hold the guest (e.g. a failure
+		// replacement racing the drain): wait, bounded like the quiescence
+		// barrier. Once the bound is hit the move is submitted anyway — its
+		// rejection is then on record in the op log instead of a counter
+		// nobody can replay.
+		cp.recheck("cp:evacuate-retry", nil, func() bool {
+			_, busy := cp.inflight[id]
+			return !busy || !here()
+		}, func(bool) {
+			if !here() {
+				next(i + 1)
+				return
 			}
-			next(i+1, 0)
-		}
-		cp.apply(move, parent.Seq)
+			// A drain move freezes the resident's guest execution at the
+			// start of its barrier (moveReplica), so a move that is then
+			// abandoned leaves the guest serving degraded on its live
+			// replicas. A guest another op still holds at the retry bound is
+			// left running — that op owns it; only the move's rejection goes
+			// on record.
+			move := ReplaceOp{GuestID: id, DeadHost: machine, cause: cause}
+			move.Done = func(coc *Outcome) {
+				if coc.Err != nil {
+					errs = append(errs, fmt.Errorf("evacuate %q off machine %d: %w", id, machine, coc.Err))
+				}
+				next(i + 1)
+			}
+			cp.apply(move, parent.Seq)
+		})
 	}
-	start := func() { next(0, 0) }
 	if ready == nil {
-		start()
+		next(0)
 		return
 	}
-	var gate func(attempts int)
-	gate = func(attempts int) {
-		if ready() {
-			cp.phase(parent, PhaseReconfigure)
-			start()
-			return
-		}
-		if attempts+1 >= cp.cfg.MaxDrainAttempts {
+	cp.recheck("cp:evacuate-wait", nil, ready, func(reconfigured bool) {
+		if !reconfigured {
 			errs = append(errs, fmt.Errorf("%w: machine %d group reconfiguration never completed", ErrControlPlane, machine))
 			finish()
 			return
 		}
-		cp.c.Loop().After(cp.cfg.DrainWindow, "cp:evacuate-wait", func() { gate(attempts + 1) })
-	}
-	gate(0)
+		cp.phase(parent, PhaseReconfigure)
+		next(0)
+	})
 }
 
 // applyUndrain returns a drained machine's capacity to the placement pool.

@@ -83,25 +83,20 @@ func (cp *ControlPlane) InstrumentMetrics(reg *metrics.Registry) (cancel func())
 				}
 				phaseLat.With(string(ev.Phase)).Observe(int64(ev.At - prev))
 			}
-		case OpCompleted:
-			completed.With(kind).Inc()
-			if oc, ok := cp.Outcome(ev.Seq); ok {
+		case OpCompleted, OpFailed:
+			oc, ok := cp.Outcome(ev.Seq)
+			if ok {
 				retries.Add(uint64(oc.QuiesceRetries))
 				reconcileRounds.Add(uint64(oc.ReconcileRounds))
 				reconcileRepairs.Add(uint64(oc.ReconcileRepairs))
 				reconcileRetries.Add(uint64(oc.ReconcileRetries))
 			}
-		case OpFailed:
-			failed.With(kind).Inc()
-			oc, ok := cp.Outcome(ev.Seq)
-			if !ok {
+			if ev.Kind == OpCompleted {
+				completed.With(kind).Inc()
 				return
 			}
-			retries.Add(uint64(oc.QuiesceRetries))
-			reconcileRounds.Add(uint64(oc.ReconcileRounds))
-			reconcileRepairs.Add(uint64(oc.ReconcileRepairs))
-			reconcileRetries.Add(uint64(oc.ReconcileRetries))
-			if oc.Rejected() {
+			failed.With(kind).Inc()
+			if ok && oc.Rejected() {
 				rejected.With(kind).Inc()
 				if f, isFail := ev.Op.(FailOp); isFail && f.Detected {
 					falseAlarms.Inc()

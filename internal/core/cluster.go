@@ -587,8 +587,7 @@ func (c *Cluster) deployStopWatch(id string, hostIdx []int, factory func() guest
 		return nil, err
 	}
 	if err := c.reconcileGroups(g); err != nil {
-		// Unwind so the id stays deployable: unlike its refreshPeers
-		// predecessor, reconcileGroups is fallible.
+		// Unwind so the id stays deployable: reconcileGroups is fallible.
 		for _, w := range g.replicas {
 			c.releaseReplicaWiring(id, w)
 		}
@@ -605,7 +604,7 @@ func (c *Cluster) deployStopWatch(id string, hostIdx []int, factory func() guest
 // wireReplica builds and wires replica slot k of guest g on the given
 // host. With rt == nil a fresh runtime is created (initial deployment);
 // otherwise the caller supplies a reconstructed replacement runtime. Peer
-// lists are left to refreshPeers.
+// lists are left to reconcileGroups.
 func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 	hn := c.hostNodes[hostIdx]
 	id := g.ID
@@ -643,7 +642,7 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 	w.propEP = c.net.Endpoint(w.propSrc)
 	w.peers, w.peerProps = make([]netsim.Addr, 0, c.cfg.Replicas-1), make([]*netsim.Endpoint, 0, c.cfg.Replicas-1)
 	// Proposal exchange: reliable multicast to peer Dom0s. The group is a
-	// placeholder until refreshPeers fills in the real peer set (which can
+	// placeholder until reconcileGroups fills in the real peer set (which can
 	// change over the guest's life as replicas are re-homed); a 1-replica
 	// "group" has no peers and fails here as it always has.
 	var placeholder []netsim.Addr

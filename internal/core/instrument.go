@@ -32,7 +32,7 @@ var replayLenBuckets = metrics.ExpBuckets(1, 4, 10)
 //	stopwatch_host_disk_backlog_ns{host}         disk FIFO horizon past now (queue wait)
 //	stopwatch_host_io_inflight{host}             device-model work in progress
 //	stopwatch_egress_stuck_groups                open output copy groups: not yet forwarded
-//	stopwatch_guest_divergences                  replica divergence counter sum
+//	stopwatch_guest_divergences                  Δn synchrony violations, summed over replicas
 //	stopwatch_guest_journal_records{guest}       retained determinism-journal deliveries
 //	stopwatch_guest_journal_bytes{guest}         retained journal size incl. checkpoint
 //	stopwatch_guest_checkpoint_age_instr{guest}  instructions a replacement would replay
@@ -82,7 +82,7 @@ func (c *Cluster) InstrumentMetrics(reg *metrics.Registry) {
 		"egress copy groups still below their forward threshold — outputs a client is waiting for",
 		func() float64 { return float64(c.egress.StuckBelowForward()) })
 	reg.NewGaugeFunc("stopwatch_guest_divergences",
-		"sum of replica divergence counters across resident guests (epoch re-sync health)",
+		"sum of replica divergence counters across resident guests (Δn synchrony violations: a median delivery time the replica had already passed)",
 		func() float64 {
 			n := 0
 			for _, g := range c.guests {

@@ -1,8 +1,7 @@
 package core
 
-// The pre-view-commit survivor reconcile round (ROADMAP item 6). When a
-// machine crashes on a lossy fabric, its in-flight proposals may have been
-// partially delivered: one survivor resolved a 3-median with the dead
+// The pre-view-commit survivor reconcile round. When a machine crashes on a
+// lossy fabric, its in-flight proposals may have been partially delivered: one survivor resolved a 3-median with the dead
 // member's vote while another never saw it and would wedge after the view
 // change (the resolved survivor stale-drops the re-proposal). Before the
 // control plane commits the post-crash view, every affected guest's

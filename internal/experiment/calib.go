@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"stopwatch/internal/apps"
 	"stopwatch/internal/core"
-	"stopwatch/internal/guest"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/vtime"
 )
@@ -62,71 +60,30 @@ func RunCalib(cfg CalibConfig) (*CalibResult, error) {
 	}
 	res := &CalibResult{Config: cfg}
 	for _, dn := range cfg.DeltaNsMS {
-		pt, err := calibOne(cfg, dn)
+		rig := probeRig{
+			seed: cfg.Seed, mode: core.ModeStopWatch, hosts: 5, replicas: 3,
+			deltaN:   vtime.Virtual(dn * float64(sim.Millisecond)),
+			duration: cfg.Duration, probeMeanGap: cfg.ProbeMeanGap, poisson: true,
+			attacker: "probe", attHosts: []int{0, 1, 2}, source: "colluder",
+		}
+		if cfg.WithLoad {
+			rig.guests = []rigGuest{{id: "load", hosts: []int{2, 3, 4},
+				app: beacon(6*sim.Millisecond, 2_000_000, 64<<10, "load-sink")}}
+		}
+		run, err := rig.run()
 		if err != nil {
 			return nil, err
+		}
+		pt := CalibPoint{DeltaNMS: dn, Divergences: run.divergences, Deliveries: len(run.latencies)}
+		for _, l := range run.latencies {
+			pt.MeanLatencyMS += l.Milliseconds()
+		}
+		if len(run.latencies) > 0 {
+			pt.MeanLatencyMS /= float64(len(run.latencies))
 		}
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
-}
-
-func calibOne(cfg CalibConfig, deltaNMS float64) (CalibPoint, error) {
-	cc := core.DefaultClusterConfig()
-	cc.Seed = cfg.Seed
-	cc.Hosts = 5
-	cc.VMM.DeltaN = vtime.Virtual(deltaNMS * float64(sim.Millisecond))
-	c, err := core.New(cc)
-	if err != nil {
-		return CalibPoint{}, err
-	}
-	att, err := c.Deploy("probe", []int{0, 1, 2}, func() guest.App { return apps.NewProbeApp() })
-	if err != nil {
-		return CalibPoint{}, err
-	}
-	if cfg.WithLoad {
-		if _, err := c.Deploy("load", []int{2, 3, 4}, func() guest.App {
-			b := apps.NewBeaconApp(vtime.Virtual(6 * sim.Millisecond))
-			b.Sink = "load-sink"
-			return b
-		}); err != nil {
-			return CalibPoint{}, err
-		}
-	}
-	// Measure delivery latency: record send times by probe sequence and
-	// match against replica-0 injections.
-	sentAt := make(map[uint64]sim.Time)
-	var latencies []sim.Time
-	base := c.Net()
-	_ = base
-	att.Replica(0).Runtime().OnNetDeliver = func(seq uint64, v vtime.Virtual, real sim.Time) {
-		if t0, ok := sentAt[seq]; ok {
-			latencies = append(latencies, real-t0)
-		}
-	}
-	c.Start()
-	ps := apps.NewProbeSource(c.Net(), c.Loop(), c.Source().Stream("probe"),
-		"colluder", core.ServiceAddr("probe"), cfg.ProbeMeanGap)
-	// Probes are the only traffic to this guest, so the ingress multicast
-	// sequence equals the probe emission sequence.
-	ps.OnSend = func(seq uint64, at sim.Time) { sentAt[seq] = at }
-	ps.Start(cfg.Duration)
-	if err := c.Run(cfg.Duration + 200*sim.Millisecond); err != nil {
-		return CalibPoint{}, err
-	}
-	var meanMS float64
-	for _, l := range latencies {
-		meanMS += l.Milliseconds()
-	}
-	if len(latencies) > 0 {
-		meanMS /= float64(len(latencies))
-	}
-	return CalibPoint{
-		DeltaNMS:      deltaNMS,
-		Divergences:   att.Divergences(),
-		Deliveries:    len(latencies),
-		MeanLatencyMS: meanMS,
-	}, nil
 }
 
 // Render prints the calibration table.

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"stopwatch/internal/apps"
 	"stopwatch/internal/core"
-	"stopwatch/internal/guest"
 	"stopwatch/internal/sim"
-	"stopwatch/internal/vmm"
-	"stopwatch/internal/vtime"
 )
 
 // CollabConfig parameterizes the Sec. IX collaborating-attacker study: a
@@ -60,133 +56,55 @@ func RunCollab(cfg CollabConfig) (*CollabResult, error) {
 		return nil, fmt.Errorf("%w: collab config %+v", core.ErrCluster, cfg)
 	}
 	res := &CollabResult{Config: cfg}
-	type variant struct {
+	for _, v := range []struct {
 		name        string
 		replicas    int
 		marginalize bool
-	}
-	for _, v := range []variant{
+	}{
 		{"3-replicas", 3, false},
 		{"3-replicas+colluder", 3, true},
 		{"5-replicas+colluder", 5, true},
 	} {
-		withV, err := collabGaps(cfg, v.replicas, v.marginalize, true)
+		l, err := measureLeak(collabRig(cfg, v.replicas, v.marginalize), 10, 0.95)
 		if err != nil {
-			return nil, fmt.Errorf("%s (victim): %w", v.name, err)
+			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		withoutV, err := collabGaps(cfg, v.replicas, v.marginalize, false)
-		if err != nil {
-			return nil, fmt.Errorf("%s (no victim): %w", v.name, err)
-		}
-		ks, obs, err := scoreLeak(withV, withoutV, 10, 0.95)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, CollabPoint{Name: v.name, KS: ks, Obs95: obs[0]})
+		res.Points = append(res.Points, CollabPoint{Name: v.name, KS: l.ks, Obs95: l.obs[0]})
 	}
 	return res, nil
 }
 
-// collabGaps runs one configuration. Topology on 7 hosts:
+// collabRig describes one configuration. Topology on 7 hosts:
 //
 //	attacker VM1: {0,1,2} (3 replicas) or {0,1,2,3,4} (5 replicas)
 //	victim:       {2,5,6} — shares exactly host 2 with VM1
 //	colluder VM2: {0,5,6} — loads VM1's host 0 to marginalize that replica
-func collabGaps(cfg CollabConfig, replicas int, marginalize, withVictim bool) ([]float64, error) {
-	cc := core.DefaultClusterConfig()
-	cc.Seed = cfg.Seed
-	cc.Hosts = 7
-	cc.Replicas = replicas
-	c, err := core.New(cc)
-	if err != nil {
-		return nil, err
+//
+// A cluster sizes every guest alike, so with five replicas the victim and
+// the colluder cannot be triplicated next to the attacker: they become
+// host-local loads on hosts 2 and 0, which is all of them the attacker's
+// replicas ever saw.
+func collabRig(cfg CollabConfig, replicas int, marginalize bool) probeRig {
+	rig := probeRig{
+		seed: cfg.Seed, mode: core.ModeStopWatch, hosts: 7, replicas: replicas,
+		duration: cfg.Duration, probeMeanGap: cfg.ProbeMeanGap,
+		attacker: "attacker", attHosts: []int{0, 1, 2, 3, 4}[:replicas], source: "colluder-ext",
 	}
-	attHosts := []int{0, 1, 2}
-	if replicas == 5 {
-		attHosts = []int{0, 1, 2, 3, 4}
+	if replicas == 3 {
+		rig.guests = append(rig.guests, rigGuest{id: "victim", victim: true, hosts: []int{2, 5, 6},
+			app: beacon(8*sim.Millisecond, 4_000_000, cfg.VictimFileKB<<10, "victim-sink")})
+	} else {
+		rig.guests = append(rig.guests, rigGuest{id: "victim-local", victim: true, hosts: []int{2}, local: true,
+			app: beacon(8*sim.Millisecond, 6_000_000, 64<<10, "local-sink")})
 	}
-	att, err := c.Deploy("attacker", attHosts, func() guest.App { return apps.NewProbeApp() })
-	if err != nil {
-		return nil, err
+	if marginalize && replicas == 3 {
+		rig.guests = append(rig.guests, rigGuest{id: "colluder-vm", hosts: []int{0, 5, 6},
+			app: beacon(4*sim.Millisecond, 6_000_000, 64<<10, "colluder-sink")})
+	} else if marginalize {
+		rig.guests = append(rig.guests, rigGuest{id: "colluder-local", hosts: []int{0}, local: true,
+			app: beacon(4*sim.Millisecond, 6_000_000, 64<<10, "local-sink")})
 	}
-	// The victim and colluder are triplicated regardless of the attacker's
-	// replica count — deploy them on their own 3-host sets. With Replicas=5
-	// configured cluster-wide, deploy victim/colluder with 5... the cloud
-	// would size every guest equally; to keep the study focused the
-	// colluder and victim use beacon-style self-driving apps deployed on a
-	// separate 3-replica cluster config is not possible in one cluster, so
-	// they are deployed with the cluster's replica count on distinct hosts
-	// when replicas==3, and as host-local load (baseline-style beacons
-	// attached directly to hosts) when replicas==5.
-	if withVictim {
-		if replicas == 3 {
-			if _, err := c.Deploy("victim", []int{2, 5, 6}, victimFactory(cfg)); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := attachLocalLoad(c, 2, "victim-local", vtime.Virtual(8*sim.Millisecond)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if marginalize {
-		if replicas == 3 {
-			if _, err := c.Deploy("colluder-vm", []int{0, 5, 6}, func() guest.App {
-				b := apps.NewBeaconApp(vtime.Virtual(4 * sim.Millisecond))
-				b.Compute = 6_000_000
-				b.Sink = "colluder-sink"
-				return b
-			}); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := attachLocalLoad(c, 0, "colluder-local", vtime.Virtual(4*sim.Millisecond)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	c.Start()
-	ps := apps.NewProbeSource(c.Net(), c.Loop(), c.Source().Stream("probe"),
-		"colluder-ext", core.ServiceAddr("attacker"), cfg.ProbeMeanGap)
-	ps.Constant = true
-	ps.Start(cfg.Duration)
-	if err := c.Run(cfg.Duration + 200*sim.Millisecond); err != nil {
-		return nil, err
-	}
-	probe := att.App(0).(*apps.ProbeApp)
-	var gaps []float64
-	for _, g := range probe.InterDeliveryGaps() {
-		gaps = append(gaps, g/1e6)
-	}
-	if len(gaps) < 20 {
-		return nil, fmt.Errorf("%w: only %d gaps observed", core.ErrCluster, len(gaps))
-	}
-	return gaps, nil
-}
-
-func victimFactory(cfg CollabConfig) func() guest.App {
-	return func() guest.App {
-		b := apps.NewBeaconApp(vtime.Virtual(8 * sim.Millisecond))
-		b.Compute = 4_000_000
-		b.DiskBytes = cfg.VictimFileKB << 10
-		b.Sink = "victim-sink"
-		return b
-	}
-}
-
-// attachLocalLoad puts a baseline-style load guest directly on one host
-// (used where a replicated deployment would change the study's topology).
-func attachLocalLoad(c *core.Cluster, host int, id string, period vtime.Virtual) error {
-	b := apps.NewBeaconApp(period)
-	b.Compute = 6_000_000
-	b.Sink = "local-sink"
-	rt, err := vmm.NewBaselineRuntime(c.Host(host), id, b)
-	if err != nil {
-		return err
-	}
-	rt.OnSend = vmm.SendSinkFunc(func(a guest.IOAction) {})
-	rt.Start()
-	return nil
+	return rig
 }
 
 // Render prints the Sec.-IX comparison.

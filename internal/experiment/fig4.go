@@ -7,7 +7,6 @@ import (
 	"stopwatch/internal/core"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/stats"
-	"stopwatch/internal/vmm"
 )
 
 // Fig4Config parameterizes the live side-channel measurement: an attacker
@@ -73,33 +72,23 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 	// StopWatch on five hosts with one shared; the baseline attacker and
 	// victim coresident on a single host. Three concurrent download streams
 	// give the victim a realistic serving duty cycle on its hosts.
-	run := func(mode core.Mode, seed uint64, streams int) ([]float64, int, error) {
-		return probeRig{
-			mode: mode, seed: seed, duration: cfg.Duration, probeMeanGap: cfg.ProbeMeanGap,
-			policy: vmm.PolicyMedian, streams: streams, victimFileKB: cfg.VictimFileKB,
-		}.run()
+	measure := func(mode core.Mode, seed uint64) (*leakRuns, error) {
+		return measureLeak(fileVictimRig(mode, seed, cfg.Duration, cfg.ProbeMeanGap, 3, cfg.VictimFileKB),
+			cfg.Bins, res.Confidences...)
 	}
-	var err error
-	if res.SWGapsVictim, res.Divergences, err = run(core.ModeStopWatch, cfg.Seed, 3); err != nil {
-		return nil, err
-	}
-	if res.SWGapsNoVictim, _, err = run(core.ModeStopWatch, cfg.Seed, 0); err != nil {
-		return nil, err
-	}
-	if res.BaseGapsVictim, _, err = run(core.ModeBaseline, cfg.Seed+1000, 3); err != nil {
-		return nil, err
-	}
-	if res.BaseGapsNoVictim, _, err = run(core.ModeBaseline, cfg.Seed+1000, 0); err != nil {
-		return nil, err
-	}
-	res.KSStopWatch, res.ObsWith, err = scoreLeak(res.SWGapsVictim, res.SWGapsNoVictim, cfg.Bins, res.Confidences...)
+	sw, err := measure(core.ModeStopWatch, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	res.KSBaseline, res.ObsWithout, err = scoreLeak(res.BaseGapsVictim, res.BaseGapsNoVictim, cfg.Bins, res.Confidences...)
+	base, err := measure(core.ModeBaseline, cfg.Seed+1000)
 	if err != nil {
 		return nil, err
 	}
+	res.SWGapsVictim, res.SWGapsNoVictim = sw.with.gapsMS, sw.without.gapsMS
+	res.BaseGapsVictim, res.BaseGapsNoVictim = base.with.gapsMS, base.without.gapsMS
+	res.KSStopWatch, res.ObsWith = sw.ks, sw.obs
+	res.KSBaseline, res.ObsWithout = base.ks, base.obs
+	res.Divergences = sw.with.divergences + sw.with.coDivergences
 	return res, nil
 }
 

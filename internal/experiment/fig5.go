@@ -111,19 +111,26 @@ func figRig(cc core.ClusterConfig, id string, app func() guest.App) (*core.Clust
 	return c, g, err
 }
 
+// factory turns an app constructor into the guest factory Deploy takes. The
+// configurations in this package are constants, so a constructor's error is
+// a bug in it.
+func factory[A guest.App](build func() (A, error)) func() guest.App {
+	return func() guest.App {
+		a, err := build()
+		if err != nil {
+			panic(err)
+		}
+		return a
+	}
+}
+
 func fig5One(seed uint64, kb int, mode apps.FileServerMode, vmmMode core.Mode, timeout sim.Time) (sim.Time, int, error) {
 	cc := core.DefaultClusterConfig()
 	cc.Seed = seed
 	cc.Mode = vmmMode
 	fsCfg := apps.DefaultFileServerConfig()
 	fsCfg.Mode = mode
-	c, g, err := figRig(cc, "web", func() guest.App {
-		fs, ferr := apps.NewFileServer(fsCfg)
-		if ferr != nil {
-			panic(ferr)
-		}
-		return fs
-	})
+	c, g, err := figRig(cc, "web", factory(func() (*apps.FileServer, error) { return apps.NewFileServer(fsCfg) }))
 	if err != nil {
 		return 0, 0, err
 	}

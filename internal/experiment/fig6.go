@@ -6,7 +6,6 @@ import (
 
 	"stopwatch/internal/apps"
 	"stopwatch/internal/core"
-	"stopwatch/internal/guest"
 	"stopwatch/internal/sim"
 )
 
@@ -99,13 +98,7 @@ func fig6One(cfg Fig6Config, rate float64, mode core.Mode) (nfsRun, error) {
 	// its working set was clearly cached. Mean service ≈ 1.4 ms.
 	cc.VMM.DiskSeek = sim.Millisecond
 	cc.VMM.DiskJitterMean = 300 * sim.Microsecond
-	c, g, err := figRig(cc, "nfs", func() guest.App {
-		s, serr := apps.NewNFSServer(16)
-		if serr != nil {
-			panic(serr)
-		}
-		return s
-	})
+	c, g, err := figRig(cc, "nfs", factory(func() (*apps.NFSServer, error) { return apps.NewNFSServer(16) }))
 	if err != nil {
 		return nfsRun{}, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"stopwatch/internal/apps"
 	"stopwatch/internal/core"
-	"stopwatch/internal/guest"
 	"stopwatch/internal/netsim"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/vtime"
@@ -89,13 +88,7 @@ func fig7One(cfg Fig7Config, prof apps.ParsecProfile, mode core.Mode) (doneAt si
 	cc.VMM.DiskSeek = sim.Millisecond
 	cc.VMM.DiskJitterMean = 500 * sim.Microsecond
 	cc.VMM.DeltaD = vtime.Virtual(8 * sim.Millisecond)
-	c, g, err := figRig(cc, "parsec", func() guest.App {
-		a, aerr := apps.NewParsecApp(prof, "collector")
-		if aerr != nil {
-			panic(aerr)
-		}
-		return a
-	})
+	c, g, err := figRig(cc, "parsec", factory(func() (*apps.ParsecApp, error) { return apps.NewParsecApp(prof, "collector") }))
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"stopwatch/internal/core"
 	"stopwatch/internal/sim"
-	"stopwatch/internal/vmm"
 )
 
 // LeaderConfig parameterizes the median-vs-leader ablation: Sec. II argues
@@ -57,31 +56,20 @@ func RunLeader(cfg LeaderConfig) (*LeaderResult, error) {
 	// Read the VICTIM-CORESIDENT replica's observations (slot 2 = host 2,
 	// the shared host). Under PolicyOwn replicas diverge by design; that
 	// replica is the "leader" whose timings prior systems would propagate.
-	measure := func(policy vmm.DeliveryPolicy) (ks, obs95 float64, err error) {
-		rig := probeRig{
-			mode: core.ModeStopWatch, seed: cfg.Seed, duration: cfg.Duration, probeMeanGap: cfg.ProbeMeanGap,
-			policy: policy, read: 2, streams: 1, victimFileKB: cfg.VictimFileKB,
-		}
-		withV, _, err := rig.run()
+	measure := func(own bool) (ks, obs95 float64, err error) {
+		rig := fileVictimRig(core.ModeStopWatch, cfg.Seed, cfg.Duration, cfg.ProbeMeanGap, 1, cfg.VictimFileKB)
+		rig.own, rig.read = own, 2
+		l, err := measureLeak(rig, 10, 0.95)
 		if err != nil {
 			return 0, 0, err
 		}
-		rig.streams = 0
-		withoutV, _, err := rig.run()
-		if err != nil {
-			return 0, 0, err
-		}
-		ks, obs, err := scoreLeak(withV, withoutV, 10, 0.95)
-		if err != nil {
-			return 0, 0, err
-		}
-		return ks, obs[0], nil
+		return l.ks, l.obs[0], nil
 	}
 	var err error
-	if res.KSMedian, res.Obs95Median, err = measure(vmm.PolicyMedian); err != nil {
+	if res.KSMedian, res.Obs95Median, err = measure(false); err != nil {
 		return nil, err
 	}
-	if res.KSLeader, res.Obs95Leader, err = measure(vmm.PolicyOwn); err != nil {
+	if res.KSLeader, res.Obs95Leader, err = measure(true); err != nil {
 		return nil, err
 	}
 	return res, nil

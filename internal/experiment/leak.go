@@ -2,13 +2,16 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 
 	"stopwatch/internal/apps"
 	"stopwatch/internal/core"
 	"stopwatch/internal/guest"
+	"stopwatch/internal/netsim"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/stats"
 	"stopwatch/internal/vmm"
+	"stopwatch/internal/vtime"
 )
 
 // scoreLeak is the one leak scorer: how well an attacker's inter-delivery
@@ -34,104 +37,208 @@ func scoreLeak(withVictim, noVictim []float64, bins int, confidences ...float64)
 	return stats.KSDistanceECDF(eV, eN), obs, err
 }
 
-// probeRig is the attacker-probe + file-server-victim run behind Fig 4 and
-// the median-vs-leader ablation: a constant-rate probe stream into an
-// attacker VM, next to a victim VM serving closed-loop TCP downloads. In
-// StopWatch mode the attacker sits on hosts {0,1,2} of five and the victim
-// on {2,3,4} — exactly one shared host; in baseline mode both share the one
-// host.
+// probeRig is the one attacker-probe run behind Fig 4, both ablations and
+// the Δn calibration: a probe stream from outside the cloud into an attacker
+// VM of ProbeApps, next to whatever shares its hosts. A rig is data — the
+// cluster's shape, where the attacker sits and how its replicas agree, and
+// the guests next to it — and run is the only code that builds a cluster
+// from it.
 type probeRig struct {
-	mode         core.Mode
-	seed         uint64
-	duration     sim.Time
-	probeMeanGap sim.Time
-	// policy is how the attacker's replicas turn proposals into delivery
-	// times (StopWatch mode); PolicyOwn lets each dictate its own.
-	policy vmm.DeliveryPolicy
-	// read names the attacker replica whose observations are returned.
+	seed            uint64
+	mode            core.Mode
+	hosts, replicas int
+	// deltaN overrides the network-interrupt offset Δn (0 = the default).
+	deltaN                 vtime.Virtual
+	duration, probeMeanGap sim.Time
+
+	// attacker is the probed guest's id, on attHosts.
+	attacker string
+	attHosts []int
+	// own lets each attacker replica dictate its own delivery times instead
+	// of agreeing on the median; the replicas then diverge by design.
+	own bool
+	// read names the attacker replica whose gaps are returned.
 	read int
-	// streams is the number of concurrent victim downloads of victimFileKB
-	// each; 0 runs without a victim.
-	streams      int
-	victimFileKB int
+	// source is the fabric address the probes come from; poisson spaces them
+	// exponentially instead of at exactly probeMeanGap.
+	source  netsim.Addr
+	poisson bool
+
+	guests []rigGuest
 }
 
-// run returns the attacker's inter-delivery gaps in milliseconds and the
-// synchrony divergences counted at both guests.
-func (p probeRig) run() (gapsMS []float64, divergences int, err error) {
+// rigGuest is a guest deployed next to the attacker, in the order given.
+type rigGuest struct {
+	id    string
+	hosts []int
+	app   func() guest.App
+	// victim marks the guest whose presence the attacker tries to detect:
+	// measureLeak runs the rig with and without it.
+	victim bool
+	// local puts the app on hosts[0] alone under the baseline VMM, its
+	// output dropped: load on one host, used where a replicated deployment
+	// would change the study's topology.
+	local bool
+	// streams closed-loop TCP downloads of fileKB each are driven at the
+	// guest from the fabric (0 for an app that drives itself).
+	streams, fileKB int
+}
+
+// beacon is a self-driving co-resident app: a burst of compute, one disk
+// read and one packet to sink every period.
+func beacon(period sim.Time, compute int64, diskBytes int, sink netsim.Addr) func() guest.App {
+	return func() guest.App {
+		b := apps.NewBeaconApp(vtime.Virtual(period))
+		b.Compute, b.DiskBytes, b.Sink = compute, diskBytes, sink
+		return b
+	}
+}
+
+// probeRun is what one run of a rig observed.
+type probeRun struct {
+	// gapsMS are the inter-delivery gaps at the attacker replica read.
+	gapsMS []float64
+	// divergences counts the attacker's synchrony violations, coDivergences
+	// those of the guests next to it.
+	divergences, coDivergences int
+	// latencies is, per probe, emission → injection at StopWatch replica 0.
+	latencies []sim.Time
+}
+
+// run builds the rig's cluster, probes it for the duration and reads the
+// attacker.
+func (p probeRig) run() (*probeRun, error) {
 	cc := core.DefaultClusterConfig()
-	cc.Seed = p.seed
-	cc.Mode = p.mode
-	cc.Hosts = 5
-	attHosts, vicHosts := []int{0, 1, 2}, []int{2, 3, 4}
-	if p.mode == core.ModeBaseline {
-		cc.Hosts = 1
-		attHosts, vicHosts = []int{0}, []int{0}
+	cc.Seed, cc.Mode, cc.Hosts, cc.Replicas = p.seed, p.mode, p.hosts, p.replicas
+	if p.deltaN > 0 {
+		cc.VMM.DeltaN = p.deltaN
 	}
 	c, err := core.New(cc)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	att, err := c.Deploy("attacker", attHosts, func() guest.App { return apps.NewProbeApp() })
+	att, err := c.Deploy(p.attacker, p.attHosts, func() guest.App { return apps.NewProbeApp() })
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	for _, r := range att.Replicas() {
-		r.NetDev().Policy = p.policy
-	}
-	var vic *core.Guest
-	if p.streams > 0 {
-		vic, err = c.Deploy("victim", vicHosts, func() guest.App {
-			fs, ferr := apps.NewFileServer(apps.DefaultFileServerConfig())
-			if ferr != nil {
-				panic(ferr) // factory cannot fail with the default config
-			}
-			return fs
-		})
-		if err != nil {
-			return nil, 0, err
+	// Probes are the only traffic to the attacker, so the ingress multicast
+	// sequence is the probe emission sequence.
+	res := &probeRun{}
+	var sentAt []sim.Time
+	if p.own {
+		for _, r := range att.Replicas() {
+			r.NetDev().Policy = vmm.PolicyOwn
 		}
+	}
+	if p.mode == core.ModeStopWatch {
+		att.Replica(0).Runtime().OnNetDeliver = func(seq uint64, _ vtime.Virtual, real sim.Time) {
+			if seq >= 1 && seq <= uint64(len(sentAt)) {
+				res.latencies = append(res.latencies, real-sentAt[seq-1])
+			}
+		}
+	}
+	var co []*core.Guest
+	for _, g := range p.guests {
+		if g.local {
+			rt, err := vmm.NewBaselineRuntime(c.Host(g.hosts[0]), g.id, g.app())
+			if err != nil {
+				return nil, err
+			}
+			rt.OnSend = vmm.SendSinkFunc(func(guest.IOAction) {})
+			rt.Start()
+			continue
+		}
+		d, err := c.Deploy(g.id, g.hosts, g.app)
+		if err != nil {
+			return nil, err
+		}
+		co = append(co, d)
 	}
 	c.Start()
 
 	ps := apps.NewProbeSource(c.Net(), c.Loop(), c.Source().Stream("probe"),
-		"colluder", core.ServiceAddr("attacker"), p.probeMeanGap)
-	ps.Constant = true
+		p.source, core.ServiceAddr(p.attacker), p.probeMeanGap)
+	ps.Constant = !p.poisson
+	ps.OnSend = func(_ uint64, at sim.Time) { sentAt = append(sentAt, at) }
 	ps.Start(p.duration)
 
-	if p.streams > 0 {
-		cl, err := c.NewClient("victim-client")
+	for _, g := range p.guests {
+		if g.streams == 0 {
+			continue
+		}
+		cl, err := c.NewClient(netsim.Addr(g.id + "-client"))
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		dl := apps.NewDownloader(cl)
 		var kick func()
 		kick = func() {
-			_ = dl.Fetch(core.ServiceAddr("victim"), apps.ModeTCP, p.victimFileKB<<10, func(sim.Time) { kick() })
+			_ = dl.Fetch(core.ServiceAddr(g.id), apps.ModeTCP, g.fileKB<<10, func(sim.Time) { kick() })
 		}
-		for i := 0; i < p.streams; i++ {
-			c.Loop().At(sim.Time(i+1)*5*sim.Millisecond, "victim-load", kick)
+		for i := 0; i < g.streams; i++ {
+			c.Loop().At(sim.Time(i+1)*5*sim.Millisecond, g.id+"-load", kick)
 		}
 	}
 
 	if err := c.Run(p.duration + 200*sim.Millisecond); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	// Under PolicyOwn the replicas diverge by design.
-	if p.policy != vmm.PolicyOwn {
+	if !p.own {
 		if err := att.CheckLockstep(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
 	for _, g := range att.App(p.read).(*apps.ProbeApp).InterDeliveryGaps() {
-		gapsMS = append(gapsMS, g/1e6)
+		res.gapsMS = append(res.gapsMS, g/1e6)
 	}
-	if len(gapsMS) < 20 {
-		return nil, 0, fmt.Errorf("%w: only %d gaps", core.ErrCluster, len(gapsMS))
+	if len(res.gapsMS) < 20 {
+		return nil, fmt.Errorf("%w: only %d gaps", core.ErrCluster, len(res.gapsMS))
 	}
-	divergences = att.Divergences()
-	if vic != nil {
-		divergences += vic.Divergences()
+	res.divergences = att.Divergences()
+	for _, g := range co {
+		res.coDivergences += g.Divergences()
 	}
-	return gapsMS, divergences, nil
+	return res, nil
+}
+
+// leakRuns is a rig's runs with and without the victim, and their score.
+type leakRuns struct {
+	with, without *probeRun
+	ks            float64
+	obs           []float64
+}
+
+// measureLeak runs the rig with and without its victim guests and scores
+// the attacker's gaps against each other: every leak number the repo prints
+// comes through here.
+func measureLeak(rig probeRig, bins int, confidences ...float64) (*leakRuns, error) {
+	var l leakRuns
+	var err error
+	if l.with, err = rig.run(); err != nil {
+		return nil, fmt.Errorf("with victim: %w", err)
+	}
+	rig.guests = slices.DeleteFunc(slices.Clone(rig.guests), func(g rigGuest) bool { return g.victim })
+	if l.without, err = rig.run(); err != nil {
+		return nil, fmt.Errorf("without victim: %w", err)
+	}
+	l.ks, l.obs, err = scoreLeak(l.with.gapsMS, l.without.gapsMS, bins, confidences...)
+	return &l, err
+}
+
+// fileVictimRig is the rig of Fig 4 and the median-vs-leader ablation: a
+// constant-rate probe stream into the attacker on hosts {0,1,2} of five,
+// next to a victim on {2,3,4} — exactly one shared host — serving streams
+// closed-loop downloads of fileKB each. Under the baseline VMM there is one
+// host and both are on it.
+func fileVictimRig(mode core.Mode, seed uint64, duration, probeMeanGap sim.Time, streams, fileKB int) probeRig {
+	hosts, att, vic := 5, []int{0, 1, 2}, []int{2, 3, 4}
+	if mode == core.ModeBaseline {
+		hosts, att, vic = 1, []int{0}, []int{0}
+	}
+	return probeRig{
+		seed: seed, mode: mode, hosts: hosts, replicas: 3, duration: duration, probeMeanGap: probeMeanGap,
+		attacker: "attacker", attHosts: att, source: "colluder",
+		guests: []rigGuest{{id: "victim", victim: true, hosts: vic, streams: streams, fileKB: fileKB,
+			app: factory(func() (*apps.FileServer, error) { return apps.NewFileServer(apps.DefaultFileServerConfig()) })}},
+	}
 }

@@ -60,12 +60,11 @@ func (g *ingressGuest) Deliver(p *netsim.Packet) {
 	}
 	g.in.replicated++
 	g.snd.Multicast("swin", p.Size, netsim.PacketBody{
-		Kind:       netsim.BodyInbound,
-		GuestID:    g.id,
-		ClientSrc:  p.Src,
-		ClientKind: p.Kind,
-		Size:       p.Size,
-		Data:       p.Payload,
+		Kind:      netsim.BodyInbound,
+		GuestID:   g.id,
+		ClientSrc: p.Src,
+		Size:      p.Size,
+		Data:      p.Payload,
 	})
 }
 

@@ -61,9 +61,8 @@ type PacketBody struct {
 	// Egress-tunnel fields (BodyEgress).
 	OrigDst Addr
 
-	// Ingress-replication fields (BodyInbound).
-	ClientSrc  Addr
-	ClientKind string
+	// Ingress-replication field (BodyInbound).
+	ClientSrc Addr
 
 	// Size is the original wire size of the carried packet (egress and
 	// inbound bodies); Data is the opaque application payload.

@@ -1,5 +1,5 @@
-// End-of-run assertion evaluation: lockstep, placement, coresidency,
-// FoldOpStats counters, op-log expectations (counts, detection latency),
+// End-of-run assertion evaluation: lockstep, coresidency, FoldOpStats
+// counters, op-log expectations (counts, detection latency),
 // metric predicates over the registry snapshot, and journal checkpoint
 // floors. Every check reads the same public surfaces external tooling
 // would: the op log, the pool, the metrics registry and the guest audit

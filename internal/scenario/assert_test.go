@@ -79,3 +79,39 @@ func TestMetricAssertionNeedsItsFamily(t *testing.T) {
 		t.Fatalf("failures = %q, want only the misspelled family", res.Failures)
 	}
 }
+
+// TestEveryAssertionKindIsEvaluated: for each check the decoder knows, a false
+// assertion of that kind fails the run — by its own evaluator, or (placement,
+// which the runner audits on every file and no line can ask for) by the
+// validator. A kind that is accepted and evaluated by nobody passes for ever.
+func TestEveryAssertionKindIsEvaluated(t *testing.T) {
+	falseOf := map[string]struct{ yaml, want string }{
+		"lockstep":   {"guest: g-1", "lockstep assertion: guest g-1 not deployed"},
+		"placement":  {"", "the placement audit runs at the end of every file's run"},
+		"coresident": {"guests: [g-0, g-2]\n    min_shared: 3", "coresident assertion"},
+		"stats":      {"field: evicted\n    min: 99", "stats assertion evicted"},
+		"oplog":      {"op: evict\n    not_fired: true", "oplog assertion evict"},
+		"metric":     {"name: stopwatch_net_packets_delivered_total\n    max: 0", "metric assertion"},
+		"journal":    {"guest: all", "journal assertion all"},
+	}
+	for kind := range assertKeys {
+		c, ok := falseOf[kind]
+		if !ok {
+			t.Errorf("check %q has no false assertion here: add one", kind)
+			continue
+		}
+		src := tiny + "  - check: " + kind + "\n"
+		if c.yaml != "" {
+			src += "    " + c.yaml + "\n"
+		}
+		var got string
+		if res, err := Run(mustParse(t, src), Options{}); err != nil {
+			got = err.Error()
+		} else {
+			got = strings.Join(res.Failures, "\n")
+		}
+		if !strings.Contains(got, c.want) {
+			t.Errorf("a false %s assertion: run reported %q, want %q", kind, got, c.want)
+		}
+	}
+}

@@ -423,7 +423,8 @@ func (d *dec) generator(n *node) Generator {
 	}
 }
 
-// assertKeys lists each check's allowed keys beyond check.
+// assertKeys lists each check's allowed keys beyond check. placement decodes
+// only so that the validator can say why it is refused.
 var assertKeys = map[string][]string{
 	"lockstep":   {"guest", "strict"},
 	"placement":  {},

@@ -816,8 +816,8 @@ func (r *runner) finish() *Result {
 		Stats:   stopwatch.FoldOpStats(log),
 		Metrics: r.reg.JSON(),
 	}
-	// The one whole-fleet placement audit, whether or not the file declares
-	// `check: placement`; the per-op watch covered each op's own guests.
+	// The one whole-fleet placement audit, on every file (there is no check
+	// to ask for it); the per-op watch covered each op's own guests.
 	if err := r.cp.Verify(); err != nil {
 		r.failf("placement assertion: %v", err)
 	}

@@ -55,7 +55,6 @@ assertions:
   - check: stats
     field: host_drains
     min: 1
-  - check: placement
   - check: lockstep
     guest: all
 `

@@ -3,9 +3,9 @@
 // guest mix with app kinds and traffic models), a script of virtual-
 // time-stamped events (admit bursts, evictions, machine kills, drains,
 // migrations, fabric faults), seeded stochastic generators of the same
-// events (churn) and a set of end-of-run assertions (guest
-// lockstep, placement verification, op-log expectations, metric
-// predicates, per-seed op-log digest pins).
+// events (churn) and a set of end-of-run assertions (guest lockstep,
+// coresidency, op-log expectations, metric predicates, per-seed op-log
+// digest pins) beside the placement audit every run ends with.
 //
 // The interpreter is deliberately a pure client of the public control
 // surface: every lifecycle mutation goes through ControlPlane.Apply,
@@ -211,8 +211,8 @@ type Generator struct {
 
 // Assertion is one end-of-run check.
 type Assertion struct {
-	// Check discriminates the union: lockstep | placement | coresident |
-	// stats | oplog | metric | journal.
+	// Check discriminates the union: lockstep | coresident | stats | oplog |
+	// metric | journal.
 	Check string
 	// Line is the assertion's position in the file.
 	Line int

@@ -356,6 +356,7 @@ func (v *validator) assertions() {
 				v.guestRef(a.Line, a.Guest, what)
 			}
 		case "placement":
+			v.errf(a.Line, "check: placement asserts nothing: the placement audit runs at the end of every file's run; delete the line")
 		case "coresident":
 			if len(a.Guests) != 2 {
 				v.errf(a.Line, "coresident assertion needs exactly 2 guests, got %d", len(a.Guests))

@@ -10,6 +10,21 @@ import (
 	"stopwatch/internal/vtime"
 )
 
+// Server is what a guest app holds of its transport stack, stream or
+// datagram: segments and timers go in (true when they were the stack's), a
+// response goes out to the src, conn and respID OnRequest was handed, and the
+// mutable state rides in the app's snapshot. A stack hands requests to its
+// OnRequest field, which the app sets before wrapping it.
+type Server interface {
+	HandleSegment(ctx guest.Ctx, src netsim.Addr, data any) bool
+	Respond(ctx guest.Ctx, peer netsim.Addr, conn, respID uint64, respBytes int) error
+	HandleTimer(ctx guest.Ctx, tag string) bool
+	AppendState(buf []byte) []byte
+	RestoreState(data []byte) ([]byte, error)
+}
+
+var _, _ Server = (*TCPServer)(nil), (*UDPServer)(nil)
+
 // TCPServer is the guest-side stream stack: it answers handshakes, hands
 // requests to the application, and streams window-limited responses that
 // advance on cumulative ACKs. It is purely deterministic guest state.
@@ -240,8 +255,11 @@ func (s *UDPServer) HandleSegment(ctx guest.Ctx, src netsim.Addr, data any) bool
 	return true
 }
 
+// HandleTimer implements Server: a datagram stack arms no timers.
+func (s *UDPServer) HandleTimer(guest.Ctx, string) bool { return false }
+
 // Respond blasts all segments of the response immediately.
-func (s *UDPServer) Respond(ctx guest.Ctx, dst netsim.Addr, conn uint64, respID uint64, respBytes int) {
+func (s *UDPServer) Respond(ctx guest.Ctx, dst netsim.Addr, conn uint64, respID uint64, respBytes int) error {
 	total := SegCount(respBytes)
 	s.sent[connKey{dst, conn}] = &udpResp{peer: dst, id: respID, total: total, bytes: respBytes}
 	for i := 0; i < total; i++ {
@@ -250,4 +268,5 @@ func (s *UDPServer) Respond(ctx guest.Ctx, dst netsim.Addr, conn uint64, respID 
 			Conn: conn, Flags: FlagDATA, Seq: i, Total: total, RespID: respID,
 		})
 	}
+	return nil
 }

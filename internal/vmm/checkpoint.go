@@ -7,12 +7,12 @@ import (
 	"stopwatch/internal/vtime"
 )
 
-// Checkpointed journals (ROADMAP item 5a). A checkpoint is a
-// replica-identical snapshot of a guest replica taken at a deterministic
-// instruction point: because every replica holds identical logical state at
-// identical instruction counts, all replicas capture byte-identical
-// checkpoints and the journal keeps whichever arrives first (the same
-// first-write-wins rule the delivery records use). Once a checkpoint is
+// Checkpointed journals. A checkpoint is a replica-identical snapshot of a
+// guest replica taken at a deterministic instruction point: because every
+// replica holds identical logical state at identical instruction counts,
+// all replicas capture byte-identical checkpoints and the journal keeps
+// whichever arrives first (the same first-write-wins rule the delivery
+// records use). Once a checkpoint is
 // accepted the journal truncates every delivery record the checkpoint
 // already covers, so replacement replay cost is bounded by the checkpoint
 // interval instead of the guest's lifetime.

@@ -233,15 +233,3 @@ func (h *Host) DiskBacklog(now sim.Time) sim.Time {
 	}
 	return 0
 }
-
-// DiskRequest submits Dom0 background disk load (log shipping, image
-// prefetch, an experiment's interference generator): the request occupies
-// the disk FIFO and counts as in-flight device-model I/O until the data is
-// ready, exactly like a guest-issued transfer, but delivers no interrupt to
-// any guest. It returns the ready time.
-func (h *Host) DiskRequest(bytes int) sim.Time {
-	h.ioBegin()
-	ready := h.diskService(bytes)
-	h.loop.AtTimer(ready, "vmm:dom0disk", ioEndTimer, h, nil, 0)
-	return ready
-}

@@ -1,13 +1,12 @@
 package vmm
 
-// Pre-view-commit reconcile protocol state (ROADMAP item 6). On a lossy
-// fabric a crashed VMM's in-flight proposals can be partially delivered:
-// one survivor resolves a 3-median with the dead member's vote while the
-// other never sees it. After the view commits, the wedged survivor
-// re-proposes the sequence and the resolved one stale-drops the
-// re-proposal — the group diverges permanently. Before committing a new
-// live view, each survivor therefore exports what it knows and imports
-// what its peers knew:
+// Pre-view-commit reconcile protocol state. On a lossy fabric a crashed
+// VMM's in-flight proposals can be partially delivered: one survivor
+// resolves a 3-median with the dead member's vote while the other never
+// sees it. After the view commits, the wedged survivor re-proposes the
+// sequence and the resolved one stale-drops the re-proposal — the group
+// diverges permanently. Before committing a new live view, each survivor
+// therefore exports what it knows and imports what its peers knew:
 //
 //   - Resolutions: the device's recent (seq, deliver) decisions. A peer
 //     that holds the payload but never resolved the sequence adopts the

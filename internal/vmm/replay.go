@@ -271,6 +271,7 @@ func NewReplacementRuntime(host *Host, guestID string, app guest.App, bootTimes 
 	if err != nil {
 		return nil, err
 	}
+	rt.replaying = true
 	var ck Checkpoint
 	restored := j.CopyCheckpoint(&ck)
 	if restored {
@@ -358,7 +359,7 @@ func NewReplacementRuntime(host *Host, guestID string, app guest.App, bootTimes 
 		if res.IO == nil && partial {
 			continue // mid-chunk materialization: not an exit
 		}
-		rt.replayExit(res)
+		rt.exit(res)
 		if err := applyStars(); err != nil {
 			rt.Release()
 			return nil, err
@@ -368,31 +369,6 @@ func NewReplacementRuntime(host *Host, guestID string, app guest.App, bootTimes 
 		rt.Release()
 		return nil, fmt.Errorf("%w: replay overshot target %d at %d", ErrVMM, targetInstr, rt.ex.instr)
 	}
+	rt.replaying = false
 	return rt, nil
-}
-
-// replayExit mirrors Runtime.exit for synchronous replay: same virtual
-// clock update and interrupt injection order, but outputs are suppressed,
-// disk requests skip the real disk model, and pacing/epoch logic (which
-// depends on live peers) does not run.
-func (rt *Runtime) replayExit(res guest.StepResult) {
-	virt := rt.vclock.At(rt.ex.instr)
-	rt.virtLastExit = virt
-	if res.IO != nil {
-		if res.IO.IsSend() {
-			rt.stats.ReplayedSends++
-		} else {
-			rt.diskSeq++
-			rt.enqueueDisk(diskDelivery{
-				deliverVirt: virt + rt.cfg.DeltaD,
-				seq:         rt.diskSeq,
-				readyReal:   rt.host.Loop().Now(),
-				done:        guest.DiskDone{Tag: res.IO.Tag, Bytes: res.IO.Bytes, Write: res.IO.Write},
-			})
-		}
-	}
-	if n := rt.pit.Due(virt); n > 0 {
-		rt.vm.DeliverTimerTicks(n)
-	}
-	rt.deliverDue(virt)
 }

@@ -103,6 +103,12 @@ type Runtime struct {
 	pendingDisk []diskDelivery
 	diskSeq     uint64
 
+	// replaying is set while NewReplacementRuntime re-executes the journal:
+	// exit is the live one, except that outputs are suppressed and disk
+	// requests skip the host's disk model. What depends on live peers —
+	// OnSend, pacing, the epoch hook, checkpoints — is not attached yet.
+	replaying bool
+
 	// Pacing state: each peer's last progress report and their maximum
 	// (noPeers while there are none). A replica has at most a few peers,
 	// and exits and the horizon read only the maximum.
@@ -343,13 +349,16 @@ func (rt *Runtime) EnqueueNetDelivery(seq uint64, deliverVirt vtime.Virtual, p g
 	}
 }
 
-// RequestDisk is invoked at a VM exit when the guest issued a disk op: the
-// device model starts the real transfer and schedules the interrupt at
-// virtual time V+Δd (Sec. V-A).
+// requestDisk is invoked at a VM exit when the guest issued a disk op: the
+// device model starts the real transfer (replay: it is over, ready now) and
+// schedules the interrupt at virtual time V+Δd (Sec. V-A).
 func (rt *Runtime) requestDisk(a guest.IOAction, atVirt vtime.Virtual) {
-	rt.host.ioBegin()
-	ready := rt.host.diskService(a.Bytes)
-	rt.host.Loop().AtTimer(ready, "vmm:diskdone", ioEndTimer, rt.host, nil, 0)
+	ready := rt.host.Loop().Now()
+	if !rt.replaying {
+		rt.host.ioBegin()
+		ready = rt.host.diskService(a.Bytes)
+		rt.host.Loop().AtTimer(ready, "vmm:diskdone", ioEndTimer, rt.host, nil, 0)
+	}
 	rt.diskSeq++
 	rt.enqueueDisk(diskDelivery{
 		deliverVirt: atVirt + rt.cfg.DeltaD,
@@ -360,7 +369,7 @@ func (rt *Runtime) requestDisk(a guest.IOAction, atVirt vtime.Virtual) {
 }
 
 // enqueueDisk inserts a disk delivery in (deliverVirt, seq) order — the
-// one ordering live execution and replacement replay must share exactly.
+// one ordering live execution and replacement replay share, both being exit.
 func (rt *Runtime) enqueueDisk(d diskDelivery) {
 	i := sort.Search(len(rt.pendingDisk), func(i int) bool {
 		if rt.pendingDisk[i].deliverVirt != d.deliverVirt {
@@ -380,12 +389,12 @@ func (rt *Runtime) exit(res guest.StepResult) {
 	rt.virtLastExit = virt
 
 	if res.IO != nil {
-		if res.IO.IsSend() {
-			if rt.OnSend != nil {
-				rt.OnSend.GuestSend(*res.IO)
-			}
-		} else {
+		if !res.IO.IsSend() {
 			rt.requestDisk(*res.IO, virt)
+		} else if rt.replaying {
+			rt.stats.ReplayedSends++
+		} else if rt.OnSend != nil {
+			rt.OnSend.GuestSend(*res.IO)
 		}
 	}
 
