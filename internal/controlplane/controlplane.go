@@ -38,26 +38,33 @@ type Config struct {
 	// (placement Theorem 2's c). Required, positive. Keep c <= (n-1)/2 if
 	// you want the Theorem-2 guarantees to describe the regime.
 	Capacity int
-	// DrainWindow is how long the replacement barrier waits after pausing
-	// a guest's ingress stream before checking quiescence — it must cover
-	// a fabric round trip plus Dom0 processing so in-flight packets and
-	// proposals settle. Default 50ms.
-	DrainWindow sim.Time
-	// MaxDrainAttempts bounds quiescence re-checks (each DrainWindow
-	// apart) before a replacement is abandoned. Default 40.
-	MaxDrainAttempts int
 }
 
 // DefaultConfig returns control-plane defaults for the paper's LAN regime.
 func DefaultConfig(capacity int) Config {
-	return Config{Capacity: capacity, DrainWindow: 50 * sim.Millisecond, MaxDrainAttempts: 40}
+	return Config{Capacity: capacity}
 }
+
+const (
+	// drainWindow is how long the replacement barrier waits after pausing a
+	// guest's ingress stream before checking quiescence, and how far apart
+	// every bounded wait looks (recheck). It covers a fabric round trip plus
+	// Dom0 processing, so in-flight packets and proposals settle; a crash's
+	// view commits one drainWindow after the crash for the same reason.
+	drainWindow = 50 * sim.Millisecond
+	// maxDrainAttempts bounds those looks before a wait gives up.
+	maxDrainAttempts = 40
+	// reconcileSettle is when, after a crash, the survivors exchange their
+	// proposal state: past the dead VMM's in-flight proposals, so the
+	// exchange carries every vote the fabric was going to deliver, and well
+	// before the view commits at drainWindow.
+	reconcileSettle = 5 * sim.Millisecond
+)
 
 // ControlPlane orchestrates guest lifecycle over a running cluster.
 type ControlPlane struct {
 	c    *core.Cluster
 	pool *placement.Pool
-	cfg  Config
 
 	// log is the append-only operation record; every Apply opens an entry.
 	log opLog
@@ -96,12 +103,6 @@ func New(c *core.Cluster, cfg Config) (*ControlPlane, error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("%w: capacity %d", ErrControlPlane, cfg.Capacity)
 	}
-	if cfg.DrainWindow <= 0 {
-		cfg.DrainWindow = 50 * sim.Millisecond
-	}
-	if cfg.MaxDrainAttempts <= 0 {
-		cfg.MaxDrainAttempts = 40
-	}
 	pool, err := placement.NewPool(c.Hosts(), cfg.Capacity)
 	if err != nil {
 		return nil, err
@@ -109,7 +110,6 @@ func New(c *core.Cluster, cfg Config) (*ControlPlane, error) {
 	return &ControlPlane{
 		c:        c,
 		pool:     pool,
-		cfg:      cfg,
 		inflight: make(map[string]string),
 		draining: make(map[int]bool),
 		failures: make(map[int]*hostFailure),
@@ -369,8 +369,8 @@ func (cp *ControlPlane) movable(id string, from int) error {
 //     count, and the journal replay lands on a consistent cut. A crashed
 //     replica is already stopped and is not frozen;
 //  2. pause the guest's ingress stream (client packets buffer at the edge);
-//  3. wait DrainWindow for in-flight fabric traffic and delivery proposals
-//     to settle, re-checking up to MaxDrainAttempts times;
+//  3. wait drainWindow for in-flight fabric traffic and delivery proposals
+//     to settle, re-checking up to maxDrainAttempts times;
 //  4. place: the caller's step moves the replica in the placement pool and
 //     names the machine it landed on (it may complete later — a planned
 //     detour runs a whole child barrier first);
@@ -404,7 +404,7 @@ func (cp *ControlPlane) moveReplica(oc *Outcome, id string, from int, verb strin
 	}
 	settled := func(quiescent bool) {
 		if !quiescent {
-			done(fmt.Errorf("%w: guest %q never quiesced after %d drain windows", ErrControlPlane, id, cp.cfg.MaxDrainAttempts))
+			done(fmt.Errorf("%w: guest %q never quiesced after %d drain windows", ErrControlPlane, id, maxDrainAttempts))
 			return
 		}
 		cp.phase(oc, PhaseQuiesce)
@@ -444,15 +444,15 @@ func (cp *ControlPlane) moveReplica(oc *Outcome, id string, from int, verb strin
 		}
 		place(placed)
 	}
-	cp.c.Loop().After(cp.cfg.DrainWindow, "cp:drain", func() {
+	cp.c.Loop().After(drainWindow, "cp:drain", func() {
 		cp.recheck("cp:drain", &oc.QuiesceRetries, func() bool { return cp.c.GuestQuiescent(id) }, settled)
 	})
 }
 
 // recheck is the control plane's one bounded wait (the quiescence barrier,
 // an evacuation's busy resident and its reconfiguration gate, each under its
-// own event label): it looks at ok now and then every DrainWindow until it
-// holds, MaxDrainAttempts looks at most, and hands then the last answer.
+// own event label): it looks at ok now and then every drainWindow until it
+// holds, maxDrainAttempts looks at most, and hands then the last answer.
 // Each wait is counted in *waits (when given) as it begins, so an op still
 // waiting when the run ends has its retries on the log.
 func (cp *ControlPlane) recheck(label string, waits *int, ok func() bool, then func(held bool)) {
@@ -460,14 +460,14 @@ func (cp *ControlPlane) recheck(label string, waits *int, ok func() bool, then f
 	var look func()
 	look = func() {
 		looks++
-		if held := ok(); held || looks >= cp.cfg.MaxDrainAttempts {
+		if held := ok(); held || looks >= maxDrainAttempts {
 			then(held)
 			return
 		}
 		if waits != nil {
 			*waits++
 		}
-		cp.c.Loop().After(cp.cfg.DrainWindow, label, look)
+		cp.c.Loop().After(drainWindow, label, look)
 	}
 	look()
 }

@@ -29,8 +29,8 @@ import (
 // heartbeat confirmation a real deployment would use.
 //
 // deadline must comfortably exceed a proposal round trip (fabric latency
-// plus Dom0 processing); 0 selects half the DrainWindow, which the Config
-// already sizes to cover a settled round trip. Suspicion is two-step — a
+// plus Dom0 processing); 0 selects half the drain window, which is sized to
+// cover a settled round trip. Suspicion is two-step — a
 // stalled sequence is re-checked one further deadline later and only an
 // origin still silent then is accused — and a false alarm (the suspected
 // VMM turns out alive) lands on the op log as a rejected FailOp, never
@@ -41,7 +41,7 @@ func (cp *ControlPlane) EnableStallDetector(deadline sim.Time) error {
 		return fmt.Errorf("%w: stall deadline %d", ErrControlPlane, deadline)
 	}
 	if deadline == 0 {
-		deadline = cp.cfg.DrainWindow / 2
+		deadline = drainWindow / 2
 	}
 	// Chain the pipeline: a detected fail's completion (the reconfiguration
 	// has run) triggers the evacuation of its residents.

@@ -61,7 +61,7 @@ func (cp *ControlPlane) applyDrain(op DrainOp, oc *Outcome) {
 // machine's replicas are already stopped.
 // ready, when non-nil, gates the start of the loop (the crash path must not
 // run barriers before the group reconfiguration has unwedged quiescence);
-// it is re-checked every DrainWindow, bounded by MaxDrainAttempts. pre,
+// it is re-checked every drainWindow, bounded by maxDrainAttempts. pre,
 // when non-nil, contributes errors joined ahead of the move errors (the
 // crash path's reconfiguration failures).
 func (cp *ControlPlane) evacuateResidents(parent *Outcome, machine int, cause opCause, ready func() bool, pre func() []error) {

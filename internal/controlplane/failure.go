@@ -9,10 +9,12 @@ package controlplane
 //
 //  1. FailOp marks the machine failed: its capacity leaves the placement
 //     pool (placement.Failed in its availability record), the data plane
-//     kills its runtimes and proposal senders, and — one DrainWindow later,
-//     so the dead VMM's in-flight proposals land everywhere — every
-//     resident guest's group is reconfigured (multicast groups, pacing peers, device live views,
-//     ingress replication, egress live count) to the live quorum. Pending
+//     kills its runtimes and proposal senders, and — one drainWindow later,
+//     once the dead VMM's in-flight proposals have landed and the survivors
+//     have exchanged what landed where (core.ReconcileSurvivors) — every
+//     resident guest's group is reconfigured (multicast groups, pacing
+//     peers, device live views, ingress replication, egress live count) to
+//     the live quorum. Pending
 //     and future delivery proposals then resolve on the live set and the
 //     guests keep serving degraded 2-of-3. The op completes at the
 //     reconfiguration (PhaseReconfigure).
@@ -30,7 +32,6 @@ package controlplane
 import (
 	"fmt"
 
-	"stopwatch/internal/core"
 	"stopwatch/internal/placement"
 )
 
@@ -48,7 +49,7 @@ type hostFailure struct {
 
 // applyFail marks machine as crashed (its VMM died). The machine's capacity
 // leaves the placement pool immediately, its replicas' guest execution and
-// proposal senders are killed, and one DrainWindow later — once the dead
+// proposal senders are killed, and one drainWindow later — once the dead
 // VMM's in-flight proposals have settled at every survivor — every resident
 // guest's replica group is reconfigured onto its live quorum, unwedging the
 // delivery medians; the op completes then. Submit an EvacuateOp afterwards
@@ -97,22 +98,25 @@ func (cp *ControlPlane) applyFail(op FailOp, oc *Outcome) {
 	cp.phase(oc, PhaseDrain)
 	residents := cp.pool.Residents(machine)
 	oc.Guests = residents
-	// The view commit waits on two independent gates: the proposal settle
-	// window (the dead VMM's in-flight packets land everywhere the fabric
-	// will ever deliver them) AND the survivor reconcile round (survivors
-	// exchange what did land, repairing deliveries the loss tore apart).
-	// On a loss-free fabric the round finishes well inside the window, so
-	// the commit time — and the op log — are exactly as before.
-	var windowDone, reconcileDone bool
-	commit := func() {
-		if !windowDone || !reconcileDone {
-			return
+	// Two steps, both scheduled now. At reconcileSettle the dead VMM's
+	// in-flight proposals have landed wherever the fabric delivers them, and
+	// the survivors exchange what did land, repairing deliveries a loss tore
+	// apart; the phase is stamped only when that repaired something, keeping
+	// loss-free op logs byte-identical. One drainWindow after the crash the
+	// view commits.
+	cp.c.Loop().After(reconcileSettle, "cp:fail-reconcile", func() {
+		st := cp.c.ReconcileSurvivors(machine, residents)
+		oc.ReconcileRounds, oc.ReconcileRepairs = st.Rounds, st.Repairs
+		if st.Repairs > 0 {
+			cp.phase(oc, PhaseReconcile)
 		}
+	})
+	cp.c.Loop().After(drainWindow, "cp:fail-reconfig", func() {
 		// The failure epoch may have ended (RepairOp) — or ended and
-		// restarted — while the gates were in flight; only the closure
-		// belonging to the current, still-active epoch may open the
-		// evacuation gate. A superseded fail still completes, with the
-		// reconfiguration it never performed absent from its phases.
+		// restarted — since the crash; only the closure belonging to the
+		// current, still-active epoch may open the evacuation gate. A
+		// superseded fail still completes, with the reconfiguration it never
+		// performed absent from its phases.
 		if cp.failures[machine] != f {
 			cp.finish(oc, nil)
 			return
@@ -136,23 +140,6 @@ func (cp *ControlPlane) applyFail(op FailOp, oc *Outcome) {
 		f.reconfigured = true
 		cp.phase(oc, PhaseReconfigure)
 		cp.finish(oc, nil)
-	}
-	cp.c.ReconcileBeforeCommit(machine, residents, func(st core.ReconcileStats) {
-		reconcileDone = true
-		oc.ReconcileRounds = st.Rounds
-		oc.ReconcileRepairs = st.Repairs
-		oc.ReconcileRetries = st.Retries
-		oc.ReconcileGaveUp = st.GaveUp
-		// The phase is stamped only when the round repaired or retried
-		// anything, keeping loss-free op logs byte-identical.
-		if st.Repairs+st.Retries+st.GaveUp > 0 {
-			cp.phase(oc, PhaseReconcile)
-		}
-		commit()
-	})
-	cp.c.Loop().After(cp.cfg.DrainWindow, "cp:fail-reconfig", func() {
-		windowDone = true
-		commit()
 	})
 }
 

@@ -37,7 +37,7 @@ func startPings(t *testing.T, c *core.Cluster, ids []string, every, until sim.Ti
 // property test, mirroring the drain property test: kill a machine hosting
 // >= 2 guests mid-traffic, reconfigure and evacuate, and require that every
 // resident is re-placed, edges are conserved, lockstep digests match, and
-// no barrier ever abandons via MaxDrainAttempts (the quiescence leak).
+// no barrier ever abandons via maxDrainAttempts (the quiescence leak).
 func TestEvacuateFailedHostRecoversEveryResident(t *testing.T) {
 	for _, seed := range []uint64{51, 53, 57} {
 		cp := newTestPlane(t, 9, 3, seed)
@@ -139,7 +139,7 @@ func TestEvacuateFailedHostRecoversEveryResident(t *testing.T) {
 			}
 		}
 		// No barrier abandoned: the quiescence leak would show up here as
-		// MaxDrainAttempts failures.
+		// maxDrainAttempts failures.
 		st := cp.Stats()
 		if st.HostFailures != 1 || st.CrashEvacuations != len(affected) ||
 			st.CrashEvacuationFailures != 0 || st.ReplacementFailures != 0 {
@@ -320,11 +320,11 @@ func TestFailHostValidation(t *testing.T) {
 	}
 	// A reconfiguration closure from the repaired (ended) first failure
 	// epoch must not open a later epoch's evacuation gate early. Fail the
-	// machine again 2/5 of a DrainWindow later: the first epoch's closure
+	// machine again 2/5 of a drain window later: the first epoch's closure
 	// fires at +1 window (stale — must be ignored), the second epoch's at
 	// +7/5 windows; a probe between the two must find the gate shut.
 	loop := cp.Cluster().Loop()
-	w := cp.cfg.DrainWindow
+	w := drainWindow
 	base := loop.Now()
 	loop.At(base+2*w/5, "refail", func() {
 		if oc := cp.Apply(FailOp{Machine: 0}); oc.Rejected() {

@@ -17,7 +17,7 @@ import (
 
 // phaseLatencyBuckets is the fixed ladder for barrier milestone-to-
 // milestone latency: 10µs to ~2.6s, exponential. The interesting phases
-// (pause→quiesce under a DrainWindow of 50ms, quiesce→rehome in one
+// (pause→quiesce under a drain window of 50ms, quiesce→rehome in one
 // instant) all land inside it.
 var phaseLatencyBuckets = metrics.ExpBuckets(int64(10*sim.Microsecond), 4, 10)
 
@@ -32,6 +32,8 @@ var phaseLatencyBuckets = metrics.ExpBuckets(int64(10*sim.Microsecond), 4, 10)
 //	stopwatch_cp_quiesce_retries_total      quiescence re-checks beyond the first
 //	stopwatch_cp_detector_suspicions_total  detector-submitted FailOps
 //	stopwatch_cp_detector_false_alarms_total  rejected detector FailOps (machine alive)
+//	stopwatch_cp_reconcile_rounds_total     FailOp survivor exchanges, one per guest group
+//	stopwatch_cp_reconcile_repairs_total    sequences those exchanges repaired
 //	stopwatch_cp_residents                  resident guests (evaluated at snapshot)
 //	stopwatch_cp_utilization                pool utilization (evaluated at snapshot)
 //
@@ -59,8 +61,6 @@ func (cp *ControlPlane) InstrumentMetrics(reg *metrics.Registry) (cancel func())
 		"pre-commit survivor reconcile rounds run by FailOps (one per resident guest with a live pair)")
 	reconcileRepairs := reg.NewCounter("stopwatch_cp_reconcile_repairs_total",
 		"sequences repaired at importers during pre-commit reconcile rounds")
-	reconcileRetries := reg.NewCounter("stopwatch_cp_reconcile_retries_total",
-		"reconcile export resends after ack loss")
 	reg.NewGaugeFunc("stopwatch_cp_residents",
 		"resident guests", func() float64 { return float64(cp.pool.Guests()) })
 	reg.NewGaugeFunc("stopwatch_cp_utilization",
@@ -89,7 +89,6 @@ func (cp *ControlPlane) InstrumentMetrics(reg *metrics.Registry) (cancel func())
 				retries.Add(uint64(oc.QuiesceRetries))
 				reconcileRounds.Add(uint64(oc.ReconcileRounds))
 				reconcileRepairs.Add(uint64(oc.ReconcileRepairs))
-				reconcileRetries.Add(uint64(oc.ReconcileRetries))
 			}
 			if ev.Kind == OpCompleted {
 				completed.With(kind).Inc()

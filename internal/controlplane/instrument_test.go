@@ -78,7 +78,7 @@ func TestInstrumentMetricsCountsOps(t *testing.T) {
 	}
 
 	// Every replacement-barrier phase observed at least once, with
-	// plausible latency (the pause→quiesce hop covers >= one DrainWindow).
+	// plausible latency (the pause→quiesce hop covers >= one drainWindow).
 	samples, ok := reg.Lookup("stopwatch_cp_phase_latency_ns")
 	if !ok {
 		t.Fatal("phase latency histogram missing")

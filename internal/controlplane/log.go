@@ -88,10 +88,10 @@ type Stats struct {
 	// Admit/Replace ops the planner produced a one-move plan for (PhasePlan
 	// reached), whether or not the plan ultimately unblocked them.
 	Migrations, MigrationFailures, MigrationsPlanned int
-	// ReconcileRounds, ReconcileRepairs and ReconcileRetries sum the FailOps'
-	// pre-commit survivor reconcile rounds: per-guest rounds run, sequences
-	// repaired at importers, and export resends after ack loss.
-	ReconcileRounds, ReconcileRepairs, ReconcileRetries int
+	// ReconcileRounds and ReconcileRepairs sum the FailOps' pre-commit
+	// survivor exchanges: guest groups that exchanged, and sequences
+	// repaired at importers.
+	ReconcileRounds, ReconcileRepairs int
 }
 
 // Stats folds the operations log into decision counters, incrementally:
@@ -194,7 +194,6 @@ func accumulate(st *Stats, oc *Outcome) {
 		}
 		st.ReconcileRounds += oc.ReconcileRounds
 		st.ReconcileRepairs += oc.ReconcileRepairs
-		st.ReconcileRetries += oc.ReconcileRetries
 	}
 }
 

@@ -156,7 +156,7 @@ func (UndrainOp) Kind() OpKind { return KindUndrain }
 func (op UndrainOp) String() string { return fmt.Sprintf("undrain %d", op.Machine) }
 
 // FailOp marks Machine crashed: its capacity leaves the pool and — one
-// DrainWindow later, once the dead VMM's in-flight proposals settled — every
+// drain window later, once the dead VMM's in-flight proposals settled — every
 // resident guest is reconfigured onto its live quorum (PhaseReconfigure);
 // the op completes then. Detected marks a submission by the stall detector:
 // the machine must already be dead at the data plane (the detector reacted
@@ -259,7 +259,7 @@ const (
 	PhaseResume      Phase = "resume"      // replace: ingress resumed, buffer flushed
 	PhaseDrain       Phase = "drain"       // drain/fail: capacity left the pool
 	PhaseUndrain     Phase = "undrain"     // undrain: capacity returned to the pool
-	PhaseReconcile   Phase = "reconcile"   // fail: survivor reconcile round repaired lost proposals
+	PhaseReconcile   Phase = "reconcile"   // fail: survivor exchange repaired lost proposals
 	PhaseReconfigure Phase = "reconfigure" // fail: live-quorum groups installed
 	PhaseEvacuate    Phase = "evacuate"    // drain/evacuate: resident moves started
 	PhasePlan        Phase = "plan"        // admit/replace: infeasible request got a migration plan
@@ -309,14 +309,11 @@ type Outcome struct {
 	// QuiesceRetries counts quiescence re-checks beyond the first.
 	QuiesceRetries int
 
-	// ReconcileRounds/Repairs/Retries/GaveUp carry a FailOp's pre-commit
-	// survivor reconcile round: guest rounds run, sequences repaired at
-	// importers, export resends after ack loss, and pairs abandoned at the
-	// attempt cap. All zero on a loss-free fabric.
+	// ReconcileRounds/Repairs carry a FailOp's pre-commit survivor exchange:
+	// guest groups that exchanged, and sequences repaired at importers (zero
+	// on a loss-free fabric).
 	ReconcileRounds  int
 	ReconcileRepairs int
-	ReconcileRetries int
-	ReconcileGaveUp  int
 
 	// Guests lists the affected guest ids (the admitted/evicted/replaced
 	// guest; a whole-machine op's residents at submission).
@@ -375,13 +372,12 @@ func (oc *Outcome) String() string {
 	for i, pt := range oc.Phases {
 		phases[i] = fmt.Sprintf("%s@%d", pt.Phase, int64(pt.At))
 	}
-	// The reconcile segment renders only when the round actually did
+	// The reconcile segment renders only when the exchange repaired
 	// something: loss-free runs keep their historical log bytes (and
 	// digests) unchanged.
 	reconcile := ""
-	if oc.ReconcileRepairs+oc.ReconcileRetries+oc.ReconcileGaveUp > 0 {
-		reconcile = fmt.Sprintf(" reconcile=%d/%d/%d/%d",
-			oc.ReconcileRounds, oc.ReconcileRepairs, oc.ReconcileRetries, oc.ReconcileGaveUp)
+	if oc.ReconcileRepairs > 0 {
+		reconcile = fmt.Sprintf(" reconcile=%d/%d", oc.ReconcileRounds, oc.ReconcileRepairs)
 	}
 	return fmt.Sprintf("#%04d %s sub=%d done=%d parent=%d retries=%d guests=%v pool=%d→%d%s phases=[%s] %s",
 		oc.Seq, oc.Op, int64(oc.Submitted), int64(oc.Completed), oc.Parent,

@@ -134,10 +134,9 @@ type Cluster struct {
 	onStallSuspect func(machine int)
 	stallQ         [][]stallRec
 
-	// rcl owns the pre-view-commit survivor reconcile rounds
-	// (reconcile.go): sessions are driven from control events and
-	// barriers, imports and acks record into its per-shard queues.
-	rcl reconciler
+	// noReconcile turns ReconcileSurvivors into a no-op (the ablation
+	// switch, DisableViewReconcile).
+	noReconcile bool
 
 	ingress *gateway.Ingress
 	egress  *gateway.Egress
@@ -297,11 +296,8 @@ type hostNode struct {
 	c    *Cluster
 	host *vmm.Host
 	addr netsim.Addr
-	// ep and rcl are addr and the reconcile source (rclAddr) resolved.
-	ep, rcl *netsim.Endpoint
-	// shard indexes the host's fabric shard: which per-shard queue its
-	// delivery events may append to (stalls, reconcile records).
-	shard int
+	// ep is addr resolved.
+	ep *netsim.Endpoint
 
 	mrx *multicast.Receiver
 
@@ -361,8 +357,7 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 		hostIdxByName: make(map[string]int, cfg.Hosts),
 		stallQ:        make([][]stallRec, cfg.Shards),
 	}
-	c.rcl.q = make([][]rclRec, cfg.Shards)
-	c.coord = sim.NewCoordinator(loop, shardLoops, net.Lookahead, net.Exchange, c.onBarrier)
+	c.coord = sim.NewCoordinator(loop, shardLoops, net.Lookahead, net.Exchange, c.drainStalls)
 	c.coord.SetParallel(cfg.Shards > 1)
 	for i := 0; i < cfg.Hosts; i++ {
 		name := fmt.Sprintf("host%d", i)
@@ -385,19 +380,12 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 			c:         c,
 			host:      h,
 			addr:      netsim.Addr("dom0:" + name),
-			shard:     i % cfg.Shards,
 			residents: make(map[string]*replicaWiring),
 		}
 		if err := net.AssignShard(hn.addr, i%cfg.Shards); err != nil {
 			return nil, err
 		}
-		// The host's reconcile source endpoint lives on its shard; its links
-		// (and their seeded streams) are created lazily on first use, so the
-		// address costs nothing until a machine actually crashes.
-		if err := net.AssignShard(rclAddr(name), i%cfg.Shards); err != nil {
-			return nil, err
-		}
-		hn.ep, hn.rcl = net.Endpoint(hn.addr), net.Endpoint(rclAddr(name))
+		hn.ep = net.Endpoint(hn.addr)
 		mrx, err := multicast.NewReceiver(net, hostLoop, multicast.ReceiverConfig{
 			Addr:   hn.addr,
 			OnData: hn.onMulticastData,
@@ -867,10 +855,6 @@ func (hn *hostNode) deliver(p *netsim.Packet) {
 				}
 			}
 		}
-	case "swrcl":
-		hn.handleReconcile(p)
-	case "swrclack":
-		hn.handleReconcileAck(p)
 	case "swepoch":
 		if w, ok := hn.residents[p.Body.GuestID]; ok && w.ec != nil {
 			w.ec.OnPeerSample(p.Body.Origin, p.Body.Epoch, p.Body.Sample)

@@ -68,15 +68,7 @@ func (c *Cluster) armStallDetector(id string, w *replicaWiring) {
 	}
 }
 
-// onBarrier is the coordinator's barrier hook: the per-shard queues the
-// data plane filled during the window are drained in a fixed order —
-// stall observations first, then reconcile acks and repairs.
-func (c *Cluster) onBarrier() {
-	c.drainStalls()
-	c.drainReconcile()
-}
-
-// drainStalls runs at every coordinator barrier: it merges the per-shard
+// drainStalls is the coordinator's barrier hook: it merges the per-shard
 // stall queues into one deterministic order — (stall time, host index,
 // guest id, seq), independent of the partition — and hands each record to
 // reportStall.

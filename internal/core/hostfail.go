@@ -68,9 +68,9 @@ func (c *Cluster) FailMachine(m int) error {
 // wiring is left for the replacement barrier to tear down.
 //
 // Call it one settle window after FailMachine: the degraded view is only
-// deterministic once the dead VMM's in-flight proposals have landed at
-// every survivor (guaranteed on a loss-free fabric; with loss, repair must
-// have completed before the sender died).
+// deterministic once every survivor holds the same proposals — the dead
+// VMM's in-flight ones landed everywhere (a loss-free fabric), or
+// ReconcileSurvivors carried what landed at one survivor to the others.
 func (c *Cluster) MarkReplicaDead(id string, deadHost int) error {
 	g, ok := c.guests[id]
 	if !ok {

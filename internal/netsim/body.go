@@ -19,13 +19,6 @@ const (
 	BodyEgress
 	// BodyInbound is an ingress-replicated client packet (Sec. V).
 	BodyInbound
-	// BodyReconcile is a survivor's pre-view-commit reconcile export: its
-	// resolved-sequence ring and the dead origin's pending votes, exchanged
-	// between survivors before a failure reconfiguration commits.
-	BodyReconcile
-	// BodyReconcileAck acknowledges a received reconcile export (the sender
-	// retries over the lossy fabric until acked or out of budget).
-	BodyReconcileAck
 )
 
 // PacketBody is the typed union of the hot protocol payloads. It lives

@@ -10,7 +10,7 @@ import (
 
 // TestEveryStatsCounterIsAssertable: each int field of ControlPlaneStats is
 // in the stats assertion's vocabulary and the evaluator reads that field, not
-// a neighbour. The eighteen names the corpus and the README may already use
+// a neighbour. The seventeen names the corpus and the README may already use
 // are spelled out, so a renamed field cannot silently rename its key.
 func TestEveryStatsCounterIsAssertable(t *testing.T) {
 	var st stopwatch.ControlPlaneStats
@@ -40,7 +40,6 @@ func TestEveryStatsCounterIsAssertable(t *testing.T) {
 		"migrations":                st.Migrations, "migration_failures": st.MigrationFailures,
 		"migrations_planned": st.MigrationsPlanned,
 		"reconcile_rounds":   st.ReconcileRounds, "reconcile_repairs": st.ReconcileRepairs,
-		"reconcile_retries": st.ReconcileRetries,
 	} {
 		if _, ok := statsFields[name]; !ok || statsField(st, name) != want {
 			t.Errorf("stats field %q: in vocabulary %v, reads %d, want %d", name, ok, statsField(st, name), want)

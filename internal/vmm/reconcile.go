@@ -19,8 +19,8 @@ package vmm
 //
 // Sequences nobody resolved and nobody holds a dead vote for are left to
 // the view change's re-proposal round, exactly as before. Imports are
-// idempotent and strictly fenced by view: repeated or reordered reconcile
-// messages are no-ops.
+// idempotent and strictly fenced by view: a repeated or stale export is a
+// no-op.
 
 import (
 	"sort"
@@ -28,9 +28,10 @@ import (
 	"stopwatch/internal/vtime"
 )
 
-// resRingCap bounds the resolution ring. The reconcile round only needs
-// decisions from the failure window (in-flight proposals of one
-// DrainWindow); 64 covers that with a wide margin at any modeled rate.
+// resRingCap bounds the resolution ring. The survivor exchange only needs
+// decisions from the failure window (proposals in flight at the crash,
+// exchanged 5 ms later); 64 covers that with a wide margin at any modeled
+// rate.
 const resRingCap = 64
 
 // resolvedRec is one retained delivery decision.
@@ -55,9 +56,6 @@ type ReconcileExport struct {
 	View   uint64
 	// DeadOrigin names the crashed member whose votes DeadVotes carries.
 	DeadOrigin string
-	// Watermark is the exporter's resolved-sequence low watermark — every
-	// seq at or below it has resolved there.
-	Watermark uint64
 	// Resolutions are the exporter's retained delivery decisions, seq-sorted.
 	Resolutions []ReconcileEntry
 	// DeadVotes are the dead origin's proposals the exporter still holds
@@ -74,7 +72,6 @@ func (nd *NetDevice) ExportReconcile(deadOrigin string) ReconcileExport {
 		Origin:     nd.self,
 		View:       nd.view,
 		DeadOrigin: deadOrigin,
-		Watermark:  nd.pending.Base() - 1,
 	}
 	for _, r := range nd.resRing {
 		if r.seq != 0 {

@@ -120,8 +120,8 @@ func TestReconcileRepairsSplitDelivery(t *testing.T) {
 			if got := ndA.ImportReconcile(x); got != 1 {
 				t.Fatalf("first import repaired %d, want 1", got)
 			}
-			// Idempotence: the fabric may duplicate or the round may retry;
-			// a second import of the same export must be a no-op.
+			// Idempotence: a second import of the same export must be a
+			// no-op.
 			if got := ndA.ImportReconcile(x); got != 0 {
 				t.Fatalf("repeated import repaired %d, want 0", got)
 			}
@@ -227,8 +227,9 @@ func exportFromBytes(b []byte) ReconcileExport {
 	return x
 }
 
-// FuzzImportReconcile: a reconcile export arrives in a packet from another
-// machine. Whatever it holds, importing it into a survivor with sequences
+// FuzzImportReconcile: a reconcile export is another replica's state, taken
+// under whatever view and live set that replica held. Whatever it holds,
+// importing it into a survivor with sequences
 // in every state — resolved, pending with and without its payload, never
 // seen — must not panic, must not open a sequence beyond the pending
 // window's span, and must be idempotent: the same export again repairs
@@ -237,7 +238,7 @@ func FuzzImportReconcile(f *testing.F) {
 	vB, vC := vtime.Virtual(30*sim.Millisecond), vtime.Virtual(31*sim.Millisecond)
 	entry := func(v vtime.Virtual) []ReconcileEntry { return []ReconcileEntry{{Seq: 1, Virt: v}} }
 	f.Add(exportBytes(ReconcileExport{Origin: "B", DeadOrigin: "C", DeadVotes: entry(vC)}))
-	f.Add(exportBytes(ReconcileExport{Origin: "B", DeadOrigin: "C", Watermark: 1, Resolutions: entry(vB)}))
+	f.Add(exportBytes(ReconcileExport{Origin: "B", DeadOrigin: "C", Resolutions: entry(vB)}))
 	f.Add(exportBytes(ReconcileExport{Origin: "B", DeadOrigin: "C", View: 2, Resolutions: entry(vB), DeadVotes: []ReconcileEntry{{Seq: 2, Virt: vC}, {Seq: 1 << 62, Virt: vC}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loop, rt, nd := reconcileTestDevice(t, "A", 87)
