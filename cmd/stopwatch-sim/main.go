@@ -9,7 +9,7 @@
 //
 //	stopwatch-sim validate scenarios/
 //	stopwatch-sim run scenarios/lifecycle.yaml
-//	stopwatch-sim run -ci -q scenarios/
+//	stopwatch-sim run -q -seed 1-40 scenarios/
 //	stopwatch-sim run -seed 2 -shards 4 -listen 127.0.0.1:8080 scenarios/churn.yaml
 //	stopwatch-sim run -q -seed 1 -metrics-out metrics.json -cpuprofile cpu.prof scenarios/churn-large.yaml
 package main
@@ -21,7 +21,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"stopwatch/internal/profiling"
 	"stopwatch/internal/scenario"
@@ -80,16 +83,48 @@ func expandScenarioPaths(args []string) ([]string, error) {
 	return files, nil
 }
 
-// runScenarioFiles executes scenario files under every declared seed (or
-// one -seed override), printing a per-run verdict and failing if any run
-// does — or if nothing was selected to run.
+// seedSet is the -seed flag: numbers and inclusive ranges, comma-separated
+// ("1-40", "3,7,11-13"), held sorted and without repeats. Empty means each
+// file's declared seeds.
+type seedSet []uint64
+
+func (s *seedSet) String() string { return fmt.Sprint([]uint64(*s)) }
+
+func (s *seedSet) Set(v string) error {
+	var set seedSet
+	for _, part := range strings.Split(v, ",") {
+		lo, hi, isRange := strings.Cut(part, "-")
+		first, err := strconv.ParseUint(lo, 10, 64)
+		last := first
+		if err == nil && isRange {
+			last, err = strconv.ParseUint(hi, 10, 64)
+		}
+		if err != nil || first == 0 || last < first {
+			return fmt.Errorf("bad seed set %q: want seeds >= 1 and ascending ranges, e.g. 1-40 or 3,7,11-13", v)
+		}
+		for seed := first; ; seed++ {
+			set = append(set, seed)
+			if seed == last {
+				break
+			}
+		}
+	}
+	slices.Sort(set)
+	*s = slices.Compact(set)
+	return nil
+}
+
+// runScenarioFiles executes scenario files under their declared seeds or
+// the -seed set, printing a verdict per run and a clean count per file. It
+// fails if a seed outside the file's failing_seeds fails (an invariant, or
+// an assertion at a declared seed), or if a listed seed comes out clean.
 func runScenarioFiles(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("stopwatch-sim run", flag.ContinueOnError)
-	seed := fs.Uint64("seed", 0, "override the scenario's seeds (0 = run every declared seed)")
+	var seeds seedSet
+	fs.Var(&seeds, "seed", "run these seeds instead of each file's declared ones: numbers and ranges, e.g. 1-40 or 3,7,11-13")
 	shards := fs.Int("shards", 0, "override the fleet's shard count (0 = the file's; digests are identical for every value)")
 	listen := fs.String("listen", "", "serve /metrics, /metrics.json, /ops and /ops/stream on this loopback address during the run")
 	quiet := fs.Bool("q", false, "suppress the op-stream narration")
-	ciOnly := fs.Bool("ci", false, "run only scenarios tagged ci: true")
 	noReconcile := fs.Bool("no-reconcile", false, "disable the pre-view-commit survivor reconcile round (failure-injection experiments)")
 	metricsOut := fs.String("metrics-out", "", "write the end-of-run metrics snapshot as canonical JSON to this file (needs exactly one run: one file, one seed)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the runs to this file")
@@ -101,68 +136,100 @@ func runScenarioFiles(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	type selected struct {
-		sc   *scenario.Scenario
-		seed uint64
+	seedsOf := func(sc *scenario.Scenario) []uint64 {
+		if len(seeds) == 0 {
+			return sc.Seeds
+		}
+		return seeds
 	}
-	var runs []selected
+	var scs []*scenario.Scenario
 	for _, path := range files {
 		sc, err := scenario.Load(path)
 		if err != nil {
 			return err
 		}
-		if *ciOnly && !sc.CI {
-			continue
-		}
-		seeds := sc.Seeds
-		if *seed != 0 {
-			seeds = []uint64{*seed}
-		}
-		for _, s := range seeds {
-			runs = append(runs, selected{sc, s})
-		}
+		scs = append(scs, sc)
 	}
-	if len(runs) == 0 {
-		return fmt.Errorf("no scenario selected to run out of %d file(s) (-ci keeps only files tagged ci: true)", len(files))
-	}
-	if *metricsOut != "" && len(runs) != 1 {
-		return fmt.Errorf("-metrics-out needs exactly one run, got %d: name one file and one -seed", len(runs))
+	if *metricsOut != "" && (len(scs) != 1 || len(seedsOf(scs[0])) != 1) {
+		return fmt.Errorf("-metrics-out needs exactly one run: name one file and one -seed")
 	}
 	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		return err
 	}
 	defer func() { err = errors.Join(err, stopProfiles()) }()
-	failed := 0
-	for _, run := range runs {
-		opt := scenario.Options{Seed: run.seed, Shards: *shards, Listen: *listen, DisableReconcile: *noReconcile}
-		if !*quiet {
-			opt.Out = out
-		}
-		res, err := scenario.Run(run.sc, opt)
+	opt := scenario.Options{Shards: *shards, Listen: *listen, DisableReconcile: *noReconcile}
+	if !*quiet {
+		opt.Out = out
+	}
+	var unexpected []string
+	for _, sc := range scs {
+		bad, last, err := sweep(sc, seedsOf(sc), opt, out)
 		if err != nil {
-			return fmt.Errorf("%s: %w", run.sc.Path, err)
+			return err
 		}
+		unexpected = append(unexpected, bad...)
+		if *metricsOut != "" {
+			if err := os.WriteFile(*metricsOut, []byte(last.Metrics), 0o644); err != nil {
+				return fmt.Errorf("write metrics snapshot: %w", err)
+			}
+		}
+	}
+	if len(unexpected) > 0 {
+		return fmt.Errorf("%d unexpected outcome(s): %s", len(unexpected), strings.Join(unexpected, "; "))
+	}
+	return nil
+}
+
+// sweep runs one file at each seed and prints each run's verdict, then the
+// file's line: clean k/N, and the failing seeds grouped by their first
+// failure. A seed in failing_seeds is expected to fail (XFAIL); clean, it is
+// an XPASS. It returns the outcomes the file did not expect, and the last
+// run's result.
+func sweep(sc *scenario.Scenario, seeds []uint64, opt scenario.Options, out io.Writer) ([]string, *scenario.Result, error) {
+	var unexpected, reasons []string
+	var res *scenario.Result
+	bySeed := map[string][]string{}
+	clean := 0
+	for _, seed := range seeds {
+		opt.Seed = seed
+		var err error
+		if res, err = scenario.Run(sc, opt); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", sc.Path, err)
+		}
+		listed := slices.Contains(sc.FailingSeeds, seed)
 		verdict := "PASS"
-		if !res.Passed() {
+		switch {
+		case !res.Passed() && listed:
+			verdict = "XFAIL"
+		case !res.Passed():
 			verdict = "FAIL"
-			failed++
+			unexpected = append(unexpected, fmt.Sprintf("%s seed %d failed", sc.Name, seed))
+		case listed:
+			verdict = "XPASS"
+			unexpected = append(unexpected, fmt.Sprintf("%s seed %d is in failing_seeds but came out clean: take it off the list", sc.Name, seed))
 		}
 		fmt.Fprintf(out, "%s  %s seed=%d shards=%d ops=%d digest=%s\n",
 			verdict, res.Name, res.Seed, res.Shards, res.Ops, res.Digest)
 		for _, f := range res.Failures {
 			fmt.Fprintf(out, "  - %s\n", f)
 		}
-		if *metricsOut != "" {
-			if err := os.WriteFile(*metricsOut, []byte(res.Metrics), 0o644); err != nil {
-				return fmt.Errorf("write metrics snapshot: %w", err)
-			}
+		if res.Passed() {
+			clean++
+			continue
 		}
+		reason, _, _ := strings.Cut(res.Failures[0], ":")
+		if bySeed[reason] == nil {
+			reasons = append(reasons, reason)
+		}
+		bySeed[reason] = append(bySeed[reason], strconv.FormatUint(seed, 10))
 	}
-	if failed > 0 {
-		return fmt.Errorf("%d scenario run(s) failed", failed)
+	line := fmt.Sprintf("%s: clean %d/%d", sc.Name, clean, len(seeds))
+	for _, reason := range reasons {
+		line += fmt.Sprintf("; %s at %s", reason, strings.Join(bySeed[reason], " "))
 	}
-	return nil
+	fmt.Fprintln(out, line)
+	return unexpected, res, nil
 }
 
 // validateScenarioFiles parses and statically checks scenario files

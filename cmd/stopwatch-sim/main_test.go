@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -29,21 +30,79 @@ func TestRunRejectsUnknowns(t *testing.T) {
 	}
 }
 
-// TestRunCISelectingNothingFails: the CI job leans on `run -ci <dir>`; a
-// directory whose files are all ci: false (or a corpus that moved) must not
-// run zero scenarios and pass.
-func TestRunCISelectingNothingFails(t *testing.T) {
-	dir := t.TempDir()
-	src, err := os.ReadFile(filepath.Join(corpusDir, "churn-large.yaml"))
-	if err != nil {
-		t.Fatal(err)
+// TestSeedSetGrammar: -seed takes numbers and inclusive ranges,
+// comma-separated, and refuses a zero seed, a descending range and an empty
+// set.
+func TestSeedSetGrammar(t *testing.T) {
+	var oneToForty []uint64
+	for s := uint64(1); s <= 40; s++ {
+		oneToForty = append(oneToForty, s)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "only-manual.yaml"), src, 0o644); err != nil {
-		t.Fatal(err)
+	for v, want := range map[string]string{
+		"1-40":      fmt.Sprint(oneToForty),
+		"3,7,11-13": "[3 7 11 12 13]",
+		"2":         "[2]",
+		"5,1-3,2":   "[1 2 3 5]",
+	} {
+		var s seedSet
+		if err := s.Set(v); err != nil || s.String() != want {
+			t.Errorf("seed set %q = %v (%v), want %s", v, s, err, want)
+		}
 	}
-	err = runQuiet("run", "-ci", "-q", dir)
-	if err == nil || !strings.Contains(err.Error(), "no scenario selected") {
-		t.Fatalf("run -ci over a ci:false directory: err = %v, want a no-scenario-selected error", err)
+	for _, v := range []string{"0", "5-3", "", "1,", "-4", "1-", "0-3", "x"} {
+		var s seedSet
+		if err := s.Set(v); err == nil {
+			t.Errorf("seed set %q accepted as %v", v, s)
+		}
+	}
+}
+
+// TestSweepHoldsFailingSeeds: a sweep fails on a seed that breaks an
+// invariant unless failing_seeds lists it, and on a listed seed that comes
+// out clean, naming the seed; a listed seed that fails is the expected
+// outcome.
+func TestSweepHoldsFailingSeeds(t *testing.T) {
+	const tiny = `name: tiny
+duration_ms: 300
+%s
+fleet:
+  machines: 3
+  guests:
+    - name: g
+      app:
+        kind: beacon
+invariants:
+  - check: stats
+    field: admitted
+    min: %d
+`
+	for _, tc := range []struct {
+		name, failing string
+		admitted      int
+		clean         string
+		want          string // "" = the sweep passes
+	}{
+		{"listed seed clean", "failing_seeds: [2]", 1, "tiny: clean 1/1", "tiny seed 2 is in failing_seeds but came out clean"},
+		{"unlisted seed failing", "", 2, "tiny: clean 0/1", "tiny seed 2 failed"},
+		{"listed seed failing", "failing_seeds: [2]", 2, "tiny: clean 0/1", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "tiny.yaml")
+			if err := os.WriteFile(path, []byte(fmt.Sprintf(tiny, tc.failing, tc.admitted)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			err := run([]string{"run", "-q", "-seed", "2", path}, &out)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("sweep failed: %v\n%s", err, &out)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("sweep error = %v, want one containing %q\n%s", err, tc.want, &out)
+			}
+			if !strings.Contains(out.String(), tc.clean) {
+				t.Fatalf("output lacks %q:\n%s", tc.clean, &out)
+			}
+		})
 	}
 }
 

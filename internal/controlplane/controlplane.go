@@ -126,9 +126,6 @@ func (cp *ControlPlane) Pool() *placement.Pool { return cp.pool }
 // Utilization returns resident replicas over total capacity, in [0,1].
 func (cp *ControlPlane) Utilization() float64 { return cp.pool.Utilization() }
 
-// Residents returns the number of resident guests.
-func (cp *ControlPlane) Residents() int { return cp.pool.Guests() }
-
 // InFlight reports whether a lifecycle operation (e.g. a replacement
 // barrier) is in progress for the guest, and which. Failure injectors
 // should pick a different victim while one is.

@@ -204,6 +204,88 @@ func TestReplaceReplicaProtocol(t *testing.T) {
 	}
 }
 
+// TestPlannedReplacementMigratesADonorFirst: under EnablePlannedMigration a
+// replacement the packing cannot satisfy — every free machine shares an
+// edge with web's survivor 1, through a or b — asks the planner for one move
+// of another guest, runs it as a child MigrateOp logged under the
+// replacement, and then re-homes. Both barriers complete, the replacement
+// passes through PhasePlan, and every guest ends in lockstep on a verified
+// packing.
+func TestPlannedReplacementMigratesADonorFirst(t *testing.T) {
+	cp := newTestPlane(t, 7, 3, 73)
+	cp.EnablePlannedMigration()
+	c := cp.Cluster()
+	// Each admission is steered onto its triangle by taking every other
+	// machine out of placement while it is placed.
+	for _, g := range []struct {
+		id  string
+		tri placement.Triangle
+	}{{"web", placement.Triangle{0, 1, 2}}, {"a", placement.Triangle{1, 3, 4}}, {"b", placement.Triangle{1, 5, 6}}} {
+		var off []int
+		for m := 0; m < 7; m++ {
+			if !g.tri.Contains(m) {
+				off = append(off, m)
+			}
+		}
+		for _, m := range off {
+			if err := cp.Pool().Mark(m, placement.Maintenance); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if oc := cp.Apply(AdmitOp{GuestID: g.id, Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))}); oc.Err != nil || oc.Triangle != g.tri {
+			t.Fatalf("admit %s: %v on %v, want %v", g.id, oc.Err, oc.Triangle, g.tri)
+		}
+		for _, m := range off {
+			if err := cp.Pool().Clear(m, placement.Maintenance); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c.Start()
+	var replace *Outcome
+	c.Loop().At(300*sim.Millisecond, "fail", func() {
+		g, _ := c.Guest("web")
+		slot, _ := g.SlotOnHost(0)
+		g.Replica(slot).Runtime().Stop()
+		if replace = cp.Apply(ReplaceOp{GuestID: "web", DeadHost: 0}); replace.Rejected() {
+			t.Error(replace.Err)
+		}
+	})
+	if err := c.Run(3 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !replace.Done() || replace.Err != nil {
+		t.Fatalf("replacement: %v", replace)
+	}
+	if got, want := fmt.Sprint(phaseNames(replace)), "[pause quiesce plan rehome replace resume]"; got != want {
+		t.Fatalf("replacement phases %s, want %s", got, want)
+	}
+	if replace.Triangle != (placement.Triangle{1, 2, 3}) {
+		t.Fatalf("web re-homed onto %v, want the machine a's move opened: [1 2 3]", replace.Triangle)
+	}
+	var children []string
+	for _, oc := range cp.Log() {
+		if oc.Parent == replace.Seq {
+			children = append(children, fmt.Sprintf("%v err=%v", oc.Op, oc.Err))
+		}
+	}
+	if want := fmt.Sprintf("[%v err=<nil>]", MigrateOp{GuestID: "a", From: 1, To: 5}); fmt.Sprint(children) != want {
+		t.Fatalf("children of the replacement: %v, want %s", children, want)
+	}
+	if st := cp.Stats(); st.MigrationsPlanned != 1 || st.Migrations != 1 || st.Replacements != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if err := cp.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"web", "a", "b"} {
+		g, _ := c.Guest(id)
+		if err := g.CheckLockstepPrefix(); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+}
+
 func TestReplaceReplicaValidation(t *testing.T) {
 	cp := newTestPlane(t, 7, 3, 9)
 	if oc := cp.Apply(ReplaceOp{GuestID: "ghost", DeadHost: 0}); !oc.Rejected() {

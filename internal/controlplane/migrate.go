@@ -24,9 +24,6 @@ import (
 // EnablePlannedMigration turns the one-move migration planner on.
 func (cp *ControlPlane) EnablePlannedMigration() { cp.planned = true }
 
-// PlannedMigration reports whether the migration planner is on.
-func (cp *ControlPlane) PlannedMigration() bool { return cp.planned }
-
 // migrationAvoid excludes guests another lifecycle op holds — the planner
 // must not move a guest whose barrier is mid-flight.
 func (cp *ControlPlane) migrationAvoid(id string) bool {

@@ -547,12 +547,6 @@ type VMSnapshot struct {
 	valid   bool
 }
 
-// Valid reports whether the snapshot holds a captured state.
-func (s *VMSnapshot) Valid() bool { return s.valid }
-
-// Outputs returns the output-log length at capture time.
-func (s *VMSnapshot) Outputs() int { return s.logN }
-
 // SizeBytes estimates the snapshot's retained size — the journal-bytes
 // accounting unit for checkpoint telemetry.
 func (s *VMSnapshot) SizeBytes() int {

@@ -45,18 +45,6 @@ func (v *ShardedCounterVec) Shard(k int) ShardCounterVec {
 	return ShardCounterVec{s: v.shards[k]}
 }
 
-// Total sums the counter for a label value across shards (tests,
-// barrier-time reads).
-func (v *ShardedCounterVec) Total(labelValue string) uint64 {
-	var total uint64
-	for _, s := range v.shards {
-		if c, ok := s.byLabel[labelValue]; ok {
-			total += c.n
-		}
-	}
-	return total
-}
-
 // merged renders sum-per-label samples in sorted-label order.
 func (v *ShardedCounterVec) merged() []Sample {
 	sums := make(map[string]uint64)
@@ -101,9 +89,6 @@ type ShardCounter struct{ c *shardCounterCell }
 
 // Inc adds one.
 func (c ShardCounter) Inc() { c.c.n++ }
-
-// Add adds n.
-func (c ShardCounter) Add(n uint64) { c.c.n += n }
 
 // ShardedHistogram is a scalar histogram whose observations are per-shard
 // and merged at snapshot: every shard holds a full bucket array with the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -181,6 +182,75 @@ func TestPoolRehomeExhaustion(t *testing.T) {
 	}
 	if tr, _ := p.Triangle("a"); tr != tri {
 		t.Fatalf("failed rehome mutated triangle: %v != %v", tr, tri)
+	}
+}
+
+// TestPlanRehomeMigration: web's replica on machine 0 has nowhere to go —
+// a holds web's survivor 1's edges to 3 and 4, b its edges to 5 and 6 — and
+// the planner finds the one move of another guest that opens a machine,
+// skipping the guests avoid names, and never offers the dead machine. The
+// plan is a dry run: the pool is unchanged until the move is made, after
+// which Rehome succeeds.
+func TestPlanRehomeMigration(t *testing.T) {
+	blocked := func() *Pool {
+		p, err := NewPool(7, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, tri := range map[string]Triangle{"web": {0, 1, 2}, "a": {1, 3, 4}, "b": {1, 5, 6}} {
+			if err := p.AdmitTriangle(id, tri); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := p.Rehome("web", 0); !errors.Is(err, ErrNoFeasibleHost) {
+			t.Fatalf("web re-homed with machines 3-6 blocked: %v", err)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		avoid func(string) bool
+		want  MigrationPlan
+		lands Triangle
+	}{
+		// a's replica on 1 moves to 5: machine 3 opens for web.
+		{nil, MigrationPlan{GuestID: "a", From: 1, To: 5}, Triangle{1, 2, 3}},
+		// With a held by another op, b's replica on 1 moves to 3: 5 opens.
+		{func(id string) bool { return id == "a" }, MigrationPlan{GuestID: "b", From: 1, To: 3}, Triangle{1, 2, 5}},
+	} {
+		p := blocked()
+		before := p.Snapshot()
+		plan, ok := p.PlanRehomeMigration("web", 0, tc.avoid)
+		if !ok || plan != tc.want {
+			t.Fatalf("plan %+v (found %v), want %+v", plan, ok, tc.want)
+		}
+		if got := p.Snapshot(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("planning changed the pool: %v, was %v", got, before)
+		}
+		if _, err := p.RehomeTo(plan.GuestID, plan.From, plan.To); err != nil {
+			t.Fatal(err)
+		}
+		if tri, _, err := p.Rehome("web", 0); err != nil || tri != tc.lands {
+			t.Fatalf("after the planned move web re-homed onto %v (%v), want %v", tri, err, tc.lands)
+		}
+		if err := p.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Nothing to plan for a guest that is not resident or has no replica on
+	// the dead machine, or when every donor is held.
+	p := blocked()
+	for _, c := range []struct {
+		id    string
+		dead  int
+		avoid func(string) bool
+	}{
+		{"ghost", 0, nil},
+		{"web", 4, nil},
+		{"web", 0, func(string) bool { return true }},
+	} {
+		if plan, ok := p.PlanRehomeMigration(c.id, c.dead, c.avoid); ok {
+			t.Fatalf("PlanRehomeMigration(%q, %d) = %+v", c.id, c.dead, plan)
+		}
 	}
 }
 

@@ -1,22 +1,27 @@
-// End-of-run assertion evaluation: lockstep, coresidency, FoldOpStats
-// counters, op-log expectations (counts, detection latency),
-// metric predicates over the registry snapshot, and journal checkpoint
-// floors. Every check reads the same public surfaces external tooling
-// would: the op log, the pool, the metrics registry and the guest audit
-// API.
+// End-of-run evaluation of invariants and assertions: lockstep,
+// coresidency, FoldOpStats counters, op-log expectations (counts, detection
+// latency), metric predicates over the registry snapshot, and journal
+// checkpoint floors. Every check reads the same public surfaces external
+// tooling would: the op log, the pool, the metrics registry and the guest
+// audit API.
 package scenario
 
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"stopwatch"
 )
 
-// assertAll evaluates every assertion against the finished run, folding
-// defects into r.failures.
+// assertAll evaluates the invariants, and at a declared seed the assertions
+// too, against the finished run, folding defects into r.failures.
 func (r *runner) assertAll(log []*stopwatch.Outcome, res *Result) {
-	for _, a := range r.sc.Assertions {
+	checks := r.sc.Invariants
+	if slices.Contains(r.sc.Seeds, r.seed) {
+		checks = slices.Concat(checks, r.sc.Assertions)
+	}
+	for _, a := range checks {
 		switch a.Check {
 		case "lockstep":
 			r.assertLockstep(a)

@@ -82,7 +82,9 @@ func TestMetricAssertionNeedsItsFamily(t *testing.T) {
 // TestEveryAssertionKindIsEvaluated: for each check the decoder knows, a false
 // assertion of that kind fails the run — by its own evaluator, or (placement,
 // which the runner audits on every file and no line can ask for) by the
-// validator. A kind that is accepted and evaluated by nobody passes for ever.
+// validator — under assertions: at the declared seed, and under invariants:
+// at a seed the file does not declare. A kind that is accepted and evaluated
+// by nobody passes for ever.
 func TestEveryAssertionKindIsEvaluated(t *testing.T) {
 	falseOf := map[string]struct{ yaml, want string }{
 		"lockstep":   {"guest: g-1", "lockstep assertion: guest g-1 not deployed"},
@@ -99,18 +101,26 @@ func TestEveryAssertionKindIsEvaluated(t *testing.T) {
 			t.Errorf("check %q has no false assertion here: add one", kind)
 			continue
 		}
-		src := tiny + "  - check: " + kind + "\n"
+		entry := "  - check: " + kind + "\n"
 		if c.yaml != "" {
-			src += "    " + c.yaml + "\n"
+			entry += "    " + c.yaml + "\n"
 		}
-		var got string
-		if res, err := Run(mustParse(t, src), Options{}); err != nil {
-			got = err.Error()
-		} else {
-			got = strings.Join(res.Failures, "\n")
-		}
-		if !strings.Contains(got, c.want) {
-			t.Errorf("a false %s assertion: run reported %q, want %q", kind, got, c.want)
+		for _, list := range []struct {
+			src  string
+			seed uint64
+		}{
+			{tiny + entry, 1},
+			{tiny + "invariants:\n" + entry, 2},
+		} {
+			var got string
+			if res, err := Run(mustParse(t, list.src), Options{Seed: list.seed}); err != nil {
+				got = err.Error()
+			} else {
+				got = strings.Join(res.Failures, "\n")
+			}
+			if !strings.Contains(got, c.want) {
+				t.Errorf("a false %s check at seed %d: run reported %q, want %q", kind, list.seed, got, c.want)
+			}
 		}
 	}
 }

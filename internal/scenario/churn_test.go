@@ -23,6 +23,7 @@ func loadCorpus(t *testing.T, name string) *Scenario {
 func variant(sc *Scenario) *Scenario {
 	v := *sc
 	v.Generators = append([]Generator(nil), sc.Generators...)
+	v.Invariants = append([]Assertion(nil), sc.Invariants...)
 	v.Assertions = append([]Assertion(nil), sc.Assertions...)
 	return &v
 }
@@ -125,7 +126,8 @@ func TestChurnPlannedMigrationAdmitsMore(t *testing.T) {
 	sc.Fleet.Machines, sc.Fleet.Capacity = 7, 3
 	sc.Generators = sc.Generators[:1] // the arrivals
 	sc.Generators[0].RatePerS = 6
-	sc.Assertions = []Assertion{{Check: "lockstep", Guest: "all", Strict: true}}
+	sc.Invariants = []Assertion{{Check: "lockstep", Guest: "all", Strict: true}}
+	sc.Assertions = nil
 	plain := mustPass(t, sc, Options{})
 	sc.Fleet.PlannedMigration = true
 	planned := mustPass(t, sc, Options{})

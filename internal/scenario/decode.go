@@ -245,13 +245,20 @@ func (d *dec) hex16(v *node, format string, args ...any) string {
 
 func (d *dec) scenario(root *node) *Scenario {
 	f := d.fields(root, "scenario",
-		"name", "description", "duration_ms", "seeds", "ci", "digests", "output_digests", "fleet", "events", "generators", "assertions")
+		"name", "description", "duration_ms", "seeds", "failing_seeds", "ci", "digests", "output_digests",
+		"fleet", "events", "generators", "invariants", "assertions")
+	seeds := f.seeds("seeds")
+	if len(seeds) == 0 {
+		seeds = []uint64{1}
+	}
 	return &Scenario{
-		Name:        f.str("name"),
-		Description: f.str("description"),
-		DurationMS:  f.int("duration_ms", 0),
-		CI:          f.bool("ci", false),
-		Seeds:       f.seeds(),
+		Name:             f.str("name"),
+		Description:      f.str("description"),
+		DurationMS:       f.int("duration_ms", 0),
+		CI:               f.bool("ci", false),
+		Seeds:            seeds,
+		FailingSeeds:     f.seeds("failing_seeds"),
+		FailingSeedsLine: f.n.keyLine["failing_seeds"],
 		Digests: bySeed(f, "digests", "digest", func(seed string, v *node) string {
 			return d.hex16(v, "digest for seed %s must be 16 hex chars", seed)
 		}),
@@ -265,22 +272,20 @@ func (d *dec) scenario(root *node) *Scenario {
 		Fleet:      d.fleet(f.need("fleet", "missing fleet section")),
 		Events:     each(f.seq("events"), d.event),
 		Generators: each(f.seq("generators"), d.generator),
+		Invariants: each(f.seq("invariants"), d.assertion),
 		Assertions: each(f.seq("assertions"), d.assertion),
 	}
 }
 
-// seeds reads the seeds a scenario runs under (default: [1]).
-func (f fields) seeds() []uint64 {
+// seeds reads a list of seeds; none when the key is absent.
+func (f fields) seeds(key string) []uint64 {
 	var out []uint64
-	for _, s := range f.strList("seeds") {
+	for _, s := range f.strList(key) {
 		u, err := strconv.ParseUint(s, 10, 64)
 		if err != nil || u == 0 {
-			f.d.errf(f.n.vals["seeds"].line, "seeds must be positive integers, got %q", s)
+			f.d.errf(f.n.vals[key].line, "%s must be positive integers, got %q", key, s)
 		}
 		out = append(out, u)
-	}
-	if len(out) == 0 {
-		return []uint64{1}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,6 +56,7 @@ name: full
 description: "quoted: description"
 duration_ms: 3000
 seeds: [1, 2]
+failing_seeds: [5, 3]
 ci: true
 digests:
   1: 0123456789abcdef
@@ -103,6 +105,10 @@ events:
     to: machine:1
     prob: 0.25
     duplex: true
+invariants:
+  - check: lockstep
+    guest: all
+    strict: true
 assertions:
   - check: stats
     field: admitted
@@ -120,6 +126,12 @@ assertions:
 	}
 	if sc.Name != "full" || !sc.CI || len(sc.Seeds) != 2 || sc.Digests[1] != "0123456789abcdef" {
 		t.Fatalf("head decoded wrong: %+v", sc)
+	}
+	if fmt.Sprint(sc.FailingSeeds) != "[5 3]" || sc.FailingSeedsLine != 6 {
+		t.Fatalf("failing_seeds decoded wrong: %v at line %d", sc.FailingSeeds, sc.FailingSeedsLine)
+	}
+	if len(sc.Invariants) != 1 || !sc.Invariants[0].Strict || len(sc.Assertions) != 3 {
+		t.Fatalf("invariants %+v and assertions %+v decoded wrong", sc.Invariants, sc.Assertions)
 	}
 	f := sc.Fleet
 	if f.Machines != 9 || f.CheckpointInstr != 2_000_000 || !f.StallDetector || !f.PlannedMigration {
@@ -184,6 +196,12 @@ func TestDecodeGoldenErrors(t *testing.T) {
 	// Non-seed output-digest key.
 	wantErr(t, head+"output_digests:\n  alpha:\n    g-0: 0123456789abcdef\n"+goodFleet,
 		`test.yaml:5: output_digests key must be a seed, got "alpha"`)
+	// A known-failing seed is a positive integer, in a list.
+	wantErr(t, head+"failing_seeds: [4, 0]\n"+goodFleet, `test.yaml:4: failing_seeds must be positive integers, got "0"`)
+	wantErr(t, head+"failing_seeds: 4\n"+goodFleet, `test.yaml:4: "failing_seeds" must be a list`)
+	// Invariants are assertions: a list, in the same vocabulary.
+	wantErr(t, head+goodFleet+"invariants: all\n", `test.yaml:13: invariants must be a list`)
+	wantErr(t, head+goodFleet+"invariants:\n  - check: vibes\n", `test.yaml:14: unknown check "vibes"`)
 }
 
 // TestDecodeNotFiredAndOutputDigests: the not_fired oplog form and the
@@ -260,12 +278,17 @@ func TestValidateGoldenErrors(t *testing.T) {
     min: 1
     within_ms: 100
 `, `test.yaml:14: oplog assertion: within_ms needs op: fail with detected: true`)
-	// Unknown stats counter.
-	wantErr(t, head+goodFleet+`assertions:
+	// Unknown stats counter, in either list.
+	for _, list := range []string{"assertions", "invariants"} {
+		wantErr(t, head+goodFleet+list+`:
   - check: stats
     field: vibes
     min: 1
 `, `test.yaml:14: stats assertion: unknown field "vibes"`)
+	}
+	// A declared seed is pinned, so it cannot also be listed as failing.
+	wantErr(t, head+"seeds: [1, 2]\nfailing_seeds: [3, 2]\n"+goodFleet,
+		`test.yaml:5: failing_seeds lists seed 2, which seeds declares: a declared seed's pins must pass`)
 	// Coresident arity.
 	wantErr(t, head+goodFleet+`assertions:
   - check: coresident

@@ -80,9 +80,9 @@ func TestImportFences(t *testing.T) {
 func TestControlPlaneAPIFence(t *testing.T) {
 	want := []string{
 		"Apply",
-		"Cluster", "Failed", "InFlight", "Log", "Outcome", "Pool", "Residents", "Stats", "Utilization", "Verify", "Watch",
+		"Cluster", "Failed", "InFlight", "Log", "Outcome", "Pool", "Stats", "Utilization", "Verify", "Watch",
 		"EnablePlannedMigration", "EnableStallDetector",
-		"InstrumentMetrics", "PlannedMigration",
+		"InstrumentMetrics",
 	}
 	slices.Sort(want)
 	typ := reflect.TypeOf((*stopwatch.ControlPlane)(nil))

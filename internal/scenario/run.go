@@ -21,7 +21,9 @@ import (
 
 // Options configures one scenario run.
 type Options struct {
-	// Seed overrides the scenario's first seed (0 = use the scenario's).
+	// Seed overrides the scenario's first seed (0 = use the scenario's). At
+	// a seed the file does not declare, its assertions are not checked: only
+	// its invariants and the runner's own audits are.
 	Seed uint64
 	// Shards overrides the fleet's shard count (0 = use the fleet's). The
 	// op-log digest is identical for every value.

@@ -81,10 +81,18 @@ func TestRunShardInvariantDigest(t *testing.T) {
 }
 
 // TestRunReportsAssertionFailures: an unmeetable assertion lands in
-// Result.Failures without erroring the run.
+// Result.Failures without erroring the run — at a declared seed. An
+// assertion is a pin of the declared seeds: elsewhere it is not checked.
 func TestRunReportsAssertionFailures(t *testing.T) {
 	sc := mustParse(t, strings.Replace(tiny, "field: evicted\n    min: 1", "field: evicted\n    min: 99", 1))
-	res, err := Run(sc, Options{})
+	res, err := Run(sc, Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed() {
+		t.Fatalf("a pin checked at an undeclared seed: %v", res.Failures)
+	}
+	res, err = Run(sc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

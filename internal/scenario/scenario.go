@@ -3,9 +3,11 @@
 // guest mix with app kinds and traffic models), a script of virtual-
 // time-stamped events (admit bursts, evictions, machine kills, drains,
 // migrations, fabric faults), seeded stochastic generators of the same
-// events (churn) and a set of end-of-run assertions (guest lockstep,
-// coresidency, op-log expectations, metric predicates, per-seed op-log
-// digest pins) beside the placement audit every run ends with.
+// events (churn) and end-of-run checks (guest lockstep, coresidency, op-log
+// expectations, metric predicates, per-seed op-log digest pins) beside the
+// placement audit every run ends with. The checks are laws (invariants,
+// held at every seed) or pins (assertions and digests, held at the seeds
+// the file declares).
 //
 // The interpreter is deliberately a pure client of the public control
 // surface: every lifecycle mutation goes through ControlPlane.Apply,
@@ -31,8 +33,12 @@ type Scenario struct {
 	// DurationMS is the simulated run length in milliseconds.
 	DurationMS int64
 	// Seeds are the master seeds the scenario is pinned/run under
-	// (default: [1]).
+	// (default: [1]): the seeds Assertions are checked at.
 	Seeds []uint64
+	// FailingSeeds are seeds known to break an invariant — open holes,
+	// written down. A sweep expects each to fail and fails when one comes out
+	// clean, so the list can only shrink. None is also in Seeds.
+	FailingSeeds []uint64
 	// CI marks the scenario for execution (not just validation) in CI.
 	CI bool
 	// Digests pins the op-log digest per seed ("%016x"); empty means
@@ -46,10 +52,15 @@ type Scenario struct {
 	Fleet      Fleet
 	Events     []Event
 	Generators []Generator
+	// Invariants are the laws, checked at every seed; Assertions are the
+	// pins, checked only at the declared Seeds. Both speak one vocabulary.
+	Invariants []Assertion
 	Assertions []Assertion
 
-	// Path is the file the scenario was parsed from (error messages).
-	Path string
+	// Path is the file the scenario was parsed from (error messages), and
+	// FailingSeedsLine failing_seeds' position in it.
+	Path             string
+	FailingSeedsLine int
 }
 
 // Fleet describes the cloud a scenario runs on.

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -169,6 +170,11 @@ func (v *validator) fleet() {
 	for _, seed := range sortedSeeds(sc.OutputDigests) {
 		for _, g := range sortedGuests(sc.OutputDigests[seed]) {
 			v.guestRef(1, g, fmt.Sprintf("output_digests seed %d", seed))
+		}
+	}
+	for _, seed := range sc.FailingSeeds {
+		if slices.Contains(sc.Seeds, seed) {
+			v.errf(sc.FailingSeedsLine, "failing_seeds lists seed %d, which seeds declares: a declared seed's pins must pass", seed)
 		}
 	}
 }
@@ -344,7 +350,7 @@ func (v *validator) generators() {
 }
 
 func (v *validator) assertions() {
-	for _, a := range v.sc.Assertions {
+	for _, a := range slices.Concat(v.sc.Invariants, v.sc.Assertions) {
 		what := a.Check + " assertion"
 		switch a.Check {
 		case "lockstep":

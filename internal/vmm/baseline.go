@@ -27,8 +27,6 @@ type BaselineRuntime struct {
 	pendingDisk []baseDiskDelivery
 	seq         uint64
 
-	netDelivered int
-
 	// OnSend forwards a guest output packet (wired by the cluster).
 	OnSend SendSink
 	// OnNetDeliver observes injected network interrupts (experiments).
@@ -97,9 +95,6 @@ func (rt *BaselineRuntime) VM() *guest.VM { return rt.vm }
 
 // Host returns the hosting machine.
 func (rt *BaselineRuntime) Host() *Host { return rt.host }
-
-// NetDelivered reports injected network interrupts.
-func (rt *BaselineRuntime) NetDelivered() int { return rt.netDelivered }
 
 // Start boots the guest and begins execution.
 func (rt *BaselineRuntime) Start() { rt.ex.start() }
@@ -190,7 +185,6 @@ func (rt *BaselineRuntime) exit(res guest.StepResult) {
 	for len(rt.pendingNet) > 0 && rt.pendingNet[0].readyReal <= now {
 		d := rt.pendingNet[0]
 		rt.pendingNet = slices.Delete(rt.pendingNet, 0, 1)
-		rt.netDelivered++
 		if rt.OnNetDeliver != nil {
 			rt.OnNetDeliver(d.seq, now)
 		}

@@ -84,9 +84,6 @@ func NewEpochCoordinator(rt *Runtime, interval int64, replicas int) (*EpochCoord
 // Adjustments reports how many epoch adjustments have been applied.
 func (ec *EpochCoordinator) Adjustments() int { return ec.adjustments }
 
-// Epoch returns the current epoch index.
-func (ec *EpochCoordinator) Epoch() int64 { return ec.epoch }
-
 // SetGroup installs the live replica group (origins, self included). Called
 // by the cluster whenever membership changes; a shrink re-evaluates the
 // barrier, so survivors waiting on a dead member's sample unwedge

@@ -184,13 +184,6 @@ func (j *Journal) CopyCheckpoint(dst *Checkpoint) bool {
 	return true
 }
 
-// Len returns the number of retained delivery records.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.recs)
-}
-
 // Stats returns the journal's telemetry snapshot.
 func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()
