@@ -365,8 +365,8 @@ func TestProbeSourceConstantAndPoisson(t *testing.T) {
 
 // TestTwoClientsOneFileServer: every transport client numbers its
 // connections and requests from 1, so two clients of one server use the same
-// ids at the same time. Both downloads complete, each with its own size —
-// over TCP, and over UDP with the NACK repair path taken on lossy links.
+// ids at the same time. Both downloads complete, each with its own size, over
+// TCP and over UDP.
 func TestTwoClientsOneFileServer(t *testing.T) {
 	for _, mode := range []FileServerMode{ModeTCP, ModeUDP} {
 		cfg := DefaultFileServerConfig()
@@ -387,10 +387,6 @@ func TestTwoClientsOneFileServer(t *testing.T) {
 				conn = cl.Connect("svc:g", nil)
 			} else {
 				conn = cl.OpenUDP("svc:g")
-				cl.NACKTimeout = 30 * sim.Millisecond
-				if err := h.net.SetLink("svc:g", cl.Addr(), netsim.LinkConfig{Latency: sim.Millisecond, LossProb: 0.15}); err != nil {
-					t.Fatal(err)
-				}
 			}
 			bytes := (i + 1) * 100 << 10
 			if err := cl.Request(conn, GetFile{Bytes: bytes}, func(r transport.Response) { got[cl.Addr()] = r.Segments }); err != nil {

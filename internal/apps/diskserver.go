@@ -83,8 +83,8 @@ func (s *diskServer) OnPacket(ctx guest.Ctx, p guest.Payload) {
 	s.srv.HandleSegment(ctx, p.Src, p.Data)
 }
 
-// OnTimer implements guest.App (TCP RTO).
-func (s *diskServer) OnTimer(ctx guest.Ctx, tag string) { s.srv.HandleTimer(ctx, tag) }
+// OnTimer implements guest.App: a server arms no timers.
+func (s *diskServer) OnTimer(ctx guest.Ctx, tag string) {}
 
 // OnDiskDone implements guest.App: when the last operation is in, respond.
 func (s *diskServer) OnDiskDone(ctx guest.Ctx, d guest.DiskDone) {

@@ -12,7 +12,6 @@ import (
 	"stopwatch/internal/netsim"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/transport"
-	"stopwatch/internal/vtime"
 )
 
 // ErrApp reports invalid app configuration.
@@ -39,8 +38,6 @@ type FileServerConfig struct {
 	Mode FileServerMode
 	// Window is the TCP window in segments (ignored for UDP).
 	Window int
-	// RTO enables TCP server retransmission (guest virtual time; 0 = off).
-	RTO vtime.Virtual
 	// DiskChunk is the bytes fetched per disk read when serving cold files
 	// (the paper's downloads were from a cold start).
 	DiskChunk int
@@ -80,7 +77,6 @@ func NewFileServer(cfg FileServerConfig) (*FileServer, error) {
 		if err != nil {
 			return nil, err
 		}
-		tcp.RTO = cfg.RTO
 		tcp.OnRequest = fs.onRequest
 		srv = tcp
 	case ModeUDP:

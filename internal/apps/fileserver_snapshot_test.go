@@ -107,42 +107,51 @@ func TestFileServerSnapshotRoundTrip(t *testing.T) {
 	sameDiskServer(t, restoredBare(t, "file", snap), &fs.diskServer, snap)
 }
 
+// TestFileServerSnapshotUDP: a UDP file server's snapshot round-trips after
+// 1 download and after 20, and is as long after 20 as after 1. Only the
+// served counter moves, and it is one byte either way: the datagram stack
+// keeps nothing per download.
 func TestFileServerSnapshotUDP(t *testing.T) {
 	cfg := DefaultFileServerConfig()
 	cfg.Mode = ModeUDP
-	fs, err := NewFileServer(cfg)
-	if err != nil {
-		t.Fatal(err)
+	var sizes []int
+	for _, downloads := range []int{1, 20} {
+		fs, err := NewFileServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := newBaselineHarness(t, fs)
+		dl := NewDownloader(h.client)
+		done := 0
+		for range downloads {
+			if err := dl.Fetch("svc:g", ModeUDP, 100<<10, func(sim.Time) { done++ }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.loop.RunUntil(30 * sim.Second); err != nil {
+			t.Fatal(err)
+		}
+		if done != downloads {
+			t.Fatalf("%d of %d UDP fetches completed", done, downloads)
+		}
+		snap := fs.SnapshotAppend(nil)
+		sizes = append(sizes, len(snap))
+		restored, err := NewFileServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.RestoreSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		if restored.Served() != uint64(downloads) {
+			t.Fatalf("served %d, want %d", restored.Served(), downloads)
+		}
+		if again := restored.SnapshotAppend(nil); !bytes.Equal(again, snap) {
+			t.Fatal("re-snapshot differs")
+		}
 	}
-	h := newBaselineHarness(t, fs)
-	dl := NewDownloader(h.client)
-	done := false
-	if err := dl.Fetch("svc:g", ModeUDP, 100<<10, func(sim.Time) { done = true }); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.loop.RunUntil(30 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("UDP fetch did not complete")
-	}
-	snap := fs.SnapshotAppend(nil)
-	restored, err := NewFileServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.RestoreSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Served() != fs.Served() {
-		t.Fatalf("served %d, want %d", restored.Served(), fs.Served())
-	}
-	// The NACK-repair memory survives the round trip.
-	if len(restored.srv.AppendState(nil)) != len(fs.srv.AppendState(nil)) {
-		t.Fatal("udp state size changed across restore")
-	}
-	if again := restored.SnapshotAppend(nil); !bytes.Equal(again, snap) {
-		t.Fatal("re-snapshot differs")
+	if sizes[0] != sizes[1] {
+		t.Fatalf("snapshot after 1 download %d bytes, after 20 %d: the server keeps state per download", sizes[0], sizes[1])
 	}
 }
 
@@ -162,17 +171,14 @@ func TestFileServerSnapshotRejectsCorrupt(t *testing.T) {
 		t.Fatal("trailing garbage accepted")
 	}
 	// served, then the pending count; served and an empty pending table,
-	// then the transport server's own count — stream and datagram.
+	// then the stream server's own count.
 	rejectsOversizedCount(t, "pending count", 1, restored.RestoreSnapshot)
 	rejectsOversizedCount(t, "tcp conn count", 2, restored.RestoreSnapshot)
-	cfg := DefaultFileServerConfig()
-	cfg.Mode = ModeUDP
-	udp, err := NewFileServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rejectsOversizedCount(t, "udp resp count", 2, udp.RestoreSnapshot)
+	// The datagram stack reads nothing, so a byte after the pending table is
+	// a trailing byte.
 	bare := newDiskServer("bare", transport.NewUDPServer(), 0)
 	rejectsOversizedCount(t, "pending count", 1, bare.RestoreSnapshot)
-	rejectsOversizedCount(t, "udp resp count", 2, bare.RestoreSnapshot)
+	if err := bare.RestoreSnapshot([]byte{0, 0, 0}); err == nil {
+		t.Fatal("a byte after a datagram server's state accepted")
+	}
 }

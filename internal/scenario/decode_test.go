@@ -313,6 +313,24 @@ func TestValidateGoldenErrors(t *testing.T) {
 	// Output-digest pin for an undeclared instance.
 	wantErr(t, head+"output_digests:\n  1:\n    ghost: 0123456789abcdef\n"+goodFleet,
 		`test.yaml:1: output_digests seed 1 references undeclared guest "ghost"`)
+	// Loss on a link to a transport client: its fetches would hang.
+	wantErr(t, head+`fleet:
+  machines: 6
+  capacity: 3
+  guests:
+    - name: web
+      count: 1
+      app:
+        kind: fileserver
+      traffic:
+        kind: downloads
+        period_ms: 100
+events:
+  - at_ms: 100
+    action: partition
+    from: guest:web
+    to: web-client
+`, `test.yaml:16: partition event: web-client is guest "web"'s downloads client, and the transport recovers no loss`)
 	// A checkpoint interval the VMM would refuse at run time.
 	wantErr(t, head+strings.Replace(goodFleet, "  capacity: 3\n", "  capacity: 3\n  checkpoint_instr: 12345\n", 1),
 		`test.yaml:7: fleet checkpoint_instr: vmm: invalid: CheckpointInstr 12345 must be a multiple of ExitEvery 250000`)

@@ -215,7 +215,7 @@ func (r *runner) build() error {
 	for i := range f.Guests {
 		switch g := &f.Guests[i]; g.Traffic.Kind {
 		case "pings", "probe-stream":
-			nodes[r.trafficFrom(g)] = true
+			nodes[g.trafficFrom()] = true
 		}
 	}
 	addrs := make([]string, 0, len(nodes))
@@ -279,8 +279,10 @@ func (r *runner) build() error {
 
 func seconds(t stopwatch.Time) float64 { return float64(t) / 1e9 }
 
-// trafficFrom resolves a spec's traffic source address.
-func (r *runner) trafficFrom(g *GuestSpec) string {
+// trafficFrom resolves a spec's traffic source address: the run attaches
+// its traffic there, and validate refuses loss on a link that ends at a
+// transport client.
+func (g *GuestSpec) trafficFrom() string {
 	if g.Traffic.From != "" {
 		return g.Traffic.From
 	}
@@ -449,7 +451,7 @@ func (r *runner) startSpecTraffic(g *GuestSpec) {
 	}
 	start, stop := r.window(g)
 	period := stopwatch.Millis(g.Traffic.PeriodMS)
-	from := stopwatch.Addr(r.trafficFrom(g))
+	from := stopwatch.Addr(g.trafficFrom())
 	loop := r.c.Loop()
 	switch g.Traffic.Kind {
 	case "pings":

@@ -256,6 +256,21 @@ func (v *validator) linkEndpoint(line int, s, what string) {
 	}
 }
 
+// lossless refuses a lossy link that ends at a downloads or nfs-load
+// client. The transport recovers no loss: a fetch or NFS operation that
+// loses a segment would wait, without an error, for the rest of the run.
+func (v *validator) lossless(line int, what string, ends ...string) {
+	for i := range v.sc.Fleet.Guests {
+		g := &v.sc.Fleet.Guests[i]
+		if k := g.Traffic.Kind; k != "downloads" && k != "nfs-load" {
+			continue
+		}
+		if from := g.trafficFrom(); slices.Contains(ends, from) {
+			v.errf(line, "%s: %s is guest %q's %s client, and the transport recovers no loss", what, from, g.Name, g.Traffic.Kind)
+		}
+	}
+}
+
 func (v *validator) events() {
 	sc := v.sc
 	var prev int64
@@ -310,6 +325,9 @@ func (v *validator) events() {
 			v.linkEndpoint(ev.Line, ev.ToAddr, what)
 			if ev.Action == "inject-loss" && (ev.Prob < 0 || ev.Prob > 1) {
 				v.errf(ev.Line, "inject-loss event: prob %v out of range [0, 1]", ev.Prob)
+			}
+			if ev.Action != "heal" {
+				v.lossless(ev.Line, what, ev.From, ev.ToAddr)
 			}
 		}
 	}

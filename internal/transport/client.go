@@ -17,16 +17,6 @@ type Client struct {
 	addr netsim.Addr
 	self *netsim.Endpoint // addr, resolved once
 
-	// DelayedAck is the delayed-ACK timer (classic 1-ACK-per-2-segments
-	// coalescing). Zero disables delayed ACKs (ACK every segment).
-	DelayedAck sim.Time
-	// NACKTimeout enables UDP NACK-based repair: if a gap persists this
-	// long, the client NACKs the first missing segment. Zero disables.
-	NACKTimeout sim.Time
-	// Retry, when positive, retransmits unanswered SYNs and REQs after this
-	// interval (client-side loss recovery).
-	Retry sim.Time
-
 	conns map[uint64]*clientConn
 
 	nextConn uint64
@@ -53,8 +43,6 @@ type clientConn struct {
 	ackTimer  sim.Handle
 	recvdHigh int // highest contiguous segment count (cumulative ack value)
 
-	synTimer sim.Handle
-
 	// Request queue: requests issued before connect completes.
 	queued []pendingReq
 }
@@ -70,9 +58,6 @@ type clientResp struct {
 	pendingReq
 	total int
 	got   map[int]bool
-	start sim.Time
-	nack  sim.Handle
-	retry sim.Handle
 }
 
 // Response reports a completed request.
@@ -89,12 +74,11 @@ func NewClient(net *netsim.Network, loop *sim.Loop, addr netsim.Addr) (*Client, 
 		return nil, fmt.Errorf("%w: client needs net, loop, addr", ErrTransport)
 	}
 	c := &Client{
-		net:        net,
-		loop:       loop,
-		addr:       addr,
-		self:       net.Endpoint(addr),
-		DelayedAck: sim.Millisecond,
-		conns:      make(map[uint64]*clientConn),
+		net:   net,
+		loop:  loop,
+		addr:  addr,
+		self:  net.Endpoint(addr),
+		conns: make(map[uint64]*clientConn),
 	}
 	if err := net.Attach(&netsim.FuncNode{Addr: addr, Fn: c.deliver}); err != nil {
 		return nil, err
@@ -122,19 +106,8 @@ func (c *Client) Connect(dst netsim.Addr, onConnect func()) uint64 {
 	c.nextConn++
 	conn := &clientConn{id: c.nextConn, dst: c.net.Endpoint(dst), mode: FlagSYN, onConnect: onConnect}
 	c.conns[conn.id] = conn
-	c.sendSYN(conn)
-	return conn.id
-}
-
-func (c *Client) sendSYN(conn *clientConn) {
 	c.send(conn.dst, CtrlSize, Segment{Conn: conn.id, Flags: FlagSYN})
-	if c.Retry > 0 {
-		conn.synTimer = c.loop.After(c.Retry, "tcp:syn-retry", func() {
-			if !conn.established {
-				c.sendSYN(conn)
-			}
-		}).Handle()
-	}
+	return conn.id
 }
 
 // OpenUDP creates a UDP-like "connection" (no handshake). Returns its id.
@@ -166,33 +139,12 @@ func (c *Client) Request(connID uint64, req any, onDone func(r Response)) error 
 
 func (c *Client) issue(conn *clientConn, p pendingReq) {
 	p.sentAt = c.loop.Now()
-	conn.resp = &clientResp{pendingReq: p, got: make(map[int]bool), start: c.loop.Now()}
-	// A REQ piggybacks the cumulative ACK (cancels any pending delayed ACK).
-	if conn.ackTimer.Pending() {
-		c.loop.CancelHandle(conn.ackTimer)
-		conn.ackTimer = sim.Handle{}
-		conn.unacked = 0
-	}
-	c.sendREQ(conn)
-}
-
-func (c *Client) sendREQ(conn *clientConn) {
-	r := conn.resp
-	if r == nil {
-		return
-	}
+	conn.resp = &clientResp{pendingReq: p, got: make(map[int]bool)}
+	// A REQ piggybacks the cumulative ACK. No delayed ACK is pending here:
+	// finish flushed the last response's before the connection went idle.
 	c.send(conn.dst, ReqSize, Segment{
-		Conn: conn.id, Flags: FlagREQ, Seq: conn.recvdHigh, RespID: r.respID, Req: r.req,
+		Conn: conn.id, Flags: FlagREQ, Seq: conn.recvdHigh, RespID: p.respID, Req: p.req,
 	})
-	if c.Retry > 0 {
-		r.retry = c.loop.After(c.Retry, "tcp:req-retry", func() {
-			r.retry = sim.Handle{}
-			// Retry only while no data for this response has arrived.
-			if conn.resp == r && len(r.got) == 0 {
-				c.sendREQ(conn)
-			}
-		}).Handle()
-	}
 }
 
 func (c *Client) deliver(pkt *netsim.Packet) {
@@ -211,8 +163,6 @@ func (c *Client) deliver(pkt *netsim.Packet) {
 			return
 		}
 		conn.established = true
-		c.loop.CancelHandle(conn.synTimer)
-		conn.synTimer = sim.Handle{}
 		c.send(conn.dst, CtrlSize, Segment{Conn: conn.id, Flags: FlagACK, Seq: 0})
 		if conn.onConnect != nil {
 			conn.onConnect()
@@ -255,8 +205,6 @@ func (c *Client) onData(conn *clientConn, seg Segment) {
 
 	if conn.mode == FlagSYN {
 		c.maybeAck(conn)
-	} else if c.NACKTimeout > 0 {
-		c.armNack(conn, r)
 	}
 
 	if len(r.got) >= r.total {
@@ -265,8 +213,6 @@ func (c *Client) onData(conn *clientConn, seg Segment) {
 }
 
 func (c *Client) finish(conn *clientConn, r *clientResp) {
-	c.loop.CancelHandle(r.nack)
-	c.loop.CancelHandle(r.retry)
 	// Flush any pending delayed ACK so the server's window closes cleanly.
 	if conn.mode == FlagSYN && conn.unacked > 0 {
 		c.ackNow(conn)
@@ -285,16 +231,20 @@ func (c *Client) finish(conn *clientConn, r *clientResp) {
 	c.drainQueue(conn)
 }
 
+// delayedAck is how long a lone segment waits for its ACK (classic
+// 1-ACK-per-2-segments coalescing).
+const delayedAck = sim.Millisecond
+
 // maybeAck implements delayed ACK: every second segment is acked
 // immediately; a lone segment is acked when the timer fires.
 func (c *Client) maybeAck(conn *clientConn) {
 	conn.unacked++
-	if conn.unacked >= 2 || c.DelayedAck == 0 {
+	if conn.unacked >= 2 {
 		c.ackNow(conn)
 		return
 	}
 	if !conn.ackTimer.Pending() {
-		conn.ackTimer = c.loop.After(c.DelayedAck, "tcp:delack", func() {
+		conn.ackTimer = c.loop.After(delayedAck, "tcp:delack", func() {
 			conn.ackTimer = sim.Handle{}
 			if conn.unacked > 0 {
 				c.ackNow(conn)
@@ -308,24 +258,4 @@ func (c *Client) ackNow(conn *clientConn) {
 	c.loop.CancelHandle(conn.ackTimer)
 	conn.ackTimer = sim.Handle{}
 	c.send(conn.dst, CtrlSize, Segment{Conn: conn.id, Flags: FlagACK, Seq: conn.recvdHigh})
-}
-
-// armNack schedules a NACK for the first missing segment if the gap
-// persists (UDP NACK-repair mode).
-func (c *Client) armNack(conn *clientConn, r *clientResp) {
-	if r.nack.Pending() {
-		return
-	}
-	r.nack = c.loop.After(c.NACKTimeout, "udp:nack", func() {
-		r.nack = sim.Handle{}
-		if conn.resp != r || len(r.got) >= r.total {
-			return
-		}
-		missing := 0
-		for r.got[missing] {
-			missing++
-		}
-		c.send(conn.dst, CtrlSize, Segment{Conn: conn.id, Flags: FlagNACK, Seq: missing})
-		c.armNack(conn, r)
-	}).Handle()
 }

@@ -1,10 +1,17 @@
-// Package transport provides the teaching-grade transports the evaluation
-// needs: a TCP-like reliable stream (three-way handshake, cumulative ACKs
-// with delayed-ACK coalescing, fixed window, server-side RTO) and a
-// UDP-like datagram blast, plus a NACK-reliable variant of the latter (the
-// paper's Sec. VII-C adaptation argument: reliability via negative
-// acknowledgments keeps packets out of the server's inbound path, which is
-// where StopWatch's cost lives).
+// Package transport provides the two transports the evaluation's guests
+// serve over: a TCP-like stream (three-way handshake, a fixed window that
+// advances on cumulative ACKs, delayed-ACK coalescing at the client) for
+// Fig 5's HTTP column and Fig 6's NFS, and a UDP-like datagram blast for
+// Fig 5's UDP column. The UDP client sends one request and nothing else, so
+// no client packet enters the server's inbound path, which is where
+// StopWatch's cost lives: the paper's Sec. VII-C point.
+//
+// Loss on the client link is not modelled, and neither side recovers a
+// lost segment: there is no retransmission timer, client retry or negative
+// acknowledgment. The client link of every experiment is lossless, and
+// StopWatch's own loss (between replicas, and on the ingress legs) is
+// repaired below the guests, by the multicast layer. A scenario that puts
+// loss on a link ending at a transport client is refused by validation.
 //
 // The server sides run inside guests (driven by guest.Ctx); the client
 // sides are fabric endpoints. The protocol is modeled at segment
@@ -21,7 +28,7 @@ const MSS = 1448
 
 // Sizes of wire artifacts (bytes), roughly Ethernet-framed.
 const (
-	CtrlSize = 66   // SYN / SYN-ACK / ACK / NACK
+	CtrlSize = 66   // SYN / SYN-ACK / ACK
 	ReqSize  = 120  // request carrying an op descriptor
 	DataSize = 1514 // full-MSS data segment
 )
@@ -36,7 +43,6 @@ const (
 	FlagACK
 	FlagREQ
 	FlagDATA
-	FlagNACK
 )
 
 func (f Flag) String() string {
@@ -51,8 +57,6 @@ func (f Flag) String() string {
 		return "REQ"
 	case FlagDATA:
 		return "DATA"
-	case FlagNACK:
-		return "NACK"
 	default:
 		return "?"
 	}
@@ -62,8 +66,8 @@ func (f Flag) String() string {
 type Segment struct {
 	Conn  uint64 // connection id (client-chosen)
 	Flags Flag
-	// DATA: index of this segment within the response; ACK: cumulative next
-	// expected index; NACK: first missing index.
+	// DATA: index of this segment within the response; ACK and REQ:
+	// cumulative next expected index.
 	Seq int
 	// DATA: total segments in the response.
 	Total int

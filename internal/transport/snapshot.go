@@ -6,8 +6,8 @@
 // Encodings are deterministic — map entries are emitted in sorted key
 // order (connKey.compare) — so identical server states serialize to
 // identical bytes on every replica. Only mutable state is captured;
-// configuration (window, RTO, callbacks, per-segment costs) is rebuilt by
-// the app factory.
+// configuration (window, callbacks, per-segment costs) is rebuilt by the app
+// factory.
 
 package transport
 
@@ -45,12 +45,6 @@ func (s *TCPServer) AppendState(buf []byte) []byte {
 		buf = binary.AppendVarint(buf, int64(r.bytes))
 		buf = binary.AppendVarint(buf, int64(r.nextSend))
 		buf = binary.AppendVarint(buf, int64(r.acked))
-		armed := byte(0)
-		if r.rtoArmed {
-			armed = 1
-		}
-		buf = append(buf, armed)
-		buf = binary.AppendVarint(buf, int64(r.rtoEpoch))
 	}
 	return buf
 }
@@ -72,8 +66,6 @@ func (s *TCPServer) RestoreState(data []byte) ([]byte, error) {
 				bytes:    int(r.Varint("tcp resp bytes")),
 				nextSend: int(r.Varint("tcp resp nextSend")),
 				acked:    int(r.Varint("tcp resp acked")),
-				rtoArmed: r.Flag("tcp resp rtoArmed"),
-				rtoEpoch: int(r.Varint("tcp resp rtoEpoch")),
 			}
 		}
 		conns[connKey{c.peer, id}] = c
@@ -85,40 +77,8 @@ func (s *TCPServer) RestoreState(data []byte) ([]byte, error) {
 	return r.Rest(), nil
 }
 
-// AppendState serializes the datagram server's NACK-repair memory onto
-// buf.
-func (s *UDPServer) AppendState(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s.sent)))
-	for _, k := range slices.SortedFunc(maps.Keys(s.sent), connKey.compare) {
-		r := s.sent[k]
-		buf = binary.AppendUvarint(buf, k.id)
-		buf = appendAddr(buf, r.peer)
-		buf = binary.AppendUvarint(buf, r.id)
-		buf = binary.AppendVarint(buf, int64(r.total))
-		buf = binary.AppendVarint(buf, int64(r.bytes))
-	}
-	return buf
-}
+// AppendState implements Server: a datagram stack has no state to write.
+func (s *UDPServer) AppendState(buf []byte) []byte { return buf }
 
-// RestoreState rebuilds the datagram server's state from the prefix of
-// data written by AppendState, returning the unconsumed remainder.
-func (s *UDPServer) RestoreState(data []byte) ([]byte, error) {
-	r := guest.NewSnapshotReader(data, ErrTransport, "snapshot")
-	n := r.Count("udp resp count")
-	sent := make(map[connKey]*udpResp, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		id := r.Uvarint("udp conn id")
-		resp := &udpResp{
-			peer:  netsim.Addr(r.Text("udp peer")),
-			id:    r.Uvarint("udp resp id"),
-			total: int(r.Varint("udp resp total")),
-			bytes: int(r.Varint("udp resp bytes")),
-		}
-		sent[connKey{resp.peer, id}] = resp
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	s.sent = sent
-	return r.Rest(), nil
-}
+// RestoreState implements Server: it consumes nothing.
+func (s *UDPServer) RestoreState(data []byte) ([]byte, error) { return data, nil }

@@ -8,7 +8,6 @@ import (
 	"stopwatch/internal/netsim"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/vmm"
-	"stopwatch/internal/vtime"
 )
 
 // getReq is the test request descriptor.
@@ -21,13 +20,12 @@ type tcpFileApp struct {
 	srv *TCPServer
 }
 
-func newTCPFileApp(t *testing.T, window int, rto vtime.Virtual) *tcpFileApp {
+func newTCPFileApp(t *testing.T, window int) *tcpFileApp {
 	t.Helper()
 	srv, err := NewTCPServer(window)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.RTO = rto
 	a := &tcpFileApp{srv: srv}
 	srv.OnRequest = func(ctx guest.Ctx, src netsim.Addr, conn, respID uint64, req any) {
 		g, ok := req.(getReq)
@@ -47,9 +45,7 @@ func (a *tcpFileApp) OnPacket(ctx guest.Ctx, p guest.Payload) {
 	a.srv.HandleSegment(ctx, p.Src, p.Data)
 }
 func (a *tcpFileApp) OnDiskDone(ctx guest.Ctx, d guest.DiskDone) {}
-func (a *tcpFileApp) OnTimer(ctx guest.Ctx, tag string) {
-	a.srv.HandleTimer(ctx, tag)
-}
+func (a *tcpFileApp) OnTimer(ctx guest.Ctx, tag string)          {}
 
 // udpFileApp serves blobs over UDPServer.
 type udpFileApp struct {
@@ -120,7 +116,7 @@ func TestSegCountAndSize(t *testing.T) {
 }
 
 func TestTCPDownloadCompletes(t *testing.T) {
-	h := newHarness(t, newTCPFileApp(t, 16, 0), netsim.LinkConfig{Latency: 2 * sim.Millisecond})
+	h := newHarness(t, newTCPFileApp(t, 16), netsim.LinkConfig{Latency: 2 * sim.Millisecond})
 	var done []Response
 	conn := h.client.Connect("svc:g", nil)
 	if err := h.client.Request(conn, getReq{Bytes: 100 << 10}, func(r Response) { done = append(done, r) }); err != nil {
@@ -142,7 +138,7 @@ func TestTCPDownloadCompletes(t *testing.T) {
 }
 
 func TestTCPDelayedAckCoalesces(t *testing.T) {
-	h := newHarness(t, newTCPFileApp(t, 16, 0), netsim.LinkConfig{Latency: 2 * sim.Millisecond})
+	h := newHarness(t, newTCPFileApp(t, 16), netsim.LinkConfig{Latency: 2 * sim.Millisecond})
 	var finished bool
 	conn := h.client.Connect("svc:g", nil)
 	if err := h.client.Request(conn, getReq{Bytes: 1 << 20}, func(Response) { finished = true }); err != nil {
@@ -167,7 +163,7 @@ func TestTCPDelayedAckCoalesces(t *testing.T) {
 }
 
 func TestTCPSequentialRequestsOneConnection(t *testing.T) {
-	h := newHarness(t, newTCPFileApp(t, 16, 0), netsim.LinkConfig{Latency: sim.Millisecond})
+	h := newHarness(t, newTCPFileApp(t, 16), netsim.LinkConfig{Latency: sim.Millisecond})
 	var done []Response
 	conn := h.client.Connect("svc:g", nil)
 	for i := 0; i < 5; i++ {
@@ -184,7 +180,7 @@ func TestTCPSequentialRequestsOneConnection(t *testing.T) {
 }
 
 func TestTCPRequestBeforeConnectQueues(t *testing.T) {
-	h := newHarness(t, newTCPFileApp(t, 16, 0), netsim.LinkConfig{Latency: sim.Millisecond})
+	h := newHarness(t, newTCPFileApp(t, 16), netsim.LinkConfig{Latency: sim.Millisecond})
 	var got bool
 	conn := h.client.Connect("svc:g", nil)
 	// Issue immediately — handshake not yet complete.
@@ -196,24 +192,6 @@ func TestTCPRequestBeforeConnectQueues(t *testing.T) {
 	}
 	if !got {
 		t.Fatal("queued request never completed")
-	}
-}
-
-func TestTCPRecoversFromLossViaRTO(t *testing.T) {
-	// 10% loss both ways; server RTO drives retransmission.
-	h := newHarness(t, newTCPFileApp(t, 8, vtime.Virtual(60*sim.Millisecond)),
-		netsim.LinkConfig{Latency: 2 * sim.Millisecond, LossProb: 0.10})
-	h.client.Retry = 500 * sim.Millisecond
-	var done bool
-	conn := h.client.Connect("svc:g", nil)
-	if err := h.client.Request(conn, getReq{Bytes: 64 << 10}, func(Response) { done = true }); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.loop.RunUntil(120 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("download never completed despite RTO retransmissions")
 	}
 }
 
@@ -241,28 +219,6 @@ func TestUDPDownload(t *testing.T) {
 	}
 }
 
-func TestUDPNackRepairUnderLoss(t *testing.T) {
-	app := &udpFileApp{srv: NewUDPServer()}
-	app.srv.OnRequest = func(ctx guest.Ctx, src netsim.Addr, conn, respID uint64, req any) {
-		g := req.(getReq)
-		app.srv.Respond(ctx, src, conn, respID, g.Bytes)
-	}
-	h := newHarness(t, app, netsim.LinkConfig{Latency: 2 * sim.Millisecond, LossProb: 0.15})
-	h.client.NACKTimeout = 30 * sim.Millisecond
-	h.client.Retry = 500 * sim.Millisecond
-	var done bool
-	conn := h.client.OpenUDP("svc:g")
-	if err := h.client.Request(conn, getReq{Bytes: 64 << 10}, func(Response) { done = true }); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.loop.RunUntil(60 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("NACK repair never completed the download")
-	}
-}
-
 func TestClientValidation(t *testing.T) {
 	loop := sim.NewLoop()
 	net, err := netsim.New(loop, sim.NewSource(1).Stream("n"), netsim.LinkConfig{})
@@ -287,23 +243,5 @@ func TestClientValidation(t *testing.T) {
 func TestServerValidation(t *testing.T) {
 	if _, err := NewTCPServer(0); !errors.Is(err, ErrTransport) {
 		t.Fatal("window 0 should fail")
-	}
-}
-
-// TestRTOTagNamesThePeer: an RTO tag is a connection id, an epoch and the
-// peer that chose the id — last, because it may hold colons and spaces.
-func TestRTOTagNamesThePeer(t *testing.T) {
-	srv, err := NewTCPServer(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tag := rtoTag(connKey{"my laptop:2", 7}, 3)
-	if tag != "tcp-rto:7:3:my laptop:2" || !srv.HandleTimer(nil, tag) {
-		t.Fatalf("tag %q not recognised", tag)
-	}
-	for _, foreign := range []string{"tcp-rto:7:3", "tcp-rto:x:3:peer", "file:7:3:peer", ""} {
-		if srv.HandleTimer(nil, foreign) {
-			t.Errorf("tag %q taken for an RTO of this stack", foreign)
-		}
 	}
 }
