@@ -139,6 +139,46 @@ func TestOnlineAdmissionBootsIntoRunningCluster(t *testing.T) {
 	}
 }
 
+// TestReplicaTrafficStaysOnItsShard admits a full fleet of sinkless beacons,
+// so the only fabric traffic is between the replicas of one guest (pacing
+// beacons), and holds the share of sends that cross a shard to a few
+// percent. The pool puts a triangle on neighbouring machines and the
+// cluster maps neighbouring machines to one shard, which gives 2.0 % at
+// K = 2 and 5.4 % at K = 4; machine i on shard i mod K gave 68 % and 91 %.
+func TestReplicaTrafficStaysOnItsShard(t *testing.T) {
+	for _, tc := range []struct {
+		shards   int
+		maxShare float64
+	}{{2, 0.05}, {4, 0.10}} {
+		cfg := core.DefaultClusterConfig()
+		cfg.Hosts, cfg.Shards = 200, tc.shards
+		c, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := New(c, DefaultConfig(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < cfg.Hosts; i++ {
+			factory := func() guest.App { return apps.NewBeaconApp(vtime.Virtual(5 * sim.Millisecond)) }
+			if err := cp.Apply(AdmitOp{GuestID: fmt.Sprintf("g%d", i), Factory: factory}).Err; err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Start()
+		if err := c.Run(100 * sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		st := c.Net().Stats()
+		cross, sends := c.Net().CrossShard(), st.Delivered+st.Lost
+		if share := float64(cross) / float64(sends); sends == 0 || share > tc.maxShare {
+			t.Errorf("K=%d: %d of %d sends crossed a shard (%.1f %%), want at most %.0f %%",
+				tc.shards, cross, sends, 100*share, 100*tc.maxShare)
+		}
+	}
+}
+
 func TestReplaceReplicaProtocol(t *testing.T) {
 	cp := newTestPlane(t, 7, 3, 7)
 	c := cp.Cluster()

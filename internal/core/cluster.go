@@ -61,7 +61,8 @@ type ClusterConfig struct {
 	// Hosts is the number of machines.
 	Hosts int
 	// Shards is the number of fabric shards (simulation loops) the machines
-	// are partitioned across (host i → shard i%Shards). 0 means 1. The
+	// are partitioned across, in contiguous blocks (host i → shard
+	// i*Shards/Hosts, so neighbouring machines share a shard). 0 means 1. The
 	// simulation schedule — and therefore every digest — is identical for
 	// every shard count; Shards only chooses how many cores may execute it.
 	Shards int
@@ -369,7 +370,7 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 		if len(cfg.HostOffset) > 0 {
 			offset = cfg.HostOffset[i%len(cfg.HostOffset)]
 		}
-		hostLoop := shardLoops[i%cfg.Shards]
+		hostLoop := shardLoops[c.shardOf(i)]
 		h, err := vmm.NewHost(name, hostLoop, src.Stream("host:"+name), sim.NewClock(offset, drift), cfg.VMM)
 		if err != nil {
 			return nil, err
@@ -382,7 +383,7 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 			addr:      netsim.Addr("dom0:" + name),
 			residents: make(map[string]*replicaWiring),
 		}
-		if err := net.AssignShard(hn.addr, i%cfg.Shards); err != nil {
+		if err := net.AssignShard(hn.addr, c.shardOf(i)); err != nil {
 			return nil, err
 		}
 		hn.ep = net.Endpoint(hn.addr)
@@ -439,6 +440,13 @@ func (c *Cluster) Coordinator() *sim.Coordinator { return c.coord }
 
 // Shards returns the fabric shard count.
 func (c *Cluster) Shards() int { return len(c.shardLoops) }
+
+// shardOf is machine i's fabric shard: the machines split into K contiguous
+// blocks. The pool picks the least-loaded machines, lowest index first, so
+// a guest's replicas sit on neighbouring machines and their pairwise
+// traffic (pacing beacons, proposals) stays on one shard instead of
+// crossing a barrier.
+func (c *Cluster) shardOf(i int) int { return i * len(c.shardLoops) / c.cfg.Hosts }
 
 // Net exposes the fabric.
 func (c *Cluster) Net() *netsim.Network { return c.net }
@@ -515,7 +523,7 @@ func (c *Cluster) deployBaseline(id string, hostIdx []int, factory func() guest.
 	svc := gateway.ServiceAddr(id)
 	// The baseline guest's service endpoint feeds its runtime directly, so
 	// it must live on the runtime's host shard.
-	if err := c.net.AssignShard(svc, hostIdx[0]%len(c.shardLoops)); err != nil {
+	if err := c.net.AssignShard(svc, c.shardOf(hostIdx[0])); err != nil {
 		return nil, err
 	}
 	svcEP := c.net.Endpoint(svc)
@@ -612,7 +620,7 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 		return err
 	}
 	if c.propLatency != nil {
-		h := c.propLatency.Shard(hostIdx % len(c.shardLoops))
+		h := c.propLatency.Shard(c.shardOf(hostIdx))
 		nd.LatencyHist = &h
 	}
 	w := &replicaWiring{
@@ -642,7 +650,7 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 	// The proposal stream's sender state (NAK consumption) and source
 	// address live on the replica's host shard. It sends no SPMs: PaceReport
 	// advertises the stream to the same group every PaceInterval.
-	if err := c.net.AssignShard(w.propSrc, hostIdx%len(c.shardLoops)); err != nil {
+	if err := c.net.AssignShard(w.propSrc, c.shardOf(hostIdx)); err != nil {
 		return err
 	}
 	psnd, err := multicast.NewSender(c.net, c.hosts[hostIdx].Loop(), multicast.SenderConfig{

@@ -61,7 +61,7 @@ func (c *Cluster) armStallDetector(id string, w *replicaWiring) {
 		return
 	}
 	w.nd.ProposalDeadline = c.stallDeadline
-	k := w.hostIdx % len(c.shardLoops)
+	k := c.shardOf(w.hostIdx)
 	host := c.hosts[w.hostIdx]
 	w.nd.OnStall = func(seq uint64) {
 		c.stallQ[k] = append(c.stallQ[k], stallRec{when: host.Loop().Now(), id: id, w: w, seq: seq})

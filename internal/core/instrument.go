@@ -59,7 +59,7 @@ func (c *Cluster) InstrumentMetrics(reg *metrics.Registry) {
 	for _, g := range c.guests {
 		for _, w := range g.replicas {
 			if w != nil && w.nd != nil {
-				h := c.propLatency.Shard(w.hostIdx % len(c.shardLoops))
+				h := c.propLatency.Shard(c.shardOf(w.hostIdx))
 				w.nd.LatencyHist = &h
 			}
 		}

@@ -255,6 +255,9 @@ type netShard struct {
 	idBase    uint64
 	delivered uint64
 	lost      uint64
+	// crossed counts sends parked in outs: a function of the partition,
+	// so it stays out of Stats and out of the metrics registry.
+	crossed uint64
 
 	mDelivered metrics.ShardCounterVec
 	mDropped   metrics.ShardCounterVec
@@ -626,6 +629,7 @@ func (n *Network) SendAfter(pkt *Packet, d sim.Time) {
 		sh.loop.AtArrivalTimer(arrival, label, deliverTimer, n, pkt, uint64(ks), l.hash, l.arrSeq)
 		return
 	}
+	sh.crossed++
 	sh.outs[l.dstShard] = append(sh.outs[l.dstShard], inject{
 		when: arrival, k1: l.hash, k2: l.arrSeq, pkt: pkt, label: label,
 	})
@@ -702,6 +706,18 @@ func (n *Network) Stats() Stats {
 		s.Lost += sh.lost
 	}
 	return s
+}
+
+// CrossShard returns the sends that crossed a shard (parked in an outbox
+// for the next barrier), summed across shards. Unlike Stats it depends on
+// the partition: it is what a machine → shard map is judged by. Barrier
+// context only while a coordinator is driving the shards.
+func (n *Network) CrossShard() uint64 {
+	var c uint64
+	for _, sh := range n.shards {
+		c += sh.crossed
+	}
+	return c
 }
 
 // peekLink returns the pair's link without creating it (nil if absent).

@@ -8,13 +8,22 @@ import (
 	"stopwatch/internal/sim"
 )
 
-// runShardedEcho drives a fixed ping/echo pattern over `nodes` FuncNodes
-// pinned round-robin onto K shard loops under a conservative-lookahead
+// echoNodes is runShardedEcho's node count.
+const echoNodes = 6
+
+// roundRobin and blocks are two node → shard maps for K shards: node i on
+// shard i mod K, or the nodes in K contiguous blocks (the cluster's map).
+func roundRobin(k int) func(int) int { return func(i int) int { return i % k } }
+func blocks(k int) func(int) int     { return func(i int) int { return i * k / echoNodes } }
+
+// runShardedEcho drives a fixed ping/echo pattern over echoNodes FuncNodes
+// pinned onto K shard loops by shardOf under a conservative-lookahead
 // coordinator, with every packet drawn from the fabric's pools (so
 // cross-shard pool handoff and recycled-event poisoning are exercised),
 // and returns each node's delivery trace. The traces must be identical
-// for every K and for sequential vs parallel window execution.
-func runShardedEcho(t *testing.T, shards int, parallel bool) [][]string {
+// for every K, every node → shard map and sequential vs parallel window
+// execution.
+func runShardedEcho(t *testing.T, shards int, shardOf func(int) int, parallel bool) [][]string {
 	t.Helper()
 	ctrl := sim.NewLoop()
 	rng := sim.NewSource(7).Stream("net")
@@ -29,13 +38,12 @@ func runShardedEcho(t *testing.T, shards int, parallel bool) [][]string {
 	if err := n.SetShards(loops); err != nil {
 		t.Fatal(err)
 	}
-	const nodes = 6
-	traces := make([][]string, nodes)
-	for i := 0; i < nodes; i++ {
+	traces := make([][]string, echoNodes)
+	for i := 0; i < echoNodes; i++ {
 		i := i
 		addr := Addr(fmt.Sprintf("n%d", i))
 		node := &FuncNode{Addr: addr, Fn: func(p *Packet) {
-			traces[i] = append(traces[i], fmt.Sprintf("%d:%s->%s/%s", loops[i%shards].Now(), p.Src, p.Dst, p.Kind))
+			traces[i] = append(traces[i], fmt.Sprintf("%d:%s->%s/%s", loops[shardOf(i)].Now(), p.Src, p.Dst, p.Kind))
 			// Echo pings back — the reply is pool-owned and usually
 			// crosses a shard boundary.
 			if p.Kind == "ping" {
@@ -45,16 +53,16 @@ func runShardedEcho(t *testing.T, shards int, parallel bool) [][]string {
 		if err := n.Attach(node); err != nil {
 			t.Fatal(err)
 		}
-		if err := n.AssignShard(addr, i%shards); err != nil {
+		if err := n.AssignShard(addr, shardOf(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Every node pings its two clockwise neighbours every 3ms, staggered
 	// by node index so distinct links produce co-timed arrivals.
-	for i := 0; i < nodes; i++ {
+	for i := 0; i < echoNodes; i++ {
 		i := i
 		src := Addr(fmt.Sprintf("n%d", i))
-		l := loops[i%shards]
+		l := loops[shardOf(i)]
 		var pump func(k int)
 		pump = func(k int) {
 			if k == 0 {
@@ -62,7 +70,7 @@ func runShardedEcho(t *testing.T, shards int, parallel bool) [][]string {
 			}
 			l.AfterTimer(3*sim.Millisecond+sim.Time(i)*sim.Microsecond, "pump", func(_, _ any, _ uint64) {
 				for _, d := range []int{1, 2} {
-					dst := Addr(fmt.Sprintf("n%d", (i+d)%nodes))
+					dst := Addr(fmt.Sprintf("n%d", (i+d)%echoNodes))
 					n.Send(n.AllocPacket(src, dst, 128, "ping", nil))
 				}
 				pump(k - 1)
@@ -88,10 +96,10 @@ func runShardedEcho(t *testing.T, shards int, parallel bool) [][]string {
 
 // TestShardedFabricPartitionInvariance pins the fabric's core guarantee:
 // the shard partition is unobservable. Per-node delivery traces (time,
-// endpoints, kind) are byte-identical for K=1, K=2 and K=3, sequential
-// and parallel.
+// endpoints, kind) are byte-identical for K=1, K=2 and K=3, round-robin and
+// in contiguous blocks, sequential and parallel.
 func TestShardedFabricPartitionInvariance(t *testing.T) {
-	base := runShardedEcho(t, 1, false)
+	base := runShardedEcho(t, 1, roundRobin(1), false)
 	total := 0
 	for _, tr := range base {
 		total += len(tr)
@@ -99,14 +107,18 @@ func TestShardedFabricPartitionInvariance(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no deliveries")
 	}
-	for _, tc := range []struct {
-		k        int
-		parallel bool
-	}{{2, false}, {2, true}, {3, false}, {3, true}} {
-		got := runShardedEcho(t, tc.k, tc.parallel)
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("K=%d parallel=%v: per-node delivery traces diverged from K=1\ngot  %v\nwant %v",
-				tc.k, tc.parallel, got, base)
+	for _, k := range []int{2, 3} {
+		for _, m := range []struct {
+			name    string
+			shardOf func(int) int
+		}{{"round-robin", roundRobin(k)}, {"blocks", blocks(k)}} {
+			for _, parallel := range []bool{false, true} {
+				got := runShardedEcho(t, k, m.shardOf, parallel)
+				if !reflect.DeepEqual(got, base) {
+					t.Errorf("K=%d %s parallel=%v: per-node delivery traces diverged from K=1\ngot  %v\nwant %v",
+						k, m.name, parallel, got, base)
+				}
+			}
 		}
 	}
 }
@@ -139,6 +151,9 @@ func TestCrossShardSendParksUntilExchange(t *testing.T) {
 	n.Send(&Packet{Src: "a", Dst: "b", Size: 10, Kind: "x"})
 	if got := n.PendingExchange(); got != 1 {
 		t.Fatalf("PendingExchange = %d, want 1 (cross-shard send must park)", got)
+	}
+	if got := n.CrossShard(); got != 1 {
+		t.Fatalf("CrossShard = %d, want 1", got)
 	}
 	if loops[1].HasPendingEvents() {
 		t.Fatal("cross-shard send reached the destination loop before Exchange")
