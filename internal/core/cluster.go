@@ -217,7 +217,7 @@ type replicaWiring struct {
 	propEP   *netsim.Endpoint // propSrc, resolved at wiring time
 	psnd     *multicast.Sender
 	// peers are the live peer Dom0s: psnd's group, whose resolved form
-	// (psnd.Endpoints) the pacing and epoch fan-outs send to as well.
+	// (psnd.Endpoints) the pacing fan-out sends to as well.
 	peers []netsim.Addr
 	// peerProps[i] is the proposal stream of the peer replica behind
 	// psnd.Endpoints()[i]: what a beacon from that Dom0 advertises.
@@ -241,14 +241,19 @@ func (w *replicaWiring) SendProposal(view, seq uint64, v vtime.Virtual) {
 // PaceReport implements vmm.PaceSink: unicast progress beacons to the peer
 // Dom0s (periodic, loss-tolerant) — exactly the proposal stream's group, so
 // the beacon is also that stream's heartbeat: it carries the high-water
-// mark an SPM would, and psnd runs no timer. The beacon rides in the typed
-// packet body — nothing is boxed per tick.
-func (w *replicaWiring) PaceReport(v vtime.Virtual) {
-	net, sent := w.c.net, w.psnd.NextSeq()-1
+// mark an SPM would, and psnd runs no timer. Under epochs it also carries
+// the replica's latest epoch sample, which the next beacon repeats if this
+// one is lost. The beacon rides in the typed packet body — nothing is boxed
+// per tick.
+func (w *replicaWiring) PaceReport(v vtime.Virtual, epoch int64, s vtime.EpochSample) {
+	net, sent, size := w.c.net, w.psnd.NextSeq()-1, 48
+	if epoch >= 0 {
+		size += 24 // the sample's epoch index, D and R
+	}
 	for _, dst := range w.psnd.Endpoints() {
-		p := net.AllocTo(w.hn.ep, dst, 48, "swpace", nil)
+		p := net.AllocTo(w.hn.ep, dst, size, "swpace", nil)
 		p.Body.Kind, p.Body.GuestID, p.Body.Origin, p.Body.Virt = netsim.BodyPace, w.gid, w.hostName, v
-		p.Body.StreamSeq = sent
+		p.Body.StreamSeq, p.Body.Epoch, p.Body.Sample = sent, epoch+1, s
 		net.Send(p)
 	}
 }
@@ -684,16 +689,10 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 	}
 	// Optional Sec. IV-A epoch re-synchronization.
 	if c.cfg.VMM.EpochInstr > 0 {
-		ec, err := vmm.NewEpochCoordinator(rt, c.cfg.VMM.EpochInstr, c.cfg.Replicas)
+		// Samples ride PaceReport's beacons.
+		ec, err := vmm.NewEpochCoordinator(rt, c.cfg.VMM.EpochInstr)
 		if err != nil {
 			return err
-		}
-		ec.SendSample = func(epoch int64, s vtime.EpochSample) {
-			for _, dst := range w.psnd.Endpoints() {
-				p := c.net.AllocTo(hn.ep, dst, 56, "swepoch", nil)
-				p.Body = netsim.PacketBody{Kind: netsim.BodyEpoch, GuestID: id, Origin: w.hostName, Epoch: epoch, Sample: s}
-				c.net.Send(p)
-			}
 		}
 		// Journal each applied adjustment's star so replacement replay
 		// re-fits the slope at the same boundaries (first write wins).
@@ -844,29 +843,29 @@ func (hn *hostNode) deliver(p *netsim.Packet) {
 	if hn.host.Failed() {
 		return // a dead machine's fabric endpoint is silent
 	}
-	if hn.mrx.Handle(p) {
+	if hn.mrx.Handle(p) || p.Kind != "swpace" {
 		return
 	}
-	switch p.Kind {
-	case "swpace":
-		if w, ok := hn.residents[p.Body.GuestID]; ok {
-			w.rt.OnPeerVirt(p.Body.Origin, p.Body.Virt)
-			// From a current peer, the beacon also advertises its proposal
-			// stream (a departed guest or peer is never reached here). Every
-			// one counts as hearing the source, as every SPM does.
-			if src := hn.c.net.SourceOf(p); p.Body.StreamSeq > 0 {
-				for i, dom0 := range w.psnd.Endpoints() {
-					if dom0 == src {
-						hn.mrx.Advertise(w.peerProps[i], p.Body.StreamSeq)
-						break
-					}
-				}
+	w, ok := hn.residents[p.Body.GuestID]
+	if !ok {
+		return
+	}
+	w.rt.OnPeerVirt(p.Body.Origin, p.Body.Virt)
+	// From a current peer, the beacon also advertises its proposal stream (a
+	// departed guest or peer is never reached here). Every one counts as
+	// hearing the source, as every SPM does.
+	if src := hn.c.net.SourceOf(p); p.Body.StreamSeq > 0 {
+		for i, dom0 := range w.psnd.Endpoints() {
+			if dom0 == src {
+				hn.mrx.Advertise(w.peerProps[i], p.Body.StreamSeq)
+				break
 			}
 		}
-	case "swepoch":
-		if w, ok := hn.residents[p.Body.GuestID]; ok && w.ec != nil {
-			w.ec.OnPeerSample(p.Body.Origin, p.Body.Epoch, p.Body.Sample)
-		}
+	}
+	// Under epochs it carries the peer's latest sample as Epoch = index + 1;
+	// a beacon with none (Epoch 0) reads as stale.
+	if w.ec != nil {
+		w.ec.OnPeerSample(p.Body.Origin, p.Body.Epoch-1, p.Body.Sample)
 	}
 }
 

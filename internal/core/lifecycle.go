@@ -191,7 +191,8 @@ func (c *Cluster) ReplaceReplica(id string, deadHost, newHost int) error {
 	// Under epoch re-sync the replacement's coordinator resumes at the
 	// restored clock's epoch, adopting the most advanced survivor's pending
 	// samples — and, when replay stopped exactly at a barrier the survivors
-	// are still holding, sampling and joining it before the runtime starts.
+	// are still holding, sampling and joining it before the runtime starts
+	// (the sample leaves on its first beacon).
 	if fresh.ec != nil {
 		fresh.ec.RestoreAt(donor.ec)
 	}

@@ -11,10 +11,9 @@ const (
 	BodyNone BodyKind = iota
 	// BodyProp is a VMM delivery-time proposal (Sec. IV-B).
 	BodyProp
-	// BodyPace is a Dom0 pacing beacon.
+	// BodyPace is a Dom0 pacing beacon, which also carries the sender's
+	// latest Sec. IV-A epoch sample.
 	BodyPace
-	// BodyEpoch is a Sec. IV-A epoch re-synchronization sample.
-	BodyEpoch
 	// BodyEgress is a guest output tunnelled to the egress node (Sec. VI).
 	BodyEgress
 	// BodyInbound is an ingress-replicated client packet (Sec. V).
@@ -42,7 +41,8 @@ type PacketBody struct {
 	StreamSeq  uint64
 	StreamKind string
 
-	// Proposal / pacing / epoch fields.
+	// Proposal / pacing fields. A beacon's epoch sample rides as Epoch = the
+	// sampled epoch's index + 1 and Sample; Epoch 0 means it carries none.
 	GuestID string
 	Origin  string // origin host (proposals, beacons) or replica (egress)
 	View    uint64

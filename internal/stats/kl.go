@@ -47,22 +47,6 @@ func KLDivergence(q, p func(float64) float64, lo, hi float64, n int) (float64, e
 	return acc, nil
 }
 
-// KLDivergenceFromCDFs derives densities by central differences from CDFs
-// and integrates KL(Q‖P).
-func KLDivergenceFromCDFs(qc, pc func(float64) float64, lo, hi float64, n int) (float64, error) {
-	h := (hi - lo) / float64(n) / 4
-	deriv := func(f func(float64) float64) func(float64) float64 {
-		return func(x float64) float64 {
-			d := (f(x+h) - f(x-h)) / (2 * h)
-			if d < 0 {
-				return 0
-			}
-			return d
-		}
-	}
-	return KLDivergence(deriv(qc), deriv(pc), lo, hi, n)
-}
-
 // ObservationsToDetectLRT returns the LRT-based sample-size estimate at the
 // given confidence for KL divergence kl.
 func ObservationsToDetectLRT(kl, confidence float64) (float64, error) {

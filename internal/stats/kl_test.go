@@ -62,17 +62,6 @@ func TestKLDivergenceBadParams(t *testing.T) {
 	}
 }
 
-func TestKLDivergenceFromCDFs(t *testing.T) {
-	got, err := KLDivergenceFromCDFs(Exponential{Rate: 0.5}.CDF, Exponential{Rate: 1}.CDF, 0, 120, 60000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Log(0.5) + 2 - 1
-	if math.Abs(got-want) > 1e-3 {
-		t.Fatalf("KL from CDFs = %v, want %v", got, want)
-	}
-}
-
 func TestObservationsToDetectLRT(t *testing.T) {
 	n, err := ObservationsToDetectLRT(0.30685, 0.95)
 	if err != nil {

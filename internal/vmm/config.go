@@ -76,7 +76,9 @@ type Config struct {
 
 	// EpochInstr, when positive, enables the optional coarse
 	// re-synchronization of virtual and real time every EpochInstr branches
-	// (Sec. IV-A).
+	// (Sec. IV-A): each boundary is a barrier over the live replica group,
+	// whose (D, R) samples ride the pacing beacons (EpochCoordinator). Must
+	// be a multiple of ExitEvery.
 	EpochInstr int64
 
 	// CheckpointInstr, when positive, makes each replica whose app supports

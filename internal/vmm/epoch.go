@@ -2,7 +2,7 @@ package vmm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"stopwatch/internal/sim"
 	"stopwatch/internal/vtime"
@@ -20,8 +20,16 @@ import (
 // barrier: a replica reaching it pauses (in real time — virtual time is
 // unaffected) until every group member's sample for that epoch has arrived.
 //
+// A sample rides the pacing beacon (PaceSink): the boundary exit sends one
+// beacon at once, and every later beacon repeats the sample until the next
+// boundary, so a lost sample is repaired one PaceInterval later. A peer
+// stops repeating its epoch-k sample only at boundary k+1, which it reaches
+// after adjusting epoch k (with this replica's sample, so after this replica
+// reached boundary k) and running a whole epoch more: a replica waiting at a
+// barrier hears each peer's sample repeated for at least an epoch.
+//
 // Samples are keyed by origin (the sampling replica's host name), and the
-// barrier completes against the current replica group — the same
+// barrier completes against the installed replica group — the same
 // origin-keyed, group-scoped discipline the proposal path uses. That makes
 // the sample set immune to duplicate deliveries, lets the cluster shrink
 // the group when a member dies (SetGroup unwedges survivors waiting on a
@@ -33,18 +41,19 @@ import (
 type EpochCoordinator struct {
 	rt       *Runtime
 	interval int64  // instructions per epoch
-	replicas int    // fallback barrier width until SetGroup
 	self     string // this replica's origin key (host name)
 
 	epoch      int64 // current epoch index (0-based)
 	epochStart sim.Time
-	samples    map[int64]map[string]vtime.EpochSample // epoch → origin → sample
-	group      []string                               // live origins; empty until SetGroup
+	samples    []originSample // pending samples, this epoch and the next
+	group      []string       // live origins; the barrier never completes before SetGroup
 	waiting    bool
 
-	// SendSample broadcasts this replica's sample for an epoch (wired by
-	// the cluster to the peer coordinators; the fabric carries the origin).
-	SendSample func(epoch int64, s vtime.EpochSample)
+	// sampled is the epoch of this replica's latest sample (-1: none yet)
+	// and mine the sample: what every pacing beacon carries.
+	sampled int64
+	mine    vtime.EpochSample
+
 	// OnAdjust, when set, observes each applied adjustment's selected star
 	// sample — the journaling hook replacement replay re-fits from.
 	OnAdjust func(epoch int64, star vtime.EpochSample)
@@ -55,10 +64,17 @@ type EpochCoordinator struct {
 	scratch []vtime.EpochSample
 }
 
+// originSample is one replica's sample for one epoch.
+type originSample struct {
+	origin string
+	epoch  int64
+	s      vtime.EpochSample
+}
+
 // NewEpochCoordinator attaches epoch re-synchronization to a runtime. The
-// runtime's host name keys this replica's samples; until SetGroup installs
-// explicit membership, a barrier completes at `replicas` distinct origins.
-func NewEpochCoordinator(rt *Runtime, interval int64, replicas int) (*EpochCoordinator, error) {
+// runtime's host name keys this replica's samples; a barrier completes once
+// SetGroup has installed the live group and every member's sample is in.
+func NewEpochCoordinator(rt *Runtime, interval int64) (*EpochCoordinator, error) {
 	if rt == nil {
 		return nil, fmt.Errorf("%w: nil runtime", ErrVMM)
 	}
@@ -66,17 +82,13 @@ func NewEpochCoordinator(rt *Runtime, interval int64, replicas int) (*EpochCoord
 		return nil, fmt.Errorf("%w: epoch interval %d must be a positive multiple of ExitEvery %d",
 			ErrVMM, interval, rt.cfg.ExitEvery)
 	}
-	if replicas < 1 {
-		return nil, fmt.Errorf("%w: replicas %d", ErrVMM, replicas)
-	}
 	ec := &EpochCoordinator{
-		rt:       rt,
-		interval: interval,
-		replicas: replicas,
-		self:     rt.Host().Name(),
-		samples:  make(map[int64]map[string]vtime.EpochSample),
+		rt:         rt,
+		interval:   interval,
+		self:       rt.Host().Name(),
+		epochStart: rt.Host().Loop().Now(),
+		sampled:    -1,
 	}
-	ec.epochStart = rt.Host().Loop().Now()
 	rt.epoch = ec
 	return ec, nil
 }
@@ -107,18 +119,21 @@ func (ec *EpochCoordinator) onExit(instr int64) bool {
 		return false
 	}
 	if !ec.waiting {
-		ec.waiting = true
 		now := ec.rt.Host().Loop().Now()
-		s := vtime.EpochSample{
-			D: now - ec.epochStart,
-			R: ec.rt.Host().Clock().Read(now),
-		}
-		ec.addSample(ec.self, ec.epoch, s)
-		if ec.SendSample != nil {
-			ec.SendSample(ec.epoch, s)
+		ec.sample(vtime.EpochSample{D: now - ec.epochStart, R: ec.rt.Host().Clock().Read(now)})
+		if ec.rt.OnPace != nil {
+			ec.rt.beacon()
 		}
 	}
 	return !ec.tryAdjust()
+}
+
+// sample takes this replica's sample for the current epoch and waits at its
+// barrier.
+func (ec *EpochCoordinator) sample(s vtime.EpochSample) {
+	ec.waiting = true
+	ec.sampled, ec.mine = ec.epoch, s
+	ec.addSample(ec.self, ec.epoch, s)
 }
 
 // OnPeerSample records a peer's epoch sample and, if the barrier is
@@ -133,78 +148,48 @@ func (ec *EpochCoordinator) OnPeerSample(origin string, epoch int64, s vtime.Epo
 
 func (ec *EpochCoordinator) addSample(origin string, epoch int64, s vtime.EpochSample) {
 	if epoch < ec.epoch {
-		return // stale
+		return // stale, or a beacon that carries no sample
 	}
-	m := ec.samples[epoch]
-	if m == nil {
-		m = make(map[string]vtime.EpochSample)
-		ec.samples[epoch] = m
+	if _, dup := ec.find(origin, epoch); dup {
+		return // first write wins; beacons repeat the sample anyway
 	}
-	if _, dup := m[origin]; dup {
-		return // first write wins; replicas send identical values anyway
-	}
-	m[origin] = s
+	ec.samples = append(ec.samples, originSample{origin: origin, epoch: epoch, s: s})
 }
 
-// barrierSamples collects the current epoch's samples for the live group
-// into ec.scratch, reporting whether the barrier is complete. With explicit
-// membership, completeness means a sample from every live origin; before
-// SetGroup it falls back to `replicas` distinct origins (order-insensitive
-// either way, so arrival order cannot skew the median).
-func (ec *EpochCoordinator) barrierSamples() bool {
-	got := ec.samples[ec.epoch]
-	ec.scratch = ec.scratch[:0]
-	if len(ec.group) > 0 {
-		for _, o := range ec.group {
-			s, ok := got[o]
-			if !ok {
-				return false
-			}
-			ec.scratch = append(ec.scratch, s)
+// find returns origin's sample for epoch, if it has arrived.
+func (ec *EpochCoordinator) find(origin string, epoch int64) (vtime.EpochSample, bool) {
+	for _, p := range ec.samples {
+		if p.epoch == epoch && p.origin == origin {
+			return p.s, true
 		}
-		return true
 	}
-	if len(got) < ec.replicas {
-		return false
-	}
-	for _, s := range got {
+	return vtime.EpochSample{}, false
+}
+
+// tryAdjust applies the epoch adjustment once a sample from every live
+// origin is in (collected in group order into ec.scratch; AdjustEpoch sorts
+// it, so arrival order cannot skew the median). It returns true when the
+// barrier is released.
+func (ec *EpochCoordinator) tryAdjust() bool {
+	ec.scratch = ec.scratch[:0]
+	for _, o := range ec.group {
+		s, ok := ec.find(o, ec.epoch)
+		if !ok {
+			return false
+		}
 		ec.scratch = append(ec.scratch, s)
 	}
-	// Deterministic order for the map-collected fallback.
-	sort.Slice(ec.scratch, func(i, j int) bool {
-		if ec.scratch[i].R != ec.scratch[j].R {
-			return ec.scratch[i].R < ec.scratch[j].R
-		}
-		return ec.scratch[i].D < ec.scratch[j].D
-	})
-	ec.scratch = ec.scratch[:ec.replicas]
-	return true
-}
-
-// tryAdjust applies the epoch adjustment when all samples are in. It
-// returns true when the barrier is released.
-func (ec *EpochCoordinator) tryAdjust() bool {
-	if !ec.barrierSamples() {
+	star, err := ec.rt.vclock.AdjustEpoch(ec.interval, ec.scratch)
+	if err != nil {
+		// The interval was validated, so the sample set is empty: no group
+		// is installed yet, and the barrier stays shut.
 		return false
 	}
-	s := ec.scratch
-	if err := ec.rt.vclock.AdjustEpoch(ec.interval, s); err != nil {
-		// Cannot happen with validated parameters; drop the epoch rather
-		// than diverge silently.
-		return true
-	}
 	if ec.OnAdjust != nil {
-		// Recompute the star AdjustEpoch selected (same sort, same pick).
-		sort.Slice(s, func(i, j int) bool {
-			if s[i].R != s[j].R {
-				return s[i].R < s[j].R
-			}
-			return s[i].D < s[j].D
-		})
-		ec.OnAdjust(ec.epoch, s[len(s)/2])
+		ec.OnAdjust(ec.epoch, star)
 	}
 	ec.adjustments++
-	delete(ec.samples, ec.epoch)
+	ec.samples = slices.DeleteFunc(ec.samples, func(p originSample) bool { return p.epoch <= ec.epoch })
 	ec.epoch++
 	ec.epochStart = ec.rt.Host().Loop().Now()
 	ec.waiting = false
@@ -213,31 +198,26 @@ func (ec *EpochCoordinator) tryAdjust() bool {
 
 // RestoreAt primes a replacement replica's coordinator after journal
 // replay: the epoch index is read off the restored clock, pending samples
-// for the in-progress epoch are adopted from a surviving donor, and — when
-// replay stopped exactly at a boundary whose star the survivors are still
-// waiting to resolve — this replica samples, broadcasts, and joins the
-// barrier (starting paused if the barrier stays incomplete, exactly like a
-// survivor that reached the boundary live).
+// are adopted from a surviving donor, and — when replay stopped exactly at a
+// boundary whose star the survivors are still waiting to resolve — this
+// replica samples and joins the barrier (starting paused if the barrier
+// stays incomplete, exactly like a survivor that reached the boundary live).
+// The sample leaves on the first beacon Runtime.Start sends.
 //
-// Must be called after the cluster has wired SendSample and installed the
-// post-replacement group, and before Runtime.Start.
+// Must be called after the cluster has installed the post-replacement
+// group, and before Runtime.Start.
 func (ec *EpochCoordinator) RestoreAt(donor *EpochCoordinator) {
 	ec.epoch = ec.rt.vclock.EpochBase() / ec.interval
 	ec.adjustments = int(ec.epoch)
 	now := ec.rt.Host().Loop().Now()
 	ec.epochStart = now
 	if donor != nil {
-		for origin, s := range donor.samples[ec.epoch] {
-			ec.addSample(origin, ec.epoch, s)
+		for _, p := range donor.samples {
+			ec.addSample(p.origin, p.epoch, p.s)
 		}
 	}
 	if ec.rt.Instr() >= ec.nextBoundary() {
-		ec.waiting = true
-		s := vtime.EpochSample{D: 0, R: ec.rt.Host().Clock().Read(now)}
-		ec.addSample(ec.self, ec.epoch, s)
-		if ec.SendSample != nil {
-			ec.SendSample(ec.epoch, s)
-		}
+		ec.sample(vtime.EpochSample{D: 0, R: ec.rt.Host().Clock().Read(now)})
 		if !ec.tryAdjust() {
 			ec.rt.ex.pause()
 		}

@@ -10,7 +10,8 @@ import (
 )
 
 // buildEpochSet wires three runtimes with epoch coordinators exchanging
-// samples over loop-delayed links.
+// samples on their pacing beacons over loop-delayed links, the way the
+// cluster does, under an installed three-member group.
 func buildEpochSet(t *testing.T, interval int64) (*sim.Loop, []*Runtime, []*EpochCoordinator) {
 	t.Helper()
 	loop := sim.NewLoop()
@@ -34,25 +35,26 @@ func buildEpochSet(t *testing.T, interval int64) (*sim.Loop, []*Runtime, []*Epoc
 			t.Fatal(err)
 		}
 		rt.OnSend = SendSinkFunc(func(a guest.IOAction) {})
-		ec, err := NewEpochCoordinator(rt, interval, 3)
+		ec, err := NewEpochCoordinator(rt, interval)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ec.SetGroup([]string{"A", "B", "C"})
 		rts = append(rts, rt)
 		ecs = append(ecs, ec)
 	}
-	for i := range ecs {
-		i := i
-		origin := rts[i].Host().Name()
-		ecs[i].SendSample = func(epoch int64, s vtime.EpochSample) {
-			for j := range ecs {
-				if j == i {
-					continue
+	for i, rt := range rts {
+		origin := rt.Host().Name()
+		rt.OnPace = PaceSinkFunc(func(v vtime.Virtual, epoch int64, s vtime.EpochSample) {
+			for j, p := range rts {
+				if j != i {
+					loop.After(300*sim.Microsecond, "pace", func() {
+						p.OnPeerVirt(origin, v)
+						ecs[j].OnPeerSample(origin, epoch, s)
+					})
 				}
-				j := j
-				loop.After(300*sim.Microsecond, "epoch:sample", func() { ecs[j].OnPeerSample(origin, epoch, s) })
 			}
-		}
+		})
 	}
 	return loop, rts, ecs
 }
@@ -65,17 +67,76 @@ func TestEpochCoordinatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEpochCoordinator(nil, 1000, 3); !errors.Is(err, ErrVMM) {
+	if _, err := NewEpochCoordinator(nil, 1000); !errors.Is(err, ErrVMM) {
 		t.Fatal("nil runtime should fail")
 	}
-	if _, err := NewEpochCoordinator(rt, 0, 3); !errors.Is(err, ErrVMM) {
+	if _, err := NewEpochCoordinator(rt, 0); !errors.Is(err, ErrVMM) {
 		t.Fatal("zero interval should fail")
 	}
-	if _, err := NewEpochCoordinator(rt, h.Config().ExitEvery+1, 3); !errors.Is(err, ErrVMM) {
+	if _, err := NewEpochCoordinator(rt, h.Config().ExitEvery+1); !errors.Is(err, ErrVMM) {
 		t.Fatal("non-multiple interval should fail")
 	}
-	if _, err := NewEpochCoordinator(rt, h.Config().ExitEvery, 0); !errors.Is(err, ErrVMM) {
-		t.Fatal("zero replicas should fail")
+}
+
+// The barrier completes against the installed group only: a replica started
+// before SetGroup holds at its first boundary, and installing the group
+// releases it.
+func TestEpochBarrierWaitsForGroup(t *testing.T) {
+	const interval = 10_000_000
+	loop := sim.NewLoop()
+	h := testHost(t, "A", loop, sim.NewSource(1), 0, 0)
+	rt, err := NewRuntime(h, "g", &recordApp{}, []sim.Time{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec, err := NewEpochCoordinator(rt, interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	if err := loop.RunUntil(50 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if ec.Adjustments() != 0 || rt.Instr() != interval {
+		t.Fatalf("before SetGroup: %d adjustments at instr %d, want 0 at %d", ec.Adjustments(), rt.Instr(), interval)
+	}
+	ec.SetGroup([]string{"A"})
+	if err := loop.RunUntil(100 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if ec.Adjustments() < 3 {
+		t.Fatalf("after SetGroup: %d adjustments", ec.Adjustments())
+	}
+}
+
+// An epoch's samples, barrier and adjustment reuse the coordinator's
+// buffers — repeated samples, and a peer's sample for the next epoch that
+// arrives before this one completes, included.
+func TestEpochAdjustmentAllocatesNothing(t *testing.T) {
+	loop := sim.NewLoop()
+	h := testHost(t, "A", loop, sim.NewSource(1), 0, 0)
+	rt, err := NewRuntime(h, "g", &recordApp{}, []sim.Time{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec, err := NewEpochCoordinator(rt, h.Config().ExitEvery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec.SetGroup([]string{"A", "B"})
+	s := vtime.EpochSample{D: sim.Millisecond, R: 5 * sim.Millisecond}
+	runs := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		runs++
+		ec.OnPeerSample("B", ec.epoch+1, s) // a peer one epoch ahead
+		ec.sample(s)
+		ec.OnPeerSample("B", ec.epoch, s) // a repeat: first write wins
+	})
+	if allocs != 0 {
+		t.Fatalf("an epoch allocates %v times", allocs)
+	}
+	if ec.Adjustments() != runs {
+		t.Fatalf("%d adjustments over %d epochs", ec.Adjustments(), runs)
 	}
 }
 

@@ -166,7 +166,7 @@ func (f *equivFixture) wire(g, k int, rt *Runtime) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec, err := NewEpochCoordinator(rt, rt.cfg.EpochInstr, 3)
+	ec, err := NewEpochCoordinator(rt, rt.cfg.EpochInstr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +186,16 @@ func (f *equivFixture) wire(g, k int, rt *Runtime) {
 	rt.OnNetDeliver = func(seq uint64, v vtime.Virtual, real sim.Time) {
 		f.logf(origin, "%s deliver %d %d %d", tag, seq, v, real)
 	}
-	rt.OnPace = PaceSinkFunc(func(v vtime.Virtual) {
-		f.logf(origin, "%s pace %d", tag, v)
+	// The beacon carries the epoch sample too, as the cluster's does. Muting
+	// drops only its progress report: the mute forces a pacing pause, which
+	// an epoch barrier held shut would pre-empt.
+	rt.OnPace = PaceSinkFunc(func(v vtime.Virtual, epoch int64, s vtime.EpochSample) {
+		f.logf(origin, "%s pace %d epoch %d %+v", tag, v, epoch, s)
 		peers(func(p *equivReplica) {
 			if !f.mute[p.rt] {
 				p.rt.OnPeerVirt(origin, v)
 			}
+			p.ec.OnPeerSample(origin, epoch, s)
 		})
 	})
 	nd.OnPropose = func(seq uint64, v vtime.Virtual) { f.logf(origin, "%s propose %d %d", tag, seq, v) }
@@ -199,9 +203,6 @@ func (f *equivFixture) wire(g, k int, rt *Runtime) {
 		peers(func(p *equivReplica) { p.nd.HandlePeerProposal(origin, view, seq, v) })
 	})
 	nd.OnResolve = f.journals[g]
-	ec.SendSample = func(epoch int64, s vtime.EpochSample) {
-		peers(func(p *equivReplica) { p.ec.OnPeerSample(origin, epoch, s) })
-	}
 	ec.OnAdjust = f.journals[g].RecordEpochStar
 }
 
@@ -404,7 +405,9 @@ func TestTicklessSameNanosecondTies(t *testing.T) {
 				t.Fatal(err)
 			}
 			rt.ex.everyBoundary = every
-			rt.OnPace = PaceSinkFunc(func(v vtime.Virtual) { log = append(log, fmt.Sprintf("%d pace %v %d", loop.Now(), drift, v)) })
+			rt.OnPace = PaceSinkFunc(func(v vtime.Virtual, _ int64, _ vtime.EpochSample) {
+				log = append(log, fmt.Sprintf("%d pace %v %d", loop.Now(), drift, v))
+			})
 			rt.Start()
 			dur := rt.ex.fullDur
 			see := func(what string) func() {
@@ -590,7 +593,7 @@ func TestIdleReplicaFiresFewChunkEvents(t *testing.T) {
 		rts = append(rts, rt)
 	}
 	for i, rt := range rts {
-		rt.OnPace = PaceSinkFunc(func(v vtime.Virtual) {
+		rt.OnPace = PaceSinkFunc(func(v vtime.Virtual, _ int64, _ vtime.EpochSample) {
 			for j, p := range rts {
 				if j != i {
 					loop.After(150*sim.Microsecond, "pace", func() { p.OnPeerVirt(rts[i].Host().Name(), v) })

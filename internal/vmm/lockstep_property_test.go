@@ -59,7 +59,7 @@ func TestReplicaLockstepProperty(t *testing.T) {
 					}
 				}
 			})
-			rts[i].OnPace = PaceSinkFunc(func(v vtime.Virtual) {
+			rts[i].OnPace = PaceSinkFunc(func(v vtime.Virtual, _ int64, _ vtime.EpochSample) {
 				for j := range rts {
 					if j != i {
 						j := j

@@ -322,7 +322,7 @@ func NewReplacementRuntime(host *Host, guestID string, app guest.App, bootTimes 
 				}
 				return nil // survivors are paused at this barrier; join it after wiring
 			}
-			if err := rt.vclock.AdjustEpoch(epochInstr, []vtime.EpochSample{star}); err != nil {
+			if _, err := rt.vclock.AdjustEpoch(epochInstr, []vtime.EpochSample{star}); err != nil {
 				return err
 			}
 		}

@@ -22,16 +22,21 @@ type SendSinkFunc func(a guest.IOAction)
 // GuestSend implements SendSink.
 func (f SendSinkFunc) GuestSend(a guest.IOAction) { f(a) }
 
-// PaceSink consumes a replica's pacing beacons (Sec. V-A).
+// PaceSink consumes a replica's pacing beacons (Sec. V-A). A beacon carries
+// the replica's virtual time as of its last exit and, under epoch
+// re-synchronization (Sec. IV-A), the sample s it took at its latest epoch
+// boundary: epoch is that boundary's index, or -1 with epochs off and before
+// the first boundary. The receiver hands the pair to
+// EpochCoordinator.OnPeerSample.
 type PaceSink interface {
-	PaceReport(v vtime.Virtual)
+	PaceReport(v vtime.Virtual, epoch int64, s vtime.EpochSample)
 }
 
 // PaceSinkFunc adapts a function to PaceSink (tests, experiments).
-type PaceSinkFunc func(v vtime.Virtual)
+type PaceSinkFunc func(v vtime.Virtual, epoch int64, s vtime.EpochSample)
 
 // PaceReport implements PaceSink.
-func (f PaceSinkFunc) PaceReport(v vtime.Virtual) { f(v) }
+func (f PaceSinkFunc) PaceReport(v vtime.Virtual, epoch int64, s vtime.EpochSample) { f(v, epoch, s) }
 
 // peerProgress is one peer replica's latest pacing report.
 type peerProgress struct {
@@ -257,8 +262,18 @@ func (rt *Runtime) paceTick() {
 	if rt.ex.stopped {
 		return
 	}
-	rt.OnPace.PaceReport(rt.VirtAtLastExit())
+	rt.beacon()
 	rt.host.Loop().AfterTimer(rt.cfg.PaceInterval, "vmm:pace", paceTimer, rt, nil, 0)
+}
+
+// beacon sends one pacing report: the periodic tick, and under epochs the
+// boundary exit that takes a sample (which leaves the tick's timer alone).
+func (rt *Runtime) beacon() {
+	epoch, s := int64(-1), vtime.EpochSample{}
+	if rt.epoch != nil {
+		epoch, s = rt.epoch.sampled, rt.epoch.mine
+	}
+	rt.OnPace.PaceReport(rt.VirtAtLastExit(), epoch, s)
 }
 
 // paceTimer is the typed pacing-beacon callback (periodic per replica).

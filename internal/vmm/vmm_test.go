@@ -203,7 +203,7 @@ func buildReplicaSet(t *testing.T, seed uint64, app guest.App, propDelay sim.Tim
 				loop.After(propDelay, "prop", func() { rs.nds[j].HandlePeerProposal(origin, view, seq, v) })
 			}
 		})
-		rs.rts[i].OnPace = PaceSinkFunc(func(v vtime.Virtual) {
+		rs.rts[i].OnPace = PaceSinkFunc(func(v vtime.Virtual, _ int64, _ vtime.EpochSample) {
 			for j := range rs.rts {
 				if j == i {
 					continue
@@ -376,7 +376,7 @@ func TestPacingSlowsFastestReplica(t *testing.T) {
 	}
 	for i := range rts {
 		i := i
-		rts[i].OnPace = PaceSinkFunc(func(v vtime.Virtual) {
+		rts[i].OnPace = PaceSinkFunc(func(v vtime.Virtual, _ int64, _ vtime.EpochSample) {
 			for j := range rts {
 				if j != i {
 					j := j

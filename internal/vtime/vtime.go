@@ -19,10 +19,10 @@
 package vtime
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"stopwatch/internal/sim"
 )
@@ -179,27 +179,24 @@ type EpochSample struct {
 }
 
 // AdjustEpoch re-fits the clock after an epoch of epochInstr instructions,
-// given all replicas' samples. Per the paper, the median R is selected and
-// the D from that same replica is used. All replicas must call this with
-// identical arguments (they exchange samples via the VMM protocol), keeping
-// their clocks identical.
-func (c *Clock) AdjustEpoch(epochInstr int64, samples []EpochSample) error {
+// given all replicas' samples, and returns the star it picked. Per the
+// paper, the median R is selected and the D from that same replica is used.
+// All replicas must call this with identical sample sets (they exchange
+// samples via the VMM protocol), keeping their clocks identical. samples is
+// the caller's scratch: it is sorted in place, so an adjustment allocates
+// nothing.
+func (c *Clock) AdjustEpoch(epochInstr int64, samples []EpochSample) (EpochSample, error) {
 	if epochInstr <= 0 {
-		return fmt.Errorf("%w: epoch of %d instructions", ErrBadClock, epochInstr)
+		return EpochSample{}, fmt.Errorf("%w: epoch of %d instructions", ErrBadClock, epochInstr)
 	}
 	if len(samples) == 0 {
-		return fmt.Errorf("%w: no epoch samples", ErrBadClock)
+		return EpochSample{}, fmt.Errorf("%w: no epoch samples", ErrBadClock)
 	}
 	// Median by R; take D from the same machine.
-	s := make([]EpochSample, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].R != s[j].R {
-			return s[i].R < s[j].R
-		}
-		return s[i].D < s[j].D
+	slices.SortFunc(samples, func(a, b EpochSample) int {
+		return cmp.Or(cmp.Compare(a.R, b.R), cmp.Compare(a.D, b.D))
 	})
-	star := s[len(s)/2]
+	star := samples[len(samples)/2]
 
 	virtEnd := c.At(c.epochBase + epochInstr)
 	raw := (float64(star.R) - float64(virtEnd) + float64(star.D)) / float64(epochInstr)
@@ -213,7 +210,7 @@ func (c *Clock) AdjustEpoch(epochInstr int64, samples []EpochSample) error {
 	c.start = virtEnd
 	c.epochBase += epochInstr
 	c.slope = slope
-	return nil
+	return star, nil
 }
 
 // PIT models the guest's Programmable Interval Timer as virtualized by

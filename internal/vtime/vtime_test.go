@@ -94,8 +94,12 @@ func TestAdjustEpochMedianSelection(t *testing.T) {
 		{D: 2000, R: 10_000},
 		{D: 1000, R: 50_000},
 	}
-	if err := c.AdjustEpoch(epoch, samples); err != nil {
+	star, err := c.AdjustEpoch(epoch, samples)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if want := (EpochSample{D: 2000, R: 10_000}); star != want {
+		t.Fatalf("star = %+v, want %+v", star, want)
 	}
 	wantSlope := (10_000.0 - float64(virtEnd) + 2000.0) / epoch // 10.8 → clamped to 4
 	if wantSlope > 4 {
@@ -116,7 +120,7 @@ func TestAdjustEpochMedianSelection(t *testing.T) {
 func TestAdjustEpochClamping(t *testing.T) {
 	c := mustClock(t, defaultCfg())
 	// Huge R → slope would explode; must clamp to hi.
-	if err := c.AdjustEpoch(100, []EpochSample{{D: 1, R: sim.Time(1e12)}}); err != nil {
+	if _, err := c.AdjustEpoch(100, []EpochSample{{D: 1, R: sim.Time(1e12)}}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Slope() != 4.0 {
@@ -124,7 +128,7 @@ func TestAdjustEpochClamping(t *testing.T) {
 	}
 	// R far in the past → negative raw slope; must clamp to lo (positive).
 	c2 := mustClock(t, defaultCfg())
-	if err := c2.AdjustEpoch(100, []EpochSample{{D: 1, R: 0}}); err != nil {
+	if _, err := c2.AdjustEpoch(100, []EpochSample{{D: 1, R: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if c2.Slope() != 0.25 {
@@ -134,10 +138,10 @@ func TestAdjustEpochClamping(t *testing.T) {
 
 func TestAdjustEpochErrors(t *testing.T) {
 	c := mustClock(t, defaultCfg())
-	if err := c.AdjustEpoch(0, []EpochSample{{D: 1, R: 1}}); !errors.Is(err, ErrBadClock) {
+	if _, err := c.AdjustEpoch(0, []EpochSample{{D: 1, R: 1}}); !errors.Is(err, ErrBadClock) {
 		t.Fatal("epoch 0 should fail")
 	}
-	if err := c.AdjustEpoch(10, nil); !errors.Is(err, ErrBadClock) {
+	if _, err := c.AdjustEpoch(10, nil); !errors.Is(err, ErrBadClock) {
 		t.Fatal("no samples should fail")
 	}
 }
@@ -156,7 +160,7 @@ func TestReplicasStayIdenticalAcrossEpochs(t *testing.T) {
 	for _, s := range samples {
 		instr += 1000
 		for _, cl := range []*Clock{a, b, c} {
-			if err := cl.AdjustEpoch(1000, s); err != nil {
+			if _, err := cl.AdjustEpoch(1000, s); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -189,7 +193,7 @@ func TestMonotoneProperty(t *testing.T) {
 		for k := 0; k < n; k++ {
 			d := sim.Time(abs64(ds[k]) % 1e9)
 			r := sim.Time(abs64(rs[k]) % 1e9)
-			if err := c.AdjustEpoch(1000, []EpochSample{{D: d, R: r}}); err != nil {
+			if _, err := c.AdjustEpoch(1000, []EpochSample{{D: d, R: r}}); err != nil {
 				return false
 			}
 			instr += 1000
