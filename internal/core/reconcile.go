@@ -5,9 +5,10 @@ package core
 // resolved a 3-median with the dead member's vote while another never saw
 // it, and after the view change the resolved survivor would stale-drop the
 // wedged one's re-proposal. So before the control plane commits the
-// post-crash view, every affected guest's running survivors trade what they
-// know — each device's recent resolutions plus the dead origin's pending
-// votes (vmm.NetDevice.ExportReconcile / ImportReconcile).
+// post-crash view, every affected guest's running survivors are brought
+// level: dead votes pass device to device, and a survivor that holds a
+// payload but no decision adopts the one in the guest's journal
+// (vmm.ReconcileSurvivors).
 //
 // The exchange is one synchronous step on the control loop, as the commit
 // itself is (reconcileGroups): every shard is parked, so each survivor's
@@ -21,8 +22,8 @@ import "stopwatch/internal/vmm"
 type ReconcileStats struct {
 	// Rounds counts guest groups whose survivors exchanged state.
 	Rounds int
-	// Repairs counts sequences repaired at importers: decisions adopted or
-	// stashed, dead votes merged.
+	// Repairs counts sequences repaired at survivors: dead votes merged and
+	// journaled decisions adopted.
 	Repairs int
 }
 
@@ -31,12 +32,10 @@ type ReconcileStats struct {
 // repairs nothing, restoring the loss-intolerant behaviour.
 func (c *Cluster) DisableViewReconcile() { c.noReconcile = true }
 
-// ReconcileSurvivors runs the survivor exchange for every listed guest after
-// machine crashed: it takes each running survivor's export first, then
-// imports every export into every other survivor. Call it from control
+// ReconcileSurvivors runs the survivor exchange for every listed guest with
+// at least two running survivors after machine crashed. Call it from control
 // context once the dead VMM's in-flight proposals have landed, and before
-// MarkReplicaDead commits the view. Imports are idempotent, so a second call
-// repairs nothing.
+// MarkReplicaDead commits the view. A second call repairs nothing.
 func (c *Cluster) ReconcileSurvivors(machine int, ids []string) ReconcileStats {
 	var st ReconcileStats
 	if c.noReconcile || machine < 0 || machine >= len(c.hosts) {
@@ -58,17 +57,7 @@ func (c *Cluster) ReconcileSurvivors(machine int, ids []string) ReconcileStats {
 			continue // nothing to exchange
 		}
 		st.Rounds++
-		exports := make([]vmm.ReconcileExport, len(live))
-		for i, nd := range live {
-			exports[i] = nd.ExportReconcile(dead)
-		}
-		for i, x := range exports {
-			for j, nd := range live {
-				if i != j {
-					st.Repairs += nd.ImportReconcile(x)
-				}
-			}
-		}
+		st.Repairs += vmm.ReconcileSurvivors(live, dead, g.journal)
 	}
 	return st
 }

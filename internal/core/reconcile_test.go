@@ -73,10 +73,11 @@ func splitAtCrash(t *testing.T, n int, disable bool) (*Cluster, *Guest) {
 }
 
 // TestReconcileSurvivors: the exchange at the settle instant repairs the one
-// survivor that missed the dead member's vote — for a 3-replica group and a
-// 5-replica one (four survivors) — so that after the view commits every
-// survivor has delivered the split packet at the same virtual time. The
-// exchange is idempotent, and the ablation switch turns it into a no-op.
+// survivor that missed the dead member's vote, which adopts the decision the
+// others journaled — for a 3-replica group and a 5-replica one (four
+// survivors) — so that after the view commits every survivor has delivered
+// the split packet at the same virtual time. The exchange is idempotent, and
+// the ablation switch turns it into a no-op.
 func TestReconcileSurvivors(t *testing.T) {
 	for _, n := range []int{3, 5} {
 		t.Run(fmt.Sprintf("replicas=%d", n), func(t *testing.T) {
@@ -110,8 +111,8 @@ func TestReconcileSurvivors(t *testing.T) {
 		if st := c.ReconcileSurvivors(0, []string{"g"}); st != (ReconcileStats{}) {
 			t.Fatalf("disabled exchange: %+v, want zero", st)
 		}
-		if w := g.replicas[1]; w.nd.Pending() != 1 || w.nd.ForcedPending() != 0 {
-			t.Fatalf("disabled exchange repaired host 1: %d pending, %d forced", w.nd.Pending(), w.nd.ForcedPending())
+		if w := g.replicas[1]; w.nd.Pending() != 1 {
+			t.Fatalf("disabled exchange repaired host 1: %d pending", w.nd.Pending())
 		}
 		// The wedge the exchange exists for: after the view commits, host 2
 		// stale-drops host 1's re-proposal and host 1 never delivers.

@@ -67,63 +67,3 @@ func ExpPlusUniformCDF(rate, b float64) func(float64) float64 {
 		return clamp01((a(t) - a(t-b)) / b)
 	}
 }
-
-// UniformNoiseForProtection finds the smallest noise bound b such that
-// XN ~ U(0,b) reduces the attacker's χ² discrimination between X1+XN and
-// X′1+XN (exponentials with the given rates) to at most targetD.
-//
-// The χ² cells are FIXED to equal-probability quantiles of the noiseless
-// null X1 — the a-priori binning of the paper's appendix procedure. (With
-// adaptive per-b rebinning D would fall like 1/b² instead of 1/b and the
-// required noise would be far smaller than the paper's Fig-8 magnitudes.)
-func UniformNoiseForProtection(lambda, lambdaP float64, bins int, targetD float64) (float64, error) {
-	if targetD <= 0 || lambda <= 0 || lambdaP <= 0 || bins < 2 {
-		return 0, fmt.Errorf("%w: UniformNoiseForProtection(λ=%v, λ'=%v, bins=%d, D=%v)",
-			ErrBadParam, lambda, lambdaP, bins, targetD)
-	}
-	bn, err := EqualProbBins(Exponential{Rate: lambda}, bins)
-	if err != nil {
-		return 0, err
-	}
-	discAt := func(b float64) (float64, error) {
-		p := bn.CellProbs(ExpPlusUniformCDF(lambda, b))
-		q := bn.CellProbs(ExpPlusUniformCDF(lambdaP, b))
-		return ChiSqDiscrimination(p, q)
-	}
-	// Bracket: find hi with D(hi) <= targetD.
-	hi := 1.0
-	for i := 0; i < 80; i++ {
-		d, err := discAt(hi)
-		if err != nil {
-			return 0, err
-		}
-		if d <= targetD {
-			break
-		}
-		hi *= 2
-	}
-	dHi, err := discAt(hi)
-	if err != nil {
-		return 0, err
-	}
-	if dHi > targetD {
-		return 0, fmt.Errorf("%w: cannot reach target discrimination %v with uniform noise", ErrBadParam, targetD)
-	}
-	lo := 0.0
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if mid == lo || mid == hi {
-			break
-		}
-		d, err := discAt(mid)
-		if err != nil {
-			return 0, err
-		}
-		if d > targetD {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi, nil
-}

@@ -98,48 +98,3 @@ func TestExpPlusUniformCDFAgainstMonteCarlo(t *testing.T) {
 		t.Fatal("b=0 should reduce to Exp CDF")
 	}
 }
-
-func TestUniformNoiseForProtection(t *testing.T) {
-	// Discrimination without noise.
-	bn, err := EqualProbBins(Exponential{Rate: 1}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d0, err := ChiSqDiscrimination(
-		bn.CellProbs(Exponential{Rate: 1}.CDF),
-		bn.CellProbs(Exponential{Rate: 0.5}.CDF))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	target := d0 / 50
-	b, err := UniformNoiseForProtection(1, 0.5, 10, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b <= 0 {
-		t.Fatalf("noise bound %v", b)
-	}
-	// Verify the achieved discrimination really is <= target over the
-	// fixed binning.
-	d1, err := ChiSqDiscrimination(
-		bn.CellProbs(ExpPlusUniformCDF(1, b)),
-		bn.CellProbs(ExpPlusUniformCDF(0.5, b)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 > target*1.01 {
-		t.Fatalf("achieved discrimination %v exceeds target %v", d1, target)
-	}
-	// A tougher target needs more noise.
-	b2, err := UniformNoiseForProtection(1, 0.5, 10, target/4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2 <= b {
-		t.Fatalf("noise bound not monotone: %v vs %v", b2, b)
-	}
-	if _, err := UniformNoiseForProtection(1, 0.5, 10, 0); !errors.Is(err, ErrBadParam) {
-		t.Fatal("target 0 should fail")
-	}
-}

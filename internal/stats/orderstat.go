@@ -89,17 +89,6 @@ func MedianOf3Dist(d1, d2, d3 Dist) Dist {
 	return &FuncDist{F: f}
 }
 
-// MedianOfOdd returns the median-of-m CDF for odd m given per-replica CDFs.
-// StopWatch's Sec. IX countermeasure against collaborating attackers raises
-// m from 3 to 5; this supports the ablation.
-func MedianOfOdd(cdfs []func(float64) float64) (func(float64) float64, error) {
-	m := len(cdfs)
-	if m == 0 || m%2 == 0 {
-		return nil, fmt.Errorf("%w: MedianOfOdd needs odd m, got %d", ErrBadParam, m)
-	}
-	return OrderStatCDF((m+1)/2, cdfs)
-}
-
 // KSDistanceFunc returns the Kolmogorov–Smirnov distance
 // max_x |F(x) − G(x)| evaluated on a uniform grid over [lo,hi] with n
 // points. The appendix's Theorems 3–4 are stated in terms of this metric.

@@ -106,28 +106,6 @@ func TestMedianSample3(t *testing.T) {
 	}
 }
 
-func TestMedianOfOdd(t *testing.T) {
-	f := Exponential{Rate: 1}.CDF
-	med5, err := MedianOfOdd([]func(float64) float64{f, f, f, f, f})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// iid median-of-5: F_{3:5} = 10F³(1−F)² + 5F⁴(1−F) + F⁵.
-	for _, x := range []float64{0.2, 0.7, 1.5, 3} {
-		v := f(x)
-		want := 10*math.Pow(v, 3)*math.Pow(1-v, 2) + 5*math.Pow(v, 4)*(1-v) + math.Pow(v, 5)
-		if math.Abs(med5(x)-want) > 1e-12 {
-			t.Errorf("median-of-5 at %v: %v want %v", x, med5(x), want)
-		}
-	}
-	if _, err := MedianOfOdd(nil); !errors.Is(err, ErrBadParam) {
-		t.Fatal("empty MedianOfOdd should fail")
-	}
-	if _, err := MedianOfOdd(make([]func(float64) float64, 4)); !errors.Is(err, ErrBadParam) {
-		t.Fatal("even MedianOfOdd should fail")
-	}
-}
-
 func TestOrderStatBadParams(t *testing.T) {
 	f := Exponential{Rate: 1}.CDF
 	if _, err := OrderStatCDF(0, []func(float64) float64{f}); !errors.Is(err, ErrBadParam) {

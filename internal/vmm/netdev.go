@@ -64,23 +64,6 @@ type NetDevice struct {
 	// moves via SetLiveReplicas and must match across live members.
 	view uint64
 
-	// resRing is a bounded ring of recent (seq, deliver) resolutions — what
-	// the device exports during a pre-view-commit reconcile round so a
-	// survivor that lost the dead member's vote can adopt the decision
-	// instead of wedging. An inline array: recording is one store on the
-	// resolution hot path, and the device allocates nothing for it. Not a
-	// seqwin.Window: it keeps decisions after pending has slid past them.
-	resRing [resRingCap]resolvedRec
-	resNext int
-
-	// forced holds delivery decisions adopted from a peer's reconcile
-	// export for sequences whose payload has not arrived here yet; the
-	// payload's eventual arrival delivers at the adopted time instead of
-	// proposing. Survives view changes — the decision is final. A map, not
-	// part of pending: it is written on the failure path only, and a
-	// sequence held here is not yet one Pending() may count.
-	forced map[uint64]vtime.Virtual
-
 	// ProposalDeadline, when positive, arms a host-loop timer per proposed
 	// sequence; OnStall fires if the sequence has not resolved by then —
 	// the hook a failure detector uses to notice a dead peer VMM. Disabled
@@ -238,7 +221,13 @@ func processTimer(a, b any, _ uint64) {
 	seq, p := w.seq, w.p
 	w.p = guest.Payload{}
 	nd.freeWork = append(nd.freeWork, w)
-	nd.rt.Host().ioEnd()
+	host := nd.rt.Host()
+	host.ioEnd()
+	if host.Failed() {
+		// The host died while the packet was in Dom0: a dead VMM finishes
+		// nothing, so no decision it could reach lands in the journal.
+		return
+	}
 	st := nd.state(seq)
 	if st == nil {
 		nd.staleDrops++
@@ -247,13 +236,6 @@ func processTimer(a, b any, _ uint64) {
 	if !st.hasPayload {
 		st.payload = p
 		st.hasPayload = true
-	}
-	// A reconcile round may have adopted this sequence's delivery decision
-	// before the payload arrived: deliver at the agreed time, don't propose.
-	if v, ok := nd.forced[seq]; ok {
-		delete(nd.forced, seq)
-		nd.adoptResolution(seq, st, v)
-		return
 	}
 	if !st.own {
 		st.own = true
@@ -391,12 +373,10 @@ func (nd *NetDevice) maybeResolve(seq uint64, st *propState) {
 	nd.finishResolve(seq, st, deliver)
 }
 
-// finishResolve commits a delivery decision for seq: watermark, resolution
-// ring, journal hook and runtime delivery. Shared by the median path and
-// reconcile adoption.
+// finishResolve commits a delivery decision for seq: watermark, journal hook
+// and runtime delivery. Shared by the median path and the survivor
+// exchange's adoption of a journaled decision.
 func (nd *NetDevice) finishResolve(seq uint64, st *propState, deliver vtime.Virtual) {
-	nd.resRing[nd.resNext] = resolvedRec{seq: seq, deliver: deliver}
-	nd.resNext = (nd.resNext + 1) % resRingCap
 	payload := st.payload
 	st.payload = guest.Payload{} // the slot outlives the sequence; its data must not
 	nd.pending.Retire(seq)
@@ -404,14 +384,6 @@ func (nd *NetDevice) finishResolve(seq uint64, st *propState, deliver vtime.Virt
 		nd.OnResolve.OnResolve(seq, deliver, payload)
 	}
 	nd.rt.EnqueueNetDelivery(seq, deliver, payload)
-}
-
-// adoptResolution installs a peer-resolved delivery decision for a sequence
-// whose payload is present: the decision was reached by a full median at the
-// exporting survivor, so it is adopted verbatim instead of re-proposed.
-func (nd *NetDevice) adoptResolution(seq uint64, st *propState, deliver vtime.Virtual) {
-	nd.resolved++
-	nd.finishResolve(seq, st, deliver)
 }
 
 // PrimeResolved declares every sequence <= seq already handled — how a

@@ -18,20 +18,7 @@ import (
 
 func groupTestDevice(t *testing.T, seed uint64) (*sim.Loop, *Runtime, *NetDevice) {
 	t.Helper()
-	loop := sim.NewLoop()
-	src := sim.NewSource(seed)
-	h := testHost(t, "A", loop, src, 0, 0)
-	rt, err := NewRuntime(h, "g", &recordApp{}, []sim.Time{0, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.OnSend = SendSinkFunc(func(a guest.IOAction) {})
-	nd, err := NewNetDevice(rt, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd.SendProposal = ProposalSinkFunc(func(view, seq uint64, v vtime.Virtual) {})
-	return loop, rt, nd
+	return reconcileTestDevice(t, "A", seed)
 }
 
 // TestLateProposalAfterResolveIsDropped is the quiescence-leak regression:

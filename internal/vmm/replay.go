@@ -113,6 +113,14 @@ func (j *Journal) Record(seq uint64, deliver vtime.Virtual, p guest.Payload) {
 	j.recs[seq] = JournalRecord{Seq: seq, Deliver: deliver, Payload: p}
 }
 
+// Decision returns the journaled delivery time for seq, if one is retained.
+func (j *Journal) Decision(seq uint64) (vtime.Virtual, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	r, ok := j.recs[seq]
+	return r.Deliver, ok
+}
+
 // RecordEpochStar stores the (D*, R*) median sample an epoch adjustment
 // selected — identical on every replica — so replacement replay can re-fit
 // the virtual clock's slope at the same boundary deterministically. First
