@@ -12,41 +12,30 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
 
 	"stopwatch/internal/experiment"
-	"stopwatch/internal/profiling"
 	"stopwatch/internal/sim"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	only := fs.String("only", "", "comma-separated subset: fig1,fig1c,fig4,fig5,fig6,fig7,fig8,placement,calib,collab,leader")
 	fast := fs.Bool("fast", false, "shorter simulation runs")
 	seed := fs.Uint64("seed", 0, "override master seed (0 = per-experiment defaults)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintln(os.Stderr, "profile:", perr)
-		}
-	}()
 
 	type step struct {
 		name string
@@ -163,12 +152,12 @@ func run(args []string) error {
 		if len(want) > 0 && !want[s.name] {
 			continue
 		}
-		fmt.Printf("==== %s ====\n", s.name)
+		fmt.Fprintf(out, "==== %s ====\n", s.name)
 		r, err := s.fn()
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)
 		}
-		fmt.Println(r.Render())
+		fmt.Fprintln(out, r.Render())
 	}
 	return nil
 }

@@ -1,30 +1,31 @@
 package main
 
 import (
-	"os"
+	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
 
 func TestRunFig1Only(t *testing.T) {
-	if err := run([]string{"-only", "fig1"}); err != nil {
+	if err := run([]string{"-only", "fig1"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunPlacementOnly(t *testing.T) {
-	if err := run([]string{"-only", "placement"}); err != nil {
+	if err := run([]string{"-only", "placement"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnknownSelection(t *testing.T) {
-	if err := run([]string{"-only", "nonsense"}); err == nil {
+	if err := run([]string{"-only", "nonsense"}, io.Discard); err == nil {
 		t.Fatal("unknown selection should fail")
 	}
 	// A known name beside an unknown one: the whole selection is rejected,
 	// naming the stranger and listing what exists.
-	err := run([]string{"-only", "fig1, typo"})
+	err := run([]string{"-only", "fig1, typo"}, io.Discard)
 	if err == nil {
 		t.Fatal("-only fig1,typo ran fig1 and dropped typo")
 	}
@@ -36,7 +37,7 @@ func TestRunUnknownSelection(t *testing.T) {
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-frobnicate"}); err == nil {
+	if err := run([]string{"-frobnicate"}, io.Discard); err == nil {
 		t.Fatal("unknown flag should fail")
 	}
 }
@@ -85,22 +86,11 @@ leader-dictates        0.0398        585.5
 `
 
 func TestProbeExperimentsGolden(t *testing.T) {
-	f, err := os.CreateTemp(t.TempDir(), "stdout")
-	if err != nil {
+	var got bytes.Buffer
+	if err := run([]string{"-fast", "-only", "fig4,calib,collab,leader"}, &got); err != nil {
 		t.Fatal(err)
 	}
-	stdout := os.Stdout
-	os.Stdout = f
-	err = run([]string{"-fast", "-only", "fig4,calib,collab,leader"})
-	os.Stdout = stdout
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != experimentsGolden {
-		t.Errorf("output moved:\n--- got\n%s--- want\n%s", got, experimentsGolden)
+	if got.String() != experimentsGolden {
+		t.Errorf("output moved:\n--- got\n%s--- want\n%s", &got, experimentsGolden)
 	}
 }

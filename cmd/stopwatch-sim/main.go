@@ -10,8 +10,8 @@
 //	stopwatch-sim validate scenarios/
 //	stopwatch-sim run scenarios/lifecycle.yaml
 //	stopwatch-sim run -q -seed 1-40 scenarios/
-//	stopwatch-sim run -seed 2 -shards 4 -listen 127.0.0.1:8080 scenarios/churn.yaml
-//	stopwatch-sim run -q -seed 1 -metrics-out metrics.json -cpuprofile cpu.prof scenarios/churn-large.yaml
+//	stopwatch-sim run -seed 2 -shards 4 scenarios/churn.yaml
+//	stopwatch-sim run -q -seed 1 -metrics-out metrics.json scenarios/churn-large.yaml
 package main
 
 import (
@@ -26,7 +26,6 @@ import (
 	"strconv"
 	"strings"
 
-	"stopwatch/internal/profiling"
 	"stopwatch/internal/scenario"
 )
 
@@ -118,17 +117,14 @@ func (s *seedSet) Set(v string) error {
 // the -seed set, printing a verdict per run and a clean count per file. It
 // fails if a seed outside the file's failing_seeds fails (an invariant, or
 // an assertion at a declared seed), or if a listed seed comes out clean.
-func runScenarioFiles(args []string, out io.Writer) (err error) {
+func runScenarioFiles(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("stopwatch-sim run", flag.ContinueOnError)
 	var seeds seedSet
 	fs.Var(&seeds, "seed", "run these seeds instead of each file's declared ones: numbers and ranges, e.g. 1-40 or 3,7,11-13")
 	shards := fs.Int("shards", 0, "override the fleet's shard count (0 = the file's; digests are identical for every value)")
-	listen := fs.String("listen", "", "serve /metrics, /metrics.json, /ops and /ops/stream on this loopback address during the run")
 	quiet := fs.Bool("q", false, "suppress the op-stream narration")
 	noReconcile := fs.Bool("no-reconcile", false, "disable the pre-view-commit survivor reconcile round (failure-injection experiments)")
 	metricsOut := fs.String("metrics-out", "", "write the end-of-run metrics snapshot as canonical JSON to this file (needs exactly one run: one file, one seed)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the runs to this file")
-	memprofile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -153,12 +149,7 @@ func runScenarioFiles(args []string, out io.Writer) (err error) {
 	if *metricsOut != "" && (len(scs) != 1 || len(seedsOf(scs[0])) != 1) {
 		return fmt.Errorf("-metrics-out needs exactly one run: name one file and one -seed")
 	}
-	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		return err
-	}
-	defer func() { err = errors.Join(err, stopProfiles()) }()
-	opt := scenario.Options{Shards: *shards, Listen: *listen, DisableReconcile: *noReconcile}
+	opt := scenario.Options{Shards: *shards, DisableReconcile: *noReconcile}
 	if !*quiet {
 		opt.Out = out
 	}

@@ -15,6 +15,10 @@ import (
 func runQuiet(args ...string) error { return run(args, io.Discard) }
 
 func TestRunRejectsUnknowns(t *testing.T) {
+	invalid := filepath.Join(t.TempDir(), "small.yaml")
+	if err := os.WriteFile(invalid, []byte("name: small\nduration_ms: 300\nfleet:\n  machines: 2\n  guests:\n    - name: g\n      app:\n        kind: beacon\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{},                           // no subcommand: usage
 		{"-scenario", "download"},    // the legacy drivers are scenario files now
@@ -23,6 +27,7 @@ func TestRunRejectsUnknowns(t *testing.T) {
 		{"validate"},                 // no files
 		{"run", "no-such-file.yaml"}, // missing file
 		{"run", "-nonflag", corpusDir},
+		{"run", "-q", invalid}, // parses, but a fleet needs three machines
 	} {
 		if err := runQuiet(args...); err == nil {
 			t.Fatalf("args %v should fail", args)
@@ -162,18 +167,6 @@ func TestValidateAllCorpus(t *testing.T) {
 func TestRunLifecycle(t *testing.T) {
 	if err := runQuiet("run", "-q", filepath.Join(corpusDir, "lifecycle.yaml")); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRunLifecycleWithListen: the observability server rides along without
-// disturbing the scenario (same digest pins, same assertions), and a
-// non-loopback address is refused up front.
-func TestRunLifecycleWithListen(t *testing.T) {
-	if err := runQuiet("run", "-q", "-listen", "127.0.0.1:0", filepath.Join(corpusDir, "lifecycle.yaml")); err != nil {
-		t.Fatal(err)
-	}
-	if err := runQuiet("run", "-q", "-listen", "0.0.0.0:0", filepath.Join(corpusDir, "lifecycle.yaml")); err == nil {
-		t.Fatal("non-loopback listen address accepted")
 	}
 }
 

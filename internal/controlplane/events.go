@@ -23,21 +23,6 @@ const (
 	OpFailed
 )
 
-func (k EventKind) String() string {
-	switch k {
-	case OpStarted:
-		return "started"
-	case PhaseReached:
-		return "phase"
-	case OpCompleted:
-		return "completed"
-	case OpFailed:
-		return "failed"
-	default:
-		return "?"
-	}
-}
-
 // Event is one observation of an operation's progress.
 type Event struct {
 	Kind EventKind

@@ -26,7 +26,7 @@ func TestWatchCancelFromOwnCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0] != OpStarted {
-		t.Fatalf("self-cancelled subscriber saw %v, want [started]", got)
+		t.Fatalf("self-cancelled subscriber saw %v, want [%d] (OpStarted)", got, OpStarted)
 	}
 	// Later ops deliver nothing to it.
 	if err := cp.Apply(AdmitOp{GuestID: "g1", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {

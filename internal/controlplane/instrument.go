@@ -6,9 +6,8 @@ package controlplane
 // outcomes, never the pool or cluster directly — so enabling it cannot
 // perturb a run: the op-log digest of an instrumented run is byte-
 // identical to the uninstrumented one (every fleet workload of bench/
-// compares a bare run's digest against an instrumented one, and the
-// scenarios/churn*.yaml pins hold with the HTTP surface attached —
-// internal/scenario TestChurnDigestsUnchangedWithObservability).
+// compares a bare run's digest against an instrumented one, and every
+// scenario run is instrumented and holds its pins).
 
 import (
 	"stopwatch/internal/metrics"

@@ -241,7 +241,7 @@ func TestFig6Shape(t *testing.T) {
 	if !strings.Contains(r.Render(), "Fig 6(a)") {
 		t.Fatal("render missing header")
 	}
-	// Fig 6's StopWatch runs diverge today (ROADMAP item 1, F1: simultaneous
+	// Fig 6's StopWatch runs diverge today (ROADMAP item 2, F1: simultaneous
 	// connection set-ups); whatever the count, the table says it.
 	if !strings.Contains(r.Render(), "divergences over the StopWatch runs: "+strconv.Itoa(r.Divergences)+"\n") {
 		t.Fatalf("render does not report %d divergences:\n%s", r.Divergences, r.Render())

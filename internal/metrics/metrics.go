@@ -1,7 +1,7 @@
 // Package metrics is the deterministic, allocation-conscious telemetry
 // registry behind the observability plane. It is a leaf package (std-lib
 // only, like sim): the data plane (vmm, netsim, core) and the control
-// plane both feed it, and internal/obsrv publishes it over HTTP.
+// plane both feed it, and a run's end-of-run snapshot is its output.
 //
 // Determinism is the design constraint (the op-log digests are the repo's
 // regression oracle, and metrics snapshots join them): there is no wall

@@ -76,16 +76,6 @@ func TestChurnDigestsUnchangedWithCheckpointing(t *testing.T) {
 	}
 }
 
-// TestChurnDigestsUnchangedWithObservability: the HTTP server attached to
-// the event stream observes the run and never feeds back into scheduling or
-// RNG — the pinned digests hold.
-func TestChurnDigestsUnchangedWithObservability(t *testing.T) {
-	sc := loadCorpus(t, "churn.yaml")
-	for _, seed := range sc.Seeds {
-		mustPass(t, sc, Options{Seed: seed, Listen: "127.0.0.1:0"})
-	}
-}
-
 // TestChurnMetricsGolden pins the canonical end-of-run metrics snapshot of
 // each pinned churn seed byte-for-byte, on one shard and on four. The
 // snapshot folds in both planes — op counts, phase latency histograms,

@@ -3,6 +3,7 @@ package scenario
 import (
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,9 +25,14 @@ import (
 // grow a private side-channel past the operations API this package exists
 // to prove sufficient.
 //
-// cmd/stopwatch-sim's may import the standard library, this package and the
-// profiling flags' plumbing: a driver that builds clusters itself is a
-// second way to drive a fleet, which is what scenario files replaced.
+// cmd/stopwatch-sim's may import the standard library and this package: a
+// driver that builds clusters itself is a second way to drive a fleet,
+// which is what scenario files replaced.
+//
+// No production source in the root module (bench/ is its own module)
+// imports net, net/http or runtime/pprof: a run's observability is its
+// output — the verdicts, the op log, -metrics-out — and profiling is
+// `go test -cpuprofile` or the bench's traced pass.
 func TestImportFences(t *testing.T) {
 	for dir, allowed := range map[string]map[string]bool{
 		".": {
@@ -34,8 +40,7 @@ func TestImportFences(t *testing.T) {
 			"stopwatch/internal/netsim": true,
 		},
 		"../../cmd/stopwatch-sim": {
-			"stopwatch/internal/scenario":  true,
-			"stopwatch/internal/profiling": true,
+			"stopwatch/internal/scenario": true,
 		},
 	} {
 		entries, err := os.ReadDir(dir)
@@ -68,6 +73,36 @@ func TestImportFences(t *testing.T) {
 				}
 			}
 		}
+	}
+	const root = "../.."
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join(root, "bench") || d.Name() == "testdata" || (path != root && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			switch p, _ := strconv.Unquote(imp.Path.Value); p {
+			case "net", "net/http", "runtime/pprof":
+				t.Errorf("%s imports %s", path, p)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -30,9 +30,6 @@ type Options struct {
 	Shards int
 	// Out, when non-nil, receives a narration of the op stream.
 	Out io.Writer
-	// Listen, when non-empty, serves the observability plane
-	// (/metrics, /ops) on this address for the duration of the run.
-	Listen string
 	// DisableReconcile turns off the pre-view-commit survivor reconcile
 	// round (failure-injection experiments: demonstrate the divergence the
 	// round exists to prevent).
@@ -107,9 +104,6 @@ func start(sc *Scenario, opt Options) (*runner, error) {
 
 // run executes the built scenario to its end and evaluates it.
 func (r *runner) run() (*Result, error) {
-	if r.srv != nil {
-		defer r.srv.Close()
-	}
 	if err := r.c.Run(stopwatch.Millis(float64(r.sc.DurationMS))); err != nil {
 		return nil, err
 	}
@@ -125,7 +119,6 @@ type runner struct {
 	c   *stopwatch.Cluster
 	cp  *stopwatch.ControlPlane
 	reg *stopwatch.MetricsRegistry
-	srv *stopwatch.ObsrvServer
 	// addReplies exports what one traffic source got back as a sample of
 	// scenario_client_replies{source}.
 	addReplies func(source string, count func() float64)
@@ -193,14 +186,6 @@ func (r *runner) build() error {
 	r.reg = stopwatch.NewMetricsRegistry()
 	cp.InstrumentMetrics(r.reg)
 	c.InstrumentMetrics(r.reg)
-	if r.opt.Listen != "" {
-		r.srv = stopwatch.NewObsrvServer()
-		r.srv.Attach(cp, r.reg)
-		if err := r.srv.Start(r.opt.Listen); err != nil {
-			return err
-		}
-		r.logf("observability: serving http://%s/{metrics,ops}", r.srv.Addr())
-	}
 	// Fabric endpoints: declared extras, beacon sinks, and the traffic
 	// sources (true), attached in sorted order for determinism.
 	nodes := map[string]bool{}
@@ -801,12 +786,9 @@ func auditLockstep(g *stopwatch.Guest, strict bool) (degraded bool, err error) {
 	return false, g.CheckLockstepPrefix()
 }
 
-// finish publishes the final snapshot, evaluates the assertions and digest
-// pin, and assembles the result.
+// finish takes the final snapshot, evaluates the assertions and digest pin,
+// and assembles the result.
 func (r *runner) finish() *Result {
-	if r.srv != nil {
-		r.srv.Publish(r.reg)
-	}
 	log := r.cp.Log()
 	digest := fnv.New64a()
 	_, _ = digest.Write([]byte(stopwatch.FormatOpLog(log)))

@@ -50,7 +50,6 @@ import (
 	"stopwatch/internal/guest"
 	"stopwatch/internal/metrics"
 	"stopwatch/internal/netsim"
-	"stopwatch/internal/obsrv"
 	"stopwatch/internal/placement"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/transport"
@@ -371,15 +370,12 @@ func DefaultControlPlaneConfig(capacity int) ControlPlaneConfig {
 	return controlplane.DefaultConfig(capacity)
 }
 
-// Observability re-exports: the deterministic metrics registry and the
-// localhost HTTP surface over it.
+// Observability re-exports: the deterministic metrics registry.
 //
 //	reg := stopwatch.NewMetricsRegistry()
 //	cp.InstrumentMetrics(reg) // control-plane families, fed by Watch
 //	c.InstrumentMetrics(reg)  // data-plane families (packets, proposals, disks)
-//	srv := stopwatch.NewObsrvServer()
-//	srv.Attach(cp, reg)
-//	_ = srv.Start("127.0.0.1:8080") // /metrics, /metrics.json, /ops, /ops/stream
+//	fmt.Print(reg.JSON())     // canonical end-of-run snapshot
 
 // MetricsRegistry is the deterministic metrics registry: counters, gauges
 // and fixed-bucket histograms with no wall-clock dependence; snapshots
@@ -389,15 +385,3 @@ type MetricsRegistry = metrics.Registry
 
 // NewMetricsRegistry builds an empty registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// ObsrvServer is the observability HTTP server: a localhost-only surface
-// serving the registry as Prometheus text (/metrics) and canonical JSON
-// (/metrics.json), the completed-operations log as a filterable query API
-// (/ops), and the live event stream as an NDJSON tail (/ops/stream).
-// Serving never perturbs the simulation: handlers read only published
-// immutable snapshots.
-type ObsrvServer = obsrv.Server
-
-// NewObsrvServer builds an unstarted observability server; Attach it to a
-// control plane and registry, then Start it on a loopback address.
-func NewObsrvServer() *ObsrvServer { return obsrv.New() }
