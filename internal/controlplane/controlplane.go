@@ -372,7 +372,7 @@ func (cp *ControlPlane) movable(id string, from int) error {
 //     names the machine it landed on (it may complete later — a planned
 //     detour runs a whole child barrier first);
 //  5. reconstruct the replica there from the survivors' journal and switch
-//     the multicast groups over (core.Cluster.ReplaceReplica), rolling the
+//     the replica groups over (core.Cluster.ReplaceReplica), rolling the
 //     pool back if that fails — and, if it failed because the chosen machine
 //     is dead (refusedAsDead), going back to step 4 without that machine;
 //  6. resume the ingress stream, flushing the buffered packets.

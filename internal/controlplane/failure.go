@@ -9,11 +9,11 @@ package controlplane
 //
 //  1. FailOp marks the machine failed: its capacity leaves the placement
 //     pool (placement.Failed in its availability record), the data plane
-//     kills its runtimes and proposal senders, and — one drainWindow later,
+//     halts its runtimes and silences its VMMs, and — one drainWindow later,
 //     once the dead VMM's in-flight proposals have landed and the survivors
 //     have exchanged what landed where (core.ReconcileSurvivors) — every
-//     resident guest's group is reconfigured (multicast groups, pacing
-//     peers, device live views, ingress replication, egress live count) to
+//     resident guest's group is reconfigured (proposal and pacing peers,
+//     device live views, ingress replication, egress live count) to
 //     the live quorum. Pending
 //     and future delivery proposals then resolve on the live set and the
 //     guests keep serving degraded 2-of-3. The op completes at the
@@ -49,7 +49,7 @@ type hostFailure struct {
 
 // applyFail marks machine as crashed (its VMM died). The machine's capacity
 // leaves the placement pool immediately, its replicas' guest execution and
-// proposal senders are killed, and one drainWindow later — once the dead
+// VMMs stop (no proposals or resends), and one drainWindow later — once the dead
 // VMM's in-flight proposals have settled at every survivor — every resident
 // guest's replica group is reconfigured onto its live quorum, unwedging the
 // delivery medians; the op completes then. Submit an EvacuateOp afterwards

@@ -1,8 +1,8 @@
 // Package core assembles the StopWatch cloud: machines, replicated guests
 // under the StopWatch VMM (or single guests under the baseline VMM), the
-// ingress/egress gateway pair, the inter-VMM proposal and pacing protocols
-// over reliable multicast, and external clients. It is the integration
-// layer every experiment and example builds on.
+// ingress/egress gateway pair, the inter-VMM proposal and pacing protocols,
+// and external clients. It is the integration layer every experiment and
+// example builds on.
 package core
 
 import (
@@ -14,6 +14,7 @@ import (
 	"stopwatch/internal/metrics"
 	"stopwatch/internal/multicast"
 	"stopwatch/internal/netsim"
+	"stopwatch/internal/seqwin"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/transport"
 	"stopwatch/internal/vmm"
@@ -68,7 +69,7 @@ type ClusterConfig struct {
 	Shards int
 	// Mode selects StopWatch or baseline.
 	Mode Mode
-	// Replicas per guest under StopWatch (odd; default 3).
+	// Replicas per guest under StopWatch (odd, at least 3; default 3).
 	Replicas int
 	// VMM carries the hypervisor tunables.
 	VMM vmm.Config
@@ -199,7 +200,7 @@ type Guest struct {
 // record of the resident (hostNode.residents). Peer lists are read
 // through the struct at send time, so replica replacement can rewire a
 // running guest by mutating them. The wiring itself implements the VMM's
-// sink interfaces (proposal multicast, pacing fan-out, egress tunnelling),
+// sink interfaces (proposal exchange, pacing fan-out, egress tunnelling),
 // so wiring a replica installs plain pointers instead of per-replica
 // closures.
 type replicaWiring struct {
@@ -208,20 +209,44 @@ type replicaWiring struct {
 	gid      string
 	hostIdx  int
 	hostName string
-	dom0     netsim.Addr
 	rt       *vmm.Runtime
 	nd       *vmm.NetDevice
 	app      guest.App
 	ec       *vmm.EpochCoordinator
-	propSrc  netsim.Addr
-	propEP   *netsim.Endpoint // propSrc, resolved at wiring time
-	psnd     *multicast.Sender
-	// peers are the live peer Dom0s: psnd's group, whose resolved form
-	// (psnd.Endpoints) the pacing fan-out sends to as well.
-	peers []netsim.Addr
-	// peerProps[i] is the proposal stream of the peer replica behind
-	// psnd.Endpoints()[i]: what a beacon from that Dom0 advertises.
-	peerProps []*netsim.Endpoint
+	// propEP ("prop:<host>/<guest>") is where proposals leave from; nothing
+	// is addressed to it, and its name picks each proposal link's jitter.
+	propEP *netsim.Endpoint
+	// sent numbers this replica's proposals; out keeps each one until every
+	// live peer's beacon has acked it.
+	sent uint64
+	out  seqwin.Window[sentProp]
+	// links are the live peers in slot order: proposals and pacing beacons
+	// go to their Dom0s.
+	links []peerLink
+}
+
+// sentProp is one numbered proposal, kept for resending.
+type sentProp struct {
+	view, seq uint64
+	virt      vtime.Virtual
+	at        sim.Time // its last send
+}
+
+// peerLink is the proposal exchange with one live peer: each side numbers
+// its proposals and acks the other's in its pacing beacon, so the next
+// beacon finds a loss and no timer runs. A link to a peer new to the group
+// starts in sync: a fresh replacement expects each survivor's count + 1,
+// and each survivor expects the fresh one's proposal 1 and takes its own
+// count as acked.
+type peerLink struct {
+	peer *replicaWiring
+	// next is the lowest of the peer's proposals not yet received in order;
+	// our beacons ack next − 1. Those that land past a gap (links are FIFO,
+	// so after a loss) are not counted: they are resent once more.
+	next uint64
+	// acked is the highest of our proposals the peer's beacons have acked;
+	// missing is the highest a beacon has shown the peer lacking.
+	acked, missing uint64
 }
 
 var (
@@ -230,30 +255,80 @@ var (
 	_ vmm.SendSink     = (*replicaWiring)(nil)
 )
 
-// SendProposal implements vmm.ProposalSink: reliable multicast of this
-// replica's delivery-time proposal to the peer device models.
+// SendProposal implements vmm.ProposalSink: one unicast of this replica's
+// delivery-time proposal to each live peer Dom0, kept until acked.
 func (w *replicaWiring) SendProposal(view, seq uint64, v vtime.Virtual) {
-	w.psnd.Multicast("swprop", 64, netsim.PacketBody{
-		Kind: netsim.BodyProp, GuestID: w.gid, Origin: w.hostName, View: view, Seq: seq, Virt: v,
-	})
+	w.sent++
+	if len(w.links) == 0 {
+		w.out.SkipTo(w.sent + 1) // a sole survivor has nobody to resend to
+		return
+	}
+	p := sentProp{view: view, seq: seq, virt: v, at: w.hn.host.Loop().Now()}
+	// A window at seqwin.MaxSpan (no ack for that long) keeps no more.
+	if slot, _ := w.out.Open(w.sent); slot != nil {
+		*slot = p
+	}
+	for i := range w.links {
+		w.sendProp(w.links[i].peer.hn.ep, w.sent, &p)
+	}
+}
+
+func (w *replicaWiring) sendProp(dst *netsim.Endpoint, n uint64, p *sentProp) {
+	pkt := w.c.net.AllocTo(w.propEP, dst, 64, "swprop", nil)
+	pkt.Body = netsim.PacketBody{
+		Kind: netsim.BodyProp, GuestID: w.gid, Origin: w.hostName, View: p.view, Seq: p.seq, Virt: p.virt, StreamSeq: n,
+	}
+	w.c.net.Send(pkt)
+}
+
+// onAck takes a beacon's ack from link l's peer: it retires what every live
+// peer holds, and resends to this peer whatever it lacks that is too old to
+// be in flight. A proposal and a beacon sent against it each take at most
+// Latency + JitterMax, so a loss-free run never resends; a lost resend is
+// retried at the next beacon.
+func (w *replicaWiring) onAck(l *peerLink, ack uint64) {
+	l.acked = max(l.acked, ack)
+	lo := w.sent
+	for i := range w.links {
+		lo = min(lo, w.links[i].acked)
+	}
+	w.out.SkipTo(lo + 1)
+	w.resend(l, w.sent, 0)
+}
+
+// resend sends l's peer each proposal in (l.acked, upTo] last sent more
+// than wait plus a round trip ago, and marks it missing there.
+func (w *replicaWiring) resend(l *peerLink, upTo uint64, wait sim.Time) {
+	now, cl := w.hn.host.Loop().Now(), w.c.cfg.CloudLink
+	for n, p := range w.out.All() {
+		if n > l.acked && n <= upTo && now-p.at > wait+2*(cl.Latency+cl.JitterMax) {
+			p.at = now
+			l.missing = max(l.missing, n)
+			w.sendProp(l.peer.hn.ep, n, p)
+		}
+	}
 }
 
 // PaceReport implements vmm.PaceSink: unicast progress beacons to the peer
-// Dom0s (periodic, loss-tolerant) — exactly the proposal stream's group, so
-// the beacon is also that stream's heartbeat: it carries the high-water
-// mark an SPM would, and psnd runs no timer. Under epochs it also carries
-// the replica's latest epoch sample, which the next beacon repeats if this
-// one is lost. The beacon rides in the typed packet body — nothing is boxed
-// per tick.
+// Dom0s (periodic, loss-tolerant), each acking that peer's proposals and,
+// under epochs, carrying the latest epoch sample (the next beacon repeats
+// it if this one is lost); nothing is boxed per tick. Each also resends
+// what a beacon has shown missing, not what a silent peer has merely left
+// unacked, once a loss-free ack (the peer's beacon period plus a round
+// trip) is overdue: a lost resend is retried while the acks are lost too.
 func (w *replicaWiring) PaceReport(v vtime.Virtual, epoch int64, s vtime.EpochSample) {
-	net, sent, size := w.c.net, w.psnd.NextSeq()-1, 48
+	net, size := w.c.net, 48
 	if epoch >= 0 {
 		size += 24 // the sample's epoch index, D and R
 	}
-	for _, dst := range w.psnd.Endpoints() {
-		p := net.AllocTo(w.hn.ep, dst, size, "swpace", nil)
+	for i := range w.links {
+		l := &w.links[i]
+		if l.missing > l.acked {
+			w.resend(l, l.missing, w.c.cfg.VMM.PaceInterval)
+		}
+		p := net.AllocTo(w.hn.ep, l.peer.hn.ep, size, "swpace", nil)
 		p.Body.Kind, p.Body.GuestID, p.Body.Origin, p.Body.Virt = netsim.BodyPace, w.gid, w.hostName, v
-		p.Body.StreamSeq, p.Body.Epoch, p.Body.Sample = sent, epoch+1, s
+		p.Body.StreamSeq, p.Body.Epoch, p.Body.Sample = l.next-1, epoch+1, s
 		net.Send(p)
 	}
 }
@@ -270,18 +345,26 @@ func (w *replicaWiring) GuestSend(a guest.IOAction) {
 	net.SendAfter(p, hostIODelay(w.hn.host))
 }
 
-// CheckLockstep verifies all replicas produced identical outputs.
+// CheckLockstep verifies all replicas produced identical outputs. A failure
+// names the first output at which a replica's log parts from replica 0's.
 func (g *Guest) CheckLockstep() error {
 	if len(g.replicas) < 2 {
 		return nil
 	}
-	d0 := g.replicas[0].rt.VM().OutputDigest()
-	n0 := g.replicas[0].rt.VM().OutputCount()
+	vm0 := g.replicas[0].rt.VM()
 	for i, w := range g.replicas[1:] {
-		if w.rt.VM().OutputDigest() != d0 || w.rt.VM().OutputCount() != n0 {
-			return fmt.Errorf("%w: guest %s replica %d diverged (outputs %d vs %d)",
-				ErrCluster, g.ID, i+1, w.rt.VM().OutputCount(), n0)
+		vm := w.rt.VM()
+		if vm.OutputDigest() == vm0.OutputDigest() && vm.OutputCount() == vm0.OutputCount() {
+			continue
 		}
+		at := "agrees on the common prefix"
+		if k, exact := vm.OutputLog().FirstDifference(vm0.OutputLog()); !exact {
+			at = fmt.Sprintf("differs at or before output %d", k)
+		} else if k > 0 {
+			at = fmt.Sprintf("differs at output %d", k)
+		}
+		return fmt.Errorf("%w: guest %s replica %d diverged: %s (outputs %d vs %d)",
+			ErrCluster, g.ID, i+1, at, vm.OutputCount(), vm0.OutputCount())
 	}
 	return nil
 }
@@ -296,8 +379,8 @@ func (g *Guest) Divergences() int {
 }
 
 // hostNode is a host's Dom0 fabric endpoint: it demultiplexes ingress
-// streams, peer proposals, pacing reports and egress tunnelling for every
-// guest replica resident on the host.
+// streams, peer proposals and pacing reports for every guest replica
+// resident on the host.
 type hostNode struct {
 	c    *Cluster
 	host *vmm.Host
@@ -322,8 +405,8 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 3
 	}
-	if cfg.Replicas < 1 || cfg.Replicas%2 == 0 {
-		return nil, fmt.Errorf("%w: replicas %d must be odd", ErrCluster, cfg.Replicas)
+	if cfg.Replicas < 1 || cfg.Replicas%2 == 0 || cfg.Mode == ModeStopWatch && cfg.Replicas < 3 {
+		return nil, fmt.Errorf("%w: replicas %d must be odd, and at least 3 under StopWatch", ErrCluster, cfg.Replicas)
 	}
 	if err := cfg.VMM.Validate(); err != nil {
 		return nil, err
@@ -567,10 +650,11 @@ func (c *Cluster) deployStopWatch(id string, hostIdx []int, factory func() guest
 		}
 	}
 	// Boot times: each replica host's clock read now; the virtual clock
-	// start is their median (Sec. IV-A).
-	boots := make([]sim.Time, len(hostIdx))
+	// start is their median (Sec. IV-A). The Dom0s are the ingress group.
+	boots, dom0s := make([]sim.Time, len(hostIdx)), make([]netsim.Addr, len(hostIdx))
 	for k, i := range hostIdx {
 		boots[k] = c.hosts[i].Clock().Read(c.loop.Now())
+		dom0s[k] = c.hostNodes[i].addr
 	}
 	g := &Guest{
 		ID:       id,
@@ -584,7 +668,7 @@ func (c *Cluster) deployStopWatch(id string, hostIdx []int, factory func() guest
 			return nil, err
 		}
 	}
-	if err := c.ingress.RegisterGuest(id, g.dom0s()); err != nil {
+	if err := c.ingress.RegisterGuest(id, dom0s); err != nil {
 		return nil, err
 	}
 	if err := c.reconcileGroups(g); err != nil {
@@ -628,47 +712,21 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 		h := c.propLatency.Shard(c.shardOf(hostIdx))
 		nd.LatencyHist = &h
 	}
+	prop := netsim.Addr("prop:" + c.hosts[hostIdx].Name() + "/" + id)
 	w := &replicaWiring{
 		c:        c,
 		hn:       hn,
 		gid:      id,
 		hostIdx:  hostIdx,
 		hostName: c.hosts[hostIdx].Name(),
-		dom0:     hn.addr,
 		rt:       rt,
 		nd:       nd,
 		app:      app,
-		propSrc:  netsim.Addr("prop:" + c.hosts[hostIdx].Name() + "/" + id),
+		propEP:   c.net.Endpoint(prop),
+		out:      seqwin.New[sentProp](1),
 	}
-	w.propEP = c.net.Endpoint(w.propSrc)
-	w.peers, w.peerProps = make([]netsim.Addr, 0, c.cfg.Replicas-1), make([]*netsim.Endpoint, 0, c.cfg.Replicas-1)
-	// Proposal exchange: reliable multicast to peer Dom0s. The group is a
-	// placeholder until reconcileGroups fills in the real peer set (which can
-	// change over the guest's life as replicas are re-homed); a 1-replica
-	// "group" has no peers and fails here as it always has.
-	var placeholder []netsim.Addr
-	if c.cfg.Replicas > 1 {
-		// Capacity for the real peer set: SetGroup reuses this backing when
-		// reconciliation installs the actual peers.
-		placeholder = append(make([]netsim.Addr, 0, c.cfg.Replicas-1), hn.addr)
-	}
-	// The proposal stream's sender state (NAK consumption) and source
-	// address live on the replica's host shard. It sends no SPMs: PaceReport
-	// advertises the stream to the same group every PaceInterval.
-	if err := c.net.AssignShard(w.propSrc, c.shardOf(hostIdx)); err != nil {
-		return err
-	}
-	psnd, err := multicast.NewSender(c.net, c.hosts[hostIdx].Loop(), multicast.SenderConfig{
-		Src: w.propSrc, Group: placeholder, SPMInterval: multicast.NoSPM,
-	})
-	if err != nil {
-		return err
-	}
-	w.psnd = psnd
-	// Attach replaces any stale node from an earlier tenancy of this host
-	// (guest ids are unique, so no live holder can exist). The sender is
-	// its own fabric node (NAK consumption).
-	if err := c.net.Attach(psnd); err != nil {
+	// Proposals (and resends, answering beacons) leave from the host's shard.
+	if err := c.net.AssignShard(prop, c.shardOf(hostIdx)); err != nil {
 		return err
 	}
 	// Proposal exchange, journal, pacing and egress tunnelling all wire to
@@ -705,18 +763,9 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 	return nil
 }
 
-// dom0s returns the guest's replica Dom0 addresses in slot order.
-func (g *Guest) dom0s() []netsim.Addr {
-	out := make([]netsim.Addr, len(g.replicas))
-	for k, w := range g.replicas {
-		out[k] = w.dom0
-	}
-	return out
-}
-
 // reconcileGroups recomputes guest g's whole group configuration from the
 // current liveness of its replicas' machines (vmm.Host.Failed): every live
-// replica's pacing peer list, proposal multicast group and device-model
+// replica's peer links (pacing and proposals) and device-model
 // live view (under a freshly bumped view number, installed in all live
 // members within this one simulated instant), plus the ingress replication
 // group and the egress's per-guest live copy count (so a degraded guest's
@@ -726,8 +775,7 @@ func (g *Guest) dom0s() []netsim.Addr {
 // unevacuated failure cannot resurrect a dead member into the group.
 func (c *Cluster) reconcileGroups(g *Guest) error {
 	// The live-set slices are cluster-owned scratch: every consumer below
-	// (live views, multicast groups, ingress replication) copies what it
-	// keeps, so reconciliation allocates nothing in steady state.
+	// (live views, ingress replication) copies what it keeps.
 	liveNames := c.scratchNames[:0]
 	liveDom0s := c.scratchAddrs[:0]
 	var deadNames []string
@@ -737,7 +785,7 @@ func (c *Cluster) reconcileGroups(g *Guest) error {
 			continue
 		}
 		liveNames = append(liveNames, w.hostName)
-		liveDom0s = append(liveDom0s, w.dom0)
+		liveDom0s = append(liveDom0s, w.hn.addr)
 	}
 	c.scratchNames = liveNames[:0]
 	c.scratchAddrs = liveDom0s[:0]
@@ -745,25 +793,38 @@ func (c *Cluster) reconcileGroups(g *Guest) error {
 		return fmt.Errorf("%w: guest %q has no live replicas", ErrCluster, g.ID)
 	}
 	g.view++
+	// Every live replica's links first, from counts read before the
+	// re-proposals below: a link to a staying peer keeps its state, one to a
+	// new peer starts in sync (peerLink), and a sole survivor has none, so
+	// no proposal or beacon reaches dead or repaired machines.
 	for _, w := range g.replicas {
 		if c.hosts[w.hostIdx].Failed() {
 			continue
 		}
-		w.peers, w.peerProps = w.peers[:0], w.peerProps[:0]
+		old := w.links
+		w.links = make([]peerLink, 0, len(g.replicas)-1)
 		for _, p := range g.replicas {
-			if p != w && !c.hosts[p.hostIdx].Failed() {
-				w.peers = append(w.peers, p.dom0)
-				w.peerProps = append(w.peerProps, p.propEP)
+			if p == w || c.hosts[p.hostIdx].Failed() {
+				continue
 			}
+			l := peerLink{peer: p, next: p.sent + 1, acked: w.sent}
+			for _, o := range old {
+				if o.peer == p {
+					l = o
+				}
+			}
+			w.links = append(w.links, l)
 		}
-		// An empty peer set (sole survivor) silences the sender and its
-		// beacons — they must not keep reaching dead or repaired machines.
-		_ = w.psnd.SetGroup(w.peers)
+	}
+	for _, w := range g.replicas {
+		if c.hosts[w.hostIdx].Failed() {
+			continue
+		}
 		for _, d := range deadNames {
 			w.rt.DropPeer(d)
 		}
 		// Install the live view last: it re-proposes pending sequences
-		// through the freshly repointed multicast group.
+		// over the fresh links.
 		w.nd.SetLiveReplicas(g.view, liveNames)
 		// The epoch barrier completes against the same live set — a shrink
 		// unwedges survivors waiting on a dead member's sample.
@@ -838,48 +899,55 @@ func (c *Cluster) NewClient(addr netsim.Addr) (*transport.Client, error) {
 // ServiceAddr re-exports the guest public address helper.
 func ServiceAddr(guestID string) netsim.Addr { return gateway.ServiceAddr(guestID) }
 
-// deliver handles unicast packets to the Dom0 node.
+// deliver handles packets to the Dom0 node: the ingress streams' multicast,
+// and peer proposals and pacing beacons for a resident guest. Proposals and
+// beacons count only from a current peer, so one still in flight when its
+// guest or its sender left the group finds no link.
 func (hn *hostNode) deliver(p *netsim.Packet) {
 	if hn.host.Failed() {
 		return // a dead machine's fabric endpoint is silent
 	}
-	if hn.mrx.Handle(p) || p.Kind != "swpace" {
+	if p.Kind != "swprop" && p.Kind != "swpace" {
+		hn.mrx.Handle(p)
 		return
 	}
 	w, ok := hn.residents[p.Body.GuestID]
 	if !ok {
 		return
 	}
-	w.rt.OnPeerVirt(p.Body.Origin, p.Body.Virt)
-	// From a current peer, the beacon also advertises its proposal stream (a
-	// departed guest or peer is never reached here). Every one counts as
-	// hearing the source, as every SPM does.
-	if src := hn.c.net.SourceOf(p); p.Body.StreamSeq > 0 {
-		for i, dom0 := range w.psnd.Endpoints() {
-			if dom0 == src {
-				hn.mrx.Advertise(w.peerProps[i], p.Body.StreamSeq)
-				break
-			}
+	b, src := &p.Body, hn.c.net.SourceOf(p)
+	var l *peerLink
+	for i, q := range w.links {
+		if q.peer.hn.ep == src || q.peer.propEP == src {
+			l = &w.links[i]
 		}
+	}
+	if p.Kind == "swprop" {
+		// A resend of a proposal already here stops before the device.
+		if l == nil || b.StreamSeq < l.next {
+			return
+		}
+		if b.StreamSeq == l.next {
+			l.next++
+		}
+		w.nd.HandlePeerProposal(b.Origin, b.View, b.Seq, b.Virt)
+		return
+	}
+	w.rt.OnPeerVirt(b.Origin, b.Virt)
+	if l != nil {
+		w.onAck(l, b.StreamSeq)
 	}
 	// Under epochs it carries the peer's latest sample as Epoch = index + 1;
 	// a beacon with none (Epoch 0) reads as stale.
 	if w.ec != nil {
-		w.ec.OnPeerSample(p.Body.Origin, p.Body.Epoch-1, p.Body.Sample)
+		w.ec.OnPeerSample(b.Origin, b.Epoch-1, b.Sample)
 	}
 }
 
-// onMulticastData dispatches reliable-multicast bodies: ingress streams
-// ("ingress/<guest>") and peer proposals ("prop:<host>/<guest>").
-func (hn *hostNode) onMulticastData(_ netsim.Addr, seq uint64, kind string, body netsim.PacketBody) {
-	w, ok := hn.residents[body.GuestID]
-	if !ok || hn.host.Failed() {
-		return
-	}
-	switch kind {
-	case "swin":
+// onMulticastData hands an ingress stream's packet ("ingress/<guest>") to
+// the resident replica's device model.
+func (hn *hostNode) onMulticastData(_ netsim.Addr, seq uint64, _ string, body netsim.PacketBody) {
+	if w, ok := hn.residents[body.GuestID]; ok {
 		w.nd.HandleInbound(seq, guest.Payload{Src: body.ClientSrc, Size: body.Size, Data: body.Data})
-	case "swprop":
-		w.nd.HandlePeerProposal(body.Origin, body.View, body.Seq, body.Virt)
 	}
 }

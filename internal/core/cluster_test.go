@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"stopwatch/internal/apps"
@@ -44,6 +46,10 @@ func TestClusterValidation(t *testing.T) {
 	cfg.Replicas = 2
 	if _, err := New(cfg); !errors.Is(err, ErrCluster) {
 		t.Fatal("even replicas should fail")
+	}
+	cfg.Replicas = 1
+	if _, err := New(cfg); !errors.Is(err, ErrCluster) {
+		t.Fatal("one StopWatch replica should fail: it has no peers to agree with")
 	}
 	c := mustCluster(t, DefaultClusterConfig())
 	if _, err := c.Deploy("", []int{0, 1, 2}, nil); !errors.Is(err, ErrCluster) {
@@ -422,3 +428,38 @@ func TestEgressMedianTimingOrder(t *testing.T) {
 }
 
 var _ = transport.MSS // silence potential unused import if tests change
+
+// TestCheckLockstepNamesFirstDifference: a lockstep failure names the
+// output at which a replica's log parts from replica 0's, with both counts.
+func TestCheckLockstepNamesFirstDifference(t *testing.T) {
+	c, g, send := probeCluster(t, 1)
+	c.Loop().At(20*sim.Millisecond, "send", send)
+	if err := c.Run(80 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.CheckLockstep(); err != nil {
+		t.Fatal(err)
+	}
+	log0, log1 := g.replicas[0].rt.VM().OutputLog(), g.replicas[1].rt.VM().OutputLog()
+	n := log0.Len()
+	log1.Append(1, "client", 64, "extra")
+	want := fmt.Sprintf("replica 1 diverged: agrees on the common prefix (outputs %d vs %d)", n+1, n)
+	if err := g.CheckLockstep(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %v, want %q", err, want)
+	}
+	log0.Append(1, "client", 64, "other")
+	want = fmt.Sprintf("replica 1 diverged: differs at output %d (outputs %d vs %d)", n+1, n+1, n+1)
+	if err := g.CheckLockstep(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %v, want %q", err, want)
+	}
+	// Once the parting output is older than the digest history, the oldest
+	// held one is named instead.
+	for i := range 600 {
+		log0.Append(uint64(i+2), "client", 64, "same")
+		log1.Append(uint64(i+2), "client", 64, "same")
+	}
+	want = fmt.Sprintf("replica 1 diverged: differs at or before output %d (outputs %d vs %d)", n+601-511, n+601, n+601)
+	if err := g.CheckLockstep(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %v, want %q", err, want)
+	}
+}

@@ -26,10 +26,10 @@ func (c *Cluster) GuestIDs() []string {
 }
 
 // FailMachine models machine m's VMM dying at the current instant: every
-// resident replica's guest execution halts, its proposal sender closes (a
-// dead VMM neither proposes nor repairs), and the machine's fabric endpoint
-// goes silent. The replica wirings stay in place — replacement needs the
-// slots — and the surviving replicas keep running against the full group
+// resident replica's guest execution halts, and the machine's fabric
+// endpoint goes silent (a dead VMM neither proposes nor resends). The
+// replica wirings stay in place — replacement needs the slots — and the
+// surviving replicas keep running against the full group
 // view until MarkReplicaDead reconfigures them (callers wait a settle
 // window first so the dead VMM's in-flight proposals land everywhere and
 // every replica sees identical proposal sets).
@@ -51,17 +51,15 @@ func (c *Cluster) FailMachine(m int) error {
 			continue
 		}
 		if slot, on := g.SlotOnHost(m); on {
-			w := g.replicas[slot]
-			w.rt.Stop()
-			w.psnd.Close()
+			g.replicas[slot].rt.Stop()
 		}
 	}
 	return nil
 }
 
 // MarkReplicaDead reconfigures guest id's group after its replica's machine
-// (deadHost, already failed via FailMachine) died: the survivors' proposal
-// multicast groups, pacing peer lists and device live views drop the dead
+// (deadHost, already failed via FailMachine) died: the survivors' peer
+// links (proposals and pacing) and device live views drop the dead
 // member, and the ingress stops replicating to it. Pending delivery
 // proposals are re-proposed among the live members and resolve on the live
 // quorum, so the guest's inbound path is unwedged; the dead replica's own

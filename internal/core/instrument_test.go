@@ -56,11 +56,11 @@ func TestInstrumentMetricsDataPlane(t *testing.T) {
 		return metrics.Sample{}
 	}
 
-	// The proposal exchange rides the reliable multicast (pgm:data), and
-	// every replica tunnels outputs to the egress: both kinds must move,
-	// and proposal-latency observations must be plentiful.
-	if s := find("stopwatch_net_packets_delivered_total", "pgm:data"); s.Counter == 0 {
-		t.Fatal("no proposal multicast deliveries counted")
+	// Every replica unicasts its proposals to its peers (swprop) and
+	// tunnels outputs to the egress: both kinds must move, and
+	// proposal-latency observations must be plentiful.
+	if s := find("stopwatch_net_packets_delivered_total", "swprop"); s.Counter == 0 {
+		t.Fatal("no proposal deliveries counted")
 	}
 	if s := find("stopwatch_net_packets_delivered_total", "egress:tunnel"); s.Counter == 0 {
 		t.Fatal("no egress tunnel deliveries counted")

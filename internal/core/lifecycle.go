@@ -13,8 +13,8 @@ import (
 // these against its placement pool; the cluster owns the mechanics.
 
 // Undeploy evicts a guest: replicas stop and detach from their hosts'
-// schedulers, all fabric wiring (service address, ingress stream, proposal
-// streams) is torn down, and the id becomes reusable.
+// schedulers, all fabric wiring (service address, ingress stream) is torn
+// down, and the id becomes reusable.
 func (c *Cluster) Undeploy(id string) error {
 	g, ok := c.guests[id]
 	if !ok {
@@ -28,13 +28,6 @@ func (c *Cluster) Undeploy(id string) error {
 	}
 	for _, w := range g.replicas {
 		c.releaseReplicaWiring(id, w)
-		// Drop peer-stream state so a later tenant reusing an address
-		// starts from sequence 1 instead of being discarded as duplicates.
-		for _, peer := range g.replicas {
-			if peer != w {
-				c.hostNodes[w.hostIdx].mrx.Forget(peer.propSrc)
-			}
-		}
 	}
 	if err := c.ingress.UnregisterGuest(id); err != nil {
 		return err
@@ -45,16 +38,13 @@ func (c *Cluster) Undeploy(id string) error {
 }
 
 // releaseReplicaWiring unwires one StopWatch replica from the fabric: the
-// runtime leaves its host's scheduler, the host node forgets the guest,
-// the proposal sender closes and detaches, and the ingress stream state is
-// dropped. Both eviction and replacement teardown go through here.
+// runtime leaves its host's scheduler, the host node forgets the guest (its
+// proposal links go with it), and the ingress stream state is dropped. Both
+// eviction and replacement teardown go through here.
 func (c *Cluster) releaseReplicaWiring(id string, w *replicaWiring) {
 	w.rt.Release()
-	hn := w.hn
-	delete(hn.residents, id)
-	w.psnd.Close()
-	c.net.Detach(w.propSrc)
-	hn.mrx.Forget(c.ingress.SourceAddr(id))
+	delete(w.hn.residents, id)
+	w.hn.mrx.Forget(c.ingress.SourceAddr(id))
 }
 
 // GuestQuiescent reports whether every live replica's device model has
@@ -155,11 +145,8 @@ func (c *Cluster) ReplaceReplica(id string, deadHost, newHost int) error {
 
 	// Point of no return: tear down the dead replica's wiring.
 	c.releaseReplicaWiring(id, dead)
-	hnDead := c.hostNodes[dead.hostIdx]
 	for _, w := range survivors {
-		c.hostNodes[w.hostIdx].mrx.Forget(dead.propSrc)
 		w.rt.DropPeer(dead.hostName)
-		hnDead.mrx.Forget(w.propSrc)
 	}
 
 	if err := c.wireReplica(g, slot, newHost, rt); err != nil {
@@ -167,23 +154,18 @@ func (c *Cluster) ReplaceReplica(id string, deadHost, newHost int) error {
 		return fmt.Errorf("replace %q: %w", id, err)
 	}
 
-	// Join the in-progress streams at their current sequence: the new
-	// member must not NAK history from before it existed, and survivors
-	// must not hold stale state for a reused proposal address.
-	hnNew := c.hostNodes[newHost]
+	// Join the in-progress ingress stream at its current sequence: the new
+	// member must not NAK history from before it existed. (reconcileGroups
+	// starts its proposal links with the survivors in sync.)
 	next, err := c.ingress.NextSeq(id)
 	if err != nil {
 		return err
 	}
-	hnNew.mrx.Prime(c.ingress.SourceAddr(id), next)
+	c.hostNodes[newHost].mrx.Prime(c.ingress.SourceAddr(id), next)
 	fresh := g.replicas[slot]
 	// The fresh device must not treat the stream's history — resolved by
 	// its predecessors and replayed from the journal — as forever-pending.
 	fresh.nd.PrimeResolved(next - 1)
-	for _, w := range survivors {
-		hnNew.mrx.Prime(w.propSrc, w.psnd.NextSeq())
-		c.hostNodes[w.hostIdx].mrx.Forget(fresh.propSrc)
-	}
 
 	if err := c.reconcileGroups(g); err != nil {
 		return err

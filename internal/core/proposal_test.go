@@ -1,0 +1,386 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"stopwatch/internal/apps"
+	"stopwatch/internal/guest"
+	"stopwatch/internal/netsim"
+	"stopwatch/internal/sim"
+)
+
+// probeCluster deploys one probe guest "g" on hosts 0-2 of a four-host
+// cluster and returns a function that sends it one client packet.
+func probeCluster(t *testing.T, shards int) (*Cluster, *Guest, func()) {
+	t.Helper()
+	cfg := DefaultClusterConfig()
+	cfg.Hosts, cfg.Shards = 4, shards
+	c := mustCluster(t, cfg)
+	g, err := c.Deploy("g", []int{0, 1, 2}, func() guest.App { return apps.NewProbeApp() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	return c, g, func() {
+		c.Net().Send(&netsim.Packet{Src: "client", Dst: ServiceAddr("g"), Size: 64, Kind: "probe"})
+	}
+}
+
+// resends counts the proposals w has resent to peer: what its proposal link
+// to the peer's Dom0 carried beyond one send per numbered proposal (lost
+// sends included, so it counts the instant a resend leaves).
+func resends(c *Cluster, w, peer *replicaWiring) uint64 {
+	sent, _ := c.Net().LinkStats(w.propEP.Addr(), peer.hn.addr)
+	return sent - w.sent
+}
+
+// TestProposalTailLossFoundByBeacon drops exactly the last proposal one
+// replica sends one peer, after which the stream is silent. Nothing runs a
+// timer: the peer's next pacing beacon acks what it holds, the sender
+// resends the rest once it is older than a round trip — within
+// PaceInterval + 2·(Latency+JitterMax) + JitterMax of the lost send — the
+// resend resolves the delivery in every replica's future and lockstep
+// holds, on one shard and on two.
+func TestProposalTailLossFoundByBeacon(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c, g, send := probeCluster(t, shards)
+			w0, w1 := g.replicas[0], g.replicas[1]
+			step := func(until sim.Time) {
+				t.Helper()
+				if err := c.Run(until); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Two packets go through clean, so the lost one is a tail.
+			c.Loop().At(20*sim.Millisecond, "send", send)
+			c.Loop().At(40*sim.Millisecond, "send", send)
+			step(80 * sim.Millisecond)
+			if w0.sent != 2 || resends(c, w0, w1) != 0 {
+				t.Fatalf("warm-up: %d proposals, %d resends", w0.sent, resends(c, w0, w1))
+			}
+			if err := c.Net().InjectLoss(w0.propEP.Addr(), w1.hn.addr, 1); err != nil {
+				t.Fatal(err)
+			}
+			c.Loop().At(100*sim.Millisecond, "send", send)
+			// Advance in slices finer than any of the bounds below, healing
+			// the link the moment the third proposal has left (and been lost).
+			const slice = 50 * sim.Microsecond
+			var sentAt, resentAt sim.Time
+			for now := 100 * sim.Millisecond; resentAt == 0 && now < 200*sim.Millisecond; now += slice {
+				step(now)
+				if sentAt == 0 && w0.sent == 3 {
+					sentAt = now
+					if err := c.Net().InjectLoss(w0.propEP.Addr(), w1.hn.addr, -1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if resends(c, w0, w1) > 0 {
+					resentAt = now
+				}
+			}
+			if sentAt == 0 || resentAt == 0 {
+				t.Fatalf("proposal sent at %v, resent at %v", sentAt, resentAt)
+			}
+			link := c.cfg.CloudLink
+			bound := c.cfg.VMM.PaceInterval + 2*(link.Latency+link.JitterMax) + link.JitterMax + slice
+			if resentAt-sentAt > bound {
+				t.Fatalf("tail loss resent %v after the send, bound %v", resentAt-sentAt, bound)
+			}
+			step(400 * sim.Millisecond)
+			if n := resends(c, w0, w1); n != 1 {
+				t.Fatalf("%d resends, want 1", n)
+			}
+			for _, r := range g.Replicas() {
+				if n := len(r.App().(*apps.ProbeApp).DeliveryTimes()); n != 3 {
+					t.Fatalf("replica %d saw %d deliveries", r.Slot(), n)
+				}
+				if r.NetDev().Pending() != 0 {
+					t.Fatalf("replica %d still has pending deliveries", r.Slot())
+				}
+			}
+			if err := g.CheckLockstep(); err != nil {
+				t.Fatal(err)
+			}
+			if g.Divergences() != 0 {
+				t.Fatalf("divergences: %d", g.Divergences())
+			}
+			if n := w0.out.Len(); n != 0 {
+				t.Fatalf("%d proposals still unacked", n)
+			}
+			if c.Shards() != shards {
+				t.Fatalf("ran on %d shards", c.Shards())
+			}
+		})
+	}
+}
+
+// TestLostResendRetriedAtEveryBeacon keeps the link down after the tail
+// loss, so the resends are lost too. The peer's beacons keep arriving every
+// PaceInterval, each acking the same proposal, and each one is answered by
+// a resend; the first resend after the link heals resolves the delivery,
+// and the peer's next beacon acks it.
+func TestLostResendRetriedAtEveryBeacon(t *testing.T) {
+	c, g, send := probeCluster(t, 1)
+	w0, w1 := g.replicas[0], g.replicas[1]
+	c.Loop().At(20*sim.Millisecond, "send", send)
+	if err := c.Run(60 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Net().InjectLoss(w0.propEP.Addr(), w1.hn.addr, 1); err != nil {
+		t.Fatal(err)
+	}
+	c.Loop().At(100*sim.Millisecond, "send", send)
+	const slice = 50 * sim.Microsecond
+	var resentAt []sim.Time
+	for now := 100 * sim.Millisecond; len(resentAt) < 5 && now < 200*sim.Millisecond; now += slice {
+		if err := c.Run(now); err != nil {
+			t.Fatal(err)
+		}
+		if resends(c, w0, w1) > uint64(len(resentAt)) {
+			resentAt = append(resentAt, now)
+		}
+	}
+	if len(resentAt) < 5 {
+		t.Fatalf("resends at %v", resentAt)
+	}
+	pace := c.cfg.VMM.PaceInterval
+	slack := c.cfg.CloudLink.JitterMax + slice
+	for i := 1; i < len(resentAt); i++ {
+		if gap := resentAt[i] - resentAt[i-1]; gap < pace-slack || gap > pace+slack {
+			t.Fatalf("resend %d came %v after the one before, want PaceInterval = %v: %v", i, gap, pace, resentAt)
+		}
+	}
+	if err := c.Net().InjectLoss(w0.propEP.Addr(), w1.hn.addr, -1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(c.Loop().Now() + 100*sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if n := resends(c, w0, w1); n != 6 || w0.out.Len() != 0 {
+		t.Fatalf("after the heal: %d resends, %d unacked; want 6, 0", n, w0.out.Len())
+	}
+	for _, r := range g.Replicas() {
+		if n := len(r.App().(*apps.ProbeApp).DeliveryTimes()); n != 2 || r.NetDev().Pending() != 0 {
+			t.Fatalf("replica %d: %d deliveries, %d pending", r.Slot(), n, r.NetDev().Pending())
+		}
+	}
+}
+
+// TestLostAcksDoNotStopResends loses one proposal and the resend the peer's
+// next beacon asks for, and from then on every beacon the peer sends back.
+// The sender's own beacons retry the resend once no ack has covered it for
+// longer than a loss-free ack can take — within 2·PaceInterval +
+// 2·(Latency+JitterMax) of the lost resend — so the delivery still resolves
+// in every replica's future.
+func TestLostAcksDoNotStopResends(t *testing.T) {
+	c, g, send := probeCluster(t, 1)
+	w0, w1 := g.replicas[0], g.replicas[1]
+	step := func(until sim.Time) {
+		t.Helper()
+		if err := c.Run(until); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loss := func(from, to netsim.Addr, prob float64) {
+		t.Helper()
+		if err := c.Net().InjectLoss(from, to, prob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Loop().At(20*sim.Millisecond, "send", send)
+	step(60 * sim.Millisecond)
+	loss(w0.propEP.Addr(), w1.hn.addr, 1)
+	c.Loop().At(100*sim.Millisecond, "send", send)
+	const slice = 50 * sim.Microsecond
+	var lostAt, retriedAt sim.Time
+	for now := 100 * sim.Millisecond; retriedAt == 0 && now < 200*sim.Millisecond; now += slice {
+		step(now)
+		switch n := resends(c, w0, w1); {
+		case lostAt == 0 && n == 1:
+			// The first resend has left into the lossy leg: heal it, and
+			// lose the peer's acks instead.
+			lostAt = now
+			loss(w0.propEP.Addr(), w1.hn.addr, -1)
+			loss(w1.hn.addr, w0.hn.addr, 1)
+		case n == 2:
+			retriedAt = now
+		}
+	}
+	if lostAt == 0 || retriedAt == 0 {
+		t.Fatalf("resend lost at %v, retried at %v", lostAt, retriedAt)
+	}
+	link := c.cfg.CloudLink
+	bound := 2*c.cfg.VMM.PaceInterval + 2*(link.Latency+link.JitterMax) + slice
+	if retriedAt-lostAt > bound {
+		t.Fatalf("with every ack lost, the resend was retried %v after it, bound %v", retriedAt-lostAt, bound)
+	}
+	// The acks come back, and the next one retires the proposal.
+	loss(w1.hn.addr, w0.hn.addr, -1)
+	step(c.Loop().Now() + 100*sim.Millisecond)
+	if n := w0.out.Len(); n != 0 {
+		t.Fatalf("%d proposals still unacked", n)
+	}
+	for _, r := range g.Replicas() {
+		if n := len(r.App().(*apps.ProbeApp).DeliveryTimes()); n != 2 || r.NetDev().Pending() != 0 {
+			t.Fatalf("replica %d: %d deliveries, %d pending", r.Slot(), n, r.NetDev().Pending())
+		}
+	}
+	if err := g.CheckLockstep(); err != nil {
+		t.Fatal(err)
+	}
+	if g.Divergences() != 0 {
+		t.Fatalf("divergences: %d", g.Divergences())
+	}
+}
+
+// TestStaleBeaconTriggersNoResend: a beacon's ack reaches the proposal
+// window only through the resident guest's wiring and only from a current
+// peer — so one from a machine outside the group, or one still in flight
+// when its guest departs, resends nothing.
+func TestStaleBeaconTriggersNoResend(t *testing.T) {
+	c, g, send := probeCluster(t, 1)
+	w0, w1 := g.replicas[0], g.replicas[1]
+	c.Loop().At(20*sim.Millisecond, "send", send)
+	if err := c.Run(80 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	// Host 1 neither gets host 0's next proposal nor acks anything, so the
+	// proposal stays in host 0's window for the beacons below to find.
+	if err := c.Net().InjectLoss(w0.propEP.Addr(), w1.hn.addr, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Net().InjectLoss(w1.hn.addr, w0.hn.addr, 1); err != nil {
+		t.Fatal(err)
+	}
+	c.Loop().At(100*sim.Millisecond, "send", send)
+	if err := c.Run(110 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	// No beacon has shown it missing, so host 0's own beacons resend nothing.
+	if w0.sent != 2 || w0.out.Len() != 1 || resends(c, w0, w1) != 0 {
+		t.Fatalf("%d proposals, %d unacked, %d resends; want 2, 1, 0", w0.sent, w0.out.Len(), resends(c, w0, w1))
+	}
+	hn0 := c.hostNodes[0]
+	beacon := func(from int) {
+		hn0.deliver(&netsim.Packet{Src: c.hostNodes[from].addr, Dst: hn0.addr, Kind: "swpace", Body: netsim.PacketBody{
+			Kind: netsim.BodyPace, GuestID: "g", Origin: c.hosts[from].Name(), StreamSeq: 1,
+		}})
+	}
+	// A proposal resent after it landed, or sent by a machine outside the
+	// group, stops before host 1's device.
+	hn1, stale := c.hostNodes[1], w1.nd.StaleDrops()
+	for _, from := range []int{0, 3} {
+		hn1.deliver(&netsim.Packet{Src: netsim.Addr("prop:" + c.hosts[from].Name() + "/g"), Dst: hn1.addr, Kind: "swprop", Body: netsim.PacketBody{
+			Kind: netsim.BodyProp, GuestID: "g", Origin: c.hosts[from].Name(), View: g.view, Seq: 1, StreamSeq: 1,
+		}})
+	}
+	if n := w1.nd.StaleDrops(); n != stale {
+		t.Fatalf("%d stale proposals reached host 1's device", n-stale)
+	}
+	// Not a peer of g's replica here: ignored.
+	beacon(3)
+	if n := resends(c, w0, w1); n != 0 {
+		t.Fatalf("a non-peer's beacon caused %d resends", n)
+	}
+	// Control: host 1 acking only the first proposal is answered at once.
+	beacon(1)
+	if n := resends(c, w0, w1); n != 1 {
+		t.Fatalf("a peer's ack caused %d resends, want 1", n)
+	}
+	sent, _ := c.Net().LinkStats(w0.propEP.Addr(), w1.hn.addr)
+	if err := c.Undeploy("g"); err != nil {
+		t.Fatal(err)
+	}
+	beacon(1)
+	if now, _ := c.Net().LinkStats(w0.propEP.Addr(), w1.hn.addr); now != sent {
+		t.Fatalf("a departed guest's beacon caused %d resends", now-sent)
+	}
+}
+
+// TestProposalLossFreeRunResendsNothing: on a loss-free fabric a proposal
+// is acked before it is old enough to resend — a beacon sent before the
+// proposal landed is still younger than the round trip when it arrives —
+// so three replicas exchanging a stream of proposals resend none, on one
+// shard and on two, and no window holds more than the few proposals in
+// flight. Dropping the age rule resends whenever a beacon crosses a
+// proposal on the wire.
+func TestProposalLossFreeRunResendsNothing(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c, g, send := probeCluster(t, shards)
+			const packets = 100
+			for i := range packets {
+				c.Loop().At(sim.Time(20+7*i)*sim.Millisecond, "send", send)
+			}
+			widest := 0
+			for now := sim.Time(0); now < sim.Time(40+7*packets)*sim.Millisecond; now += sim.Millisecond / 4 {
+				if err := c.Run(now); err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range g.replicas {
+					widest = max(widest, w.out.Len())
+				}
+			}
+			for _, w := range g.replicas {
+				if w.sent != packets {
+					t.Fatalf("host %d proposed %d times, want %d", w.hostIdx, w.sent, packets)
+				}
+				for _, l := range w.links {
+					if n := resends(c, w, l.peer); n != 0 {
+						t.Fatalf("host %d resent %d proposals to host %d", w.hostIdx, n, l.peer.hostIdx)
+					}
+				}
+			}
+			if widest > 2 {
+				t.Fatalf("a proposal window held %d entries", widest)
+			}
+			if err := g.CheckLockstep(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSoleSurvivorKeepsNoProposals: a replica whose peers have all died
+// resolves alone; it sends its proposals nowhere and keeps none of them.
+func TestSoleSurvivorKeepsNoProposals(t *testing.T) {
+	c, g, send := probeCluster(t, 1)
+	w0 := g.replicas[0]
+	if err := c.Run(20 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	// The peers crash; one settle window on, their last beacons have landed
+	// and the survivor's view drops them.
+	for _, m := range []int{1, 2} {
+		if err := c.FailMachine(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Run(25 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{1, 2} {
+		if err := c.MarkReplicaDead("g", m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 3 {
+		c.Loop().At(sim.Time(40+10*i)*sim.Millisecond, "send", send)
+	}
+	if err := c.Run(400 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(w0.app.(*apps.ProbeApp).DeliveryTimes()); n != 3 || w0.sent != 3 {
+		t.Fatalf("sole survivor delivered %d packets after %d proposals, want 3 and 3", n, w0.sent)
+	}
+	for _, peer := range g.replicas[1:] {
+		if sent, _ := c.Net().LinkStats(w0.propEP.Addr(), peer.hn.addr); sent != 0 {
+			t.Fatalf("%d proposals sent to dead host %d", sent, peer.hostIdx)
+		}
+	}
+	if n := w0.out.Len(); n != 0 {
+		t.Fatalf("sole survivor keeps %d proposals", n)
+	}
+}

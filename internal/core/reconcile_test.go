@@ -42,11 +42,11 @@ func splitAtCrash(t *testing.T, n int, disable bool) (*Cluster, *Guest) {
 		t.Fatal(err)
 	}
 	w0 := g.replicas[0]
-	if err := c.Net().InjectLoss(w0.propSrc, g.replicas[1].dom0, 1); err != nil {
+	if err := c.Net().InjectLoss(w0.propEP.Addr(), g.replicas[1].hn.addr, 1); err != nil {
 		t.Fatal(err)
 	}
 	c.Loop().At(100*sim.Millisecond, "send", send)
-	for now := 100 * sim.Millisecond; w0.psnd.Stats().Sent < 2; now += 50 * sim.Microsecond {
+	for now := 100 * sim.Millisecond; w0.sent < 2; now += 50 * sim.Microsecond {
 		if now > 200*sim.Millisecond {
 			t.Fatal("host 0 never proposed the second packet")
 		}

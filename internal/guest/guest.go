@@ -521,6 +521,21 @@ func (l *OutputLog) DigestAt(n int) (uint64, bool) {
 	return l.hist[(n-1)%digestHistory], true
 }
 
+// FirstDifference returns the first output (1-based) at which l's and o's
+// digests differ, 0 if they agree on their common prefix. Digests roll, so
+// a difference persists; exact is false when it is known only to lie at or
+// before output n, the oldest both logs still hold.
+func (l *OutputLog) FirstDifference(o *OutputLog) (n int, exact bool) {
+	lo := max(1, l.n-digestHistory+1, o.n-digestHistory+1)
+	for k := lo; k <= min(l.n, o.n); k++ {
+		a, _ := l.DigestAt(k)
+		if b, _ := o.DigestAt(k); a != b {
+			return k, k > lo || k == 1
+		}
+	}
+	return 0, true
+}
+
 // Len returns the number of records folded in.
 func (l *OutputLog) Len() int { return l.n }
 

@@ -435,3 +435,43 @@ func TestStepAllocatesNothingPerIO(t *testing.T) {
 		}
 	}
 }
+
+// TestOutputLogFirstDifference: two logs that part at a known output are
+// named at that output, exactly while the history still holds the one
+// before it, and "at or before" the oldest held output once it does not;
+// logs that agree on their common prefix have no difference.
+func TestOutputLogFirstDifference(t *testing.T) {
+	build := func(n, partAt int, tag string) *OutputLog {
+		l := newOutputLog()
+		for i := 1; i <= n; i++ {
+			data := "same"
+			if partAt > 0 && i >= partAt {
+				data = tag
+			}
+			l.Append(uint64(i), "client", 64, data)
+		}
+		return l
+	}
+	cases := []struct {
+		name      string
+		a, b      *OutputLog
+		want      int
+		wantExact bool
+	}{
+		{"identical", build(20, 0, ""), build(20, 0, ""), 0, true},
+		{"prefix", build(20, 0, ""), build(25, 0, ""), 0, true},
+		{"first", build(20, 1, "a"), build(20, 1, "b"), 1, true},
+		{"known", build(20, 10, "a"), build(30, 10, "b"), 10, true},
+		{"known-long", build(700, 650, "a"), build(700, 650, "b"), 650, true},
+		{"past-history", build(605, 5, "a"), build(605, 5, "b"), 605 - digestHistory + 1, false},
+	}
+	for _, c := range cases {
+		n, exact := c.a.FirstDifference(c.b)
+		if n != c.want || exact != c.wantExact {
+			t.Errorf("%s: FirstDifference = %d, %v; want %d, %v", c.name, n, exact, c.want, c.wantExact)
+		}
+		if m, e := c.b.FirstDifference(c.a); m != n || e != exact {
+			t.Errorf("%s: not symmetric: %d, %v vs %d, %v", c.name, m, e, n, exact)
+		}
+	}
+}

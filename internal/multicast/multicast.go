@@ -1,17 +1,13 @@
 // Package multicast implements a NAK-based reliable multicast in the style
-// of PGM/OpenPGM (RFC 3208), which StopWatch uses for two jobs (Sec. VII-A):
-// replicating inbound guest packets from the ingress node to the three
-// replica hosts, and exchanging proposed interrupt delivery times among the
-// VMMs hosting a guest's replicas.
+// of PGM/OpenPGM (RFC 3208), which StopWatch uses to replicate inbound guest
+// packets from the ingress node to the replica hosts (Sec. VII-A).
 //
 // Reliability is receiver-driven: receivers detect sequence gaps and send
 // NAKs; the sender retransmits from its window. Trailing losses are found
-// through an advertisement of the stream's highest sequence: the sender's
-// own Source Path Message — sent only once the stream has been quiet for
+// through the sender's Source Path Message, which advertises the stream's
+// highest sequence: sent only once the stream has been quiet for
 // SPMInterval (data is its own advertisement), at a doubling interval while
-// nobody answers — or, for a stream whose owner already sends its group a
-// periodic message, that message (NoSPM, Receiver.Advertise).
-// Delivery to the application is in sequence order.
+// nobody answers. Delivery to the application is in sequence order.
 package multicast
 
 import (
@@ -34,11 +30,6 @@ const (
 	kindSPM  = "pgm:spm"
 )
 
-// NoSPM as a SenderConfig.SPMInterval builds a sender that never arms a
-// timer: its owner advertises the stream (Sender.NextSeq − 1) to the group
-// in a periodic message of its own, which members pass to Receiver.Advertise.
-const NoSPM sim.Time = -1
-
 // maxBackoff caps the doubling of unanswered heartbeat and NAK-retry
 // intervals at 1<<maxBackoff times their base.
 const maxBackoff = 6
@@ -51,7 +42,7 @@ type SenderConfig struct {
 	Group []netsim.Addr
 	// SPMInterval is how long after the last send, repair request or
 	// heartbeat the next heartbeat leaves (default 5ms), doubling with every
-	// round nothing answers up to 64x; NoSPM for an advertising owner.
+	// round nothing answers up to 64x.
 	SPMInterval sim.Time
 	// WindowSize bounds retained messages for retransmission (default 4096).
 	WindowSize int
@@ -73,10 +64,6 @@ type Sender struct {
 	spm    sim.Handle // the pending heartbeat
 	idle   uint8      // heartbeats since the last send or NAK, capped
 	closed bool
-
-	sent     uint64
-	retrans  uint64
-	nakRecvd uint64
 }
 
 // NewSender creates a multicast source.
@@ -142,7 +129,6 @@ func (s *Sender) Multicast(kind string, size int, body netsim.PacketBody) uint64
 		p.Body = body
 		s.net.Send(p)
 	}
-	s.sent++
 	s.beat()
 	return s.seq
 }
@@ -150,7 +136,7 @@ func (s *Sender) Multicast(kind string, size int, body netsim.PacketBody) uint64
 // beat restarts the heartbeat: the next SPM leaves one SPMInterval from
 // now. A send moves the pending event instead of letting it fire.
 func (s *Sender) beat() {
-	if s.cfg.SPMInterval < 0 || s.closed {
+	if s.closed {
 		return
 	}
 	s.idle = 0
@@ -176,13 +162,9 @@ func spmTimer(a, _ any, _ uint64) {
 // SetGroup replaces the receiver group — membership reconfiguration when a
 // replica is re-homed. Future data, SPMs and repairs go to the new group;
 // a joining member must be primed (Receiver.Prime) with NextSeq so it does
-// not NAK history from before it joined. An empty group is allowed and
-// silences the sender (a sole-survivor replica has no peers left): nothing
-// is transmitted — not even SPM heartbeats, which would otherwise resurrect
-// receiver stream state on departed or repaired members — until a later
-// SetGroup restores receivers. An owner's advertisement cannot resurrect it
-// either: core reaches Advertise only through the resident guest's wiring,
-// which a departed member no longer has.
+// not NAK history from before it joined. An empty group silences the
+// sender — not even an SPM heartbeat, which would resurrect receiver stream
+// state on departed members, leaves — until a later SetGroup restores one.
 func (s *Sender) SetGroup(group []netsim.Addr) error {
 	// Reuse the existing backing array: the input is copied in (callers
 	// keep ownership of theirs), and Group() hands out copies.
@@ -204,13 +186,6 @@ func (s *Sender) Group() []netsim.Addr {
 	return append([]netsim.Addr(nil), s.cfg.Group...)
 }
 
-// Endpoints returns the current receiver group resolved — the sender's own
-// slice, valid until the next SetGroup.
-func (s *Sender) Endpoints() []*netsim.Endpoint { return s.group }
-
-// Closed reports whether the sender has been retired.
-func (s *Sender) Closed() bool { return s.closed }
-
 // Close retires the sender: no further data, repairs, or SPM heartbeats.
 // Teardown paths must call it — an abandoned sender would otherwise keep
 // heartbeating (every 64 SPMIntervals, but for ever) and resurrect receiver
@@ -227,7 +202,6 @@ func (s *Sender) Handle(pkt *netsim.Packet) bool {
 	if pkt.Kind != kindNAK || pkt.Dst != s.cfg.Src {
 		return false
 	}
-	s.nakRecvd++
 	s.beat() // somebody is listening, and short of something
 	// Body.Seq is the set of missing sequences, bit i for StreamSeq+i.
 	for seq, m := pkt.Body.StreamSeq, pkt.Body.Seq; m != 0; seq, m = seq+1, m>>1 {
@@ -235,22 +209,11 @@ func (s *Sender) Handle(pkt *netsim.Packet) bool {
 		if m&1 == 0 || held == nil {
 			continue // not asked for, or aged out of the window (unrecoverable here)
 		}
-		s.retrans++
 		p := s.net.AllocTo(s.src, s.net.SourceOf(pkt), 64, kindData, nil)
 		p.Body = **held
 		s.net.Send(p)
 	}
 	return true
-}
-
-// SenderStats reports sender-side counters.
-type SenderStats struct {
-	Sent, Retransmitted, NAKsReceived uint64
-}
-
-// Stats returns sender counters.
-func (s *Sender) Stats() SenderStats {
-	return SenderStats{Sent: s.sent, Retransmitted: s.retrans, NAKsReceived: s.nakRecvd}
 }
 
 // ReceiverConfig parameterizes a group member.
@@ -291,10 +254,6 @@ type Receiver struct {
 	cfg  ReceiverConfig
 	self *netsim.Endpoint // cfg.Addr, resolved once: NAKs leave from here
 	srcs netsim.EndpointTable[*sourceState]
-
-	delivered uint64
-	naksSent  uint64
-	dups      uint64
 }
 
 // NewReceiver creates a group member.
@@ -327,21 +286,14 @@ func (r *Receiver) Handle(pkt *netsim.Packet) bool {
 		r.onData(r.state(r.net.SourceOf(pkt)), pkt.Body)
 		return true
 	case kindSPM:
-		r.Advertise(r.net.SourceOf(pkt), pkt.Body.StreamSeq)
+		// The advertised maximum marks everything up to it expected.
+		st := r.state(r.net.SourceOf(pkt))
+		r.heard(st)
+		r.request(st, pkt.Body.StreamSeq+1)
 		return true
 	default:
 		return false
 	}
-}
-
-// Advertise tells the receiver that src's stream has reached maxSeq, which
-// marks everything up to it expected: an SPM, or the periodic message of a
-// NoSPM stream's owner. The caller vouches that src is a stream this member
-// still belongs to — state for it is created if there is none.
-func (r *Receiver) Advertise(src *netsim.Endpoint, maxSeq uint64) {
-	st := r.state(src)
-	r.heard(st)
-	r.request(st, maxSeq+1)
 }
 
 // heard notes traffic from st's source: NAK retries return to NAKInterval,
@@ -355,13 +307,10 @@ func (r *Receiver) heard(st *sourceState) {
 
 // Prime (re)initializes this receiver's per-source state to expect seq
 // `next` from src, discarding any held-back or NAK state. It is how a
-// member joins an in-progress stream (a re-homed replica joining the
-// ingress and peer-proposal streams mid-sequence) without NAKing the
-// stream's entire history.
+// member joins an in-progress stream (a re-homed replica joining its
+// guest's ingress stream mid-sequence) without NAKing the stream's entire
+// history. next is at least 1 (Sender.NextSeq).
 func (r *Receiver) Prime(src netsim.Addr, next uint64) {
-	if next == 0 {
-		next = 1
-	}
 	ep := r.net.Endpoint(src)
 	if st, ok := r.srcs.Get(ep); ok {
 		r.loop.CancelHandle(st.timer)
@@ -397,13 +346,11 @@ func (r *Receiver) onData(st *sourceState, body netsim.PacketBody) {
 		// case. Deliver straight through without touching the ring, so a
 		// well-behaved stream never allocates a holdback window at all.
 		st.hold.SkipTo(seq + 1)
-		r.delivered++
 		r.cfg.OnData(st.src.Addr(), seq, body.StreamKind, body)
 	} else {
 		slot, fresh := st.hold.Open(seq)
 		if !fresh {
-			r.dups++ // delivered, held back already, or out of any window's reach
-			return
+			return // delivered, held back already, or out of any window's reach
 		}
 		// The copy is made here, not by taking the parameter's address:
 		// that would move every in-order body to the heap as well.
@@ -424,7 +371,6 @@ func (r *Receiver) drain(st *sourceState) {
 		body := *slot
 		*slot = nil
 		st.hold.Retire(st.hold.Base())
-		r.delivered++
 		r.cfg.OnData(st.src.Addr(), body.StreamSeq, body.StreamKind, *body)
 	}
 }
@@ -455,7 +401,6 @@ func nakTimer(a, b any, _ uint64) {
 	if set == 0 {
 		return
 	}
-	r.naksSent++
 	p := r.net.AllocTo(r.self, st.src, 40, kindNAK, nil)
 	p.Body.StreamSeq, p.Body.Seq = next, set
 	r.net.Send(p)
@@ -463,14 +408,4 @@ func nakTimer(a, b any, _ uint64) {
 	// the source stays silent.
 	st.timer = r.loop.AfterTimer(r.cfg.NAKInterval<<st.quiet, "pgm:nak", nakTimer, r, st, 0).Handle()
 	st.quiet = min(st.quiet+1, maxBackoff)
-}
-
-// ReceiverStats reports receiver-side counters.
-type ReceiverStats struct {
-	Delivered, NAKsSent, Duplicates uint64
-}
-
-// Stats returns receiver counters.
-func (r *Receiver) Stats() ReceiverStats {
-	return ReceiverStats{Delivered: r.delivered, NAKsSent: r.naksSent, Duplicates: r.dups}
 }

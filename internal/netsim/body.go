@@ -28,16 +28,16 @@ const (
 //
 // Kind selects which fields are meaningful; unrelated fields are zero. The
 // reliable-multicast envelope (StreamSeq, StreamKind) composes with any
-// inner kind: a proposal replicated over multicast is a pgm:data packet
-// whose body is BodyProp plus the stream stamp.
+// inner kind: an ingress packet replicated over multicast is a pgm:data
+// packet whose body is BodyInbound plus the stream stamp.
 type PacketBody struct {
 	Kind BodyKind
 
-	// Reliable-multicast envelope (pgm:data carries the inner body). An
-	// advertisement uses StreamSeq alone, as the stream's highest sequence:
-	// a pgm:spm for its own stream, a pacing beacon (BodyPace) for its
-	// sender's proposal stream. A pgm:nak names the missing sequences as
-	// StreamSeq (the lowest) plus the bit set Seq (bit i: StreamSeq+i).
+	// Reliable-multicast envelope (pgm:data carries the inner body); a
+	// pgm:spm advertises the highest sequence in StreamSeq, a pgm:nak names
+	// the missing ones as StreamSeq (the lowest) plus the bit set Seq (bit i:
+	// StreamSeq+i). A proposal (BodyProp) carries its number in StreamSeq, a
+	// pacing beacon (BodyPace) acks the receiving peer's proposals up to it.
 	StreamSeq  uint64
 	StreamKind string
 

@@ -223,10 +223,10 @@ func (h *Host) DiskBusy() sim.Time { return h.diskBusy }
 
 // DiskBacklog reports how far the disk's FIFO horizon extends past now: the
 // time a new request would wait before service begins. Zero on an idle
-// disk. This is the load signal telemetry-driven admission consumes — a
-// host whose Dom0 disk tail is long will also stretch its device-model
-// processing delays (ioDelay grows with in-flight I/O), pushing proposal
-// latencies toward the stall detector's deadline.
+// disk. It is exported as a per-host gauge (core.InstrumentMetrics): a host
+// whose Dom0 disk tail is long also stretches its device-model processing
+// delays (ioDelay grows with in-flight I/O), pushing proposal latencies
+// toward the stall detector's deadline.
 func (h *Host) DiskBacklog(now sim.Time) sim.Time {
 	if h.diskFree > now {
 		return h.diskFree - now

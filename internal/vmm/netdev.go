@@ -189,7 +189,7 @@ func NewNetDevice(rt *Runtime, replicas int) (*NetDevice, error) {
 
 // HandleInbound accepts a packet replicated by the ingress node. After the
 // host's device-model processing delay, the VMM reads the guest's virtual
-// time as of its last VM exit, adds Δn, and multicasts the proposal.
+// time as of its last VM exit, adds Δn, and sends the proposal to its peers.
 func (nd *NetDevice) HandleInbound(seq uint64, p guest.Payload) {
 	host := nd.rt.Host()
 	if host.Failed() {

@@ -110,6 +110,14 @@ func TestHostDiskFIFO(t *testing.T) {
 	if h.DiskOps() != 2 {
 		t.Fatal("disk op count wrong")
 	}
+	// The second request waits behind the first: the backlog is the whole
+	// FIFO horizon, and it drains to zero once the disk is idle.
+	if got := h.DiskBacklog(loop.Now()); got != r2-loop.Now() || got <= 0 {
+		t.Fatalf("backlog %v, want %v", got, r2-loop.Now())
+	}
+	if got := h.DiskBacklog(r2); got != 0 {
+		t.Fatalf("backlog at the horizon %v, want 0", got)
+	}
 	// Transfer time must scale with bytes: at 80MB/s, 80MB takes ~1s.
 	r3start := h.diskFree
 	r3 := h.diskService(80 << 20)
