@@ -1,15 +1,14 @@
 package controlplane
 
-// The automatic failure detector, closing the loop the ROADMAP left open:
-// vmm.NetDevice has always been able to arm a per-sequence proposal
-// deadline (ProposalDeadline / OnStall), but until now only tests wired it.
-// EnableStallDetector plumbs the hook through the cluster into the control
-// plane: when a delivery proposal group stalls past the deadline, the
-// survivors' device models name the silent members, the cluster maps them
-// to machines, and the control plane auto-submits FailOp{Detected: true}
-// for each — then chains an EvacuateOp off the fail's completion event.
-// fail → reconfigure → evacuate becomes a detector-driven pipeline, every
-// step of it on the op log, with no scripted FailOp anywhere.
+// The automatic failure detector. Its other half is core/detect.go, where
+// every replica arms a per-sequence proposal deadline as it sends a
+// proposal. EnableStallDetector connects the two: when a delivery proposal
+// group stalls past the deadline, the survivors' device models name the
+// silent members, the cluster maps them to machines, and the control plane
+// auto-submits FailOp{Detected: true} for each — then chains an EvacuateOp
+// off the fail's completion event. fail → reconfigure → evacuate becomes a
+// detector-driven pipeline, every step of it on the op log, with no
+// scripted FailOp anywhere.
 
 import (
 	"errors"
@@ -20,7 +19,7 @@ import (
 )
 
 // EnableStallDetector arms the per-sequence proposal deadline on every
-// guest replica device model (current and future) and turns stalled
+// guest replica (current and future) and turns stalled
 // proposal groups into detector-driven FailOps: a machine whose proposals
 // are missing past the deadline is suspected, auto-failed (reconfiguring
 // its residents onto their live quorums) and then auto-evacuated. A

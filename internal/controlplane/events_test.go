@@ -122,55 +122,44 @@ func TestWatchCancelTwiceIsNoOp(t *testing.T) {
 	}
 }
 
-// TestStatsMemoizedMatchesFold: the incremental Stats() must equal the
-// pure fold at every step of a lifecycle that interleaves synchronous and
-// asynchronous (in-flight, mutating) outcomes.
-func TestStatsMemoizedMatchesFold(t *testing.T) {
+// TestStatsFoldsInFlightLog: Stats counts what has happened at every step
+// of a lifecycle that interleaves synchronous and asynchronous (in-flight,
+// mutating) outcomes — a synchronous op behind an in-flight one included.
+func TestStatsFoldsInFlightLog(t *testing.T) {
 	cp := newTestPlane(t, 9, 3, 2)
-	check := func(when string) {
+	check := func(when string, admitted, evicted, replaced int) {
 		t.Helper()
-		got, want := cp.Stats(), FoldStats(cp.log.entries)
-		if got != want {
-			t.Fatalf("%s: Stats() = %+v, FoldStats = %+v", when, got, want)
+		if st := cp.Stats(); st.Admitted != admitted || st.Evicted != evicted || st.Replacements != replaced {
+			t.Fatalf("%s: %+v, want %d admitted, %d evicted, %d replaced", when, st, admitted, evicted, replaced)
 		}
 	}
-	check("empty")
+	check("empty", 0, 0, 0)
 	for i := 0; i < 4; i++ {
 		if err := cp.Apply(AdmitOp{GuestID: fmt.Sprintf("g%d", i), Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 			t.Fatal(err)
 		}
-		check("after admit")
+		check("after admit", i+1, 0, 0)
 	}
 	cp.Cluster().Start()
 	if err := cp.Cluster().Run(200 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// Kill g0's replica and start an asynchronous replacement: while the
-	// barrier is in flight its outcome keeps mutating (retries, phases) —
-	// the frontier must hold below it.
+	// barrier is in flight its outcome keeps mutating (retries, phases).
 	g, _ := cp.Cluster().Guest("g0")
 	dead := g.Replica(0).Host()
 	g.Replica(0).Runtime().Stop()
 	if oc := cp.Apply(ReplaceOp{GuestID: "g0", DeadHost: dead}); oc.Rejected() {
 		t.Fatal(oc.Err)
 	}
-	check("replacement submitted")
+	check("replacement submitted", 4, 0, 0)
 	// A synchronous op lands after the in-flight one; it must still count.
 	if err := cp.Apply(EvictOp{GuestID: "g3"}).Err; err != nil {
 		t.Fatal(err)
 	}
-	check("evict behind in-flight replace")
+	check("evict behind in-flight replace", 4, 1, 0)
 	if err := cp.Cluster().Run(2 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	check("replacement done")
-	st := cp.Stats()
-	if st.Replacements != 1 || st.Evicted != 1 || st.Admitted != 4 {
-		t.Fatalf("lifecycle stats: %+v", st)
-	}
-	// The frontier must have advanced past the whole log once all is done.
-	if cp.log.frontier != len(cp.log.entries) {
-		t.Fatalf("frontier %d, log %d entries — memoization never caught up", cp.log.frontier, len(cp.log.entries))
-	}
-	check("final")
+	check("replacement done", 4, 1, 1)
 }

@@ -13,7 +13,7 @@ package controlplane
 //     once the dead VMM's in-flight proposals have landed and the survivors
 //     have exchanged what landed where (core.ReconcileSurvivors) — every
 //     resident guest's group is reconfigured (proposal and pacing peers,
-//     device live views, ingress replication, egress live count) to
+//     replica group views, ingress replication, egress live count) to
 //     the live quorum. Pending
 //     and future delivery proposals then resolve on the live set and the
 //     guests keep serving degraded 2-of-3. The op completes at the

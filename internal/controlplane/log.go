@@ -14,19 +14,9 @@ import (
 	"stopwatch/internal/sim"
 )
 
-// opLog is the control plane's append-only operation record, with a
-// memoized fold frontier: Stats() folds incrementally from the last seen
-// seq instead of re-walking the whole log on every call. folded caches the
-// fold of entries[:frontier], which are all done — a done outcome never
-// mutates again, so its contribution is final; in-flight entries (and
-// everything after the first of them) keep accruing retries and phases and
-// are re-folded live on each call. Stats stays a fold: the cache is just
-// where the fold left off, never a hand-kept counter.
+// opLog is the control plane's append-only operation record.
 type opLog struct {
 	entries []*Outcome
-
-	frontier int   // entries[:frontier] are done and folded into `folded`
-	folded   Stats // fold of the finalized prefix
 }
 
 // open appends a fresh Outcome for op, stamped with the submission time and
@@ -94,23 +84,8 @@ type Stats struct {
 	ReconcileRounds, ReconcileRepairs int
 }
 
-// Stats folds the operations log into decision counters, incrementally:
-// the frontier advances over outcomes that have completed (in log order —
-// a done outcome's contribution is final) and only the live suffix is
-// re-folded per call. The result is identical to FoldStats over the whole
-// log at the same instant.
-func (cp *ControlPlane) Stats() Stats {
-	l := &cp.log
-	for l.frontier < len(l.entries) && l.entries[l.frontier].done {
-		accumulate(&l.folded, l.entries[l.frontier])
-		l.frontier++
-	}
-	st := l.folded
-	for _, oc := range l.entries[l.frontier:] {
-		accumulate(&st, oc)
-	}
-	return st
-}
+// Stats folds the operations log into decision counters (FoldStats).
+func (cp *ControlPlane) Stats() Stats { return FoldStats(cp.log.entries) }
 
 // FoldStats derives Stats from an operations log. In-flight ops contribute
 // what has already happened (a started drain counts, its unfinished moves
@@ -127,7 +102,7 @@ func FoldStats(entries []*Outcome) Stats {
 // accumulate folds one outcome's current contribution into st. For a done
 // outcome the contribution is final (nothing mutates a finished record);
 // for an in-flight one it is the partial view — retries so far, a drain
-// that has pulled capacity — and the caller re-folds it until it finishes.
+// that has pulled capacity.
 func accumulate(st *Stats, oc *Outcome) {
 	if _, planned := oc.PhaseAt(PhasePlan); planned {
 		st.MigrationsPlanned++

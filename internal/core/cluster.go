@@ -127,11 +127,11 @@ type Cluster struct {
 	hostNodes     []*hostNode
 	hostIdxByName map[string]int
 
-	// Stall-detector wiring (detect.go): a positive deadline arms every
-	// device model's per-sequence proposal deadline; onStallSuspect
-	// receives the machines named silent when one fires. Device-level
-	// stalls are recorded per shard and handled at the next barrier
-	// (stallQ, drainStalls) so detection never races shard execution.
+	// Stall-detector wiring (detect.go): a positive deadline arms a timer
+	// per proposed sequence of every replica; onStallSuspect receives the
+	// machines named silent when one fires. Replica-level stalls are
+	// recorded per shard and handled at the next barrier (stallQ,
+	// drainStalls) so detection never races shard execution.
 	stallDeadline  sim.Time
 	onStallSuspect func(machine int)
 	stallQ         [][]stallRec
@@ -256,20 +256,24 @@ var (
 )
 
 // SendProposal implements vmm.ProposalSink: one unicast of this replica's
-// delivery-time proposal to each live peer Dom0, kept until acked.
+// delivery-time proposal to each live peer Dom0, kept until acked. Under the
+// stall detector it also arms the sequence's deadline (detect.go).
 func (w *replicaWiring) SendProposal(view, seq uint64, v vtime.Virtual) {
 	w.sent++
 	if len(w.links) == 0 {
 		w.out.SkipTo(w.sent + 1) // a sole survivor has nobody to resend to
-		return
+	} else {
+		p := sentProp{view: view, seq: seq, virt: v, at: w.hn.host.Loop().Now()}
+		// A window at seqwin.MaxSpan (no ack for that long) keeps no more.
+		if slot, _ := w.out.Open(w.sent); slot != nil {
+			*slot = p
+		}
+		for i := range w.links {
+			w.sendProp(w.links[i].peer.hn.ep, w.sent, &p)
+		}
 	}
-	p := sentProp{view: view, seq: seq, virt: v, at: w.hn.host.Loop().Now()}
-	// A window at seqwin.MaxSpan (no ack for that long) keeps no more.
-	if slot, _ := w.out.Open(w.sent); slot != nil {
-		*slot = p
-	}
-	for i := range w.links {
-		w.sendProp(w.links[i].peer.hn.ep, w.sent, &p)
+	if w.c.stallDeadline > 0 {
+		w.hn.host.Loop().AfterTimer(w.c.stallDeadline, "netdev:deadline", stallTimer, w, nil, seq)
 	}
 }
 
@@ -357,16 +361,21 @@ func (g *Guest) CheckLockstep() error {
 		if vm.OutputDigest() == vm0.OutputDigest() && vm.OutputCount() == vm0.OutputCount() {
 			continue
 		}
-		at := "agrees on the common prefix"
-		if k, exact := vm.OutputLog().FirstDifference(vm0.OutputLog()); !exact {
-			at = fmt.Sprintf("differs at or before output %d", k)
-		} else if k > 0 {
-			at = fmt.Sprintf("differs at output %d", k)
-		}
-		return fmt.Errorf("%w: guest %s replica %d diverged: %s (outputs %d vs %d)",
-			ErrCluster, g.ID, i+1, at, vm.OutputCount(), vm0.OutputCount())
+		return diverged(g.ID, i+1, vm.OutputLog(), vm0.OutputLog())
 	}
 	return nil
+}
+
+// diverged reports replica k's output log parting from ref's, naming the
+// first output at which it does.
+func diverged(id string, k int, l, ref *guest.OutputLog) error {
+	at := "agrees on the common prefix"
+	if n, exact := l.FirstDifference(ref); !exact {
+		at = fmt.Sprintf("differs at or before output %d", n)
+	} else if n > 0 {
+		at = fmt.Sprintf("differs at output %d", n)
+	}
+	return fmt.Errorf("%w: guest %s replica %d diverged: %s (outputs %d vs %d)", ErrCluster, id, k, at, l.Len(), ref.Len())
 }
 
 // Divergences sums the runtime divergence counters across replicas.
@@ -759,15 +768,14 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 	}
 	hn.residents[id] = w
 	g.replicas[k] = w
-	c.armStallDetector(id, w)
 	return nil
 }
 
 // reconcileGroups recomputes guest g's whole group configuration from the
 // current liveness of its replicas' machines (vmm.Host.Failed): every live
-// replica's peer links (pacing and proposals) and device-model
-// live view (under a freshly bumped view number, installed in all live
-// members within this one simulated instant), plus the ingress replication
+// replica's peer links (pacing and proposals) and group view (under a
+// freshly bumped view number, installed in all live members within this
+// one simulated instant by vmm.Runtime.SetView), plus the ingress replication
 // group and the egress's per-guest live copy count (so a degraded guest's
 // output forwards at its live group's median copy — the sole copy for a
 // single survivor). Deployment, replica replacement and dead-machine
@@ -775,13 +783,11 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 // unevacuated failure cannot resurrect a dead member into the group.
 func (c *Cluster) reconcileGroups(g *Guest) error {
 	// The live-set slices are cluster-owned scratch: every consumer below
-	// (live views, ingress replication) copies what it keeps.
+	// (group views, ingress replication) copies what it keeps.
 	liveNames := c.scratchNames[:0]
 	liveDom0s := c.scratchAddrs[:0]
-	var deadNames []string
 	for _, w := range g.replicas {
 		if c.hosts[w.hostIdx].Failed() {
-			deadNames = append(deadNames, w.hostName)
 			continue
 		}
 		liveNames = append(liveNames, w.hostName)
@@ -816,20 +822,12 @@ func (c *Cluster) reconcileGroups(g *Guest) error {
 			w.links = append(w.links, l)
 		}
 	}
+	// Install the view last: it drops departed members' pacing progress,
+	// re-proposes pending sequences over the fresh links and unwedges an
+	// epoch barrier waiting on a dead member's sample.
 	for _, w := range g.replicas {
-		if c.hosts[w.hostIdx].Failed() {
-			continue
-		}
-		for _, d := range deadNames {
-			w.rt.DropPeer(d)
-		}
-		// Install the live view last: it re-proposes pending sequences
-		// over the fresh links.
-		w.nd.SetLiveReplicas(g.view, liveNames)
-		// The epoch barrier completes against the same live set — a shrink
-		// unwedges survivors waiting on a dead member's sample.
-		if w.ec != nil {
-			w.ec.SetGroup(liveNames)
+		if !c.hosts[w.hostIdx].Failed() {
+			w.rt.SetView(g.view, liveNames)
 		}
 	}
 	if err := c.egress.SetLiveReplicas(g.ID, len(liveDom0s)); err != nil {

@@ -463,3 +463,42 @@ func TestCheckLockstepNamesFirstDifference(t *testing.T) {
 		t.Fatalf("got %v, want %q", err, want)
 	}
 }
+
+// TestCheckLockstepPrefixNamesFirstDifference: the mid-flight check names
+// the output at which a replica parts from the first checked one, in
+// CheckLockstep's words, and tolerates a replica that has merely run ahead.
+func TestCheckLockstepPrefixNamesFirstDifference(t *testing.T) {
+	c, g, send := probeCluster(t, 1)
+	c.Loop().At(20*sim.Millisecond, "send", send)
+	if err := c.Run(80 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	logs := []*guest.OutputLog{
+		g.replicas[0].rt.VM().OutputLog(), g.replicas[1].rt.VM().OutputLog(), g.replicas[2].rt.VM().OutputLog(),
+	}
+	n := logs[0].Len()
+	// Replica 0 runs one output ahead: the common prefix still agrees.
+	logs[0].Append(1, "client", 64, "same")
+	if err := g.CheckLockstepPrefix(); err != nil {
+		t.Fatal(err)
+	}
+	logs[1].Append(1, "client", 64, "other")
+	logs[2].Append(1, "client", 64, "same")
+	want := fmt.Sprintf("replica 1 diverged: differs at output %d (outputs %d vs %d)", n+1, n+1, n+1)
+	if err := g.CheckLockstepPrefix(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %v, want %q", err, want)
+	}
+	if err := g.CheckLockstepPrefixExcluding(1); err != nil {
+		t.Fatal(err)
+	}
+	// Once the parting output is older than the digest history, the oldest
+	// held one is named instead.
+	for i := range 600 {
+		logs[0].Append(uint64(i+2), "client", 64, "same")
+		logs[1].Append(uint64(i+2), "client", 64, "same")
+	}
+	want = fmt.Sprintf("replica 1 diverged: differs at or before output %d (outputs %d vs %d)", n+601-511, n+601, n+601)
+	if err := g.CheckLockstepPrefixExcluding(2); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %v, want %q", err, want)
+	}
+}

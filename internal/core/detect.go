@@ -1,12 +1,13 @@
 package core
 
-// Stall-detector plumb-through. The device model's per-sequence proposal
-// deadline (vmm.NetDevice.ProposalDeadline / OnStall) fires on a survivor
-// when a delivery proposal group misses its deadline; this file turns that
-// device-local observation into a cluster-level suspicion — "machine m is
-// silent" — for the control plane's detector to act on. The cluster only
-// names suspects; declaring a machine dead (and everything that follows)
-// is policy and stays above.
+// The stall detector's cluster half. Each replica's SendProposal arms a
+// per-sequence deadline on its host loop; when one passes with the
+// sequence's proposal group still short (vmm.NetDevice.MissingProposals),
+// this file turns that replica-local observation into a cluster-level
+// suspicion — "machine m is silent" — for the control plane's detector
+// (controlplane/detector.go) to act on. The cluster only names suspects;
+// declaring a machine dead (and everything that follows) is policy and
+// stays above.
 
 import (
 	"fmt"
@@ -15,7 +16,7 @@ import (
 	"stopwatch/internal/sim"
 )
 
-// stallRec is one device-level stall observation, recorded by the replica's
+// stallRec is one replica-level stall observation, recorded by the replica's
 // shard goroutine and handled at the next coordinator barrier. Deferring to
 // the barrier keeps detection off the shard hot path AND out of shard
 // execution entirely: reportStall schedules confirmation timers on the
@@ -28,12 +29,12 @@ type stallRec struct {
 }
 
 // SetStallDetector arms the per-sequence proposal deadline on every guest
-// replica device model — those already deployed and every one wired later
-// (admissions, replacements) — and reports the machines whose proposals are
-// missing when a sequence stalls past it. onSuspect may be invoked several
-// times for one dead machine (every guest it stalls reports); dedup is the
-// caller's job. Reports from devices that are themselves on failed
-// machines, or from wirings already replaced, are suppressed.
+// replica — each proposal sent from now on arms one — and reports the
+// machines whose proposals are missing when a sequence stalls past it.
+// onSuspect may be invoked several times for one dead machine (every guest
+// it stalls reports); dedup is the caller's job. Reports from replicas that
+// are themselves on failed machines, or from wirings already replaced, are
+// suppressed.
 func (c *Cluster) SetStallDetector(deadline sim.Time, onSuspect func(machine int)) error {
 	if deadline <= 0 {
 		return fmt.Errorf("%w: stall deadline %d", ErrCluster, deadline)
@@ -43,29 +44,20 @@ func (c *Cluster) SetStallDetector(deadline sim.Time, onSuspect func(machine int
 	}
 	c.stallDeadline = deadline
 	c.onStallSuspect = onSuspect
-	for _, id := range c.GuestIDs() {
-		g := c.guests[id]
-		for _, w := range g.replicas {
-			c.armStallDetector(id, w)
-		}
-	}
 	return nil
 }
 
-// armStallDetector wires one replica's device model into the detector; a
-// no-op until SetStallDetector has been called. The OnStall hook only
+// stallTimer is a sequence's proposal deadline (armed by SendProposal): it
+// records the sequence if its proposal group is still short. It only
 // records: the shard index is the replica host's, so each queue has exactly
 // one writer goroutine.
-func (c *Cluster) armStallDetector(id string, w *replicaWiring) {
-	if c.stallDeadline <= 0 {
+func stallTimer(a, _ any, seq uint64) {
+	w := a.(*replicaWiring)
+	if len(w.nd.MissingProposals(seq)) == 0 {
 		return
 	}
-	w.nd.ProposalDeadline = c.stallDeadline
-	k := c.shardOf(w.hostIdx)
-	host := c.hosts[w.hostIdx]
-	w.nd.OnStall = func(seq uint64) {
-		c.stallQ[k] = append(c.stallQ[k], stallRec{when: host.Loop().Now(), id: id, w: w, seq: seq})
-	}
+	c, k := w.c, w.c.shardOf(w.hostIdx)
+	c.stallQ[k] = append(c.stallQ[k], stallRec{when: w.hn.host.Loop().Now(), id: w.gid, w: w, seq: seq})
 }
 
 // drainStalls is the coordinator's barrier hook: it merges the per-shard
@@ -103,7 +95,7 @@ func (c *Cluster) drainStalls() {
 	}
 }
 
-// reportStall handles one device-level stall. A missed deadline alone is
+// reportStall handles one replica-level stall. A missed deadline alone is
 // not an accusation: a saturated Dom0 (the coresidency load coupling the
 // paper models) can legitimately hold a proposal past any snappy deadline,
 // so the stall is re-checked one further deadline later and only an origin
@@ -111,7 +103,7 @@ func (c *Cluster) drainStalls() {
 // slow one resolves the sequence in between and the alarm dissolves.
 //
 // The deadline timer outlives lifecycle churn, so stale sources are
-// filtered at both checks: a device on a failed machine resolves nothing
+// filtered at both checks: a replica on a failed machine resolves nothing
 // and reports nothing, and a wiring the guest no longer owns (evicted, or
 // replaced at switchover) is dead state.
 func (c *Cluster) reportStall(id string, w *replicaWiring, seq uint64) {

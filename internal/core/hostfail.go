@@ -59,7 +59,7 @@ func (c *Cluster) FailMachine(m int) error {
 
 // MarkReplicaDead reconfigures guest id's group after its replica's machine
 // (deadHost, already failed via FailMachine) died: the survivors' peer
-// links (proposals and pacing) and device live views drop the dead
+// links (proposals and pacing) and group views drop the dead
 // member, and the ingress stops replicating to it. Pending delivery
 // proposals are re-proposed among the live members and resolve on the live
 // quorum, so the guest's inbound path is unwedged; the dead replica's own

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"stopwatch/internal/gateway"
+	"stopwatch/internal/guest"
 	"stopwatch/internal/vmm"
 )
 
@@ -143,11 +144,10 @@ func (c *Cluster) ReplaceReplica(id string, deadHost, newHost int) error {
 		return fmt.Errorf("replace %q: %w", id, err)
 	}
 
-	// Point of no return: tear down the dead replica's wiring.
+	// Point of no return: tear down the dead replica's wiring. The
+	// survivors forget its pacing progress when reconcileGroups installs
+	// the new view below.
 	c.releaseReplicaWiring(id, dead)
-	for _, w := range survivors {
-		w.rt.DropPeer(dead.hostName)
-	}
 
 	if err := c.wireReplica(g, slot, newHost, rt); err != nil {
 		rt.Release()
@@ -220,23 +220,24 @@ func (g *Guest) CheckLockstepPrefixExcluding(slots ...int) error {
 	if live < 2 {
 		return nil
 	}
+	var ref *guest.OutputLog
 	var want uint64
-	first := true
 	for k, w := range g.replicas {
 		if skip[k] {
 			continue
 		}
-		d, ok := w.rt.VM().OutputLog().DigestAt(m)
+		l := w.rt.VM().OutputLog()
+		d, ok := l.DigestAt(m)
 		if !ok {
 			return fmt.Errorf("%w: guest %s replica %d skewed past digest history (out=%d, prefix=%d)",
-				ErrCluster, g.ID, k, w.rt.VM().OutputCount(), m)
+				ErrCluster, g.ID, k, l.Len(), m)
 		}
-		if first {
-			want, first = d, false
+		if ref == nil {
+			ref, want = l, d
 			continue
 		}
 		if d != want {
-			return fmt.Errorf("%w: guest %s replica %d diverged within first %d outputs", ErrCluster, g.ID, k, m)
+			return diverged(g.ID, k, l, ref)
 		}
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"stopwatch/internal/guest"
 	"stopwatch/internal/netsim"
 	"stopwatch/internal/sim"
+	"stopwatch/internal/vtime"
 )
 
 // probeCluster deploys one probe guest "g" on hosts 0-2 of a four-host
@@ -382,5 +383,115 @@ func TestSoleSurvivorKeepsNoProposals(t *testing.T) {
 	}
 	if n := w0.out.Len(); n != 0 {
 		t.Fatalf("sole survivor keeps %d proposals", n)
+	}
+}
+
+// TestFormerPeerBeaconDoesNotHoldSoleSurvivor: a pacing beacon from the Dom0
+// of a peer the view has dropped — one still in flight when the view
+// changed — lands at the sole survivor, which keeps running. Before, the
+// beacon put the former peer back into the pacing maximum for good, and the
+// survivor paused MaxLead past the stale report it carried.
+func TestFormerPeerBeaconDoesNotHoldSoleSurvivor(t *testing.T) {
+	c, g, _ := probeCluster(t, 1)
+	w0, w1 := g.replicas[0], g.replicas[1]
+	if err := c.Run(20 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	stale := w1.rt.VirtAtLastExit()
+	for _, m := range []int{1, 2} {
+		if err := c.FailMachine(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Run(45 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{1, 2} {
+		if err := c.MarkReplicaDead("g", m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Loop().At(50*sim.Millisecond, "beacon", func() {
+		c.Net().Send(&netsim.Packet{Src: w1.hn.addr, Dst: w0.hn.addr, Size: 48, Kind: "swpace",
+			Body: netsim.PacketBody{Kind: netsim.BodyPace, GuestID: "g", Origin: w1.hostName, Virt: stale}})
+	})
+	if err := c.Run(60 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	from := w0.rt.VirtAtLastExit()
+	if err := c.Run(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if moved := w0.rt.VirtAtLastExit() - from; moved < vtime.Virtual(470*sim.Millisecond) {
+		t.Fatalf("the sole survivor moved %v of virtual time in 940ms after a former peer's beacon", moved)
+	}
+}
+
+// TestStallDeadlineRecordsUnresolved: each proposal a replica sends arms its
+// sequence's stall deadline. A sequence that resolved is not recorded when
+// it passes; one that cannot resolve (its third member's machine failed) is
+// recorded once, at proposal + deadline, and confirmed one deadline later
+// as a suspicion of that machine.
+func TestStallDeadlineRecordsUnresolved(t *testing.T) {
+	const deadline = 40 * sim.Millisecond
+	c, g, send := probeCluster(t, 1)
+	var suspects []int
+	if err := c.SetStallDetector(deadline, func(m int) { suspects = append(suspects, m) }); err != nil {
+		t.Fatal(err)
+	}
+	w0 := g.replicas[0]
+	step := func(until sim.Time) {
+		t.Helper()
+		if err := c.Run(until); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// proposed steps until w0 has sent its n-th proposal and returns it;
+	// every live peer's beacon acks it a round trip later at the earliest.
+	proposed := func(n uint64) sentProp {
+		t.Helper()
+		for now := c.Loop().Now(); w0.sent < n; now += 10 * sim.Microsecond {
+			step(now)
+		}
+		return *w0.out.Get(n)
+	}
+	// recorded lists w0's stall records still queued: Run(t) leaves those
+	// made at exactly t for the next barrier.
+	recorded := func() (out []stallRec) {
+		for _, r := range c.stallQ[c.shardOf(w0.hostIdx)] {
+			if r.w == w0 {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+
+	c.Loop().At(20*sim.Millisecond, "send", send)
+	step(20 * sim.Millisecond)
+	p := proposed(1)
+	step(p.at + deadline)
+	if w0.nd.Pending() != 0 || len(recorded()) != 0 {
+		t.Fatalf("a resolved sequence: pending %d, recorded %v", w0.nd.Pending(), recorded())
+	}
+
+	step(80 * sim.Millisecond)
+	if err := c.FailMachine(2); err != nil {
+		t.Fatal(err)
+	}
+	c.Loop().At(90*sim.Millisecond, "send", send)
+	step(90 * sim.Millisecond)
+	p = proposed(2)
+	step(p.at + deadline - 1)
+	if len(recorded()) != 0 || len(suspects) != 0 {
+		t.Fatalf("recorded %v before the deadline", recorded())
+	}
+	step(p.at + deadline)
+	if r := recorded(); len(r) != 1 || r[0].seq != p.seq || r[0].when != p.at+deadline {
+		t.Fatalf("recorded %v, want seq %d at %v", r, p.seq, p.at+deadline)
+	}
+	step(p.at + 3*deadline)
+	// Both survivors recorded the stall once each.
+	if len(suspects) != 2 || suspects[0] != 2 || suspects[1] != 2 {
+		t.Fatalf("suspects %v, want machine 2 from each survivor", suspects)
 	}
 }

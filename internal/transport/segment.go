@@ -9,8 +9,9 @@
 // Loss on the client link is not modelled, and neither side recovers a
 // lost segment: there is no retransmission timer, client retry or negative
 // acknowledgment. The client link of every experiment is lossless, and
-// StopWatch's own loss (between replicas, and on the ingress legs) is
-// repaired below the guests, by the multicast layer. A scenario that puts
+// StopWatch's own loss is repaired below the guests: between replicas by
+// the proposal exchange, whose pacing beacons ack and retry each proposal,
+// and on the ingress legs by the multicast layer. A scenario that puts
 // loss on a link ending at a transport client is refused by validation.
 //
 // The server sides run inside guests (driven by guest.Ctx); the client

@@ -29,12 +29,12 @@ import (
 // barrier hears each peer's sample repeated for at least an epoch.
 //
 // Samples are keyed by origin (the sampling replica's host name), and the
-// barrier completes against the installed replica group — the same
-// origin-keyed, group-scoped discipline the proposal path uses. That makes
+// barrier completes against the runtime's group view — the same
+// origin-keyed, view-scoped discipline the proposal path uses. That makes
 // the sample set immune to duplicate deliveries, lets the cluster shrink
-// the group when a member dies (SetGroup unwedges survivors waiting on a
-// corpse's sample), and lets a replacement replica adopt the survivors'
-// pending samples and join an in-progress barrier (RestoreAt).
+// the group when a member dies (Runtime.SetView unwedges survivors waiting
+// on a corpse's sample), and lets a replacement replica adopt the
+// survivors' pending samples and join an in-progress barrier (RestoreAt).
 
 // EpochCoordinator manages epoch sampling and barrier synchronization for
 // one replica runtime.
@@ -46,7 +46,6 @@ type EpochCoordinator struct {
 	epoch      int64 // current epoch index (0-based)
 	epochStart sim.Time
 	samples    []originSample // pending samples, this epoch and the next
-	group      []string       // live origins; the barrier never completes before SetGroup
 	waiting    bool
 
 	// sampled is the epoch of this replica's latest sample (-1: none yet)
@@ -73,7 +72,7 @@ type originSample struct {
 
 // NewEpochCoordinator attaches epoch re-synchronization to a runtime. The
 // runtime's host name keys this replica's samples; a barrier completes once
-// SetGroup has installed the live group and every member's sample is in.
+// Runtime.SetView has installed a view and every member's sample is in.
 func NewEpochCoordinator(rt *Runtime, interval int64) (*EpochCoordinator, error) {
 	if rt == nil {
 		return nil, fmt.Errorf("%w: nil runtime", ErrVMM)
@@ -95,17 +94,6 @@ func NewEpochCoordinator(rt *Runtime, interval int64) (*EpochCoordinator, error)
 
 // Adjustments reports how many epoch adjustments have been applied.
 func (ec *EpochCoordinator) Adjustments() int { return ec.adjustments }
-
-// SetGroup installs the live replica group (origins, self included). Called
-// by the cluster whenever membership changes; a shrink re-evaluates the
-// barrier, so survivors waiting on a dead member's sample unwedge
-// deterministically.
-func (ec *EpochCoordinator) SetGroup(origins []string) {
-	ec.group = append(ec.group[:0], origins...)
-	if ec.waiting && ec.tryAdjust() && !ec.rt.tooFarAhead() {
-		ec.rt.ex.resume()
-	}
-}
 
 // nextBoundary returns the instruction count that ends the current epoch:
 // the first exit at or past it is the first onExit acts on.
@@ -166,13 +154,13 @@ func (ec *EpochCoordinator) find(origin string, epoch int64) (vtime.EpochSample,
 	return vtime.EpochSample{}, false
 }
 
-// tryAdjust applies the epoch adjustment once a sample from every live
-// origin is in (collected in group order into ec.scratch; AdjustEpoch sorts
-// it, so arrival order cannot skew the median). It returns true when the
-// barrier is released.
+// tryAdjust applies the epoch adjustment once a sample from every origin in
+// the runtime's view is in (collected in view order into ec.scratch;
+// AdjustEpoch sorts it, so arrival order cannot skew the median). It
+// returns true when the barrier is released.
 func (ec *EpochCoordinator) tryAdjust() bool {
 	ec.scratch = ec.scratch[:0]
-	for _, o := range ec.group {
+	for _, o := range ec.rt.live {
 		s, ok := ec.find(o, ec.epoch)
 		if !ok {
 			return false
@@ -181,7 +169,7 @@ func (ec *EpochCoordinator) tryAdjust() bool {
 	}
 	star, err := ec.rt.vclock.AdjustEpoch(ec.interval, ec.scratch)
 	if err != nil {
-		// The interval was validated, so the sample set is empty: no group
+		// The interval was validated, so the sample set is empty: no view
 		// is installed yet, and the barrier stays shut.
 		return false
 	}
@@ -205,7 +193,7 @@ func (ec *EpochCoordinator) tryAdjust() bool {
 // The sample leaves on the first beacon Runtime.Start sends.
 //
 // Must be called after the cluster has installed the post-replacement
-// group, and before Runtime.Start.
+// view, and before Runtime.Start.
 func (ec *EpochCoordinator) RestoreAt(donor *EpochCoordinator) {
 	ec.epoch = ec.rt.vclock.EpochBase() / ec.interval
 	ec.adjustments = int(ec.epoch)

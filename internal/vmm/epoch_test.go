@@ -39,7 +39,7 @@ func buildEpochSet(t *testing.T, interval int64) (*sim.Loop, []*Runtime, []*Epoc
 		if err != nil {
 			t.Fatal(err)
 		}
-		ec.SetGroup([]string{"A", "B", "C"})
+		rt.SetView(1, []string{"A", "B", "C"})
 		rts = append(rts, rt)
 		ecs = append(ecs, ec)
 	}
@@ -78,8 +78,8 @@ func TestEpochCoordinatorValidation(t *testing.T) {
 	}
 }
 
-// The barrier completes against the installed group only: a replica started
-// before SetGroup holds at its first boundary, and installing the group
+// The barrier completes against the installed view only: a replica started
+// before SetView holds at its first boundary, and installing the view
 // releases it.
 func TestEpochBarrierWaitsForGroup(t *testing.T) {
 	const interval = 10_000_000
@@ -98,14 +98,14 @@ func TestEpochBarrierWaitsForGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ec.Adjustments() != 0 || rt.Instr() != interval {
-		t.Fatalf("before SetGroup: %d adjustments at instr %d, want 0 at %d", ec.Adjustments(), rt.Instr(), interval)
+		t.Fatalf("before SetView: %d adjustments at instr %d, want 0 at %d", ec.Adjustments(), rt.Instr(), interval)
 	}
-	ec.SetGroup([]string{"A"})
+	rt.SetView(1, []string{"A"})
 	if err := loop.RunUntil(100 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if ec.Adjustments() < 3 {
-		t.Fatalf("after SetGroup: %d adjustments", ec.Adjustments())
+		t.Fatalf("after SetView: %d adjustments", ec.Adjustments())
 	}
 }
 
@@ -123,7 +123,7 @@ func TestEpochAdjustmentAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec.SetGroup([]string{"A", "B"})
+	rt.SetView(1, []string{"A", "B"})
 	s := vtime.EpochSample{D: sim.Millisecond, R: 5 * sim.Millisecond}
 	runs := 0
 	allocs := testing.AllocsPerRun(100, func() {

@@ -45,7 +45,7 @@ import (
 // rescale, pause and stop here; in Runtime: Instr (replacement targets,
 // epoch restore), Now, VM, VirtAtLastExit (a device model forming a
 // proposal, the pacing beacon), EnqueueNetDelivery (its divergence check),
-// OnPeerVirt, DropPeer and EnableCheckpoints. Checkpoint capture, epoch
+// OnPeerVirt, SetView and EnableCheckpoints. Checkpoint capture, epoch
 // sampling and replay run inside or instead of real exits, where state is
 // current. Whatever can pull the horizon in afterwards (a new
 // head-of-queue delivery, a lower peer maximum, a first checkpoint) calls

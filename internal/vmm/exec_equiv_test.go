@@ -198,8 +198,8 @@ func (f *equivFixture) wire(g, k int, rt *Runtime) {
 			p.ec.OnPeerSample(origin, epoch, s)
 		})
 	})
-	nd.OnPropose = func(seq uint64, v vtime.Virtual) { f.logf(origin, "%s propose %d %d", tag, seq, v) }
 	nd.SendProposal = ProposalSinkFunc(func(view, seq uint64, v vtime.Virtual) {
+		f.logf(origin, "%s propose %d %d", tag, seq, v)
 		peers(func(p *equivReplica) { p.nd.HandlePeerProposal(origin, view, seq, v) })
 	})
 	nd.OnResolve = f.journals[g]
@@ -213,8 +213,7 @@ func (f *equivFixture) regroup(g int) {
 		if r.rt.Host().Failed() {
 			continue
 		}
-		r.nd.SetLiveReplicas(f.view[g], f.names[g])
-		r.ec.SetGroup(f.names[g])
+		r.rt.SetView(f.view[g], f.names[g])
 	}
 }
 
@@ -273,16 +272,10 @@ func (f *equivFixture) run() map[string][]string {
 		f.hosts[2].Fail()
 		dead.rt.Stop()
 		f.names[0] = []string{"A", "B"}
-		for _, r := range f.groups[0][:2] {
-			r.rt.DropPeer("C")
-		}
 		f.regroup(0)
 		// g1 lives on: its replica on C stops too, without replacement.
 		f.groups[1][2].rt.Stop()
 		f.names[1] = []string{"A", "B"}
-		for _, r := range f.groups[1][:2] {
-			r.rt.DropPeer("C")
-		}
 		f.regroup(1)
 	})
 	// The replacement replay onto the spare host.

@@ -30,14 +30,14 @@ const (
 // proposed delivery time virt_lastexit+Δn, exchanges proposals with the
 // peer replicas' device models, and hands the median to the runtime.
 //
-// The device carries a live-group view (SetLiveReplicas) so a machine whose
-// VMM died does not stall the median forever: when the cluster reconfigures
-// the group, pending sequences are re-proposed among the live members and
-// resolve on the live set (upper median for the degraded even counts), and
-// proposals from dead members or earlier views are discarded. Each view
-// change is identified by a monotonically increasing view number that the
-// cluster installs in every live member in the same simulated instant, so
-// the re-proposal round stays deterministic across replicas.
+// The device reads its runtime's group view (Runtime.SetView) so a machine
+// whose VMM died does not stall the median forever: when the cluster
+// reconfigures the group, pending sequences are re-proposed among the live
+// members and resolve on the live set (upper median for the degraded even
+// counts), and proposals from dead members or earlier views are discarded.
+// Each view change is identified by a monotonically increasing view number
+// that the cluster installs in every live member in the same simulated
+// instant, so the re-proposal round stays deterministic across replicas.
 type NetDevice struct {
 	rt       *Runtime
 	replicas int    // total replica count (3, or 5 for the Sec. IX ablation)
@@ -54,31 +54,11 @@ type NetDevice struct {
 	// quiescence forever.
 	pending seqwin.Window[propState]
 
-	// live, when non-nil, is the group view: the origins (host names,
-	// this replica's own included) currently believed alive. nil means the
-	// full group of `replicas` members is assumed live. A slice, not a map:
-	// groups are 3 (or 5) wide, and the backing array is reused across view
-	// changes.
-	live []string
-	// view is the group-view number proposals are exchanged under; it only
-	// moves via SetLiveReplicas and must match across live members.
-	view uint64
-
-	// ProposalDeadline, when positive, arms a host-loop timer per proposed
-	// sequence; OnStall fires if the sequence has not resolved by then —
-	// the hook a failure detector uses to notice a dead peer VMM. Disabled
-	// (zero) by default.
-	ProposalDeadline sim.Time
-	// OnStall observes sequences that missed their proposal deadline.
-	OnStall func(seq uint64)
-
 	// SendProposal transmits this replica's proposal for an ingress
 	// sequence number, under the given group view, to the peer device
 	// models (wired by the cluster; an interface so the wiring needs no
 	// per-replica closure).
 	SendProposal ProposalSink
-	// OnPropose observes this replica's own proposals (experiments).
-	OnPropose func(seq uint64, v vtime.Virtual)
 	// OnResolve observes each resolved delivery decision — the cluster
 	// journals these for replica replacement (all replicas resolve
 	// identical medians, so any replica's stream is authoritative).
@@ -167,7 +147,8 @@ type inboundWork struct {
 }
 
 // NewNetDevice builds the device model for a runtime participating in a
-// group of `replicas` total replicas.
+// group of `replicas` total replicas, and registers it with the runtime,
+// whose group view it reads.
 func NewNetDevice(rt *Runtime, replicas int) (*NetDevice, error) {
 	if rt == nil {
 		return nil, fmt.Errorf("%w: nil runtime", ErrVMM)
@@ -178,13 +159,15 @@ func NewNetDevice(rt *Runtime, replicas int) (*NetDevice, error) {
 	// The window allocates on first use: a freshly wired device (guest
 	// admission is itself a hot path under churn) allocates nothing until
 	// traffic arrives.
-	return &NetDevice{
+	nd := &NetDevice{
 		rt:       rt,
 		replicas: replicas,
 		self:     rt.Host().Name(),
 		Policy:   PolicyMedian,
 		pending:  seqwin.New[propState](1),
-	}, nil
+	}
+	rt.nd = nd
+	return nd, nil
 }
 
 // HandleInbound accepts a packet replicated by the ingress node. After the
@@ -252,13 +235,9 @@ func (nd *NetDevice) propose(seq uint64, st *propState) {
 	st.proposedAt = nd.rt.Host().Loop().Now()
 	st.props = append(st.props, propVote{nd.self, prop})
 	nd.proposed++
-	if nd.OnPropose != nil {
-		nd.OnPropose(seq, prop)
-	}
 	if nd.SendProposal != nil {
-		nd.SendProposal.SendProposal(nd.view, seq, prop)
+		nd.SendProposal.SendProposal(nd.rt.view, seq, prop)
 	}
-	nd.armDeadline(seq)
 }
 
 // HandlePeerProposal records a proposal from the peer device model on host
@@ -270,7 +249,7 @@ func (nd *NetDevice) HandlePeerProposal(origin string, view, seq uint64, v vtime
 		nd.staleDrops++
 		return
 	}
-	if view != nd.view || (nd.live != nil && !nd.liveHas(origin)) {
+	if view != nd.rt.view || !nd.rt.inView(origin) {
 		nd.viewDrops++
 		return
 	}
@@ -287,18 +266,13 @@ func (nd *NetDevice) HandlePeerProposal(origin string, view, seq uint64, v vtime
 	nd.maybeResolve(seq, st)
 }
 
-// SetLiveReplicas installs a new group view: `origins` are the host names
-// currently believed alive (this replica's own host included), `view` the
-// group-synchronized view number. Every pending sequence is re-proposed
-// from scratch under the new view — the proposals of the previous view are
-// discarded wholesale, so all live members resolve each sequence from the
-// same proposal multiset, and the fresh Δn offset keeps the agreed delivery
-// time in every live replica's future (no synchrony divergence from the
-// stall window). The cluster must install the same (view, origins) in every
-// live member within one simulated instant.
-func (nd *NetDevice) SetLiveReplicas(view uint64, origins []string) {
-	nd.live = append(nd.live[:0], origins...)
-	nd.view = view
+// repropose re-proposes every pending sequence from scratch under a view
+// Runtime.SetView has just installed — the proposals of the previous view
+// are discarded wholesale, so all live members resolve each sequence from
+// the same proposal multiset, and the fresh Δn offset keeps the agreed
+// delivery time in every live replica's future (no synchrony divergence
+// from the stall window).
+func (nd *NetDevice) repropose() {
 	for seq, st := range nd.pending.All() {
 		st.props = st.props[:0]
 		if st.own {
@@ -309,26 +283,15 @@ func (nd *NetDevice) SetLiveReplicas(view uint64, origins []string) {
 }
 
 // View returns the current group-view number.
-func (nd *NetDevice) View() uint64 { return nd.view }
+func (nd *NetDevice) View() uint64 { return nd.rt.view }
 
 // liveCount returns the proposal count a resolution needs: the live-set
 // size under an installed view, the full group otherwise.
 func (nd *NetDevice) liveCount() int {
-	if nd.live != nil {
-		return len(nd.live)
+	if nd.rt.live != nil {
+		return len(nd.rt.live)
 	}
 	return nd.replicas
-}
-
-// liveHas reports membership in the installed live view (linear: the view
-// is at most the replica group width).
-func (nd *NetDevice) liveHas(origin string) bool {
-	for _, o := range nd.live {
-		if o == origin {
-			return true
-		}
-	}
-	return false
 }
 
 // state returns seq's proposal state, opening it if the sequence is new. It
@@ -393,42 +356,25 @@ func (nd *NetDevice) finishResolve(seq uint64, st *propState, deliver vtime.Virt
 func (nd *NetDevice) PrimeResolved(seq uint64) { nd.pending.SkipTo(seq + 1) }
 
 // MissingProposals names the group members whose proposal for a pending
-// sequence has not arrived — what a failure detector reads when OnStall
-// fires to turn "this sequence stalled" into "these machines are silent".
-// It requires an installed live view (the cluster installs one at every
-// deploy and reconfiguration); without one the device knows only peer
-// counts, not membership, and reports nothing. Resolved or unknown
-// sequences report nothing. The result is sorted for determinism.
+// sequence has not arrived — what a failure detector reads when a
+// sequence's stall deadline passes, to turn "this sequence stalled" into
+// "these machines are silent". It requires an installed view (the cluster
+// installs one at every deploy and reconfiguration); without one the device
+// knows only peer counts, not membership, and reports nothing. Resolved or
+// unknown sequences report nothing. The result is sorted for determinism.
 func (nd *NetDevice) MissingProposals(seq uint64) []string {
 	st := nd.pending.Get(seq)
-	if nd.live == nil || st == nil {
+	if nd.rt.live == nil || st == nil {
 		return nil
 	}
 	var missing []string
-	for _, origin := range nd.live {
+	for _, origin := range nd.rt.live {
 		if _, have := st.vote(origin); !have {
 			missing = append(missing, origin)
 		}
 	}
 	sort.Strings(missing)
 	return missing
-}
-
-// armDeadline schedules the per-seq proposal deadline on the host loop.
-func (nd *NetDevice) armDeadline(seq uint64) {
-	if nd.ProposalDeadline <= 0 {
-		return
-	}
-	nd.rt.Host().Loop().AfterTimer(nd.ProposalDeadline, "netdev:deadline", deadlineTimer, nd, nil, seq)
-}
-
-// deadlineTimer fires a proposal deadline: report the sequence to the stall
-// hook unless it resolved in time.
-func deadlineTimer(a, _ any, seq uint64) {
-	nd := a.(*NetDevice)
-	if !nd.pending.Done(seq) && nd.OnStall != nil {
-		nd.OnStall(seq)
-	}
 }
 
 // Pending returns the number of unresolved inbound packets (tests).

@@ -12,9 +12,8 @@ import (
 // Regression tests for the NetDevice group protocol: the resolved-seq
 // watermark (late stragglers must not resurrect a propState and wedge
 // quiescence), per-origin proposal dedupe (a duplicated proposal must not
-// displace another peer's), the live-group view (2-of-3 resolution after a
-// VMM death, with deterministic re-proposal), and the per-seq proposal
-// deadline (the failure-detector hook).
+// displace another peer's), and the group view (2-of-3 resolution after a
+// VMM death, with deterministic re-proposal).
 
 func groupTestDevice(t *testing.T, seed uint64) (*sim.Loop, *Runtime, *NetDevice) {
 	t.Helper()
@@ -58,7 +57,7 @@ func TestDuplicatePeerProposalDoesNotSkewMedian(t *testing.T) {
 	var deliveredAt []vtime.Virtual
 	rt.OnNetDeliver = func(_ uint64, v vtime.Virtual, _ sim.Time) { deliveredAt = append(deliveredAt, v) }
 	var own vtime.Virtual
-	nd.OnPropose = func(_ uint64, v vtime.Virtual) { own = v }
+	nd.SendProposal = ProposalSinkFunc(func(_, _ uint64, v vtime.Virtual) { own = v })
 	rt.Start()
 	vB := vtime.Virtual(200 * sim.Millisecond)
 	vC := vtime.Virtual(90 * sim.Millisecond)
@@ -86,12 +85,11 @@ func TestDuplicatePeerProposalDoesNotSkewMedian(t *testing.T) {
 	}
 }
 
-// TestSetLiveReplicasResolvesTwoOfThree exercises the degraded regime: a
-// seq stalls because peer C's VMM died before proposing; installing the
-// live view re-proposes among the live pair under the new view number and
-// resolves on their upper median, while C's straggling old-view proposal
-// is discarded.
-func TestSetLiveReplicasResolvesTwoOfThree(t *testing.T) {
+// TestSetViewResolvesTwoOfThree exercises the degraded regime: a seq stalls
+// because peer C's VMM died before proposing; installing the live view
+// re-proposes among the live pair under the new view number and resolves on
+// their upper median, while C's straggling old-view proposal is discarded.
+func TestSetViewResolvesTwoOfThree(t *testing.T) {
 	loop, rt, nd := groupTestDevice(t, 75)
 	var deliveredAt []vtime.Virtual
 	rt.OnNetDeliver = func(_ uint64, v vtime.Virtual, _ sim.Time) { deliveredAt = append(deliveredAt, v) }
@@ -110,7 +108,7 @@ func TestSetLiveReplicasResolvesTwoOfThree(t *testing.T) {
 		if nd.Pending() != 1 {
 			t.Errorf("seq should be stalled pre-reconfig, Pending()=%d", nd.Pending())
 		}
-		nd.SetLiveReplicas(1, []string{"A", "B"})
+		rt.SetView(1, []string{"A", "B"})
 		if len(reProposed) != 1 {
 			t.Errorf("pending seq not re-proposed under the new view: %v", reProposed)
 		}
@@ -152,30 +150,6 @@ func TestGroupMedianTieRule(t *testing.T) {
 	}
 }
 
-// TestProposalDeadlineFiresOnStall exercises the failure-detector hook: a
-// seq that cannot resolve (a peer never proposes) trips OnStall at the
-// host-loop deadline; a resolving seq does not.
-func TestProposalDeadlineFiresOnStall(t *testing.T) {
-	loop, rt, nd := groupTestDevice(t, 77)
-	rt.OnNetDeliver = func(uint64, vtime.Virtual, sim.Time) {}
-	nd.ProposalDeadline = 40 * sim.Millisecond
-	var stalled []uint64
-	nd.OnStall = func(seq uint64) { stalled = append(stalled, seq) }
-	rt.Start()
-	// Seq 1 resolves in time; seq 2 stalls (C never proposes for it).
-	loop.At(10*sim.Millisecond, "pkt1", func() { nd.HandleInbound(1, guest.Payload{Src: "c", Size: 64}) })
-	loop.At(12*sim.Millisecond, "b1", func() { nd.HandlePeerProposal("B", 0, 1, vtime.Virtual(30*sim.Millisecond)) })
-	loop.At(13*sim.Millisecond, "c1", func() { nd.HandlePeerProposal("C", 0, 1, vtime.Virtual(31*sim.Millisecond)) })
-	loop.At(20*sim.Millisecond, "pkt2", func() { nd.HandleInbound(2, guest.Payload{Src: "c", Size: 64}) })
-	loop.At(22*sim.Millisecond, "b2", func() { nd.HandlePeerProposal("B", 0, 2, vtime.Virtual(40*sim.Millisecond)) })
-	if err := loop.RunUntil(200 * sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if len(stalled) != 1 || stalled[0] != 2 {
-		t.Fatalf("OnStall fired for %v, want [2]", stalled)
-	}
-}
-
 // TestPrimeResolvedDiscardsHistory: a replacement replica joining an
 // in-progress stream must treat the stream's history as handled, both for
 // already-pending states and future stragglers.
@@ -210,7 +184,7 @@ func TestPrimeResolvedDiscardsHistory(t *testing.T) {
 // proposal has not arrived (sorted); resolved or unknown sequences, and
 // devices without a view, name nothing.
 func TestMissingProposalsNamesSilentOrigins(t *testing.T) {
-	loop, _, nd := groupTestDevice(t, 91)
+	loop, rt, nd := groupTestDevice(t, 91)
 	// No live view yet: membership names are unknown to the device.
 	nd.HandleInbound(1, guest.Payload{Src: "c", Size: 64})
 	if err := loop.RunUntil(5 * sim.Millisecond); err != nil {
@@ -220,7 +194,7 @@ func TestMissingProposalsNamesSilentOrigins(t *testing.T) {
 		t.Fatalf("no view installed, but MissingProposals = %v", got)
 	}
 	// Install the full view: B and C are now nameable.
-	nd.SetLiveReplicas(1, []string{"A", "B", "C"})
+	rt.SetView(1, []string{"A", "B", "C"})
 	if got := nd.MissingProposals(1); len(got) != 2 || got[0] != "B" || got[1] != "C" {
 		t.Fatalf("missing = %v, want [B C]", got)
 	}

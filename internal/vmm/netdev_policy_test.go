@@ -25,11 +25,8 @@ func TestPolicyOwnDeliversAtOwnProposal(t *testing.T) {
 		t.Fatal(err)
 	}
 	nd.Policy = PolicyOwn
-	sentProposals := 0
-	nd.SendProposal = ProposalSinkFunc(func(view, seq uint64, v vtime.Virtual) { sentProposals++ })
-	var deliveredAt []vtime.Virtual
-	var proposed []vtime.Virtual
-	nd.OnPropose = func(seq uint64, v vtime.Virtual) { proposed = append(proposed, v) }
+	var deliveredAt, proposed []vtime.Virtual
+	nd.SendProposal = ProposalSinkFunc(func(view, seq uint64, v vtime.Virtual) { proposed = append(proposed, v) })
 	rt.OnNetDeliver = func(seq uint64, v vtime.Virtual, _ sim.Time) { deliveredAt = append(deliveredAt, v) }
 	rt.Start()
 	loop.At(20*sim.Millisecond, "pkt", func() {
@@ -41,13 +38,10 @@ func TestPolicyOwnDeliversAtOwnProposal(t *testing.T) {
 	if len(deliveredAt) != 1 || len(proposed) != 1 {
 		t.Fatalf("delivered %d proposed %d", len(deliveredAt), len(proposed))
 	}
-	// Delivery time equals the local proposal — no peers consulted.
+	// Delivery time equals the local proposal — no peers consulted, though
+	// the proposal is still sent (the ablation changes only the decision).
 	if deliveredAt[0] != proposed[0] {
 		t.Fatalf("delivered at %v, own proposal %v", deliveredAt[0], proposed[0])
-	}
-	// Proposals are still multicast (the ablation changes only the decision).
-	if sentProposals != 1 {
-		t.Fatalf("proposals sent: %d", sentProposals)
 	}
 	if nd.Resolved() != 1 || nd.Pending() != 0 {
 		t.Fatalf("resolved=%d pending=%d", nd.Resolved(), nd.Pending())

@@ -68,8 +68,8 @@ func TestReconcileRepairsSplitDelivery(t *testing.T) {
 			rtA.OnNetDeliver = func(_ uint64, v vtime.Virtual, _ sim.Time) { deliveredA = append(deliveredA, v) }
 			rtB.OnNetDeliver = func(_ uint64, v vtime.Virtual, _ sim.Time) { deliveredB = append(deliveredB, v) }
 			var ownA, ownB vtime.Virtual
-			ndA.OnPropose = func(_ uint64, v vtime.Virtual) { ownA = v }
-			ndB.OnPropose = func(_ uint64, v vtime.Virtual) { ownB = v }
+			ndA.SendProposal = ProposalSinkFunc(func(_, _ uint64, v vtime.Virtual) { ownA = v })
+			ndB.SendProposal = ProposalSinkFunc(func(_, _ uint64, v vtime.Virtual) { ownB = v })
 			rtA.Start()
 			rtB.Start()
 
@@ -134,7 +134,7 @@ func TestDeadVMMFinishesNothing(t *testing.T) {
 	rt.OnNetDeliver = func(uint64, vtime.Virtual, sim.Time) {}
 	resolves := 0
 	nd.OnResolve = ResolveSinkFunc(func(uint64, vtime.Virtual, guest.Payload) { resolves++ })
-	nd.SetLiveReplicas(1, []string{"A", "B", "C"})
+	rt.SetView(1, []string{"A", "B", "C"})
 	rt.Start()
 	loop.At(10*sim.Millisecond, "pkt+crash", func() {
 		nd.HandleInbound(1, guest.Payload{Src: "c", Size: 64})

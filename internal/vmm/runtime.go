@@ -120,6 +120,16 @@ type Runtime struct {
 	peers   []peerProgress
 	maxPeer vtime.Virtual
 
+	// The group view (SetView): its number, and the origins (host names,
+	// this replica's own included) believed alive. live is nil until a view
+	// is installed; until then every origin counts and the device model
+	// resolves at the full group width. A slice, not a map: groups are 3
+	// (or 5) wide. The device model nd (registered by NewNetDevice), the
+	// epoch barrier and pacing all read it.
+	view uint64
+	live []string
+	nd   *NetDevice
+
 	stats RuntimeStats
 
 	// Wiring (set before Start). OnSend and OnPace are interfaces rather
@@ -279,24 +289,46 @@ func (rt *Runtime) beacon() {
 // paceTimer is the typed pacing-beacon callback (periodic per replica).
 func paceTimer(a, _ any, _ uint64) { a.(*Runtime).paceTick() }
 
-// DropPeer forgets a peer replica's pacing state — the peer was declared
-// dead and replaced; its frozen progress report must not linger in the
-// max-lead comparison. A paced pause is re-evaluated against the remaining
-// peers.
-func (rt *Runtime) DropPeer(peer string) {
-	rt.ex.sync()
-	for i, p := range rt.peers {
-		if p.peer == peer {
-			rt.peers = append(rt.peers[:i], rt.peers[i+1:]...)
-			break
-		}
+// SetView installs the replica's group view: view is the group-
+// synchronized number proposals are exchanged under, origins the live
+// members. Pacing forgets the progress of every origin outside it (a frozen
+// report must not linger in the max-lead comparison) and re-evaluates a
+// paced pause if one went; the device model re-proposes its pending
+// sequences under the new view; and a barrier waiting on a departed
+// member's sample is re-checked, so survivors unwedge deterministically.
+// The caller installs the same view in every live member within one
+// simulated instant.
+func (rt *Runtime) SetView(view uint64, origins []string) {
+	rt.view = view
+	rt.live = append(rt.live[:0], origins...)
+	n := len(rt.peers)
+	rt.peers = slices.DeleteFunc(rt.peers, func(p peerProgress) bool { return !rt.inView(p.peer) })
+	if len(rt.peers) < n {
+		rt.ex.sync()
+		rt.peersChanged()
 	}
-	rt.peersChanged()
+	if rt.nd != nil {
+		rt.nd.repropose()
+	}
+	if ec := rt.epoch; ec != nil && ec.waiting && ec.tryAdjust() && !rt.tooFarAhead() {
+		rt.ex.resume()
+	}
+}
+
+// inView reports whether origin counts under the installed view (every
+// origin does before one is installed).
+func (rt *Runtime) inView(origin string) bool {
+	return rt.live == nil || slices.Contains(rt.live, origin)
 }
 
 // OnPeerVirt records a peer replica's progress report and resumes a paced
-// pause if the gap has closed (never an epoch barrier).
+// pause if the gap has closed (never an epoch barrier). A report from an
+// origin outside the installed view is ignored: a beacon still in flight
+// from a member that left must not pin the pacing maximum.
 func (rt *Runtime) OnPeerVirt(peer string, v vtime.Virtual) {
+	if !rt.inView(peer) {
+		return
+	}
 	rt.ex.sync()
 	i := 0
 	for i < len(rt.peers) && rt.peers[i].peer != peer {

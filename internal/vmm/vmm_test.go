@@ -411,6 +411,50 @@ func TestPacingSlowsFastestReplica(t *testing.T) {
 	}
 }
 
+// TestPacingCountsOnlyTheView: SetView drops a departed peer's progress from
+// the pacing maximum, and a beacon from outside the view that lands later
+// cannot put it back. Before, one such beacon re-entered the maximum for
+// good and held a sole survivor at MaxLead past its stale report.
+func TestPacingCountsOnlyTheView(t *testing.T) {
+	loop := sim.NewLoop()
+	rt, err := NewRuntime(testHost(t, "A", loop, sim.NewSource(7), 0, 0), "g", echoApp{}, []sim.Time{0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.OnSend = SendSinkFunc(func(guest.IOAction) {})
+	rt.SetView(1, []string{"A", "B", "C"})
+	rt.Start()
+	start := rt.VirtAtLastExit()
+	// C's report is far ahead and holds the maximum; B's never moves.
+	rt.OnPeerVirt("B", start)
+	rt.OnPeerVirt("C", start+vtime.Virtual(sim.Second))
+	if err := loop.RunUntil(30 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if rt.ex.paused {
+		t.Fatal("paused while C's report led")
+	}
+	// C leaves the group: the maximum falls to B's, and A pauses MaxLead on.
+	rt.SetView(2, []string{"A", "B"})
+	if err := loop.RunUntil(60 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if rt.maxPeer != start || !rt.ex.paused {
+		t.Fatalf("after the view drop: maxPeer %v (want %v), paused %v", rt.maxPeer, start, rt.ex.paused)
+	}
+	// A beacon from C still in flight changes nothing.
+	pauses := rt.Stats().Pauses
+	rt.OnPeerVirt("C", start+vtime.Virtual(2*sim.Second))
+	if rt.maxPeer != start || !rt.ex.paused || rt.Stats().Pauses != pauses {
+		t.Fatalf("a former peer's beacon moved pacing: maxPeer %v, paused %v", rt.maxPeer, rt.ex.paused)
+	}
+	// A member's report still lifts the pause.
+	rt.OnPeerVirt("B", start+vtime.Virtual(sim.Second))
+	if rt.ex.paused {
+		t.Fatal("B's report did not lift the pause")
+	}
+}
+
 func TestDivergenceCountedWhenMedianAlreadyPassed(t *testing.T) {
 	loop := sim.NewLoop()
 	src := sim.NewSource(9)
