@@ -1,9 +1,10 @@
 #!/bin/sh
 # bench-gate.sh DIR [BASELINE] — the one benchmark gate (README "Performance").
-# DIR holds bench/'s reports at seed 1: <workload>.trace1.txt for each of the
-# five workloads, <workload>.trace0.txt for cloud-idle and fleet-ops. They are
-# folded into DIR/BENCH_GATE.json, the file a PR that legitimately moves a
-# count commits as the new baseline, and that is compared with BASELINE
+# DIR holds bench/'s reports at seed 1 (eight passes): <workload>.trace1.txt
+# for each of the five workloads, <workload>.trace0.txt for cloud-idle,
+# cloud-wide and fleet-ops. They are folded into DIR/BENCH_GATE.json, the
+# file a PR that legitimately moves a count commits as the new baseline,
+# and that is compared with BASELINE
 # (default: the committed BENCH_GATE.json). `correct`, `failed` and every
 # metric a traced pass labels count-sourced ("c") must be equal; the bare
 # passes' allocs_per_sim_s may rise by BENCHMARK.json's bound. Host-clock

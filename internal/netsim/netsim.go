@@ -82,31 +82,36 @@ type Endpoint struct {
 func (e *Endpoint) Addr() Addr { return e.addr }
 
 // EndpointTable maps endpoints to per-peer state — an address's outgoing
-// links, a receiver's source streams — in a slice sorted by endpoint ID:
-// a binary search, no hashing, memory in proportion to the peers seen.
+// links, a receiver's source streams — in one slice of (ID, value) pairs
+// sorted by endpoint ID: a binary search, no hashing, memory in proportion
+// to the peers seen.
 type EndpointTable[V any] struct {
-	ids  []uint32
-	vals []V
+	ents []tableEntry[V]
+}
+
+type tableEntry[V any] struct {
+	id uint32
+	v  V
 }
 
 func (t *EndpointTable[V]) find(e *Endpoint) (int, bool) {
 	id := e.id
-	lo, hi := 0, len(t.ids)
+	lo, hi := 0, len(t.ents)
 	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); t.ids[m] < id {
+		if m := int(uint(lo+hi) >> 1); t.ents[m].id < id {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(t.ids) && t.ids[lo] == id
+	return lo, lo < len(t.ents) && t.ents[lo].id == id
 }
 
 // Get returns the value stored for e.
 func (t *EndpointTable[V]) Get(e *Endpoint) (v V, ok bool) {
 	i, ok := t.find(e)
 	if ok {
-		v = t.vals[i]
+		v = t.ents[i].v
 	}
 	return v, ok
 }
@@ -115,18 +120,16 @@ func (t *EndpointTable[V]) Get(e *Endpoint) (v V, ok bool) {
 func (t *EndpointTable[V]) Put(e *Endpoint, v V) {
 	i, ok := t.find(e)
 	if ok {
-		t.vals[i] = v
+		t.ents[i].v = v
 		return
 	}
-	t.ids = slices.Insert(t.ids, i, e.id)
-	t.vals = slices.Insert(t.vals, i, v)
+	t.ents = slices.Insert(t.ents, i, tableEntry[V]{e.id, v})
 }
 
 // Delete removes e's value, if any.
 func (t *EndpointTable[V]) Delete(e *Endpoint) {
 	if i, ok := t.find(e); ok {
-		t.ids = slices.Delete(t.ids, i, i+1)
-		t.vals = slices.Delete(t.vals, i, i+1)
+		t.ents = slices.Delete(t.ents, i, i+1)
 	}
 }
 
@@ -203,9 +206,10 @@ func (c LinkConfig) validate() error {
 // what make fabric behavior independent of the partition.
 type link struct {
 	cfg      *LinkConfig
-	rng      *sim.FastRand // nil until the first send or fault switch
-	hash     uint64        // stable hash of (src, dst): arrival ordering key k1
-	arrSeq   uint64        // per-link send counter: arrival ordering key k2
+	started  bool         // rng, hash and dstShard set: by the first send or fault switch
+	rng      sim.FastRand // the link's own jitter and loss stream
+	hash     uint64       // stable hash of (src, dst): arrival ordering key k1
+	arrSeq   uint64       // per-link send counter: arrival ordering key k2
 	dstShard int
 	departed sim.Time // latest departure instant asked for: sends never go back
 	nextFree sim.Time // FIFO serialization horizon
@@ -243,9 +247,9 @@ type netShard struct {
 	// not build a "net:deliver:"+kind string per packet: scanned, not
 	// hashed — a fabric carries a dozen kinds.
 	labels []kindLabel
-	// freePkts is this shard's pooled-packet freelist. Packets migrate
-	// pools when delivered across shards — pools are per-shard only so
-	// that alloc/recycle never race.
+	// freePkts is this shard's pooled-packet freelist. A send draws on the
+	// sender's pool and delivery refills the receiver's, so Exchange levels
+	// the pools at every barrier; between barriers only this shard uses it.
 	freePkts []*Packet
 
 	// outs[k] parks deliveries destined for shard k until Exchange.
@@ -286,6 +290,12 @@ func (sh *netShard) deliverLabel(kind string) string {
 	return s
 }
 
+// raceChecks enables pool poisoning, set by netsim_race.go in -race builds:
+// recycle turns a packet into recycledPkt, and AllocTo panics on one that
+// is anything else — a Node kept a delivered *Packet and wrote to it, and
+// the barrier's levelling may have moved it to another shard's goroutine.
+var raceChecks, recycledPkt = false, Packet{Kind: "netsim:recycled", Size: -1}
+
 // recycle returns a pool-owned packet to this shard's freelist, clean but
 // for the header fields AllocTo overwrites.
 func (sh *netShard) recycle(p *Packet) {
@@ -296,6 +306,9 @@ func (sh *netShard) recycle(p *Packet) {
 	p.Payload = nil
 	p.Body = PacketBody{}
 	p.pooled = false
+	if raceChecks {
+		*p = recycledPkt
+	}
 	sh.freePkts = append(sh.freePkts, p)
 }
 
@@ -371,13 +384,11 @@ func (n *Network) SetShards(loops []*sim.Loop) error {
 	if len(loops) == 0 {
 		return fmt.Errorf("%w: SetShards needs at least one loop", ErrNet)
 	}
-	for _, l := range loops {
+	shards := make([]*netShard, len(loops))
+	for i, l := range loops {
 		if l == nil {
 			return fmt.Errorf("%w: nil shard loop", ErrNet)
 		}
-	}
-	shards := make([]*netShard, len(loops))
-	for i, l := range loops {
 		shards[i] = newShard(i, len(loops), l)
 	}
 	n.shards = shards
@@ -431,6 +442,9 @@ func (n *Network) AllocTo(src, dst *Endpoint, size int, kind string, payload any
 		p = sh.freePkts[k-1]
 		sh.freePkts[k-1] = nil
 		sh.freePkts = sh.freePkts[:k-1]
+		if raceChecks && *p != recycledPkt {
+			panic(fmt.Sprintf("netsim: corrupted pooled packet %s — retained after delivery?", p))
+		}
 	} else {
 		p = &Packet{}
 	}
@@ -525,17 +539,18 @@ func (n *Network) linkOn(src, dst *Endpoint) *link {
 		l = &link{cfg: n.defCfg, faultLoss: lossUnset}
 		src.links.Put(dst, l)
 	}
-	if l.rng == nil {
-		l.rng = n.linkSrc.FastStream(string(src.addr) + "|" + string(dst.addr))
+	if !l.started {
+		l.started = true
 		l.hash = linkHash(src.addr, dst.addr)
+		l.rng = n.linkSrc.FastHashed(l.hash)
 		l.dstShard = dst.shard
 	}
 	return l
 }
 
 // linkHash is the stable directed-link hash used as arrival ordering key
-// k1: a pure function of the endpoint names, identical for every shard
-// count and every run.
+// k1 and to seed the link's stream: a pure function of the endpoint names,
+// identical for every shard count and every run.
 func linkHash(src, dst Addr) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(src))
@@ -581,22 +596,13 @@ func (n *Network) SendAfter(pkt *Packet, d sim.Time) {
 	l.departed = start
 	l.sent++
 	cfg := l.cfg
-	// A partitioned link (fault.go) drops without a loss draw, so healing
-	// resumes the RNG stream exactly where the fault found it.
-	if l.partitioned {
-		l.dropped++
-		sh.lost++
-		if c := sh.mDropped; c.Valid() {
-			c.With(pkt.Kind).Inc()
-		}
-		sh.recycle(pkt)
-		return
-	}
 	loss := cfg.LossProb
 	if l.faultLoss >= 0 {
 		loss = l.faultLoss
 	}
-	if loss > 0 && l.rng.Bool(loss) {
+	// A partitioned link (fault.go) drops without a loss draw, so healing
+	// resumes the RNG stream exactly where the fault found it.
+	if l.partitioned || (loss > 0 && l.rng.Bool(loss)) {
 		l.dropped++
 		sh.lost++
 		if c := sh.mDropped; c.Valid() {
@@ -636,24 +642,47 @@ func (n *Network) SendAfter(pkt *Packet, d sim.Time) {
 }
 
 // Exchange drains every cross-shard outbox, scheduling the parked
-// deliveries on their destination shards' loops. Coordinator barrier
-// context only (all shards parked). The injection order is irrelevant to
-// the schedule — the (when, k1, k2) key decides — but it is deterministic
-// anyway: shard-index order, append order within a box.
+// deliveries on their destination shards' loops, then levels the packet
+// pools. Coordinator barrier context only (all shards parked). The
+// injection order is irrelevant to the schedule — the (when, k1, k2) key
+// decides — but it is deterministic anyway: shard-index order, append
+// order within a box.
 func (n *Network) Exchange() {
 	for _, src := range n.shards {
-		for dstIdx := range src.outs {
-			box := src.outs[dstIdx]
-			if len(box) == 0 {
-				continue
+		for k, box := range src.outs {
+			for _, in := range box {
+				n.shards[k].loop.AtArrivalTimer(in.when, in.label, deliverTimer, n, in.pkt, uint64(k), in.k1, in.k2)
 			}
-			dst := n.shards[dstIdx]
-			for i := range box {
-				in := &box[i]
-				dst.loop.AtArrivalTimer(in.when, in.label, deliverTimer, n, in.pkt, uint64(dstIdx), in.k1, in.k2)
-				box[i] = inject{}
+			clear(box)
+			src.outs[k] = box[:0]
+		}
+	}
+	n.levelPools()
+}
+
+// levelPools spreads the pooled packets evenly over the K shards: shard i
+// keeps ⌊total/K⌋, plus one if i < total mod K, and the shards above that
+// fill the ones below it. Which *Packet carries a send reaches no ID, key,
+// draw or output, so this moves no result, only allocations.
+func (n *Network) levelPools() {
+	k := len(n.shards)
+	total := 0
+	for _, sh := range n.shards {
+		total += len(sh.freePkts)
+	}
+	quota := func(i int) int { return (total + k - 1 - i) / k }
+	d := 0 // the lowest shard that may still be above its quota
+	for i, sh := range n.shards {
+		for need := quota(i) - len(sh.freePkts); need > 0; {
+			for len(n.shards[d].freePkts) <= quota(d) {
+				d++
 			}
-			src.outs[dstIdx] = box[:0]
+			from := n.shards[d].freePkts
+			cut := len(from) - min(need, len(from)-quota(d))
+			sh.freePkts = append(sh.freePkts, from[cut:]...)
+			clear(from[cut:])
+			n.shards[d].freePkts = from[:cut]
+			need -= len(from) - cut
 		}
 	}
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -294,7 +295,7 @@ func TestReadsCreateNoLinkState(t *testing.T) {
 	if loss, _ := n.LinkFaults("a", "b"); loss != 0.5 {
 		t.Fatalf("LinkFaults on a configured, unused pair = %v, want 0.5", loss)
 	}
-	if l := n.peekLink("a", "b"); l == nil || l.rng != nil {
+	if l := n.peekLink("a", "b"); l == nil || l.started {
 		t.Fatal("reading a configured pair started its link")
 	}
 }
@@ -314,5 +315,21 @@ func TestHopAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, func() { hop(); loop.ProcessNextEvent() }); allocs != 0 {
 			t.Errorf("%s: %v allocs per hop, want 0", name, allocs)
 		}
+	}
+}
+
+// TestNewLinkCostsOneAllocation: starting a directed link allocates the
+// link record alone (its stream lives inline, its name is hashed in parts);
+// the endpoint table's growth is amortised away.
+func TestNewLinkCostsOneAllocation(t *testing.T) {
+	n, _ := testNet(t, LinkConfig{Latency: sim.Millisecond})
+	src := n.Endpoint("dom0:a-source-address")
+	dsts := make([]*Endpoint, 1001)
+	for i := range dsts {
+		dsts[i] = n.Endpoint(Addr(fmt.Sprintf("prop:destination-host-%04d/guest", i)))
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() { n.linkOn(src, dsts[i]); i++ }); allocs != 1 {
+		t.Errorf("%v allocs per new link, want 1", allocs)
 	}
 }

@@ -185,8 +185,11 @@ func TestShardOfFollowsAssignment(t *testing.T) {
 	if err := n.SetShards(loops); err != nil {
 		t.Fatal(err)
 	}
-	if n.NumShards() != 3 {
-		t.Fatalf("NumShards = %d, want 3", n.NumShards())
+	if n.SetShards(nil) == nil || n.SetShards([]*sim.Loop{sim.NewLoop(), nil}) == nil {
+		t.Fatal("SetShards accepted no loops or a nil one")
+	}
+	if n.NumShards() != 3 || n.ShardLoop(2) != loops[2] {
+		t.Fatalf("NumShards = %d after refused SetShards, want 3 with shard 2 on its loop", n.NumShards())
 	}
 	if got := n.ShardOf("unassigned"); got != 0 {
 		t.Fatalf("ShardOf(unassigned) = %d, want default 0", got)
@@ -199,5 +202,76 @@ func TestShardOfFollowsAssignment(t *testing.T) {
 	}
 	if err := n.AssignShard("x", 5); err == nil {
 		t.Fatal("AssignShard out of range did not error")
+	}
+}
+
+// TestCrossShardHopAllocatesNothing: under traffic that sends more packets
+// out of a shard than it brings in — one-way at K = 2, a ring of unequal
+// bursts at K = 4 — a steady-state lookahead window (sends, Exchange, every
+// shard run to the next barrier) allocates nothing, because Exchange levels
+// the packet pools; and after each Exchange no two pools differ by more
+// than one packet.
+func TestCrossShardHopAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		k     int
+		burst []int // burst[i]: packets node i sends to node (i+1) mod len per window
+	}{
+		{"K=2 one-way", 2, []int{6, 0}},
+		{"K=4 ring", 4, []int{1, 2, 3, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := New(sim.NewLoop(), sim.NewSource(3).Stream("net"),
+				LinkConfig{Latency: sim.Millisecond, JitterMax: 200 * sim.Microsecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loops := make([]*sim.Loop, tc.k)
+			eps := make([]*Endpoint, tc.k)
+			for i := range loops {
+				loops[i] = sim.NewLoop()
+			}
+			if err := n.SetShards(loops); err != nil {
+				t.Fatal(err)
+			}
+			for i := range eps {
+				addr := Addr(fmt.Sprintf("n%d", i))
+				if err := n.Attach(&FuncNode{Addr: addr}); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.AssignShard(addr, i); err != nil {
+					t.Fatal(err)
+				}
+				eps[i] = n.Endpoint(addr)
+			}
+			var now sim.Time
+			window := func() {
+				for i, b := range tc.burst {
+					for range b {
+						n.Send(n.AllocTo(eps[i], eps[(i+1)%tc.k], 64, "t", nil))
+					}
+				}
+				n.Exchange()
+				lo, hi := len(n.shards[0].freePkts), 0
+				for _, sh := range n.shards {
+					lo, hi = min(lo, len(sh.freePkts)), max(hi, len(sh.freePkts))
+				}
+				if hi-lo > 1 {
+					t.Fatalf("pools after Exchange range over %d..%d packets", lo, hi)
+				}
+				now += n.Lookahead()
+				for _, l := range loops {
+					if err := l.RunBefore(now); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for range 50 {
+				window()
+			}
+			if allocs := testing.AllocsPerRun(200, window); allocs != 0 {
+				t.Errorf("%v allocs per window, want 0", allocs)
+			}
+		})
 	}
 }

@@ -39,14 +39,21 @@ func splitmix64(x uint64) uint64 {
 // FastStream returns the deterministic SplitMix64 counter stream named
 // label: 8 bytes of state and no seeding pass, where Stream costs a ~5KB
 // math/rand source and a 607-word seed loop. Use it where streams are
-// created in bulk and only need the simple draws FastRand offers — the
-// fabric holds one per directed link. Like Stream, the sequence is a pure
-// function of (master seed, label); creation order is irrelevant.
+// created in bulk and only need the simple draws FastRand offers; the
+// fabric holds one by value in each directed link (FastHashed). Like
+// Stream, the sequence is a pure function of (master seed, label);
+// creation order is irrelevant.
 func (s *Source) FastStream(label string) *FastRand {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(label))
-	return &FastRand{state: splitmix64(s.seed ^ h.Sum64())}
+	r := s.FastHashed(h.Sum64())
+	return &r
 }
+
+// FastHashed is FastStream by value, for a label the caller has already
+// hashed with FNV-1a (the fabric's link hash, of "src|dst"): a stream held
+// inline in a larger record costs no allocation and no second hash.
+func (s *Source) FastHashed(h uint64) FastRand { return FastRand{state: splitmix64(s.seed ^ h)} }
 
 // FastRand is a SplitMix64 counter generator: statistically solid for
 // physics draws (jitter, loss), trivially cheap to create, 8 bytes of
