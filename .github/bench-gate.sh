@@ -1,8 +1,8 @@
 #!/bin/sh
 # bench-gate.sh DIR [BASELINE] — the one benchmark gate (README "Performance").
-# DIR holds bench/'s reports at seed 1 (eight passes): <workload>.trace1.txt
+# DIR holds bench/'s reports at seed 1 (nine passes): <workload>.trace1.txt
 # for each of the five workloads, <workload>.trace0.txt for cloud-idle,
-# cloud-wide and fleet-ops. They are folded into DIR/BENCH_GATE.json, the
+# cloud-wide, cloud-loaded and fleet-ops. They are folded into DIR/BENCH_GATE.json, the
 # file a PR that legitimately moves a count commits as the new baseline,
 # and that is compared with BASELINE
 # (default: the committed BENCH_GATE.json). `correct`, `failed` and every

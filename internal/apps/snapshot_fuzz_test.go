@@ -2,6 +2,7 @@ package apps
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"stopwatch/internal/guest"
@@ -55,6 +56,11 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	}
 	f.Add(midDownloadServer(f).SnapshotAppend(nil))
 	f.Add(midOpNFSServer(f).SnapshotAppend(nil))
+	// Stream states no Respond could have left, which restore refuses:
+	// every field nonsense, acked past sent, and a conn that is not its key.
+	f.Add(tcpRespSnapshot(3, 3, -5, -100, 1<<40, -1<<40))
+	f.Add(tcpRespSnapshot(3, 3, 7, 10_000, 2, 5))
+	f.Add(tcpRespSnapshot(3, 4, 7, 10_000, 5, 2))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for i, a := range apps {
@@ -72,4 +78,16 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// tcpRespSnapshot is a disk server's snapshot, no request parked, whose
+// stream stack holds connection id with one response in flight.
+func tcpRespSnapshot(id, conn uint64, total, bytes, nextSend, acked int64) []byte {
+	b := binary.AppendUvarint([]byte{0, 0, 1}, id) // served, parked, conns
+	b = append(b, 1, 'c', 1)                       // peer "c", a response
+	b = binary.AppendUvarint(binary.AppendUvarint(b, 9), conn)
+	for _, v := range []int64{total, bytes, nextSend, acked} {
+		b = binary.AppendVarint(b, v)
+	}
+	return b
 }

@@ -467,7 +467,8 @@ func newOutputLog() *OutputLog {
 // formatted into a reused scratch buffer and folded with an inline FNV-64a
 // — one Append per guest output makes this a hot path, and the fmt.Fprintf
 // + hasher pair it replaces allocated on every call. The byte format (and
-// so the digest value) is unchanged: "%d|%d|%s|%d|%v".
+// so the digest value) is unchanged: "%d|%d|%s|%d|%v", which a payload's
+// AppendDigest method (a transport segment's) writes without reflection.
 func (l *OutputLog) Append(seq uint64, dst netsim.Addr, size int, data any) {
 	b := l.buf[:0]
 	b = strconv.AppendUint(b, l.digest, 10)
@@ -489,6 +490,8 @@ func (l *OutputLog) Append(seq uint64, dst netsim.Addr, size int, data any) {
 		b = strconv.AppendUint(b, v, 10)
 	case string:
 		b = append(b, v...)
+	case interface{ AppendDigest([]byte) []byte }:
+		b = v.AppendDigest(b)
 	default:
 		b = fmt.Appendf(b, "%v", v)
 	}

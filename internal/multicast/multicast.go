@@ -57,9 +57,10 @@ type Sender struct {
 	src   *netsim.Endpoint
 	group []*netsim.Endpoint
 	seq   uint64
-	// win retains the last WindowSize bodies, envelope stamped, for repair:
-	// every sequence from its Base to the last one sent is open.
-	win bodyWindow
+	// win retains the last WindowSize bodies, envelope stamped and carved
+	// from bodies, for repair: every sequence from Base to the last is open.
+	win    bodyWindow
+	bodies sim.Chunk[netsim.PacketBody]
 
 	spm    sim.Handle // the pending heartbeat
 	idle   uint8      // heartbeats since the last send or NAK, capped
@@ -123,7 +124,7 @@ func (s *Sender) Multicast(kind string, size int, body netsim.PacketBody) uint64
 		s.win.Retire(s.win.Base())
 	}
 	held, _ := s.win.Open(s.seq)
-	*held = &body
+	*held = s.bodies.New(body)
 	for _, dst := range s.group {
 		p := s.net.AllocTo(s.src, dst, size, kindData, nil)
 		p.Body = body
@@ -192,7 +193,7 @@ func (s *Sender) Group() []netsim.Addr {
 // stream state that Receiver.Forget has already discarded.
 func (s *Sender) Close() {
 	s.closed = true
-	s.win = bodyWindow{}
+	s.win, s.bodies = bodyWindow{}, sim.Chunk[netsim.PacketBody]{}
 	s.loop.CancelHandle(s.spm)
 }
 

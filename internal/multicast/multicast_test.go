@@ -643,3 +643,42 @@ func TestInOrderDeliveryAllocatesNothing(t *testing.T) {
 		t.Fatalf("delivered %d", delivered)
 	}
 }
+
+// TestRepairWindowAllocatesAShareOfAChunk: the sender keeps every body for
+// repair, 64 to an allocation. The window is full and the fabric's pools
+// warm, so what a burst allocates beyond the ring's own growth is the
+// bodies'.
+func TestRepairWindowAllocatesAShareOfAChunk(t *testing.T) {
+	loop := sim.NewLoop()
+	net, err := netsim.New(loop, sim.NewSource(5).Stream("net"), netsim.LinkConfig{Latency: sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := []netsim.Addr{"h1", "h2", "h3"}
+	for _, a := range group {
+		if err := net.Attach(&netsim.FuncNode{Addr: a}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const burst = 256
+	snd, err := NewSender(net, loop, SenderConfig{Src: "s", Group: group, WindowSize: burst})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func() {
+		for range burst {
+			snd.Multicast("m", 64, netsim.PacketBody{Seq: snd.NextSeq()})
+		}
+		if err := loop.RunUntil(loop.Now() + 2*sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, send); allocs > 12 {
+		t.Fatalf("%d multicasts made %v allocations, want <= 12", burst, allocs)
+	}
+	for seq := snd.NextSeq() - burst; seq < snd.NextSeq(); seq++ {
+		if held := snd.win.Get(seq); held == nil || (*held).Seq != seq || (*held).StreamSeq != seq {
+			t.Fatalf("window slot %d holds %v", seq, held)
+		}
+	}
+}

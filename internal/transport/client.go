@@ -24,6 +24,7 @@ type Client struct {
 
 	pktsSent uint64
 	pktsRecv uint64
+	segs     sim.Chunk[Segment] // what every sent segment is carved from
 }
 
 type clientConn struct {
@@ -34,8 +35,9 @@ type clientConn struct {
 	established bool
 	onConnect   func()
 
-	// Receive state for the current response.
+	// Receive state for the current response: &rx (reused), nil when idle.
 	resp *clientResp
+	rx   clientResp
 
 	// Delayed-ACK state. Timers are generation-checked handles: the loop
 	// pools fired events, so raw *Event references must not be retained.
@@ -97,25 +99,27 @@ func (c *Client) PacketsReceived() uint64 { return c.pktsRecv }
 
 func (c *Client) send(dst *netsim.Endpoint, size int, seg Segment) {
 	c.pktsSent++
-	c.net.Send(c.net.AllocTo(c.self, dst, size, "tcpish", seg))
+	c.net.Send(c.net.AllocTo(c.self, dst, size, "tcpish", c.segs.New(seg)))
 }
 
 // Connect opens a TCP-like connection to dst; onConnect fires when the
 // handshake completes. Returns the connection id.
 func (c *Client) Connect(dst netsim.Addr, onConnect func()) uint64 {
-	c.nextConn++
-	conn := &clientConn{id: c.nextConn, dst: c.net.Endpoint(dst), mode: FlagSYN, onConnect: onConnect}
-	c.conns[conn.id] = conn
+	conn := c.open(dst, FlagSYN)
+	conn.onConnect = onConnect
 	c.send(conn.dst, CtrlSize, Segment{Conn: conn.id, Flags: FlagSYN})
 	return conn.id
 }
 
 // OpenUDP creates a UDP-like "connection" (no handshake). Returns its id.
-func (c *Client) OpenUDP(dst netsim.Addr) uint64 {
+func (c *Client) OpenUDP(dst netsim.Addr) uint64 { return c.open(dst, FlagREQ).id }
+
+func (c *Client) open(dst netsim.Addr, mode Flag) *clientConn {
 	c.nextConn++
-	conn := &clientConn{id: c.nextConn, dst: c.net.Endpoint(dst), mode: FlagREQ, established: true}
+	conn := &clientConn{id: c.nextConn, dst: c.net.Endpoint(dst), mode: mode, established: mode == FlagREQ}
+	conn.rx.got = map[int]bool{}
 	c.conns[conn.id] = conn
-	return conn.id
+	return conn
 }
 
 // Request issues a request on the connection; onDone fires when the full
@@ -139,7 +143,9 @@ func (c *Client) Request(connID uint64, req any, onDone func(r Response)) error 
 
 func (c *Client) issue(conn *clientConn, p pendingReq) {
 	p.sentAt = c.loop.Now()
-	conn.resp = &clientResp{pendingReq: p, got: make(map[int]bool)}
+	clear(conn.rx.got)
+	conn.rx.pendingReq, conn.rx.total = p, 0
+	conn.resp = &conn.rx
 	// A REQ piggybacks the cumulative ACK. No delayed ACK is pending here:
 	// finish flushed the last response's before the connection went idle.
 	c.send(conn.dst, ReqSize, Segment{
@@ -148,7 +154,7 @@ func (c *Client) issue(conn *clientConn, p pendingReq) {
 }
 
 func (c *Client) deliver(pkt *netsim.Packet) {
-	seg, ok := pkt.Payload.(Segment)
+	seg, ok := pkt.Payload.(*Segment)
 	if !ok {
 		return
 	}
@@ -182,7 +188,7 @@ func (c *Client) drainQueue(conn *clientConn) {
 	c.issue(conn, p)
 }
 
-func (c *Client) onData(conn *clientConn, seg Segment) {
+func (c *Client) onData(conn *clientConn, seg *Segment) {
 	r := conn.resp
 	if r == nil || seg.RespID != r.respID {
 		// Stale/duplicate data from an old response: ACK to keep the server
@@ -193,9 +199,7 @@ func (c *Client) onData(conn *clientConn, seg Segment) {
 		return
 	}
 	r.total = seg.Total
-	if !r.got[seg.Seq] {
-		r.got[seg.Seq] = true
-	}
+	r.got[seg.Seq] = true
 	// Advance the cumulative counter.
 	contig := 0
 	for r.got[contig] {
@@ -219,14 +223,8 @@ func (c *Client) finish(conn *clientConn, r *clientResp) {
 	}
 	conn.resp = nil
 	conn.recvdHigh = 0
-	resp := Response{
-		RespID:   r.respID,
-		Latency:  c.loop.Now() - r.sentAt,
-		Segments: r.total,
-		Bytes:    r.total * MSS,
-	}
 	if r.onDone != nil {
-		r.onDone(resp)
+		r.onDone(Response{RespID: r.respID, Latency: c.loop.Now() - r.sentAt, Segments: r.total, Bytes: r.total * MSS})
 	}
 	c.drainQueue(conn)
 }
@@ -244,12 +242,16 @@ func (c *Client) maybeAck(conn *clientConn) {
 		return
 	}
 	if !conn.ackTimer.Pending() {
-		conn.ackTimer = c.loop.After(delayedAck, "tcp:delack", func() {
-			conn.ackTimer = sim.Handle{}
-			if conn.unacked > 0 {
-				c.ackNow(conn)
-			}
-		}).Handle()
+		conn.ackTimer = c.loop.AfterTimer(delayedAck, "tcp:delack", delackTimer, c, conn, 0).Handle()
+	}
+}
+
+// delackTimer acks a lone segment whose partner never came.
+func delackTimer(a, b any, _ uint64) {
+	c, conn := a.(*Client), b.(*clientConn)
+	conn.ackTimer = sim.Handle{}
+	if conn.unacked > 0 {
+		c.ackNow(conn)
 	}
 }
 

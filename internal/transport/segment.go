@@ -16,10 +16,17 @@
 //
 // The server sides run inside guests (driven by guest.Ctx); the client
 // sides are fabric endpoints. The protocol is modeled at segment
-// granularity with MSS-sized data packets.
+// granularity with MSS-sized data packets. Segments travel as *Segment,
+// carved by each sender from its own sim.Chunk, and are immutable once sent:
+// a pointer may sit in a packet in flight, a replay journal, an egress copy
+// group and a snapshot's op queue at once, so nobody writes through it.
 package transport
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+	"strconv"
+)
 
 // ErrTransport reports invalid transport use.
 var ErrTransport = errors.New("transport: invalid")
@@ -46,21 +53,13 @@ const (
 	FlagDATA
 )
 
+var flagNames = [...]string{FlagSYN: "SYN", FlagSYNACK: "SYNACK", FlagACK: "ACK", FlagREQ: "REQ", FlagDATA: "DATA"}
+
 func (f Flag) String() string {
-	switch f {
-	case FlagSYN:
-		return "SYN"
-	case FlagSYNACK:
-		return "SYNACK"
-	case FlagACK:
-		return "ACK"
-	case FlagREQ:
-		return "REQ"
-	case FlagDATA:
-		return "DATA"
-	default:
+	if f <= 0 || int(f) >= len(flagNames) {
 		return "?"
 	}
+	return flagNames[f]
 }
 
 // Segment is the wire payload for both transports.
@@ -76,6 +75,21 @@ type Segment struct {
 	RespID uint64
 	// REQ: opaque request descriptor.
 	Req any
+}
+
+// AppendDigest appends exactly what fmt's %v prints for the Segment value
+// — "{conn FLAG seq total respID req}" — without reflection: guest output
+// digests fold every segment a server sends.
+func (s *Segment) AppendDigest(b []byte) []byte {
+	b = strconv.AppendUint(append(b, '{'), s.Conn, 10)
+	b = append(append(append(b, ' '), s.Flags.String()...), ' ')
+	b = strconv.AppendInt(b, int64(s.Seq), 10)
+	b = strconv.AppendInt(append(b, ' '), int64(s.Total), 10)
+	b = strconv.AppendUint(append(b, ' '), s.RespID, 10)
+	if b = append(b, ' '); s.Req == nil {
+		return append(b, "<nil>}"...)
+	}
+	return append(fmt.Append(b, s.Req), '}')
 }
 
 // SegCount returns the number of MSS segments needed for n bytes.

@@ -6,6 +6,7 @@ import (
 
 	"stopwatch/internal/guest"
 	"stopwatch/internal/netsim"
+	"stopwatch/internal/sim"
 )
 
 // Server is what a guest app holds of its transport stack, stream or
@@ -36,6 +37,7 @@ type TCPServer struct {
 	SegmentCompute int64
 
 	conns map[connKey]*serverConn
+	segs  sim.Chunk[Segment] // what every sent segment is carved from
 }
 
 // connKey names a connection at a server. Ids are client-chosen and every
@@ -81,7 +83,7 @@ func NewTCPServer(window int) (*TCPServer, error) {
 // HandleSegment processes an inbound transport payload inside the guest.
 // It returns true when the payload was a transport segment.
 func (s *TCPServer) HandleSegment(ctx guest.Ctx, src netsim.Addr, data any) bool {
-	seg, ok := data.(Segment)
+	seg, ok := data.(*Segment)
 	if !ok {
 		return false
 	}
@@ -90,7 +92,7 @@ func (s *TCPServer) HandleSegment(ctx guest.Ctx, src netsim.Addr, data any) bool
 	case FlagSYN:
 		s.conns[key] = &serverConn{peer: src}
 		ctx.Compute(5_000)
-		ctx.Send(src, CtrlSize, Segment{Conn: seg.Conn, Flags: FlagSYNACK})
+		ctx.Send(src, CtrlSize, s.segs.New(Segment{Conn: seg.Conn, Flags: FlagSYNACK}))
 	case FlagACK:
 		s.onAck(ctx, key, seg.Seq)
 	case FlagREQ:
@@ -136,9 +138,9 @@ func (s *TCPServer) pump(ctx guest.Ctx, c *serverConn) {
 	}
 	for r.nextSend < r.total && r.nextSend-r.acked < s.Window {
 		ctx.Compute(s.SegmentCompute)
-		ctx.Send(c.peer, segSize(r.nextSend, r.total, r.bytes), Segment{
+		ctx.Send(c.peer, segSize(r.nextSend, r.total, r.bytes), s.segs.New(Segment{
 			Conn: r.conn, Flags: FlagDATA, Seq: r.nextSend, Total: r.total, RespID: r.id,
-		})
+		}))
 		r.nextSend++
 	}
 	if r.acked >= r.total {
@@ -159,13 +161,14 @@ func (s *TCPServer) onAck(ctx guest.Ctx, key connKey, ack int) {
 	s.pump(ctx, c)
 }
 
-// UDPServer blasts responses with no acknowledgments. It keeps no state: a
-// request in, every segment of its response out.
+// UDPServer blasts responses with no acknowledgments. It keeps no protocol
+// state: a request in, every segment of its response out.
 type UDPServer struct {
 	// SegmentCompute is the branch cost per data segment sent.
 	SegmentCompute int64
 	// OnRequest receives client requests.
 	OnRequest func(ctx guest.Ctx, src netsim.Addr, conn uint64, respID uint64, req any)
+	segs      sim.Chunk[Segment] // what every sent segment is carved from
 }
 
 // NewUDPServer returns a datagram server stack.
@@ -175,7 +178,7 @@ func NewUDPServer() *UDPServer {
 
 // HandleSegment processes an inbound payload; true when consumed.
 func (s *UDPServer) HandleSegment(ctx guest.Ctx, src netsim.Addr, data any) bool {
-	seg, ok := data.(Segment)
+	seg, ok := data.(*Segment)
 	if !ok {
 		return false
 	}
@@ -193,9 +196,9 @@ func (s *UDPServer) Respond(ctx guest.Ctx, dst netsim.Addr, conn uint64, respID 
 	total := SegCount(respBytes)
 	for i := 0; i < total; i++ {
 		ctx.Compute(s.SegmentCompute)
-		ctx.Send(dst, segSize(i, total, respBytes), Segment{
+		ctx.Send(dst, segSize(i, total, respBytes), s.segs.New(Segment{
 			Conn: conn, Flags: FlagDATA, Seq: i, Total: total, RespID: respID,
-		})
+		}))
 	}
 	return nil
 }

@@ -20,11 +20,6 @@ import (
 	"stopwatch/internal/netsim"
 )
 
-func appendAddr(buf []byte, a netsim.Addr) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(a)))
-	return append(buf, a...)
-}
-
 // AppendState serializes the stream server's mutable state (connections
 // and in-flight responses) onto buf.
 func (s *TCPServer) AppendState(buf []byte) []byte {
@@ -32,7 +27,7 @@ func (s *TCPServer) AppendState(buf []byte) []byte {
 	for _, k := range slices.SortedFunc(maps.Keys(s.conns), connKey.compare) {
 		c := s.conns[k]
 		buf = binary.AppendUvarint(buf, k.id)
-		buf = appendAddr(buf, c.peer)
+		buf = append(binary.AppendUvarint(buf, uint64(len(c.peer))), c.peer...)
 		if c.resp == nil {
 			buf = append(buf, 0)
 			continue
@@ -67,6 +62,9 @@ func (s *TCPServer) RestoreState(data []byte) ([]byte, error) {
 				nextSend: int(r.Varint("tcp resp nextSend")),
 				acked:    int(r.Varint("tcp resp acked")),
 			}
+			if !c.resp.valid(id) {
+				r.Fail("tcp resp window")
+			}
 		}
 		conns[connKey{c.peer, id}] = c
 	}
@@ -75,6 +73,14 @@ func (s *TCPServer) RestoreState(data []byte) ([]byte, error) {
 	}
 	s.conns = conns
 	return r.Rest(), nil
+}
+
+// valid reports whether a restored response is one Respond and pump could
+// have left on connection id: its segment count follows from its bytes and
+// the window sits inside it, so no restored field drives the pump.
+func (r *serverResp) valid(id uint64) bool {
+	return r.conn == id && r.bytes >= 0 && r.total == SegCount(r.bytes) &&
+		0 <= r.acked && r.acked <= r.nextSend && r.nextSend <= r.total
 }
 
 // AppendState implements Server: a datagram stack has no state to write.
