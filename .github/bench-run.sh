@@ -4,7 +4,8 @@
 # metrics, the count-sourced ones exact) and the bare pass of cloud-idle,
 # cloud-wide, cloud-loaded and fleet-ops (allocs_per_sim_s; --seconds 3
 # keeps it at its least repetition count; cloud-wide's is the sharded
-# fabric's, packet pool levelling included; cloud-loaded's is the transport
+# fabric's, packet pool levelling included, and each replica's first touch,
+# where nearly all its allocations are; cloud-loaded's is the transport
 # and ingress path's, chunked segments and repair bodies included). Each
 # report is printed and kept as DIR/<workload>.trace<0|1>.txt; a pass that
 # dies leaves a report without its JSON line, which the gate rejects. About

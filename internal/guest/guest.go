@@ -253,6 +253,9 @@ func (vm *VM) push(o op) {
 		clear(vm.ops[n:])
 		vm.ops, vm.head = vm.ops[:n], 0
 	}
+	if vm.ops == nil {
+		vm.ops = make([]op, 0, 8)
+	}
 	vm.ops = append(vm.ops, o)
 }
 
@@ -354,6 +357,9 @@ func (vm *VM) fireDueTimers() {
 	due := vm.due[:0]
 	for _, t := range vm.timers {
 		if t.due <= now {
+			if due == nil {
+				due = make([]pendingTimer, 0, 4)
+			}
 			due = append(due, t)
 		} else {
 			kept = append(kept, t)
@@ -471,6 +477,9 @@ func newOutputLog() *OutputLog {
 // AppendDigest method (a transport segment's) writes without reflection.
 func (l *OutputLog) Append(seq uint64, dst netsim.Addr, size int, data any) {
 	b := l.buf[:0]
+	if b == nil {
+		b = make([]byte, 0, 96) // a record with a short payload fits
+	}
 	b = strconv.AppendUint(b, l.digest, 10)
 	b = append(b, '|')
 	b = strconv.AppendUint(b, seq, 10)

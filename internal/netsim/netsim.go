@@ -123,6 +123,9 @@ func (t *EndpointTable[V]) Put(e *Endpoint, v V) {
 		t.ents[i].v = v
 		return
 	}
+	if t.ents == nil {
+		t.ents = make([]tableEntry[V], 0, 4) // a replica's handful of peers at once
+	}
 	t.ents = slices.Insert(t.ents, i, tableEntry[V]{e.id, v})
 }
 
@@ -251,6 +254,10 @@ type netShard struct {
 	// sender's pool and delivery refills the receiver's, so Exchange levels
 	// the pools at every barrier; between barriers only this shard uses it.
 	freePkts []*Packet
+	// links carves the link records of the addresses on this shard, under
+	// the same rule as freePkts. A record is never handed out twice, and
+	// exactly one table entry owns it.
+	links sim.Chunk[link]
 
 	// outs[k] parks deliveries destined for shard k until Exchange.
 	outs [][]inject
@@ -519,7 +526,8 @@ func (n *Network) SetLink(src, dst Addr, cfg LinkConfig) error {
 		n.minLatency = cfg.Latency
 	}
 	// A fresh link: the config takes effect even if traffic already flowed.
-	n.Endpoint(src).links.Put(n.Endpoint(dst), &link{cfg: &c, faultLoss: lossUnset})
+	from := n.Endpoint(src)
+	from.links.Put(n.Endpoint(dst), n.shards[from.shard].links.New(link{cfg: &c, faultLoss: lossUnset}))
 	return nil
 }
 
@@ -536,7 +544,7 @@ func (n *Network) SetDuplexLink(a, b Addr, cfg LinkConfig) error {
 func (n *Network) linkOn(src, dst *Endpoint) *link {
 	l, ok := src.links.Get(dst)
 	if !ok {
-		l = &link{cfg: n.defCfg, faultLoss: lossUnset}
+		l = n.shards[src.shard].links.New(link{cfg: n.defCfg, faultLoss: lossUnset})
 		src.links.Put(dst, l)
 	}
 	if !l.started {

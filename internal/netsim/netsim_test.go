@@ -318,18 +318,56 @@ func TestHopAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestNewLinkCostsOneAllocation: starting a directed link allocates the
-// link record alone (its stream lives inline, its name is hashed in parts);
-// the endpoint table's growth is amortised away.
+// TestNewLinkCostsOneAllocation: a new directed link's record is carved from
+// its source shard's chunk (its stream lives inline, its name is hashed in
+// parts), so once the chunk is at full size 64 new links from one source
+// cost at most two allocations — one chunk, or two when they straddle a
+// boundary. The source's table is presized, so only the records count;
+// TestEndpointTableFirstPutMakesRoom covers the table.
 func TestNewLinkCostsOneAllocation(t *testing.T) {
 	n, _ := testNet(t, LinkConfig{Latency: sim.Millisecond})
-	src := n.Endpoint("dom0:a-source-address")
-	dsts := make([]*Endpoint, 1001)
+	warm, src := n.Endpoint("dom0:warm-up"), n.Endpoint("dom0:a-source-address")
+	dsts := make([]*Endpoint, 256)
 	for i := range dsts {
 		dsts[i] = n.Endpoint(Addr(fmt.Sprintf("prop:destination-host-%04d/guest", i)))
 	}
-	i := 0
-	if allocs := testing.AllocsPerRun(1000, func() { n.linkOn(src, dsts[i]); i++ }); allocs != 1 {
-		t.Errorf("%v allocs per new link, want 1", allocs)
+	for _, d := range dsts[:128] {
+		n.linkOn(warm, d) // the shard's chunk reaches its full size
+	}
+	src.links.ents = make([]tableEntry[*link], 0, 128)
+	next := dsts[128:]
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, d := range next[:64] {
+			n.linkOn(src, d)
+		}
+		next = next[64:]
+	})
+	if allocs > 2 {
+		t.Errorf("64 new links cost %v allocations, want at most 2", allocs)
+	}
+	if l, ok := src.links.Get(dsts[200]); !ok || !l.started || l.cfg.Latency != sim.Millisecond {
+		t.Errorf("link to %s: %+v, %v", dsts[200].Addr(), l, ok)
+	}
+}
+
+// TestEndpointTableFirstPutMakesRoom: a table's first Put makes room for
+// four peers at once, where growing from one would take three allocations.
+func TestEndpointTableFirstPutMakesRoom(t *testing.T) {
+	n, _ := testNet(t, LinkConfig{Latency: sim.Millisecond})
+	eps := []*Endpoint{n.Endpoint("d"), n.Endpoint("b"), n.Endpoint("c"), n.Endpoint("a")}
+	tab := new(EndpointTable[int])
+	allocs := testing.AllocsPerRun(10, func() {
+		*tab = EndpointTable[int]{}
+		for i, e := range eps {
+			tab.Put(e, i)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("four Puts into a fresh table cost %v allocations, want 1", allocs)
+	}
+	for i, e := range eps {
+		if v, ok := tab.Get(e); !ok || v != i {
+			t.Errorf("Get(%s) = %d, %v; want %d", e.Addr(), v, ok, i)
+		}
 	}
 }

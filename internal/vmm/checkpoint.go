@@ -130,14 +130,16 @@ func (rt *Runtime) captureCheckpoint(virt vtime.Virtual) {
 // restoreCheckpoint rewinds a freshly built (un-booted) runtime to the
 // checkpointed state. Pending disk interrupts are re-timed to "ready now":
 // their data arrived with the state copy, only the deterministic V+Δd
-// delivery points remain.
+// delivery points remain. A checkpoint is bytes that crossed a boundary, so
+// it is vetted whole (check) before anything is applied.
 func (rt *Runtime) restoreCheckpoint(ck *Checkpoint) error {
+	if err := ck.check(rt.vclock); err != nil {
+		return err
+	}
 	if err := rt.vm.RestoreSnapshot(&ck.VM); err != nil {
 		return err
 	}
-	if err := rt.vclock.Restore(ck.ClockStart, ck.ClockSlope, ck.ClockEpochBase); err != nil {
-		return err
-	}
+	_ = rt.vclock.Restore(ck.ClockStart, ck.ClockSlope, ck.ClockEpochBase) // vetted by check
 	rt.pit.Restore(ck.PITNext, ck.PITCount)
 	rt.ex.instr = ck.Instr
 	rt.virtLastExit = ck.Virt
@@ -150,4 +152,33 @@ func (rt *Runtime) restoreCheckpoint(ck *Checkpoint) error {
 		rt.pendingDisk = append(rt.pendingDisk, d)
 	}
 	return nil
+}
+
+// check refuses a checkpoint no capture could have written: a clock fit the
+// clock would not take, a pending queue out of the strict (deliverVirt, seq)
+// order the runtime keeps (deliverDue reads only a queue's head and
+// EnqueueNetDelivery searches it as sorted, so disorder delivers late), or
+// an ingress seq pending twice, which would be delivered twice.
+func (ck *Checkpoint) check(clock *vtime.Clock) error {
+	if err := clock.CheckRestore(ck.ClockSlope, ck.ClockEpochBase); err != nil {
+		return err
+	}
+	seqs := make(map[uint64]bool, len(ck.PendingNet))
+	for i, d := range ck.PendingNet {
+		if seqs[d.seq] || i > 0 && !deliversBefore(ck.PendingNet[i-1].deliverVirt, ck.PendingNet[i-1].seq, d.deliverVirt, d.seq) {
+			return fmt.Errorf("%w: checkpoint pending net seq %d repeated or out of order", ErrVMM, d.seq)
+		}
+		seqs[d.seq] = true
+	}
+	for i := 1; i < len(ck.PendingDisk); i++ {
+		if a, b := ck.PendingDisk[i-1], ck.PendingDisk[i]; !deliversBefore(a.deliverVirt, a.seq, b.deliverVirt, b.seq) {
+			return fmt.Errorf("%w: checkpoint pending disk seq %d out of order", ErrVMM, b.seq)
+		}
+	}
+	return nil
+}
+
+// deliversBefore is the pending queues' strict (deliverVirt, seq) order.
+func deliversBefore(av vtime.Virtual, as uint64, bv vtime.Virtual, bs uint64) bool {
+	return av < bv || av == bv && as < bs
 }

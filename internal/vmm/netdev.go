@@ -82,6 +82,8 @@ type NetDevice struct {
 	// slice.
 	freeWork   []*inboundWork
 	medScratch []vtime.Virtual
+	// votes is what the window's slots carve their vote arrays from.
+	votes []propVote
 }
 
 // ProposalSink consumes a replica's delivery-time proposals.
@@ -156,9 +158,11 @@ func NewNetDevice(rt *Runtime, replicas int) (*NetDevice, error) {
 	if replicas < 1 || replicas%2 == 0 {
 		return nil, fmt.Errorf("%w: replica count %d must be odd", ErrVMM, replicas)
 	}
-	// The window allocates on first use: a freshly wired device (guest
-	// admission is itself a hot path under churn) allocates nothing until
-	// traffic arrives.
+	// Nothing is allocated here: a freshly wired device (guest admission is
+	// itself a hot path under churn) allocates nothing until traffic
+	// arrives. Then each buffer starts at the size the group fixes — the
+	// slots' vote arrays carved eight at a time, the median scratch at the
+	// group's width — or at a small constant, instead of doubling from one.
 	nd := &NetDevice{
 		rt:       rt,
 		replicas: replicas,
@@ -203,6 +207,9 @@ func processTimer(a, b any, _ uint64) {
 	w := b.(*inboundWork)
 	seq, p := w.seq, w.p
 	w.p = guest.Payload{}
+	if nd.freeWork == nil {
+		nd.freeWork = make([]*inboundWork, 0, 8)
+	}
 	nd.freeWork = append(nd.freeWork, w)
 	host := nd.rt.Host()
 	host.ioEnd()
@@ -302,7 +309,13 @@ func (nd *NetDevice) state(seq uint64) *propState {
 	if fresh {
 		votes := st.props[:0]
 		if votes == nil {
-			votes = make([]propVote, 0, nd.replicas)
+			if len(nd.votes) < nd.replicas {
+				nd.votes = make([]propVote, 8*nd.replicas) // a window grown once from seqwin's 4 slots
+			}
+			// Three-index: an append past the group's width reallocates
+			// instead of writing into the next slot's votes.
+			votes = nd.votes[:0:nd.replicas]
+			nd.votes = nd.votes[nd.replicas:]
 		}
 		*st = propState{props: votes}
 	}
@@ -323,6 +336,9 @@ func (nd *NetDevice) maybeResolve(seq uint64, st *propState) {
 			return
 		}
 		vs := nd.medScratch[:0]
+		if vs == nil {
+			vs = make([]vtime.Virtual, 0, nd.replicas)
+		}
 		for _, p := range st.props {
 			vs = append(vs, p.v)
 		}

@@ -1,6 +1,7 @@
 package vmm
 
 import (
+	"slices"
 	"testing"
 
 	"stopwatch/internal/guest"
@@ -276,5 +277,68 @@ func TestResolveCycleAllocatesNothing(t *testing.T) {
 	}
 	if resolved != int(seq) || nd.Pending() != 0 {
 		t.Fatalf("resolved %d of %d, pending %d", resolved, seq, nd.Pending())
+	}
+}
+
+// TestFreshDeviceFirstSequencesBudget: a fresh 3-replica device's first 8
+// resolved sequences — payload in, own proposal, two peer votes, median,
+// delivery queued — cost 7 allocations, against 15 before each per-replica
+// buffer started at the size its group fixes: the slots' vote arrays come
+// from one carve, and the median scratch, the work-item freelist and the
+// delivery queue are sized at their first use.
+func TestFreshDeviceFirstSequencesBudget(t *testing.T) {
+	const doublingAllocs = 15
+	type device struct {
+		loop *sim.Loop
+		nd   *NetDevice
+		own  vtime.Virtual
+	}
+	devs := make([]device, 2) // AllocsPerRun's warm-up run, then the measured one
+	for i := range devs {
+		d := &devs[i]
+		d.loop, _, d.nd = groupTestDevice(t, 81)
+		d.nd.SendProposal = ProposalSinkFunc(func(_, _ uint64, v vtime.Virtual) { d.own = v })
+		d.loop.After(0, "warm-up", func() {}) // the loop's own first event is not the device's
+		d.loop.ProcessNextEvent()
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		d := &devs[i]
+		i++
+		for seq := uint64(1); seq <= 8; seq++ {
+			d.nd.HandleInbound(seq, guest.Payload{Src: "c", Size: 200})
+			d.loop.ProcessNextEvent()
+			d.nd.HandlePeerProposal("B", d.nd.View(), seq, d.own-1000)
+			d.nd.HandlePeerProposal("C", d.nd.View(), seq, d.own+1000)
+		}
+	})
+	for _, d := range devs {
+		if d.nd.Resolved() != 8 || d.nd.Pending() != 0 {
+			t.Fatalf("resolved %d of 8, pending %d", d.nd.Resolved(), d.nd.Pending())
+		}
+	}
+	if allocs > doublingAllocs/2 {
+		t.Fatalf("the first 8 sequences cost %v allocations, want at most %d", allocs, doublingAllocs/2)
+	}
+}
+
+// TestVotePastTheGroupLeavesTheNextSlot: the slots' vote arrays are carved
+// side by side from one allocation, capped at the group's width, so a vote
+// past it (an origin counted before any view is installed) reallocates its
+// own slot and never writes into the next one's votes.
+func TestVotePastTheGroupLeavesTheNextSlot(t *testing.T) {
+	_, _, nd := groupTestDevice(t, 83)
+	a, b := nd.state(1), nd.state(2)
+	for k, origin := range []string{"A", "B", "C"} {
+		a.props = append(a.props, propVote{origin, vtime.Virtual(10 + k)})
+		b.props = append(b.props, propVote{origin, vtime.Virtual(20 + k)})
+	}
+	a.props = append(a.props, propVote{"D", 13})
+	want := []propVote{{"A", 20}, {"B", 21}, {"C", 22}}
+	if !slices.Equal(b.props, want) {
+		t.Fatalf("slot 2's votes %v after a fourth vote in slot 1, want %v", b.props, want)
+	}
+	if v, ok := a.vote("D"); !ok || v != 13 || len(a.props) != 4 {
+		t.Fatalf("slot 1 holds %v", a.props)
 	}
 }

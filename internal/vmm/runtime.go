@@ -335,6 +335,9 @@ func (rt *Runtime) OnPeerVirt(peer string, v vtime.Virtual) {
 		i++
 	}
 	if i == len(rt.peers) {
+		if rt.peers == nil {
+			rt.peers = make([]peerProgress, 0, 2) // a healthy group of three
+		}
 		rt.peers = append(rt.peers, peerProgress{peer: peer})
 	}
 	rt.peers[i].virt = v
@@ -388,6 +391,9 @@ func (rt *Runtime) EnqueueNetDelivery(seq uint64, deliverVirt vtime.Virtual, p g
 		}
 		return rt.pendingNet[i].seq > d.seq
 	})
+	if rt.pendingNet == nil {
+		rt.pendingNet = make([]netDelivery, 0, 8) // the packets agreed within one Δn
+	}
 	rt.pendingNet = append(rt.pendingNet, netDelivery{})
 	copy(rt.pendingNet[i+1:], rt.pendingNet[i:])
 	rt.pendingNet[i] = d

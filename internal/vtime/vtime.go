@@ -158,15 +158,24 @@ func (c *Clock) EpochBase() int64 { return c.epochBase }
 // triple — checkpoint restore for replica replacement. The slope must lie
 // inside the clamp bounds it was recorded under.
 func (c *Clock) Restore(start Virtual, slope float64, epochBase int64) error {
+	if err := c.CheckRestore(slope, epochBase); err != nil {
+		return err
+	}
+	c.start = start
+	c.slope = slope
+	c.epochBase = epochBase
+	return nil
+}
+
+// CheckRestore reports whether Restore would accept the fit, changing
+// nothing: a caller restoring more than the clock vets every part first.
+func (c *Clock) CheckRestore(slope float64, epochBase int64) error {
 	if slope < c.lo || slope > c.hi {
 		return fmt.Errorf("%w: restored slope %v outside [%v,%v]", ErrBadClock, slope, c.lo, c.hi)
 	}
 	if epochBase < 0 {
 		return fmt.Errorf("%w: restored epoch base %d", ErrBadClock, epochBase)
 	}
-	c.start = start
-	c.slope = slope
-	c.epochBase = epochBase
 	return nil
 }
 
