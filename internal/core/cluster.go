@@ -196,10 +196,11 @@ type Guest struct {
 	baselineApp  guest.App
 }
 
-// replicaWiring is one replica's full fabric wiring, and its host node's
-// record of the resident (hostNode.residents). Peer lists are read
-// through the struct at send time, so replica replacement can rewire a
-// running guest by mutating them. The wiring itself implements the VMM's
+// replicaWiring is one replica's wiring, and its host node's record of the
+// resident (hostNode.residents). It owns no fabric address: all it sends
+// leaves from its host's Dom0. Peer lists are read through the struct at
+// send time, so replica replacement can rewire a running guest by mutating
+// them. The wiring itself implements the VMM's
 // sink interfaces (proposal exchange, pacing fan-out, egress tunnelling),
 // so wiring a replica installs plain pointers instead of per-replica
 // closures.
@@ -213,13 +214,10 @@ type replicaWiring struct {
 	nd       *vmm.NetDevice
 	app      guest.App
 	ec       *vmm.EpochCoordinator
-	// propEP ("prop:<host>/<guest>") is where proposals leave from; nothing
-	// is addressed to it, and its name picks each proposal link's jitter.
-	propEP *netsim.Endpoint
 	// sent numbers this replica's proposals; out keeps each one until every
-	// live peer's beacon has acked it.
-	sent uint64
-	out  seqwin.Window[sentProp]
+	// live peer's beacon has acked it; resent counts resends, lost or not.
+	sent, resent uint64
+	out          seqwin.Window[sentProp]
 	// links are the live peers in slot order: proposals and pacing beacons
 	// go to their Dom0s.
 	links []peerLink
@@ -278,7 +276,7 @@ func (w *replicaWiring) SendProposal(view, seq uint64, v vtime.Virtual) {
 }
 
 func (w *replicaWiring) sendProp(dst *netsim.Endpoint, n uint64, p *sentProp) {
-	pkt := w.c.net.AllocTo(w.propEP, dst, 64, "swprop", nil)
+	pkt := w.c.net.AllocTo(w.hn.ep, dst, 64, "swprop", nil)
 	pkt.Body = netsim.PacketBody{
 		Kind: netsim.BodyProp, GuestID: w.gid, Origin: w.hostName, View: p.view, Seq: p.seq, Virt: p.virt, StreamSeq: n,
 	}
@@ -308,6 +306,7 @@ func (w *replicaWiring) resend(l *peerLink, upTo uint64, wait sim.Time) {
 		if n > l.acked && n <= upTo && now-p.at > wait+2*(cl.Latency+cl.JitterMax) {
 			p.at = now
 			l.missing = max(l.missing, n)
+			w.resent++
 			w.sendProp(l.peer.hn.ep, n, p)
 		}
 	}
@@ -721,7 +720,6 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 		h := c.propLatency.Shard(c.shardOf(hostIdx))
 		nd.LatencyHist = &h
 	}
-	prop := netsim.Addr("prop:" + c.hosts[hostIdx].Name() + "/" + id)
 	w := &replicaWiring{
 		c:        c,
 		hn:       hn,
@@ -731,12 +729,7 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 		rt:       rt,
 		nd:       nd,
 		app:      app,
-		propEP:   c.net.Endpoint(prop),
 		out:      seqwin.New[sentProp](1),
-	}
-	// Proposals (and resends, answering beacons) leave from the host's shard.
-	if err := c.net.AssignShard(prop, c.shardOf(hostIdx)); err != nil {
-		return err
 	}
 	// Proposal exchange, journal, pacing and egress tunnelling all wire to
 	// the replicaWiring itself (see its sink methods above) — no closures.
@@ -898,9 +891,9 @@ func (c *Cluster) NewClient(addr netsim.Addr) (*transport.Client, error) {
 func ServiceAddr(guestID string) netsim.Addr { return gateway.ServiceAddr(guestID) }
 
 // deliver handles packets to the Dom0 node: the ingress streams' multicast,
-// and peer proposals and pacing beacons for a resident guest. Proposals and
-// beacons count only from a current peer, so one still in flight when its
-// guest or its sender left the group finds no link.
+// and peer proposals and pacing beacons for a resident guest. Both come from
+// a current peer's Dom0 on one FIFO link, or count for nothing: one still in
+// flight when its guest or its sender left the group finds no link.
 func (hn *hostNode) deliver(p *netsim.Packet) {
 	if hn.host.Failed() {
 		return // a dead machine's fabric endpoint is silent
@@ -916,7 +909,7 @@ func (hn *hostNode) deliver(p *netsim.Packet) {
 	b, src := &p.Body, hn.c.net.SourceOf(p)
 	var l *peerLink
 	for i, q := range w.links {
-		if q.peer.hn.ep == src || q.peer.propEP == src {
+		if q.peer.hn.ep == src {
 			l = &w.links[i]
 		}
 	}

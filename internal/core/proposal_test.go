@@ -28,14 +28,6 @@ func probeCluster(t *testing.T, shards int) (*Cluster, *Guest, func()) {
 	}
 }
 
-// resends counts the proposals w has resent to peer: what its proposal link
-// to the peer's Dom0 carried beyond one send per numbered proposal (lost
-// sends included, so it counts the instant a resend leaves).
-func resends(c *Cluster, w, peer *replicaWiring) uint64 {
-	sent, _ := c.Net().LinkStats(w.propEP.Addr(), peer.hn.addr)
-	return sent - w.sent
-}
-
 // TestProposalTailLossFoundByBeacon drops exactly the last proposal one
 // replica sends one peer, after which the stream is silent. Nothing runs a
 // timer: the peer's next pacing beacon acks what it holds, the sender
@@ -58,10 +50,10 @@ func TestProposalTailLossFoundByBeacon(t *testing.T) {
 			c.Loop().At(20*sim.Millisecond, "send", send)
 			c.Loop().At(40*sim.Millisecond, "send", send)
 			step(80 * sim.Millisecond)
-			if w0.sent != 2 || resends(c, w0, w1) != 0 {
-				t.Fatalf("warm-up: %d proposals, %d resends", w0.sent, resends(c, w0, w1))
+			if w0.sent != 2 || w0.resent != 0 {
+				t.Fatalf("warm-up: %d proposals, %d resends", w0.sent, w0.resent)
 			}
-			if err := c.Net().InjectLoss(w0.propEP.Addr(), w1.hn.addr, 1); err != nil {
+			if err := c.Net().InjectLoss(w0.hn.addr, w1.hn.addr, 1); err != nil {
 				t.Fatal(err)
 			}
 			c.Loop().At(100*sim.Millisecond, "send", send)
@@ -73,11 +65,11 @@ func TestProposalTailLossFoundByBeacon(t *testing.T) {
 				step(now)
 				if sentAt == 0 && w0.sent == 3 {
 					sentAt = now
-					if err := c.Net().InjectLoss(w0.propEP.Addr(), w1.hn.addr, -1); err != nil {
+					if err := c.Net().InjectLoss(w0.hn.addr, w1.hn.addr, -1); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if resends(c, w0, w1) > 0 {
+				if w0.resent > 0 {
 					resentAt = now
 				}
 			}
@@ -90,7 +82,7 @@ func TestProposalTailLossFoundByBeacon(t *testing.T) {
 				t.Fatalf("tail loss resent %v after the send, bound %v", resentAt-sentAt, bound)
 			}
 			step(400 * sim.Millisecond)
-			if n := resends(c, w0, w1); n != 1 {
+			if n := w0.resent; n != 1 {
 				t.Fatalf("%d resends, want 1", n)
 			}
 			for _, r := range g.Replicas() {
@@ -129,7 +121,7 @@ func TestLostResendRetriedAtEveryBeacon(t *testing.T) {
 	if err := c.Run(60 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Net().InjectLoss(w0.propEP.Addr(), w1.hn.addr, 1); err != nil {
+	if err := c.Net().InjectLoss(w0.hn.addr, w1.hn.addr, 1); err != nil {
 		t.Fatal(err)
 	}
 	c.Loop().At(100*sim.Millisecond, "send", send)
@@ -139,7 +131,7 @@ func TestLostResendRetriedAtEveryBeacon(t *testing.T) {
 		if err := c.Run(now); err != nil {
 			t.Fatal(err)
 		}
-		if resends(c, w0, w1) > uint64(len(resentAt)) {
+		if w0.resent > uint64(len(resentAt)) {
 			resentAt = append(resentAt, now)
 		}
 	}
@@ -153,13 +145,13 @@ func TestLostResendRetriedAtEveryBeacon(t *testing.T) {
 			t.Fatalf("resend %d came %v after the one before, want PaceInterval = %v: %v", i, gap, pace, resentAt)
 		}
 	}
-	if err := c.Net().InjectLoss(w0.propEP.Addr(), w1.hn.addr, -1); err != nil {
+	if err := c.Net().InjectLoss(w0.hn.addr, w1.hn.addr, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Run(c.Loop().Now() + 100*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if n := resends(c, w0, w1); n != 6 || w0.out.Len() != 0 {
+	if n := w0.resent; n != 6 || w0.out.Len() != 0 {
 		t.Fatalf("after the heal: %d resends, %d unacked; want 6, 0", n, w0.out.Len())
 	}
 	for _, r := range g.Replicas() {
@@ -192,18 +184,18 @@ func TestLostAcksDoNotStopResends(t *testing.T) {
 	}
 	c.Loop().At(20*sim.Millisecond, "send", send)
 	step(60 * sim.Millisecond)
-	loss(w0.propEP.Addr(), w1.hn.addr, 1)
+	loss(w0.hn.addr, w1.hn.addr, 1)
 	c.Loop().At(100*sim.Millisecond, "send", send)
 	const slice = 50 * sim.Microsecond
 	var lostAt, retriedAt sim.Time
 	for now := 100 * sim.Millisecond; retriedAt == 0 && now < 200*sim.Millisecond; now += slice {
 		step(now)
-		switch n := resends(c, w0, w1); {
+		switch n := w0.resent; {
 		case lostAt == 0 && n == 1:
 			// The first resend has left into the lossy leg: heal it, and
 			// lose the peer's acks instead.
 			lostAt = now
-			loss(w0.propEP.Addr(), w1.hn.addr, -1)
+			loss(w0.hn.addr, w1.hn.addr, -1)
 			loss(w1.hn.addr, w0.hn.addr, 1)
 		case n == 2:
 			retriedAt = now
@@ -249,7 +241,7 @@ func TestStaleBeaconTriggersNoResend(t *testing.T) {
 	}
 	// Host 1 neither gets host 0's next proposal nor acks anything, so the
 	// proposal stays in host 0's window for the beacons below to find.
-	if err := c.Net().InjectLoss(w0.propEP.Addr(), w1.hn.addr, 1); err != nil {
+	if err := c.Net().InjectLoss(w0.hn.addr, w1.hn.addr, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Net().InjectLoss(w1.hn.addr, w0.hn.addr, 1); err != nil {
@@ -260,8 +252,8 @@ func TestStaleBeaconTriggersNoResend(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No beacon has shown it missing, so host 0's own beacons resend nothing.
-	if w0.sent != 2 || w0.out.Len() != 1 || resends(c, w0, w1) != 0 {
-		t.Fatalf("%d proposals, %d unacked, %d resends; want 2, 1, 0", w0.sent, w0.out.Len(), resends(c, w0, w1))
+	if w0.sent != 2 || w0.out.Len() != 1 || w0.resent != 0 {
+		t.Fatalf("%d proposals, %d unacked, %d resends; want 2, 1, 0", w0.sent, w0.out.Len(), w0.resent)
 	}
 	hn0 := c.hostNodes[0]
 	beacon := func(from int) {
@@ -273,7 +265,7 @@ func TestStaleBeaconTriggersNoResend(t *testing.T) {
 	// group, stops before host 1's device.
 	hn1, stale := c.hostNodes[1], w1.nd.StaleDrops()
 	for _, from := range []int{0, 3} {
-		hn1.deliver(&netsim.Packet{Src: netsim.Addr("prop:" + c.hosts[from].Name() + "/g"), Dst: hn1.addr, Kind: "swprop", Body: netsim.PacketBody{
+		hn1.deliver(&netsim.Packet{Src: c.hostNodes[from].addr, Dst: hn1.addr, Kind: "swprop", Body: netsim.PacketBody{
 			Kind: netsim.BodyProp, GuestID: "g", Origin: c.hosts[from].Name(), View: g.view, Seq: 1, StreamSeq: 1,
 		}})
 	}
@@ -282,21 +274,20 @@ func TestStaleBeaconTriggersNoResend(t *testing.T) {
 	}
 	// Not a peer of g's replica here: ignored.
 	beacon(3)
-	if n := resends(c, w0, w1); n != 0 {
+	if n := w0.resent; n != 0 {
 		t.Fatalf("a non-peer's beacon caused %d resends", n)
 	}
 	// Control: host 1 acking only the first proposal is answered at once.
 	beacon(1)
-	if n := resends(c, w0, w1); n != 1 {
+	if n := w0.resent; n != 1 {
 		t.Fatalf("a peer's ack caused %d resends, want 1", n)
 	}
-	sent, _ := c.Net().LinkStats(w0.propEP.Addr(), w1.hn.addr)
 	if err := c.Undeploy("g"); err != nil {
 		t.Fatal(err)
 	}
 	beacon(1)
-	if now, _ := c.Net().LinkStats(w0.propEP.Addr(), w1.hn.addr); now != sent {
-		t.Fatalf("a departed guest's beacon caused %d resends", now-sent)
+	if n := w0.resent; n != 1 {
+		t.Fatalf("a departed guest's beacon caused %d resends", n-1)
 	}
 }
 
@@ -328,10 +319,8 @@ func TestProposalLossFreeRunResendsNothing(t *testing.T) {
 				if w.sent != packets {
 					t.Fatalf("host %d proposed %d times, want %d", w.hostIdx, w.sent, packets)
 				}
-				for _, l := range w.links {
-					if n := resends(c, w, l.peer); n != 0 {
-						t.Fatalf("host %d resent %d proposals to host %d", w.hostIdx, n, l.peer.hostIdx)
-					}
+				if w.resent != 0 {
+					t.Fatalf("host %d resent %d proposals", w.hostIdx, w.resent)
 				}
 			}
 			if widest > 2 {
@@ -367,6 +356,19 @@ func TestSoleSurvivorKeepsNoProposals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Count the proposals that reach the dead peers' Dom0s.
+	toDead := 0
+	for _, peer := range g.replicas[1:] {
+		hn := peer.hn
+		if err := c.Net().Attach(&netsim.FuncNode{Addr: hn.addr, Fn: func(p *netsim.Packet) {
+			if p.Kind == "swprop" {
+				toDead++
+			}
+			hn.deliver(p)
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := range 3 {
 		c.Loop().At(sim.Time(40+10*i)*sim.Millisecond, "send", send)
 	}
@@ -376,10 +378,8 @@ func TestSoleSurvivorKeepsNoProposals(t *testing.T) {
 	if n := len(w0.app.(*apps.ProbeApp).DeliveryTimes()); n != 3 || w0.sent != 3 {
 		t.Fatalf("sole survivor delivered %d packets after %d proposals, want 3 and 3", n, w0.sent)
 	}
-	for _, peer := range g.replicas[1:] {
-		if sent, _ := c.Net().LinkStats(w0.propEP.Addr(), peer.hn.addr); sent != 0 {
-			t.Fatalf("%d proposals sent to dead host %d", sent, peer.hostIdx)
-		}
+	if toDead != 0 {
+		t.Fatalf("%d proposals sent to dead hosts", toDead)
 	}
 	if n := w0.out.Len(); n != 0 {
 		t.Fatalf("sole survivor keeps %d proposals", n)
@@ -493,5 +493,84 @@ func TestStallDeadlineRecordsUnresolved(t *testing.T) {
 	// Both survivors recorded the stall once each.
 	if len(suspects) != 2 || suspects[0] != 2 || suspects[1] != 2 {
 		t.Fatalf("suspects %v, want machine 2 from each survivor", suspects)
+	}
+}
+
+// paceSpy counts the proposals its replica had numbered at each pacing
+// beacon it sent, in order, then sends the beacons.
+type paceSpy struct {
+	w      *replicaWiring
+	sentAt []uint64
+}
+
+func (s *paceSpy) PaceReport(v vtime.Virtual, epoch int64, e vtime.EpochSample) {
+	s.sentAt = append(s.sentAt, s.w.sent)
+	s.w.PaceReport(v, epoch, e)
+}
+
+// TestProposalNeverTrailsALaterBeacon: a proposal and the pacing beacons
+// share one FIFO link per replica pair, so at the receiving Dom0 every
+// proposal lands before any beacon its sender sent after it to that peer —
+// the ordering that lets a beacon vouch for the proposals sent before it.
+// Jitter on, no loss, a stream of client packets, on one shard and on two.
+func TestProposalNeverTrailsALaterBeacon(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := DefaultClusterConfig()
+			cfg.Hosts, cfg.Shards = 4, shards
+			c := mustCluster(t, cfg)
+			g, err := c.Deploy("g", []int{0, 1, 2}, func() guest.App { return apps.NewProbeApp() })
+			if err != nil {
+				t.Fatal(err)
+			}
+			w0, w1 := g.replicas[0], g.replicas[1]
+			// Both installed before Start, which sends the first beacons.
+			spy := &paceSpy{w: w0}
+			w0.rt.OnPace = spy
+			// At host 1's Dom0, in arrival order: how many of w0's proposals
+			// had landed when each of its beacons did.
+			var landed uint64
+			var heldAt []uint64
+			hn1 := w1.hn
+			if err := c.Net().Attach(&netsim.FuncNode{Addr: hn1.addr, Fn: func(p *netsim.Packet) {
+				if p.Body.GuestID == "g" && p.Body.Origin == w0.hostName {
+					switch p.Kind {
+					case "swprop":
+						landed++
+					case "swpace":
+						heldAt = append(heldAt, landed)
+					}
+				}
+				hn1.deliver(p)
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			send := func() {
+				c.Net().Send(&netsim.Packet{Src: "client", Dst: ServiceAddr("g"), Size: 64, Kind: "probe"})
+			}
+			const packets = 200
+			for i := range packets {
+				c.Loop().At(sim.Time(20+3*i)*sim.Millisecond+sim.Time(i%7)*sim.Microsecond, "send", send)
+			}
+			if err := c.Run(sim.Time(40+3*packets) * sim.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if w0.sent != packets || landed != packets {
+				t.Fatalf("host 0 proposed %d times and host 1 got %d, want %d", w0.sent, landed, packets)
+			}
+			// All but the one in flight at the end landed, in send order.
+			if len(heldAt) > len(spy.sentAt) || len(heldAt)+1 < len(spy.sentAt) {
+				t.Fatalf("%d beacons landed of %d sent", len(heldAt), len(spy.sentAt))
+			}
+			for k, held := range heldAt {
+				if held < spy.sentAt[k] {
+					t.Fatalf("beacon %d landed with %d of the %d proposals sent before it", k, held, spy.sentAt[k])
+				}
+			}
+			if err := g.CheckLockstep(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -42,7 +42,7 @@ func splitAtCrash(t *testing.T, n int, disable bool) (*Cluster, *Guest) {
 		t.Fatal(err)
 	}
 	w0 := g.replicas[0]
-	if err := c.Net().InjectLoss(w0.propEP.Addr(), g.replicas[1].hn.addr, 1); err != nil {
+	if err := c.Net().InjectLoss(w0.hn.addr, g.replicas[1].hn.addr, 1); err != nil {
 		t.Fatal(err)
 	}
 	c.Loop().At(100*sim.Millisecond, "send", send)

@@ -331,6 +331,43 @@ events:
     from: guest:web
     to: web-client
 `, `test.yaml:16: partition event: web-client is guest "web"'s downloads client, and the transport recovers no loss`)
+	// A fault endpoint that names nothing the file attaches: a retired
+	// per-replica address, a typo of a traffic source. Each would fault a
+	// link that no packet uses; the file's own source and sink are fine.
+	stray := head + `fleet:
+  machines: 6
+  capacity: 3
+  guests:
+    - name: g
+      count: 1
+      app:
+        kind: beacon
+        period_ms: 5
+        sink: sink
+      traffic:
+        kind: pings
+        period_ms: 20
+        from: probe
+events:
+  - at_ms: 100
+    action: inject-loss
+    from: prop:host0/g-0
+    to: machine:1
+    prob: 0.5
+  - at_ms: 200
+    action: partition
+    from: prob
+    to: guest:g-0
+  - at_ms: 300
+    action: partition
+    from: probe
+    to: sink
+`
+	wantErr(t, stray, `test.yaml:19: inject-loss event: endpoint "prop:host0/g-0" names no machine:N, guest:NAME, traffic source, sink or node of this file`)
+	wantErr(t, stray, `test.yaml:24: partition event: endpoint "prob" names no machine:N, guest:NAME, traffic source, sink or node of this file`)
+	if err := mustParse(t, stray).Validate(); strings.Count(err.Error(), "\n") != 1 {
+		t.Fatalf("want exactly the two stray endpoints refused, got:\n%v", err)
+	}
 	// A checkpoint interval the VMM would refuse at run time.
 	wantErr(t, head+strings.Replace(goodFleet, "  capacity: 3\n", "  capacity: 3\n  checkpoint_instr: 12345\n", 1),
 		`test.yaml:7: fleet checkpoint_instr: vmm: invalid: CheckpointInstr 12345 must be a multiple of ExitEvery 250000`)
@@ -406,7 +443,7 @@ fleet:
 // FuzzParse feeds arbitrary bytes to the decoder and, when they decode, to
 // the static validator: a scenario file comes from outside the program, so
 // both must answer with an error, never a panic. The seed corpus is every
-// shipped scenario.
+// shipped scenario and one file the validator refuses.
 func FuzzParse(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
 	if err != nil || len(paths) == 0 {
@@ -419,6 +456,8 @@ func FuzzParse(f *testing.F) {
 		}
 		f.Add(src)
 	}
+	// A fault on an endpoint the file never attaches: refused, not run.
+	f.Add([]byte(head + goodFleet + "events:\n  - at_ms: 100\n    action: inject-loss\n    from: prop:host0/g-0\n    to: machine:1\n    prob: 0.5\n"))
 	f.Fuzz(func(t *testing.T, src []byte) {
 		sc, err := Parse("fuzz.yaml", src)
 		if err != nil {

@@ -235,8 +235,10 @@ func (v *validator) machineRef(line int, m int, what string) {
 	}
 }
 
-// linkEndpoint checks a fault endpoint: "machine:N", "guest:NAME" or a
-// literal address.
+// linkEndpoint checks a fault endpoint: "machine:N", "guest:NAME", or a
+// literal address the file itself attaches (a spec's traffic source, an
+// app sink, a fleet node). Any other name would fault a link no packet
+// uses.
 func (v *validator) linkEndpoint(line int, s, what string) {
 	if s == "" {
 		v.errf(line, "%s needs from and to endpoints", what)
@@ -253,6 +255,10 @@ func (v *validator) linkEndpoint(line int, s, what string) {
 	}
 	if rest, ok := strings.CutPrefix(s, "guest:"); ok {
 		v.guestRef(line, rest, what)
+	} else if !slices.Contains(v.sc.Fleet.Nodes, s) && !slices.ContainsFunc(v.sc.Fleet.Guests, func(g GuestSpec) bool {
+		return g.App.Sink == s || (g.Traffic.Kind != "" && g.trafficFrom() == s)
+	}) {
+		v.errf(line, "%s: endpoint %q names no machine:N, guest:NAME, traffic source, sink or node of this file", what, s)
 	}
 }
 
