@@ -73,9 +73,11 @@ type ClusterConfig struct {
 	Replicas int
 	// VMM carries the hypervisor tunables.
 	VMM vmm.Config
-	// CloudLink is the intra-cloud fabric link (hosts, gateways).
+	// CloudLink is the intra-cloud fabric link (hosts, gateways): the
+	// fabric default, and without its loss the egress's access link.
 	CloudLink netsim.LinkConfig
-	// ClientLink is the client↔cloud link (the paper's campus WLAN).
+	// ClientLink is the client↔cloud link (the paper's campus WLAN): every
+	// client's access link.
 	ClientLink netsim.LinkConfig
 	// HostDrift, when set, gives host i a drift of HostDrift[i%len].
 	HostDrift []float64
@@ -142,14 +144,11 @@ type Cluster struct {
 
 	ingress *gateway.Ingress
 	egress  *gateway.Egress
-	// egressEP is the egress address resolved: every replica tunnels there.
+	// egressEP is the egress address resolved: every replica tunnels there,
+	// on the egress's access link.
 	egressEP *netsim.Endpoint
 
 	guests map[string]*Guest
-
-	// clients are attached transport-client addresses; guests deployed
-	// later still get the configured client link wired to them.
-	clients []netsim.Addr
 
 	// started flips at Start; guests deployed afterwards (online
 	// admissions) boot immediately.
@@ -513,13 +512,12 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 		// Each replica's output packets are "tunneled ... to the egress
 		// node over TCP" (Sec. VI): a reliable FIFO leg. Model it as the
 		// cloud link without loss — TCP's retransmission is abstracted
-		// away on this hop.
+		// away on this hop — on the egress's access link, which every
+		// Dom0's link to it takes.
 		tunnel := cfg.CloudLink
 		tunnel.LossProb = 0
-		for _, hn := range c.hostNodes {
-			if err := net.SetLink(hn.addr, eg.Addr(), tunnel); err != nil {
-				return nil, err
-			}
+		if err := net.SetAccess(eg.Addr(), tunnel); err != nil {
+			return nil, err
 		}
 	}
 	return c, nil
@@ -586,24 +584,10 @@ func (c *Cluster) Deploy(id string, hostIdx []int, factory func() guest.App) (*G
 			return nil, &HostFailedError{Host: i}
 		}
 	}
-	var g *Guest
-	var err error
 	if c.cfg.Mode == ModeBaseline {
-		g, err = c.deployBaseline(id, hostIdx, factory)
-	} else {
-		g, err = c.deployStopWatch(id, hostIdx, factory)
+		return c.deployBaseline(id, hostIdx, factory)
 	}
-	if err != nil {
-		return nil, err
-	}
-	// Existing clients reach online-admitted guests over the same client
-	// link as guests deployed before them.
-	for _, cl := range c.clients {
-		if err := c.net.SetDuplexLink(cl, gateway.ServiceAddr(id), c.cfg.ClientLink); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+	return c.deployStopWatch(id, hostIdx, factory)
 }
 
 func (c *Cluster) deployBaseline(id string, hostIdx []int, factory func() guest.App) (*Guest, error) {
@@ -871,20 +855,14 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// NewClient attaches a transport client with the configured client link to
-// every deployed guest's service address.
+// NewClient attaches a transport client at addr, on the configured client
+// link: its access link, which its links to and from every guest take. An
+// address that already has a client, or has carried traffic, is refused.
 func (c *Cluster) NewClient(addr netsim.Addr) (*transport.Client, error) {
-	cl, err := transport.NewClient(c.net, c.shardLoops[0], addr)
-	if err != nil {
-		return nil, err
+	if err := c.net.SetAccess(addr, c.cfg.ClientLink); err != nil {
+		return nil, fmt.Errorf("%w: client %q: %v", ErrCluster, addr, err)
 	}
-	for id := range c.guests {
-		if err := c.net.SetDuplexLink(addr, gateway.ServiceAddr(id), c.cfg.ClientLink); err != nil {
-			return nil, err
-		}
-	}
-	c.clients = append(c.clients, addr)
-	return cl, nil
+	return transport.NewClient(c.net, c.shardLoops[0], addr)
 }
 
 // ServiceAddr re-exports the guest public address helper.

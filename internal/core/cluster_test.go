@@ -73,6 +73,65 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
+// TestIdleClusterHoldsNoLinks: a link exists only for a pair that carried
+// traffic or a fault. Deployed guests and clients, admitted in either
+// order, wire no client link and no tunnel link up front: each link takes
+// its shape from the client's or the egress's access link when first used.
+func TestIdleClusterHoldsNoLinks(t *testing.T) {
+	cfg := DefaultClusterConfig()
+	cfg.Hosts = 5
+	c := mustCluster(t, cfg)
+	f := fileServerFactory(t, apps.DefaultFileServerConfig())
+	if _, err := c.Deploy("a", []int{0, 1, 2}, f); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []netsim.Addr{"laptop", "phone"} {
+		if _, err := c.NewClient(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Deploy("b", []int{2, 3, 4}, f); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Net().Stats(); s.Links != 0 {
+		t.Fatalf("an idle cluster holds %d links (%d endpoints), want none", s.Links, s.Endpoints)
+	}
+}
+
+// TestNewClientRefusesATakenAddress: a second client on an address would
+// take over the first one's fabric node, so the first would never hear its
+// replies. It is refused, as is the egress's address, and the first client
+// still completes its fetch.
+func TestNewClientRefusesATakenAddress(t *testing.T) {
+	c := mustCluster(t, DefaultClusterConfig())
+	if _, err := c.Deploy("web", []int{0, 1, 2}, fileServerFactory(t, apps.DefaultFileServerConfig())); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := c.NewClient("laptop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []netsim.Addr{"laptop", c.Egress().Addr(), ""} {
+		if _, err := c.NewClient(addr); !errors.Is(err, ErrCluster) {
+			t.Errorf("NewClient(%q) = %v, want ErrCluster", addr, err)
+		}
+	}
+	c.Start()
+	done := 0
+	dl := apps.NewDownloader(cl)
+	c.Loop().At(50*sim.Millisecond, "fetch", func() {
+		if err := dl.Fetch(ServiceAddr("web"), apps.ModeTCP, 16<<10, func(sim.Time) { done++ }); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := c.Run(2 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if done != 1 {
+		t.Fatalf("the first client completed %d fetches, want 1", done)
+	}
+}
+
 func TestStopWatchEndToEndDownload(t *testing.T) {
 	c := mustCluster(t, DefaultClusterConfig())
 	g, err := c.Deploy("web", []int{0, 1, 2}, fileServerFactory(t, apps.DefaultFileServerConfig()))

@@ -109,8 +109,10 @@ func TestEpochBarrierSurvivesLoss(t *testing.T) {
 		if err := c.Net().Attach(&netsim.FuncNode{Addr: "sink", Fn: func(*netsim.Packet) {}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Net().InjectDuplexLoss("dom0:host0", "dom0:host1", 0.02); err != nil {
-			t.Fatal(err)
+		for _, pair := range [][2]netsim.Addr{{"dom0:host0", "dom0:host1"}, {"dom0:host1", "dom0:host0"}} {
+			if err := c.Net().InjectLoss(pair[0], pair[1], 0.02); err != nil {
+				t.Fatal(err)
+			}
 		}
 		c.Start()
 		if err := c.Run(3 * sim.Second); err != nil {

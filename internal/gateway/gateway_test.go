@@ -101,8 +101,8 @@ func TestIngressRecoversFromLoss(t *testing.T) {
 	}
 	// The lossy legs under test are ingress→hosts (the multicast). The
 	// client→ingress leg is a plain fabric hop whose reliability belongs to
-	// the transport layer, so keep it clean here.
-	if err := net.SetLink("client", ServiceAddr("g1"), netsim.LinkConfig{Latency: 500 * sim.Microsecond}); err != nil {
+	// the transport layer, so the client's access link keeps it clean here.
+	if err := net.SetAccess("client", netsim.LinkConfig{Latency: 500 * sim.Microsecond}); err != nil {
 		t.Fatal(err)
 	}
 	const n = 50

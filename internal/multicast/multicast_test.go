@@ -195,14 +195,14 @@ func TestTailLossRecoveredViaSPM(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Break the s→h1 link completely, send the batch (all lost), then heal.
-	if err := net.SetLink("s", "h1", netsim.LinkConfig{LossProb: 1}); err != nil {
+	if err := net.InjectLoss("s", "h1", 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		snd.Multicast("m", 50, netsim.PacketBody{Data: i})
 	}
 	loop.At(50*sim.Millisecond, "heal", func() {
-		if err := net.SetLink("s", "h1", netsim.LinkConfig{Latency: sim.Millisecond}); err != nil {
+		if err := net.HealLink("s", "h1"); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -515,13 +515,13 @@ func TestNAKAndSendResetSPMBackoff(t *testing.T) {
 // round still gets through and the tail is repaired.
 func TestTailLossRecoveredWhenFirstSPMLost(t *testing.T) {
 	r := newSPMRig(t, 0)
-	if err := r.net.SetLink("s", "h", netsim.LinkConfig{LossProb: 1}); err != nil {
+	if err := r.net.InjectLoss("s", "h", 1); err != nil {
 		t.Fatal(err)
 	}
 	r.snd.Multicast("m", 64, netsim.PacketBody{})
 	// The data and the SPM at 5ms are dropped; heal before the one at 15ms.
 	r.loop.At(8*sim.Millisecond, "heal", func() {
-		if err := r.net.SetLink("s", "h", netsim.LinkConfig{Latency: sim.Millisecond}); err != nil {
+		if err := r.net.HealLink("s", "h"); err != nil {
 			t.Error(err)
 		}
 	})

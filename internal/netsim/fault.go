@@ -1,10 +1,12 @@
 // Fabric fault injection: per-link loss overrides and partition toggles
-// layered on the existing per-link runtime state. Unlike SetLink — which
-// resets a pair's FIFO horizons and RNG position to apply a new config —
-// these switches flip mid-run without disturbing the link's stream, so a
-// fault window is deterministic for every shard count and leaves the
-// link's jitter/loss draw sequence exactly where an un-faulted run of the
-// same traffic would have left it when the fault clears.
+// layered on the per-link runtime state. A link's shape is fixed when it is
+// created (from its endpoints' access links), and these switches are the
+// only per-pair mutation: they flip mid-run without disturbing the link's
+// stream, so a fault window is deterministic for every shard count and
+// leaves the link's jitter/loss draw sequence exactly where an un-faulted
+// run of the same traffic would have left it when the fault clears. A fault
+// on a pair that never carried traffic creates its link, in the shape its
+// endpoints give it.
 //
 // Determinism: a partitioned link drops without consuming an RNG draw; a
 // loss override redirects the probability fed to the link's own seeded
@@ -48,14 +50,6 @@ func (n *Network) InjectLoss(src, dst Addr, p float64) error {
 	return nil
 }
 
-// InjectDuplexLoss applies InjectLoss in both directions.
-func (n *Network) InjectDuplexLoss(a, b Addr, p float64) error {
-	if err := n.InjectLoss(a, b, p); err != nil {
-		return err
-	}
-	return n.InjectLoss(b, a, p)
-}
-
 // SetPartitioned cuts (or heals) the directed link: while partitioned,
 // every send on the pair is dropped and counted, without consuming a loss
 // draw — healing resumes the link's RNG stream exactly where the fault
@@ -67,14 +61,6 @@ func (n *Network) SetPartitioned(src, dst Addr, on bool) error {
 	}
 	l.partitioned = on
 	return nil
-}
-
-// SetDuplexPartitioned applies SetPartitioned in both directions.
-func (n *Network) SetDuplexPartitioned(a, b Addr, on bool) error {
-	if err := n.SetPartitioned(a, b, on); err != nil {
-		return err
-	}
-	return n.SetPartitioned(b, a, on)
 }
 
 // HealLink clears both fault switches (loss override and partition) on
@@ -89,22 +75,14 @@ func (n *Network) HealLink(src, dst Addr) error {
 	return nil
 }
 
-// HealDuplexLink applies HealLink in both directions.
-func (n *Network) HealDuplexLink(a, b Addr) error {
-	if err := n.HealLink(a, b); err != nil {
-		return err
-	}
-	return n.HealLink(b, a)
-}
-
 // LinkFaults reports the directed link's current fault state: the
 // effective loss override (the configured LossProb if none is set) and
 // whether the link is partitioned. A pair that never carried traffic
-// reports its configured loss and no partition.
+// reports the loss its endpoints would give it and no partition.
 func (n *Network) LinkFaults(src, dst Addr) (loss float64, partitioned bool) {
 	l := n.peekLink(src, dst)
 	if l == nil {
-		return n.defCfg.LossProb, false
+		return n.linkConfig(n.intern(src, false), n.intern(dst, false)).LossProb, false
 	}
 	loss = l.cfg.LossProb
 	if l.faultLoss >= 0 {

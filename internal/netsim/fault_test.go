@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"testing"
 
 	"stopwatch/internal/sim"
@@ -91,16 +92,16 @@ func TestHealLinkClearsBothSwitches(t *testing.T) {
 	if err := n.Attach(&FuncNode{Addr: "b", Fn: func(*Packet) { got++ }}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.InjectDuplexLoss("a", "b", 1.0); err != nil {
-		t.Fatal(err)
+	both := func(f func(src, dst Addr) error) {
+		t.Helper()
+		if err := errors.Join(f("a", "b"), f("b", "a")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := n.SetDuplexPartitioned("a", "b", true); err != nil {
-		t.Fatal(err)
-	}
+	both(func(src, dst Addr) error { return n.InjectLoss(src, dst, 1.0) })
+	both(func(src, dst Addr) error { return n.SetPartitioned(src, dst, true) })
 	n.Send(&Packet{Src: "a", Dst: "b", Size: 64, Kind: "t"})
-	if err := n.HealDuplexLink("a", "b"); err != nil {
-		t.Fatal(err)
-	}
+	both(n.HealLink)
 	if loss, part := n.LinkFaults("a", "b"); loss != 0 || part {
 		t.Fatalf("after heal: LinkFaults = (%v, %v)", loss, part)
 	}

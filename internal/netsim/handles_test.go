@@ -23,8 +23,9 @@ func (m sendMode) String() string { return [...]string{"handle", "name", "litera
 
 // runHandleProperty drives one fixed traffic pattern — pings and echoes
 // between six nodes, a reliable multicast stream over a lossy link, sends to
-// an address nobody has interned — through a script of topology mutations
-// (Detach then Attach, SetLink mid-traffic, SetGroup, a late Attach), on K
+// an address nobody has interned — over links shaped by their endpoints'
+// access links, through a script of topology mutations (Detach then Attach,
+// a partition cut and healed mid-traffic, SetGroup, a late Attach), on K
 // shards, and returns each node's delivery trace and the fabric counters.
 func runHandleProperty(t *testing.T, mode sendMode, shards int, parallel bool) ([][]string, netsim.Stats) {
 	t.Helper()
@@ -56,6 +57,9 @@ func runHandleProperty(t *testing.T, mode sendMode, shards int, parallel bool) (
 		must(n.AssignShard(addrOf(i), i%shards))
 		eps[i] = n.Endpoint(addrOf(i))
 	}
+	// n0's links, and links into it from the nodes without an access link,
+	// are slow; the rest take the default.
+	must(n.SetAccess("n0", netsim.LinkConfig{Latency: 5 * sim.Millisecond, JitterMax: sim.Millisecond}))
 	send := func(from, to int, dst netsim.Addr, kind string, payload any) {
 		switch mode {
 		case byHandle:
@@ -104,9 +108,11 @@ func runHandleProperty(t *testing.T, mode sendMode, shards int, parallel bool) (
 		}}
 		must(n.Attach(fabricNodes[i]))
 	}
-	// The stream's first hop to n3 is lossy: NAKs and repairs flow.
+	// The stream's hops, and the NAKs back, take the sender's jitter-free
+	// access link; its first hop to n3 is lossy: NAKs and repairs flow.
 	must(n.AssignShard("mc", 0))
-	must(n.SetLink("mc", "n3", netsim.LinkConfig{Latency: 2 * sim.Millisecond, LossProb: 0.3}))
+	must(n.SetAccess("mc", netsim.LinkConfig{Latency: 2 * sim.Millisecond}))
+	must(n.InjectLoss("mc", "n3", 0.3))
 	snd, err := multicast.NewSender(n, loops[0], multicast.SenderConfig{Src: "mc", Group: []netsim.Addr{"n1", "n2", "n3"}})
 	must(err)
 	must(n.Attach(snd))
@@ -143,9 +149,8 @@ func runHandleProperty(t *testing.T, mode sendMode, shards int, parallel bool) (
 			rxs[i].Forget("mc")
 		}
 	})
-	ctrl.At(26*sim.Millisecond, "setlink", func() {
-		must(n.SetLink("n0", "n1", netsim.LinkConfig{Latency: 5 * sim.Millisecond, JitterMax: sim.Millisecond}))
-	})
+	ctrl.At(26*sim.Millisecond, "partition", func() { must(n.SetPartitioned("n0", "n1", true)) })
+	ctrl.At(29*sim.Millisecond, "heal", func() { must(n.HealLink("n0", "n1")) })
 	ctrl.At(31*sim.Millisecond, "attach", func() { must(n.Attach(fabricNodes[2])) })
 	ctrl.At(37*sim.Millisecond, "ghost", func() {
 		must(n.Attach(&netsim.FuncNode{Addr: ghost, Fn: func(p *netsim.Packet) {
@@ -166,7 +171,7 @@ func runHandleProperty(t *testing.T, mode sendMode, shards int, parallel bool) (
 // inside" property: whether a sender holds endpoints, names its endpoints
 // per packet or builds packet literals is unobservable — every node sees
 // the same deliveries at the same instants, for every shard count,
-// sequential and parallel, through detach/attach black-holing, a link reset
+// sequential and parallel, through detach/attach black-holing, a partition
 // mid-traffic, a multicast regroup and an address first interned by
 // concurrent shard goroutines.
 func TestHandleSendsEqualNamedSends(t *testing.T) {

@@ -30,6 +30,13 @@
 //     so same-instant arrivals at one node order identically whether they
 //     were scheduled locally or merged in from K shards.
 //
+// # A link's shape comes from its endpoints
+//
+// An address may have an access link (SetAccess: a client's WLAN, the
+// egress tunnel). A directed link is created by its first send or fault, in
+// its source's access link, else its destination's, else the fabric default,
+// and keeps that shape: a fabric holds links only for pairs that were used.
+//
 // # Names at the edge, IDs inside
 //
 // An Addr is a name. The fabric interns each one to an Endpoint — a record
@@ -73,6 +80,8 @@ type Endpoint struct {
 	id    uint32 // dense from 1 in interning order; EndpointTable key only
 	shard int    // index into Network.shards (AssignShard; 0 by default)
 	node  Node   // receives arrivals; nil (never attached, detached) drops them
+	// access is the address's access link (SetAccess); nil for none.
+	access *LinkConfig
 	// links holds the directed links out of this address, by destination.
 	// Runtime state in them is touched only by this address's shard.
 	links EndpointTable[*link]
@@ -182,7 +191,7 @@ type Node interface {
 	Deliver(pkt *Packet)
 }
 
-// LinkConfig describes one directed link.
+// LinkConfig is a link shape: the fabric default or an address's access link.
 type LinkConfig struct {
 	// Latency is the propagation delay. It must be positive on any link
 	// that can cross a shard boundary: the fabric-wide minimum bounds the
@@ -208,8 +217,7 @@ func (c LinkConfig) validate() error {
 // shard. The per-link RNG stream and the (hash, arrSeq) arrival key are
 // what make fabric behavior independent of the partition.
 type link struct {
-	cfg      *LinkConfig
-	started  bool         // rng, hash and dstShard set: by the first send or fault switch
+	cfg      *LinkConfig  // its endpoints' shape (linkConfig), fixed at creation
 	rng      sim.FastRand // the link's own jitter and loss stream
 	hash     uint64       // stable hash of (src, dst): arrival ordering key k1
 	arrSeq   uint64       // per-link send counter: arrival ordering key k2
@@ -319,7 +327,7 @@ func (sh *netShard) recycle(p *Packet) {
 	sh.freePkts = append(sh.freePkts, p)
 }
 
-// Network is the fabric. Topology (nodes, link configs, shard assignment)
+// Network is the fabric. Topology (nodes, access links, shard assignment)
 // is shared and must only be mutated at initialization or a coordinator
 // barrier; all per-packet state is per-shard.
 type Network struct {
@@ -335,9 +343,9 @@ type Network struct {
 	seedBase uint64
 	linkSrc  *sim.Source
 
-	// minLatency is the running minimum link latency — the conservative
-	// lookahead bound. It only ever decreases, and depends only on the
-	// configured topology, never on the partition.
+	// minLatency is the minimum latency of the default and every access
+	// link — the conservative lookahead bound. It only ever decreases, and
+	// depends only on the configured topology, never on the partition.
 	minLatency sim.Time
 
 	// Optional observability counters, per packet kind and shard-merged at
@@ -428,8 +436,8 @@ func (n *Network) ShardOf(addr Addr) int {
 // ShardLoop returns shard k's loop.
 func (n *Network) ShardLoop(k int) *sim.Loop { return n.shards[k].loop }
 
-// Lookahead returns the conservative window bound: the minimum latency of
-// any configured link. A coordinator may let shards run this far ahead of
+// Lookahead returns the conservative window bound, the least default or
+// access link latency: a coordinator may let shards run this far ahead of
 // the last barrier without any cross-shard effect arriving early.
 func (n *Network) Lookahead() sim.Time { return n.minLatency }
 
@@ -514,44 +522,61 @@ func (n *Network) Detach(addr Addr) {
 	}
 }
 
-// SetLink installs a directed link between two addresses, resetting any
-// existing runtime state (FIFO horizons, counters, RNG position) for the
-// pair. Topology mutation: initialization or barrier context only.
-func (n *Network) SetLink(src, dst Addr, cfg LinkConfig) error {
+// SetAccess gives addr an access link: every link out of addr, and every
+// link into it from an address without one, takes cfg. It is set once, and
+// before any link touches addr, so no link ever changes shape. Topology
+// mutation: initialization or barrier context only.
+func (n *Network) SetAccess(addr Addr, cfg LinkConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	c := cfg
-	if cfg.Latency < n.minLatency {
-		n.minLatency = cfg.Latency
+	if addr == "" {
+		return fmt.Errorf("%w: SetAccess on an empty address", ErrNet)
 	}
-	// A fresh link: the config takes effect even if traffic already flowed.
-	from := n.Endpoint(src)
-	from.links.Put(n.Endpoint(dst), n.shards[from.shard].links.New(link{cfg: &c, faultLoss: lossUnset}))
+	e := n.Endpoint(addr)
+	if e.access != nil || n.linked(e) {
+		return fmt.Errorf("%w: SetAccess(%q): its access link is set once, before any link touches it", ErrNet, addr)
+	}
+	e.access = &cfg
+	n.minLatency = min(n.minLatency, cfg.Latency)
 	return nil
 }
 
-// SetDuplexLink installs the link in both directions.
-func (n *Network) SetDuplexLink(a, b Addr, cfg LinkConfig) error {
-	if err := n.SetLink(a, b, cfg); err != nil {
-		return err
+// linked reports whether any link starts or ends at e.
+func (n *Network) linked(e *Endpoint) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, s := range n.byName {
+		if _, in := s.links.Get(e); in || (s == e && len(s.links.ents) > 0) {
+			return true
+		}
 	}
-	return n.SetLink(b, a, cfg)
+	return false
 }
 
-// linkOn returns the directed link's runtime state, starting it on first
-// use. The stream and the hash are functions of the two names alone.
+// linkConfig is the shape a new src→dst link takes: src's access link,
+// else dst's, else the fabric default. Either endpoint may be nil (never
+// interned).
+func (n *Network) linkConfig(src, dst *Endpoint) *LinkConfig {
+	switch {
+	case src != nil && src.access != nil:
+		return src.access
+	case dst != nil && dst.access != nil:
+		return dst.access
+	}
+	return n.defCfg
+}
+
+// linkOn returns the directed link's runtime state, creating it on first
+// use in the shape its endpoints give it. The stream and the hash are
+// functions of the two names alone.
 func (n *Network) linkOn(src, dst *Endpoint) *link {
 	l, ok := src.links.Get(dst)
 	if !ok {
-		l = n.shards[src.shard].links.New(link{cfg: n.defCfg, faultLoss: lossUnset})
+		h := linkHash(src.addr, dst.addr)
+		l = n.shards[src.shard].links.New(link{cfg: n.linkConfig(src, dst), rng: n.linkSrc.FastHashed(h),
+			hash: h, dstShard: dst.shard, faultLoss: lossUnset})
 		src.links.Put(dst, l)
-	}
-	if !l.started {
-		l.started = true
-		l.hash = linkHash(src.addr, dst.addr)
-		l.rng = n.linkSrc.FastHashed(l.hash)
-		l.dstShard = dst.shard
 	}
 	return l
 }
@@ -728,10 +753,14 @@ func deliverTimer(a, b any, u uint64) {
 	sh.recycle(pkt)
 }
 
-// Stats reports fabric counters.
+// Stats reports fabric counters and the fabric's footprint.
 type Stats struct {
 	Delivered uint64
 	Lost      uint64
+	// Endpoints counts interned addresses, and Links directed link
+	// records. Neither ever falls: the fabric forgets no address.
+	Endpoints int
+	Links     int
 }
 
 // Stats returns current fabric counters, summed across shards. Barrier
@@ -741,6 +770,12 @@ func (n *Network) Stats() Stats {
 	for _, sh := range n.shards {
 		s.Delivered += sh.delivered
 		s.Lost += sh.lost
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	s.Endpoints = len(n.byName)
+	for _, e := range n.byName {
+		s.Links += len(e.links.ents)
 	}
 	return s
 }

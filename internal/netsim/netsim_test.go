@@ -68,28 +68,96 @@ func TestBandwidthSerialization(t *testing.T) {
 	}
 }
 
-func TestPerPairLinkOverride(t *testing.T) {
-	n, loop := testNet(t, LinkConfig{Latency: sim.Millisecond})
-	if err := n.SetDuplexLink("a", "b", LinkConfig{Latency: 20 * sim.Millisecond}); err != nil {
-		t.Fatal(err)
+// TestLinkShapeFromEndpoints is the rule a link's shape follows: its
+// source's access link, else its destination's, else the fabric default,
+// for links first used on any of K shards, sequential and parallel. A fault
+// on a client's never-used link (fabric-loss.yaml's probe → guest:g-0 loss)
+// creates that link in the client's shape.
+func TestLinkShapeFromEndpoints(t *testing.T) {
+	const def, cli, egr = sim.Millisecond, 4 * sim.Millisecond, 3 * sim.Millisecond
+	addrs := []Addr{"client", "svc:g", "machine:0", "egress"}
+	const client, svc, machine, egress = 0, 1, 2, 3
+	want := map[[2]int]sim.Time{
+		{client, svc}:     cli, // the source's access link
+		{svc, client}:     cli, // the destination's
+		{client, egress}:  cli, // the source's, over the destination's
+		{egress, client}:  egr,
+		{machine, egress}: egr,
+		{egress, machine}: egr,
+		{machine, svc}:    def, // neither has one
 	}
-	var atAB, atBC sim.Time
-	if err := n.Attach(&FuncNode{Addr: "b", Fn: func(*Packet) { atAB = loop.Now() }}); err != nil {
-		t.Fatal(err)
+	for _, k := range []int{1, 2, 4} {
+		for _, parallel := range []bool{false, true} {
+			ctrl := sim.NewLoop()
+			n, err := New(ctrl, sim.NewSource(1).Stream("net"), LinkConfig{Latency: def})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loops := make([]*sim.Loop, k)
+			for i := range loops {
+				loops[i] = sim.NewLoop()
+			}
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			must(n.SetShards(loops))
+			got := make([]map[Addr]sim.Time, len(addrs)) // one writer each: the node's shard
+			for i, a := range addrs {
+				i, l := i, loops[i%k]
+				got[i] = map[Addr]sim.Time{}
+				must(n.AssignShard(a, i%k))
+				must(n.Attach(&FuncNode{Addr: a, Fn: func(p *Packet) { got[i][p.Src] = l.Now() }}))
+			}
+			must(n.SetAccess(addrs[client], LinkConfig{Latency: cli}))
+			must(n.SetAccess(addrs[egress], LinkConfig{Latency: egr}))
+			must(n.InjectLoss(addrs[client], addrs[svc], 0))
+			for pair := range want {
+				n.Send(n.AllocPacket(addrs[pair[0]], addrs[pair[1]], 1, "x", nil))
+			}
+			co := sim.NewCoordinator(ctrl, loops, n.Lookahead, n.Exchange, nil)
+			co.SetParallel(parallel)
+			must(co.RunUntil(10 * sim.Millisecond))
+			for pair, lat := range want {
+				if at, ok := got[pair[1]][addrs[pair[0]]]; !ok || at != lat {
+					t.Errorf("K=%d parallel=%v: %s→%s delivered at %v (%v), want %v",
+						k, parallel, addrs[pair[0]], addrs[pair[1]], at, ok, lat)
+				}
+			}
+			if s := n.Stats(); s.Endpoints != len(addrs) || s.Links != len(want) || s.Delivered != uint64(len(want)) {
+				t.Errorf("K=%d parallel=%v: stats %+v, want %d endpoints and %d links", k, parallel, s, len(addrs), len(want))
+			}
+		}
 	}
-	if err := n.Attach(&FuncNode{Addr: "c", Fn: func(*Packet) { atBC = loop.Now() }}); err != nil {
-		t.Fatal(err)
-	}
+}
+
+// TestSetAccessBeforeAnyLink: an access link is set once, before any link
+// starts or ends at the address (a send, a fault), so no link changes
+// shape; it validates its config and lowers the lookahead.
+func TestSetAccessBeforeAnyLink(t *testing.T) {
+	n, _ := testNet(t, LinkConfig{Latency: 2 * sim.Millisecond})
 	n.Send(&Packet{Src: "a", Dst: "b", Size: 1, Kind: "x"})
-	n.Send(&Packet{Src: "b", Dst: "c", Size: 1, Kind: "y"})
-	if err := loop.Run(); err != nil {
+	if err := n.InjectLoss("c", "d", 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if atAB != 20*sim.Millisecond {
-		t.Fatalf("override link latency not applied: %v", atAB)
+	for _, addr := range []Addr{"a", "b", "c", "d", ""} {
+		if err := n.SetAccess(addr, LinkConfig{}); !errors.Is(err, ErrNet) {
+			t.Errorf("SetAccess(%q) = %v, want ErrNet", addr, err)
+		}
 	}
-	if atBC != sim.Millisecond {
-		t.Fatalf("default link latency not applied: %v", atBC)
+	if err := n.SetAccess("e", LinkConfig{Latency: -1}); !errors.Is(err, ErrNet) {
+		t.Errorf("negative latency: %v, want ErrNet", err)
+	}
+	if err := n.SetAccess("e", LinkConfig{Latency: sim.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SetAccess("e", LinkConfig{Latency: sim.Millisecond}); !errors.Is(err, ErrNet) {
+		t.Errorf("second SetAccess = %v, want ErrNet", err)
+	}
+	if la := n.Lookahead(); la != sim.Millisecond {
+		t.Errorf("lookahead %v, want the access link's 1ms", la)
 	}
 }
 
@@ -182,9 +250,6 @@ func TestValidation(t *testing.T) {
 	if err := n.Attach(&FuncNode{Addr: ""}); !errors.Is(err, ErrNet) {
 		t.Fatal("empty addr should fail")
 	}
-	if err := n.SetLink("a", "b", LinkConfig{Latency: -1}); !errors.Is(err, ErrNet) {
-		t.Fatal("negative latency should fail")
-	}
 }
 
 func TestJitterWithinBounds(t *testing.T) {
@@ -276,8 +341,9 @@ func TestLinkIdentityIsTheNames(t *testing.T) {
 }
 
 // TestReadsCreateNoLinkState: LinkStats and LinkFaults on a pair that never
-// carried traffic report zeros (and the configured loss) without starting
-// a link — the pair's first real send still sees a fresh stream.
+// carried traffic report zeros (and the loss its endpoints would give it)
+// without creating a link — the pair's first real send still sees a fresh
+// stream.
 func TestReadsCreateNoLinkState(t *testing.T) {
 	n, _ := testNet(t, LinkConfig{Latency: sim.Millisecond, LossProb: 0.25})
 	if sent, dropped := n.LinkStats("a", "b"); sent != 0 || dropped != 0 {
@@ -289,14 +355,16 @@ func TestReadsCreateNoLinkState(t *testing.T) {
 	if len(n.byName) != 0 {
 		t.Fatalf("reads interned %d addresses", len(n.byName))
 	}
-	if err := n.SetLink("a", "b", LinkConfig{Latency: sim.Millisecond, LossProb: 0.5}); err != nil {
+	if err := n.SetAccess("a", LinkConfig{Latency: sim.Millisecond, LossProb: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	if loss, _ := n.LinkFaults("a", "b"); loss != 0.5 {
-		t.Fatalf("LinkFaults on a configured, unused pair = %v, want 0.5", loss)
+	for _, pair := range [][2]Addr{{"a", "b"}, {"b", "a"}} {
+		if loss, _ := n.LinkFaults(pair[0], pair[1]); loss != 0.5 {
+			t.Fatalf("LinkFaults on unused %s→%s = %v, want a's 0.5", pair[0], pair[1], loss)
+		}
 	}
-	if l := n.peekLink("a", "b"); l == nil || l.started {
-		t.Fatal("reading a configured pair started its link")
+	if s := n.Stats(); s.Endpoints != 1 || s.Links != 0 {
+		t.Fatalf("reading pairs by an access link left %+v", s)
 	}
 }
 
@@ -345,7 +413,7 @@ func TestNewLinkCostsOneAllocation(t *testing.T) {
 	if allocs > 2 {
 		t.Errorf("64 new links cost %v allocations, want at most 2", allocs)
 	}
-	if l, ok := src.links.Get(dsts[200]); !ok || !l.started || l.cfg.Latency != sim.Millisecond {
+	if l, ok := src.links.Get(dsts[200]); !ok || l.hash == 0 || l.cfg.Latency != sim.Millisecond {
 		t.Errorf("link to %s: %+v, %v", dsts[200].Addr(), l, ok)
 	}
 }

@@ -11,8 +11,9 @@ import (
 
 // runDelayedSends drives seeded random traffic between five nodes — each
 // pings random peers at random gaps with random sizes, and echoes every
-// other ping it receives — over links that each have their own bandwidth,
-// jitter, loss and constant sender-side delay. The delay is either handed
+// other ping it receives — over links shaped by their endpoints (nodes 0-2
+// have access links with their own bandwidth, jitter and loss, nodes 3 and
+// 4 none), each with its own constant sender-side delay. The delay is either handed
 // to SendAfter or waited out on a timer that then calls Send. It returns
 // each node's delivery trace and the fabric counters.
 func runDelayedSends(t *testing.T, byTimer bool, shards int, parallel bool) ([][]string, netsim.Stats) {
@@ -38,22 +39,23 @@ func runDelayedSends(t *testing.T, byTimer bool, shards int, parallel bool) ([][
 		addr := netsim.Addr(fmt.Sprintf("n%d", i))
 		must(n.AssignShard(addr, i%shards))
 		eps[i] = n.Endpoint(addr)
+		if i < 3 {
+			must(n.SetAccess(addr, netsim.LinkConfig{
+				Latency:      sim.Millisecond + sim.Time(i+1)*50*sim.Microsecond,
+				JitterMax:    sim.Time(i) * 150 * sim.Microsecond,
+				BandwidthBps: int64(i) * 4 << 20, // 0 (infinite), 4 or 8 MiB/s: packets queue
+				LossProb:     float64(i) * 0.1,
+			}))
+		}
 	}
 	// delay[i][j] is the link's constant: zero on some, and on the others
 	// long enough that several later sends overtake a waiting one.
 	var delay [nodes][nodes]sim.Time
 	for i := range eps {
 		for j := range eps {
-			if i == j {
-				continue
+			if i != j {
+				delay[i][j] = sim.Time((i*7+j*3)%5) * 130 * sim.Microsecond
 			}
-			delay[i][j] = sim.Time((i*7+j*3)%5) * 130 * sim.Microsecond
-			must(n.SetLink(eps[i].Addr(), eps[j].Addr(), netsim.LinkConfig{
-				Latency:      sim.Millisecond + sim.Time(i+j)*50*sim.Microsecond,
-				JitterMax:    sim.Time((i+2*j)%4) * 150 * sim.Microsecond,
-				BandwidthBps: int64((i+j)%3) * 4 << 20, // 0 (infinite), 4 or 8 MiB/s: packets queue
-				LossProb:     float64((2*i+j)%3) * 0.1,
-			}))
 		}
 	}
 	send := func(from, to int, size int, kind string, k int) {

@@ -368,6 +368,39 @@ events:
 	if err := mustParse(t, stray).Validate(); strings.Count(err.Error(), "\n") != 1 {
 		t.Fatalf("want exactly the two stray endpoints refused, got:\n%v", err)
 	}
+	// Two transport clients on one address: one would take over the other's
+	// fabric node. So would a pings source or a sink there.
+	shared := head + `fleet:
+  machines: 6
+  capacity: 1
+  guests:
+    - name: web-tcp
+      count: 1
+      app:
+        kind: fileserver
+      traffic:
+        kind: downloads
+        period_ms: 500
+        from: laptop
+    - name: web-udp
+      count: 1
+      app:
+        kind: fileserver
+        transport: udp
+      traffic:
+        kind: downloads
+        period_ms: 500
+        from: laptop
+`
+	wantErr(t, shared, `test.yaml:8: guest "web-tcp": downloads client laptop shares its address with other traffic, a sink or a node`)
+	wantErr(t, shared, `test.yaml:16: guest "web-udp": downloads client laptop shares its address with other traffic, a sink or a node`)
+	wantErr(t, strings.Replace(shared, "from: laptop\n", "from: phone\n", 1)+`    - name: b
+      count: 1
+      app:
+        kind: beacon
+        period_ms: 5
+        sink: phone
+`, `test.yaml:8: guest "web-tcp": downloads client phone shares its address with other traffic, a sink or a node`)
 	// A checkpoint interval the VMM would refuse at run time.
 	wantErr(t, head+strings.Replace(goodFleet, "  capacity: 3\n", "  capacity: 3\n  checkpoint_instr: 12345\n", 1),
 		`test.yaml:7: fleet checkpoint_instr: vmm: invalid: CheckpointInstr 12345 must be a multiple of ExitEvery 250000`)
@@ -458,6 +491,12 @@ func FuzzParse(f *testing.F) {
 	}
 	// A fault on an endpoint the file never attaches: refused, not run.
 	f.Add([]byte(head + goodFleet + "events:\n  - at_ms: 100\n    action: inject-loss\n    from: prop:host0/g-0\n    to: machine:1\n    prob: 0.5\n"))
+	// Two downloads clients on one address: refused, not run.
+	web := func(name string) string {
+		return "    - name: " + name + "\n      count: 1\n      app:\n        kind: fileserver\n" +
+			"      traffic:\n        kind: downloads\n        period_ms: 500\n        from: laptop\n"
+	}
+	f.Add([]byte(head + "fleet:\n  machines: 6\n  capacity: 1\n  guests:\n" + web("a") + web("b")))
 	f.Fuzz(func(t *testing.T, src []byte) {
 		sc, err := Parse("fuzz.yaml", src)
 		if err != nil {

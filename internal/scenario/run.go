@@ -720,25 +720,19 @@ func (r *runner) fault(ev Event) {
 	a := r.linkAddr(ev.From)
 	b := r.linkAddr(ev.ToAddr)
 	net := r.c.Net()
+	links := [][2]stopwatch.Addr{{a, b}, {b, a}}
+	if !ev.Duplex {
+		links = links[:1]
+	}
 	var err error
-	switch ev.Action {
-	case "inject-loss":
-		if ev.Duplex {
-			err = net.InjectDuplexLoss(a, b, ev.Prob)
-		} else {
-			err = net.InjectLoss(a, b, ev.Prob)
-		}
-	case "partition":
-		if ev.Duplex {
-			err = net.SetDuplexPartitioned(a, b, true)
-		} else {
-			err = net.SetPartitioned(a, b, true)
-		}
-	case "heal":
-		if ev.Duplex {
-			err = net.HealDuplexLink(a, b)
-		} else {
-			err = net.HealLink(a, b)
+	for _, l := range links {
+		switch ev.Action {
+		case "inject-loss":
+			err = errors.Join(err, net.InjectLoss(l[0], l[1], ev.Prob))
+		case "partition":
+			err = errors.Join(err, net.SetPartitioned(l[0], l[1], true))
+		case "heal":
+			err = errors.Join(err, net.HealLink(l[0], l[1]))
 		}
 	}
 	if err != nil {

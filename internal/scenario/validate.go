@@ -147,6 +147,15 @@ func (v *validator) fleet() {
 			}
 		case "probe-stream", "pings", "":
 		}
+		// A transport client owns its address: the run attaches one node
+		// per address, so another there would take its replies.
+		from := g.trafficFrom()
+		if k := g.Traffic.Kind; (k == "downloads" || k == "nfs-load") && (slices.Contains(f.Nodes, from) ||
+			slices.ContainsFunc(f.Guests, func(o GuestSpec) bool {
+				return o.App.Sink == from || (o.Name != g.Name && o.Traffic.Kind != "" && o.trafficFrom() == from)
+			})) {
+			v.errf(g.Line, "guest %q: %s client %s shares its address with other traffic, a sink or a node", g.Name, k, from)
+		}
 		if g.Traffic.Kind != "" && g.Traffic.PeriodMS <= 0 {
 			v.errf(g.Line, "guest %q: traffic period_ms must be positive", g.Name)
 		}

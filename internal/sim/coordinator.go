@@ -39,7 +39,7 @@ type Coordinator struct {
 
 	// lookahead returns the current conservative window bound L: the
 	// minimum latency of any fabric link. It is re-read every window so
-	// that barrier-time topology changes (SetLink) take effect, and it is
+	// that barrier-time topology changes (SetAccess) take effect, and it is
 	// deliberately the global minimum — not the per-partition cross-shard
 	// minimum — so the window grid is identical for every K.
 	lookahead func() Time
