@@ -657,25 +657,33 @@ func (c *Cluster) deployStopWatch(id string, hostIdx []int, factory func() guest
 	}
 	for k, i := range hostIdx {
 		if err := c.wireReplica(g, k, i, nil); err != nil {
-			return nil, err
+			return nil, c.unwire(g, err)
 		}
 	}
 	if err := c.ingress.RegisterGuest(id, dom0s); err != nil {
-		return nil, err
+		return nil, c.unwire(g, err)
 	}
 	if err := c.reconcileGroups(g); err != nil {
-		// Unwind so the id stays deployable: reconcileGroups is fallible.
-		for _, w := range g.replicas {
-			c.releaseReplicaWiring(id, w)
-		}
 		_ = c.ingress.UnregisterGuest(id)
-		return nil, err
+		return nil, c.unwire(g, err)
 	}
 	c.guests[id] = g
 	if c.started {
 		c.startGuest(g)
 	}
 	return g, nil
+}
+
+// unwire releases the slots a failed deployment of g already wired and
+// returns err, so the id stays deployable: no runtime stays registered on
+// its host and no Dom0 keeps the id resident.
+func (c *Cluster) unwire(g *Guest, err error) error {
+	for _, w := range g.replicas {
+		if w != nil {
+			c.releaseReplicaWiring(g.ID, w)
+		}
+	}
+	return err
 }
 
 // wireReplica builds and wires replica slot k of guest g on the given

@@ -157,22 +157,44 @@ func TestStopWatchEndToEndDownload(t *testing.T) {
 		t.Fatalf("downloads completed: %d (egress fwd=%d stuck=%d)",
 			len(lat), c.Egress().Forwarded(), c.Egress().StuckBelowForward())
 	}
-	// Replicas stayed in lockstep and actually served.
+	// Replicas stayed in lockstep, took interrupts and actually served;
+	// the gateways replicated the requests and forwarded the replies, and
+	// no output is stuck at the egress.
 	if err := g.CheckLockstep(); err != nil {
 		t.Fatal(err)
 	}
 	if g.Divergences() != 0 {
 		t.Fatalf("divergences: %d", g.Divergences())
 	}
+	if g.NumReplicas() != 3 {
+		t.Fatalf("%d replicas, want 3", g.NumReplicas())
+	}
 	for _, r := range g.Replicas() {
 		if r.App().(*apps.FileServer).Served() != 1 {
 			t.Fatalf("replica %d served %d", r.Slot(), r.App().(*apps.FileServer).Served())
 		}
+		if s := r.Runtime().VM().Stats(); s.NetInterrupts == 0 || s.DiskInterrupts == 0 {
+			t.Fatalf("replica %d interrupts: %+v", r.Slot(), s)
+		}
+		if n := r.Runtime().Stats().DiskOverruns; n != 0 {
+			t.Fatalf("replica %d disk overruns: %d", r.Slot(), n)
+		}
+	}
+	if c.Ingress().Replicated() == 0 || c.Egress().Forwarded() == 0 || c.Egress().StuckBelowForward() != 0 {
+		t.Fatalf("gateways: replicated %d, forwarded %d, stuck %d",
+			c.Ingress().Replicated(), c.Egress().Forwarded(), c.Egress().StuckBelowForward())
 	}
 	// Latency must include the Δn tax on inbound packets: well above the
 	// bare RTT, below a second.
 	if lat[0] < 10*sim.Millisecond || lat[0] > sim.Second {
 		t.Fatalf("download latency %v out of plausible StopWatch range", lat[0])
+	}
+	// A delivery stamped before a replica's last exit breaks synchrony,
+	// and the guest counts it.
+	rt := g.Replica(0).Runtime()
+	rt.EnqueueNetDelivery(999, rt.VirtAtLastExit()-1, guest.Payload{Src: "x", Size: 1})
+	if g.Divergences() != 1 {
+		t.Fatalf("divergences after a late delivery: %d, want 1", g.Divergences())
 	}
 }
 
@@ -181,7 +203,8 @@ func TestBaselineEndToEndDownload(t *testing.T) {
 	cfg.Mode = ModeBaseline
 	cfg.Hosts = 1
 	c := mustCluster(t, cfg)
-	if _, err := c.Deploy("web", []int{0}, fileServerFactory(t, apps.DefaultFileServerConfig())); err != nil {
+	g, err := c.Deploy("web", []int{0}, fileServerFactory(t, apps.DefaultFileServerConfig()))
+	if err != nil {
 		t.Fatal(err)
 	}
 	cl, err := c.NewClient("laptop")
@@ -204,6 +227,128 @@ func TestBaselineEndToEndDownload(t *testing.T) {
 	}
 	if lat[0] <= 0 || lat[0] > sim.Second {
 		t.Fatalf("baseline latency %v", lat[0])
+	}
+	// One unreplicated VM served it straight off the fabric: no replicas,
+	// no gateways.
+	if g.NumReplicas() != 0 || c.Ingress() != nil || c.Egress() != nil {
+		t.Fatalf("baseline guest has %d replicas, ingress %v, egress %v", g.NumReplicas(), c.Ingress(), c.Egress())
+	}
+	if s := g.Baseline.VM().Stats(); s.NetInterrupts == 0 || s.DiskInterrupts == 0 {
+		t.Fatalf("baseline interrupts: %+v", s)
+	}
+}
+
+// TestBaselineUndeploy: evicting a baseline guest after a download stops
+// its VM, takes its service address off the fabric (a later client packet
+// to it is lost), and leaves the id free to deploy and serve again.
+func TestBaselineUndeploy(t *testing.T) {
+	cfg := DefaultClusterConfig()
+	cfg.Mode = ModeBaseline
+	cfg.Hosts = 1
+	c := mustCluster(t, cfg)
+	factory := fileServerFactory(t, apps.DefaultFileServerConfig())
+	g, err := c.Deploy("web", []int{0}, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := c.NewClient("laptop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	done := 0
+	dl := apps.NewDownloader(cl)
+	fetch := func(at sim.Time) {
+		c.Loop().At(at, "fetch", func() {
+			if err := dl.Fetch(ServiceAddr("web"), apps.ModeTCP, 16<<10, func(sim.Time) { done++ }); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	fetch(20 * sim.Millisecond)
+	if err := c.Run(2 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if done != 1 {
+		t.Fatalf("downloads completed: %d", done)
+	}
+	if err := c.Undeploy("web"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Guest("web"); ok {
+		t.Fatal("an undeployed guest is still listed")
+	}
+	vm := g.Baseline.VM().Stats()
+	before := c.Net().Stats()
+	c.Net().Send(&netsim.Packet{Src: "laptop", Dst: ServiceAddr("web"), Size: 64, Kind: "probe"})
+	if err := c.Run(3 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if after := c.Net().Stats(); after.Lost != before.Lost+1 || after.Delivered != before.Delivered {
+		t.Fatalf("a packet to the evicted guest: fabric %+v -> %+v, want one more lost", before, after)
+	}
+	if got := g.Baseline.VM().Stats(); got != vm {
+		t.Fatalf("the released VM ran on: %+v -> %+v", vm, got)
+	}
+	if _, err := c.Deploy("web", []int{0}, factory); err != nil {
+		t.Fatalf("redeploying the id: %v", err)
+	}
+	fetch(c.Loop().Now() + 20*sim.Millisecond)
+	if err := c.Run(5 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if done != 2 {
+		t.Fatalf("the redeployed guest completed %d downloads in all, want 2", done)
+	}
+}
+
+// TestHalfWiredDeployLeavesNoResident: a deployment that fails part-way
+// through wiring its replicas (the factory refuses slot 2) releases the
+// slots it wired, so no Dom0 keeps the id and the id deploys and serves.
+func TestHalfWiredDeployLeavesNoResident(t *testing.T) {
+	c := mustCluster(t, DefaultClusterConfig())
+	good := fileServerFactory(t, apps.DefaultFileServerConfig())
+	calls := 0
+	if _, err := c.Deploy("web", []int{0, 1, 2}, func() guest.App {
+		if calls++; calls == 3 {
+			return nil
+		}
+		return good()
+	}); err == nil {
+		t.Fatal("a deployment whose third replica has no app succeeded")
+	}
+	for i, hn := range c.hostNodes {
+		if _, ok := hn.residents["web"]; ok {
+			t.Errorf("host %d still holds the failed guest", i)
+		}
+	}
+	if _, ok := c.Guest("web"); ok {
+		t.Fatal("the failed guest is listed")
+	}
+	g, err := c.Deploy("web", []int{0, 1, 2}, good)
+	if err != nil {
+		t.Fatalf("redeploying the id: %v", err)
+	}
+	cl, err := c.NewClient("laptop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	done := false
+	dl := apps.NewDownloader(cl)
+	c.Loop().At(20*sim.Millisecond, "fetch", func() {
+		if err := dl.Fetch(ServiceAddr("web"), apps.ModeTCP, 16<<10, func(sim.Time) { done = true }); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := c.Run(5 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !done {
+		t.Fatal("the redeployed guest served no download")
+	}
+	if err := g.CheckLockstep(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -167,34 +167,6 @@ func (h Histogram) Count() uint64 { return h.c.count }
 // Sum reports the sum of observed values.
 func (h Histogram) Sum() int64 { return h.c.sum }
 
-// Quantile returns an upper bound for the q-quantile (0 < q <= 1) from the
-// bucket counts: the upper bound of the bucket the quantile falls in, or
-// the last finite bound when it lands in the +Inf bucket. Zero when empty.
-func (h Histogram) Quantile(q float64) int64 {
-	c := h.c
-	if c.count == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(c.count))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen uint64
-	for i, n := range c.counts {
-		seen += n
-		if seen >= rank {
-			if i < len(c.bounds) {
-				return c.bounds[i]
-			}
-			break
-		}
-	}
-	if len(c.bounds) == 0 {
-		return 0
-	}
-	return c.bounds[len(c.bounds)-1]
-}
-
 // CounterVec is a counter family keyed by one label.
 type CounterVec struct{ f *family }
 

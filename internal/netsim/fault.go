@@ -74,19 +74,3 @@ func (n *Network) HealLink(src, dst Addr) error {
 	l.partitioned = false
 	return nil
 }
-
-// LinkFaults reports the directed link's current fault state: the
-// effective loss override (the configured LossProb if none is set) and
-// whether the link is partitioned. A pair that never carried traffic
-// reports the loss its endpoints would give it and no partition.
-func (n *Network) LinkFaults(src, dst Addr) (loss float64, partitioned bool) {
-	l := n.peekLink(src, dst)
-	if l == nil {
-		return n.linkConfig(n.intern(src, false), n.intern(dst, false)).LossProb, false
-	}
-	loss = l.cfg.LossProb
-	if l.faultLoss >= 0 {
-		loss = l.faultLoss
-	}
-	return loss, l.partitioned
-}

@@ -51,32 +51,29 @@ func TestInjectLossOverridesAndClears(t *testing.T) {
 	if err := n.Attach(&FuncNode{Addr: "b", Fn: func(*Packet) { got++ }}); err != nil {
 		t.Fatal(err)
 	}
+	burst := func(want int) {
+		t.Helper()
+		got = 0
+		for i := 0; i < 5; i++ {
+			n.Send(&Packet{Src: "a", Dst: "b", Size: 64, Kind: "t"})
+		}
+		if err := loop.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("delivered %d of 5, want %d", got, want)
+		}
+	}
 	if err := n.InjectLoss("a", "b", 1.0); err != nil {
 		t.Fatal(err)
 	}
-	if loss, part := n.LinkFaults("a", "b"); loss != 1.0 || part {
-		t.Fatalf("LinkFaults = (%v, %v), want (1, false)", loss, part)
-	}
-	for i := 0; i < 5; i++ {
-		n.Send(&Packet{Src: "a", Dst: "b", Size: 64, Kind: "t"})
-	}
+	burst(0)
 	if err := n.InjectLoss("a", "b", -1); err != nil { // clear
 		t.Fatal(err)
 	}
-	if loss, _ := n.LinkFaults("a", "b"); loss != 0 {
-		t.Fatalf("cleared loss = %v, want configured 0", loss)
-	}
-	for i := 0; i < 5; i++ {
-		n.Send(&Packet{Src: "a", Dst: "b", Size: 64, Kind: "t"})
-	}
-	if err := loop.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 5 {
-		t.Fatalf("delivered %d, want 5 (5 dropped under total loss, 5 after clearing)", got)
-	}
-	if sent, dropped := n.LinkStats("a", "b"); sent != 10 || dropped != 5 {
-		t.Fatalf("link stats sent=%d dropped=%d", sent, dropped)
+	burst(5) // the configured loss, 0
+	if s := n.Stats(); s.Delivered != 5 || s.Lost != 5 {
+		t.Fatalf("stats %+v, want 5 delivered and 5 lost", s)
 	}
 	if err := n.InjectLoss("a", "b", 1.5); err == nil {
 		t.Fatal("InjectLoss(1.5) should fail")
@@ -88,9 +85,11 @@ func TestInjectLossOverridesAndClears(t *testing.T) {
 
 func TestHealLinkClearsBothSwitches(t *testing.T) {
 	n, loop := testNet(t, LinkConfig{Latency: sim.Millisecond})
-	got := 0
-	if err := n.Attach(&FuncNode{Addr: "b", Fn: func(*Packet) { got++ }}); err != nil {
-		t.Fatal(err)
+	got := map[Addr]int{}
+	for _, a := range []Addr{"a", "b"} {
+		if err := n.Attach(&FuncNode{Addr: a, Fn: func(*Packet) { got[a]++ }}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	both := func(f func(src, dst Addr) error) {
 		t.Helper()
@@ -102,18 +101,16 @@ func TestHealLinkClearsBothSwitches(t *testing.T) {
 	both(func(src, dst Addr) error { return n.SetPartitioned(src, dst, true) })
 	n.Send(&Packet{Src: "a", Dst: "b", Size: 64, Kind: "t"})
 	both(n.HealLink)
-	if loss, part := n.LinkFaults("a", "b"); loss != 0 || part {
-		t.Fatalf("after heal: LinkFaults = (%v, %v)", loss, part)
-	}
-	if loss, part := n.LinkFaults("b", "a"); loss != 0 || part {
-		t.Fatalf("after heal reverse: LinkFaults = (%v, %v)", loss, part)
-	}
 	n.Send(&Packet{Src: "a", Dst: "b", Size: 64, Kind: "t"})
+	n.Send(&Packet{Src: "b", Dst: "a", Size: 64, Kind: "t"})
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got != 1 {
-		t.Fatalf("delivered %d, want 1", got)
+	if got["a"] != 1 || got["b"] != 1 {
+		t.Fatalf("after heal, delivered %v, want one each way", got)
+	}
+	if s := n.Stats(); s.Lost != 1 {
+		t.Fatalf("lost %d, want only the send before the heal", s.Lost)
 	}
 }
 

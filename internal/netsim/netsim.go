@@ -44,9 +44,9 @@
 // carries its two endpoints, so a hop hashes no string. A long-lived sender
 // (multicast sender, replica wiring, gateway, client) may hold Endpoints:
 // it resolves them with Network.Endpoint when it is wired and sends with
-// AllocTo. AllocPacket, Packet literals and the (Addr, Addr) fault and stat
-// calls take names and pay one lookup per endpoint. Names stay the truth:
-// Send re-resolves an endpoint that no longer matches the packet's Src/Dst.
+// AllocTo. AllocPacket, Packet literals and the (Addr, Addr) fault calls
+// take names and pay one lookup per endpoint. Names stay the truth: Send
+// re-resolves an endpoint that no longer matches the packet's Src/Dst.
 //
 // Interning is legal wherever topology mutation is (initialization, barrier
 // context), and in a Send that meets a new address on a shard goroutine:
@@ -225,8 +225,6 @@ type link struct {
 	departed sim.Time // latest departure instant asked for: sends never go back
 	nextFree sim.Time // FIFO serialization horizon
 	lastArr  sim.Time // FIFO delivery horizon: links never reorder
-	sent     uint64
-	dropped  uint64
 
 	// Fault-injection switches (fault.go): a loss-probability override
 	// (lossUnset = none) and a partition toggle. Flipped only at barriers;
@@ -411,9 +409,6 @@ func (n *Network) SetShards(loops []*sim.Loop) error {
 	return nil
 }
 
-// NumShards returns the shard count.
-func (n *Network) NumShards() int { return len(n.shards) }
-
 // AssignShard places an address's fabric endpoint on shard k: deliveries
 // to it run on that shard's loop, and sends from it draw on that shard's
 // state. Must be called before the address sends or receives traffic.
@@ -423,14 +418,6 @@ func (n *Network) AssignShard(addr Addr, k int) error {
 	}
 	n.Endpoint(addr).shard = k
 	return nil
-}
-
-// ShardOf returns the shard index owning an address (0 by default).
-func (n *Network) ShardOf(addr Addr) int {
-	if e := n.intern(addr, false); e != nil {
-		return e.shard
-	}
-	return 0
 }
 
 // ShardLoop returns shard k's loop.
@@ -627,7 +614,6 @@ func (n *Network) SendAfter(pkt *Packet, d sim.Time) {
 		panic(fmt.Sprintf("netsim: %s departs at %v, before the link's previous packet at %v", pkt, start, l.departed))
 	}
 	l.departed = start
-	l.sent++
 	cfg := l.cfg
 	loss := cfg.LossProb
 	if l.faultLoss >= 0 {
@@ -636,7 +622,6 @@ func (n *Network) SendAfter(pkt *Packet, d sim.Time) {
 	// A partitioned link (fault.go) drops without a loss draw, so healing
 	// resumes the RNG stream exactly where the fault found it.
 	if l.partitioned || (loss > 0 && l.rng.Bool(loss)) {
-		l.dropped++
 		sh.lost++
 		if c := sh.mDropped; c.Valid() {
 			c.With(pkt.Kind).Inc()
@@ -720,17 +705,6 @@ func (n *Network) levelPools() {
 	}
 }
 
-// PendingExchange reports parked cross-shard deliveries (tests).
-func (n *Network) PendingExchange() int {
-	total := 0
-	for _, sh := range n.shards {
-		for _, box := range sh.outs {
-			total += len(box)
-		}
-	}
-	return total
-}
-
 // deliverTimer is the fabric's typed delivery callback: hand the packet to
 // the destination node (if still attached) and reclaim pooled packets into
 // the destination shard's pool (u carries the shard index).
@@ -790,24 +764,6 @@ func (n *Network) CrossShard() uint64 {
 		c += sh.crossed
 	}
 	return c
-}
-
-// peekLink returns the pair's link without creating it (nil if absent).
-func (n *Network) peekLink(src, dst Addr) *link {
-	s, d := n.intern(src, false), n.intern(dst, false)
-	if s == nil || d == nil {
-		return nil
-	}
-	l, _ := s.links.Get(d)
-	return l
-}
-
-// LinkStats reports the directed pair's counters (zeros if it is unused).
-func (n *Network) LinkStats(src, dst Addr) (sent, dropped uint64) {
-	if l := n.peekLink(src, dst); l != nil {
-		return l.sent, l.dropped
-	}
-	return 0, 0
 }
 
 // FuncNode adapts a function into a Node — handy for tests and simple

@@ -179,10 +179,6 @@ func TestLossInjection(t *testing.T) {
 	if s := n.Stats(); s.Lost != 50 {
 		t.Fatalf("lost = %d, want 50", s.Lost)
 	}
-	sent, dropped := n.LinkStats("a", "b")
-	if sent != 50 || dropped != 50 {
-		t.Fatalf("link stats sent=%d dropped=%d", sent, dropped)
-	}
 }
 
 func TestPartialLossRate(t *testing.T) {
@@ -337,34 +333,6 @@ func TestLinkIdentityIsTheNames(t *testing.T) {
 		if got := jitterArrivals(t, before...); !reflect.DeepEqual(got, want) {
 			t.Errorf("interned %v first: arrivals %d, want %d", before, got, want)
 		}
-	}
-}
-
-// TestReadsCreateNoLinkState: LinkStats and LinkFaults on a pair that never
-// carried traffic report zeros (and the loss its endpoints would give it)
-// without creating a link — the pair's first real send still sees a fresh
-// stream.
-func TestReadsCreateNoLinkState(t *testing.T) {
-	n, _ := testNet(t, LinkConfig{Latency: sim.Millisecond, LossProb: 0.25})
-	if sent, dropped := n.LinkStats("a", "b"); sent != 0 || dropped != 0 {
-		t.Fatalf("LinkStats on an unused pair = (%d, %d)", sent, dropped)
-	}
-	if loss, part := n.LinkFaults("a", "b"); loss != 0.25 || part {
-		t.Fatalf("LinkFaults on an unused pair = (%v, %v), want (0.25, false)", loss, part)
-	}
-	if len(n.byName) != 0 {
-		t.Fatalf("reads interned %d addresses", len(n.byName))
-	}
-	if err := n.SetAccess("a", LinkConfig{Latency: sim.Millisecond, LossProb: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range [][2]Addr{{"a", "b"}, {"b", "a"}} {
-		if loss, _ := n.LinkFaults(pair[0], pair[1]); loss != 0.5 {
-			t.Fatalf("LinkFaults on unused %s→%s = %v, want a's 0.5", pair[0], pair[1], loss)
-		}
-	}
-	if s := n.Stats(); s.Endpoints != 1 || s.Links != 0 {
-		t.Fatalf("reading pairs by an access link left %+v", s)
 	}
 }
 

@@ -83,13 +83,11 @@ func runShardedEcho(t *testing.T, shards int, shardOf func(int) int, parallel bo
 	if err := co.RunUntil(100 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if n.PendingExchange() != 0 {
-		// The last inclusive window may park sends emitted at the horizon;
-		// drain them so the traces are complete and pools reclaim.
-		n.Exchange()
-		if err := co.RunUntil(110 * sim.Millisecond); err != nil {
-			t.Fatal(err)
-		}
+	// The last inclusive window may park sends emitted at the horizon;
+	// drain them so the traces are complete and pools reclaim.
+	n.Exchange()
+	if err := co.RunUntil(110 * sim.Millisecond); err != nil {
+		t.Fatal(err)
 	}
 	return traces
 }
@@ -149,18 +147,15 @@ func TestCrossShardSendParksUntilExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Send(&Packet{Src: "a", Dst: "b", Size: 10, Kind: "x"})
-	if got := n.PendingExchange(); got != 1 {
-		t.Fatalf("PendingExchange = %d, want 1 (cross-shard send must park)", got)
-	}
 	if got := n.CrossShard(); got != 1 {
-		t.Fatalf("CrossShard = %d, want 1", got)
+		t.Fatalf("CrossShard = %d, want 1 (cross-shard send must park)", got)
 	}
 	if loops[1].HasPendingEvents() {
 		t.Fatal("cross-shard send reached the destination loop before Exchange")
 	}
 	n.Exchange()
-	if got := n.PendingExchange(); got != 0 {
-		t.Fatalf("PendingExchange = %d after Exchange, want 0", got)
+	if !loops[1].HasPendingEvents() {
+		t.Fatal("Exchange left the parked send off the destination loop")
 	}
 	if err := loops[1].RunUntil(2 * sim.Millisecond); err != nil {
 		t.Fatal(err)
@@ -171,15 +166,17 @@ func TestCrossShardSendParksUntilExchange(t *testing.T) {
 }
 
 // TestShardOfFollowsAssignment covers the assignment bookkeeping used by
-// the cluster when placing hosts and gateways.
+// the cluster when placing hosts and gateways: an address's shard is the
+// one AssignShard gave it, shard 0 if none, and its deliveries are
+// scheduled on that shard's loop.
 func TestShardOfFollowsAssignment(t *testing.T) {
 	ctrl := sim.NewLoop()
 	n, err := New(ctrl, sim.NewSource(1).Stream("net"), LinkConfig{Latency: sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.NumShards() != 1 {
-		t.Fatalf("NumShards = %d before SetShards, want 1", n.NumShards())
+	if n.ShardLoop(0) != ctrl {
+		t.Fatal("an unsharded fabric's one shard is not on its loop")
 	}
 	loops := []*sim.Loop{sim.NewLoop(), sim.NewLoop(), sim.NewLoop()}
 	if err := n.SetShards(loops); err != nil {
@@ -188,20 +185,39 @@ func TestShardOfFollowsAssignment(t *testing.T) {
 	if n.SetShards(nil) == nil || n.SetShards([]*sim.Loop{sim.NewLoop(), nil}) == nil {
 		t.Fatal("SetShards accepted no loops or a nil one")
 	}
-	if n.NumShards() != 3 || n.ShardLoop(2) != loops[2] {
-		t.Fatalf("NumShards = %d after refused SetShards, want 3 with shard 2 on its loop", n.NumShards())
-	}
-	if got := n.ShardOf("unassigned"); got != 0 {
-		t.Fatalf("ShardOf(unassigned) = %d, want default 0", got)
+	if n.ShardLoop(2) != loops[2] {
+		t.Fatal("a refused SetShards moved shard 2 off its loop")
 	}
 	if err := n.AssignShard("x", 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.ShardOf("x"); got != 2 {
-		t.Fatalf("ShardOf(x) = %d, want 2", got)
+	for _, k := range []int{3, 5, -1} {
+		if err := n.AssignShard("x", k); err == nil {
+			t.Fatalf("AssignShard(x, %d) of 3 shards did not error", k)
+		}
 	}
-	if err := n.AssignShard("x", 5); err == nil {
-		t.Fatal("AssignShard out of range did not error")
+	for _, a := range []Addr{"x", "unassigned"} {
+		if err := n.Attach(&FuncNode{Addr: a}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, hop := range []struct {
+		src, dst Addr
+		on       int
+	}{{"unassigned", "x", 2}, {"x", "unassigned", 0}} {
+		n.Send(&Packet{Src: hop.src, Dst: hop.dst, Size: 10, Kind: "x"})
+		n.Exchange()
+		if got := n.CrossShard(); got != uint64(i+1) {
+			t.Fatalf("%s→%s: CrossShard = %d, want %d", hop.src, hop.dst, got, i+1)
+		}
+		for k, l := range loops {
+			if l.HasPendingEvents() != (k == hop.on) {
+				t.Fatalf("%s→%s: shard %d pending = %v, want the delivery on shard %d only", hop.src, hop.dst, k, l.HasPendingEvents(), hop.on)
+			}
+		}
+		if err := loops[hop.on].Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -22,14 +22,5 @@ func (c *Clock) Read(t Time) Time {
 	return c.offset + t + Time(float64(t)*c.drift)
 }
 
-// Offset returns the clock's boot offset.
-func (c *Clock) Offset() Time { return c.offset }
-
 // Drift returns the clock's fractional rate error.
 func (c *Clock) Drift() float64 { return c.drift }
-
-// FabricFor inverts Read: the fabric time at which this clock shows h.
-// Used when a host schedules an action "at host time h".
-func (c *Clock) FabricFor(h Time) Time {
-	return Time(float64(h-c.offset) / (1 + c.drift))
-}

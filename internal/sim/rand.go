@@ -2,7 +2,6 @@ package sim
 
 import (
 	"hash/fnv"
-	"math"
 	"math/rand"
 )
 
@@ -114,14 +113,6 @@ func (r *Rand) Int63() int64 { return r.r.Int63() }
 // label in the Source namespace.
 func (r *Rand) Uint64() uint64 { return r.r.Uint64() }
 
-// Exp returns an exponential draw with the given rate (mean 1/rate).
-func (r *Rand) Exp(rate float64) float64 {
-	if rate <= 0 {
-		return math.Inf(1)
-	}
-	return r.r.ExpFloat64() / rate
-}
-
 // ExpDur returns an exponential duration with the given mean.
 func (r *Rand) ExpDur(mean Time) Time {
 	if mean <= 0 {
@@ -130,29 +121,10 @@ func (r *Rand) ExpDur(mean Time) Time {
 	return Time(r.r.ExpFloat64() * float64(mean))
 }
 
-// Uniform returns a uniform draw in [lo,hi).
-func (r *Rand) Uniform(lo, hi float64) float64 {
-	if hi <= lo {
-		return lo
-	}
-	return lo + (hi-lo)*r.r.Float64()
-}
-
 // UniformDur returns a uniform duration in [lo,hi).
 func (r *Rand) UniformDur(lo, hi Time) Time {
 	if hi <= lo {
 		return lo
 	}
 	return lo + Time(r.r.Int63n(int64(hi-lo)))
-}
-
-// Bool returns true with probability p.
-func (r *Rand) Bool(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.r.Float64() < p
 }

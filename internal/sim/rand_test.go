@@ -36,19 +36,6 @@ func TestStreamsDifferByLabelAndSeed(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := NewSource(1).Stream("exp")
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exp(2.0) // mean 0.5
-	}
-	mean := sum / n
-	if math.Abs(mean-0.5) > 0.01 {
-		t.Fatalf("Exp(2) sample mean = %v, want ~0.5", mean)
-	}
-}
-
 func TestExpDurMean(t *testing.T) {
 	r := NewSource(1).Stream("expdur")
 	const n = 100000
@@ -62,16 +49,18 @@ func TestExpDurMean(t *testing.T) {
 	}
 }
 
+// TestUniformBounds: the fabric's jitter draw (FastRand.UniformDur) stays
+// in [lo,hi) and a degenerate range returns lo.
 func TestUniformBounds(t *testing.T) {
-	r := NewSource(3).Stream("uni")
+	r := NewSource(3).FastStream("uni")
 	for i := 0; i < 10000; i++ {
-		v := r.Uniform(2, 5)
+		v := r.UniformDur(2, 5)
 		if v < 2 || v >= 5 {
-			t.Fatalf("Uniform(2,5) = %v out of range", v)
+			t.Fatalf("UniformDur(2,5) = %v out of range", v)
 		}
 	}
-	if got := r.Uniform(4, 4); got != 4 {
-		t.Fatalf("degenerate Uniform = %v, want 4", got)
+	if got := r.UniformDur(4, 4); got != 4 {
+		t.Fatalf("degenerate UniformDur = %v, want 4", got)
 	}
 }
 
@@ -88,8 +77,10 @@ func TestUniformDurBounds(t *testing.T) {
 	}
 }
 
+// TestBoolEdges: the fabric's loss draw (FastRand.Bool) never drops at
+// p = 0, always drops at p = 1, and hits p in between.
 func TestBoolEdges(t *testing.T) {
-	r := NewSource(4).Stream("bool")
+	r := NewSource(4).FastStream("bool")
 	for i := 0; i < 100; i++ {
 		if r.Bool(0) {
 			t.Fatal("Bool(0) returned true")
@@ -113,9 +104,6 @@ func TestBoolEdges(t *testing.T) {
 
 func TestExpZeroRate(t *testing.T) {
 	r := NewSource(5).Stream("z")
-	if !math.IsInf(r.Exp(0), 1) {
-		t.Fatal("Exp(0) should be +Inf")
-	}
 	if got := r.ExpDur(0); got != 0 {
 		t.Fatalf("ExpDur(0) = %v, want 0", got)
 	}
@@ -138,7 +126,7 @@ func TestStreamReproducibility(t *testing.T) {
 	}
 }
 
-func TestClockReadAndInverse(t *testing.T) {
+func TestClockRead(t *testing.T) {
 	c := NewClock(5*Second, 1e-4)
 	if got := c.Read(0); got != 5*Second {
 		t.Fatalf("Read(0) = %v, want offset", got)
@@ -149,12 +137,8 @@ func TestClockReadAndInverse(t *testing.T) {
 	if h != want {
 		t.Fatalf("Read = %v, want %v", h, want)
 	}
-	back := c.FabricFor(h)
-	if diff := back - at; diff < -2 || diff > 2 {
-		t.Fatalf("FabricFor(Read(t)) = %v, want ~%v", back, at)
-	}
-	if c.Offset() != 5*Second || c.Drift() != 1e-4 {
-		t.Fatal("accessors wrong")
+	if c.Drift() != 1e-4 {
+		t.Fatal("Drift wrong")
 	}
 }
 
@@ -163,9 +147,6 @@ func TestClockZeroDrift(t *testing.T) {
 	for _, tt := range []Time{0, 1, Second, 100 * Second} {
 		if c.Read(tt) != tt {
 			t.Fatalf("zero clock should be identity at %v", tt)
-		}
-		if c.FabricFor(tt) != tt {
-			t.Fatalf("zero clock inverse should be identity at %v", tt)
 		}
 	}
 }
@@ -188,8 +169,5 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if (1500 * Millisecond).String() != "t=1.500000s" {
 		t.Fatalf("String = %q", (1500 * Millisecond).String())
-	}
-	if (2 * Second).Duration().Seconds() != 2.0 {
-		t.Fatal("Duration wrong")
 	}
 }

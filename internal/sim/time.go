@@ -8,10 +8,7 @@
 // figure-regeneration harnesses meaningful.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is an instant of simulated fabric time, in nanoseconds since the
 // start of the simulation. It is the global timeline of the event loop;
@@ -28,9 +25,6 @@ const (
 
 // Never is a sentinel Time later than any reachable instant.
 const Never Time = 1<<63 - 1
-
-// Duration converts t to a time.Duration for display purposes.
-func (t Time) Duration() time.Duration { return time.Duration(int64(t)) }
 
 // Seconds returns t expressed in seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }

@@ -3,7 +3,8 @@
 // (the median-of-3 microaggregation of the paper's appendix), χ²
 // goodness-of-fit power calculations ("observations needed to detect a
 // victim", Figs. 1 and 4), Kolmogorov–Smirnov distances (Theorems 3–4),
-// and numeric convolution for the additive-noise comparison (Fig. 8).
+// and the closed-form Exp + U(0,b) CDF for the additive-noise comparison
+// (Fig. 8).
 //
 // Everything is deterministic and stdlib-only.
 package stats
@@ -81,76 +82,6 @@ func (d Uniform) Mean() float64 { return (d.Lo + d.Hi) / 2 }
 // Sample draws uniformly.
 func (d Uniform) Sample(u func() float64) float64 {
 	return d.Lo + (d.Hi-d.Lo)*u()
-}
-
-// Shifted is X + C for a base distribution X — e.g. a proposal time
-// X shifted by the constant offset Δn.
-type Shifted struct {
-	Base Dist
-	C    float64
-}
-
-var _ Dist = Shifted{}
-
-// CDF of the shifted distribution.
-func (s Shifted) CDF(x float64) float64 { return s.Base.CDF(x - s.C) }
-
-// Mean returns E[X] + C.
-func (s Shifted) Mean() float64 { return s.Base.Mean() + s.C }
-
-// Sample draws from the base and shifts.
-func (s Shifted) Sample(u func() float64) float64 { return s.Base.Sample(u) + s.C }
-
-// Sum is the sum of two independent distributions, sampled exactly and
-// with CDF evaluated by numeric integration over the first component.
-// Used for X + XN (signal plus additive noise).
-type Sum struct {
-	A, B Dist
-	// GridN controls CDF integration resolution (default 4096).
-	GridN int
-	// Support bounds for A used during integration (default [0, hi] where
-	// hi covers 1-1e-9 of A's mass found by doubling search).
-	ALo, AHi float64
-}
-
-var _ Dist = &Sum{}
-
-// CDF integrates P(B <= x - a) dF_A(a) on a grid.
-func (s *Sum) CDF(x float64) float64 {
-	n := s.GridN
-	if n <= 0 {
-		n = 4096
-	}
-	lo, hi := s.ALo, s.AHi
-	if hi <= lo {
-		lo = 0
-		hi = 1
-		for s.A.CDF(hi) < 1-1e-9 && hi < 1e12 {
-			hi *= 2
-		}
-	}
-	// Stieltjes sum: sum over grid cells of (F_A(a_{i+1})-F_A(a_i)) * F_B(x-mid).
-	var acc float64
-	prev := s.A.CDF(lo)
-	step := (hi - lo) / float64(n)
-	for i := 0; i < n; i++ {
-		a1 := lo + float64(i+1)*step
-		cur := s.A.CDF(a1)
-		mid := lo + (float64(i)+0.5)*step
-		acc += (cur - prev) * s.B.CDF(x-mid)
-		prev = cur
-	}
-	// Mass below lo contributes F_B(x-lo) approximately; above hi ~0 or 1.
-	acc += s.A.CDF(lo) * s.B.CDF(x-lo)
-	return clamp01(acc)
-}
-
-// Mean returns E[A] + E[B].
-func (s *Sum) Mean() float64 { return s.A.Mean() + s.B.Mean() }
-
-// Sample draws both components independently.
-func (s *Sum) Sample(u func() float64) float64 {
-	return s.A.Sample(u) + s.B.Sample(u)
 }
 
 // FuncDist adapts a plain CDF function into a Dist. Mean is computed by

@@ -61,60 +61,6 @@ func TestUniformCDFAndMean(t *testing.T) {
 	}
 }
 
-func TestShifted(t *testing.T) {
-	s := Shifted{Base: Exponential{Rate: 1}, C: 5}
-	if s.CDF(5) != 0 {
-		t.Fatal("shifted CDF should be 0 at shift point")
-	}
-	if math.Abs(s.Mean()-6) > 1e-12 {
-		t.Fatal("shifted mean wrong")
-	}
-	u := uniSrc(9)
-	if s.Sample(u) < 5 {
-		t.Fatal("shifted sample below shift")
-	}
-}
-
-func TestSumCDFAgainstAnalytic(t *testing.T) {
-	// Exp(1) + U(0,2): analytic CDF is
-	// F(x) = (1/2)·(x - (1 - e^{-x}))               for 0<=x<2   ... derived:
-	// F(x) = ∫0^min(x,2) (1/2)·(1-e^{-(x-u)}) du
-	sum := &Sum{A: Uniform{Lo: 0, Hi: 2}, B: Exponential{Rate: 1}}
-	analytic := func(x float64) float64 {
-		if x <= 0 {
-			return 0
-		}
-		up := math.Min(x, 2)
-		// ∫0^up (1 - e^{-(x-u)}) du / 2 = [u - e^{-(x-u)}]_0^up / 2
-		v := (up - math.Exp(-(x - up)) + math.Exp(-x)) / 2
-		return v
-	}
-	for _, x := range []float64{0.1, 0.5, 1, 1.9, 2.5, 4, 8} {
-		got := sum.CDF(x)
-		want := analytic(x)
-		if math.Abs(got-want) > 2e-3 {
-			t.Errorf("Sum CDF(%v) = %v, want %v", x, got, want)
-		}
-	}
-	if math.Abs(sum.Mean()-2) > 1e-12 {
-		t.Fatal("Sum mean should be 1+1=2")
-	}
-}
-
-func TestSumSample(t *testing.T) {
-	sum := &Sum{A: Exponential{Rate: 1}, B: Uniform{Lo: 0, Hi: 1}}
-	u := uniSrc(11)
-	const n = 60000
-	var mean float64
-	for i := 0; i < n; i++ {
-		mean += sum.Sample(u)
-	}
-	mean /= n
-	if math.Abs(mean-1.5) > 0.02 {
-		t.Fatalf("Sum sample mean %v, want ~1.5", mean)
-	}
-}
-
 func TestFuncDistMeanAndSample(t *testing.T) {
 	// Wrap Exp(2): mean must come out 0.5 and samples must follow the CDF.
 	fd := &FuncDist{F: Exponential{Rate: 2}.CDF}
@@ -141,7 +87,6 @@ func TestCDFMonotoneProperty(t *testing.T) {
 		Exponential{Rate: 0.5},
 		Exponential{Rate: 3},
 		Uniform{Lo: -1, Hi: 4},
-		Shifted{Base: Exponential{Rate: 1}, C: 2},
 	}
 	f := func(a, b float64) bool {
 		a = math.Mod(math.Abs(a), 50)

@@ -130,13 +130,6 @@ func DefaultClusterConfig() ClusterConfig { return core.DefaultClusterConfig() }
 // GuestAddr returns the public service address of a deployed guest.
 func GuestAddr(guestID string) Addr { return gateway.ServiceAddr(guestID) }
 
-// Report summarizes a cluster run (per-guest lockstep health, interrupt
-// counts, gateway and fabric counters). Obtain one via Cluster.Report.
-type Report = core.Report
-
-// GuestReport is one guest's summary within a Report.
-type GuestReport = core.GuestReport
-
 // App is a deterministic guest workload; implement it to run custom guests.
 type App = guest.App
 
