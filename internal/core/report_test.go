@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"stopwatch/internal/apps"
@@ -9,11 +8,16 @@ import (
 	"stopwatch/internal/sim"
 )
 
+// What a run reports (lockstep, divergences, disk overruns, interrupts and
+// the gateway counters) is read through the Guest, VM and gateway
+// accessors.
+
 func TestReportStopWatchRun(t *testing.T) {
 	cfg := DefaultClusterConfig()
 	cfg.Seed = 33
 	c := mustCluster(t, cfg)
-	if _, err := c.Deploy("web", []int{0, 1, 2}, fileServerFactory(t, apps.DefaultFileServerConfig())); err != nil {
+	g, err := c.Deploy("web", []int{0, 1, 2}, fileServerFactory(t, apps.DefaultFileServerConfig()))
+	if err != nil {
 		t.Fatal(err)
 	}
 	cl, err := c.NewClient("laptop")
@@ -32,24 +36,26 @@ func TestReportStopWatchRun(t *testing.T) {
 	if !done {
 		t.Fatal("download incomplete")
 	}
-	r := c.Report()
-	if !r.Healthy() {
-		t.Fatalf("unhealthy report:\n%s", r)
+	if ids := c.GuestIDs(); len(ids) != 1 || g.NumReplicas() != 3 {
+		t.Fatalf("guests %v, %d replicas; want one guest of 3", ids, g.NumReplicas())
 	}
-	if len(r.Guests) != 1 || r.Guests[0].Replicas != 3 {
-		t.Fatalf("guest summary wrong: %+v", r.Guests)
+	if err := g.CheckLockstep(); err != nil {
+		t.Fatal(err)
 	}
-	if r.Guests[0].NetInterrupts == 0 || r.Guests[0].DiskInterrupts == 0 {
-		t.Fatalf("interrupt counts empty: %+v", r.Guests[0])
+	if n := g.Divergences(); n != 0 {
+		t.Fatalf("divergences: %d", n)
 	}
-	if r.IngressReplicated == 0 || r.EgressForwarded == 0 {
-		t.Fatalf("gateway counters empty: %+v", r)
-	}
-	out := r.String()
-	for _, want := range []string{"cluster report", "web", "x3", "ok"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
+	for _, r := range g.Replicas() {
+		if n := r.Runtime().Stats().DiskOverruns; n != 0 {
+			t.Fatalf("replica %d disk overruns: %d", r.Slot(), n)
 		}
+	}
+	if s := g.Replica(0).Runtime().VM().Stats(); s.NetInterrupts == 0 || s.DiskInterrupts == 0 {
+		t.Fatalf("interrupt counts empty: %+v", s)
+	}
+	if c.Ingress().Replicated() == 0 || c.Egress().Forwarded() == 0 || c.Egress().StuckBelowForward() != 0 {
+		t.Fatalf("gateways: replicated %d, forwarded %d, stuck %d",
+			c.Ingress().Replicated(), c.Egress().Forwarded(), c.Egress().StuckBelowForward())
 	}
 }
 
@@ -59,7 +65,8 @@ func TestReportBaselineRun(t *testing.T) {
 	cfg.Mode = ModeBaseline
 	cfg.Hosts = 1
 	c := mustCluster(t, cfg)
-	if _, err := c.Deploy("web", []int{0}, fileServerFactory(t, apps.DefaultFileServerConfig())); err != nil {
+	g, err := c.Deploy("web", []int{0}, fileServerFactory(t, apps.DefaultFileServerConfig()))
+	if err != nil {
 		t.Fatal(err)
 	}
 	cl, err := c.NewClient("laptop")
@@ -74,15 +81,16 @@ func TestReportBaselineRun(t *testing.T) {
 	if err := c.Run(5 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	r := c.Report()
-	if len(r.Guests) != 1 || r.Guests[0].Replicas != 1 {
-		t.Fatalf("baseline guest summary: %+v", r.Guests)
+	// One unreplicated VM served it straight off the fabric: no replicas,
+	// no gateways.
+	if ids := c.GuestIDs(); len(ids) != 1 || g.Baseline == nil || g.NumReplicas() != 0 {
+		t.Fatalf("baseline guests %v, VM %v, %d replicas", ids, g.Baseline, g.NumReplicas())
 	}
-	if r.IngressReplicated != 0 || r.EgressForwarded != 0 {
-		t.Fatal("baseline should have no gateway counters")
+	if c.Ingress() != nil || c.Egress() != nil {
+		t.Fatalf("baseline has gateways: ingress %v, egress %v", c.Ingress(), c.Egress())
 	}
-	if !r.Healthy() {
-		t.Fatalf("baseline unhealthy:\n%s", r)
+	if s := g.Baseline.VM().Stats(); s.NetInterrupts == 0 || s.DiskInterrupts == 0 {
+		t.Fatalf("baseline interrupts: %+v", s)
 	}
 }
 
@@ -98,17 +106,16 @@ func TestReportFlagsDivergence(t *testing.T) {
 	if err := c.Run(50 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
+	if n := g.Divergences(); n != 0 {
+		t.Fatalf("divergences before the forced one: %d", n)
+	}
 	// Force a synchrony violation on one replica.
 	g.Replica(0).Runtime().EnqueueNetDelivery(999, g.Replica(0).Runtime().VirtAtLastExit()-1, guestPayload())
 	if err := c.Run(100 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	r := c.Report()
-	if r.Healthy() {
-		t.Fatal("report should be unhealthy after forced divergence")
-	}
-	if r.Guests[0].Divergences == 0 {
-		t.Fatalf("divergence not reported: %+v", r.Guests[0])
+	if n := g.Divergences(); n == 0 {
+		t.Fatal("the forced divergence is not counted")
 	}
 }
 
