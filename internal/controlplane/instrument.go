@@ -1,13 +1,14 @@
 package controlplane
 
-// Control-plane metrics: a Watch subscriber translating the operation
-// event stream into registry series. Everything here is derived from the
-// same append-only log the digests pin — instrumentation reads events and
-// outcomes, never the pool or cluster directly — so enabling it cannot
-// perturb a run: the op-log digest of an instrumented run is byte-
-// identical to the uninstrumented one (every fleet workload of bench/
-// compares a bare run's digest against an instrumented one, and every
-// scenario run is instrumented and holds its pins).
+// Control-plane metrics: every family is a fold, at snapshot time, over
+// the operations log the digests pin — the scalar counters are FoldStats
+// fields, the per-kind counters and phase latencies read the outcomes
+// directly. Nothing subscribes to the event stream and nothing is counted
+// by hand, so enabling metrics cannot perturb a run: the op-log digest of
+// an instrumented run is byte-identical to the uninstrumented one (every
+// fleet workload of bench/ compares a bare run's digest against an
+// instrumented one, and every scenario run is instrumented and holds its
+// pins).
 
 import (
 	"stopwatch/internal/metrics"
@@ -20,8 +21,7 @@ import (
 // instant) all land inside it.
 var phaseLatencyBuckets = metrics.ExpBuckets(int64(10*sim.Microsecond), 4, 10)
 
-// InstrumentMetrics subscribes a metrics translator to the operation event
-// stream, registering the control-plane metric families on reg:
+// InstrumentMetrics registers the control-plane metric families on reg:
 //
 //	stopwatch_cp_ops_started_total{kind}    submissions by op kind
 //	stopwatch_cp_ops_completed_total{kind}  successful completions
@@ -36,70 +36,75 @@ var phaseLatencyBuckets = metrics.ExpBuckets(int64(10*sim.Microsecond), 4, 10)
 //	stopwatch_cp_residents                  resident guests (evaluated at snapshot)
 //	stopwatch_cp_utilization                pool utilization (evaluated at snapshot)
 //
-// The returned cancel unsubscribes the translator (the families stay
-// registered; they simply stop moving).
-func (cp *ControlPlane) InstrumentMetrics(reg *metrics.Registry) (cancel func()) {
-	started := reg.NewCounterVec("stopwatch_cp_ops_started_total",
-		"operations submitted through Apply, by kind", "kind")
-	completed := reg.NewCounterVec("stopwatch_cp_ops_completed_total",
-		"operations completed successfully, by kind", "kind")
-	failed := reg.NewCounterVec("stopwatch_cp_ops_failed_total",
-		"operations completed with an error, by kind", "kind")
-	rejected := reg.NewCounterVec("stopwatch_cp_ops_rejected_total",
-		"validation rejections (no barrier ran, no state changed), by kind", "kind")
-	phaseLat := reg.NewHistogramVec("stopwatch_cp_phase_latency_ns",
+// Each family folds the log when a snapshot is taken, so it does not
+// matter when reg is attached: it reads every operation since the control
+// plane was built.
+func (cp *ControlPlane) InstrumentMetrics(reg *metrics.Registry) {
+	byKind := func(name, help string, counts func(oc *Outcome) bool) {
+		reg.NewCounterSetFunc(name, help, "kind", func(emit func(string, uint64)) {
+			n := map[string]uint64{}
+			for _, oc := range cp.log.entries {
+				if counts(oc) {
+					n[opKind(oc.Op).String()]++
+				}
+			}
+			for kind, v := range n {
+				emit(kind, v)
+			}
+		})
+	}
+	byKind("stopwatch_cp_ops_started_total",
+		"operations submitted through Apply, by kind", func(*Outcome) bool { return true })
+	byKind("stopwatch_cp_ops_completed_total",
+		"operations completed successfully, by kind", func(oc *Outcome) bool { return oc.done && oc.Err == nil })
+	byKind("stopwatch_cp_ops_failed_total",
+		"operations completed with an error, by kind", func(oc *Outcome) bool { return oc.done && oc.Err != nil })
+	byKind("stopwatch_cp_ops_rejected_total",
+		"validation rejections (no barrier ran, no state changed), by kind", (*Outcome).Rejected)
+	reg.NewHistogramSetFunc("stopwatch_cp_phase_latency_ns",
 		"latency from an op's previous milestone (or submission) to reaching this phase",
-		"phase", phaseLatencyBuckets)
-	retries := reg.NewCounter("stopwatch_cp_quiesce_retries_total",
-		"replacement-barrier quiescence re-checks beyond the first")
-	suspicions := reg.NewCounter("stopwatch_cp_detector_suspicions_total",
-		"stall-detector machine suspicions (detected FailOps submitted)")
-	falseAlarms := reg.NewCounter("stopwatch_cp_detector_false_alarms_total",
-		"detector suspicions rejected because the machine's VMM was alive")
-	reconcileRounds := reg.NewCounter("stopwatch_cp_reconcile_rounds_total",
-		"pre-commit survivor reconcile rounds run by FailOps (one per resident guest with a live pair)")
-	reconcileRepairs := reg.NewCounter("stopwatch_cp_reconcile_repairs_total",
-		"sequences repaired at importers during pre-commit reconcile rounds")
+		"phase", func(emit func(string, metrics.Histogram)) {
+			byPhase := map[Phase]metrics.Histogram{}
+			for _, oc := range cp.log.entries {
+				prev := oc.Submitted
+				for _, pt := range oc.Phases {
+					h, ok := byPhase[pt.Phase]
+					if !ok {
+						h = metrics.NewHistogram(phaseLatencyBuckets)
+					}
+					h.Observe(int64(pt.At - prev))
+					byPhase[pt.Phase] = h
+					prev = pt.At
+				}
+			}
+			for p, h := range byPhase {
+				emit(string(p), h)
+			}
+		})
+	stat := func(name, help string, read func(st Stats) int) {
+		reg.NewCounterFunc(name, help, func() uint64 { return uint64(read(cp.Stats())) })
+	}
+	stat("stopwatch_cp_quiesce_retries_total",
+		"replacement-barrier quiescence re-checks beyond the first", func(st Stats) int { return st.DrainRetries })
+	stat("stopwatch_cp_detector_suspicions_total",
+		"stall-detector machine suspicions (detected FailOps submitted)", func(st Stats) int { return st.DetectorSuspicions })
+	stat("stopwatch_cp_detector_false_alarms_total",
+		"detector suspicions rejected because the machine's VMM was alive", func(st Stats) int { return st.DetectorFalseAlarms })
+	stat("stopwatch_cp_reconcile_rounds_total",
+		"pre-commit survivor reconcile rounds run by FailOps (one per resident guest with a live pair)",
+		func(st Stats) int { return st.ReconcileRounds })
+	stat("stopwatch_cp_reconcile_repairs_total",
+		"sequences repaired at importers during pre-commit reconcile rounds", func(st Stats) int { return st.ReconcileRepairs })
 	reg.NewGaugeFunc("stopwatch_cp_residents",
 		"resident guests", func() float64 { return float64(cp.pool.Guests()) })
 	reg.NewGaugeFunc("stopwatch_cp_utilization",
 		"resident replicas over undrained capacity", func() float64 { return cp.pool.Utilization() })
-	return cp.Watch(func(ev Event) {
-		kind := ev.Op.Kind().String()
-		switch ev.Kind {
-		case OpStarted:
-			started.With(kind).Inc()
-			if f, ok := ev.Op.(FailOp); ok && f.Detected {
-				suspicions.Inc()
-			}
-		case PhaseReached:
-			// The outcome's phase list already carries this milestone (phase()
-			// appends before it emits); its predecessor anchors the delta.
-			if oc, ok := cp.Outcome(ev.Seq); ok {
-				prev := oc.Submitted
-				if n := len(oc.Phases); n >= 2 {
-					prev = oc.Phases[n-2].At
-				}
-				phaseLat.With(string(ev.Phase)).Observe(int64(ev.At - prev))
-			}
-		case OpCompleted, OpFailed:
-			oc, ok := cp.Outcome(ev.Seq)
-			if ok {
-				retries.Add(uint64(oc.QuiesceRetries))
-				reconcileRounds.Add(uint64(oc.ReconcileRounds))
-				reconcileRepairs.Add(uint64(oc.ReconcileRepairs))
-			}
-			if ev.Kind == OpCompleted {
-				completed.With(kind).Inc()
-				return
-			}
-			failed.With(kind).Inc()
-			if ok && oc.Rejected() {
-				rejected.With(kind).Inc()
-				if f, isFail := ev.Op.(FailOp); isFail && f.Detected {
-					falseAlarms.Inc()
-				}
-			}
-		}
-	})
+}
+
+// opKind is op's kind; a nil op (which Apply rejects) has kind 0, "?".
+func opKind(op Op) OpKind {
+	if op == nil {
+		return 0
+	}
+	return op.Kind()
 }

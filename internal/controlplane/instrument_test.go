@@ -23,14 +23,10 @@ func counterValue(t *testing.T, reg *metrics.Registry, name, label string) uint6
 	return 0
 }
 
-// TestInstrumentMetricsCountsOps: the Watch translator turns the event
-// stream into op counters, phase latency observations and retry counts
-// that agree with the fold over the same log.
-func TestInstrumentMetricsCountsOps(t *testing.T) {
-	cp := newTestPlane(t, 9, 3, 2)
-	reg := metrics.NewRegistry()
-	cp.InstrumentMetrics(reg)
-
+// driveOps runs the instrumentation tests' workload: three admissions, an
+// eviction, a rejected eviction, then a replacement of a stopped replica.
+func driveOps(t *testing.T, cp *ControlPlane) {
+	t.Helper()
 	for i := 0; i < 3; i++ {
 		if err := cp.Apply(AdmitOp{GuestID: fmt.Sprintf("g%d", i), Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 			t.Fatal(err)
@@ -56,6 +52,16 @@ func TestInstrumentMetricsCountsOps(t *testing.T) {
 	if err := cp.Cluster().Run(2 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestInstrumentMetricsCountsOps: the families folded from the operations
+// log count ops by kind, observe every barrier phase's latency, and agree
+// with FoldStats.
+func TestInstrumentMetricsCountsOps(t *testing.T) {
+	cp := newTestPlane(t, 9, 3, 2)
+	reg := metrics.NewRegistry()
+	cp.InstrumentMetrics(reg)
+	driveOps(t, cp)
 
 	st := cp.Stats()
 	if got := counterValue(t, reg, "stopwatch_cp_ops_completed_total", "admit"); got != uint64(st.Admitted) {
@@ -102,31 +108,49 @@ func TestInstrumentMetricsCountsOps(t *testing.T) {
 	reg2 := metrics.NewRegistry()
 	cp2 := newTestPlane(t, 9, 3, 2)
 	cp2.InstrumentMetrics(reg2)
-	for i := 0; i < 3; i++ {
-		if err := cp2.Apply(AdmitOp{GuestID: fmt.Sprintf("g%d", i), Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cp2.Apply(EvictOp{GuestID: "g2"}).Err; err != nil {
-		t.Fatal(err)
-	}
-	if err := cp2.Apply(EvictOp{GuestID: "nope"}).Err; err == nil {
-		t.Fatal("expected rejection")
-	}
-	cp2.Cluster().Start()
-	if err := cp2.Cluster().Run(200 * sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	g2, _ := cp2.Cluster().Guest("g0")
-	g2.Replica(0).Runtime().Stop()
-	if oc := cp2.Apply(ReplaceOp{GuestID: "g0", DeadHost: g2.Replica(0).Host()}); oc.Rejected() {
-		t.Fatal(oc.Err)
-	}
-	if err := cp2.Cluster().Run(2 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	driveOps(t, cp2)
 	if reg.Prom() != reg2.Prom() {
 		t.Fatal("instrumented metrics not deterministic across identical runs")
+	}
+}
+
+// TestLateRegistryRendersTheSamePage: the families fold the operations log
+// when a snapshot is taken, so a registry attached after the run renders
+// byte for byte the page of one attached before the first op.
+func TestLateRegistryRendersTheSamePage(t *testing.T) {
+	cp := newTestPlane(t, 9, 3, 2)
+	early := metrics.NewRegistry()
+	cp.InstrumentMetrics(early)
+	driveOps(t, cp)
+	late := metrics.NewRegistry()
+	cp.InstrumentMetrics(late)
+	if got := counterValue(t, late, "stopwatch_cp_ops_completed_total", "replace"); got != 1 {
+		t.Fatalf("the late registry reads %d completed replacements, want 1", got)
+	}
+	if e, l := early.Prom(), late.Prom(); e != l {
+		t.Fatalf("late registry's page differs:\n%s\nvs the early one's\n%s", l, e)
+	}
+}
+
+// TestApplyNilWithMetrics: Apply rejects a nil op, and an instrumented
+// control plane with an event subscriber counts it as a failed and
+// rejected op of kind "?" without panicking.
+func TestApplyNilWithMetrics(t *testing.T) {
+	cp := newTestPlane(t, 9, 3, 2)
+	reg := metrics.NewRegistry()
+	cp.InstrumentMetrics(reg)
+	var events []Event
+	cp.Watch(func(ev Event) { events = append(events, ev) })
+	if oc := cp.Apply(nil); !oc.Rejected() {
+		t.Fatalf("Apply(nil) = %v, want a rejection", oc)
+	}
+	if len(events) != 1 || events[0].Kind != OpFailed {
+		t.Fatalf("events %+v, want one OpFailed", events)
+	}
+	for _, name := range []string{"stopwatch_cp_ops_failed_total", "stopwatch_cp_ops_rejected_total"} {
+		if got := counterValue(t, reg, name, "?"); got != 1 {
+			t.Errorf("%s{kind=\"?\"} = %d, want 1", name, got)
+		}
 	}
 }
 

@@ -82,6 +82,10 @@ type Stats struct {
 	// survivor exchanges: guest groups that exchanged, and sequences
 	// repaired at importers.
 	ReconcileRounds, ReconcileRepairs int
+	// DetectorSuspicions counts FailOps the stall detector submitted;
+	// DetectorFalseAlarms counts the ones rejected because the machine's
+	// VMM was alive.
+	DetectorSuspicions, DetectorFalseAlarms int
 }
 
 // Stats folds the operations log into decision counters (FoldStats).
@@ -169,6 +173,12 @@ func accumulate(st *Stats, oc *Outcome) {
 		}
 		st.ReconcileRounds += oc.ReconcileRounds
 		st.ReconcileRepairs += oc.ReconcileRepairs
+		if op.Detected {
+			st.DetectorSuspicions++
+			if oc.Rejected() {
+				st.DetectorFalseAlarms++
+			}
+		}
 	}
 }
 

@@ -158,14 +158,8 @@ type Cluster struct {
 	scratchNames []string
 	scratchAddrs []netsim.Addr
 
-	// propLatency, when non-nil (InstrumentMetrics), is installed on every
-	// replica device model — current and future — as its proposal-
-	// resolution latency histogram (each replica gets its host shard's cell).
-	propLatency *metrics.ShardedHistogram
-
-	// replayLen, when non-nil (InstrumentMetrics), exports the records
-	// replayed per replica replacement.
-	replayLen *metrics.Histogram
+	// replayLen observes the records replayed per replica replacement.
+	replayLen metrics.Histogram
 }
 
 // Guest is a deployed guest VM (all its replicas). Per-slot replica state
@@ -452,6 +446,7 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 		guests:        make(map[string]*Guest),
 		hostIdxByName: make(map[string]int, cfg.Hosts),
 		stallQ:        make([][]stallRec, cfg.Shards),
+		replayLen:     metrics.NewHistogram(replayLenBuckets),
 	}
 	c.coord = sim.NewCoordinator(loop, shardLoops, net.Lookahead, net.Exchange, c.drainStalls)
 	c.coord.SetParallel(cfg.Shards > 1)
@@ -531,9 +526,6 @@ func (c *Cluster) Loop() *sim.Loop { return c.loop }
 // control loop and the fabric shards (benchmarks read FiredTotal; tests
 // toggle SetParallel).
 func (c *Cluster) Coordinator() *sim.Coordinator { return c.coord }
-
-// Shards returns the fabric shard count.
-func (c *Cluster) Shards() int { return len(c.shardLoops) }
 
 // shardOf is machine i's fabric shard: the machines split into K contiguous
 // blocks. The pool picks the least-loaded machines, lowest index first, so
@@ -707,10 +699,6 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 	nd, err := vmm.NewNetDevice(rt, c.cfg.Replicas)
 	if err != nil {
 		return err
-	}
-	if c.propLatency != nil {
-		h := c.propLatency.Shard(c.shardOf(hostIdx))
-		nd.LatencyHist = &h
 	}
 	w := &replicaWiring{
 		c:        c,

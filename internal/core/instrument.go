@@ -1,29 +1,24 @@
 package core
 
-// Data-plane metrics: passive hooks into the fabric, the device models,
-// the hosts' disks, the egress and the epoch machinery. Everything here
-// either counts what already happened (fabric counters, proposal-latency
-// observations) or is a gauge function evaluated lazily at snapshot time
-// on the simulation thread — no metric ever feeds back into scheduling,
-// RNG draws or event order, so an instrumented run's op-log digest is
-// byte-identical to an uninstrumented one.
+// Data-plane metrics: every family is a read, at snapshot time, of state
+// the cluster already keeps — the fabric's per-kind packet counts, each
+// host's proposal-latency buckets and disk, the egress, the journals and
+// the replay-length buckets. Nothing here is written on the data path, so
+// no metric ever feeds back into scheduling, RNG draws or event order, and
+// an instrumented run's op-log digest is byte-identical to an
+// uninstrumented one.
 
 import (
 	"stopwatch/internal/metrics"
-	"stopwatch/internal/sim"
+	"stopwatch/internal/netsim"
+	"stopwatch/internal/vmm"
 )
-
-// propLatencyBuckets spans a proposal round trip: 10µs (same-instant
-// resolution after the Dom0 delay) up to ~2.6s (a stalled group waiting
-// out a reconfiguration).
-var propLatencyBuckets = metrics.ExpBuckets(int64(10*sim.Microsecond), 4, 10)
 
 // replayLenBuckets spans a replacement replay: one record up to ~260k —
 // an uncheckpointed long-lived guest's whole delivery history.
 var replayLenBuckets = metrics.ExpBuckets(1, 4, 10)
 
-// InstrumentMetrics registers the data-plane metric families on reg and
-// wires their sources:
+// InstrumentMetrics registers the data-plane metric families on reg:
 //
 //	stopwatch_net_packets_delivered_total{kind}  fabric deliveries by packet kind
 //	stopwatch_net_packets_dropped_total{kind}    loss-model drops and dead-address arrivals
@@ -38,45 +33,52 @@ var replayLenBuckets = metrics.ExpBuckets(1, 4, 10)
 //	stopwatch_guest_checkpoint_age_instr{guest}  instructions a replacement would replay
 //	stopwatch_vmm_replay_records                 journal records replayed per replacement
 //
-// Call once, before or after deployments — replicas wired later inherit
-// the proposal-latency histogram, and the per-guest families list whoever
-// is resident at the snapshot. Gauges read live cluster state and are
-// evaluated at snapshot; take snapshots from the simulation thread.
+// Each family reads cluster state at snapshot time, so it does not matter
+// when reg is attached: the counters and histograms read totals since the
+// cluster was built, and the per-guest families list whoever is resident
+// at the snapshot. Take snapshots from the simulation thread (barrier
+// context while a coordinator is driving the shards).
 func (c *Cluster) InstrumentMetrics(reg *metrics.Registry) {
-	// Fabric counters and the proposal-latency histogram are sharded: each
-	// fabric shard / replica host updates its own cell lock-free, and the
-	// registry merges the cells deterministically at snapshot, so the
-	// rendered pages are byte-identical for every shard count.
-	delivered := reg.NewShardedCounterVec("stopwatch_net_packets_delivered_total",
-		"fabric packets handed to an attached node, by packet kind", "kind", c.Shards())
-	dropped := reg.NewShardedCounterVec("stopwatch_net_packets_dropped_total",
-		"fabric packets lost to the loss model or a detached address, by packet kind", "kind", c.Shards())
-	c.net.SetMetrics(delivered, dropped)
-
-	c.propLatency = reg.NewShardedHistogram("stopwatch_vmm_proposal_latency_ns",
-		"loop-time latency from a replica's own delivery-time proposal to the median resolution",
-		propLatencyBuckets, c.Shards())
-	for _, g := range c.guests {
-		for _, w := range g.replicas {
-			if w != nil && w.nd != nil {
-				h := c.propLatency.Shard(c.shardOf(w.hostIdx))
-				w.nd.LatencyHist = &h
+	perKind := func(name, help string, read func(k netsim.KindStats) uint64) {
+		reg.NewCounterSetFunc(name, help, "kind", func(emit func(string, uint64)) {
+			for _, k := range c.net.Stats().ByKind {
+				if n := read(k); n > 0 {
+					emit(k.Kind, n)
+				}
 			}
-		}
+		})
 	}
+	perKind("stopwatch_net_packets_delivered_total",
+		"fabric packets handed to an attached node, by packet kind",
+		func(k netsim.KindStats) uint64 { return k.Delivered })
+	perKind("stopwatch_net_packets_dropped_total",
+		"fabric packets lost to the loss model or a detached address, by packet kind",
+		func(k netsim.KindStats) uint64 { return k.Lost })
+	reg.NewHistogramFunc("stopwatch_vmm_proposal_latency_ns",
+		"loop-time latency from a replica's own delivery-time proposal to the median resolution", func() metrics.Histogram {
+			sum := metrics.NewHistogram(vmm.ProposalLatencyBuckets)
+			for _, h := range c.hosts {
+				sum.Merge(h.ProposalLatency())
+			}
+			return sum
+		})
 
-	busy := reg.NewGaugeFuncVec("stopwatch_host_disk_busy_ns",
-		"accumulated disk service time (seek + transfer + jitter) per host", "host")
-	backlog := reg.NewGaugeFuncVec("stopwatch_host_disk_backlog_ns",
-		"disk FIFO horizon past the current instant per host — the wait a new request would see", "host")
-	inflight := reg.NewGaugeFuncVec("stopwatch_host_io_inflight",
-		"device-model work in progress per host (packets being processed, disk requests outstanding)", "host")
-	for _, h := range c.hosts {
-		h := h
-		busy.Add(h.Name(), func() float64 { return float64(h.DiskBusy()) })
-		backlog.Add(h.Name(), func() float64 { return float64(h.DiskBacklog(c.loop.Now())) })
-		inflight.Add(h.Name(), func() float64 { return float64(h.IOInFlight()) })
+	perHost := func(name, help string, read func(h *vmm.Host) float64) {
+		reg.NewGaugeSetFunc(name, help, "host", func(emit func(string, float64)) {
+			for _, h := range c.hosts {
+				emit(h.Name(), read(h))
+			}
+		})
 	}
+	perHost("stopwatch_host_disk_busy_ns",
+		"accumulated disk service time (seek + transfer + jitter) per host",
+		func(h *vmm.Host) float64 { return float64(h.DiskBusy()) })
+	perHost("stopwatch_host_disk_backlog_ns",
+		"disk FIFO horizon past the current instant per host — the wait a new request would see",
+		func(h *vmm.Host) float64 { return float64(h.DiskBacklog(c.loop.Now())) })
+	perHost("stopwatch_host_io_inflight",
+		"device-model work in progress per host (packets being processed, disk requests outstanding)",
+		func(h *vmm.Host) float64 { return float64(h.IOInFlight()) })
 
 	reg.NewGaugeFunc("stopwatch_egress_stuck_groups",
 		"egress copy groups still below their forward threshold — outputs a client is waiting for",
@@ -117,7 +119,7 @@ func (c *Cluster) InstrumentMetrics(reg *metrics.Registry) {
 			}
 			return float64(instr - g.journal.Stats().CheckpointInstr)
 		})
-	h := reg.NewHistogram("stopwatch_vmm_replay_records",
-		"journal records replayed to reconstruct a replacement replica", replayLenBuckets)
-	c.replayLen = &h
+	reg.NewHistogramFunc("stopwatch_vmm_replay_records",
+		"journal records replayed to reconstruct a replacement replica",
+		func() metrics.Histogram { return c.replayLen })
 }

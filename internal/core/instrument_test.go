@@ -12,9 +12,9 @@ import (
 
 // TestInstrumentMetricsDataPlane drives one end-to-end download through an
 // instrumented cluster and checks every data-plane family moved: fabric
-// per-kind counters, the proposal-latency histogram (wired to replicas
-// created after instrumentation), per-host disk gauges, and egress
-// occupancy.
+// per-kind counters, the proposal-latency histogram (read from the hosts
+// of replicas deployed after instrumentation), per-host disk gauges, and
+// egress occupancy.
 func TestInstrumentMetricsDataPlane(t *testing.T) {
 	c := mustCluster(t, DefaultClusterConfig())
 	reg := metrics.NewRegistry()
@@ -101,6 +101,46 @@ func TestInstrumentMetricsDataPlane(t *testing.T) {
 		if !strings.Contains(prom, fam) {
 			t.Fatalf("prom page missing %s:\n%s", fam, prom)
 		}
+	}
+}
+
+// TestLateRegistryRendersTheSamePage: every data-plane family reads
+// cluster state when a snapshot is taken, so a registry attached after
+// the run renders byte for byte the page of one attached before Start.
+// The run loses packets too (a send to a detached address), so the dropped
+// family has a sample.
+func TestLateRegistryRendersTheSamePage(t *testing.T) {
+	c := mustCluster(t, DefaultClusterConfig())
+	early := metrics.NewRegistry()
+	c.InstrumentMetrics(early)
+	if _, err := c.Deploy("web", []int{0, 1, 2}, fileServerFactory(t, apps.DefaultFileServerConfig())); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := c.NewClient("laptop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	dl := apps.NewDownloader(cl)
+	c.Loop().At(50*sim.Millisecond, "fetch", func() {
+		if err := dl.Fetch(ServiceAddr("web"), apps.ModeTCP, 64<<10, nil); err != nil {
+			t.Error(err)
+		}
+		c.Net().Send(c.Net().AllocPacket("laptop", "nowhere", 64, "stray", nil))
+	})
+	if err := c.Run(10 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(dl.Latencies()) != 1 {
+		t.Fatal("the download did not complete")
+	}
+	late := metrics.NewRegistry()
+	c.InstrumentMetrics(late)
+	if s, _ := late.Lookup("stopwatch_net_packets_dropped_total"); len(s) != 1 || s[0].LabelValue != "stray" || s[0].Counter != 1 {
+		t.Fatalf("the late registry's drops %+v, want the one stray packet", s)
+	}
+	if e, l := early.Prom(), late.Prom(); e != l {
+		t.Fatalf("late registry's page differs:\n%s\nvs the early one's\n%s", l, e)
 	}
 }
 

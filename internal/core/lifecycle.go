@@ -179,9 +179,7 @@ func (c *Cluster) ReplaceReplica(id string, deadHost, newHost int) error {
 		fresh.ec.RestoreAt(donor.ec)
 	}
 	g.Replaced++
-	if c.replayLen != nil {
-		c.replayLen.Observe(int64(fresh.rt.Stats().ReplayedRecords))
-	}
+	c.replayLen.Observe(int64(fresh.rt.Stats().ReplayedRecords))
 	if c.started {
 		fresh.rt.Start()
 	}

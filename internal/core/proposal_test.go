@@ -102,8 +102,8 @@ func TestProposalTailLossFoundByBeacon(t *testing.T) {
 			if n := w0.out.Len(); n != 0 {
 				t.Fatalf("%d proposals still unacked", n)
 			}
-			if c.Shards() != shards {
-				t.Fatalf("ran on %d shards", c.Shards())
+			if len(c.shardLoops) != shards {
+				t.Fatalf("ran on %d shards", len(c.shardLoops))
 			}
 		})
 	}

@@ -1,20 +1,20 @@
-// Package metrics is the deterministic, allocation-conscious telemetry
-// registry behind the observability plane. It is a leaf package (std-lib
-// only, like sim): the data plane (vmm, netsim, core) and the control
-// plane both feed it, and a run's end-of-run snapshot is its output.
+// Package metrics is the deterministic telemetry registry behind the
+// observability plane. It is a leaf package (std-lib only, like sim).
+//
+// The registry keeps no counter of its own: every family is a function,
+// evaluated at snapshot time, over state its owner already keeps — the
+// fabric's per-kind packet counts, a host's proposal-latency buckets, the
+// control plane's operations log. So a registry attached late reads the
+// same totals as one attached at construction, and an uninstrumented run
+// does exactly the work of an instrumented one.
 //
 // Determinism is the design constraint (the op-log digests are the repo's
 // regression oracle, and metrics snapshots join them): there is no wall
 // clock anywhere, no map-order iteration — families snapshot in
-// registration order, labeled children in first-use order — and histogram
-// buckets are fixed at construction. Two runs with the same seed render
-// byte-identical snapshots.
-//
-// The hot-path surface allocates nothing: Counter.Inc/Add are plain field
-// updates, Histogram.Observe is a linear bucket scan over a fixed bound
-// slice, and Vec.With interns its child on first use so steady-state
-// lookups are one map read. Gauges are functions evaluated at snapshot
-// time, so live state exports without a write on every change.
+// registration order, labeled samples sorted by label value — and
+// histogram buckets are fixed. Two runs with the same seed render
+// byte-identical snapshots. Histogram is the one value type an owner
+// keeps: Observe is a linear bucket scan that allocates nothing.
 package metrics
 
 import (
@@ -46,42 +46,16 @@ func (k Kind) String() string {
 	}
 }
 
-// family is one registered metric family. Scalar families have exactly one
-// child with an empty label value; labeled families (vecs) intern children
-// in first-use order.
+// family is one registered metric family. Its samples are read at
+// snapshot time from state its owner already keeps; the registry holds no
+// value of its own.
 type family struct {
 	name  string
 	help  string
 	kind  Kind
-	label string // label key for vecs; "" for scalars
+	label string // label key for sets; "" for scalars
 
-	children []*child
-	byLabel  map[string]*child
-
-	// mergeSamples, when set, renders this family's samples instead of
-	// walking children: by merging per-shard cells (sharded.go), or from a
-	// function over live state (NewGaugeSetFunc). Its output is sorted by
-	// label value — a partition-independent order — rather than first-use
-	// order, which would vary with the shard count.
-	mergeSamples func() []Sample
-}
-
-// child is one sample series of a family: a scalar counter value, a
-// deferred gauge function, or a histogram's bucket state.
-type child struct {
-	labelValue string
-
-	counter uint64
-	gaugeFn func() float64
-
-	// Histogram state: bounds are the fixed inclusive upper bounds (the
-	// implicit +Inf bucket is counts[len(bounds)]); sum accumulates observed
-	// values (int64 — observations are sim durations or counts, never wall
-	// time).
-	bounds []int64
-	counts []uint64
-	sum    int64
-	count  uint64
+	samples func() []Sample
 }
 
 // Registry holds metric families in registration order.
@@ -95,183 +69,130 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
 
-func (r *Registry) register(name, help string, kind Kind, label string) *family {
+func (r *Registry) register(name, help string, kind Kind, label string, samples func() []Sample) {
 	if name == "" {
 		panic("metrics: empty metric name")
 	}
 	if _, dup := r.byName[name]; dup {
 		panic(fmt.Sprintf("metrics: duplicate metric %q", name))
 	}
-	f := &family{name: name, help: help, kind: kind, label: label}
-	if label != "" {
-		f.byLabel = make(map[string]*child)
-	}
+	f := &family{name: name, help: help, kind: kind, label: label, samples: samples}
 	r.families = append(r.families, f)
 	r.byName[name] = f
-	return f
 }
 
-func (f *family) scalarChild() *child {
-	if len(f.children) == 0 {
-		f.children = append(f.children, &child{})
+// registerSet registers a labeled family whose sample set each emits at
+// snapshot time, one sample per label value that exists right now, sorted
+// by label value.
+func (r *Registry) registerSet(name, help string, kind Kind, label string, each func(emit func(Sample))) {
+	if label == "" {
+		panic(fmt.Sprintf("metrics: set %q needs a label key", name))
 	}
-	return f.children[0]
+	r.register(name, help, kind, label, func() []Sample {
+		var out []Sample
+		each(func(s Sample) { out = append(out, s) })
+		sort.Slice(out, func(i, j int) bool { return out[i].LabelValue < out[j].LabelValue })
+		return out
+	})
 }
 
-// with interns the child for a label value, in first-use order. First-use
-// order is deterministic per seed: the simulation drives every metric
-// mutation, so the same run touches labels in the same order.
-func (f *family) with(labelValue string) *child {
-	if c, ok := f.byLabel[labelValue]; ok {
-		return c
-	}
-	c := &child{labelValue: labelValue}
-	f.byLabel[labelValue] = c
-	f.children = append(f.children, c)
-	return c
-}
-
-// Counter is a monotonically increasing uint64.
-type Counter struct{ c *child }
-
-// Inc adds one.
-func (c Counter) Inc() { c.c.counter++ }
-
-// Add adds n.
-func (c Counter) Add(n uint64) { c.c.counter += n }
-
-// Value reads the current count.
-func (c Counter) Value() uint64 { return c.c.counter }
-
-// Histogram is a fixed-bucket distribution: Observe(v) increments the
-// first bucket whose upper bound is >= v (or the implicit +Inf bucket).
-type Histogram struct{ c *child }
-
-// Observe records one value.
-func (h Histogram) Observe(v int64) {
-	c := h.c
-	// Linear scan: bucket counts are small (tens) and the scan beats the
-	// branch-misses of a binary search at that size.
-	i := 0
-	for i < len(c.bounds) && v > c.bounds[i] {
-		i++
-	}
-	c.counts[i]++
-	c.sum += v
-	c.count++
-}
-
-// Count reports total observations.
-func (h Histogram) Count() uint64 { return h.c.count }
-
-// Sum reports the sum of observed values.
-func (h Histogram) Sum() int64 { return h.c.sum }
-
-// CounterVec is a counter family keyed by one label.
-type CounterVec struct{ f *family }
-
-// With returns the child counter for the label value, interning it on
-// first use.
-func (v CounterVec) With(labelValue string) Counter { return Counter{v.f.with(labelValue)} }
-
-// HistogramVec is a histogram family keyed by one label; every child
-// shares the family's fixed bounds.
-type HistogramVec struct {
-	f      *family
-	bounds []int64
-}
-
-// With returns the child histogram for the label value.
-func (v HistogramVec) With(labelValue string) Histogram {
-	c := v.f.with(labelValue)
-	if c.counts == nil {
-		c.bounds = v.bounds
-		c.counts = make([]uint64, len(v.bounds)+1)
-	}
-	return Histogram{c}
-}
-
-// NewCounter registers a scalar counter.
-func (r *Registry) NewCounter(name, help string) Counter {
-	return Counter{r.register(name, help, KindCounter, "").scalarChild()}
+// NewCounterFunc registers a counter read at snapshot time: fn returns a
+// total its owner already keeps. fn runs on the snapshotting goroutine:
+// keep it a pure read. So do the other Func registrations.
+func (r *Registry) NewCounterFunc(name, help string, fn func() uint64) {
+	r.register(name, help, KindCounter, "", func() []Sample { return []Sample{{Counter: fn()}} })
 }
 
 // NewGaugeFunc registers a gauge evaluated at snapshot time — how live
 // state (a disk backlog, an occupancy count) exports without a write on
-// every change. fn runs on the snapshotting goroutine: keep it a pure read.
+// every change.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, KindGauge, "").scalarChild().gaugeFn = fn
+	r.register(name, help, KindGauge, "", func() []Sample { return []Sample{{Gauge: fn()}} })
 }
 
-// NewHistogram registers a scalar histogram over fixed inclusive upper
-// bounds, which must be strictly increasing.
-func (r *Registry) NewHistogram(name, help string, bounds []int64) Histogram {
-	c := r.register(name, help, KindHistogram, "").scalarChild()
-	c.bounds = validateBounds(name, bounds)
-	c.counts = make([]uint64, len(c.bounds)+1)
-	return Histogram{c}
+// NewHistogramFunc registers a histogram read at snapshot time.
+func (r *Registry) NewHistogramFunc(name, help string, fn func() Histogram) {
+	r.register(name, help, KindHistogram, "", func() []Sample { return []Sample{fn().sample("")} })
 }
 
-// NewCounterVec registers a counter family keyed by one label.
-func (r *Registry) NewCounterVec(name, help, label string) CounterVec {
-	return CounterVec{r.register(name, help, KindCounter, nonEmptyLabel(name, label))}
+// NewCounterSetFunc registers a counter family keyed by one label: fn
+// emits one total per label value.
+func (r *Registry) NewCounterSetFunc(name, help, label string, fn func(emit func(labelValue string, v uint64))) {
+	r.registerSet(name, help, KindCounter, label, func(emit func(Sample)) {
+		fn(func(l string, v uint64) { emit(Sample{LabelValue: l, Counter: v}) })
+	})
 }
 
-// NewGaugeFuncVec registers a gauge family whose children are deferred
-// functions; add children with Add.
-type GaugeFuncVec struct{ f *family }
-
-// NewGaugeFuncVec registers a deferred-gauge family keyed by one label.
-func (r *Registry) NewGaugeFuncVec(name, help, label string) GaugeFuncVec {
-	return GaugeFuncVec{r.register(name, help, KindGauge, nonEmptyLabel(name, label))}
-}
-
-// Add registers the child gauge function for a label value.
-func (v GaugeFuncVec) Add(labelValue string, fn func() float64) {
-	v.f.with(labelValue).gaugeFn = fn
-}
-
-// NewGaugeSetFunc registers a gauge family keyed by one label whose whole
-// sample set is computed at snapshot time: fn emits one value per label
-// value that exists right now, so the family follows a population that
-// comes and goes (resident guests) instead of accumulating a child for
-// everything it ever saw. Samples render sorted by label value.
+// NewGaugeSetFunc registers a gauge family keyed by one label: fn emits
+// one value per label value that exists right now, so the family follows a
+// population that comes and goes (resident guests) instead of accumulating
+// a sample for everything it ever saw.
 func (r *Registry) NewGaugeSetFunc(name, help, label string, fn func(emit func(labelValue string, v float64))) {
-	f := r.register(name, help, KindGauge, nonEmptyLabel(name, label))
-	f.mergeSamples = func() []Sample {
-		var out []Sample
-		fn(func(labelValue string, v float64) {
-			out = append(out, Sample{LabelValue: labelValue, Gauge: v})
-		})
-		sort.Slice(out, func(i, j int) bool { return out[i].LabelValue < out[j].LabelValue })
-		return out
-	}
+	r.registerSet(name, help, KindGauge, label, func(emit func(Sample)) {
+		fn(func(l string, v float64) { emit(Sample{LabelValue: l, Gauge: v}) })
+	})
 }
 
-// NewHistogramVec registers a histogram family keyed by one label, every
-// child sharing the fixed bounds.
-func (r *Registry) NewHistogramVec(name, help, label string, bounds []int64) HistogramVec {
-	f := r.register(name, help, KindHistogram, nonEmptyLabel(name, label))
-	return HistogramVec{f: f, bounds: validateBounds(name, bounds)}
+// NewHistogramSetFunc registers a histogram family keyed by one label: fn
+// emits one histogram per label value.
+func (r *Registry) NewHistogramSetFunc(name, help, label string, fn func(emit func(labelValue string, h Histogram))) {
+	r.registerSet(name, help, KindHistogram, label, func(emit func(Sample)) {
+		fn(func(l string, h Histogram) { emit(h.sample(l)) })
+	})
 }
 
-func nonEmptyLabel(name, label string) string {
-	if label == "" {
-		panic(fmt.Sprintf("metrics: vec %q needs a label key", name))
-	}
-	return label
+// Histogram is a fixed-bucket distribution: the value an owner keeps and
+// a histogram family reads. Observe(v) counts v in the first bucket whose
+// inclusive upper bound is >= v, or in the implicit +Inf bucket. Make one
+// with NewHistogram; the zero value has no buckets.
+type Histogram struct {
+	bounds []int64
+	counts []uint64
+	sum    int64 // observations are sim durations or counts, never wall time
+	count  uint64
 }
 
-func validateBounds(name string, bounds []int64) []int64 {
+// NewHistogram returns an empty histogram over fixed inclusive upper
+// bounds, which must be strictly increasing. The bounds are shared, not
+// copied: pass a package-level ladder and never change it.
+func NewHistogram(bounds []int64) Histogram {
 	if len(bounds) == 0 {
-		panic(fmt.Sprintf("metrics: histogram %q needs at least one bucket bound", name))
+		panic("metrics: a histogram needs at least one bucket bound")
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("metrics: histogram %q bounds not strictly increasing at %d", name, i))
+			panic(fmt.Sprintf("metrics: histogram bounds not strictly increasing at %d", i))
 		}
 	}
-	return append([]int64(nil), bounds...)
+	return Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+}
+
+// Observe records one value. It allocates nothing.
+func (h *Histogram) Observe(v int64) {
+	// Linear scan: bucket counts are small (tens) and the scan beats the
+	// branch-misses of a binary search at that size.
+	i := 0
+	for i < len(h.bounds) && v > h.bounds[i] {
+		i++
+	}
+	h.counts[i]++
+	h.sum += v
+	h.count++
+}
+
+// Merge adds o's observations to h; both must share one ladder.
+func (h *Histogram) Merge(o Histogram) {
+	for i, n := range o.counts {
+		h.counts[i] += n
+	}
+	h.sum += o.sum
+	h.count += o.count
+}
+
+// sample renders h, its counts copied so the sample aliases nothing
+// mutable.
+func (h Histogram) sample(labelValue string) Sample {
+	return Sample{LabelValue: labelValue, Bounds: h.bounds, Counts: append([]uint64(nil), h.counts...), Sum: h.sum, Count: h.count}
 }
 
 // ExpBuckets returns n strictly increasing bounds starting at start,
@@ -317,44 +238,19 @@ type Family struct {
 	Samples []Sample `json:"samples"`
 }
 
-// Snapshot renders every family in registration order, children in
-// first-use order, evaluating gauge functions. The result aliases nothing
-// mutable — it is safe to hand to another goroutine.
+// Snapshot renders every family in registration order, labeled samples
+// sorted by label value, reading each family's source. The result aliases
+// nothing mutable — it is safe to hand to another goroutine.
 func (r *Registry) Snapshot() []Family {
 	out := make([]Family, 0, len(r.families))
 	for _, f := range r.families {
-		out = append(out, f.snapshot())
+		out = append(out, Family{Name: f.name, Help: f.help, Kind: f.kind.String(), Label: f.label, Samples: f.samples()})
 	}
 	return out
 }
 
-// snapshot renders one family, evaluating gauge functions.
-func (f *family) snapshot() Family {
-	fam := Family{Name: f.name, Help: f.help, Kind: f.kind.String(), Label: f.label}
-	if f.mergeSamples != nil {
-		fam.Samples = f.mergeSamples()
-		return fam
-	}
-	for _, c := range f.children {
-		s := Sample{LabelValue: c.labelValue}
-		switch f.kind {
-		case KindCounter:
-			s.Counter = c.counter
-		case KindGauge:
-			s.Gauge = c.gaugeFn()
-		case KindHistogram:
-			s.Bounds = c.bounds
-			s.Counts = append([]uint64(nil), c.counts...)
-			s.Sum = c.sum
-			s.Count = c.count
-		}
-		fam.Samples = append(fam.Samples, s)
-	}
-	return fam
-}
-
 // WriteProm renders the registry in the Prometheus text exposition format,
-// deterministically (registration order, first-use child order).
+// deterministically (registration order, samples sorted by label).
 func (r *Registry) WriteProm(b *strings.Builder) {
 	for _, fam := range r.Snapshot() {
 		if fam.Help != "" {
@@ -406,7 +302,7 @@ func promLabelsLe(key, value, le string) string {
 }
 
 // WriteJSON renders the registry as canonical JSON: one object per family
-// in registration order, children in first-use order, fields in a fixed
+// in registration order, samples sorted by label, fields in a fixed
 // order, no floating-point formatting surprises (%g like Prometheus). Two
 // identical runs render byte-identical documents — the goldens of
 // scenarios/churn.yaml's three seeds (internal/scenario/testdata, what
@@ -468,5 +364,5 @@ func (r *Registry) Lookup(name string) ([]Sample, bool) {
 	if !ok {
 		return nil, false
 	}
-	return f.snapshot().Samples, true
+	return f.samples(), true
 }

@@ -5,13 +5,16 @@ import (
 	"testing"
 )
 
+// TestCounterBasics: a counter family reads its owner's total at snapshot
+// time, so it shows what the owner counted before and after registration.
 func TestCounterBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("ops_total", "ops")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
+	ops := uint64(4)
+	r.NewCounterFunc("ops_total", "ops", func() uint64 { return ops })
+	ops++
+	s, ok := r.Lookup("ops_total")
+	if !ok || len(s) != 1 || s[0].Counter != 5 {
+		t.Fatalf("counter samples = %+v (ok=%v), want one sample of 5", s, ok)
 	}
 }
 
@@ -32,17 +35,18 @@ func TestGaugeFuncEvaluatedAtSnapshot(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("lat", "latency", []int64{10, 100, 1000})
+	h := NewHistogram([]int64{10, 100, 1000})
+	r.NewHistogramFunc("lat", "latency", func() Histogram { return h })
 	for _, v := range []int64{1, 5, 10, 11, 99, 100, 500, 5000} {
 		h.Observe(v)
 	}
-	if h.Count() != 8 {
-		t.Fatalf("count = %d, want 8", h.Count())
-	}
-	if h.Sum() != 1+5+10+11+99+100+500+5000 {
-		t.Fatalf("sum = %d", h.Sum())
-	}
 	s := r.Snapshot()[0].Samples[0]
+	if s.Count != 8 {
+		t.Fatalf("count = %d, want 8", s.Count)
+	}
+	if s.Sum != 1+5+10+11+99+100+500+5000 {
+		t.Fatalf("sum = %d", s.Sum)
+	}
 	// Bounds inclusive: <=10 catches {1,5,10}; <=100 {11,99,100}; <=1000 {500}; +Inf {5000}.
 	want := []uint64{3, 3, 1, 1}
 	for i, n := range want {
@@ -50,36 +54,45 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Fatalf("bucket %d = %d, want %d (%v)", i, s.Counts[i], n, s.Counts)
 		}
 	}
+	// The snapshot copied the counts: a later observation does not reach it.
+	h.Observe(1)
+	if s.Counts[0] != 3 {
+		t.Fatalf("snapshot aliases the live buckets: %v", s.Counts)
+	}
 }
 
-func TestVecChildrenInFirstUseOrder(t *testing.T) {
+// TestSetSamplesSortByLabel: a labeled family renders its samples sorted
+// by label value, whatever order its source emits them in.
+func TestSetSamplesSortByLabel(t *testing.T) {
 	r := NewRegistry()
-	v := r.NewCounterVec("pkts_total", "packets", "kind")
-	v.With("b").Inc()
-	v.With("a").Add(2)
-	v.With("b").Inc()
+	r.NewCounterSetFunc("pkts_total", "packets", "kind", func(emit func(string, uint64)) {
+		emit("b", 2)
+		emit("a", 1)
+	})
 	s, ok := r.Lookup("pkts_total")
 	if !ok || len(s) != 2 {
 		t.Fatalf("lookup: ok=%v samples=%v", ok, s)
 	}
-	if s[0].LabelValue != "b" || s[0].Counter != 2 {
-		t.Fatalf("first child = %+v, want b=2 (first-use order)", s[0])
-	}
-	if s[1].LabelValue != "a" || s[1].Counter != 2 {
-		t.Fatalf("second child = %+v, want a=2", s[1])
+	if s[0].LabelValue != "a" || s[0].Counter != 1 || s[1].LabelValue != "b" || s[1].Counter != 2 {
+		t.Fatalf("samples = %+v, want a=1 then b=2", s)
 	}
 }
 
 func TestSnapshotRegistrationOrderAndDeterminism(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry()
-		r.NewCounter("z_first", "registered first")
-		hv := r.NewHistogramVec("h", "hist", "phase", []int64{1, 2})
-		hv.With("quiesce").Observe(1)
-		hv.With("pause").Observe(3)
-		gv := r.NewGaugeFuncVec("g", "gauge", "host")
-		gv.Add("host1", func() float64 { return 1 })
-		gv.Add("host0", func() float64 { return 2 })
+		r.NewCounterFunc("z_first", "registered first", func() uint64 { return 0 })
+		r.NewHistogramSetFunc("h", "hist", "phase", func(emit func(string, Histogram)) {
+			q, p := NewHistogram([]int64{1, 2}), NewHistogram([]int64{1, 2})
+			q.Observe(1)
+			p.Observe(3)
+			emit("quiesce", q)
+			emit("pause", p)
+		})
+		r.NewGaugeSetFunc("g", "gauge", "host", func(emit func(string, float64)) {
+			emit("host1", 1)
+			emit("host0", 2)
+		})
 		return r
 	}
 	a, b := build(), build()
@@ -96,18 +109,19 @@ func TestSnapshotRegistrationOrderAndDeterminism(t *testing.T) {
 	if !(zi < hi && hi < gi) {
 		t.Fatalf("families not in registration order: z@%d h@%d g@%d\n%s", zi, hi, gi, prom)
 	}
-	// Child order is first-use, not sorted.
-	if q, p := strings.Index(prom, `phase="quiesce"`), strings.Index(prom, `phase="pause"`); q > p {
-		t.Fatalf("vec children not in first-use order:\n%s", prom)
+	// Samples sort by label, not by emission order.
+	if q, p := strings.Index(prom, `phase="quiesce"`), strings.Index(prom, `phase="pause"`); p > q {
+		t.Fatalf("samples not sorted by label:\n%s", prom)
 	}
 }
 
 func TestPromHistogramCumulativeBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("lat", "", []int64{10, 100})
+	h := NewHistogram([]int64{10, 100})
 	h.Observe(5)
 	h.Observe(50)
 	h.Observe(500)
+	r.NewHistogramFunc("lat", "", func() Histogram { return h })
 	prom := r.Prom()
 	for _, want := range []string{
 		`lat_bucket{le="10"} 1`,
@@ -124,9 +138,8 @@ func TestPromHistogramCumulativeBuckets(t *testing.T) {
 
 func TestJSONShape(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("c", "counts").Add(3)
-	g := r.NewGaugeFuncVec("g", "", "host")
-	g.Add("h0", func() float64 { return 1.5 })
+	r.NewCounterFunc("c", "counts", func() uint64 { return 3 })
+	r.NewGaugeSetFunc("g", "", "host", func(emit func(string, float64)) { emit("h0", 1.5) })
 	doc := r.JSON()
 	for _, want := range []string{
 		`"name": "c", "kind": "counter"`,
@@ -147,8 +160,8 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.NewCounter("dup", "")
-	r.NewCounter("dup", "")
+	r.NewGaugeFunc("dup", "", func() float64 { return 0 })
+	r.NewGaugeFunc("dup", "", func() float64 { return 0 })
 }
 
 func TestExpBuckets(t *testing.T) {
@@ -168,16 +181,40 @@ func TestExpBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramVecSharedBounds(t *testing.T) {
+// TestHistogramSetSharedBounds: histograms on one ladder merge bucket by
+// bucket — how an owner sums per-host buckets into one family — and
+// every sample of a set carries the shared bounds.
+func TestHistogramSetSharedBounds(t *testing.T) {
+	bounds := []int64{10}
+	a, b := NewHistogram(bounds), NewHistogram(bounds)
+	a.Observe(5)
+	b.Observe(50)
+	sum := NewHistogram(bounds)
+	sum.Merge(a)
+	sum.Merge(b)
 	r := NewRegistry()
-	v := r.NewHistogramVec("h", "", "k", []int64{10})
-	v.With("a").Observe(5)
-	v.With("a").Observe(50)
-	if c := v.With("a").Count(); c != 2 {
-		t.Fatalf("count = %d, want 2", c)
-	}
+	r.NewHistogramSetFunc("h", "", "k", func(emit func(string, Histogram)) {
+		emit("a", a)
+		emit("sum", sum)
+	})
 	s, _ := r.Lookup("h")
-	if s[0].Counts[0] != 1 || s[0].Counts[1] != 1 {
-		t.Fatalf("counts = %v", s[0].Counts)
+	if len(s) != 2 || s[1].Counts[0] != 1 || s[1].Counts[1] != 1 || s[1].Sum != 55 || s[1].Count != 2 {
+		t.Fatalf("samples = %+v, want a merged 1+1 of sum 55", s)
+	}
+	if &s[0].Bounds[0] != &bounds[0] || &s[1].Bounds[0] != &bounds[0] {
+		t.Fatal("set samples do not share the ladder")
+	}
+}
+
+func TestHistogramNeedsIncreasingBounds(t *testing.T) {
+	for _, bounds := range [][]int64{nil, {2, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewHistogram(%v) did not panic", bounds)
+				}
+			}()
+			NewHistogram(bounds)
+		}()
 	}
 }

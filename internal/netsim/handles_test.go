@@ -188,7 +188,7 @@ func TestHandleSendsEqualNamedSends(t *testing.T) {
 		for _, k := range []int{1, 2, 4} {
 			for _, parallel := range []bool{false, true} {
 				got, stats := runHandleProperty(t, mode, k, parallel)
-				if stats != baseStats {
+				if !reflect.DeepEqual(stats, baseStats) {
 					t.Errorf("%s K=%d parallel=%v: stats %+v, want %+v", mode, k, parallel, stats, baseStats)
 				}
 				for i := range base {

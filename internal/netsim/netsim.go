@@ -61,9 +61,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"strings"
 	"sync"
 
-	"stopwatch/internal/metrics"
 	"stopwatch/internal/sim"
 )
 
@@ -242,7 +242,6 @@ type inject struct {
 	when   sim.Time
 	k1, k2 uint64
 	pkt    *Packet
-	label  string
 }
 
 // netShard is the per-shard slice of fabric state. Everything here is
@@ -252,10 +251,12 @@ type netShard struct {
 	idx  int
 	loop *sim.Loop
 
-	// labels interns per-kind delivery event labels so the hot path does
-	// not build a "net:deliver:"+kind string per packet: scanned, not
-	// hashed — a fabric carries a dozen kinds.
-	labels []kindLabel
+	// kinds holds one row per packet kind this shard has scheduled a
+	// delivery of or lost: its interned delivery event label, so the hot
+	// path does not build a "net:deliver:"+kind string per packet, and the
+	// packets of that kind this shard delivered and lost. Stats sums the
+	// rows.
+	kinds []kindCount
 	// freePkts is this shard's pooled-packet freelist. A send draws on the
 	// sender's pool and delivery refills the receiver's, so Exchange levels
 	// the pools at every barrier; between barriers only this shard uses it.
@@ -268,19 +269,18 @@ type netShard struct {
 	// outs[k] parks deliveries destined for shard k until Exchange.
 	outs [][]inject
 
-	nextID    uint64
-	idBase    uint64
-	delivered uint64
-	lost      uint64
+	nextID uint64
+	idBase uint64
 	// crossed counts sends parked in outs: a function of the partition,
 	// so it stays out of Stats and out of the metrics registry.
 	crossed uint64
-
-	mDelivered metrics.ShardCounterVec
-	mDropped   metrics.ShardCounterVec
 }
 
-type kindLabel struct{ kind, label string }
+// kindCount is one packet kind's row in a shard's kinds.
+type kindCount struct {
+	kind, label     string
+	delivered, lost uint64
+}
 
 func newShard(idx, total int, loop *sim.Loop) *netShard {
 	return &netShard{
@@ -291,16 +291,16 @@ func newShard(idx, total int, loop *sim.Loop) *netShard {
 	}
 }
 
-// deliverLabel returns the interned per-kind delivery label.
-func (sh *netShard) deliverLabel(kind string) string {
-	for i := range sh.labels {
-		if sh.labels[i].kind == kind {
-			return sh.labels[i].label
+// kindRow returns the index of kind's row, adding the row on first use:
+// scanned, not hashed — a fabric carries a dozen kinds.
+func (sh *netShard) kindRow(kind string) uint64 {
+	for i := range sh.kinds {
+		if sh.kinds[i].kind == kind {
+			return uint64(i)
 		}
 	}
-	s := "net:deliver:" + kind
-	sh.labels = append(sh.labels, kindLabel{kind, s})
-	return s
+	sh.kinds = append(sh.kinds, kindCount{kind: kind, label: "net:deliver:" + kind})
+	return uint64(len(sh.kinds) - 1)
 }
 
 // raceChecks enables pool poisoning, set by netsim_race.go in -race builds:
@@ -345,12 +345,6 @@ type Network struct {
 	// link — the conservative lookahead bound. It only ever decreases, and
 	// depends only on the configured topology, never on the partition.
 	minLatency sim.Time
-
-	// Optional observability counters, per packet kind and shard-merged at
-	// snapshot. Nil by default — the uninstrumented fabric touches no
-	// metrics code at all.
-	svDelivered *metrics.ShardedCounterVec
-	svDropped   *metrics.ShardedCounterVec
 }
 
 // New creates a network with the given default link parameters, running on
@@ -405,7 +399,6 @@ func (n *Network) SetShards(loops []*sim.Loop) error {
 		shards[i] = newShard(i, len(loops), l)
 	}
 	n.shards = shards
-	n.bindMetrics()
 	return nil
 }
 
@@ -465,31 +458,6 @@ func (n *Network) resolved(e *Endpoint, addr Addr) *Endpoint {
 
 // SourceOf returns pkt.Src's endpoint: no lookup on a delivered packet.
 func (n *Network) SourceOf(pkt *Packet) *Endpoint { return n.resolved(pkt.src, pkt.Src) }
-
-// SetMetrics wires per-packet-kind fabric counters: delivered counts
-// packets handed to an attached node, dropped counts loss-model drops and
-// arrivals at detached addresses. Counting is per-shard and merged
-// deterministically at snapshot time, so an instrumented fabric renders
-// byte-identical metric pages for any shard count. Pass nils to detach.
-func (n *Network) SetMetrics(delivered, dropped *metrics.ShardedCounterVec) {
-	n.svDelivered = delivered
-	n.svDropped = dropped
-	n.bindMetrics()
-}
-
-// bindMetrics hands each shard its cell of the sharded counter vecs.
-func (n *Network) bindMetrics() {
-	for i, sh := range n.shards {
-		sh.mDelivered = metrics.ShardCounterVec{}
-		sh.mDropped = metrics.ShardCounterVec{}
-		if n.svDelivered != nil {
-			sh.mDelivered = n.svDelivered.Shard(i)
-		}
-		if n.svDropped != nil {
-			sh.mDropped = n.svDropped.Shard(i)
-		}
-	}
-}
 
 // Attach registers a node. Re-attaching an address replaces the previous
 // node (used for failure injection: replacing a node with a black hole).
@@ -622,10 +590,7 @@ func (n *Network) SendAfter(pkt *Packet, d sim.Time) {
 	// A partitioned link (fault.go) drops without a loss draw, so healing
 	// resumes the RNG stream exactly where the fault found it.
 	if l.partitioned || (loss > 0 && l.rng.Bool(loss)) {
-		sh.lost++
-		if c := sh.mDropped; c.Valid() {
-			c.With(pkt.Kind).Inc()
-		}
+		sh.kinds[sh.kindRow(pkt.Kind)].lost++
 		sh.recycle(pkt)
 		return
 	}
@@ -648,14 +613,14 @@ func (n *Network) SendAfter(pkt *Packet, d sim.Time) {
 	}
 	l.lastArr = arrival
 	l.arrSeq++
-	label := sh.deliverLabel(pkt.Kind)
 	if l.dstShard == ks {
-		sh.loop.AtArrivalTimer(arrival, label, deliverTimer, n, pkt, uint64(ks), l.hash, l.arrSeq)
+		row := sh.kindRow(pkt.Kind)
+		sh.loop.AtArrivalTimer(arrival, sh.kinds[row].label, deliverTimer, n, pkt, deliverArg(ks, row), l.hash, l.arrSeq)
 		return
 	}
 	sh.crossed++
 	sh.outs[l.dstShard] = append(sh.outs[l.dstShard], inject{
-		when: arrival, k1: l.hash, k2: l.arrSeq, pkt: pkt, label: label,
+		when: arrival, k1: l.hash, k2: l.arrSeq, pkt: pkt,
 	})
 }
 
@@ -668,8 +633,10 @@ func (n *Network) SendAfter(pkt *Packet, d sim.Time) {
 func (n *Network) Exchange() {
 	for _, src := range n.shards {
 		for k, box := range src.outs {
+			dst := n.shards[k]
 			for _, in := range box {
-				n.shards[k].loop.AtArrivalTimer(in.when, in.label, deliverTimer, n, in.pkt, uint64(k), in.k1, in.k2)
+				row := dst.kindRow(in.pkt.Kind)
+				dst.loop.AtArrivalTimer(in.when, dst.kinds[row].label, deliverTimer, n, in.pkt, deliverArg(k, row), in.k1, in.k2)
 			}
 			clear(box)
 			src.outs[k] = box[:0]
@@ -705,45 +672,69 @@ func (n *Network) levelPools() {
 	}
 }
 
+// deliverArg packs a delivery's destination shard and that shard's row
+// for the packet's kind into deliverTimer's argument.
+func deliverArg(shard int, row uint64) uint64 { return uint64(shard) | row<<32 }
+
 // deliverTimer is the fabric's typed delivery callback: hand the packet to
-// the destination node (if still attached) and reclaim pooled packets into
-// the destination shard's pool (u carries the shard index).
+// the destination node (if still attached), count it in its kind's row,
+// and reclaim pooled packets into the destination shard's pool (u is
+// deliverArg's).
 func deliverTimer(a, b any, u uint64) {
 	n := a.(*Network)
 	pkt := b.(*Packet)
-	sh := n.shards[u]
+	sh := n.shards[uint32(u)]
 	if node := pkt.dst.node; node != nil {
-		sh.delivered++
-		if c := sh.mDelivered; c.Valid() {
-			c.With(pkt.Kind).Inc()
-		}
+		sh.kinds[u>>32].delivered++
 		node.Deliver(pkt)
 	} else {
-		sh.lost++
-		if c := sh.mDropped; c.Valid() {
-			c.With(pkt.Kind).Inc()
-		}
+		sh.kinds[u>>32].lost++
 	}
 	sh.recycle(pkt)
 }
 
 // Stats reports fabric counters and the fabric's footprint.
 type Stats struct {
+	// Delivered counts packets handed to an attached node; Lost counts
+	// packets the loss model or a partition dropped and arrivals at a
+	// detached address. Each is the sum of its column of ByKind.
 	Delivered uint64
 	Lost      uint64
+	// ByKind splits them by packet kind, sorted by kind, one row per kind
+	// with a packet delivered or lost.
+	ByKind []KindStats
 	// Endpoints counts interned addresses, and Links directed link
 	// records. Neither ever falls: the fabric forgets no address.
 	Endpoints int
 	Links     int
 }
 
-// Stats returns current fabric counters, summed across shards. Barrier
-// context only while a coordinator is driving the shards.
+// KindStats is one packet kind's row of Stats.
+type KindStats struct {
+	Kind      string
+	Delivered uint64
+	Lost      uint64
+}
+
+// Stats returns current fabric counters, summed across shards: the same
+// for every partition. Barrier context only while a coordinator is driving
+// the shards.
 func (n *Network) Stats() Stats {
 	var s Stats
 	for _, sh := range n.shards {
-		s.Delivered += sh.delivered
-		s.Lost += sh.lost
+		for _, kc := range sh.kinds {
+			if kc.delivered == 0 && kc.lost == 0 {
+				continue
+			}
+			s.Delivered += kc.delivered
+			s.Lost += kc.lost
+			i, found := slices.BinarySearchFunc(s.ByKind, kc.kind, func(r KindStats, k string) int { return strings.Compare(r.Kind, k) })
+			if !found {
+				s.ByKind = slices.Insert(s.ByKind, i, KindStats{Kind: kc.kind})
+			}
+			s.ByKind[i].Delivered += kc.delivered
+			s.ByKind[i].Lost += kc.lost
+		}
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()

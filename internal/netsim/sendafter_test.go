@@ -124,7 +124,7 @@ func TestSendAfterEqualsTimerThenSend(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		for _, parallel := range []bool{false, true} {
 			got, stats := runDelayedSends(t, false, k, parallel)
-			if stats != wantStats {
+			if !reflect.DeepEqual(stats, wantStats) {
 				t.Errorf("K=%d parallel=%v: stats %+v, want %+v", k, parallel, stats, wantStats)
 			}
 			for i := range want {

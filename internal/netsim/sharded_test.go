@@ -20,14 +20,15 @@ func blocks(k int) func(int) int     { return func(i int) int { return i * k / e
 // pinned onto K shard loops by shardOf under a conservative-lookahead
 // coordinator, with every packet drawn from the fabric's pools (so
 // cross-shard pool handoff and recycled-event poisoning are exercised),
-// and returns each node's delivery trace. The traces must be identical
-// for every K, every node → shard map and sequential vs parallel window
-// execution.
-func runShardedEcho(t *testing.T, shards int, shardOf func(int) int, parallel bool) [][]string {
+// and returns each node's delivery trace and the fabric's Stats. Links
+// drop 5 % of packets, and node 0 also probes "gone", an address no node
+// is attached at. The traces and the Stats must be identical for every K, every node →
+// shard map and sequential vs parallel window execution.
+func runShardedEcho(t *testing.T, shards int, shardOf func(int) int, parallel bool) ([][]string, Stats) {
 	t.Helper()
 	ctrl := sim.NewLoop()
 	rng := sim.NewSource(7).Stream("net")
-	n, err := New(ctrl, rng, LinkConfig{Latency: 2 * sim.Millisecond, JitterMax: 500 * sim.Microsecond})
+	n, err := New(ctrl, rng, LinkConfig{Latency: 2 * sim.Millisecond, JitterMax: 500 * sim.Microsecond, LossProb: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +74,9 @@ func runShardedEcho(t *testing.T, shards int, shardOf func(int) int, parallel bo
 					dst := Addr(fmt.Sprintf("n%d", (i+d)%echoNodes))
 					n.Send(n.AllocPacket(src, dst, 128, "ping", nil))
 				}
+				if i == 0 {
+					n.Send(n.AllocPacket(src, "gone", 32, "probe", nil))
+				}
 				pump(k - 1)
 			}, nil, nil, 0)
 		}
@@ -89,15 +93,17 @@ func runShardedEcho(t *testing.T, shards int, shardOf func(int) int, parallel bo
 	if err := co.RunUntil(110 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	return traces
+	return traces, n.Stats()
 }
 
 // TestShardedFabricPartitionInvariance pins the fabric's core guarantee:
 // the shard partition is unobservable. Per-node delivery traces (time,
-// endpoints, kind) are byte-identical for K=1, K=2 and K=3, round-robin and
-// in contiguous blocks, sequential and parallel.
+// endpoints, kind) and the per-kind delivered and lost counts of Stats are
+// identical for K=1, 2, 3 and 4, round-robin and in contiguous blocks,
+// sequential and parallel; Delivered and Lost are the sums of their
+// per-kind columns.
 func TestShardedFabricPartitionInvariance(t *testing.T) {
-	base := runShardedEcho(t, 1, roundRobin(1), false)
+	base, baseStats := runShardedEcho(t, 1, roundRobin(1), false)
 	total := 0
 	for _, tr := range base {
 		total += len(tr)
@@ -105,16 +111,35 @@ func TestShardedFabricPartitionInvariance(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no deliveries")
 	}
-	for _, k := range []int{2, 3} {
+	var delivered, lost uint64
+	kinds := map[string]KindStats{}
+	for _, ks := range baseStats.ByKind {
+		delivered += ks.Delivered
+		lost += ks.Lost
+		kinds[ks.Kind] = ks
+	}
+	if delivered != baseStats.Delivered || lost != baseStats.Lost || delivered != uint64(total) {
+		t.Fatalf("stats %+v: per-kind sums %d delivered and %d lost, %d deliveries traced", baseStats, delivered, lost, total)
+	}
+	// Every kind both delivers and drops: pings and echoes to the loss
+	// model, probes to the detached address.
+	if p := kinds["probe"]; p.Delivered != 0 || p.Lost != 8 || kinds["ping"].Lost == 0 || kinds["echo"].Lost == 0 ||
+		kinds["ping"].Delivered == 0 || kinds["echo"].Delivered == 0 || len(kinds) != 3 {
+		t.Fatalf("per-kind stats %+v", baseStats.ByKind)
+	}
+	for _, k := range []int{2, 3, 4} {
 		for _, m := range []struct {
 			name    string
 			shardOf func(int) int
 		}{{"round-robin", roundRobin(k)}, {"blocks", blocks(k)}} {
 			for _, parallel := range []bool{false, true} {
-				got := runShardedEcho(t, k, m.shardOf, parallel)
+				got, stats := runShardedEcho(t, k, m.shardOf, parallel)
 				if !reflect.DeepEqual(got, base) {
 					t.Errorf("K=%d %s parallel=%v: per-node delivery traces diverged from K=1\ngot  %v\nwant %v",
 						k, m.name, parallel, got, base)
+				}
+				if !reflect.DeepEqual(stats.ByKind, baseStats.ByKind) || stats.Delivered != baseStats.Delivered || stats.Lost != baseStats.Lost {
+					t.Errorf("K=%d %s parallel=%v: stats %+v, want %+v", k, m.name, parallel, stats, baseStats)
 				}
 			}
 		}

@@ -40,6 +40,7 @@ func TestEveryStatsCounterIsAssertable(t *testing.T) {
 		"migrations":                st.Migrations, "migration_failures": st.MigrationFailures,
 		"migrations_planned": st.MigrationsPlanned,
 		"reconcile_rounds":   st.ReconcileRounds, "reconcile_repairs": st.ReconcileRepairs,
+		"detector_suspicions": st.DetectorSuspicions, "detector_false_alarms": st.DetectorFalseAlarms,
 	} {
 		if _, ok := statsFields[name]; !ok || statsField(st, name) != want {
 			t.Errorf("stats field %q: in vocabulary %v, reads %d, want %d", name, ok, statsField(st, name), want)

@@ -119,9 +119,9 @@ type runner struct {
 	c   *stopwatch.Cluster
 	cp  *stopwatch.ControlPlane
 	reg *stopwatch.MetricsRegistry
-	// addReplies exports what one traffic source got back as a sample of
+	// replies reads what each traffic source got back: the samples of
 	// scenario_client_replies{source}.
-	addReplies func(source string, count func() float64)
+	replies map[string]func() float64
 
 	// totals/nextIdx name instances per spec ("<name>-<i>", or the bare
 	// name for single-instance specs).
@@ -210,8 +210,14 @@ func (r *runner) build() error {
 	sort.Strings(addrs)
 	// What came back to each traffic source — the evidence that client
 	// traffic flowed ingress → replicas → egress, for metric assertions.
-	r.addReplies = r.reg.NewGaugeFuncVec("scenario_client_replies",
-		"replies a traffic source received: echoed pings, completed downloads, completed NFS operations", "source").Add
+	r.replies = map[string]func() float64{}
+	r.reg.NewGaugeSetFunc("scenario_client_replies",
+		"replies a traffic source received: echoed pings, completed downloads, completed NFS operations", "source",
+		func(emit func(string, float64)) {
+			for source, count := range r.replies {
+				emit(source, count())
+			}
+		})
 	for _, n := range addrs {
 		// One node lives on one shard, so its counter has one writer.
 		var got float64
@@ -223,7 +229,7 @@ func (r *runner) build() error {
 			return err
 		}
 		if nodes[n] {
-			r.addReplies(n, func() float64 { return got })
+			r.replies[n] = func() float64 { return got }
 		}
 	}
 	// One placement audit per completed op, of the guests it touched, keyed
@@ -468,7 +474,7 @@ func (r *runner) startSpecTraffic(g *GuestSpec) {
 			return
 		}
 		dl := stopwatch.NewDownloader(cl)
-		r.addReplies(string(from), func() float64 { return float64(len(dl.Latencies())) })
+		r.replies[string(from)] = func() float64 { return float64(len(dl.Latencies())) }
 		mode := stopwatch.ModeTCP
 		if g.App.Transport == "udp" {
 			mode = stopwatch.ModeUDP
@@ -504,7 +510,7 @@ func (r *runner) startSpecTraffic(g *GuestSpec) {
 			r.failf("nfs-load %s: %v", id, err)
 			return
 		}
-		r.addReplies(string(from), func() float64 { return float64(gen.Completed()) })
+		r.replies[string(from)] = func() float64 { return float64(gen.Completed()) }
 		loop.At(start, "scenario:nfs-load", func() { gen.Start(stop) })
 	}
 }

@@ -3,6 +3,7 @@ package vmm
 import (
 	"fmt"
 
+	"stopwatch/internal/metrics"
 	"stopwatch/internal/sim"
 )
 
@@ -44,7 +45,18 @@ type Host struct {
 	// failed marks a machine whose VMM died: its device models process
 	// nothing and its fabric endpoint goes silent until Revive.
 	failed bool
+
+	// propLatency observes, for every replica that has resided here, the
+	// loop-time latency from its own proposal (the last one, if a view
+	// change re-proposed) to the sequence's median resolution. Passive: it
+	// never feeds back into device behavior.
+	propLatency metrics.Histogram
 }
+
+// ProposalLatencyBuckets spans a proposal round trip: 10µs (same-instant
+// resolution after the Dom0 delay) up to ~2.6s (a stalled group waiting
+// out a reconfiguration).
+var ProposalLatencyBuckets = metrics.ExpBuckets(int64(10*sim.Microsecond), 4, 10)
 
 // NewHost creates a host.
 func NewHost(name string, loop *sim.Loop, rng *sim.Rand, clock *sim.Clock, cfg Config) (*Host, error) {
@@ -54,8 +66,13 @@ func NewHost(name string, loop *sim.Loop, rng *sim.Rand, clock *sim.Clock, cfg C
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Host{name: name, loop: loop, rng: rng, clock: clock, cfg: cfg}, nil
+	return &Host{name: name, loop: loop, rng: rng, clock: clock, cfg: cfg,
+		propLatency: metrics.NewHistogram(ProposalLatencyBuckets)}, nil
 }
+
+// ProposalLatency returns the host's proposal-to-resolution latency
+// buckets, on ProposalLatencyBuckets.
+func (h *Host) ProposalLatency() metrics.Histogram { return h.propLatency }
 
 // Name returns the host name.
 func (h *Host) Name() string { return h.name }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"stopwatch/internal/guest"
-	"stopwatch/internal/metrics"
 	"stopwatch/internal/seqwin"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/vtime"
@@ -63,12 +62,6 @@ type NetDevice struct {
 	// journals these for replica replacement (all replicas resolve
 	// identical medians, so any replica's stream is authoritative).
 	OnResolve ResolveSink
-
-	// LatencyHist, when non-nil, observes the loop-time latency from this
-	// replica's own proposal (the last one, if a view change re-proposed)
-	// to the sequence's median resolution. Observation is passive — the
-	// histogram never feeds back into device behavior.
-	LatencyHist *metrics.Histogram
 
 	proposed uint64
 	resolved uint64
@@ -346,8 +339,9 @@ func (nd *NetDevice) maybeResolve(seq uint64, st *propState) {
 		nd.medScratch = vs[:0]
 	}
 	nd.resolved++
-	if nd.LatencyHist != nil && st.own {
-		nd.LatencyHist.Observe(int64(nd.rt.Host().Loop().Now() - st.proposedAt))
+	if st.own {
+		h := nd.rt.Host()
+		h.propLatency.Observe(int64(h.Loop().Now() - st.proposedAt))
 	}
 	nd.finishResolve(seq, st, deliver)
 }

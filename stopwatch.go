@@ -366,14 +366,17 @@ func DefaultControlPlaneConfig(capacity int) ControlPlaneConfig {
 // Observability re-exports: the deterministic metrics registry.
 //
 //	reg := stopwatch.NewMetricsRegistry()
-//	cp.InstrumentMetrics(reg) // control-plane families, fed by Watch
+//	cp.InstrumentMetrics(reg) // control-plane families, folds of the op log
 //	c.InstrumentMetrics(reg)  // data-plane families (packets, proposals, disks)
 //	fmt.Print(reg.JSON())     // canonical end-of-run snapshot
 
-// MetricsRegistry is the deterministic metrics registry: counters, gauges
-// and fixed-bucket histograms with no wall-clock dependence; snapshots
-// enumerate families in registration order and vec children in first-use
-// order, so rendered pages are byte-identical across identical runs.
+// MetricsRegistry is the deterministic metrics registry: counter, gauge and
+// fixed-bucket histogram families read at snapshot time from state the
+// cluster and control plane already keep, with no wall-clock dependence;
+// snapshots enumerate families in registration order and labeled samples
+// sorted by label, so rendered pages are byte-identical across identical
+// runs, and a registry attached late reads totals since the cluster was
+// built.
 type MetricsRegistry = metrics.Registry
 
 // NewMetricsRegistry builds an empty registry.
