@@ -1,14 +1,14 @@
 package controlplane
 
-// The automatic failure detector. Its other half is core/detect.go, where
-// every replica arms a per-sequence proposal deadline as it sends a
-// proposal. EnableStallDetector connects the two: when a delivery proposal
-// group stalls past the deadline, the survivors' device models name the
-// silent members, the cluster maps them to machines, and the control plane
-// auto-submits FailOp{Detected: true} for each — then chains an EvacuateOp
-// off the fail's completion event. fail → reconfigure → evacuate becomes a
-// detector-driven pipeline, every step of it on the op log, with no
-// scripted FailOp anywhere.
+// The automatic failure detector. Its other half is core/detect.go, a
+// periodic sweep over every live replica's pending proposals.
+// EnableStallDetector connects the two: an origin whose proposal is still
+// missing two deadlines after a survivor made its own is named silent, the
+// cluster maps it to its machine, and the control plane auto-submits
+// FailOp{Detected: true} for it — then chains an EvacuateOp off the fail's
+// completion event. fail → reconfigure → evacuate becomes a detector-driven
+// pipeline, every step of it on the op log, with no scripted FailOp
+// anywhere.
 
 import (
 	"errors"
@@ -18,23 +18,25 @@ import (
 	"stopwatch/internal/sim"
 )
 
-// EnableStallDetector arms the per-sequence proposal deadline on every
-// guest replica (current and future) and turns stalled
-// proposal groups into detector-driven FailOps: a machine whose proposals
-// are missing past the deadline is suspected, auto-failed (reconfiguring
-// its residents onto their live quorums) and then auto-evacuated. A
-// suspicion of a machine whose VMM is in fact alive is rejected and logged,
-// never executed — the sim's ground truth stands in for the unreachable-
-// heartbeat confirmation a real deployment would use.
+// EnableStallDetector starts the cluster's stall sweep and turns what it
+// finds into detector-driven FailOps: a machine whose proposals a live
+// replica has waited on for two deadlines is suspected, auto-failed
+// (reconfiguring its residents onto their live quorums) and then
+// auto-evacuated. A suspicion of a machine whose VMM is in fact alive is
+// rejected and logged, never executed — the sim's ground truth stands in
+// for the unreachable-heartbeat confirmation a real deployment would use.
 //
 // deadline must comfortably exceed a proposal round trip (fabric latency
 // plus Dom0 processing); 0 selects half the drain window, which is sized to
-// cover a settled round trip. Suspicion is two-step — a
-// stalled sequence is re-checked one further deadline later and only an
-// origin still silent then is accused — and a false alarm (the suspected
-// VMM turns out alive) lands on the op log as a rejected FailOp, never
+// cover a settled round trip. The sweep runs every deadline/5, so a crash is
+// suspected between two deadlines and two deadlines plus a fifth after the
+// first proposal its silence holds up. Waiting two deadlines is what keeps
+// a merely slow Dom0 from being accused; a false alarm (the suspected VMM
+// turns out alive) lands on the op log as a rejected FailOp, never
 // executed, leaving the machine detectable again. Repairing a machine also
-// re-arms its detection.
+// re-arms its detection. A machine whose residents get no inbound traffic
+// holds up no proposal, so the sweep never suspects it; the first admission
+// the pool places there finds it instead (refusedAsDead).
 func (cp *ControlPlane) EnableStallDetector(deadline sim.Time) error {
 	if deadline < 0 {
 		return fmt.Errorf("%w: stall deadline %d", ErrControlPlane, deadline)
@@ -55,12 +57,13 @@ func (cp *ControlPlane) EnableStallDetector(deadline sim.Time) error {
 }
 
 // suspectMachine receives one piece of evidence that machine is dead — a
-// stall report from the data plane (its proposals are missing past the
-// deadline), or core's refusal to build a replica on it (refusedAsDead) —
-// and submits the detected FailOp, whose ground-truth check is what makes a
-// false alarm harmless: rejected, on the log, and the machine detectable
-// again. One dead machine stalls many sequences across many guests; the
-// first report is the one that acts, the rest find it already failed.
+// sweep's report from the data plane (a live replica has waited two
+// deadlines for its proposal), or core's refusal to build a replica on it
+// (refusedAsDead) — and submits the detected FailOp, whose ground-truth
+// check is what makes a false alarm harmless: rejected, on the log, and the
+// machine detectable again. A dead machine is reported at every sweep until
+// it is failed; the first report is the one that acts, the rest find it
+// already failed.
 func (cp *ControlPlane) suspectMachine(machine int) {
 	if cp.failures[machine] == nil {
 		cp.Apply(FailOp{Machine: machine, Detected: true})

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"fmt"
 	"testing"
 
 	"stopwatch/internal/apps"
@@ -173,6 +174,71 @@ func TestStallDetectorFalseAlarmIsRejectedAndRecoverable(t *testing.T) {
 	}
 	if cp.Stats().HostFailures != 1 || !cp.Failed(tri[0]) || !cp.Pool().Drained(tri[0]) {
 		t.Fatalf("genuine crash after false alarm not detected: %+v", cp.Stats())
+	}
+}
+
+// TestSilentMachineIsFoundOnlyByAnAdmission pins a specified degraded mode
+// (ROADMAP item 3, F4): the sweep reads pending proposals, so a machine whose
+// residents get no inbound traffic dies unnoticed — for a whole second
+// here, nothing is suspected. The first admission the pool places on it is
+// refused (core.HostFailedError), and that refusal is the detection: the
+// detected FailOp is submitted at the admission's instant, the tenant lands
+// without the machine, and the chained evacuation re-homes the silent
+// resident. A fix for F4 detects the crash before the admission and flips
+// the first half of this test.
+func TestSilentMachineIsFoundOnlyByAnAdmission(t *testing.T) {
+	cp := newTestPlane(t, 7, 3, 121)
+	c := cp.Cluster()
+	if err := cp.EnableStallDetector(0); err != nil {
+		t.Fatal(err)
+	}
+	quiet := cp.Apply(AdmitOp{GuestID: "quiet", Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))})
+	if quiet.Err != nil {
+		t.Fatal(quiet.Err)
+	}
+	dead := quiet.Triangle[0]
+	c.Start()
+	c.Loop().At(100*sim.Millisecond, "kill", func() {
+		if err := c.FailMachine(dead); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := c.Run(1100 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if st := cp.Stats(); st.HostFailures != 0 || st.DetectorSuspicions != 0 || cp.Failed(dead) {
+		t.Fatalf("a silent machine was suspected: %+v", st)
+	}
+	// Admit until a placement lands on the dead machine.
+	for i := 0; !cp.Failed(dead); i++ {
+		if i == 4 {
+			t.Fatalf("four admissions and none placed on machine %d:\n%s", dead, FormatLog(cp.Log()))
+		}
+		n := len(cp.Log())
+		oc := cp.Apply(AdmitOp{GuestID: fmt.Sprintf("t%d", i), Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))})
+		if oc.Err != nil || oc.Triangle.Contains(dead) {
+			t.Fatalf("admission %s", oc)
+		}
+		if !cp.Failed(dead) {
+			continue
+		}
+		log := cp.Log()
+		if len(log) < n+2 || log[n+1].Op.String() != fmt.Sprintf("fail %d (detected)", dead) ||
+			log[n+1].Rejected() || log[n+1].Submitted != oc.Submitted {
+			t.Fatalf("the refusal did not submit the detected fail:\n%s", FormatLog(log))
+		}
+	}
+	if err := c.Run(c.Loop().Now() + sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := cp.Stats(); st.HostFailures != 1 || st.CrashEvacuations != 1 || st.CrashEvacuationFailures != 0 {
+		t.Fatalf("stats %+v, want the silent resident evacuated", st)
+	}
+	if tri, _ := cp.Pool().Triangle("quiet"); tri.Contains(dead) {
+		t.Fatalf("quiet still on %v", tri)
+	}
+	if err := cp.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -125,18 +125,15 @@ type Cluster struct {
 	src        *sim.Source
 	net        *netsim.Network
 
-	hosts         []*vmm.Host
-	hostNodes     []*hostNode
-	hostIdxByName map[string]int
+	hosts     []*vmm.Host
+	hostNodes []*hostNode
 
-	// Stall-detector wiring (detect.go): a positive deadline arms a timer
-	// per proposed sequence of every replica; onStallSuspect receives the
-	// machines named silent when one fires. Replica-level stalls are
-	// recorded per shard and handled at the next barrier (stallQ,
-	// drainStalls) so detection never races shard execution.
+	// Stall-detector wiring (detect.go): a positive deadline runs the
+	// sweep, which marks overdue machines in suspects (one flag per
+	// machine, reused) and hands each to onStallSuspect.
 	stallDeadline  sim.Time
 	onStallSuspect func(machine int)
-	stallQ         [][]stallRec
+	suspects       []bool
 
 	// noReconcile turns ReconcileSurvivors into a no-op (the ablation
 	// switch, DisableViewReconcile).
@@ -247,8 +244,7 @@ var (
 )
 
 // SendProposal implements vmm.ProposalSink: one unicast of this replica's
-// delivery-time proposal to each live peer Dom0, kept until acked. Under the
-// stall detector it also arms the sequence's deadline (detect.go).
+// delivery-time proposal to each live peer Dom0, kept until acked.
 func (w *replicaWiring) SendProposal(view, seq uint64, v vtime.Virtual) {
 	w.sent++
 	if len(w.links) == 0 {
@@ -262,9 +258,6 @@ func (w *replicaWiring) SendProposal(view, seq uint64, v vtime.Virtual) {
 		for i := range w.links {
 			w.sendProp(w.links[i].peer.hn.ep, w.sent, &p)
 		}
-	}
-	if w.c.stallDeadline > 0 {
-		w.hn.host.Loop().AfterTimer(w.c.stallDeadline, "netdev:deadline", stallTimer, w, nil, seq)
 	}
 }
 
@@ -438,17 +431,15 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		cfg:           cfg,
-		loop:          loop,
-		shardLoops:    shardLoops,
-		src:           src,
-		net:           net,
-		guests:        make(map[string]*Guest),
-		hostIdxByName: make(map[string]int, cfg.Hosts),
-		stallQ:        make([][]stallRec, cfg.Shards),
-		replayLen:     metrics.NewHistogram(replayLenBuckets),
+		cfg:        cfg,
+		loop:       loop,
+		shardLoops: shardLoops,
+		src:        src,
+		net:        net,
+		guests:     make(map[string]*Guest),
+		replayLen:  metrics.NewHistogram(replayLenBuckets),
 	}
-	c.coord = sim.NewCoordinator(loop, shardLoops, net.Lookahead, net.Exchange, c.drainStalls)
+	c.coord = sim.NewCoordinator(loop, shardLoops, net.Lookahead, net.Exchange)
 	c.coord.SetParallel(cfg.Shards > 1)
 	for i := 0; i < cfg.Hosts; i++ {
 		name := fmt.Sprintf("host%d", i)
@@ -466,7 +457,6 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 		c.hosts = append(c.hosts, h)
-		c.hostIdxByName[name] = i
 		hn := &hostNode{
 			c:         c,
 			host:      h,

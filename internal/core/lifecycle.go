@@ -14,8 +14,10 @@ import (
 // these against its placement pool; the cluster owns the mechanics.
 
 // Undeploy evicts a guest: replicas stop and detach from their hosts'
-// schedulers, all fabric wiring (service address, ingress stream) is torn
-// down, and the id becomes reusable.
+// schedulers, the service address and ingress stream detach from the fabric
+// (a later packet to them counts as lost), and the id becomes reusable. The
+// fabric forgets no address: the `svc:<guest>` and `ingress/<guest>`
+// endpoints, and the links they used, stay interned.
 func (c *Cluster) Undeploy(id string) error {
 	g, ok := c.guests[id]
 	if !ok {

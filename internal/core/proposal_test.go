@@ -427,75 +427,6 @@ func TestFormerPeerBeaconDoesNotHoldSoleSurvivor(t *testing.T) {
 	}
 }
 
-// TestStallDeadlineRecordsUnresolved: each proposal a replica sends arms its
-// sequence's stall deadline. A sequence that resolved is not recorded when
-// it passes; one that cannot resolve (its third member's machine failed) is
-// recorded once, at proposal + deadline, and confirmed one deadline later
-// as a suspicion of that machine.
-func TestStallDeadlineRecordsUnresolved(t *testing.T) {
-	const deadline = 40 * sim.Millisecond
-	c, g, send := probeCluster(t, 1)
-	var suspects []int
-	if err := c.SetStallDetector(deadline, func(m int) { suspects = append(suspects, m) }); err != nil {
-		t.Fatal(err)
-	}
-	w0 := g.replicas[0]
-	step := func(until sim.Time) {
-		t.Helper()
-		if err := c.Run(until); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// proposed steps until w0 has sent its n-th proposal and returns it;
-	// every live peer's beacon acks it a round trip later at the earliest.
-	proposed := func(n uint64) sentProp {
-		t.Helper()
-		for now := c.Loop().Now(); w0.sent < n; now += 10 * sim.Microsecond {
-			step(now)
-		}
-		return *w0.out.Get(n)
-	}
-	// recorded lists w0's stall records still queued: Run(t) leaves those
-	// made at exactly t for the next barrier.
-	recorded := func() (out []stallRec) {
-		for _, r := range c.stallQ[c.shardOf(w0.hostIdx)] {
-			if r.w == w0 {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-
-	c.Loop().At(20*sim.Millisecond, "send", send)
-	step(20 * sim.Millisecond)
-	p := proposed(1)
-	step(p.at + deadline)
-	if w0.nd.Pending() != 0 || len(recorded()) != 0 {
-		t.Fatalf("a resolved sequence: pending %d, recorded %v", w0.nd.Pending(), recorded())
-	}
-
-	step(80 * sim.Millisecond)
-	if err := c.FailMachine(2); err != nil {
-		t.Fatal(err)
-	}
-	c.Loop().At(90*sim.Millisecond, "send", send)
-	step(90 * sim.Millisecond)
-	p = proposed(2)
-	step(p.at + deadline - 1)
-	if len(recorded()) != 0 || len(suspects) != 0 {
-		t.Fatalf("recorded %v before the deadline", recorded())
-	}
-	step(p.at + deadline)
-	if r := recorded(); len(r) != 1 || r[0].seq != p.seq || r[0].when != p.at+deadline {
-		t.Fatalf("recorded %v, want seq %d at %v", r, p.seq, p.at+deadline)
-	}
-	step(p.at + 3*deadline)
-	// Both survivors recorded the stall once each.
-	if len(suspects) != 2 || suspects[0] != 2 || suspects[1] != 2 {
-		t.Fatalf("suspects %v, want machine 2 from each survivor", suspects)
-	}
-}
-
 // paceSpy counts the proposals its replica had numbered at each pacing
 // beacon it sent, in order, then sends the beacons.
 type paceSpy struct {

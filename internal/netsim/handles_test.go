@@ -158,7 +158,7 @@ func runHandleProperty(t *testing.T, mode sendMode, shards int, parallel bool) (
 		}}))
 	})
 
-	co := sim.NewCoordinator(ctrl, loops, n.Lookahead, n.Exchange, nil)
+	co := sim.NewCoordinator(ctrl, loops, n.Lookahead, n.Exchange)
 	co.SetParallel(parallel)
 	must(co.RunUntil(90 * sim.Millisecond))
 	snd.Close()

@@ -29,6 +29,10 @@ func TestSendDeliversAfterLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Send(&Packet{Src: "a", Dst: "b", Size: 100, Kind: "test"})
+	// In flight, the packet has a kind row on its shard but counts nowhere.
+	if s := n.Stats(); s.Delivered != 0 || s.ByKind != nil {
+		t.Fatalf("stats of a packet in flight %+v", s)
+	}
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,7 @@ func TestLinkShapeFromEndpoints(t *testing.T) {
 			for pair := range want {
 				n.Send(n.AllocPacket(addrs[pair[0]], addrs[pair[1]], 1, "x", nil))
 			}
-			co := sim.NewCoordinator(ctrl, loops, n.Lookahead, n.Exchange, nil)
+			co := sim.NewCoordinator(ctrl, loops, n.Lookahead, n.Exchange)
 			co.SetParallel(parallel)
 			must(co.RunUntil(10 * sim.Millisecond))
 			for pair, lat := range want {

@@ -98,7 +98,7 @@ func runDelayedSends(t *testing.T, byTimer bool, shards int, parallel bool) ([][
 		pump(120)
 	}
 
-	co := sim.NewCoordinator(ctrl, loops, n.Lookahead, n.Exchange, nil)
+	co := sim.NewCoordinator(ctrl, loops, n.Lookahead, n.Exchange)
 	co.SetParallel(parallel)
 	must(co.RunUntil(200 * sim.Millisecond))
 	return traces, n.Stats()

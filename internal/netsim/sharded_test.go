@@ -82,7 +82,7 @@ func runShardedEcho(t *testing.T, shards int, shardOf func(int) int, parallel bo
 		}
 		pump(8)
 	}
-	co := sim.NewCoordinator(ctrl, loops, n.Lookahead, n.Exchange, nil)
+	co := sim.NewCoordinator(ctrl, loops, n.Lookahead, n.Exchange)
 	co.SetParallel(parallel)
 	if err := co.RunUntil(100 * sim.Millisecond); err != nil {
 		t.Fatal(err)

@@ -11,9 +11,9 @@ import "fmt"
 // s+latency >= s+L >= w. At each window boundary the coordinator runs a
 // barrier: cross-shard traffic parked in per-shard outboxes is exchanged
 // (injected into destination loops with its partition-invariant arrival
-// key), deferred barrier work (e.g. stall suspicions) is drained in a
-// sorted, shard-count-independent order, and the control loop catches up
-// to the barrier time.
+// key) and the control loop catches up to the barrier time: its events may
+// read and write any shard's state (the stall detector's sweep reads every
+// replica's pending proposals).
 //
 // Two properties follow:
 //
@@ -44,11 +44,10 @@ type Coordinator struct {
 	// minimum — so the window grid is identical for every K.
 	lookahead func() Time
 
-	// exchange drains cross-shard outboxes into destination loops.
-	// onBarrier runs deferred barrier work. Both run on the coordinator
-	// goroutine while all shard loops are parked at the barrier time.
-	exchange  func()
-	onBarrier func()
+	// exchange drains cross-shard outboxes into destination loops. It runs
+	// on the coordinator goroutine while all shard loops are parked at the
+	// barrier time.
+	exchange func()
 
 	parallel bool
 	depth    int // RunUntil re-entrancy depth; workers span the outermost call
@@ -69,9 +68,8 @@ type shardCmd struct {
 }
 
 // NewCoordinator builds a coordinator over a control loop and one or more
-// shard loops. lookahead must return a positive bound; exchange and
-// onBarrier may be nil.
-func NewCoordinator(ctrl *Loop, shards []*Loop, lookahead func() Time, exchange, onBarrier func()) *Coordinator {
+// shard loops. lookahead must return a positive bound; exchange may be nil.
+func NewCoordinator(ctrl *Loop, shards []*Loop, lookahead func() Time, exchange func()) *Coordinator {
 	if ctrl == nil || len(shards) == 0 || lookahead == nil {
 		panic("sim: coordinator needs a control loop, >=1 shard, and a lookahead bound")
 	}
@@ -80,7 +78,6 @@ func NewCoordinator(ctrl *Loop, shards []*Loop, lookahead func() Time, exchange,
 		shards:    shards,
 		lookahead: lookahead,
 		exchange:  exchange,
-		onBarrier: onBarrier,
 	}
 }
 
@@ -175,10 +172,10 @@ func (c *Coordinator) runShards(t Time, inclusive bool) error {
 
 // idleWindows returns how many whole lookahead windows from cur, none
 // reaching past limit, hold no shard event. The count is taken after the
-// barrier's own sends are exchanged (control events and barrier work may
-// have parked cross-shard traffic since the barrier's exchange; injecting
-// it now instead of at the next barrier moves no arrival), so it is the
-// same for every shard count.
+// barrier's own sends are exchanged (control events may have parked
+// cross-shard traffic since the barrier's exchange; injecting it now
+// instead of at the next barrier moves no arrival), so it is the same for
+// every shard count.
 func (c *Coordinator) idleWindows(cur, la, limit Time) int64 {
 	if c.everyWindow {
 		return 0
@@ -232,15 +229,12 @@ func (c *Coordinator) RunUntil(t Time) error {
 		if n := c.ctrl.Now(); n > cur {
 			cur = n
 		}
-		// Barrier: merge cross-shard traffic, drain deferred work, then
-		// let the control loop catch up. Control events at cur run here,
-		// before any shard executes a data event at cur.
+		// Barrier: merge cross-shard traffic, then let the control loop
+		// catch up. Control events at cur run here, before any shard
+		// executes a data event at cur.
 		c.barriers++
 		if c.exchange != nil {
 			c.exchange()
-		}
-		if c.onBarrier != nil {
-			c.onBarrier()
 		}
 		if err := c.ctrl.RunUntil(cur); err != nil {
 			return err
@@ -265,7 +259,7 @@ func (c *Coordinator) RunUntil(t Time) error {
 		if idle := c.idleWindows(cur, la, limit); idle > 0 {
 			// Nothing anywhere fires before cur+idle·la: those windows
 			// would run no event and their barriers would find nothing to
-			// exchange or drain, so park the shards at the last of them.
+			// exchange, so park the shards at the last of them.
 			// Staying on the grid keeps every later barrier where it was.
 			w = cur + Time(idle)*la
 		}

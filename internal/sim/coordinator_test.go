@@ -81,7 +81,7 @@ func TestCoordinatorControlBeforeShardDataAtEqualTime(t *testing.T) {
 	var order []string
 	shard.At(10, "data", func() { order = append(order, "data@10") })
 	ctrl.At(10, "ctrl", func() { order = append(order, "ctrl@10") })
-	co := NewCoordinator(ctrl, []*Loop{shard}, func() Time { return 3 }, nil, nil)
+	co := NewCoordinator(ctrl, []*Loop{shard}, func() Time { return 3 }, nil)
 	if err := co.RunUntil(20); err != nil {
 		t.Fatal(err)
 	}
@@ -97,34 +97,39 @@ func TestCoordinatorControlBeforeShardDataAtEqualTime(t *testing.T) {
 	}
 }
 
+// TestCoordinatorBarrierSeesParkedShards: a control event runs at a
+// barrier, with every shard parked at the event's instant — none mid-window,
+// none holding unexecuted events in the past — so control code may read any
+// shard's state, as the stall detector's sweep does. Sequential and parallel.
 func TestCoordinatorBarrierSeesParkedShards(t *testing.T) {
-	ctrl := NewLoop()
-	shards := []*Loop{NewLoop(), NewLoop()}
-	for _, s := range shards {
-		s := s
-		s.At(7, "tick", func() { s.After(9, "tick", func() {}) })
-	}
-	barriers := 0
-	co := NewCoordinator(ctrl, shards, func() Time { return 5 }, nil, func() {
-		barriers++
-		// At a barrier every shard is parked at the same instant, at or
-		// ahead of the control clock (which catches up after this hook, and
-		// lags by more than one lookahead only across skipped idle
-		// windows): no shard may be mid-window or hold unexecuted events
-		// in the past.
-		for i, s := range shards {
-			if s.Now() != shards[0].Now() || s.Now() < ctrl.Now() ||
-				(s.HasPendingEvents() && s.PeekNextEventTime() < s.Now()) {
-				t.Fatalf("barrier %d: shard %d at %d with next=%d, ctrl at %d",
-					barriers, i, s.Now(), s.PeekNextEventTime(), ctrl.Now())
-			}
+	for _, parallel := range []bool{false, true} {
+		ctrl := NewLoop()
+		shards := []*Loop{NewLoop(), NewLoop()}
+		for _, s := range shards {
+			s := s
+			s.At(7, "tick", func() { s.After(9, "tick", func() {}) })
 		}
-	})
-	if err := co.RunUntil(30); err != nil {
-		t.Fatal(err)
-	}
-	if barriers == 0 {
-		t.Fatal("onBarrier never ran")
+		checks := 0
+		var check func()
+		check = func() {
+			checks++
+			for i, s := range shards {
+				if s.Now() != ctrl.Now() || (s.HasPendingEvents() && s.PeekNextEventTime() < s.Now()) {
+					t.Fatalf("parallel=%v, check %d: shard %d at %d with next=%d, ctrl at %d",
+						parallel, checks, i, s.Now(), s.PeekNextEventTime(), ctrl.Now())
+				}
+			}
+			ctrl.After(3, "check", check)
+		}
+		ctrl.At(1, "check", check)
+		co := NewCoordinator(ctrl, shards, func() Time { return 5 }, nil)
+		co.SetParallel(parallel)
+		if err := co.RunUntil(30); err != nil {
+			t.Fatal(err)
+		}
+		if checks != 10 {
+			t.Fatalf("parallel=%v: %d control checks by t=30, want 10", parallel, checks)
+		}
 	}
 }
 
@@ -173,7 +178,7 @@ func TestCoordinatorPartitionInvariance(t *testing.T) {
 		for node := 0; node < nodes; node++ {
 			pump(node, 5)
 		}
-		co := NewCoordinator(ctrl, loops, func() Time { return lat }, f.exchange, nil)
+		co := NewCoordinator(ctrl, loops, func() Time { return lat }, f.exchange)
 		co.SetParallel(parallel)
 		if err := co.RunUntil(100 * unit); err != nil {
 			t.Fatal(err)
@@ -214,7 +219,7 @@ func TestCoordinatorNestedRunUntil(t *testing.T) {
 	shard := NewLoop()
 	var order []string
 	shard.At(15, "late", func() { order = append(order, "late") })
-	co := NewCoordinator(ctrl, []*Loop{shard}, func() Time { return 4 }, nil, nil)
+	co := NewCoordinator(ctrl, []*Loop{shard}, func() Time { return 4 }, nil)
 	ctrl.At(5, "nest", func() {
 		// A control callback advancing the simulation further — the
 		// nested call runs inside the outer barrier and must not step
@@ -241,7 +246,7 @@ func TestCoordinatorNonPositiveLookaheadPanics(t *testing.T) {
 	ctrl := NewLoop()
 	shard := NewLoop()
 	shard.At(5, "x", func() {})
-	co := NewCoordinator(ctrl, []*Loop{shard}, func() Time { return 0 }, nil, nil)
+	co := NewCoordinator(ctrl, []*Loop{shard}, func() Time { return 0 }, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("RunUntil with zero lookahead did not panic")
@@ -253,7 +258,7 @@ func TestCoordinatorNonPositiveLookaheadPanics(t *testing.T) {
 func TestCoordinatorSetParallelDuringRunPanics(t *testing.T) {
 	ctrl := NewLoop()
 	shard := NewLoop()
-	co := NewCoordinator(ctrl, []*Loop{shard}, func() Time { return 5 }, nil, nil)
+	co := NewCoordinator(ctrl, []*Loop{shard}, func() Time { return 5 }, nil)
 	ctrl.At(1, "toggle", func() {
 		defer func() {
 			if recover() == nil {
@@ -269,9 +274,9 @@ func TestCoordinatorSetParallelDuringRunPanics(t *testing.T) {
 
 // TestCoordinatorSkipsIdleWindows: windows in which no shard holds an event
 // are passed over in one step, and nothing else changes — the same events
-// fire in the same per-node order, and every barrier that finds deferred
-// work finds it at the same instant as on the window-by-window schedule,
-// for every shard count.
+// fire in the same per-node order, and every control event finds the shards
+// holding what they held on the window-by-window schedule, for every shard
+// count.
 func TestCoordinatorSkipsIdleWindows(t *testing.T) {
 	// Two events 100 000 ticks apart under a lookahead of 10.
 	for _, every := range []bool{true, false} {
@@ -280,7 +285,7 @@ func TestCoordinatorSkipsIdleWindows(t *testing.T) {
 		for _, at := range []Time{7, 100_007} {
 			shard.At(at, "ev", func() { fired = append(fired, shard.Now()) })
 		}
-		co := NewCoordinator(ctrl, []*Loop{shard}, func() Time { return 10 }, nil, nil)
+		co := NewCoordinator(ctrl, []*Loop{shard}, func() Time { return 10 }, nil)
 		co.everyWindow = every
 		if err := co.RunUntil(200_000); err != nil {
 			t.Fatal(err)
@@ -296,7 +301,7 @@ func TestCoordinatorSkipsIdleWindows(t *testing.T) {
 	// Sparse traffic over K shards: bursts 700 ticks apart, a control event
 	// that sends from barrier context (its packet waits in an outbox, unseen
 	// by any shard's queue, when the idle check runs), and per-shard
-	// deferred work drained at barriers.
+	// records drained by a periodic control event.
 	type drain struct {
 		at    Time
 		items []string
@@ -331,8 +336,11 @@ func TestCoordinatorSkipsIdleWindows(t *testing.T) {
 			pump(node, 4)
 		}
 		ctrl.At(1234, "ctrl:send", func() { f.send(0, 3, lat+3) })
+		// The drain reads shard state from the control loop, as the stall
+		// detector's sweep reads the replicas' pending proposals.
 		var drains []drain
-		co := NewCoordinator(ctrl, loops, func() Time { return lat }, f.exchange, func() {
+		var sweep func()
+		sweep = func() {
 			var items []string
 			for k := range deferred {
 				items = append(items, deferred[k]...)
@@ -342,7 +350,10 @@ func TestCoordinatorSkipsIdleWindows(t *testing.T) {
 				sort.Strings(items)
 				drains = append(drains, drain{loops[0].Now(), items})
 			}
-		})
+			ctrl.After(250, "ctrl:sweep", sweep)
+		}
+		ctrl.At(250, "ctrl:sweep", sweep)
+		co := NewCoordinator(ctrl, loops, func() Time { return lat }, f.exchange)
 		co.everyWindow = every
 		co.SetParallel(parallel)
 		if err := co.RunUntil(5000); err != nil {
@@ -364,7 +375,7 @@ func TestCoordinatorSkipsIdleWindows(t *testing.T) {
 				tc.k, tc.parallel, traces, wantTraces)
 		}
 		if !reflect.DeepEqual(drains, wantDrains) {
-			t.Errorf("K=%d parallel=%v: barrier drains differ\ngot  %v\nwant %v", tc.k, tc.parallel, drains, wantDrains)
+			t.Errorf("K=%d parallel=%v: control drains differ\ngot  %v\nwant %v", tc.k, tc.parallel, drains, wantDrains)
 		}
 		if barriers*5 > wantBarriers {
 			t.Errorf("K=%d parallel=%v: %d barriers against %d window by window", tc.k, tc.parallel, barriers, wantBarriers)

@@ -3,7 +3,6 @@ package vmm
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"stopwatch/internal/guest"
 	"stopwatch/internal/seqwin"
@@ -365,26 +364,23 @@ func (nd *NetDevice) finishResolve(seq uint64, st *propState, deliver vtime.Virt
 // from the journal) as forever-pending.
 func (nd *NetDevice) PrimeResolved(seq uint64) { nd.pending.SkipTo(seq + 1) }
 
-// MissingProposals names the group members whose proposal for a pending
-// sequence has not arrived — what a failure detector reads when a
-// sequence's stall deadline passes, to turn "this sequence stalled" into
-// "these machines are silent". It requires an installed view (the cluster
-// installs one at every deploy and reconfiguration); without one the device
-// knows only peer counts, not membership, and reports nothing. Resolved or
-// unknown sequences report nothing. The result is sorted for determinism.
-func (nd *NetDevice) MissingProposals(seq uint64) []string {
-	st := nd.pending.Get(seq)
-	if nd.rt.live == nil || st == nil {
-		return nil
+// Overdue reports whether origin, a member of the installed view, has not
+// proposed for some pending sequence this replica proposed at or before
+// cutoff — the stall detector's read. Without an installed view (the
+// cluster installs one at every deploy and reconfiguration) the device
+// knows only peer counts, not membership, and reports nothing.
+func (nd *NetDevice) Overdue(origin string, cutoff sim.Time) bool {
+	if !slices.Contains(nd.rt.live, origin) {
+		return false
 	}
-	var missing []string
-	for _, origin := range nd.rt.live {
-		if _, have := st.vote(origin); !have {
-			missing = append(missing, origin)
+	for _, st := range nd.pending.All() {
+		if st.own && st.proposedAt <= cutoff {
+			if _, have := st.vote(origin); !have {
+				return true
+			}
 		}
 	}
-	sort.Strings(missing)
-	return missing
+	return false
 }
 
 // Pending returns the number of unresolved inbound packets (tests).

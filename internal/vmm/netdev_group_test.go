@@ -180,41 +180,63 @@ func TestPrimeResolvedDiscardsHistory(t *testing.T) {
 	}
 }
 
-// TestMissingProposalsNamesSilentOrigins: the detector read-out. With a
-// live view installed, a pending sequence names exactly the members whose
-// proposal has not arrived (sorted); resolved or unknown sequences, and
-// devices without a view, name nothing.
-func TestMissingProposalsNamesSilentOrigins(t *testing.T) {
+// TestOverdueNamesSilentOrigins: the detector read-out. With a view
+// installed, an origin is overdue exactly when its proposal is missing for a
+// pending sequence this replica proposed at or before the cutoff; a view
+// change re-proposes, restarting that clock. Self, non-members, sequences
+// only a peer has proposed, resolved sequences and devices without a view
+// name nothing.
+func TestOverdueNamesSilentOrigins(t *testing.T) {
 	loop, rt, nd := groupTestDevice(t, 91)
-	// No live view yet: membership names are unknown to the device.
+	run := func(until sim.Time) {
+		t.Helper()
+		if err := loop.RunUntil(until); err != nil {
+			t.Fatal(err)
+		}
+	}
+	overdue := func(cutoff sim.Time) (out []string) {
+		for _, o := range []string{"A", "B", "C", "D"} {
+			if nd.Overdue(o, cutoff) {
+				out = append(out, o)
+			}
+		}
+		return out
+	}
+	// No view yet: membership names are unknown to the device.
 	nd.HandleInbound(1, guest.Payload{Src: "c", Size: 64})
-	if err := loop.RunUntil(5 * sim.Millisecond); err != nil {
-		t.Fatal(err)
+	run(5 * sim.Millisecond)
+	if got := overdue(sim.Never); got != nil {
+		t.Fatalf("no view installed, but overdue %v", got)
 	}
-	if got := nd.MissingProposals(1); got != nil {
-		t.Fatalf("no view installed, but MissingProposals = %v", got)
-	}
-	// Install the full view: B and C are now nameable.
+	// Installing the view re-proposes sequence 1 at 5 ms.
 	rt.SetView(1, []string{"A", "B", "C"})
-	if got := nd.MissingProposals(1); len(got) != 2 || got[0] != "B" || got[1] != "C" {
-		t.Fatalf("missing = %v, want [B C]", got)
+	if got := overdue(5*sim.Millisecond - 1); got != nil {
+		t.Fatalf("overdue %v before the proposal", got)
+	}
+	if got := overdue(5 * sim.Millisecond); !slices.Equal(got, []string{"B", "C"}) {
+		t.Fatalf("overdue %v, want [B C]", got)
 	}
 	nd.HandlePeerProposal("B", 1, 1, vtime.Virtual(30*sim.Millisecond))
-	if got := nd.MissingProposals(1); len(got) != 1 || got[0] != "C" {
-		t.Fatalf("missing after B = %v, want [C]", got)
+	nd.HandlePeerProposal("B", 1, 7, vtime.Virtual(40*sim.Millisecond)) // 7: only a peer proposed
+	if got := overdue(sim.Never); !slices.Equal(got, []string{"C"}) {
+		t.Fatalf("overdue %v after B, want [C]", got)
 	}
-	nd.HandlePeerProposal("C", 1, 1, vtime.Virtual(31*sim.Millisecond))
-	if err := loop.RunUntil(10 * sim.Millisecond); err != nil {
-		t.Fatal(err)
+	// B leaves the view at 8 ms: sequence 1 is proposed afresh.
+	run(8 * sim.Millisecond)
+	rt.SetView(2, []string{"A", "C"})
+	if got := overdue(8*sim.Millisecond - 1); got != nil {
+		t.Fatalf("overdue %v against the previous view's proposal", got)
 	}
+	if got := overdue(8 * sim.Millisecond); !slices.Equal(got, []string{"C"}) {
+		t.Fatalf("overdue %v in view 2, want [C]", got)
+	}
+	nd.HandlePeerProposal("C", 2, 1, vtime.Virtual(31*sim.Millisecond))
+	run(10 * sim.Millisecond)
 	if nd.Resolved() != 1 {
 		t.Fatalf("resolved=%d", nd.Resolved())
 	}
-	if got := nd.MissingProposals(1); got != nil {
-		t.Fatalf("resolved seq still names %v", got)
-	}
-	if got := nd.MissingProposals(99); got != nil {
-		t.Fatalf("unknown seq names %v", got)
+	if got := overdue(sim.Never); got != nil {
+		t.Fatalf("resolved sequence still names %v", got)
 	}
 }
 
@@ -238,7 +260,7 @@ func TestProposalBeyondAnyWindowIsStale(t *testing.T) {
 	if err := loop.RunUntil(200 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if nd.StaleDrops() != 3 || nd.Pending() != 0 || nd.MissingProposals(1<<62) != nil {
+	if nd.StaleDrops() != 3 || nd.Pending() != 0 {
 		t.Fatalf("stale drops %d, pending %d; want 3, 0", nd.StaleDrops(), nd.Pending())
 	}
 	if delivered != 1 || nd.Resolved() != 1 {
