@@ -173,14 +173,16 @@ func runScenarioFiles(args []string, out io.Writer) error {
 }
 
 // sweep runs one file at each seed and prints each run's verdict, then the
-// file's line: clean k/N, and the failing seeds grouped by their first
-// failure. A seed in failing_seeds is expected to fail (XFAIL); clean, it is
-// an XPASS. It returns the outcomes the file did not expect, and the last
-// run's result.
+// file's line: clean k/N, the number of distinct op-log digests over the N
+// seeds (1/N: the seed moved nothing the log records), and the failing
+// seeds grouped by their first failure. A seed in failing_seeds is expected
+// to fail (XFAIL); clean, it is an XPASS. It returns the outcomes the file
+// did not expect, and the last run's result.
 func sweep(sc *scenario.Scenario, seeds []uint64, opt scenario.Options, out io.Writer) ([]string, *scenario.Result, error) {
 	var unexpected, reasons []string
 	var res *scenario.Result
 	bySeed := map[string][]string{}
+	digests := map[string]bool{}
 	clean := 0
 	for _, seed := range seeds {
 		opt.Seed = seed
@@ -202,6 +204,7 @@ func sweep(sc *scenario.Scenario, seeds []uint64, opt scenario.Options, out io.W
 		}
 		fmt.Fprintf(out, "%s  %s seed=%d shards=%d ops=%d digest=%s\n",
 			verdict, res.Name, res.Seed, res.Shards, res.Ops, res.Digest)
+		digests[res.Digest] = true
 		for _, f := range res.Failures {
 			fmt.Fprintf(out, "  - %s\n", f)
 		}
@@ -215,7 +218,7 @@ func sweep(sc *scenario.Scenario, seeds []uint64, opt scenario.Options, out io.W
 		}
 		bySeed[reason] = append(bySeed[reason], strconv.FormatUint(seed, 10))
 	}
-	line := fmt.Sprintf("%s: clean %d/%d", sc.Name, clean, len(seeds))
+	line := fmt.Sprintf("%s: clean %d/%d; op-log digests %d/%d", sc.Name, clean, len(seeds), len(digests), len(seeds))
 	for _, reason := range reasons {
 		line += fmt.Sprintf("; %s at %s", reason, strings.Join(bySeed[reason], " "))
 	}

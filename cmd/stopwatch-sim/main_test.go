@@ -87,9 +87,9 @@ invariants:
 		clean         string
 		want          string // "" = the sweep passes
 	}{
-		{"listed seed clean", "failing_seeds: [2]", 1, "tiny: clean 1/1", "tiny seed 2 is in failing_seeds but came out clean"},
-		{"unlisted seed failing", "", 2, "tiny: clean 0/1", "tiny seed 2 failed"},
-		{"listed seed failing", "failing_seeds: [2]", 2, "tiny: clean 0/1", ""},
+		{"listed seed clean", "failing_seeds: [2]", 1, "tiny: clean 1/1; op-log digests 1/1", "tiny seed 2 is in failing_seeds but came out clean"},
+		{"unlisted seed failing", "", 2, "tiny: clean 0/1; op-log digests 1/1", "tiny seed 2 failed"},
+		{"listed seed failing", "failing_seeds: [2]", 2, "tiny: clean 0/1; op-log digests 1/1", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "tiny.yaml")

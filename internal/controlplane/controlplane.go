@@ -90,15 +90,12 @@ type ControlPlane struct {
 	planned bool
 }
 
-// New builds a control plane over the cluster. The cluster must be in
-// StopWatch mode with 3 replicas per guest (replica triangles are what the
-// placement theory packs).
+// New builds a control plane over the cluster. It admits StopWatch guests of
+// 3 replicas (replica triangles are what the placement theory packs), so on
+// a cluster of fewer than three machines every admission is rejected.
 func New(c *core.Cluster, cfg Config) (*ControlPlane, error) {
 	if c == nil {
 		return nil, fmt.Errorf("%w: nil cluster", ErrControlPlane)
-	}
-	if c.Ingress() == nil {
-		return nil, fmt.Errorf("%w: control plane needs a StopWatch-mode cluster", ErrControlPlane)
 	}
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("%w: capacity %d", ErrControlPlane, cfg.Capacity)

@@ -562,17 +562,13 @@ func TestVerifyCatchesPoolClusterDivergence(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
+	// A one-machine cluster takes a control plane, but no admission: a
+	// replica triangle needs three machines.
+	one := newTestPlane(t, 1, 2, 1)
+	if err := one.Apply(AdmitOp{GuestID: "g", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; !errors.Is(err, ErrRejected) {
+		t.Fatalf("admission on one machine: %v, want ErrRejected", err)
+	}
 	cfg := core.DefaultClusterConfig()
-	cfg.Mode = core.ModeBaseline
-	cfg.Hosts = 1
-	c, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(c, DefaultConfig(2)); err == nil {
-		t.Fatal("baseline cluster accepted")
-	}
-	cfg = core.DefaultClusterConfig()
 	c2, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,9 @@
-// Package core assembles the StopWatch cloud: machines, replicated guests
-// under the StopWatch VMM (or single guests under the baseline VMM), the
+// Package core assembles the StopWatch cloud: machines, guests, the
 // ingress/egress gateway pair, the inter-VMM proposal and pacing protocols,
-// and external clients. It is the integration layer every experiment and
-// example builds on.
+// and external clients. A guest's VMM follows from where it is deployed: on
+// one machine it runs alone under the baseline VMM, on Replicas machines it
+// runs replicated under StopWatch, and both kinds share one cluster. It is
+// the integration layer every experiment and example builds on.
 package core
 
 import (
@@ -35,25 +36,18 @@ func (e *HostFailedError) Error() string {
 
 func (e *HostFailedError) Unwrap() error { return ErrCluster }
 
-// Mode selects the hypervisor under test.
+// Mode is unused.
+//
+// Deprecated: a guest's VMM follows from the hosts Deploy is given.
 type Mode int
 
 // Modes.
+//
+// Deprecated: see Mode.
 const (
 	ModeStopWatch Mode = iota + 1
 	ModeBaseline
 )
-
-func (m Mode) String() string {
-	switch m {
-	case ModeStopWatch:
-		return "stopwatch"
-	case ModeBaseline:
-		return "baseline"
-	default:
-		return "?"
-	}
-}
 
 // ClusterConfig describes a simulated cloud.
 type ClusterConfig struct {
@@ -67,7 +61,9 @@ type ClusterConfig struct {
 	// simulation schedule — and therefore every digest — is identical for
 	// every shard count; Shards only chooses how many cores may execute it.
 	Shards int
-	// Mode selects StopWatch or baseline.
+	// Mode is ignored.
+	//
+	// Deprecated: a guest's VMM follows from the hosts Deploy is given.
 	Mode Mode
 	// Replicas per guest under StopWatch (odd, at least 3; default 3).
 	Replicas int
@@ -91,7 +87,6 @@ func DefaultClusterConfig() ClusterConfig {
 	return ClusterConfig{
 		Seed:     1,
 		Hosts:    3,
-		Mode:     ModeStopWatch,
 		Replicas: 3,
 		VMM:      vmm.DefaultConfig(),
 		CloudLink: netsim.LinkConfig{
@@ -167,10 +162,11 @@ type Guest struct {
 	// Replaced counts replica replacements performed on this guest.
 	Replaced int
 
-	// Baseline mode:
+	// Baseline is the runtime of a guest deployed on one host, nil under
+	// StopWatch.
 	Baseline *vmm.BaselineRuntime
 
-	// Online-lifecycle state (StopWatch mode). replicas is the single
+	// Online-lifecycle state of a StopWatch guest. replicas is the single
 	// source of truth for per-slot wiring.
 	factory  func() guest.App
 	boots    []sim.Time
@@ -181,7 +177,7 @@ type Guest struct {
 	// installed into every live replica's device model in the same instant.
 	view uint64
 
-	// Baseline-mode placement and app (no replica wiring exists).
+	// A baseline guest's host and app (no replica wiring exists).
 	baselineHost int
 	baselineApp  guest.App
 }
@@ -393,14 +389,11 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Hosts <= 0 {
 		return nil, fmt.Errorf("%w: %d hosts", ErrCluster, cfg.Hosts)
 	}
-	if cfg.Mode != ModeStopWatch && cfg.Mode != ModeBaseline {
-		return nil, fmt.Errorf("%w: mode %d", ErrCluster, cfg.Mode)
-	}
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 3
 	}
-	if cfg.Replicas < 1 || cfg.Replicas%2 == 0 || cfg.Mode == ModeStopWatch && cfg.Replicas < 3 {
-		return nil, fmt.Errorf("%w: replicas %d must be odd, and at least 3 under StopWatch", ErrCluster, cfg.Replicas)
+	if cfg.Replicas < 3 || cfg.Replicas%2 == 0 {
+		return nil, fmt.Errorf("%w: replicas %d must be odd and at least 3", ErrCluster, cfg.Replicas)
 	}
 	if err := cfg.VMM.Validate(); err != nil {
 		return nil, err
@@ -480,30 +473,23 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 		}
 		c.hostNodes = append(c.hostNodes, hn)
 	}
-	if cfg.Mode == ModeStopWatch {
-		// Gateways (and clients) live on shard 0: their addresses default
-		// there, and their timers must run on the loop that delivers to them.
-		ing, err := gateway.NewIngress(net, shardLoops[0], "ingress")
-		if err != nil {
-			return nil, err
-		}
-		c.ingress = ing
-		eg, err := gateway.NewEgress(net, shardLoops[0], "egress", cfg.Replicas)
-		if err != nil {
-			return nil, err
-		}
-		c.egress = eg
-		c.egressEP = net.Endpoint(eg.Addr())
-		// Each replica's output packets are "tunneled ... to the egress
-		// node over TCP" (Sec. VI): a reliable FIFO leg. Model it as the
-		// cloud link without loss — TCP's retransmission is abstracted
-		// away on this hop — on the egress's access link, which every
-		// Dom0's link to it takes.
-		tunnel := cfg.CloudLink
-		tunnel.LossProb = 0
-		if err := net.SetAccess(eg.Addr(), tunnel); err != nil {
-			return nil, err
-		}
+	// Gateways (and clients) live on shard 0: their addresses default
+	// there, and their timers must run on the loop that delivers to them.
+	if c.ingress, err = gateway.NewIngress(net, shardLoops[0], "ingress"); err != nil {
+		return nil, err
+	}
+	if c.egress, err = gateway.NewEgress(net, shardLoops[0], "egress", cfg.Replicas); err != nil {
+		return nil, err
+	}
+	c.egressEP = net.Endpoint(c.egress.Addr())
+	// Each replica's output packets are "tunneled ... to the egress node
+	// over TCP" (Sec. VI): a reliable FIFO leg. Model it as the cloud link
+	// without loss — TCP's retransmission is abstracted away on this hop —
+	// on the egress's access link, which every Dom0's link to it takes.
+	tunnel := cfg.CloudLink
+	tunnel.LossProb = 0
+	if err := net.SetAccess(c.egress.Addr(), tunnel); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -536,10 +522,10 @@ func (c *Cluster) Host(i int) *vmm.Host { return c.hosts[i] }
 // Hosts returns the machine count.
 func (c *Cluster) Hosts() int { return len(c.hosts) }
 
-// Egress returns the egress node (nil in baseline mode).
+// Egress returns the egress node. Baseline guests send past it.
 func (c *Cluster) Egress() *gateway.Egress { return c.egress }
 
-// Ingress returns the ingress node (nil in baseline mode).
+// Ingress returns the ingress node. Baseline guests are reached past it.
 func (c *Cluster) Ingress() *gateway.Ingress { return c.ingress }
 
 // Guest returns a deployed guest by id.
@@ -548,9 +534,11 @@ func (c *Cluster) Guest(id string) (*Guest, bool) {
 	return g, ok
 }
 
-// Deploy places a guest. Under StopWatch, hostIdx must list Replicas
-// distinct hosts; under baseline exactly one. factory builds one app
-// instance per replica (replicas must not share mutable state).
+// Deploy places a guest, and hostIdx picks its VMM: one host runs it alone
+// under the baseline VMM, reached at its service address straight off the
+// fabric; Replicas distinct hosts run it under StopWatch, behind the
+// gateways. factory builds one app instance per replica (replicas must not
+// share mutable state).
 func (c *Cluster) Deploy(id string, hostIdx []int, factory func() guest.App) (*Guest, error) {
 	if id == "" || factory == nil {
 		return nil, fmt.Errorf("%w: Deploy needs id and app factory", ErrCluster)
@@ -566,16 +554,13 @@ func (c *Cluster) Deploy(id string, hostIdx []int, factory func() guest.App) (*G
 			return nil, &HostFailedError{Host: i}
 		}
 	}
-	if c.cfg.Mode == ModeBaseline {
+	if len(hostIdx) == 1 {
 		return c.deployBaseline(id, hostIdx, factory)
 	}
 	return c.deployStopWatch(id, hostIdx, factory)
 }
 
 func (c *Cluster) deployBaseline(id string, hostIdx []int, factory func() guest.App) (*Guest, error) {
-	if len(hostIdx) != 1 {
-		return nil, fmt.Errorf("%w: baseline guest needs exactly 1 host, got %d", ErrCluster, len(hostIdx))
-	}
 	app := factory()
 	h := c.hosts[hostIdx[0]]
 	rt, err := vmm.NewBaselineRuntime(h, id, app)

@@ -34,15 +34,10 @@ func fileServerFactory(t *testing.T, cfg apps.FileServerConfig) func() guest.App
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := New(ClusterConfig{Hosts: 0, Mode: ModeStopWatch, VMM: DefaultClusterConfig().VMM}); !errors.Is(err, ErrCluster) {
+	if _, err := New(ClusterConfig{Hosts: 0, VMM: DefaultClusterConfig().VMM}); !errors.Is(err, ErrCluster) {
 		t.Fatal("0 hosts should fail")
 	}
 	cfg := DefaultClusterConfig()
-	cfg.Mode = 0
-	if _, err := New(cfg); !errors.Is(err, ErrCluster) {
-		t.Fatal("bad mode should fail")
-	}
-	cfg = DefaultClusterConfig()
 	cfg.Replicas = 2
 	if _, err := New(cfg); !errors.Is(err, ErrCluster) {
 		t.Fatal("even replicas should fail")
@@ -178,7 +173,6 @@ func TestStopWatchEndToEndDownload(t *testing.T) {
 
 func TestBaselineEndToEndDownload(t *testing.T) {
 	cfg := DefaultClusterConfig()
-	cfg.Mode = ModeBaseline
 	cfg.Hosts = 1
 	c := mustCluster(t, cfg)
 	if _, err := c.Deploy("web", []int{0}, fileServerFactory(t, apps.DefaultFileServerConfig())); err != nil {
@@ -207,12 +201,84 @@ func TestBaselineEndToEndDownload(t *testing.T) {
 	}
 }
 
+// TestOneClusterRunsBothVMMs: a guest's VMM follows from the hosts it is
+// deployed on, so one cluster runs a StopWatch guest on hosts {0,1,2} next to
+// a baseline guest alone on host 3. Both serve one client, and the egress
+// forwards only the StopWatch guest's outputs. Host 3's failure stops the
+// baseline guest, and the StopWatch guest serves on.
+func TestOneClusterRunsBothVMMs(t *testing.T) {
+	cfg := DefaultClusterConfig()
+	cfg.Hosts = 4
+	c := mustCluster(t, cfg)
+	factory := fileServerFactory(t, apps.DefaultFileServerConfig())
+	sw, err := c.Deploy("sw", []int{0, 1, 2}, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := c.Deploy("base", []int{3}, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.Baseline != nil || sw.NumReplicas() != 3 || base.Baseline == nil || base.NumReplicas() != 0 {
+		t.Fatalf("sw: baseline VM %v, %d replicas; base: baseline VM %v, %d replicas",
+			sw.Baseline, sw.NumReplicas(), base.Baseline, base.NumReplicas())
+	}
+	cl, err := c.NewClient("laptop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forwarded := map[string]int{}
+	c.Egress().OnForward = func(g string, _ uint64, _ sim.Time) { forwarded[g]++ }
+	c.Start()
+	done := map[string]int{}
+	dl := apps.NewDownloader(cl)
+	fetch := func(at sim.Time, id string) {
+		c.Loop().At(at, "fetch", func() {
+			if err := dl.Fetch(ServiceAddr(id), apps.ModeTCP, 64<<10, func(sim.Time) { done[id]++ }); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	fetch(20*sim.Millisecond, "sw")
+	fetch(20*sim.Millisecond, "base")
+	if err := c.Run(3 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if done["sw"] != 1 || done["base"] != 1 {
+		t.Fatalf("downloads completed: %v", done)
+	}
+	if len(forwarded) != 1 || forwarded["sw"] == 0 {
+		t.Fatalf("egress forwarded %v; want the StopWatch guest's outputs only", forwarded)
+	}
+	c.Loop().At(3100*sim.Millisecond, "fail", func() {
+		if err := c.FailMachine(3); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := c.Run(3200 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	stopped := base.Baseline.VM().Stats().Branches
+	fetch(3300*sim.Millisecond, "sw")
+	if err := c.Run(6 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := base.Baseline.VM().Stats().Branches; n != stopped {
+		t.Fatalf("the baseline guest ran %d branches after its host failed", n-stopped)
+	}
+	if done["sw"] != 2 {
+		t.Fatalf("the StopWatch guest served %d downloads, want 2", done["sw"])
+	}
+	if err := sw.CheckLockstep(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBaselineUndeploy: evicting a baseline guest after a download stops
 // its VM, takes its service address off the fabric (a later client packet
 // to it is lost), and leaves the id free to deploy and serve again.
 func TestBaselineUndeploy(t *testing.T) {
 	cfg := DefaultClusterConfig()
-	cfg.Mode = ModeBaseline
 	cfg.Hosts = 1
 	c := mustCluster(t, cfg)
 	factory := fileServerFactory(t, apps.DefaultFileServerConfig())
@@ -325,11 +391,8 @@ func TestStopWatchSlowerThanBaselineButBounded(t *testing.T) {
 	// The headline sanity check behind Fig. 5: same download, both modes;
 	// StopWatch pays more, but within a small constant factor for a 100KB
 	// file (paper: <2.8x at ≥100KB; small files pay relatively more).
-	fetch := func(mode Mode, hosts int, idx []int) sim.Time {
-		cfg := DefaultClusterConfig()
-		cfg.Mode = mode
-		cfg.Hosts = hosts
-		c := mustCluster(t, cfg)
+	fetch := func(idx []int) sim.Time {
+		c := mustCluster(t, DefaultClusterConfig())
 		if _, err := c.Deploy("web", idx, fileServerFactory(t, apps.DefaultFileServerConfig())); err != nil {
 			t.Fatal(err)
 		}
@@ -353,8 +416,8 @@ func TestStopWatchSlowerThanBaselineButBounded(t *testing.T) {
 		}
 		return lat
 	}
-	base := fetch(ModeBaseline, 1, []int{0})
-	sw := fetch(ModeStopWatch, 3, []int{0, 1, 2})
+	base := fetch([]int{0})
+	sw := fetch([]int{0, 1, 2})
 	if sw <= base {
 		t.Fatalf("StopWatch (%v) should cost more than baseline (%v)", sw, base)
 	}
@@ -521,11 +584,8 @@ func TestParsecThroughBothModes(t *testing.T) {
 	profile := apps.ParsecProfile{
 		Name: "mini", ComputeBranches: 20_000_000, DiskReads: 5, BytesPerRead: 16 << 10,
 	}
-	run := func(mode Mode, hosts int, idx []int) sim.Time {
-		cfg := DefaultClusterConfig()
-		cfg.Mode = mode
-		cfg.Hosts = hosts
-		c := mustCluster(t, cfg)
+	run := func(idx []int) sim.Time {
+		c := mustCluster(t, DefaultClusterConfig())
 		var doneAt sim.Time
 		if err := c.Net().Attach(&netsim.FuncNode{Addr: "collector", Fn: func(p *netsim.Packet) {
 			if doneAt == 0 {
@@ -549,12 +609,12 @@ func TestParsecThroughBothModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if doneAt == 0 {
-			t.Fatalf("%v: workload never finished", mode)
+			t.Fatalf("hosts %v: workload never finished", idx)
 		}
 		return doneAt
 	}
-	base := run(ModeBaseline, 1, []int{0})
-	sw := run(ModeStopWatch, 3, []int{0, 1, 2})
+	base := run([]int{0})
+	sw := run([]int{0, 1, 2})
 	if sw <= base {
 		t.Fatalf("StopWatch parsec (%v) should exceed baseline (%v)", sw, base)
 	}

@@ -51,7 +51,7 @@ func (r Replica) Epoch() *vmm.EpochCoordinator { return r.wiring().ec }
 
 // NumReplicas returns the guest's StopWatch replica slot count — 0 for a
 // baseline guest, consistently with Replica and Replicas, which address
-// slots and have none to address in baseline mode.
+// slots and have none to address on a baseline guest.
 func (g *Guest) NumReplicas() int { return len(g.replicas) }
 
 // Replica returns the slot-addressed view of replica slot (0-based). It

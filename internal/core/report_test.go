@@ -62,7 +62,6 @@ func TestReportStopWatchRun(t *testing.T) {
 func TestReportBaselineRun(t *testing.T) {
 	cfg := DefaultClusterConfig()
 	cfg.Seed = 35
-	cfg.Mode = ModeBaseline
 	cfg.Hosts = 1
 	c := mustCluster(t, cfg)
 	g, err := c.Deploy("web", []int{0}, fileServerFactory(t, apps.DefaultFileServerConfig()))
@@ -82,12 +81,13 @@ func TestReportBaselineRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One unreplicated VM served it straight off the fabric: no replicas,
-	// no gateways.
+	// and the gateways carried none of its traffic.
 	if ids := c.GuestIDs(); len(ids) != 1 || g.Baseline == nil || g.NumReplicas() != 0 {
 		t.Fatalf("baseline guests %v, VM %v, %d replicas", ids, g.Baseline, g.NumReplicas())
 	}
-	if c.Ingress() != nil || c.Egress() != nil {
-		t.Fatalf("baseline has gateways: ingress %v, egress %v", c.Ingress(), c.Egress())
+	if c.Ingress().Replicated() != 0 || c.Egress().Forwarded() != 0 {
+		t.Fatalf("baseline traffic through the gateways: replicated %d, forwarded %d",
+			c.Ingress().Replicated(), c.Egress().Forwarded())
 	}
 	if s := g.Baseline.VM().Stats(); s.NetInterrupts == 0 || s.DiskInterrupts == 0 {
 		t.Fatalf("baseline interrupts: %+v", s)

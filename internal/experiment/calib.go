@@ -61,7 +61,7 @@ func RunCalib(cfg CalibConfig) (*CalibResult, error) {
 	res := &CalibResult{Config: cfg}
 	for _, dn := range cfg.DeltaNsMS {
 		rig := probeRig{
-			seed: cfg.Seed, mode: core.ModeStopWatch, hosts: 5, replicas: 3,
+			seed: cfg.Seed, hosts: 5, replicas: 3,
 			deltaN:   vtime.Virtual(dn * float64(sim.Millisecond)),
 			duration: cfg.Duration, probeMeanGap: cfg.ProbeMeanGap, poisson: true,
 			attacker: "probe", attHosts: []int{0, 1, 2}, source: "colluder",

@@ -80,13 +80,13 @@ func RunCollab(cfg CollabConfig) (*CollabResult, error) {
 //	victim:       {2,5,6} — shares exactly host 2 with VM1
 //	colluder VM2: {0,5,6} — loads VM1's host 0 to marginalize that replica
 //
-// A cluster sizes every guest alike, so with five replicas the victim and
-// the colluder cannot be triplicated next to the attacker: they become
-// host-local loads on hosts 2 and 0, which is all of them the attacker's
-// replicas ever saw.
+// A cluster sizes every StopWatch guest alike, so with five replicas the
+// victim and the colluder cannot be triplicated next to the attacker: they
+// become baseline guests on hosts 2 and 0 alone, which is all of them the
+// attacker's replicas ever saw.
 func collabRig(cfg CollabConfig, replicas int, marginalize bool) probeRig {
 	rig := probeRig{
-		seed: cfg.Seed, mode: core.ModeStopWatch, hosts: 7, replicas: replicas,
+		seed: cfg.Seed, hosts: 7, replicas: replicas,
 		duration: cfg.Duration, probeMeanGap: cfg.ProbeMeanGap,
 		attacker: "attacker", attHosts: []int{0, 1, 2, 3, 4}[:replicas], source: "colluder-ext",
 	}
@@ -94,14 +94,14 @@ func collabRig(cfg CollabConfig, replicas int, marginalize bool) probeRig {
 		rig.guests = append(rig.guests, rigGuest{id: "victim", victim: true, hosts: []int{2, 5, 6},
 			app: beacon(8*sim.Millisecond, 4_000_000, cfg.VictimFileKB<<10, "victim-sink")})
 	} else {
-		rig.guests = append(rig.guests, rigGuest{id: "victim-local", victim: true, hosts: []int{2}, local: true,
+		rig.guests = append(rig.guests, rigGuest{id: "victim-local", victim: true, hosts: []int{2},
 			app: beacon(8*sim.Millisecond, 6_000_000, 64<<10, "local-sink")})
 	}
 	if marginalize && replicas == 3 {
 		rig.guests = append(rig.guests, rigGuest{id: "colluder-vm", hosts: []int{0, 5, 6},
 			app: beacon(4*sim.Millisecond, 6_000_000, 64<<10, "colluder-sink")})
 	} else if marginalize {
-		rig.guests = append(rig.guests, rigGuest{id: "colluder-local", hosts: []int{0}, local: true,
+		rig.guests = append(rig.guests, rigGuest{id: "colluder-local", hosts: []int{0},
 			app: beacon(4*sim.Millisecond, 6_000_000, 64<<10, "local-sink")})
 	}
 	return rig

@@ -72,15 +72,15 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 	// StopWatch on five hosts with one shared; the baseline attacker and
 	// victim coresident on a single host. Three concurrent download streams
 	// give the victim a realistic serving duty cycle on its hosts.
-	measure := func(mode core.Mode, seed uint64) (*leakRuns, error) {
-		return measureLeak(fileVictimRig(mode, seed, cfg.Duration, cfg.ProbeMeanGap, 3, cfg.VictimFileKB),
+	measure := func(baseline bool, seed uint64) (*leakRuns, error) {
+		return measureLeak(fileVictimRig(baseline, seed, cfg.Duration, cfg.ProbeMeanGap, 3, cfg.VictimFileKB),
 			cfg.Bins, res.Confidences...)
 	}
-	sw, err := measure(core.ModeStopWatch, cfg.Seed)
+	sw, err := measure(false, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	base, err := measure(core.ModeBaseline, cfg.Seed+1000)
+	base, err := measure(true, cfg.Seed+1000)
 	if err != nil {
 		return nil, err
 	}

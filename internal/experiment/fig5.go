@@ -60,16 +60,16 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 	for _, kb := range cfg.SizesKB {
 		p := Fig5Point{SizeKB: kb}
 		var err error
-		if p.HTTPBaseline, err = res.mean(kb, apps.ModeTCP, core.ModeBaseline); err != nil {
+		if p.HTTPBaseline, err = res.mean(kb, apps.ModeTCP, baselineHosts); err != nil {
 			return nil, err
 		}
-		if p.HTTPStopWatch, err = res.mean(kb, apps.ModeTCP, core.ModeStopWatch); err != nil {
+		if p.HTTPStopWatch, err = res.mean(kb, apps.ModeTCP, stopWatchHosts); err != nil {
 			return nil, err
 		}
-		if p.UDPBaseline, err = res.mean(kb, apps.ModeUDP, core.ModeBaseline); err != nil {
+		if p.UDPBaseline, err = res.mean(kb, apps.ModeUDP, baselineHosts); err != nil {
 			return nil, err
 		}
-		if p.UDPStopWatch, err = res.mean(kb, apps.ModeUDP, core.ModeStopWatch); err != nil {
+		if p.UDPStopWatch, err = res.mean(kb, apps.ModeUDP, stopWatchHosts); err != nil {
 			return nil, err
 		}
 		p.HTTPRatio = p.HTTPStopWatch / p.HTTPBaseline
@@ -81,10 +81,10 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 
 // mean runs one (size, transport, VMM) cell and folds its runs' divergences
 // into the result.
-func (r *Fig5Result) mean(kb int, mode apps.FileServerMode, vmmMode core.Mode) (float64, error) {
+func (r *Fig5Result) mean(kb int, mode apps.FileServerMode, hosts []int) (float64, error) {
 	var sum float64
 	for run := 0; run < r.Config.Runs; run++ {
-		lat, div, err := fig5One(r.Config.Seed+uint64(run)*1337, kb, mode, vmmMode, r.Config.Timeout)
+		lat, div, err := fig5One(r.Config.Seed+uint64(run)*1337, kb, mode, hosts, r.Config.Timeout)
 		if err != nil {
 			return 0, err
 		}
@@ -94,15 +94,14 @@ func (r *Fig5Result) mean(kb int, mode apps.FileServerMode, vmmMode core.Mode) (
 	return sum / float64(r.Config.Runs), nil
 }
 
-// figRig builds the cluster Figs 5–7 measure on and deploys their one guest:
-// the paper's three hosts under StopWatch, a single host under the baseline
-// VMM (cc.Mode says which; a baseline guest has no replicas to diverge).
-func figRig(cc core.ClusterConfig, id string, app func() guest.App) (*core.Cluster, *core.Guest, error) {
-	hosts := []int{0, 1, 2}
-	if cc.Mode == core.ModeBaseline {
-		cc.Hosts = 1
-		hosts = hosts[:1]
-	}
+// The two arms of Figs 5–7, as the hosts their one guest is deployed on:
+// host 0 alone runs it under the baseline VMM (no replicas to diverge), the
+// paper's three hosts under StopWatch.
+var baselineHosts, stopWatchHosts = []int{0}, []int{0, 1, 2}
+
+// figRig builds the three-host cluster Figs 5–7 measure on and deploys their
+// one guest on hosts, baselineHosts or stopWatchHosts.
+func figRig(cc core.ClusterConfig, id string, hosts []int, app func() guest.App) (*core.Cluster, *core.Guest, error) {
 	c, err := core.New(cc)
 	if err != nil {
 		return nil, nil, err
@@ -124,13 +123,12 @@ func factory[A guest.App](build func() (A, error)) func() guest.App {
 	}
 }
 
-func fig5One(seed uint64, kb int, mode apps.FileServerMode, vmmMode core.Mode, timeout sim.Time) (sim.Time, int, error) {
+func fig5One(seed uint64, kb int, mode apps.FileServerMode, hosts []int, timeout sim.Time) (sim.Time, int, error) {
 	cc := core.DefaultClusterConfig()
 	cc.Seed = seed
-	cc.Mode = vmmMode
 	fsCfg := apps.DefaultFileServerConfig()
 	fsCfg.Mode = mode
-	c, g, err := figRig(cc, "web", factory(func() (*apps.FileServer, error) { return apps.NewFileServer(fsCfg) }))
+	c, g, err := figRig(cc, "web", hosts, factory(func() (*apps.FileServer, error) { return apps.NewFileServer(fsCfg) }))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -152,7 +150,7 @@ func fig5One(seed uint64, kb int, mode apps.FileServerMode, vmmMode core.Mode, t
 		return 0, 0, err
 	}
 	if lat == 0 {
-		return 0, 0, fmt.Errorf("%w: %dKB %v/%v download did not complete", core.ErrCluster, kb, mode, vmmMode)
+		return 0, 0, fmt.Errorf("%w: %dKB %v download on hosts %v did not complete", core.ErrCluster, kb, mode, hosts)
 	}
 	return lat, g.Divergences(), nil
 }

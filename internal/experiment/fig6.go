@@ -60,11 +60,11 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 	}
 	res := &Fig6Result{Config: cfg}
 	for _, rate := range cfg.Rates {
-		base, err := fig6One(cfg, rate, core.ModeBaseline)
+		base, err := fig6One(cfg, rate, baselineHosts)
 		if err != nil {
 			return nil, err
 		}
-		sw, err := fig6One(cfg, rate, core.ModeStopWatch)
+		sw, err := fig6One(cfg, rate, stopWatchHosts)
 		if err != nil {
 			return nil, err
 		}
@@ -89,16 +89,15 @@ type nfsRun struct {
 	divergences                int
 }
 
-func fig6One(cfg Fig6Config, rate float64, mode core.Mode) (nfsRun, error) {
+func fig6One(cfg Fig6Config, rate float64, hosts []int) (nfsRun, error) {
 	cc := core.DefaultClusterConfig()
 	cc.Seed = cfg.Seed + uint64(rate*10)
-	cc.Mode = mode
 	// Warm-server disk regime: the paper's NFS server sustained 400 ops/s
 	// at ~15 ms latency, which a 4 ms-seek cold disk cannot (too few IOPS);
 	// its working set was clearly cached. Mean service ≈ 1.4 ms.
 	cc.VMM.DiskSeek = sim.Millisecond
 	cc.VMM.DiskJitterMean = 300 * sim.Microsecond
-	c, g, err := figRig(cc, "nfs", factory(func() (*apps.NFSServer, error) { return apps.NewNFSServer(16) }))
+	c, g, err := figRig(cc, "nfs", hosts, factory(func() (*apps.NFSServer, error) { return apps.NewNFSServer(16) }))
 	if err != nil {
 		return nfsRun{}, err
 	}
@@ -120,7 +119,7 @@ func fig6One(cfg Fig6Config, rate float64, mode core.Mode) (nfsRun, error) {
 	}
 	lats := gen.Latencies()
 	if len(lats) == 0 {
-		return nfsRun{}, fmt.Errorf("%w: no NFS ops completed at rate %v under %v", core.ErrCluster, rate, mode)
+		return nfsRun{}, fmt.Errorf("%w: no NFS ops completed at rate %v on hosts %v", core.ErrCluster, rate, hosts)
 	}
 	var sum sim.Time
 	for _, l := range lats {

@@ -56,11 +56,11 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 	}
 	res := &Fig7Result{Config: cfg}
 	for _, prof := range cfg.Profiles {
-		base, _, _, err := fig7One(cfg, prof, core.ModeBaseline)
+		base, _, _, err := fig7One(cfg, prof, baselineHosts)
 		if err != nil {
 			return nil, err
 		}
-		sw, ints, div, err := fig7One(cfg, prof, core.ModeStopWatch)
+		sw, ints, div, err := fig7One(cfg, prof, stopWatchHosts)
 		if err != nil {
 			return nil, err
 		}
@@ -78,17 +78,16 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 	return res, nil
 }
 
-func fig7One(cfg Fig7Config, prof apps.ParsecProfile, mode core.Mode) (doneAt sim.Time, diskInts int64, divergences int, err error) {
+func fig7One(cfg Fig7Config, prof apps.ParsecProfile, hosts []int) (doneAt sim.Time, diskInts int64, divergences int, err error) {
 	cc := core.DefaultClusterConfig()
 	cc.Seed = cfg.Seed
-	cc.Mode = mode
 	// The disk regime calibrated for the PARSEC runs: mean disk service
 	// ≈ 1.7 ms (fast rotational access with cache effects), Δd = 8 ms, per
 	// the calibration notes in DESIGN.md.
 	cc.VMM.DiskSeek = sim.Millisecond
 	cc.VMM.DiskJitterMean = 500 * sim.Microsecond
 	cc.VMM.DeltaD = vtime.Virtual(8 * sim.Millisecond)
-	c, g, err := figRig(cc, "parsec", factory(func() (*apps.ParsecApp, error) { return apps.NewParsecApp(prof, "collector") }))
+	c, g, err := figRig(cc, "parsec", hosts, factory(func() (*apps.ParsecApp, error) { return apps.NewParsecApp(prof, "collector") }))
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -105,7 +104,7 @@ func fig7One(cfg Fig7Config, prof apps.ParsecProfile, mode core.Mode) (doneAt si
 		return 0, 0, 0, err
 	}
 	if doneAt == 0 {
-		return 0, 0, 0, fmt.Errorf("%w: %s under %v never finished", core.ErrCluster, prof.Name, mode)
+		return 0, 0, 0, fmt.Errorf("%w: %s on hosts %v never finished", core.ErrCluster, prof.Name, hosts)
 	}
 	if g.Baseline != nil {
 		diskInts = g.Baseline.VM().Stats().DiskInterrupts

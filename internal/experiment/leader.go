@@ -57,7 +57,7 @@ func RunLeader(cfg LeaderConfig) (*LeaderResult, error) {
 	// the shared host). Under PolicyOwn replicas diverge by design; that
 	// replica is the "leader" whose timings prior systems would propagate.
 	measure := func(own bool) (ks, obs95 float64, err error) {
-		rig := fileVictimRig(core.ModeStopWatch, cfg.Seed, cfg.Duration, cfg.ProbeMeanGap, 1, cfg.VictimFileKB)
+		rig := fileVictimRig(false, cfg.Seed, cfg.Duration, cfg.ProbeMeanGap, 1, cfg.VictimFileKB)
 		rig.own, rig.read = own, 2
 		l, err := measureLeak(rig, 10, 0.95)
 		if err != nil {

@@ -45,7 +45,6 @@ func scoreLeak(withVictim, noVictim []float64, bins int, confidences ...float64)
 // from it.
 type probeRig struct {
 	seed            uint64
-	mode            core.Mode
 	hosts, replicas int
 	// deltaN overrides the network-interrupt offset Δn (0 = the default).
 	deltaN                 vtime.Virtual
@@ -67,7 +66,9 @@ type probeRig struct {
 	guests []rigGuest
 }
 
-// rigGuest is a guest deployed next to the attacker, in the order given.
+// rigGuest is a guest deployed next to the attacker, in the order given: on
+// one host it runs under the baseline VMM, on replicas hosts under
+// StopWatch.
 type rigGuest struct {
 	id    string
 	hosts []int
@@ -75,10 +76,6 @@ type rigGuest struct {
 	// victim marks the guest whose presence the attacker tries to detect:
 	// measureLeak runs the rig with and without it.
 	victim bool
-	// local puts the app on hosts[0] alone under the baseline VMM, its
-	// output dropped: load on one host, used where a replicated deployment
-	// would change the study's topology.
-	local bool
 	// streams closed-loop TCP downloads of fileKB each are driven at the
 	// guest from the fabric (0 for an app that drives itself).
 	streams, fileKB int
@@ -109,7 +106,7 @@ type probeRun struct {
 // attacker.
 func (p probeRig) run() (*probeRun, error) {
 	cc := core.DefaultClusterConfig()
-	cc.Seed, cc.Mode, cc.Hosts, cc.Replicas = p.seed, p.mode, p.hosts, p.replicas
+	cc.Seed, cc.Hosts, cc.Replicas = p.seed, p.hosts, p.replicas
 	if p.deltaN > 0 {
 		cc.VMM.DeltaN = p.deltaN
 	}
@@ -130,7 +127,7 @@ func (p probeRig) run() (*probeRun, error) {
 			r.NetDev().Policy = vmm.PolicyOwn
 		}
 	}
-	if p.mode == core.ModeStopWatch {
+	if att.Baseline == nil {
 		att.Replica(0).Runtime().OnNetDeliver = func(seq uint64, _ vtime.Virtual, real sim.Time) {
 			if seq >= 1 && seq <= uint64(len(sentAt)) {
 				res.latencies = append(res.latencies, real-sentAt[seq-1])
@@ -139,15 +136,6 @@ func (p probeRig) run() (*probeRun, error) {
 	}
 	var co []*core.Guest
 	for _, g := range p.guests {
-		if g.local {
-			rt, err := vmm.NewBaselineRuntime(c.Host(g.hosts[0]), g.id, g.app())
-			if err != nil {
-				return nil, err
-			}
-			rt.OnSend = vmm.SendSinkFunc(func(guest.IOAction) {})
-			rt.Start()
-			continue
-		}
 		d, err := c.Deploy(g.id, g.hosts, g.app)
 		if err != nil {
 			return nil, err
@@ -228,15 +216,15 @@ func measureLeak(rig probeRig, bins int, confidences ...float64) (*leakRuns, err
 // fileVictimRig is the rig of Fig 4 and the median-vs-leader ablation: a
 // constant-rate probe stream into the attacker on hosts {0,1,2} of five,
 // next to a victim on {2,3,4} — exactly one shared host — serving streams
-// closed-loop downloads of fileKB each. Under the baseline VMM there is one
-// host and both are on it.
-func fileVictimRig(mode core.Mode, seed uint64, duration, probeMeanGap sim.Time, streams, fileKB int) probeRig {
-	hosts, att, vic := 5, []int{0, 1, 2}, []int{2, 3, 4}
-	if mode == core.ModeBaseline {
-		hosts, att, vic = 1, []int{0}, []int{0}
+// closed-loop downloads of fileKB each. With baseline set both run under
+// the baseline VMM, alone on host 0.
+func fileVictimRig(baseline bool, seed uint64, duration, probeMeanGap sim.Time, streams, fileKB int) probeRig {
+	att, vic := []int{0, 1, 2}, []int{2, 3, 4}
+	if baseline {
+		att, vic = []int{0}, []int{0}
 	}
 	return probeRig{
-		seed: seed, mode: mode, hosts: hosts, replicas: 3, duration: duration, probeMeanGap: probeMeanGap,
+		seed: seed, hosts: 5, replicas: 3, duration: duration, probeMeanGap: probeMeanGap,
 		attacker: "attacker", attHosts: att, source: "colluder",
 		guests: []rigGuest{{id: "victim", victim: true, hosts: vic, streams: streams, fileKB: fileKB,
 			app: factory(func() (*apps.FileServer, error) { return apps.NewFileServer(apps.DefaultFileServerConfig()) })}},

@@ -12,7 +12,8 @@
 //
 // This package is the public façade over the full system:
 //
-//   - Cluster: a simulated cloud (hosts, StopWatch or baseline VMMs,
+//   - Cluster: a simulated cloud (hosts, guests under the StopWatch VMM on
+//     Replicas machines or the baseline VMM on one, side by side,
 //     ingress/egress, reliable multicast, transports) on a deterministic
 //     discrete-event kernel.
 //   - Experiments: one harness per table/figure in the paper's evaluation
@@ -103,15 +104,6 @@ type Guest = core.Guest
 // device model, app and epoch coordinator of each slot. Views stay valid
 // across replica replacement — they read the slot's current occupant.
 type Replica = core.Replica
-
-// Mode selects the hypervisor under test.
-type Mode = core.Mode
-
-// Hypervisor modes.
-const (
-	ModeStopWatch = core.ModeStopWatch
-	ModeBaseline  = core.ModeBaseline
-)
 
 // VMMConfig carries hypervisor tunables (Δn, Δd, exit granularity, pacing,
 // I/O and disk models).
@@ -352,7 +344,7 @@ func FormatOpLog(log []*Outcome) string { return controlplane.FormatLog(log) }
 // the one check. Expected at high utilization.
 var ErrNoFeasibleHost = controlplane.ErrNoFeasibleHost
 
-// NewControlPlane builds a control plane over a StopWatch-mode cluster.
+// NewControlPlane builds a control plane over a cluster.
 func NewControlPlane(c *Cluster, cfg ControlPlaneConfig) (*ControlPlane, error) {
 	return controlplane.New(c, cfg)
 }
