@@ -51,18 +51,18 @@ const experimentsGolden = `==== fig4 ====
 Fig 4(a): virtual inter-delivery gaps at attacker (ms)
   with victim:    n=3998 mean=2.00 p50=2.00 p95=2.50
   without victim: n=3998 mean=2.00 p50=2.00 p95=2.50
-  KS distance: StopWatch=0.0450 baseline=0.1091 (suppression ×2.4)
-  attacker replica divergences: 2
+  KS distance: StopWatch=0.0465 baseline=0.1091 (suppression ×2.3)
+  attacker replica divergences: 0
 
 Fig 4(b): observations needed to detect victim
 confidence        w/ SW       w/o SW
-      0.70        262.7         45.6
-      0.75        280.8         48.7
-      0.80        301.8         52.4
-      0.85        327.6         56.8
-      0.90        362.0         62.8
-      0.95        417.1         72.4
-      0.99        534.2         92.7
+      0.70        241.4         45.6
+      0.75        258.0         48.7
+      0.80        277.4         52.4
+      0.85        301.1         56.8
+      0.90        332.7         62.8
+      0.95        383.3         72.4
+      0.99        490.9         92.7
 
 ==== calib ====
 Sec VII-A: Δn calibration (load=true)
@@ -81,8 +81,8 @@ configuration             KS leak    obs @0.95
 ==== leader ====
 Ablation: median delivery vs leader-dictated timing (Sec. II argument)
 policy                KS leak    obs @0.95
-median (StopWatch)     0.0500        315.1
-leader-dictates        0.0398        585.5
+median (StopWatch)     0.0418        428.9
+leader-dictates        0.0345        811.1
 
 `
 
@@ -151,10 +151,10 @@ confidence     w/ SW (χ²)    w/o SW (χ²)    w/ SW (LRT)   w/o SW (LRT)
 ==== fig5 ====
 Fig 5: file-retrieval latency (ms, mean of 2 runs)
  size KB    HTTP base      HTTP SW    ratio     UDP base       UDP SW    ratio
-       1        15.18        34.07     2.24        14.09        34.01     2.41
-      10        19.00        37.89     1.99        18.13        37.92     2.09
-     100        67.52       140.25     2.08        62.11        88.66     1.43
-    1000       574.56      1213.30     2.11       526.00       645.67     1.23
+       1        15.18        34.05     2.24        14.09        34.02     2.41
+      10        19.00        37.87     1.99        18.13        37.94     2.09
+     100        67.52       140.25     2.08        62.11        88.67     1.43
+    1000       574.56      1211.76     2.11       526.00       645.68     1.23
 lockstep divergences over the StopWatch runs: 0
 
 ==== fig6 ====
@@ -162,10 +162,10 @@ Fig 6(a): NFS mean latency per op (ms); 6(b): packets per op
   rate/s   baseline  stopwatch   ratio     c→s/op     s→c/op      ops
       25      11.35      29.87    2.63       4.15       3.08       48
       50      11.40      30.80    2.70       3.43       2.93       96
-     100      11.48      31.03    2.70       2.98       2.65      194
-     200      11.73      32.28    2.75       2.87       2.77      389
-     400      12.40      32.47    2.62       2.71       2.57      779
-lockstep divergences over the StopWatch runs: 42
+     100      11.48      30.99    2.70       2.98       2.66      199
+     200      11.73      32.22    2.75       2.86       2.74      379
+     400      12.40      32.53    2.62       2.71       2.57      779
+lockstep divergences over the StopWatch runs: 39
 
 ==== fig7 ====
 Fig 7(a): PARSEC-like runtimes (ms); 7(b): disk interrupts

@@ -136,9 +136,6 @@ type Cluster struct {
 
 	ingress *gateway.Ingress
 	egress  *gateway.Egress
-	// egressEP is the egress address resolved: every replica tunnels there,
-	// on the egress's access link.
-	egressEP *netsim.Endpoint
 
 	guests map[string]*Guest
 
@@ -172,6 +169,8 @@ type Guest struct {
 	boots    []sim.Time
 	journal  *vmm.Journal
 	replicas []*replicaWiring
+	// egress is the guest's egress node resolved: its replicas tunnel there.
+	egress *netsim.Endpoint
 	// view is the guest's group-view number, bumped on every group
 	// reconfiguration (deploy, replica replacement, failure reconfig) and
 	// installed into every live replica's device model in the same instant.
@@ -190,6 +189,10 @@ type Guest struct {
 // sink interfaces (proposal exchange, pacing fan-out, egress tunnelling),
 // so wiring a replica installs plain pointers instead of per-replica
 // closures.
+//
+// A proposal or a beacon names its two ends: the packet's Payload is the
+// wiring it is for and its Body.Data the one it comes from, so the receiving
+// Dom0 hands it over without a lookup.
 type replicaWiring struct {
 	c        *Cluster
 	hn       *hostNode
@@ -200,6 +203,10 @@ type replicaWiring struct {
 	nd       *vmm.NetDevice
 	app      guest.App
 	ec       *vmm.EpochCoordinator
+	// egress is the guest's egress node; released marks a wiring torn down
+	// (releaseReplicaWiring), which drops whatever still reaches it.
+	egress   *netsim.Endpoint
+	released bool
 	// sent numbers this replica's proposals; out keeps each one until every
 	// live peer's beacon has acked it; resent counts resends, lost or not.
 	sent, resent uint64
@@ -252,15 +259,15 @@ func (w *replicaWiring) SendProposal(view, seq uint64, v vtime.Virtual) {
 			*slot = p
 		}
 		for i := range w.links {
-			w.sendProp(w.links[i].peer.hn.ep, w.sent, &p)
+			w.sendProp(w.links[i].peer, w.sent, &p)
 		}
 	}
 }
 
-func (w *replicaWiring) sendProp(dst *netsim.Endpoint, n uint64, p *sentProp) {
-	pkt := w.c.net.AllocTo(w.hn.ep, dst, 64, "swprop", nil)
+func (w *replicaWiring) sendProp(to *replicaWiring, n uint64, p *sentProp) {
+	pkt := w.c.net.AllocTo(w.hn.ep, to.hn.ep, 64, "swprop", to)
 	pkt.Body = netsim.PacketBody{
-		Kind: netsim.BodyProp, GuestID: w.gid, Origin: w.hostName, View: p.view, Seq: p.seq, Virt: p.virt, StreamSeq: n,
+		Kind: netsim.BodyProp, GuestID: w.gid, Origin: w.hostName, View: p.view, Seq: p.seq, Virt: p.virt, StreamSeq: n, Data: w,
 	}
 	w.c.net.Send(pkt)
 }
@@ -289,7 +296,7 @@ func (w *replicaWiring) resend(l *peerLink, upTo uint64, wait sim.Time) {
 			p.at = now
 			l.missing = max(l.missing, n)
 			w.resent++
-			w.sendProp(l.peer.hn.ep, n, p)
+			w.sendProp(l.peer, n, p)
 		}
 	}
 }
@@ -311,9 +318,9 @@ func (w *replicaWiring) PaceReport(v vtime.Virtual, epoch int64, s vtime.EpochSa
 		if l.missing > l.acked {
 			w.resend(l, l.missing, w.c.cfg.VMM.PaceInterval)
 		}
-		p := net.AllocTo(w.hn.ep, l.peer.hn.ep, size, "swpace", nil)
+		p := net.AllocTo(w.hn.ep, l.peer.hn.ep, size, "swpace", l.peer)
 		p.Body.Kind, p.Body.GuestID, p.Body.Origin, p.Body.Virt = netsim.BodyPace, w.gid, w.hostName, v
-		p.Body.StreamSeq, p.Body.Epoch, p.Body.Sample = l.next-1, epoch+1, s
+		p.Body.StreamSeq, p.Body.Epoch, p.Body.Sample, p.Body.Data = l.next-1, epoch+1, s, w
 		net.Send(p)
 	}
 }
@@ -322,7 +329,7 @@ func (w *replicaWiring) PaceReport(v vtime.Virtual, epoch int64, s vtime.EpochSa
 // (Sec. VI), departing after the Dom0 output-path delay.
 func (w *replicaWiring) GuestSend(a guest.IOAction) {
 	net := w.c.net
-	p := net.AllocTo(w.hn.ep, w.c.egressEP, a.Size, "egress:tunnel", nil)
+	p := net.AllocTo(w.hn.ep, w.egress, a.Size, "egress:tunnel", nil)
 	p.Body = netsim.PacketBody{
 		Kind: netsim.BodyEgress, GuestID: w.gid, Origin: w.hostName, Seq: a.Seq,
 		OrigDst: a.Dst, Size: a.Size, Data: a.Data,
@@ -372,17 +379,24 @@ func (g *Guest) Divergences() int {
 // streams, peer proposals and pacing reports for every guest replica
 // resident on the host.
 type hostNode struct {
-	c    *Cluster
 	host *vmm.Host
 	addr netsim.Addr
 	// ep is addr resolved.
 	ep *netsim.Endpoint
+	// dead mirrors host.Failed (FailMachine, ReviveMachine): a dead
+	// machine's fabric endpoint is silent.
+	dead bool
 
 	mrx *multicast.Receiver
 
-	// residents holds every resident replica's wiring, by guest id.
+	// residents holds every resident replica's wiring, by guest id: an
+	// ingress stream's packet names only its guest.
 	residents map[string]*replicaWiring
 }
+
+// dom0Links is the link table a Dom0 starts with: a few residents, each
+// with two peers and an egress node, and the peers that came and went.
+const dom0Links = 16
 
 // New creates a cluster.
 func New(cfg ClusterConfig) (*Cluster, error) {
@@ -451,7 +465,6 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 		}
 		c.hosts = append(c.hosts, h)
 		hn := &hostNode{
-			c:         c,
 			host:      h,
 			addr:      netsim.Addr("dom0:" + name),
 			residents: make(map[string]*replicaWiring),
@@ -460,6 +473,8 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 		hn.ep = net.Endpoint(hn.addr)
+		// A Dom0 links to its residents' peers and egress nodes.
+		hn.ep.ReserveLinks(dom0Links)
 		mrx, err := multicast.NewReceiver(net, hostLoop, multicast.ReceiverConfig{
 			Addr:   hn.addr,
 			OnData: hn.onMulticastData,
@@ -473,25 +488,27 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 		}
 		c.hostNodes = append(c.hostNodes, hn)
 	}
-	// Gateways (and clients) live on shard 0: their addresses default
-	// there, and their timers must run on the loop that delivers to them.
+	// A guest's edge lives on its home shard (placeEdge); clients live on
+	// shard 0.
 	if c.ingress, err = gateway.NewIngress(net, shardLoops[0], "ingress"); err != nil {
 		return nil, err
 	}
 	if c.egress, err = gateway.NewEgress(net, shardLoops[0], "egress", cfg.Replicas); err != nil {
 		return nil, err
 	}
-	c.egressEP = net.Endpoint(c.egress.Addr())
-	// Each replica's output packets are "tunneled ... to the egress node
-	// over TCP" (Sec. VI): a reliable FIFO leg. Model it as the cloud link
-	// without loss — TCP's retransmission is abstracted away on this hop —
-	// on the egress's access link, which every Dom0's link to it takes.
-	tunnel := cfg.CloudLink
-	tunnel.LossProb = 0
-	if err := net.SetAccess(c.egress.Addr(), tunnel); err != nil {
+	if err := net.SetAccess(c.egress.Addr(), c.tunnel()); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// tunnel is the egress nodes' access link. Each replica's output packets are
+// "tunneled ... to the egress node over TCP" (Sec. VI): a reliable FIFO leg,
+// the cloud link without loss — TCP's retransmission is abstracted away.
+func (c *Cluster) tunnel() netsim.LinkConfig {
+	t := c.cfg.CloudLink
+	t.LossProb = 0
+	return t
 }
 
 // Loop exposes the control loop: drivers and control-plane code schedule
@@ -615,12 +632,17 @@ func (c *Cluster) deployStopWatch(id string, hostIdx []int, factory func() guest
 		boots[k] = c.hosts[i].Clock().Read(c.loop.Now())
 		dom0s[k] = c.hostNodes[i].addr
 	}
+	eg, err := c.placeEdge(id, hostIdx[0])
+	if err != nil {
+		return nil, err
+	}
 	g := &Guest{
 		ID:       id,
 		factory:  factory,
 		boots:    boots,
 		journal:  vmm.NewJournal(),
 		replicas: make([]*replicaWiring, len(hostIdx)),
+		egress:   eg,
 	}
 	for k, i := range hostIdx {
 		if err := c.wireReplica(g, k, i, nil); err != nil {
@@ -639,6 +661,27 @@ func (c *Cluster) deployStopWatch(id string, hostIdx []int, factory func() guest
 		c.startGuest(g)
 	}
 	return g, nil
+}
+
+// placeEdge puts guest id's edge on its home shard, its first replica's
+// machine's, at the id's first deployment; the gateways put their nodes
+// beside its service address. A later deployment keeps that home, since
+// links cache their destination's shard: it may cross a shard, but never
+// races. A service address a client sent to first keeps its shard. It returns
+// the guest's egress node, on the tunnel.
+func (c *Cluster) placeEdge(id string, first int) (*netsim.Endpoint, error) {
+	eg, svc := c.net.Endpoint(c.egress.GuestAddr(id)), c.net.Endpoint(gateway.ServiceAddr(id))
+	if _, placed := eg.Home(); placed {
+		return eg, nil
+	}
+	home, placed := svc.Home()
+	if !placed {
+		home = c.shardOf(first)
+	}
+	// Neither is refused: svc keeps the shard it has, and eg is unplaced.
+	_ = c.net.AssignShard(svc.Addr(), home)
+	_ = c.net.AssignShard(eg.Addr(), home)
+	return eg, c.net.SetAccess(eg.Addr(), c.tunnel())
 }
 
 // unwire releases the slots a failed deployment of g already wired and
@@ -684,6 +727,7 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 		rt:       rt,
 		nd:       nd,
 		app:      app,
+		egress:   g.egress,
 		out:      seqwin.New[sentProp](1),
 	}
 	// Proposal exchange, journal, pacing and egress tunnelling all wire to
@@ -840,29 +884,31 @@ func (c *Cluster) NewClient(addr netsim.Addr) (*transport.Client, error) {
 func ServiceAddr(guestID string) netsim.Addr { return gateway.ServiceAddr(guestID) }
 
 // deliver handles packets to the Dom0 node: the ingress streams' multicast,
-// and peer proposals and pacing beacons for a resident guest. Both come from
-// a current peer's Dom0 on one FIFO link, or count for nothing: one still in
-// flight when its guest or its sender left the group finds no link.
+// and peer proposals and pacing beacons for a resident replica, each handed
+// to the wiring it names. Both come from a current peer on one FIFO link, or
+// count for nothing: one still in flight when its guest or its sender left
+// the group finds a released wiring or no link.
 func (hn *hostNode) deliver(p *netsim.Packet) {
-	if hn.host.Failed() {
-		return // a dead machine's fabric endpoint is silent
+	if hn.dead {
+		return
 	}
-	if p.Kind != "swprop" && p.Kind != "swpace" {
+	b := &p.Body
+	if b.Kind != netsim.BodyProp && b.Kind != netsim.BodyPace {
 		hn.mrx.Handle(p)
 		return
 	}
-	w, ok := hn.residents[p.Body.GuestID]
-	if !ok {
+	w, _ := p.Payload.(*replicaWiring)
+	from, _ := b.Data.(*replicaWiring)
+	if w == nil || w.released {
 		return
 	}
-	b, src := &p.Body, hn.c.net.SourceOf(p)
 	var l *peerLink
-	for i, q := range w.links {
-		if q.peer.hn.ep == src {
+	for i := range w.links {
+		if w.links[i].peer == from {
 			l = &w.links[i]
 		}
 	}
-	if p.Kind == "swprop" {
+	if b.Kind == netsim.BodyProp {
 		// A resend of a proposal already here stops before the device.
 		if l == nil || b.StreamSeq < l.next {
 			return

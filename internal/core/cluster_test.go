@@ -95,8 +95,8 @@ func TestIdleClusterHoldsNoLinks(t *testing.T) {
 
 // TestNewClientRefusesATakenAddress: a second client on an address would
 // take over the first one's fabric node, so the first would never hear its
-// replies. It is refused, as is the egress's address, and the first client
-// still completes its fetch.
+// replies. It is refused, as are the egress's addresses, and the first
+// client still completes its fetch.
 func TestNewClientRefusesATakenAddress(t *testing.T) {
 	c := mustCluster(t, DefaultClusterConfig())
 	if _, err := c.Deploy("web", []int{0, 1, 2}, fileServerFactory(t, apps.DefaultFileServerConfig())); err != nil {
@@ -106,7 +106,7 @@ func TestNewClientRefusesATakenAddress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, addr := range []netsim.Addr{"laptop", c.Egress().Addr(), ""} {
+	for _, addr := range []netsim.Addr{"laptop", c.Egress().Addr(), c.Egress().GuestAddr("web"), ""} {
 		if _, err := c.NewClient(addr); !errors.Is(err, ErrCluster) {
 			t.Errorf("NewClient(%q) = %v, want ErrCluster", addr, err)
 		}
@@ -124,6 +124,14 @@ func TestNewClientRefusesATakenAddress(t *testing.T) {
 	}
 	if done != 1 {
 		t.Fatalf("the first client completed %d fetches, want 1", done)
+	}
+	// And the other way round: a guest whose egress address a client holds
+	// is refused, since its tunnel could not take that address's shape.
+	if _, err := c.NewClient(c.Egress().GuestAddr("late")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Deploy("late", []int{0, 1, 2}, fileServerFactory(t, apps.DefaultFileServerConfig())); !errors.Is(err, netsim.ErrNet) {
+		t.Fatalf("Deploy onto a client's egress address = %v, want ErrNet", err)
 	}
 }
 

@@ -25,10 +25,11 @@ func (echoApp) OnPacket(ctx guest.Ctx, p guest.Payload) {
 // and egress group. Each per-replica buffer starts at the size its group
 // fixes, or at a small constant, and links come from per-shard chunks, so
 // the 16 packets cost 64 allocations (21.3 per replica), against 109 (36.3)
-// before. Wiring stays free: Deploy costs 51 allocations (52 in race
-// builds), as it did before, so nothing moved into set-up.
+// before. Wiring stays free: Deploy costs 52 allocations (53 in race
+// builds), one more than before for the guest's own egress node, whose
+// endpoint it interns, so nothing else moved into set-up.
 func TestReplicaFirstTouchBudget(t *testing.T) {
-	const doublingPerReplica, deployBudget = 109.0 / 3, 52
+	const doublingPerReplica, deployBudget = 109.0 / 3, 53
 	const packets = 16
 	app := func() guest.App { return echoApp{} }
 	// Two of everything: AllocsPerRun's warm-up run, then the measured one.

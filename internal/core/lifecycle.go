@@ -15,9 +15,11 @@ import (
 
 // Undeploy evicts a guest: replicas stop and detach from their hosts'
 // schedulers, the service address and ingress stream detach from the fabric
-// (a later packet to them counts as lost), and the id becomes reusable. The
-// fabric forgets no address: the `svc:<guest>` and `ingress/<guest>`
-// endpoints, and the links they used, stay interned.
+// (a later packet to them counts as lost), its egress node absorbs what its
+// replicas still had in the tunnel, and the id becomes reusable. The fabric
+// forgets no address: the `svc:<guest>`, `ingress/<guest>` and
+// `egress/<guest>` endpoints, and the links they used, stay interned, and a
+// later deployment of the id keeps their shard.
 func (c *Cluster) Undeploy(id string) error {
 	g, ok := c.guests[id]
 	if !ok {
@@ -46,6 +48,7 @@ func (c *Cluster) Undeploy(id string) error {
 // eviction and replacement teardown go through here.
 func (c *Cluster) releaseReplicaWiring(id string, w *replicaWiring) {
 	w.rt.Release()
+	w.released = true
 	delete(w.hn.residents, id)
 	w.hn.mrx.Forget(c.ingress.SourceAddr(id))
 }

@@ -255,18 +255,21 @@ func TestStaleBeaconTriggersNoResend(t *testing.T) {
 	if w0.sent != 2 || w0.out.Len() != 1 || w0.resent != 0 {
 		t.Fatalf("%d proposals, %d unacked, %d resends; want 2, 1, 0", w0.sent, w0.out.Len(), w0.resent)
 	}
+	// Each forged packet names the wiring it is for and the one it comes
+	// from; host 3's stands in for a machine outside the group.
 	hn0 := c.hostNodes[0]
+	wiring := map[int]*replicaWiring{0: w0, 1: w1, 3: {hn: c.hostNodes[3], hostName: c.hosts[3].Name()}}
 	beacon := func(from int) {
-		hn0.deliver(&netsim.Packet{Src: c.hostNodes[from].addr, Dst: hn0.addr, Kind: "swpace", Body: netsim.PacketBody{
-			Kind: netsim.BodyPace, GuestID: "g", Origin: c.hosts[from].Name(), StreamSeq: 1,
+		hn0.deliver(&netsim.Packet{Src: c.hostNodes[from].addr, Dst: hn0.addr, Kind: "swpace", Payload: w0, Body: netsim.PacketBody{
+			Kind: netsim.BodyPace, GuestID: "g", Origin: c.hosts[from].Name(), StreamSeq: 1, Data: wiring[from],
 		}})
 	}
 	// A proposal resent after it landed, or sent by a machine outside the
 	// group, stops before host 1's device.
 	hn1, stale := c.hostNodes[1], w1.nd.StaleDrops()
 	for _, from := range []int{0, 3} {
-		hn1.deliver(&netsim.Packet{Src: c.hostNodes[from].addr, Dst: hn1.addr, Kind: "swprop", Body: netsim.PacketBody{
-			Kind: netsim.BodyProp, GuestID: "g", Origin: c.hosts[from].Name(), View: g.view, Seq: 1, StreamSeq: 1,
+		hn1.deliver(&netsim.Packet{Src: c.hostNodes[from].addr, Dst: hn1.addr, Kind: "swprop", Payload: w1, Body: netsim.PacketBody{
+			Kind: netsim.BodyProp, GuestID: "g", Origin: c.hosts[from].Name(), View: g.view, Seq: 1, StreamSeq: 1, Data: wiring[from],
 		}})
 	}
 	if n := w1.nd.StaleDrops(); n != stale {
@@ -412,8 +415,8 @@ func TestFormerPeerBeaconDoesNotHoldSoleSurvivor(t *testing.T) {
 		}
 	}
 	c.Loop().At(50*sim.Millisecond, "beacon", func() {
-		c.Net().Send(&netsim.Packet{Src: w1.hn.addr, Dst: w0.hn.addr, Size: 48, Kind: "swpace",
-			Body: netsim.PacketBody{Kind: netsim.BodyPace, GuestID: "g", Origin: w1.hostName, Virt: stale}})
+		c.Net().Send(&netsim.Packet{Src: w1.hn.addr, Dst: w0.hn.addr, Size: 48, Kind: "swpace", Payload: w0,
+			Body: netsim.PacketBody{Kind: netsim.BodyPace, GuestID: "g", Origin: w1.hostName, Virt: stale, Data: w1}})
 	})
 	if err := c.Run(60 * sim.Millisecond); err != nil {
 		t.Fatal(err)

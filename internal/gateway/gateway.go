@@ -3,6 +3,10 @@
 // (Sec. V), and the egress node that forwards each guest output packet when
 // its second copy arrives — the median emission timing of the three
 // replicas (Sec. VI).
+//
+// The edge is per guest ("there need not be only one" such node): a guest's
+// service address, ingress stream and egress node are fabric nodes of their
+// own on its service address's shard, sharing no state with another guest's.
 package gateway
 
 import (
@@ -30,25 +34,26 @@ func ServiceAddr(guestID string) netsim.Addr {
 // can run several ingresses (the paper: "there need not be only one").
 type Ingress struct {
 	net  *netsim.Network
-	loop *sim.Loop
 	addr netsim.Addr
 
 	guests map[string]*ingressGuest
 
+	// replicated counts unregistered guests' packets; a registered guest
+	// counts its own, on its shard.
 	replicated uint64
 }
 
 // ingressGuest is one guest's ingress wiring and the fabric node of its
 // public service address: client packets reach it without a lookup.
 type ingressGuest struct {
-	in   *Ingress
 	id   string
 	addr netsim.Addr
 	snd  *multicast.Sender
 	// paused buffers client packets in held instead of replicating them —
 	// the quiesce barrier replica replacement rewires the group behind.
-	paused bool
-	held   []*netsim.Packet
+	paused     bool
+	held       []*netsim.Packet
+	replicated uint64
 }
 
 func (g *ingressGuest) Address() netsim.Addr { return g.addr }
@@ -58,7 +63,7 @@ func (g *ingressGuest) Deliver(p *netsim.Packet) {
 		g.held = append(g.held, p.Clone())
 		return
 	}
-	g.in.replicated++
+	g.replicated++
 	g.snd.Multicast("swin", p.Size, netsim.PacketBody{
 		Kind:      netsim.BodyInbound,
 		GuestID:   g.id,
@@ -68,14 +73,14 @@ func (g *ingressGuest) Deliver(p *netsim.Packet) {
 	})
 }
 
-// NewIngress creates an ingress node rooted at addr.
+// NewIngress creates an ingress node rooted at addr. loop is shard 0's; a
+// guest's stream runs on its own shard's.
 func NewIngress(net *netsim.Network, loop *sim.Loop, addr netsim.Addr) (*Ingress, error) {
 	if net == nil || loop == nil || addr == "" {
 		return nil, fmt.Errorf("%w: ingress needs net, loop, addr", ErrGateway)
 	}
 	return &Ingress{
 		net:    net,
-		loop:   loop,
 		addr:   addr,
 		guests: make(map[string]*ingressGuest),
 	}, nil
@@ -88,7 +93,8 @@ func (in *Ingress) SourceAddr(guestID string) netsim.Addr {
 }
 
 // RegisterGuest wires a guest: client packets to ServiceAddr(guestID) are
-// replicated to the given replica host (Dom0) addresses.
+// replicated to the given replica host (Dom0) addresses. The stream runs on
+// the service address's shard.
 func (in *Ingress) RegisterGuest(guestID string, replicaHosts []netsim.Addr) error {
 	if guestID == "" || len(replicaHosts) == 0 {
 		return fmt.Errorf("%w: RegisterGuest(%q, %v)", ErrGateway, guestID, replicaHosts)
@@ -96,14 +102,19 @@ func (in *Ingress) RegisterGuest(guestID string, replicaHosts []netsim.Addr) err
 	if _, dup := in.guests[guestID]; dup {
 		return fmt.Errorf("%w: guest %q already registered", ErrGateway, guestID)
 	}
-	snd, err := multicast.NewSender(in.net, in.loop, multicast.SenderConfig{
-		Src:   in.SourceAddr(guestID),
+	svc, src := ServiceAddr(guestID), in.SourceAddr(guestID)
+	home, _ := in.net.Endpoint(svc).Home()
+	if err := in.net.AssignShard(src, home); err != nil {
+		return err
+	}
+	snd, err := multicast.NewSender(in.net, in.net.ShardLoop(home), multicast.SenderConfig{
+		Src:   src,
 		Group: replicaHosts,
 	})
 	if err != nil {
 		return err
 	}
-	g := &ingressGuest{in: in, id: guestID, addr: ServiceAddr(guestID), snd: snd}
+	g := &ingressGuest{id: guestID, addr: svc, snd: snd}
 	in.guests[guestID] = g
 	// NAKs for this stream come back to the stream source address: the
 	// sender is its own fabric node.
@@ -193,6 +204,7 @@ func (in *Ingress) UnregisterGuest(guestID string) error {
 		return err
 	}
 	g.snd.Close()
+	in.replicated += g.replicated
 	delete(in.guests, guestID)
 	in.net.Detach(g.addr)
 	in.net.Detach(in.SourceAddr(guestID))
@@ -200,34 +212,37 @@ func (in *Ingress) UnregisterGuest(guestID string) error {
 }
 
 // Replicated reports how many client packets were replicated.
-func (in *Ingress) Replicated() uint64 { return in.replicated }
+func (in *Ingress) Replicated() uint64 {
+	n := in.replicated
+	for _, g := range in.guests {
+		n += g.replicated
+	}
+	return n
+}
 
 // Egress forwards guest outputs at the median timing: each replica tunnels
-// its copy of every output packet here; the second copy to arrive is
-// forwarded to the true destination, later copies are absorbed.
+// its copy of every output packet to its guest's node, GuestAddr; the second
+// copy to arrive is forwarded to the true destination, later copies are
+// absorbed. The shared address, Addr, is a front door into the same
+// counting, finding the guest by the copy's GuestID.
 type Egress struct {
 	net  *netsim.Network
-	loop *sim.Loop
 	addr netsim.Addr
 
-	// guests holds each guest's state: one lookup per tunnelled copy.
+	// guests holds every guest seen, departed ones too.
 	guests map[string]*guestEgress
-	// departed holds a tombstone per guest DropGuest retired — the instant
-	// until which its copies still in the tunnel are absorbed instead of
-	// re-creating it.
-	departed map[string]sim.Time
 	// replicas is the expected copy count per packet (3 by default).
 	replicas int
 
-	forwarded uint64
-	absorbed  uint64
-
 	// OnForward observes forwarded packets (external-observer experiments).
+	// It runs on the guest's shard (or at a barrier, from SetLiveReplicas):
+	// with several shards, calls for different guests may run at once.
 	OnForward func(guestID string, seq uint64, at sim.Time)
 }
 
 // NewEgress creates an egress node for groups of `replicas` replicas,
 // forwarding on the copy that represents the median emission (replicas/2+1).
+// loop is shard 0's, where the front door runs.
 func NewEgress(net *netsim.Network, loop *sim.Loop, addr netsim.Addr, replicas int) (*Egress, error) {
 	if net == nil || loop == nil || addr == "" {
 		return nil, fmt.Errorf("%w: egress needs net, loop, addr", ErrGateway)
@@ -237,10 +252,8 @@ func NewEgress(net *netsim.Network, loop *sim.Loop, addr netsim.Addr, replicas i
 	}
 	e := &Egress{
 		net:      net,
-		loop:     loop,
 		addr:     addr,
 		guests:   make(map[string]*guestEgress),
-		departed: make(map[string]sim.Time),
 		replicas: replicas,
 	}
 	if err := net.Attach(&netsim.FuncNode{Addr: addr, Fn: e.deliver}); err != nil {
@@ -249,8 +262,13 @@ func NewEgress(net *netsim.Network, loop *sim.Loop, addr netsim.Addr, replicas i
 	return e, nil
 }
 
-// Addr returns the egress fabric address replicas tunnel to.
+// Addr returns the egress front door's fabric address.
 func (e *Egress) Addr() netsim.Addr { return e.addr }
+
+// GuestAddr returns a guest's egress node address, which replicas tunnel to.
+func (e *Egress) GuestAddr(guestID string) netsim.Addr {
+	return netsim.Addr(string(e.addr) + "/" + guestID)
+}
 
 // copyGroup counts one output packet's tunnel arrivals until it is
 // forwarded. The packet fields are kept (all copies are identical — that is
@@ -263,41 +281,45 @@ type copyGroup struct {
 	data    any
 }
 
-// guestEgress is one guest's egress state. A copy group is open from its
-// first copy until it is forwarded: an open group is an unforwarded one,
-// and the retired slot it leaves absorbs the later copies instead of
+// guestEgress is one guest's egress node and state. A copy group is open
+// from its first copy until it is forwarded: an open group is an unforwarded
+// one, and the retired slot it leaves absorbs the later copies instead of
 // letting them resurrect it. Output sequences are contiguous and forward
 // almost in order, so steady-state output traffic allocates nothing.
 type guestEgress struct {
-	// svc is ServiceAddr(guestID) resolved: forwarded packets leave from it.
+	e    *Egress
+	id   string
+	addr netsim.Addr
+	loop *sim.Loop // its shard's
+	// svc is ServiceAddr(id) resolved: forwarded packets leave from it.
 	svc *netsim.Endpoint
 	// live is the expected copy count: the full group, or fewer while the
 	// guest's replica group is degraded — the egress-side mirror of the
 	// device models' live view. The median copy, live/2+1, forwards.
 	live   int
 	groups seqwin.Window[copyGroup]
+	// gone ends a departed guest's tombstone (DropGuest).
+	gone      sim.Time
+	forwarded uint64
 }
 
-func (e *Egress) deliver(p *netsim.Packet) {
+func (gr *guestEgress) Address() netsim.Addr { return gr.addr }
+
+// Deliver counts one tunnelled copy, whichever way it came.
+func (gr *guestEgress) Deliver(p *netsim.Packet) {
 	if p.Body.Kind != netsim.BodyEgress {
 		return
 	}
-	gid, seq := p.Body.GuestID, p.Body.Seq
-	gr := e.guests[gid]
-	if gr == nil {
-		if e.loop.Now() < e.departed[gid] {
-			// Sent before its guest left, arriving after: with the guest's
-			// windows gone the copy would open a group nothing ever closes.
-			e.absorbed++
-			return
-		}
-		gr = e.guest(gid)
+	if gr.loop.Now() < gr.gone {
+		// Sent before its guest left, arriving after: with the guest's
+		// windows gone the copy would open a group nothing ever closes.
+		return
 	}
+	seq := p.Body.Seq
 	g, fresh := gr.groups.Open(seq)
 	if g == nil {
 		// A later copy of a forwarded group, or a sequence no guest can be
 		// this far ahead with: the copy can only be absorbed.
-		e.absorbed++
 		return
 	}
 	if fresh {
@@ -305,29 +327,46 @@ func (e *Egress) deliver(p *netsim.Packet) {
 	}
 	g.n++
 	if g.n >= gr.live/2+1 {
-		e.forward(gid, gr, seq, g)
-	} else {
-		e.absorbed++
+		gr.forward(seq, g)
 	}
 }
 
-// guest returns the guest's egress state, creating it on first use: a guest
-// nobody announced exists from its first copy on.
-func (e *Egress) guest(guestID string) *guestEgress {
-	gr, ok := e.guests[guestID]
-	if !ok {
-		gr = &guestEgress{svc: e.net.Endpoint(ServiceAddr(guestID)), live: e.replicas, groups: seqwin.New[copyGroup](1)}
-		e.guests[guestID] = gr
+// deliver is the front door: a guest nobody announced exists from its first
+// copy on.
+func (e *Egress) deliver(p *netsim.Packet) {
+	if p.Body.Kind != netsim.BodyEgress {
+		return
 	}
-	return gr
+	if gr, err := e.guest(p.Body.GuestID); err == nil {
+		gr.Deliver(p)
+	}
+}
+
+// guest returns the guest's egress node, attaching it on first use on its
+// service address's shard.
+func (e *Egress) guest(guestID string) (*guestEgress, error) {
+	if gr, ok := e.guests[guestID]; ok {
+		return gr, nil
+	}
+	svc := e.net.Endpoint(ServiceAddr(guestID))
+	home, _ := svc.Home()
+	gr := &guestEgress{e: e, id: guestID, addr: e.GuestAddr(guestID), loop: e.net.ShardLoop(home),
+		svc: svc, live: e.replicas, groups: seqwin.New[copyGroup](1)}
+	if err := e.net.AssignShard(gr.addr, home); err != nil {
+		return nil, err
+	}
+	_ = e.net.Attach(gr) // refuses only a nil node or an empty address
+	e.guests[guestID] = gr
+	return gr, nil
 }
 
 // forward sends a group's packet to its true destination and retires the
 // group: whatever copies are still to come, in whatever view, are absorbed.
-func (e *Egress) forward(guestID string, gr *guestEgress, seq uint64, g *copyGroup) {
-	e.forwarded++
+func (gr *guestEgress) forward(seq uint64, g *copyGroup) {
+	e := gr.e
+	gr.forwarded++
 	if e.OnForward != nil {
-		e.OnForward(guestID, seq, e.loop.Now())
+		e.OnForward(gr.id, seq, gr.loop.Now())
 	}
 	e.net.Send(e.net.AllocTo(gr.svc, e.net.Endpoint(g.origDst), g.size, "guest:data", g.data))
 	g.data = nil
@@ -350,19 +389,28 @@ func (e *Egress) SetLiveReplicas(guestID string, n int) error {
 	if n < 1 || n > e.replicas {
 		return fmt.Errorf("%w: live replica count %d of %d", ErrGateway, n, e.replicas)
 	}
-	delete(e.departed, guestID) // deployed again: the id is a new tenant's
-	gr := e.guest(guestID)
+	gr, err := e.guest(guestID)
+	if err != nil {
+		return err
+	}
+	gr.gone = 0 // deployed again: the id is a new tenant's
 	gr.live = n
 	for seq, g := range gr.groups.All() {
 		if g.n >= n/2+1 {
-			e.forward(guestID, gr, seq, g)
+			gr.forward(seq, g)
 		}
 	}
 	return nil
 }
 
 // Forwarded reports packets forwarded to their destinations.
-func (e *Egress) Forwarded() uint64 { return e.forwarded }
+func (e *Egress) Forwarded() uint64 {
+	var n uint64
+	for _, gr := range e.guests {
+		n += gr.forwarded
+	}
+	return n
+}
 
 // departedFor is how long a departed guest's tombstone stands: longer than
 // any tunnel flight (a copy leaves its Dom0 one output delay after the
@@ -373,20 +421,13 @@ const departedFor = 50 * sim.Millisecond
 
 // DropGuest discards the copy-counting and live-view state of an evicted
 // guest so a later tenant reusing the id starts from a clean slate, and
-// leaves a tombstone that absorbs the copies its stopped replicas still had
-// in the tunnel. SetLiveReplicas clears it when the id is deployed again;
-// otherwise it lapses after departedFor and is swept by a later drop, so the
-// set holds the guests that left within one such interval, not every guest
-// that ever did.
+// tombstones its node: for departedFor it absorbs the copies its stopped
+// replicas still had in the tunnel, unless SetLiveReplicas deploys the id
+// again. The node stays attached.
 func (e *Egress) DropGuest(guestID string) {
-	delete(e.guests, guestID)
-	now := e.loop.Now()
-	for id, until := range e.departed {
-		if until <= now {
-			delete(e.departed, id)
-		}
+	if gr, err := e.guest(guestID); err == nil {
+		gr.live, gr.groups, gr.gone = e.replicas, seqwin.New[copyGroup](1), gr.loop.Now()+departedFor
 	}
-	e.departed[guestID] = now + departedFor
 }
 
 // PendingGroups reports the open copy groups: output sequences that have

@@ -318,11 +318,59 @@ func TestEgressIgnoresGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Send(&netsim.Packet{Src: "x", Dst: "egress", Size: 10, Kind: "egress:tunnel", Payload: "garbage"})
+	if err := eg.SetLiveReplicas("g", 3); err != nil {
+		t.Fatal(err)
+	}
+	net.Send(&netsim.Packet{Src: "x", Dst: eg.GuestAddr("g"), Size: 10, Kind: "egress:tunnel", Payload: "garbage"})
 	if err := loop.RunUntil(sim.Second); err != nil {
 		t.Fatal(err)
 	}
 	if eg.Forwarded() != 0 || eg.PendingGroups() != 0 {
 		t.Fatal("garbage affected egress state")
+	}
+}
+
+// TestGuestNodesLiveOnTheServiceShard: a guest's stream source and egress
+// node join its service address on its shard, and a guest whose node was
+// placed on another shard is refused rather than run on two.
+func TestGuestNodesLiveOnTheServiceShard(t *testing.T) {
+	net, loop := testFabric(t, 31, 0)
+	if err := net.SetShards([]*sim.Loop{loop, sim.NewLoop()}); err != nil {
+		t.Fatal(err)
+	}
+	in, err := NewIngress(net, loop, "ingress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eg, err := NewEgress(net, loop, "egress", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom0 := []netsim.Addr{"h0", "h1", "h2"}
+	if err := net.AssignShard(ServiceAddr("a"), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.RegisterGuest("a", dom0); err != nil {
+		t.Fatal(err)
+	}
+	if err := eg.SetLiveReplicas("a", 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []netsim.Addr{in.SourceAddr("a"), eg.GuestAddr("a")} {
+		if k, fixed := net.Endpoint(a).Home(); k != 1 || !fixed {
+			t.Errorf("%s on shard %d (fixed %v), want its service address's 1", a, k, fixed)
+		}
+	}
+	for _, a := range []netsim.Addr{in.SourceAddr("b"), eg.GuestAddr("b")} {
+		if err := net.AssignShard(a, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := in.RegisterGuest("b", dom0); err == nil {
+		t.Error("a stream source on another shard than its service address was registered")
+	}
+	if err := eg.SetLiveReplicas("b", 3); err == nil {
+		t.Error("an egress node on another shard than its service address was registered")
 	}
 }
 
@@ -574,20 +622,16 @@ func TestEgressTombstoneAbsorbsCopiesOfADepartedGuest(t *testing.T) {
 	state("redeployed id", 1, 1, 0)
 
 	// Two departures, neither redeployed: both tombstones stand for
-	// departedFor, and the next drop after that sweeps them.
+	// departedFor, each on its guest's node.
 	eg.DropGuest("g1")
 	eg.DropGuest("g2")
-	if len(eg.departed) != 2 {
-		t.Fatalf("tombstones %v, want g1 and g2", eg.departed)
+	if eg.guests["g1"].gone == 0 || eg.guests["g2"].gone == 0 {
+		t.Fatal("a dropped guest's node holds no tombstone")
 	}
 	run(departedFor - sim.Millisecond)
 	tunnel(net, "egress", "A", "g2", 3, "client", "late")
 	run(sim.Millisecond)
 	state("copy inside the tombstone's life", 1, 1, 0)
-	eg.DropGuest("g3")
-	if _, g3 := eg.departed["g3"]; len(eg.departed) != 1 || !g3 {
-		t.Fatalf("tombstones %v after the sweep, want g3 alone", eg.departed)
-	}
 	// A lapsed tombstone is no tombstone: g2 is created by its first copy.
 	tunnel(net, "egress", "A", "g2", 1, "client", "again")
 	run(sim.Millisecond)

@@ -63,6 +63,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"stopwatch/internal/sim"
 )
@@ -82,6 +83,11 @@ type Endpoint struct {
 	node  Node   // receives arrivals; nil (never attached, detached) drops them
 	// access is the address's access link (SetAccess); nil for none.
 	access *LinkConfig
+	// placed records an AssignShard, and linked a link from or to the
+	// address (set by linkOn, possibly on a shard goroutine). Either fixes
+	// the shard for the address's lifetime: a link caches its destination's.
+	placed bool
+	linked atomic.Bool
 	// links holds the directed links out of this address, by destination.
 	// Runtime state in them is touched only by this address's shard.
 	links EndpointTable[*link]
@@ -89,6 +95,14 @@ type Endpoint struct {
 
 // Addr returns the endpoint's name.
 func (e *Endpoint) Addr() Addr { return e.addr }
+
+// ReserveLinks sizes the table of links out of the address for n
+// destinations, so an address that talks to many grows it at most once.
+func (e *Endpoint) ReserveLinks(n int) { e.links.ents = slices.Grow(e.links.ents, n) }
+
+// Home returns the shard the address lives on, and whether it is fixed there
+// (by AssignShard or a link).
+func (e *Endpoint) Home() (shard int, fixed bool) { return e.shard, e.placed || e.linked.Load() }
 
 // EndpointTable maps endpoints to per-peer state — an address's outgoing
 // links, a receiver's source streams — in one slice of (ID, value) pairs
@@ -334,6 +348,8 @@ type Network struct {
 	byName map[Addr]*Endpoint
 
 	defCfg *LinkConfig
+	// shapes holds each distinct access link SetAccess was given, once.
+	shapes []*LinkConfig
 	shards []*netShard
 
 	// seedBase derives the per-link RNG streams; drawn once from the
@@ -404,12 +420,18 @@ func (n *Network) SetShards(loops []*sim.Loop) error {
 
 // AssignShard places an address's fabric endpoint on shard k: deliveries
 // to it run on that shard's loop, and sends from it draw on that shard's
-// state. Must be called before the address sends or receives traffic.
+// state. An address keeps its first shard for its lifetime: once assigned,
+// or touched by a link (a send, a fault), it cannot move to another, and
+// assigning it the shard it has is a no-op.
 func (n *Network) AssignShard(addr Addr, k int) error {
 	if addr == "" || k < 0 || k >= len(n.shards) {
 		return fmt.Errorf("%w: AssignShard(%q, %d) of %d shards", ErrNet, addr, k, len(n.shards))
 	}
-	n.Endpoint(addr).shard = k
+	e := n.Endpoint(addr)
+	if (e.placed || e.linked.Load()) && e.shard != k {
+		return fmt.Errorf("%w: AssignShard(%q, %d): it lives on shard %d", ErrNet, addr, k, e.shard)
+	}
+	e.shard, e.placed = k, true
 	return nil
 }
 
@@ -479,8 +501,9 @@ func (n *Network) Detach(addr Addr) {
 
 // SetAccess gives addr an access link: every link out of addr, and every
 // link into it from an address without one, takes cfg. It is set once, and
-// before any link touches addr, so no link ever changes shape. Topology
-// mutation: initialization or barrier context only.
+// before any link touches addr, so no link ever changes shape. Addresses
+// given the same shape share one record. Topology mutation: initialization
+// or barrier context only.
 func (n *Network) SetAccess(addr Addr, cfg LinkConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -489,24 +512,20 @@ func (n *Network) SetAccess(addr Addr, cfg LinkConfig) error {
 		return fmt.Errorf("%w: SetAccess on an empty address", ErrNet)
 	}
 	e := n.Endpoint(addr)
-	if e.access != nil || n.linked(e) {
+	if e.access != nil || e.linked.Load() {
 		return fmt.Errorf("%w: SetAccess(%q): its access link is set once, before any link touches it", ErrNet, addr)
 	}
-	e.access = &cfg
 	n.minLatency = min(n.minLatency, cfg.Latency)
-	return nil
-}
-
-// linked reports whether any link starts or ends at e.
-func (n *Network) linked(e *Endpoint) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, s := range n.byName {
-		if _, in := s.links.Get(e); in || (s == e && len(s.links.ents) > 0) {
-			return true
+	for _, c := range n.shapes {
+		if *c == cfg {
+			e.access = c
+			return nil
 		}
 	}
-	return false
+	c := cfg
+	n.shapes = append(n.shapes, &c)
+	e.access = &c
+	return nil
 }
 
 // linkConfig is the shape a new src→dst link takes: src's access link,
@@ -532,6 +551,8 @@ func (n *Network) linkOn(src, dst *Endpoint) *link {
 		l = n.shards[src.shard].links.New(link{cfg: n.linkConfig(src, dst), rng: n.linkSrc.FastHashed(h),
 			hash: h, dstShard: dst.shard, faultLoss: lossUnset})
 		src.links.Put(dst, l)
+		src.linked.Store(true)
+		dst.linked.Store(true)
 	}
 	return l
 }

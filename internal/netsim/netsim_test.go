@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"stopwatch/internal/sim"
 )
@@ -162,6 +164,71 @@ func TestSetAccessBeforeAnyLink(t *testing.T) {
 	}
 	if la := n.Lookahead(); la != sim.Millisecond {
 		t.Errorf("lookahead %v, want the access link's 1ms", la)
+	}
+}
+
+// TestSetAccessRefusedOnceLinked: SetAccess is refused on an address a send
+// or a fault has touched, also when the sends ran on shard goroutines, two
+// shards making links to one address at once, and accepted on a fresh
+// address. The set-once check reads one flag of the address, so its cost
+// does not grow with the endpoints the fabric has interned.
+func TestSetAccessRefusedOnceLinked(t *testing.T) {
+	n, _ := testNet(t, LinkConfig{Latency: sim.Millisecond})
+	if err := n.SetShards([]*sim.Loop{sim.NewLoop(), sim.NewLoop()}); err != nil {
+		t.Fatal(err)
+	}
+	for k, a := range []Addr{"s0", "s1"} {
+		if err := n.AssignShard(a, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, src := range []Addr{"s0", "s1"} {
+		wg.Add(1)
+		go func() { // the source's shard goroutine
+			defer wg.Done()
+			n.Send(&Packet{Src: src, Dst: "d", Size: 1, Kind: "x"})
+		}()
+	}
+	wg.Wait()
+	if err := n.InjectLoss("f", "g", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []Addr{"s0", "s1", "d", "f", "g"} {
+		if err := n.SetAccess(a, LinkConfig{Latency: sim.Millisecond}); !errors.Is(err, ErrNet) {
+			t.Errorf("SetAccess(%q) after a link touched it = %v, want ErrNet", a, err)
+		}
+	}
+	if err := n.SetAccess("fresh", LinkConfig{Latency: sim.Millisecond}); err != nil {
+		t.Fatalf("SetAccess on a fresh address: %v", err)
+	}
+
+	// The fastest of five rounds of 1,000 SetAccess calls on fresh
+	// addresses, in a fabric of 10 and of 10,000 linked endpoints.
+	cost := func(endpoints int) time.Duration {
+		n, _ := testNet(t, LinkConfig{Latency: sim.Millisecond})
+		for i := range endpoints {
+			n.Send(&Packet{Src: Addr(fmt.Sprint("e", i)), Dst: "sink", Size: 1, Kind: "x"})
+		}
+		best := time.Duration(1 << 62)
+		for r := range 5 {
+			addrs := make([]Addr, 1000)
+			for i := range addrs {
+				addrs[i] = Addr(fmt.Sprint("a", r, "/", i))
+			}
+			start := time.Now()
+			for _, a := range addrs {
+				if err := n.SetAccess(a, LinkConfig{Latency: sim.Millisecond}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	small, large := cost(10), cost(10_000)
+	if large > 10*small+time.Millisecond {
+		t.Fatalf("1,000 SetAccess calls take %v among 10,000 endpoints and %v among 10", large, small)
 	}
 }
 

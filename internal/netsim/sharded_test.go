@@ -192,7 +192,7 @@ func TestCrossShardSendParksUntilExchange(t *testing.T) {
 
 // TestShardOfFollowsAssignment covers the assignment bookkeeping used by
 // the cluster when placing hosts and gateways: an address's shard is the
-// one AssignShard gave it, shard 0 if none, and its deliveries are
+// one AssignShard first gave it, shard 0 if none, and its deliveries are
 // scheduled on that shard's loop.
 func TestShardOfFollowsAssignment(t *testing.T) {
 	ctrl := sim.NewLoop()
@@ -216,10 +216,14 @@ func TestShardOfFollowsAssignment(t *testing.T) {
 	if err := n.AssignShard("x", 2); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{3, 5, -1} {
+	for _, k := range []int{3, 5, -1, 1} {
 		if err := n.AssignShard("x", k); err == nil {
-			t.Fatalf("AssignShard(x, %d) of 3 shards did not error", k)
+			t.Fatalf("AssignShard(x, %d) of 3 shards, x on 2, did not error", k)
 		}
+	}
+	// An address keeps its first shard: assigning it again is a no-op.
+	if err := n.AssignShard("x", 2); err != nil {
+		t.Fatal(err)
 	}
 	for _, a := range []Addr{"x", "unassigned"} {
 		if err := n.Attach(&FuncNode{Addr: a}); err != nil {

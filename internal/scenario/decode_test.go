@@ -313,6 +313,15 @@ func TestValidateGoldenErrors(t *testing.T) {
 	// Output-digest pin for an undeclared instance.
 	wantErr(t, head+"output_digests:\n  1:\n    ghost: 0123456789abcdef\n"+goodFleet,
 		`test.yaml:1: output_digests seed 1 references undeclared guest "ghost"`)
+	// Two seeds pinned to the same value on every stream: op log and output.
+	wantErr(t, head+"digests:\n  1: 0123456789abcdef\n  2: 0123456789abcdef\n"+
+		"output_digests:\n  1:\n    g-0: 0123456789abcdef\n  2:\n    g-0: 0123456789abcdef\n"+goodFleet,
+		`test.yaml:1: seeds 1 and 2 pin the same value on every stream: drop one, or pin a stream the seed moves`)
+	// Same op log, different outputs: the second seed catches something.
+	if err := mustParse(t, head+"digests:\n  1: 0123456789abcdef\n  2: 0123456789abcdef\n"+
+		"output_digests:\n  1:\n    g-0: 0123456789abcdef\n  2:\n    g-0: fedcba9876543210\n"+goodFleet).Validate(); err != nil {
+		t.Fatalf("pins that differ on one stream: %v", err)
+	}
 	// Loss on a link to a transport client: its fetches would hang.
 	wantErr(t, head+`fleet:
   machines: 6

@@ -9,6 +9,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"sort"
@@ -179,6 +180,26 @@ func (v *validator) fleet() {
 	for _, seed := range sortedSeeds(sc.OutputDigests) {
 		for _, g := range sortedGuests(sc.OutputDigests[seed]) {
 			v.guestRef(1, g, fmt.Sprintf("output_digests seed %d", seed))
+		}
+	}
+	// A seed's pins by stream: the op log under "", a guest's output under
+	// its name. Two seeds with the same pins catch the same things.
+	pins := map[uint64]map[string]string{}
+	for seed, d := range sc.Digests {
+		pins[seed] = map[string]string{"": d}
+	}
+	for seed, out := range sc.OutputDigests {
+		if pins[seed] == nil {
+			pins[seed] = map[string]string{}
+		}
+		maps.Copy(pins[seed], out)
+	}
+	seeds := slices.Sorted(maps.Keys(pins))
+	for i, a := range seeds {
+		for _, b := range seeds[i+1:] {
+			if maps.Equal(pins[a], pins[b]) {
+				v.errf(1, "seeds %d and %d pin the same value on every stream: drop one, or pin a stream the seed moves", a, b)
+			}
 		}
 	}
 	for _, seed := range sc.FailingSeeds {
