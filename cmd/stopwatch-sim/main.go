@@ -121,7 +121,7 @@ func runScenarioFiles(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("stopwatch-sim run", flag.ContinueOnError)
 	var seeds seedSet
 	fs.Var(&seeds, "seed", "run these seeds instead of each file's declared ones: numbers and ranges, e.g. 1-40 or 3,7,11-13")
-	shards := fs.Int("shards", 0, "override the fleet's shard count (0 = the file's; digests are identical for every value)")
+	shards := fs.Int("shards", 0, "the fabric shard count (0 = 1; digests are identical for every value)")
 	quiet := fs.Bool("q", false, "suppress the op-stream narration")
 	noReconcile := fs.Bool("no-reconcile", false, "disable the pre-view-commit survivor reconcile round (failure-injection experiments)")
 	metricsOut := fs.String("metrics-out", "", "write the end-of-run metrics snapshot as canonical JSON to this file (needs exactly one run: one file, one seed)")

@@ -55,13 +55,8 @@ func newBaselineHarness(t testing.TB, app guest.App) *baselineHarness {
 }
 
 func TestFileServerValidation(t *testing.T) {
-	if _, err := NewFileServer(FileServerConfig{Mode: 0, DiskChunk: 1}); !errors.Is(err, ErrApp) {
+	if _, err := NewFileServer(FileServerConfig{Mode: 0}); !errors.Is(err, ErrApp) {
 		t.Fatal("bad mode should fail")
-	}
-	cfg := DefaultFileServerConfig()
-	cfg.DiskChunk = 0
-	if _, err := NewFileServer(cfg); !errors.Is(err, ErrApp) {
-		t.Fatal("bad chunk should fail")
 	}
 }
 

@@ -36,44 +36,37 @@ const (
 // FileServerConfig parameterizes a FileServer guest.
 type FileServerConfig struct {
 	Mode FileServerMode
-	// Window is the TCP window in segments (ignored for UDP).
-	Window int
-	// DiskChunk is the bytes fetched per disk read when serving cold files
-	// (the paper's downloads were from a cold start).
-	DiskChunk int
-	// RequestCompute is the branch cost of parsing a request.
-	RequestCompute int64
 }
 
 // DefaultFileServerConfig mirrors the paper's Apache setup: TCP, cold
 // reads, 64KB readahead.
 func DefaultFileServerConfig() FileServerConfig {
-	return FileServerConfig{
-		Mode:           ModeTCP,
-		Window:         16,
-		DiskChunk:      64 << 10,
-		RequestCompute: 50_000,
-	}
+	return FileServerConfig{Mode: ModeTCP}
 }
+
+// The paper's Apache setup: a TCP window of fileWindow segments, cold files
+// (the paper's downloads were from a cold start) read fileChunk bytes at a
+// time, and fileRequestCompute branches to parse a request.
+const (
+	fileWindow         = 16
+	fileChunk          = 64 << 10
+	fileRequestCompute = 50_000
+)
 
 // FileServer is the guest app behind Figs. 4 and 5: it serves GetFile
 // requests from disk over TCP or UDP. The server around the read is
 // diskServer's; the sequential chunked read is what is its own.
 type FileServer struct {
 	diskServer
-	cfg FileServerConfig
 }
 
 // NewFileServer builds the app.
 func NewFileServer(cfg FileServerConfig) (*FileServer, error) {
-	if cfg.DiskChunk <= 0 {
-		return nil, fmt.Errorf("%w: disk chunk %d", ErrApp, cfg.DiskChunk)
-	}
-	fs := &FileServer{cfg: cfg}
+	fs := &FileServer{}
 	var srv transport.Server
 	switch cfg.Mode {
 	case ModeTCP:
-		tcp, err := transport.NewTCPServer(cfg.Window)
+		tcp, err := transport.NewTCPServer(fileWindow)
 		if err != nil {
 			return nil, err
 		}
@@ -99,8 +92,8 @@ func (fs *FileServer) onRequest(ctx guest.Ctx, src netsim.Addr, conn, respID uin
 	if !ok {
 		return
 	}
-	ctx.Compute(fs.cfg.RequestCompute)
-	reads := max(1, (g.Bytes+fs.cfg.DiskChunk-1)/fs.cfg.DiskChunk)
+	ctx.Compute(fileRequestCompute)
+	reads := max(1, (g.Bytes+fileChunk-1)/fileChunk)
 	p := &parkedReq{src: src, conn: conn, respID: respID, bytes: g.Bytes, remaining: reads}
 	fs.park(p)
 	// Chunks are read SEQUENTIALLY (diskServer.OnDiskDone issues the next),
@@ -112,7 +105,7 @@ func (fs *FileServer) onRequest(ctx guest.Ctx, src netsim.Addr, conn, respID uin
 }
 
 func (fs *FileServer) readChunk(ctx guest.Ctx, p *parkedReq) {
-	chunk := max(1, min(fs.cfg.DiskChunk, p.bytes-p.nextOff))
+	chunk := max(1, min(fileChunk, p.bytes-p.nextOff))
 	p.nextOff += chunk
 	ctx.DiskRead(fs.tag(p), chunk)
 }

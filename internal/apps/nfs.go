@@ -158,8 +158,6 @@ type NFSLoadGen struct {
 	stopAt  sim.Time
 	started bool
 
-	readBytes, writeBytes int
-
 	issued    uint64
 	completed uint64
 	latencies []sim.Time
@@ -169,16 +167,18 @@ type NFSLoadGen struct {
 type NFSLoadGenConfig struct {
 	// Processes is the number of client processes (paper: 5).
 	Processes int
-	// SlotsPerProcess models the kernel NFS client's asynchronous RPC
-	// slots: each process can have this many operations outstanding
-	// (default 8). One connection per slot; nhfsstone's constant offered
-	// rate is only sustainable with RPC concurrency.
-	SlotsPerProcess int
 	// RatePerSec is the constant aggregate op rate (paper: 25..400).
 	RatePerSec float64
-	// ReadBytes / WriteBytes are the payload sizes.
-	ReadBytes, WriteBytes int
 }
+
+// nfsSlotsPerProcess models the kernel NFS client's asynchronous RPC slots:
+// each process can have this many operations outstanding, one connection
+// per slot; nhfsstone's constant offered rate is only sustainable with RPC
+// concurrency. A read or write carries nfsIOBytes.
+const (
+	nfsSlotsPerProcess = 8
+	nfsIOBytes         = 8192
+)
 
 // NewNFSLoadGen creates the generator; Start begins issuing.
 func NewNFSLoadGen(loop *sim.Loop, rng *sim.Rand, client *transport.Client, svc netsim.Addr, mix []MixEntry, cfg NFSLoadGenConfig) (*NFSLoadGen, error) {
@@ -188,28 +188,18 @@ func NewNFSLoadGen(loop *sim.Loop, rng *sim.Rand, client *transport.Client, svc 
 	if cfg.Processes <= 0 || cfg.RatePerSec <= 0 || len(mix) == 0 {
 		return nil, fmt.Errorf("%w: nfs loadgen config %+v", ErrApp, cfg)
 	}
-	if cfg.ReadBytes <= 0 {
-		cfg.ReadBytes = 8192
-	}
-	if cfg.WriteBytes <= 0 {
-		cfg.WriteBytes = 8192
-	}
-	if cfg.SlotsPerProcess <= 0 {
-		cfg.SlotsPerProcess = 8
-	}
 	g := &NFSLoadGen{
-		loop:      loop,
-		rng:       rng,
-		client:    client,
-		svc:       svc,
-		mix:       mix,
-		gap:       sim.Time(float64(sim.Second) / cfg.RatePerSec),
-		readBytes: cfg.ReadBytes, writeBytes: cfg.WriteBytes,
+		loop:   loop,
+		rng:    rng,
+		client: client,
+		svc:    svc,
+		mix:    mix,
+		gap:    sim.Time(float64(sim.Second) / cfg.RatePerSec),
 	}
 	for _, m := range mix {
 		g.totalW += m.Weight
 	}
-	for i := 0; i < cfg.Processes*cfg.SlotsPerProcess; i++ {
+	for i := 0; i < cfg.Processes*nfsSlotsPerProcess; i++ {
 		g.conns = append(g.conns, client.Connect(svc, nil))
 	}
 	return g, nil
@@ -238,11 +228,8 @@ func (g *NFSLoadGen) scheduleNext() {
 func (g *NFSLoadGen) issueOne() {
 	op := g.drawOp()
 	req := NFSRequest{Op: op}
-	switch op {
-	case OpRead:
-		req.Bytes = g.readBytes
-	case OpWrite:
-		req.Bytes = g.writeBytes
+	if op == OpRead || op == OpWrite {
+		req.Bytes = nfsIOBytes
 	}
 	conn := g.conns[int(g.issued)%len(g.conns)]
 	g.issued++

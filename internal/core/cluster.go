@@ -1,9 +1,10 @@
 // Package core assembles the StopWatch cloud: machines, guests, the
 // ingress/egress gateway pair, the inter-VMM proposal and pacing protocols,
-// and external clients. A guest's VMM follows from where it is deployed: on
-// one machine it runs alone under the baseline VMM, on Replicas machines it
-// runs replicated under StopWatch, and both kinds share one cluster. It is
-// the integration layer every experiment and example builds on.
+// and external clients. A guest's VMM and group size follow from where it is
+// deployed: on one machine it runs alone under the baseline VMM, on an odd
+// number (at least 3) of machines it runs replicated under StopWatch with
+// that many replicas, and guests of every kind and size share one cluster.
+// It is the integration layer every experiment and example builds on.
 package core
 
 import (
@@ -65,47 +66,44 @@ type ClusterConfig struct {
 	//
 	// Deprecated: a guest's VMM follows from the hosts Deploy is given.
 	Mode Mode
-	// Replicas per guest under StopWatch (odd, at least 3; default 3).
-	Replicas int
 	// VMM carries the hypervisor tunables.
 	VMM vmm.Config
 	// CloudLink is the intra-cloud fabric link (hosts, gateways): the
 	// fabric default, and without its loss the egress's access link.
 	CloudLink netsim.LinkConfig
-	// ClientLink is the client↔cloud link (the paper's campus WLAN): every
-	// client's access link.
-	ClientLink netsim.LinkConfig
-	// HostDrift, when set, gives host i a drift of HostDrift[i%len].
-	HostDrift []float64
-	// HostOffset, when set, gives host i a clock offset.
-	HostOffset []sim.Time
 }
 
-// DefaultClusterConfig returns a three-host StopWatch cloud in the paper's
-// regime: sub-millisecond LAN inside the cloud, ~2 ms WLAN to the client.
+// DefaultClusterConfig returns a three-host cloud in the paper's regime:
+// sub-millisecond LAN inside the cloud, a campus WLAN to the client
+// (clientLink).
 func DefaultClusterConfig() ClusterConfig {
 	return ClusterConfig{
-		Seed:     1,
-		Hosts:    3,
-		Replicas: 3,
-		VMM:      vmm.DefaultConfig(),
+		Seed:  1,
+		Hosts: 3,
+		VMM:   vmm.DefaultConfig(),
 		CloudLink: netsim.LinkConfig{
 			Latency:   150 * sim.Microsecond,
 			JitterMax: 50 * sim.Microsecond,
 		},
-		// The paper's client sat on a campus 802.11 network: a few ms of
-		// latency and ~20 Mbps of bandwidth. Transmission delay dominating
-		// disk access is what makes UDP-over-StopWatch competitive with
-		// the baselines (Sec. VII-C).
-		ClientLink: netsim.LinkConfig{
-			Latency:      4 * sim.Millisecond,
-			JitterMax:    300 * sim.Microsecond,
-			BandwidthBps: 2_500_000,
-		},
-		HostDrift:  []float64{0, 1.8e-5, -1.2e-5, 0.7e-5, -2.1e-5},
-		HostOffset: []sim.Time{0, 2 * sim.Millisecond, 5 * sim.Millisecond, 9 * sim.Millisecond, 13 * sim.Millisecond},
 	}
 }
+
+// clientLink is every client's access link. The paper's client sat on a
+// campus 802.11 network: a few ms of latency and ~20 Mbps of bandwidth.
+// Transmission delay dominating disk access is what makes UDP-over-StopWatch
+// competitive with the baselines (Sec. VII-C).
+var clientLink = netsim.LinkConfig{
+	Latency:      4 * sim.Millisecond,
+	JitterMax:    300 * sim.Microsecond,
+	BandwidthBps: 2_500_000,
+}
+
+// Host i's clock runs at drift hostDrift[i%5] from offset hostOffset[i%5]:
+// machines whose clocks disagree, as a cloud's do.
+var (
+	hostDrift  = [...]float64{0, 1.8e-5, -1.2e-5, 0.7e-5, -2.1e-5}
+	hostOffset = [...]sim.Time{0, 2 * sim.Millisecond, 5 * sim.Millisecond, 9 * sim.Millisecond, 13 * sim.Millisecond}
+)
 
 // Cluster is a running simulated cloud.
 type Cluster struct {
@@ -326,7 +324,8 @@ func (w *replicaWiring) PaceReport(v vtime.Virtual, epoch int64, s vtime.EpochSa
 }
 
 // GuestSend implements vmm.SendSink: egress tunnelling of guest outputs
-// (Sec. VI), departing after the Dom0 output-path delay.
+// (Sec. VI), departing after the Dom0 output-path delay: the base delay of
+// inbound processing, without its load jitter (outbound DMA is cheap).
 func (w *replicaWiring) GuestSend(a guest.IOAction) {
 	net := w.c.net
 	p := net.AllocTo(w.hn.ep, w.egress, a.Size, "egress:tunnel", nil)
@@ -334,7 +333,7 @@ func (w *replicaWiring) GuestSend(a guest.IOAction) {
 		Kind: netsim.BodyEgress, GuestID: w.gid, Origin: w.hostName, Seq: a.Seq,
 		OrigDst: a.Dst, Size: a.Size, Data: a.Data,
 	}
-	net.SendAfter(p, hostIODelay(w.hn.host))
+	net.SendAfter(p, vmm.IOBaseDelay)
 }
 
 // CheckLockstep verifies all replicas produced identical outputs. A failure
@@ -403,12 +402,6 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Hosts <= 0 {
 		return nil, fmt.Errorf("%w: %d hosts", ErrCluster, cfg.Hosts)
 	}
-	if cfg.Replicas == 0 {
-		cfg.Replicas = 3
-	}
-	if cfg.Replicas < 3 || cfg.Replicas%2 == 0 {
-		return nil, fmt.Errorf("%w: replicas %d must be odd and at least 3", ErrCluster, cfg.Replicas)
-	}
 	if err := cfg.VMM.Validate(); err != nil {
 		return nil, err
 	}
@@ -450,16 +443,9 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 	c.coord.SetParallel(cfg.Shards > 1)
 	for i := 0; i < cfg.Hosts; i++ {
 		name := fmt.Sprintf("host%d", i)
-		drift := 0.0
-		if len(cfg.HostDrift) > 0 {
-			drift = cfg.HostDrift[i%len(cfg.HostDrift)]
-		}
-		var offset sim.Time
-		if len(cfg.HostOffset) > 0 {
-			offset = cfg.HostOffset[i%len(cfg.HostOffset)]
-		}
 		hostLoop := shardLoops[c.shardOf(i)]
-		h, err := vmm.NewHost(name, hostLoop, src.Stream("host:"+name), sim.NewClock(offset, drift), cfg.VMM)
+		clock := sim.NewClock(hostOffset[i%len(hostOffset)], hostDrift[i%len(hostDrift)])
+		h, err := vmm.NewHost(name, hostLoop, src.Stream("host:"+name), clock, cfg.VMM)
 		if err != nil {
 			return nil, err
 		}
@@ -493,7 +479,9 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 	if c.ingress, err = gateway.NewIngress(net, shardLoops[0], "ingress"); err != nil {
 		return nil, err
 	}
-	if c.egress, err = gateway.NewEgress(net, shardLoops[0], "egress", cfg.Replicas); err != nil {
+	// Deploy announces each guest's group size; 3 serves only a guest whose
+	// copies reach the front door unannounced.
+	if c.egress, err = gateway.NewEgress(net, shardLoops[0], "egress", 3); err != nil {
 		return nil, err
 	}
 	if err := net.SetAccess(c.egress.Addr(), c.tunnel()); err != nil {
@@ -551,11 +539,12 @@ func (c *Cluster) Guest(id string) (*Guest, bool) {
 	return g, ok
 }
 
-// Deploy places a guest, and hostIdx picks its VMM: one host runs it alone
-// under the baseline VMM, reached at its service address straight off the
-// fabric; Replicas distinct hosts run it under StopWatch, behind the
-// gateways. factory builds one app instance per replica (replicas must not
-// share mutable state).
+// Deploy places a guest, and hostIdx picks its VMM and group size: one host
+// runs it alone under the baseline VMM, reached at its service address
+// straight off the fabric; an odd number (at least 3) of distinct hosts runs
+// it under StopWatch with that many replicas, behind the gateways. Any other
+// count is refused. factory builds one app instance per replica (replicas
+// must not share mutable state).
 func (c *Cluster) Deploy(id string, hostIdx []int, factory func() guest.App) (*Guest, error) {
 	if id == "" || factory == nil {
 		return nil, fmt.Errorf("%w: Deploy needs id and app factory", ErrCluster)
@@ -571,8 +560,11 @@ func (c *Cluster) Deploy(id string, hostIdx []int, factory func() guest.App) (*G
 			return nil, &HostFailedError{Host: i}
 		}
 	}
-	if len(hostIdx) == 1 {
+	switch n := len(hostIdx); {
+	case n == 1:
 		return c.deployBaseline(id, hostIdx, factory)
+	case n < 3 || n%2 == 0:
+		return nil, fmt.Errorf("%w: guest needs one host or an odd number of at least 3, got %d", ErrCluster, n)
 	}
 	return c.deployStopWatch(id, hostIdx, factory)
 }
@@ -592,7 +584,8 @@ func (c *Cluster) deployBaseline(id string, hostIdx []int, factory func() guest.
 	}
 	svcEP := c.net.Endpoint(svc)
 	rt.OnSend = vmm.SendSinkFunc(func(a guest.IOAction) {
-		c.net.SendAfter(c.net.AllocTo(svcEP, c.net.Endpoint(a.Dst), a.Size, "guest:data", a.Data), hostIODelay(h))
+		// The Dom0 output-path delay, as GuestSend's.
+		c.net.SendAfter(c.net.AllocTo(svcEP, c.net.Endpoint(a.Dst), a.Size, "guest:data", a.Data), vmm.IOBaseDelay)
 	})
 	if err := c.net.Attach(&netsim.FuncNode{Addr: svc, Fn: func(p *netsim.Packet) {
 		rt.HandleInbound(guest.Payload{Src: p.Src, Size: p.Size, Data: p.Payload})
@@ -607,17 +600,7 @@ func (c *Cluster) deployBaseline(id string, hostIdx []int, factory func() guest.
 	return g, nil
 }
 
-// hostIODelay approximates the Dom0 output-path processing cost for
-// baseline sends: the same base delay as inbound processing, without load
-// jitter (outbound DMA is cheap).
-func hostIODelay(h *vmm.Host) sim.Time {
-	return h.Config().IOBaseDelay
-}
-
 func (c *Cluster) deployStopWatch(id string, hostIdx []int, factory func() guest.App) (*Guest, error) {
-	if len(hostIdx) != c.cfg.Replicas {
-		return nil, fmt.Errorf("%w: guest needs %d replica hosts, got %d", ErrCluster, c.cfg.Replicas, len(hostIdx))
-	}
 	for k, i := range hostIdx {
 		for _, j := range hostIdx[:k] {
 			if i == j {
@@ -634,6 +617,9 @@ func (c *Cluster) deployStopWatch(id string, hostIdx []int, factory func() guest
 	}
 	eg, err := c.placeEdge(id, hostIdx[0])
 	if err != nil {
+		return nil, err
+	}
+	if err := c.egress.RegisterGuest(id, len(hostIdx)); err != nil {
 		return nil, err
 	}
 	g := &Guest{
@@ -714,7 +700,7 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 	} else {
 		app = rt.VM().App()
 	}
-	nd, err := vmm.NewNetDevice(rt, c.cfg.Replicas)
+	nd, err := vmm.NewNetDevice(rt, len(g.replicas))
 	if err != nil {
 		return err
 	}
@@ -874,7 +860,7 @@ func (c *Cluster) Stop() {
 // link: its access link, which its links to and from every guest take. An
 // address that already has a client, or has carried traffic, is refused.
 func (c *Cluster) NewClient(addr netsim.Addr) (*transport.Client, error) {
-	if err := c.net.SetAccess(addr, c.cfg.ClientLink); err != nil {
+	if err := c.net.SetAccess(addr, clientLink); err != nil {
 		return nil, fmt.Errorf("%w: client %q: %v", ErrCluster, addr, err)
 	}
 	return transport.NewClient(c.net, c.shardLoops[0], addr)

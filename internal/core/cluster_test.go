@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"stopwatch/internal/netsim"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/transport"
+	"stopwatch/internal/vmm"
 )
 
 func mustCluster(t *testing.T, cfg ClusterConfig) *Cluster {
@@ -38,21 +40,16 @@ func TestClusterValidation(t *testing.T) {
 		t.Fatal("0 hosts should fail")
 	}
 	cfg := DefaultClusterConfig()
-	cfg.Replicas = 2
-	if _, err := New(cfg); !errors.Is(err, ErrCluster) {
-		t.Fatal("even replicas should fail")
-	}
-	cfg.Replicas = 1
-	if _, err := New(cfg); !errors.Is(err, ErrCluster) {
-		t.Fatal("one StopWatch replica should fail: it has no peers to agree with")
-	}
-	c := mustCluster(t, DefaultClusterConfig())
+	cfg.Hosts = 5
+	c := mustCluster(t, cfg)
 	if _, err := c.Deploy("", []int{0, 1, 2}, nil); !errors.Is(err, ErrCluster) {
 		t.Fatal("empty id should fail")
 	}
 	f := fileServerFactory(t, apps.DefaultFileServerConfig())
-	if _, err := c.Deploy("g", []int{0, 1}, f); !errors.Is(err, ErrCluster) {
-		t.Fatal("wrong replica count should fail")
+	for _, hosts := range [][]int{{}, {0, 1}, {0, 1, 2, 3}} {
+		if _, err := c.Deploy("g", hosts, f); !errors.Is(err, ErrCluster) {
+			t.Fatalf("a group of %d hosts should fail: the median needs an odd group of at least 3", len(hosts))
+		}
 	}
 	if _, err := c.Deploy("g", []int{0, 0, 1}, f); !errors.Is(err, ErrCluster) {
 		t.Fatal("duplicate hosts should fail")
@@ -279,6 +276,127 @@ func TestOneClusterRunsBothVMMs(t *testing.T) {
 	}
 	if err := sw.CheckLockstep(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOneClusterRunsTwoGroupSizes: a guest's group size follows from its
+// host list, so one cluster runs a 3-replica echo guest on hosts {0,1,2}
+// next to a 5-replica one on {3,...,7}. Both serve one client in strict
+// lockstep, and the egress forwards each output at its own guest's median
+// copy: the 2nd of 3 and the 3rd of 5. After host 3 fails, the 5-replica
+// guest serves degraded at 4 live replicas and forwards at copy 3. The
+// fabric has no jitter, so a copy reaches the egress exactly one Dom0
+// output delay and one link latency after its replica sent it.
+func TestOneClusterRunsTwoGroupSizes(t *testing.T) {
+	cfg := DefaultClusterConfig()
+	cfg.Hosts = 8
+	cfg.CloudLink.JitterMax = 0
+	c := mustCluster(t, cfg)
+	net := c.Net()
+	ids := []string{"three", "five"}
+	groups := map[string][]int{"three": {0, 1, 2}, "five": {3, 4, 5, 6, 7}}
+	// sent[id][seq] are the instants each replica sent that output's copy.
+	sent := map[string]map[uint64][]sim.Time{}
+	for _, id := range ids {
+		hosts := groups[id]
+		g, err := c.Deploy(id, hosts, func() guest.App { return echoApp{} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.NumReplicas() != len(hosts) {
+			t.Fatalf("guest %s has %d replicas on %d hosts", id, g.NumReplicas(), len(hosts))
+		}
+		sent[id] = map[uint64][]sim.Time{}
+		for _, w := range g.replicas {
+			loop := w.rt.Host().Loop()
+			w.rt.OnSend = vmm.SendSinkFunc(func(a guest.IOAction) {
+				sent[id][a.Seq] = append(sent[id][a.Seq], loop.Now())
+				w.GuestSend(a)
+			})
+		}
+	}
+	// The median copy forwards: copy live/2+1 of the live group's.
+	type forward struct {
+		id   string
+		seq  uint64
+		at   sim.Time
+		live int
+	}
+	live := map[string]int{"three": 3, "five": 5}
+	var forwards []forward
+	c.Egress().OnForward = func(id string, seq uint64, at sim.Time) {
+		forwards = append(forwards, forward{id, seq, at, live[id]})
+	}
+	replies := map[netsim.Addr]int{}
+	if err := net.Attach(&netsim.FuncNode{Addr: "laptop", Fn: func(p *netsim.Packet) { replies[p.Src]++ }}); err != nil {
+		t.Fatal(err)
+	}
+	pings := func(from sim.Time) {
+		for _, id := range ids {
+			for k := range 8 {
+				c.Loop().At(from+sim.Time(5*k)*sim.Millisecond, "ping", func() {
+					net.Send(net.AllocTo(net.Endpoint("laptop"), net.Endpoint(ServiceAddr(id)), 64, "ping", uint64(k)))
+				})
+			}
+		}
+	}
+	pings(20 * sim.Millisecond)
+	c.Start()
+	if err := c.Run(100 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	// Host 3 fails; one settle window on, the 5-replica guest's view drops it.
+	if err := c.FailMachine(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(125 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MarkReplicaDead("five", 3); err != nil {
+		t.Fatal(err)
+	}
+	live["five"] = 4
+	if g, _ := c.Ingress().Group("five"); len(g) != 4 {
+		t.Fatalf("the degraded guest replicates to %v, want its 4 live replicas", g)
+	}
+	pings(150 * sim.Millisecond)
+	if err := c.Run(400 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, id := range ids {
+		if n := replies[ServiceAddr(id)]; n != 16 {
+			t.Fatalf("the client got %d replies from %s, want 16", n, id)
+		}
+	}
+	if len(forwards) != 32 || c.Egress().PendingGroups() != 0 {
+		t.Fatalf("egress forwarded %d outputs with %d groups open, want 32 and 0", len(forwards), c.Egress().PendingGroups())
+	}
+	delay := vmm.IOBaseDelay + cfg.CloudLink.Latency
+	for _, f := range forwards {
+		copies := slices.Sorted(slices.Values(sent[f.id][f.seq]))
+		median := f.live/2 + 1
+		if len(copies) != f.live {
+			t.Fatalf("%s output %d: %d copies sent, want one per live replica (%d)", f.id, f.seq, len(copies), f.live)
+		}
+		if want := copies[median-1] + delay; f.at != want {
+			t.Fatalf("%s output %d forwarded at %v, want its copy %d of %d at %v (copies sent at %v)",
+				f.id, f.seq, f.at, median, f.live, want, copies)
+		}
+	}
+	three, _ := c.Guest("three")
+	five, _ := c.Guest("five")
+	if err := three.CheckLockstep(); err != nil {
+		t.Fatal(err)
+	}
+	ref := five.replicas[1].rt.VM()
+	for _, w := range five.replicas[2:] {
+		if vm := w.rt.VM(); vm.OutputDigest() != ref.OutputDigest() || vm.OutputCount() != ref.OutputCount() {
+			t.Fatalf("the 5-replica guest's survivor on host %d diverged", w.hostIdx)
+		}
+	}
+	if ref.OutputCount() != 16 || three.Divergences() != 0 || five.Divergences() != 0 {
+		t.Fatalf("survivors echoed %d of 16; divergences %d and %d", ref.OutputCount(), three.Divergences(), five.Divergences())
 	}
 }
 

@@ -161,3 +161,71 @@ func TestEdgeRunsOnGuestShard(t *testing.T) {
 		t.Fatalf("K=1 and K=2 differ:\n%+v\n%+v", one, two)
 	}
 }
+
+// TestFrontDoorCopiesCountOnGuestShard: a copy tunnelled to the shared
+// egress front door (shard 0) crosses the fabric to its guest's own node,
+// which counts it and forwards the output on the guest's home shard. At
+// K = 2 guest b is homed on shard 1, and its replicas keep that shard busy
+// while the front door takes copies for it: a front door that counted them
+// itself would touch the node's state from shard 0's goroutine. Each output
+// forwards two hops after its median copy left (tap → front door → node),
+// and the forwards are the same at K = 1 and 2.
+func TestFrontDoorCopiesCountOnGuestShard(t *testing.T) {
+	const outputs = 40
+	play := func(shards int) []sim.Time {
+		cfg := DefaultClusterConfig()
+		cfg.Hosts, cfg.Shards = 8, shards
+		c := mustCluster(t, cfg)
+		net := c.Net()
+		if _, err := c.Deploy("b", []int{5, 6, 7}, func() guest.App { return echoApp{} }); err != nil {
+			t.Fatal(err)
+		}
+		if k, _ := net.Endpoint(c.Egress().GuestAddr("b")).Home(); k != shards-1 {
+			t.Fatalf("K=%d: guest b homed on shard %d", shards, k)
+		}
+		got := 0
+		if err := net.Attach(&netsim.FuncNode{Addr: "laptop", Fn: func(*netsim.Packet) { got++ }}); err != nil {
+			t.Fatal(err)
+		}
+		// OnForward runs on b's shard; the slice is read after the run.
+		forwardedAt := make([]sim.Time, outputs+1)
+		c.Egress().OnForward = func(id string, seq uint64, at sim.Time) {
+			if id != "b" || seq == 0 || seq > outputs {
+				t.Errorf("forwarded %s/%d", id, seq)
+				return
+			}
+			forwardedAt[seq] = at
+		}
+		tap, door := net.Endpoint("tap"), net.Endpoint(c.Egress().Addr())
+		sentAt := make([]sim.Time, outputs+1)
+		for seq := uint64(1); seq <= outputs; seq++ {
+			at := 20*sim.Millisecond + sim.Time(seq)*700*sim.Microsecond
+			c.Loop().At(at, "copies", func() {
+				sentAt[seq] = at
+				for _, origin := range []string{"host5", "host6", "host7"} {
+					p := net.AllocTo(tap, door, 64, "egress:tunnel", nil)
+					p.Body = netsim.PacketBody{Kind: netsim.BodyEgress, GuestID: "b", Origin: origin, Seq: seq,
+						OrigDst: "laptop", Size: 64, Data: seq}
+					net.Send(p)
+				}
+			})
+		}
+		c.Start()
+		if err := c.Run(100 * sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if got != outputs || c.Egress().Forwarded() != outputs || c.Egress().PendingGroups() != 0 {
+			t.Fatalf("K=%d: laptop got %d, forwarded %d, pending %d; want %d, %d, 0",
+				shards, got, c.Egress().Forwarded(), c.Egress().PendingGroups(), outputs, outputs)
+		}
+		for seq := 1; seq <= outputs; seq++ {
+			if hops := forwardedAt[seq] - sentAt[seq]; hops < 2*cfg.CloudLink.Latency {
+				t.Fatalf("K=%d: output %d forwarded %v after its copies left, under two hops", shards, seq, hops)
+			}
+		}
+		return forwardedAt
+	}
+	if one, two := play(1), play(2); !reflect.DeepEqual(one, two) {
+		t.Fatalf("forwards differ at K=1 and K=2:\n%v\n%v", one, two)
+	}
+}

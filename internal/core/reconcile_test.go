@@ -11,8 +11,7 @@ import (
 	"stopwatch/internal/sim"
 )
 
-// splitAtCrash deploys probe guest "g" on every host of an n-host, n-replica
-// cluster, lets one packet through clean, then cuts host 0's proposal stream
+// splitAtCrash deploys probe guest "g" on every host of an n-host cluster, lets one packet through clean, then cuts host 0's proposal stream
 // toward host 1 and crashes host 0 the instant its proposal for a second
 // packet has left. Five milliseconds on — the settle instant — every
 // survivor but host 1 holds host 0's vote and has resolved the second
@@ -20,7 +19,7 @@ import (
 func splitAtCrash(t *testing.T, n int, disable bool) (*Cluster, *Guest) {
 	t.Helper()
 	cfg := DefaultClusterConfig()
-	cfg.Hosts, cfg.Replicas = n, n
+	cfg.Hosts = n
 	c := mustCluster(t, cfg)
 	if disable {
 		c.DisableViewReconcile()

@@ -80,13 +80,13 @@ func RunCollab(cfg CollabConfig) (*CollabResult, error) {
 //	victim:       {2,5,6} — shares exactly host 2 with VM1
 //	colluder VM2: {0,5,6} — loads VM1's host 0 to marginalize that replica
 //
-// A cluster sizes every StopWatch guest alike, so with five replicas the
-// victim and the colluder cannot be triplicated next to the attacker: they
-// become baseline guests on hosts 2 and 0 alone, which is all of them the
-// attacker's replicas ever saw.
+// With five replicas the victim and the colluder run as baseline guests on
+// hosts 2 and 0 alone, which is all of them the attacker's replicas ever
+// saw. A cluster could run them as 3-replica guests next to the 5-replica
+// attacker; the one-host loads stay so the table matches the pinned one.
 func collabRig(cfg CollabConfig, replicas int, marginalize bool) probeRig {
 	rig := probeRig{
-		seed: cfg.Seed, hosts: 7, replicas: replicas,
+		seed: cfg.Seed, hosts: 7,
 		duration: cfg.Duration, probeMeanGap: cfg.ProbeMeanGap,
 		attacker: "attacker", attHosts: []int{0, 1, 2, 3, 4}[:replicas], source: "colluder-ext",
 	}

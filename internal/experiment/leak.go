@@ -40,12 +40,12 @@ func scoreLeak(withVictim, noVictim []float64, bins int, confidences ...float64)
 // probeRig is the one attacker-probe run behind Fig 4, both ablations and
 // the Δn calibration: a probe stream from outside the cloud into an attacker
 // VM of ProbeApps, next to whatever shares its hosts. A rig is data — the
-// cluster's shape, where the attacker sits and how its replicas agree, and
-// the guests next to it — and run is the only code that builds a cluster
-// from it.
+// cluster's shape, where the attacker sits (its host list is its group) and
+// how its replicas agree, and the guests next to it — and run is the only
+// code that builds a cluster from it.
 type probeRig struct {
-	seed            uint64
-	hosts, replicas int
+	seed  uint64
+	hosts int
 	// deltaN overrides the network-interrupt offset Δn (0 = the default).
 	deltaN                 vtime.Virtual
 	duration, probeMeanGap sim.Time
@@ -67,8 +67,8 @@ type probeRig struct {
 }
 
 // rigGuest is a guest deployed next to the attacker, in the order given: on
-// one host it runs under the baseline VMM, on replicas hosts under
-// StopWatch.
+// one host it runs under the baseline VMM, on an odd number of hosts under
+// StopWatch with that many replicas.
 type rigGuest struct {
 	id    string
 	hosts []int
@@ -106,7 +106,7 @@ type probeRun struct {
 // attacker.
 func (p probeRig) run() (*probeRun, error) {
 	cc := core.DefaultClusterConfig()
-	cc.Seed, cc.Hosts, cc.Replicas = p.seed, p.hosts, p.replicas
+	cc.Seed, cc.Hosts = p.seed, p.hosts
 	if p.deltaN > 0 {
 		cc.VMM.DeltaN = p.deltaN
 	}
@@ -224,7 +224,7 @@ func fileVictimRig(baseline bool, seed uint64, duration, probeMeanGap sim.Time, 
 		att, vic = []int{0}, []int{0}
 	}
 	return probeRig{
-		seed: seed, hosts: 5, replicas: 3, duration: duration, probeMeanGap: probeMeanGap,
+		seed: seed, hosts: 5, duration: duration, probeMeanGap: probeMeanGap,
 		attacker: "attacker", attHosts: att, source: "colluder",
 		guests: []rigGuest{{id: "victim", victim: true, hosts: vic, streams: streams, fileKB: fileKB,
 			app: factory(func() (*apps.FileServer, error) { return apps.NewFileServer(apps.DefaultFileServerConfig()) })}},

@@ -1,8 +1,8 @@
 // Package gateway implements StopWatch's cloud edge: the ingress node that
-// replicates every inbound guest packet to the guest's three replica hosts
+// replicates every inbound guest packet to the guest's replica hosts
 // (Sec. V), and the egress node that forwards each guest output packet when
-// its second copy arrives — the median emission timing of the three
-// replicas (Sec. VI).
+// its median copy arrives (the second of three) — the median emission
+// timing of the replicas (Sec. VI).
 //
 // The edge is per guest ("there need not be only one" such node): a guest's
 // service address, ingress stream and egress node are fabric nodes of their
@@ -221,17 +221,18 @@ func (in *Ingress) Replicated() uint64 {
 }
 
 // Egress forwards guest outputs at the median timing: each replica tunnels
-// its copy of every output packet to its guest's node, GuestAddr; the second
-// copy to arrive is forwarded to the true destination, later copies are
-// absorbed. The shared address, Addr, is a front door into the same
-// counting, finding the guest by the copy's GuestID.
+// its copy of every output packet to its guest's node, GuestAddr; the median
+// copy to arrive (the second of three) is forwarded to the true destination,
+// later copies are absorbed. The shared address, Addr, is a front door: it
+// hands each copy on to the node of the guest the copy names.
 type Egress struct {
-	net  *netsim.Network
-	addr netsim.Addr
+	net *netsim.Network
+	// ep is the front door's endpoint, on shard 0.
+	ep *netsim.Endpoint
 
 	// guests holds every guest seen, departed ones too.
 	guests map[string]*guestEgress
-	// replicas is the expected copy count per packet (3 by default).
+	// replicas is the group size of a guest RegisterGuest never announced.
 	replicas int
 
 	// OnForward observes forwarded packets (external-observer experiments).
@@ -240,9 +241,10 @@ type Egress struct {
 	OnForward func(guestID string, seq uint64, at sim.Time)
 }
 
-// NewEgress creates an egress node for groups of `replicas` replicas,
-// forwarding on the copy that represents the median emission (replicas/2+1).
-// loop is shard 0's, where the front door runs.
+// NewEgress creates an egress node. replicas is the group size of a guest
+// whose copies reach the front door before RegisterGuest announces it: it
+// forwards on the median copy, replicas/2+1. loop is shard 0's, where the
+// front door runs.
 func NewEgress(net *netsim.Network, loop *sim.Loop, addr netsim.Addr, replicas int) (*Egress, error) {
 	if net == nil || loop == nil || addr == "" {
 		return nil, fmt.Errorf("%w: egress needs net, loop, addr", ErrGateway)
@@ -252,7 +254,7 @@ func NewEgress(net *netsim.Network, loop *sim.Loop, addr netsim.Addr, replicas i
 	}
 	e := &Egress{
 		net:      net,
-		addr:     addr,
+		ep:       net.Endpoint(addr),
 		guests:   make(map[string]*guestEgress),
 		replicas: replicas,
 	}
@@ -263,11 +265,11 @@ func NewEgress(net *netsim.Network, loop *sim.Loop, addr netsim.Addr, replicas i
 }
 
 // Addr returns the egress front door's fabric address.
-func (e *Egress) Addr() netsim.Addr { return e.addr }
+func (e *Egress) Addr() netsim.Addr { return e.ep.Addr() }
 
 // GuestAddr returns a guest's egress node address, which replicas tunnel to.
 func (e *Egress) GuestAddr(guestID string) netsim.Addr {
-	return netsim.Addr(string(e.addr) + "/" + guestID)
+	return netsim.Addr(string(e.Addr()) + "/" + guestID)
 }
 
 // copyGroup counts one output packet's tunnel arrivals until it is
@@ -289,21 +291,22 @@ type copyGroup struct {
 type guestEgress struct {
 	e    *Egress
 	id   string
-	addr netsim.Addr
-	loop *sim.Loop // its shard's
+	ep   *netsim.Endpoint // GuestAddr(id)'s
+	loop *sim.Loop        // its shard's
 	// svc is ServiceAddr(id) resolved: forwarded packets leave from it.
 	svc *netsim.Endpoint
-	// live is the expected copy count: the full group, or fewer while the
-	// guest's replica group is degraded — the egress-side mirror of the
-	// device models' live view. The median copy, live/2+1, forwards.
-	live   int
-	groups seqwin.Window[copyGroup]
+	// size is the guest's group size (RegisterGuest), and live the expected
+	// copy count: size, or fewer while the group is degraded — the
+	// egress-side mirror of the device models' live view. The median copy,
+	// live/2+1, forwards.
+	size, live int
+	groups     seqwin.Window[copyGroup]
 	// gone ends a departed guest's tombstone (DropGuest).
 	gone      sim.Time
 	forwarded uint64
 }
 
-func (gr *guestEgress) Address() netsim.Addr { return gr.addr }
+func (gr *guestEgress) Address() netsim.Addr { return gr.ep.Addr() }
 
 // Deliver counts one tunnelled copy, whichever way it came.
 func (gr *guestEgress) Deliver(p *netsim.Packet) {
@@ -331,15 +334,21 @@ func (gr *guestEgress) Deliver(p *netsim.Packet) {
 	}
 }
 
-// deliver is the front door: a guest nobody announced exists from its first
-// copy on.
+// deliver is the front door, on shard 0: it hands each copy on to its
+// guest's node over the fabric, so that the node counts and forwards it on
+// the guest's own shard. A guest nobody announced exists from its first copy
+// on.
 func (e *Egress) deliver(p *netsim.Packet) {
 	if p.Body.Kind != netsim.BodyEgress {
 		return
 	}
-	if gr, err := e.guest(p.Body.GuestID); err == nil {
-		gr.Deliver(p)
+	gr, err := e.guest(p.Body.GuestID)
+	if err != nil {
+		return
 	}
+	q := e.net.AllocTo(e.ep, gr.ep, p.Size, p.Kind, p.Payload)
+	q.Body = p.Body
+	e.net.Send(q)
 }
 
 // guest returns the guest's egress node, attaching it on first use on its
@@ -350,14 +359,29 @@ func (e *Egress) guest(guestID string) (*guestEgress, error) {
 	}
 	svc := e.net.Endpoint(ServiceAddr(guestID))
 	home, _ := svc.Home()
-	gr := &guestEgress{e: e, id: guestID, addr: e.GuestAddr(guestID), loop: e.net.ShardLoop(home),
-		svc: svc, live: e.replicas, groups: seqwin.New[copyGroup](1)}
-	if err := e.net.AssignShard(gr.addr, home); err != nil {
+	gr := &guestEgress{e: e, id: guestID, ep: e.net.Endpoint(e.GuestAddr(guestID)), loop: e.net.ShardLoop(home),
+		svc: svc, size: e.replicas, live: e.replicas, groups: seqwin.New[copyGroup](1)}
+	if err := e.net.AssignShard(gr.ep.Addr(), home); err != nil {
 		return nil, err
 	}
 	_ = e.net.Attach(gr) // refuses only a nil node or an empty address
 	e.guests[guestID] = gr
 	return gr, nil
+}
+
+// RegisterGuest announces a deployment of guestID with a group of replicas
+// replicas: its copies forward at the median, replicas/2+1, and a tombstone
+// its id's last tenant left (DropGuest) is lifted.
+func (e *Egress) RegisterGuest(guestID string, replicas int) error {
+	if replicas < 1 || replicas%2 == 0 {
+		return fmt.Errorf("%w: guest %q replica count %d must be odd", ErrGateway, guestID, replicas)
+	}
+	gr, err := e.guest(guestID)
+	if err != nil {
+		return err
+	}
+	gr.gone, gr.size, gr.live = 0, replicas, replicas
+	return nil
 }
 
 // forward sends a group's packet to its true destination and retires the
@@ -379,21 +403,20 @@ func (gr *guestEgress) forward(seq uint64, g *copyGroup) {
 // forwarded at copy n/2+1: the later of a surviving pair's two emissions
 // (the upper-median bias the delivery side also uses), and the sole copy of
 // a single survivor — whose output would otherwise wait forever for a
-// second emission. Restoring n to the full group size clears the override.
+// second emission. n may not exceed the guest's group size (RegisterGuest).
 //
 // Pending groups made eligible by a shrink are flushed immediately, in
 // sequence order: a packet whose counted copies all came from now-dead
 // replicas will see no further emission, so its eligibility can only be
 // acted on here.
 func (e *Egress) SetLiveReplicas(guestID string, n int) error {
-	if n < 1 || n > e.replicas {
-		return fmt.Errorf("%w: live replica count %d of %d", ErrGateway, n, e.replicas)
-	}
 	gr, err := e.guest(guestID)
 	if err != nil {
 		return err
 	}
-	gr.gone = 0 // deployed again: the id is a new tenant's
+	if n < 1 || n > gr.size {
+		return fmt.Errorf("%w: guest %q live replica count %d of %d", ErrGateway, guestID, n, gr.size)
+	}
 	gr.live = n
 	for seq, g := range gr.groups.All() {
 		if g.n >= n/2+1 {
@@ -422,11 +445,11 @@ const departedFor = 50 * sim.Millisecond
 // DropGuest discards the copy-counting and live-view state of an evicted
 // guest so a later tenant reusing the id starts from a clean slate, and
 // tombstones its node: for departedFor it absorbs the copies its stopped
-// replicas still had in the tunnel, unless SetLiveReplicas deploys the id
+// replicas still had in the tunnel, unless RegisterGuest deploys the id
 // again. The node stays attached.
 func (e *Egress) DropGuest(guestID string) {
 	if gr, err := e.guest(guestID); err == nil {
-		gr.live, gr.groups, gr.gone = e.replicas, seqwin.New[copyGroup](1), gr.loop.Now()+departedFor
+		gr.size, gr.live, gr.groups, gr.gone = e.replicas, e.replicas, seqwin.New[copyGroup](1), gr.loop.Now()+departedFor
 	}
 }
 

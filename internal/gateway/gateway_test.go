@@ -332,7 +332,8 @@ func TestEgressIgnoresGarbage(t *testing.T) {
 
 // TestGuestNodesLiveOnTheServiceShard: a guest's stream source and egress
 // node join its service address on its shard, and a guest whose node was
-// placed on another shard is refused rather than run on two.
+// placed on another shard is refused rather than run on two, by the front
+// door too.
 func TestGuestNodesLiveOnTheServiceShard(t *testing.T) {
 	net, loop := testFabric(t, 31, 0)
 	if err := net.SetShards([]*sim.Loop{loop, sim.NewLoop()}); err != nil {
@@ -371,6 +372,19 @@ func TestGuestNodesLiveOnTheServiceShard(t *testing.T) {
 	}
 	if err := eg.SetLiveReplicas("b", 3); err == nil {
 		t.Error("an egress node on another shard than its service address was registered")
+	}
+	if err := eg.RegisterGuest("b", 3); err == nil {
+		t.Error("a guest whose egress node is on another shard was announced")
+	}
+	// Nor does the front door count b's copies anywhere: they are dropped.
+	for _, replica := range []string{"A", "B", "C"} {
+		tunnel(net, eg.Addr(), replica, "b", 1, "client", "x")
+	}
+	if err := loop.RunUntil(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := eg.guests["b"]; ok || eg.Forwarded() != 0 || eg.PendingGroups() != 0 {
+		t.Errorf("the front door took b's copies: node %v, forwarded %d, pending %d", ok, eg.Forwarded(), eg.PendingGroups())
 	}
 }
 
@@ -510,8 +524,8 @@ func TestEgressLivePairForwardsOnSecondAndToleratesStraggler(t *testing.T) {
 	}
 }
 
-// TestEgressSetLiveReplicasValidation pins the bounds and the DropGuest
-// cleanup.
+// TestEgressSetLiveReplicasValidation pins the bounds, each guest's own,
+// and the DropGuest cleanup.
 func TestEgressSetLiveReplicasValidation(t *testing.T) {
 	net, loop := testFabric(t, 25, 0)
 	eg, err := NewEgress(net, loop, "egress", 3)
@@ -526,6 +540,20 @@ func TestEgressSetLiveReplicasValidation(t *testing.T) {
 	}
 	if err := eg.SetLiveReplicas("g", 1); err != nil {
 		t.Fatal(err)
+	}
+	// A guest announced with a group of five is bounded by five, not by the
+	// front door's three; a group of four is no group.
+	if err := eg.RegisterGuest("g5", 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := eg.SetLiveReplicas("g5", 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := eg.SetLiveReplicas("g5", 6); !errors.Is(err, ErrGateway) {
+		t.Fatal("live count beyond the guest's group of five accepted")
+	}
+	if err := eg.RegisterGuest("g4", 4); !errors.Is(err, ErrGateway) {
+		t.Fatal("an even group accepted")
 	}
 	eg.DropGuest("g")
 	// A later tenant reusing the id starts from the full group again.
@@ -613,7 +641,7 @@ func TestEgressTombstoneAbsorbsCopiesOfADepartedGuest(t *testing.T) {
 
 	// The id is deployed again inside the tombstone's life: the new tenant's
 	// output starts at sequence 1 and forwards on its second copy.
-	if err := eg.SetLiveReplicas("g1", 3); err != nil {
+	if err := eg.RegisterGuest("g1", 3); err != nil {
 		t.Fatal(err)
 	}
 	tunnel(net, "egress", "A", "g1", 1, "client", "new")
@@ -628,9 +656,10 @@ func TestEgressTombstoneAbsorbsCopiesOfADepartedGuest(t *testing.T) {
 	if eg.guests["g1"].gone == 0 || eg.guests["g2"].gone == 0 {
 		t.Fatal("a dropped guest's node holds no tombstone")
 	}
-	run(departedFor - sim.Millisecond)
+	// A front-door copy takes two 0.5 ms hops to its guest's node.
+	run(departedFor - 2*sim.Millisecond)
 	tunnel(net, "egress", "A", "g2", 3, "client", "late")
-	run(sim.Millisecond)
+	run(2 * sim.Millisecond)
 	state("copy inside the tombstone's life", 1, 1, 0)
 	// A lapsed tombstone is no tombstone: g2 is created by its first copy.
 	tunnel(net, "egress", "A", "g2", 1, "client", "again")

@@ -6,7 +6,7 @@
 // NAKs; the sender retransmits from its window. Trailing losses are found
 // through the sender's Source Path Message, which advertises the stream's
 // highest sequence: sent only once the stream has been quiet for
-// SPMInterval (data is its own advertisement), at a doubling interval while
+// spmInterval (data is its own advertisement), at a doubling interval while
 // nobody answers. Delivery to the application is in sequence order.
 package multicast
 
@@ -34,18 +34,28 @@ const (
 // intervals at 1<<maxBackoff times their base.
 const maxBackoff = 6
 
+const (
+	// spmInterval is how long after the last send, repair request or
+	// heartbeat the next heartbeat leaves, doubling with every round nothing
+	// answers.
+	spmInterval = 5 * sim.Millisecond
+	// windowSize is how many of the last messages a sender retains for
+	// retransmission.
+	windowSize = 4096
+	// nakDelay is a receiver's backoff before the first NAK for a detected
+	// gap, absorbing in-flight reordering.
+	nakDelay = sim.Millisecond
+	// nakInterval is the retry period for unanswered NAKs, doubling while
+	// nothing at all arrives from the source.
+	nakInterval = 3 * sim.Millisecond
+)
+
 // SenderConfig parameterizes a multicast source.
 type SenderConfig struct {
 	// Src is the sender's fabric address.
 	Src netsim.Addr
 	// Group lists receiver addresses.
 	Group []netsim.Addr
-	// SPMInterval is how long after the last send, repair request or
-	// heartbeat the next heartbeat leaves (default 5ms), doubling with every
-	// round nothing answers up to 64x.
-	SPMInterval sim.Time
-	// WindowSize bounds retained messages for retransmission (default 4096).
-	WindowSize int
 }
 
 // Sender is a reliable multicast source.
@@ -57,7 +67,7 @@ type Sender struct {
 	src   *netsim.Endpoint
 	group []*netsim.Endpoint
 	seq   uint64
-	// win retains the last WindowSize bodies, envelope stamped and carved
+	// win retains the last windowSize bodies, envelope stamped and carved
 	// from bodies, for repair: every sequence from Base to the last is open.
 	win    bodyWindow
 	bodies sim.Chunk[netsim.PacketBody]
@@ -75,13 +85,6 @@ func NewSender(net *netsim.Network, loop *sim.Loop, cfg SenderConfig) (*Sender, 
 	if cfg.Src == "" || len(cfg.Group) == 0 {
 		return nil, fmt.Errorf("%w: sender needs src and group", ErrMulticast)
 	}
-	if cfg.SPMInterval == 0 {
-		cfg.SPMInterval = 5 * sim.Millisecond
-	}
-	if cfg.WindowSize <= 0 {
-		cfg.WindowSize = 4096
-	}
-	cfg.WindowSize = min(cfg.WindowSize, seqwin.MaxSpan)
 	// win allocates on the first Multicast: senders are wired per guest
 	// under churn, often before any traffic exists.
 	s := &Sender{
@@ -118,7 +121,7 @@ func (s *Sender) Multicast(kind string, size int, body netsim.PacketBody) uint64
 	s.seq++
 	body.StreamSeq = s.seq
 	body.StreamKind = kind
-	if s.win.Len() == s.cfg.WindowSize {
+	if s.win.Len() == windowSize {
 		// Age out the oldest before the ring would grow.
 		*s.win.Get(s.win.Base()) = nil
 		s.win.Retire(s.win.Base())
@@ -134,14 +137,14 @@ func (s *Sender) Multicast(kind string, size int, body netsim.PacketBody) uint64
 	return s.seq
 }
 
-// beat restarts the heartbeat: the next SPM leaves one SPMInterval from
+// beat restarts the heartbeat: the next SPM leaves one spmInterval from
 // now. A send moves the pending event instead of letting it fire.
 func (s *Sender) beat() {
 	if s.closed {
 		return
 	}
 	s.idle = 0
-	at := s.loop.Now() + s.cfg.SPMInterval
+	at := s.loop.Now() + spmInterval
 	if !s.loop.RescheduleHandle(s.spm, at) {
 		s.spm = s.loop.AtTimer(at, "pgm:spm", spmTimer, s, nil, 0).Handle()
 	}
@@ -157,7 +160,7 @@ func spmTimer(a, _ any, _ uint64) {
 		s.net.Send(p)
 	}
 	s.idle = min(s.idle+1, maxBackoff)
-	s.spm = s.loop.AfterTimer(s.cfg.SPMInterval<<s.idle, "pgm:spm", spmTimer, s, nil, 0).Handle()
+	s.spm = s.loop.AfterTimer(spmInterval<<s.idle, "pgm:spm", spmTimer, s, nil, 0).Handle()
 }
 
 // SetGroup replaces the receiver group — membership reconfiguration when a
@@ -189,7 +192,7 @@ func (s *Sender) Group() []netsim.Addr {
 
 // Close retires the sender: no further data, repairs, or SPM heartbeats.
 // Teardown paths must call it — an abandoned sender would otherwise keep
-// heartbeating (every 64 SPMIntervals, but for ever) and resurrect receiver
+// heartbeating (every 64 spmIntervals, but for ever) and resurrect receiver
 // stream state that Receiver.Forget has already discarded.
 func (s *Sender) Close() {
 	s.closed = true
@@ -221,12 +224,6 @@ func (s *Sender) Handle(pkt *netsim.Packet) bool {
 type ReceiverConfig struct {
 	// Addr is this receiver's fabric address.
 	Addr netsim.Addr
-	// NAKDelay is the backoff before the first NAK for a detected gap,
-	// absorbing in-flight reordering (default 1ms).
-	NAKDelay sim.Time
-	// NAKInterval is the retry period for unanswered NAKs (default 3ms),
-	// doubling up to 64x while nothing at all arrives from the source.
-	NAKInterval sim.Time
 	// OnData receives message bodies in sequence order per source. kind is
 	// the inner stream kind the sender multicast under.
 	OnData func(src netsim.Addr, seq uint64, kind string, body netsim.PacketBody)
@@ -265,12 +262,6 @@ func NewReceiver(net *netsim.Network, loop *sim.Loop, cfg ReceiverConfig) (*Rece
 	if cfg.Addr == "" || cfg.OnData == nil {
 		return nil, fmt.Errorf("%w: receiver needs addr and OnData", ErrMulticast)
 	}
-	if cfg.NAKDelay <= 0 {
-		cfg.NAKDelay = sim.Millisecond
-	}
-	if cfg.NAKInterval <= 0 {
-		cfg.NAKInterval = 3 * sim.Millisecond
-	}
 	return &Receiver{
 		net:  net,
 		loop: loop,
@@ -297,11 +288,11 @@ func (r *Receiver) Handle(pkt *netsim.Packet) bool {
 	}
 }
 
-// heard notes traffic from st's source: NAK retries return to NAKInterval,
+// heard notes traffic from st's source: NAK retries return to nakInterval,
 // the pending one included if it had backed off.
 func (r *Receiver) heard(st *sourceState) {
 	if st.quiet > 1 {
-		r.loop.RescheduleHandle(st.timer, r.loop.Now()+r.cfg.NAKInterval)
+		r.loop.RescheduleHandle(st.timer, r.loop.Now()+nakInterval)
 	}
 	st.quiet = 0
 }
@@ -378,11 +369,11 @@ func (r *Receiver) drain(st *sourceState) {
 
 // request marks every sequence below end expected and, if any in
 // [next, want) is not held back, makes sure a NAK burst is pending. The
-// first NAK waits NAKDelay to absorb reordering.
+// first NAK waits nakDelay to absorb reordering.
 func (r *Receiver) request(st *sourceState, end uint64) {
 	st.want = max(st.want, end)
 	if st.want-st.hold.Base() > uint64(st.hold.Len()) && !st.timer.Pending() {
-		st.timer = r.loop.AfterTimer(r.cfg.NAKDelay, "pgm:nak", nakTimer, r, st, 0).Handle()
+		st.timer = r.loop.AfterTimer(nakDelay, "pgm:nak", nakTimer, r, st, 0).Handle()
 	}
 }
 
@@ -407,6 +398,6 @@ func nakTimer(a, b any, _ uint64) {
 	r.net.Send(p)
 	// Re-arm: if the repair is lost too, NAK again — ever more rarely while
 	// the source stays silent.
-	st.timer = r.loop.AfterTimer(r.cfg.NAKInterval<<st.quiet, "pgm:nak", nakTimer, r, st, 0).Handle()
+	st.timer = r.loop.AfterTimer(nakInterval<<st.quiet, "pgm:nak", nakTimer, r, st, 0).Handle()
 	st.quiet = min(st.quiet+1, maxBackoff)
 }

@@ -332,7 +332,7 @@ func TestReliabilityProperty(t *testing.T) {
 }
 
 // TestSenderWindowRetainsLastWindowSize: the repair window is the last
-// WindowSize bodies — a NAK inside it is repaired with the body sent, one
+// windowSize bodies — a NAK inside it is repaired with the body sent, one
 // that aged out is not — across every growth step of the ring and the
 // switch from growing to sliding.
 func TestSenderWindowRetainsLastWindowSize(t *testing.T) {
@@ -341,8 +341,7 @@ func TestSenderWindowRetainsLastWindowSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const window = 40 // not a power of two: the ring holds 64
-	snd, err := NewSender(net, loop, SenderConfig{Src: "s", Group: []netsim.Addr{"sink"}, WindowSize: window})
+	snd, err := NewSender(net, loop, SenderConfig{Src: "s", Group: []netsim.Addr{"sink"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,26 +354,25 @@ func TestSenderWindowRetainsLastWindowSize(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	for sent := uint64(1); sent <= 3*window; sent++ {
+	// nak asks for {base, base+1} with a bit set based at base.
+	nak := func(base uint64) {
+		snd.Handle(&netsim.Packet{Src: "r", Dst: "s", Kind: "pgm:nak", Body: netsim.PacketBody{StreamSeq: base, Seq: 1 | 1<<1}})
+	}
+	for sent := uint64(1); sent <= 3*windowSize; sent++ {
 		snd.Multicast("m", 64, netsim.PacketBody{Data: sent * 7})
 		lo := uint64(1)
-		if sent > window {
-			lo = sent - window + 1
+		if sent > windowSize {
+			lo = sent - windowSize + 1
 		}
 		repaired = repaired[:0]
-		// NAK {lo-1, lo, sent, sent+1}: a bit set based at lo-1.
-		snd.Handle(&netsim.Packet{Src: "r", Dst: "s", Kind: "pgm:nak", Body: netsim.PacketBody{
-			StreamSeq: lo - 1, Seq: 1 | 1<<1 | 1<<(sent-lo+1) | 1<<(sent-lo+2),
-		}})
+		// NAK {lo-1, lo} and {sent, sent+1}: only lo and sent are held.
+		nak(lo - 1)
+		nak(sent)
 		if err := loop.RunUntil(loop.Now() + 2*sim.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		want := []uint64{lo, sent}
-		if lo == sent {
-			want = []uint64{lo} // a set names it once
-		}
-		if fmt.Sprint(repaired) != fmt.Sprint(want) {
-			t.Fatalf("after %d sends: repaired %v, want %v", sent, repaired, want)
+		if len(repaired) != 2 || repaired[0] != lo || repaired[1] != sent {
+			t.Fatalf("after %d sends: repaired %v, want [%d %d]", sent, repaired, lo, sent)
 		}
 	}
 }
@@ -390,7 +388,7 @@ type spmRig struct {
 	spms, naks []sim.Time
 }
 
-func newSPMRig(t *testing.T, interval sim.Time) *spmRig {
+func newSPMRig(t *testing.T) *spmRig {
 	t.Helper()
 	r := &spmRig{loop: sim.NewLoop()}
 	var err error
@@ -405,7 +403,7 @@ func newSPMRig(t *testing.T, interval sim.Time) *spmRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.snd, err = NewSender(r.net, r.loop, SenderConfig{Src: "s", Group: []netsim.Addr{"h"}, SPMInterval: interval})
+	r.snd, err = NewSender(r.net, r.loop, SenderConfig{Src: "s", Group: []netsim.Addr{"h"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,10 +435,10 @@ func (r *spmRig) run(t *testing.T, until sim.Time) {
 }
 
 // Data is the advertisement: a stream that sends more often than
-// SPMInterval pushes its heartbeat out with every send and never emits one
+// spmInterval pushes its heartbeat out with every send and never emits one
 // — and no heartbeat event fires either, the pending one is moved.
 func TestBusyStreamSendsNoHeartbeat(t *testing.T) {
-	r := newSPMRig(t, 0)
+	r := newSPMRig(t)
 	const n = 500
 	for i := 0; i < n; i++ {
 		r.loop.At(sim.Time(i)*4*sim.Millisecond, "send", func() { r.snd.Multicast("m", 64, netsim.PacketBody{}) })
@@ -465,8 +463,8 @@ func TestBusyStreamSendsNoHeartbeat(t *testing.T) {
 // A silent stream's heartbeat backs off: each unanswered round doubles the
 // interval up to 64x, where it stays — it never stops.
 func TestSilentStreamSPMBacksOff(t *testing.T) {
-	const iv = 5 * sim.Millisecond
-	r := newSPMRig(t, iv)
+	const iv = spmInterval
+	r := newSPMRig(t)
 	r.snd.Multicast("m", 64, netsim.PacketBody{})
 	r.run(t, 500*sim.Millisecond)
 	// ceil(log2(500/5)) + 2 = 9 rounds at most in T = 500ms.
@@ -490,10 +488,10 @@ func TestSilentStreamSPMBacksOff(t *testing.T) {
 }
 
 // A NAK says somebody is listening and short of something: the heartbeat
-// returns to SPMInterval. So does a new send.
+// returns to spmInterval. So does a new send.
 func TestNAKAndSendResetSPMBackoff(t *testing.T) {
-	const iv = 5 * sim.Millisecond
-	r := newSPMRig(t, iv)
+	const iv = spmInterval
+	r := newSPMRig(t)
 	r.snd.Multicast("m", 64, netsim.PacketBody{})
 	r.run(t, 400*sim.Millisecond) // backed off to 64x: next round at 635ms
 	n := len(r.spms)
@@ -514,7 +512,7 @@ func TestNAKAndSendResetSPMBackoff(t *testing.T) {
 // Tail loss whose first advertisement is lost too: the next (backed-off)
 // round still gets through and the tail is repaired.
 func TestTailLossRecoveredWhenFirstSPMLost(t *testing.T) {
-	r := newSPMRig(t, 0)
+	r := newSPMRig(t)
 	if err := r.net.InjectLoss("s", "h", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -529,17 +527,17 @@ func TestTailLossRecoveredWhenFirstSPMLost(t *testing.T) {
 	if len(r.got) != 1 || len(r.naks) != 1 {
 		t.Fatalf("delivered %v after %d NAKs (SPMs %v)", r.got, len(r.naks), r.spms)
 	}
-	// Detected by the second round (15ms + link), NAKed one NAKDelay later.
+	// Detected by the second round (15ms + link), NAKed one nakDelay later.
 	if want := 15*sim.Millisecond + sim.Millisecond + sim.Millisecond + sim.Millisecond; r.naks[0] != want {
 		t.Fatalf("NAK reached the sender at %v, want %v", r.naks[0], want)
 	}
 }
 
 // NAK retries against a source that has gone silent double from
-// NAKInterval up to 64x and allocate nothing; anything heard from the
-// source — here a repeated SPM — returns them to NAKInterval.
+// nakInterval up to 64x and allocate nothing; anything heard from the
+// source — here a repeated SPM — returns them to nakInterval.
 func TestNAKRetryBacksOffAgainstSilentSource(t *testing.T) {
-	r := newSPMRig(t, 0)
+	r := newSPMRig(t)
 	r.snd.Close() // a dead sender: consumes NAKs, repairs nothing
 	spm := func() {
 		r.rx.Handle(&netsim.Packet{Src: "s", Dst: "h", Kind: "pgm:spm", Body: netsim.PacketBody{StreamSeq: 200}})
@@ -646,8 +644,7 @@ func TestInOrderDeliveryAllocatesNothing(t *testing.T) {
 
 // TestRepairWindowAllocatesAShareOfAChunk: the sender keeps every body for
 // repair, 64 to an allocation. The window is full and the fabric's pools
-// warm, so what a burst allocates beyond the ring's own growth is the
-// bodies'.
+// warm, so what a burst allocates is the bodies'.
 func TestRepairWindowAllocatesAShareOfAChunk(t *testing.T) {
 	loop := sim.NewLoop()
 	net, err := netsim.New(loop, sim.NewSource(5).Stream("net"), netsim.LinkConfig{Latency: sim.Millisecond})
@@ -661,7 +658,7 @@ func TestRepairWindowAllocatesAShareOfAChunk(t *testing.T) {
 		}
 	}
 	const burst = 256
-	snd, err := NewSender(net, loop, SenderConfig{Src: "s", Group: group, WindowSize: burst})
+	snd, err := NewSender(net, loop, SenderConfig{Src: "s", Group: group})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,6 +669,9 @@ func TestRepairWindowAllocatesAShareOfAChunk(t *testing.T) {
 		if err := loop.RunUntil(loop.Now() + 2*sim.Millisecond); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for range windowSize / burst {
+		send() // fill the window
 	}
 	if allocs := testing.AllocsPerRun(1, send); allocs > 12 {
 		t.Fatalf("%d multicasts made %v allocations, want <= 12", burst, allocs)

@@ -292,17 +292,15 @@ func (f fields) seeds(key string) []uint64 {
 
 func (d *dec) fleet(n *node) Fleet {
 	f := d.fields(n, "fleet",
-		"machines", "capacity", "shards", "checkpoint_instr", "stall_detector",
-		"planned_migration", "nodes", "guests")
+		"machines", "capacity", "checkpoint_instr", "stall_detector",
+		"planned_migration", "guests")
 	fl := Fleet{
 		Machines:         int(f.int("machines", 0)),
 		Capacity:         int(f.int("capacity", 3)),
-		Shards:           int(f.int("shards", 1)),
 		CheckpointInstr:  f.int("checkpoint_instr", 0),
 		CheckpointLine:   f.n.keyLine["checkpoint_instr"],
 		StallDetector:    f.bool("stall_detector", false),
 		PlannedMigration: f.bool("planned_migration", false),
-		Nodes:            f.strList("nodes"),
 	}
 	f.need("guests", "fleet needs a guests list")
 	fl.Guests = each(f.seq("guests"), d.guestSpec)

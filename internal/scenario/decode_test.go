@@ -63,7 +63,6 @@ digests:
 fleet:
   machines: 9
   capacity: 3
-  shards: 2
   checkpoint_instr: 2000000
   stall_detector: true
   planned_migration: true
@@ -297,7 +296,7 @@ func TestValidateGoldenErrors(t *testing.T) {
 	// Load-aware admission is gone: its action and its fleet key fail closed.
 	wantErr(t, head+goodFleet+"events:\n  - at_ms: 100\n    action: saturate-disk\n", `test.yaml:14: unknown action "saturate-disk"`)
 	wantErr(t, head+strings.Replace(goodFleet, "  capacity: 3\n", "  capacity: 3\n  load_aware: true\n", 1),
-		`test.yaml:7: unknown fleet key "load_aware" (allowed: machines, capacity, shards, checkpoint_instr, stall_detector, planned_migration, nodes, guests)`)
+		`test.yaml:7: unknown fleet key "load_aware" (allowed: machines, capacity, checkpoint_instr, stall_detector, planned_migration, guests)`)
 	// not_fired combined with a bound.
 	wantErr(t, head+goodFleet+`assertions:
   - check: oplog
@@ -372,8 +371,8 @@ events:
     from: probe
     to: sink
 `
-	wantErr(t, stray, `test.yaml:19: inject-loss event: endpoint "prop:host0/g-0" names no machine:N, guest:NAME, traffic source, sink or node of this file`)
-	wantErr(t, stray, `test.yaml:24: partition event: endpoint "prob" names no machine:N, guest:NAME, traffic source, sink or node of this file`)
+	wantErr(t, stray, `test.yaml:19: inject-loss event: endpoint "prop:host0/g-0" names no machine:N, guest:NAME, traffic source or sink of this file`)
+	wantErr(t, stray, `test.yaml:24: partition event: endpoint "prob" names no machine:N, guest:NAME, traffic source or sink of this file`)
 	if err := mustParse(t, stray).Validate(); strings.Count(err.Error(), "\n") != 1 {
 		t.Fatalf("want exactly the two stray endpoints refused, got:\n%v", err)
 	}
@@ -401,15 +400,15 @@ events:
         period_ms: 500
         from: laptop
 `
-	wantErr(t, shared, `test.yaml:8: guest "web-tcp": downloads client laptop shares its address with other traffic, a sink or a node`)
-	wantErr(t, shared, `test.yaml:16: guest "web-udp": downloads client laptop shares its address with other traffic, a sink or a node`)
+	wantErr(t, shared, `test.yaml:8: guest "web-tcp": downloads client laptop shares its address with other traffic or a sink`)
+	wantErr(t, shared, `test.yaml:16: guest "web-udp": downloads client laptop shares its address with other traffic or a sink`)
 	wantErr(t, strings.Replace(shared, "from: laptop\n", "from: phone\n", 1)+`    - name: b
       count: 1
       app:
         kind: beacon
         period_ms: 5
         sink: phone
-`, `test.yaml:8: guest "web-tcp": downloads client phone shares its address with other traffic, a sink or a node`)
+`, `test.yaml:8: guest "web-tcp": downloads client phone shares its address with other traffic or a sink`)
 	// A checkpoint interval the VMM would refuse at run time.
 	wantErr(t, head+strings.Replace(goodFleet, "  capacity: 3\n", "  capacity: 3\n  checkpoint_instr: 12345\n", 1),
 		`test.yaml:7: fleet checkpoint_instr: vmm: invalid: CheckpointInstr 12345 must be a multiple of ExitEvery 250000`)
@@ -467,18 +466,20 @@ func TestParserYAMLShapes(t *testing.T) {
 fleet:
   machines: 6
   capacity: 3
-  nodes: ['a#1', "b c"]
   guests:
     - name: g
       count: 1
       app:
         kind: probe
+assertions:
+  - check: coresident
+    guests: ['a#1', "b c"]
 `)
 	if len(sc.Seeds) != 2 || sc.Seeds[0] != 3 || sc.Seeds[1] != 5 {
 		t.Fatalf("seeds = %v", sc.Seeds)
 	}
-	if len(sc.Fleet.Nodes) != 2 || sc.Fleet.Nodes[0] != "a#1" || sc.Fleet.Nodes[1] != "b c" {
-		t.Fatalf("nodes = %q", sc.Fleet.Nodes)
+	if g := sc.Assertions[0].Guests; len(g) != 2 || g[0] != "a#1" || g[1] != "b c" {
+		t.Fatalf("guests = %q", g)
 	}
 }
 

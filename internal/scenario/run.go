@@ -25,8 +25,8 @@ type Options struct {
 	// a seed the file does not declare, its assertions are not checked: only
 	// its invariants and the runner's own audits are.
 	Seed uint64
-	// Shards overrides the fleet's shard count (0 = use the fleet's). The
-	// op-log digest is identical for every value.
+	// Shards is the fabric shard count (0 = 1). The op-log digest is
+	// identical for every value.
 	Shards int
 	// Out, when non-nil, receives a narration of the op stream.
 	Out io.Writer
@@ -82,7 +82,7 @@ func start(sc *Scenario, opt Options) (*runner, error) {
 	}
 	shards := opt.Shards
 	if shards == 0 {
-		shards = sc.Fleet.Shards
+		shards = 1
 	}
 	r := &runner{
 		sc:           sc,
@@ -186,12 +186,9 @@ func (r *runner) build() error {
 	r.reg = stopwatch.NewMetricsRegistry()
 	cp.InstrumentMetrics(r.reg)
 	c.InstrumentMetrics(r.reg)
-	// Fabric endpoints: declared extras, beacon sinks, and the traffic
-	// sources (true), attached in sorted order for determinism.
+	// Fabric endpoints: beacon sinks, and the traffic sources (true),
+	// attached in sorted order for determinism.
 	nodes := map[string]bool{}
-	for _, n := range f.Nodes {
-		nodes[n] = false
-	}
 	for i := range f.Guests {
 		if sink := f.Guests[i].App.Sink; sink != "" {
 			nodes[sink] = false

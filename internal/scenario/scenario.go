@@ -69,9 +69,6 @@ type Fleet struct {
 	Machines int
 	// Capacity is the per-host guest-replica capacity (control plane).
 	Capacity int
-	// Shards is the default fabric shard count (CLI -shards overrides;
-	// results are identical for every value).
-	Shards int
 	// CheckpointInstr enables journal checkpoints every N instructions
 	// (0 = off; must be a multiple of the VMM exit quantum).
 	CheckpointInstr int64
@@ -79,9 +76,6 @@ type Fleet struct {
 	StallDetector bool
 	// PlannedMigration turns infeasible placements into one-move plans.
 	PlannedMigration bool
-	// Nodes are extra fabric sink addresses to attach (beacon sinks,
-	// probe sources are attached automatically; list any extras here).
-	Nodes []string
 	// Guests is the guest mix.
 	Guests []GuestSpec
 

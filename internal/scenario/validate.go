@@ -117,9 +117,6 @@ func (v *validator) fleet() {
 	if f.Capacity < 1 {
 		v.errf(1, "fleet capacity must be at least 1, got %d", f.Capacity)
 	}
-	if f.Shards < 1 || f.Shards > max(f.Machines, 1) {
-		v.errf(1, "fleet shards %d out of range [1, %d]", f.Shards, f.Machines)
-	}
 	// The same check the run's cluster construction makes, made here so
 	// validate rejects what run would.
 	vmm := stopwatch.DefaultClusterConfig().VMM
@@ -151,11 +148,11 @@ func (v *validator) fleet() {
 		// A transport client owns its address: the run attaches one node
 		// per address, so another there would take its replies.
 		from := g.trafficFrom()
-		if k := g.Traffic.Kind; (k == "downloads" || k == "nfs-load") && (slices.Contains(f.Nodes, from) ||
+		if k := g.Traffic.Kind; (k == "downloads" || k == "nfs-load") &&
 			slices.ContainsFunc(f.Guests, func(o GuestSpec) bool {
 				return o.App.Sink == from || (o.Name != g.Name && o.Traffic.Kind != "" && o.trafficFrom() == from)
-			})) {
-			v.errf(g.Line, "guest %q: %s client %s shares its address with other traffic, a sink or a node", g.Name, k, from)
+			}) {
+			v.errf(g.Line, "guest %q: %s client %s shares its address with other traffic or a sink", g.Name, k, from)
 		}
 		if g.Traffic.Kind != "" && g.Traffic.PeriodMS <= 0 {
 			v.errf(g.Line, "guest %q: traffic period_ms must be positive", g.Name)
@@ -285,10 +282,10 @@ func (v *validator) linkEndpoint(line int, s, what string) {
 	}
 	if rest, ok := strings.CutPrefix(s, "guest:"); ok {
 		v.guestRef(line, rest, what)
-	} else if !slices.Contains(v.sc.Fleet.Nodes, s) && !slices.ContainsFunc(v.sc.Fleet.Guests, func(g GuestSpec) bool {
+	} else if !slices.ContainsFunc(v.sc.Fleet.Guests, func(g GuestSpec) bool {
 		return g.App.Sink == s || (g.Traffic.Kind != "" && g.trafficFrom() == s)
 	}) {
-		v.errf(line, "%s: endpoint %q names no machine:N, guest:NAME, traffic source, sink or node of this file", what, s)
+		v.errf(line, "%s: endpoint %q names no machine:N, guest:NAME, traffic source or sink of this file", what, s)
 	}
 }
 

@@ -51,21 +51,10 @@ type Config struct {
 	// PaceInterval is how often replicas report progress to peers.
 	PaceInterval sim.Time
 
-	// IOBaseDelay is the Dom0 device-model processing delay floor for an
-	// inbound packet.
-	IOBaseDelay sim.Time
-	// IOJitterMean is the mean of the exponential jitter added to packet
-	// processing on an otherwise-idle host.
-	IOJitterMean sim.Time
-	// IOLoadFactor scales the jitter mean per unit of concurrent host I/O
-	// activity (the coresidency channel).
+	// IOLoadFactor scales the Dom0 packet-processing jitter mean
+	// (ioJitterMean) per unit of concurrent host I/O activity (the
+	// coresidency channel).
 	IOLoadFactor float64
-	// SchedSlice is the VCPU scheduling-latency bound: when another guest
-	// is busy on the host, device-model work for a waking guest waits
-	// U[0,SchedSlice) for CPU. This is the dominant coresidency timing
-	// channel on a real hypervisor (the attacker's interrupt waits out the
-	// victim's time slice).
-	SchedSlice sim.Time
 
 	// DiskSeek is the fixed per-request disk positioning time.
 	DiskSeek sim.Time
@@ -89,6 +78,18 @@ type Config struct {
 	// multiple of ExitEvery, like EpochInstr.
 	CheckpointInstr int64
 }
+
+// The Dom0 device model's packet-processing delay (Host.ioDelay): a floor of
+// IOBaseDelay, exponential jitter of mean ioJitterMean on an otherwise idle
+// host, and, while another guest is busy on the host, a VCPU scheduling wait
+// of U[0, schedSlice) for CPU. The wait is the dominant coresidency timing
+// channel on a real hypervisor (the attacker's interrupt waits out the
+// victim's time slice).
+const (
+	IOBaseDelay  = 200 * sim.Microsecond
+	ioJitterMean = 200 * sim.Microsecond
+	schedSlice   = 3 * sim.Millisecond
+)
 
 // DefaultConfig returns the tunables used throughout the reproduction.
 // Rates are chosen so that one branch ≈ one virtual nanosecond, putting Δn
@@ -114,10 +115,7 @@ func DefaultConfig() Config {
 		// concurrent host I/O. The median tolerates one slow proposal —
 		// divergence needs a single delay exceeding the full Δn — so a
 		// strong load coupling is safe at Δn=12ms.
-		IOBaseDelay:     200 * sim.Microsecond,
-		IOJitterMean:    200 * sim.Microsecond,
 		IOLoadFactor:    1.0,
-		SchedSlice:      3 * sim.Millisecond,
 		DiskSeek:        4 * sim.Millisecond,
 		DiskBytesPerSec: 80 << 20, // 80 MB/s rotating disk
 		DiskJitterMean:  sim.Millisecond,
@@ -139,8 +137,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: DeltaN %v DeltaD %v", ErrVMM, c.DeltaN, c.DeltaD)
 	case c.MaxLead <= 0 || c.PaceInterval <= 0:
 		return fmt.Errorf("%w: MaxLead %v PaceInterval %v", ErrVMM, c.MaxLead, c.PaceInterval)
-	case c.IOBaseDelay < 0 || c.IOJitterMean < 0 || c.IOLoadFactor < 0 || c.SchedSlice < 0:
-		return fmt.Errorf("%w: IO delay params", ErrVMM)
+	case c.IOLoadFactor < 0:
+		return fmt.Errorf("%w: IOLoadFactor %v", ErrVMM, c.IOLoadFactor)
 	case c.DiskSeek < 0 || c.DiskBytesPerSec <= 0 || c.DiskJitterMean < 0:
 		return fmt.Errorf("%w: disk params", ErrVMM)
 	case c.EpochInstr < 0:

@@ -208,10 +208,10 @@ func (h *Host) BusyCount() int { return h.busyCount }
 // is busy on the CPU — a VCPU scheduling wait of up to one slice. Together
 // these are the paper's λ→λ′ shift when a coresident victim is active.
 func (h *Host) ioDelay() sim.Time {
-	mean := float64(h.cfg.IOJitterMean) * (1 + h.cfg.IOLoadFactor*float64(h.ioInFlight))
-	d := h.cfg.IOBaseDelay + h.rng.ExpDur(sim.Time(mean))
-	if h.busyCount > 0 && h.cfg.SchedSlice > 0 {
-		d += h.rng.UniformDur(0, h.cfg.SchedSlice)
+	mean := float64(ioJitterMean) * (1 + h.cfg.IOLoadFactor*float64(h.ioInFlight))
+	d := IOBaseDelay + h.rng.ExpDur(sim.Time(mean))
+	if h.busyCount > 0 {
+		d += h.rng.UniformDur(0, schedSlice)
 	}
 	return d
 }

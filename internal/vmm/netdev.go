@@ -38,7 +38,7 @@ const (
 // instant, so the re-proposal round stays deterministic across replicas.
 type NetDevice struct {
 	rt       *Runtime
-	replicas int    // total replica count (3, or 5 for the Sec. IX ablation)
+	replicas int    // the guest's group size: odd, 3 unless its host list is longer
 	self     string // this replica's origin (host name) in the proposal map
 
 	// Policy defaults to PolicyMedian.

@@ -3,19 +3,20 @@
 // Reiter — DSN 2013).
 //
 // StopWatch defends infrastructure-as-a-service clouds against timing side
-// channels by running three replicas of every guest VM on hosts whose other
-// residents do not overlap, exposing only virtual time (a deterministic
-// function of the guest's instruction count) to the guests, and delivering
-// every I/O event at the median of the three replicas' proposed timings.
-// External observers see output packets at the median emission time too
-// (the egress forwards the second copy).
+// channels by running three replicas of every guest VM (five against
+// collaborating attackers, Sec. IX) on hosts whose other residents do not
+// overlap, exposing only virtual time (a deterministic function of the
+// guest's instruction count) to the guests, and delivering every I/O event
+// at the median of the replicas' proposed timings. External observers see
+// output packets at the median emission time too (the egress forwards the
+// median copy: the second of three).
 //
 // This package is the public façade over the full system:
 //
 //   - Cluster: a simulated cloud (hosts, guests under the StopWatch VMM on
-//     Replicas machines or the baseline VMM on one, side by side,
-//     ingress/egress, reliable multicast, transports) on a deterministic
-//     discrete-event kernel.
+//     an odd number of machines, at least 3, one replica on each, or the
+//     baseline VMM on one, side by side, ingress/egress, reliable
+//     multicast, transports) on a deterministic discrete-event kernel.
 //   - Experiments: one harness per table/figure in the paper's evaluation
 //     (Fig 1, 4, 5, 6, 7, 8; placement theorems; Δ calibration; the
 //     Sec.-IX collaborating-attacker and median-vs-leader ablations).
