@@ -6,7 +6,10 @@
 //
 // Each figure prints its paper-style series to stdout. With -fast the
 // simulation-backed experiments run shorter scenarios (useful for smoke
-// runs); without it, the full durations are used.
+// runs); without it, the full durations are used. -seed replaces the seed of
+// the simulated experiments (fig4-7, calib, collab, leader); the analytic
+// figures and placement draw nothing, and fig8's Monte Carlo keeps its
+// fixed seed.
 package main
 
 import (
@@ -32,7 +35,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	only := fs.String("only", "", "comma-separated subset: fig1,fig1c,fig4,fig5,fig6,fig7,fig8,placement,calib,collab,leader")
 	fast := fs.Bool("fast", false, "shorter simulation runs")
-	seed := fs.Uint64("seed", 0, "override master seed (0 = per-experiment defaults)")
+	seed := fs.Uint64("seed", 0, "seed of the simulated experiments fig4,fig5,fig6,fig7,calib,collab,leader (0 = each one's default); fig8's Monte Carlo keeps its fixed seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -96,7 +99,7 @@ func run(args []string, out io.Writer) error {
 			return experiment.RunFig8(cfg)
 		}},
 		{"placement", func() (interface{ Render() string }, error) {
-			return experiment.RunPlacement(experiment.DefaultPlacementConfig())
+			return experiment.RunPlacement()
 		}},
 		{"calib", func() (interface{ Render() string }, error) {
 			cfg := experiment.DefaultCalibConfig()

@@ -314,7 +314,7 @@ func (w *replicaWiring) PaceReport(v vtime.Virtual, epoch int64, s vtime.EpochSa
 	for i := range w.links {
 		l := &w.links[i]
 		if l.missing > l.acked {
-			w.resend(l, l.missing, w.c.cfg.VMM.PaceInterval)
+			w.resend(l, l.missing, vmm.PaceInterval)
 		}
 		p := net.AllocTo(w.hn.ep, l.peer.hn.ep, size, "swpace", l.peer)
 		p.Body.Kind, p.Body.GuestID, p.Body.Origin, p.Body.Virt = netsim.BodyPace, w.gid, w.hostName, v
@@ -382,9 +382,6 @@ type hostNode struct {
 	addr netsim.Addr
 	// ep is addr resolved.
 	ep *netsim.Endpoint
-	// dead mirrors host.Failed (FailMachine, ReviveMachine): a dead
-	// machine's fabric endpoint is silent.
-	dead bool
 
 	mrx *multicast.Receiver
 
@@ -875,7 +872,7 @@ func ServiceAddr(guestID string) netsim.Addr { return gateway.ServiceAddr(guestI
 // count for nothing: one still in flight when its guest or its sender left
 // the group finds a released wiring or no link.
 func (hn *hostNode) deliver(p *netsim.Packet) {
-	if hn.dead {
+	if hn.host.Failed() { // a dead machine's fabric endpoint is silent
 		return
 	}
 	b := &p.Body

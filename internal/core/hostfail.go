@@ -42,7 +42,6 @@ func (c *Cluster) FailMachine(m int) error {
 		return fmt.Errorf("%w: machine %d already failed", ErrCluster, m)
 	}
 	h.Fail()
-	c.hostNodes[m].dead = true
 	for _, id := range c.GuestIDs() {
 		g := c.guests[id]
 		if g.Baseline != nil {
@@ -101,6 +100,5 @@ func (c *Cluster) ReviveMachine(m int) error {
 		return fmt.Errorf("%w: machine %d is not failed", ErrCluster, m)
 	}
 	c.hosts[m].Revive()
-	c.hostNodes[m].dead = false
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"stopwatch/internal/guest"
 	"stopwatch/internal/netsim"
 	"stopwatch/internal/sim"
+	"stopwatch/internal/vmm"
 	"stopwatch/internal/vtime"
 )
 
@@ -77,7 +78,7 @@ func TestProposalTailLossFoundByBeacon(t *testing.T) {
 				t.Fatalf("proposal sent at %v, resent at %v", sentAt, resentAt)
 			}
 			link := c.cfg.CloudLink
-			bound := c.cfg.VMM.PaceInterval + 2*(link.Latency+link.JitterMax) + link.JitterMax + slice
+			bound := vmm.PaceInterval + 2*(link.Latency+link.JitterMax) + link.JitterMax + slice
 			if resentAt-sentAt > bound {
 				t.Fatalf("tail loss resent %v after the send, bound %v", resentAt-sentAt, bound)
 			}
@@ -138,7 +139,7 @@ func TestLostResendRetriedAtEveryBeacon(t *testing.T) {
 	if len(resentAt) < 5 {
 		t.Fatalf("resends at %v", resentAt)
 	}
-	pace := c.cfg.VMM.PaceInterval
+	pace := vmm.PaceInterval
 	slack := c.cfg.CloudLink.JitterMax + slice
 	for i := 1; i < len(resentAt); i++ {
 		if gap := resentAt[i] - resentAt[i-1]; gap < pace-slack || gap > pace+slack {
@@ -205,7 +206,7 @@ func TestLostAcksDoNotStopResends(t *testing.T) {
 		t.Fatalf("resend lost at %v, retried at %v", lostAt, retriedAt)
 	}
 	link := c.cfg.CloudLink
-	bound := 2*c.cfg.VMM.PaceInterval + 2*(link.Latency+link.JitterMax) + slice
+	bound := 2*vmm.PaceInterval + 2*(link.Latency+link.JitterMax) + slice
 	if retriedAt-lostAt > bound {
 		t.Fatalf("with every ack lost, the resend was retried %v after it, bound %v", retriedAt-lostAt, bound)
 	}

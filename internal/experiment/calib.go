@@ -11,24 +11,25 @@ import (
 
 // CalibConfig parameterizes the Δn sweep of Sec. VII-A: how large must the
 // network-interrupt offset be before synchrony violations (divergences)
-// vanish, and what latency does each choice cost?
+// vanish, and what latency does each choice cost? The stream under test is
+// Poisson at one packet per calibProbeGap.
 type CalibConfig struct {
 	Seed uint64
 	// DeltaNsMS are the Δn values to sweep, in milliseconds of virtual time.
 	DeltaNsMS []float64
 	// Duration of each run.
 	Duration sim.Time
-	// ProbeMeanGap drives the packet stream under test.
-	ProbeMeanGap sim.Time
 }
+
+// calibProbeGap is the mean gap of the Poisson packet stream under test.
+const calibProbeGap = 15 * sim.Millisecond
 
 // DefaultCalibConfig sweeps 2–16 ms.
 func DefaultCalibConfig() CalibConfig {
 	return CalibConfig{
-		Seed:         23,
-		DeltaNsMS:    []float64{2, 4, 6, 8, 10, 12, 16},
-		Duration:     10 * sim.Second,
-		ProbeMeanGap: 15 * sim.Millisecond,
+		Seed:      23,
+		DeltaNsMS: []float64{2, 4, 6, 8, 10, 12, 16},
+		Duration:  10 * sim.Second,
 	}
 }
 
@@ -61,7 +62,7 @@ func RunCalib(cfg CalibConfig) (*CalibResult, error) {
 		rig := probeRig{
 			seed: cfg.Seed, hosts: 5,
 			deltaN:   vtime.Virtual(dn * float64(sim.Millisecond)),
-			duration: cfg.Duration, probeMeanGap: cfg.ProbeMeanGap, poisson: true,
+			duration: cfg.Duration, probeMeanGap: calibProbeGap, poisson: true,
 			attacker: "probe", attHosts: []int{0, 1, 2}, source: "colluder",
 			guests: []rigGuest{{id: "load", hosts: []int{2, 3, 4},
 				app: beacon(6*sim.Millisecond, 2_000_000, 64<<10, "load-sink")}},

@@ -11,25 +11,20 @@ import (
 // CollabConfig parameterizes the Sec. IX collaborating-attacker study: a
 // second attacker VM loads one replica host of the first attacker VM to
 // marginalize that replica's influence on median calculations, and raising
-// the replica count from 3 to 5 is the countermeasure.
+// the replica count from 3 to 5 is the countermeasure. A run sets its seed
+// and duration.
 type CollabConfig struct {
 	Seed uint64
 	// Duration of each run.
 	Duration sim.Time
-	// ProbeMeanGap drives the attacker's observed packet stream.
-	ProbeMeanGap sim.Time
-	// VictimFileKB sizes the victim's served file.
-	VictimFileKB int
 }
 
 // DefaultCollabConfig keeps runs short enough for benches. Dense probing,
 // as in Fig 4.
 func DefaultCollabConfig() CollabConfig {
 	return CollabConfig{
-		Seed:         29,
-		Duration:     20 * sim.Second,
-		ProbeMeanGap: 2 * sim.Millisecond,
-		VictimFileKB: 64,
+		Seed:     29,
+		Duration: 20 * sim.Second,
 	}
 }
 
@@ -65,7 +60,7 @@ func RunCollab(cfg CollabConfig) (*CollabResult, error) {
 		{"3-replicas+colluder", 3, true},
 		{"5-replicas+colluder", 5, true},
 	} {
-		l, err := measureLeak(collabRig(cfg, v.replicas, v.marginalize), 10, 0.95)
+		l, err := measureLeak(collabRig(cfg, v.replicas, v.marginalize), 0.95)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
@@ -87,12 +82,12 @@ func RunCollab(cfg CollabConfig) (*CollabResult, error) {
 func collabRig(cfg CollabConfig, replicas int, marginalize bool) probeRig {
 	rig := probeRig{
 		seed: cfg.Seed, hosts: 7,
-		duration: cfg.Duration, probeMeanGap: cfg.ProbeMeanGap,
+		duration: cfg.Duration, probeMeanGap: denseProbeGap,
 		attacker: "attacker", attHosts: []int{0, 1, 2, 3, 4}[:replicas], source: "colluder-ext",
 	}
 	if replicas == 3 {
 		rig.guests = append(rig.guests, rigGuest{id: "victim", victim: true, hosts: []int{2, 5, 6},
-			app: beacon(8*sim.Millisecond, 4_000_000, cfg.VictimFileKB<<10, "victim-sink")})
+			app: beacon(8*sim.Millisecond, 4_000_000, 64<<10, "victim-sink")})
 	} else {
 		rig.guests = append(rig.guests, rigGuest{id: "victim-local", victim: true, hosts: []int{2},
 			app: beacon(8*sim.Millisecond, 6_000_000, 64<<10, "local-sink")})

@@ -323,11 +323,11 @@ func TestCalibShape(t *testing.T) {
 }
 
 func TestPlacementTable(t *testing.T) {
-	r, err := RunPlacement(DefaultPlacementConfig())
+	r, err := RunPlacement()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != len(DefaultPlacementConfig().Ns) {
+	if len(r.Rows) != len(placementNs) {
 		t.Fatalf("rows: %d", len(r.Rows))
 	}
 	// Θ(cn): the gain grows linearly in n at c=(n-1)/2.

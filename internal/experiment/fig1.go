@@ -16,22 +16,27 @@ import (
 	"stopwatch/internal/stats"
 )
 
-// Fig1Config parameterizes the analytic median illustration (Sec. III).
+// The analytic figures (1 and 8) share the baseline exponential rate λ
+// (paper: 1), and every χ² detection estimate here (Figs. 1, 4 and 8 and the
+// probe-rig ablations) uses chiBins cells. Fig. 1(a) samples the CDFs at
+// gridN points on [0, gridMax].
+const (
+	lambda  = 1.0
+	chiBins = 10
+	gridMax = 6.0
+	gridN   = 61
+)
+
+// Fig1Config parameterizes the analytic median illustration (Sec. III):
+// the victim-influenced rate λ′ against the baseline rate λ = 1.
 type Fig1Config struct {
-	// Lambda is the baseline exponential rate (paper: 1).
-	Lambda float64
 	// LambdaPrime is the victim-influenced rate (paper: 1/2 and 10/11).
 	LambdaPrime float64
-	// GridMax and GridN control the CDF sampling for Fig. 1(a).
-	GridMax float64
-	GridN   int
-	// Bins is the χ² cell count for the detection curves.
-	Bins int
 }
 
 // DefaultFig1Config returns the paper's λ=1, λ′=1/2 setting.
 func DefaultFig1Config() Fig1Config {
-	return Fig1Config{Lambda: 1, LambdaPrime: 0.5, GridMax: 6, GridN: 61, Bins: 10}
+	return Fig1Config{LambdaPrime: 0.5}
 }
 
 // Fig1Point is one x of Fig. 1(a).
@@ -61,17 +66,17 @@ type Fig1Result struct {
 
 // RunFig1 computes the analytic Fig-1 curves.
 func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
-	if cfg.Lambda <= 0 || cfg.LambdaPrime <= 0 || cfg.GridN < 2 || cfg.Bins < 2 {
+	if cfg.LambdaPrime <= 0 {
 		return nil, fmt.Errorf("%w: fig1 config %+v", stats.ErrBadParam, cfg)
 	}
-	base := stats.Exponential{Rate: cfg.Lambda}
+	base := stats.Exponential{Rate: lambda}
 	vict := stats.Exponential{Rate: cfg.LambdaPrime}
 	med3 := stats.MedianOf3CDF(base.CDF, base.CDF, base.CDF)
 	med21 := stats.MedianOf3CDF(vict.CDF, base.CDF, base.CDF)
 
 	res := &Fig1Result{Config: cfg, Confidences: stats.StandardConfidences()}
-	for i := 0; i < cfg.GridN; i++ {
-		x := cfg.GridMax * float64(i) / float64(cfg.GridN-1)
+	for i := 0; i < gridN; i++ {
+		x := gridMax * float64(i) / float64(gridN-1)
 		res.Curve = append(res.Curve, Fig1Point{
 			X:                x,
 			Baseline:         base.CDF(x),
@@ -83,7 +88,7 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 
 	// χ²-binned detection: without StopWatch the attacker tests Exp(λ′)
 	// against Exp(λ); with StopWatch, the two median distributions.
-	bnRaw, err := stats.EqualProbBins(base, cfg.Bins)
+	bnRaw, err := stats.EqualProbBins(base, chiBins)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +99,7 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 		return nil, err
 	}
 	medDist := &stats.FuncDist{F: med3}
-	bnMed, err := stats.EqualProbBins(medDist, cfg.Bins)
+	bnMed, err := stats.EqualProbBins(medDist, chiBins)
 	if err != nil {
 		return nil, err
 	}
@@ -106,14 +111,14 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 	}
 
 	// LRT estimator.
-	klRaw, err := stats.KLDivergence(stats.ExpPDF(cfg.LambdaPrime), stats.ExpPDF(cfg.Lambda), 0, 200/cfg.LambdaPrime, 200000)
+	klRaw, err := stats.KLDivergence(stats.ExpPDF(cfg.LambdaPrime), stats.ExpPDF(lambda), 0, 200/cfg.LambdaPrime, 200000)
 	if err != nil {
 		return nil, err
 	}
 	pdfBase := stats.MedianOf3PDF(base.CDF, base.CDF, base.CDF,
-		stats.ExpPDF(cfg.Lambda), stats.ExpPDF(cfg.Lambda), stats.ExpPDF(cfg.Lambda))
+		stats.ExpPDF(lambda), stats.ExpPDF(lambda), stats.ExpPDF(lambda))
 	pdfVict := stats.MedianOf3PDF(vict.CDF, base.CDF, base.CDF,
-		stats.ExpPDF(cfg.LambdaPrime), stats.ExpPDF(cfg.Lambda), stats.ExpPDF(cfg.Lambda))
+		stats.ExpPDF(cfg.LambdaPrime), stats.ExpPDF(lambda), stats.ExpPDF(lambda))
 	klMed, err := stats.KLDivergence(pdfVict, pdfBase, 0, 200/cfg.LambdaPrime, 200000)
 	if err != nil {
 		return nil, err
@@ -131,15 +136,15 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 		res.ObsWithLRT = append(res.ObsWithLRT, nMed)
 	}
 
-	res.KSRaw = stats.KSDistanceFunc(base.CDF, vict.CDF, 0, cfg.GridMax*8, 8000)
-	res.KSMedian = stats.KSDistanceFunc(med3, med21, 0, cfg.GridMax*8, 8000)
+	res.KSRaw = stats.KSDistanceFunc(base.CDF, vict.CDF, 0, gridMax*8, 8000)
+	res.KSMedian = stats.KSDistanceFunc(med3, med21, 0, gridMax*8, 8000)
 	return res, nil
 }
 
 // Render prints the paper-style series.
 func (r *Fig1Result) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 1(a): distributions (λ=%.3g, λ'=%.3g)\n", r.Config.Lambda, r.Config.LambdaPrime)
+	fmt.Fprintf(&b, "Fig 1(a): distributions (λ=%.3g, λ'=%.3g)\n", lambda, r.Config.LambdaPrime)
 	fmt.Fprintf(&b, "%8s %10s %10s %12s %14s\n", "x", "baseline", "victim", "median-3base", "median-2base+v")
 	for _, p := range r.Curve {
 		if int(p.X*10)%10 != 0 { // print integer x only; the full grid is in the struct

@@ -10,33 +10,32 @@ import (
 )
 
 // Fig4Config parameterizes the live side-channel measurement: an attacker
-// VM receiving a probe packet stream, with and without a victim VM whose
-// one shared replica host carries its file-serving load.
+// VM receiving a dense probe packet stream, with and without a victim VM
+// whose one shared replica host carries its file-serving load. The probe
+// gap, the victim's file and the χ² cell count are fixed; a run sets its
+// seed and duration.
 type Fig4Config struct {
 	Seed uint64
 	// Duration of each run.
 	Duration sim.Time
-	// ProbeMeanGap is the mean inter-probe gap of the attacker's inbound
-	// stream.
-	ProbeMeanGap sim.Time
-	// VictimFileKB is the file the victim continuously serves.
-	VictimFileKB int
-	// Bins for the χ² detection estimate.
-	Bins int
 }
 
-// DefaultFig4Config gives ~15000 observations per run. The probe stream is
-// dense (mean gap 2ms): with sparse probes the victim's sub-millisecond
-// delay perturbations drown in the probes' own inter-arrival variance, and
-// neither system shows a channel. Dense probing is the attacker's best
-// strategy and the regime the paper's Fig-4 run reflects.
+// The attacker's inbound probe stream in Fig 4 and both ablations is dense
+// (one probe every denseProbeGap): with sparse probes the victim's
+// sub-millisecond delay perturbations drown in the probes' own
+// inter-arrival variance, and neither system shows a channel. Dense probing
+// is the attacker's best strategy and the regime the paper's Fig-4 run
+// reflects. fig4VictimFileKB is the file Fig 4's victim continuously serves.
+const (
+	denseProbeGap    = 2 * sim.Millisecond
+	fig4VictimFileKB = 256
+)
+
+// DefaultFig4Config gives ~15000 observations per run.
 func DefaultFig4Config() Fig4Config {
 	return Fig4Config{
-		Seed:         7,
-		Duration:     30 * sim.Second,
-		ProbeMeanGap: 2 * sim.Millisecond,
-		VictimFileKB: 256,
-		Bins:         10,
+		Seed:     7,
+		Duration: 30 * sim.Second,
 	}
 }
 
@@ -65,7 +64,7 @@ type Fig4Result struct {
 // RunFig4 performs the four runs (StopWatch/baseline × victim/no-victim)
 // and derives Fig. 4(a) and 4(b).
 func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
-	if cfg.Duration <= 0 || cfg.ProbeMeanGap <= 0 || cfg.Bins < 2 {
+	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("%w: fig4 config %+v", core.ErrCluster, cfg)
 	}
 	res := &Fig4Result{Config: cfg, Confidences: stats.StandardConfidences()}
@@ -73,8 +72,7 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 	// victim coresident on a single host. Three concurrent download streams
 	// give the victim a realistic serving duty cycle on its hosts.
 	measure := func(baseline bool, seed uint64) (*leakRuns, error) {
-		return measureLeak(fileVictimRig(baseline, seed, cfg.Duration, cfg.ProbeMeanGap, 3, cfg.VictimFileKB),
-			cfg.Bins, res.Confidences...)
+		return measureLeak(fileVictimRig(baseline, seed, cfg.Duration, 3, fig4VictimFileKB), res.Confidences...)
 	}
 	sw, err := measure(false, cfg.Seed)
 	if err != nil {

@@ -14,20 +14,20 @@ type Fig6Config struct {
 	Seed uint64
 	// Rates are the offered aggregate op rates (paper: 25..400/s).
 	Rates []float64
-	// Processes is the client process count (paper: 5).
-	Processes int
 	// LoadDuration is how long ops are issued per point.
 	LoadDuration sim.Time
 	// DrainDuration lets in-flight ops finish.
 	DrainDuration sim.Time
 }
 
+// fig6Processes is the client process count (paper: 5).
+const fig6Processes = 5
+
 // DefaultFig6Config mirrors the paper's sweep.
 func DefaultFig6Config() Fig6Config {
 	return Fig6Config{
 		Seed:          13,
 		Rates:         []float64{25, 50, 100, 200, 400},
-		Processes:     5,
 		LoadDuration:  4 * sim.Second,
 		DrainDuration: 2 * sim.Second,
 	}
@@ -55,7 +55,7 @@ type Fig6Result struct {
 
 // RunFig6 sweeps offered rates under both VMMs.
 func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
-	if len(cfg.Rates) == 0 || cfg.Processes <= 0 || cfg.LoadDuration <= 0 {
+	if len(cfg.Rates) == 0 || cfg.LoadDuration <= 0 {
 		return nil, fmt.Errorf("%w: fig6 config %+v", core.ErrCluster, cfg)
 	}
 	res := &Fig6Result{Config: cfg}
@@ -107,7 +107,7 @@ func fig6One(cfg Fig6Config, rate float64, hosts []int) (nfsRun, error) {
 	}
 	c.Start()
 	gen, err := apps.NewNFSLoadGen(c.Loop(), c.Source().Stream("nfsgen"), cl, core.ServiceAddr("nfs"), apps.PaperMix(), apps.NFSLoadGenConfig{
-		Processes:  cfg.Processes,
+		Processes:  fig6Processes,
 		RatePerSec: rate,
 	})
 	if err != nil {

@@ -15,9 +15,10 @@ import (
 type Fig7Config struct {
 	Seed     uint64
 	Profiles []apps.ParsecProfile
-	// Timeout per run.
-	Timeout sim.Time
 }
+
+// fig7Timeout is how long a run may take before it fails.
+const fig7Timeout = 120 * sim.Second
 
 // DefaultFig7Config returns the paper's five applications with the
 // calibration described in DESIGN.md.
@@ -25,7 +26,6 @@ func DefaultFig7Config() Fig7Config {
 	return Fig7Config{
 		Seed:     17,
 		Profiles: apps.PaperParsecProfiles(),
-		Timeout:  120 * sim.Second,
 	}
 }
 
@@ -100,7 +100,7 @@ func fig7One(cfg Fig7Config, prof apps.ParsecProfile, hosts []int) (doneAt sim.T
 		return 0, 0, 0, err
 	}
 	c.Start()
-	if err := c.Run(cfg.Timeout); err != nil {
+	if err := c.Run(fig7Timeout); err != nil {
 		return 0, 0, 0, err
 	}
 	if doneAt == 0 {

@@ -13,38 +13,31 @@ import (
 // literally: run the attacker's χ² test (Monte Carlo) to find the
 // observations StopWatch forces at each confidence, then find the minimum
 // uniform-noise bound that denies the attacker that confidence after the
-// same number of observations.
+// same number of observations. The panel (λ, λ′, coverage, cell count,
+// search bounds, confidences and the Monte Carlo's seed) is fixed; a run
+// sets only its trial count.
 type Fig8Config struct {
-	Seed        int64
-	Lambda      float64
-	LambdaPrime float64
-	// Coverage sets Δn via P[|X1−X′1| <= Δn] >= Coverage (paper: 0.9999).
-	Coverage float64
-	// Bins is the χ² cell count used for both schemes.
-	Bins int
 	// Trials per Monte-Carlo power estimate.
 	Trials int
-	// MaxN bounds the observation search.
-	MaxN int
-	// MaxNoise bounds the noise search.
-	MaxNoise float64
-	// Confidences to evaluate (default: 0.7, 0.8, 0.9, 0.99 as in Fig. 8).
-	Confidences []float64
 }
+
+// Fig. 8's fixed panel: λ = 1 (the shared lambda), λ′ = 1/2, Δn set by
+// P[|X1−X′1| <= Δn] >= fig8Coverage (paper: 0.9999), the Monte Carlo's
+// fixed seed, the bounds of the observation and noise searches, and the
+// confidences evaluated (as in the paper's panel).
+const (
+	fig8LambdaPrime = 0.5
+	fig8Coverage    = 0.9999
+	fig8Seed        = 8
+	fig8MaxN        = 200000
+	fig8MaxNoise    = 1e6
+)
+
+var fig8Confidences = []float64{0.7, 0.8, 0.9, 0.99}
 
 // DefaultFig8Config returns the paper's λ=1, λ′=1/2 panel.
 func DefaultFig8Config() Fig8Config {
-	return Fig8Config{
-		Seed:        8,
-		Lambda:      1,
-		LambdaPrime: 0.5,
-		Coverage:    0.9999,
-		Bins:        10,
-		Trials:      200,
-		MaxN:        200000,
-		MaxNoise:    1e6,
-		Confidences: []float64{0.7, 0.8, 0.9, 0.99},
-	}
+	return Fig8Config{Trials: 200}
 }
 
 // Fig8Point is one confidence level's delay comparison.
@@ -75,16 +68,13 @@ type Fig8Result struct {
 // the same number of observations is then found, and the expected delays
 // of both schemes are reported.
 func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
-	if cfg.Lambda <= 0 || cfg.LambdaPrime <= 0 || cfg.Bins < 2 || cfg.Trials <= 0 {
+	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("%w: fig8 config %+v", stats.ErrBadParam, cfg)
 	}
-	if len(cfg.Confidences) == 0 {
-		cfg.Confidences = []float64{0.7, 0.8, 0.9, 0.99}
-	}
-	base := stats.Exponential{Rate: cfg.Lambda}
-	vict := stats.Exponential{Rate: cfg.LambdaPrime}
+	base := stats.Exponential{Rate: lambda}
+	vict := stats.Exponential{Rate: fig8LambdaPrime}
 
-	deltaN, err := stats.DeltaNForCoverage(cfg.Lambda, cfg.LambdaPrime, cfg.Coverage)
+	deltaN, err := stats.DeltaNForCoverage(lambda, fig8LambdaPrime, fig8Coverage)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +84,7 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 
 	// StopWatch detection difficulty: the attacker tests median-of-3
 	// observations against the no-victim median distribution.
-	bn, err := stats.EqualProbBins(med3, cfg.Bins)
+	bn, err := stats.EqualProbBins(med3, chiBins)
 	if err != nil {
 		return nil, err
 	}
@@ -104,14 +94,14 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 	eMed3 := med3.Mean()
 	eMed21 := med21.Mean()
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(fig8Seed))
 	res := &Fig8Result{Config: cfg, DeltaN: deltaN}
-	for _, conf := range cfg.Confidences {
-		n, err := stats.EmpiricalObsToDetect(bn, nullProbs, altSampler, conf, cfg.Trials, cfg.MaxN, rng)
+	for _, conf := range fig8Confidences {
+		n, err := stats.EmpiricalObsToDetect(bn, nullProbs, altSampler, conf, cfg.Trials, fig8MaxN, rng)
 		if err != nil {
 			return nil, err
 		}
-		b, err := stats.MinNoiseToSuppress(cfg.Lambda, cfg.LambdaPrime, cfg.Bins, n, cfg.Trials, conf, rng, cfg.MaxNoise)
+		b, err := stats.MinNoiseToSuppress(lambda, fig8LambdaPrime, chiBins, n, cfg.Trials, conf, rng, fig8MaxNoise)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +122,7 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 func (r *Fig8Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 8: expected delay, StopWatch vs uniform noise (λ=%.3g, λ'=%.3g, Δn=%.2f)\n",
-		r.Config.Lambda, r.Config.LambdaPrime, r.DeltaN)
+		lambda, fig8LambdaPrime, r.DeltaN)
 	fmt.Fprintf(&b, "%10s %10s %10s %12s %14s %12s %14s\n",
 		"confidence", "obs", "noise b", "E[X2:3+Δn]", "E[X'2:3+Δn]", "E[X1+XN]", "E[X'1+XN]")
 	for _, p := range r.Points {

@@ -12,26 +12,27 @@ import (
 // that prior replication systems, where one replica dictates event timing,
 // would simply copy a coresident victim's signal to all replicas. This
 // experiment compares StopWatch's median delivery against that design by
-// letting the victim-coresident replica dictate its own timings.
+// letting the victim-coresident replica dictate its own timings. The rig is
+// Fig 4's (dense probes) with a leaderVictimFileKB file; a run sets its seed
+// and duration.
 type LeaderConfig struct {
-	Seed         uint64
-	Duration     sim.Time
-	ProbeMeanGap sim.Time
-	VictimFileKB int
+	Seed     uint64
+	Duration sim.Time
 }
 
-// DefaultLeaderConfig mirrors the Fig-4 scenario (dense probing). The
-// victim serves 128KB files: heavy enough that the coresident replica's
-// Dom0 contention stands clearly above the KS sampling floor at the
-// default duration (~10k probe gaps), which is what the ablation needs to
-// separate the two policies — the leader leak exceeds the median leak by
-// ~0.01 KS, and the floor at n samples is ~1.36·sqrt(2/n).
+// leaderVictimFileKB is the file the ablation's victim serves: heavy enough
+// that the coresident replica's Dom0 contention stands clearly above the KS
+// sampling floor at the default duration (~10k probe gaps), which is what
+// the ablation needs to separate the two policies — the leader leak exceeds
+// the median leak by ~0.01 KS, and the floor at n samples is
+// ~1.36·sqrt(2/n).
+const leaderVictimFileKB = 128
+
+// DefaultLeaderConfig mirrors the Fig-4 scenario (dense probing).
 func DefaultLeaderConfig() LeaderConfig {
 	return LeaderConfig{
-		Seed:         31,
-		Duration:     20 * sim.Second,
-		ProbeMeanGap: 2 * sim.Millisecond,
-		VictimFileKB: 128,
+		Seed:     31,
+		Duration: 20 * sim.Second,
 	}
 }
 
@@ -57,9 +58,9 @@ func RunLeader(cfg LeaderConfig) (*LeaderResult, error) {
 	// the shared host). Under PolicyOwn replicas diverge by design; that
 	// replica is the "leader" whose timings prior systems would propagate.
 	measure := func(own bool) (ks, obs95 float64, err error) {
-		rig := fileVictimRig(false, cfg.Seed, cfg.Duration, cfg.ProbeMeanGap, 1, cfg.VictimFileKB)
+		rig := fileVictimRig(false, cfg.Seed, cfg.Duration, 1, leaderVictimFileKB)
 		rig.own, rig.read = own, 2
-		l, err := measureLeak(rig, 10, 0.95)
+		l, err := measureLeak(rig, 0.95)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -20,7 +20,7 @@ import (
 // per confidence level, the number of observations a χ² test needs to
 // detect the victim — cells are the no-victim distribution's quantile bins,
 // so the null hypothesis is uniform over them.
-func scoreLeak(withVictim, noVictim []float64, bins int, confidences ...float64) (ks float64, obs []float64, err error) {
+func scoreLeak(withVictim, noVictim []float64, confidences ...float64) (ks float64, obs []float64, err error) {
 	eV, err := stats.NewECDF(withVictim)
 	if err != nil {
 		return 0, nil, err
@@ -30,8 +30,8 @@ func scoreLeak(withVictim, noVictim []float64, bins int, confidences ...float64)
 		return 0, nil, err
 	}
 	bn := stats.Binning{}
-	for i := 1; i < bins; i++ {
-		bn.Edges = append(bn.Edges, eN.Quantile(float64(i)/float64(bins)))
+	for i := 1; i < chiBins; i++ {
+		bn.Edges = append(bn.Edges, eN.Quantile(float64(i)/float64(chiBins)))
 	}
 	obs, err = stats.DetectionCurve(bn.CellProbs(eN.CDF), bn.CellProbs(eV.CDF), confidences)
 	return stats.KSDistanceECDF(eV, eN), obs, err
@@ -199,7 +199,7 @@ type leakRuns struct {
 // measureLeak runs the rig with and without its victim guests and scores
 // the attacker's gaps against each other: every leak number the repo prints
 // comes through here.
-func measureLeak(rig probeRig, bins int, confidences ...float64) (*leakRuns, error) {
+func measureLeak(rig probeRig, confidences ...float64) (*leakRuns, error) {
 	var l leakRuns
 	var err error
 	if l.with, err = rig.run(); err != nil {
@@ -209,22 +209,22 @@ func measureLeak(rig probeRig, bins int, confidences ...float64) (*leakRuns, err
 	if l.without, err = rig.run(); err != nil {
 		return nil, fmt.Errorf("without victim: %w", err)
 	}
-	l.ks, l.obs, err = scoreLeak(l.with.gapsMS, l.without.gapsMS, bins, confidences...)
+	l.ks, l.obs, err = scoreLeak(l.with.gapsMS, l.without.gapsMS, confidences...)
 	return &l, err
 }
 
 // fileVictimRig is the rig of Fig 4 and the median-vs-leader ablation: a
-// constant-rate probe stream into the attacker on hosts {0,1,2} of five,
+// dense constant-rate probe stream into the attacker on hosts {0,1,2} of five,
 // next to a victim on {2,3,4} — exactly one shared host — serving streams
 // closed-loop downloads of fileKB each. With baseline set both run under
 // the baseline VMM, alone on host 0.
-func fileVictimRig(baseline bool, seed uint64, duration, probeMeanGap sim.Time, streams, fileKB int) probeRig {
+func fileVictimRig(baseline bool, seed uint64, duration sim.Time, streams, fileKB int) probeRig {
 	att, vic := []int{0, 1, 2}, []int{2, 3, 4}
 	if baseline {
 		att, vic = []int{0}, []int{0}
 	}
 	return probeRig{
-		seed: seed, hosts: 5, duration: duration, probeMeanGap: probeMeanGap,
+		seed: seed, hosts: 5, duration: duration, probeMeanGap: denseProbeGap,
 		attacker: "attacker", attHosts: att, source: "colluder",
 		guests: []rigGuest{{id: "victim", victim: true, hosts: vic, streams: streams, fileKB: fileKB,
 			app: factory(func() (*apps.FileServer, error) { return apps.NewFileServer(apps.DefaultFileServerConfig()) })}},

@@ -7,33 +7,23 @@ import (
 	"stopwatch/internal/placement"
 )
 
-// PlacementConfig parameterizes the Sec.-VIII utilization table.
-type PlacementConfig struct {
-	// Ns are the cluster sizes to evaluate (each ≡ 3 mod 6).
-	Ns []int
-	// Capacity overrides per-machine capacity; 0 uses the maximum (n-1)/2.
-	Capacity int
-}
-
-// DefaultPlacementConfig evaluates the theorem family across two decades.
-func DefaultPlacementConfig() PlacementConfig {
-	return PlacementConfig{Ns: []int{9, 15, 21, 27, 33, 63, 99, 153}}
-}
+// placementNs are the Sec.-VIII table's cluster sizes (each ≡ 3 mod 6): the
+// theorem family across two decades.
+var placementNs = []int{9, 15, 21, 27, 33, 63, 99, 153}
 
 // PlacementResult wraps the utilization table.
 type PlacementResult struct {
-	Config PlacementConfig
-	Rows   []placement.UtilizationRow
+	Rows []placement.UtilizationRow
 }
 
 // RunPlacement builds and verifies the Theorem-2 placements and the greedy
-// comparison for each n.
-func RunPlacement(cfg PlacementConfig) (*PlacementResult, error) {
-	rows, err := placement.UtilizationTable(cfg.Ns, cfg.Capacity)
+// comparison for each n, at the maximum capacity (n-1)/2.
+func RunPlacement() (*PlacementResult, error) {
+	rows, err := placement.UtilizationTable(placementNs)
 	if err != nil {
 		return nil, err
 	}
-	return &PlacementResult{Config: cfg, Rows: rows}, nil
+	return &PlacementResult{Rows: rows}, nil
 }
 
 // Render prints the Sec.-VIII table.

@@ -297,15 +297,11 @@ type UtilizationRow struct {
 }
 
 // UtilizationTable evaluates the Theorem-2 family for the given n values
-// at capacity c(n) = (n-1)/2 (the maximum the theorem allows) unless
-// capOverride > 0.
-func UtilizationTable(ns []int, capOverride int) ([]UtilizationRow, error) {
+// at capacity c(n) = (n-1)/2, the maximum the theorem allows.
+func UtilizationTable(ns []int) ([]UtilizationRow, error) {
 	rows := make([]UtilizationRow, 0, len(ns))
 	for _, n := range ns {
 		c := (n - 1) / 2
-		if capOverride > 0 {
-			c = capOverride
-		}
 		p, err := PlaceTheorem2(n, c)
 		if err != nil {
 			return nil, err

@@ -219,7 +219,7 @@ func TestVerifyCatchesViolations(t *testing.T) {
 }
 
 func TestUtilizationTable(t *testing.T) {
-	rows, err := UtilizationTable([]int{9, 15, 21}, 0)
+	rows, err := UtilizationTable([]int{9, 15, 21})
 	if err != nil {
 		t.Fatal(err)
 	}

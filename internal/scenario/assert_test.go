@@ -81,15 +81,13 @@ func TestMetricAssertionNeedsItsFamily(t *testing.T) {
 }
 
 // TestEveryAssertionKindIsEvaluated: for each check the decoder knows, a false
-// assertion of that kind fails the run — by its own evaluator, or (placement,
-// which the runner audits on every file and no line can ask for) by the
-// validator — under assertions: at the declared seed, and under invariants:
-// at a seed the file does not declare. A kind that is accepted and evaluated
-// by nobody passes for ever.
+// assertion of that kind fails the run by its own evaluator, under
+// assertions: at the declared seed, and under invariants: at a seed the file
+// does not declare. A kind that is accepted and evaluated by nobody passes
+// for ever.
 func TestEveryAssertionKindIsEvaluated(t *testing.T) {
 	falseOf := map[string]struct{ yaml, want string }{
 		"lockstep":   {"guest: g-1", "lockstep assertion: guest g-1 not deployed"},
-		"placement":  {"", "the placement audit runs at the end of every file's run"},
 		"coresident": {"guests: [g-0, g-2]\n    min_shared: 3", "coresident assertion"},
 		"stats":      {"field: evicted\n    min: 99", "stats assertion evicted"},
 		"oplog":      {"op: evict\n    not_fired: true", "oplog assertion evict"},

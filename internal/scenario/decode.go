@@ -361,7 +361,6 @@ var eventKeys = map[string][]string{
 	"admit":        {"guest", "count"},
 	"evict":        {"guest"},
 	"kill-machine": {"machine", "detected", "repair_after_ms"},
-	"kill-replica": {"guest", "slot"},
 	"drain":        {"machine"},
 	"undrain":      {"machine"},
 	"migrate":      {"guest", "to"},
@@ -386,7 +385,6 @@ func (d *dec) event(n *node) Event {
 		Busiest:       f.n.vals["machine"] != nil && f.n.vals["machine"].scalar == "busiest",
 		Detected:      f.bool("detected", true),
 		RepairAfterMS: f.int("repair_after_ms", 0),
-		Slot:          int(f.int("slot", 0)),
 		To:            f.str("to"),
 		From:          f.str("from"),
 		Prob:          f.float("prob", 0),
@@ -426,11 +424,9 @@ func (d *dec) generator(n *node) Generator {
 	}
 }
 
-// assertKeys lists each check's allowed keys beyond check. placement decodes
-// only so that the validator can say why it is refused.
+// assertKeys lists each check's allowed keys beyond check.
 var assertKeys = map[string][]string{
 	"lockstep":   {"guest", "strict"},
-	"placement":  {},
 	"coresident": {"guests", "min_shared"},
 	"stats":      {"field", "min", "max"},
 	"oplog":      {"op", "detected", "min", "max", "within_ms", "not_fired"},

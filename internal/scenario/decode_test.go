@@ -293,6 +293,11 @@ func TestValidateGoldenErrors(t *testing.T) {
   - check: coresident
     guests: [g-0]
 `, `test.yaml:14: coresident assertion needs exactly 2 guests, got 1`)
+	// The scripted replica kill and a placement check are gone: the runner
+	// audits placement at the end of every run, and the replica-failures
+	// generator is the one source of replica kills. Both fail closed.
+	wantErr(t, head+goodFleet+"events:\n  - at_ms: 100\n    action: kill-replica\n    guest: g-0\n", `test.yaml:14: unknown action "kill-replica"`)
+	wantErr(t, head+goodFleet+"assertions:\n  - check: placement\n", `test.yaml:14: unknown check "placement"`)
 	// Load-aware admission is gone: its action and its fleet key fail closed.
 	wantErr(t, head+goodFleet+"events:\n  - at_ms: 100\n    action: saturate-disk\n", `test.yaml:14: unknown action "saturate-disk"`)
 	wantErr(t, head+strings.Replace(goodFleet, "  capacity: 3\n", "  capacity: 3\n  load_aware: true\n", 1),

@@ -533,8 +533,6 @@ func (r *runner) exec(ev Event) {
 			}
 		}
 		r.killMachine(m, ev.Detected, stopwatch.Millis(float64(ev.RepairAfterMS)))
-	case "kill-replica":
-		r.killReplica(ev.Guest, ev.Slot)
 	case "drain":
 		r.drain(ev.Machine, 0)
 	case "undrain":

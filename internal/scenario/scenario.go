@@ -143,14 +143,12 @@ type Event struct {
 	// AtMS is the firing time in milliseconds of simulated time.
 	AtMS int64
 	// Action discriminates the union: admit | evict | kill-machine |
-	// kill-replica | drain | undrain | migrate | inject-loss | partition |
-	// heal.
+	// drain | undrain | migrate | inject-loss | partition | heal.
 	Action string
 	// Line is the event's position in the file.
 	Line int
 
-	// Guest targets a spec (admit) or an instance (evict, kill-replica,
-	// migrate).
+	// Guest targets a spec (admit) or an instance (evict, migrate).
 	Guest string
 	// Count is the admit burst size.
 	Count int
@@ -165,8 +163,6 @@ type Event struct {
 	// RepairAfterMS schedules a RepairOp that long after the machine's
 	// evacuation completes (0 = never).
 	RepairAfterMS int64
-	// Slot selects the replica for kill-replica.
-	Slot int
 	// To is the migrate destination: "auto" or a machine index.
 	To string
 	// From/ToAddr are link endpoints for fabric faults. Forms:

@@ -339,11 +339,6 @@ func (v *validator) events() {
 				}
 				v.machineRef(ev.Line, m, what)
 			}
-		case "kill-replica":
-			v.guestRef(ev.Line, ev.Guest, what)
-			if ev.Slot < 0 || ev.Slot > 2 {
-				v.errf(ev.Line, "kill-replica event: slot %d out of range [0, 2]", ev.Slot)
-			}
 		case "kill-machine":
 			if !ev.Busiest {
 				v.machineRef(ev.Line, ev.Machine, what)
@@ -412,8 +407,6 @@ func (v *validator) assertions() {
 			if a.Guest != "all" {
 				v.guestRef(a.Line, a.Guest, what)
 			}
-		case "placement":
-			v.errf(a.Line, "check: placement asserts nothing: the placement audit runs at the end of every file's run; delete the line")
 		case "coresident":
 			if len(a.Guests) != 2 {
 				v.errf(a.Line, "coresident assertion needs exactly 2 guests, got %d", len(a.Guests))

@@ -17,11 +17,9 @@ import (
 type BaselineRuntime struct {
 	ex   exec
 	host *Host
-	cfg  Config
 	vm   *guest.VM
 
-	pitPeriod sim.Time
-	pitFired  int64
+	pitFired int64
 
 	pendingNet  []baseNetDelivery
 	pendingDisk []baseDiskDelivery
@@ -29,13 +27,10 @@ type BaselineRuntime struct {
 
 	// OnSend forwards a guest output packet (wired by the cluster).
 	OnSend SendSink
-	// OnNetDeliver observes injected network interrupts (experiments).
-	OnNetDeliver func(seq uint64, real sim.Time)
 }
 
 type baseNetDelivery struct {
 	readyReal sim.Time
-	seq       uint64
 	payload   guest.Payload
 }
 
@@ -50,12 +45,7 @@ func NewBaselineRuntime(host *Host, guestID string, app guest.App) (*BaselineRun
 	if host == nil {
 		return nil, fmt.Errorf("%w: nil host", ErrVMM)
 	}
-	cfg := host.Config()
-	rt := &BaselineRuntime{
-		host:      host,
-		cfg:       cfg,
-		pitPeriod: sim.Time(int64(sim.Second) / int64(cfg.PITHz)),
-	}
+	rt := &BaselineRuntime{host: host}
 	vm, err := guest.New(guestID, app, rt)
 	if err != nil {
 		return nil, err
@@ -65,7 +55,7 @@ func NewBaselineRuntime(host *Host, guestID string, app guest.App) (*BaselineRun
 		host:      host,
 		vm:        vm,
 		loop:      host.Loop(),
-		exitEvery: cfg.ExitEvery,
+		exitEvery: host.Config().ExitEvery,
 		vmm:       rt,
 	}
 	host.register(&rt.ex)
@@ -85,9 +75,9 @@ func (rt *BaselineRuntime) TSC() uint64 { return uint64(rt.Now()) * 3 }
 
 // PITCounter implements guest.ClockView from host real time.
 func (rt *BaselineRuntime) PITCounter() uint16 {
-	phase := int64(rt.Now()) % int64(rt.pitPeriod)
-	remaining := int64(rt.pitPeriod) - phase
-	return uint16((remaining * 65536) / int64(rt.pitPeriod))
+	phase := int64(rt.Now()) % int64(pitPeriod)
+	remaining := int64(pitPeriod) - phase
+	return uint16((remaining * 65536) / int64(pitPeriod))
 }
 
 // VM returns the hosted guest.
@@ -116,10 +106,8 @@ func (rt *BaselineRuntime) HandleInbound(p guest.Payload) {
 	host.ioBegin()
 	host.Loop().After(host.ioDelay(), "base:netdev", func() {
 		host.ioEnd()
-		rt.seq++
 		rt.pendingNet = append(rt.pendingNet, baseNetDelivery{
 			readyReal: host.Loop().Now(),
-			seq:       rt.seq,
 			payload:   p,
 		})
 	})
@@ -171,7 +159,7 @@ func (rt *BaselineRuntime) exit(res guest.StepResult) {
 	}
 
 	// Timer ticks by host real time.
-	due := int64(rt.Now()) / int64(rt.pitPeriod)
+	due := int64(rt.Now()) / int64(pitPeriod)
 	if due > rt.pitFired {
 		rt.vm.DeliverTimerTicks(int(due - rt.pitFired))
 		rt.pitFired = due
@@ -185,9 +173,6 @@ func (rt *BaselineRuntime) exit(res guest.StepResult) {
 	for len(rt.pendingNet) > 0 && rt.pendingNet[0].readyReal <= now {
 		d := rt.pendingNet[0]
 		rt.pendingNet = slices.Delete(rt.pendingNet, 0, 1)
-		if rt.OnNetDeliver != nil {
-			rt.OnNetDeliver(d.seq, now)
-		}
 		rt.vm.DeliverPacket(d.payload)
 	}
 }

@@ -25,7 +25,7 @@ func TestRestoreRefusesAMutatedCheckpoint(t *testing.T) {
 	}
 	base := Checkpoint{
 		Instr: 4 * DefaultConfig().ExitEvery, Virt: 10,
-		ClockSlope:  DefaultConfig().Slope,
+		ClockSlope:  vtime.InitialSlope,
 		DiskSeq:     3,
 		PendingNet:  []netDelivery{{deliverVirt: 20, seq: 5}, {deliverVirt: 20, seq: 7}, {deliverVirt: 30, seq: 6}},
 		PendingDisk: []diskDelivery{{deliverVirt: 15, seq: 2}, {deliverVirt: 25, seq: 3}},

@@ -24,7 +24,9 @@ import (
 var ErrVMM = errors.New("vmm: invalid")
 
 // Config carries the tunables shared by both VMM flavors. The zero value is
-// not valid; use DefaultConfig.
+// not valid; use DefaultConfig. What no program varies is a constant: the
+// PIT rate, the pacing interval, the Dom0 load coupling and disk bandwidth
+// below, and the virtual clock's initial slope and clamp (vtime).
 type Config struct {
 	// BaseRate is the host CPU's nominal guest execution rate in branches
 	// per second. Contended guests share it.
@@ -32,12 +34,6 @@ type Config struct {
 	// ExitEvery bounds branches between guest-caused VM exits during long
 	// computations. Exits also happen at every I/O instruction.
 	ExitEvery int64
-	// PITHz is the guest timer frequency (paper: 250 Hz).
-	PITHz int
-	// Slope is the initial virtual-ns-per-branch (Eqn. 1).
-	Slope float64
-	// SlopeLo/SlopeHi clamp epoch slope adjustments.
-	SlopeLo, SlopeHi float64
 	// DeltaN is the network-interrupt delivery offset Δn in virtual time
 	// (paper: translates to ~7–12 ms real).
 	DeltaN vtime.Virtual
@@ -48,18 +44,9 @@ type Config struct {
 	// the farthest-behind peer before it is paused ("slowing the fastest
 	// replica", Sec. V-A).
 	MaxLead vtime.Virtual
-	// PaceInterval is how often replicas report progress to peers.
-	PaceInterval sim.Time
-
-	// IOLoadFactor scales the Dom0 packet-processing jitter mean
-	// (ioJitterMean) per unit of concurrent host I/O activity (the
-	// coresidency channel).
-	IOLoadFactor float64
 
 	// DiskSeek is the fixed per-request disk positioning time.
 	DiskSeek sim.Time
-	// DiskBytesPerSec is disk transfer bandwidth.
-	DiskBytesPerSec int64
 	// DiskJitterMean is the mean exponential service-time jitter.
 	DiskJitterMean sim.Time
 
@@ -81,14 +68,28 @@ type Config struct {
 
 // The Dom0 device model's packet-processing delay (Host.ioDelay): a floor of
 // IOBaseDelay, exponential jitter of mean ioJitterMean on an otherwise idle
-// host, and, while another guest is busy on the host, a VCPU scheduling wait
-// of U[0, schedSlice) for CPU. The wait is the dominant coresidency timing
-// channel on a real hypervisor (the attacker's interrupt waits out the
-// victim's time slice).
+// host, scaled by 1 + ioLoadFactor per concurrent host I/O (the coresidency
+// channel), and, while another guest is busy on the host, a VCPU scheduling
+// wait of U[0, schedSlice) for CPU. The wait is the dominant coresidency
+// timing channel on a real hypervisor (the attacker's interrupt waits out the
+// victim's time slice). The median tolerates one slow proposal — divergence
+// needs a single delay exceeding the full Δn — so a strong load coupling is
+// safe at Δn = 12 ms.
 const (
 	IOBaseDelay  = 200 * sim.Microsecond
 	ioJitterMean = 200 * sim.Microsecond
+	ioLoadFactor = 1.0
 	schedSlice   = 3 * sim.Millisecond
+)
+
+// The rest of the machine model: the guest timer (paper: 250 Hz PIT), how
+// often a replica reports its progress to its peers, and the disk's
+// transfer bandwidth (an 80 MB/s rotating disk).
+const (
+	pitHz           = 250
+	pitPeriod       = sim.Second / pitHz
+	PaceInterval    = 2 * sim.Millisecond
+	diskBytesPerSec = 80 << 20
 )
 
 // DefaultConfig returns the tunables used throughout the reproduction.
@@ -98,27 +99,16 @@ func DefaultConfig() Config {
 	return Config{
 		BaseRate:  1_000_000_000, // 1e9 branches/s
 		ExitEvery: 250_000,       // 0.25 ms of virtual time between exits
-		PITHz:     250,
-		Slope:     1.0,
-		SlopeLo:   0.25,
-		SlopeHi:   4.0,
 		// Δn must cover: pacing slack between the two fastest replicas
 		// (MaxLead + reporting lag), Dom0 processing-delay tails, and
 		// proposal propagation. 12ms over a 4ms MaxLead leaves ~6ms of
 		// margin against the I/O tail — the regime the paper reports as
 		// "7-12ms real" (Sec. VII-A).
-		DeltaN:       vtime.Virtual(12 * sim.Millisecond),
-		DeltaD:       vtime.Virtual(12 * sim.Millisecond),
-		MaxLead:      vtime.Virtual(4 * sim.Millisecond),
-		PaceInterval: 2 * sim.Millisecond,
-		// The coresidency channel: Dom0 processing delay scales with
-		// concurrent host I/O. The median tolerates one slow proposal —
-		// divergence needs a single delay exceeding the full Δn — so a
-		// strong load coupling is safe at Δn=12ms.
-		IOLoadFactor:    1.0,
-		DiskSeek:        4 * sim.Millisecond,
-		DiskBytesPerSec: 80 << 20, // 80 MB/s rotating disk
-		DiskJitterMean:  sim.Millisecond,
+		DeltaN:         vtime.Virtual(12 * sim.Millisecond),
+		DeltaD:         vtime.Virtual(12 * sim.Millisecond),
+		MaxLead:        vtime.Virtual(4 * sim.Millisecond),
+		DiskSeek:       4 * sim.Millisecond,
+		DiskJitterMean: sim.Millisecond,
 	}
 }
 
@@ -129,20 +119,17 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: BaseRate %d", ErrVMM, c.BaseRate)
 	case c.ExitEvery <= 0:
 		return fmt.Errorf("%w: ExitEvery %d", ErrVMM, c.ExitEvery)
-	case c.PITHz <= 0:
-		return fmt.Errorf("%w: PITHz %d", ErrVMM, c.PITHz)
-	case c.Slope <= 0 || c.SlopeLo <= 0 || c.SlopeHi < c.SlopeLo:
-		return fmt.Errorf("%w: slope %v bounds [%v,%v]", ErrVMM, c.Slope, c.SlopeLo, c.SlopeHi)
 	case c.DeltaN <= 0 || c.DeltaD <= 0:
 		return fmt.Errorf("%w: DeltaN %v DeltaD %v", ErrVMM, c.DeltaN, c.DeltaD)
-	case c.MaxLead <= 0 || c.PaceInterval <= 0:
-		return fmt.Errorf("%w: MaxLead %v PaceInterval %v", ErrVMM, c.MaxLead, c.PaceInterval)
-	case c.IOLoadFactor < 0:
-		return fmt.Errorf("%w: IOLoadFactor %v", ErrVMM, c.IOLoadFactor)
-	case c.DiskSeek < 0 || c.DiskBytesPerSec <= 0 || c.DiskJitterMean < 0:
+	case c.MaxLead <= 0:
+		return fmt.Errorf("%w: MaxLead %v", ErrVMM, c.MaxLead)
+	case c.DiskSeek < 0 || c.DiskJitterMean < 0:
 		return fmt.Errorf("%w: disk params", ErrVMM)
 	case c.EpochInstr < 0:
 		return fmt.Errorf("%w: EpochInstr %d", ErrVMM, c.EpochInstr)
+	case c.EpochInstr > 0 && c.EpochInstr%c.ExitEvery != 0:
+		return fmt.Errorf("%w: EpochInstr %d must be a multiple of ExitEvery %d",
+			ErrVMM, c.EpochInstr, c.ExitEvery)
 	case c.CheckpointInstr < 0:
 		return fmt.Errorf("%w: CheckpointInstr %d", ErrVMM, c.CheckpointInstr)
 	case c.CheckpointInstr > 0 && c.CheckpointInstr%c.ExitEvery != 0:

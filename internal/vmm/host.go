@@ -208,7 +208,7 @@ func (h *Host) BusyCount() int { return h.busyCount }
 // is busy on the CPU — a VCPU scheduling wait of up to one slice. Together
 // these are the paper's λ→λ′ shift when a coresident victim is active.
 func (h *Host) ioDelay() sim.Time {
-	mean := float64(ioJitterMean) * (1 + h.cfg.IOLoadFactor*float64(h.ioInFlight))
+	mean := float64(ioJitterMean) * (1 + ioLoadFactor*float64(h.ioInFlight))
 	d := IOBaseDelay + h.rng.ExpDur(sim.Time(mean))
 	if h.busyCount > 0 {
 		d += h.rng.UniformDur(0, schedSlice)
@@ -223,7 +223,7 @@ func (h *Host) diskService(bytes int) sim.Time {
 	if h.diskFree > start {
 		start = h.diskFree
 	}
-	transfer := sim.Time(int64(bytes) * int64(sim.Second) / h.cfg.DiskBytesPerSec)
+	transfer := sim.Time(int64(bytes) * int64(sim.Second) / diskBytesPerSec)
 	svc := h.cfg.DiskSeek + transfer + h.rng.ExpDur(h.cfg.DiskJitterMean)
 	h.diskFree = start + svc
 	h.diskOps++

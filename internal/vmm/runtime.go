@@ -165,16 +165,11 @@ func NewRuntime(host *Host, guestID string, app guest.App, bootTimes []sim.Time)
 		return nil, fmt.Errorf("%w: nil host", ErrVMM)
 	}
 	cfg := host.Config()
-	vc, err := vtime.New(vtime.Config{
-		BootTimes: bootTimes,
-		Slope:     cfg.Slope,
-		SlopeLo:   cfg.SlopeLo,
-		SlopeHi:   cfg.SlopeHi,
-	})
+	vc, err := vtime.New(vtime.Config{BootTimes: bootTimes})
 	if err != nil {
 		return nil, err
 	}
-	pit, err := vtime.NewPIT(cfg.PITHz)
+	pit, err := vtime.NewPIT(pitHz)
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +268,7 @@ func (rt *Runtime) paceTick() {
 		return
 	}
 	rt.beacon()
-	rt.host.Loop().AfterTimer(rt.cfg.PaceInterval, "vmm:pace", paceTimer, rt, nil, 0)
+	rt.host.Loop().AfterTimer(PaceInterval, "vmm:pace", paceTimer, rt, nil, 0)
 }
 
 // beacon sends one pacing report: the periodic tick, and under epochs the

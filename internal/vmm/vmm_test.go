@@ -26,16 +26,11 @@ func TestConfigValidate(t *testing.T) {
 	mut := []func(*Config){
 		func(c *Config) { c.BaseRate = 0 },
 		func(c *Config) { c.ExitEvery = 0 },
-		func(c *Config) { c.PITHz = 0 },
-		func(c *Config) { c.Slope = 0 },
-		func(c *Config) { c.SlopeHi = c.SlopeLo / 2 },
 		func(c *Config) { c.DeltaN = 0 },
 		func(c *Config) { c.DeltaD = 0 },
 		func(c *Config) { c.MaxLead = 0 },
-		func(c *Config) { c.PaceInterval = 0 },
-		func(c *Config) { c.IOLoadFactor = -1 },
-		func(c *Config) { c.DiskBytesPerSec = 0 },
 		func(c *Config) { c.EpochInstr = -1 },
+		func(c *Config) { c.EpochInstr = c.ExitEvery + 1 },
 	}
 	for i, m := range mut {
 		c := DefaultConfig()
@@ -510,7 +505,7 @@ func TestDiskDeliveryAtDeltaD(t *testing.T) {
 	// quantized up to the next exit boundary (≤ ExitEvery).
 	issue := vtime.Virtual(1_000_000 + 2) // boot compute + disk I/O instruction
 	wantMin := issue + h.Config().DeltaD
-	wantMax := wantMin + vtime.Virtual(h.Config().ExitEvery)*vtime.Virtual(h.Config().Slope)
+	wantMax := wantMin + vtime.Virtual(h.Config().ExitEvery)*vtime.Virtual(vtime.InitialSlope)
 	if diskVirts[0] < wantMin || diskVirts[0] > wantMax {
 		t.Fatalf("disk delivered at %v, want in [%v, %v]", diskVirts[0], wantMin, wantMax)
 	}
@@ -616,13 +611,17 @@ func TestBaselineDeliversPromptly(t *testing.T) {
 	loop := sim.NewLoop()
 	src := sim.NewSource(19)
 	h := testHost(t, "h", loop, src, 0, 0)
+	// The baseline guest reads real time: the host clock has no offset or
+	// drift, so its app sees the instant the packet reached it.
 	var deliveredAt []sim.Time
-	rt, err := NewBaselineRuntime(h, "g", &recordApp{})
+	app := &recordApp{onPkt: func(c guest.Ctx, _ guest.Payload) {
+		deliveredAt = append(deliveredAt, sim.Time(c.Clock().Now()))
+	}}
+	rt, err := NewBaselineRuntime(h, "g", app)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt.OnSend = SendSinkFunc(func(a guest.IOAction) {})
-	rt.OnNetDeliver = func(seq uint64, real sim.Time) { deliveredAt = append(deliveredAt, real) }
 	rt.Start()
 	sendAt := 10 * sim.Millisecond
 	loop.At(sendAt, "pkt", func() { rt.HandleInbound(guest.Payload{Src: "c", Size: 100}) })

@@ -50,42 +50,33 @@ type Clock struct {
 	slope float64 // virtual ns per instruction
 
 	epochBase int64 // instruction count where current epoch began
-
-	lo, hi float64 // slope clamp [ℓ,u]
 }
+
+// A clock starts at InitialSlope virtual ns per instruction (the machines'
+// tick rate: one branch is one virtual ns), and an epoch adjustment clamps
+// the slope to [slopeLo, slopeHi] ([ℓ,u] in the paper). slopeLo > 0, so
+// virtual time always advances.
+const (
+	InitialSlope = 1.0
+	slopeLo      = 0.25
+	slopeHi      = 4.0
+)
 
 // Config parameterizes a virtual clock.
 type Config struct {
 	// BootTimes are the replicas' boot real times (host clock reads); the
 	// median becomes `start`. One entry (degenerate deployment) is allowed.
 	BootTimes []sim.Time
-	// Slope is the initial virtual-ns-per-instruction, derived from the
-	// machines' tick rate. Must be positive.
-	Slope float64
-	// SlopeLo/SlopeHi clamp epoch adjustments ([ℓ,u] in the paper).
-	// SlopeLo must be > 0 so virtual time always advances.
-	SlopeLo, SlopeHi float64
 }
 
-// New builds a virtual clock from the replica boot times and slope bounds.
+// New builds a virtual clock from the replica boot times.
 func New(cfg Config) (*Clock, error) {
 	if len(cfg.BootTimes) == 0 {
 		return nil, fmt.Errorf("%w: no boot times", ErrBadClock)
 	}
-	if cfg.Slope <= 0 {
-		return nil, fmt.Errorf("%w: slope %v", ErrBadClock, cfg.Slope)
-	}
-	if cfg.SlopeLo <= 0 || cfg.SlopeHi < cfg.SlopeLo {
-		return nil, fmt.Errorf("%w: slope bounds [%v,%v]", ErrBadClock, cfg.SlopeLo, cfg.SlopeHi)
-	}
-	if cfg.Slope < cfg.SlopeLo || cfg.Slope > cfg.SlopeHi {
-		return nil, fmt.Errorf("%w: initial slope %v outside [%v,%v]", ErrBadClock, cfg.Slope, cfg.SlopeLo, cfg.SlopeHi)
-	}
 	return &Clock{
 		start: Virtual(medianTime(cfg.BootTimes)),
-		slope: cfg.Slope,
-		lo:    cfg.SlopeLo,
-		hi:    cfg.SlopeHi,
+		slope: InitialSlope,
 	}, nil
 }
 
@@ -156,7 +147,7 @@ func (c *Clock) EpochBase() int64 { return c.epochBase }
 
 // Restore rewinds the fit state to a recorded (start, slope, epochBase)
 // triple — checkpoint restore for replica replacement. The slope must lie
-// inside the clamp bounds it was recorded under.
+// inside the clamp [slopeLo, slopeHi].
 func (c *Clock) Restore(start Virtual, slope float64, epochBase int64) error {
 	if err := c.CheckRestore(slope, epochBase); err != nil {
 		return err
@@ -170,8 +161,8 @@ func (c *Clock) Restore(start Virtual, slope float64, epochBase int64) error {
 // CheckRestore reports whether Restore would accept the fit, changing
 // nothing: a caller restoring more than the clock vets every part first.
 func (c *Clock) CheckRestore(slope float64, epochBase int64) error {
-	if slope < c.lo || slope > c.hi {
-		return fmt.Errorf("%w: restored slope %v outside [%v,%v]", ErrBadClock, slope, c.lo, c.hi)
+	if slope < slopeLo || slope > slopeHi {
+		return fmt.Errorf("%w: restored slope %v outside [%v,%v]", ErrBadClock, slope, slopeLo, slopeHi)
 	}
 	if epochBase < 0 {
 		return fmt.Errorf("%w: restored epoch base %d", ErrBadClock, epochBase)
@@ -209,16 +200,9 @@ func (c *Clock) AdjustEpoch(epochInstr int64, samples []EpochSample) (EpochSampl
 
 	virtEnd := c.At(c.epochBase + epochInstr)
 	raw := (float64(star.R) - float64(virtEnd) + float64(star.D)) / float64(epochInstr)
-	slope := raw
-	if slope < c.lo {
-		slope = c.lo
-	}
-	if slope > c.hi {
-		slope = c.hi
-	}
 	c.start = virtEnd
 	c.epochBase += epochInstr
-	c.slope = slope
+	c.slope = min(max(raw, slopeLo), slopeHi)
 	return star, nil
 }
 

@@ -19,12 +19,7 @@ func mustClock(t *testing.T, cfg Config) *Clock {
 }
 
 func defaultCfg() Config {
-	return Config{
-		BootTimes: []sim.Time{100, 200, 300},
-		Slope:     1.0,
-		SlopeLo:   0.25,
-		SlopeHi:   4.0,
-	}
+	return Config{BootTimes: []sim.Time{100, 200, 300}}
 }
 
 func TestNewUsesMedianBootTime(t *testing.T) {
@@ -41,17 +36,8 @@ func TestNewUsesMedianBootTime(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	bad := []Config{
-		{BootTimes: nil, Slope: 1, SlopeLo: 0.5, SlopeHi: 2},
-		{BootTimes: []sim.Time{1}, Slope: 0, SlopeLo: 0.5, SlopeHi: 2},
-		{BootTimes: []sim.Time{1}, Slope: 1, SlopeLo: 0, SlopeHi: 2},
-		{BootTimes: []sim.Time{1}, Slope: 1, SlopeLo: 2, SlopeHi: 1},
-		{BootTimes: []sim.Time{1}, Slope: 5, SlopeLo: 0.5, SlopeHi: 2},
-	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); !errors.Is(err, ErrBadClock) {
-			t.Errorf("case %d: want ErrBadClock, got %v", i, err)
-		}
+	if _, err := New(Config{}); !errors.Is(err, ErrBadClock) {
+		t.Errorf("no boot times: want ErrBadClock, got %v", err)
 	}
 }
 
@@ -66,9 +52,10 @@ func TestEqn1(t *testing.T) {
 }
 
 func TestInstrForInvertsAt(t *testing.T) {
-	cfg := defaultCfg()
-	cfg.Slope = 2.5
-	c := mustClock(t, cfg)
+	c := mustClock(t, defaultCfg())
+	if err := c.Restore(c.Start(), 2.5, 0); err != nil {
+		t.Fatal(err)
+	}
 	for _, v := range []Virtual{200, 201, 500, 12345} {
 		i := c.InstrFor(v)
 		if c.At(i) < v {
