@@ -132,6 +132,10 @@ type Cluster struct {
 	// switch, DisableViewReconcile).
 	noReconcile bool
 
+	// everyReport makes every pacing beacon an arrival event: the reference
+	// the held-report equivalence test compares against. Tests only.
+	everyReport bool
+
 	ingress *gateway.Ingress
 	egress  *gateway.Egress
 
@@ -210,8 +214,11 @@ type replicaWiring struct {
 	sent, resent uint64
 	out          seqwin.Window[sentProp]
 	// links are the live peers in slot order: proposals and pacing beacons
-	// go to their Dom0s.
+	// go to their Dom0s. held counts the beacons they hold, none of which
+	// arrives before due.
 	links []peerLink
+	held  int
+	due   sim.Time
 }
 
 // sentProp is one numbered proposal, kept for resending.
@@ -236,6 +243,18 @@ type peerLink struct {
 	// acked is the highest of our proposals the peer's beacons have acked;
 	// missing is the highest a beacon has shown the peer lacking.
 	acked, missing uint64
+	// held is the peer's beacon that arrives without an event
+	// (hostNode.Hold), while holding; a second in flight is an event.
+	held    heldBeacon
+	holding bool
+}
+
+// heldBeacon is what a held pacing beacon carries: the peer's progress and
+// its ack of our proposals, and when it arrives.
+type heldBeacon struct {
+	at   netsim.Arrival
+	virt vtime.Virtual
+	ack  uint64
 }
 
 var (
@@ -247,6 +266,7 @@ var (
 // SendProposal implements vmm.ProposalSink: one unicast of this replica's
 // delivery-time proposal to each live peer Dom0, kept until acked.
 func (w *replicaWiring) SendProposal(view, seq uint64, v vtime.Virtual) {
+	w.Pull()
 	w.sent++
 	if len(w.links) == 0 {
 		w.out.SkipTo(w.sent + 1) // a sole survivor has nobody to resend to
@@ -276,13 +296,79 @@ func (w *replicaWiring) sendProp(to *replicaWiring, n uint64, p *sentProp) {
 // Latency + JitterMax, so a loss-free run never resends; a lost resend is
 // retried at the next beacon.
 func (w *replicaWiring) onAck(l *peerLink, ack uint64) {
+	w.ack(l, ack)
+	w.resend(l, w.sent, 0)
+}
+
+// ack records link l's peer's ack and retires what every live peer holds.
+func (w *replicaWiring) ack(l *peerLink, ack uint64) {
 	l.acked = max(l.acked, ack)
 	lo := w.sent
 	for i := range w.links {
 		lo = min(lo, w.links[i].acked)
 	}
 	w.out.SkipTo(lo + 1)
-	w.resend(l, w.sent, 0)
+}
+
+// overdueBy reports whether a beacon acking ack over l that arrives at t
+// would find a proposal to resend (onAck): one out now, or one sent from
+// now on if t is more than a resend wait away.
+func (w *replicaWiring) overdueBy(l *peerLink, ack uint64, t sim.Time) bool {
+	cl := w.c.cfg.CloudLink
+	wait := 2 * (cl.Latency + cl.JitterMax)
+	ack = max(ack, l.acked)
+	for n, p := range w.out.All() {
+		if n > ack && t-p.at > wait {
+			return true
+		}
+	}
+	return t-w.hn.host.Loop().Now() > wait
+}
+
+// Pull implements vmm.HeldReports: it applies the held beacons whose
+// arrival has passed, their progress and their ack, which is all their
+// arrivals changed.
+func (w *replicaWiring) Pull() {
+	loop := w.hn.host.Loop()
+	if w.held == 0 || loop.Now() < w.due {
+		return
+	}
+	w.due = sim.Never
+	for i := range w.links {
+		l := &w.links[i]
+		if !l.holding {
+			continue
+		}
+		b := l.held
+		if !loop.ArrivalPassed(b.at.When, b.at.K1, b.at.K2) {
+			w.due = min(w.due, b.at.When)
+			continue
+		}
+		l.holding = false
+		w.held--
+		w.rt.FoldPeerVirt(l.peer.hostName, b.virt)
+		w.ack(l, b.ack)
+	}
+}
+
+// Unhold implements vmm.HeldReports: the beacons whose arrival has not
+// passed become arrival events again.
+func (w *replicaWiring) Unhold() {
+	w.Pull()
+	for i := range w.links {
+		w.unholdLink(&w.links[i])
+	}
+}
+
+// unholdLink turns l's held beacon, which has not arrived, back into an
+// arrival event.
+func (w *replicaWiring) unholdLink(l *peerLink) {
+	if l.holding {
+		b := netsim.PacketBody{Kind: netsim.BodyPace, GuestID: w.gid, Origin: l.peer.hostName, Virt: l.held.virt, StreamSeq: l.held.ack, Data: l.peer}
+		w.c.net.Unhold(l.held.at, w, &b)
+		l.holding = false
+		w.held--
+	}
 }
 
 // resend sends l's peer each proposal in (l.acked, upTo] last sent more
@@ -307,6 +393,7 @@ func (w *replicaWiring) resend(l *peerLink, upTo uint64, wait sim.Time) {
 // unacked, once a loss-free ack (the peer's beacon period plus a round
 // trip) is overdue: a lost resend is retried while the acks are lost too.
 func (w *replicaWiring) PaceReport(v vtime.Virtual, epoch int64, s vtime.EpochSample) {
+	w.Pull()
 	net, size := w.c.net, 48
 	if epoch >= 0 {
 		size += 24 // the sample's epoch index, D and R
@@ -376,7 +463,8 @@ func (g *Guest) Divergences() int {
 
 // hostNode is a host's Dom0 fabric endpoint: it demultiplexes ingress
 // streams, peer proposals and pacing reports for every guest replica
-// resident on the host.
+// resident on the host, and holds the beacons whose arrival instant cannot
+// matter (Hold).
 type hostNode struct {
 	host *vmm.Host
 	addr netsim.Addr
@@ -437,6 +525,7 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 		replayLen:  metrics.NewHistogram(replayLenBuckets),
 	}
 	c.coord = sim.NewCoordinator(loop, shardLoops, net.Lookahead, net.Exchange)
+	c.coord.OnWindow(net.Offer)
 	c.coord.SetParallel(cfg.Shards > 1)
 	for i := 0; i < cfg.Hosts; i++ {
 		name := fmt.Sprintf("host%d", i)
@@ -466,7 +555,7 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 		hn.mrx = mrx
-		if err := net.Attach(&netsim.FuncNode{Addr: hn.addr, Fn: hn.deliver}); err != nil {
+		if err := net.Attach(hn); err != nil {
 			return nil, err
 		}
 		c.hostNodes = append(c.hostNodes, hn)
@@ -721,6 +810,7 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 	nd.OnResolve = g.journal
 	rt.OnPace = w
 	rt.OnSend = w
+	rt.Held = w
 	// Checkpointed journal (replay bounded by the checkpoint interval
 	// instead of the guest's lifetime) — on when configured and the app
 	// can snapshot.
@@ -782,6 +872,7 @@ func (c *Cluster) reconcileGroups(g *Guest) error {
 		if c.hosts[w.hostIdx].Failed() {
 			continue
 		}
+		w.Pull()
 		old := w.links
 		w.links = make([]peerLink, 0, len(g.replicas)-1)
 		for _, p := range g.replicas {
@@ -789,12 +880,18 @@ func (c *Cluster) reconcileGroups(g *Guest) error {
 				continue
 			}
 			l := peerLink{peer: p, next: p.sent + 1, acked: w.sent}
-			for _, o := range old {
+			for i, o := range old {
 				if o.peer == p {
-					l = o
+					l, old[i].peer = o, nil
 				}
 			}
 			w.links = append(w.links, l)
+		}
+		// A departed peer's beacons still in flight meet the new view.
+		for i := range old {
+			if old[i].peer != nil {
+				w.unholdLink(&old[i])
+			}
 		}
 	}
 	// Install the view last: it drops departed members' pacing progress,
@@ -866,12 +963,18 @@ func (c *Cluster) NewClient(addr netsim.Addr) (*transport.Client, error) {
 // ServiceAddr re-exports the guest public address helper.
 func ServiceAddr(guestID string) netsim.Addr { return gateway.ServiceAddr(guestID) }
 
-// deliver handles packets to the Dom0 node: the ingress streams' multicast,
-// and peer proposals and pacing beacons for a resident replica, each handed
-// to the wiring it names. Both come from a current peer on one FIFO link, or
-// count for nothing: one still in flight when its guest or its sender left
-// the group finds a released wiring or no link.
-func (hn *hostNode) deliver(p *netsim.Packet) {
+var _ netsim.Holder = (*hostNode)(nil)
+
+// Address implements netsim.Node.
+func (hn *hostNode) Address() netsim.Addr { return hn.addr }
+
+// Deliver implements netsim.Node: the ingress streams' multicast, and peer
+// proposals and pacing beacons for a resident replica, each handed to the
+// wiring it names. Both come from a current peer on one FIFO link, or count
+// for nothing: one still in flight when its guest or its sender left the
+// group finds a released wiring or no link. A beacon first has the wiring
+// pull those held before it (Pull).
+func (hn *hostNode) Deliver(p *netsim.Packet) {
 	if hn.host.Failed() { // a dead machine's fabric endpoint is silent
 		return
 	}
@@ -902,6 +1005,13 @@ func (hn *hostNode) deliver(p *netsim.Packet) {
 		w.nd.HandlePeerProposal(b.Origin, b.View, b.Seq, b.Virt)
 		return
 	}
+	if l == nil {
+		// A former peer's beacon may set a progress the held ones would
+		// lower: they arrive as events from here on.
+		w.Unhold()
+	} else {
+		w.Pull()
+	}
 	w.rt.OnPeerVirt(b.Origin, b.Virt)
 	if l != nil {
 		w.onAck(l, b.StreamSeq)
@@ -910,6 +1020,52 @@ func (hn *hostNode) deliver(p *netsim.Packet) {
 	// a beacon with none (Epoch 0) reads as stale.
 	if w.ec != nil {
 		w.ec.OnPeerSample(b.Origin, b.Epoch-1, b.Sample)
+	}
+}
+
+// Hold implements netsim.Holder: a pacing beacon waits on its link, with no
+// event, when its arrival would change only the peer's progress and its ack
+// (vmm.HeldReports). It stays an event when the receiving replica is
+// paused, has no peer report yet or would see it lower one (vmm.Runtime.
+// Defers), runs epochs (the sample it carries is read at arrival), or would
+// find a proposal overdue for resend by then; and on a dead machine, a
+// released wiring, a link that is gone or holds one that has not arrived.
+func (hn *hostNode) Hold(p *netsim.Packet, a netsim.Arrival) bool {
+	b := &p.Body
+	if hn.host.Failed() {
+		return false
+	}
+	w, _ := p.Payload.(*replicaWiring)
+	if w == nil || w.released || w.ec != nil || w.c.everyReport {
+		return false
+	}
+	var l *peerLink
+	for i := range w.links {
+		if w.links[i].peer == b.Data {
+			l = &w.links[i]
+		}
+	}
+	if l == nil {
+		return false
+	}
+	if l.holding {
+		w.Pull()
+	}
+	if l.holding || !w.rt.Defers(b.Origin, b.Virt) || w.overdueBy(l, b.StreamSeq, a.When) {
+		return false
+	}
+	l.held, l.holding = heldBeacon{at: a, virt: b.Virt, ack: b.StreamSeq}, true
+	if w.held == 0 || a.When < w.due {
+		w.due = a.When
+	}
+	w.held++
+	return true
+}
+
+// Unhold implements netsim.Holder.
+func (hn *hostNode) Unhold() {
+	for _, w := range hn.residents {
+		w.Unhold()
 	}
 }
 

@@ -59,7 +59,7 @@ func TestEdgeRunsOnGuestShard(t *testing.T) {
 					}
 					dom0Crossed.Add(1)
 				}
-				hn.deliver(p)
+				hn.Deliver(p)
 			}}); err != nil {
 				t.Fatal(err)
 			}

@@ -51,6 +51,9 @@ func (c *Cluster) FailMachine(m int) error {
 			continue
 		}
 		if slot, on := g.SlotOnHost(m); on {
+			// The beacons it holds arrive as events, which a dead machine
+			// ignores.
+			g.replicas[slot].Unhold()
 			g.replicas[slot].rt.Stop()
 		}
 	}

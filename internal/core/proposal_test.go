@@ -261,7 +261,7 @@ func TestStaleBeaconTriggersNoResend(t *testing.T) {
 	hn0 := c.hostNodes[0]
 	wiring := map[int]*replicaWiring{0: w0, 1: w1, 3: {hn: c.hostNodes[3], hostName: c.hosts[3].Name()}}
 	beacon := func(from int) {
-		hn0.deliver(&netsim.Packet{Src: c.hostNodes[from].addr, Dst: hn0.addr, Kind: "swpace", Payload: w0, Body: netsim.PacketBody{
+		hn0.Deliver(&netsim.Packet{Src: c.hostNodes[from].addr, Dst: hn0.addr, Kind: "swpace", Payload: w0, Body: netsim.PacketBody{
 			Kind: netsim.BodyPace, GuestID: "g", Origin: c.hosts[from].Name(), StreamSeq: 1, Data: wiring[from],
 		}})
 	}
@@ -269,7 +269,7 @@ func TestStaleBeaconTriggersNoResend(t *testing.T) {
 	// group, stops before host 1's device.
 	hn1, stale := c.hostNodes[1], w1.nd.StaleDrops()
 	for _, from := range []int{0, 3} {
-		hn1.deliver(&netsim.Packet{Src: c.hostNodes[from].addr, Dst: hn1.addr, Kind: "swprop", Payload: w1, Body: netsim.PacketBody{
+		hn1.Deliver(&netsim.Packet{Src: c.hostNodes[from].addr, Dst: hn1.addr, Kind: "swprop", Payload: w1, Body: netsim.PacketBody{
 			Kind: netsim.BodyProp, GuestID: "g", Origin: c.hosts[from].Name(), View: g.view, Seq: 1, StreamSeq: 1, Data: wiring[from],
 		}})
 	}
@@ -368,7 +368,7 @@ func TestSoleSurvivorKeepsNoProposals(t *testing.T) {
 			if p.Kind == "swprop" {
 				toDead++
 			}
-			hn.deliver(p)
+			hn.Deliver(p)
 		}}); err != nil {
 			t.Fatal(err)
 		}
@@ -476,7 +476,7 @@ func TestProposalNeverTrailsALaterBeacon(t *testing.T) {
 						heldAt = append(heldAt, landed)
 					}
 				}
-				hn1.deliver(p)
+				hn1.Deliver(p)
 			}}); err != nil {
 				t.Fatal(err)
 			}

@@ -30,6 +30,13 @@
 //     so same-instant arrivals at one node order identically whether they
 //     were scheduled locally or merged in from K shards.
 //
+// # Held arrivals
+//
+// A node may take a pacing beacon without an arrival event (Holder): offered
+// each one at a barrier instant, it copies what it needs and keeps it with
+// its Arrival, and its own reads apply it once sim.Loop.ArrivalPassed says
+// its instant has passed. Stats counts it as delivered from that instant on.
+//
 // # A link's shape comes from its endpoints
 //
 // An address may have an access link (SetAccess: a client's WLAN, the
@@ -81,6 +88,8 @@ type Endpoint struct {
 	id    uint32 // dense from 1 in interning order; EndpointTable key only
 	shard int    // index into Network.shards (AssignShard; 0 by default)
 	node  Node   // receives arrivals; nil (never attached, detached) drops them
+	// holder is node as a Holder, nil if it is none.
+	holder Holder
 	// access is the address's access link (SetAccess); nil for none.
 	access *LinkConfig
 	// placed records an AssignShard, and linked a link from or to the
@@ -205,6 +214,47 @@ type Node interface {
 	Deliver(pkt *Packet)
 }
 
+// Holder is a Node that may take a pacing beacon (BodyPace) without an
+// arrival event. Offered each one at a barrier instant — at once for one
+// sent there, at the start of the next window for one sent inside a window
+// — it either refuses, and the arrival is an event like any other, or
+// copies what it needs out of the packet and keeps it with its Arrival
+// until a read of its own finds the arrival passed (sim.Loop.ArrivalPassed).
+// The packet is reclaimed at once.
+type Holder interface {
+	Node
+	// Hold reports whether the node keeps pkt, arriving at a, instead of
+	// receiving it in Deliver.
+	Hold(pkt *Packet, a Arrival) bool
+	// Unhold hands each held arrival that has not passed back to
+	// Network.Unhold, with the packet's payload and body. The fabric calls
+	// it before detaching the node or attaching another at its address, so
+	// those arrivals meet whatever is attached at their instants, as events
+	// would.
+	Unhold()
+}
+
+// Arrival is a held packet's place in its destination's arrival order: the
+// instant and the (link hash, link seq) key of sim.Loop.AtArrivalTimer, and
+// the fabric's record of it (its shard's in the top 16 bits).
+type Arrival struct {
+	When   sim.Time
+	K1, K2 uint64
+	ticket uint64
+}
+
+// heldArrival is the fabric's record of one held packet: its arrival, its
+// kind's row, and what Unhold rebuilds the packet from. done marks one
+// counted delivered or handed back.
+type heldArrival struct {
+	at       Arrival
+	row      uint64
+	id       uint64
+	src, dst *Endpoint
+	size     int
+	done     bool
+}
+
 // LinkConfig is a link shape: the fabric default or an address's access link.
 type LinkConfig struct {
 	// Latency is the propagation delay. It must be positive on any link
@@ -250,8 +300,8 @@ type link struct {
 // lossUnset marks a link with no loss override in effect.
 const lossUnset = -1.0
 
-// inject is one cross-shard delivery parked in an outbox until the next
-// barrier.
+// inject is one delivery parked in an outbox until the next barrier: a
+// cross-shard one, or a beacon for a holder.
 type inject struct {
 	when   sim.Time
 	k1, k2 uint64
@@ -280,12 +330,21 @@ type netShard struct {
 	// exactly one table entry owns it.
 	links sim.Chunk[link]
 
-	// outs[k] parks deliveries destined for shard k until Exchange.
-	outs [][]inject
+	// outs[k] parks deliveries destined for shard k until Exchange, and
+	// offers the beacons for this shard's holders from then until Offer.
+	outs   [][]inject
+	offers []inject
+
+	// held[heldHead:] records the arrivals this shard's holders keep, in the
+	// order they took them, from the first not done; heldBase is the ticket
+	// of held[0].
+	held     []heldArrival
+	heldHead int
+	heldBase uint64
 
 	nextID uint64
 	idBase uint64
-	// crossed counts sends parked in outs: a function of the partition,
+	// crossed counts sends to another shard: a function of the partition,
 	// so it stays out of Stats and out of the metrics registry.
 	crossed uint64
 }
@@ -453,7 +512,11 @@ func (n *Network) AllocPacket(src, dst Addr, size int, kind string, payload any)
 // or loss, so senders hand it straight to Send and never keep it. Set
 // Body on the returned packet for the typed hot-path payloads.
 func (n *Network) AllocTo(src, dst *Endpoint, size int, kind string, payload any) *Packet {
-	sh := n.shards[src.shard]
+	return n.shards[src.shard].alloc(src, dst, size, kind, payload)
+}
+
+// alloc checks a packet out of this shard's pool.
+func (sh *netShard) alloc(src, dst *Endpoint, size int, kind string, payload any) *Packet {
 	var p *Packet
 	if k := len(sh.freePkts); k > 0 {
 		p = sh.freePkts[k-1]
@@ -488,14 +551,25 @@ func (n *Network) Attach(node Node) error {
 	if node == nil || node.Address() == "" {
 		return fmt.Errorf("%w: nil node or empty address", ErrNet)
 	}
-	n.Endpoint(node.Address()).node = node
+	e := n.Endpoint(node.Address())
+	e.unhold()
+	e.node = node
+	e.holder, _ = node.(Holder)
 	return nil
 }
 
 // Detach removes a node; packets in flight to it are dropped on arrival.
 func (n *Network) Detach(addr Addr) {
 	if e := n.intern(addr, false); e != nil {
-		e.node = nil
+		e.unhold()
+		e.node, e.holder = nil, nil
+	}
+}
+
+// unhold has the endpoint's holder, if any, give back what it holds.
+func (e *Endpoint) unhold() {
+	if e.holder != nil {
+		e.holder.Unhold()
 	}
 }
 
@@ -575,10 +649,16 @@ func (n *Network) Send(pkt *Packet) { n.SendAfter(pkt, 0) }
 // sender-side processing delay (a Dom0 output path) rides the send instead
 // of a timer of its own. The packet's ID is assigned if zero. Delivery is
 // scheduled on the destination shard's loop — directly for a same-shard
-// destination, via the outbox (drained at the next barrier) otherwise.
-// Lost packets are counted and dropped silently (loss recovery belongs to
-// upper layers). A pool-owned packet (AllocPacket) is reclaimed by the
-// fabric once delivered or lost.
+// destination, via the outbox (drained at the next barrier) otherwise. A
+// Holder is offered its beacons at barrier instants, which lie on the same
+// grid for every partition: one sent at a barrier (no event of the sender's
+// shard firing) at once, one sent inside a window from the outbox at the
+// start of the next (Offer); one it keeps arrives without an event. A
+// fabric with a holder attached needs Exchange at its barriers and Offer at
+// the start of each window (sim.Coordinator.OnWindow). Lost packets are
+// counted and dropped silently (loss recovery belongs to upper layers). A
+// pool-owned packet (AllocPacket) is reclaimed by the fabric once delivered
+// or lost.
 //
 // A link's loss and jitter draws, FIFO horizons and arrival keys follow the
 // order of the calls, so that order must also be the order of departure:
@@ -634,28 +714,115 @@ func (n *Network) SendAfter(pkt *Packet, d sim.Time) {
 	}
 	l.lastArr = arrival
 	l.arrSeq++
-	if l.dstShard == ks {
+	in := inject{when: arrival, k1: l.hash, k2: l.arrSeq, pkt: pkt}
+	if l.dstShard != ks {
+		sh.crossed++
+	}
+	switch offered := pkt.offered(); {
+	case offered && !sh.loop.Firing():
+		// Sent at a barrier: the holder's state is the same for every
+		// partition now.
+		n.shards[l.dstShard].offer(n, in)
+	case !offered && l.dstShard == ks:
 		row := sh.kindRow(pkt.Kind)
 		sh.loop.AtArrivalTimer(arrival, sh.kinds[row].label, deliverTimer, n, pkt, deliverArg(ks, row), l.hash, l.arrSeq)
-		return
+	default:
+		// A holder is offered it at the start of the next window (Offer).
+		sh.outs[l.dstShard] = append(sh.outs[l.dstShard], in)
 	}
-	sh.crossed++
-	sh.outs[l.dstShard] = append(sh.outs[l.dstShard], inject{
-		when: arrival, k1: l.hash, k2: l.arrSeq, pkt: pkt,
-	})
 }
 
-// Exchange drains every cross-shard outbox, scheduling the parked
-// deliveries on their destination shards' loops, then levels the packet
-// pools. Coordinator barrier context only (all shards parked). The
-// injection order is irrelevant to the schedule — the (when, k1, k2) key
-// decides — but it is deterministic anyway: shard-index order, append
-// order within a box.
+// offered reports whether the packet is a beacon for a holder.
+func (p *Packet) offered() bool { return p.Body.Kind == BodyPace && p.dst.holder != nil }
+
+// Offer hands shard k's holders the beacons sent inside the last window
+// that Exchange parked for them: on the shard's goroutine as its window
+// starts, or at a barrier, so at the barrier's instant after its control
+// events, which is the same for every partition.
+func (n *Network) Offer(k int) {
+	sh := n.shards[k]
+	for _, in := range sh.offers {
+		sh.offer(n, in)
+	}
+	clear(sh.offers)
+	sh.offers = sh.offers[:0]
+}
+
+// offer records in held if its destination keeps it, and schedules it on
+// this, its destination's, shard otherwise — as for a node that is no longer
+// a holder.
+func (sh *netShard) offer(n *Network, in inject) {
+	p := in.pkt
+	row := sh.kindRow(p.Kind)
+	a := Arrival{When: in.when, K1: in.k1, K2: in.k2, ticket: uint64(sh.idx)<<48 | (sh.heldBase + uint64(len(sh.held)))}
+	if h := p.dst.holder; h != nil && h.Hold(p, a) {
+		sh.settle(false)
+		sh.held = append(sh.held, heldArrival{at: a, row: row, id: p.ID, src: p.src, dst: p.dst, size: p.Size})
+		sh.recycle(p)
+		return
+	}
+	sh.loop.AtArrivalTimer(in.when, sh.kinds[row].label, deliverTimer, n, p, deliverArg(sh.idx, row), in.k1, in.k2)
+}
+
+// settle counts each held arrival whose instant has passed as delivered,
+// from the first not done — past every one with all — and drops the done
+// prefix, moving the rest down once the prefix is the larger part.
+func (sh *netShard) settle(all bool) {
+	for i := sh.heldHead; i < len(sh.held); i++ {
+		h := &sh.held[i]
+		if h.done {
+			continue
+		}
+		if !sh.loop.ArrivalPassed(h.at.When, h.at.K1, h.at.K2) {
+			if !all {
+				break
+			}
+			continue
+		}
+		h.done = true
+		sh.kinds[h.row].delivered++
+	}
+	for sh.heldHead < len(sh.held) && sh.held[sh.heldHead].done {
+		sh.heldHead++
+	}
+	if k := sh.heldHead; k > len(sh.held)-k {
+		m := copy(sh.held, sh.held[k:])
+		clear(sh.held[m:])
+		sh.held, sh.heldHead, sh.heldBase = sh.held[:m], 0, sh.heldBase+uint64(k)
+	}
+}
+
+// Unhold turns a held arrival that has not passed back into a delivery
+// event at its instant and under its key, of the packet the fabric rebuilds
+// with the holder's payload and body. The holder's shard only (or a
+// barrier).
+func (n *Network) Unhold(a Arrival, payload any, body *PacketBody) {
+	sh := n.shards[a.ticket>>48]
+	h := &sh.held[a.ticket&(1<<48-1)-sh.heldBase]
+	if h.done || h.at != a {
+		panic(fmt.Sprintf("netsim: Unhold of an arrival at %v that is not held", a.When))
+	}
+	h.done = true
+	p := sh.alloc(h.src, h.dst, h.size, sh.kinds[h.row].kind, payload)
+	p.ID, p.Body = h.id, *body
+	sh.loop.AtArrivalTimer(a.When, sh.kinds[h.row].label, deliverTimer, n, p, deliverArg(sh.idx, h.row), a.K1, a.K2)
+}
+
+// Exchange drains every outbox, scheduling the parked deliveries on their
+// destination shards' loops, or parking those for a holder until Offer,
+// then levels the packet pools. Coordinator barrier context only (all
+// shards parked). The injection order is irrelevant to the schedule — the
+// (when, k1, k2) key decides — but it is deterministic anyway: shard-index
+// order, append order within a box, which keeps each link's order.
 func (n *Network) Exchange() {
 	for _, src := range n.shards {
 		for k, box := range src.outs {
 			dst := n.shards[k]
 			for _, in := range box {
+				if in.pkt.offered() {
+					dst.offers = append(dst.offers, in)
+					continue
+				}
 				row := dst.kindRow(in.pkt.Kind)
 				dst.loop.AtArrivalTimer(in.when, dst.kinds[row].label, deliverTimer, n, in.pkt, deliverArg(k, row), in.k1, in.k2)
 			}
@@ -738,11 +905,12 @@ type KindStats struct {
 }
 
 // Stats returns current fabric counters, summed across shards: the same
-// for every partition. Barrier context only while a coordinator is driving
-// the shards.
+// for every partition. A held arrival counts as delivered from its instant
+// on. Barrier context only while a coordinator is driving the shards.
 func (n *Network) Stats() Stats {
 	var s Stats
 	for _, sh := range n.shards {
+		sh.settle(true)
 		for _, kc := range sh.kinds {
 			if kc.delivered == 0 && kc.lost == 0 {
 				continue
@@ -766,8 +934,8 @@ func (n *Network) Stats() Stats {
 	return s
 }
 
-// CrossShard returns the sends that crossed a shard (parked in an outbox
-// for the next barrier), summed across shards. Unlike Stats it depends on
+// CrossShard returns the sends that crossed a shard, summed across
+// shards. Unlike Stats it depends on
 // the partition: it is what a machine → shard map is judged by. Barrier
 // context only while a coordinator is driving the shards.
 func (n *Network) CrossShard() uint64 {

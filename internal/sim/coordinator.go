@@ -48,6 +48,9 @@ type Coordinator struct {
 	// on the coordinator goroutine while all shard loops are parked at the
 	// barrier time.
 	exchange func()
+	// open, if set, runs for shard k as each of its windows starts, on the
+	// goroutine that runs the window (OnWindow).
+	open func(k int)
 
 	parallel bool
 	depth    int // RunUntil re-entrancy depth; workers span the outermost call
@@ -80,6 +83,12 @@ func NewCoordinator(ctrl *Loop, shards []*Loop, lookahead func() Time, exchange 
 		exchange:  exchange,
 	}
 }
+
+// OnWindow has open(k) run as each window of shard k starts, on the
+// goroutine that runs it — work the barrier hands a shard without doing it
+// serially — and for every shard before an idle-window skip is counted, so
+// whatever open schedules bounds the skip. Set it before RunUntil.
+func (c *Coordinator) OnWindow(open func(k int)) { c.open = open }
 
 // SetParallel selects goroutine-per-shard window execution. Determinism is
 // unaffected — parallel and sequential modes produce identical schedules —
@@ -118,15 +127,11 @@ func (c *Coordinator) startWorkers() {
 		done := make(chan error)
 		c.workers[i] = cmd
 		c.done[i] = done
-		go func(l *Loop, cmd <-chan shardCmd, done chan<- error) {
+		go func(k int, cmd <-chan shardCmd, done chan<- error) {
 			for w := range cmd {
-				if w.inclusive {
-					done <- l.RunUntil(w.t)
-				} else {
-					done <- l.RunBefore(w.t)
-				}
+				done <- c.runShard(k, w)
 			}
-		}(c.shards[i], cmd, done)
+		}(i, cmd, done)
 	}
 }
 
@@ -156,18 +161,23 @@ func (c *Coordinator) runShards(t Time, inclusive bool) error {
 		}
 		return first
 	}
-	for _, s := range c.shards {
-		var err error
-		if inclusive {
-			err = s.RunUntil(t)
-		} else {
-			err = s.RunBefore(t)
-		}
-		if err != nil {
+	for k := range c.shards {
+		if err := c.runShard(k, shardCmd{t: t, inclusive: inclusive}); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// runShard runs shard k's window.
+func (c *Coordinator) runShard(k int, w shardCmd) error {
+	if c.open != nil {
+		c.open(k)
+	}
+	if w.inclusive {
+		return c.shards[k].RunUntil(w.t)
+	}
+	return c.shards[k].RunBefore(w.t)
 }
 
 // idleWindows returns how many whole lookahead windows from cur, none
@@ -186,6 +196,11 @@ func (c *Coordinator) idleWindows(cur, la, limit Time) int64 {
 	}
 	if c.exchange != nil {
 		c.exchange()
+		for k := range c.shards {
+			if c.open != nil {
+				c.open(k)
+			}
+		}
 		next = c.nextShardEvent()
 	}
 	if next > limit {

@@ -254,6 +254,33 @@ func (l *Loop) Passed(t Time, k1, k2 uint64) bool {
 	return e.k2 > k2
 }
 
+// ArrivalPassed is Passed for a fabric arrival keyed (t, k1, k2) — see
+// AtArrivalTimer — that was never scheduled: a caller that holds an arrival
+// instead (netsim.Holder) asks whether it would already have fired. At t ==
+// now it has iff the event being fired is an arrival with a greater key,
+// since arrivals fire after every local event of their instant; between
+// events the answer is Passed's.
+func (l *Loop) ArrivalPassed(t Time, k1, k2 uint64) bool {
+	if t != l.now {
+		return t < l.now
+	}
+	e := l.cur
+	if e == nil {
+		return l.drained
+	}
+	if e.band == 0 {
+		return false
+	}
+	if e.k1 != k1 {
+		return e.k1 > k1
+	}
+	return e.k2 > k2
+}
+
+// Firing reports whether an event of this loop is being fired: the caller
+// runs inside a window, not at a barrier or between runs.
+func (l *Loop) Firing() bool { return l.cur != nil }
+
 // Leading reports whether the caller runs ahead of every event at Now():
 // no event is firing and none at this instant has fired yet (a coordinator
 // barrier, or a loop that has not run).
@@ -716,8 +743,13 @@ func (l *Loop) fire(h *evHeap) {
 
 // Run executes events in order until the queue is empty, the horizon is
 // passed, or Stop is called. It returns ErrStopped in the latter case.
+//
+// A Run nested in a callback leaves that event no longer the last to have
+// fired: from its return until the callback's, Passed and ArrivalPassed
+// answer for the instant the nested Run left, as between events.
 func (l *Loop) Run() error {
 	l.stopped = false
+	defer func() { l.cur = nil }()
 	for h := l.min(); h != nil; h = l.min() {
 		if l.stopped {
 			return ErrStopped

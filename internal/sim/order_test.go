@@ -49,6 +49,76 @@ type orderModel struct {
 	parked   int       // RunBefore parked behind a bucket min() had already taken, and an earlier arrival was injected
 	nested   int
 	maxBurst int
+
+	// The reference's place in the total order, for ArrivalPassed: an
+	// arrival has passed iff its key sorts below front. A front of band 2
+	// stands after every event at its instant. known is false after
+	// ProcessNextEvent steps, which leave the loop no record of where it is.
+	front refKey
+	known bool
+	// ArrivalPassed answers checked, and those at the instant of the event
+	// firing, of an arrival firing, at a barrier and at a drained instant.
+	queries, atCallback, atArrival, atBarrier, atDrained int
+}
+
+// refKey is one place in the (When, band, k1, k2) order.
+type refKey struct {
+	when   Time
+	band   uint8
+	k1, k2 uint64
+}
+
+// passed is the reference's answer: (t, 1, k1, k2) sorts below front.
+func (m *orderModel) passed(t Time, k1, k2 uint64) bool {
+	f := m.front
+	switch {
+	case t != f.when:
+		return t < f.when
+	case f.band != 1:
+		return f.band == 2
+	case k1 != f.k1:
+		return k1 < f.k1
+	}
+	return k2 < f.k2
+}
+
+// query holds one ArrivalPassed answer to the reference.
+func (m *orderModel) query(t Time, k1, k2 uint64) {
+	if !m.known {
+		return
+	}
+	if got, want := m.l.ArrivalPassed(t, k1, k2), m.passed(t, k1, k2); got != want {
+		m.t.Fatalf("ArrivalPassed(%v, %d, %d) = %v at %v, front %+v: want %v", t, k1, k2, got, m.l.Now(), m.front, want)
+	}
+	m.queries++
+	if t != m.l.Now() {
+		return
+	}
+	switch {
+	case m.l.cur != nil && m.front.band == 1:
+		m.atArrival++
+	case m.l.cur != nil:
+		m.atCallback++
+	case m.front.band == 2 && m.front.when == t:
+		m.atDrained++
+	default:
+		m.atBarrier++
+	}
+}
+
+// probe asks about arrivals around here without reading the op stream: one
+// nanosecond either side of now, and at now keys that tie, precede and
+// follow the front's.
+func (m *orderModel) probe() {
+	now := m.l.Now()
+	m.query(now-1, 0, 0)
+	m.query(now+1, 0, 0)
+	k1, k2 := m.front.k1, m.front.k2
+	for _, d1 := range [...]uint64{^uint64(0), 0, 1} {
+		for _, d2 := range [...]uint64{^uint64(0), 0, 1} {
+			m.query(now, k1+d1, k2+d2)
+		}
+	}
 }
 
 func (m *orderModel) byte() byte {
@@ -190,6 +260,8 @@ func (m *orderModel) onFire(id int) {
 	}
 	m.pending = m.pending[1:]
 	m.fires++
+	m.front = refKey{want.when, want.band, want.k1, want.k2}
+	m.probe()
 	switch want.act {
 	case 1:
 		// What a callback usually does: arm its successors, one of them at
@@ -202,6 +274,7 @@ func (m *orderModel) onFire(id int) {
 		// business (Coordinator.RunUntil) and not the queue's.
 		m.nested++
 		m.runUntil(min(l.Now()+want.arg, m.bound))
+		m.probe()
 	}
 }
 
@@ -214,6 +287,7 @@ func (m *orderModel) runUntil(t Time) {
 		m.t.Fatalf("RunUntil(%v): %v", t, err)
 	}
 	m.bound = outer
+	m.front, m.known = refKey{when: t, band: 2}, true
 	if r := m.first(); r != nil && r.when <= t {
 		m.t.Fatalf("RunUntil(%v) left event %d at %v unfired", t, r.id, r.when)
 	}
@@ -273,7 +347,7 @@ func (m *orderModel) forget(r *refEvent) {
 
 func (m *orderModel) step() {
 	l := m.l
-	switch op := m.byte() % 16; op {
+	switch op := m.byte() % 17; op {
 	case 0, 1, 2, 3, 4:
 		m.scheduleFromOps(l.Now() + m.horizon())
 	case 5: // a same-instant burst, a thousand events and more
@@ -349,21 +423,26 @@ func (m *orderModel) step() {
 		if w := l.wheel; w != nil && w.cur > bucketOf(park) {
 			m.parked++
 		}
+		m.front, m.known = refKey{when: park - 1, band: 2}, true
+		m.probe()
 		m.schedule(2, park+Time(m.n(int(r.when-park))), uint64(m.byte()%8), uint64(m.byte()%8), 0, 0)
 	case 14: // step the population down through the wheel threshold, by the stepping interface
 		m.bound = Never
 		for l.Pending() > wheelMin/4 {
 			l.ProcessNextEvent()
+			m.known = false
 		}
 	case 15:
 		m.scheduleFromOps(l.Now())
+	case 16: // has an arrival keyed like the ones scheduled here passed?
+		m.query(l.Now()+Time(m.byte()%3)-1, uint64(m.byte()%9), uint64(m.byte()%9))
 	}
 	m.check()
 }
 
 // runLoopOrder plays ops against a fresh loop, then drains it.
 func runLoopOrder(t testing.TB, ops []byte, budget int) *orderModel {
-	m := &orderModel{t: t, l: NewLoop(), ops: ops, budget: budget}
+	m := &orderModel{t: t, l: NewLoop(), ops: ops, budget: budget, front: refKey{when: -1, band: 2}, known: true}
 	for m.pos < len(m.ops) {
 		m.step()
 	}
@@ -392,6 +471,9 @@ func randomOps(seed int64, n int) []byte {
 // op streams really did reach what the wheel added: every tier-to-tier
 // Reschedule, all three tiers occupied at once, the wheel threshold crossed
 // both ways, a window parked behind a bucket already taken, nested runs.
+// Along the way ArrivalPassed answers, for arrivals that were never
+// scheduled, whether the sort puts them before the event firing, the
+// barrier a window parked at or the instant a run drained.
 func TestLoopOrderOracle(t *testing.T) {
 	var sum orderModel
 	for seed := int64(1); seed <= 4; seed++ {
@@ -407,6 +489,11 @@ func TestLoopOrderOracle(t *testing.T) {
 		sum.parked += m.parked
 		sum.nested += m.nested
 		sum.fires += m.fires
+		sum.queries += m.queries
+		sum.atCallback += m.atCallback
+		sum.atArrival += m.atArrival
+		sum.atBarrier += m.atBarrier
+		sum.atDrained += m.atDrained
 		if m.maxBurst > sum.maxBurst {
 			sum.maxBurst = m.maxBurst
 		}
@@ -424,6 +511,10 @@ func TestLoopOrderOracle(t *testing.T) {
 	}
 	if sum.parked == 0 || sum.nested == 0 || sum.maxBurst < 1000 {
 		t.Errorf("parked %d, nested %d, largest burst %d: an operation the property is about never ran", sum.parked, sum.nested, sum.maxBurst)
+	}
+	t.Logf("ArrivalPassed: %d answers, at now %d in a local event, %d in an arrival, %d at a barrier, %d drained", sum.queries, sum.atCallback, sum.atArrival, sum.atBarrier, sum.atDrained)
+	if sum.atCallback == 0 || sum.atArrival == 0 || sum.atBarrier == 0 || sum.atDrained == 0 {
+		t.Errorf("ArrivalPassed was never asked at the instant of one of: a local event, an arrival, a barrier, a drained run")
 	}
 }
 

@@ -50,6 +50,10 @@ import (
 // current. Whatever can pull the horizon in afterwards (a new
 // head-of-queue delivery, a lower peer maximum, a first checkpoint) calls
 // rearm, which moves the event and leaves the chunk in flight untouched.
+// A peer report held without an arrival event (HeldReports) is no sync
+// point: it only raises the peer maximum, which moves no exit, and the
+// runtime's reads of that maximum — exit's pacing check, horizon,
+// maybeResume, SetView — pull it in first (FoldPeerVirt).
 //
 // Same-nanosecond ties. Ticking, each chunk's event was scheduled when its
 // predecessor fired, and local events of one instant fire in scheduling

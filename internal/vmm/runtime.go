@@ -38,6 +38,21 @@ type PaceSinkFunc func(v vtime.Virtual, epoch int64, s vtime.EpochSample)
 // PaceReport implements PaceSink.
 func (f PaceSinkFunc) PaceReport(v vtime.Virtual, epoch int64, s vtime.EpochSample) { f(v, epoch, s) }
 
+// HeldReports is where a replica's pacing reports wait when they arrive
+// without an event (core's Dom0 keeps them on its peer links). A report is
+// held only while its instant cannot matter: the replica is not paused, has
+// a peer maximum, and the report lowers no peer's progress (Defers). Then
+// its arrival would change nothing but the peer's progress, which nothing
+// reads before the pacing state's next read, and every read pulls first.
+type HeldReports interface {
+	// Pull applies, through FoldPeerVirt, each held report whose arrival
+	// has passed.
+	Pull()
+	// Unhold turns each held report whose arrival has not passed back into
+	// an arrival event at its place in the arrival order.
+	Unhold()
+}
+
 // peerProgress is one peer replica's latest pacing report.
 type peerProgress struct {
 	peer string
@@ -141,6 +156,10 @@ type Runtime struct {
 	OnSend SendSink
 	// OnPace reports this replica's virtual progress to its peers.
 	OnPace PaceSink
+	// Held keeps the peer reports that arrived without an event, nil for
+	// none: every read of the peers' progress pulls from it first, and a
+	// pause or a view that leaves no peer hands its reports back.
+	Held HeldReports
 	// OnNetDeliver observes each injected network interrupt (experiments).
 	OnNetDeliver func(seq uint64, deliverVirt vtime.Virtual, real sim.Time)
 
@@ -294,11 +313,15 @@ func paceTimer(a, _ any, _ uint64) { a.(*Runtime).paceTick() }
 // The caller installs the same view in every live member within one
 // simulated instant.
 func (rt *Runtime) SetView(view uint64, origins []string) {
+	rt.pull()
 	rt.view = view
 	rt.live = append(rt.live[:0], origins...)
 	n := len(rt.peers)
 	rt.peers = slices.DeleteFunc(rt.peers, func(p peerProgress) bool { return !rt.inView(p.peer) })
 	if len(rt.peers) < n {
+		if len(rt.peers) == 0 && rt.Held != nil {
+			rt.Held.Unhold()
+		}
 		rt.ex.sync()
 		rt.peersChanged()
 	}
@@ -316,15 +339,47 @@ func (rt *Runtime) inView(origin string) bool {
 	return rt.live == nil || slices.Contains(rt.live, origin)
 }
 
-// OnPeerVirt records a peer replica's progress report and resumes a paced
-// pause if the gap has closed (never an epoch barrier). A report from an
-// origin outside the installed view is ignored: a beacon still in flight
-// from a member that left must not pin the pacing maximum.
+// OnPeerVirt records a peer replica's progress report, arriving now, and
+// resumes a paced pause if the gap has closed (never an epoch barrier). A
+// report from an origin outside the installed view is ignored: a beacon
+// still in flight from a member that left must not pin the pacing maximum.
+// The caller has pulled the held reports that arrived before it.
 func (rt *Runtime) OnPeerVirt(peer string, v vtime.Virtual) {
 	if !rt.inView(peer) {
 		return
 	}
 	rt.ex.sync()
+	rt.peers[rt.peerIndex(peer)].virt = v
+	rt.peersChanged()
+}
+
+// FoldPeerVirt records a held report whose arrival has passed: OnPeerVirt
+// at its arrival, less the resume a held report cannot owe (Defers).
+func (rt *Runtime) FoldPeerVirt(peer string, v vtime.Virtual) {
+	if rt.inView(peer) {
+		rt.peers[rt.peerIndex(peer)].virt = v
+		rt.remax()
+	}
+}
+
+// Defers reports whether a report of v from peer, arriving later, may wait
+// for the next read of the pacing state (HeldReports): the replica is not
+// paused, has a peer maximum, and v is no lower than the peer's progress on
+// record, so the report can only raise the maximum.
+func (rt *Runtime) Defers(peer string, v vtime.Virtual) bool {
+	if rt.ex.paused || rt.maxPeer == noPeers {
+		return false
+	}
+	for _, p := range rt.peers {
+		if p.peer == peer {
+			return v >= p.virt
+		}
+	}
+	return true
+}
+
+// peerIndex returns peer's place in peers, adding it on first report.
+func (rt *Runtime) peerIndex(peer string) int {
 	i := 0
 	for i < len(rt.peers) && rt.peers[i].peer != peer {
 		i++
@@ -335,14 +390,26 @@ func (rt *Runtime) OnPeerVirt(peer string, v vtime.Virtual) {
 		}
 		rt.peers = append(rt.peers, peerProgress{peer: peer})
 	}
-	rt.peers[i].virt = v
-	rt.peersChanged()
+	return i
 }
 
-// peersChanged recomputes the peer maximum after a report or a drop. A
-// maximum that appeared or fell brings the pacing pause — and with it the
-// exit horizon — nearer; one that rose may lift a pause.
+// pull has Held apply the reports whose arrival has passed.
+func (rt *Runtime) pull() {
+	if rt.Held != nil {
+		rt.Held.Pull()
+	}
+}
+
+// peersChanged recomputes the peer maximum after a report or a drop; one
+// that rose may lift a pause.
 func (rt *Runtime) peersChanged() {
+	rt.remax()
+	rt.maybeResume()
+}
+
+// remax recomputes the peer maximum. A maximum that appeared or fell brings
+// the pacing pause — and with it the exit horizon — nearer.
+func (rt *Runtime) remax() {
 	was := rt.maxPeer
 	rt.maxPeer = noPeers
 	for i, p := range rt.peers {
@@ -353,7 +420,6 @@ func (rt *Runtime) peersChanged() {
 	if rt.maxPeer < was {
 		rt.ex.rearm()
 	}
-	rt.maybeResume()
 }
 
 // maybeResume lifts a pacing pause once the lead has closed, unless the
@@ -367,6 +433,7 @@ func (rt *Runtime) maybeResume() {
 // tooFarAhead reports whether this replica leads ALL peers by more than
 // MaxLead — i.e. it is the unique fastest and must be slowed (Sec. V-A).
 func (rt *Runtime) tooFarAhead() bool {
+	rt.pull()
 	return rt.maxPeer != noPeers && rt.virtLastExit-rt.maxPeer > rt.cfg.MaxLead
 }
 
@@ -469,6 +536,9 @@ func (rt *Runtime) exit(res guest.StepResult) {
 	if rt.tooFarAhead() {
 		rt.stats.Pauses++
 		rt.ex.pause()
+		if rt.Held != nil {
+			rt.Held.Unhold() // a paused replica resumes at a report's arrival
+		}
 	}
 }
 
@@ -496,6 +566,7 @@ func (rt *Runtime) horizon(first int64) int64 {
 	if len(rt.pendingDisk) > 0 {
 		v = min(v, rt.pendingDisk[0].deliverVirt)
 	}
+	rt.pull()
 	if rt.maxPeer != noPeers {
 		v = min(v, rt.maxPeer+rt.cfg.MaxLead+1)
 	}
