@@ -114,13 +114,24 @@ type Loop struct {
 	horizon Time
 	allocs  uint64 // pool misses: distinct Events ever allocated
 
-	// cur is the event being fired (nil between events); drained records
-	// that, with none firing, every event at now has run — a Run returned
-	// there — rather than none of them (RunBefore parked the loop there).
-	// Together they place "here" in the total event order for Passed.
-	cur     *Event
-	drained bool
+	// cur is the event being fired (nil between events). here is where the
+	// loop stands in its instant's event order, for Passed: just after the
+	// event fired last (in its callback, and after it until the next one
+	// fires if ProcessNextEvent stepped it), after every event (a Run
+	// returned there: band drained), or before every one (the zero place:
+	// RunBefore parked the loop there, or it has not run).
+	cur  *Event
+	here place
 }
+
+// place is a point in one instant's event order: an event's band + 1, k1
+// and k2.
+type place struct {
+	band   uint8
+	k1, k2 uint64
+}
+
+const drained = 3 // the band of a place after every event
 
 // NewLoop returns an empty loop positioned at time zero.
 func NewLoop() *Loop {
@@ -235,46 +246,32 @@ func (l *Loop) AtKeyedTimer(t Time, name string, fn TimerFunc, a, b any, u, k1, 
 // sorts before the one being fired. A fabric arrival fires after every
 // local event of its instant; a local event fires after the keyed one iff
 // it was scheduled after k1 (on equal keys the real event goes first).
-// Between events the loop is either parked ahead of its instant (RunBefore,
-// a coordinator barrier: nothing at now has fired) or has drained it.
-func (l *Loop) Passed(t Time, k1, k2 uint64) bool {
-	if t != l.now {
-		return t < l.now
-	}
-	e := l.cur
-	if e == nil {
-		return l.drained
-	}
-	if e.band != 0 {
-		return true
-	}
-	if e.k1 != k1 {
-		return e.k1 > k1
-	}
-	return e.k2 > k2
-}
+// Between events the loop stands just after the event it fired last, or is
+// parked ahead of its instant (RunBefore, a coordinator barrier: nothing at
+// now has fired), or has drained it.
+func (l *Loop) Passed(t Time, k1, k2 uint64) bool { return l.passed(t, place{1, k1, k2}) }
 
 // ArrivalPassed is Passed for a fabric arrival keyed (t, k1, k2) — see
 // AtArrivalTimer — that was never scheduled: a caller that holds an arrival
 // instead (netsim.Holder) asks whether it would already have fired. At t ==
 // now it has iff the event being fired is an arrival with a greater key,
 // since arrivals fire after every local event of their instant; between
-// events the answer is Passed's.
-func (l *Loop) ArrivalPassed(t Time, k1, k2 uint64) bool {
-	if t != l.now {
+// events the same holds for the event fired last.
+func (l *Loop) ArrivalPassed(t Time, k1, k2 uint64) bool { return l.passed(t, place{2, k1, k2}) }
+
+// passed reports whether an event at (t, p) that was never scheduled sorts
+// before here, as after a real event of equal key.
+func (l *Loop) passed(t Time, p place) bool {
+	h := l.here
+	switch {
+	case t != l.now:
 		return t < l.now
+	case p.band != h.band:
+		return p.band < h.band
+	case p.k1 != h.k1:
+		return p.k1 < h.k1
 	}
-	e := l.cur
-	if e == nil {
-		return l.drained
-	}
-	if e.band == 0 {
-		return false
-	}
-	if e.k1 != k1 {
-		return e.k1 > k1
-	}
-	return e.k2 > k2
+	return p.k2 < h.k2
 }
 
 // Firing reports whether an event of this loop is being fired: the caller
@@ -284,7 +281,7 @@ func (l *Loop) Firing() bool { return l.cur != nil }
 // Leading reports whether the caller runs ahead of every event at Now():
 // no event is firing and none at this instant has fired yet (a coordinator
 // barrier, or a loop that has not run).
-func (l *Loop) Leading() bool { return l.cur == nil && !l.drained }
+func (l *Loop) Leading() bool { return l.cur == nil && l.here == place{} }
 
 // AtArrivalTimer schedules a fabric-arrival callback at absolute time t,
 // ordered among same-time arrivals by the partition-invariant key (k1, k2)
@@ -717,6 +714,7 @@ func (l *Loop) PeekNextEventTime() Time {
 
 // ProcessNextEvent pops and executes the earliest pending event, advancing
 // the loop clock to its fire time. It must not be called on an empty queue.
+// Until the next event fires, Passed answers for the point just after it.
 func (l *Loop) ProcessNextEvent() { l.fire(l.min()) }
 
 // fire pops and executes the top of h, which min returned.
@@ -728,6 +726,7 @@ func (l *Loop) fire(h *evHeap) {
 	// event is the one firing again once that returns.
 	outer := l.cur
 	l.cur = next
+	l.here = place{next.band + 1, next.k1, next.k2}
 	// The event is recycled only after the callback returns: during the
 	// callback, Cancel/Reschedule on the (detached) event are safe
 	// no-ops, and nothing scheduled inside the callback can be handed
@@ -756,12 +755,12 @@ func (l *Loop) Run() error {
 		}
 		if (*h)[0].when > l.horizon {
 			l.now = l.horizon
-			l.drained = true
+			l.here = place{band: drained}
 			return nil
 		}
 		l.fire(h)
 	}
-	l.drained = true
+	l.here = place{band: drained}
 	return nil
 }
 
@@ -791,7 +790,7 @@ func (l *Loop) RunBefore(t Time) error {
 	err := l.RunUntil(t - 1)
 	if err == nil {
 		l.now = t
-		l.drained = false
+		l.here = place{}
 	}
 	return err
 }

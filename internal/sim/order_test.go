@@ -52,13 +52,13 @@ type orderModel struct {
 
 	// The reference's place in the total order, for ArrivalPassed: an
 	// arrival has passed iff its key sorts below front. A front of band 2
-	// stands after every event at its instant. known is false after
-	// ProcessNextEvent steps, which leave the loop no record of where it is.
+	// stands after every event at its instant. After a ProcessNextEvent step
+	// the front stays the stepped event's: the loop stands just after it.
 	front refKey
-	known bool
 	// ArrivalPassed answers checked, and those at the instant of the event
-	// firing, of an arrival firing, at a barrier and at a drained instant.
-	queries, atCallback, atArrival, atBarrier, atDrained int
+	// firing, of an arrival firing, at a barrier, at a drained instant and
+	// after a stepped event.
+	queries, atCallback, atArrival, atBarrier, atDrained, atStepped int
 }
 
 // refKey is one place in the (When, band, k1, k2) order.
@@ -68,27 +68,29 @@ type refKey struct {
 	k1, k2 uint64
 }
 
-// passed is the reference's answer: (t, 1, k1, k2) sorts below front.
-func (m *orderModel) passed(t Time, k1, k2 uint64) bool {
+// passed is the reference's answer for an event keyed (t, band, k1, k2)
+// that was never scheduled — an arrival (band 1), or a keyed local event
+// (band 0), which sorts after a real one of equal key: it sorts below front.
+func (m *orderModel) passed(t Time, band uint8, k1, k2 uint64) bool {
 	f := m.front
 	switch {
 	case t != f.when:
 		return t < f.when
-	case f.band != 1:
-		return f.band == 2
+	case band != f.band:
+		return band < f.band
 	case k1 != f.k1:
 		return k1 < f.k1
 	}
 	return k2 < f.k2
 }
 
-// query holds one ArrivalPassed answer to the reference.
+// query holds one ArrivalPassed and one Passed answer to the reference.
 func (m *orderModel) query(t Time, k1, k2 uint64) {
-	if !m.known {
-		return
-	}
-	if got, want := m.l.ArrivalPassed(t, k1, k2), m.passed(t, k1, k2); got != want {
+	if got, want := m.l.ArrivalPassed(t, k1, k2), m.passed(t, 1, k1, k2); got != want {
 		m.t.Fatalf("ArrivalPassed(%v, %d, %d) = %v at %v, front %+v: want %v", t, k1, k2, got, m.l.Now(), m.front, want)
+	}
+	if got, want := m.l.Passed(t, k1, k2), m.passed(t, 0, k1, k2); got != want {
+		m.t.Fatalf("Passed(%v, %d, %d) = %v at %v, front %+v: want %v", t, k1, k2, got, m.l.Now(), m.front, want)
 	}
 	m.queries++
 	if t != m.l.Now() {
@@ -101,6 +103,8 @@ func (m *orderModel) query(t Time, k1, k2 uint64) {
 		m.atCallback++
 	case m.front.band == 2 && m.front.when == t:
 		m.atDrained++
+	case m.front.band != 2:
+		m.atStepped++
 	default:
 		m.atBarrier++
 	}
@@ -287,7 +291,7 @@ func (m *orderModel) runUntil(t Time) {
 		m.t.Fatalf("RunUntil(%v): %v", t, err)
 	}
 	m.bound = outer
-	m.front, m.known = refKey{when: t, band: 2}, true
+	m.front = refKey{when: t, band: 2}
 	if r := m.first(); r != nil && r.when <= t {
 		m.t.Fatalf("RunUntil(%v) left event %d at %v unfired", t, r.id, r.when)
 	}
@@ -423,14 +427,14 @@ func (m *orderModel) step() {
 		if w := l.wheel; w != nil && w.cur > bucketOf(park) {
 			m.parked++
 		}
-		m.front, m.known = refKey{when: park - 1, band: 2}, true
+		m.front = refKey{when: park - 1, band: 2}
 		m.probe()
 		m.schedule(2, park+Time(m.n(int(r.when-park))), uint64(m.byte()%8), uint64(m.byte()%8), 0, 0)
 	case 14: // step the population down through the wheel threshold, by the stepping interface
 		m.bound = Never
 		for l.Pending() > wheelMin/4 {
 			l.ProcessNextEvent()
-			m.known = false
+			m.probe()
 		}
 	case 15:
 		m.scheduleFromOps(l.Now())
@@ -442,7 +446,7 @@ func (m *orderModel) step() {
 
 // runLoopOrder plays ops against a fresh loop, then drains it.
 func runLoopOrder(t testing.TB, ops []byte, budget int) *orderModel {
-	m := &orderModel{t: t, l: NewLoop(), ops: ops, budget: budget, front: refKey{when: -1, band: 2}, known: true}
+	m := &orderModel{t: t, l: NewLoop(), ops: ops, budget: budget, front: refKey{when: -1, band: 2}}
 	for m.pos < len(m.ops) {
 		m.step()
 	}
@@ -471,9 +475,10 @@ func randomOps(seed int64, n int) []byte {
 // op streams really did reach what the wheel added: every tier-to-tier
 // Reschedule, all three tiers occupied at once, the wheel threshold crossed
 // both ways, a window parked behind a bucket already taken, nested runs.
-// Along the way ArrivalPassed answers, for arrivals that were never
-// scheduled, whether the sort puts them before the event firing, the
-// barrier a window parked at or the instant a run drained.
+// Along the way ArrivalPassed and Passed answer, for arrivals and keyed
+// local events that were never scheduled, whether the sort puts them before
+// the event firing, the event a step just fired, the barrier a window
+// parked at or the instant a run drained.
 func TestLoopOrderOracle(t *testing.T) {
 	var sum orderModel
 	for seed := int64(1); seed <= 4; seed++ {
@@ -494,6 +499,7 @@ func TestLoopOrderOracle(t *testing.T) {
 		sum.atArrival += m.atArrival
 		sum.atBarrier += m.atBarrier
 		sum.atDrained += m.atDrained
+		sum.atStepped += m.atStepped
 		if m.maxBurst > sum.maxBurst {
 			sum.maxBurst = m.maxBurst
 		}
@@ -512,9 +518,9 @@ func TestLoopOrderOracle(t *testing.T) {
 	if sum.parked == 0 || sum.nested == 0 || sum.maxBurst < 1000 {
 		t.Errorf("parked %d, nested %d, largest burst %d: an operation the property is about never ran", sum.parked, sum.nested, sum.maxBurst)
 	}
-	t.Logf("ArrivalPassed: %d answers, at now %d in a local event, %d in an arrival, %d at a barrier, %d drained", sum.queries, sum.atCallback, sum.atArrival, sum.atBarrier, sum.atDrained)
-	if sum.atCallback == 0 || sum.atArrival == 0 || sum.atBarrier == 0 || sum.atDrained == 0 {
-		t.Errorf("ArrivalPassed was never asked at the instant of one of: a local event, an arrival, a barrier, a drained run")
+	t.Logf("ArrivalPassed: %d answers, at now %d in a local event, %d in an arrival, %d at a barrier, %d drained, %d after a stepped event", sum.queries, sum.atCallback, sum.atArrival, sum.atBarrier, sum.atDrained, sum.atStepped)
+	if sum.atCallback == 0 || sum.atArrival == 0 || sum.atBarrier == 0 || sum.atDrained == 0 || sum.atStepped == 0 {
+		t.Errorf("ArrivalPassed was never asked at the instant of one of: a local event, an arrival, a barrier, a drained run, a stepped event")
 	}
 }
 

@@ -140,9 +140,8 @@ func (rt *BaselineRuntime) requestDisk(a guest.IOAction) {
 
 // horizon implements exitHandler: what an exit delivers depends on host
 // real time, which no instruction count predicts, so every boundary is
-// taken — and none is ever skipped.
+// taken.
 func (rt *BaselineRuntime) horizon(first int64) int64 { return first }
-func (rt *BaselineRuntime) skipped()                  {}
 
 // exit is the baseline VM-exit handler: inject whatever is ready.
 func (rt *BaselineRuntime) exit(res guest.StepResult) {

@@ -94,10 +94,12 @@ func (rt *Runtime) EnableCheckpoints(j *Journal, every int64) error {
 	return nil
 }
 
-// captureCheckpoint snapshots the replica at the current exit and offers it
-// to the journal. The scratch checkpoint ping-pongs with the journal's
-// retained one, so steady-state checkpointing allocates nothing.
+// captureCheckpoint snapshots the replica at the current exit, offers it to
+// the journal and sets the next capture point. The scratch checkpoint
+// ping-pongs with the journal's retained one, so steady-state checkpointing
+// allocates nothing.
 func (rt *Runtime) captureCheckpoint(virt vtime.Virtual) {
+	rt.ckNext = (rt.ex.instr/rt.ckEvery + 1) * rt.ckEvery
 	ck := rt.ckScratch
 	if ck == nil {
 		ck = new(Checkpoint)

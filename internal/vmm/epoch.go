@@ -96,16 +96,12 @@ func NewEpochCoordinator(rt *Runtime, interval int64) (*EpochCoordinator, error)
 func (ec *EpochCoordinator) Adjustments() int { return ec.adjustments }
 
 // nextBoundary returns the instruction count that ends the current epoch:
-// the first exit at or past it is the first onExit acts on.
+// the epoch row's next.
 func (ec *EpochCoordinator) nextBoundary() int64 { return (ec.epoch + 1) * ec.interval }
 
-// onExit is called by the runtime at every guest-caused exit it does not
-// skip, after instr has advanced. It returns true when the runtime must
-// pause at a barrier.
-func (ec *EpochCoordinator) onExit(instr int64) bool {
-	if instr < ec.nextBoundary() {
-		return false
-	}
+// onExit is the runtime's epoch row: it runs at an exit at or past
+// nextBoundary, and returns true when the runtime must pause at a barrier.
+func (ec *EpochCoordinator) onExit() bool {
 	if !ec.waiting {
 		now := ec.rt.Host().Loop().Now()
 		ec.sample(vtime.EpochSample{D: now - ec.epochStart, R: ec.rt.Host().Clock().Read(now)})

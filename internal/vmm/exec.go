@@ -23,37 +23,30 @@ import (
 // # Tickless execution
 //
 // Because exits are a function of the instruction stream, whether an exit
-// will do anything is known in advance. A boundary exit is skippable when
-// its handler would change nothing but instr, the runtime's virtLastExit,
-// the PIT tick cursor and the guest's branch and timer-interrupt counters:
-// no I/O instruction ends the chunk, the op queue neither drains nor
-// reaches I/O, no app timer can fire, no network or disk interrupt is due,
-// and no checkpoint, epoch boundary or pacing pause falls on it. exec arms
-// ONE event, at the first boundary that is not skippable — the horizon:
-// the op queue's share is computed here, the hosting runtime supplies the
-// rest — and sync materialises the boundaries crossed before it on demand:
-// one vm.Step over all of them, instr and chunkStart set to the last one
-// crossed, then skipped for the runtime's share. That is exact, not an
-// approximation, because consecutive full chunks at an unchanged rate have
-// the same integer duration, so the k-th boundary falls at
-// chunkStart + chunkDur + (k-1)·fullDur to the nanosecond, and every change
-// of this guest's rate (rescale) materialises first. A host whose exits
-// depend on real time (BaselineRuntime) keeps every boundary by returning
-// the next one as its horizon.
+// will do anything is known in advance. The hosting runtime's exit walks a
+// fixed list of clause rows (Runtime's clauseTimer to clausePace), and its
+// horizon is the first boundary at which one of them is due; exec adds the
+// op queue draining or reaching I/O. exec arms ONE event there, and sync
+// materialises the boundaries crossed before it on demand: one vm.Step over
+// all of them, instr and chunkStart set to the last one crossed, then exit
+// at that boundary, where only the PIT tick count is left to do and a row
+// found due panics. That is exact, not an approximation, because
+// consecutive full chunks at an unchanged rate have the same integer
+// duration, so the k-th boundary falls at chunkStart + chunkDur +
+// (k-1)·fullDur to the nanosecond, and every change of this guest's rate
+// (rescale) materialises first. A host whose exits depend on real time
+// (BaselineRuntime) keeps every boundary by returning the next one as its
+// horizon.
 //
 // Sync points. Anything that reads or writes execution state syncs first:
-// rescale, pause and stop here; in Runtime: Instr (replacement targets,
-// epoch restore), Now, VM, VirtAtLastExit (a device model forming a
-// proposal, the pacing beacon), EnqueueNetDelivery (its divergence check),
-// OnPeerVirt, SetView and EnableCheckpoints. Checkpoint capture, epoch
-// sampling and replay run inside or instead of real exits, where state is
-// current. Whatever can pull the horizon in afterwards (a new
-// head-of-queue delivery, a lower peer maximum, a first checkpoint) calls
-// rearm, which moves the event and leaves the chunk in flight untouched.
-// A peer report held without an arrival event (HeldReports) is no sync
-// point: it only raises the peer maximum, which moves no exit, and the
-// runtime's reads of that maximum — exit's pacing check, horizon,
-// maybeResume, SetView — pull it in first (FoldPeerVirt).
+// rescale, pause and stop here; in Runtime: Instr, Now, VM, VirtAtLastExit,
+// EnqueueNetDelivery, OnPeerVirt, SetView and EnableCheckpoints. Whatever
+// can pull the horizon in afterwards (a new head-of-queue delivery, a lower
+// peer maximum, a first checkpoint) calls rearm, which moves the event and
+// leaves the chunk in flight untouched. A peer report held without an
+// arrival event (HeldReports) is no sync point: it only raises the peer
+// maximum, which moves no exit, and every read that acts on that maximum
+// pulls it in first (FoldPeerVirt).
 //
 // Same-nanosecond ties. Ticking, each chunk's event was scheduled when its
 // predecessor fired, and local events of one instant fire in scheduling
@@ -117,29 +110,30 @@ type exec struct {
 	skip        int64
 	rank        uint64
 
-	// vmm is the hosting runtime (an interface, not three func fields: a
+	// vmm is the hosting runtime (an interface, not two func fields: a
 	// pointer in an interface allocates nothing, a bound method does, and
 	// guest admission is a hot path under churn).
 	vmm exitHandler
 
 	// everyBoundary forces horizon = next boundary: the ticking reference
-	// the equivalence test compares against. Tests only.
+	// the equivalence test compares against. late, when above zero, has
+	// horizon read exit clause late-1's next one boundary late: a mutant
+	// the crossed-boundary check must catch. Tests only.
 	everyBoundary bool
+	late          int
 }
 
 // exitHandler is what a VMM flavour supplies to the engine that runs its
 // guest.
 type exitHandler interface {
 	// exit processes a guest-caused VM exit (interrupt injection etc.). It
-	// runs after instr has been advanced.
+	// runs after instr has been advanced: at an exit taken, and at the last
+	// boundary a sync crosses, where the exit event is still armed (ev).
 	exit(res guest.StepResult)
 	// horizon returns the first boundary at or after first (the end of the
-	// chunk in flight, a multiple of ExitEvery) whose exit the runtime
-	// cannot skip. The op queue is exec's own concern.
+	// chunk in flight, a multiple of ExitEvery) at which exit must act. The
+	// op queue is exec's own concern.
 	horizon(first int64) int64
-	// skipped accounts the runtime's share of skipped boundaries, after
-	// instr has advanced to the last one crossed.
-	skipped()
 }
 
 // maxSkip bounds the boundaries one event may stand for, so a guest with
@@ -186,11 +180,7 @@ func (e *exec) arm(fresh bool) {
 	if e.stopped || e.paused || e.ev != nil {
 		return
 	}
-	boundary := (e.instr/e.exitEvery + 1) * e.exitEvery
-	budget := boundary - e.instr
-	if toIO, has := e.vm.BranchesToNextIO(); has && toIO+1 < budget {
-		budget = toIO + 1
-	}
+	budget := e.budget()
 	rate := e.host.idleRate()
 	if e.busy {
 		rate = e.host.busyRate()
@@ -204,6 +194,16 @@ func (e *exec) arm(fresh bool) {
 	e.chunkDur = chunkDur(budget, rate)
 	e.fullDur = chunkDur(e.exitEvery, rate)
 	e.schedule(e.skippable())
+}
+
+// budget returns the branches from instr to the next exit point: the next
+// boundary, or the I/O instruction before it.
+func (e *exec) budget() int64 {
+	budget := (e.instr/e.exitEvery+1)*e.exitEvery - e.instr
+	if toIO, has := e.vm.BranchesToNextIO(); has && toIO+1 < budget {
+		budget = toIO + 1
+	}
+	return budget
 }
 
 // skippable returns how many boundaries, starting with the end of the
@@ -285,17 +285,19 @@ func (e *exec) sync() {
 	e.cross(k)
 }
 
-// cross materialises the next k skippable boundaries.
+// cross materialises the next k skippable boundaries, running exit at the
+// last of them.
 func (e *exec) cross(k int64) {
 	n := e.chunkBudget + (k-1)*e.exitEvery
 	e.chunkStart += e.chunkDur + sim.Time(k-1)*e.fullDur
 	e.chunkBudget, e.chunkDur = e.exitEvery, e.fullDur
 	e.skip -= k
 	e.instr += n
-	if res := e.vm.Step(n); res.IO != nil {
+	res := e.vm.Step(n)
+	if res.IO != nil {
 		panic(fmt.Sprintf("vmm: guest %s skipped an I/O exit at instr %d", e.vm.ID(), e.instr))
 	}
-	e.vmm.skipped()
+	e.vmm.exit(res)
 }
 
 // chunkTimer is the typed chunk-completion callback — the single hottest

@@ -88,8 +88,9 @@ type equivReplica struct {
 // side by side — started in the same instant, so their boundaries coincide
 // on every host — plus a toggling co-resident on the first host.
 type equivFixture struct {
-	t     *testing.T
+	t     testing.TB
 	every bool
+	late  int // exec.late for every runtime: a mutant's
 	loop  *sim.Loop
 	hosts []*Host
 	boots []sim.Time
@@ -120,7 +121,7 @@ func (f *equivFixture) arrive(src string, d sim.Time, fn func()) {
 		uint64(src[0]), f.linkSeq[src])
 }
 
-func newEquivFixture(t *testing.T, seed uint64, every bool) *equivFixture {
+func newEquivFixture(t testing.TB, seed uint64, every bool) *equivFixture {
 	t.Helper()
 	f := &equivFixture{t: t, every: every, loop: sim.NewLoop(), linkSeq: map[string]uint64{},
 		mute: map[*Runtime]bool{}, log: map[string][]string{}, exits: map[*Runtime]int{}}
@@ -159,7 +160,7 @@ func newEquivFixture(t *testing.T, seed uint64, every bool) *equivFixture {
 // hooks to guest g's replica k.
 func (f *equivFixture) wire(g, k int, rt *Runtime) {
 	t := f.t
-	rt.ex.everyBoundary = f.every
+	rt.ex.everyBoundary, rt.ex.late = f.every, f.late
 	tag, origin := fmt.Sprint("g", g), rt.Host().Name()
 	spyOnExits(rt, func(guest.StepResult) { f.exits[rt]++ })
 	nd, err := NewNetDevice(rt, 3)
@@ -236,7 +237,7 @@ func (f *equivFixture) run() map[string][]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	load.ex.everyBoundary = f.every
+	load.ex.everyBoundary, load.ex.late = f.every, f.late
 	load.OnSend = SendSinkFunc(func(guest.IOAction) {})
 	for g := range f.groups {
 		f.regroup(g)

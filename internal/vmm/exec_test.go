@@ -23,18 +23,22 @@ func (chunkApp) OnDiskDone(c guest.Ctx, d guest.DiskDone) {}
 func (chunkApp) OnTimer(c guest.Ctx, tag string)          {}
 
 // exitSpy lets a test see each exit a runtime takes, before the runtime.
+// A boundary a sync crosses, where the exit event is still armed, is none.
 type exitSpy struct {
 	exitHandler
+	ex  *exec
 	see func(res guest.StepResult)
 }
 
 func (s exitSpy) exit(res guest.StepResult) {
-	s.see(res)
+	if s.ex.ev == nil {
+		s.see(res)
+	}
 	s.exitHandler.exit(res)
 }
 
 func spyOnExits(rt *Runtime, see func(res guest.StepResult)) {
-	rt.ex.vmm = exitSpy{rt.ex.vmm, see}
+	rt.ex.vmm = exitSpy{rt.ex.vmm, &rt.ex, see}
 }
 
 // buildExecProbe builds a runtime and records the instruction count of every

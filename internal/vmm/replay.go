@@ -1,8 +1,9 @@
 package vmm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"stopwatch/internal/guest"
@@ -223,11 +224,8 @@ func (j *Journal) Sorted() []JournalRecord {
 		out = append(out, r)
 	}
 	j.mu.Unlock()
-	sort.Slice(out, func(i, k int) bool {
-		if out[i].Deliver != out[k].Deliver {
-			return out[i].Deliver < out[k].Deliver
-		}
-		return out[i].Seq < out[k].Seq
+	slices.SortFunc(out, func(a, b JournalRecord) int {
+		return cmp.Or(cmp.Compare(a.Deliver, b.Deliver), cmp.Compare(a.Seq, b.Seq))
 	})
 	return out
 }
@@ -273,12 +271,15 @@ func NewReplacementRuntime(host *Host, guestID string, app guest.App, bootTimes 
 		return nil, err
 	}
 	rt.replaying = true
+	fail := func(err error) (*Runtime, error) {
+		rt.Release()
+		return nil, err
+	}
 	var ck Checkpoint
 	restored := j.CopyCheckpoint(&ck)
 	if restored {
 		if err := rt.restoreCheckpoint(&ck); err != nil {
-			rt.Release()
-			return nil, fmt.Errorf("%w: restore checkpoint at instr %d: %v", ErrVMM, ck.Instr, err)
+			return fail(fmt.Errorf("%w: restore checkpoint at instr %d: %v", ErrVMM, ck.Instr, err))
 		}
 		rt.stats.RestoredInstr = ck.Instr
 		if ck.Instr > targetInstr {
@@ -291,22 +292,15 @@ func NewReplacementRuntime(host *Host, guestID string, app guest.App, bootTimes 
 	// deliveries due during the replay fire at their deterministic exits,
 	// the rest stay pending exactly as they are pending at the survivors.
 	// Records still pending at the checkpoint were restored with it, so a
-	// suffix record is skipped when the pending queue already holds its seq.
-	pendingSeqs := make(map[uint64]bool, len(rt.pendingNet))
-	for _, d := range rt.pendingNet {
-		pendingSeqs[d.seq] = true
-	}
+	// suffix record is skipped when the checkpoint holds its seq.
 	for _, rec := range j.Sorted() {
-		if restored && (rec.Deliver <= ck.Virt || pendingSeqs[rec.Seq]) {
+		if restored && (rec.Deliver <= ck.Virt || slices.ContainsFunc(ck.PendingNet, func(d netDelivery) bool { return d.seq == rec.Seq })) {
 			continue
 		}
-		rt.pendingNet = append(rt.pendingNet, netDelivery{deliverVirt: rec.Deliver, seq: rec.Seq, payload: rec.Payload})
+		rt.pendingNet = append(rt.pendingNet, netDelivery{rec.Deliver, rec.Seq, rec.Payload})
 	}
-	sort.Slice(rt.pendingNet, func(i, k int) bool {
-		if rt.pendingNet[i].deliverVirt != rt.pendingNet[k].deliverVirt {
-			return rt.pendingNet[i].deliverVirt < rt.pendingNet[k].deliverVirt
-		}
-		return rt.pendingNet[i].seq < rt.pendingNet[k].seq
+	slices.SortFunc(rt.pendingNet, func(a, b netDelivery) int {
+		return cmp.Or(cmp.Compare(a.deliverVirt, b.deliverVirt), cmp.Compare(a.seq, b.seq))
 	})
 	rt.stats.ReplayedRecords = len(rt.pendingNet)
 	// applyStars re-fits the clock at every epoch boundary replay has
@@ -336,15 +330,11 @@ func NewReplacementRuntime(host *Host, guestID string, app guest.App, bootTimes 
 		}
 	}
 	if err := applyStars(); err != nil {
-		rt.Release()
-		return nil, err
+		return fail(err)
 	}
+	// A step runs at least one branch and at most budget: replay ends at target.
 	for rt.ex.instr < targetInstr {
-		boundary := (rt.ex.instr/rt.cfg.ExitEvery + 1) * rt.cfg.ExitEvery
-		budget := boundary - rt.ex.instr
-		if toIO, has := rt.vm.BranchesToNextIO(); has && toIO+1 < budget {
-			budget = toIO + 1
-		}
+		budget := rt.ex.budget()
 		partial := false
 		if rem := targetInstr - rt.ex.instr; rem < budget {
 			// The survivor materialized partial chunk progress (a pacing
@@ -352,23 +342,14 @@ func NewReplacementRuntime(host *Host, guestID string, app guest.App, bootTimes 
 			budget, partial = rem, true
 		}
 		res := rt.vm.Step(budget)
-		if res.Executed <= 0 {
-			rt.Release()
-			return nil, fmt.Errorf("%w: replay stalled at instr %d (target %d)", ErrVMM, rt.ex.instr, targetInstr)
-		}
 		rt.ex.instr += res.Executed
 		if res.IO == nil && partial {
 			continue // mid-chunk materialization: not an exit
 		}
 		rt.exit(res)
 		if err := applyStars(); err != nil {
-			rt.Release()
-			return nil, err
+			return fail(err)
 		}
-	}
-	if rt.ex.instr != targetInstr {
-		rt.Release()
-		return nil, fmt.Errorf("%w: replay overshot target %d at %d", ErrVMM, targetInstr, rt.ex.instr)
 	}
 	rt.replaying = false
 	return rt, nil

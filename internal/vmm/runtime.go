@@ -167,9 +167,7 @@ type Runtime struct {
 	// replica at an epoch barrier, which pacing must not resume it from).
 	epoch *EpochCoordinator
 
-	// Checkpoint capture state (EnableCheckpoints). Captures happen before
-	// any epoch adjustment at the same exit, so every replica checkpoints
-	// identical pre-adjust state.
+	// Checkpoint capture state (EnableCheckpoints).
 	journal   *Journal
 	ckEvery   int64
 	ckNext    int64
@@ -323,7 +321,8 @@ func (rt *Runtime) SetView(view uint64, origins []string) {
 			rt.Held.Unhold()
 		}
 		rt.ex.sync()
-		rt.peersChanged()
+		rt.remax()
+		rt.maybeResume()
 	}
 	if rt.nd != nil {
 		rt.nd.repropose()
@@ -345,12 +344,11 @@ func (rt *Runtime) inView(origin string) bool {
 // still in flight from a member that left must not pin the pacing maximum.
 // The caller has pulled the held reports that arrived before it.
 func (rt *Runtime) OnPeerVirt(peer string, v vtime.Virtual) {
-	if !rt.inView(peer) {
-		return
+	if rt.inView(peer) {
+		rt.ex.sync()
+		rt.FoldPeerVirt(peer, v)
+		rt.maybeResume()
 	}
-	rt.ex.sync()
-	rt.peers[rt.peerIndex(peer)].virt = v
-	rt.peersChanged()
 }
 
 // FoldPeerVirt records a held report whose arrival has passed: OnPeerVirt
@@ -400,13 +398,6 @@ func (rt *Runtime) pull() {
 	}
 }
 
-// peersChanged recomputes the peer maximum after a report or a drop; one
-// that rose may lift a pause.
-func (rt *Runtime) peersChanged() {
-	rt.remax()
-	rt.maybeResume()
-}
-
 // remax recomputes the peer maximum. A maximum that appeared or fell brings
 // the pacing pause — and with it the exit horizon — nearer.
 func (rt *Runtime) remax() {
@@ -431,10 +422,13 @@ func (rt *Runtime) maybeResume() {
 }
 
 // tooFarAhead reports whether this replica leads ALL peers by more than
-// MaxLead — i.e. it is the unique fastest and must be slowed (Sec. V-A).
+// MaxLead — i.e. it is the unique fastest and must be slowed (Sec. V-A):
+// whether the pacing row is due as of the last exit.
 func (rt *Runtime) tooFarAhead() bool {
 	rt.pull()
-	return rt.maxPeer != noPeers && rt.virtLastExit-rt.maxPeer > rt.cfg.MaxLead
+	var n [clauses]int64
+	rt.next(&n)
+	return rt.due(clausePace, n[clausePace], rt.virtLastExit)
 }
 
 // EnqueueNetDelivery schedules a network interrupt at the median-agreed
@@ -446,19 +440,12 @@ func (rt *Runtime) EnqueueNetDelivery(seq uint64, deliverVirt vtime.Virtual, p g
 	if deliverVirt <= rt.virtLastExit {
 		rt.stats.Divergences++
 	}
-	d := netDelivery{deliverVirt: deliverVirt, seq: seq, payload: p}
-	i := sort.Search(len(rt.pendingNet), func(i int) bool {
-		if rt.pendingNet[i].deliverVirt != d.deliverVirt {
-			return rt.pendingNet[i].deliverVirt > d.deliverVirt
-		}
-		return rt.pendingNet[i].seq > d.seq
-	})
-	if rt.pendingNet == nil {
-		rt.pendingNet = make([]netDelivery, 0, 8) // the packets agreed within one Δn
+	q := rt.pendingNet
+	if q == nil {
+		q = make([]netDelivery, 0, 8) // the packets agreed within one Δn
 	}
-	rt.pendingNet = append(rt.pendingNet, netDelivery{})
-	copy(rt.pendingNet[i+1:], rt.pendingNet[i:])
-	rt.pendingNet[i] = d
+	i := sort.Search(len(q), func(i int) bool { return deliversBefore(deliverVirt, seq, q[i].deliverVirt, q[i].seq) })
+	rt.pendingNet = slices.Insert(q, i, netDelivery{deliverVirt, seq, p})
 	if i == 0 {
 		rt.ex.rearm() // a new earliest delivery can only bring the horizon nearer
 	}
@@ -466,7 +453,8 @@ func (rt *Runtime) EnqueueNetDelivery(seq uint64, deliverVirt vtime.Virtual, p g
 
 // requestDisk is invoked at a VM exit when the guest issued a disk op: the
 // device model starts the real transfer (replay: it is over, ready now) and
-// schedules the interrupt at virtual time V+Δd (Sec. V-A).
+// queues the interrupt at virtual time V+Δd (Sec. V-A), in the (deliverVirt,
+// seq) order live execution and replacement replay share, both being exit.
 func (rt *Runtime) requestDisk(a guest.IOAction, atVirt vtime.Virtual) {
 	ready := rt.host.Loop().Now()
 	if !rt.replaying {
@@ -475,34 +463,93 @@ func (rt *Runtime) requestDisk(a guest.IOAction, atVirt vtime.Virtual) {
 		rt.host.Loop().AtTimer(ready, "vmm:diskdone", ioEndTimer, rt.host, nil, 0)
 	}
 	rt.diskSeq++
-	rt.enqueueDisk(diskDelivery{
-		deliverVirt: atVirt + rt.cfg.DeltaD,
-		seq:         rt.diskSeq,
-		readyReal:   ready,
-		done:        guest.DiskDone{Tag: a.Tag, Bytes: a.Bytes, Write: a.Write},
-	})
+	d := diskDelivery{atVirt + rt.cfg.DeltaD, rt.diskSeq, ready, guest.DiskDone{Tag: a.Tag, Bytes: a.Bytes, Write: a.Write}}
+	q := rt.pendingDisk
+	i := sort.Search(len(q), func(i int) bool { return deliversBefore(d.deliverVirt, d.seq, q[i].deliverVirt, q[i].seq) })
+	rt.pendingDisk = slices.Insert(q, i, d)
 }
 
-// enqueueDisk inserts a disk delivery in (deliverVirt, seq) order — the
-// one ordering live execution and replacement replay share, both being exit.
-func (rt *Runtime) enqueueDisk(d diskDelivery) {
-	i := sort.Search(len(rt.pendingDisk), func(i int) bool {
-		if rt.pendingDisk[i].deliverVirt != d.deliverVirt {
-			return rt.pendingDisk[i].deliverVirt > d.deliverVirt
+// The exit clauses, one row each, in the order exit acts on them. A row's
+// next is the first point at which it is due: a virtual instant, or an
+// instruction count for the checkpoint and epoch rows (countsInstr). A
+// row's act changes no later row's next, so one reading serves a walk.
+const (
+	clauseTimer      = iota // due when a PIT tick fires an app timer; the first exit past a tick counts it
+	clauseDeliver           // disk, then network interrupts
+	clauseCheckpoint        // before the epoch row's adjustment: the state every replica reproduces
+	clauseEpoch             // the barrier, where the walk stops
+	clausePace              // the pause, once the lead over the peer maximum exceeds MaxLead
+	clauses
+)
+
+func countsInstr(c int) bool { return c == clauseCheckpoint || c == clauseEpoch }
+
+// next sets every row's next, math.MaxInt64 for none. The pacing row reads
+// the peer maximum as last pulled.
+func (rt *Runtime) next(n *[clauses]int64) {
+	*n = [clauses]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64}
+	if due, ok := rt.vm.NextTimerDue(); ok {
+		n[clauseTimer] = int64(max(due, rt.pit.Next()))
+	}
+	if len(rt.pendingNet) > 0 {
+		n[clauseDeliver] = int64(rt.pendingNet[0].deliverVirt)
+	}
+	if len(rt.pendingDisk) > 0 {
+		n[clauseDeliver] = min(n[clauseDeliver], int64(rt.pendingDisk[0].deliverVirt))
+	}
+	if rt.ckEvery > 0 {
+		n[clauseCheckpoint] = rt.ckNext
+	}
+	if rt.epoch != nil {
+		n[clauseEpoch] = rt.epoch.nextBoundary()
+	}
+	if rt.maxPeer != noPeers {
+		n[clausePace] = int64(rt.maxPeer + rt.cfg.MaxLead + 1)
+	}
+}
+
+// due reports whether a row whose next is n acts at the exit at virt.
+func (rt *Runtime) due(c int, n int64, virt vtime.Virtual) bool {
+	if countsInstr(c) {
+		return n <= rt.ex.instr
+	}
+	return n <= int64(virt)
+}
+
+// act runs row c at the exit at virt, and reports whether the walk stops.
+func (rt *Runtime) act(c int, virt vtime.Virtual) bool {
+	switch c {
+	case clauseTimer: // run only where a tick is due
+		rt.vm.DeliverTimerTicks(rt.pit.Due(virt))
+	case clauseDeliver:
+		rt.deliverDue(virt)
+	case clauseCheckpoint:
+		rt.captureCheckpoint(virt)
+	case clauseEpoch:
+		if rt.epoch.onExit() {
+			rt.ex.pause()
+			return true
 		}
-		return rt.pendingDisk[i].seq > d.seq
-	})
-	rt.pendingDisk = append(rt.pendingDisk, diskDelivery{})
-	copy(rt.pendingDisk[i+1:], rt.pendingDisk[i:])
-	rt.pendingDisk[i] = d
+	case clausePace:
+		rt.stats.Pauses++
+		rt.ex.pause()
+		if rt.Held != nil {
+			rt.Held.Unhold() // a paused replica resumes at a report's arrival
+		}
+	}
+	return false
 }
 
 // exit is the guest-caused VM exit handler: the only place interrupts are
-// injected (Sec. IV-B / V-B).
+// injected (Sec. IV-B / V-B). It takes the I/O instruction that ended the
+// chunk, if one did, and walks the rows. exec also runs it at the last
+// boundary a sync crosses, with the exit event still armed: there horizon
+// promised that no row is due, so one that is panics instead of acting late
+// in virtual time. That check pulls nothing: a pull only raises the peer
+// maximum, and with it the pacing row's next.
 func (rt *Runtime) exit(res guest.StepResult) {
 	virt := rt.vclock.At(rt.ex.instr)
 	rt.virtLastExit = virt
-
 	if res.IO != nil {
 		if !res.IO.IsSend() {
 			rt.requestDisk(*res.IO, virt)
@@ -512,79 +559,49 @@ func (rt *Runtime) exit(res guest.StepResult) {
 			rt.OnSend.GuestSend(*res.IO)
 		}
 	}
-
-	// Timer interrupts first (the kernel services the tick before device
-	// interrupts), then disk before network at equal virtual times — a
-	// fixed, deterministic order.
-	if n := rt.pit.Due(virt); n > 0 {
-		rt.vm.DeliverTimerTicks(n)
+	crossed := rt.ex.ev != nil
+	if !crossed {
+		rt.pull()
 	}
-	rt.deliverDue(virt)
-
-	// Checkpoint before any epoch adjustment at this exit: the pre-adjust
-	// state is what every replica reproduces identically, and replacement
-	// replay re-applies the journaled star afterwards.
-	if rt.ckEvery > 0 && rt.ex.instr >= rt.ckNext {
-		rt.captureCheckpoint(virt)
-		rt.ckNext = (rt.ex.instr/rt.ckEvery + 1) * rt.ckEvery
-	}
-
-	if rt.epoch != nil && rt.epoch.onExit(rt.ex.instr) {
-		rt.ex.pause()
-		return
-	}
-	if rt.tooFarAhead() {
-		rt.stats.Pauses++
-		rt.ex.pause()
-		if rt.Held != nil {
-			rt.Held.Unhold() // a paused replica resumes at a report's arrival
+	var next [clauses]int64
+	rt.next(&next)
+	for c := range clauses {
+		due := rt.due(c, next[c], virt)
+		if due && crossed {
+			panic(fmt.Sprintf("vmm: guest %s crossed instr %d with exit clause %d due", rt.vm.ID(), rt.ex.instr, c))
+		}
+		// The timer row acts at every tick, whether or not one fires an app timer.
+		if (due || c == clauseTimer && rt.pit.Next() <= virt) && rt.act(c, virt) {
+			return
 		}
 	}
 }
 
-// horizon implements exitHandler: the first boundary at or after first at
-// which exit would do more than skipped does. Every clause of exit has its
-// line here: an app timer fires at a PIT tick once it is due, a delivery
-// once its virtual time is reached, a checkpoint and the epoch hook at
-// their instruction counts, and the pacing pause once the lead over the
-// peer maximum exceeds MaxLead.
+// horizon implements exitHandler: the least of the rows' next, the virtual
+// ones through one BoundaryFor, and no earlier than first.
 func (rt *Runtime) horizon(first int64) int64 {
-	h := int64(math.MaxInt64)
-	if rt.ckEvery > 0 {
-		h = rt.ckNext
-	}
-	if rt.epoch != nil {
-		h = min(h, rt.epoch.nextBoundary())
-	}
-	v := vtime.Virtual(math.MaxInt64)
-	if due, ok := rt.vm.NextTimerDue(); ok {
-		v = max(due, rt.pit.Next())
-	}
-	if len(rt.pendingNet) > 0 {
-		v = min(v, rt.pendingNet[0].deliverVirt)
-	}
-	if len(rt.pendingDisk) > 0 {
-		v = min(v, rt.pendingDisk[0].deliverVirt)
-	}
 	rt.pull()
-	if rt.maxPeer != noPeers {
-		v = min(v, rt.maxPeer+rt.cfg.MaxLead+1)
+	h, v, every := int64(math.MaxInt64), int64(math.MaxInt64), rt.cfg.ExitEvery
+	var next [clauses]int64
+	rt.next(&next)
+	for c, n := range next {
+		switch {
+		case n == math.MaxInt64:
+		case c == rt.ex.late-1: // the test seam: one boundary late
+			if !countsInstr(c) {
+				n = rt.vclock.BoundaryFor(vtime.Virtual(n), every)
+			}
+			h = min(h, n+every)
+		case countsInstr(c):
+			h = min(h, n)
+		default:
+			v = min(v, n)
+		}
 	}
 	if v != math.MaxInt64 {
-		h = min(h, rt.vclock.BoundaryFor(v, rt.cfg.ExitEvery))
+		h = min(h, rt.vclock.BoundaryFor(vtime.Virtual(v), every))
 	}
 	return max(h, first)
-}
-
-// skipped implements exitHandler: what exit does at a boundary where none
-// of horizon's clauses holds. Timer interrupts are still counted, and by
-// horizon's first clause none of them finds an app timer due.
-func (rt *Runtime) skipped() {
-	virt := rt.vclock.At(rt.ex.instr)
-	rt.virtLastExit = virt
-	if n := rt.pit.Due(virt); n > 0 {
-		rt.vm.DeliverTimerTicks(n)
-	}
 }
 
 // deliverDue injects every pending interrupt due at virt. The queues pop
