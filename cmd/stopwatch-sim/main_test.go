@@ -207,7 +207,8 @@ func TestLossyViewChangeNeedsReconcile(t *testing.T) {
 
 // TestScenarioDigestsStable: every CI-tagged scenario, under every
 // declared seed, produces its pinned op-log digest — and the same digest
-// for 1, 2 and 4 fabric shards. A change in any pin is a change in
+// and a byte-equal end-of-run metrics snapshot for 1, 2 and 4 fabric
+// shards. A change in any pin is a change in
 // control-plane behavior and must be made deliberately (re-pin with
 // `stopwatch-sim run scenarios/`).
 func TestScenarioDigestsStable(t *testing.T) {
@@ -227,6 +228,7 @@ func TestScenarioDigestsStable(t *testing.T) {
 					t.Errorf("seed %d has no digest pin", seed)
 					continue
 				}
+				var metrics string
 				for _, shards := range []int{1, 2, 4} {
 					res, err := scenario.Run(sc, scenario.Options{Seed: seed, Shards: shards})
 					if err != nil {
@@ -237,6 +239,11 @@ func TestScenarioDigestsStable(t *testing.T) {
 					}
 					if res.Digest != pin {
 						t.Errorf("seed=%d shards=%d: digest %s, pinned %s", seed, shards, res.Digest, pin)
+					}
+					if shards == 1 {
+						metrics = res.Metrics
+					} else if res.Metrics != metrics {
+						t.Errorf("seed=%d shards=%d: end-of-run metrics differ from one shard's", seed, shards)
 					}
 				}
 			}

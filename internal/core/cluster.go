@@ -133,7 +133,7 @@ type Cluster struct {
 	noReconcile bool
 
 	// everyReport makes every pacing beacon an arrival event: the reference
-	// the held-report equivalence test compares against. Tests only.
+	// the held-report equivalence tests compare against. Tests only.
 	everyReport bool
 
 	ingress *gateway.Ingress
@@ -214,10 +214,9 @@ type replicaWiring struct {
 	sent, resent uint64
 	out          seqwin.Window[sentProp]
 	// links are the live peers in slot order: proposals and pacing beacons
-	// go to their Dom0s. held counts the beacons they hold, none of which
-	// arrives before due.
+	// go to their Dom0s. No beacon they hold arrives before due (sim.Never
+	// when they hold none).
 	links []peerLink
-	held  int
 	due   sim.Time
 }
 
@@ -264,9 +263,9 @@ var (
 )
 
 // SendProposal implements vmm.ProposalSink: one unicast of this replica's
-// delivery-time proposal to each live peer Dom0, kept until acked.
+// delivery-time proposal to each live peer Dom0, kept until acked. Held acks
+// wait: they only retire from the window, and the next pull retires the same.
 func (w *replicaWiring) SendProposal(view, seq uint64, v vtime.Virtual) {
-	w.Pull()
 	w.sent++
 	if len(w.links) == 0 {
 		w.out.SkipTo(w.sent + 1) // a sole survivor has nobody to resend to
@@ -330,7 +329,7 @@ func (w *replicaWiring) overdueBy(l *peerLink, ack uint64, t sim.Time) bool {
 // arrivals changed.
 func (w *replicaWiring) Pull() {
 	loop := w.hn.host.Loop()
-	if w.held == 0 || loop.Now() < w.due {
+	if loop.Now() < w.due {
 		return
 	}
 	w.due = sim.Never
@@ -345,7 +344,6 @@ func (w *replicaWiring) Pull() {
 			continue
 		}
 		l.holding = false
-		w.held--
 		w.rt.FoldPeerVirt(l.peer.hostName, b.virt)
 		w.ack(l, b.ack)
 	}
@@ -356,18 +354,11 @@ func (w *replicaWiring) Pull() {
 func (w *replicaWiring) Unhold() {
 	w.Pull()
 	for i := range w.links {
-		w.unholdLink(&w.links[i])
-	}
-}
-
-// unholdLink turns l's held beacon, which has not arrived, back into an
-// arrival event.
-func (w *replicaWiring) unholdLink(l *peerLink) {
-	if l.holding {
-		b := netsim.PacketBody{Kind: netsim.BodyPace, GuestID: w.gid, Origin: l.peer.hostName, Virt: l.held.virt, StreamSeq: l.held.ack, Data: l.peer}
-		w.c.net.Unhold(l.held.at, w, &b)
-		l.holding = false
-		w.held--
+		if l := &w.links[i]; l.holding {
+			b := netsim.PacketBody{Kind: netsim.BodyPace, GuestID: w.gid, Origin: l.peer.hostName, Virt: l.held.virt, StreamSeq: l.held.ack, Data: l.peer}
+			w.c.net.Unhold(l.held.at, w, &b)
+			l.holding = false
+		}
 	}
 }
 
@@ -478,6 +469,9 @@ type hostNode struct {
 	residents map[string]*replicaWiring
 }
 
+// everyBeacon is New's Cluster.everyReport; only export_test.go sets it.
+var everyBeacon bool
+
 // dom0Links is the link table a Dom0 starts with: a few residents, each
 // with two peers and an egress node, and the peers that came and went.
 const dom0Links = 16
@@ -516,13 +510,14 @@ func New(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		cfg:        cfg,
-		loop:       loop,
-		shardLoops: shardLoops,
-		src:        src,
-		net:        net,
-		guests:     make(map[string]*Guest),
-		replayLen:  metrics.NewHistogram(replayLenBuckets),
+		cfg:         cfg,
+		loop:        loop,
+		shardLoops:  shardLoops,
+		src:         src,
+		net:         net,
+		guests:      make(map[string]*Guest),
+		replayLen:   metrics.NewHistogram(replayLenBuckets),
+		everyReport: everyBeacon,
 	}
 	c.coord = sim.NewCoordinator(loop, shardLoops, net.Lookahead, net.Exchange)
 	c.coord.OnWindow(net.Offer)
@@ -801,6 +796,7 @@ func (c *Cluster) wireReplica(g *Guest, k, hostIdx int, rt *vmm.Runtime) error {
 		app:      app,
 		egress:   g.egress,
 		out:      seqwin.New[sentProp](1),
+		due:      sim.Never,
 	}
 	// Proposal exchange, journal, pacing and egress tunnelling all wire to
 	// the replicaWiring itself (see its sink methods above) — no closures.
@@ -867,12 +863,13 @@ func (c *Cluster) reconcileGroups(g *Guest) error {
 	// Every live replica's links first, from counts read before the
 	// re-proposals below: a link to a staying peer keeps its state, one to a
 	// new peer starts in sync (peerLink), and a sole survivor has none, so
-	// no proposal or beacon reaches dead or repaired machines.
+	// no proposal or beacon reaches dead or repaired machines. A departed
+	// link's held beacon goes with it: its origin is outside the view, and
+	// its ack retires nothing a staying link's next ack does not.
 	for _, w := range g.replicas {
 		if c.hosts[w.hostIdx].Failed() {
 			continue
 		}
-		w.Pull()
 		old := w.links
 		w.links = make([]peerLink, 0, len(g.replicas)-1)
 		for _, p := range g.replicas {
@@ -880,18 +877,12 @@ func (c *Cluster) reconcileGroups(g *Guest) error {
 				continue
 			}
 			l := peerLink{peer: p, next: p.sent + 1, acked: w.sent}
-			for i, o := range old {
+			for _, o := range old {
 				if o.peer == p {
-					l, old[i].peer = o, nil
+					l = o
 				}
 			}
 			w.links = append(w.links, l)
-		}
-		// A departed peer's beacons still in flight meet the new view.
-		for i := range old {
-			if old[i].peer != nil {
-				w.unholdLink(&old[i])
-			}
 		}
 	}
 	// Install the view last: it drops departed members' pacing progress,
@@ -972,8 +963,8 @@ func (hn *hostNode) Address() netsim.Addr { return hn.addr }
 // proposals and pacing beacons for a resident replica, each handed to the
 // wiring it names. Both come from a current peer on one FIFO link, or count
 // for nothing: one still in flight when its guest or its sender left the
-// group finds a released wiring or no link. A beacon first has the wiring
-// pull those held before it (Pull).
+// group finds a released wiring, or no link and an origin outside the view.
+// A beacon first has the wiring pull those held before it (Pull).
 func (hn *hostNode) Deliver(p *netsim.Packet) {
 	if hn.host.Failed() { // a dead machine's fabric endpoint is silent
 		return
@@ -1005,13 +996,9 @@ func (hn *hostNode) Deliver(p *netsim.Packet) {
 		w.nd.HandlePeerProposal(b.Origin, b.View, b.Seq, b.Virt)
 		return
 	}
-	if l == nil {
-		// A former peer's beacon may set a progress the held ones would
-		// lower: they arrive as events from here on.
-		w.Unhold()
-	} else {
-		w.Pull()
-	}
+	// A link holds one beacon, so one in flight behind it is an event: the
+	// older progress must not land after this one's.
+	w.Pull()
 	w.rt.OnPeerVirt(b.Origin, b.Virt)
 	if l != nil {
 		w.onAck(l, b.StreamSeq)
@@ -1025,18 +1012,18 @@ func (hn *hostNode) Deliver(p *netsim.Packet) {
 
 // Hold implements netsim.Holder: a pacing beacon waits on its link, with no
 // event, when its arrival would change only the peer's progress and its ack
-// (vmm.HeldReports). It stays an event when the receiving replica is
-// paused, has no peer report yet or would see it lower one (vmm.Runtime.
-// Defers), runs epochs (the sample it carries is read at arrival), or would
-// find a proposal overdue for resend by then; and on a dead machine, a
-// released wiring, a link that is gone or holds one that has not arrived.
+// (vmm.HeldReports). It stays an event when the receiving replica is paused
+// or has no peer report yet (vmm.Runtime.Defers), runs epochs (the sample it
+// carries is read at arrival), or would find a proposal overdue for resend
+// by then; and when its link is gone or still holds one that has not
+// arrived. A dead machine's or a released replica's wiring may hold one: the
+// cluster never pulls it again (a failed machine is revived only once its
+// residents are gone, controlplane's applyRepair), so what it holds is read
+// no more than what Deliver drops.
 func (hn *hostNode) Hold(p *netsim.Packet, a netsim.Arrival) bool {
 	b := &p.Body
-	if hn.host.Failed() {
-		return false
-	}
 	w, _ := p.Payload.(*replicaWiring)
-	if w == nil || w.released || w.ec != nil || w.c.everyReport {
+	if w == nil || w.ec != nil || w.c.everyReport {
 		return false
 	}
 	var l *peerLink
@@ -1049,16 +1036,13 @@ func (hn *hostNode) Hold(p *netsim.Packet, a netsim.Arrival) bool {
 		return false
 	}
 	if l.holding {
-		w.Pull()
+		w.Pull() // frees the link: fewer events only (bench gate, fleet-ops)
 	}
-	if l.holding || !w.rt.Defers(b.Origin, b.Virt) || w.overdueBy(l, b.StreamSeq, a.When) {
+	if l.holding || !w.rt.Defers() || w.overdueBy(l, b.StreamSeq, a.When) {
 		return false
 	}
 	l.held, l.holding = heldBeacon{at: a, virt: b.Virt, ack: b.StreamSeq}, true
-	if w.held == 0 || a.When < w.due {
-		w.due = a.When
-	}
-	w.held++
+	w.due = min(w.due, a.When)
 	return true
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"stopwatch/internal/apps"
 	"stopwatch/internal/guest"
+	"stopwatch/internal/netsim"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/vmm"
 	"stopwatch/internal/vtime"
@@ -260,4 +261,139 @@ func line[E any](l []E, i int) string {
 		return fmt.Sprint(l[i])
 	}
 	return "(end of log)"
+}
+
+// pairRun runs script on a four-host cluster whose Dom0 links have no
+// jitter, with a probe guest "g" on hosts 0-2, to until: once with every
+// beacon an arrival event and once holding them. Replica 0 must pause
+// pauses times in the reference, and run as many instructions and pause as
+// often holding beacons. script runs before Start and schedules what it
+// needs; held tells it which run it is in.
+func pairRun(t *testing.T, until sim.Time, pauses int64, script func(c *Cluster, g *Guest, held bool)) {
+	t.Helper()
+	var out [2][2]int64
+	for i, every := range []bool{true, false} {
+		cfg := DefaultClusterConfig()
+		cfg.Hosts = 4
+		cfg.CloudLink.JitterMax = 0
+		c := mustCluster(t, cfg)
+		c.everyReport = every
+		g, err := c.Deploy("g", []int{0, 1, 2}, func() guest.App { return apps.NewProbeApp() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		script(c, g, !every)
+		c.Start()
+		if err := c.Run(until); err != nil {
+			t.Fatal(err)
+		}
+		w := g.replicas[0]
+		out[i] = [2]int64{w.rt.Instr(), int64(w.rt.Stats().Pauses)}
+	}
+	if out[0][1] != pauses {
+		t.Fatalf("replica 0 paused %d times in the reference, want %d", out[0][1], pauses)
+	}
+	if out[1] != out[0] {
+		t.Fatalf("replica 0 ran %d instructions and paused %d times holding beacons, %d and %d in the reference",
+			out[1][0], out[1][1], out[0][0], out[0][1])
+	}
+}
+
+// forgeBeacon sends, from w's Dom0 now, the beacon w would send to peer
+// with progress v.
+func forgeBeacon(c *Cluster, w, peer *replicaWiring, v vtime.Virtual) {
+	c.Net().Send(&netsim.Packet{Src: w.hn.addr, Dst: peer.hn.addr, Size: 48, Kind: "swpace", Payload: peer,
+		Body: netsim.PacketBody{Kind: netsim.BodyPace, GuestID: w.gid, Origin: w.hostName, Virt: v, Data: w}})
+}
+
+// TestFirstPeerReportIsAnEvent pins the no-peer-report rule: a replica with
+// no peer report runs unpaced, so the first report to arrive may pause it at
+// once, and must be an event. Replica 0 hears neither peer (their links to
+// it drop everything) while both are frozen at 20 ms; at 30.5 ms, 10 ms
+// ahead of them, it gets replica 1's beacon and must pause at the next
+// boundary, not at its own next beacon (32 ms), which a held one waits for.
+func TestFirstPeerReportIsAnEvent(t *testing.T) {
+	pairRun(t, 40*sim.Millisecond, 1, func(c *Cluster, g *Guest, _ bool) {
+		w0, w1, w2 := g.replicas[0], g.replicas[1], g.replicas[2]
+		for _, w := range []*replicaWiring{w1, w2} {
+			if err := c.Net().InjectLoss(w.hn.addr, w0.hn.addr, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Loop().At(20*sim.Millisecond, "freeze", func() {
+			w1.rt.Stop()
+			w2.rt.Stop()
+		})
+		c.Loop().At(30*sim.Millisecond+500*sim.Microsecond, "report", func() {
+			if err := c.Net().HealLink(w1.hn.addr, w0.hn.addr); err != nil {
+				t.Fatal(err)
+			}
+			forgeBeacon(c, w1, w0, w1.rt.VirtAtLastExit())
+		})
+	})
+}
+
+// TestEventBeaconPullsTheHeldOneFirst pins Deliver's pull: a link holds one
+// beacon, so a second in flight behind it is an event, and the held one,
+// which arrives first, must be folded before it. Replica 2's machine is
+// gone and replica 1 is frozen at 40 ms; then replica 1's Dom0 sends two
+// beacons at once, its progress and 50 ms past it. The first is held and
+// the second is an event at the same instant; folded in the wrong order,
+// the older report lowers replica 1's progress back, and replica 0 pauses
+// 4 ms later instead of running on to 70 ms.
+func TestEventBeaconPullsTheHeldOneFirst(t *testing.T) {
+	pairRun(t, 70*sim.Millisecond, 0, func(c *Cluster, g *Guest, held bool) {
+		w0, w1 := g.replicas[0], g.replicas[1]
+		c.Loop().At(20*sim.Millisecond, "crash", func() {
+			if err := c.FailMachine(2); err != nil {
+				t.Fatal(err)
+			}
+		})
+		c.Loop().At(30*sim.Millisecond, "view", func() {
+			if err := c.MarkReplicaDead("g", 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+		c.Loop().At(40*sim.Millisecond, "reports", func() {
+			w1.rt.Stop()
+			v := w1.rt.VirtAtLastExit()
+			forgeBeacon(c, w1, w0, v)
+			forgeBeacon(c, w1, w0, v+vtime.Virtual(50*sim.Millisecond))
+			if held && !w0.links[0].holding {
+				t.Fatal("the first beacon was not held")
+			}
+		})
+	})
+}
+
+// TestEmptiedViewHandsBackHeldReports pins SetView's hand-back: a view that
+// leaves a replica no peer report turns its held reports back into events,
+// since the no-peer-report rule now holds for them. Replica 0 hears only
+// replica 1, so replica 2's beacon at 30.5 ms (10 ms behind, replica 2
+// frozen at 20 ms) is held; in the same instant replica 1's machine fails
+// and the view drops it. Replica 0 must pause when that beacon arrives,
+// not at its own next beacon (32 ms).
+func TestEmptiedViewHandsBackHeldReports(t *testing.T) {
+	pairRun(t, 40*sim.Millisecond, 1, func(c *Cluster, g *Guest, held bool) {
+		w0, w2 := g.replicas[0], g.replicas[2]
+		if err := c.Net().InjectLoss(w2.hn.addr, w0.hn.addr, 1); err != nil {
+			t.Fatal(err)
+		}
+		c.Loop().At(20*sim.Millisecond, "freeze", w2.rt.Stop)
+		c.Loop().At(30*sim.Millisecond+500*sim.Microsecond, "report", func() {
+			if err := c.Net().HealLink(w2.hn.addr, w0.hn.addr); err != nil {
+				t.Fatal(err)
+			}
+			forgeBeacon(c, w2, w0, w2.rt.VirtAtLastExit())
+			if held && !w0.links[1].holding {
+				t.Fatal("replica 2's beacon was not held")
+			}
+			if err := c.FailMachine(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.MarkReplicaDead("g", 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
 }

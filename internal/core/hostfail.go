@@ -27,7 +27,8 @@ func (c *Cluster) GuestIDs() []string {
 
 // FailMachine models machine m's VMM dying at the current instant: every
 // resident replica's guest execution halts, and the machine's fabric
-// endpoint goes silent (a dead VMM neither proposes nor resends). The
+// endpoint goes silent (a dead VMM neither proposes nor resends, and the
+// beacons its wirings hold are never pulled). The
 // replica wirings stay in place — replacement needs the slots — and the
 // surviving replicas keep running against the full group
 // view until MarkReplicaDead reconfigures them (callers wait a settle
@@ -51,9 +52,6 @@ func (c *Cluster) FailMachine(m int) error {
 			continue
 		}
 		if slot, on := g.SlotOnHost(m); on {
-			// The beacons it holds arrive as events, which a dead machine
-			// ignores.
-			g.replicas[slot].Unhold()
 			g.replicas[slot].rt.Stop()
 		}
 	}

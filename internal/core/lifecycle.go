@@ -44,11 +44,10 @@ func (c *Cluster) Undeploy(id string) error {
 
 // releaseReplicaWiring unwires one StopWatch replica from the fabric: the
 // runtime leaves its host's scheduler, the host node forgets the guest (its
-// proposal links go with it, and the beacons they hold arrive as events
-// that find it released), and the ingress stream state is dropped. Both
+// proposal links go with it, and nothing pulls the beacons they hold, which
+// Deliver would drop), and the ingress stream state is dropped. Both
 // eviction and replacement teardown go through here.
 func (c *Cluster) releaseReplicaWiring(id string, w *replicaWiring) {
-	w.Unhold()
 	w.rt.Release()
 	w.released = true
 	delete(w.hn.residents, id)

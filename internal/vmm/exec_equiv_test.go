@@ -163,6 +163,7 @@ func (f *equivFixture) wire(g, k int, rt *Runtime) {
 	rt.ex.everyBoundary, rt.ex.late = f.every, f.late
 	tag, origin := fmt.Sprint("g", g), rt.Host().Name()
 	spyOnExits(rt, func(guest.StepResult) { f.exits[rt]++ })
+	rt.ex.vmm = ckptSpy{rt.ex.vmm, rt, func() { f.logf(origin, "%s ckpt %d %d", tag, rt.ex.instr, rt.virtLastExit) }}
 	nd, err := NewNetDevice(rt, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -205,6 +206,23 @@ func (f *equivFixture) wire(g, k int, rt *Runtime) {
 	})
 	nd.OnResolve = f.journals[g]
 	ec.OnAdjust = f.journals[g].RecordEpochStar
+}
+
+// ckptSpy records every checkpoint its runtime captures, after the exit
+// that took it: a checkpoint taken at another boundary shows in the records,
+// not only in the journal's last one.
+type ckptSpy struct {
+	exitHandler
+	rt  *Runtime
+	see func()
+}
+
+func (s ckptSpy) exit(res guest.StepResult) {
+	n := s.rt.stats.Checkpoints
+	s.exitHandler.exit(res)
+	if s.rt.stats.Checkpoints != n {
+		s.see()
+	}
 }
 
 // regroup installs guest g's current live membership everywhere.

@@ -40,10 +40,12 @@ func (f PaceSinkFunc) PaceReport(v vtime.Virtual, epoch int64, s vtime.EpochSamp
 
 // HeldReports is where a replica's pacing reports wait when they arrive
 // without an event (core's Dom0 keeps them on its peer links). A report is
-// held only while its instant cannot matter: the replica is not paused, has
-// a peer maximum, and the report lowers no peer's progress (Defers). Then
-// its arrival would change nothing but the peer's progress, which nothing
-// reads before the pacing state's next read, and every read pulls first.
+// held only while its instant cannot matter: the replica is not paused and
+// has a peer maximum (Defers), so its arrival could only raise that
+// maximum, and only the pacing row reads it. exit pulls before it walks the
+// rows; horizon pulls too, but only so as not to arm an exit that would
+// find the row not due. A pause, and a view that leaves no peer report,
+// hand the held reports back.
 type HeldReports interface {
 	// Pull applies, through FoldPeerVirt, each held report whose arrival
 	// has passed.
@@ -157,8 +159,8 @@ type Runtime struct {
 	// OnPace reports this replica's virtual progress to its peers.
 	OnPace PaceSink
 	// Held keeps the peer reports that arrived without an event, nil for
-	// none: every read of the peers' progress pulls from it first, and a
-	// pause or a view that leaves no peer hands its reports back.
+	// none (HeldReports): exit and horizon pull from it, and a pause or a
+	// view that leaves no peer report hands its reports back.
 	Held HeldReports
 	// OnNetDeliver observes each injected network interrupt (experiments).
 	OnNetDeliver func(seq uint64, deliverVirt vtime.Virtual, real sim.Time)
@@ -310,8 +312,10 @@ func paceTimer(a, _ any, _ uint64) { a.(*Runtime).paceTick() }
 // member's sample is re-checked, so survivors unwedge deterministically.
 // The caller installs the same view in every live member within one
 // simulated instant.
+// It pulls nothing (a maximum that fell re-arms the exit, and horizon
+// pulls), but a view that leaves no peer report hands the held ones back:
+// the first report to arrive may pause the replica at once (Defers).
 func (rt *Runtime) SetView(view uint64, origins []string) {
-	rt.pull()
 	rt.view = view
 	rt.live = append(rt.live[:0], origins...)
 	n := len(rt.peers)
@@ -360,20 +364,13 @@ func (rt *Runtime) FoldPeerVirt(peer string, v vtime.Virtual) {
 	}
 }
 
-// Defers reports whether a report of v from peer, arriving later, may wait
-// for the next read of the pacing state (HeldReports): the replica is not
-// paused, has a peer maximum, and v is no lower than the peer's progress on
-// record, so the report can only raise the maximum.
-func (rt *Runtime) Defers(peer string, v vtime.Virtual) bool {
-	if rt.ex.paused || rt.maxPeer == noPeers {
-		return false
-	}
-	for _, p := range rt.peers {
-		if p.peer == peer {
-			return v >= p.virt
-		}
-	}
-	return true
+// Defers reports whether a peer's report, arriving later, may wait for the
+// next read of the pacing state (HeldReports): the replica is not paused
+// and has a peer maximum, so the report can only raise it. Within a view no
+// origin's reports fall: its link is FIFO, its virtLastExit only grows, and
+// SetView forgets an origin that leaves.
+func (rt *Runtime) Defers() bool {
+	return !rt.ex.paused && rt.maxPeer != noPeers
 }
 
 // peerIndex returns peer's place in peers, adding it on first report.
@@ -423,9 +420,9 @@ func (rt *Runtime) maybeResume() {
 
 // tooFarAhead reports whether this replica leads ALL peers by more than
 // MaxLead — i.e. it is the unique fastest and must be slowed (Sec. V-A):
-// whether the pacing row is due as of the last exit.
+// whether the pacing row is due as of the last exit. It is asked only while
+// the replica is paused or runs epochs, so no report is held.
 func (rt *Runtime) tooFarAhead() bool {
-	rt.pull()
 	var n [clauses]int64
 	rt.next(&n)
 	return rt.due(clausePace, n[clausePace], rt.virtLastExit)
@@ -578,7 +575,9 @@ func (rt *Runtime) exit(res guest.StepResult) {
 }
 
 // horizon implements exitHandler: the least of the rows' next, the virtual
-// ones through one BoundaryFor, and no earlier than first.
+// ones through one BoundaryFor, and no earlier than first. Its pull only
+// saves the exits a stale peer maximum would arm for nothing (the bench
+// gate's sim.events_per_sim_s sees them on cloud-idle).
 func (rt *Runtime) horizon(first int64) int64 {
 	rt.pull()
 	h, v, every := int64(math.MaxInt64), int64(math.MaxInt64), rt.cfg.ExitEvery
