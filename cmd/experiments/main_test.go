@@ -208,3 +208,101 @@ func TestPaperFiguresGolden(t *testing.T) {
 		t.Errorf("output moved:\n--- got\n%s--- want\n%s", &got, figuresGolden)
 	}
 }
+
+// defaultGolden is what `experiments -only
+// fig4,fig5,fig6,fig7,calib,collab,leader` prints: the seeded figures at
+// their default durations and seeds, the lengths the paper's numbers are
+// compared at. Some of what it pins is known to be wrong, and is pinned so
+// that its fix shows as a moved line: Fig 4's 12 attacker replica
+// divergences, Fig 6's 39 and the calibration's 277 and 18 at Δn = 2 and
+// 4 ms are all ROADMAP item 2's late-injected median; and the leader table
+// reads backwards, leader-dictated timing leaking less than the median
+// (KS 0.0303 against 0.0325), where Sec. II argues the opposite.
+const defaultGolden = `==== fig4 ====
+Fig 4(a): virtual inter-delivery gaps at attacker (ms)
+  with victim:    n=14998 mean=2.00 p50=2.00 p95=2.75
+  without victim: n=14998 mean=2.00 p50=2.00 p95=2.75
+  KS distance: StopWatch=0.0241 baseline=0.1149 (suppression ×4.8)
+  attacker replica divergences: 12
+
+Fig 4(b): observations needed to detect victim
+confidence        w/ SW       w/o SW
+      0.70        765.5         41.2
+      0.75        818.1         44.0
+      0.80        879.4         47.3
+      0.85        954.5         51.3
+      0.90       1054.8         56.7
+      0.95       1215.3         65.4
+      0.99       1556.3         83.7
+
+==== fig5 ====
+Fig 5: file-retrieval latency (ms, mean of 10 runs)
+ size KB    HTTP base      HTTP SW    ratio     UDP base       UDP SW    ratio
+       1        15.61        34.13     2.19        14.58        34.08     2.34
+      10        19.62        38.04     1.94        18.60        38.02     2.04
+     100        69.18       141.14     2.04        63.09        88.74     1.41
+    1000       582.58      1212.67     2.08       530.44       645.72     1.22
+   10000      5755.81     11938.67     2.07      5217.89      6227.38     1.19
+lockstep divergences over the StopWatch runs: 0
+
+==== fig6 ====
+Fig 6(a): NFS mean latency per op (ms); 6(b): packets per op
+  rate/s   baseline  stopwatch   ratio     c→s/op     s→c/op      ops
+      25      11.40      30.05    2.64       3.37       2.80       97
+      50      11.41      30.58    2.68       3.01       2.70      194
+     100      11.63      31.39    2.70       2.86       2.74      399
+     200      11.72      32.09    2.74       2.77       2.73      759
+     400      12.45      32.49    2.61       2.68       2.59     1559
+lockstep divergences over the StopWatch runs: 39
+
+==== fig7 ====
+Fig 7(a): PARSEC-like runtimes (ms); 7(b): disk interrupts
+app              baseline  stopwatch   ratio   disk#   paper base     paper SW
+ferret                173        368    2.13      31          171          350
+blackscholes          179        421    2.35      38          177          401
+canneal              1555       2706    1.74     183         1530         3230
+dedup                3762       5578    1.48     293         3730         5754
+streamcluster         292        461    1.58      27          290          382
+lockstep divergences over the StopWatch runs: 0
+
+==== calib ====
+Sec VII-A: Δn calibration (load=true)
+   Δn ms  divergences   deliveries    mean lat ms
+       2          277          692           2.87
+       4           18          692           4.71
+       6            0          692           6.70
+       8            0          692           8.70
+      10            0          692          10.71
+      12            0          692          12.70
+      16            0          692          16.70
+
+==== collab ====
+Sec IX: collaborating attackers (marginalize one replica)
+configuration             KS leak    obs @0.95
+3-replicas                 0.0320        686.4
+3-replicas+colluder        0.2438         15.1
+5-replicas+colluder        0.0175       2996.4
+
+==== leader ====
+Ablation: median delivery vs leader-dictated timing (Sec. II argument)
+policy                KS leak    obs @0.95
+median (StopWatch)     0.0325        805.4
+leader-dictates        0.0303        807.9
+
+`
+
+// raceBuild is set by race_test.go.
+var raceBuild bool
+
+func TestPaperFiguresDefaultGolden(t *testing.T) {
+	if raceBuild {
+		t.Skip("about 110 s under -race; the -fast goldens run the same code")
+	}
+	var got bytes.Buffer
+	if err := run([]string{"-only", "fig4,fig5,fig6,fig7,calib,collab,leader"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != defaultGolden {
+		t.Errorf("output moved:\n--- got\n%s--- want\n%s", &got, defaultGolden)
+	}
+}

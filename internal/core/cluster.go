@@ -1017,9 +1017,8 @@ func (hn *hostNode) Deliver(p *netsim.Packet) {
 // carries is read at arrival), or would find a proposal overdue for resend
 // by then; and when its link is gone or still holds one that has not
 // arrived. A dead machine's or a released replica's wiring may hold one: the
-// cluster never pulls it again (a failed machine is revived only once its
-// residents are gone, controlplane's applyRepair), so what it holds is read
-// no more than what Deliver drops.
+// cluster never pulls it again (ReviveMachine refuses while residents
+// remain), so what it holds is read no more than what Deliver drops.
 func (hn *hostNode) Hold(p *netsim.Packet, a netsim.Arrival) bool {
 	b := &p.Body
 	w, _ := p.Payload.(*replicaWiring)

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"strconv"
+	"strings"
 	"testing"
 
 	"stopwatch/internal/apps"
@@ -201,6 +204,74 @@ func TestDeadReplicaIsReplacedAndRejoinsLockstep(t *testing.T) {
 		t.Fatal("replacement did not replay any survivor outputs")
 	} else if int(g.Replica(2).Runtime().VM().Stats().PacketsSent) <= s.ReplayedSends {
 		t.Fatal("replacement emitted no live outputs after the switchover")
+	}
+}
+
+// TestReviveRefusesWhileAGuestResides: a failed machine is revived only
+// once nothing resides on it. A StopWatch guest's dead replica holds it
+// until the replica is replaced, and a baseline guest until it is
+// undeployed; each refusal wraps ErrCluster and names the guest.
+func TestReviveRefusesWhileAGuestResides(t *testing.T) {
+	cfg := DefaultClusterConfig()
+	cfg.Seed = 17
+	cfg.Hosts = 5
+	c := mustCluster(t, cfg)
+	if _, err := c.Deploy("web", []int{0, 1, 2}, fileServerFactory(t, apps.DefaultFileServerConfig())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Deploy("base", []int{3}, fileServerFactory(t, apps.DefaultFileServerConfig())); err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	if err := c.Run(50 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(m int, id string) {
+		t.Helper()
+		err := c.ReviveMachine(m)
+		if !errors.Is(err, ErrCluster) || !strings.Contains(err.Error(), strconv.Quote(id)) {
+			t.Fatalf("reviving machine %d under %s: %v", m, id, err)
+		}
+		if !c.hosts[m].Failed() {
+			t.Fatalf("a refused revival cleared machine %d's mark", m)
+		}
+	}
+	for _, m := range []int{2, 3} {
+		if err := c.FailMachine(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Run(75 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MarkReplicaDead("web", 2); err != nil {
+		t.Fatal(err)
+	}
+	refused(2, "web")
+	refused(3, "base")
+
+	c.Ingress().Pause("web")
+	for !c.GuestQuiescent("web") {
+		if err := c.Run(c.Loop().Now() + 5*sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.ReplaceReplica("web", 2, 4); err != nil {
+		t.Fatal(err)
+	}
+	c.Ingress().Resume("web")
+	if err := c.ReviveMachine(2); err != nil {
+		t.Fatalf("machine 2 is empty once its replica is replaced: %v", err)
+	}
+	refused(3, "base")
+	if err := c.Undeploy("base"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReviveMachine(3); err != nil {
+		t.Fatalf("machine 3 is empty once its guest is undeployed: %v", err)
+	}
+	if c.hosts[2].Failed() || c.hosts[3].Failed() {
+		t.Fatal("a revived machine is still marked failed")
 	}
 }
 

@@ -91,14 +91,21 @@ func (c *Cluster) MarkReplicaDead(id string, deadHost int) error {
 }
 
 // ReviveMachine clears a failed machine's mark after repair: the machine
-// rejoins the cloud empty (its residents were evacuated or replaced) and
-// can host new replicas again.
+// rejoins the cloud empty and can host new replicas again. It refuses while a
+// guest resides there: the mark keeps its dead replica out of quiescence and
+// view changes, and nothing pulls what its wiring holds (hostNode.Hold).
 func (c *Cluster) ReviveMachine(m int) error {
 	if m < 0 || m >= len(c.hosts) {
 		return fmt.Errorf("%w: machine %d out of range", ErrCluster, m)
 	}
 	if !c.hosts[m].Failed() {
 		return fmt.Errorf("%w: machine %d is not failed", ErrCluster, m)
+	}
+	for _, id := range c.GuestIDs() {
+		g := c.guests[id]
+		if _, on := g.SlotOnHost(m); on || g.Baseline != nil && g.baselineHost == m {
+			return fmt.Errorf("%w: machine %d still hosts guest %q", ErrCluster, m, id)
+		}
 	}
 	c.hosts[m].Revive()
 	return nil

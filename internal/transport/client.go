@@ -200,8 +200,8 @@ func (c *Client) onData(conn *clientConn, seg *Segment) {
 	}
 	r.total = seg.Total
 	r.got[seg.Seq] = true
-	// Advance the cumulative counter.
-	contig := 0
+	// Advance the cumulative counter from where it stopped (finish resets it).
+	contig := conn.recvdHigh
 	for r.got[contig] {
 		contig++
 	}
